@@ -47,7 +47,7 @@ BASELINE = Path(__file__).resolve().parent.parent / "BENCH_PR5_SESSION.json"
 
 def _run(prepared, mode, with_session):
     ctx = prepared.make_context(mode, seed=SEED)
-    engine = Engine(ctx, GROUP_BITS, exec_policy="program")
+    engine = Engine(ctx, GROUP_BITS)
     session = (
         enable_session(ctx, FaultPlan(), seed=SEED)
         if with_session

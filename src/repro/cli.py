@@ -4,7 +4,7 @@
 
     python -m repro figures --queries Q3 Q10 --scales 1 3
     python -m repro tpch Q3 --scale 1 [--real] [--backend auto]
-    python -m repro trace Q3 --scale 1 [--policy stages] [-o trace.json]
+    python -m repro trace Q3 --scale 1 [-o trace.json]
     python -m repro estimate Q3 --scale 10
     python -m repro fuzz --seed 0 --iterations 50 [--backend both]
     python -m repro chaos --query q3 --scale tiny --sweep all
@@ -110,11 +110,7 @@ def _cmd_trace(args) -> int:
         query = PREPARED[args.query](dataset)
     mode = Mode.REAL if args.real else Mode.SIMULATED
     tracer = ExecutionTrace()
-    engine = Engine(
-        query.make_context(mode, seed=args.seed),
-        tracer=tracer,
-        exec_policy=args.policy,
-    )
+    engine = Engine(query.make_context(mode, seed=args.seed), tracer=tracer)
     engine.backend = args.backend
     query.run_secure(engine)
     tracer.meta["query"] = query.name
@@ -288,7 +284,6 @@ def _cmd_net(args) -> int:
         scale_mb=0.1 if args.scale == "tiny" else float(args.scale),
         seed=args.seed,
         backend=args.backend,
-        policy=args.policy,
         listen=parse_endpoint(args.listen) if args.listen else None,
         connect=parse_endpoint(args.connect) if args.connect else None,
         journal=args.journal,
@@ -335,141 +330,119 @@ def _cmd_net(args) -> int:
     return 0
 
 
-def _cmd_chaos_process(args) -> int:
-    import json
-    import tempfile
-
-    from .runtime import (
-        PROCESS_FAULT_KINDS,
-        NetConfig,
-        sweep_processes,
-    )
-
-    scale = 0.1 if args.scale == "tiny" else float(args.scale)
-    kinds = (
-        tuple(k for k in args.kinds if k in PROCESS_FAULT_KINDS)
-        if args.kinds
-        else PROCESS_FAULT_KINDS
-    )
-    config = NetConfig(
-        role="alice",  # per-scenario roles are set by the harness
-        query=args.query,
-        scale_mb=scale,
-        seed=args.seed,
-        backend=args.backend,
-        policy=args.policy if args.policy != "both" else "program",
-    )
+def _sweep_progress(args):
+    """``on_progress`` for any sweep: violations always print."""
 
     def progress(i, n, outcome):
         if args.verbose or outcome.classification == "VIOLATION":
             print(f"  [{i}/{n}] {outcome}")
 
-    stride = 1 if args.sweep == "all" else args.stride
-    with tempfile.TemporaryDirectory(prefix="repro-netchaos-") as wd:
-        report = sweep_processes(
-            config, kinds=kinds, stride=stride, workdir=wd,
-            timeout_s=args.timeout, on_progress=progress,
-        )
-    report.meta.update(
-        query=args.query, scale_mb=scale, backend=args.backend,
-        level="process", stride=stride, kinds=list(kinds),
-    )
-    print(
-        f"chaos {args.query} scale={scale} [process level, "
-        f"backend={args.backend}]: {report.summary()}"
-    )
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(json.dumps(report.to_json(), indent=2) + "\n")
-        print(f"report -> {args.output}")
-    return 0 if report.ok else 1
+    return progress
 
 
-def _cmd_chaos(args) -> int:
+def _finish_sweep(args, title, report, real_sample=None) -> int:
+    """The one print/write/exit path of every sweep command.  A sweep
+    that classified no fault point proved nothing, so it fails."""
     import json
 
-    from .runtime import (
-        MESSAGE_FAULT_KINDS,
-        FaultPlan,
-        build_specs,
-        classify_fault,
-        make_tpch_runner,
-        sweep,
-    )
-
-    if args.level == "process":
-        return _cmd_chaos_process(args)
-
-    scale = 0.1 if args.scale == "tiny" else float(args.scale)
-    message_kinds = MESSAGE_FAULT_KINDS + ("crash",)
-    kinds = (
-        tuple(k for k in args.kinds if k in message_kinds)
-        if args.kinds
-        else message_kinds
-    )
-    stride = 1 if args.sweep == "all" else args.stride
-    policies = (
-        ["program", "stages"] if args.policy == "both"
-        else [args.policy]
-    )
-
-    def progress(i, n, outcome):
-        if args.verbose or outcome.classification == "VIOLATION":
-            print(f"  [{i}/{n}] {outcome}")
-
-    ok = True
-    payload = {
-        "query": args.query, "scale_mb": scale,
-        "backend": args.backend, "policies": {},
-    }
-    for policy in policies:
-        run = make_tpch_runner(
-            args.query, scale_mb=scale, policy=policy, seed=args.seed,
-            backend=args.backend,
-        )
-        report = sweep(run, kinds=kinds, stride=stride,
-                       on_progress=progress)
-        report.meta.update(
-            query=args.query, scale_mb=scale, policy=policy,
-            mode="simulated", stride=stride, backend=args.backend,
-        )
-        print(
-            f"chaos {args.query} scale={scale} policy={policy} "
-            f"backend={args.backend} [simulated]: {report.summary()}"
-        )
-        payload["policies"][policy] = report.to_json()
-        ok = ok and report.ok
-
-    if args.real_sample:
-        # REAL-mode spot check: the identical session/fault machinery
-        # over genuine cryptography, at a handful of evenly spaced
-        # fault points (REAL runs cost ~20s each at tiny scale).
-        run = make_tpch_runner(
-            args.query, scale_mb=scale, real=True,
-            policy=policies[0], seed=args.seed, backend=args.backend,
-        )
-        baseline = run(FaultPlan())
-        specs = build_specs(baseline, kinds=kinds)
-        step = max(1, len(specs) // args.real_sample)
-        sample = specs[::step][: args.real_sample]
-        outcomes = [
-            classify_fault(run, baseline, spec) for spec in sample
-        ]
-        bad = [o for o in outcomes if o.classification == "VIOLATION"]
-        for o in outcomes:
-            print(f"  real: {o}")
-        print(
-            f"chaos {args.query} [real]: {len(outcomes)} sampled "
-            f"fault points, {len(bad)} violations"
-        )
-        payload["real_sample"] = [o.to_json() for o in outcomes]
-        ok = ok and not bad
-
+    print(f"{title}: {report.summary()}")
+    payload = report.to_json()
+    ok = report.ok and report.n_fault_points > 0
+    if not report.n_fault_points:
+        print("FAILED: the sweep classified zero fault points")
+    if real_sample is not None:
+        print(f"{title} [real]: {real_sample.summary()}")
+        payload["real_sample"] = real_sample.to_json()
+        ok = ok and real_sample.ok
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(json.dumps(payload, indent=2) + "\n")
         print(f"report -> {args.output}")
     return 0 if ok else 1
+
+
+def _cmd_chaos(args) -> int:
+    import tempfile
+
+    from .runtime import (
+        MESSAGE_FAULT_KINDS,
+        PROCESS_FAULT_KINDS,
+        FaultPlan,
+        NetConfig,
+        build_specs,
+        classify_fault,
+        make_tpch_runner,
+        sweep,
+        sweep_faults,
+        sweep_processes,
+    )
+
+    level_kinds = (
+        PROCESS_FAULT_KINDS
+        if args.level == "process"
+        else MESSAGE_FAULT_KINDS + ("crash",)
+    )
+    kinds = tuple(args.kinds) if args.kinds else level_kinds
+    foreign = [k for k in kinds if k not in level_kinds]
+    if foreign:
+        args.error(
+            f"--level {args.level} sweeps the kinds "
+            f"{', '.join(level_kinds)}; got {', '.join(foreign)}"
+        )
+    scale = 0.1 if args.scale == "tiny" else float(args.scale)
+    stride = 1 if args.sweep == "all" else args.stride
+    meta = dict(
+        query=args.query, scale_mb=scale, backend=args.backend,
+        level=args.level, stride=stride, kinds=list(kinds),
+    )
+    title = (
+        f"chaos {args.query} scale={scale} backend={args.backend} "
+        f"[{args.level} level]"
+    )
+
+    if args.level == "process":
+        config = NetConfig(
+            role="alice",  # per-scenario roles are set by the harness
+            query=args.query,
+            scale_mb=scale,
+            seed=args.seed,
+            backend=args.backend,
+        )
+        with tempfile.TemporaryDirectory(prefix="repro-netchaos-") as wd:
+            report = sweep_processes(
+                config, kinds=kinds, stride=stride, workdir=wd,
+                timeout_s=args.timeout, on_progress=_sweep_progress(args),
+            )
+        report.meta.update(meta)
+        return _finish_sweep(args, title, report)
+
+    run = make_tpch_runner(
+        args.query, scale_mb=scale, seed=args.seed, backend=args.backend
+    )
+    report = sweep_faults(
+        run, kinds=kinds, stride=stride, on_progress=_sweep_progress(args)
+    )
+    report.meta.update(meta, mode="simulated")
+    real_sample = None
+    if args.real_sample:
+        # REAL-mode spot check: the identical session/fault machinery
+        # over genuine cryptography, at a handful of evenly spaced
+        # fault points (REAL runs cost ~20s each at tiny scale).
+        run = make_tpch_runner(
+            args.query, scale_mb=scale, real=True, seed=args.seed,
+            backend=args.backend,
+        )
+        baseline = run(FaultPlan())
+        specs = build_specs(baseline, kinds=kinds)
+        step = max(1, len(specs) // args.real_sample)
+        real_sample = sweep(
+            specs[::step][: args.real_sample],
+            lambda spec: classify_fault(run, baseline, spec),
+            baseline,
+            lambda i, n, outcome: print(f"  real: {outcome}"),
+        )
+        real_sample.meta.update(meta, mode="real")
+    return _finish_sweep(args, title, report, real_sample)
 
 
 def _cmd_serve(args) -> int:
@@ -493,82 +466,74 @@ def _cmd_serve(args) -> int:
             args.queries[1] if len(args.queries) > 1 else args.queries[0]
         )
 
-        def victim(faults):
-            return tpch_request(
-                victim_q, tenant="victim", scale_mb=scale,
-                real=args.real, policy=args.policy, seed=args.seed,
-                name=f"{victim_q}/victim", faults=faults,
-                backend=args.backend,
-            )
+        def factory(query, tenant, seed):
+            def make(faults):
+                return tpch_request(
+                    query, tenant=tenant, scale_mb=scale, real=args.real,
+                    seed=seed, name=f"{query}/{tenant}", faults=faults,
+                    backend=args.backend,
+                )
 
-        def observer(faults):
-            return tpch_request(
-                observer_q, tenant="observer", scale_mb=scale,
-                real=args.real, policy=args.policy, seed=args.seed + 1,
-                name=f"{observer_q}/observer", faults=faults,
-                backend=args.backend,
-            )
-
-        def progress(i, n, outcome):
-            if args.verbose or not outcome.ok:
-                print(f"  [{i}/{n}] {outcome}")
+            return make
 
         report = isolation_sweep(
-            victim, observer, interleave=args.interleave,
-            kinds=kinds, stride=args.stride, on_progress=progress,
+            factory(victim_q, "victim", args.seed),
+            factory(observer_q, "observer", args.seed + 1),
+            interleave=args.interleave, kinds=kinds, stride=args.stride,
+            on_progress=_sweep_progress(args),
         )
         report.meta.update(
             victim=victim_q, observer=observer_q, scale_mb=scale,
-            policy=args.policy, kinds=list(kinds),
+            backend=args.backend, level="serve", kinds=list(kinds),
         )
-        print(
+        return _finish_sweep(
+            args,
             f"serve isolation {victim_q}->{observer_q} scale={scale} "
-            f"interleave={args.interleave}: {report.summary()}"
+            f"interleave={args.interleave}",
+            report,
         )
-        payload = report.to_json()
-        ok = report.ok
-    else:
-        requests = [
-            tpch_request(
-                q, tenant=f"tenant{i % args.tenants}", scale_mb=scale,
-                real=args.real, policy=args.policy, seed=args.seed,
-                name=f"{q}#{i}", backend=args.backend,
+
+    requests = [
+        tpch_request(
+            q, tenant=f"tenant{i % args.tenants}", scale_mb=scale,
+            real=args.real, seed=args.seed,
+            name=f"{q}#{i}", backend=args.backend,
+        )
+        for i, q in enumerate(args.queries)
+    ]
+    budgets = None
+    if args.budget_mb:
+        budgets = {
+            f"tenant{t}": (int(args.budget_mb * 1e6), 1 << 30)
+            for t in range(args.tenants)
+        }
+    result = run_workload(
+        requests, interleave=args.interleave, budgets=budgets,
+        check_solo=args.check_solo,
+    )
+    print(
+        f"serve {args.tenants} tenants, interleave="
+        f"{args.interleave}: {result.report.summary()}"
+    )
+    for s in result.report.sessions:
+        line = (
+            f"  {s['tenant']}/{s['request']}: {s['state']}, "
+            f"{s.get('n_messages', 0)} msgs, "
+            f"{s.get('total_bytes', 0) / 1e6:,.2f} MB"
+        )
+        if args.check_solo and s["request"] in result.solo_deltas:
+            delta = result.solo_deltas[s["request"]]
+            line += (
+                "  [== solo]" if delta == "" else f"  [DRIFT: {delta}]"
             )
-            for i, q in enumerate(args.queries)
-        ]
-        budgets = None
-        if args.budget_mb:
-            budgets = {
-                f"tenant{t}": (int(args.budget_mb * 1e6), 1 << 30)
-                for t in range(args.tenants)
-            }
-        result = run_workload(
-            requests, interleave=args.interleave, budgets=budgets,
-            check_solo=args.check_solo,
-        )
-        print(
-            f"serve {args.tenants} tenants, interleave="
-            f"{args.interleave}: {result.report.summary()}"
-        )
-        for s in result.report.sessions:
-            line = (
-                f"  {s['tenant']}/{s['request']}: {s['state']}, "
-                f"{s.get('n_messages', 0)} msgs, "
-                f"{s.get('total_bytes', 0) / 1e6:,.2f} MB"
-            )
-            if args.check_solo and s["request"] in result.solo_deltas:
-                delta = result.solo_deltas[s["request"]]
-                line += (
-                    "  [== solo]" if delta == "" else f"  [DRIFT: {delta}]"
-                )
-            print(line)
-        ok = all(
-            s["state"] in ("done", "rejected")
-            for s in result.report.sessions
-        )
-        if args.check_solo:
-            ok = ok and result.isolated
-        payload = result.to_json()
+        print(line)
+    ok = all(
+        s["state"] in ("done", "rejected")
+        for s in result.report.sessions
+    )
+    if args.check_solo:
+        ok = ok and result.isolated
+    payload = result.to_json()
 
     if args.output:
         with open(args.output, "w") as fh:
@@ -635,10 +600,6 @@ def main(argv=None) -> int:
     p.add_argument("--scale", type=float, default=1)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--q9-nations", type=int, default=25)
-    p.add_argument(
-        "--policy", choices=["program", "stages"], default="program",
-        help="scheduler dispatch policy",
-    )
     p.add_argument(
         "-o", "--output", default=None,
         help="write the JSON here instead of stdout",
@@ -749,10 +710,6 @@ def main(argv=None) -> int:
         help="message-index stride for --sweep quick",
     )
     p.add_argument(
-        "--policy", choices=["program", "stages", "both"],
-        default="program", help="scheduler dispatch policy to sweep",
-    )
-    p.add_argument(
         "--kinds", nargs="+", default=None,
         choices=[
             "corrupt", "truncate", "drop", "duplicate", "reorder",
@@ -760,7 +717,8 @@ def main(argv=None) -> int:
             "kill-node", "kill-wire", "stall", "partition",
         ],
         help="fault kinds to sweep (default: all for the selected "
-        "level; kill-node/kill-wire/stall/partition are process-level)",
+        "level; kill-node/kill-wire/stall/partition are process-level "
+        "and a kind of the other level is rejected)",
     )
     p.add_argument(
         "--level", choices=["message", "process"], default="message",
@@ -791,7 +749,7 @@ def main(argv=None) -> int:
         "-o", "--output", default=None,
         help="write the JSON report here",
     )
-    p.set_defaults(fn=_cmd_chaos)
+    p.set_defaults(fn=_cmd_chaos, error=p.error)
 
     p = sub.add_parser(
         "net",
@@ -822,10 +780,6 @@ def main(argv=None) -> int:
     p.add_argument(
         "--backend", choices=["yannakakis", "linear", "auto"],
         default="yannakakis", help="join back-end",
-    )
-    p.add_argument(
-        "--policy", choices=["program", "stages"], default="program",
-        help="scheduler dispatch policy",
     )
     p.add_argument(
         "--journal", default=None, metavar="FILE",
@@ -898,10 +852,6 @@ def main(argv=None) -> int:
     p.add_argument(
         "--scale", default="tiny",
         help='dataset scale in MB, or "tiny" (= 0.1)',
-    )
-    p.add_argument(
-        "--policy", choices=["program", "stages"], default="program",
-        help="exec scheduler dispatch policy inside each session",
     )
     p.add_argument(
         "--interleave", choices=["round_robin", "clock"],

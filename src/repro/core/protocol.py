@@ -17,8 +17,8 @@ compositions (Section 7).
 
 Both entry points are thin wrappers over the :mod:`repro.exec` layer:
 the plan is compiled to an execution DAG and run by the scheduler,
-which reproduces the historical transcript byte-for-byte under its
-default policy.  The pre-IR sequential orchestrations are kept as
+which reproduces the historical transcript byte-for-byte.  The pre-IR
+sequential orchestrations are kept as
 ``legacy_secure_yannakakis``/``legacy_secure_yannakakis_shared`` — the
 reference implementations the scheduler is tested against.
 """

@@ -9,11 +9,10 @@ halves:
   into an :class:`ExecPlan` — a serialisable DAG of typed operator
   steps with explicit dataflow slots; and
 * a **scheduler** (:class:`Scheduler`) that executes the DAG over an
-  :class:`~repro.mpc.engine.Engine`, with pluggable dispatch policies
-  ("program" reproduces the legacy transcript byte-for-byte; "stages"
-  groups independent branches into dependency stages), per-node
-  structured tracing (:class:`ExecutionTrace`) and run-wide template
-  caching (via :class:`~repro.mpc.runcache.RunCache` on the context).
+  :class:`~repro.mpc.engine.Engine` in one fixed order that reproduces
+  the legacy transcript byte-for-byte, with per-node structured
+  tracing (:class:`ExecutionTrace`) and run-wide template caching (via
+  :class:`~repro.mpc.runcache.RunCache` on the context).
 
 The legacy entry points remain as thin wrappers; see
 :func:`repro.core.protocol.secure_yannakakis`.

@@ -3,8 +3,8 @@ execution IR.
 
 The compiler is pure planning — no context, no engine, no data.  It
 emits steps in the same order the legacy orchestration visited them, so
-the scheduler's "program" policy (topological order with min-id
-tie-break) replays the legacy transcript byte-for-byte.
+the scheduler (topological order with min-id tie-break) replays the
+legacy transcript byte-for-byte.
 """
 
 from __future__ import annotations

@@ -1,17 +1,11 @@
 """Topological scheduler for :class:`~repro.exec.ir.ExecPlan` DAGs.
 
-Two dispatch policies:
-
-* ``"program"`` (default) — Kahn's algorithm with a min-id tie-break.
-  The compiler emits steps in the legacy orchestration's visit order,
-  so this policy replays the legacy transcript **byte-for-byte** (same
-  message sizes, same senders, same labels, same order).
-* ``"stages"`` — stage-major dispatch: the DAG's dependency levels run
-  one after another, all steps of a level before any of the next.
-  Independent join-tree branches (parallel reveals, aligns, semijoins)
-  are grouped, which is the dispatch shape a multi-threaded or batched
-  backend would use.  Semantically identical and byte-identical in
-  total; the message *order* may differ from the program policy.
+One dispatch order: Kahn's algorithm with a min-id tie-break.  The
+compiler emits steps in the legacy orchestration's visit order, so the
+scheduler replays the legacy transcript **byte-for-byte** (same message
+sizes, same senders, same labels, same order) — the one fixed,
+data-independent message sequence the paper's security argument is
+over.
 
 Every executed node is recorded into the engine's
 :class:`~repro.exec.trace.ExecutionTrace` when one is attached.  The
@@ -57,29 +51,21 @@ from .trace import ExecutionTrace
 
 __all__ = ["Scheduler"]
 
-POLICIES = ("program", "stages")
-
 
 class Scheduler:
     """Executes an :class:`ExecPlan` over an engine's context.
 
-    ``policy`` and ``trace`` default to the engine's ``exec_policy``
-    and ``tracer`` attributes, so callers configure instrumentation
-    once on the engine and every pipeline run picks it up.
+    ``trace`` defaults to the engine's ``tracer`` attribute, so callers
+    configure instrumentation once on the engine and every pipeline
+    run picks it up.
     """
 
     def __init__(
         self,
         engine: "Engine",
-        policy: Optional[str] = None,
         trace: Optional[ExecutionTrace] = None,
     ) -> None:
         self.engine = engine
-        self.policy = policy or getattr(engine, "exec_policy", "program")
-        if self.policy not in POLICIES:
-            raise ValueError(
-                f"unknown policy {self.policy!r}; expected one of {POLICIES}"
-            )
         self.trace = (
             trace
             if trace is not None
@@ -89,8 +75,6 @@ class Scheduler:
     # -- ordering --------------------------------------------------------
 
     def execution_order(self, plan: ExecPlan) -> List[Step]:
-        if self.policy == "stages":
-            return [s for group in plan.stages for s in group]
         # Kahn's algorithm, always releasing the smallest ready id:
         # reproduces the compiler's emission order (the legacy program
         # order) for any DAG the compiler produces.
@@ -137,8 +121,8 @@ class Scheduler:
         ``env``/``start_at`` make runs restartable over a durable
         checkpoint (``repro net --resume``): pass the revived slot
         environment and the checkpointed step id, and execution skips
-        every step before ``start_at`` in this policy's execution
-        order, resuming at the checkpointed node itself."""
+        every step before ``start_at`` in the execution order, resuming
+        at the checkpointed node itself."""
         ctx = self.engine.ctx
         supervisor = self._make_supervisor()
         # Cooperative re-entrancy: a serving layer may interleave many
@@ -181,10 +165,9 @@ class Scheduler:
         if waiting_for is not None:
             raise ValueError(
                 f"resume step {waiting_for} is not in the plan's "
-                f"execution order under policy {self.policy!r}"
+                "execution order"
             )
         if self.trace is not None:
-            self.trace.meta["policy"] = self.policy
             self.trace.meta["plan"] = plan.name
             self.trace.meta["n_steps"] = len(plan.steps)
             self.trace.meta["n_stages"] = len(plan.stages)

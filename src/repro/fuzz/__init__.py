@@ -2,10 +2,10 @@
 
 The randomized safety net behind the ROADMAP's "refactor freely"
 stance: seeded random free-connex join-aggregate instances are executed
-through the full secure pipeline (both scheduler policies, SIMULATED
-plus sampled REAL mode) and compared against the plaintext oracles,
-while a transcript auditor machine-checks the paper's obliviousness
-claim on value-disjoint database twins.  See ``docs/TESTING.md``.
+through the full secure pipeline (SIMULATED plus sampled REAL mode) and
+compared against the plaintext oracles, while a transcript auditor
+machine-checks the paper's obliviousness claim on value-disjoint
+database twins.  See ``docs/TESTING.md``.
 """
 
 from .corpus import default_corpus_dir, iter_corpus, save_instance
@@ -24,7 +24,6 @@ from .runner import (
     check_instance,
     fuzz,
     minimize_instance,
-    perturb_one_share,
     replay_file,
     run_differential,
     save_failure,
@@ -43,7 +42,6 @@ __all__ = [
     "check_instance",
     "fuzz",
     "minimize_instance",
-    "perturb_one_share",
     "replay_file",
     "run_differential",
     "save_failure",

@@ -5,8 +5,7 @@ Two machine-checked versions of the paper's headline guarantees:
 * **Correctness** (:func:`run_differential`) — the secure protocol's
   revealed result must be semantically equal, as a K-relation, to the
   ``naive_join_aggregate`` oracle (join-then-aggregate by brute force)
-  and to the plaintext Yannakakis executor, for every instance, under
-  both scheduler dispatch policies ("program" and "stages").
+  and to the plaintext Yannakakis executor, for every instance.
 
 * **Data-obliviousness** (:func:`audit_obliviousness`) — running the
   same query shape on a value-disjoint database of identical
@@ -41,16 +40,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -61,8 +51,7 @@ from ..mpc.engine import Engine
 from ..mpc.params import SecurityParams
 from ..query.planner import choose_plan, route_backends
 from ..runtime.aborts import ProtocolAbort
-from ..runtime.faults import FaultPlan
-from ..runtime.faults import perturb_share as _perturb_share
+from ..runtime.faults import FaultPlan, perturb_share
 from ..runtime.session import enable_session
 from ..runtime.supervisor import RetryPolicy
 from ..relalg.relation import AnnotatedRelation
@@ -81,18 +70,14 @@ __all__ = [
     "FuzzFailure",
     "FuzzReport",
     "FUZZ_BACKENDS",
-    "POLICIES",
     "run_differential",
     "audit_obliviousness",
     "audit_leakage",
     "check_instance",
     "fuzz",
-    "perturb_one_share",
     "save_failure",
     "replay_file",
 ]
-
-POLICIES = ("program", "stages")
 
 #: Join back-ends the fuzzer can drive; "both" runs every check under
 #: each concrete back-end (the cross-protocol differential oracle:
@@ -104,10 +89,6 @@ FUZZ_BACKENDS = ("yannakakis", "linear", "auto", "both")
 #: production default; REAL-mode iterations are per-bit OTs).
 FUZZ_GROUP_BITS = 1536
 
-#: A fault is either a :class:`FaultPlan` (the replayable form) or a
-#: legacy ``(engine, inputs) -> None`` callable hook.
-Fault = Union[FaultPlan, Callable[..., None]]
-
 
 @dataclass
 class FuzzFailure:
@@ -116,7 +97,6 @@ class FuzzFailure:
     kind: str  # "mismatch" | "transcript" | "leakage" | "crash" | "abort"
     seed: Tuple[int, int]
     detail: str
-    policy: Optional[str] = None
     mode: str = "simulated"
     #: Join back-end policy the failing run used.
     backend: str = "yannakakis"
@@ -137,9 +117,11 @@ class FuzzFailure:
         )
 
     def __str__(self) -> str:
-        where = f" policy={self.policy}" if self.policy else ""
-        if self.backend != "yannakakis":
-            where += f" backend={self.backend}"
+        where = (
+            f" backend={self.backend}"
+            if self.backend != "yannakakis"
+            else ""
+        )
         return (
             f"[{self.kind}] seed={list(self.seed)} mode={self.mode}"
             f"{where}: {self.detail}  (replay: {self.replay_hint()})"
@@ -196,65 +178,46 @@ def _secure_inputs(
     }
 
 
-def perturb_one_share(
-    engine: Engine, inputs: Dict[str, SecureRelation]
-) -> None:
-    """Legacy callable form of the semantic fault; the implementation
-    lives in :func:`repro.runtime.faults.perturb_share` (the
-    ``perturb_share`` fault kind of a :class:`FaultPlan`)."""
-    _perturb_share(engine, inputs)
-
-
 def _run_secure(
     instance: QueryInstance,
     plan: YannakakisPlan,
     mode: Mode,
-    policy: str,
     engine_seed: int = 7,
-    fault: Optional[Fault] = None,
+    fault: Optional[FaultPlan] = None,
     backend: str = "yannakakis",
 ) -> Tuple[AnnotatedRelation, Context]:
     ctx = Context(
         mode, SecurityParams(ell=instance.ell), seed=engine_seed
     )
-    engine = Engine(ctx, FUZZ_GROUP_BITS, exec_policy=policy)
+    engine = Engine(ctx, FUZZ_GROUP_BITS)
     backends = route_backends(
         plan, instance.sizes(), instance.owners, backend=backend
     )
     inputs = _secure_inputs(instance)
-    if isinstance(fault, FaultPlan):
-        # Replayable path: a fresh (un-fired) copy per run, injected by
-        # the session layer.  One attempt only — the fuzzer tests
-        # *detection*; retry resilience is the chaos harness's job.
+    if fault is not None:
+        # A fresh (un-fired) copy per run, injected by the session
+        # layer.  One attempt only — the fuzzer tests *detection*;
+        # retry resilience is the chaos harness's job.
         plan_copy = fault.fresh()
         session = enable_session(ctx, plan_copy, seed=engine_seed)
         session.retry_policy = RetryPolicy(max_attempts=1)
         for _ in plan_copy.input_faults():
-            _perturb_share(engine, inputs)
-    elif fault is not None:
-        fault(engine, inputs)
+            perturb_share(engine, inputs)
     result, _ = secure_yannakakis(engine, inputs, plan, backends=backends)
     if ctx.session is not None:
         ctx.session.finish()
     return result, ctx
 
 
-def _fault_json(
-    fault: Optional[Fault],
-) -> Optional[List[Dict[str, Any]]]:
-    return fault.to_json() if isinstance(fault, FaultPlan) else None
-
-
 def run_differential(
     instance: QueryInstance,
     mode: Mode = Mode.SIMULATED,
-    policies: Sequence[str] = POLICIES,
-    fault: Optional[Fault] = None,
+    fault: Optional[FaultPlan] = None,
     backend: str = "yannakakis",
 ) -> List[FuzzFailure]:
     """Differential check of one instance: oracle vs plaintext plan vs
-    the secure protocol under each scheduler policy, with each node
-    routed by ``backend`` ("yannakakis" | "linear" | "auto")."""
+    the secure protocol, with each node routed by ``backend``
+    ("yannakakis" | "linear" | "auto")."""
     failures: List[FuzzFailure] = []
     oracle = naive_join_aggregate(
         instance.relations, list(instance.output)
@@ -278,54 +241,45 @@ def run_differential(
                 "mismatch", instance.seed,
                 "plaintext Yannakakis != naive oracle "
                 f"({plain.to_dict()} vs {oracle.to_dict()})",
-                policy="plain", mode=mode.value, instance=instance,
+                mode=mode.value, instance=instance,
             )
         )
-    for policy in policies:
-        try:
-            result, _ = _run_secure(
-                instance, plan, mode, policy, fault=fault,
-                backend=backend,
+
+    def secure_failure(kind: str, detail: str, **extra: Any) -> None:
+        failures.append(
+            FuzzFailure(
+                kind, instance.seed, detail,
+                mode=mode.value, backend=backend, instance=instance,
+                fault=fault.to_json() if fault is not None else None,
+                **extra,
             )
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except ProtocolAbort as abort:
-            # The session layer detected an injected (or genuine)
-            # channel fault and failed closed — distinct from "crash"
-            # so triage can tell a clean abort from a protocol bug.
-            failures.append(
-                FuzzFailure(
-                    "abort", instance.seed,
-                    f"secure run aborted: {abort}",
-                    policy=policy, mode=mode.value, backend=backend,
-                    instance=instance,
-                    exc_type=type(abort).__name__,
-                    fault=_fault_json(fault),
-                )
-            )
-            continue
-        except Exception as exc:
-            failures.append(
-                FuzzFailure(
-                    "crash", instance.seed,
-                    f"secure run raised {exc!r}",
-                    policy=policy, mode=mode.value, backend=backend,
-                    instance=instance,
-                    exc_type=type(exc).__name__,
-                    fault=_fault_json(fault),
-                )
-            )
-            continue
+        )
+
+    try:
+        result, _ = _run_secure(
+            instance, plan, mode, fault=fault, backend=backend
+        )
+    except (KeyboardInterrupt, SystemExit):
+        raise
+    except ProtocolAbort as abort:
+        # The session layer detected an injected (or genuine) channel
+        # fault and failed closed — distinct from "crash" so triage
+        # can tell a clean abort from a protocol bug.
+        secure_failure(
+            "abort", f"secure run aborted: {abort}",
+            exc_type=type(abort).__name__,
+        )
+    except Exception as exc:
+        secure_failure(
+            "crash", f"secure run raised {exc!r}",
+            exc_type=type(exc).__name__,
+        )
+    else:
         if not result.semantically_equal(oracle):
-            failures.append(
-                FuzzFailure(
-                    "mismatch", instance.seed,
-                    f"secure({policy}) != oracle "
-                    f"({result.to_dict()} vs {oracle.to_dict()})",
-                    policy=policy, mode=mode.value, backend=backend,
-                    instance=instance,
-                    fault=_fault_json(fault),
-                )
+            secure_failure(
+                "mismatch",
+                "secure != oracle "
+                f"({result.to_dict()} vs {oracle.to_dict()})",
             )
     return failures
 
@@ -333,7 +287,6 @@ def run_differential(
 def audit_obliviousness(
     instance: QueryInstance,
     mode: Mode = Mode.SIMULATED,
-    policy: str = "program",
     twin_seed: int = 1,
     backend: str = "yannakakis",
 ) -> List[FuzzFailure]:
@@ -342,13 +295,13 @@ def audit_obliviousness(
     label), per-section byte totals, and round counts.
 
     The twin has the same relation sizes and plan, so it routes to the
-    same per-node back-ends under any policy including "auto" — the
+    same per-node back-ends under any routing including "auto" — the
     audit therefore checks each back-end's obliviousness, never mixes
     them across twins."""
     plan = _plan_for(instance)
     twin = value_disjoint_twin(instance, twin_seed)
-    _, ctx_a = _run_secure(instance, plan, mode, policy, backend=backend)
-    _, ctx_b = _run_secure(twin, plan, mode, policy, backend=backend)
+    _, ctx_a = _run_secure(instance, plan, mode, backend=backend)
+    _, ctx_b = _run_secure(twin, plan, mode, backend=backend)
     ta, tb = ctx_a.transcript, ctx_b.transcript
     failures: List[FuzzFailure] = []
 
@@ -356,8 +309,7 @@ def audit_obliviousness(
         failures.append(
             FuzzFailure(
                 "transcript", instance.seed, detail,
-                policy=policy, mode=mode.value, backend=backend,
-                instance=instance,
+                mode=mode.value, backend=backend, instance=instance,
             )
         )
 
@@ -445,7 +397,7 @@ def check_instance(
     instance: QueryInstance,
     mode: Mode = Mode.SIMULATED,
     audit: bool = True,
-    fault: Optional[Fault] = None,
+    fault: Optional[FaultPlan] = None,
     backend: str = "yannakakis",
 ) -> List[FuzzFailure]:
     """Everything the fuzzer asserts about one instance.
@@ -484,7 +436,7 @@ def check_instance(
 
 
 def _refails(
-    failure: FuzzFailure, fault: Optional[Fault]
+    failure: FuzzFailure, fault: Optional[FaultPlan]
 ) -> Callable[[QueryInstance], bool]:
     """A predicate for :func:`minimize_instance`: does a shrunk instance
     still exhibit the same kind of failure?"""
@@ -508,7 +460,7 @@ def fuzz(
     config: GeneratorConfig = GeneratorConfig(),
     real_every: int = 10,
     audit: bool = True,
-    fault: Optional[Fault] = None,
+    fault: Optional[FaultPlan] = None,
     max_failures: int = 10,
     on_progress: Optional[Callable[[int, "FuzzReport"], None]] = None,
     save_failures_to: Optional[str] = None,
@@ -516,7 +468,7 @@ def fuzz(
 ) -> FuzzReport:
     """A fuzz campaign: instances ``start .. start+iterations-1`` of the
     ``seed`` stream.  Every instance runs the SIMULATED differential
-    check under both policies plus the obliviousness audit; every
+    check plus the obliviousness audit; every
     ``real_every``-th instance additionally runs a *tiny* REAL-mode
     differential (0 disables REAL sampling).  Stops early after
     ``max_failures`` findings.  ``backend`` selects the join back-end
@@ -539,8 +491,7 @@ def fuzz(
             tiny = generate_instance(seed, i, TINY_CONFIG)
             for b in real_backends:
                 found += run_differential(
-                    tiny, mode=Mode.REAL, policies=("program",),
-                    fault=fault, backend=b,
+                    tiny, mode=Mode.REAL, fault=fault, backend=b,
                 )
             report.real_iterations += 1
         for failure in found:
@@ -633,7 +584,6 @@ def save_failure(failure: FuzzFailure, directory: str) -> Path:
         "failure": {
             "kind": failure.kind,
             "detail": failure.detail,
-            "policy": failure.policy,
             "mode": failure.mode,
             "backend": failure.backend,
             "exc_type": failure.exc_type,

@@ -58,7 +58,6 @@ class Engine:
         ctx: Context,
         ot_group_bits: int = 2048,
         tracer: Optional["ExecutionTrace"] = None,
-        exec_policy: str = "program",
     ) -> None:
         self.ctx = ctx
         #: Base-OT group size, kept for cost estimation against this
@@ -77,10 +76,6 @@ class Engine:
         #: Optional :class:`repro.exec.ExecutionTrace` that the operator
         #: scheduler and composition circuits record per-node costs into.
         self.tracer = tracer
-        #: Dispatch policy for plans executed through :mod:`repro.exec`
-        #: ("program" preserves legacy message order byte-for-byte,
-        #: "stages" batches independent DAG nodes stage by stage).
-        self.exec_policy = exec_policy
         #: Cooperative-scheduling hook: when set, the exec scheduler
         #: calls it with each :class:`~repro.exec.ir.Step` before
         #: dispatching it.  The multi-tenant serving layer

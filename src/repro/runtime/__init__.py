@@ -2,11 +2,12 @@
 
 Framed, sequence-numbered, checksummed messaging over the metered
 channel; deterministic fault injection; typed protocol aborts;
-node-granular checkpoint/retry; the chaos-sweep harness; and the
-two-process execution stack — real TCP transport with reconnect
-(:mod:`.transport`), disk-durable crash recovery (:mod:`.durable`),
-the ``repro net`` party runner (:mod:`.netrun`) and the process-level
-chaos sweep (:mod:`.netchaos`).  See ``docs/ROBUSTNESS.md``.
+node-granular checkpoint/retry; the one fault-sweep harness
+(:mod:`.chaos`); and the two-process execution stack — real TCP
+transport with reconnect (:mod:`.transport`), disk-durable crash
+recovery (:mod:`.durable`), the ``repro net`` party runner
+(:mod:`.netrun`) and the harness's process-level runner
+(:mod:`.netchaos`).  See ``docs/ROBUSTNESS.md``.
 """
 
 from .aborts import (
@@ -20,14 +21,18 @@ from .aborts import (
 )
 from .chaos import (
     CLASSIFICATIONS,
-    ChaosOutcome,
-    ChaosReport,
+    Outcome,
+    Report,
     RunProfile,
     build_specs,
+    classify,
     classify_fault,
+    fault_points,
+    fingerprint_sha256,
     make_tpch_runner,
     profile_run,
     sweep,
+    sweep_faults,
 )
 from .clock import VirtualClock
 from .durable import DurableStore, Journal, JournalState, revive
@@ -47,9 +52,7 @@ from .session import (
 )
 from .netchaos import (
     PROCESS_FAULT_KINDS,
-    ProcessChaosReport,
     ProcessFaultSpec,
-    ProcessOutcome,
     build_process_specs,
     run_scenario,
     sweep_processes,
@@ -57,7 +60,6 @@ from .netchaos import (
 from .netrun import (
     NET_QUERIES,
     NetConfig,
-    fingerprint_sha256,
     parse_endpoint,
     run_party,
     solo_profile,
@@ -95,12 +97,15 @@ __all__ = [
     "Supervisor",
     "CLASSIFICATIONS",
     "RunProfile",
-    "ChaosOutcome",
-    "ChaosReport",
+    "Outcome",
+    "Report",
     "profile_run",
+    "fault_points",
+    "classify",
+    "sweep",
     "build_specs",
     "classify_fault",
-    "sweep",
+    "sweep_faults",
     "make_tpch_runner",
     "Journal",
     "JournalState",
@@ -118,8 +123,6 @@ __all__ = [
     "fingerprint_sha256",
     "PROCESS_FAULT_KINDS",
     "ProcessFaultSpec",
-    "ProcessOutcome",
-    "ProcessChaosReport",
     "build_process_specs",
     "run_scenario",
     "sweep_processes",

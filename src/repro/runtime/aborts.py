@@ -6,7 +6,7 @@ vocabulary of **public** fields: reason codes, sequence numbers,
 transcript labels, byte counts, virtual-clock ticks and party names.
 No constructor accepts free-form payloads, so no abort path can ever
 surface reconstructed plaintext — the chaos harness and the unit tests
-assert :meth:`ProtocolAbort.is_sanitized` on every abort they observe.
+assert :func:`payload_is_sanitized` on every abort they observe.
 
 The supervisor's retry decision is a class attribute: transient channel
 faults (integrity, sequencing, deadline) are ``retryable``; a peer
@@ -15,10 +15,11 @@ crash is terminal.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Mapping, Optional
 
 __all__ = [
     "REASONS",
+    "payload_is_sanitized",
     "ProtocolAbort",
     "IntegrityAbort",
     "SequenceAbort",
@@ -42,6 +43,42 @@ REASONS = (
     "peer-divergence",
     "outbox-overflow",
 )
+
+
+#: The public fields an abort may carry besides its reason, in the
+#: order the canonical message renders them.
+_FIELDS = (
+    "node", "label", "seq", "expected", "party",
+    "n_bytes", "tick", "deadline", "attempts",
+)
+_PAYLOAD_KEYS = frozenset(
+    ("type", "reason", "retryable", "message") + _FIELDS
+)
+
+
+def _render(reason: Any, fields: Mapping[str, Any]) -> str:
+    """The canonical message: the reason, then every set public field."""
+    return " ".join(
+        [str(reason)]
+        + [
+            f"{name}={fields[name]}"
+            for name in _FIELDS
+            if fields.get(name) not in (None, "")
+        ]
+    )
+
+
+def payload_is_sanitized(payload: Any) -> bool:
+    """The structural no-leak check on an abort's JSON view
+    (:meth:`ProtocolAbort.to_json`): only the public keys, the reason
+    from the closed vocabulary, and the message exactly the canonical
+    rendering of the public fields (nothing smuggled in)."""
+    return (
+        isinstance(payload, dict)
+        and set(payload) <= _PAYLOAD_KEYS
+        and payload.get("reason") in REASONS
+        and payload.get("message") == _render(payload["reason"], payload)
+    )
 
 
 class ProtocolAbort(RuntimeError):
@@ -83,48 +120,22 @@ class ProtocolAbort(RuntimeError):
         super().__init__(self._describe())
 
     def _describe(self) -> str:
-        parts = [self.reason]
-        if self.node is not None:
-            parts.append(f"node={self.node}")
-        if self.label:
-            parts.append(f"label={self.label}")
-        if self.seq is not None:
-            parts.append(f"seq={self.seq}")
-        if self.expected is not None:
-            parts.append(f"expected={self.expected}")
-        if self.party is not None:
-            parts.append(f"party={self.party}")
-        if self.n_bytes is not None:
-            parts.append(f"n_bytes={self.n_bytes}")
-        if self.tick is not None:
-            parts.append(f"tick={self.tick}")
-        if self.deadline is not None:
-            parts.append(f"deadline={self.deadline}")
-        if self.attempts is not None:
-            parts.append(f"attempts={self.attempts}")
-        return " ".join(parts)
+        return _render(self.reason, vars(self))
 
     def to_json(self) -> Dict[str, Any]:
         return {
             "type": type(self).__name__,
             "reason": self.reason,
             "retryable": self.retryable,
-            "node": self.node,
-            "label": self.label,
-            "seq": self.seq,
-            "expected": self.expected,
-            "party": self.party,
-            "n_bytes": self.n_bytes,
-            "tick": self.tick,
-            "deadline": self.deadline,
-            "attempts": self.attempts,
+            **{name: getattr(self, name) for name in _FIELDS},
+            "message": str(self),
         }
 
     def is_sanitized(self) -> bool:
-        """The structural no-leak check: the reason code is from the
-        closed vocabulary and the message is exactly the canonical
-        rendering of the public fields (nothing smuggled in)."""
-        return self.reason in REASONS and str(self) == self._describe()
+        """The structural no-leak check: see :func:`payload_is_sanitized`
+        (an abort is judged by its JSON view, so one that crossed a
+        process boundary is held to the same standard as a live one)."""
+        return payload_is_sanitized(self.to_json())
 
 
 class IntegrityAbort(ProtocolAbort):

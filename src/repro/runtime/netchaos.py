@@ -6,17 +6,11 @@ parties of a query as separate OS processes (``python -m repro net``)
 talking TCP over localhost, injects exactly one process-level fault
 into one of them, lets the built-in recovery machinery do its work —
 transparent reconnect for connection faults, restart + ``--resume``
-over the durable journal for kills — and classifies the outcome
-against the solo in-process baseline:
-
-* ``completed-correct`` — both parties finished (the killed one after
-  a resume) and **both** run profiles are byte-equal to the baseline:
-  same rows, same per-section accounting, same transcript fingerprint;
-* ``clean-abort`` — at least one party ended with a sanitized
-  :class:`~repro.runtime.aborts.ProtocolAbort` (exit code 2) and no
-  party produced a wrong answer;
-* ``VIOLATION`` — anything else: profile drift, an unsanitized error,
-  a hung scenario, an unexpected exit code.
+over the durable journal for kills — and hands what it observed to the
+shared classifier (:func:`repro.runtime.chaos.classify`), judged
+against the solo in-process baseline: a party that exited 0
+contributes its run profile, one that exited 2 its abort payload, and
+a hung scenario or any other exit code is a VIOLATION outright.
 
 The acceptance gate (``repro chaos --level process``) requires zero
 VIOLATIONs across kills at every plan node plus connection faults at
@@ -25,30 +19,30 @@ strided wire-exchange indices.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..mpc.transcript import ALICE, BOB
-from .aborts import REASONS
-from .chaos import RunProfile
-from .netrun import (
-    NetConfig,
-    fingerprint_sha256,
-    profile_from_json,
-    solo_profile,
+from .chaos import (
+    Outcome,
+    Report,
+    RunProfile,
+    classify,
+    fault_points,
+    sweep,
 )
+from .netrun import NetConfig, profile_from_json, solo_profile
 from .transport import free_port
 
 __all__ = [
     "PROCESS_FAULT_KINDS",
     "ProcessFaultSpec",
-    "ProcessOutcome",
-    "ProcessChaosReport",
     "build_process_specs",
     "run_scenario",
     "sweep_processes",
@@ -127,125 +121,22 @@ class ProcessFaultSpec:
         return f"{self.kind}({', '.join(where)})"
 
 
-@dataclass
-class ProcessOutcome:
-    """Classification of one two-process scenario."""
-
-    fault: Optional[ProcessFaultSpec]
-    classification: str
-    detail: str = ""
-    resumed: bool = False
-    reconnects: int = 0
-    abort: Optional[Dict[str, Any]] = None
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "fault": self.fault.to_json() if self.fault else None,
-            "classification": self.classification,
-            "detail": self.detail,
-            "resumed": self.resumed,
-            "reconnects": self.reconnects,
-            "abort": self.abort,
-        }
-
-    def __str__(self) -> str:
-        extra = f": {self.detail}" if self.detail else ""
-        tags = []
-        if self.resumed:
-            tags.append("resumed")
-        if self.reconnects:
-            tags.append(f"reconnects={self.reconnects}")
-        suffix = f" [{', '.join(tags)}]" if tags else ""
-        return (
-            f"{self.fault or 'no-fault'} -> "
-            f"{self.classification}{suffix}{extra}"
-        )
-
-
-@dataclass
-class ProcessChaosReport:
-    """One process-level sweep's outcomes."""
-
-    outcomes: List[ProcessOutcome] = field(default_factory=list)
-    baseline_messages: int = 0
-    baseline_nodes: int = 0
-    baseline_fingerprint: str = ""
-    meta: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def counts(self) -> Dict[str, int]:
-        out = {
-            "completed-correct": 0, "clean-abort": 0, "VIOLATION": 0
-        }
-        for o in self.outcomes:
-            out[o.classification] += 1
-        return out
-
-    @property
-    def violations(self) -> List[ProcessOutcome]:
-        return [
-            o for o in self.outcomes if o.classification == "VIOLATION"
-        ]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def summary(self) -> str:
-        c = self.counts
-        status = "OK" if self.ok else f"{len(self.violations)} VIOLATIONS"
-        return (
-            f"{status}: {len(self.outcomes)} process-fault scenarios "
-            f"over {self.baseline_messages} messages / "
-            f"{self.baseline_nodes} nodes — "
-            f"{c['completed-correct']} completed-correct, "
-            f"{c['clean-abort']} clean-abort, "
-            f"{c['VIOLATION']} violations"
-        )
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "meta": dict(self.meta),
-            "baseline_messages": self.baseline_messages,
-            "baseline_nodes": self.baseline_nodes,
-            "baseline_fingerprint": self.baseline_fingerprint,
-            "counts": self.counts,
-            "ok": self.ok,
-            "outcomes": [o.to_json() for o in self.outcomes],
-        }
-
-
 def build_process_specs(
     baseline: RunProfile,
     kinds: Sequence[str] = PROCESS_FAULT_KINDS,
     stride: int = 6,
     fault_ms: int = 400,
 ) -> List[ProcessFaultSpec]:
-    """The sweep's scenarios: a kill at every plan node (the killed
-    party alternating with node parity), and every ``stride``-th
-    wire-exchange index for the connection-level kinds."""
-    specs: List[ProcessFaultSpec] = []
-    for kind in kinds:
-        if kind == "kill-node":
-            for node in baseline.nodes_seen:
-                specs.append(
-                    ProcessFaultSpec(
-                        "kill-node",
-                        node=node,
-                        party=ALICE if node % 2 else BOB,
-                    )
-                )
-            continue
-        for wire in range(0, baseline.n_messages, max(stride, 1)):
-            specs.append(
-                ProcessFaultSpec(
-                    kind,
-                    wire=wire,
-                    party=ALICE if (wire // max(stride, 1)) % 2 else BOB,
-                    ms=fault_ms,
-                )
-            )
-    return specs
+    """The sweep's scenarios: a kill at every plan node, and every
+    ``stride``-th wire-exchange index for the connection-level kinds."""
+    return [
+        ProcessFaultSpec(kind, node=node, party=party)
+        if wire is None
+        else ProcessFaultSpec(kind, wire=wire, party=party, ms=fault_ms)
+        for kind, node, wire, party in fault_points(
+            baseline, kinds, "kill-node", stride
+        )
+    ]
 
 
 # -- scenario execution ------------------------------------------------
@@ -282,7 +173,6 @@ def _party_cmd(
         "--scale", str(config.scale_mb),
         "--seed", str(config.seed),
         "--backend", config.backend,
-        "--policy", config.policy,
         "--journal", journal,
         "--out", out,
         "--heartbeat", str(config.heartbeat_s),
@@ -312,7 +202,7 @@ def run_scenario(
     workdir: str,
     timeout_s: float = 120.0,
     python: str = sys.executable,
-) -> ProcessOutcome:
+) -> Outcome:
     """Launch both parties, inject ``fault``, recover, classify."""
     os.makedirs(workdir, exist_ok=True)
     port = free_port()
@@ -330,17 +220,24 @@ def run_scenario(
     procs: Dict[str, subprocess.Popen] = {}
     logs = []
     resumed = False
+
+    def launch(role: str, resume: bool = False) -> None:
+        log = open(paths[role]["log"], "a")
+        logs.append(log)
+        procs[role] = subprocess.Popen(
+            _party_cmd(
+                config, role, endpoint, paths[role]["journal"],
+                paths[role]["out"], fault, resume=resume, python=python,
+            ),
+            stdout=log, stderr=subprocess.STDOUT, env=env,
+        )
+
+    def violation(detail: str) -> Outcome:
+        return classify(fault, baseline, error=detail, resumed=resumed)
+
     try:
         for role in (ALICE, BOB):
-            log = open(paths[role]["log"], "w")
-            logs.append(log)
-            procs[role] = subprocess.Popen(
-                _party_cmd(
-                    config, role, endpoint, paths[role]["journal"],
-                    paths[role]["out"], fault, python=python,
-                ),
-                stdout=log, stderr=subprocess.STDOUT, env=env,
-            )
+            launch(role)
         deadline = time.monotonic() + timeout_s
 
         if fault is not None and fault.is_kill:
@@ -348,30 +245,14 @@ def run_scenario(
             try:
                 victim.wait(timeout=timeout_s)
             except subprocess.TimeoutExpired:
-                return ProcessOutcome(
-                    fault, "VIOLATION",
-                    detail="faulted party never died",
-                )
+                return violation("faulted party never died")
             if victim.returncode != -9:
-                return ProcessOutcome(
-                    fault, "VIOLATION",
-                    detail=(
-                        "faulted party exited "
-                        f"{victim.returncode}, expected SIGKILL"
-                    ),
+                return violation(
+                    f"faulted party exited {victim.returncode}, "
+                    "expected SIGKILL"
                 )
             # Restart the killed party from its journal.
-            log = open(paths[fault.party]["log"], "a")
-            logs.append(log)
-            procs[fault.party] = subprocess.Popen(
-                _party_cmd(
-                    config, fault.party, endpoint,
-                    paths[fault.party]["journal"],
-                    paths[fault.party]["out"], fault,
-                    resume=True, python=python,
-                ),
-                stdout=log, stderr=subprocess.STDOUT, env=env,
-            )
+            launch(fault.party, resume=True)
             resumed = True
 
         for role in (ALICE, BOB):
@@ -379,11 +260,7 @@ def run_scenario(
             try:
                 procs[role].wait(timeout=max(remaining, 1.0))
             except subprocess.TimeoutExpired:
-                return ProcessOutcome(
-                    fault, "VIOLATION",
-                    detail=f"{role} hung past {timeout_s:.0f}s",
-                    resumed=resumed,
-                )
+                return violation(f"{role} hung past {timeout_s:.0f}s")
     finally:
         for proc in procs.values():
             if proc.poll() is None:
@@ -392,71 +269,28 @@ def run_scenario(
         for log in logs:
             log.close()
 
-    outcomes = {
-        role: _read_outcome(paths[role]["out"]) for role in (ALICE, BOB)
-    }
-    codes = {role: procs[role].returncode for role in (ALICE, BOB)}
-    reconnects = sum(
-        (o or {}).get("transport", {}).get("reconnects", 0) or 0
-        for o in outcomes.values()
-        if isinstance((o or {}).get("transport"), dict)
-    )
-
-    aborts = [
-        (role, outcomes[role])
-        for role in (ALICE, BOB)
-        if codes[role] == 2
-    ]
-    hard = [
-        role for role in (ALICE, BOB) if codes[role] not in (0, 2)
-    ]
-    if hard:
-        return ProcessOutcome(
-            fault, "VIOLATION",
-            detail=(
-                "unexpected exit codes "
-                + ", ".join(f"{r}={codes[r]}" for r in hard)
-            ),
-            resumed=resumed, reconnects=reconnects,
-        )
-
-    # Any completed party must match the baseline exactly, abort or not.
+    # What each party left behind, by exit code: 0 = a result profile,
+    # 2 = a protocol abort, anything else is a VIOLATION outright.
+    profiles: Dict[str, RunProfile] = {}
+    aborts: Dict[str, Any] = {}
+    errors: List[str] = []
+    reconnects = 0
     for role in (ALICE, BOB):
-        if codes[role] != 0:
-            continue
-        out = outcomes[role]
-        if out is None or "profile" not in out:
-            return ProcessOutcome(
-                fault, "VIOLATION",
-                detail=f"{role} exited 0 without a result payload",
-                resumed=resumed, reconnects=reconnects,
-            )
-        drift = profile_from_json(out["profile"]).diff(baseline)
-        if drift:
-            return ProcessOutcome(
-                fault, "VIOLATION",
-                detail=f"{role}: {drift}",
-                resumed=resumed, reconnects=reconnects,
-            )
-
-    if aborts:
-        role, out = aborts[0]
-        abort = (out or {}).get("abort")
-        reason = (abort or {}).get("reason")
-        if not isinstance(abort, dict) or reason not in REASONS:
-            return ProcessOutcome(
-                fault, "VIOLATION",
-                detail=f"{role} aborted without a sanitized reason",
-                resumed=resumed, reconnects=reconnects, abort=abort,
-            )
-        return ProcessOutcome(
-            fault, "clean-abort",
-            detail=f"{role}: {reason}",
-            resumed=resumed, reconnects=reconnects, abort=abort,
-        )
-
-    return ProcessOutcome(
-        fault, "completed-correct",
+        code = procs[role].returncode
+        out = _read_outcome(paths[role]["out"]) or {}
+        transport = out.get("transport")
+        if isinstance(transport, dict):
+            reconnects += transport.get("reconnects", 0) or 0
+        if code == 2:
+            aborts[role] = out.get("abort")
+        elif code != 0:
+            errors.append(f"{role} exited {code}")
+        elif "profile" not in out:
+            errors.append(f"{role} exited 0 without a result payload")
+        else:
+            profiles[role] = profile_from_json(out["profile"])
+    return classify(
+        fault, baseline, profiles, aborts, ", ".join(errors),
         resumed=resumed, reconnects=reconnects,
     )
 
@@ -469,33 +303,22 @@ def sweep_processes(
     timeout_s: float = 120.0,
     fault_ms: int = 400,
     python: str = sys.executable,
-    on_progress: Optional[
-        Callable[[int, int, ProcessOutcome], None]
-    ] = None,
-) -> ProcessChaosReport:
+    on_progress: Optional[Callable[[int, int, Outcome], None]] = None,
+) -> Report:
     """Baseline solo, smoke the no-fault two-process run, then
     classify every scenario from :func:`build_process_specs`."""
     baseline = solo_profile(config)
     specs: List[Optional[ProcessFaultSpec]] = [None]
-    specs.extend(
-        build_process_specs(
-            baseline, kinds=kinds, stride=stride, fault_ms=fault_ms
-        )
-    )
-    report = ProcessChaosReport(
-        baseline_messages=baseline.n_messages,
-        baseline_nodes=len(baseline.nodes_seen),
-        baseline_fingerprint=fingerprint_sha256(baseline),
-    )
-    for i, spec in enumerate(specs):
+    specs.extend(build_process_specs(baseline, kinds, stride, fault_ms))
+    numbers = itertools.count()
+
+    def run_one(spec: Optional[ProcessFaultSpec]) -> Outcome:
         scenario_dir = os.path.join(
-            workdir, f"scenario-{i:03d}" if spec else "scenario-base"
+            workdir, f"scenario-{next(numbers):03d}"
         )
-        outcome = run_scenario(
+        return run_scenario(
             config, baseline, spec, scenario_dir,
             timeout_s=timeout_s, python=python,
         )
-        report.outcomes.append(outcome)
-        if on_progress is not None:
-            on_progress(i + 1, len(specs), outcome)
-    return report
+
+    return sweep(specs, run_one, baseline, on_progress)

@@ -28,7 +28,6 @@ recovery path *is* restart + ``--resume`` over the journal.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
@@ -48,7 +47,6 @@ __all__ = [
     "solo_profile",
     "run_party",
     "parse_endpoint",
-    "fingerprint_sha256",
     "equal_to_baseline",
 ]
 
@@ -68,7 +66,6 @@ class NetConfig:
     scale_mb: float = 0.1
     seed: int = 7
     backend: str = "yannakakis"
-    policy: str = "program"
     group_bits: int = 1536
     node_budget: int = DEFAULT_NODE_BUDGET
     listen: Optional[Tuple[str, int]] = None
@@ -96,7 +93,7 @@ class NetConfig:
         a peer configured for a different run."""
         blob = (
             f"{self.query}|{self.scale_mb}|{self.seed}|{self.backend}"
-            f"|{self.policy}|{self.group_bits}|{self.node_budget}"
+            f"|{self.group_bits}|{self.node_budget}"
         )
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -109,7 +106,6 @@ class NetConfig:
             "scale_mb": self.scale_mb,
             "seed": self.seed,
             "backend": self.backend,
-            "policy": self.policy,
             "group_bits": self.group_bits,
             "node_budget": self.node_budget,
             "session_id": self.session_id,
@@ -191,9 +187,7 @@ def solo_profile(config: NetConfig) -> RunProfile:
 
     prepared = _prepared(config)
     ctx = prepared.make_context(Mode.SIMULATED, seed=config.seed)
-    engine = Engine(
-        ctx, config.group_bits, exec_policy=config.policy
-    )
+    engine = Engine(ctx, config.group_bits)
     engine.backend = config.backend
     session = enable_session(
         ctx, None, node_budget=config.node_budget, seed=config.seed
@@ -250,9 +244,7 @@ def run_party(config: NetConfig) -> Dict[str, Any]:
         store = DurableStore.append_to(config.journal)
     else:
         ctx = prepared.make_context(Mode.SIMULATED, seed=config.seed)
-        engine = Engine(
-            ctx, config.group_bits, exec_policy=config.policy
-        )
+        engine = Engine(ctx, config.group_bits)
         engine.backend = config.backend
         session = enable_session(
             ctx, None, node_budget=config.node_budget, seed=config.seed
@@ -321,15 +313,6 @@ def parse_endpoint(text: str) -> Tuple[str, int]:
     if not host or not port.isdigit():
         raise ValueError(f"expected host:port, got {text!r}")
     return host, int(port)
-
-
-def fingerprint_sha256(profile: RunProfile) -> str:
-    """Stable digest of a transcript fingerprint, for log-friendly
-    parity checks across processes."""
-    blob = json.dumps(
-        [list(r) for r in profile.fingerprint], sort_keys=True
-    ).encode()
-    return hashlib.sha256(blob).hexdigest()
 
 
 def equal_to_baseline(

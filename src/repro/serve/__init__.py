@@ -22,7 +22,7 @@ crashes in other tenants' sessions.
 """
 
 from .admission import ADMIT, QUEUE, REJECT, AdmissionController, TenantBudget
-from .chaos import IsolationOutcome, IsolationReport, isolation_sweep
+from .chaos import isolation_sweep
 from .fingerprint import fingerprint_document, plan_fingerprint
 from .plancache import PlanCache, PlanEntry
 from .service import INTERLEAVE_POLICIES, QueryService, ServiceReport
@@ -56,8 +56,6 @@ __all__ = [
     "RUNNING",
     "AdmissionController",
     "TenantBudget",
-    "IsolationOutcome",
-    "IsolationReport",
     "isolation_sweep",
     "fingerprint_document",
     "plan_fingerprint",

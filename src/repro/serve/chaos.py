@@ -18,147 +18,36 @@ sweeping every fault point:
    into A only, and compare B's profile byte-for-byte against its
    solo baseline.
 
-Any drift in B is a VIOLATION regardless of what happened to A.  A
-itself is additionally classified like a single-session chaos run
-(completed-correct / clean-abort / VIOLATION), so the sweep doubles as
-a regression check that serving did not weaken single-session
-fault-tolerance.
+Any drift in B is a VIOLATION — carrying the drift string —
+regardless of what happened to A.  Otherwise A is classified by the
+shared :func:`~repro.runtime.chaos.classify` exactly like a
+single-session chaos run, so the sweep doubles as a regression check
+that serving did not weaken single-session fault-tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
-from ..runtime.aborts import ProtocolAbort
-from ..runtime.chaos import RunProfile, build_specs
+from ..runtime.chaos import (
+    Outcome,
+    Report,
+    build_specs,
+    classify,
+    failure_of,
+    sweep,
+)
 from ..runtime.faults import MESSAGE_FAULT_KINDS, FaultPlan, FaultSpec
 from ..runtime.session import DEFAULT_NODE_BUDGET
 from .service import QueryService
-from .session import DONE, FAILED, QueryRequest, QuerySession
+from .session import DONE, QueryRequest
 from .workload import run_solo
 
-__all__ = [
-    "IsolationOutcome",
-    "IsolationReport",
-    "isolation_sweep",
-]
+__all__ = ["isolation_sweep"]
 
 #: Builds a fresh request; the sweep passes the victim's fault plan
 #: (``None`` for the unfaulted baseline and for the observer).
 RequestFactory = Callable[[Optional[FaultPlan]], QueryRequest]
-
-
-@dataclass
-class IsolationOutcome:
-    """One fault point: what happened to the victim, and whether the
-    observer stayed byte-identical to its solo baseline."""
-
-    fault: FaultSpec
-    victim_classification: str
-    observer_delta: str = ""
-    detail: str = ""
-
-    @property
-    def isolated(self) -> bool:
-        return self.observer_delta == ""
-
-    @property
-    def ok(self) -> bool:
-        return self.isolated and self.victim_classification != "VIOLATION"
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "fault": self.fault.to_json(),
-            "victim": self.victim_classification,
-            "observer_delta": self.observer_delta,
-            "detail": self.detail,
-            "ok": self.ok,
-        }
-
-    def __str__(self) -> str:
-        obs = "observer ok" if self.isolated else (
-            f"OBSERVER DRIFT: {self.observer_delta}"
-        )
-        return f"{self.fault} -> victim {self.victim_classification}, {obs}"
-
-
-@dataclass
-class IsolationReport:
-    """One sweep's outcomes."""
-
-    outcomes: List[IsolationOutcome] = field(default_factory=list)
-    baseline_messages: int = 0
-    baseline_nodes: int = 0
-    meta: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def drifts(self) -> List[IsolationOutcome]:
-        return [o for o in self.outcomes if not o.isolated]
-
-    @property
-    def violations(self) -> List[IsolationOutcome]:
-        return [o for o in self.outcomes if not o.ok]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def summary(self) -> str:
-        status = (
-            "OK"
-            if self.ok
-            else f"{len(self.drifts)} observer drifts / "
-            f"{len(self.violations)} violations"
-        )
-        return (
-            f"{status}: {len(self.outcomes)} fault points over "
-            f"{self.baseline_messages} victim messages / "
-            f"{self.baseline_nodes} nodes — observer byte-identical "
-            f"at {sum(1 for o in self.outcomes if o.isolated)}"
-        )
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "meta": dict(self.meta),
-            "baseline_messages": self.baseline_messages,
-            "baseline_nodes": self.baseline_nodes,
-            "ok": self.ok,
-            "n_drifts": len(self.drifts),
-            "outcomes": [o.to_json() for o in self.outcomes],
-        }
-
-
-def _classify_victim(
-    session: QuerySession, baseline: RunProfile, fault: FaultSpec
-) -> IsolationOutcome:
-    """Single-session chaos semantics applied to the victim."""
-    if session.state == DONE and session.profile is not None:
-        drift = session.profile.diff(baseline)
-        if drift:
-            return IsolationOutcome(fault, "VIOLATION", detail=drift)
-        return IsolationOutcome(fault, "completed-correct")
-    if session.state == FAILED and isinstance(
-        session.error, ProtocolAbort
-    ):
-        if session.error.is_sanitized():
-            return IsolationOutcome(
-                fault, "clean-abort", detail=str(session.error)
-            )
-        return IsolationOutcome(
-            fault,
-            "VIOLATION",
-            detail=f"unsanitized abort {type(session.error).__name__}",
-        )
-    return IsolationOutcome(
-        fault,
-        "VIOLATION",
-        detail=(
-            f"uncaught {type(session.error).__name__}"
-            if session.error is not None
-            else f"unexpected state {session.state}"
-        ),
-    )
 
 
 def isolation_sweep(
@@ -168,10 +57,8 @@ def isolation_sweep(
     kinds: Sequence[str] = MESSAGE_FAULT_KINDS + ("crash",),
     stride: int = 1,
     hang_ticks: int = DEFAULT_NODE_BUDGET + 1,
-    on_progress: Optional[
-        Callable[[int, int, IsolationOutcome], None]
-    ] = None,
-) -> IsolationReport:
+    on_progress: Optional[Callable[[int, int, Outcome], None]] = None,
+) -> Report:
     """Sweep every fault point in the victim; require the observer's
     profile byte-identical to its solo baseline at each."""
     victim_solo = run_solo(make_victim(None))
@@ -184,30 +71,36 @@ def isolation_sweep(
         )
     victim_baseline = victim_solo.profile
     observer_baseline = observer_solo.profile
-    specs = build_specs(
-        victim_baseline, kinds=kinds, stride=stride, hang_ticks=hang_ticks
-    )
-    report = IsolationReport(
-        baseline_messages=victim_baseline.n_messages,
-        baseline_nodes=len(victim_baseline.nodes_seen),
-        meta={"interleave": interleave, "stride": stride},
-    )
-    for i, spec in enumerate(specs):
+
+    def run_one(spec: FaultSpec) -> Outcome:
         service = QueryService(interleave=interleave)
         service.submit(make_victim(FaultPlan([spec])))
         service.submit(make_observer(None))
         service.run()
         victim, observer = service.sessions
-        outcome = _classify_victim(victim, victim_baseline, spec)
         if observer.state != DONE or observer.profile is None:
-            outcome.observer_delta = (
-                f"observer {observer.state}: {observer.error!r}"
-            )
+            drift = f"{observer.state}: {observer.error!r}"
         else:
-            outcome.observer_delta = observer.profile.diff(
-                observer_baseline
-            )
-        report.outcomes.append(outcome)
-        if on_progress is not None:
-            on_progress(i + 1, len(specs), outcome)
+            drift = observer.profile.diff(observer_baseline)
+        seen: Dict[str, Any]
+        if drift:
+            seen = {"error": f"observer drift: {drift}"}
+        elif victim.state == DONE and victim.profile is not None:
+            seen = {
+                "profiles": {"victim": victim.profile},
+                "retried": victim.profile.n_retries > 0,
+            }
+        elif victim.error is None:
+            seen = {"error": f"victim in unexpected state {victim.state}"}
+        else:
+            seen = failure_of(victim.error)
+        return classify(spec, victim_baseline, **seen)
+
+    report = sweep(
+        build_specs(victim_baseline, kinds, stride, hang_ticks),
+        run_one,
+        victim_baseline,
+        on_progress,
+    )
+    report.meta.update(interleave=interleave, stride=stride)
     return report

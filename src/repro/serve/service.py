@@ -12,8 +12,7 @@ time, under one of two policies:
 * ``"round_robin"`` — cycle through active sessions in submission
   order;
 * ``"clock"`` — always step the session whose virtual clock is
-  furthest behind (ties broken by submission order), the fair-share
-  analogue of the scheduler's stages policy.
+  furthest behind (ties broken by submission order).
 
 Both are deterministic: the interleaving is a pure function of the
 submission sequence, so a service run is exactly reproducible.  When a

@@ -86,7 +86,6 @@ class QueryRequest:
     run: Optional[Callable[[Engine], Iterable[Any]]] = None
     ell: Optional[int] = None
     mode: Mode = Mode.SIMULATED
-    policy: str = "program"
     group_bits: int = 1536
     seed: int = 11
     faults: Optional[FaultPlan] = None
@@ -149,10 +148,7 @@ class QuerySession:
         self.trace.meta["tenant"] = request.tenant
         self.trace.meta["request"] = request.name
         self.engine = Engine(
-            self.ctx,
-            request.group_bits,
-            tracer=self.trace,
-            exec_policy=request.policy,
+            self.ctx, request.group_bits, tracer=self.trace
         )
         self.runtime_session = enable_session(
             self.ctx,

@@ -38,7 +38,6 @@ def tpch_request(
     tenant: str,
     scale_mb: float = 0.1,
     real: bool = False,
-    policy: str = "program",
     seed: int = 7,
     group_bits: int = 1536,
     name: Optional[str] = None,
@@ -66,7 +65,6 @@ def tpch_request(
         run=run,
         ell=prepared.ell,
         mode=Mode.REAL if real else Mode.SIMULATED,
-        policy=policy,
         group_bits=group_bits,
         seed=seed,
         faults=faults,

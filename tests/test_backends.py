@@ -230,7 +230,6 @@ class TestTracePin:
             Context(Mode.SIMULATED, seed=13),
             TEST_GROUP_BITS,
             tracer=tracer,
-            exec_policy="program",
         )
         engine.backend = backend
         q.run_secure(engine)

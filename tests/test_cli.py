@@ -27,7 +27,6 @@ class TestCli:
         assert main(["trace", "Q3", "--scale", "1"]) == 0
         blob = json.loads(capsys.readouterr().out)
         assert blob["meta"]["query"] == "Q3"
-        assert blob["meta"]["policy"] == "program"
         assert blob["total_bytes"] > 0
         kinds = {n["kind"] for n in blob["nodes"]}
         assert {"share", "reveal", "join", "align", "product"} <= kinds
@@ -40,12 +39,10 @@ class TestCli:
     def test_trace_to_file(self, capsys, tmp_path):
         out_file = tmp_path / "trace.json"
         assert main([
-            "trace", "Q18", "--scale", "1",
-            "--policy", "stages", "-o", str(out_file),
+            "trace", "Q18", "--scale", "1", "-o", str(out_file),
         ]) == 0
         assert "trace nodes" in capsys.readouterr().out
         blob = json.loads(out_file.read_text())
-        assert blob["meta"]["policy"] == "stages"
         assert len(blob["nodes"]) > 0
 
     def test_unknown_query_rejected(self):
@@ -55,3 +52,39 @@ class TestCli:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestChaosIsNeverVacuous:
+    """``--kinds`` of the other level used to be filtered to nothing:
+    ``OK: 0 fault points``, exit 0."""
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["--kinds", "kill-node"], "corrupt, truncate"),
+            (["--level", "process", "--kinds", "corrupt"], "kill-node"),
+        ],
+    )
+    def test_foreign_kind_is_an_argparse_error(self, argv, names, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chaos", *argv])
+        assert exit_info.value.code == 2
+        assert names in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, builder",
+        [
+            ([], "repro.runtime.chaos.build_specs"),
+            (
+                ["--level", "process"],
+                "repro.runtime.netchaos.build_process_specs",
+            ),
+        ],
+    )
+    def test_zero_fault_points_exit_nonzero(
+        self, argv, builder, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(builder, lambda *a, **kw: [])
+        assert main(["chaos", "--sweep", "quick", *argv]) == 1
+        out = capsys.readouterr().out
+        assert "0 fault points" in out and "FAILED" in out

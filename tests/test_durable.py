@@ -188,9 +188,7 @@ class TestResume:
 
         prepared = _prepared(config)
         ctx = prepared.make_context(Mode.SIMULATED, seed=config.seed)
-        engine = Engine(
-            ctx, config.group_bits, exec_policy=config.policy
-        )
+        engine = Engine(ctx, config.group_bits)
         engine.backend = config.backend
         from repro.mpc.transcript import BOB
 

@@ -1,11 +1,9 @@
 """The execution layer: IR compilation, scheduling, tracing, caching.
 
 The load-bearing property is **transcript byte-identity**: the
-scheduler's default ("program") policy must replay the legacy
-sequential orchestration's transcript byte-for-byte — same sizes, same
-senders, same labels, same order — for every ownership split and both
-modes.  The "stages" policy must stay semantically identical with the
-same total bytes.
+scheduler must replay the legacy sequential orchestration's transcript
+byte-for-byte — same sizes, same senders, same labels, same order —
+for every ownership split and both modes.
 """
 
 import json
@@ -213,35 +211,6 @@ def test_fingerprint_identity_shared_with_padding():
     assert len(r_new.annotations) == 8
 
 
-def test_stages_policy_same_semantics_and_total_bytes():
-    rels = example_11()
-    owners = {"R1": ALICE, "R2": BOB, "R3": ALICE}
-    plan = make_plan(rels)
-
-    def one(policy):
-        ctx = Context(Mode.SIMULATED, seed=21)
-        engine = Engine(ctx, TEST_GROUP_BITS, exec_policy=policy)
-        result, stats = secure_yannakakis(
-            engine, secure_inputs(rels, owners), plan
-        )
-        return ctx.transcript, result
-
-    t_prog, r_prog = one("program")
-    t_stages, r_stages = one("stages")
-    assert r_stages.semantically_equal(r_prog)
-    assert t_stages.total_bytes == t_prog.total_bytes
-    # Per-message shapes are data-independent, so the multiset of
-    # (sender, size, label) records matches even if the order differs.
-    assert sorted(t_stages.fingerprint()) == sorted(t_prog.fingerprint())
-
-
-def test_unknown_policy_rejected():
-    ctx = Context(Mode.SIMULATED, seed=0)
-    engine = Engine(ctx, TEST_GROUP_BITS)
-    with pytest.raises(ValueError, match="unknown policy"):
-        Scheduler(engine, policy="speculative")
-
-
 def test_scheduler_missing_input_raises():
     rels = example_11()
     plan = make_plan(rels)
@@ -284,7 +253,6 @@ def test_trace_nodes_cover_transcript():
     assert by_kind["share"].n_bytes == 0
     assert by_kind["reveal"].n_bytes > 0
     assert by_kind["reveal"].section == "full_join"
-    assert tracer.meta["policy"] == "program"
     assert tracer.meta["cache"]["circuit_templates"] > 0
     # JSON export carries every node field.
     blob = tracer.to_json()

@@ -18,7 +18,6 @@ from repro.fuzz import (
     generate_instance,
     iter_corpus,
     minimize_instance,
-    perturb_one_share,
     replay_file,
     run_differential,
     save_failure,
@@ -26,6 +25,10 @@ from repro.fuzz import (
 )
 from repro.mpc import Mode
 from repro.relalg.join_tree import is_free_connex
+from repro.runtime import FaultPlan, FaultSpec
+
+#: The semantic fault: one input share perturbed before the run.
+PERTURB = FaultPlan([FaultSpec("perturb_share")])
 
 
 # ----------------------------------------------------------------------
@@ -103,7 +106,7 @@ def test_differential_real_mode_tiny():
 
 def test_injected_fault_is_caught_and_replayable(tmp_path):
     report = fuzz(
-        0, 8, real_every=0, audit=False, fault=perturb_one_share,
+        0, 8, real_every=0, audit=False, fault=PERTURB,
         save_failures_to=str(tmp_path),
     )
     assert report.failures, "a perturbed share must not go unnoticed"
@@ -116,9 +119,12 @@ def test_injected_fault_is_caught_and_replayable(tmp_path):
     blob = json.loads(saved[0].read_text())
     assert blob["failure"]["kind"] == "mismatch"
     assert "relations" in blob["instance"]
-    # Replaying the saved file WITHOUT the fault passes: the instance
-    # itself is healthy, the perturbation was the bug.
-    assert replay_file(str(saved[0])) == []
+    # The file carries the fault, so replaying it reproduces the
+    # mismatch; without the fault the same instance passes — the
+    # instance itself is healthy, the perturbation was the bug.
+    assert blob["failure"]["fault"] == PERTURB.to_json()
+    assert {f.kind for f in replay_file(str(saved[0]))} == {"mismatch"}
+    assert check_instance(QueryInstance.from_json(blob["instance"])) == []
 
 
 def test_minimizer_shrinks_under_fault():
@@ -127,10 +133,7 @@ def test_minimizer_shrinks_under_fault():
     def still_fails(candidate):
         return any(
             f.kind == "mismatch"
-            for f in run_differential(
-                candidate, policies=("program",),
-                fault=perturb_one_share,
-            )
+            for f in run_differential(candidate, fault=PERTURB)
         )
 
     assert still_fails(inst)
@@ -170,8 +173,7 @@ def test_save_failure_roundtrip(tmp_path):
 
     inst = generate_instance(0, 1)
     failure = FuzzFailure(
-        "mismatch", inst.seed, "synthetic", policy="program",
-        instance=inst,
+        "mismatch", inst.seed, "synthetic", instance=inst,
     )
     path = save_failure(failure, str(tmp_path))
     assert replay_file(str(path)) == []

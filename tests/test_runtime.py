@@ -10,8 +10,8 @@ Four layers:
 * supervisor — retry convergence, bounded backoff, retries-exhausted
   and non-retryable propagation;
 * end-to-end — checkpoint/resume byte-equality on TPC-H Q3, the
-  chaos sweep under both scheduler policies (full sweep and REAL-mode
-  samples behind the ``slow``/``real`` markers), and the fuzz
+  chaos sweep (full sweep and REAL-mode samples behind the
+  ``slow``/``real`` markers), and the fuzz
   integration (channel faults surface as replayable ``abort``
   failures).
 """
@@ -47,7 +47,7 @@ from repro.runtime import (
     classify_fault,
     enable_session,
     make_tpch_runner,
-    sweep,
+    sweep_faults,
 )
 from repro.runtime.framing import (
     corrupted,
@@ -214,7 +214,7 @@ def test_every_abort_is_sanitized():
         assert set(abort.to_json()) == {
             "type", "reason", "retryable", "node", "label", "seq",
             "expected", "party", "n_bytes", "tick", "deadline",
-            "attempts",
+            "attempts", "message",
         }
 
 
@@ -387,12 +387,11 @@ def test_checkpoint_resume_is_byte_equal():
     assert faulted.diff(baseline) == ""
 
 
-@pytest.mark.parametrize("policy", ["program", "stages"])
-def test_chaos_sweep_q3_tiny(policy):
+def test_chaos_sweep_q3_tiny():
     """Bounded CI sweep: strided message faults of every kind plus a
-    crash at every node, under both scheduler policies."""
-    run = make_tpch_runner("Q3", scale_mb=0.1, policy=policy)
-    report = sweep(run, stride=6)
+    crash at every node."""
+    run = make_tpch_runner("Q3", scale_mb=0.1)
+    report = sweep_faults(run, stride=6)
     assert report.ok, report.summary()
     counts = report.counts
     assert counts["completed-correct"] > 0
@@ -403,10 +402,10 @@ def test_chaos_sweep_q3_tiny(policy):
 def test_chaos_sweep_q3_tiny_full():
     """The acceptance gate: the full cross product, zero VIOLATIONs."""
     run = make_tpch_runner("Q3", scale_mb=0.1)
-    report = sweep(run, stride=1)
+    report = sweep_faults(run, stride=1)
     assert report.ok, report.summary()
-    assert len(report.outcomes) == (
-        6 * report.baseline_messages + report.baseline_nodes
+    assert report.n_fault_points == (
+        6 * report.baseline.n_messages + len(report.baseline.nodes_seen)
     )
 
 
@@ -438,9 +437,7 @@ def test_real_vs_sim_parity_with_session():
     plan = _plan_for(inst)
     fingerprints = {}
     for mode in (Mode.SIMULATED, Mode.REAL):
-        _, ctx = _run_secure(
-            inst, plan, mode, "program", fault=FaultPlan()
-        )
+        _, ctx = _run_secure(inst, plan, mode, fault=FaultPlan())
         fingerprints[mode] = ctx.transcript.fingerprint()
     assert fingerprints[Mode.SIMULATED] == fingerprints[Mode.REAL]
 

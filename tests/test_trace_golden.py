@@ -31,9 +31,7 @@ def q3_trace_json():
     query = PREPARED["Q3"](dataset)
     tracer = ExecutionTrace()
     engine = Engine(
-        query.make_context(Mode.SIMULATED, seed=7),
-        tracer=tracer,
-        exec_policy="program",
+        query.make_context(Mode.SIMULATED, seed=7), tracer=tracer
     )
     query.run_secure(engine)
     tracer.meta["query"] = query.name
