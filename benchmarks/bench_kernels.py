@@ -1,8 +1,10 @@
 """Per-kernel ns/op microbenchmarks for the vectorised 2PC hot paths.
 
-Each kernel is timed twice in the same process: the production
-implementation and the scalar legacy loop retained in
-``repro.mpc._reference``.  The committed baseline (``BENCH_PR3.json``)
+Each kernel with a scalar legacy loop retained in
+``repro.mpc._reference`` is timed twice in the same process, production
+implementation and reference (the protocol-level garbled batch and
+Gilboa have no twin; their REAL-mode times are ``mpc.garble.s`` /
+``mpc.gilboa.s`` of ``benchmarks/e2e``).  The committed baseline (``BENCH_PR3.json``)
 stores the *speedup ratio* new-vs-reference, which is machine
 independent — CI re-measures both sides on its own hardware (rounds
 interleaved so load drift cancels) and fails if any kernel's ratio has
@@ -29,7 +31,7 @@ from repro.mpc import Context, Engine, Mode
 from repro.mpc import _reference as ref
 from repro.mpc import gadgets
 from repro.mpc.ot import IknpExtension
-from repro.mpc.yao import run_garbled_batch
+from repro.mpc.yao import charge_garbled_batch
 
 GROUP_BITS = 1536
 BASELINE = Path(__file__).resolve().parent.parent / "BENCH_PR3.json"
@@ -72,44 +74,24 @@ def _warm_engine(mode: Mode) -> Engine:
     return engine
 
 
-def bench_gilboa(mode: Mode, n: int = 256):
-    engine = _warm_engine(mode)
+def bench_gilboa(n: int = 256):
+    """SIMULATED charge path (closed forms; no scalar twin to compare)."""
+    engine = _warm_engine(Mode.SIMULATED)
     rng = np.random.default_rng(0)
     u = rng.integers(0, 1000, n).astype(np.uint64)
     v = rng.integers(0, 1000, n).astype(np.uint64)
-    if mode != Mode.REAL:
-        # SIMULATED charges closed forms; no scalar twin to compare.
-        return _time(
-            lambda: engine._gilboa_cross("alice", u, v, "bench")
-        ), None
-    return _time_pair(
-        lambda: engine._gilboa_cross("alice", u, v, "bench"),
-        lambda: ref.gilboa_cross(engine.ctx, engine.ot, u, v),
-    )
+    return _time(
+        lambda: engine._gilboa_cross("alice", u, v, "bench")
+    ), None
 
 
-def bench_garbled(mode: Mode, n: int = 256):
-    engine = _warm_engine(mode)
+def bench_garbled(n: int = 256):
+    """SIMULATED charge path (closed forms; no scalar twin to compare)."""
+    engine = _warm_engine(Mode.SIMULATED)
     circuit = gadgets.nonzero_circuit(32)
-    rng = np.random.default_rng(0)
-    na, nb = len(circuit.alice_inputs), len(circuit.bob_inputs)
-    alice = rng.integers(0, 2, (n, na)).tolist()
-    bob = rng.integers(0, 2, (n, nb)).tolist()
-    if mode == Mode.SIMULATED:
-        from repro.mpc.yao import charge_garbled_batch
-
-        new = _time(
-            lambda: charge_garbled_batch(engine.ctx, engine.ot, circuit, n)
-        )
-        return new, None
-    return _time_pair(
-        lambda: run_garbled_batch(
-            engine.ctx, engine.ot, circuit, alice, bob
-        ),
-        lambda: ref.run_garbled_batch(
-            engine.ctx, engine.ot, circuit, alice, bob
-        ),
-    )
+    return _time(
+        lambda: charge_garbled_batch(engine.ctx, engine.ot, circuit, n)
+    ), None
 
 
 def bench_iknp(n: int = 512, width: int = 16):
@@ -146,10 +128,8 @@ def bench_stream_xor(n_rows: int = 512, width: int = 64):
 
 def run_all() -> dict:
     kernels = {
-        "gilboa_mul_real_n256": lambda: bench_gilboa(Mode.REAL),
-        "gilboa_mul_sim_n256": lambda: bench_gilboa(Mode.SIMULATED),
-        "garbled_batch_real_n256": lambda: bench_garbled(Mode.REAL),
-        "garbled_batch_sim_n256": lambda: bench_garbled(Mode.SIMULATED),
+        "gilboa_mul_sim_n256": bench_gilboa,
+        "garbled_batch_sim_n256": bench_garbled,
         "iknp_transfer_real_512x16": bench_iknp,
         "stream_xor_512x64": bench_stream_xor,
     }

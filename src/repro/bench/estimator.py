@@ -24,7 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..query.builder import JoinAggregateQuery
 
 from ..mpc import gadgets
-from ..mpc.circuits.garbling import LABEL_BYTES, ROWS_PER_AND
+from ..mpc.costs import Widths, base_ot_bytes, cot_bytes, garbled_bytes
 from ..mpc.cuckoo import max_bin_load, num_bins
 from ..mpc.dhoprf import GROUP_BITS as DH_GROUP_BITS
 from ..mpc.dhoprf import TOKEN_BYTES
@@ -108,38 +108,39 @@ class _Estimator:
 
     # -- primitive formulas (mirroring the SIMULATED charges) -----------
 
-    def ot(self, n: int, pair_bytes: int, reverse: bool = False) -> None:
-        if n == 0:
+    def ot(self, widths: Widths, reverse: bool = False) -> None:
+        u, corrections = cot_bytes(self.p.kappa, widths)
+        if u == 0:
             return
-        kappa = self.p.kappa
         if not self._ot_base_charged[reverse]:
             self.est.add(
-                "ot_base",
-                self.group_bits // 8 * (1 + kappa) + 32 * kappa,
+                "ot_base", sum(base_ot_bytes(self.p.kappa, self.group_bits))
             )
             self.est.add_rounds(2)
             self._ot_base_charged[reverse] = True
-        self.est.add("ot_u", kappa * ((n + 7) // 8))
-        self.est.add("ot_ct", pair_bytes)
+        self.est.add("ot_u", u)
+        self.est.add("ot_ct", corrections)
+        self.est.add_rounds(2)
+
+    def _garbled(
+        self, and_count: int, n_alice: int, n_outputs: int, n: int
+    ) -> None:
+        sizes = garbled_bytes(and_count, n_alice, n_outputs, n)
+        self.est.add("gc_tables", sizes.tables)
+        self.est.add("gc_labels", sizes.seed)
+        self.ot([sizes.label_ots])
+        self.est.add("gc_decode", sizes.decode)
         self.est.add_rounds(2)
 
     def garbled(self, circuit, n: int) -> None:
         if n == 0:
             return
-        self.est.add(
-            "gc_tables",
-            ROWS_PER_AND * LABEL_BYTES * circuit.and_count * n,
+        self._garbled(
+            circuit.and_count,
+            len(circuit.alice_inputs),
+            len(circuit.outputs),
+            n,
         )
-        self.est.add(
-            "gc_labels",
-            LABEL_BYTES
-            * (len(circuit.bob_inputs) + len(circuit.const_wires))
-            * n,
-        )
-        bits = len(circuit.alice_inputs) * n
-        self.ot(bits, 2 * LABEL_BYTES * bits)
-        self.est.add("gc_decode", ((len(circuit.outputs) + 7) // 8) * n)
-        self.est.add_rounds(2)
 
     def merge_chain(self, make_circuit, n: int) -> None:
         ell = self.p.ell
@@ -153,49 +154,28 @@ class _Estimator:
         def ex(f2, f3):
             return f2 + (n - 2) * (f3 - f2)
 
-        self.est.add(
-            "gc_tables",
-            ROWS_PER_AND
-            * LABEL_BYTES
-            * ex(c2.and_count, c3.and_count),
+        self._garbled(
+            ex(c2.and_count, c3.and_count),
+            ex(len(c2.alice_inputs), len(c3.alice_inputs)),
+            ex(len(c2.outputs), len(c3.outputs)),
+            1,
         )
-        self.est.add(
-            "gc_labels",
-            LABEL_BYTES
-            * ex(
-                len(c2.bob_inputs) + len(c2.const_wires),
-                len(c3.bob_inputs) + len(c3.const_wires),
-            ),
-        )
-        bits = ex(len(c2.alice_inputs), len(c3.alice_inputs))
-        self.ot(bits, 2 * LABEL_BYTES * bits)
-        self.est.add(
-            "gc_decode",
-            (ex(len(c2.outputs), len(c3.outputs)) + 7) // 8,
-        )
-        self.est.add_rounds(2)
 
     def oep(self, m: int, n_out: int) -> None:
         n_work = 1
         while n_work < max(m, n_out, 1):
             n_work *= 2
         rb = (self.p.ell + 7) // 8
-        switches = 2 * switch_count(n_work)
-        self.ot(
-            switches + (n_work - 1),
-            2 * 2 * rb * switches + 2 * rb * (n_work - 1),
-        )
+        self.ot([(2 * switch_count(n_work), 2 * rb), (n_work - 1, rb)])
 
     def permute(self, n: int) -> None:
         rb = (self.p.ell + 7) // 8
-        s = switch_count(n)
-        self.ot(s, 2 * 2 * rb * s)
+        self.ot([(switch_count(n), 2 * rb)])
 
     def gilboa(self, n: int, n_cross_terms: int = 2) -> None:
         ell = self.p.ell
-        rb = (ell + 7) // 8
         for i in range(n_cross_terms):
-            self.ot(n * ell, 2 * rb * n * ell, reverse=bool(i % 2))
+            self.ot([(n * ell, (ell + 7) // 8)], reverse=bool(i % 2))
 
     def share(self, n: int) -> None:
         self.est.add("shares", n * ((self.p.ell + 7) // 8))

@@ -8,7 +8,7 @@ Rules get two views:
 * :class:`Project` — all files of the run plus a lazily-built index of
   every function/method, used by OBL005 to resolve transcript-label
   literals through the call graph (``engine -> charge_garbled_batch ->
-  charge_ot`` and the REAL-side twin).
+  correlated`` and the REAL-side twin).
 
 Label resolution is *two-valued*: a label is **definite** for a callee
 name when every same-named definition in the project emits it, and

@@ -87,8 +87,10 @@ SECRET_CONFIG = TaintConfig(
             "to_shared",
             "reconstruct",
             "transfer",
-            "transfer_matrix",
-            "transfer_segments",
+            # the C-OT entry point: the batch carries the sender's
+            # pads, ``finish`` returns the receiver's messages
+            "correlated",
+            "finish",
         }
     ),
     source_attrs=frozenset({"alice", "bob"}),

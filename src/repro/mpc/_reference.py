@@ -1,15 +1,17 @@
 """Scalar reference implementations of the vectorised hot paths.
 
-The batch kernels in :mod:`repro.mpc.batch` and the vectorised
-primitives built on them (:meth:`IknpExtension.transfer`,
-:func:`repro.mpc.yao.run_garbled_batch`,
-:meth:`repro.mpc.engine.Engine._gilboa_cross`) replaced one-value-at-a-
-time loops.  Those legacy loops live on here — with the two OT-layer
-bugfixes applied (full-width base-OT exponents, ``(ell+7)//8`` ring
-widths) so that they compute the *intended* functionality — and the
-differential tests in ``tests/test_batch_kernels.py`` pin the vectorised
-code against them: identical outputs and byte-identical transcript
-fingerprints, in REAL and SIMULATED modes.
+The batch kernels in :mod:`repro.mpc.batch` and the chosen-message
+:meth:`IknpExtension.transfer` built on them replaced one-value-at-a-
+time loops.  Those legacy loops live on here — with the OT-layer bugfix
+applied (full-width base-OT exponents) so that they compute the
+*intended* functionality — and the differential tests in
+``tests/test_batch_kernels.py`` pin the vectorised code against them:
+identical outputs and byte-identical transcript fingerprints.  (The
+scalar garbling scheme itself, ``garble``/``evaluate_garbled``, lives
+next to the batched one in :mod:`repro.mpc.circuits.garbling`.)  The
+protocol-level consumers — garbled batches, Gilboa, the switch network
+— have no twin: their tests pin semantics and REAL == SIMULATED
+fingerprints instead.
 
 Nothing here is exported through the package; it exists only as the
 ground truth for tests and for line-by-line auditing of the batched
@@ -22,20 +24,14 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .context import ALICE, BOB, Context
-from .circuits.circuit import Circuit
-from .circuits.garbling import LABEL_BYTES, evaluate_garbled, garble
-from .modp import modp_group
-from .ot import OT, ChouOrlandiOT, IknpExtension, Pair, _int_bytes, _kdf
-from .sharing import SharedVector
+from .context import ALICE, BOB
+from .ot import ChouOrlandiOT, IknpExtension, Pair, _int_bytes, _kdf
 
 __all__ = [
     "stream_xor",
     "prg_bits",
     "ReferenceChouOrlandiOT",
     "ReferenceIknpExtension",
-    "gilboa_cross",
-    "run_garbled_batch",
 ]
 
 
@@ -172,101 +168,3 @@ class ReferenceIknpExtension(IknpExtension):
             out.append(stream_xor(key, y1 if r[j] else y0))
         ctx.send(BOB, total, "ot/ext/ciphertexts")
         return out
-
-
-def gilboa_cross(
-    ctx: Context, ot: OT, u: np.ndarray, v: np.ndarray
-) -> SharedVector:
-    """The legacy scalar staging of ``Engine._gilboa_cross`` (REAL mode,
-    Alice-holds-bits orientation), with the ``(ell+7)//8`` width fix:
-    per bit ``i`` of ``u_j``, one OT of ``(r, r + (v_j << i))``."""
-    ell = ctx.params.ell
-    n = len(u)
-    mask = int(ctx.modulus - 1)
-    rb = (ell + 7) // 8
-    r = ctx.rng.integers(0, ctx.modulus, size=(n, ell), dtype=np.uint64)
-    pairs: List[Pair] = []
-    choice_bits: List[int] = []
-    for j in range(n):
-        vj = int(v[j])
-        for i in range(ell):
-            r_ji = int(r[j, i])
-            m0 = r_ji.to_bytes(rb, "little")
-            m1 = ((r_ji + (vj << i)) & mask).to_bytes(rb, "little")
-            pairs.append((m0, m1))
-            choice_bits.append((int(u[j]) >> i) & 1)
-    got = ot.transfer(pairs, choice_bits)
-    recv = np.zeros(n, dtype=np.uint64)
-    for j in range(n):
-        total = 0
-        for i in range(ell):
-            total += int.from_bytes(got[j * ell + i], "little")
-        recv[j] = total & mask
-    sender_share = (-r.sum(axis=1, dtype=np.uint64)) & np.uint64(mask)
-    return SharedVector(recv, sender_share, ctx.modulus)
-
-
-def run_garbled_batch(
-    ctx: Context,
-    ot: OT,
-    circuit: Circuit,
-    alice_bits_list: Sequence[Sequence[int]],
-    bob_bits_list: Sequence[Sequence[int]],
-) -> List[List[int]]:
-    """The legacy one-instance-at-a-time garbled batch: dict-based
-    scalar garbling per instance, per-bit label pair staging, per-wire
-    decode — exactly what :func:`repro.mpc.yao.run_garbled_batch` now
-    does with matrix kernels."""
-    if len(alice_bits_list) != len(bob_bits_list):
-        raise ValueError("need matching numbers of Alice/Bob input vectors")
-    n = len(alice_bits_list)
-    if n == 0:
-        return []
-
-    garblings = []
-    tables_bytes = 0
-    bob_label_bytes = 0
-    label_pairs = []
-    choice_bits: List[int] = []
-    for alice_bits, bob_bits in zip(alice_bits_list, bob_bits_list):
-        g = garble(circuit, ctx.random_bytes)
-        garblings.append(g)
-        tables_bytes += g.tables.n_bytes
-        bob_label_bytes += LABEL_BYTES * (
-            len(circuit.bob_inputs) + len(circuit.const_wires)
-        )
-        for w, bit in zip(circuit.alice_inputs, alice_bits):
-            pair = (
-                g.label(w, 0).to_bytes(LABEL_BYTES, "little"),
-                g.label(w, 1).to_bytes(LABEL_BYTES, "little"),
-            )
-            label_pairs.append(pair)
-            choice_bits.append(int(bit) & 1)
-    ctx.send(BOB, tables_bytes, "gc/tables")
-    ctx.send(BOB, bob_label_bytes, "gc/bob_labels")
-    with ctx.section("gc/alice_labels"):
-        alice_labels = ot.transfer(label_pairs, choice_bits)
-
-    outputs: List[List[int]] = []
-    decode_bytes = 0
-    cursor = 0
-    for g, bob_bits in zip(garblings, bob_bits_list):
-        input_labels = {}
-        for w in circuit.alice_inputs:
-            input_labels[w] = int.from_bytes(alice_labels[cursor], "little")
-            cursor += 1
-        for w, bit in zip(circuit.bob_inputs, bob_bits):
-            input_labels[w] = g.label(w, int(bit) & 1)
-        for w, bit in circuit.const_wires:
-            input_labels[w] = g.label(w, bit)
-        active = evaluate_garbled(circuit, g.tables, input_labels)
-        permute = g.output_permute_bits()
-        decode_bytes += (len(circuit.outputs) + 7) // 8
-        outputs.append(
-            [
-                (active[w] & 1) ^ p
-                for w, p in zip(circuit.outputs, permute)
-            ]
-        )
-    ctx.send(BOB, decode_bytes, "gc/decode")
-    return outputs

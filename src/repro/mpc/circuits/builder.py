@@ -11,9 +11,9 @@ arithmetic, matching the arithmetic secret-sharing ring).  Gadgets:
 * ``div_unsigned``             — restoring long division (for avg/ratio
                                  query composition, Section 7)
 
-Gate-count formulas for these gadgets (used by the SIMULATED cost model)
-live in :mod:`repro.mpc.costs` and are asserted against real builds in the
-test suite.
+The SIMULATED cost model charges a gadget by its built template's gate
+and wire counts; the wire sizes per AND gate, input bit and output bit
+live in :mod:`repro.mpc.costs`.
 """
 
 from __future__ import annotations

@@ -18,6 +18,14 @@ Construction:
 The evaluator learns exactly one label per wire; select bits are
 independent of semantic values.  Output wires are decoded with
 garbler-supplied permute bits.
+
+The batched garbler draws nothing but ``delta``.  Evaluator-input
+zero-labels are supplied by the caller (they are the correlated-OT
+pads, :mod:`repro.mpc.ot`), and the *active* label of every
+garbler-side input and constant wire is expanded from a 16-byte seed
+(:func:`expand_labels`) that the garbler sends instead of the labels:
+the garbler knows those bits, so it sets ``zero = active ^ bit*delta``.
+DESIGN.md ("Input-side wire format") has the soundness argument.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from ..batch import sha256_rows
+from ..batch import sha256_rows, words_to_le_bytes
 from .circuit import AND, INV, XOR, Circuit
 
 __all__ = [
@@ -39,6 +47,7 @@ __all__ = [
     "GarblePlan",
     "BatchGarbling",
     "make_garble_plan",
+    "expand_labels",
     "garble_batch",
     "evaluate_batch",
 ]
@@ -46,6 +55,8 @@ __all__ = [
 LABEL_BYTES = 16
 #: Ciphertexts per AND gate (half-gates).
 ROWS_PER_AND = 2
+#: The seed a batch's garbler-side active labels expand from.
+SEED_BYTES = 16
 
 
 def _hash_label(label: int, index: int) -> int:
@@ -157,22 +168,15 @@ class GarblePlan:
 
     circuit: Circuit
     n_wires: int
-    #: wires drawing fresh labels, in the scalar path's draw order
-    #: (alice, bob, const)
-    input_wires: np.ndarray
     alice_wires: np.ndarray
-    bob_wires: np.ndarray
-    const_wires: np.ndarray
+    #: wires whose bits the garbler knows: Bob's inputs, then constants
+    garbler_wires: np.ndarray
     const_bits: np.ndarray
     output_wires: np.ndarray
     #: per gate: (op, a, b, out, and_index, jb_row, jb2_row) with
     #: ``jb = (2*gate_id)_le64`` / ``jb2 = (2*gate_id+1)_le64``
     steps: List[Tuple] = field(repr=False, default_factory=list)
     n_ands: int = 0
-
-    @property
-    def n_inputs(self) -> int:
-        return len(self.input_wires)
 
 
 def make_garble_plan(circuit: Circuit) -> GarblePlan:
@@ -203,10 +207,8 @@ def make_garble_plan(circuit: Circuit) -> GarblePlan:
     return GarblePlan(
         circuit=circuit,
         n_wires=circuit.n_wires,
-        input_wires=np.concatenate([alice, bob, const_w]),
         alice_wires=alice,
-        bob_wires=bob,
-        const_wires=const_w,
+        garbler_wires=np.concatenate([bob, const_w]),
         const_bits=const_b,
         output_wires=np.asarray(circuit.outputs, dtype=np.int64),
         steps=steps,
@@ -225,50 +227,51 @@ class BatchGarbling:
     zero: np.ndarray  # (n_wires, n, 16)
     tables: np.ndarray  # (n_ands, 2, n, 16)
 
-    @property
-    def n_instances(self) -> int:
-        return self.delta.shape[0]
-
-    @property
-    def tables_bytes(self) -> int:
-        return self.tables.size
-
-    def labels(self, wires: np.ndarray, bits: np.ndarray) -> np.ndarray:
-        """Active labels for ``wires`` given per-instance ``bits`` of
-        shape ``(n, len(wires))``; returns ``(len(wires), n, 16)``."""
-        z = self.zero[wires]
-        if z.shape[0] == 0:
-            return z
-        return z ^ (self.delta[None, :, :] * bits.T[:, :, None])
-
     def output_permute_bits(self) -> np.ndarray:
         """``(n, n_outputs)`` select bits of the output zero-labels."""
         return (self.zero[self.plan.output_wires][:, :, 0] & 1).T
 
 
-def _hash_rows(labels: np.ndarray, index_bytes: np.ndarray) -> np.ndarray:
-    """Row-batched :func:`_hash_label`: SHA-256 of ``label || index``
-    truncated to 16 bytes, for an ``(n, 16)`` label matrix."""
-    n = labels.shape[0]
-    inp = np.empty((n, LABEL_BYTES + 8), dtype=np.uint8)
-    inp[:, :LABEL_BYTES] = labels
-    inp[:, LABEL_BYTES:] = index_bytes
-    return sha256_rows(inp)[:, :LABEL_BYTES]
+def expand_labels(seed: bytes, plan: GarblePlan, n: int) -> np.ndarray:
+    """The ``(n_garbler_wires, n, 16)`` active labels of the plan's
+    garbler-side wires over ``n`` instances: label ``(instance, wire)``
+    is the matching 16-byte half of ``SHA-256(seed || counter)``, two
+    labels per block.  Both parties run this — the garbler to fix its
+    zero-labels, the evaluator in place of receiving the labels."""
+    n_wires = len(plan.garbler_wires)
+    n_blocks = (n * n_wires + 1) // 2
+    rows = np.empty((n_blocks, SEED_BYTES + 8), dtype=np.uint8)
+    rows[:, :SEED_BYTES] = np.frombuffer(seed, dtype=np.uint8)
+    rows[:, SEED_BYTES:] = words_to_le_bytes(
+        np.arange(n_blocks, dtype=np.uint64), 8
+    )
+    labels = sha256_rows(rows).reshape(-1, LABEL_BYTES)[: n * n_wires]
+    return labels.reshape(n, n_wires, LABEL_BYTES).transpose(1, 0, 2)
 
 
 def garble_batch(
-    plan: GarblePlan, n: int, rand_bytes: Callable[[int], bytes]
+    plan: GarblePlan,
+    rand_bytes: Callable[[int], bytes],
+    alice_zero: np.ndarray,
+    seed: bytes,
+    garbler_bits: np.ndarray,
 ) -> BatchGarbling:
-    """Garble ``n`` instances of the plan's template at once; instance
-    ``k``'s garbling is an independent sample of :func:`garble`."""
-    blob = np.frombuffer(
-        rand_bytes(LABEL_BYTES * n * (1 + plan.n_inputs)), dtype=np.uint8
-    ).reshape(n, 1 + plan.n_inputs, LABEL_BYTES)
-    delta = blob[:, 0, :].copy()
+    """Garble one instance per row of ``garbler_bits`` (``(n, n_garbler_
+    wires)``, the bits on :attr:`GarblePlan.garbler_wires`) at once.
+    ``alice_zero`` is the ``(n_alice, n, 16)`` matrix of evaluator-input
+    zero-labels; the garbler-side active labels expand from ``seed``;
+    only the per-instance ``delta`` is drawn here.  Each instance is an
+    independent sample of :func:`garble` up to the label source."""
+    n = garbler_bits.shape[0]
+    delta = np.frombuffer(
+        rand_bytes(LABEL_BYTES * n), dtype=np.uint8
+    ).reshape(n, LABEL_BYTES).copy()
     delta[:, 0] |= 1  # LSB 1 so select bits of W0/W1 differ
     zero = np.zeros((plan.n_wires, n, LABEL_BYTES), dtype=np.uint8)
-    if plan.n_inputs:
-        zero[plan.input_wires] = blob[:, 1:, :].transpose(1, 0, 2)
+    zero[plan.alice_wires] = alice_zero
+    zero[plan.garbler_wires] = expand_labels(seed, plan, n) ^ (
+        delta[None, :, :] * garbler_bits.T[:, :, None]
+    )
     tables = np.empty((plan.n_ands, 2, n, LABEL_BYTES), dtype=np.uint8)
 
     for op, a, b, out, ai, jb, jb2 in plan.steps:

@@ -16,6 +16,7 @@ Yao-to-arithmetic conversion described in Section 5.2.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -45,7 +46,7 @@ from .sharing import (
     share_vector,
 )
 from .transcript import other_party
-from .yao import charge_garbled_batch, charge_ot, run_garbled_batch
+from .yao import charge_garbled, charge_garbled_batch, run_garbled_batch
 
 __all__ = ["Engine"]
 
@@ -158,48 +159,41 @@ class Engine:
         label: str,
     ) -> SharedVector:
         """Fresh shares of ``u_i * v_i`` where ``bits_owner`` holds ``u``
-        and the other party holds ``v``: per bit ``i`` of ``u``, one OT
-        of ``(r, r + (v << i))`` selected by that bit.
+        and the other party holds ``v``: per bit ``i`` of ``u``, one
+        correlated OT of ``(r, r + (v << i))`` selected by that bit,
+        with ``r`` the OT's own 0-pad.
 
-        All ``n * ell`` pairs are staged as one byte matrix and the
-        received shares reassembled with vectorised byte packing — the
-        scalar original is kept in :mod:`repro.mpc._reference`."""
+        All ``n * ell`` OTs run as one extension batch and the received
+        shares are reassembled with vectorised byte packing."""
         ctx = self.ctx
         ell = ctx.params.ell
         n = len(u)
         mask = ctx.mask
         rb = (ell + 7) // 8
+        widths = [(n * ell, rb)]
         reverse = bits_owner == BOB
         ot = self._ot_rev if reverse else self.ot
-        with ctx.section(label):
+        with ctx.section(label), (
+            ctx.swapped_roles() if reverse else nullcontext()
+        ):
             if ctx.mode == Mode.SIMULATED:
-                if reverse:
-                    with ctx.swapped_roles():
-                        charge_ot(ctx, ot, n * ell, 2 * rb * n * ell)
-                else:
-                    charge_ot(ctx, ot, n * ell, 2 * rb * n * ell)
+                ot.correlated(None, widths).finish()
                 prod = (
                     u.astype(np.uint64) * v.astype(np.uint64)
                 ) & mask
                 return self._fresh(prod)
-            r = ctx.rng.integers(
-                0, ctx.modulus, size=(n, ell), dtype=np.uint64
+            cot = ot.correlated(
+                words_to_bits(u.astype(np.uint64), ell).reshape(-1), widths
             )
+            r = le_bytes_to_words(cot.p0[0]).reshape(n, ell) & mask
             shifted = (
                 v.astype(np.uint64)[:, None]
                 << np.arange(ell, dtype=np.uint64)[None, :]
             )
-            m0 = words_to_le_bytes(r.reshape(-1), rb)
             m1 = words_to_le_bytes(((r + shifted) & mask).reshape(-1), rb)
-            choices = words_to_bits(u.astype(np.uint64), ell).reshape(-1)
-            if reverse:
-                with ctx.swapped_roles():
-                    got = ot.transfer_matrix(m0, m1, choices)
-            else:
-                got = ot.transfer_matrix(m0, m1, choices)
-            recv = le_bytes_to_words(got).reshape(n, ell).sum(
-                axis=1, dtype=np.uint64
-            ) & mask
+            recv = le_bytes_to_words(cot.finish([m1])[0]).reshape(
+                n, ell
+            ).sum(axis=1, dtype=np.uint64) & mask
             sender_share = (-r.sum(axis=1, dtype=np.uint64)) & mask
             if reverse:
                 return SharedVector(sender_share, recv, ctx.modulus)
@@ -501,8 +495,6 @@ class Engine:
         """Charge a length-``n`` merge chain exactly: the chain circuit is
         structurally linear in ``n``, so its gate/input counts extrapolate
         exactly from the n=2 and n=3 template builds."""
-        from .circuits.garbling import LABEL_BYTES, ROWS_PER_AND
-
         ctx, ot = self.ctx, self.ot
         ell = ctx.params.ell
         if n <= 3:
@@ -514,20 +506,14 @@ class Engine:
         def extrapolate(f2: int, f3: int) -> int:
             return f2 + (n - 2) * (f3 - f2)
 
-        ands = extrapolate(c2.and_count, c3.and_count)
-        bob_in = extrapolate(
-            len(c2.bob_inputs) + len(c2.const_wires),
-            len(c3.bob_inputs) + len(c3.const_wires),
+        charge_garbled(
+            ctx,
+            ot,
+            extrapolate(c2.and_count, c3.and_count),
+            extrapolate(len(c2.alice_inputs), len(c3.alice_inputs)),
+            extrapolate(len(c2.outputs), len(c3.outputs)),
+            1,
         )
-        alice_in = extrapolate(len(c2.alice_inputs), len(c3.alice_inputs))
-        outs = extrapolate(len(c2.outputs), len(c3.outputs))
-        ctx.send(BOB, ROWS_PER_AND * LABEL_BYTES * ands, "gc/tables")
-        ctx.send(BOB, LABEL_BYTES * bob_in, "gc/bob_labels")
-        from .yao import charge_ot
-
-        with ctx.section("gc/alice_labels"):
-            charge_ot(ctx, ot, alice_in, 2 * LABEL_BYTES * alice_in)
-        ctx.send(BOB, (outs + 7) // 8, "gc/decode")
 
     def _fresh(self, plain: np.ndarray) -> SharedVector:
         a = self.ctx.random_ring_vector(len(plain))

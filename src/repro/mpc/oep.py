@@ -14,10 +14,12 @@ to the head of its block of duplicated targets; the replication pass has
 each wire either keep its value or copy its left neighbour; ``P2`` routes
 the block members to their target positions.  Permutations run on a
 Benes switching network; every 2x2 switch and every replication gate is
-applied to the shared values with ONE 1-out-of-2 OT in which Bob offers
-both refreshed share pairs and Alice selects with her (private) control
-bit.  All OTs across the whole network are batched into a single OT-
-extension call, so the protocol runs in constant rounds with
+applied to the shared values with ONE correlated 1-out-of-2 OT in which
+Bob offers both refreshed share pairs and Alice selects with her
+(private) control bit.  The refresh masks are Bob's free choice, so he
+derives them from the OT's own 0-pad and only the "crossed" pair
+crosses the wire.  All OTs across the whole network are batched into a
+single OT-extension call, so the protocol runs in constant rounds with
 ``~O((M+N) log(M+N))`` communication.
 
 SIMULATED mode reshares ``x[xi]`` directly and charges identical bytes.
@@ -31,10 +33,10 @@ import numpy as np
 
 from .batch import le_bytes_to_words, words_to_le_bytes
 from .context import Context, Mode
+from .costs import Widths
 from .ot import OT
 from .sharing import SharedVector
 from .waksman import pad_permutation, switch_count
-from .yao import charge_ot
 
 __all__ = ["oblivious_permutation", "oblivious_extended_permutation"]
 
@@ -58,14 +60,9 @@ def oblivious_permutation(
             inv = np.empty(n, dtype=np.int64)
             inv[np.asarray(perm, dtype=np.int64)] = np.arange(n)
             out_plain = values.reconstruct()[inv]
-            n_switches = switch_count(n)
-            # Same section as the REAL path's transfer_segments call, so
-            # both modes spell the labels ``<label>/switches/ot/...``.
-            with ctx.section("switches"):
-                charge_ot(
-                    ctx, ot, n_switches,
-                    2 * 2 * _ring_bytes(ctx) * n_switches,
-                )
+            _charge_switches(
+                ctx, ot, [(switch_count(n), 2 * _ring_bytes(ctx))]
+            )
             return _fresh_shares(ctx, out_plain)
         layers = ctx.cache.benes_network(pad_permutation(perm))
         padded = values.concat(
@@ -100,16 +97,13 @@ def oblivious_extended_permutation(
         if ctx.mode == Mode.SIMULATED:
             out_plain = values.reconstruct()[xi_arr]
             n_work = _padded_size(max(m, n_out, 1))
-            n_switches = 2 * switch_count(n_work)
             rb = _ring_bytes(ctx)
-            # Same section as the REAL path's transfer_segments call, so
-            # both modes spell the labels ``<label>/switches/ot/...``.
-            with ctx.section("switches"):
-                charge_ot(
-                    ctx, ot,
-                    n_switches + (n_work - 1),
-                    2 * 2 * rb * n_switches + 2 * rb * (n_work - 1),
-                )
+            # Two Benes networks of two-word switches around one pass
+            # of one-word copy gates.
+            _charge_switches(
+                ctx, ot,
+                [(2 * switch_count(n_work), 2 * rb), (n_work - 1, rb)],
+            )
             return _fresh_shares(ctx, out_plain)
         return _oep_real(ctx, ot, [int(s) for s in xi_arr], values, n_out)
 
@@ -124,6 +118,14 @@ def _padded_size(n: int) -> int:
     while size < n:
         size *= 2
     return size
+
+
+def _charge_switches(ctx: Context, ot: OT, widths: Widths) -> None:
+    """SIMULATED mode: charge the network's one C-OT batch under the
+    section the REAL path runs it in, so both modes spell the labels
+    ``<label>/switches/ot/...``."""
+    with ctx.section("switches"):
+        ot.correlated(None, widths).finish()
 
 
 def _fresh_shares(ctx: Context, plain: np.ndarray) -> SharedVector:
@@ -180,66 +182,83 @@ def _oep_real(
     return routed.take(np.arange(n_out))
 
 
-def _stage_network(
+def _switch_stages(
+    layers: List[List[Tuple[int, int, bool]]]
+) -> List[Tuple]:
+    """One ``("switch", a_idx, b_idx, swaps)`` stage per non-empty layer
+    (a layer's switches touch disjoint wire pairs, so each stages and
+    replays as one vectorised step).  A stage's last element is
+    Alice's choice bits, one per OT."""
+    return [
+        (
+            "switch",
+            np.asarray([a for a, _, _ in layer], dtype=np.int64),
+            np.asarray([b for _, b, _ in layer], dtype=np.int64),
+            np.asarray([s for _, _, s in layer], dtype=np.uint8),
+        )
+        for layer in layers
+        if layer
+    ]
+
+
+def _stage_bob(
     ctx: Context,
-    layers: List[List[Tuple[int, int, bool]]],
+    stages: List[Tuple],
+    pads: List[np.ndarray],
     bob: np.ndarray,
-    segments: List[Tuple],
-) -> None:
-    """Stage Bob's OT message pairs and Alice's choices for one network,
-    one byte-matrix segment per layer (a layer's switches touch disjoint
-    wire pairs, so each layer stages as one vectorised step).  ``bob`` is
-    updated in place to the post-network shares (Bob can do this before
-    any interaction); Alice's updates are replayed later with the OT
-    results."""
+) -> List[np.ndarray]:
+    """Bob's side of the network, given every gate's 0-pad: each gate
+    offers Alice ``(keep, cross)`` re-randomised share tuples, and the
+    fresh masks are Bob's to choose, so he fixes them such that the
+    ``keep`` tuple *is* the pad — his new shares become ``old - pad`` —
+    and only the ``cross`` tuple has to be sent.  ``bob`` is updated in
+    place stage by stage (his running share vector is the one
+    sequential thing); returns the ``cross`` byte matrix per stage."""
     mask = ctx.mask
     rb = _ring_bytes(ctx)
-    for layer in layers:
-        if not layer:
-            continue
-        a_idx = np.asarray([a for a, _, _ in layer], dtype=np.int64)
-        b_idx = np.asarray([b for _, b, _ in layer], dtype=np.int64)
-        swaps = np.asarray([s for _, _, s in layer], dtype=np.uint8)
-        ra = ctx.rng.integers(
-            0, ctx.modulus, size=len(layer), dtype=np.uint64
-        )
-        rbv = ctx.rng.integers(
-            0, ctx.modulus, size=len(layer), dtype=np.uint64
-        )
-        ua, ub = bob[a_idx], bob[b_idx]
-        m0 = np.concatenate(
-            [
-                words_to_le_bytes((ua - ra) & mask, rb),
-                words_to_le_bytes((ub - rbv) & mask, rb),
-            ],
-            axis=1,
-        )
-        m1 = np.concatenate(
-            [
-                words_to_le_bytes((ub - ra) & mask, rb),
-                words_to_le_bytes((ua - rbv) & mask, rb),
-            ],
-            axis=1,
-        )
-        bob[a_idx] = ra
-        bob[b_idx] = rbv
-        segments.append(("switch", a_idx, b_idx, swaps, m0, m1))
+    crossed = []
+    for stage, p0 in zip(stages, pads):
+        if stage[0] == "switch":
+            _, a_idx, b_idx, _ = stage
+            ua, ub = bob[a_idx], bob[b_idx]
+            ra = (ua - le_bytes_to_words(p0[:, :rb])) & mask
+            rbv = (ub - le_bytes_to_words(p0[:, rb:])) & mask
+            bob[a_idx], bob[b_idx] = ra, rbv
+            crossed.append(
+                np.concatenate(
+                    [
+                        words_to_le_bytes((ub - ra) & mask, rb),
+                        words_to_le_bytes((ua - rbv) & mask, rb),
+                    ],
+                    axis=1,
+                )
+            )
+        else:
+            # Position i's "copy" tuple offers its left neighbour's
+            # post-pass share, which is r[i-2] for i >= 2 (already
+            # refreshed by the previous gate) and the original share
+            # for i = 1.
+            r = (bob[1:] - le_bytes_to_words(p0)) & mask
+            prev = np.concatenate([bob[:1], r[:-1]])
+            crossed.append(words_to_le_bytes((prev - r) & mask, rb))
+            bob[1:] = r
+    return crossed
 
 
-def _replay_segments(
+def _replay_alice(
     ctx: Context,
-    alice: np.ndarray,
-    segments: List[Tuple],
+    stages: List[Tuple],
     messages: List[np.ndarray],
+    alice: np.ndarray,
 ) -> None:
-    """Apply Alice's post-OT updates segment by segment: switch layers
-    vectorise (disjoint wire pairs); the replication pass is a sequential
-    left-to-right scan by construction."""
+    """Alice's side: apply her OT outputs stage by stage.  Switch
+    layers vectorise (disjoint wire pairs); the replication pass is a
+    sequential left-to-right scan by construction."""
     mask = ctx.mask
     rb = _ring_bytes(ctx)
-    for seg, msg in zip(segments, messages):
-        if seg[0] == "switch":
-            _, a_idx, b_idx, swaps, _, _ = seg
+    for stage, msg in zip(stages, messages):
+        if stage[0] == "switch":
+            _, a_idx, b_idx, swaps = stage
             v0 = le_bytes_to_words(msg[:, :rb])
             v1 = le_bytes_to_words(msg[:, rb:])
             xa, xb = alice[a_idx], alice[b_idx]
@@ -247,55 +266,50 @@ def _replay_segments(
             alice[a_idx] = (np.where(sw, xb, xa) + v0) & mask
             alice[b_idx] = (np.where(sw, xa, xb) + v1) & mask
         else:
-            _, copy_bits, _, _ = seg
+            copy_bits = stage[1]  # for positions 1..n-1
             vals = le_bytes_to_words(msg)
             imask = int(mask)
             for i in range(1, len(alice)):
                 prev = int(alice[i - 1])
                 keep = int(alice[i])
                 alice[i] = (
-                    (prev if copy_bits[i] else keep) + int(vals[i - 1])
+                    (prev if copy_bits[i - 1] else keep) + int(vals[i - 1])
                 ) & imask
 
 
 def _apply_switch_network(
     ctx: Context,
-    ot,
+    ot: OT,
     networks: List[List[List[Tuple[int, int, bool]]]],
     replication_after_first: Sequence[bool],
     values: SharedVector,
 ) -> SharedVector:
     """Run one or two Benes networks with an optional replication pass in
-    between, batching every OT into one extension call."""
+    between, batching every OT into one correlated extension call: the
+    pads of every gate are known once ``u`` has crossed, Bob stages all
+    of them, one correction message crosses, Alice replays."""
     alice = values.alice.astype(np.uint64).copy()
     bob = values.bob.astype(np.uint64).copy()
-    mask = ctx.mask
     rb = _ring_bytes(ctx)
 
-    segments: List[Tuple] = []
-    _stage_network(ctx, networks[0], bob, segments)
+    stages = _switch_stages(networks[0])
     if replication_after_first and len(bob) > 1:
-        n = len(bob)
-        r = ctx.rng.integers(0, ctx.modulus, size=n - 1, dtype=np.uint64)
-        # Position i's "copy" message offers its left neighbour's
-        # post-pass share, which is r[i-2] for i >= 2 (already refreshed
-        # by the previous gate) and the original share for i = 1.
-        prev = np.concatenate([bob[:1], r[:-1]])
-        m0 = words_to_le_bytes((bob[1:] - r) & mask, rb)
-        m1 = words_to_le_bytes((prev - r) & mask, rb)
-        bob[1:] = r
-        segments.append(
-            ("copy", np.asarray(replication_after_first, dtype=bool), m0, m1)
+        stages.append(
+            ("copy", np.asarray(replication_after_first[1:], dtype=np.uint8))
         )
-    if len(networks) > 1:
-        _stage_network(ctx, networks[1], bob, segments)
+    for network in networks[1:]:
+        stages += _switch_stages(network)
+    if not stages:  # a one-wire network has no gates
+        return values
 
     with ctx.section("switches"):
-        messages = ot.transfer_segments(
+        cot = ot.correlated(
+            np.concatenate([st[-1] for st in stages]),
             [
-                (seg[-2], seg[-1], seg[3] if seg[0] == "switch" else seg[1][1:])
-                for seg in segments
-            ]
+                (len(st[-1]), 2 * rb if st[0] == "switch" else rb)
+                for st in stages
+            ],
         )
-    _replay_segments(ctx, alice, segments, messages)
+        messages = cot.finish(_stage_bob(ctx, stages, cot.p0, bob))
+    _replay_alice(ctx, stages, messages, alice)
     return SharedVector(alice, bob, ctx.modulus)

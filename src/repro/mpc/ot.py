@@ -1,8 +1,8 @@
 """Oblivious transfer: Chou–Orlandi base OT and IKNP OT extension.
 
 OT is the asymmetric-crypto bedrock under the garbled-circuit protocol
-(the evaluator's input labels) and the oblivious switching network.  Two
-back-ends share one interface:
+(the evaluator's input labels), Gilboa multiplication and the oblivious
+switching network.  Two back-ends share one interface:
 
 * :class:`ChouOrlandiOT` — the "simplest OT" protocol over an RFC 3526
   group: sender publishes ``A = g^a``; per transfer the receiver sends
@@ -13,52 +13,120 @@ back-ends share one interface:
 * :class:`IknpExtension` — stretches ``kappa`` base OTs (run in reversed
   roles with the extension sender choosing a secret ``s``) into any number
   of OTs using only SHA-256: the classic column-correlation construction.
-* :class:`SimulatedOT` — delivers the chosen messages directly while
-  charging the transcript exactly what the real extension would send.
+* :class:`SimulatedOT` — skips the crypto while charging the transcript
+  exactly what the real extension would send.
 
-The extension's per-transfer work is batched: message pairs enter as
-contiguous byte matrices (:meth:`IknpExtension.transfer_matrix` /
-:meth:`IknpExtension.transfer_segments`), keys are derived with one
-row-batched SHA-256 pass, and the ciphertext/decrypt XORs are single
-numpy operations over the whole batch (:mod:`repro.mpc.batch`).  The
-scalar reference implementation is kept in :mod:`repro.mpc._reference`
-and pinned by differential tests.
+Every protocol consumer runs **correlated** OTs through the one entry
+point ``ot.correlated(choices, widths)``: IKNP hands the sender a random
+pad pair ``(p0, p1)`` per OT and the receiver ``p_c`` for free, the
+sender *adopts* ``p0`` as its 0-message (a fresh label, mask or share is
+its free choice anyway) and ships only ``m1 ^ p1`` — one ciphertext per
+OT instead of two.  ``transfer(pairs, choices)`` keeps the
+chosen-message form for callers that must fix both messages.
 
-All message sizes are metered through the shared :class:`Context`.
+Wire sizes come from :mod:`repro.mpc.costs`; all messages are metered
+through the shared :class:`Context`.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import List, Protocol, Sequence, Tuple
+from typing import List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from .batch import kdf_rows, sha256_rows, stream_xor_rows, words_to_le_bytes
 from .context import ALICE, BOB, Context
+from .costs import Widths, base_ot_bytes, cot_bytes
 from .modp import ModpGroup, modp_group
 
-__all__ = ["OT", "ChouOrlandiOT", "IknpExtension", "SimulatedOT", "make_ot"]
+__all__ = [
+    "OT",
+    "ChouOrlandiOT",
+    "CorrelatedBatch",
+    "IknpExtension",
+    "SimulatedOT",
+    "make_ot",
+]
 
 Pair = Tuple[bytes, bytes]
 
-#: One staged batch of same-width OT message pairs:
-#: ``(m0_matrix, m1_matrix, choice_bits)``.
-Segment = Tuple[np.ndarray, np.ndarray, np.ndarray]
-
 
 class OT(Protocol):
-    """Structural interface shared by every OT back-end.
+    """Structural interface of the extension back-ends the protocols
+    run on: the batched correlated entry point, plus scalar
+    chosen-message :meth:`transfer`."""
 
-    Only scalar :meth:`transfer` is universal; the vectorised
-    ``transfer_matrix`` / ``transfer_segments`` entry points exist on
-    the extension and simulated back-ends and are discovered with
-    ``getattr`` by callers that can exploit them.
-    """
+    def correlated(
+        self, choices: Optional[np.ndarray], widths: Widths
+    ) -> "CorrelatedBatch": ...
 
     def transfer(
         self, pairs: Sequence[Pair], choices: Sequence[int]
     ) -> List[bytes]: ...
+
+
+class CorrelatedBatch:
+    """One C-OT extension batch between its two messages: ``u`` has
+    crossed, so both parties hold their pads; the sender now derives its
+    1-messages from :attr:`p0` and :meth:`finish` ships the corrections.
+
+    A charge-only batch (SIMULATED consumers, which compute their
+    functionality directly) carries no pads and finishes without
+    messages."""
+
+    def __init__(
+        self,
+        ctx: Context,
+        widths: Widths,
+        choices: Optional[np.ndarray] = None,
+        pads: Optional[Sequence[np.ndarray]] = None,
+    ) -> None:
+        self._ctx = ctx
+        self._widths = widths
+        self._choices = choices
+        #: the sender's 0-messages: one ``(count, width)`` pad matrix
+        #: per segment; ``pads`` is the ``(p0, p1, p_choice)`` triple
+        #: of full-width ``(n, 32)`` matrices
+        self.p0, self._p1, self._pc = (
+            ([], [], [])
+            if pads is None
+            else (_split(p, widths) for p in pads)
+        )
+
+    def finish(
+        self, m1: Sequence[np.ndarray] = ()
+    ) -> List[np.ndarray]:
+        """Send one correction ``m1 ^ p1`` per OT; returns the
+        receiver's chosen-message matrix per segment (``p0`` rows where
+        she chose 0, ``m1`` rows where she chose 1)."""
+        u_bytes, n_bytes = cot_bytes(self._ctx.params.kappa, self._widths)
+        if u_bytes:  # an empty batch sent no ``u`` and sends nothing now
+            self._ctx.send(BOB, n_bytes, "ot/ext/ciphertexts")
+        out: List[np.ndarray] = []
+        off = 0
+        for msg, p1, pc in zip(m1, self._p1, self._pc):
+            msg = np.asarray(msg, dtype=np.uint8)
+            if msg.shape != p1.shape:
+                raise ValueError("one 1-message per pad row is required")
+            c = self._choices[off : off + len(pc), None].astype(bool)
+            off += len(pc)
+            out.append(np.where(c, msg ^ p1 ^ pc, pc))
+        return out
+
+
+def _split(pads: np.ndarray, widths: Widths) -> List[np.ndarray]:
+    """Cut an ``(n, 32)`` pad matrix into per-segment ``(count, width)``
+    matrices."""
+    out, off = [], 0
+    for count, width in widths:
+        out.append(pads[off : off + count, :width])
+        off += count
+    return out
+
+
+#: The pad matrix of a zero-length batch.
+_NO_PADS = np.zeros((0, 32), dtype=np.uint8)
 
 
 def _kdf(*parts: bytes) -> bytes:
@@ -228,10 +296,10 @@ class IknpExtension:
 
     def _column_phase(
         self, m: int, r: np.ndarray
-    ) -> Tuple[bytes, np.ndarray, np.ndarray, np.ndarray]:
-        """One extension batch's column correlation: Alice's ``T`` rows,
-        Bob's ``Q`` rows, and the batch salt.  Sends the ``u``
-        correction columns."""
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One extension batch's column correlation: the batch salt,
+        Bob's ``Q`` rows, Alice's ``T`` rows and packed ``s``.  Sends
+        the ``u`` correction columns."""
         if not self._base_done:
             self._base_phase()
         ctx = self.ctx
@@ -247,7 +315,7 @@ class IknpExtension:
             ^ _prg_bits_all([s[1] for s in self._seeds_alice], m, salt)
             ^ r[None, :]
         )
-        ctx.send(ALICE, self.kappa * ((m + 7) // 8), "ot/ext/u")
+        ctx.send(ALICE, cot_bytes(self.kappa, [(m, 0)])[0], "ot/ext/u")
 
         # Bob: q columns; row j satisfies Q_j = T_j ^ (r_j * s).
         q_cols = _prg_bits_all(self._seeds_bob, m, salt) ^ (
@@ -255,41 +323,43 @@ class IknpExtension:
         )
         q_rows = np.packbits(q_cols.T, axis=1)  # m x kappa/8
         t_rows = np.packbits(t_cols.T, axis=1)
-        s_packed = np.packbits(self._s)
-        return salt, q_rows, t_rows, s_packed
+        return (
+            np.frombuffer(salt, dtype=np.uint8),
+            q_rows,
+            t_rows,
+            np.packbits(self._s),
+        )
 
-    def _transfer_core(
-        self,
-        groups: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-        m: int,
-        r: np.ndarray,
-    ) -> List[np.ndarray]:
-        """Run one extension batch over index-disjoint groups of
-        same-width pairs; group ``(idx, m0, m1)`` holds the pairs at
-        global positions ``idx`` as ``(len(idx), w)`` byte matrices.
-        Returns the chosen-message matrix per group."""
-        ctx = self.ctx
+    def correlated(
+        self, choices: Optional[np.ndarray], widths: Widths
+    ) -> CorrelatedBatch:
+        """Open one C-OT batch over consecutive ``(count, width)``
+        segments: sends ``u``; OT ``j``'s pads are ``H(j, Q_j)`` and
+        ``H(j, Q_j ^ s)`` for the sender and ``H(j, T_j)`` — the one
+        matching her choice — for the receiver, truncated to the
+        segment's width (one SHA-256 block, so ``width <= 32``)."""
+        if choices is None:
+            raise ValueError("a real OT needs the receiver's choice bits")
+        r = np.asarray(choices, dtype=np.uint8) & 1
+        m = sum(count for count, _ in widths)
+        if len(r) != m:
+            raise ValueError("one choice bit per OT is required")
+        if any(width > 32 for _, width in widths):
+            raise ValueError("C-OT pads are at most 32 bytes wide")
+        if m == 0:
+            return CorrelatedBatch(self.ctx, widths, r, [_NO_PADS] * 3)
         salt, q_rows, t_rows, s_packed = self._column_phase(m, r)
-        salt_arr = np.frombuffer(salt, dtype=np.uint8)
-        out: List[np.ndarray] = []
-        total = 0
-        for idx, m0, m1 in groups:
-            jb = words_to_le_bytes(idx.astype(np.uint64), 8)
-            qj = q_rows[idx]
-            y0 = stream_xor_rows(kdf_rows(jb, salt_arr, qj), m0)
-            y1 = stream_xor_rows(
-                kdf_rows(jb, salt_arr, qj ^ s_packed), m1
-            )
-            total += y0.size + y1.size
-            chosen = np.where(r[idx].astype(bool)[:, None], y1, y0)
-            # T_j packs the k_{r_j} column, so this key decrypts y_{r_j}.
-            out.append(
-                stream_xor_rows(
-                    kdf_rows(jb, salt_arr, t_rows[idx]), chosen
-                )
-            )
-        ctx.send(BOB, total, "ot/ext/ciphertexts")
-        return out
+        jb = words_to_le_bytes(np.arange(m, dtype=np.uint64), 8)
+        return CorrelatedBatch(
+            self.ctx,
+            widths,
+            r,
+            [
+                kdf_rows(jb, salt, q_rows),
+                kdf_rows(jb, salt, q_rows ^ s_packed),
+                kdf_rows(jb, salt, t_rows),
+            ],
+        )
 
     def transfer(
         self, pairs: Sequence[Pair], choices: Sequence[int]
@@ -304,71 +374,32 @@ class IknpExtension:
             if len(m0) != len(m1):
                 raise ValueError("OT messages in a pair must be equal-length")
             by_width.setdefault(len(m0), []).append(j)
-        groups = []
+        r = np.asarray(choices, dtype=np.uint8) & 1
+        salt, q_rows, t_rows, s_packed = self._column_phase(m, r)
+        out: List[bytes] = [b""] * m
+        total = 0
         for w, positions in by_width.items():
             idx = np.asarray(positions, dtype=np.int64)
-            m0_mat = np.frombuffer(
-                b"".join(pairs[j][0] for j in positions), dtype=np.uint8
-            ).reshape(len(positions), w)
-            m1_mat = np.frombuffer(
-                b"".join(pairs[j][1] for j in positions), dtype=np.uint8
-            ).reshape(len(positions), w)
-            groups.append((idx, m0_mat, m1_mat))
-        r = np.asarray(choices, dtype=np.uint8) & 1
-        mats = self._transfer_core(groups, m, r)
-        out: List[bytes] = [b""] * m
-        for (idx, _, _), mat in zip(groups, mats):
-            rows = mat.tobytes()
-            w = mat.shape[1]
-            for k, j in enumerate(idx):
-                out[j] = rows[k * w : (k + 1) * w]
-        return out
-
-    def transfer_matrix(
-        self, m0: np.ndarray, m1: np.ndarray, choices: np.ndarray
-    ) -> np.ndarray:
-        """Uniform-width fast path: ``(m, w)`` message matrices in, the
-        ``(m, w)`` chosen-message matrix out — no per-pair ``bytes``."""
-        m0 = np.ascontiguousarray(m0, dtype=np.uint8)
-        m1 = np.ascontiguousarray(m1, dtype=np.uint8)
-        if m0.shape != m1.shape:
-            raise ValueError("OT messages in a pair must be equal-length")
-        m = m0.shape[0]
-        if len(choices) != m:
-            raise ValueError("one choice bit per message pair is required")
-        if m == 0:
-            return m0.copy()
-        r = np.asarray(choices, dtype=np.uint8) & 1
-        return self._transfer_core(
-            [(np.arange(m, dtype=np.int64), m0, m1)], m, r
-        )[0]
-
-    def transfer_segments(
-        self, segments: Sequence[Segment]
-    ) -> List[np.ndarray]:
-        """One extension batch over consecutively-indexed segments of
-        (possibly different-width) pair matrices; returns one
-        chosen-message matrix per segment, in order.  Used by the
-        switching network, whose layers stage naturally as matrices."""
-        groups = []
-        r_parts = []
-        off = 0
-        for m0, m1, ch in segments:
-            m0 = np.ascontiguousarray(m0, dtype=np.uint8)
-            m1 = np.ascontiguousarray(m1, dtype=np.uint8)
-            if m0.shape != m1.shape:
-                raise ValueError("OT messages in a pair must be equal-length")
-            k = m0.shape[0]
-            if len(ch) != k:
-                raise ValueError("one choice bit per message pair is required")
-            groups.append(
-                (np.arange(off, off + k, dtype=np.int64), m0, m1)
+            m0, m1 = (
+                np.frombuffer(
+                    b"".join(pairs[j][c] for j in positions), dtype=np.uint8
+                ).reshape(len(positions), w)
+                for c in (0, 1)
             )
-            r_parts.append(np.asarray(ch, dtype=np.uint8) & 1)
-            off += k
-        if off == 0:
-            return [m0.copy() for m0, _, _ in segments]
-        return self._transfer_core(groups, off, np.concatenate(r_parts))
+            jb = words_to_le_bytes(idx.astype(np.uint64), 8)
+            qj = q_rows[idx]
+            y0 = stream_xor_rows(kdf_rows(jb, salt, qj), m0)
+            y1 = stream_xor_rows(kdf_rows(jb, salt, qj ^ s_packed), m1)
+            total += y0.size + y1.size
+            chosen = np.where(r[idx].astype(bool)[:, None], y1, y0)
+            # T_j packs the k_{r_j} column, so this key decrypts y_{r_j}.
+            rows = stream_xor_rows(
+                kdf_rows(jb, salt, t_rows[idx]), chosen
+            ).tobytes()
+            for k, j in enumerate(positions):
+                out[j] = rows[k * w : (k + 1) * w]
+        self.ctx.send(BOB, total, "ot/ext/ciphertexts")
+        return out
 
 
 class SimulatedOT:
@@ -380,17 +411,41 @@ class SimulatedOT:
         self.group_bits = group_bits
         self._base_charged = False
 
-    def _charge(self, m: int, total_pair_bytes: int) -> None:
+    def _open(self, n_ots: int) -> None:
+        """Charge the base phase (first batch only) and ``u``."""
         ctx = self.ctx
         kappa = ctx.params.kappa
         if not self._base_charged:
-            elem = self.group_bits // 8
-            ctx.send(ALICE, elem, "ot/ext/base/A")
-            ctx.send(BOB, elem * kappa, "ot/ext/base/B")
-            ctx.send(ALICE, 32 * kappa, "ot/ext/base/ciphertexts")
+            a, b, ct = base_ot_bytes(kappa, self.group_bits)
+            ctx.send(ALICE, a, "ot/ext/base/A")
+            ctx.send(BOB, b, "ot/ext/base/B")
+            ctx.send(ALICE, ct, "ot/ext/base/ciphertexts")
             self._base_charged = True
-        ctx.send(ALICE, kappa * ((m + 7) // 8), "ot/ext/u")
-        ctx.send(BOB, total_pair_bytes, "ot/ext/ciphertexts")
+        ctx.send(ALICE, cot_bytes(kappa, [(n_ots, 0)])[0], "ot/ext/u")
+
+    def correlated(
+        self, choices: Optional[np.ndarray], widths: Widths
+    ) -> CorrelatedBatch:
+        """Charge the opening of a C-OT batch.  With ``choices=None``
+        the batch is charge-only — what the SIMULATED consumers use, at
+        any scale; with choices it also deals ideal random pads."""
+        ctx = self.ctx
+        m = sum(count for count, _ in widths)
+        if m:
+            self._open(m)
+        if choices is None:
+            return CorrelatedBatch(ctx, widths)
+        r = np.asarray(choices, dtype=np.uint8) & 1
+        if len(r) != m:
+            raise ValueError("one choice bit per OT is required")
+        p0, p1 = (
+            np.frombuffer(ctx.random_bytes(32 * m), dtype=np.uint8).reshape(
+                m, 32
+            )
+            for _ in range(2)
+        )
+        pc = np.where(r.astype(bool)[:, None], p1, p0)
+        return CorrelatedBatch(ctx, widths, r, [p0, p1, pc])
 
     def transfer(
         self, pairs: Sequence[Pair], choices: Sequence[int]
@@ -399,23 +454,13 @@ class SimulatedOT:
             raise ValueError("one choice bit per message pair is required")
         if not pairs:
             return []
-        self._charge(
-            len(pairs), sum(len(m0) + len(m1) for m0, m1 in pairs)
+        self._open(len(pairs))
+        self.ctx.send(
+            BOB,
+            sum(len(m0) + len(m1) for m0, m1 in pairs),
+            "ot/ext/ciphertexts",
         )
         return [p[1] if c else p[0] for p, c in zip(pairs, choices)]
-
-    def transfer_matrix(
-        self, m0: np.ndarray, m1: np.ndarray, choices: np.ndarray
-    ) -> np.ndarray:
-        m0 = np.ascontiguousarray(m0, dtype=np.uint8)
-        m1 = np.ascontiguousarray(m1, dtype=np.uint8)
-        if m0.shape != m1.shape:
-            raise ValueError("OT messages in a pair must be equal-length")
-        if m0.shape[0] == 0:
-            return m0.copy()
-        self._charge(m0.shape[0], m0.size + m1.size)
-        r = (np.asarray(choices, dtype=np.uint8) & 1).astype(bool)
-        return np.where(r[:, None], m1, m0)
 
 
 def make_ot(ctx: Context, group_bits: int = 2048) -> OT:

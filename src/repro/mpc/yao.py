@@ -7,11 +7,15 @@ Alice's output *is* her arithmetic share and Bob's share is ``-r`` — this
 is the Yao-to-arithmetic conversion of [ABY, 12] that the paper invokes
 in Section 5.2.
 
-Communication per batch of instances of one circuit:
+Communication per batch of instances of one circuit, in wire order
+(sizes from :func:`repro.mpc.costs.garbled_bytes`):
 
+* the ``u`` columns opening the correlated OT for Alice's input labels
+  — her zero-labels *are* the OT's pads, so the OT runs first
 * garbled tables: two ``16``-byte ciphertexts per AND gate (half-gates)
-* Bob's input and constant wire labels: 16 bytes each
-* Alice's input labels: one OT per bit (via OT extension)
+* one 16-byte seed from which Alice expands the active labels of Bob's
+  input and constant wires herself
+* one label correction ``p0 ^ p1 ^ delta`` per bit of Alice's input
 * output decode bits: one bit per output wire
 
 ``charge_garbled_batch`` charges exactly these bytes in SIMULATED mode so
@@ -27,55 +31,37 @@ import numpy as np
 from .circuits.circuit import Circuit
 from .circuits.garbling import (
     LABEL_BYTES,
-    ROWS_PER_AND,
+    SEED_BYTES,
     evaluate_batch,
+    expand_labels,
     garble_batch,
 )
-from .context import ALICE, BOB, Context
-from .ot import OT, SimulatedOT
+from .context import BOB, Context
+from .costs import garbled_bytes
+from .ot import OT
 
 __all__ = [
     "run_garbled_batch",
     "charge_garbled_batch",
-    "charge_ot",
+    "charge_garbled",
 ]
-
-
-def charge_ot(
-    ctx: Context, ot: OT, n_transfers: int, total_pair_bytes: int
-) -> None:
-    """Charge the transcript what an IKNP batch of ``n_transfers`` OTs
-    costs, where ``total_pair_bytes`` is the summed length of *both*
-    messages over all pairs (SIMULATED mode only)."""
-    if n_transfers == 0:
-        return
-    kappa = ctx.params.kappa
-    if isinstance(ot, SimulatedOT) and not ot._base_charged:
-        elem = ot.group_bits // 8
-        ctx.send(ALICE, elem, "ot/ext/base/A")
-        ctx.send(BOB, elem * kappa, "ot/ext/base/B")
-        ctx.send(ALICE, 32 * kappa, "ot/ext/base/ciphertexts")
-        ot._base_charged = True
-    ctx.send(ALICE, kappa * ((n_transfers + 7) // 8), "ot/ext/u")
-    ctx.send(BOB, total_pair_bytes, "ot/ext/ciphertexts")
 
 
 def run_garbled_batch(
     ctx: Context,
-    ot,
+    ot: OT,
     circuit: Circuit,
     alice_bits_list: Sequence[Sequence[int]],
     bob_bits_list: Sequence[Sequence[int]],
 ) -> List[List[int]]:
     """REAL mode: garble and evaluate ``circuit`` once per instance,
-    batching all of Alice's input-label OTs into a single extension call.
-    Returns each instance's output bits (known to Alice).
+    batching all of Alice's input-label OTs into a single correlated
+    extension call.  Returns each instance's output bits (known to
+    Alice).
 
     The whole batch runs instance-parallel: the template's
     :class:`~repro.mpc.circuits.garbling.GarblePlan` comes from the run
-    cache, inputs/outputs are marshalled as bit matrices, and Alice's
-    label OTs move as one contiguous matrix through the extension
-    (:mod:`repro.mpc._reference` keeps the scalar original)."""
+    cache and inputs/outputs are marshalled as bit matrices."""
     if len(alice_bits_list) != len(bob_bits_list):
         raise ValueError("need matching numbers of Alice/Bob input vectors")
     n = len(alice_bits_list)
@@ -83,42 +69,44 @@ def run_garbled_batch(
         return []
     plan = ctx.cache.garble_plan(circuit)
     n_alice = len(circuit.alice_inputs)
-    n_bob = len(circuit.bob_inputs)
     a_bits = _bit_matrix(alice_bits_list, n_alice)
-    b_bits = _bit_matrix(bob_bits_list, n_bob)
-
-    g = garble_batch(plan, n, ctx.random_bytes)
-    ctx.send(BOB, g.tables_bytes, "gc/tables")
-    ctx.send(
-        BOB,
-        LABEL_BYTES * (n_bob + len(circuit.const_wires)) * n,
-        "gc/bob_labels",
-    )
-    with ctx.section("gc/alice_labels"):
-        if n_alice:
-            zeros = g.zero[plan.alice_wires].transpose(1, 0, 2)
-            m0 = zeros.reshape(n * n_alice, LABEL_BYTES)
-            m1 = (zeros ^ g.delta[:, None, :]).reshape(
-                n * n_alice, LABEL_BYTES
-            )
-            alice_labels = _ot_matrix(ot, m0, m1, a_bits.reshape(-1))
-
-    active = np.zeros((plan.n_wires, n, LABEL_BYTES), dtype=np.uint8)
-    if n_alice:
-        active[plan.alice_wires] = alice_labels.reshape(
-            n, n_alice, LABEL_BYTES
-        ).transpose(1, 0, 2)
-    if n_bob:
-        active[plan.bob_wires] = g.labels(plan.bob_wires, b_bits)
-    if len(plan.const_wires):
-        active[plan.const_wires] = g.labels(
-            plan.const_wires,
+    garbler_bits = np.concatenate(
+        [
+            _bit_matrix(bob_bits_list, len(circuit.bob_inputs)),
             np.broadcast_to(plan.const_bits, (n, len(plan.const_bits))),
+        ],
+        axis=1,
+    )
+
+    def by_wire(rows: np.ndarray) -> np.ndarray:
+        """``(n * n_alice, 16)`` OT rows -> ``(n_alice, n, 16)``."""
+        return rows.reshape(n, n_alice, LABEL_BYTES).transpose(1, 0, 2)
+
+    with ctx.section("gc/alice_labels"):
+        cot = ot.correlated(
+            a_bits.reshape(-1), [(n * n_alice, LABEL_BYTES)]
         )
+    # Bob: Alice-wire zero-labels are the OT's 0-pads, his own wires'
+    # active labels expand from the seed; only delta is drawn.
+    seed = ctx.random_bytes(SEED_BYTES)
+    g = garble_batch(
+        plan, ctx.random_bytes, by_wire(cot.p0[0]), seed, garbler_bits
+    )
+    ctx.send(BOB, g.tables.size, "gc/tables")
+    ctx.send(BOB, len(seed), "gc/bob_labels")
+    with ctx.section("gc/alice_labels"):
+        alice_labels = cot.finish(
+            [cot.p0[0] ^ np.repeat(g.delta, n_alice, axis=0)]
+        )
+
+    # Alice: her labels from the OT, Bob's from the seed.
+    active = np.zeros((plan.n_wires, n, LABEL_BYTES), dtype=np.uint8)
+    active[plan.alice_wires] = by_wire(alice_labels[0])
+    active[plan.garbler_wires] = expand_labels(seed, plan, n)
     select = evaluate_batch(plan, g.tables, active)
-    out_bits = select ^ g.output_permute_bits()
-    ctx.send(BOB, ((len(circuit.outputs) + 7) // 8) * n, "gc/decode")
-    return out_bits.astype(int).tolist()
+    permute = g.output_permute_bits()
+    ctx.send(BOB, np.packbits(permute, axis=1).size, "gc/decode")
+    return (select ^ permute).astype(int).tolist()
 
 
 def _bit_matrix(
@@ -132,21 +120,27 @@ def _bit_matrix(
     return mat[:, :n_wires]
 
 
-def _ot_matrix(
-    ot: OT, m0: np.ndarray, m1: np.ndarray, choices: np.ndarray
-) -> np.ndarray:
-    """Label-pair OT through the matrix fast path when the back-end has
-    one, else through the generic ``bytes`` interface."""
-    tm = getattr(ot, "transfer_matrix", None)
-    if tm is not None:
-        return tm(m0, m1, choices)
-    got = ot.transfer(
-        [(a.tobytes(), b.tobytes()) for a, b in zip(m0, m1)],
-        [int(c) for c in choices],
-    )
-    return np.frombuffer(b"".join(got), dtype=np.uint8).reshape(
-        len(got), m0.shape[1]
-    )
+def charge_garbled(
+    ctx: Context,
+    ot: OT,
+    and_count: int,
+    n_alice: int,
+    n_outputs: int,
+    n_instances: int,
+) -> None:
+    """SIMULATED mode: charge ``n_instances`` garblings of a template
+    with these gate/wire counts, message for message as
+    :func:`run_garbled_batch` sends them."""
+    if n_instances == 0:
+        return
+    sizes = garbled_bytes(and_count, n_alice, n_outputs, n_instances)
+    with ctx.section("gc/alice_labels"):
+        cot = ot.correlated(None, [sizes.label_ots])
+    ctx.send(BOB, sizes.tables, "gc/tables")
+    ctx.send(BOB, sizes.seed, "gc/bob_labels")
+    with ctx.section("gc/alice_labels"):
+        cot.finish()
+    ctx.send(BOB, sizes.decode, "gc/decode")
 
 
 def charge_garbled_batch(
@@ -154,23 +148,11 @@ def charge_garbled_batch(
 ) -> None:
     """SIMULATED mode: charge exactly what :func:`run_garbled_batch`
     would send for ``n_instances`` of ``circuit``."""
-    if n_instances == 0:
-        return
-    ctx.send(
-        BOB,
-        ROWS_PER_AND * LABEL_BYTES * circuit.and_count * n_instances,
-        "gc/tables",
-    )
-    ctx.send(
-        BOB,
-        LABEL_BYTES
-        * (len(circuit.bob_inputs) + len(circuit.const_wires))
-        * n_instances,
-        "gc/bob_labels",
-    )
-    n_alice_bits = len(circuit.alice_inputs) * n_instances
-    with ctx.section("gc/alice_labels"):
-        charge_ot(ctx, ot, n_alice_bits, 2 * LABEL_BYTES * n_alice_bits)
-    ctx.send(
-        BOB, ((len(circuit.outputs) + 7) // 8) * n_instances, "gc/decode"
+    charge_garbled(
+        ctx,
+        ot,
+        circuit.and_count,
+        len(circuit.alice_inputs),
+        len(circuit.outputs),
+        n_instances,
     )

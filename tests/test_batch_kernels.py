@@ -1,9 +1,11 @@
 """Differential tests: vectorised batch kernels vs the retained scalar
 reference implementations (`repro.mpc._reference`).
 
-Every hot path rewritten in PR 3 is pinned here against the legacy
-loop it replaced: identical outputs and byte-identical transcript
-fingerprints, in REAL and SIMULATED modes.
+The marshalling kernels and the chosen-message IKNP transfer are pinned
+against the legacy loops they replaced: identical outputs and
+byte-identical transcript fingerprints.  The protocol-level consumers
+(garbled batches, Gilboa) have no scalar twin; they are pinned on
+semantics and on REAL == SIMULATED fingerprints.
 """
 
 import hashlib
@@ -24,7 +26,7 @@ from repro.mpc.ot import (
     _stream_xor,
     make_ot,
 )
-from repro.mpc.yao import run_garbled_batch
+from repro.mpc.yao import charge_garbled_batch, run_garbled_batch
 
 from .conftest import TEST_GROUP_BITS
 
@@ -166,57 +168,58 @@ class TestOtDifferential:
             ctx_r.transcript.fingerprint() == ctx_s.transcript.fingerprint()
         )
 
-    def test_transfer_matrix_equals_transfer(self):
+    def test_correlated_equals_transfer_semantics(self):
+        """The C-OT entry point delivers what a chosen-message transfer
+        of ``(p0, m1)`` would, for one ciphertext per OT instead of
+        two."""
         rng = np.random.default_rng(2)
-        m0 = np.frombuffer(rng.bytes(60 * 5), dtype=np.uint8).reshape(60, 5)
         m1 = np.frombuffer(rng.bytes(60 * 5), dtype=np.uint8).reshape(60, 5)
         choices = rng.integers(0, 2, 60)
 
         ctx_a = Context(Mode.REAL, seed=8)
-        got_a = IknpExtension(ctx_a, TEST_GROUP_BITS).transfer_matrix(
-            m0, m1, choices
+        cot = IknpExtension(ctx_a, TEST_GROUP_BITS).correlated(
+            choices, [(60, 5)]
         )
+        m0 = cot.p0[0]
+        got_a = cot.finish([m1])[0]
         ctx_b = Context(Mode.REAL, seed=8)
         got_b = IknpExtension(ctx_b, TEST_GROUP_BITS).transfer(
             [(a.tobytes(), b.tobytes()) for a, b in zip(m0, m1)],
             [int(c) for c in choices],
         )
         assert [r.tobytes() for r in got_a] == got_b
-        assert (
-            ctx_a.transcript.fingerprint() == ctx_b.transcript.fingerprint()
-        )
+        fp_a = ctx_a.transcript.fingerprint()
+        fp_b = ctx_b.transcript.fingerprint()
+        assert fp_a[:-1] == fp_b[:-1]
+        assert fp_a[-1] == (BOB, 60 * 5, "ot/ext/ciphertexts")
+        assert fp_b[-1] == (BOB, 2 * 60 * 5, "ot/ext/ciphertexts")
 
 
 # ----------------------------------------------------------------------
-# Gilboa cross-multiplication and the garbled batch vs scalar staging
+# Gilboa cross-multiplication and the garbled batch: semantics, and
+# REAL == SIMULATED transcripts
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.real
 class TestGilboaDifferential:
-    def test_products_and_fingerprints_match_reference(self):
+    def test_products_and_fingerprints_match_simulated(self):
         rng = np.random.default_rng(4)
         u = rng.integers(0, 2**31, 17).astype(np.uint64)
         v = rng.integers(0, 2**31, 17).astype(np.uint64)
 
-        ctx_new = Context(Mode.REAL, seed=23)
-        ot_new = make_ot(ctx_new, TEST_GROUP_BITS)
-        eng = Engine(ctx_new, TEST_GROUP_BITS)
-        eng.ot = ot_new
-        sv_new = eng._gilboa_cross(ALICE, u, v, "cross")
+        def run(mode, bits_owner):
+            ctx = Context(mode, seed=23)
+            eng = Engine(ctx, TEST_GROUP_BITS)
+            sv = eng._gilboa_cross(bits_owner, u, v, "cross")
+            return sv.reconstruct(), ctx.transcript.fingerprint()
 
-        ctx_old = Context(Mode.REAL, seed=23)
-        ot_old = make_ot(ctx_old, TEST_GROUP_BITS)
-        with ctx_old.section("cross"):
-            sv_old = ref.gilboa_cross(ctx_old, ot_old, u, v)
-
-        mask = ctx_new.mask
-        assert (sv_new.reconstruct() == (u * v) & mask).all()
-        assert (sv_new.reconstruct() == sv_old.reconstruct()).all()
-        assert (
-            ctx_new.transcript.fingerprint()
-            == ctx_old.transcript.fingerprint()
-        )
+        for bits_owner in (ALICE, BOB):
+            real, fp_real = run(Mode.REAL, bits_owner)
+            sim, fp_sim = run(Mode.SIMULATED, bits_owner)
+            assert (real == (u * v) & np.uint64(2**32 - 1)).all()
+            assert (sim == real).all()
+            assert fp_real == fp_sim
 
 
 @pytest.mark.real
@@ -228,24 +231,21 @@ class TestGarbledBatchDifferential:
         bob = [[int(x) for x in rng.integers(0, 2, nb)] for _ in range(n)]
         return alice, bob
 
-    def _run(self, fn, circuit, alice, bob, mode=Mode.REAL):
-        ctx = Context(mode, seed=31)
-        ot = make_ot(ctx, TEST_GROUP_BITS)
-        outs = fn(ctx, ot, circuit, alice, bob)
-        outs += fn(ctx, ot, circuit, alice[:2], bob[:2])
-        return (
-            [[int(b) for b in o] for o in outs],
-            ctx.transcript.fingerprint(),
-        )
-
-    def test_outputs_and_fingerprints_match_reference(self):
+    def test_outputs_and_fingerprints_match_simulated(self):
         circuit = nonzero_circuit(20)
         alice, bob = self._inputs(circuit, 21)
-        new = self._run(run_garbled_batch, circuit, alice, bob)
-        old = self._run(ref.run_garbled_batch, circuit, alice, bob)
-        assert new == old
-        for a, b, o in zip(alice, bob, new[0]):
+        ctx = Context(Mode.REAL, seed=31)
+        ot = make_ot(ctx, TEST_GROUP_BITS)
+        outs = run_garbled_batch(ctx, ot, circuit, alice, bob)
+        outs += run_garbled_batch(ctx, ot, circuit, alice[:2], bob[:2])
+        for a, b, o in zip(alice + alice[:2], bob + bob[:2], outs):
             assert o == circuit.evaluate(a, b)
+
+        sim = Context(Mode.SIMULATED, seed=31)
+        sim_ot = make_ot(sim, TEST_GROUP_BITS)
+        charge_garbled_batch(sim, sim_ot, circuit, 21)
+        charge_garbled_batch(sim, sim_ot, circuit, 2)
+        assert ctx.transcript.fingerprint() == sim.transcript.fingerprint()
 
     def test_plan_cache_reuses_template(self):
         circuit = nonzero_circuit(12)

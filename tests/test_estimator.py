@@ -6,6 +6,8 @@ import pytest
 from repro.bench.estimator import estimate_plan_cost
 from repro.core import SecureRelation, secure_yannakakis
 from repro.mpc import ALICE, BOB, Context, Engine, Mode
+from repro.mpc.circuits.garbling import SEED_BYTES
+from repro.mpc.costs import cot_bytes
 from repro.relalg import (
     AnnotatedRelation,
     Hypergraph,
@@ -90,3 +92,50 @@ class TestBreakdown:
         _, big = run_and_estimate({"R1": ALICE, "R2": BOB}, 80, 80)
         ratio = big.total / small.total
         assert 2.5 < ratio < 6  # ~4x data, ~linear cost
+
+
+class TestByteBudgetPin:
+    """Q3 at 1 MB, SIMULATED, yannakakis: the wire format's bottom line.
+    A change to a primitive's wire size is made in ``mpc/costs.py`` —
+    and then here, knowingly."""
+
+    TOTAL = 59_793_848
+    #: bytes per label class (the benchmark's ``mpc.bytes.*`` split),
+    #: base OTs excluded
+    GROUPS = {
+        "gc/bob_labels": 64,
+        "gc/alice_labels/": 13_239_568,
+        "/switches/": 4_292_592,
+        "/cross": 2_880_000,
+    }
+
+    @pytest.fixture(scope="class")
+    def messages(self):
+        from repro.tpch.datagen import generate
+        from repro.tpch.queries import PREPARED
+
+        query = PREPARED["Q3"](generate(1))
+        ctx = query.make_context(Mode.SIMULATED, seed=7)
+        engine = Engine(ctx)
+        engine.backend = "yannakakis"
+        query.run_secure(engine)
+        return ctx.transcript.messages
+
+    def test_total_and_label_groups(self, messages):
+        assert sum(m.n_bytes for m in messages) == self.TOTAL
+        messages = [m for m in messages if "/base/" not in m.label]
+        for pattern, want in self.GROUPS.items():
+            got = sum(m.n_bytes for m in messages if pattern in m.label)
+            assert got == want, pattern
+
+    def test_groups_follow_the_closed_forms(self, messages):
+        """One seed per garbled batch; every uniform-width C-OT batch is
+        ``(kappa/8 per 8 OTs, one ciphertext per OT)``."""
+        messages = [m for m in messages if "/base/" not in m.label]
+        seeds = [m for m in messages if m.label.endswith("gc/bob_labels")]
+        tables = [m for m in messages if m.label.endswith("gc/tables")]
+        assert [m.n_bytes for m in seeds] == [SEED_BYTES] * len(tables)
+        for pattern, width in (("gc/alice_labels/", 16), ("/cross", 4)):
+            batch = [m.n_bytes for m in messages if pattern in m.label]
+            for u, ct in zip(batch[::2], batch[1::2]):
+                assert cot_bytes(128, [(ct // width, width)]) == (u, ct)

@@ -5,9 +5,19 @@ import secrets
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.mpc import Context, Mode, gadgets, yao
 from repro.mpc.circuits import CircuitBuilder, evaluate_garbled, garble
+from repro.mpc.circuits.garbling import (
+    SEED_BYTES,
+    expand_labels,
+    garble_batch,
+    make_garble_plan,
+)
 from repro.mpc.gadgets import bits_of, int_of
+from repro.mpc.ot import SimulatedOT
 
 
 def random_circuit(rng, n_alice=6, n_bob=6, n_gates=40):
@@ -123,3 +133,127 @@ class TestSchemeStructure:
         g1 = garble(c, secrets.token_bytes)
         g2 = garble(c, secrets.token_bytes)
         assert g1.zero_labels != g2.zero_labels
+
+
+# ----------------------------------------------------------------------
+# The batched protocol: seed-expanded garbler labels, C-OT evaluator
+# labels (repro.mpc.yao.run_garbled_batch)
+# ----------------------------------------------------------------------
+
+#: Every template of ``mpc/gadgets.py``, as ``ell -> Circuit``.
+TEMPLATES = {
+    "mul_shared": gadgets.mul_shared_circuit,
+    "mul_plain": gadgets.mul_plain_circuit,
+    "nonzero": gadgets.nonzero_circuit,
+    "merge_sum": lambda ell: gadgets.merge_sum_circuit(ell, 3),
+    "merge_or": lambda ell: gadgets.merge_or_circuit(ell, 3),
+    "psi_bin": lambda ell: gadgets.psi_bin_circuit(ell, 12, False),
+    "psi_bin_reveal": lambda ell: gadgets.psi_bin_circuit(ell, 12, True),
+    "prod_shared": lambda ell: gadgets.prod_shared_circuit(ell, 3),
+    "div_reveal": gadgets.div_reveal_circuit,
+    "reveal_tuple": lambda ell: gadgets.reveal_tuple_circuit(ell, 5),
+}
+ELLS = (8, 20, 32, 48)
+
+
+def run_real_batch(circuit, alice, bob, seed=0):
+    """REAL garbling and evaluation over an ideal OT (the extension's
+    own tests cover IKNP; skipping its base phase keeps this fast)."""
+    ctx = Context(Mode.REAL, seed=seed)
+    outs = yao.run_garbled_batch(ctx, SimulatedOT(ctx), circuit, alice, bob)
+    return outs, ctx
+
+
+def random_inputs(circuit, rng, n):
+    na, nb = len(circuit.alice_inputs), len(circuit.bob_inputs)
+    return (
+        rng.integers(0, 2, (n, na)).tolist(),
+        rng.integers(0, 2, (n, nb)).tolist(),
+    )
+
+
+@pytest.mark.real
+class TestSeedExpandedBatch:
+    @pytest.mark.parametrize("ell", ELLS)
+    @pytest.mark.parametrize("name", sorted(TEMPLATES))
+    def test_every_template_matches_plain_evaluation(self, name, ell):
+        circuit = TEMPLATES[name](ell)
+        alice, bob = random_inputs(circuit, np.random.default_rng(ell), 3)
+        outs, _ = run_real_batch(circuit, alice, bob)
+        for a, b, o in zip(alice, bob, outs):
+            assert o == circuit.evaluate(a, b)
+
+    @given(
+        st.sampled_from(sorted(TEMPLATES)),
+        st.sampled_from(ELLS),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_random_inputs_match_plain_evaluation(self, name, ell, seed):
+        circuit = TEMPLATES[name](ell)
+        alice, bob = random_inputs(circuit, np.random.default_rng(seed), 2)
+        outs, _ = run_real_batch(circuit, alice, bob, seed=seed)
+        for a, b, o in zip(alice, bob, outs):
+            assert o == circuit.evaluate(a, b)
+
+    def test_garbler_labels_are_one_seed_independent_of_bob_bits(
+        self, monkeypatch
+    ):
+        """Two runs from the same context seed with different Bob bits:
+        the ``gc/bob_labels`` message is the same 16-byte seed, and the
+        evaluator holds the same active labels on Bob's wires — her
+        view of a garbler input does not depend on its bit."""
+        circuit = gadgets.psi_bin_circuit(32, 12, True)
+        rng = np.random.default_rng(9)
+        alice, bob = random_inputs(circuit, rng, 4)
+        other_bob = [[1 - b for b in row] for row in bob]
+        seen = []
+        real_evaluate = yao.evaluate_batch
+
+        def spy(plan, tables, active):
+            seen.append(active[plan.garbler_wires].copy())
+            return real_evaluate(plan, tables, active)
+
+        monkeypatch.setattr(yao, "evaluate_batch", spy)
+        outs1, ctx1 = run_real_batch(circuit, alice, bob, seed=5)
+        outs2, ctx2 = run_real_batch(circuit, alice, other_bob, seed=5)
+        assert (seen[0] == seen[1]).all()
+        assert ctx1.transcript.fingerprint() == ctx2.transcript.fingerprint()
+        assert [
+            m.n_bytes
+            for m in ctx1.transcript.messages
+            if m.label == "gc/bob_labels"
+        ] == [SEED_BYTES]
+        for a, b, o in zip(alice, other_bob, outs2):
+            assert o == circuit.evaluate(a, b)
+        assert outs1 != outs2
+
+    def test_expand_labels_is_a_prg_of_instance_and_wire(self):
+        plan = make_garble_plan(gadgets.nonzero_circuit(8))
+        seed = bytes(range(16))
+        small = expand_labels(seed, plan, 2)
+        big = expand_labels(seed, plan, 5)
+        assert small.shape == (len(plan.garbler_wires), 2, 16)
+        assert (big[:, :2] == small).all()  # a prefix of one stream
+        flat = big.transpose(1, 0, 2).reshape(-1, 16)
+        assert len({bytes(r) for r in flat}) == len(flat)
+        assert (expand_labels(bytes(16), plan, 2) != small).any()
+
+    def test_select_bits_independent_of_semantics(self):
+        """lsb(zero) = lsb(active) ^ bit on garbler wires: the active
+        label's select bit (what Alice sees) is the PRG's, whatever the
+        bit."""
+        circuit = gadgets.nonzero_circuit(8)
+        plan = make_garble_plan(circuit)
+        rng = np.random.default_rng(0)
+        bits = rng.integers(0, 2, (6, len(plan.garbler_wires))).astype(
+            np.uint8
+        )
+        seed = rng.bytes(SEED_BYTES)
+        alice_zero = np.frombuffer(
+            rng.bytes(16 * 6 * len(plan.alice_wires)), dtype=np.uint8
+        ).reshape(len(plan.alice_wires), 6, 16)
+        g = garble_batch(plan, rng.bytes, alice_zero, seed, bits)
+        active = expand_labels(seed, plan, 6)
+        zero = g.zero[plan.garbler_wires]
+        assert ((zero[:, :, 0] ^ active[:, :, 0]) & 1 == bits.T).all()
+        assert (g.delta[:, 0] & 1 == 1).all()

@@ -82,6 +82,25 @@ def test_obl001_flags_every_bad_gadget():
     assert len(violations) >= 5
 
 
+def test_correlated_ot_outputs_are_secret_sources():
+    """The C-OT entry point replaced ``transfer_matrix`` /
+    ``transfer_segments`` as the taint source for OT outputs: pads,
+    received messages and anything computed from them must not reach a
+    branch, an index, or a metered byte count."""
+    violations, _ = lint_fixture("obl001_cot_bad.py", ["OBL001", "OBL002"])
+    lines = (FIXTURES / "obl001_cot_bad.py").read_text().splitlines()
+    flagged = {
+        (v.rule, lines[v.line - 1].split("#")[0].strip())
+        for v in violations
+    }
+    assert flagged >= {
+        ("OBL001", "if got[0][0, 0]:"),
+        ("OBL001", "if cot.p0[0][0, 0] & 1:"),
+        ("OBL001", "return table[recv[0, 0]]"),
+        ("OBL002", 'ctx.send("bob", int(got[0].sum()), "leaky")'),
+    }
+
+
 def test_rules_only_fire_in_protocol_dirs():
     violations, _ = lint_fixture(
         "obl001_bad.py", ["OBL001"], path_prefix="repro/bench"

@@ -115,6 +115,41 @@ class TestCostParity:
 
         assert run(Mode.REAL) == run(Mode.SIMULATED)
 
+    @pytest.mark.parametrize("ell", [20, 32])
+    @pytest.mark.parametrize(
+        "m,xi",
+        [
+            (8, [3, 3, 0, 7, 3, 1]),  # repeats and drops
+            (1, [0]),  # one wire: no gates, no messages
+            (1, [0, 0, 0]),
+            (5, [4, 0, 2, 2, 1, 3, 4]),  # non-power-of-two, expanding
+            (6, [5, 1]),  # shrinking
+        ],
+    )
+    def test_real_values_and_fingerprints_match_simulated(self, m, xi, ell):
+        from repro.mpc import SecurityParams
+
+        vals = np.arange(10, 10 + m)
+
+        def run(mode, permute):
+            ctx = Context(mode, SecurityParams(ell=ell), seed=6)
+            ot = make_ot(ctx, TEST_GROUP_BITS)
+            sv = share_vector(ctx, "alice", vals)
+            if permute:
+                perm = list(np.random.default_rng(m).permutation(m))
+                out = oblivious_permutation(ctx, ot, perm, sv)
+            else:
+                out = oblivious_extended_permutation(
+                    ctx, ot, xi, sv, len(xi)
+                )
+            return list(out.reconstruct()), ctx.transcript.fingerprint()
+
+        for permute in (False, True):
+            real, sim = run(Mode.REAL, permute), run(Mode.SIMULATED, permute)
+            assert real == sim
+            if not permute:
+                assert real[0] == [int(vals[i]) for i in xi]
+
     def test_transcript_independent_of_xi(self):
         def run(xi):
             ctx = Context(Mode.SIMULATED, seed=6)

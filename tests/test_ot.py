@@ -117,3 +117,142 @@ class TestSimulatedOT:
     def test_make_ot_dispatch(self):
         assert isinstance(make_ot(Context(Mode.SIMULATED)), SimulatedOT)
         assert isinstance(make_ot(Context(Mode.REAL)), IknpExtension)
+
+
+# ----------------------------------------------------------------------
+# Correlated OT: the one entry point under GC labels, Gilboa and OEP
+# ----------------------------------------------------------------------
+
+
+def _cot(ot, choices, m1, widths):
+    cot = ot.correlated(choices, widths)
+    return cot.p0, cot.finish(m1)
+
+
+def _random_batch(rng, widths):
+    m = sum(k for k, _ in widths)
+    choices = rng.integers(0, 2, m).astype(np.uint8)
+    m1 = [
+        np.frombuffer(rng.bytes(k * w), dtype=np.uint8).reshape(k, w)
+        for k, w in widths
+    ]
+    return choices, m1
+
+
+@pytest.mark.real
+class TestCorrelatedOT:
+    #: every width a consumer uses (labels 16, ring words 1-8, switch
+    #: tuples 2-16) in one mixed-width batch
+    WIDTHS = [(5, w) for w in range(1, 17)]
+
+    def test_xor_correlation_every_width(self):
+        """Receiver gets p0 on 0 and the sender's m1 on 1 (labels:
+        m1 = p0 ^ delta)."""
+        rng = np.random.default_rng(11)
+        ctx = Context(Mode.REAL, seed=11)
+        ot = IknpExtension(ctx, GROUP_BITS)
+        choices = rng.integers(0, 2, 80).astype(np.uint8)
+        cot = ot.correlated(choices, self.WIDTHS)
+        delta = [
+            np.frombuffer(rng.bytes(w), dtype=np.uint8) for _, w in self.WIDTHS
+        ]
+        got = cot.finish([p ^ d for p, d in zip(cot.p0, delta)])
+        off = 0
+        for p0, d, g in zip(cot.p0, delta, got):
+            c = choices[off : off + 5, None]
+            off += 5
+            assert (g == p0 ^ (c * d)).all()
+
+    @pytest.mark.parametrize("ell", [8, 20, 32, 48, 64])
+    def test_additive_correlation_both_directions(self, ell):
+        """Ring words: m1 = p0 + x mod 2^ell, so the receiver holds
+        p0 + c*x — through ``Engine.ot`` and, under swapped roles,
+        ``Engine._ot_rev``."""
+        from repro.mpc import ALICE, BOB, Engine, SecurityParams
+        from repro.mpc.batch import le_bytes_to_words, words_to_le_bytes
+
+        rng = np.random.default_rng(ell)
+        ctx = Context(Mode.REAL, SecurityParams(ell=ell), seed=ell)
+        eng = Engine(ctx, GROUP_BITS)
+        rb, mask, n = (ell + 7) // 8, ctx.mask, 40
+        x = rng.integers(0, 2**63, n).astype(np.uint64) & mask
+        choices = rng.integers(0, 2, n).astype(np.uint8)
+
+        def run(ot):
+            cot = ot.correlated(choices, [(n, rb)])
+            p0 = le_bytes_to_words(cot.p0[0]) & mask
+            got = cot.finish([words_to_le_bytes((p0 + x) & mask, rb)])
+            assert (
+                le_bytes_to_words(got[0]) & mask
+                == (p0 + choices.astype(np.uint64) * x) & mask
+            ).all()
+
+        run(eng.ot)
+        forward = ctx.transcript.fingerprint()
+        with ctx.swapped_roles():
+            run(eng._ot_rev)
+        reverse = ctx.transcript.fingerprint()[len(forward):]
+        flip = {ALICE: BOB, BOB: ALICE}
+        assert reverse == tuple((flip[s], b, l) for s, b, l in forward)
+
+    def test_fingerprint_independent_of_choices_and_messages(self):
+        def run(seed):
+            rng = np.random.default_rng(seed)
+            ctx = Context(Mode.REAL, seed=3)
+            _cot(
+                IknpExtension(ctx, GROUP_BITS),
+                *_random_batch(rng, self.WIDTHS),
+                self.WIDTHS,
+            )
+            return ctx.transcript.fingerprint()
+
+        assert run(1) == run(2)
+
+    def test_one_ciphertext_per_ot_and_simulated_parity(self):
+        rng = np.random.default_rng(5)
+        choices, m1 = _random_batch(rng, self.WIDTHS)
+        real = Context(Mode.REAL, seed=5)
+        _cot(IknpExtension(real, GROUP_BITS), choices, m1, self.WIDTHS)
+        ideal = Context(Mode.SIMULATED, seed=5)
+        p0, got = _cot(
+            SimulatedOT(ideal, GROUP_BITS), choices, m1, self.WIDTHS
+        )
+        charged = Context(Mode.SIMULATED, seed=5)
+        SimulatedOT(charged, GROUP_BITS).correlated(
+            None, self.WIDTHS
+        ).finish()
+        fp = real.transcript.fingerprint()
+        assert fp == ideal.transcript.fingerprint()
+        assert fp == charged.transcript.fingerprint()
+        assert fp[-2:] == (
+            ("alice", 128 * 10, "ot/ext/u"),
+            ("bob", 5 * sum(range(1, 17)), "ot/ext/ciphertexts"),
+        )
+        # The ideal back-end is functional too.
+        off = 0
+        for p, m, g in zip(p0, m1, got):
+            c = choices[off : off + 5, None].astype(bool)
+            off += 5
+            assert (g == np.where(c, m, p)).all()
+
+    @pytest.mark.parametrize("cls", [IknpExtension, SimulatedOT])
+    def test_zero_length_batch_sends_nothing(self, cls):
+        ctx = Context(Mode.REAL, seed=1)
+        cot = cls(ctx, GROUP_BITS).correlated(
+            np.zeros(0, dtype=np.uint8), [(0, 16)]
+        )
+        assert cot.p0[0].shape == (0, 16)
+        got = cot.finish([np.zeros((0, 16), dtype=np.uint8)])
+        assert got[0].shape == (0, 16)
+        assert ctx.transcript.messages == []
+
+    def test_rejects_bad_shapes(self):
+        ctx = Context(Mode.REAL, seed=1)
+        ot = IknpExtension(ctx, GROUP_BITS)
+        with pytest.raises(ValueError):
+            ot.correlated(np.zeros(3, dtype=np.uint8), [(4, 16)])
+        with pytest.raises(ValueError):
+            ot.correlated(np.zeros(1, dtype=np.uint8), [(1, 33)])
+        cot = ot.correlated(np.zeros(2, dtype=np.uint8), [(2, 4)])
+        with pytest.raises(ValueError):
+            cot.finish([np.zeros((2, 5), dtype=np.uint8)])
