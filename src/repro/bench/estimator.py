@@ -18,24 +18,21 @@ input-plain).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..query.builder import JoinAggregateQuery
 
-from ..mpc import gadgets
-from ..mpc.costs import Widths, base_ot_bytes, cot_bytes, garbled_bytes
-from ..mpc.cuckoo import max_bin_load, num_bins
-from ..mpc.dhoprf import GROUP_BITS as DH_GROUP_BITS
-from ..mpc.dhoprf import TOKEN_BYTES
-from ..mpc.oprf import OPRF_WIDTH
+from ..mpc import costs, gadgets
+from ..mpc.context import ALICE
+from ..mpc.costs import DEFAULT_GROUP_BITS, Widths
 from ..mpc.params import DEFAULT_PARAMS, SecurityParams
-from ..mpc.psi import _token_bits
-from ..mpc.waksman import switch_count
 from ..yannakakis.plan import ReduceAggregate, ReduceFold, YannakakisPlan
 
 __all__ = [
     "CostEstimate",
+    "NodeShape",
+    "estimate_node_bytes",
     "estimate_node_costs",
     "estimate_plan_cost",
     "estimate_query_cost",
@@ -48,6 +45,20 @@ __all__ = [
 BACKENDS = ("yannakakis", "linear")
 
 
+class NodeShape(NamedTuple):
+    """The public shape of one reduce- or semijoin-phase node:
+    everything its price depends on."""
+
+    #: the exec step kind: ``"reduce_fold"``, ``"semijoin"`` or
+    #: ``"aggregate"`` (a root aggregation: the parent side is unused)
+    kind: str
+    parent_n: int
+    child_n: int
+    same_owner: bool
+    child_plain: bool
+    parent_plain: bool
+
+
 def session_framing_overhead(n_messages: int) -> int:
     """Extra bytes the fault-tolerant session layer meters on top of a
     plain run: one fixed-size frame header (magic, sequence number,
@@ -56,9 +67,7 @@ def session_framing_overhead(n_messages: int) -> int:
     run's total plus this overhead — so callers with a message count
     (from a metered run or an :class:`~repro.exec.trace.ExecutionTrace`)
     can reconcile estimates against session-enabled executions."""
-    from ..runtime.framing import FRAME_HEADER_BYTES
-
-    return int(n_messages) * FRAME_HEADER_BYTES
+    return int(n_messages) * costs.FRAME_HEADER_BYTES
 
 
 @dataclass
@@ -98,145 +107,95 @@ class CostEstimate:
 
 
 class _Estimator:
-    def __init__(self, params: SecurityParams, group_bits: int = 2048):
+    """Sums :mod:`repro.mpc.costs` sizes in the composition the
+    operators run them: the only knowledge kept here is which
+    primitives an operator invokes, at what shapes."""
+
+    def __init__(self, params: SecurityParams, group_bits: int):
         self.p = params
         self.group_bits = group_bits
         self.est = CostEstimate()
-        self._ot_base_charged: Dict[bool, bool] = {
-            False: False, True: False,
-        }
+        #: OT directions whose one-time base phase is already priced
+        self._ot_base_charged: Set[bool] = set()
 
-    # -- primitive formulas (mirroring the SIMULATED charges) -----------
+    # -- primitives -------------------------------------------------------
 
     def ot(self, widths: Widths, reverse: bool = False) -> None:
-        u, corrections = cot_bytes(self.p.kappa, widths)
+        u, corrections = costs.cot_bytes(self.p.kappa, widths)
         if u == 0:
             return
-        if not self._ot_base_charged[reverse]:
+        if reverse not in self._ot_base_charged:
             self.est.add(
-                "ot_base", sum(base_ot_bytes(self.p.kappa, self.group_bits))
+                "ot_base",
+                sum(costs.base_ot_bytes(self.p.kappa, self.group_bits)),
             )
             self.est.add_rounds(2)
-            self._ot_base_charged[reverse] = True
+            self._ot_base_charged.add(reverse)
         self.est.add("ot_u", u)
         self.est.add("ot_ct", corrections)
         self.est.add_rounds(2)
 
-    def _garbled(
-        self, and_count: int, n_alice: int, n_outputs: int, n: int
-    ) -> None:
-        sizes = garbled_bytes(and_count, n_alice, n_outputs, n)
+    def garbled(self, counts: Tuple[int, int, int], n: int) -> None:
+        """``n`` garblings of a template with these
+        :func:`~repro.mpc.costs.circuit_counts`."""
+        if n == 0:
+            return
+        sizes = costs.garbled_bytes(*counts, n)
         self.est.add("gc_tables", sizes.tables)
         self.est.add("gc_labels", sizes.seed)
         self.ot([sizes.label_ots])
         self.est.add("gc_decode", sizes.decode)
         self.est.add_rounds(2)
 
-    def garbled(self, circuit, n: int) -> None:
-        if n == 0:
-            return
-        self._garbled(
-            circuit.and_count,
-            len(circuit.alice_inputs),
-            len(circuit.outputs),
-            n,
-        )
-
-    def merge_chain(self, make_circuit, n: int) -> None:
-        ell = self.p.ell
-        if n <= 0:
-            return
-        if n <= 3:
-            self.garbled(make_circuit(ell, n), 1)
-            return
-        c2, c3 = make_circuit(ell, 2), make_circuit(ell, 3)
-
-        def ex(f2, f3):
-            return f2 + (n - 2) * (f3 - f2)
-
-        self._garbled(
-            ex(c2.and_count, c3.and_count),
-            ex(len(c2.alice_inputs), len(c3.alice_inputs)),
-            ex(len(c2.outputs), len(c3.outputs)),
-            1,
-        )
-
     def oep(self, m: int, n_out: int) -> None:
-        n_work = 1
-        while n_work < max(m, n_out, 1):
-            n_work *= 2
-        rb = (self.p.ell + 7) // 8
-        self.ot([(2 * switch_count(n_work), 2 * rb), (n_work - 1, rb)])
+        self.ot(costs.oep_widths(self.p.ell, m, n_out))
 
-    def permute(self, n: int) -> None:
-        rb = (self.p.ell + 7) // 8
-        self.ot([(switch_count(n), 2 * rb)])
-
-    def gilboa(self, n: int, n_cross_terms: int = 2) -> None:
-        ell = self.p.ell
+    def gilboa(self, n: int, n_cross_terms: int) -> None:
         for i in range(n_cross_terms):
-            self.ot([(n * ell, (ell + 7) // 8)], reverse=bool(i % 2))
+            self.ot(costs.gilboa_widths(self.p.ell, n), reverse=bool(i % 2))
 
     def share(self, n: int) -> None:
-        self.est.add("shares", n * ((self.p.ell + 7) // 8))
+        self.est.add("shares", costs.share_bytes(self.p.ell, n))
         self.est.add_rounds(1)
 
-    def dh_oprf(self, m: int, n: int) -> None:
-        """The linear back-end's DH-OPRF matching: blind + eval (one
-        group element per parent key, both directions) and ``n`` sorted
-        tokens (:mod:`repro.mpc.dhoprf`)."""
-        eb = (DH_GROUP_BITS + 7) // 8
-        self.est.add("dhoprf", 2 * m * eb + n * TOKEN_BYTES)
-        self.est.add_rounds(2)
-
-    def psi(self, m: int, n: int, shared_payload: bool) -> None:
-        b = num_bins(m, self.p.cuckoo_expansion)
-        load = max_bin_load(n, b, self.p.cuckoo_hashes, self.p.sigma)
-        ell = self.p.ell
-        self.est.add("psi_seeds", 16 * self.p.cuckoo_hashes)
+    def psi(self, m: int, n: int, shared_payload: bool) -> int:
+        """One circuit PSI; returns its bin count."""
+        b, load = costs.psi_bins(self.p, m, n)
+        self.est.add("psi_seeds", costs.psi_seed_bytes(self.p.cuckoo_hashes))
         self.est.add_rounds(3)
-        self.est.add(
-            "oprf",
-            2048 // 8 * (1 + OPRF_WIDTH)
-            + 32 * OPRF_WIDTH
-            + OPRF_WIDTH * ((b + 7) // 8),
-        )
-        self.est.add("opprf_hints", 8 * 2 * load * b)
-        reveal = shared_payload
+        self.est.add("oprf", sum(costs.kkrt_setup_bytes(b)))
+        self.est.add("opprf_hints", costs.opprf_hint_bytes(b, load))
         circuit = gadgets.psi_bin_circuit(
-            ell, _token_bits(b, self.p.sigma), reveal
+            self.p.ell,
+            costs.psi_token_bits(b, self.p.sigma),
+            shared_payload,  # the payload is revealed iff it is an index
         )
-        self.garbled(circuit, b)
+        self.garbled(costs.circuit_counts(circuit), b)
         if shared_payload:
             # Section 5.5: two extra OEPs around the PSI.
             self.oep(n + b, n + b)
             self.oep(n + b, b)
+        return b
 
-    # -- operators --------------------------------------------------------
+    # -- the operator composition ----------------------------------------
 
-    def aggregate(self, n: int, annotations_plain: bool) -> None:
-        if annotations_plain or n == 0:
-            return  # local fast path
-        self.oep(n, n)
-        self.merge_chain(gadgets.merge_sum_circuit, n)
-
-    def support_projection(self, n: int, annotations_plain: bool) -> None:
-        if annotations_plain or n == 0:
-            return
-        self.oep(n, n)
-        self.garbled(gadgets.nonzero_circuit(self.p.ell), n)
-        self.merge_chain(gadgets.merge_or_circuit, n)
-
-    def reduce_join(
-        self,
-        parent_n: int,
-        child_n: int,
-        same_owner: bool,
-        child_plain: bool,
-        parent_plain: bool,
-        backend: str = "yannakakis",
-    ) -> None:
-        if parent_n == 0:
+    def node(self, shape: NodeShape, backend: str) -> None:
+        """Price one node under ``backend``: its whole transcript
+        window — the child's aggregation (a semijoin's support
+        projection), then the reduce-join."""
+        kind, parent_n, child_n, same_owner, child_plain, parent_plain = shape
+        ell = self.p.ell
+        if child_n and not child_plain:  # else: the owner-local fast path
+            self.oep(child_n, child_n)
+            chain = gadgets.merge_sum_circuit
+            if kind == "semijoin":
+                nonzero = gadgets.nonzero_circuit(ell)
+                self.garbled(costs.circuit_counts(nonzero), child_n)
+                chain = gadgets.merge_or_circuit
+            self.garbled(
+                costs.merge_chain_counts(lambda k: chain(ell, k), child_n), 1
+            )
+        if kind == "aggregate" or parent_n == 0:
             return
         if same_owner:
             # Back-end-independent: same-owner folds never cross the
@@ -248,24 +207,67 @@ class _Estimator:
                 self.share(child_n)
             self.oep(child_n + 1, parent_n)
         elif backend == "linear":
-            self.dh_oprf(parent_n, child_n)
+            # DH-OPRF matching, then the child payloads in token order.
+            self.est.add(
+                "dhoprf", sum(costs.dh_oprf_bytes(parent_n, child_n))
+            )
+            self.est.add_rounds(2)
             if child_n > 0:
                 if child_plain:
                     self.share(child_n)
                 else:
-                    self.permute(child_n)
+                    self.ot(costs.permutation_widths(ell, child_n))
             self.oep(child_n + 1, parent_n)
         else:
-            if child_plain:
-                self.psi(parent_n, child_n, shared_payload=False)
-            else:
-                self.psi(parent_n, child_n, shared_payload=True)
-            b = num_bins(parent_n, self.p.cuckoo_expansion)
+            b = self.psi(parent_n, child_n, shared_payload=not child_plain)
             self.oep(b, parent_n)
-        if parent_plain:
-            self.gilboa(parent_n, n_cross_terms=1)
-        else:
-            self.gilboa(parent_n, n_cross_terms=2)
+        self.gilboa(parent_n, n_cross_terms=1 if parent_plain else 2)
+
+
+def estimate_node_bytes(
+    shape: NodeShape, backend: str, params: SecurityParams
+) -> int:
+    """Marginal bytes of one fold/semijoin node under ``backend`` — what
+    the scheduler's trace meters for it: the node's total minus its
+    ``ot_base`` part, since the base-OT setup is charged once per engine
+    (to whichever node runs the first OT batch), not per node.  The
+    planner's routing pass, the scheduler's per-node ``est_bytes`` and
+    :func:`estimate_plan_cost` all price a node through the same
+    :meth:`_Estimator.node`."""
+    e = _Estimator(params, DEFAULT_GROUP_BITS)
+    e.node(shape, backend)
+    return e.est.total - e.est.by_part.get("ot_base", 0)
+
+
+def _walk_nodes(
+    plan: YannakakisPlan, sizes: Dict[str, int], owners: Dict[str, str]
+) -> Tuple[Dict[str, NodeShape], Dict[str, bool]]:
+    """The one plan walk: the shape of every reduce- and semijoin-phase
+    step by step label, in program order, and which relations' annotations
+    are still owner-plain afterwards.  Plainness is tracked along the way
+    so the Section 6.5 fast paths are credited exactly as the executor
+    takes them; sizes never change (every operator pads to its input)."""
+    plain = {name: True for name in sizes}
+    nodes: Dict[str, NodeShape] = {}
+
+    def visit(label: str, kind: str, p: str, c: str) -> None:
+        same = owners[c] == owners[p]
+        nodes[label] = NodeShape(
+            kind, sizes[p], sizes[c], same, plain[c], plain[p]
+        )
+        plain[p] = plain[p] and plain[c] and same
+
+    for step in plan.reduce_steps:
+        if isinstance(step, ReduceFold):
+            c, p = step.child, step.parent
+            visit(f"fold/{c}->{p}", "reduce_fold", p, c)
+        elif isinstance(step, ReduceAggregate):
+            visit(f"agg/{step.node}", "aggregate", step.node, step.node)
+    for step in plan.semijoin_steps:
+        # A semijoin's child is the filter's support, plain iff it is.
+        t, f = step.target, step.filter
+        visit(f"semi/{t}<-{f}", "semijoin", t, f)
+    return nodes, plain
 
 
 def estimate_plan_cost(
@@ -274,79 +276,43 @@ def estimate_plan_cost(
     owners: Dict[str, str],
     out_size: int,
     params: SecurityParams = DEFAULT_PARAMS,
-    group_bits: int = 2048,
+    group_bits: int = DEFAULT_GROUP_BITS,
     backends: Optional[Dict[str, str]] = None,
 ) -> CostEstimate:
     """Predict the protocol's communication for ``plan`` over relations
     of the given sizes/owners, with ``out_size`` final join rows.
     ``group_bits`` is the base-OT group size the engine was built with
-    (the OPRF's group is fixed at 2048 by :mod:`repro.mpc.oprf`).
+    (the OPRFs pin their own groups, see :mod:`repro.mpc.costs`).
 
-    Tracks which intermediate annotations are still owner-plain so the
-    Section 6.5 fast paths are credited exactly as the executor takes
-    them.  ``backends`` maps fold/semijoin labels to a join back-end
-    (see :func:`repro.query.planner.route_backends`); unlisted nodes
-    price as ``"yannakakis"``.
+    ``backends`` maps fold/semijoin labels to a join back-end (see
+    :func:`repro.query.planner.route_backends`); unlisted nodes price
+    as ``"yannakakis"``.
     """
     e = _Estimator(params, group_bits)
-    n = dict(sizes)
-    plain = {name: True for name in sizes}
-    owner = dict(owners)
-    routes = dict(backends or {})
-
-    for step in plan.reduce_steps:
-        if isinstance(step, ReduceFold):
-            child, parent = step.child, step.parent
-            e.aggregate(n[child], plain[child])
-            same = owner[child] == owner[parent]
-            e.reduce_join(
-                n[parent], n[child], same, plain[child], plain[parent],
-                backend=routes.get(
-                    f"fold/{child}->{parent}", "yannakakis"
-                ),
-            )
-            plain[parent] = (
-                plain[parent] and plain[child] and same
-            )
-        elif isinstance(step, ReduceAggregate):
-            e.aggregate(n[step.node], plain[step.node])
-            # size unchanged (padded); plainness preserved
-
-    for step in plan.semijoin_steps:
-        t, f = step.target, step.filter
-        e.support_projection(n[f], plain[f])
-        same = owner[t] == owner[f]
-        support_plain = plain[f]  # support of plain stays plain
-        e.reduce_join(
-            n[t], n[f], same, support_plain, plain[t],
-            backend=routes.get(f"semi/{t}<-{f}", "yannakakis"),
-        )
-        plain[t] = plain[t] and support_plain and same
+    nodes, plain = _walk_nodes(plan, sizes, owners)
+    routes = backends or {}
+    for label, shape in nodes.items():
+        e.node(shape, routes.get(label, "yannakakis"))
 
     # Full join: reveal + OUT + per-relation OEP + products + result.
-    reduced = list(plan.reduced_attrs)
-    ell_bytes = (params.ell + 7) // 8
-    for name in reduced:
+    reduced = plan.reduced_attrs
+    for name, attrs in reduced.items():
         if plain[name]:
-            e.share(n[name])
+            e.share(sizes[name])
         # reveal circuits: indicator only for Alice-owned; indicator +
         # payload mux for Bob-owned.  Payload width is data-dependent;
         # callers wanting exactness supply integer-only relations, for
         # which the estimator assumes 4-byte slots per attribute.
-        arity = len(plan.reduced_attrs[name])
-        from ..mpc.context import ALICE
-
-        pbits = 0 if owner[name] == ALICE else 32 * max(arity, 0)
-        e.garbled(
-            gadgets.reveal_tuple_circuit(params.ell, pbits), n[name]
-        )
-    e.est.add("out_size", 8)
+        pbits = 0 if owners[name] == ALICE else 32 * len(attrs)
+        reveal = gadgets.reveal_tuple_circuit(params.ell, pbits)
+        e.garbled(costs.circuit_counts(reveal), sizes[name])
+    e.est.add("out_size", costs.OUT_SIZE_BYTES)
     e.est.add_rounds(1)
     if out_size > 0:
         for name in reduced:
-            e.oep(n[name] + 1, out_size)
+            e.oep(sizes[name] + 1, out_size)
         e.gilboa(out_size, n_cross_terms=2 * (len(reduced) - 1))
-    e.est.add("result_reveal", out_size * ell_bytes)
+    e.est.add("result_reveal", costs.share_bytes(params.ell, out_size))
     e.est.add_rounds(1)
     return e.est
 
@@ -356,66 +322,24 @@ def estimate_node_costs(
     sizes: Dict[str, int],
     owners: Dict[str, str],
     params: SecurityParams = DEFAULT_PARAMS,
-    group_bits: int = 2048,
+    group_bits: int = DEFAULT_GROUP_BITS,
 ) -> Dict[str, Dict[str, int]]:
-    """Marginal byte cost of every fold/semijoin node under each join
-    back-end: ``{node_label: {backend: bytes}}``.
-
-    "Marginal" excludes the run-wide one-time base-OT setup (it is
-    charged once per engine, not per node) and includes the node's
-    whole transcript window — the child aggregation / support
-    projection plus the reduce-join — matching what the scheduler's
-    trace meters per node.  The planner's routing pass and the
-    scheduler's per-node ``est_bytes`` both read these numbers.
-    """
-    n = dict(sizes)
-    plain = {name: True for name in sizes}
-    owner = dict(owners)
-    out: Dict[str, Dict[str, int]] = {}
-
-    def marginal(price: "Callable[[_Estimator, str], None]") -> Dict[str, int]:
-        costs = {}
-        for b in BACKENDS:
-            e = _Estimator(params, group_bits)
-            e._ot_base_charged = {False: True, True: True}
-            price(e, b)
-            costs[b] = e.est.total
-        return costs
-
-    for step in plan.reduce_steps:
-        if isinstance(step, ReduceFold):
-            child, parent = step.child, step.parent
-            same = owner[child] == owner[parent]
-            c_n, p_n = n[child], n[parent]
-            c_plain, p_plain = plain[child], plain[parent]
-
-            def price_fold(e: _Estimator, b: str) -> None:
-                e.aggregate(c_n, c_plain)
-                e.reduce_join(p_n, c_n, same, c_plain, p_plain, backend=b)
-
-            out[f"fold/{child}->{parent}"] = marginal(price_fold)
-            plain[parent] = plain[parent] and plain[child] and same
-
-    for step in plan.semijoin_steps:
-        t, f = step.target, step.filter
-        same = owner[t] == owner[f]
-        t_n, f_n = n[t], n[f]
-        f_plain, t_plain = plain[f], plain[t]
-
-        def price_semi(e: _Estimator, b: str) -> None:
-            e.support_projection(f_n, f_plain)
-            e.reduce_join(t_n, f_n, same, f_plain, t_plain, backend=b)
-
-        out[f"semi/{t}<-{f}"] = marginal(price_semi)
-        plain[t] = plain[t] and plain[f] and same
-    return out
+    """:func:`estimate_node_bytes` of every fold/semijoin node under
+    each join back-end: ``{node_label: {backend: bytes}}`` — what the
+    planner's routing pass decides on.  ``group_bits`` does not enter
+    a marginal price."""
+    return {
+        label: {b: estimate_node_bytes(shape, b, params) for b in BACKENDS}
+        for label, shape in _walk_nodes(plan, sizes, owners)[0].items()
+        if shape.kind != "aggregate"
+    }
 
 
 def estimate_query_cost(
     query: "JoinAggregateQuery",
     out_size: Optional[int] = None,
     params: Optional[SecurityParams] = None,
-    group_bits: int = 2048,
+    group_bits: int = DEFAULT_GROUP_BITS,
     backends: Optional[Dict[str, str]] = None,
 ) -> CostEstimate:
     """Price a whole :class:`~repro.query.builder.JoinAggregateQuery`

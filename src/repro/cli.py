@@ -131,7 +131,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    from .bench.estimator import estimate_plan_cost
+    from .bench.estimator import BACKENDS, estimate_node_costs
+    from .bench.estimator import estimate_query_cost
     from .tpch import PREPARED, generate
 
     dataset = generate(args.scale)
@@ -141,10 +142,25 @@ def _cmd_estimate(args) -> int:
         f"{query.input_tuples:,} input tuples, "
         f"effective input {query.effective_bytes / 1e6:.2f} MB"
     )
+    if query._build is None:
+        print(
+            "  decomposed into several plans (Section 7), so there is no "
+            "single plan to price; run `tpch` for the measured total"
+        )
+        return 0
+    jq = query._build()
+    sizes = {n: len(r) for n, r in jq.relations.items()}
+    routed = jq.backend_assignments("auto")
+    print("  fold/semijoin nodes, marginal bytes (base OTs excluded):")
+    node_costs = estimate_node_costs(jq.plan(), sizes, jq.owners)
+    for label, costs in node_costs.items():
+        cells = "  ".join(f"{b} {costs[b]:,}" for b in BACKENDS)
+        print(f"    {label}: {cells}  -> auto routes {routed[label]}")
+    est = estimate_query_cost(jq, out_size=0, backends=routed)
     print(
-        "  (per-plan analytic estimation is exposed as "
-        "repro.bench.estimator.estimate_plan_cost; the TPC-H drivers "
-        "compose several plans, so run `tpch` for the measured total)"
+        f"  plan total under auto routing: {est.total:,} B at out_size=0 "
+        "(reduce + semijoin + reveal; the output-sized part of the full "
+        "join is left out)"
     )
     return 0
 

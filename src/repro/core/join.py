@@ -41,6 +41,7 @@ import numpy as np
 
 from ..leakage import leaks
 from ..mpc.context import ALICE, Context
+from ..mpc.costs import OUT_SIZE_BYTES
 from ..mpc.engine import Engine
 from ..mpc.sharing import SharedVector
 from ..relalg.columns import Column, TupleStore, fresh_nonces, dummy_value
@@ -109,11 +110,10 @@ class RevealedRelation:
 
 @leaks("support:result")
 def _reveal_nonzero(
-    engine: Engine, rel: SecureRelation, label: str
+    engine: Engine, rel: SecureRelation, sv: SharedVector, label: str
 ) -> RevealedRelation:
-    """Step 1 for one relation: Alice learns the nonzero-annotated rows
-    (with their original positions)."""
-    sv = rel.annotations.to_shared(engine, label=f"{label}/share")
+    """Step 1 for one relation with annotation shares ``sv``: Alice
+    learns the nonzero-annotated rows (with their original positions)."""
     if rel.owner == ALICE:
         flags, _ = engine.reveal_nonzero_flags(sv, None, label=label)
         keep = np.flatnonzero(np.asarray(flags, dtype=bool))
@@ -176,7 +176,7 @@ def reveal_relation(
     """Step 1 for one relation: share its annotations, then reveal the
     nonzero-annotated rows to Alice."""
     shares = rel.annotations.to_shared(engine, label="share")
-    revealed = _reveal_nonzero(engine, rel, f"reveal/{name}")
+    revealed = _reveal_nonzero(engine, rel, shares, f"reveal/{name}")
     return shares, revealed
 
 
@@ -214,7 +214,7 @@ def local_star_join(
         (root_name, joined), = star.items()
     if pad_out_to:
         joined = _pad_join(joined, relations, pad_out_to, ring)
-    ctx.send(ALICE, 8, "out_size")
+    ctx.send(ALICE, OUT_SIZE_BYTES, "out_size")
     return joined
 
 

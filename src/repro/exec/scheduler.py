@@ -182,37 +182,25 @@ class Scheduler:
         one-time base-OT setup), computed from the *live* operand sizes
         and plainness — the numbers the trace reports next to the
         metered actuals.  ``(None, None)`` for every other node kind."""
-        if not isinstance(step, (ReduceFoldStep, SemijoinStep)):
-            return None, None
-        from ..bench.estimator import _Estimator
-
-        e = _Estimator(self.engine.ctx.params)
-        e._ot_base_charged = {False: True, True: True}
         if isinstance(step, ReduceFoldStep):
             parent, child = env[step.parent], env[step.child]
-            child_plain = child.annotations.kind == "plain"
-            e.aggregate(len(child), child_plain)
-            e.reduce_join(
-                len(parent),
-                len(child),
-                parent.owner == child.owner,
-                child_plain,
-                parent.annotations.kind == "plain",
-                backend=step.backend,
-            )
+        elif isinstance(step, SemijoinStep):
+            parent, child = env[step.target], env[step.filter]
         else:
-            target, filt = env[step.target], env[step.filter]
-            filter_plain = filt.annotations.kind == "plain"
-            e.support_projection(len(filt), filter_plain)
-            e.reduce_join(
-                len(target),
-                len(filt),
-                target.owner == filt.owner,
-                filter_plain,
-                target.annotations.kind == "plain",
-                backend=step.backend,
-            )
-        return step.backend, e.est.total
+            return None, None
+        from ..bench.estimator import NodeShape, estimate_node_bytes
+
+        shape = NodeShape(
+            step.kind,
+            len(parent),
+            len(child),
+            parent.owner == child.owner,
+            child.annotations.kind == "plain",
+            parent.annotations.kind == "plain",
+        )
+        return step.backend, estimate_node_bytes(
+            shape, step.backend, self.engine.ctx.params
+        )
 
     def _make_supervisor(self) -> Optional["Supervisor"]:
         """A step supervisor when the context has a session attached

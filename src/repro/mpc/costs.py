@@ -1,32 +1,94 @@
-"""Wire sizes of the OT-level primitives: the one place a wire-format
-change is made.
+"""Wire sizes of every primitive: the one place a wire-format change is
+made.
 
-Every byte the protocols put on the wire below the operator level
-belongs to a correlated-OT batch or to a garbled-circuit batch.  The
-REAL extension and the SIMULATED charges (:mod:`repro.mpc.ot`,
-:mod:`repro.mpc.yao`, :mod:`repro.mpc.engine`) and the analytic
-estimator (:mod:`repro.bench.estimator`) all size the messages of those
-two batches here; what each layer keeps to itself is the *composition*
-— which primitives an operator runs, at what shapes, in what order.
+An oblivious protocol's cost depends only on public shapes (Section 8),
+so each message size here is a pure function of relation sizes and
+protocol parameters.  The SIMULATED charge sites across
+:mod:`repro.mpc`, :mod:`repro.core.join` and the session framing, and
+the analytic estimator (:mod:`repro.bench.estimator`), all size their
+messages here and do no size arithmetic of their own; each keeps the
+*composition* — which primitives run, at what shapes, in what order —
+and the ``(sender, label)`` of its messages (the lint rules need label
+literals at the send sites).  REAL paths send what they actually built.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence, Tuple
+import math
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .circuits.circuit import Circuit
 
 from .circuits.garbling import LABEL_BYTES, ROWS_PER_AND, SEED_BYTES
+from .cuckoo import max_bin_load, num_bins
+from .params import SecurityParams
+from .waksman import padded_size, switch_count
 
 __all__ = [
+    "DEFAULT_GROUP_BITS",
+    "DH_GROUP_BITS",
+    "DH_TOKEN_BYTES",
+    "FRAME_HEADER_BYTES",
+    "OPRF_WIDTH",
+    "OUT_SIZE_BYTES",
     "Widths",
     "GarbledBytes",
     "base_ot_bytes",
+    "circuit_counts",
     "cot_bytes",
+    "dh_oprf_bytes",
     "garbled_bytes",
+    "gilboa_widths",
+    "kkrt_setup_bytes",
+    "merge_chain_counts",
+    "oep_widths",
+    "opprf_hint_bytes",
+    "permutation_widths",
+    "psi_bins",
+    "psi_seed_bytes",
+    "psi_token_bits",
+    "ring_bytes",
+    "share_bytes",
 ]
 
 #: The shape of one C-OT batch: consecutive ``(count, width)`` segments
 #: of same-width transfers.
 Widths = Sequence[Tuple[int, int]]
+
+#: MODP group of the base OTs — an engine's unless it is built with
+#: another, and always the KKRT OPRF's (PSI never passes one).
+DEFAULT_GROUP_BITS = 2048
+
+#: KKRT code width (bits); 448 gives ~128-bit security for the code.
+OPRF_WIDTH = 448
+
+#: The DH-OPRF group is pinned independently of the engine's base-OT
+#: group (exactly as the KKRT OPRF pins its own): 2048-bit MODP.
+DH_GROUP_BITS = 2048
+
+#: Truncated-hash DH-OPRF token width: 128 bits bound the collision
+#: probability between any two distinct items by ``m * n / 2^128``, far
+#: inside the protocol's ``2^-sigma`` failure budget.
+DH_TOKEN_BYTES = 16
+
+#: ``|J*|``, disclosed to Bob as one 64-bit integer (Section 6.3).
+OUT_SIZE_BYTES = 8
+
+#: Session framing overhead per message: 4-byte magic + 8-byte sequence
+#: number + 4-byte payload length + 32-byte SHA-256 checksum.
+FRAME_HEADER_BYTES = 4 + 8 + 4 + 32
+
+
+def ring_bytes(ell: int) -> int:
+    """Bytes one ``Z_{2^ell}`` element is packed to on the wire."""
+    return (ell + 7) // 8
+
+
+def share_bytes(ell: int, n: int) -> int:
+    """One message of ``n`` ring elements: a sharing's complement, or
+    the complementary share of a reveal."""
+    return n * ring_bytes(ell)
 
 
 def base_ot_bytes(kappa: int, group_bits: int) -> Tuple[int, int, int]:
@@ -47,6 +109,26 @@ def cot_bytes(kappa: int, widths: Widths) -> Tuple[int, int]:
         kappa * ((n_ots + 7) // 8),
         sum(count * width for count, width in widths),
     )
+
+
+def gilboa_widths(ell: int, n: int) -> Widths:
+    """One Gilboa cross term over ``n`` element pairs: one C-OT of a
+    ring element per bit of the chosen factor."""
+    return [(n * ell, ring_bytes(ell))]
+
+
+def oep_widths(ell: int, m: int, n_out: int) -> Widths:
+    """An extended permutation from ``m`` inputs to ``n_out`` outputs:
+    two Benes networks of two-word switches around one pass of one-word
+    copy gates, over the power-of-two padded wire count."""
+    n_work = padded_size(max(m, n_out))
+    rb = ring_bytes(ell)
+    return [(2 * switch_count(n_work), 2 * rb), (n_work - 1, rb)]
+
+
+def permutation_widths(ell: int, n: int) -> Widths:
+    """A plain permutation of ``n`` shares: one Benes network."""
+    return [(switch_count(n), 2 * ring_bytes(ell))]
 
 
 class GarbledBytes(NamedTuple):
@@ -73,3 +155,69 @@ def garbled_bytes(
         seed=SEED_BYTES,
         decode=((n_outputs + 7) // 8) * n_instances,
     )
+
+
+def circuit_counts(circuit: "Circuit") -> Tuple[int, int, int]:
+    """A template's ``(and_count, n_alice, n_outputs)`` — all of it that
+    :func:`garbled_bytes` depends on."""
+    return circuit.and_count, len(circuit.alice_inputs), len(circuit.outputs)
+
+
+def merge_chain_counts(
+    template: Callable[[int], "Circuit"], n: int
+) -> Tuple[int, int, int]:
+    """:func:`circuit_counts` of the length-``n`` merge chain
+    ``template(n)`` without building it: the chain is structurally
+    linear in ``n``, so its counts extrapolate exactly from the n=2 and
+    n=3 builds."""
+    if n <= 3:
+        return circuit_counts(template(n))
+    c2, c3 = circuit_counts(template(2)), circuit_counts(template(3))
+    ands, ins, outs = (f2 + (n - 2) * (f3 - f2) for f2, f3 in zip(c2, c3))
+    return ands, ins, outs
+
+
+def psi_bins(params: SecurityParams, m: int, n: int) -> Tuple[int, int]:
+    """``(n_bins, load)`` of a PSI between ``m`` cuckoo-side and ``n``
+    simple-hash-side items: the table size and the public bound every
+    bin's load is padded to."""
+    n_bins = num_bins(m, params.cuckoo_expansion)
+    return n_bins, max_bin_load(
+        n, n_bins, params.cuckoo_hashes, params.sigma
+    )
+
+
+def psi_seed_bytes(n_hashes: int) -> int:
+    """The cuckoo hash seeds: 16 bytes per hash function."""
+    return 16 * n_hashes
+
+
+def kkrt_setup_bytes(n_rows: int) -> Tuple[int, int, int, int]:
+    """The batched OPRF over ``n_rows`` bins as ``(A, B, ciphertexts,
+    u)``: an IKNP matrix widened to :data:`OPRF_WIDTH` columns — that
+    many base OTs over the default group, then one column-correction
+    message."""
+    return base_ot_bytes(OPRF_WIDTH, DEFAULT_GROUP_BITS) + (
+        cot_bytes(OPRF_WIDTH, [(n_rows, 0)])[0],
+    )
+
+
+def opprf_hint_bytes(n_bins: int, load: int) -> int:
+    """Two degree-``load - 1`` polynomials (match token, masked payload)
+    of 8-byte ``GF(2^61 - 1)`` coefficients per bin."""
+    return 8 * 2 * load * n_bins
+
+
+def psi_token_bits(n_bins: int, sigma: int) -> int:
+    """Match-token width: sigma + log2(B) bits bound the probability of
+    any bin's comparison colliding spuriously by 2^-sigma (PSTY19);
+    capped at the OPPRF field size."""
+    return min(61, sigma + max(1, math.ceil(math.log2(max(n_bins, 2)))))
+
+
+def dh_oprf_bytes(m: int, n: int) -> Tuple[int, int, int]:
+    """A DH-OPRF matching of ``m`` blinded keys against ``n`` tokens as
+    ``(blind, eval, tokens)``: one group element per blinded key in
+    each direction, then the sorted tokens."""
+    elems = m * ((DH_GROUP_BITS + 7) // 8)
+    return elems, elems, n * DH_TOKEN_BYTES

@@ -48,19 +48,11 @@ import numpy as np
 
 from ..leakage import leaks
 from .context import ALICE, BOB, Context, Mode
+from .costs import DH_GROUP_BITS, DH_TOKEN_BYTES, dh_oprf_bytes
 from .cuckoo import encode_item
 from .modp import ModpGroup, modp_group
 
-__all__ = ["TOKEN_BYTES", "GROUP_BITS", "DhOprfMatch", "dh_oprf_match"]
-
-#: Truncated-hash token width: 128 bits bound the collision probability
-#: between any two distinct items by ``m * n / 2^128``, far inside the
-#: protocol's ``2^-sigma`` failure budget.
-TOKEN_BYTES = 16
-
-#: The OPRF group is pinned independently of the engine's base-OT group
-#: (exactly as the KKRT OPRF pins its own width): 2048-bit MODP.
-GROUP_BITS = 2048
+__all__ = ["DhOprfMatch", "dh_oprf_match"]
 
 _H1_SALT = b"secyan-dhoprf-h1"
 _H2_SALT = b"secyan-dhoprf-h2"
@@ -91,7 +83,7 @@ def _token(group: ModpGroup, element: int) -> bytes:
     """``H2``: truncated hash of a group element's fixed-width encoding."""
     return hashlib.sha256(
         _H2_SALT + int(element).to_bytes(group.element_bytes, "big")
-    ).digest()[:TOKEN_BYTES]
+    ).digest()[:DH_TOKEN_BYTES]
 
 
 @leaks("join_pattern:parent")
@@ -133,7 +125,7 @@ def _match_real(
     alice_items: Sequence[Hashable],
     bob_items: Sequence[Hashable],
 ) -> DhOprfMatch:
-    group = modp_group(GROUP_BITS)
+    group = modp_group(DH_GROUP_BITS)
     eb = group.element_bytes
     m, n = len(alice_items), len(bob_items)
 
@@ -156,7 +148,7 @@ def _match_real(
         for y in bob_items
     ]
     order, slot_of = _sorted_slots(bob_tokens)
-    ctx.send(BOB, n * TOKEN_BYTES, "tokens")
+    ctx.send(BOB, n * DH_TOKEN_BYTES, "tokens")
 
     # 4. Alice unblinds and matches locally.
     slot = np.empty(m, dtype=np.int64)
@@ -171,22 +163,21 @@ def _match_simulated(
     alice_items: Sequence[Hashable],
     bob_items: Sequence[Hashable],
 ) -> DhOprfMatch:
-    group = modp_group(GROUP_BITS)
-    eb = group.element_bytes
-    m, n = len(alice_items), len(bob_items)
-    ctx.send(ALICE, m * eb, "blind")
-    ctx.send(BOB, m * eb, "eval")
+    blind, evaluated, tokens = dh_oprf_bytes(len(alice_items), len(bob_items))
+    ctx.send(ALICE, blind, "blind")
+    ctx.send(BOB, evaluated, "eval")
 
     # One shared salt stands in for the PRF key: same token function on
     # both item lists, no exponentiations.
     salt = ctx.random_bytes(16)
 
     def tok(item: Hashable) -> bytes:
-        return hashlib.sha256(salt + encode_item(item)).digest()[:TOKEN_BYTES]
+        digest = hashlib.sha256(salt + encode_item(item)).digest()
+        return digest[:DH_TOKEN_BYTES]
 
     bob_tokens = [tok(y) for y in bob_items]
     order, slot_of = _sorted_slots(bob_tokens)
-    ctx.send(BOB, n * TOKEN_BYTES, "tokens")
+    ctx.send(BOB, tokens, "tokens")
 
     slot = np.asarray(
         [slot_of.get(tok(x), -1) for x in alice_items], dtype=np.int64

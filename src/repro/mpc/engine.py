@@ -38,6 +38,12 @@ from . import gadgets
 from .batch import bits_to_words, words_to_bits, words_to_le_bytes
 from .batch import le_bytes_to_words
 from .context import ALICE, BOB, Context, Mode
+from .costs import (
+    DEFAULT_GROUP_BITS,
+    gilboa_widths,
+    merge_chain_counts,
+    ring_bytes,
+)
 from .ot import make_ot
 from .sharing import (
     SharedVector,
@@ -45,7 +51,6 @@ from .sharing import (
     reveal_vector,
     share_vector,
 )
-from .transcript import other_party
 from .yao import charge_garbled, charge_garbled_batch, run_garbled_batch
 
 __all__ = ["Engine"]
@@ -57,13 +62,10 @@ class Engine:
     def __init__(
         self,
         ctx: Context,
-        ot_group_bits: int = 2048,
+        ot_group_bits: int = DEFAULT_GROUP_BITS,
         tracer: Optional["ExecutionTrace"] = None,
     ) -> None:
         self.ctx = ctx
-        #: Base-OT group size, kept for cost estimation against this
-        #: engine's actual configuration.
-        self.ot_group_bits = ot_group_bits
         #: Join back-end override ("yannakakis" | "linear" | "auto").
         #: ``None`` defers to the query's own setting; when set, every
         #: query run on this engine is routed under this policy.  See
@@ -169,8 +171,8 @@ class Engine:
         ell = ctx.params.ell
         n = len(u)
         mask = ctx.mask
-        rb = (ell + 7) // 8
-        widths = [(n * ell, rb)]
+        rb = ring_bytes(ell)
+        widths = gilboa_widths(ell, n)
         reverse = bits_owner == BOB
         ot = self._ot_rev if reverse else self.ot
         with ctx.section(label), (
@@ -279,38 +281,12 @@ class Engine:
         (Alice-local); ``same_as_next[i]`` says tuple ``i`` and ``i+1``
         share the key.  Output position ``i`` holds the group's
         +-aggregate iff ``i`` is the group's last member, else 0."""
-        n = len(v)
-        if n == 0:
-            return self.zeros(0)
-        if len(same_as_next) != n - 1:
-            raise ValueError("need n-1 boundary indicators")
-        ell = self.ctx.params.ell
-        ctx = self.ctx
-        ind = np.asarray(same_as_next, dtype=bool)
-        with ctx.section(label):
-            if ctx.mode == Mode.SIMULATED:
-                self._charge_chain(gadgets.merge_sum_circuit, n)
-                plain = v.reconstruct()
-                out = self._segment_last_sums(ind, plain)
-                return self._fresh(out)
-            circuit = self._gadget(gadgets.merge_sum_circuit, ell, n)
-            r = ctx.random_ring_vector(n)
-            alice_bits = np.concatenate(
-                [ind.astype(np.uint8), words_to_bits(v.alice, ell).reshape(-1)]
-            )
-            bob_bits = np.concatenate(
-                [
-                    words_to_bits(v.bob, ell).reshape(-1),
-                    words_to_bits(r, ell).reshape(-1),
-                ]
-            )
-            outs = run_garbled_batch(
-                ctx, self.ot, circuit, [alice_bits], [bob_bits]
-            )[0]
-            words = bits_to_words(
-                np.asarray(outs, dtype=np.uint8).reshape(n, ell)
-            )
-            return SharedVector(words, (-r) & ctx.mask, ctx.modulus)
+        return self._merge_chain(
+            gadgets.merge_sum_circuit,
+            self.ctx.params.ell,
+            self._segment_last_sums,
+            same_as_next, v, label,
+        )
 
     def merge_aggregate_or(
         self,
@@ -320,28 +296,48 @@ class Engine:
     ) -> SharedVector:
         """The chain with OR in place of the semiring addition — used by
         ``pi^1``.  ``v`` holds shared 0/1 indicators."""
+        return self._merge_chain(
+            gadgets.merge_or_circuit,
+            1,
+            lambda ind, plain: self._segment_last_sums(ind, plain != 0) != 0,
+            same_as_next, v, label,
+        )
+
+    def _merge_chain(
+        self,
+        make_circuit: Callable[..., "Circuit"],
+        bits: int,
+        semantics: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        same_as_next: Sequence[bool],
+        v: SharedVector,
+        label: str,
+    ) -> SharedVector:
+        """One merge-gate chain of ``make_circuit`` over the low ``bits``
+        bits of each element of ``v``; ``semantics(boundaries,
+        cleartext)`` is its function, which SIMULATED mode computes."""
         n = len(v)
         if n == 0:
             return self.zeros(0)
         if len(same_as_next) != n - 1:
             raise ValueError("need n-1 boundary indicators")
-        ell = self.ctx.params.ell
         ctx = self.ctx
+        ell = ctx.params.ell
         ind = np.asarray(same_as_next, dtype=bool)
         with ctx.section(label):
             if ctx.mode == Mode.SIMULATED:
-                self._charge_chain(gadgets.merge_or_circuit, n)
-                plain = (v.reconstruct() != 0).astype(np.uint64)
-                out = self._segment_last_sums(ind, plain)
-                return self._fresh((out != 0).astype(np.uint64))
-            circuit = self._gadget(gadgets.merge_or_circuit, ell, n)
+                counts = merge_chain_counts(
+                    lambda k: self._gadget(make_circuit, ell, k), n
+                )
+                charge_garbled(ctx, self.ot, counts, 1)
+                return self._fresh(semantics(ind, v.reconstruct()))
+            circuit = self._gadget(make_circuit, ell, n)
             r = ctx.random_ring_vector(n)
             alice_bits = np.concatenate(
-                [ind.astype(np.uint8), (v.alice & np.uint64(1)).astype(np.uint8)]
+                [ind.astype(np.uint8), words_to_bits(v.alice, bits).reshape(-1)]
             )
             bob_bits = np.concatenate(
                 [
-                    (v.bob & np.uint64(1)).astype(np.uint8),
+                    words_to_bits(v.bob, bits).reshape(-1),
                     words_to_bits(r, ell).reshape(-1),
                 ]
             )
@@ -488,32 +484,6 @@ class Engine:
             return bits_to_words(np.asarray(outs, dtype=np.uint8))
 
     # -- internals -----------------------------------------------------------
-
-    def _charge_chain(
-        self, make_circuit: Callable[[int], "Circuit"], n: int
-    ) -> None:
-        """Charge a length-``n`` merge chain exactly: the chain circuit is
-        structurally linear in ``n``, so its gate/input counts extrapolate
-        exactly from the n=2 and n=3 template builds."""
-        ctx, ot = self.ctx, self.ot
-        ell = ctx.params.ell
-        if n <= 3:
-            charge_garbled_batch(ctx, ot, self._gadget(make_circuit, ell, n), 1)
-            return
-        c2 = self._gadget(make_circuit, ell, 2)
-        c3 = self._gadget(make_circuit, ell, 3)
-
-        def extrapolate(f2: int, f3: int) -> int:
-            return f2 + (n - 2) * (f3 - f2)
-
-        charge_garbled(
-            ctx,
-            ot,
-            extrapolate(c2.and_count, c3.and_count),
-            extrapolate(len(c2.alice_inputs), len(c3.alice_inputs)),
-            extrapolate(len(c2.outputs), len(c3.outputs)),
-            1,
-        )
 
     def _fresh(self, plain: np.ndarray) -> SharedVector:
         a = self.ctx.random_ring_vector(len(plain))

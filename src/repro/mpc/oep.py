@@ -33,16 +33,12 @@ import numpy as np
 
 from .batch import le_bytes_to_words, words_to_le_bytes
 from .context import Context, Mode
-from .costs import Widths
+from .costs import Widths, oep_widths, permutation_widths, ring_bytes
 from .ot import OT
 from .sharing import SharedVector
-from .waksman import pad_permutation, switch_count
+from .waksman import pad_permutation, padded_size
 
 __all__ = ["oblivious_permutation", "oblivious_extended_permutation"]
-
-
-def _ring_bytes(ctx: Context) -> int:
-    return (ctx.params.ell + 7) // 8
 
 
 def oblivious_permutation(
@@ -60,13 +56,11 @@ def oblivious_permutation(
             inv = np.empty(n, dtype=np.int64)
             inv[np.asarray(perm, dtype=np.int64)] = np.arange(n)
             out_plain = values.reconstruct()[inv]
-            _charge_switches(
-                ctx, ot, [(switch_count(n), 2 * _ring_bytes(ctx))]
-            )
+            _charge_switches(ctx, ot, permutation_widths(ctx.params.ell, n))
             return _fresh_shares(ctx, out_plain)
         layers = ctx.cache.benes_network(pad_permutation(perm))
         padded = values.concat(
-            SharedVector.zeros(_padded_size(n) - n, ctx.modulus)
+            SharedVector.zeros(padded_size(n) - n, ctx.modulus)
         )
         switched = _apply_switch_network(ctx, ot, [layers], [], padded)
         # Output position perm[i] received input i; read back in order.
@@ -96,14 +90,7 @@ def oblivious_extended_permutation(
     with ctx.section(label):
         if ctx.mode == Mode.SIMULATED:
             out_plain = values.reconstruct()[xi_arr]
-            n_work = _padded_size(max(m, n_out, 1))
-            rb = _ring_bytes(ctx)
-            # Two Benes networks of two-word switches around one pass
-            # of one-word copy gates.
-            _charge_switches(
-                ctx, ot,
-                [(2 * switch_count(n_work), 2 * rb), (n_work - 1, rb)],
-            )
+            _charge_switches(ctx, ot, oep_widths(ctx.params.ell, m, n_out))
             return _fresh_shares(ctx, out_plain)
         return _oep_real(ctx, ot, [int(s) for s in xi_arr], values, n_out)
 
@@ -111,13 +98,6 @@ def oblivious_extended_permutation(
 # ----------------------------------------------------------------------
 # REAL-mode machinery
 # ----------------------------------------------------------------------
-
-
-def _padded_size(n: int) -> int:
-    size = 1
-    while size < n:
-        size *= 2
-    return size
 
 
 def _charge_switches(ctx: Context, ot: OT, widths: Widths) -> None:
@@ -137,7 +117,7 @@ def _oep_real(
     ctx: Context, ot: OT, xi: List[int], values: SharedVector, n_out: int
 ) -> SharedVector:
     m = len(values)
-    n_work = _padded_size(max(m, n_out, 1))
+    n_work = padded_size(max(m, n_out))
     padded = values.concat(SharedVector.zeros(n_work - m, ctx.modulus))
 
     # Group target positions by source so duplicates are consecutive.
@@ -215,7 +195,7 @@ def _stage_bob(
     place stage by stage (his running share vector is the one
     sequential thing); returns the ``cross`` byte matrix per stage."""
     mask = ctx.mask
-    rb = _ring_bytes(ctx)
+    rb = ring_bytes(ctx.params.ell)
     crossed = []
     for stage, p0 in zip(stages, pads):
         if stage[0] == "switch":
@@ -255,7 +235,7 @@ def _replay_alice(
     layers vectorise (disjoint wire pairs); the replication pass is a
     sequential left-to-right scan by construction."""
     mask = ctx.mask
-    rb = _ring_bytes(ctx)
+    rb = ring_bytes(ctx.params.ell)
     for stage, msg in zip(stages, messages):
         if stage[0] == "switch":
             _, a_idx, b_idx, swaps = stage
@@ -290,7 +270,7 @@ def _apply_switch_network(
     of them, one correction message crosses, Alice replays."""
     alice = values.alice.astype(np.uint64).copy()
     bob = values.bob.astype(np.uint64).copy()
-    rb = _ring_bytes(ctx)
+    rb = ring_bytes(ctx.params.ell)
 
     stages = _switch_stages(networks[0])
     if replication_after_first and len(bob) > 1:

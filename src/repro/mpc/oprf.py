@@ -29,6 +29,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .context import ALICE, BOB, Context, Mode
+from .costs import DEFAULT_GROUP_BITS, OPRF_WIDTH, kkrt_setup_bytes
 from .modp import modp_group
 from .ot import _kdf, _prg_bits, _stream_xor
 
@@ -36,12 +37,10 @@ __all__ = [
     "OPRF_WIDTH",
     "OPPRF_PRIME",
     "BatchedOprf",
+    "charge_oprf_setup",
     "poly_interpolate",
     "poly_eval",
 ]
-
-#: KKRT code width (bits); 448 gives ~128-bit security for the code.
-OPRF_WIDTH = 448
 
 #: Field for OPPRF interpolation: the Mersenne prime 2^61 - 1.
 OPPRF_PRIME = (1 << 61) - 1
@@ -73,7 +72,7 @@ class BatchedOprf:
         self,
         ctx: Context,
         alice_fps: Sequence[int],
-        group_bits: int = 2048,
+        group_bits: int = DEFAULT_GROUP_BITS,
     ) -> None:
         self.ctx = ctx
         self._salt = b"oprf-session"
@@ -174,14 +173,7 @@ class BatchedOprf:
     # -- SIMULATED --------------------------------------------------------
 
     def _setup_simulated(self, fps: List[int]) -> None:
-        ctx = self.ctx
-        w, m = OPRF_WIDTH, self._m
-        elem = 2048 // 8
-        ctx.send(ALICE, elem, "oprf/base/A")
-        ctx.send(BOB, elem * w, "oprf/base/B")
-        ctx.send(ALICE, 32 * w, "oprf/base/ciphertexts")
-        if m:
-            ctx.send(ALICE, w * ((m + 7) // 8), "oprf/u")
+        charge_oprf_setup(self.ctx, self._m)
         self.alice_values = [
             self._bob_eval_sim(j, fp) for j, fp in enumerate(fps)
         ]
@@ -198,6 +190,17 @@ class BatchedOprf:
         if self.ctx.mode == Mode.REAL:
             return self._bob_eval_real(row, fp)
         return self._bob_eval_sim(row, fp)
+
+
+def charge_oprf_setup(ctx: Context, n_rows: int) -> None:
+    """SIMULATED mode: charge what :meth:`BatchedOprf._setup_real` sends
+    for ``n_rows`` OPRF instances."""
+    a, b, ciphertexts, u = kkrt_setup_bytes(n_rows)
+    ctx.send(ALICE, a, "oprf/base/A")
+    ctx.send(BOB, b, "oprf/base/B")
+    ctx.send(ALICE, ciphertexts, "oprf/base/ciphertexts")
+    if n_rows:
+        ctx.send(ALICE, u, "oprf/u")
 
 
 # -- polynomial OPPRF hints over GF(2^61 - 1) ----------------------------

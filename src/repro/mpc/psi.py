@@ -28,16 +28,21 @@ from typing import Hashable, List, Optional, Sequence, Union
 import numpy as np
 
 from .context import ALICE, BOB, Context, Mode
-from .cuckoo import (
-    DUMMY_ALICE,
-    CuckooTable,
-    fingerprint,
-    max_bin_load,
-    num_bins,
-    simple_hash_bins,
+from .costs import (
+    opprf_hint_bytes,
+    psi_bins,
+    psi_seed_bytes,
+    psi_token_bits,
 )
+from .cuckoo import DUMMY_ALICE, CuckooTable, fingerprint, simple_hash_bins
 from .gadgets import bits_of, int_of, psi_bin_circuit
-from .oprf import OPPRF_PRIME, BatchedOprf, poly_eval, poly_interpolate
+from .oprf import (
+    OPPRF_PRIME,
+    BatchedOprf,
+    charge_oprf_setup,
+    poly_eval,
+    poly_interpolate,
+)
 from .ot import OT
 from .sharing import SharedVector
 from .yao import charge_garbled_batch, run_garbled_batch
@@ -45,15 +50,6 @@ from .yao import charge_garbled_batch, run_garbled_batch
 __all__ = ["PsiResult", "psi_with_payloads"]
 
 _FP_SALT = b"secyan-psi-fingerprint"
-
-
-def _token_bits(n_bins: int, sigma: int) -> int:
-    """Match-token width: sigma + log2(B) bits bound the probability of
-    any bin's comparison colliding spuriously by 2^-sigma (PSTY19);
-    capped at the OPPRF field size."""
-    import math
-
-    return min(61, sigma + max(1, math.ceil(math.log2(max(n_bins, 2)))))
 
 
 @dataclass
@@ -100,25 +96,20 @@ def psi_with_payloads(
         raise ValueError("one payload per Bob item is required")
     if len(set(bob_items)) != len(bob_items):
         raise ValueError("PSI requires distinct items on Bob's side")
-    ell = ctx.params.ell
     modulus = ctx.modulus
 
     with ctx.section(label):
+        n_bins, load = psi_bins(ctx.params, len(alice_items), len(bob_items))
         table = CuckooTable(
             alice_items,
-            num_bins(len(alice_items), ctx.params.cuckoo_expansion),
+            n_bins,
             ctx.params.cuckoo_hashes,
             seed=int(ctx.rng.integers(0, 2**31)),
         )
-        n_bins = table.n_bins
-        ctx.send(ALICE, 16 * ctx.params.cuckoo_hashes, "seeds")
+        ctx.send(ALICE, psi_seed_bytes(ctx.params.cuckoo_hashes), "seeds")
 
         bob_fps = [fingerprint(y, _FP_SALT) for y in bob_items]
         bob_bins = simple_hash_bins(bob_items, table.seeds, n_bins)
-        load = max_bin_load(
-            len(bob_items), n_bins, ctx.params.cuckoo_hashes,
-            ctx.params.sigma,
-        )
         if any(len(b) > load for b in bob_bins):
             raise RuntimeError(
                 "simple-hash bin exceeded its statistical load bound "
@@ -167,7 +158,7 @@ def _psi_real(
     ell = ctx.params.ell
     modulus = ctx.modulus
     rng = ctx.rng
-    fp_bits = _token_bits(n_bins, ctx.params.sigma)
+    fp_bits = psi_token_bits(n_bins, ctx.params.sigma)
     token_mod = 1 << fp_bits
     oprf = BatchedOprf(ctx, alice_fps)
 
@@ -261,18 +252,14 @@ def _psi_simulated(
     mask = np.uint64(modulus - 1)
 
     # Charge what the real protocol sends.
-    elem = 2048 // 8
-    ctx.send(ALICE, elem, "oprf/base/A")
-    ctx.send(BOB, elem * 448, "oprf/base/B")
-    ctx.send(ALICE, 32 * 448, "oprf/base/ciphertexts")
-    ctx.send(ALICE, 448 * ((n_bins + 7) // 8), "oprf/u")
-    ctx.send(BOB, 8 * 2 * load * n_bins, "opprf_hints")
+    charge_oprf_setup(ctx, n_bins)
+    ctx.send(BOB, opprf_hint_bytes(n_bins, load), "opprf_hints")
     with ctx.section("bin_circuits"):
         charge_garbled_batch(
             ctx,
             ot,
             psi_bin_circuit(
-                ell, _token_bits(n_bins, ctx.params.sigma), reveal_payload
+                ell, psi_token_bits(n_bins, ctx.params.sigma), reveal_payload
             ),
             n_bins,
         )
@@ -291,7 +278,6 @@ def _psi_simulated(
             ind_plain[b] = 1
             pay_plain[b] = payload_of[fp]
 
-    rng = ctx.rng
     ind_a = ctx.random_ring_vector(n_bins)
     ind = SharedVector(ind_a, (ind_plain - ind_a) & mask, modulus)
     if reveal_payload:

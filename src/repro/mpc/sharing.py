@@ -19,6 +19,7 @@ import numpy as np
 
 from ..leakage import leaks
 from .context import ALICE, Context
+from .costs import share_bytes
 from .transcript import other_party
 
 __all__ = [
@@ -202,7 +203,7 @@ def share_vector(
     vals = _to_ring(values, ctx.modulus)
     own = ctx.random_ring_vector(len(vals))
     complement = (vals - own) & ctx.mask
-    ctx.send(owner, len(vals) * (ctx.params.ell // 8 or 1), label)
+    ctx.send(owner, share_bytes(ctx.params.ell, len(vals)), label)
     if owner == ALICE:
         return SharedVector(own, complement, ctx.modulus)
     return SharedVector(complement, own, ctx.modulus)
@@ -216,5 +217,5 @@ def reveal_vector(
     share.  Only used on values that are part of the query result (or
     otherwise derivable from it), per Section 5.1."""
     sender = other_party(to)
-    ctx.send(sender, len(sv) * (ctx.params.ell // 8 or 1), label)
+    ctx.send(sender, share_bytes(ctx.params.ell, len(sv)), label)
     return sv.reconstruct()

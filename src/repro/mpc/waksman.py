@@ -36,6 +36,7 @@ __all__ = [
     "apply_network",
     "switch_count",
     "pad_permutation",
+    "padded_size",
 ]
 
 #: A switch: (wire_a, wire_b, swap?).  Switches within a layer are disjoint.
@@ -46,14 +47,19 @@ Layer = List[Switch]
 TopologyLayer = Tuple[Tuple[int, int], ...]
 
 
+def padded_size(n: int) -> int:
+    """The power-of-two wire count a network on ``n`` inputs pads to."""
+    size = 1
+    while size < n:
+        size *= 2
+    return size
+
+
 def pad_permutation(perm: Sequence[int]) -> List[int]:
     """Extend a permutation of [n] to the next power of two with identity
     on the padding slots."""
     n = len(perm)
-    size = 1
-    while size < n:
-        size *= 2
-    return list(perm) + list(range(n, size))
+    return list(perm) + list(range(n, padded_size(n)))
 
 
 def _check_size(n: int) -> None:
@@ -183,9 +189,7 @@ def apply_network(layers: List[Layer], values: Sequence) -> List:
 def switch_count(n: int) -> int:
     """Number of switches of a padded Benes network on ``n`` inputs —
     the quantity the SIMULATED cost model charges per permutation."""
-    size = 1
-    while size < max(1, n):
-        size *= 2
+    size = padded_size(n)
     if size == 1:
         return 0
 

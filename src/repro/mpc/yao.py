@@ -24,7 +24,7 @@ that transcripts agree between modes.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .circuits.garbling import (
     garble_batch,
 )
 from .context import BOB, Context
-from .costs import garbled_bytes
+from .costs import circuit_counts, garbled_bytes
 from .ot import OT
 
 __all__ = [
@@ -121,19 +121,14 @@ def _bit_matrix(
 
 
 def charge_garbled(
-    ctx: Context,
-    ot: OT,
-    and_count: int,
-    n_alice: int,
-    n_outputs: int,
-    n_instances: int,
+    ctx: Context, ot: OT, counts: Tuple[int, int, int], n_instances: int
 ) -> None:
     """SIMULATED mode: charge ``n_instances`` garblings of a template
-    with these gate/wire counts, message for message as
-    :func:`run_garbled_batch` sends them."""
+    with these :func:`~repro.mpc.costs.circuit_counts`, message for
+    message as :func:`run_garbled_batch` sends them."""
     if n_instances == 0:
         return
-    sizes = garbled_bytes(and_count, n_alice, n_outputs, n_instances)
+    sizes = garbled_bytes(*counts, n_instances)
     with ctx.section("gc/alice_labels"):
         cot = ot.correlated(None, [sizes.label_ots])
     ctx.send(BOB, sizes.tables, "gc/tables")
@@ -148,11 +143,4 @@ def charge_garbled_batch(
 ) -> None:
     """SIMULATED mode: charge exactly what :func:`run_garbled_batch`
     would send for ``n_instances`` of ``circuit``."""
-    charge_garbled(
-        ctx,
-        ot,
-        circuit.and_count,
-        len(circuit.alice_inputs),
-        len(circuit.outputs),
-        n_instances,
-    )
+    charge_garbled(ctx, ot, circuit_counts(circuit), n_instances)

@@ -17,6 +17,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 
+from ..mpc.costs import FRAME_HEADER_BYTES
+
 __all__ = [
     "FRAME_MAGIC",
     "FRAME_HEADER_BYTES",
@@ -30,10 +32,6 @@ __all__ = [
 
 #: Wire magic identifying a session frame ("Secure Yannakakis Frame v1").
 FRAME_MAGIC = b"SYF1"
-
-#: Framing overhead per message: 4-byte magic + 8-byte sequence number
-#: + 4-byte payload length + 32-byte SHA-256 checksum.
-FRAME_HEADER_BYTES = 4 + 8 + 4 + 32
 
 
 @dataclass(frozen=True)

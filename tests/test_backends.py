@@ -14,7 +14,8 @@ import pytest
 from repro.bench.estimator import (
     BACKENDS,
     DEFAULT_PARAMS,
-    _Estimator,
+    NodeShape,
+    estimate_node_bytes,
     estimate_node_costs,
     estimate_query_cost,
 )
@@ -35,11 +36,8 @@ RING = IntegerRing(32)
 def node_cost(m, n, backend, same_owner=False, child_plain=True):
     """Marginal fold-node cost (child aggregation + reduce-join) as
     :func:`estimate_node_costs` computes it."""
-    e = _Estimator(DEFAULT_PARAMS, 2048)
-    e._ot_base_charged = {False: True, True: True}
-    e.aggregate(n, child_plain)
-    e.reduce_join(m, n, same_owner, child_plain, True, backend=backend)
-    return e.est.total
+    shape = NodeShape("reduce_fold", m, n, same_owner, child_plain, True)
+    return estimate_node_bytes(shape, backend, DEFAULT_PARAMS)
 
 
 def two_relation_query(n1, n2, owners=(ALICE, BOB), key_range=8, seed=0):
@@ -63,14 +61,14 @@ def two_relation_query(n1, n2, owners=(ALICE, BOB), key_range=8, seed=0):
     return q
 
 
-def chain_query():
+def chain_query(owners=(ALICE, BOB, ALICE)):
     """r1(24) -- r2(4) -- r3(512): one node shape per back-end winner,
     so ``auto`` routes a genuinely mixed plan."""
     rng = np.random.default_rng(3)
     specs = [
-        ("r1", ("a", "b"), 24, ALICE),
-        ("r2", ("b", "c"), 4, BOB),
-        ("r3", ("c", "d"), 512, ALICE),
+        ("r1", ("a", "b"), 24, owners[0]),
+        ("r2", ("b", "c"), 4, owners[1]),
+        ("r3", ("c", "d"), 512, owners[2]),
     ]
     q = JoinAggregateQuery(output=("b",))
     for name, attrs, n, owner in specs:

@@ -19,9 +19,27 @@ class TestCli:
         assert "Figure 3" in out
 
     def test_estimate(self, capsys):
+        from repro.bench.estimator import estimate_node_costs
+        from repro.tpch import PREPARED, generate
+
         assert main(["estimate", "Q3", "--scale", "1"]) == 0
         out = capsys.readouterr().out
         assert "input tuples" in out
+        assert "out_size=0" in out
+        jq = PREPARED["Q3"](generate(1))._build()
+        sizes = {n: len(r) for n, r in jq.relations.items()}
+        routed = jq.backend_assignments("auto")
+        costs = estimate_node_costs(jq.plan(), sizes, jq.owners)
+        assert costs
+        for label, per_backend in costs.items():
+            (line,) = [ln for ln in out.splitlines() if label in ln]
+            for backend, n_bytes in per_backend.items():
+                assert f"{backend} {n_bytes:,}" in line
+            assert line.endswith(routed[label])
+
+    def test_estimate_decomposed_points_at_tpch(self, capsys):
+        assert main(["estimate", "Q8", "--scale", "1"]) == 0
+        assert "run `tpch`" in capsys.readouterr().out
 
     def test_trace_stdout(self, capsys):
         assert main(["trace", "Q3", "--scale", "1"]) == 0

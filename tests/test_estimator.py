@@ -1,11 +1,16 @@
 """The analytic cost estimator against the metered execution."""
 
+import ast
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.bench.estimator import estimate_plan_cost
+from repro.bench.estimator import estimate_plan_cost, estimate_query_cost
 from repro.core import SecureRelation, secure_yannakakis
-from repro.mpc import ALICE, BOB, Context, Engine, Mode
+from repro.exec import ExecutionTrace
+from repro.mpc import ALICE, BOB, Context, Engine, Mode, SecurityParams
 from repro.mpc.circuits.garbling import SEED_BYTES
 from repro.mpc.costs import cot_bytes
 from repro.relalg import (
@@ -17,28 +22,33 @@ from repro.relalg import (
 from repro.yannakakis import build_plan
 
 from .conftest import TEST_GROUP_BITS
+from .test_backends import chain_query, two_relation_query
 
-RING = IntegerRing(32)
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
-def run_and_estimate(owners, n1, n2, output=("b",), seed=0):
+def run_and_estimate(owners, n1, n2, output=("b",), seed=0, ell=32):
     rng = np.random.default_rng(seed)
+    ring = IntegerRing(ell)
+    params = SecurityParams(ell=ell)
     r1 = AnnotatedRelation(
         ("a", "b"),
         [(int(x), int(y)) for x, y in rng.integers(0, 50, (n1, 2))],
         rng.integers(1, 9, n1),
-        RING,
+        ring,
     )
     r2 = AnnotatedRelation(
         ("b", "c"),
         [(int(x), int(y)) for x, y in rng.integers(0, 50, (n2, 2))],
         rng.integers(1, 9, n2),
-        RING,
+        ring,
     )
     rels = {"R1": r1, "R2": r2}
     h = Hypergraph({n: r.attributes for n, r in rels.items()})
     plan = build_plan(find_free_connex_tree(h, set(output)), output)
-    engine = Engine(Context(Mode.SIMULATED, seed=1), TEST_GROUP_BITS)
+    engine = Engine(
+        Context(Mode.SIMULATED, params, seed=1), TEST_GROUP_BITS
+    )
     sec = {
         n: SecureRelation.from_annotated(owners[n], rels[n]) for n in rels
     }
@@ -48,6 +58,7 @@ def run_and_estimate(owners, n1, n2, output=("b",), seed=0):
         {"R1": n1, "R2": n2},
         owners,
         out_size=len(result),
+        params=params,
         group_bits=TEST_GROUP_BITS,
     )
     return stats.total_bytes, est
@@ -65,16 +76,117 @@ class TestAccuracy:
         actual, est = run_and_estimate({"R1": BOB, "R2": ALICE}, 30, 20)
         assert est.total == actual
 
-    def test_same_party_within_one_percent(self):
+    def test_same_party_exact(self):
+        # Plain-annotated inputs reach the full join: each relation is
+        # secret-shared exactly once there.
         actual, est = run_and_estimate({"R1": ALICE, "R2": ALICE}, 40, 25)
-        assert abs(est.total - actual) <= 0.01 * actual
+        assert est.total == actual
 
-    def test_semijoin_phase_estimated(self):
+    def test_semijoin_phase_exact(self):
         # Output on both ends forces the semijoin/full-join phases.
         actual, est = run_and_estimate(
             {"R1": ALICE, "R2": BOB}, 20, 20, output=("a", "b", "c")
         )
-        assert abs(est.total - actual) <= 0.02 * actual
+        assert est.total == actual
+
+    @pytest.mark.parametrize("ell", [16, 20, 32, 44, 48])
+    def test_exact_at_every_ring_width(self, ell):
+        # A ring element is packed to ceil(ell / 8) bytes by every
+        # primitive, share and reveal included.
+        actual, est = run_and_estimate(
+            {"R1": ALICE, "R2": BOB}, 40, 25, ell=ell
+        )
+        assert est.total == actual
+
+
+def _node_windows(trace, messages):
+    """Each trace node with the transcript messages of its window (the
+    scheduler dispatches every step under a node, back to back)."""
+    off = 0
+    for node in trace.nodes:
+        yield node, messages[off : off + node.n_messages]
+        off += node.n_messages
+
+
+class TestEstimatorEqualsMetered:
+    """The estimator against the trace on every regime a fold/semijoin
+    node has: back-end x owner split x child annotations (input-plain
+    on the two-relation query; on the chain, r2 is shared by the time
+    it folds into r1 whenever r3 -> r2 crossed owners)."""
+
+    QUERIES = [
+        pytest.param(
+            lambda o=o: two_relation_query(24, 16, owners=o),
+            id="pair-" + "".join(p[0] for p in o),
+        )
+        for o in itertools.product((ALICE, BOB), repeat=2)
+    ] + [
+        pytest.param(
+            lambda o=o: chain_query(owners=o),
+            id="chain-" + "".join(p[0] for p in o),
+        )
+        for o in itertools.product((ALICE, BOB), repeat=3)
+    ]
+
+    @pytest.mark.parametrize("backend", ["yannakakis", "linear"])
+    @pytest.mark.parametrize("build", QUERIES)
+    def test_plan_total_and_every_node(self, build, backend):
+        q = build().set_backend(backend)
+        tracer = ExecutionTrace()
+        ctx = Context(Mode.SIMULATED, seed=5)
+        result, stats = q.run_secure(
+            Engine(ctx, TEST_GROUP_BITS, tracer=tracer)
+        )
+        est = estimate_query_cost(
+            q, out_size=len(result), group_bits=TEST_GROUP_BITS
+        )
+        assert est.total == stats.total_bytes
+        priced = 0
+        for node, window in _node_windows(tracer, ctx.transcript.messages):
+            if node.est_bytes is None:
+                continue
+            priced += 1
+            # The marginal price leaves out the one-time base OTs,
+            # which land in whichever node runs the first batch.
+            base = sum(
+                m.n_bytes for m in window if "ot/ext/base/" in m.label
+            )
+            assert node.est_bytes == node.n_bytes - base, node.label
+        assert priced == len(q.backend_assignments())
+
+
+class TestOneCostModel:
+    """Structural guard: sizes come from ``repro.mpc.costs`` alone."""
+
+    def test_estimator_imports_only_the_cost_model(self):
+        tree = ast.parse((SRC / "bench" / "estimator.py").read_text())
+        allowed = {"costs", "gadgets", "params"}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            names = {a.name for a in node.names}
+            if module == "mpc":
+                assert names <= allowed, names
+            elif module == "mpc.context":
+                assert names <= {"ALICE", "BOB"}, names
+            elif module.startswith("mpc."):
+                assert module[len("mpc."):] in allowed, module
+
+    def test_estimator_internals_stay_internal(self):
+        # Nothing outside the estimator builds its accumulator or pokes
+        # its base-OT bookkeeping; marginal prices come from
+        # estimate_node_bytes.
+        private = ("_" "Estimator", "_ot_base" "_charged")
+        root = SRC.parents[1]
+        offenders = [
+            str(path.relative_to(root))
+            for top in ("src", "tests")
+            for path in sorted((root / top).rglob("*.py"))
+            if path != SRC / "bench" / "estimator.py"
+            and any(name in path.read_text() for name in private)
+        ]
+        assert offenders == []
 
 
 class TestBreakdown:

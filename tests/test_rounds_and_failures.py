@@ -8,7 +8,7 @@ exercises the statistical-failure escape hatches.
 import numpy as np
 import pytest
 
-import repro.mpc.psi as psi_mod
+import repro.mpc.costs as costs_mod
 from repro.mpc import Context, Engine, Mode
 from repro.mpc.oep import oblivious_extended_permutation
 from repro.mpc.ot import make_ot
@@ -74,7 +74,7 @@ class TestFailureInjection:
     def test_bin_overflow_detected(self, monkeypatch):
         """If the statistical load bound were violated the protocol must
         abort rather than truncate silently."""
-        monkeypatch.setattr(psi_mod, "max_bin_load", lambda *a, **k: 0)
+        monkeypatch.setattr(costs_mod, "max_bin_load", lambda *a, **k: 0)
         ctx = Context(Mode.SIMULATED, seed=2)
         ot = make_ot(ctx)
         with pytest.raises(RuntimeError, match="load bound"):
