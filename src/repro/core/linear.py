@@ -21,18 +21,34 @@ permutation held by the child owner (shared annotations).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..leakage import leaks
 from ..mpc.engine import Engine
 from ..mpc.sharing import SharedVector
-from ..relalg.columns import group_by_first_appearance, joint_row_codes
+from ..relalg.columns import (
+    TupleStore,
+    group_by_first_appearance,
+    joint_row_codes,
+)
 from .oriented import OrientedEngine
-from .relation import SecureAnnotations, SecureRelation, dummy_tuple
+from .relation import SecureAnnotations, SecureRelation, row_digests
 
 __all__ = ["linear_cross_owner_payloads"]
+
+
+def _key_rows(
+    parent: SecureRelation, child: SecureRelation
+) -> Tuple[TupleStore, np.ndarray]:
+    """The cross-owner join's parent side, for either back-end:
+    ``X = pi_{F'}(parent)`` deduplicated and padded with dummies to
+    ``M`` rows, plus ``gid`` — parent row ``i``'s key is ``X`` row
+    ``gid[i]``."""
+    proj = parent.store.project(child.attributes)
+    gid, first = group_by_first_appearance(joint_row_codes([proj])[0])
+    return proj.take(first).with_dummies(len(parent) - len(first)), gid
 
 
 @leaks("join_pattern:parent")
@@ -48,17 +64,10 @@ def linear_cross_owner_payloads(
     n = len(child)
     oe = OrientedEngine(engine, owner)
 
-    # X = pi_{F'}(parent), deduplicated, padded with dummies to M —
-    # identical preparation to the PSI back-end.
-    proj = parent.store.project(child.attributes)
-    pcodes = joint_row_codes([proj])[0]
-    gid, first = group_by_first_appearance(pcodes)
-    x_items: List[Tuple] = [proj.row(int(i)) for i in first.tolist()]
-    while len(x_items) < m:
-        x_items.append(dummy_tuple(len(child.attributes)))
-
-    child_items = [tuple(t) for t in child.tuples]
-    match = oe.dh_oprf_match(x_items, child_items, label="dhoprf")
+    x_store, gid = _key_rows(parent, child)
+    match = oe.dh_oprf_match(
+        row_digests(x_store), row_digests(child.store), label="dhoprf"
+    )
 
     # Child payloads in token-sorted slot order, secret-shared, with a
     # shared zero appended as the no-match slot ``n``.

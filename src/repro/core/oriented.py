@@ -12,12 +12,13 @@ paper's prose.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, Optional, Sequence, Union
+from typing import Any, Callable, Sequence, Union
 
 import numpy as np
 
 from ..leakage import leaks
 from ..mpc.context import ALICE, BOB, Context
+from ..mpc.cuckoo import Items
 from ..mpc.dhoprf import DhOprfMatch, dh_oprf_match
 from ..mpc.engine import Engine
 from ..mpc.oep import oblivious_extended_permutation, oblivious_permutation
@@ -113,10 +114,10 @@ class OrientedEngine:
 
     def psi(
         self,
-        owner_items: Sequence[Hashable],
-        other_items: Sequence[Hashable],
-        other_payloads: Sequence[int],
-        other_fallbacks: Optional[Sequence[int]] = None,
+        owner_items: Items,
+        other_items: Items,
+        other_payloads: Union[Sequence[int], np.ndarray],
+        other_fallbacks: Union[Sequence[int], np.ndarray, None] = None,
         reveal_payload: bool = False,
         label: str = "psi",
     ) -> PsiResult:
@@ -143,8 +144,8 @@ class OrientedEngine:
     @leaks("join_pattern:parent")
     def dh_oprf_match(
         self,
-        owner_items: Sequence[Hashable],
-        other_items: Sequence[Hashable],
+        owner_items: Items,
+        other_items: Items,
         label: str = "dhoprf",
     ) -> DhOprfMatch:
         """DH-OPRF matching with the owner on the blinding side

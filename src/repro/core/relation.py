@@ -23,13 +23,14 @@ from typing import Any, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..mpc.context import Context
-from ..mpc.cuckoo import encode_item
+from ..mpc.cuckoo import digest_encoded, encode_item
 from ..mpc.engine import Engine
 from ..mpc.sharing import SharedVector
 from ..relalg.columns import (
     DUMMY_MARKER,
     TupleStore,
     dummy_tuple,
+    dummy_value,
     is_dummy_tuple,
 )
 from ..relalg.relation import AnnotatedRelation
@@ -39,6 +40,8 @@ __all__ = [
     "dummy_tuple",
     "is_dummy_tuple",
     "sort_key",
+    "encode_rows",
+    "row_digests",
     "SecureAnnotations",
     "SecureRelation",
 ]
@@ -48,6 +51,49 @@ def sort_key(t: Tuple[Any, ...]) -> bytes:
     """A total order over heterogeneous tuples (ints, strings, dummies):
     the canonical item encoding.  Owners sort locally with this key."""
     return encode_item(tuple(t))
+
+
+def _cell(encoded: bytes) -> bytes:
+    """One tuple component as :func:`encode_item` frames it."""
+    return len(encoded).to_bytes(4, "little") + encoded
+
+
+def _le8(values: np.ndarray) -> List[bytes]:
+    """Each int64 as its 8 little-endian bytes."""
+    buf = values.astype("<i8", copy=False).tobytes()
+    return [buf[i : i + 8] for i in range(0, len(buf), 8)]
+
+
+#: An int64 cell and a dummy cell are fixed-width: a constant prefix
+#: (taken from the scalar definition) plus the value's / nonce's 8 bytes.
+_INT_CELL = _cell(encode_item(0))[:-8]
+_DUMMY_CELL = _cell(encode_item(dummy_value(0)))[:-8]
+
+
+def encode_rows(store: TupleStore) -> List[bytes]:
+    """``encode_item(row)`` for every row of ``store`` without building
+    the rows: int columns and dummy nonces encode as fixed-width byte
+    blocks, obj columns once per *distinct* value, gathered by code."""
+    arity = store.arity
+    head = b"t" + arity.to_bytes(4, "little")
+    cols = []
+    for c in store.columns:
+        if c.values is None:
+            cols.append([_INT_CELL + b for b in _le8(c.codes)])
+        else:
+            cells = [_cell(encode_item(v)) for v in c.values]
+            cols.append([cells[i] for i in c.codes.tolist()])
+    rows = [head + b"".join(r) for r in zip(*cols)] or [head] * store.n
+    dummies = np.flatnonzero(store.nonce)
+    for i, z in zip(dummies.tolist(), _le8(store.nonce[dummies])):
+        rows[i] = head + (_DUMMY_CELL + z) * arity
+    return rows
+
+
+def row_digests(store: TupleStore) -> np.ndarray:
+    """The PSI / DH-OPRF digest matrix of a store's rows — equal to
+    :func:`~repro.mpc.cuckoo.item_digests` of its materialised tuples."""
+    return digest_encoded(encode_rows(store))
 
 
 @dataclass

@@ -27,24 +27,26 @@ The owner-local alignment maps run columnar: parent keys and child
 tuples are re-encoded into one shared ``int64`` code space
 (:func:`~repro.relalg.columns.joint_row_codes`) and the position maps
 ``mu``/``xi`` fall out of one sort + ``searchsorted`` (same owner) or
-one group-by (cross owner) instead of per-tuple dict probes.  Only the
-PSI input items are ever materialised as Python tuples.
+one group-by (cross owner) instead of per-tuple dict probes.  The PSI
+inputs leave as digest matrices (:func:`~repro.core.relation.
+row_digests`); no Python tuple is built.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+from typing import Any, Tuple
 
 import numpy as np
 
+from ..mpc.batch import sorted_lookup
 from ..mpc.context import Context
 from ..mpc.engine import Engine
 from ..mpc.sharing import SharedVector
-from ..relalg.columns import group_by_first_appearance, joint_row_codes
+from ..relalg.columns import joint_row_codes
 from .aggregation import oblivious_support_projection
-from .linear import linear_cross_owner_payloads
+from .linear import _key_rows, linear_cross_owner_payloads
 from .oriented import OrientedEngine
-from .relation import SecureAnnotations, SecureRelation, dummy_tuple
+from .relation import SecureAnnotations, SecureRelation, row_digests
 from .shared_payload_psi import psi_with_shared_payloads
 
 __all__ = ["BACKENDS", "oblivious_reduce_join", "oblivious_semijoin"]
@@ -54,13 +56,6 @@ __all__ = ["BACKENDS", "oblivious_reduce_join", "oblivious_semijoin"]
 #: :mod:`repro.core.linear`.  The back-end only changes the cross-owner
 #: regime — same-owner and scalar-child nodes take identical paths.
 BACKENDS = ("yannakakis", "linear")
-
-
-def _psi_items(rel: SecureRelation) -> List[Tuple]:
-    """A relation's tuples as PSI items (they are distinct whenever the
-    relation came out of a projection-aggregation, which the Yannakakis
-    plan guarantees)."""
-    return [tuple(t) for t in rel.tuples]
 
 
 def oblivious_reduce_join(
@@ -156,15 +151,10 @@ def _same_owner_payloads(
             "child through an oblivious projection-aggregation "
             "first, as the Yannakakis plan does)"
         )
-    if n == 0:
-        mu = np.zeros(len(pcodes), dtype=np.int64)
-    else:
-        order = np.argsort(ccodes)
-        sorted_codes = ccodes[order]
-        pos = np.searchsorted(sorted_codes, pcodes)
-        pos_c = np.minimum(pos, n - 1)
-        found = (pos < n) & (sorted_codes[pos_c] == pcodes)
-        mu = np.where(found, order[pos_c], n)  # n = the dummy slot
+    # mu[i] = the child row parent row i joins, or n = the dummy slot
+    # (``slot`` is -1 there, which indexes the appended ``n``).
+    order, slot = sorted_lookup(ccodes, pcodes)
+    mu = np.append(order, n)[slot]
 
     if (
         parent.annotations.kind == "plain"
@@ -198,21 +188,13 @@ def _cross_owner_payloads(
     m = len(parent)
     oe = OrientedEngine(engine, owner)
 
-    # X = pi_{F'}(parent), deduplicated, padded with dummies to M.
-    proj = parent.store.project(child.attributes)
-    pcodes = joint_row_codes([proj])[0]
-    gid, first = group_by_first_appearance(pcodes)
-    x_items: List[Tuple] = [proj.row(int(i)) for i in first.tolist()]
-    while len(x_items) < m:
-        x_items.append(dummy_tuple(len(child.attributes)))
-
-    child_items = _psi_items(child)
+    # The child's tuples are distinct whenever it came out of a
+    # projection-aggregation, which the Yannakakis plan guarantees.
+    x_store, gid = _key_rows(parent, child)
+    x_items, child_items = row_digests(x_store), row_digests(child.store)
     if child.annotations.kind == "plain":
         res = oe.psi(
-            x_items,
-            child_items,
-            [int(v) for v in child.annotations.values],
-            label="psi",
+            x_items, child_items, child.annotations.values, label="psi"
         )
     else:
         res = psi_with_shared_payloads(
@@ -221,9 +203,8 @@ def _cross_owner_payloads(
         )
 
     # Map per-bin payloads back to the parent's tuple positions: row i's
-    # key is distinct-key gid[i], which sits in bin item_bins[gid[i]].
-    item_bins = np.asarray(res.bin_of_item_index(), dtype=np.int64)
-    xi = item_bins[gid]
+    # key is distinct-key gid[i], which sits in that item's bin.
+    xi = res.bin_of_item_index()[gid]
     z = oe.oep(xi, _as_shared(res.payload, engine.ctx), m, label="oep")
     if parent.annotations.kind == "plain":
         new = oe.mul_owner_plain(parent.annotations.values, z)

@@ -21,11 +21,9 @@ payloads must stay hidden from both parties.  The paper's composition:
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
-
 import numpy as np
 
-from ..mpc.cuckoo import num_bins
+from ..mpc.cuckoo import Items, num_bins
 from ..mpc.engine import Engine
 from ..mpc.psi import PsiResult
 from ..mpc.sharing import SharedVector
@@ -37,8 +35,8 @@ __all__ = ["psi_with_shared_payloads"]
 def psi_with_shared_payloads(
     engine: Engine,
     owner: str,
-    owner_items: Sequence[Hashable],
-    other_items: Sequence[Hashable],
+    owner_items: Items,
+    other_items: Items,
     other_payload_shares: SharedVector,
     label: str = "psi_shared",
 ) -> PsiResult:
@@ -62,17 +60,15 @@ def psi_with_shared_payloads(
         )
         # (2) the other party's private random permutation of [N+B].
         xi1 = np.asarray(ctx.rng.permutation(n + b), dtype=np.int64)
-        z_prime = oe.flipped().oep(
-            list(xi1), extended, n + b, label="oep_xi1"
-        )
+        z_prime = oe.flipped().oep(xi1, extended, n + b, label="oep_xi1")
         inv = np.empty(n + b, dtype=np.int64)
         inv[xi1] = np.arange(n + b)
         # (3) PSI carrying permuted indices; outputs revealed to owner.
         res = oe.psi(
             owner_items,
             other_items,
-            [int(inv[j]) for j in range(n)],
-            other_fallbacks=[int(inv[n + i]) for i in range(b)],
+            inv[:n],
+            other_fallbacks=inv[n:],
             reveal_payload=True,
             label="psi",
         )
@@ -82,5 +78,5 @@ def psi_with_shared_payloads(
             )
         k = np.asarray(res.payload, dtype=np.int64)
         # (4) map the permuted shares onto the bins.
-        z_bins = oe.oep(list(k), z_prime, b, label="oep_xi2")
+        z_bins = oe.oep(k, z_prime, b, label="oep_xi2")
     return PsiResult(res.table, b, res.ind, z_bins)

@@ -14,7 +14,10 @@ marshal through the batch kernels here instead:
   encoding of :func:`repro.mpc.gadgets.bits_of`) via ``np.unpackbits``;
 * batched SHA-256: one C call per row of a contiguous input matrix,
   digests landing in one output matrix so the stream-cipher XOR is a
-  single vectorised operation.
+  single vectorised operation;
+* :func:`sorted_lookup`: one argsort + ``searchsorted`` wherever an
+  owner-local match used a dict probe per key (PSI's SIMULATED
+  functionality, DH-OPRF token matching, same-owner alignment).
 
 Every kernel is pinned against the scalar reference implementations in
 :mod:`repro.mpc._reference` by the differential tests
@@ -25,7 +28,7 @@ transcript fingerprints.
 from __future__ import annotations
 
 import hashlib
-from typing import Sequence
+from typing import Tuple
 
 import numpy as np
 
@@ -38,6 +41,7 @@ __all__ = [
     "kdf_rows",
     "keystream_rows",
     "stream_xor_rows",
+    "sorted_lookup",
 ]
 
 #: Separator byte of :func:`repro.mpc.ot._kdf` (``sha256(b"\x00".join(parts))``).
@@ -171,3 +175,18 @@ def stream_xor_rows(keys: np.ndarray, data: np.ndarray) -> np.ndarray:
     if data.shape[1] == 0:
         return data.copy()
     return data ^ keystream_rows(keys, data.shape[1])
+
+
+def sorted_lookup(
+    keys: np.ndarray, queries: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(order, slot)``: ``order`` stably sorts ``keys`` and
+    ``slot[i]`` is the position of ``queries[i]`` in the sorted keys,
+    or ``-1`` when it is absent — one argsort + one ``searchsorted``
+    in place of a dict probe per query."""
+    order = np.argsort(keys, kind="stable")
+    if not len(keys):
+        return order, np.full(len(queries), -1, dtype=np.int64)
+    srt = keys[order]
+    pos = np.minimum(np.searchsorted(srt, queries), len(keys) - 1)
+    return order, np.where(srt[pos] == queries, pos, -1)

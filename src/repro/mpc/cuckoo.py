@@ -7,23 +7,34 @@ permits since seeds are chosen before any data-dependent interaction).
 Bob hashes each of his items into *all three* candidate bins ("simple
 hashing"), padding every bin to a public maximum load.
 
-Items are serialised with a canonical encoding shared by both parties and
-compared inside circuits via short fingerprints; dummy slots draw from
-party-reserved fingerprint spaces so they can never collide with real
-items or with the other party's dummies.
+Items are serialised with a canonical encoding shared by both parties
+and hashed **once** into a 32-byte digest, one row of an ``(n, 4)``
+``uint64`` matrix: word 0 (masked to 62 bits) is the fingerprint the
+bin circuits compare, words 1-3 keyed with the 16-byte seeds give the
+three bin hashes, and the whole row is the DH-OPRF token input
+(:mod:`repro.mpc.dhoprf`).  Everything below the digest is array code;
+every entry point takes either a sequence of hashable items or a
+precomputed digest matrix.  Dummy slots draw from party-reserved
+fingerprint spaces so they can never collide with real items or with
+the other party's dummies.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 __all__ = [
+    "Items",
     "encode_item",
-    "fingerprint",
+    "digest_encoded",
+    "item_digests",
+    "has_duplicates",
+    "fingerprints",
+    "candidate_bins",
     "CuckooTable",
     "simple_hash_bins",
     "max_bin_load",
@@ -33,12 +44,18 @@ __all__ = [
     "DUMMY_BOB",
 ]
 
+#: What the PSI / DH-OPRF entry points accept: hashable items, or their
+#: ``(n, 4)`` ``uint64`` digest matrix computed up front.
+Items = Union[Sequence[Hashable], np.ndarray]
+
 #: Fingerprints are 64-bit; the top two bits partition the space into
 #: real items (00/01), Alice dummies (10) and Bob dummies (11).
 FINGERPRINT_BITS = 64
-_REAL_MASK = (1 << 62) - 1
+_REAL_MASK = np.uint64((1 << 62) - 1)
 DUMMY_ALICE = 2 << 62
 DUMMY_BOB = 3 << 62
+
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 def encode_item(item: Hashable) -> bytes:
@@ -46,10 +63,14 @@ def encode_item(item: Hashable) -> bytes:
     if isinstance(item, bool):
         return b"b" + bytes([item])
     if isinstance(item, int):
-        # Variable length with a length prefix: injective for all ints.
-        length = max(1, (item.bit_length() + 8) // 8)
+        if _INT64_MIN <= item <= _INT64_MAX:
+            # Fixed width, so whole int columns encode as one matrix
+            # (:func:`repro.core.relation.encode_rows`).
+            return b"i" + item.to_bytes(8, "little", signed=True)
+        # Wider ints: length-prefixed under their own tag (injective).
+        length = (item.bit_length() + 8) // 8
         return (
-            b"i"
+            b"I"
             + length.to_bytes(4, "little")
             + item.to_bytes(length, "little", signed=True)
         )
@@ -66,19 +87,51 @@ def encode_item(item: Hashable) -> bytes:
     raise TypeError(f"cannot encode {type(item).__name__} as a PSI item")
 
 
-def _hash_to_bin(seed: bytes, item_bytes: bytes, n_bins: int) -> int:
-    digest = hashlib.blake2b(item_bytes, digest_size=8, key=seed).digest()
-    return int.from_bytes(digest, "little") % n_bins
+def digest_encoded(encoded: Iterable[bytes]) -> np.ndarray:
+    """SHA-256 of every canonical encoding as an ``(n, 4)`` ``uint64``
+    digest matrix (one C hash per item)."""
+    sha = hashlib.sha256
+    raw = b"".join([sha(e).digest() for e in encoded])
+    return np.frombuffer(raw, dtype="<u8").reshape(-1, 4)
 
 
-def fingerprint(item: Hashable, salt: bytes) -> int:
-    """62-bit item fingerprint in the "real" subspace.  A collision
+def item_digests(items: Items) -> np.ndarray:
+    """The digest matrix of ``items``; a matrix passes through."""
+    if isinstance(items, np.ndarray) and items.dtype == np.uint64:
+        if items.ndim != 2 or items.shape[1] != 4:
+            raise ValueError("a digest matrix has shape (n, 4)")
+        return np.ascontiguousarray(items)
+    return digest_encoded(encode_item(x) for x in items)
+
+
+def has_duplicates(digests: np.ndarray) -> bool:
+    """Whether two items are equal (= two digest rows are)."""
+    words = np.sort(digests[:, 0])
+    if not (words[1:] == words[:-1]).any():
+        return False  # distinct 64-bit prefixes: the usual case
+    return len(np.unique(digests.view("S32"))) < len(digests)
+
+
+def fingerprints(digests: np.ndarray) -> np.ndarray:
+    """62-bit item fingerprints in the "real" subspace.  A collision
     between distinct items is a correctness failure with probability
     ``< M*N / 2^62``, within the protocol's ``2^-sigma`` failure budget."""
-    digest = hashlib.blake2b(
-        encode_item(item), digest_size=8, key=salt
-    ).digest()
-    return int.from_bytes(digest, "little") & _REAL_MASK
+    return digests[:, 0] & _REAL_MASK
+
+
+def candidate_bins(
+    digests: np.ndarray, seeds: Sequence[bytes], n_bins: int
+) -> np.ndarray:
+    """``(n, len(seeds))`` candidate bins: hash ``h`` is the splitmix64
+    finaliser of digest word ``1 + h % 3`` keyed with seed ``h``."""
+    out = np.empty((len(digests), len(seeds)), dtype=np.int64)
+    for h, seed in enumerate(seeds):
+        k0, k1 = np.frombuffer(seed, dtype="<u8")
+        x = digests[:, 1 + h % 3] ^ k0
+        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        out[:, h] = ((x ^ (x >> np.uint64(31))) + k1) % np.uint64(n_bins)
+    return out
 
 
 def num_bins(n_items: int, expansion: float = 1.27) -> int:
@@ -128,83 +181,75 @@ class CuckooTable:
 
     def __init__(
         self,
-        items: Sequence[Hashable],
+        items: Items,
         n_bins: Optional[int] = None,
         n_hashes: int = 3,
         seed: int = 0,
         max_relocations: int = 500,
         max_rehashes: int = 32,
     ) -> None:
-        unique = list(items)
-        if len(set(unique)) != len(unique):
+        self.digests = item_digests(items)
+        if has_duplicates(self.digests):
             raise ValueError("cuckoo hashing requires distinct items")
-        self.items = unique
-        self.n_hashes = n_hashes
-        self.n_bins = n_bins if n_bins is not None else num_bins(len(unique))
+        n = len(self.digests)
+        self.n_bins = n_bins if n_bins is not None else num_bins(n)
         if self.n_bins < 1:
             raise ValueError("need at least one bin")
-        self._encoded = [encode_item(x) for x in unique]
         rng = np.random.default_rng(seed)
         for attempt in range(max_rehashes):
             self.seeds = [bytes(rng.bytes(16)) for _ in range(n_hashes)]
+            #: candidates[i] = item i's ``n_hashes`` candidate bins
+            self.candidates = candidate_bins(
+                self.digests, self.seeds, self.n_bins
+            )
             if self._try_build(rng, max_relocations):
                 return
         raise RuntimeError(
             f"cuckoo hashing failed after {max_rehashes} rehashes "
-            f"({len(unique)} items, {self.n_bins} bins)"
+            f"({n} items, {self.n_bins} bins)"
         )
 
     def _try_build(
         self, rng: np.random.Generator, max_relocations: int
     ) -> bool:
-        #: bins[i] = item index or -1
-        bins = np.full(self.n_bins, -1, dtype=np.int64)
-        for idx in range(len(self.items)):
+        """Random-walk insertion over the precomputed candidates."""
+        candidates = self.candidates.tolist()
+        bins = [-1] * self.n_bins  # bins[b] = item index or -1
+        picks: List[int] = []
+        for idx in range(len(candidates)):
             cur = idx
             for _ in range(max_relocations):
-                candidates = self.bins_of_index(cur)
-                empty = [b for b in candidates if bins[b] == -1]
+                mine = candidates[cur]
+                empty = [b for b in mine if bins[b] < 0]
                 if empty:
                     bins[empty[0]] = cur
                     cur = -1
                     break
-                victim_bin = candidates[rng.integers(0, len(candidates))]
-                cur, bins[victim_bin] = int(bins[victim_bin]), cur
+                if not picks:  # eviction choices, drawn a block at a time
+                    picks = rng.integers(0, len(mine), size=1024).tolist()
+                victim_bin = mine[picks.pop()]
+                cur, bins[victim_bin] = bins[victim_bin], cur
             if cur != -1:
                 return False
-        self.bins = bins
+        self.bins = np.asarray(bins, dtype=np.int64)
         return True
-
-    def bins_of_index(self, idx: int) -> List[int]:
-        enc = self._encoded[idx]
-        return [
-            _hash_to_bin(s, enc, self.n_bins) for s in self.seeds
-        ]
-
-    def bins_of_item(self, item: Hashable) -> List[int]:
-        enc = encode_item(item)
-        return [
-            _hash_to_bin(s, enc, self.n_bins) for s in self.seeds
-        ]
 
     def occupancy(self) -> int:
         return int((self.bins >= 0).sum())
 
 
 def simple_hash_bins(
-    items: Sequence[Hashable], seeds: Sequence[bytes], n_bins: int
-) -> List[List[int]]:
-    """Bob's side: map each item (by index) to its candidate bins.
-    Returns ``bins[b] = [item indices hashed to b]`` with duplicates
-    within a bin removed (an item whose hash functions collide occupies a
-    single slot)."""
-    out: List[List[int]] = [[] for _ in range(n_bins)]
-    for idx, item in enumerate(items):
-        enc = encode_item(item)
-        seen = set()
-        for s in seeds:
-            b = _hash_to_bin(s, enc, n_bins)
-            if b not in seen:
-                out[b].append(idx)
-                seen.add(b)
-    return out
+    items: Items, seeds: Sequence[bytes], n_bins: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Bob's side: hash each item (by index) into all its candidate
+    bins.  Returns ``(members, counts)``: bin ``b`` holds ``counts[b]``
+    items, and ``members`` lists the bins' item indices back to back
+    (bin 0's, then bin 1's, ...; ascending within a bin).  An item whose
+    hash functions collide occupies a single slot of that bin."""
+    cand = candidate_bins(item_digests(items), seeds, n_bins)
+    keep = np.ones(cand.shape, dtype=bool)
+    for h in range(1, cand.shape[1]):
+        keep[:, h] = (cand[:, h : h + 1] != cand[:, :h]).all(axis=1)
+    bins = cand[keep]  # row-major: item indices ascending
+    order = np.argsort(bins, kind="stable")
+    return np.nonzero(keep)[0][order], np.bincount(bins, minlength=n_bins)

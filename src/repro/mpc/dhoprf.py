@@ -33,23 +33,27 @@ relation, and in which sorted slot) — exactly the leakage the linear
 back-end is specified to reveal (docs/BACKENDS.md); values outside the
 intersection stay hidden from both parties.
 
-SIMULATED mode draws one salt from the shared context RNG, tokenises
-both item lists with it directly (no exponentiations) and charges the
-identical three messages.
+Items enter as their 32-byte digests (:func:`repro.mpc.cuckoo.
+item_digests`; callers may pass the digest matrix directly): the digest
+is ``H1``'s pre-image in REAL mode, and SIMULATED mode draws one salt
+from the shared context RNG, tokenises both digest matrices with it
+directly (``sha256(salt || digest)``, no exponentiations) and charges
+the identical three messages.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Hashable, Sequence
+from typing import Tuple
 
 import numpy as np
 
 from ..leakage import leaks
+from .batch import sha256_rows, sorted_lookup
 from .context import ALICE, BOB, Context, Mode
 from .costs import DH_GROUP_BITS, DH_TOKEN_BYTES, dh_oprf_bytes
-from .cuckoo import encode_item
+from .cuckoo import Items, has_duplicates, item_digests
 from .modp import ModpGroup, modp_group
 
 __all__ = ["DhOprfMatch", "dh_oprf_match"]
@@ -72,11 +76,10 @@ class DhOprfMatch:
     order: np.ndarray
 
 
-def _hash_to_group(group: ModpGroup, item: Hashable) -> int:
+def _hash_to_group(group: ModpGroup, digest: bytes) -> int:
     """``H1``: hash into the quadratic-residue subgroup (order ``q``)."""
-    digest = hashlib.sha512(_H1_SALT + encode_item(item)).digest()
-    h = int.from_bytes(digest, "big") % group.p
-    return group.pow(h or 1, 2)
+    h = int.from_bytes(hashlib.sha512(_H1_SALT + digest).digest(), "big")
+    return group.pow(h % group.p or 1, 2)
 
 
 def _token(group: ModpGroup, element: int) -> bytes:
@@ -89,97 +92,95 @@ def _token(group: ModpGroup, element: int) -> bytes:
 @leaks("join_pattern:parent")
 def dh_oprf_match(
     ctx: Context,
-    alice_items: Sequence[Hashable],
-    bob_items: Sequence[Hashable],
+    alice_items: Items,
+    bob_items: Items,
     label: str = "dhoprf",
 ) -> DhOprfMatch:
     """Match Alice's items against Bob's under a fresh DH-OPRF key.
 
     Both sides must supply distinct items (the linear join feeds
-    deduplicated, dummy-padded key projections, exactly like PSI).
+    deduplicated, dummy-padded key projections, exactly like PSI), as
+    hashables or as precomputed digest matrices.
     """
-    if len(set(alice_items)) != len(alice_items):
+    alice, bob = item_digests(alice_items), item_digests(bob_items)
+    if has_duplicates(alice):
         raise ValueError("DH-OPRF matching requires distinct Alice items")
-    if len(set(bob_items)) != len(bob_items):
+    if has_duplicates(bob):
         raise ValueError("DH-OPRF matching requires distinct Bob items")
     with ctx.section(label):
         if ctx.mode == Mode.REAL:
-            return _match_real(ctx, alice_items, bob_items)
-        return _match_simulated(ctx, alice_items, bob_items)
+            alice_tokens, bob_tokens = _tokens_real(ctx, alice, bob)
+        else:
+            alice_tokens, bob_tokens = _tokens_simulated(ctx, alice, bob)
+        # Bob's tokens travel sorted; Alice matches hers against them.
+        order, slot = sorted_lookup(bob_tokens, alice_tokens)
+        srt = bob_tokens[order]
+        if (srt[1:] == srt[:-1]).any():
+            raise RuntimeError(
+                "DH-OPRF token collision between distinct items "
+                "(probability < 2^-100); re-run with a fresh context"
+            )
+        return DhOprfMatch(slot, order)
 
 
-def _sorted_slots(tokens: Sequence[bytes]) -> "tuple[list[int], Dict[bytes, int]]":
-    """Sort tokens; return ``(order, token -> slot)``."""
-    order = sorted(range(len(tokens)), key=lambda j: tokens[j])
-    slot_of = {tokens[j]: s for s, j in enumerate(order)}
-    if len(slot_of) != len(tokens):
-        raise RuntimeError(
-            "DH-OPRF token collision between distinct items "
-            "(probability < 2^-100); re-run with a fresh context"
-        )
-    return order, slot_of
+def _as_tokens(raw: bytes) -> np.ndarray:
+    """Back-to-back tokens as one array of fixed-width byte strings
+    (which sort and compare like the ``bytes`` they are)."""
+    return np.frombuffer(raw, dtype=f"S{DH_TOKEN_BYTES}")
 
 
-def _match_real(
-    ctx: Context,
-    alice_items: Sequence[Hashable],
-    bob_items: Sequence[Hashable],
-) -> DhOprfMatch:
+def _tokens_real(
+    ctx: Context, alice: np.ndarray, bob: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The three protocol messages; ``(Alice's tokens, Bob's tokens)``."""
     group = modp_group(DH_GROUP_BITS)
     eb = group.element_bytes
-    m, n = len(alice_items), len(bob_items)
 
     # 1. Alice blinds her hashed keys with fresh per-item exponents.
-    blinds = [group.random_exponent(ctx.random_bytes) for _ in range(m)]
+    blinds = [group.random_exponent(ctx.random_bytes) for _ in alice]
     blinded = [
-        group.pow(_hash_to_group(group, x), r)
-        for x, r in zip(alice_items, blinds)
+        group.pow(_hash_to_group(group, x.tobytes()), r)
+        for x, r in zip(alice, blinds)
     ]
-    ctx.send(ALICE, m * eb, "blind")
+    ctx.send(ALICE, len(alice) * eb, "blind")
 
     # 2. Bob applies his OPRF key to every blinded element ...
     k = group.random_exponent(ctx.random_bytes)
     evaluated = [group.pow(a, k) for a in blinded]
-    ctx.send(BOB, m * eb, "eval")
+    ctx.send(BOB, len(alice) * eb, "eval")
 
-    # 3. ... and ships the tokens of his own items, sorted.
+    # 3. ... and ships the tokens of his own items.
     bob_tokens = [
-        _token(group, group.pow(_hash_to_group(group, y), k))
-        for y in bob_items
+        _token(group, group.pow(_hash_to_group(group, y.tobytes()), k))
+        for y in bob
     ]
-    order, slot_of = _sorted_slots(bob_tokens)
-    ctx.send(BOB, n * DH_TOKEN_BYTES, "tokens")
+    ctx.send(BOB, len(bob) * DH_TOKEN_BYTES, "tokens")
 
-    # 4. Alice unblinds and matches locally.
-    slot = np.empty(m, dtype=np.int64)
-    for i, (b, r) in enumerate(zip(evaluated, blinds)):
-        u = group.pow(b, pow(r, -1, group.q))
-        slot[i] = slot_of.get(_token(group, u), -1)
-    return DhOprfMatch(slot, np.asarray(order, dtype=np.int64))
+    # 4. Alice unblinds locally.
+    alice_tokens = [
+        _token(group, group.pow(b, pow(r, -1, group.q)))
+        for b, r in zip(evaluated, blinds)
+    ]
+    return (
+        _as_tokens(b"".join(alice_tokens)),
+        _as_tokens(b"".join(bob_tokens)),
+    )
 
 
-def _match_simulated(
-    ctx: Context,
-    alice_items: Sequence[Hashable],
-    bob_items: Sequence[Hashable],
-) -> DhOprfMatch:
-    blind, evaluated, tokens = dh_oprf_bytes(len(alice_items), len(bob_items))
+def _tokens_simulated(
+    ctx: Context, alice: np.ndarray, bob: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    blind, evaluated, tokens = dh_oprf_bytes(len(alice), len(bob))
     ctx.send(ALICE, blind, "blind")
     ctx.send(BOB, evaluated, "eval")
-
-    # One shared salt stands in for the PRF key: same token function on
-    # both item lists, no exponentiations.
-    salt = ctx.random_bytes(16)
-
-    def tok(item: Hashable) -> bytes:
-        digest = hashlib.sha256(salt + encode_item(item)).digest()
-        return digest[:DH_TOKEN_BYTES]
-
-    bob_tokens = [tok(y) for y in bob_items]
-    order, slot_of = _sorted_slots(bob_tokens)
     ctx.send(BOB, tokens, "tokens")
 
-    slot = np.asarray(
-        [slot_of.get(tok(x), -1) for x in alice_items], dtype=np.int64
+    # One shared salt stands in for the PRF key: same token function on
+    # both digest matrices, no exponentiations.
+    salt = np.frombuffer(ctx.random_bytes(16), dtype=np.uint8)
+    both = np.concatenate([alice, bob]).view(np.uint8).reshape(-1, 32)
+    rows = np.concatenate(
+        [np.broadcast_to(salt, (len(both), 16)), both], axis=1
     )
-    return DhOprfMatch(slot, np.asarray(order, dtype=np.int64))
+    toks = _as_tokens(sha256_rows(rows)[:, :DH_TOKEN_BYTES].tobytes())
+    return toks[: len(alice)], toks[len(alice) :]

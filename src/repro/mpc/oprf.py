@@ -23,7 +23,6 @@ charges the real message sizes.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -31,7 +30,7 @@ import numpy as np
 from .context import ALICE, BOB, Context, Mode
 from .costs import DEFAULT_GROUP_BITS, OPRF_WIDTH, kkrt_setup_bytes
 from .modp import modp_group
-from .ot import _kdf, _prg_bits, _stream_xor
+from .ot import _chou_orlandi, _prg_bits, _prg_bits_all
 
 __all__ = [
     "OPRF_WIDTH",
@@ -97,37 +96,13 @@ class BatchedOprf:
         seeds_alice = [
             (ctx.random_bytes(16), ctx.random_bytes(16)) for _ in range(w)
         ]
-        a = int(rng.integers(1, 1 << 62)) % g.q
-        big_a = g.pow(g.g, a)
+        # KNOWN GAP (DESIGN.md, "Known gaps"): 62-bit exponents from
+        # ctx.rng, where ModpGroup.random_exponent demands full width.
+        seeds_bob, total_ct = _chou_orlandi(
+            ctx, g, seeds_alice, s.tolist(),
+            exponent=lambda: int(rng.integers(1, 1 << 62)) % g.q,
+        )
         ctx.send(ALICE, g.element_bytes, "oprf/base/A")
-        inv_a = g.inv(big_a)
-        seeds_bob: List[bytes] = []
-        total_ct = 0
-        for i in range(w):
-            b = int(rng.integers(1, 1 << 62)) % g.q
-            big_b = g.pow(g.g, b)
-            if s[i]:
-                big_b = (big_b * big_a) % g.p
-            bob_key = _kdf(big_b.to_bytes(g.element_bytes, "little"))
-            # Alice, knowing a, derives both candidate keys.
-            k0 = _kdf(
-                g.pow(big_b, a).to_bytes(g.element_bytes, "little")
-            )
-            k1 = _kdf(
-                g.pow((big_b * inv_a) % g.p, a).to_bytes(
-                    g.element_bytes, "little"
-                )
-            )
-            m0, m1 = seeds_alice[i]
-            c0, c1 = _stream_xor(k0, m0), _stream_xor(k1, m1)
-            total_ct += len(c0) + len(c1)
-            received = _stream_xor(
-                _kdf(
-                    g.pow(big_a, b).to_bytes(g.element_bytes, "little")
-                ),
-                c1 if s[i] else c0,
-            )
-            seeds_bob.append(received)
         ctx.send(BOB, g.element_bytes * w, "oprf/base/B")
         ctx.send(ALICE, total_ct, "oprf/base/ciphertexts")
 
@@ -139,26 +114,16 @@ class BatchedOprf:
 
         # Alice: T columns; correction u_i = t0 ^ t1 ^ code-column-i.
         codes = np.stack([_code(fp, self._salt) for fp in fps])  # m x w
-        t_cols = np.stack(
-            [_prg_bits(seeds_alice[i][0], m, b"col") for i in range(w)]
-        )
-        u_cols = np.stack(
-            [
-                t_cols[i]
-                ^ _prg_bits(seeds_alice[i][1], m, b"col")
-                ^ codes[:, i]
-                for i in range(w)
-            ]
+        t_cols = _prg_bits_all([k0 for k0, _ in seeds_alice], m, b"col")
+        u_cols = (
+            t_cols
+            ^ _prg_bits_all([k1 for _, k1 in seeds_alice], m, b"col")
+            ^ codes.T
         )
         ctx.send(ALICE, w * ((m + 7) // 8), "oprf/u")
 
         # Bob: q columns; Q_j = T_j ^ (C(x_j) & s).
-        q_cols = np.stack(
-            [
-                _prg_bits(seeds_bob[i], m, b"col") ^ (s[i] * u_cols[i])
-                for i in range(w)
-            ]
-        )
+        q_cols = _prg_bits_all(seeds_bob, m, b"col") ^ (s[:, None] * u_cols)
         t_rows = t_cols.T  # m x w
         self._bob_rows = q_cols.T
         self._s = s
@@ -210,35 +175,50 @@ def _mod_inv(x: int, p: int = OPPRF_PRIME) -> int:
     return pow(x, p - 2, p)
 
 
+def lagrange_basis(
+    xs: Sequence[int], p: int = OPPRF_PRIME
+) -> List[List[int]]:
+    """The Lagrange basis over ``xs``: row ``i`` holds the coefficients
+    (low degree first) of the polynomial that is 1 at ``xs[i]`` and 0 at
+    every other point.  ``O(n^2)``: the master polynomial
+    ``prod (X - x_j)`` is built once and divided synthetically per point."""
+    xs = [x % p for x in xs]
+    n = len(xs)
+    if len(set(xs)) != n:
+        raise ValueError("interpolation points must have distinct x")
+    master = [1]
+    for x in xs:  # master *= (X - x)
+        master = [
+            (lo - hi * x) % p for lo, hi in zip([0] + master, master + [0])
+        ]
+    basis = []
+    for x in xs:
+        quotient = [0] * n  # master / (X - x), by synthetic division
+        acc = 0
+        for k in range(n - 1, -1, -1):
+            acc = (master[k + 1] + acc * x) % p
+            quotient[k] = acc
+        scale = _mod_inv(poly_eval(quotient, x, p), p)
+        basis.append([c * scale % p for c in quotient])
+    return basis
+
+
+def poly_from_basis(
+    basis: Sequence[Sequence[int]], ys: Sequence[int], p: int = OPPRF_PRIME
+) -> List[int]:
+    """Coefficients of ``sum_i ys[i] * basis[i]``: the polynomial through
+    ``(xs[i], ys[i])`` for the basis of :func:`lagrange_basis`."""
+    return [sum(y * c for y, c in zip(ys, col)) % p for col in zip(*basis)]
+
+
 def poly_interpolate(
     points: Sequence[Tuple[int, int]], p: int = OPPRF_PRIME
 ) -> List[int]:
     """Lagrange interpolation: coefficients (low degree first) of the
     unique degree-``len(points)-1`` polynomial through ``points``."""
-    n = len(points)
-    xs = [x % p for x, _ in points]
-    ys = [y % p for _, y in points]
-    if len(set(xs)) != n:
-        raise ValueError("interpolation points must have distinct x")
-    coeffs = [0] * n
-    for i in range(n):
-        # Basis polynomial prod_{j != i} (X - x_j) / (x_i - x_j).
-        basis = [1]
-        denom = 1
-        for j in range(n):
-            if j == i:
-                continue
-            # basis *= (X - x_j)
-            new = [0] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k + 1] = (new[k + 1] + c) % p
-                new[k] = (new[k] - c * xs[j]) % p
-            basis = new
-            denom = denom * (xs[i] - xs[j]) % p
-        scale = ys[i] * _mod_inv(denom, p) % p
-        for k, c in enumerate(basis):
-            coeffs[k] = (coeffs[k] + c * scale) % p
-    return coeffs
+    return poly_from_basis(
+        lagrange_basis([x for x, _ in points], p), [y for _, y in points], p
+    )
 
 
 def poly_eval(coeffs: Sequence[int], x: int, p: int = OPPRF_PRIME) -> int:

@@ -7,9 +7,10 @@ switching network.  Two back-ends share one interface:
 * :class:`ChouOrlandiOT` — the "simplest OT" protocol over an RFC 3526
   group: sender publishes ``A = g^a``; per transfer the receiver sends
   ``B = g^b * A^c`` and derives ``H(A^b)``; the sender derives
-  ``k0 = H(B^a)`` and ``k1 = H((B/A)^a)`` and sends both messages
-  encrypted.  Exponentiations make this expensive, so it is used directly
-  only for small batches and as the base for extension.
+  ``k0 = H(B^a)`` and ``k1 = H((B/A)^a) = H(B^a / A^a)`` and sends both
+  messages encrypted.  Exponentiations make this expensive, so it is
+  used directly only for small batches and — the same
+  :func:`_chou_orlandi`, roles reversed — as the base for extension.
 * :class:`IknpExtension` — stretches ``kappa`` base OTs (run in reversed
   roles with the extension sender choosing a secret ``s``) into any number
   of OTs using only SHA-256: the classic column-correlation construction.
@@ -31,7 +32,7 @@ through the shared :class:`Context`.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -148,6 +149,46 @@ def _int_bytes(x: int, group: ModpGroup) -> bytes:
     return x.to_bytes(group.element_bytes, "little")
 
 
+def _chou_orlandi(
+    ctx: Context,
+    g: ModpGroup,
+    pairs: Sequence[Pair],
+    choices: Sequence[int],
+    exponent: Optional[Callable[[], int]] = None,
+) -> Tuple[List[bytes], int]:
+    """The "simplest OT" arithmetic, both roles: the receiver's chosen
+    messages and the total ciphertext bytes.  Three exponentiations per
+    transfer (receiver ``g^b`` and ``A^b``, sender ``B^a``).  Callers
+    meter the three messages (``A``, one ``B`` per transfer, the
+    ciphertexts) under their own labels and role orientation.
+    ``exponent`` draws the secret exponents; the default is full width."""
+    draw = exponent or (lambda: g.random_exponent(ctx.random_bytes))
+    # Sender: A = g^a; T = A^a turns (B/A)^a into B^a / T.
+    a = draw()
+    big_a = g.pow(g.g, a)
+    inv_t = pow(g.pow(big_a, a), -1, g.p)
+
+    out: List[bytes] = []
+    total = 0
+    for (m0, m1), c in zip(pairs, choices):
+        if len(m0) != len(m1):
+            raise ValueError("OT messages in a pair must be equal-length")
+        # Receiver: B = g^b * A^c and her key H(A^b).
+        b = draw()
+        big_b = g.pow(g.g, b)
+        if c:
+            big_b = (big_b * big_a) % g.p
+        key = _kdf(_int_bytes(g.pow(big_a, b), g))
+        # Sender: both keys from one exponentiation, both ciphertexts.
+        shared = g.pow(big_b, a)
+        c0 = _stream_xor(_kdf(_int_bytes(shared, g)), m0)
+        c1 = _stream_xor(_kdf(_int_bytes((shared * inv_t) % g.p, g)), m1)
+        total += len(c0) + len(c1)
+        # Receiver: decrypt her chosen message.
+        out.append(_stream_xor(key, c1 if c else c0))
+    return out, total
+
+
 class ChouOrlandiOT:
     """1-out-of-2 OT where Bob is the sender (he garbles, so he owns the
     label pairs) and Alice the receiver."""
@@ -165,40 +206,10 @@ class ChouOrlandiOT:
         if len(pairs) != len(choices):
             raise ValueError("one choice bit per message pair is required")
         g, ctx = self.group, self.ctx
-
-        # Bob: publish A = g^a.
-        a = g.random_exponent(ctx.random_bytes)
-        big_a = g.pow(g.g, a)
+        out, total = _chou_orlandi(ctx, g, pairs, choices)
         ctx.send(BOB, g.element_bytes, "ot/base/A")
-        inv_a = g.inv(big_a)
-
-        # Alice: per choice, B = g^b * A^c and her key H(A^b).
-        big_bs, alice_keys = [], []
-        for c in choices:
-            b = g.random_exponent(ctx.random_bytes)
-            big_b = g.pow(g.g, b)
-            if c:
-                big_b = (big_b * big_a) % g.p
-            big_bs.append(big_b)
-            alice_keys.append(_kdf(_int_bytes(g.pow(big_a, b), g)))
         ctx.send(ALICE, g.element_bytes * len(choices), "ot/base/B")
-
-        # Bob: derive both keys per transfer, send both ciphertexts.
-        out: List[bytes] = []
-        total = 0
-        ciphertexts: List[Pair] = []
-        for (m0, m1), big_b in zip(pairs, big_bs):
-            if len(m0) != len(m1):
-                raise ValueError("OT messages in a pair must be equal-length")
-            k0 = _kdf(_int_bytes(g.pow(big_b, a), g))
-            k1 = _kdf(_int_bytes(g.pow((big_b * inv_a) % g.p, a), g))
-            ciphertexts.append((_stream_xor(k0, m0), _stream_xor(k1, m1)))
-            total += len(m0) + len(m1)
         ctx.send(BOB, total, "ot/base/ciphertexts")
-
-        # Alice: decrypt her chosen message.
-        for (c0, c1), c, key in zip(ciphertexts, choices, alice_keys):
-            out.append(_stream_xor(key, c1 if c else c0))
         return out
 
 
@@ -265,33 +276,15 @@ class IknpExtension:
             (ctx.random_bytes(16), ctx.random_bytes(16))
             for _ in range(self.kappa)
         ]
-        # Roles reversed: Alice is the base-OT *sender*.  The base
-        # protocol below is written Bob->Alice, so we meter it manually
-        # with swapped parties and run the arithmetic inline.
+        # Roles reversed: Alice is the base-OT *sender*, Bob receives
+        # the seed his secret bit selects.
         g = modp_group(self.group_bits)
-        a = g.random_exponent(ctx.random_bytes)
-        big_a = g.pow(g.g, a)
+        self._seeds_bob, total = _chou_orlandi(
+            ctx, g, self._seeds_alice, self._s.tolist()
+        )
         ctx.send(ALICE, g.element_bytes, "ot/ext/base/A")
-        inv_a = g.inv(big_a)
-        received: List[bytes] = []
-        total_ct = 0
-        for i in range(self.kappa):
-            b = g.random_exponent(ctx.random_bytes)
-            big_b = g.pow(g.g, b)
-            if self._s[i]:
-                big_b = (big_b * big_a) % g.p
-            bob_key = _kdf(_int_bytes(g.pow(big_a, b), g))
-            k0 = _kdf(_int_bytes(g.pow(big_b, a), g))
-            k1 = _kdf(_int_bytes(g.pow((big_b * inv_a) % g.p, a), g))
-            m0, m1 = self._seeds_alice[i]
-            c0, c1 = _stream_xor(k0, m0), _stream_xor(k1, m1)
-            total_ct += len(c0) + len(c1)
-            received.append(
-                _stream_xor(bob_key, c1 if self._s[i] else c0)
-            )
         ctx.send(BOB, g.element_bytes * self.kappa, "ot/ext/base/B")
-        ctx.send(ALICE, total_ct, "ot/ext/base/ciphertexts")
-        self._seeds_bob = received
+        ctx.send(ALICE, total, "ot/ext/base/ciphertexts")
         self._base_done = True
 
     def _column_phase(

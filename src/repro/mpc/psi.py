@@ -23,10 +23,11 @@ Cost: ``~O(M + N)`` communication and computation, constant rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
+from .batch import sorted_lookup
 from .context import ALICE, BOB, Context, Mode
 from .costs import (
     opprf_hint_bytes,
@@ -34,22 +35,29 @@ from .costs import (
     psi_seed_bytes,
     psi_token_bits,
 )
-from .cuckoo import DUMMY_ALICE, CuckooTable, fingerprint, simple_hash_bins
+from .cuckoo import (
+    DUMMY_ALICE,
+    CuckooTable,
+    Items,
+    fingerprints,
+    has_duplicates,
+    item_digests,
+    simple_hash_bins,
+)
 from .gadgets import bits_of, int_of, psi_bin_circuit
 from .oprf import (
     OPPRF_PRIME,
     BatchedOprf,
     charge_oprf_setup,
+    lagrange_basis,
     poly_eval,
-    poly_interpolate,
+    poly_from_basis,
 )
 from .ot import OT
-from .sharing import SharedVector
+from .sharing import SharedVector, as_ring_column
 from .yao import charge_garbled_batch, run_garbled_batch
 
 __all__ = ["PsiResult", "psi_with_payloads"]
-
-_FP_SALT = b"secyan-psi-fingerprint"
 
 
 @dataclass
@@ -67,25 +75,26 @@ class PsiResult:
 
     def bin_of_item_index(self) -> np.ndarray:
         """For each of Alice's item indices, its bin (Alice-local)."""
-        out = np.full(len(self.table.items), -1, dtype=np.int64)
-        for b, idx in enumerate(self.table.bins):
-            if idx >= 0:
-                out[idx] = b
+        out = np.full(len(self.table.digests), -1, dtype=np.int64)
+        occupied = np.flatnonzero(self.table.bins >= 0)
+        out[self.table.bins[occupied]] = occupied
         return out
 
 
 def psi_with_payloads(
     ctx: Context,
     ot: OT,
-    alice_items: Sequence[Hashable],
-    bob_items: Sequence[Hashable],
-    bob_payloads: Sequence[int],
-    bob_fallbacks: Optional[Sequence[int]] = None,
+    alice_items: Items,
+    bob_items: Items,
+    bob_payloads: Union[Sequence[int], np.ndarray],
+    bob_fallbacks: Union[Sequence[int], np.ndarray, None] = None,
     reveal_payload: bool = False,
     label: str = "psi",
 ) -> PsiResult:
     """Run PSI where Bob's payloads are known to Bob in the clear.
 
+    Either side's items may be hashables or a precomputed digest matrix
+    (:func:`~repro.mpc.cuckoo.item_digests`).
     ``bob_fallbacks``, if given, supplies the per-bin payload for
     non-matching bins (defaults to 0); it is what the Section 5.5
     composition programs with unused permutation indices.
@@ -94,51 +103,53 @@ def psi_with_payloads(
     """
     if len(bob_items) != len(bob_payloads):
         raise ValueError("one payload per Bob item is required")
-    if len(set(bob_items)) != len(bob_items):
+    alice, bob = item_digests(alice_items), item_digests(bob_items)
+    if has_duplicates(bob):
         raise ValueError("PSI requires distinct items on Bob's side")
-    modulus = ctx.modulus
 
     with ctx.section(label):
-        n_bins, load = psi_bins(ctx.params, len(alice_items), len(bob_items))
+        n_bins, load = psi_bins(ctx.params, len(alice), len(bob))
         table = CuckooTable(
-            alice_items,
+            alice,
             n_bins,
             ctx.params.cuckoo_hashes,
             seed=int(ctx.rng.integers(0, 2**31)),
         )
         ctx.send(ALICE, psi_seed_bytes(ctx.params.cuckoo_hashes), "seeds")
 
-        bob_fps = [fingerprint(y, _FP_SALT) for y in bob_items]
-        bob_bins = simple_hash_bins(bob_items, table.seeds, n_bins)
-        if any(len(b) > load for b in bob_bins):
+        members, counts = simple_hash_bins(bob, table.seeds, n_bins)
+        if counts.max() > load:
             raise RuntimeError(
                 "simple-hash bin exceeded its statistical load bound "
                 "(probability < 2^-sigma); re-run with fresh seeds"
             )
 
+        payloads = as_ring_column(bob_payloads, ctx.modulus)
         fallbacks = (
             np.zeros(n_bins, dtype=np.uint64)
             if bob_fallbacks is None
-            else np.asarray(bob_fallbacks, dtype=np.uint64) % modulus
+            else as_ring_column(bob_fallbacks, ctx.modulus)
         )
         if len(fallbacks) != n_bins:
             raise ValueError("need one fallback per bin")
 
-        alice_fps = [
-            fingerprint(table.items[idx], _FP_SALT)
-            if idx >= 0
-            else DUMMY_ALICE | int(ctx.rng.integers(0, 1 << 62))
-            for idx in table.bins
-        ]
+        # Per bin: its item's fingerprint, or a dummy from Alice's space.
+        alice_fps = np.uint64(DUMMY_ALICE) | ctx.rng.integers(
+            0, 1 << 62, size=n_bins, dtype=np.uint64
+        )
+        occupied = table.bins >= 0
+        alice_fps[occupied] = fingerprints(alice)[table.bins[occupied]]
+        bob_fps = fingerprints(bob)
 
         if ctx.mode == Mode.REAL:
+            bob_bins = np.split(members, np.cumsum(counts)[:-1])
             return _psi_real(
-                ctx, ot, table, n_bins, alice_fps, bob_fps, bob_bins,
-                load, bob_payloads, fallbacks, reveal_payload,
+                ctx, ot, table, n_bins, alice_fps.tolist(), bob_fps.tolist(),
+                bob_bins, load, payloads, fallbacks, reveal_payload,
             )
         return _psi_simulated(
-            ctx, ot, table, n_bins, alice_fps, bob_fps, bob_bins,
-            load, bob_payloads, fallbacks, reveal_payload,
+            ctx, ot, table, n_bins, alice_fps, bob_fps,
+            load, payloads, fallbacks, reveal_payload,
         )
 
 
@@ -149,9 +160,9 @@ def _psi_real(
     n_bins: int,
     alice_fps: List[int],
     bob_fps: List[int],
-    bob_bins: List[List[int]],
+    bob_bins: List[np.ndarray],
     load: int,
-    bob_payloads: Sequence[int],
+    bob_payloads: np.ndarray,
     fallbacks: np.ndarray,
     reveal_payload: bool,
 ) -> PsiResult:
@@ -170,29 +181,30 @@ def _psi_real(
     alice_tokens: List[int] = []
     alice_payload_vals: List[int] = []
     for b in range(n_bins):
-        points_t, points_p = [], []
-        used_x = set()
-        for idx in bob_bins[b]:
+        xs: List[int] = []
+        ys_t: List[int] = []
+        ys_p: List[int] = []
+        for idx in bob_bins[b].tolist():
             x = oprf.bob_eval(b, bob_fps[idx]) % OPPRF_PRIME
-            if x in used_x:
+            if x in xs:
                 raise RuntimeError(
                     "OPRF output collision inside a bin (probability "
                     "< 2^-sigma); re-run with fresh seeds"
                 )
-            used_x.add(x)
-            points_t.append((x, s_tokens[b]))
-            points_p.append(
-                (x, (int(bob_payloads[idx]) - w_masks[b]) % modulus)
-            )
-        while len(points_t) < load:
+            xs.append(x)
+            ys_t.append(s_tokens[b])
+            ys_p.append((int(bob_payloads[idx]) - w_masks[b]) % modulus)
+        while len(xs) < load:
             x = int(rng.integers(0, OPPRF_PRIME))
-            if x in used_x:
+            if x in xs:
                 continue
-            used_x.add(x)
-            points_t.append((x, int(rng.integers(0, OPPRF_PRIME))))
-            points_p.append((x, int(rng.integers(0, modulus))))
-        poly_t = poly_interpolate(points_t)
-        poly_p = poly_interpolate(points_p)
+            xs.append(x)
+            ys_t.append(int(rng.integers(0, OPPRF_PRIME)))
+            ys_p.append(int(rng.integers(0, modulus)))
+        # Both polynomials run through the same xs: one basis per bin.
+        basis = lagrange_basis(xs)
+        poly_t = poly_from_basis(basis, ys_t)
+        poly_p = poly_from_basis(basis, ys_p)
         hint_bytes += 8 * (len(poly_t) + len(poly_p))
         x_alice = oprf.alice_values[b] % OPPRF_PRIME
         alice_tokens.append(poly_eval(poly_t, x_alice) % token_mod)
@@ -239,17 +251,16 @@ def _psi_simulated(
     ot: OT,
     table: CuckooTable,
     n_bins: int,
-    alice_fps: List[int],
-    bob_fps: List[int],
-    bob_bins: List[List[int]],
+    alice_fps: np.ndarray,
+    bob_fps: np.ndarray,
     load: int,
-    bob_payloads: Sequence[int],
+    bob_payloads: np.ndarray,
     fallbacks: np.ndarray,
     reveal_payload: bool,
 ) -> PsiResult:
     ell = ctx.params.ell
     modulus = ctx.modulus
-    mask = np.uint64(modulus - 1)
+    mask = ctx.mask
 
     # Charge what the real protocol sends.
     charge_oprf_setup(ctx, n_bins)
@@ -264,19 +275,13 @@ def _psi_simulated(
             n_bins,
         )
 
-    # Functionality: per bin, match iff Alice's item is one of Bob's.
-    payload_of = {
-        fp: int(z) % modulus for fp, z in zip(bob_fps, bob_payloads)
-    }
-    ind_plain = np.zeros(n_bins, dtype=np.uint64)
-    pay_plain = fallbacks.copy() & mask
-    for b, idx in enumerate(table.bins):
-        if idx < 0:
-            continue
-        fp = alice_fps[b]
-        if fp in payload_of:
-            ind_plain[b] = 1
-            pay_plain[b] = payload_of[fp]
+    # Functionality: per bin, match iff Alice's item is one of Bob's
+    # (her dummy fingerprints lie outside the real subspace).
+    order, slot = sorted_lookup(bob_fps, alice_fps)
+    hit = slot >= 0
+    ind_plain = hit.astype(np.uint64)
+    pay_plain = fallbacks.copy()
+    pay_plain[hit] = bob_payloads[order[slot[hit]]]
 
     ind_a = ctx.random_ring_vector(n_bins)
     ind = SharedVector(ind_a, (ind_plain - ind_a) & mask, modulus)

@@ -9,12 +9,22 @@ from repro.mpc.cuckoo import (
     DUMMY_ALICE,
     DUMMY_BOB,
     CuckooTable,
+    candidate_bins,
     encode_item,
-    fingerprint,
+    fingerprints,
+    has_duplicates,
+    item_digests,
     max_bin_load,
     num_bins,
     simple_hash_bins,
 )
+
+
+def bin_members(items, seeds, n_bins):
+    """``simple_hash_bins`` as one index list per bin."""
+    members, counts = simple_hash_bins(items, seeds, n_bins)
+    assert counts.sum() == len(members) and len(counts) == n_bins
+    return [m.tolist() for m in np.split(members, np.cumsum(counts)[:-1])]
 
 
 class TestEncodeItem:
@@ -46,18 +56,57 @@ class TestEncodeItem:
         if a != b:
             assert encode_item(a) != encode_item(b)
 
+    def test_int64_range_is_fixed_width(self):
+        # What lets whole int columns encode as one matrix: tag + 8
+        # bytes across the int64 range, a second tag beyond it.
+        edge = [0, 1, -1, 2**63 - 1, -(2**63)]
+        assert {len(encode_item(v)) for v in edge} == {9}
+        wide = [2**63, -(2**63) - 1, 2**200, -(2**200)]
+        encoded = [encode_item(v) for v in edge + wide]
+        assert len(set(encoded)) == len(encoded)
+        assert all(e[:1] == b"I" for e in encoded[len(edge):])
+
+
+class TestDigests:
+    def test_one_row_per_item(self):
+        d = item_digests([1, "1", (1,), ("a", 2)])
+        assert d.shape == (4, 4) and d.dtype == np.uint64
+        assert not has_duplicates(d)
+        assert item_digests([]).shape == (0, 4)
+
+    def test_matrix_passes_through(self):
+        d = item_digests(list(range(10)))
+        assert item_digests(d) is d
+        with pytest.raises(ValueError):
+            item_digests(np.zeros((3, 2), dtype=np.uint64))
+
+    def test_duplicates_detected(self):
+        assert has_duplicates(item_digests([1, 2, 1]))
+        # Equal 64-bit prefixes alone are not duplicates.
+        d = item_digests([1, 2, 3]).copy()
+        d[1, 0] = d[0, 0]
+        d[2, 0] = d[0, 0]
+        assert not has_duplicates(d)
+        d[2] = d[0]
+        assert has_duplicates(d)
+
 
 class TestFingerprint:
     def test_in_real_subspace(self):
-        fp = fingerprint(("x", 1), b"salt")
-        assert fp >> 62 == 0  # top two bits reserved for dummies
+        fps = fingerprints(item_digests([("x", i) for i in range(64)]))
+        assert not (fps >> np.uint64(62)).any()  # top bits: dummies only
 
     def test_dummy_spaces_disjoint(self):
         assert DUMMY_ALICE >> 62 == 2
         assert DUMMY_BOB >> 62 == 3
 
-    def test_salt_changes_fingerprint(self):
-        assert fingerprint(1, b"a" * 16) != fingerprint(1, b"b" * 16)
+    def test_seed_changes_candidate_bins(self):
+        d = item_digests(list(range(200)))
+        a = candidate_bins(d, [b"a" * 16] * 3, 1000)
+        b = candidate_bins(d, [b"b" * 16] * 3, 1000)
+        assert (a != b).mean() > 0.9
+        # ... and the three hash functions differ under one seed.
+        assert (a[:, 0] != a[:, 1]).mean() > 0.9
 
 
 class TestCuckooTable:
@@ -65,9 +114,7 @@ class TestCuckooTable:
         items = [("item", i) for i in range(200)]
         table = CuckooTable(items)
         for idx in range(len(items)):
-            assert any(
-                table.bins[b] == idx for b in table.bins_of_index(idx)
-            )
+            assert any(table.bins[b] == idx for b in table.candidates[idx])
 
     def test_at_most_one_item_per_bin(self):
         table = CuckooTable(list(range(300)))
@@ -91,10 +138,21 @@ class TestCuckooTable:
         assert table.n_bins == num_bins(100) == 127
 
     def test_bins_of_item_matches_index(self):
+        # Bob recomputes Alice's candidate bins from the seeds alone,
+        # from the items or from their digest matrix.
         items = ["a", "b", "c"]
         table = CuckooTable(items)
-        for i, item in enumerate(items):
-            assert table.bins_of_item(item) == table.bins_of_index(i)
+        for given_as in (items, item_digests(items)):
+            cand = candidate_bins(
+                item_digests(given_as), table.seeds, table.n_bins
+            )
+            assert (cand == table.candidates).all()
+
+    def test_accepts_digest_matrix(self):
+        items = [("k", i) for i in range(80)]
+        t1 = CuckooTable(items, seed=3)
+        t2 = CuckooTable(item_digests(items), seed=3)
+        assert (t1.bins == t2.bins).all() and t1.seeds == t2.seeds
 
     def test_deterministic_given_seed(self):
         t1 = CuckooTable(list(range(64)), seed=5)
@@ -110,18 +168,22 @@ class TestSimpleHashing:
     def test_items_land_in_their_candidate_bins(self):
         alice = CuckooTable(list(range(50)))
         bob_items = list(range(25, 75))
-        bins = simple_hash_bins(bob_items, alice.seeds, alice.n_bins)
-        for idx, item in enumerate(bob_items):
-            candidates = set(alice.bins_of_item(item))
+        bins = bin_members(bob_items, alice.seeds, alice.n_bins)
+        cand = candidate_bins(
+            item_digests(bob_items), alice.seeds, alice.n_bins
+        )
+        for idx in range(len(bob_items)):
             holding = {b for b, members in enumerate(bins) if idx in members}
-            assert holding <= candidates
-            assert holding  # at least one bin
+            # every candidate bin, each exactly once
+            assert holding == set(cand[idx].tolist())
+            assert sum(m.count(idx) for m in bins) == len(holding)
+        assert all(m == sorted(m) for m in bins)
 
     def test_common_item_shares_a_bin(self):
         # The PSI correctness invariant: equal items meet in the bin the
         # cuckoo table chose for Alice's copy.
         alice = CuckooTable(list(range(40)))
-        bins = simple_hash_bins(list(range(40)), alice.seeds, alice.n_bins)
+        bins = bin_members(list(range(40)), alice.seeds, alice.n_bins)
         for i in range(40):
             b = [j for j, idx in enumerate(alice.bins) if idx == i][0]
             assert i in bins[b]
@@ -131,12 +193,22 @@ class TestLoadBound:
     def test_bound_holds_empirically(self):
         n, bins = 500, num_bins(400)
         bound = max_bin_load(n, bins)
-        rng = np.random.default_rng(0)
         for trial in range(5):
             items = [("t", trial, i) for i in range(n)]
             table = CuckooTable(list(range(400)), seed=trial)
-            hashed = simple_hash_bins(items, table.seeds, bins)
-            assert max(len(b) for b in hashed) <= bound
+            _, counts = simple_hash_bins(items, table.seeds, bins)
+            assert counts.max() <= bound
+
+    def test_bin_hashes_are_uniform(self):
+        # The bound assumes uniform, independent bin hashes: chi-square
+        # of each hash function's bin counts against the uniform law.
+        from scipy.stats import chisquare
+
+        d = item_digests(list(range(20000)))
+        cand = candidate_bins(d, [bytes([h]) * 16 for h in range(3)], 100)
+        for h in range(3):
+            counts = np.bincount(cand[:, h], minlength=100)
+            assert chisquare(counts).pvalue > 1e-4
 
     def test_bound_monotone_in_sigma(self):
         assert max_bin_load(100, 127, sigma=60) >= max_bin_load(

@@ -1,0 +1,245 @@
+"""The columnar item-digest kernel under PSI and the DH-OPRF join.
+
+``encode_item`` stays the definition of an item's canonical bytes; the
+vectorised row encoder must agree with it byte for byte, and every
+protocol entry point must behave identically on a list of hashables and
+on its precomputed digest matrix.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+import repro.core.relation as relation_mod
+import repro.mpc.cuckoo as cuckoo_mod
+from repro.core.relation import encode_rows, row_digests
+from repro.mpc import Context, Mode
+from repro.mpc.cuckoo import (
+    encode_item,
+    has_duplicates,
+    item_digests,
+    simple_hash_bins,
+)
+from repro.mpc.dhoprf import dh_oprf_match
+from repro.mpc.ot import make_ot
+from repro.mpc.psi import psi_with_payloads
+from repro.relalg.columns import Column, TupleStore, fresh_nonces
+
+from .conftest import TEST_GROUP_BITS
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+#: What an obj column may hold: strings, ints on both sides of the
+#: int64 boundary, bytes, nested tuples.  (No bools: ``True == 1`` makes
+#: a dictionary-encoded column conflate them before any encoder runs.)
+OBJECTS = st.one_of(
+    st.text(max_size=6),
+    st.integers(-(2**80), 2**80),
+    INT64,
+    st.binary(max_size=4),
+    st.tuples(st.integers(-5, 5), st.text(max_size=2)),
+)
+
+
+@st.composite
+def stores(draw):
+    """A store of arity 0-3 over int / obj / mixed columns with dummy
+    rows scattered between the real ones."""
+    arity = draw(st.integers(0, 3))
+    n = draw(st.integers(0, 8))
+    cols = []
+    for _ in range(arity):
+        if draw(st.booleans()):
+            cols.append(Column.from_ints(
+                draw(st.lists(INT64, min_size=n, max_size=n))))
+        else:
+            cols.append(Column.from_objects(
+                draw(st.lists(OBJECTS, min_size=n, max_size=n))))
+    nonce = np.zeros(n, dtype=np.int64)
+    dummy = np.asarray(
+        draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool
+    )
+    nonce[dummy] = fresh_nonces(int(dummy.sum()))
+    attrs = tuple(f"a{j}" for j in range(arity))
+    return TupleStore(attrs, tuple(cols), nonce)
+
+
+class TestEncodeRows:
+    @given(store=stores())
+    def test_byte_equal_to_the_scalar_definition(self, store):
+        assert encode_rows(store) == [
+            encode_item(t) for t in store.materialize()
+        ]
+        assert (
+            row_digests(store) == item_digests(store.materialize())
+        ).all()
+
+    @given(store=stores(), k=st.integers(1, 4))
+    def test_appended_dummies(self, store, k):
+        # (An *empty* dictionary column cannot take the placeholder
+        # code dummy rows park in it; no operator builds one.)
+        assume(store.n > 0)
+        padded = store.with_dummies(k)
+        assert encode_rows(padded) == [
+            encode_item(t) for t in padded.materialize()
+        ]
+        if store.arity:
+            assert not has_duplicates(row_digests(padded)[store.n:])
+
+    @given(values=st.lists(INT64, max_size=8))
+    def test_representation_independence(self, values):
+        """The same ints held raw or dictionary-encoded digest equally."""
+        nonce = np.zeros(len(values), dtype=np.int64)
+        raw = TupleStore(("a",), (Column.from_ints(values),), nonce)
+        obj = TupleStore(("a",), (Column.from_objects(values),), nonce)
+        assert raw.columns[0].is_int and not obj.columns[0].is_int
+        assert (row_digests(raw) == row_digests(obj)).all()
+
+    def test_zero_arity_rows_are_all_the_empty_tuple(self):
+        store = TupleStore((), (), np.zeros(3, dtype=np.int64))
+        assert encode_rows(store) == [encode_item(())] * 3
+
+
+@pytest.fixture
+def encode_calls(monkeypatch):
+    """Count calls of the scalar encoder from either module."""
+    calls = []
+
+    def counting(item):
+        calls.append(item)
+        return encode_item(item)
+
+    monkeypatch.setattr(cuckoo_mod, "encode_item", counting)
+    monkeypatch.setattr(relation_mod, "encode_item", counting)
+    return calls
+
+
+class TestEncodeOnce:
+    def test_int_store_never_calls_the_scalar_encoder(self, encode_calls):
+        store = TupleStore.from_columns(
+            ("a", "b"), [np.arange(500), -np.arange(500)]
+        ).with_dummies(100)
+        assert len(row_digests(store)) == 600
+        assert encode_calls == []
+
+    def test_obj_column_encodes_once_per_distinct_value(self, encode_calls):
+        names = [f"name{i % 7}" for i in range(300)]
+        store = TupleStore.from_columns(("a", "b"), [np.arange(300), names])
+        row_digests(store)
+        assert sorted(encode_calls) == sorted(set(names))
+
+    @pytest.mark.parametrize("backend", ["psi", "dhoprf"])
+    def test_list_items_encode_once_each(self, encode_calls, backend):
+        alice = [f"k{i}" for i in range(60)]
+        bob = [f"k{i}" for i in range(30, 100)]
+        ctx = Context(Mode.SIMULATED, seed=3)
+        if backend == "psi":
+            psi_with_payloads(ctx, make_ot(ctx), alice, bob, list(range(70)))
+        else:
+            dh_oprf_match(ctx, alice, bob)
+        assert sorted(encode_calls) == sorted(alice + bob)
+
+
+ALICE_ITEMS = [("k", i) for i in range(18)]
+BOB_ITEMS = [("k", i) for i in range(9, 30)]
+
+
+@pytest.mark.parametrize(
+    "mode", [Mode.SIMULATED, pytest.param(Mode.REAL, marks=pytest.mark.real)]
+)
+class TestDigestMatrixInputs:
+    """Same seed, items vs their digest matrix: identical outputs."""
+
+    def test_psi(self, mode):
+        payloads = [1000 + i for i in range(9, 30)]
+        outs = []
+        for a, b, z in (
+            (ALICE_ITEMS, BOB_ITEMS, payloads),
+            (
+                item_digests(ALICE_ITEMS),
+                item_digests(BOB_ITEMS),
+                np.asarray(payloads),
+            ),
+        ):
+            ctx = Context(mode, seed=7)
+            res = psi_with_payloads(
+                ctx, make_ot(ctx, TEST_GROUP_BITS), a, b, z
+            )
+            outs.append((
+                res.bin_of_item_index().tolist(),
+                res.ind.reconstruct().tolist(),
+                res.payload.reconstruct().tolist(),
+                ctx.transcript.fingerprint(),
+            ))
+        assert outs[0] == outs[1]
+        bins, ind, pay, _ = outs[0]
+        for j, item in enumerate(ALICE_ITEMS):
+            hit = item in BOB_ITEMS
+            assert ind[bins[j]] == int(hit)
+            assert pay[bins[j]] == (1000 + item[1] if hit else 0)
+
+    def test_dh_oprf(self, mode):
+        outs = []
+        for a, b in (
+            (ALICE_ITEMS, BOB_ITEMS),
+            (item_digests(ALICE_ITEMS), item_digests(BOB_ITEMS)),
+        ):
+            ctx = Context(mode, seed=7)
+            m = dh_oprf_match(ctx, a, b)
+            outs.append((m.slot.tolist(), m.order.tolist()))
+        assert outs[0] == outs[1]
+        slot, order = outs[0]
+        assert sorted(order) == list(range(len(BOB_ITEMS)))
+        for i, item in enumerate(ALICE_ITEMS):
+            if item in BOB_ITEMS:
+                assert BOB_ITEMS[order[slot[i]]] == item
+            else:
+                assert slot[i] == -1
+
+
+class TestFailurePathsOnMatrices:
+    """The checks keep their exception types when fed digests."""
+
+    def test_psi_duplicate_bob_items(self):
+        ctx = Context(Mode.SIMULATED, seed=1)
+        with pytest.raises(ValueError, match="distinct items on Bob"):
+            psi_with_payloads(
+                ctx, make_ot(ctx), item_digests([1]),
+                item_digests([2, 2]), [5, 6],
+            )
+
+    def test_psi_duplicate_alice_items(self):
+        ctx = Context(Mode.SIMULATED, seed=1)
+        with pytest.raises(ValueError, match="cuckoo hashing requires"):
+            psi_with_payloads(
+                ctx, make_ot(ctx), item_digests([1, 1]),
+                item_digests([2]), [5],
+            )
+
+    @pytest.mark.parametrize("side", ["Alice", "Bob"])
+    def test_dh_oprf_duplicates(self, side):
+        ctx = Context(Mode.SIMULATED, seed=1)
+        a, b = ([1, 1], [2]) if side == "Alice" else ([1], [2, 2])
+        with pytest.raises(ValueError, match=f"distinct {side} items"):
+            dh_oprf_match(ctx, item_digests(a), item_digests(b))
+
+    def test_dh_oprf_token_collision(self, monkeypatch):
+        import repro.mpc.dhoprf as dhoprf_mod
+
+        monkeypatch.setattr(
+            dhoprf_mod, "sha256_rows",
+            lambda rows: np.zeros((len(rows), 32), dtype=np.uint8),
+        )
+        ctx = Context(Mode.SIMULATED, seed=1)
+        with pytest.raises(RuntimeError, match="token collision"):
+            dh_oprf_match(ctx, [1], [2, 3])
+
+    def test_colliding_hash_functions_share_one_slot(self):
+        # Two bins, three hash functions: every item's candidates
+        # collide, and it still occupies each bin at most once.
+        members, counts = simple_hash_bins(
+            list(range(50)), [bytes([h]) * 16 for h in range(3)], 2
+        )
+        for b, part in enumerate(np.split(members, np.cumsum(counts)[:-1])):
+            assert len(set(part.tolist())) == len(part)
+        assert 50 <= counts.sum() <= 100

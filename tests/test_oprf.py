@@ -2,14 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.mpc import Context, Mode
+from repro.mpc.modp import ModpGroup
 from repro.mpc.oprf import (
     OPPRF_PRIME,
     BatchedOprf,
+    lagrange_basis,
     poly_eval,
+    poly_from_basis,
     poly_interpolate,
 )
+from repro.mpc.ot import make_ot
+from repro.mpc.psi import psi_with_payloads
+
+FIELD = st.integers(0, OPPRF_PRIME - 1)
 
 GROUP_BITS = 1536
 
@@ -44,6 +53,31 @@ class TestPolynomials:
     def test_constant_polynomial(self):
         coeffs = poly_interpolate([(5, 42)])
         assert poly_eval(coeffs, 999) == 42
+
+    @given(
+        points=st.dictionaries(FIELD, FIELD, max_size=28),
+        # a second y-vector through the same xs, as PSI's payload
+        # polynomial shares the token polynomial's basis
+        other=st.lists(FIELD, min_size=28, max_size=28),
+    )
+    def test_hits_every_point_at_bin_sizes(self, points, other):
+        pts = list(points.items())
+        coeffs = poly_interpolate(pts)
+        assert len(coeffs) == len(pts)  # degree < L
+        assert all(0 <= c < OPPRF_PRIME for c in coeffs)
+        for x, y in pts:
+            assert poly_eval(coeffs, x) == y
+        xs = [x for x, _ in pts]
+        basis = lagrange_basis(xs)
+        assert poly_from_basis(basis, [y for _, y in pts]) == coeffs
+        ys2 = other[: len(xs)]
+        assert poly_from_basis(basis, ys2) == poly_interpolate(
+            list(zip(xs, ys2))
+        )
+
+    def test_basis_rejects_duplicate_x_mod_p(self):
+        with pytest.raises(ValueError, match="distinct x"):
+            lagrange_basis([3, 3 + OPPRF_PRIME])
 
 
 @pytest.mark.real
@@ -92,3 +126,31 @@ class TestBatchedOprf:
         ctx = Context(Mode.REAL, seed=6)
         oprf = BatchedOprf(ctx, [], GROUP_BITS)
         assert oprf.alice_values == []
+
+
+@pytest.mark.real
+@pytest.mark.xfail(
+    strict=True,
+    reason="BatchedOprf._setup_real draws 62-bit DH exponents from "
+    "ctx.rng (DESIGN.md, known gaps); goes green when the KKRT base OTs "
+    "come from the engine's IKNP extension (ROADMAP item 3)",
+)
+def test_real_psi_draws_only_full_width_dh_exponents(monkeypatch):
+    """Every secret exponent ``x`` of a ``g^x`` a REAL PSI computes —
+    the engine's base OTs and the OPRF's own — must be full width:
+    a ``k``-bit exponent falls to Pollard's kangaroo in ``2^(k/2)``."""
+    drawn = []
+    real_pow = ModpGroup.pow
+
+    def spy(self, base, exp):
+        if base == self.g:
+            drawn.append(exp)
+        return real_pow(self, base, exp)
+
+    monkeypatch.setattr(ModpGroup, "pow", spy)
+    ctx = Context(Mode.REAL, seed=11)
+    psi_with_payloads(
+        ctx, make_ot(ctx, GROUP_BITS), [1, 2, 3], [2, 3, 4], [7, 8, 9]
+    )
+    assert drawn
+    assert all(x.bit_length() > 256 for x in drawn)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mpc import Context, Mode
-from repro.mpc.modp import modp_group
+from repro.mpc.modp import ModpGroup, modp_group
 from repro.mpc.ot import ChouOrlandiOT, IknpExtension, SimulatedOT, make_ot
 
 GROUP_BITS = 1536
@@ -58,6 +58,38 @@ class TestChouOrlandi:
         ot = ChouOrlandiOT(ctx, GROUP_BITS)
         with pytest.raises(ValueError):
             ot.transfer([(b"a", b"bb")], [0])
+
+    def test_three_exponentiations_per_transfer(self, monkeypatch):
+        # Receiver g^b and A^b, sender B^a (k1 reuses it through
+        # T = A^a): 3 per OT plus the sender's A and T.
+        calls = []
+        real_pow = ModpGroup.pow
+        monkeypatch.setattr(
+            ModpGroup, "pow",
+            lambda self, base, exp: calls.append(exp)
+            or real_pow(self, base, exp),
+        )
+        ctx = Context(Mode.REAL, seed=2)
+        rng = np.random.default_rng(2)
+        pairs, choices, expected = pairs_and_choices(rng, 8)
+        assert ChouOrlandiOT(ctx, GROUP_BITS).transfer(pairs, choices) == expected
+        assert len(calls) == 3 * 8 + 2
+
+    def test_extension_base_phase_is_the_same_protocol(self):
+        # IKNP's base phase is the same arithmetic with the roles
+        # reversed and its own labels: same sizes, mirrored senders.
+        n = 128
+        ctx = Context(Mode.REAL, seed=3)
+        rng = np.random.default_rng(3)
+        pairs, choices, _ = pairs_and_choices(rng, n)
+        ChouOrlandiOT(ctx, GROUP_BITS).transfer(pairs, choices)
+        ext = Context(Mode.REAL, seed=3)
+        IknpExtension(ext, GROUP_BITS)._base_phase()
+        flip = {"alice": "bob", "bob": "alice"}
+        assert ext.transcript.fingerprint() == tuple(
+            (flip[s], size, label.replace("ot/base", "ot/ext/base"))
+            for s, size, label in ctx.transcript.fingerprint()
+        )
 
 
 @pytest.mark.real
