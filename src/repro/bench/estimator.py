@@ -94,17 +94,6 @@ class CostEstimate:
     def add_rounds(self, n: int) -> None:
         self.rounds += int(n)
 
-    def with_session(self, n_messages: int) -> "CostEstimate":
-        """A copy of this estimate with the session layer's framing
-        overhead added as its own ``session_framing`` part."""
-        out = CostEstimate(
-            total=self.total,
-            by_part=dict(self.by_part),
-            rounds=self.rounds,
-        )
-        out.add("session_framing", session_framing_overhead(n_messages))
-        return out
-
 
 class _Estimator:
     """Sums :mod:`repro.mpc.costs` sizes in the composition the

@@ -16,16 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from typing import TYPE_CHECKING
-
 from ..baselines.garbled_baseline import cartesian_gc_cost, gc_gate_rate
 from ..mpc.context import Mode
 from ..mpc.engine import Engine
 from ..tpch.datagen import SCALES_MB, generate
 from ..tpch.queries import PREPARED, PreparedQuery
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..exec.trace import ExecutionTrace
 
 __all__ = ["FigureRow", "run_figure", "format_figure", "FIGURES"]
 
@@ -54,14 +49,8 @@ def run_figure(
     scales: Sequence[float] = SCALES_MB,
     seed: int = 7,
     q9_nations: Optional[List[int]] = None,
-    verify: bool = True,
-    tracer: Optional["ExecutionTrace"] = None,
 ) -> List[FigureRow]:
-    """Regenerate one figure's series.
-
-    ``tracer``: an :class:`~repro.exec.trace.ExecutionTrace` to attach
-    to every secure run's engine; the scheduler appends one node per
-    executed operator (all scales accumulate into the one trace)."""
+    """Regenerate one figure's series."""
     if query_name not in PREPARED:
         raise KeyError(
             f"unknown query {query_name!r}; choose from {sorted(PREPARED)}"
@@ -77,11 +66,8 @@ def run_figure(
         plain, plain_seconds = query.run_plain()
 
         ctx = query.make_context(Mode.SIMULATED, seed=seed)
-        engine = Engine(ctx, tracer=tracer)
-        secure, stats = query.run_secure(engine)
-        matches = (
-            secure.semantically_equal(plain) if verify else True
-        )
+        secure, stats = query.run_secure(Engine(ctx))
+        matches = secure.semantically_equal(plain)
 
         gc = cartesian_gc_cost(
             query.gc_sizes,

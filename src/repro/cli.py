@@ -2,7 +2,7 @@
 
 ::
 
-    python -m repro figures --queries Q3 Q10 --scales 1 3
+    python -m repro figures --queries Q3 Q10 --scales 1 3 [--json rows.json]
     python -m repro tpch Q3 --scale 1 [--real] [--backend auto]
     python -m repro trace Q3 --scale 1 [-o trace.json]
     python -m repro estimate Q3 --scale 10
@@ -53,17 +53,27 @@ __all__ = ["main"]
 
 def _cmd_figures(args) -> int:
     failures = 0
+    all_rows = []
     for name in args.queries:
         kwargs = {}
         if name == "Q9":
             kwargs["q9_nations"] = list(range(args.q9_nations))
         rows = run_figure(name, scales=args.scales, **kwargs)
+        all_rows.extend(rows)
         print(format_figure(rows))
         problems = check_figure_shape(rows)
         for p in problems:
             print(f"  SHAPE VIOLATION: {p}")
         failures += bool(problems)
         print()
+    if args.json:
+        import dataclasses
+        import json
+
+        lines = [json.dumps(dataclasses.asdict(r)) for r in all_rows]
+        with open(args.json, "w") as fh:  # one row per line: diffable
+            fh.write("[\n" + ",\n".join(lines) + "\n]\n")
+        print(f"wrote {len(lines)} rows to {args.json}")
     return 1 if failures else 0
 
 
@@ -588,6 +598,10 @@ def main(argv=None) -> int:
     )
     p.add_argument("--scales", nargs="+", type=float, default=[1, 3, 10])
     p.add_argument("--q9-nations", type=int, default=25)
+    p.add_argument(
+        "--json", metavar="PATH",
+        help="also write the measured rows (FigureRow fields) as JSON",
+    )
     p.set_defaults(fn=_cmd_figures)
 
     p = sub.add_parser("tpch", help="run one TPC-H benchmark query")

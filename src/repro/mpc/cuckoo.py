@@ -139,27 +139,48 @@ def num_bins(n_items: int, expansion: float = 1.27) -> int:
     return max(1, math.ceil(n_items * expansion))
 
 
+def _binom_isf(q: float, n: int, p: float) -> int:
+    """Smallest ``k`` with ``P[Binomial(n, p) > k] <= q``, for
+    ``q < 1/2``.  The tail is summed smallest term first, from a
+    log-space anchor at ``floor(np)``: a binomial's median — hence the
+    answer — is at least that."""
+    if p >= 1.0:
+        return n
+    k = int(n * p)
+    term = math.exp(
+        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        + k * math.log(p) + (n - k) * math.log1p(-p)
+    )
+    odds = p / (1.0 - p)
+    terms: List[float] = []  # terms[i] = P[X = k + 1 + i]
+    while k + len(terms) < n and term > q * 2.0**-64:
+        j = k + len(terms)
+        term *= (n - j) / (j + 1) * odds
+        terms.append(term)
+    tail = 0.0
+    while terms and tail + terms[-1] <= q:
+        tail += terms.pop()
+    return k + len(terms)
+
+
 def max_bin_load(
     n_items: int, n_bins: int, n_hashes: int = 3, sigma: int = 40
 ) -> int:
     """Public bound ``L`` on Bob's simple-hash bin load such that
     ``B * P[Binomial(n_hashes * N, 1/B) > L] < 2^-sigma``.
 
-    Computed with an exact binomial tail (Chernoff would be looser); the
-    bound depends only on public sizes, so padding to it leaks nothing.
+    It depends only on public sizes, so padding to it leaks nothing —
+    and it is a wire size: the exact tail down to ``1e-14`` and the
+    looser Chernoff scan below are pinned (tests/test_cuckoo.py, to
+    the ``scipy.stats.binom.isf`` values they were first computed with).
     """
     if n_items == 0:
         return 1
-    from scipy.stats import binom
-
     n = n_items * n_hashes
     p = 1.0 / n_bins
     target = 2.0 ** (-sigma) / n_bins
-    # Smallest L with P[Bin(n,p) > L] < target.  scipy's survival function
-    # loses precision below ~1e-15, so scan upward with a log-space
-    # Chernoff bound once sf() underflows.
-    isf = binom.isf(max(target, 1e-14), n, p)
-    load = (int(isf) if math.isfinite(isf) else 0) + 1
+    # Smallest L with P[Bin(n,p) > L] < target.
+    load = _binom_isf(max(target, 1e-14), n, p) + 1
     if target < 1e-14:
         mean = n * p
         # Chernoff: P[X > L] <= exp(-mean) * (e*mean/L)^L — valid (and

@@ -159,9 +159,6 @@ class JoinAggregateQuery:
             for name, rel in self.relations.items()
         }
 
-    # Backwards-compatible alias (pre-serving-layer name).
-    _secure_inputs = secure_inputs
-
     def _effective_backends(self, engine: Engine) -> Dict[str, str]:
         """Resolve the back-end policy for a run on ``engine``: the
         engine-level override wins, else the query's own setting."""
@@ -172,7 +169,7 @@ class JoinAggregateQuery:
         self, engine: Engine
     ) -> Tuple[AnnotatedRelation, ProtocolStats]:
         return secure_yannakakis(
-            engine, self._secure_inputs(), self.plan(),
+            engine, self.secure_inputs(), self.plan(),
             backends=self._effective_backends(engine),
         )
 
@@ -183,6 +180,6 @@ class JoinAggregateQuery:
         ``pad_out_to`` hides the true output size behind a declared
         bound (Section 4)."""
         return secure_yannakakis_shared(
-            engine, self._secure_inputs(), self.plan(), pad_out_to,
+            engine, self.secure_inputs(), self.plan(), pad_out_to,
             backends=self._effective_backends(engine),
         )

@@ -1,8 +1,7 @@
 """Tuple-path reference implementations of the relalg operators.
 
 These are the pre-columnar dict-of-tuples operators, retained verbatim
-as (a) the oracle for the columnar kernels' differential property tests
-and (b) the "tuple path" side of the ``BENCH_PR6`` scaling comparison.
+as the oracle for the columnar kernels' differential property tests.
 They follow the same pattern as :mod:`repro.mpc._reference`: simple,
 obviously-correct, row-at-a-time semantics that the vectorised
 implementations must reproduce exactly — including output order and

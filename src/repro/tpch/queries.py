@@ -98,17 +98,9 @@ class PreparedQuery:
         )
         return result, stats
 
-    def run_plain(
-        self, operators=None
-    ) -> Tuple[AnnotatedRelation, float]:
-        """``operators=repro.relalg._reference`` runs the retained
-        tuple-path operators instead of the columnar default."""
+    def run_plain(self) -> Tuple[AnnotatedRelation, float]:
         t0 = time.perf_counter()
-        result = (
-            self._plain(operators)
-            if operators is not None
-            else self._plain()
-        )
+        result = self._plain()
         return result, time.perf_counter() - t0
 
 
@@ -202,7 +194,7 @@ def prepare_q3(
         input_tuples=customer.n_rows + orders.n_rows + lineitem.n_rows,
         result_scale=100 * 100,  # cents x percent
         _secure=lambda engine: build().run_secure(engine)[0],
-        _plain=lambda operators=None: build().run_plain(operators),
+        _plain=lambda: build().run_plain(),
         _build=build,
         gc_sizes=[customer.n_rows, orders.n_rows, lineitem.n_rows],
         gc_conditions=2,
@@ -269,7 +261,7 @@ def prepare_q10(
         input_tuples=customer.n_rows + orders.n_rows + lineitem.n_rows,
         result_scale=100 * 100,
         _secure=lambda engine: build().run_secure(engine)[0],
-        _plain=lambda operators=None: build().run_plain(operators),
+        _plain=lambda: build().run_plain(),
         _build=build,
         gc_sizes=[customer.n_rows, orders.n_rows, lineitem.n_rows],
         gc_conditions=2,
@@ -360,7 +352,7 @@ def prepare_q18(
         ),
         result_scale=1,
         _secure=lambda engine: build().run_secure(engine)[0],
-        _plain=lambda operators=None: build().run_plain(operators),
+        _plain=lambda: build().run_plain(),
         _build=build,
         gc_sizes=[
             customer.n_rows, orders.n_rows,
@@ -457,9 +449,9 @@ def prepare_q8(
         den = build(False).run_secure_shared(engine)
         return divide_compose(engine, num, den, scale=scale)
 
-    def plain(operators=None) -> AnnotatedRelation:
-        num = build(True).run_plain(operators)
-        den = build(False).run_plain(operators)
+    def plain() -> AnnotatedRelation:
+        num = build(True).run_plain()
+        den = build(False).run_plain()
         num_map = num.to_dict()
         rows, vals = [], []
         for t, d in den.to_dict().items():
@@ -613,11 +605,11 @@ def prepare_q9(
             ("s_nationkey", "o_year"), rows, vals, ring
         )
 
-    def plain(operators=None) -> AnnotatedRelation:
+    def plain() -> AnnotatedRelation:
         rows, vals = [], []
         for nk in nations:
-            rev = build(nk, "revenue").run_plain(operators).to_dict()
-            cost = build(nk, "cost").run_plain(operators).to_dict()
+            rev = build(nk, "revenue").run_plain().to_dict()
+            cost = build(nk, "cost").run_plain().to_dict()
             for t in sorted(set(rev) | set(cost)):
                 diff = (rev.get(t, 0) - cost.get(t, 0)) % ring.modulus
                 if diff:

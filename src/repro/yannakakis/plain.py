@@ -35,7 +35,7 @@ def execute_plan(
     ``operators`` selects the relational-operator implementation: the
     default columnar :mod:`repro.relalg.operators`, or the retained
     tuple-path :mod:`repro.relalg._reference` (the differential-testing
-    oracle and the "tuple path" side of the columnar benchmarks).
+    oracle).
     """
     ops = operators if operators is not None else columnar_operators
     aggregate, join, semijoin = ops.aggregate, ops.join, ops.semijoin

@@ -13,10 +13,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Q3" in out and "matches plaintext: True" in out
 
-    def test_figures_single(self, capsys):
-        assert main(["figures", "--queries", "Q10", "--scales", "1"]) == 0
+    def test_figures_single(self, capsys, tmp_path):
+        from repro.bench import FigureRow
+
+        rows_file = tmp_path / "rows.json"
+        assert main([
+            "figures", "--queries", "Q10", "--scales", "1",
+            "--json", str(rows_file),
+        ]) == 0
         out = capsys.readouterr().out
         assert "Figure 3" in out
+        (row,) = [FigureRow(**r) for r in json.loads(rows_file.read_text())]
+        assert (row.query, row.scale_mb, row.matches_plaintext) == (
+            "Q10", 1, True
+        )
+        assert f"{row.secure_seconds:.2f}s" in out
 
     def test_estimate(self, capsys):
         from repro.bench.estimator import estimate_node_costs

@@ -266,3 +266,68 @@ class TestPreconditionGuards:
                 secure(ALICE, parent, eng, True),
                 secure(BOB, child, eng, True),
             )
+
+
+# ----------------------------------------------------------------------
+# DESIGN.md's ablations at 256 rows: exact SIMULATED bytes with /
+# without each design choice (the table in EXPERIMENTS.md)
+# ----------------------------------------------------------------------
+
+
+def _rel(engine, owner, arity, shared, seed, n=256):
+    rng = np.random.default_rng(seed)
+    rows = map(tuple, rng.integers(0, n, (n, arity)).tolist())
+    tuples = list(dict.fromkeys(rows))  # PSI sides hold distinct tuples
+    attrs = tuple(f"a{i}" for i in range(arity))
+    rel = plain_rel(attrs, tuples, rng.integers(1, 100, len(tuples)))
+    return secure(owner, rel, engine, shared)
+
+
+def _join(op, parent, child):
+    return lambda e: op(e, _rel(e, *parent, seed=1), _rel(e, *child, seed=2))
+
+
+def _mul(via):
+    def run(e):
+        x, y = np.random.default_rng(0).integers(0, 1000, (2, 256))
+        e.mul_shared(e.share(ALICE, x), e.share(BOB, y), via=via)
+
+    return run
+
+
+A2, A1, B1 = (ALICE, 2, True), (ALICE, 1, True), (BOB, 1, True)
+
+ABLATIONS = {
+    # Section 6.2: a same-party reduce-join needs no PSI.
+    "same_party_shortcut": (
+        _join(oblivious_reduce_join, A2, A1),
+        _join(oblivious_reduce_join, A2, B1),
+        (484_348, 3_646_340),
+    ),
+    # Section 6.5: owner-known annotations vs forced sharing.
+    "plain_annotation_fast_path": (
+        _join(oblivious_reduce_join, (ALICE, 2, False), (BOB, 1, False)),
+        _join(oblivious_reduce_join, A2, B1),
+        (3_347_532, 3_646_340),
+    ),
+    # Section 5.1: Gilboa OT-multiplication vs a garbled multiplier.
+    "gilboa_vs_garbled_multiplier": (
+        _mul("ot"), _mul("gc"), (387_456, 9_731_280),
+    ),
+    # Why reduce comes first: a semijoin filter of arity 1 vs arity 4.
+    "reduced_semijoin_filter": (
+        _join(oblivious_semijoin, A2, B1),
+        _join(oblivious_semijoin, A2, (BOB, 4, True)),
+        (4_584_496, 5_646_896),
+    ),
+}
+
+
+@pytest.mark.parametrize("choice", ABLATIONS)
+def test_design_choice_ablation(choice):
+    *runs, want = ABLATIONS[choice]
+    engines = [mk_engine() for _ in runs]
+    for run, engine in zip(runs, engines):
+        run(engine)
+    got = tuple(e.ctx.transcript.total_bytes for e in engines)
+    assert got == want and got[0] < got[1]

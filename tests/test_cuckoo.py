@@ -1,10 +1,16 @@
 """Cuckoo hashing, simple hashing, bin-load bounds, item encoding."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro
+from repro.mpc import cuckoo
 from repro.mpc.cuckoo import (
     DUMMY_ALICE,
     DUMMY_BOB,
@@ -209,6 +215,49 @@ class TestLoadBound:
         for h in range(3):
             counts = np.bincount(cand[:, h], minlength=100)
             assert chisquare(counts).pvalue > 1e-4
+
+    #: every PSI ``(n_items, n_bins)`` of the four benchmarks/e2e
+    #: workloads (and ``--smoke``) and of ``TestByteBudgetPin``
+    WORKLOAD_SHAPES = [
+        (4, 58), (15, 191), (30, 22693), (64, 82), (150, 20), (150, 1905),
+        (174, 58), (256, 326), (450, 5715), (602, 191), (1500, 19050),
+        (4500, 572), (6052, 1905), (17868, 5715), (60384, 19050),
+        (65536, 83231),
+    ]
+
+    def test_bound_equals_the_scipy_tail(self, monkeypatch):
+        """``load`` is a wire size, first computed with
+        ``scipy.stats.binom.isf`` (smallest ``k`` with ``sf(k) <= q``);
+        the lgamma tail that replaced it must give the same loads."""
+        binom = pytest.importorskip("scipy.stats").binom
+        sizes = {round(10 ** (e / 10)) for e in range(61)} | set(range(1, 65))
+        grid = [
+            (n, num_bins(n), 3, sigma)
+            for n in sorted(sizes)
+            for sigma in (8, 20, 40)
+        ] + [(n, b, 3, 40) for n, b in self.WORKLOAD_SHAPES]
+        ours = [max_bin_load(*args) for args in grid]
+        monkeypatch.setattr(
+            cuckoo, "_binom_isf", lambda q, n, p: int(binom.isf(q, n, p))
+        )
+        assert ours == [max_bin_load(*args) for args in grid]
+
+    def test_secure_run_does_not_import_scipy(self):
+        # A lazy import in the first PSI was ~1 s of every process's
+        # first query, and scipy is not a declared dependency.
+        code = (
+            "import sys; from repro.mpc import Engine, Mode; "
+            "from repro.tpch import PREPARED, generate; "
+            "q = PREPARED['Q3'](generate(0.1)); "
+            "q.run_secure(Engine(q.make_context(Mode.SIMULATED, seed=7))); "
+            "sys.exit('scipy' in sys.modules)"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], timeout=120,
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
 
     def test_bound_monotone_in_sigma(self):
         assert max_bin_load(100, 127, sigma=60) >= max_bin_load(

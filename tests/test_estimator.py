@@ -221,17 +221,33 @@ class TestByteBudgetPin:
         "/cross": 2_880_000,
     }
 
-    @pytest.fixture(scope="class")
-    def messages(self):
+    #: Q3 at 0.1 MB under each join back-end: (bytes, rounds)
+    BACKENDS = {
+        "yannakakis": (6_165_590, 31),
+        "linear": (3_150_170, 23),
+        "auto": (3_150_170, 23),
+    }
+
+    @staticmethod
+    def transcript(scale_mb, backend):
         from repro.tpch.datagen import generate
         from repro.tpch.queries import PREPARED
 
-        query = PREPARED["Q3"](generate(1))
+        query = PREPARED["Q3"](generate(scale_mb))
         ctx = query.make_context(Mode.SIMULATED, seed=7)
         engine = Engine(ctx)
-        engine.backend = "yannakakis"
+        engine.backend = backend
         query.run_secure(engine)
-        return ctx.transcript.messages
+        return ctx.transcript
+
+    @pytest.fixture(scope="class")
+    def messages(self):
+        return self.transcript(1, "yannakakis").messages
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_bytes_and_rounds_per_backend(self, backend):
+        t = self.transcript(0.1, backend)
+        assert (t.total_bytes, t.rounds) == self.BACKENDS[backend]
 
     def test_total_and_label_groups(self, messages):
         assert sum(m.n_bytes for m in messages) == self.TOTAL

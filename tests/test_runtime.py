@@ -20,7 +20,7 @@ import json
 
 import pytest
 
-from repro.bench.estimator import CostEstimate, session_framing_overhead
+from repro.bench.estimator import session_framing_overhead
 from repro.fuzz import TINY_CONFIG, generate_instance
 from repro.fuzz.runner import (
     _plan_for,
@@ -55,6 +55,7 @@ from repro.runtime.framing import (
     truncated,
     verify_frame,
 )
+from repro.tpch import PREPARED, generate
 
 
 def _session(specs=(), **kwargs):
@@ -228,19 +229,37 @@ def test_abort_rejects_unknown_reason():
 # ----------------------------------------------------------------------
 
 
-def test_session_framing_is_accounting_neutral():
-    plain = Context(Mode.SIMULATED, SecurityParams(ell=32), seed=1)
-    plain.send(ALICE, 16, "a")
-    plain.send(BOB, 16, "b")
-    plain.send(ALICE, 8, "c")
+def _plain_and_framed(workload):
+    """Transcripts of one run without and one with the session layer:
+    the three-message toy node, or a TPC-H query at 0.1 MB."""
+    if workload == "toy":
+        plain = Context(Mode.SIMULATED, SecurityParams(ell=32), seed=1)
+        plain.send(ALICE, 16, "a")
+        plain.send(BOB, 16, "b")
+        plain.send(ALICE, 8, "c")
+        ctx, session = _session([])
+        _exchange(ctx, session)
+        return plain.transcript, ctx.transcript
+    prepared = PREPARED[workload](generate(0.1))
+    transcripts = []
+    for framed in (False, True):
+        ctx = prepared.make_context(Mode.SIMULATED, seed=7)
+        session = enable_session(ctx, FaultPlan(), seed=7) if framed else None
+        prepared.run_secure(Engine(ctx))
+        if session is not None:
+            session.finish()
+        transcripts.append(ctx.transcript)
+    return transcripts
 
-    ctx, session = _session([])
-    _exchange(ctx, session)
 
-    t, p = ctx.transcript, plain.transcript
-    assert len(t.messages) == len(p.messages)
+@pytest.mark.parametrize(
+    "workload, n_messages", [("toy", 3), ("Q3", 54), ("Q10", 53)]
+)
+def test_session_framing_is_accounting_neutral(workload, n_messages):
+    p, t = _plain_and_framed(workload)
+    assert len(t.messages) == len(p.messages) == n_messages
     assert t.total_bytes == p.total_bytes + session_framing_overhead(
-        len(p.messages)
+        n_messages
     )
     # Senders, labels and round structure are untouched.
     assert [(m.sender, m.label) for m in t.messages] == [
@@ -279,17 +298,6 @@ def test_session_rollback_rewinds_seq_not_wire_index():
     assert session.wire_index == wire_before + 1, (
         "the wire index must stay monotone across rollback"
     )
-
-
-def test_estimator_with_session_part():
-    est = CostEstimate()
-    est.add("shares", 1000)
-    with_sess = est.with_session(n_messages=10)
-    assert with_sess.by_part["session_framing"] == (
-        10 * FRAME_HEADER_BYTES
-    )
-    assert with_sess.total == 1000 + 10 * FRAME_HEADER_BYTES
-    assert "session_framing" not in est.by_part  # original untouched
 
 
 # ----------------------------------------------------------------------
