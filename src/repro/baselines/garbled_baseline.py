@@ -23,13 +23,14 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from ..mpc.batch import bits_to_words, words_to_bits
 from ..mpc.circuits import CircuitBuilder
 from ..mpc.circuits.garbling import LABEL_BYTES, ROWS_PER_AND
 from ..mpc.context import ALICE, Context, Mode
+from ..mpc.costs import circuit_counts
 from ..mpc.engine import Engine
-from ..mpc.gadgets import bits_of, int_of
 from ..mpc.ot import SimulatedOT
-from ..mpc.yao import charge_garbled_batch, run_garbled_batch
+from ..mpc.yao import garbled_call
 from ..relalg.relation import AnnotatedRelation
 
 __all__ = [
@@ -105,22 +106,15 @@ def gc_gate_rate() -> float:
         out = b.mul(out, ys)
     circuit = b.build(out)
     ctx = Context(Mode.REAL, seed=0)
+    zero = np.zeros((1, ell), dtype=np.uint8)
     start = time.perf_counter()
-    run_garbled_batch(
-        ctx, SimulatedOT(ctx), circuit, [[0] * ell], [[1] * ell]
+    garbled_call(
+        ctx, SimulatedOT(ctx), circuit_counts(circuit), 1, n_masked=0,
+        real=lambda: (circuit, zero, zero + 1),
+        ideal=lambda: (None, zero),  # 0 * y**19
     )
     elapsed = time.perf_counter() - start
     return circuit.and_count / elapsed
-
-
-def _relation_key_columns(
-    rel: AnnotatedRelation, join_attrs: Sequence[str]
-) -> List[List[int]]:
-    idx = rel.index_of(join_attrs)
-    cols = []
-    for t in rel.tuples:
-        cols.append([int(t[i]) for i in idx])
-    return cols
 
 
 def run_cartesian_gc(
@@ -200,21 +194,26 @@ def run_cartesian_gc(
             )
     circuit = b.build(acc)
 
-    alice_bits: List[int] = []
-    bob_bits: List[int] = []
+    # One instance: each party's keys, relation by relation, as one row.
+    keys: Dict[bool, List[int]] = {True: [], False: []}
     for rel, owner in zip(rels, owners):
-        sink = alice_bits if owner == ALICE else bob_bits
-        for t in rel.tuples:
-            for v in t:
-                sink.extend(bits_of(int(v) % (1 << key_bits), key_bits))
-
+        keys[owner == ALICE] += [
+            int(v) % (1 << key_bits) for t in rel.tuples for v in t
+        ]
+    alice_bits, bob_bits = (
+        words_to_bits(np.asarray(keys[a], np.uint64), key_bits).reshape(1, -1)
+        for a in (True, False)
+    )
     ctx = engine.ctx
     with ctx.section("gc_baseline"):
-        if ctx.mode == Mode.REAL:
-            out = run_garbled_batch(
-                ctx, engine.ot, circuit, [alice_bits], [bob_bits]
-            )[0]
-        else:
-            charge_garbled_batch(ctx, engine.ot, circuit, 1)
-            out = circuit.evaluate(alice_bits, bob_bits)
-    return int_of(out)
+        _, out = garbled_call(
+            ctx, engine.ot, circuit_counts(circuit), 1, n_masked=0,
+            real=lambda: (circuit, alice_bits, bob_bits),
+            ideal=lambda: (
+                None,
+                np.asarray(
+                    [circuit.evaluate(alice_bits[0], bob_bits[0])], np.uint8
+                ),
+            ),
+        )
+    return int(bits_to_words(out)[0])

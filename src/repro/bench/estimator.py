@@ -351,12 +351,7 @@ def estimate_query_cost(
         for n_rel in sizes.values():
             out_size *= n_rel
     if params is None:
-        ells = {r.semiring.ell for r in query.relations.values()}
-        if len(ells) != 1:
-            raise ValueError(
-                f"relations disagree on the ring width: {sorted(ells)}"
-            )
-        params = SecurityParams(ell=ells.pop())
+        params = query.ring_params()
     if backends is None:
         backends = query.backend_assignments()
     return estimate_plan_cost(

@@ -10,34 +10,26 @@ strings); the per-relation layout is public.
 Dummy tuples encode as all-zero slots; they are only ever produced for
 zero-annotated rows, which the circuit never reveals.
 
-Two granularities share the same wire format:
-
-* per-tuple — :func:`encode_tuple_bits` / :func:`decode_tuple_bits`
-  over Python bit lists (the historical API, kept for small callers);
-* per-relation — :func:`encode_store_bits` / :func:`decode_bits_store`
-  over ``(n, bits)`` ``uint8`` matrices built straight from a
-  :class:`~repro.relalg.columns.TupleStore`: integer columns encode by
-  one vectorised byte-view, dictionary columns encode each distinct
-  value once and gather by code.
+The codec works per relation — :func:`encode_store_bits` /
+:func:`decode_bits_store` over ``(n, bits)`` ``uint8`` matrices built
+straight from a :class:`~repro.relalg.columns.TupleStore`: integer
+columns encode by one vectorised byte-view, dictionary columns encode
+each distinct value once and gather by code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Sequence, Tuple
+from typing import Any, List, Sequence
 
 import numpy as np
 
 from ..relalg.columns import Column, TupleStore, is_dummy_value
-from .relation import is_dummy_tuple
 
 __all__ = [
     "AttrSpec",
-    "infer_specs",
     "infer_specs_store",
     "tuple_bits",
-    "encode_tuple_bits",
-    "decode_tuple_bits",
     "encode_store_bits",
     "decode_bits_store",
 ]
@@ -51,37 +43,13 @@ class AttrSpec:
     n_bytes: int
 
 
-def infer_specs(tuples: Sequence[Tuple], arity: int) -> List[AttrSpec]:
+def infer_specs_store(store: TupleStore) -> List[AttrSpec]:
     """A public per-relation layout: ints use 4 bytes (8 when any value
     needs it), strings their maximum length rounded up to 4 bytes.
-    Dummy tuples are skipped — their slots follow the real values'."""
-    specs: List[AttrSpec] = []
-    for pos in range(arity):
-        kind, width = "int", 4
-        for t in tuples:
-            if is_dummy_tuple(t):
-                continue
-            v = t[pos]
-            if isinstance(v, str):
-                kind = "str"
-                width = max(width, (len(v.encode()) + 3) // 4 * 4)
-            elif isinstance(v, (int,)):
-                if not -(2**31) <= v < 2**31:
-                    width = max(width, 8)
-            else:
-                raise TypeError(
-                    f"cannot lay out attribute value {v!r} "
-                    f"({type(v).__name__})"
-                )
-        specs.append(AttrSpec(kind, width))
-    return specs
-
-
-def infer_specs_store(store: TupleStore) -> List[AttrSpec]:
-    """:func:`infer_specs` computed columnar: integer columns resolve
-    their width with two array reductions; dictionary columns inspect
-    each distinct value once.  Dummy rows (and dummy values inside
-    mixed rows) are skipped, as in the tuple path."""
+    Integer columns resolve their width with two array reductions;
+    dictionary columns inspect each distinct value once.  Dummy rows
+    (and dummy values inside mixed rows) are skipped — their slots
+    follow the real values'."""
     real = np.flatnonzero(store.nonce == 0)
     specs: List[AttrSpec] = []
     for col in store.columns:
@@ -133,47 +101,6 @@ def _encode_value(v: Any, spec: AttrSpec) -> bytes:
     return raw + b"\x00" * (spec.n_bytes - len(raw))
 
 
-def encode_tuple_bits(t: Tuple, specs: Sequence[AttrSpec]) -> List[int]:
-    """Little-endian bit list of the tuple's fixed slots; dummy tuples
-    become all zeros (they are never revealed)."""
-    if is_dummy_tuple(t):
-        return [0] * tuple_bits(specs)
-    if len(t) != len(specs):
-        raise ValueError("tuple arity does not match the layout")
-    raw = b"".join(_encode_value(v, s) for v, s in zip(t, specs))
-    bits: List[int] = []
-    for byte in raw:
-        bits.extend((byte >> i) & 1 for i in range(8))
-    return bits
-
-
-def decode_tuple_bits(
-    bits: Sequence[int], specs: Sequence[AttrSpec]
-) -> Tuple:
-    """Invert :func:`encode_tuple_bits`."""
-    raw = bytearray()
-    for i in range(0, len(bits), 8):
-        byte = 0
-        for j, b in enumerate(bits[i : i + 8]):
-            byte |= (int(b) & 1) << j
-        raw.append(byte)
-    out = []
-    pos = 0
-    for s in specs:
-        chunk = bytes(raw[pos : pos + s.n_bytes])
-        pos += s.n_bytes
-        if s.kind == "int":
-            out.append(int.from_bytes(chunk, "little", signed=True))
-        else:
-            out.append(chunk.rstrip(b"\x00").decode("utf-8"))
-    return tuple(out)
-
-
-# ----------------------------------------------------------------------
-# columnar (whole-relation) encode/decode
-# ----------------------------------------------------------------------
-
-
 def _dummy_row_mask(store: TupleStore) -> np.ndarray:
     """Rows that encode as all zeros: whole-row dummies plus any row
     holding a dummy *value* (the ``is_dummy_tuple`` rule)."""
@@ -208,8 +135,9 @@ def _encode_int_column(codes: np.ndarray, width: int) -> np.ndarray:
 def encode_store_bits(
     store: TupleStore, specs: Sequence[AttrSpec]
 ) -> np.ndarray:
-    """Bit matrix of the whole store: row ``i`` is
-    ``encode_tuple_bits(store.row(i), specs)`` as a ``uint8`` vector."""
+    """Bit matrix of the whole store: row ``i`` holds the little-endian
+    bits of row ``i``'s fixed slots; dummy rows become all zeros (they
+    are never revealed)."""
     if len(specs) != store.arity:
         raise ValueError("layout arity does not match the store")
     n = store.n

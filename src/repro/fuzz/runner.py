@@ -191,7 +191,8 @@ def _run_secure(
     )
     engine = Engine(ctx, FUZZ_GROUP_BITS)
     backends = route_backends(
-        plan, instance.sizes(), instance.owners, backend=backend
+        plan, instance.sizes(), instance.owners, backend=backend,
+        params=ctx.params,
     )
     inputs = _secure_inputs(instance)
     if fault is not None:
@@ -372,7 +373,8 @@ def audit_leakage(
 
     plan = _plan_for(instance)
     routes = route_backends(
-        plan, instance.sizes(), instance.owners, backend=backend
+        plan, instance.sizes(), instance.owners, backend=backend,
+        params=SecurityParams(ell=instance.ell),
     )
     report = audit_routes(plan, routes, dict(instance.owners))
     allowed = _LEAKAGE_MODELS[backend]

@@ -7,8 +7,8 @@ Rules get two views:
   invariants the OBL rules enforce.
 * :class:`Project` — all files of the run plus a lazily-built index of
   every function/method, used by OBL005 to resolve transcript-label
-  literals through the call graph (``engine -> charge_garbled_batch ->
-  correlated`` and the REAL-side twin).
+  literals through the call graph (``garbled_call -> _charge_garbled
+  -> correlated`` and the REAL-side twin).
 
 Label resolution is *two-valued*: a label is **definite** for a callee
 name when every same-named definition in the project emits it, and

@@ -60,11 +60,13 @@ class SecretTaintRule(Rule):
     ) -> Iterator[Violation]:
         if not src.in_protocol_dirs:
             return
+        # Per file, not per function: a nested ``ideal`` thunk is also
+        # analysed on its own, away from the call that marks it.
+        exempt = simulated_exempt_ranges(src.tree)
         for fn, taint in _protocol_functions(src):
             if not taint.tainted and not self._has_inline_sources(fn):
                 # Fast path: nothing seeded, nothing to flag.
                 continue
-            exempt = simulated_exempt_ranges(fn)
             yield from self._check_fn(src, fn, taint, exempt)
 
     @staticmethod

@@ -16,10 +16,12 @@ positive rate workable: shape-reading attributes (``.shape``,
 ``.nbytes``) are clean, declassifier calls (``reveal*``, designated
 reveals) are clean, and ``# oblint: public`` clears the assigned names.
 
-Code dominated by an ``if ctx.mode == Mode.SIMULATED:`` test is exempt
-from *control-flow* sinks: the simulated back-end legitimately computes
-the functionality on cleartext while the transcript is charged from
-public shapes only (see DESIGN.md, "Execution modes").
+Code dominated by an ``if ctx.mode == Mode.SIMULATED:`` test — and the
+``ideal=`` thunk of a ``garbled_call``, which that seam evaluates in
+SIMULATED mode only — is exempt from *control-flow* sinks: the simulated
+back-end legitimately computes the functionality on cleartext while the
+transcript is charged from public shapes only (see DESIGN.md,
+"Execution modes").
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ SECRET_CONFIG = TaintConfig(
             "reveal_vector",
             "reveal_nonzero_flags",
             "divide_reveal",
-            "run_garbled_batch",
+            "garbled_call",
         }
     ),
     use_markers=True,
@@ -154,24 +156,32 @@ def mode_branch_kind(test: ast.expr) -> Optional[str]:
     return None
 
 
-def simulated_exempt_ranges(fn: ast.AST) -> List[Tuple[int, int]]:
-    """Line ranges dominated by a SIMULATED-mode test (functionality
-    simulation on cleartext — exempt from control-flow sinks)."""
-    ranges: List[Tuple[int, int]] = []
-    for node in ast.walk(fn):
-        if not isinstance(node, ast.If):
-            continue
-        kind = mode_branch_kind(node.test)
-        stmts: List[ast.stmt] = []
-        if kind == "simulated":
-            stmts = node.body
-        elif kind == "real":
-            stmts = node.orelse
-        if stmts:
-            ranges.append(
-                (stmts[0].lineno, max(s.end_lineno or s.lineno for s in stmts))
-            )
-    return ranges
+def simulated_exempt_ranges(tree: ast.AST) -> List[Tuple[int, int]]:
+    """Line ranges that run in SIMULATED mode only (functionality
+    simulation on cleartext — exempt from control-flow sinks): blocks
+    dominated by a SIMULATED-mode test, and the ``ideal=`` thunk of a
+    ``garbled_call`` (a lambda, or a ``def`` of that name in ``tree``)."""
+    spans: List[ast.AST] = []
+    thunks: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If):
+            kind = mode_branch_kind(node.test)
+            if kind == "simulated":
+                spans += node.body
+            elif kind == "real":
+                spans += node.orelse
+        elif isinstance(node, ast.Call) and call_name(node) == "garbled_call":
+            for kw in node.keywords:
+                if kw.arg == "ideal" and isinstance(kw.value, ast.Name):
+                    thunks.add(kw.value.id)
+                elif kw.arg == "ideal":
+                    spans.append(kw.value)
+    spans += [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in thunks
+    ]
+    return [(s.lineno, s.end_lineno or s.lineno) for s in spans]
 
 
 def _is_set_expr(expr: ast.expr) -> bool:

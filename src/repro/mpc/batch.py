@@ -4,7 +4,7 @@ The REAL-mode primitives move millions of tiny values between numpy
 vectors, Python ints, and wire-format byte strings.  Doing that one
 ``int.to_bytes`` at a time dominates every benchmark, so the hot paths
 (:meth:`repro.mpc.engine.Engine._gilboa_cross`,
-:func:`repro.mpc.yao.run_garbled_batch`,
+:func:`repro.mpc.yao.garbled_call`,
 :meth:`repro.mpc.ot.IknpExtension.transfer`, the OEP switch network)
 marshal through the batch kernels here instead:
 

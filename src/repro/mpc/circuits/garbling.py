@@ -150,7 +150,7 @@ def garble(
 # Batched (instance-parallel) garbling
 # ----------------------------------------------------------------------
 #
-# ``run_garbled_batch`` garbles the SAME template for every instance of a
+# ``yao.garbled_call`` garbles the SAME template for every instance of a
 # batch, so the per-gate control flow is identical across instances and
 # the whole batch can be garbled SIMD-style: wire labels become
 # ``(n_instances, 16)`` byte matrices, XOR gates are one vectorised XOR,

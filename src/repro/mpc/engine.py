@@ -2,30 +2,18 @@
 
 The oblivious relational operators (Section 6) are written against this
 engine rather than raw primitives.  Every method is one constant-round
-batched protocol:
-
-* REAL mode garbles the circuit templates of :mod:`repro.mpc.gadgets`
-  once per vector element, batching all of Alice's input-label OTs.
-* SIMULATED mode computes the identical functionality with numpy and
-  charges the identical bytes via :func:`charge_garbled_batch`.
-
-Output shares are always *fresh*: Alice's share is the circuit output
-(masked with Bob's random ``r``), Bob's share is ``-r`` — the ABY-style
-Yao-to-arithmetic conversion described in Section 5.2.
+batched protocol.  The circuit-based ones hand
+:func:`repro.mpc.yao.garbled_call` a :mod:`repro.mpc.gadgets` template
+with its inputs as bit matrices (what REAL mode garbles, once per vector
+element) beside the same function in numpy (what SIMULATED mode
+computes, charging the identical bytes); which of the two runs is
+decided there, and output shares are always *fresh* (Section 5.2).
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..exec.trace import ExecutionTrace
@@ -40,6 +28,7 @@ from .batch import le_bytes_to_words
 from .context import ALICE, BOB, Context, Mode
 from .costs import (
     DEFAULT_GROUP_BITS,
+    circuit_counts,
     gilboa_widths,
     merge_chain_counts,
     ring_bytes,
@@ -51,7 +40,7 @@ from .sharing import (
     reveal_vector,
     share_vector,
 )
-from .yao import charge_garbled, charge_garbled_batch, run_garbled_batch
+from .yao import garbled_call
 
 __all__ = ["Engine"]
 
@@ -88,12 +77,6 @@ class Engine:
         #: it leaves the run's messages byte-identical.
         self.yield_hook: Optional[Callable[[object], None]] = None
 
-    def _gadget(
-        self, builder: Callable[..., "Circuit"], *shape: int
-    ) -> "Circuit":
-        """Fetch a circuit template through the run-scoped cache."""
-        return self.ctx.cache.circuit(builder, *shape)
-
     # -- sharing ----------------------------------------------------------
 
     def share(
@@ -101,11 +84,6 @@ class Engine:
         label: str = "share",
     ) -> SharedVector:
         return share_vector(self.ctx, owner, values, label)
-
-    @leaks("opened:result")
-    def reveal(self, sv: SharedVector, to: str = ALICE,
-               label: str = "reveal") -> np.ndarray:
-        return reveal_vector(self.ctx, sv, to, label)
 
     def zeros(self, n: int) -> SharedVector:
         return SharedVector.zeros(n, self.ctx.modulus)
@@ -132,21 +110,6 @@ class Engine:
         """Reveal one shared column to ``to`` (one send of the
         complementary share); returns the ``(n,)`` cleartext array."""
         return reveal_vector(self.ctx, sv, to, label)
-
-    def select_alice_plain(
-        self,
-        mask: Sequence[int] | np.ndarray,
-        x: SharedVector,
-        y: SharedVector,
-        label: str = "select",
-    ) -> SharedVector:
-        """Columnwise oblivious select: shares of ``x_i`` where Alice's
-        plain ``mask_i`` is 1, else ``y_i`` — computed as
-        ``y + mask * (x - y)`` with a single Gilboa batch."""
-        m = as_ring_column(mask, self.ctx.modulus)
-        if not np.isin(m, (0, 1)).all():
-            raise ValueError("selection mask must be 0/1-valued")
-        return y + self.mul_alice_plain(m, x - y, label=label)
 
     # -- element-wise products ---------------------------------------------
     #
@@ -180,10 +143,9 @@ class Engine:
         ):
             if ctx.mode == Mode.SIMULATED:
                 ot.correlated(None, widths).finish()
-                prod = (
-                    u.astype(np.uint64) * v.astype(np.uint64)
-                ) & mask
-                return self._fresh(prod)
+                return SharedVector.fresh(
+                    ctx, u.astype(np.uint64) * v.astype(np.uint64)
+                )
             cot = ot.correlated(
                 words_to_bits(u.astype(np.uint64), ell).reshape(-1), widths
             )
@@ -227,16 +189,26 @@ class Engine:
     def _mul_shared_gc(self, x: SharedVector, y: SharedVector,
                        label: str) -> SharedVector:
         """Garbled-circuit multiplication (ablation reference)."""
+        ctx = self.ctx
+        circuit = ctx.cache.circuit(gadgets.mul_shared_circuit, ctx.params.ell)
+        with ctx.section(label):
+            return garbled_call(
+                ctx, self.ot, circuit_counts(circuit), len(x), n_masked=1,
+                real=lambda: (circuit, *self._share_bits(x, y)),
+                ideal=lambda: (x.reconstruct() * y.reconstruct(), None),
+            )[0]
+
+    def _share_bits(
+        self, *vectors: SharedVector
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Alice's, then Bob's, shares of ``vectors`` side by side as bit
+        matrices — the input packing of the per-element gadgets."""
         ell = self.ctx.params.ell
-        circuit = self._gadget(gadgets.mul_shared_circuit, ell)
-        return self._run_masked(
-            circuit,
-            label,
-            n=len(x),
-            alice_words=[x.alice, y.alice],
-            bob_words=[x.bob, y.bob],
-            semantics=lambda: (x.reconstruct() * y.reconstruct()),
+        alice, bob = (
+            np.concatenate([words_to_bits(w, ell) for w in words], axis=1)
+            for words in zip(*((v.alice, v.bob) for v in vectors))
         )
+        return alice, bob
 
     def mul_alice_plain(self, plain: Sequence[int] | np.ndarray, y: SharedVector,
                         label: str = "mul_plain") -> SharedVector:
@@ -258,16 +230,14 @@ class Engine:
     def indicator_nonzero(self, x: SharedVector,
                           label: str = "nonzero") -> SharedVector:
         """``z_i = Ind(x_i != 0)`` as shared ring elements."""
-        ell = self.ctx.params.ell
-        circuit = self._gadget(gadgets.nonzero_circuit, ell)
-        return self._run_masked(
-            circuit,
-            label,
-            n=len(x),
-            alice_words=[x.alice],
-            bob_words=[x.bob],
-            semantics=lambda: (x.reconstruct() != 0).astype(np.uint64),
-        )
+        ctx = self.ctx
+        circuit = ctx.cache.circuit(gadgets.nonzero_circuit, ctx.params.ell)
+        with ctx.section(label):
+            return garbled_call(
+                ctx, self.ot, circuit_counts(circuit), len(x), n_masked=1,
+                real=lambda: (circuit, *self._share_bits(x)),
+                ideal=lambda: (x.reconstruct() != 0, None),
+            )[0]
 
     # -- the Section 6.1 merge-gate chains ---------------------------------
 
@@ -313,8 +283,9 @@ class Engine:
         label: str,
     ) -> SharedVector:
         """One merge-gate chain of ``make_circuit`` over the low ``bits``
-        bits of each element of ``v``; ``semantics(boundaries,
-        cleartext)`` is its function, which SIMULATED mode computes."""
+        bits of each element of ``v``: a single circuit instance with one
+        masked output word per row.  ``semantics(boundaries, cleartext)``
+        is its function."""
         n = len(v)
         if n == 0:
             return self.zeros(0)
@@ -323,31 +294,25 @@ class Engine:
         ctx = self.ctx
         ell = ctx.params.ell
         ind = np.asarray(same_as_next, dtype=bool)
-        with ctx.section(label):
-            if ctx.mode == Mode.SIMULATED:
-                counts = merge_chain_counts(
-                    lambda k: self._gadget(make_circuit, ell, k), n
-                )
-                charge_garbled(ctx, self.ot, counts, 1)
-                return self._fresh(semantics(ind, v.reconstruct()))
-            circuit = self._gadget(make_circuit, ell, n)
-            r = ctx.random_ring_vector(n)
+
+        def real() -> Tuple["Circuit", np.ndarray, np.ndarray]:
             alice_bits = np.concatenate(
                 [ind.astype(np.uint8), words_to_bits(v.alice, bits).reshape(-1)]
             )
-            bob_bits = np.concatenate(
-                [
-                    words_to_bits(v.bob, bits).reshape(-1),
-                    words_to_bits(r, ell).reshape(-1),
-                ]
+            return (
+                ctx.cache.circuit(make_circuit, ell, n),
+                alice_bits[None, :],
+                words_to_bits(v.bob, bits).reshape(1, -1),
             )
-            outs = run_garbled_batch(
-                ctx, self.ot, circuit, [alice_bits], [bob_bits]
+
+        counts = merge_chain_counts(
+            lambda k: ctx.cache.circuit(make_circuit, ell, k), n
+        )
+        with ctx.section(label):
+            return garbled_call(
+                ctx, self.ot, counts, 1, n_masked=n, real=real,
+                ideal=lambda: (semantics(ind, v.reconstruct()), None),
             )[0]
-            words = bits_to_words(
-                np.asarray(outs, dtype=np.uint8).reshape(n, ell)
-            )
-            return SharedVector(words, (-r) & ctx.mask, ctx.modulus)
 
     # -- Section 6.3 helpers -------------------------------------------------
 
@@ -373,79 +338,46 @@ class Engine:
     def reveal_nonzero_flags(
         self,
         v: SharedVector,
-        payload_bits_list: Optional[
-            Union[List[List[int]], np.ndarray]
-        ] = None,
+        payload_bits: Optional[np.ndarray] = None,
         label: str = "reveal_nonzero",
-    ) -> Tuple[np.ndarray, Optional[Union[List[List[int]], np.ndarray]]]:
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Section 6.3 step 1: for each shared annotation, reveal to Alice
-        whether it is nonzero, and — when ``payload_bits_list`` carries
-        Bob's encoded tuples — the tuple payload for nonzero entries.
+        whether it is nonzero, and — when ``payload_bits`` carries Bob's
+        encoded tuples as a ``(n, pbits)`` uint8 matrix
+        (:func:`repro.core.codec.encode_store_bits`) — the tuple payload
+        for nonzero entries, zeros for the rest.
 
-        ``payload_bits_list`` is either the legacy list-of-bit-lists or a
-        ``(n, pbits)`` uint8 matrix (the columnar fast path); the return
-        mirrors the input form.  Returns ``(flags, payloads)`` where
-        ``payloads`` is ``None`` when no payload was supplied.
+        Returns ``(flags, payloads)`` where ``payloads`` is ``None`` when
+        no payload was supplied.
         """
         n = len(v)
-        ell = self.ctx.params.ell
         ctx = self.ctx
-        is_matrix = isinstance(payload_bits_list, np.ndarray)
-        mat: Optional[np.ndarray] = None
-        if payload_bits_list is not None:
-            if is_matrix:
-                mat = np.asarray(payload_bits_list, dtype=np.uint8)
-                if mat.ndim != 2 or len(mat) != n:
-                    raise ValueError(
-                        "payload matrix must be (n, pbits)"
-                    )
-                pbits = mat.shape[1]
-            else:
-                if len(payload_bits_list) != n:
-                    raise ValueError("one payload per annotation required")
-                pbits = len(payload_bits_list[0]) if n else 0
-                if any(len(p) != pbits for p in payload_bits_list):
-                    raise ValueError("payloads must be fixed-width")
+        if payload_bits is None:
+            mat = np.zeros((n, 0), dtype=np.uint8)
         else:
-            pbits = 0
+            mat = np.asarray(payload_bits, dtype=np.uint8)
+            if mat.ndim != 2 or len(mat) != n:
+                raise ValueError("payload matrix must be (n, pbits)")
+        circuit = ctx.cache.circuit(
+            gadgets.reveal_tuple_circuit, ctx.params.ell, mat.shape[1]
+        )
+
+        def real() -> Tuple["Circuit", np.ndarray, np.ndarray]:
+            alice_bits, bob_bits = self._share_bits(v)
+            return circuit, alice_bits, np.concatenate([bob_bits, mat], axis=1)
+
+        def ideal() -> Tuple[None, np.ndarray]:
+            out = np.concatenate([np.ones((n, 1), np.uint8), mat], axis=1)
+            out[v.reconstruct() == 0] = 0
+            return None, out
+
         with ctx.section(label):
-            if ctx.mode == Mode.SIMULATED:
-                template = self._gadget(gadgets.reveal_tuple_circuit, ell, pbits)
-                charge_garbled_batch(ctx, self.ot, template, n)
-                plain = v.reconstruct()
-                flags = (plain != 0).astype(bool)
-                if payload_bits_list is None:
-                    return flags, None
-                if mat is not None:
-                    out = mat.copy()
-                    out[~flags] = 0
-                    return flags, out
-                payloads = [
-                    payload_bits_list[i] if flags[i] else [0] * pbits
-                    for i in range(n)
-                ]
-                return flags, payloads
-            template = self._gadget(gadgets.reveal_tuple_circuit, ell, pbits)
-            alice_bits = words_to_bits(v.alice, ell)
-            bob_bits = words_to_bits(v.bob, ell)
-            if pbits:
-                pb = (
-                    mat
-                    if mat is not None
-                    else np.asarray(payload_bits_list, dtype=np.uint8)
-                )
-                bob_bits = np.concatenate([bob_bits, pb], axis=1)
-            outs = run_garbled_batch(
-                ctx, self.ot, template, alice_bits, bob_bits
+            _, out = garbled_call(
+                ctx, self.ot, circuit_counts(circuit), n, n_masked=0,
+                real=real, ideal=ideal,
             )
-            flags = np.asarray([o[0] for o in outs], dtype=bool)
-            if payload_bits_list is None:
-                return flags, None
-            if mat is not None:
-                return flags, np.asarray(
-                    [o[1:] for o in outs], dtype=np.uint8
-                ).reshape(n, pbits)
-            return flags, [o[1:] for o in outs]
+        flags = out[:, 0].astype(bool)
+        return flags, None if payload_bits is None else out[:, 1:]
 
     # -- division (query composition, Section 7) ----------------------------
 
@@ -457,86 +389,32 @@ class Engine:
         Division by zero yields the all-ones word."""
         if len(x) != len(y):
             raise ValueError("vector length mismatch")
-        n = len(x)
-        ell = self.ctx.params.ell
         ctx = self.ctx
-        circuit = self._gadget(gadgets.div_reveal_circuit, ell)
+        ell = ctx.params.ell
+        circuit = ctx.cache.circuit(gadgets.div_reveal_circuit, ell)
+
+        def ideal() -> Tuple[None, np.ndarray]:
+            xs, ys = x.reconstruct(), y.reconstruct()
+            out = np.where(ys == 0, ctx.mask, xs // np.maximum(ys, np.uint64(1)))
+            return None, words_to_bits(out, ell)
+
         with ctx.section(label):
-            if ctx.mode == Mode.SIMULATED:
-                charge_garbled_batch(ctx, self.ot, circuit, n)
-                xs = x.reconstruct().astype(np.uint64)
-                ys = y.reconstruct().astype(np.uint64)
-                out = np.full(n, self.ctx.modulus - 1, dtype=np.uint64)
-                nz = ys != 0
-                out[nz] = xs[nz] // ys[nz]
-                return out
-            alice_bits = np.concatenate(
-                [words_to_bits(x.alice, ell), words_to_bits(y.alice, ell)],
-                axis=1,
+            _, out = garbled_call(
+                ctx, self.ot, circuit_counts(circuit), len(x), n_masked=0,
+                real=lambda: (circuit, *self._share_bits(x, y)),
+                ideal=ideal,
             )
-            bob_bits = np.concatenate(
-                [words_to_bits(x.bob, ell), words_to_bits(y.bob, ell)],
-                axis=1,
-            )
-            outs = run_garbled_batch(
-                ctx, self.ot, circuit, alice_bits, bob_bits
-            )
-            return bits_to_words(np.asarray(outs, dtype=np.uint8))
+        return bits_to_words(out)
 
     # -- internals -----------------------------------------------------------
 
-    def _fresh(self, plain: np.ndarray) -> SharedVector:
-        a = self.ctx.random_ring_vector(len(plain))
-        return SharedVector(
-            a, (plain.astype(np.uint64) - a) & self.ctx.mask,
-            self.ctx.modulus,
-        )
-
     @staticmethod
     def _segment_last_sums(ind: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Vectorised merge-chain semantics: position i gets its group's
+        """Vectorised merge-chain semantics over ``n >= 1`` values and
+        their ``n - 1`` boundaries: position i gets its group's
         (wrap-around) sum iff it is the last of its group, else 0."""
-        n = len(values)
-        out = np.zeros(n, dtype=np.uint64)
-        if n == 0:
-            return out
-        ends = np.flatnonzero(~ind) if n > 1 else np.asarray([], dtype=int)
-        ends = np.concatenate([ends, [n - 1]]).astype(np.int64)
+        ends = np.append(np.flatnonzero(~ind), len(values) - 1)
         csum = np.cumsum(values.astype(np.uint64), dtype=np.uint64)
-        seg_totals = np.diff(np.concatenate([[np.uint64(0)], csum[ends]]))
-        out[ends] = seg_totals
+        out = np.zeros(len(values), dtype=np.uint64)
+        out[ends] = np.diff(csum[ends], prepend=np.uint64(0))
         return out
-
-    def _run_masked(
-        self,
-        circuit: "Circuit",
-        label: str,
-        n: int,
-        alice_words: Sequence[np.ndarray],
-        bob_words: Sequence[np.ndarray],
-        semantics: Callable[[], np.ndarray],
-    ) -> SharedVector:
-        """Run one masked-output circuit per element: Bob's inputs are his
-        words plus a fresh mask ``r``; Alice's share is the output."""
-        ctx = self.ctx
-        ell = ctx.params.ell
-        with ctx.section(label):
-            if n == 0:
-                return self.zeros(0)
-            if ctx.mode == Mode.SIMULATED:
-                charge_garbled_batch(ctx, self.ot, circuit, n)
-                return self._fresh(np.asarray(semantics()) & ctx.mask)
-            r = ctx.random_ring_vector(n)
-            alice_bits = np.concatenate(
-                [words_to_bits(w, ell) for w in alice_words], axis=1
-            )
-            bob_bits = np.concatenate(
-                [words_to_bits(w, ell) for w in bob_words]
-                + [words_to_bits(r, ell)],
-                axis=1,
-            )
-            outs = run_garbled_batch(
-                ctx, self.ot, circuit, alice_bits, bob_bits
-            )
-            out_words = bits_to_words(np.asarray(outs, dtype=np.uint8))
-            return SharedVector(out_words, (-r) & ctx.mask, ctx.modulus)

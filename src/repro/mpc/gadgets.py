@@ -19,12 +19,10 @@ __all__ = [
     "bits_of",
     "int_of",
     "mul_shared_circuit",
-    "mul_plain_circuit",
     "nonzero_circuit",
     "merge_sum_circuit",
     "merge_or_circuit",
     "psi_bin_circuit",
-    "prod_shared_circuit",
     "div_reveal_circuit",
     "reveal_tuple_circuit",
 ]
@@ -58,18 +56,6 @@ def mul_shared_circuit(ell: int) -> Circuit:
     )
     x, y = b.add(x1, x2), b.add(y1, y2)
     return b.build(b.add(b.mul(x, y), r))
-
-
-@functools.lru_cache(maxsize=None)
-def mul_plain_circuit(ell: int) -> Circuit:
-    """``a * (y1+y2) + r`` where ``a`` is known to Alice.
-
-    Alice: ``a | y1``; Bob: ``y2 | r``.  Output: Alice's share.
-    """
-    b = CircuitBuilder()
-    a, y1 = b.alice_input_bits(ell), b.alice_input_bits(ell)
-    y2, r = b.bob_input_bits(ell), b.bob_input_bits(ell)
-    return b.build(b.add(b.mul(a, b.add(y1, y2)), r))
 
 
 @functools.lru_cache(maxsize=None)
@@ -148,7 +134,8 @@ def psi_bin_circuit(ell: int, fp_bits: int, reveal_payload: bool) -> Circuit:
     """Per-bin matching circuit of the PSI protocol (Sections 5.3/5.5).
 
     Alice: ``t (fp_bits) | p (ell)`` — her OPPRF outputs for this bin;
-    Bob: ``s (fp_bits) | w (ell) | fallback (ell) | r_ind (ell) | r_pay (ell)``.
+    Bob: ``s (fp_bits) | w (ell) | fallback (ell) | r_ind (ell)``, then
+    ``r_pay (ell)`` unless the payload is revealed.
 
     ``m = eq(t, s)`` detects membership.  Outputs: the masked indicator
     word, then the payload ``m ? (p + w) : fallback`` — masked with
@@ -163,32 +150,13 @@ def psi_bin_circuit(ell: int, fp_bits: int, reveal_payload: bool) -> Circuit:
     w = b.bob_input_bits(ell)
     fallback = b.bob_input_bits(ell)
     r_ind = b.bob_input_bits(ell)
-    r_pay = b.bob_input_bits(ell)
+    r_pay = [] if reveal_payload else b.bob_input_bits(ell)
     m = b.eq(t, s)
     ind_word = b.add([m] + [b.constant(0)] * (ell - 1), r_ind)
     pay = b.mux(m, b.add(p, w), fallback)
-    if not reveal_payload:
+    if r_pay:
         pay = b.add(pay, r_pay)
     return b.build(ind_word + pay)
-
-
-@functools.lru_cache(maxsize=None)
-def prod_shared_circuit(ell: int, k: int) -> Circuit:
-    """``(x1_1+x2_1) * ... * (x1_k+x2_k) + r`` — the annotation product of
-    one join result over ``k`` relations (Section 6.3 step 3).
-
-    Alice: ``x1_1 | ... | x1_k``; Bob: ``x2_1 | ... | x2_k | r``.
-    """
-    if k < 1:
-        raise ValueError("need at least one factor")
-    b = CircuitBuilder()
-    xs1 = [b.alice_input_bits(ell) for _ in range(k)]
-    xs2 = [b.bob_input_bits(ell) for _ in range(k)]
-    r = b.bob_input_bits(ell)
-    acc = b.add(xs1[0], xs2[0])
-    for i in range(1, k):
-        acc = b.mul(acc, b.add(xs1[i], xs2[i]))
-    return b.build(b.add(acc, r))
 
 
 @functools.lru_cache(maxsize=None)

@@ -57,7 +57,7 @@ def oblivious_permutation(
             inv[np.asarray(perm, dtype=np.int64)] = np.arange(n)
             out_plain = values.reconstruct()[inv]
             _charge_switches(ctx, ot, permutation_widths(ctx.params.ell, n))
-            return _fresh_shares(ctx, out_plain)
+            return SharedVector.fresh(ctx, out_plain)
         layers = ctx.cache.benes_network(pad_permutation(perm))
         padded = values.concat(
             SharedVector.zeros(padded_size(n) - n, ctx.modulus)
@@ -91,7 +91,7 @@ def oblivious_extended_permutation(
         if ctx.mode == Mode.SIMULATED:
             out_plain = values.reconstruct()[xi_arr]
             _charge_switches(ctx, ot, oep_widths(ctx.params.ell, m, n_out))
-            return _fresh_shares(ctx, out_plain)
+            return SharedVector.fresh(ctx, out_plain)
         return _oep_real(ctx, ot, [int(s) for s in xi_arr], values, n_out)
 
 
@@ -106,11 +106,6 @@ def _charge_switches(ctx: Context, ot: OT, widths: Widths) -> None:
     ``<label>/switches/ot/...``."""
     with ctx.section("switches"):
         ot.correlated(None, widths).finish()
-
-
-def _fresh_shares(ctx: Context, plain: np.ndarray) -> SharedVector:
-    a = ctx.random_ring_vector(len(plain))
-    return SharedVector(a, (plain - a) & ctx.mask, ctx.modulus)
 
 
 def _oep_real(

@@ -23,13 +23,15 @@ Cost: ``~O(M + N)`` communication and computation, constant rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .batch import sorted_lookup
+from .batch import bits_to_words, sorted_lookup, words_to_bits
+from .circuits.circuit import Circuit
 from .context import ALICE, BOB, Context, Mode
 from .costs import (
+    circuit_counts,
     opprf_hint_bytes,
     psi_bins,
     psi_seed_bytes,
@@ -44,7 +46,7 @@ from .cuckoo import (
     item_digests,
     simple_hash_bins,
 )
-from .gadgets import bits_of, int_of, psi_bin_circuit
+from .gadgets import psi_bin_circuit
 from .oprf import (
     OPPRF_PRIME,
     BatchedOprf,
@@ -55,7 +57,7 @@ from .oprf import (
 )
 from .ot import OT
 from .sharing import SharedVector, as_ring_column
-from .yao import charge_garbled_batch, run_garbled_batch
+from .yao import garbled_call
 
 __all__ = ["PsiResult", "psi_with_payloads"]
 
@@ -141,37 +143,76 @@ def psi_with_payloads(
         alice_fps[occupied] = fingerprints(alice)[table.bins[occupied]]
         bob_fps = fingerprints(bob)
 
-        if ctx.mode == Mode.REAL:
-            bob_bins = np.split(members, np.cumsum(counts)[:-1])
-            return _psi_real(
-                ctx, ot, table, n_bins, alice_fps.tolist(), bob_fps.tolist(),
-                bob_bins, load, payloads, fallbacks, reveal_payload,
+        fp_bits = psi_token_bits(n_bins, ctx.params.sigma)
+        opprf = _opprf(
+            ctx, alice_fps, bob_fps, members, counts, load, payloads, fp_bits
+        )
+
+        # One garbled circuit per bin.
+        ell = ctx.params.ell
+        circuit = psi_bin_circuit(ell, fp_bits, reveal_payload)
+
+        def real() -> Tuple[Circuit, np.ndarray, np.ndarray]:
+            # Alice: t | p;  Bob: s | w | fallback (the seam adds r).
+            t, p, s, w, f = (
+                words_to_bits(words, width)
+                for words, width in zip(
+                    (*opprf, fallbacks), (fp_bits, ell, fp_bits, ell, ell)
+                )
             )
-        return _psi_simulated(
-            ctx, ot, table, n_bins, alice_fps, bob_fps,
-            load, payloads, fallbacks, reveal_payload,
+            return circuit, np.hstack([t, p]), np.hstack([s, w, f])
+
+        def ideal() -> Tuple[np.ndarray, Optional[np.ndarray]]:
+            # Per bin, match iff Alice's item is one of Bob's (her dummy
+            # fingerprints lie outside the real subspace).
+            order, slot = sorted_lookup(bob_fps, alice_fps)
+            hit = slot >= 0
+            pay = fallbacks.copy()
+            pay[hit] = payloads[order[slot[hit]]]
+            ind = hit.astype(np.uint64)
+            if reveal_payload:
+                return ind, words_to_bits(pay, ell)
+            return np.concatenate([ind, pay]), None
+
+        with ctx.section("bin_circuits"):
+            shares, revealed = garbled_call(
+                ctx, ot, circuit_counts(circuit), n_bins,
+                n_masked=1 if reveal_payload else 2, real=real, ideal=ideal,
+            )
+        ind = shares.take(np.arange(n_bins))
+        if reveal_payload:
+            return PsiResult(table, n_bins, ind, bits_to_words(revealed))
+        return PsiResult(
+            table, n_bins, ind, shares.take(np.arange(n_bins, 2 * n_bins))
         )
 
 
-def _psi_real(
+def _opprf(
     ctx: Context,
-    ot: OT,
-    table: CuckooTable,
-    n_bins: int,
-    alice_fps: List[int],
-    bob_fps: List[int],
-    bob_bins: List[np.ndarray],
+    alice_fps: np.ndarray,
+    bob_fps: np.ndarray,
+    members: np.ndarray,
+    counts: np.ndarray,
     load: int,
     bob_payloads: np.ndarray,
-    fallbacks: np.ndarray,
-    reveal_payload: bool,
-) -> PsiResult:
-    ell = ctx.params.ell
+    fp_bits: int,
+) -> Tuple[np.ndarray, ...]:
+    """Step 3 — PSI's one mode fork: the batched OPRF, then Bob's
+    per-bin OPPRF polynomials.  REAL returns, per bin, Alice's
+    evaluations ``(token, masked payload)`` and Bob's targets ``(match
+    token s, payload mask w)`` — the bin circuits' inputs; SIMULATED
+    charges the same messages and has no values to return."""
+    n_bins = len(alice_fps)
+    if ctx.mode == Mode.SIMULATED:
+        charge_oprf_setup(ctx, n_bins)
+        ctx.send(BOB, opprf_hint_bytes(n_bins, load), "opprf_hints")
+        return ()
     modulus = ctx.modulus
     rng = ctx.rng
-    fp_bits = psi_token_bits(n_bins, ctx.params.sigma)
     token_mod = 1 << fp_bits
-    oprf = BatchedOprf(ctx, alice_fps)
+    oprf = BatchedOprf(ctx, alice_fps.tolist())
+    bob_fp_list = bob_fps.tolist()
+    bob_bins = np.split(members, np.cumsum(counts)[:-1])
 
     # Bob programs per-bin OPPRF polynomials: one for the match token,
     # one for the masked payload; both padded to degree L-1.
@@ -185,7 +226,7 @@ def _psi_real(
         ys_t: List[int] = []
         ys_p: List[int] = []
         for idx in bob_bins[b].tolist():
-            x = oprf.bob_eval(b, bob_fps[idx]) % OPPRF_PRIME
+            x = oprf.bob_eval(b, bob_fp_list[idx]) % OPPRF_PRIME
             if x in xs:
                 raise RuntimeError(
                     "OPRF output collision inside a bin (probability "
@@ -210,84 +251,7 @@ def _psi_real(
         alice_tokens.append(poly_eval(poly_t, x_alice) % token_mod)
         alice_payload_vals.append(poly_eval(poly_p, x_alice) % modulus)
     ctx.send(BOB, hint_bytes, "opprf_hints")
-
-    # One garbled circuit per bin.
-    circuit = psi_bin_circuit(ell, fp_bits, reveal_payload)
-    r_ind = ctx.random_ring_vector(n_bins)
-    r_pay = ctx.random_ring_vector(n_bins)
-    alice_bits = [
-        bits_of(alice_tokens[b], fp_bits)
-        + bits_of(alice_payload_vals[b], ell)
-        for b in range(n_bins)
-    ]
-    bob_bits = [
-        bits_of(s_tokens[b], fp_bits)
-        + bits_of(w_masks[b], ell)
-        + bits_of(int(fallbacks[b]), ell)
-        + bits_of(int(r_ind[b]), ell)
-        + bits_of(int(r_pay[b]), ell)
-        for b in range(n_bins)
-    ]
-    with ctx.section("bin_circuits"):
-        outputs = run_garbled_batch(ctx, ot, circuit, alice_bits, bob_bits)
-
-    ind_alice = np.asarray(
-        [int_of(o[:ell]) for o in outputs], dtype=np.uint64
+    return tuple(
+        np.asarray(words, dtype=np.uint64)
+        for words in (alice_tokens, alice_payload_vals, s_tokens, w_masks)
     )
-    pay_alice = np.asarray(
-        [int_of(o[ell:]) for o in outputs], dtype=np.uint64
-    )
-    mask = np.uint64(modulus - 1)
-    ind = SharedVector(ind_alice, (-r_ind) & mask, modulus)
-    if reveal_payload:
-        payload: Union[SharedVector, np.ndarray] = pay_alice
-    else:
-        payload = SharedVector(pay_alice, (-r_pay) & mask, modulus)
-    return PsiResult(table, n_bins, ind, payload)
-
-
-def _psi_simulated(
-    ctx: Context,
-    ot: OT,
-    table: CuckooTable,
-    n_bins: int,
-    alice_fps: np.ndarray,
-    bob_fps: np.ndarray,
-    load: int,
-    bob_payloads: np.ndarray,
-    fallbacks: np.ndarray,
-    reveal_payload: bool,
-) -> PsiResult:
-    ell = ctx.params.ell
-    modulus = ctx.modulus
-    mask = ctx.mask
-
-    # Charge what the real protocol sends.
-    charge_oprf_setup(ctx, n_bins)
-    ctx.send(BOB, opprf_hint_bytes(n_bins, load), "opprf_hints")
-    with ctx.section("bin_circuits"):
-        charge_garbled_batch(
-            ctx,
-            ot,
-            psi_bin_circuit(
-                ell, psi_token_bits(n_bins, ctx.params.sigma), reveal_payload
-            ),
-            n_bins,
-        )
-
-    # Functionality: per bin, match iff Alice's item is one of Bob's
-    # (her dummy fingerprints lie outside the real subspace).
-    order, slot = sorted_lookup(bob_fps, alice_fps)
-    hit = slot >= 0
-    ind_plain = hit.astype(np.uint64)
-    pay_plain = fallbacks.copy()
-    pay_plain[hit] = bob_payloads[order[slot[hit]]]
-
-    ind_a = ctx.random_ring_vector(n_bins)
-    ind = SharedVector(ind_a, (ind_plain - ind_a) & mask, modulus)
-    if reveal_payload:
-        payload: Union[SharedVector, np.ndarray] = pay_plain
-    else:
-        pay_a = ctx.random_ring_vector(n_bins)
-        payload = SharedVector(pay_a, (pay_plain - pay_a) & mask, modulus)
-    return PsiResult(table, n_bins, ind, payload)

@@ -180,6 +180,16 @@ class SharedVector:
             np.zeros(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64), modulus
         )
 
+    @classmethod
+    def fresh(cls, ctx: Context, plain: np.ndarray) -> "SharedVector":
+        """A fresh uniform sharing of ``plain`` — how every SIMULATED
+        primitive outputs the value its REAL twin computes shared."""
+        a = ctx.random_ring_vector(len(plain))
+        return cls(
+            a, (np.asarray(plain).astype(np.uint64) - a) & ctx.mask,
+            ctx.modulus,
+        )
+
     def _check(self, other: "SharedVector") -> None:
         if self.modulus != other.modulus:
             raise ValueError("mixing shares over different rings")

@@ -31,6 +31,7 @@ from ..core.protocol import (
 from ..core.relation import SecureRelation
 from ..mpc.context import ALICE
 from ..mpc.engine import Engine
+from ..mpc.params import SecurityParams
 from ..relalg.hypergraph import Hypergraph
 from ..relalg.join_tree import is_free_connex
 from ..relalg.relation import AnnotatedRelation
@@ -123,6 +124,17 @@ class JoinAggregateQuery:
         """IN: the total number of input tuples."""
         return sum(len(r) for r in self.relations.values())
 
+    def ring_params(self) -> SecurityParams:
+        """Default security parameters at the relations' own ring width
+        — what this query's nodes are priced at, by the router and the
+        estimator alike."""
+        ells = {r.semiring.ell for r in self.relations.values()}
+        if len(ells) != 1:
+            raise ValueError(
+                f"relations disagree on the ring width: {sorted(ells)}"
+            )
+        return SecurityParams(ell=ells.pop())
+
     def backend_assignments(
         self, backend: Optional[str] = None
     ) -> Dict[str, str]:
@@ -130,11 +142,13 @@ class JoinAggregateQuery:
         execute (label-keyed, as the compiler and estimator expect).
         ``backend`` overrides the query's own policy (an engine-level
         override is resolved the same way by ``run_secure``)."""
+        policy = backend if backend is not None else self.backend
         return route_backends(
             self.plan(),
             {n: len(r) for n, r in self.relations.items()},
             self.owners,
-            backend=backend if backend is not None else self.backend,
+            backend=policy,
+            params=self.ring_params() if policy == "auto" else None,
         )
 
     # -- evaluation ---------------------------------------------------------

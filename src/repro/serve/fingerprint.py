@@ -69,18 +69,13 @@ def fingerprint_document(
 ) -> Dict[str, Any]:
     """The canonical (pre-hash) fingerprint document — exposed so tests
     can assert *which* field caused a cache miss."""
-    ells = {rel.semiring.ell for rel in query.relations.values()}
-    if len(ells) != 1:
-        raise ValueError(
-            f"query mixes semiring widths {sorted(ells)}; cannot fingerprint"
-        )
     return {
         "schema": {
             name: list(rel.attributes)
             for name, rel in query.relations.items()
         },
         "owners": dict(query.owners),
-        "ell": ells.pop(),
+        "ell": query.ring_params().ell,  # raises on mixed widths
         "output": list(query.output),
         "input_order": list(query.relations),
         "reveal_result": bool(reveal_result),

@@ -105,14 +105,7 @@ class QueryRequest:
 
     def effective_ell(self) -> int:
         if self.query is not None:
-            ells = {
-                r.semiring.ell for r in self.query.relations.values()
-            }
-            if len(ells) != 1:
-                raise ValueError(
-                    f"query mixes semiring widths {sorted(ells)}"
-                )
-            return ells.pop()
+            return self.query.ring_params().ell
         if self.ell is None:
             raise ValueError("run= requests must declare ell=")
         return self.ell

@@ -63,6 +63,30 @@ def make_engine(mode=Mode.SIMULATED, seed=0, group_bits=TEST_GROUP_BITS):
     return Engine(Context(mode, seed=seed), group_bits)
 
 
+def run_circuit(ctx, ot, circuit, alice_bits, bob_bits):
+    """``circuit`` through the seam with every output revealed: the raw,
+    mask-free view the template tests need (Bob's rows carry the mask
+    bits like any other input).  Bit matrices in, bit matrix out, in
+    either mode — SIMULATED evaluates the circuit in the clear."""
+    from repro.mpc.costs import circuit_counts
+    from repro.mpc.yao import garbled_call
+
+    alice_bits = np.asarray(alice_bits, dtype=np.uint8)
+    bob_bits = np.asarray(bob_bits, dtype=np.uint8)
+    _, out = garbled_call(
+        ctx, ot, circuit_counts(circuit), len(alice_bits), n_masked=0,
+        real=lambda: (circuit, alice_bits, bob_bits),
+        ideal=lambda: (
+            None,
+            np.asarray(
+                [circuit.evaluate(a, b) for a, b in zip(alice_bits, bob_bits)],
+                dtype=np.uint8,
+            ),
+        ),
+    )
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xC0FFEE)

@@ -29,3 +29,12 @@ def share_attr_branch(ctx, sv):
     if sv.alice[0]:  # a share value IS the secret source
         return 1
     return 0
+
+
+def real_thunk_indexes_by_secret(ctx, ot, counts, table, sv):
+    # Only ``ideal=`` is SIMULATED-side; the REAL thunk stays checked.
+    return garbled_call(  # noqa: F821 - fixture
+        ctx, ot, counts, len(sv), n_masked=1,
+        real=lambda: table[sv.reconstruct()],
+        ideal=lambda: (sv.reconstruct(), None),
+    )

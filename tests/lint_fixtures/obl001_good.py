@@ -37,3 +37,24 @@ def index_by_public(ctx, table, sv):
     for i in range(len(sv)):
         out.append(table[i])  # public loop counter, fine
     return out
+
+
+def ideal_thunks_compute_on_cleartext(ctx, ot, counts, circuit, bits, sv):
+    """The seam evaluates ``ideal`` in SIMULATED mode only — lambda or
+    named thunk, it may branch and index on the cleartext."""
+
+    def ideal():
+        plain = sv.reconstruct()
+        out = plain.copy()
+        out[plain == 0] = 7
+        return out, None
+
+    garbled_call(  # noqa: F821 - fixture
+        ctx, ot, counts, len(sv), n_masked=1,
+        real=lambda: (circuit, bits, bits), ideal=ideal,
+    )
+    return garbled_call(  # noqa: F821 - fixture
+        ctx, ot, counts, len(sv), n_masked=1,
+        real=lambda: (circuit, bits, bits),
+        ideal=lambda: (sv.reconstruct()[sv.reconstruct() != 0], None),
+    )

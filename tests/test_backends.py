@@ -40,20 +40,22 @@ def node_cost(m, n, backend, same_owner=False, child_plain=True):
     return estimate_node_bytes(shape, backend, DEFAULT_PARAMS)
 
 
-def two_relation_query(n1, n2, owners=(ALICE, BOB), key_range=8, seed=0):
+def two_relation_query(
+    n1, n2, owners=(ALICE, BOB), key_range=8, seed=0, ring=RING
+):
     """r1(a,b) ⋈ r2(b,c), SUM over r2's annotations, output ``b``."""
     rng = np.random.default_rng(seed)
     r1 = AnnotatedRelation(
         ("a", "b"),
         [(int(x), int(y)) for x, y in rng.integers(0, key_range, (n1, 2))],
         rng.integers(1, 9, n1),
-        RING,
+        ring,
     )
     r2 = AnnotatedRelation(
         ("b", "c"),
         [(int(x), int(y)) for x, y in rng.integers(0, key_range, (n2, 2))],
         rng.integers(1, 9, n2),
-        RING,
+        ring,
     )
     q = JoinAggregateQuery(output=("b",))
     q.add_relation("r1", r1, owners[0])
@@ -132,6 +134,31 @@ class TestRouting:
         q = two_relation_query(24, 24, owners=(ALICE, ALICE))
         routes = q.backend_assignments("auto")
         assert routes and set(routes.values()) == {"yannakakis"}
+
+    @pytest.mark.parametrize(
+        "ell, winner, prices",
+        [
+            (32, "yannakakis", {"yannakakis": 1_111_604, "linear": 1_177_724}),
+            (48, "linear", {"yannakakis": 1_387_334, "linear": 1_386_266}),
+        ],
+    )
+    def test_auto_routes_at_the_relations_ring_width(self, ell, winner, prices):
+        # Parent 73 x child 1024, cross-owner, both plain: the fold's
+        # winner depends on the ring width, so routing every query at
+        # the default ell = 32 sent this one to the dearer back-end at
+        # ell = 48 while the estimator priced it at its own width.
+        q = two_relation_query(73, 1024, ring=IntegerRing(ell))
+        sizes = {n: len(r) for n, r in q.relations.items()}
+        assert estimate_node_costs(
+            q.plan(), sizes, q.owners, params=q.ring_params()
+        ) == {"fold/r2->r1": prices}
+        assert q.backend_assignments("auto") == {"fold/r2->r1": winner}
+
+    def test_auto_rejects_mixed_ring_widths(self):
+        q = two_relation_query(8, 8)
+        q.relations["r2"].semiring = IntegerRing(48)
+        with pytest.raises(ValueError, match="ring width"):
+            q.backend_assignments("auto")
 
     def test_auto_is_deterministic(self):
         q = two_relation_query(24, 24)

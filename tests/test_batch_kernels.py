@@ -26,9 +26,8 @@ from repro.mpc.ot import (
     _stream_xor,
     make_ot,
 )
-from repro.mpc.yao import charge_garbled_batch, run_garbled_batch
 
-from .conftest import TEST_GROUP_BITS
+from .conftest import TEST_GROUP_BITS, run_circuit
 
 
 # ----------------------------------------------------------------------
@@ -227,33 +226,44 @@ class TestGarbledBatchDifferential:
     def _inputs(self, circuit, n, seed=6):
         rng = np.random.default_rng(seed)
         na, nb = len(circuit.alice_inputs), len(circuit.bob_inputs)
-        alice = [[int(x) for x in rng.integers(0, 2, na)] for _ in range(n)]
-        bob = [[int(x) for x in rng.integers(0, 2, nb)] for _ in range(n)]
-        return alice, bob
+        return (
+            rng.integers(0, 2, (n, na), dtype=np.uint8),
+            rng.integers(0, 2, (n, nb), dtype=np.uint8),
+        )
 
     def test_outputs_and_fingerprints_match_simulated(self):
         circuit = nonzero_circuit(20)
         alice, bob = self._inputs(circuit, 21)
-        ctx = Context(Mode.REAL, seed=31)
-        ot = make_ot(ctx, TEST_GROUP_BITS)
-        outs = run_garbled_batch(ctx, ot, circuit, alice, bob)
-        outs += run_garbled_batch(ctx, ot, circuit, alice[:2], bob[:2])
-        for a, b, o in zip(alice + alice[:2], bob + bob[:2], outs):
-            assert o == circuit.evaluate(a, b)
 
-        sim = Context(Mode.SIMULATED, seed=31)
-        sim_ot = make_ot(sim, TEST_GROUP_BITS)
-        charge_garbled_batch(sim, sim_ot, circuit, 21)
-        charge_garbled_batch(sim, sim_ot, circuit, 2)
-        assert ctx.transcript.fingerprint() == sim.transcript.fingerprint()
+        def run(mode):
+            ctx = Context(mode, seed=31)
+            ot = make_ot(ctx, TEST_GROUP_BITS)
+            outs = np.concatenate(
+                [
+                    run_circuit(ctx, ot, circuit, alice, bob),
+                    run_circuit(ctx, ot, circuit, alice[:2], bob[:2]),
+                ]
+            )
+            return outs, ctx.transcript.fingerprint()
+
+        outs, fp_real = run(Mode.REAL)
+        for a, b, o in zip(
+            np.concatenate([alice, alice[:2]]),
+            np.concatenate([bob, bob[:2]]),
+            outs,
+        ):
+            assert o.tolist() == circuit.evaluate(a, b)
+        outs_sim, fp_sim = run(Mode.SIMULATED)
+        assert (outs == outs_sim).all()
+        assert fp_real == fp_sim
 
     def test_plan_cache_reuses_template(self):
         circuit = nonzero_circuit(12)
         alice, bob = self._inputs(circuit, 3)
         ctx = Context(Mode.REAL, seed=2)
         ot = make_ot(ctx, TEST_GROUP_BITS)
-        run_garbled_batch(ctx, ot, circuit, alice, bob)
-        run_garbled_batch(ctx, ot, circuit, alice, bob)
+        run_circuit(ctx, ot, circuit, alice, bob)
+        run_circuit(ctx, ot, circuit, alice, bob)
         stats = ctx.cache.stats()
         assert stats["plan_misses"] == 1
         assert stats["plan_hits"] == 1

@@ -82,16 +82,6 @@ class TestAnnotationBoundaries:
         back = engine.reconstruct_column(sv, to=BOB)
         assert back.tolist() == values.tolist()
 
-    def test_select_alice_plain(self):
-        ctx = Context(Mode.SIMULATED, seed=4)
-        engine = Engine(ctx, TEST_GROUP_BITS)
-        x = engine.share_column(ALICE, [10, 20, 30, 40])
-        y = engine.share_column(BOB, [1, 2, 3, 4])
-        out = engine.select_alice_plain([1, 0, 0, 1], x, y)
-        assert out.reconstruct().tolist() == [10, 2, 3, 40]
-        with pytest.raises(ValueError):
-            engine.select_alice_plain([2, 0, 0, 0], x, y)
-
 
 # ----------------------------------------------------------------------
 # tentpole: TupleStore laws

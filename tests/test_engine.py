@@ -1,11 +1,17 @@
 """The engine's vectorised secure operations — both modes."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.mpc import ALICE, BOB, Context, Engine, Mode
+from repro.mpc.psi import psi_with_payloads
 
 from .conftest import TEST_GROUP_BITS
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
 def mk_engine(mode, seed=21):
@@ -113,10 +119,13 @@ class TestRevealAndDivide:
     def test_reveal_with_payloads(self, mode):
         eng = mk_engine(mode)
         v = eng.share(BOB, [0, 3])
-        pb = [[1, 1, 0, 1], [0, 1, 1, 0]]
+        pb = np.asarray([[1, 1, 0, 1], [0, 1, 1, 0]], dtype=np.uint8)
         flags, payloads = eng.reveal_nonzero_flags(v, pb)
-        assert payloads[0] == [0, 0, 0, 0]  # hidden: annotation is 0
-        assert payloads[1] == [0, 1, 1, 0]
+        assert list(flags) == [False, True]
+        assert payloads.tolist() == [
+            [0, 0, 0, 0],  # hidden: annotation is 0
+            [0, 1, 1, 0],
+        ]
 
     def test_divide_reveal(self, mode):
         eng = mk_engine(mode)
@@ -125,6 +134,184 @@ class TestRevealAndDivide:
         q = eng.divide_reveal(x, y)
         assert list(q[:2]) == [14, 5]
         assert q[2] == eng.ctx.modulus - 1  # division by zero sentinel
+
+
+# ----------------------------------------------------------------------
+# One parity table over the garbled-circuit seam: every caller of
+# ``yao.garbled_call``, as ``name -> (run(engine, n), expect(n))``.
+# ----------------------------------------------------------------------
+
+X = [0, 3, 0, 2**31, 7]
+Y = [4, 0, 9, 1, 2]  # a zero divisor at n = 5
+SAME = [True, False, False, True]
+PAYLOAD = np.asarray(
+    [[1, 0, 1, 1, 0, 1], [0, 1, 1, 0, 0, 0], [1, 1, 1, 1, 1, 1],
+     [0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0]],
+    dtype=np.uint8,
+)
+MOD = 2**32
+
+
+def chain_expect(vals, op):
+    """Position i holds its group's aggregate iff it ends the group."""
+    out, acc = [0] * len(vals), None
+    for i, v in enumerate(vals):
+        acc = v if acc is None else op(acc, v)
+        if i == len(vals) - 1 or not SAME[i]:
+            out[i], acc = acc, None
+    return out
+
+
+def psi_case(reveal):
+    """Alice holds 0..n-1, Bob the first n even numbers with payloads
+    10, 11, ...; outputs are read back per Alice item."""
+
+    def run(eng, n):
+        r = psi_with_payloads(
+            eng.ctx, eng.ot, list(range(n)), list(range(0, 2 * n, 2)),
+            list(range(10, 10 + n)), reveal_payload=reveal,
+        )
+        assert isinstance(r.payload, np.ndarray) == reveal
+        bins = r.bin_of_item_index()
+        pay = r.payload if reveal else r.payload.reconstruct()
+        return r.ind.reconstruct()[bins].tolist(), pay[bins].tolist()
+
+    def expect(n):
+        return (
+            [int(i % 2 == 0) for i in range(n)],
+            [10 + i // 2 if i % 2 == 0 else 0 for i in range(n)],
+        )
+
+    return run, expect
+
+
+def reveal_case(with_payload):
+    def run(eng, n):
+        flags, pay = eng.reveal_nonzero_flags(
+            eng.share(BOB, X[:n]), PAYLOAD[:n] if with_payload else None
+        )
+        return flags.tolist(), None if pay is None else pay.tolist()
+
+    def expect(n):
+        flags = [x != 0 for x in X[:n]]
+        if not with_payload:
+            return flags, None
+        return flags, [
+            row if f else [0] * 6
+            for f, row in zip(flags, PAYLOAD[:n].tolist())
+        ]
+
+    return run, expect
+
+
+SEAM_CASES = {
+    "nonzero": (
+        lambda eng, n: eng.indicator_nonzero(
+            eng.share(ALICE, X[:n])
+        ).reconstruct().tolist(),
+        lambda n: [int(x != 0) for x in X[:n]],
+    ),
+    "mul_gc": (
+        lambda eng, n: eng.mul_shared(
+            eng.share(ALICE, X[:n]), eng.share(BOB, Y[:n]), via="gc"
+        ).reconstruct().tolist(),
+        lambda n: [x * y % MOD for x, y in zip(X[:n], Y[:n])],
+    ),
+    "merge_sum": (
+        lambda eng, n: eng.merge_aggregate_sum(
+            SAME[: max(n - 1, 0)], eng.share(ALICE, X[:n])
+        ).reconstruct().tolist(),
+        lambda n: chain_expect(X[:n], lambda a, b: (a + b) % MOD),
+    ),
+    "merge_or": (
+        lambda eng, n: eng.merge_aggregate_or(
+            SAME[: max(n - 1, 0)], eng.share(BOB, [int(x != 0) for x in X[:n]])
+        ).reconstruct().tolist(),
+        lambda n: chain_expect([int(x != 0) for x in X[:n]], max),
+    ),
+    "reveal_flags": reveal_case(False),
+    "reveal_flags_payload": reveal_case(True),
+    "divide": (
+        lambda eng, n: eng.divide_reveal(
+            eng.share(ALICE, X[:n]), eng.share(BOB, Y[:n])
+        ).tolist(),
+        lambda n: [x // y if y else MOD - 1 for x, y in zip(X[:n], Y[:n])],
+    ),
+    "psi_shared_payload": psi_case(False),
+    "psi_revealed_payload": psi_case(True),
+}
+
+
+@pytest.mark.real
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_seam_parity(n):
+    """Every seam caller, back to back on one engine per mode: each
+    reconstructs to the plaintext function in both modes, and sends the
+    same messages (the REAL and SIMULATED transcripts agree case by
+    case, base OTs included)."""
+    slices = {}
+    for mode in (Mode.SIMULATED, Mode.REAL):
+        eng = mk_engine(mode)
+        for name, (run, expect) in SEAM_CASES.items():
+            mark = len(eng.ctx.transcript.fingerprint())
+            assert run(eng, n) == expect(n), (name, mode)
+            slices[name, mode] = eng.ctx.transcript.fingerprint()[mark:]
+    for name in SEAM_CASES:
+        assert slices[name, Mode.REAL] == slices[name, Mode.SIMULATED], name
+        # at n = 0 only PSI (one dummy bin) and the shares' messages remain
+        assert slices[name, Mode.REAL] or n == 0, name
+
+
+class TestOneSeam:
+    """Structural guard: the execution mode meets a circuit in
+    ``mpc/yao.py`` and nowhere else."""
+
+    def test_only_yao_names_the_garbling_halves(self):
+        halves = (
+            "run_garbled", "charge_garbled", "garble_batch", "evaluate_batch"
+        )
+        exempt = {
+            SRC / "mpc" / "yao.py",
+            SRC / "mpc" / "circuits" / "garbling.py",  # defines the last two
+        }
+        offenders = [
+            (str(path.relative_to(SRC)), name)
+            for path in sorted(SRC.rglob("*.py"))
+            if path not in exempt
+            for node in ast.walk(ast.parse(path.read_text()))
+            for name in [
+                getattr(node, "id", None)
+                or getattr(node, "attr", None)
+                or getattr(node, "name", None)
+                or ""
+            ]
+            if any(half in name for half in halves)
+        ]
+        assert offenders == []
+
+    @pytest.mark.parametrize(
+        "module, forks",
+        [
+            ("mpc/engine.py", ["_gilboa_cross"]),
+            ("mpc/psi.py", ["_opprf"]),  # the OPRF/OPPRF half, not the bins
+            ("baselines/garbled_baseline.py", []),
+        ],
+    )
+    def test_mode_comparisons_per_module(self, module, forks):
+        """The functions that compare something against ``Mode.*``."""
+        tree = ast.parse((SRC / module).read_text())
+        found = [
+            fn.name
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Compare)
+            for side in [node.left, *node.comparators]
+            if isinstance(side, ast.Attribute)
+            and isinstance(side.value, ast.Name)
+            and side.value.id == "Mode"
+        ]
+        assert found == forks
 
 
 @pytest.mark.real

@@ -9,10 +9,8 @@ from repro.mpc.gadgets import (
     int_of,
     merge_or_circuit,
     merge_sum_circuit,
-    mul_plain_circuit,
     mul_shared_circuit,
     nonzero_circuit,
-    prod_shared_circuit,
     psi_bin_circuit,
     reveal_tuple_circuit,
 )
@@ -30,11 +28,6 @@ class TestMulTemplates:
         c = mul_shared_circuit(ELL)
         out = c.evaluate(w(3) + w(5), w(4) + w(6) + w(9))
         assert int_of(out) == ((3 + 4) * (5 + 6) + 9) % MOD
-
-    def test_mul_plain(self):
-        c = mul_plain_circuit(ELL)
-        out = c.evaluate(w(6) + w(100), w(200) + w(1))
-        assert int_of(out) == (6 * ((100 + 200) % MOD) + 1) % MOD
 
     def test_caching(self):
         assert mul_shared_circuit(ELL) is mul_shared_circuit(ELL)
@@ -128,26 +121,16 @@ class TestPsiBin:
     def test_reveal_variant_skips_mask(self):
         fp = 12
         c = psi_bin_circuit(ELL, fp, reveal_payload=True)
+        # no r_pay input either: Bob's last word is the one mask in use
         out = c.evaluate(
             bits_of(7, fp) + w(10),
-            bits_of(7, fp) + w(20) + w(99) + w(3) + w(4),
+            bits_of(7, fp) + w(20) + w(99) + w(3),
         )
-        assert int_of(out[ELL:]) == 30  # p + w, no r_pay
+        assert (int_of(out[:ELL]) - 3) % MOD == 1
+        assert int_of(out[ELL:]) == 30  # p + w, unmasked
 
 
 class TestProdAndDiv:
-    def test_product_chain(self):
-        c = prod_shared_circuit(ELL, 3)
-        alice = w(1) + w(2) + w(3)
-        bob = w(1) + w(1) + w(0) + w(5)
-        out = c.evaluate(alice, bob)
-        assert int_of(out) == (2 * 3 * 3 + 5) % MOD
-
-    def test_prod_single_factor(self):
-        c = prod_shared_circuit(ELL, 1)
-        out = c.evaluate(w(9), w(1) + w(2))
-        assert int_of(out) == 12
-
     def test_div(self):
         c = div_reveal_circuit(ELL)
         out = c.evaluate(w(100) + w(3), w(33) + w(7))

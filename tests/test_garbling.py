@@ -19,6 +19,8 @@ from repro.mpc.circuits.garbling import (
 from repro.mpc.gadgets import bits_of, int_of
 from repro.mpc.ot import SimulatedOT
 
+from .conftest import run_circuit
+
 
 def random_circuit(rng, n_alice=6, n_bob=6, n_gates=40):
     b = CircuitBuilder()
@@ -137,19 +139,17 @@ class TestSchemeStructure:
 
 # ----------------------------------------------------------------------
 # The batched protocol: seed-expanded garbler labels, C-OT evaluator
-# labels (repro.mpc.yao.run_garbled_batch)
+# labels (the REAL half of repro.mpc.yao.garbled_call)
 # ----------------------------------------------------------------------
 
 #: Every template of ``mpc/gadgets.py``, as ``ell -> Circuit``.
 TEMPLATES = {
     "mul_shared": gadgets.mul_shared_circuit,
-    "mul_plain": gadgets.mul_plain_circuit,
     "nonzero": gadgets.nonzero_circuit,
     "merge_sum": lambda ell: gadgets.merge_sum_circuit(ell, 3),
     "merge_or": lambda ell: gadgets.merge_or_circuit(ell, 3),
     "psi_bin": lambda ell: gadgets.psi_bin_circuit(ell, 12, False),
     "psi_bin_reveal": lambda ell: gadgets.psi_bin_circuit(ell, 12, True),
-    "prod_shared": lambda ell: gadgets.prod_shared_circuit(ell, 3),
     "div_reveal": gadgets.div_reveal_circuit,
     "reveal_tuple": lambda ell: gadgets.reveal_tuple_circuit(ell, 5),
 }
@@ -160,15 +160,15 @@ def run_real_batch(circuit, alice, bob, seed=0):
     """REAL garbling and evaluation over an ideal OT (the extension's
     own tests cover IKNP; skipping its base phase keeps this fast)."""
     ctx = Context(Mode.REAL, seed=seed)
-    outs = yao.run_garbled_batch(ctx, SimulatedOT(ctx), circuit, alice, bob)
-    return outs, ctx
+    outs = run_circuit(ctx, SimulatedOT(ctx), circuit, alice, bob)
+    return outs.tolist(), ctx
 
 
 def random_inputs(circuit, rng, n):
     na, nb = len(circuit.alice_inputs), len(circuit.bob_inputs)
     return (
-        rng.integers(0, 2, (n, na)).tolist(),
-        rng.integers(0, 2, (n, nb)).tolist(),
+        rng.integers(0, 2, (n, na), dtype=np.uint8),
+        rng.integers(0, 2, (n, nb), dtype=np.uint8),
     )
 
 
@@ -205,7 +205,7 @@ class TestSeedExpandedBatch:
         circuit = gadgets.psi_bin_circuit(32, 12, True)
         rng = np.random.default_rng(9)
         alice, bob = random_inputs(circuit, rng, 4)
-        other_bob = [[1 - b for b in row] for row in bob]
+        other_bob = 1 - bob
         seen = []
         real_evaluate = yao.evaluate_batch
 

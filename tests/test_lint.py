@@ -77,9 +77,13 @@ def test_good_fixture_clean(rule):
 def test_obl001_flags_every_bad_gadget():
     """Each function in the OBL001 bad fixture exercises a distinct
     sink (branch, index, loop bound, comprehension filter, share
-    attribute) — all five must fire."""
+    attribute) — all five must fire, and so must the ``real=`` thunk
+    of a ``garbled_call`` (only its ``ideal=`` thunk is SIMULATED-side
+    code; the good fixture holds that half)."""
     violations, _ = lint_fixture("obl001_bad.py", ["OBL001"])
-    assert len(violations) >= 5
+    assert len(violations) >= 6
+    lines = (FIXTURES / "obl001_bad.py").read_text().splitlines()
+    assert any("real=lambda" in lines[v.line - 1] for v in violations)
 
 
 def test_correlated_ot_outputs_are_secret_sources():

@@ -98,10 +98,42 @@ class TestFailureInjection:
     def test_reveal_payload_width_validated(self):
         eng = Engine(Context(Mode.SIMULATED, seed=4))
         v = eng.share("bob", [1, 2])
-        with pytest.raises(ValueError):
-            eng.reveal_nonzero_flags(v, [[1, 0], [1]])
-        with pytest.raises(ValueError):
-            eng.reveal_nonzero_flags(v, [[1, 0]])
+        with pytest.raises(ValueError):  # not a matrix
+            eng.reveal_nonzero_flags(v, np.zeros(4, dtype=np.uint8))
+        with pytest.raises(ValueError):  # one row short
+            eng.reveal_nonzero_flags(v, np.zeros((1, 2), dtype=np.uint8))
+
+    @pytest.mark.parametrize("side", ["alice", "bob"])
+    def test_seam_rejects_mis_sized_input_bits(self, side):
+        """One word too many (or a bit too few) on either side used to
+        be truncated by the marshalling and garble the wrong function;
+        the seam checks both matrices against the circuit's widths —
+        Bob's before the mask words it appends itself."""
+        from repro.mpc.costs import circuit_counts
+        from repro.mpc.gadgets import nonzero_circuit
+        from repro.mpc.ot import SimulatedOT
+        from repro.mpc.yao import garbled_call
+
+        ctx = Context(Mode.REAL, seed=6)
+        ell = ctx.params.ell
+        circuit = nonzero_circuit(ell)
+
+        def call(alice_width, bob_width):
+            return garbled_call(
+                ctx, SimulatedOT(ctx), circuit_counts(circuit), 3, n_masked=1,
+                real=lambda: (
+                    circuit,
+                    np.zeros((3, alice_width), dtype=np.uint8),
+                    np.zeros((3, bob_width), dtype=np.uint8),
+                ),
+                ideal=lambda: (np.zeros(3, dtype=np.uint64), None),
+            )
+
+        assert len(call(ell, ell)[0]) == 3
+        for wrong in (2 * ell, ell - 1):
+            widths = (wrong, ell) if side == "alice" else (ell, wrong)
+            with pytest.raises(ValueError, match=side.capitalize()):
+                call(*widths)
 
     def test_product_across_empty(self):
         eng = Engine(Context(Mode.SIMULATED, seed=5))
