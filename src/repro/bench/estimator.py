@@ -17,6 +17,7 @@ input-plain).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Set, Tuple
 
@@ -337,7 +338,8 @@ def estimate_query_cost(
     Sizes, owners and the ring width are read off the query; the plan
     is the one the query itself would execute.  ``out_size`` bounds the
     full-join output: when omitted, the worst case (the product of the
-    relation sizes) is assumed, making the price an upper bound — a
+    sizes of the relations that survive the reduce phase — the ones the
+    full join joins) is assumed, making the price an upper bound — a
     query admitted under it can never exceed its reservation on the
     final join.  ``backends`` overrides the per-node join back-end map;
     when omitted the query's own routing
@@ -347,9 +349,7 @@ def estimate_query_cost(
     """
     sizes = {n: len(r) for n, r in query.relations.items()}
     if out_size is None:
-        out_size = 1
-        for n_rel in sizes.values():
-            out_size *= n_rel
+        out_size = math.prod(sizes[n] for n in query.plan().reduced_nodes)
     if params is None:
         params = query.ring_params()
     if backends is None:

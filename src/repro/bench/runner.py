@@ -20,7 +20,7 @@ from ..baselines.garbled_baseline import cartesian_gc_cost, gc_gate_rate
 from ..mpc.context import Mode
 from ..mpc.engine import Engine
 from ..tpch.datagen import SCALES_MB, generate
-from ..tpch.queries import PREPARED, PreparedQuery
+from ..tpch.queries import PREPARED, PreparedQuery, prepare
 
 __all__ = ["FigureRow", "run_figure", "format_figure", "FIGURES"]
 
@@ -58,11 +58,7 @@ def run_figure(
     rate = gc_gate_rate()
     rows: List[FigureRow] = []
     for scale in scales:
-        dataset = generate(scale)
-        if query_name == "Q9" and q9_nations is not None:
-            query = PREPARED[query_name](dataset, nations=q9_nations)
-        else:
-            query = PREPARED[query_name](dataset)
+        query = prepare(query_name, generate(scale), q9_nations)
         plain, plain_seconds = query.run_plain()
 
         ctx = query.make_context(Mode.SIMULATED, seed=seed)

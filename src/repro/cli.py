@@ -33,7 +33,7 @@ disk-durable checkpoints and ``--resume`` crash recovery; ``lint``
 runs the obliviousness &
 channel-discipline static analyzer (see docs/LINTING.md); ``serve``
 drives a scripted multi-tenant workload through the query service —
-interleaved sessions, shared plan cache, per-tenant budgets — and can
+interleaved sessions, shared set-up store, per-tenant budgets — and can
 byte-compare every session against its solo run or sweep fault points
 in one tenant while watching another for transcript drift (see
 docs/SERVING.md); ``demo`` runs the Example 1.1 quickstart with REAL
@@ -55,10 +55,10 @@ def _cmd_figures(args) -> int:
     failures = 0
     all_rows = []
     for name in args.queries:
-        kwargs = {}
-        if name == "Q9":
-            kwargs["q9_nations"] = list(range(args.q9_nations))
-        rows = run_figure(name, scales=args.scales, **kwargs)
+        rows = run_figure(
+            name, scales=args.scales,
+            q9_nations=list(range(args.q9_nations)),
+        )
         all_rows.extend(rows)
         print(format_figure(rows))
         problems = check_figure_shape(rows)
@@ -78,15 +78,11 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_tpch(args) -> int:
-    from .tpch import PREPARED, generate
+    from .tpch import generate, prepare
 
-    dataset = generate(args.scale)
-    if args.query == "Q9":
-        query = PREPARED[args.query](
-            dataset, nations=list(range(args.q9_nations))
-        )
-    else:
-        query = PREPARED[args.query](dataset)
+    query = prepare(
+        args.query, generate(args.scale), list(range(args.q9_nations))
+    )
     mode = Mode.REAL if args.real else Mode.SIMULATED
     engine = Engine(query.make_context(mode, seed=args.seed))
     engine.backend = args.backend
@@ -109,15 +105,11 @@ def _cmd_trace(args) -> int:
     import json
 
     from .exec import ExecutionTrace
-    from .tpch import PREPARED, generate
+    from .tpch import generate, prepare
 
-    dataset = generate(args.scale)
-    if args.query == "Q9":
-        query = PREPARED[args.query](
-            dataset, nations=list(range(args.q9_nations))
-        )
-    else:
-        query = PREPARED[args.query](dataset)
+    query = prepare(
+        args.query, generate(args.scale), list(range(args.q9_nations))
+    )
     mode = Mode.REAL if args.real else Mode.SIMULATED
     tracer = ExecutionTrace()
     engine = Engine(query.make_context(mode, seed=args.seed), tracer=tracer)
@@ -865,7 +857,7 @@ def main(argv=None) -> int:
     p = sub.add_parser(
         "serve",
         help="multi-tenant query service: interleaved sessions, "
-        "shared plan cache, per-tenant budgets",
+        "shared set-up store, per-tenant budgets",
     )
     p.add_argument(
         "--queries", nargs="+", type=lambda s: s.upper(),

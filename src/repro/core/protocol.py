@@ -15,10 +15,12 @@ operators:
 results); ``secure_yannakakis_shared`` keeps them shared for query
 compositions (Section 7).
 
-Both entry points are thin wrappers over the :mod:`repro.exec` layer:
-the plan is compiled to an execution DAG and run by the scheduler,
-which reproduces the historical transcript byte-for-byte.  The pre-IR
-sequential orchestrations are kept as
+Both entry points run the one pipeline, :func:`_run_plan` — the only
+place under ``src/`` that compiles a plan to an execution DAG
+(:mod:`repro.exec`) and hands it to the scheduler, which reproduces
+the historical transcript byte-for-byte.  Every other runner (the
+query builder, the serving layer, ``repro net``) reaches the scheduler
+through them.  The pre-IR sequential orchestrations are kept as
 ``legacy_secure_yannakakis``/``legacy_secure_yannakakis_shared`` — the
 reference implementations the scheduler is tested against.
 """
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..leakage import leaks
 from ..mpc.context import ALICE, Context
@@ -49,7 +51,6 @@ from .semijoin import oblivious_reduce_join, oblivious_semijoin
 __all__ = [
     "secure_yannakakis",
     "secure_yannakakis_shared",
-    "secure_yannakakis_with_plan",
     "legacy_secure_yannakakis",
     "legacy_secure_yannakakis_shared",
     "ProtocolStats",
@@ -64,6 +65,57 @@ class ProtocolStats:
     total_bytes: int
     rounds: int
     bytes_by_phase: Dict[str, int] = field(default_factory=dict)
+
+    @classmethod
+    def of_window(
+        cls, ctx: Context, start_msgs: int, seconds: float
+    ) -> "ProtocolStats":
+        """The stats of the run that sent ``ctx``'s messages from index
+        ``start_msgs`` on: bytes *and* rounds of that window alone, so
+        a run that is not the first on its context (Q8's and Q9's
+        sub-queries) is not charged its predecessors' rounds."""
+        window = ctx.transcript.messages[start_msgs:]
+        by_phase: Dict[str, int] = {}
+        for m in window:
+            key = m.label.split("/")[0] if m.label else ""
+            by_phase[key] = by_phase.get(key, 0) + m.n_bytes
+        return cls(
+            seconds=seconds,
+            total_bytes=sum(by_phase.values()),
+            rounds=ctx.transcript.slice_rounds(window),
+            bytes_by_phase=by_phase,
+        )
+
+
+def _run_plan(
+    engine: Engine,
+    relations: Dict[str, SecureRelation],
+    plan: YannakakisPlan,
+    backends: Optional[Dict[str, str]],
+    *,
+    reveal: bool,
+    pad_out_to: int = 0,
+    env: Optional[Dict[str, Any]] = None,
+    start_at: Optional[int] = None,
+) -> Dict[str, Any]:
+    """The one run pipeline: compile ``plan`` over the owner-tagged
+    ``relations`` and execute the DAG; returns the scheduler's final
+    slot environment."""
+    # Imported lazily: repro.exec imports the core operators, so a
+    # module-level import here would be circular.
+    from ..exec import Scheduler, compile_plan
+
+    exec_plan = compile_plan(
+        plan,
+        owners={name: rel.owner for name, rel in relations.items()},
+        input_order=list(relations),
+        pad_out_to=pad_out_to,
+        reveal_result=reveal,
+        backends=backends,
+    )
+    return Scheduler(engine).run(
+        exec_plan, relations, env=env, start_at=start_at
+    )
 
 
 def secure_yannakakis_shared(
@@ -81,19 +133,10 @@ def secure_yannakakis_shared(
     fold/semijoin labels to a join back-end (see
     :func:`repro.query.planner.route_backends`); unlisted nodes run the
     paper's PSI protocol."""
-    # Imported lazily: repro.exec imports the core operators, so a
-    # module-level import here would be circular.
-    from ..exec import Scheduler, compile_plan
-
-    exec_plan = compile_plan(
-        plan,
-        owners={name: rel.owner for name, rel in relations.items()},
-        input_order=list(relations),
-        pad_out_to=pad_out_to,
-        backends=backends,
-    )
-    env = Scheduler(engine).run(exec_plan, relations)
-    return env["result"]
+    return _run_plan(
+        engine, relations, plan, backends,
+        reveal=False, pad_out_to=pad_out_to,
+    )["result"]
 
 
 def secure_yannakakis(
@@ -101,50 +144,27 @@ def secure_yannakakis(
     relations: Dict[str, SecureRelation],
     plan: YannakakisPlan,
     backends: Optional[Dict[str, str]] = None,
+    *,
+    env: Optional[Dict[str, Any]] = None,
+    start_at: Optional[int] = None,
 ) -> Tuple[AnnotatedRelation, ProtocolStats]:
     """Evaluate the query and reveal the results to Alice.
 
     Returns the result relation (attributes ordered as ``plan.output``,
     duplicate group keys merged, zero groups dropped) and cost stats.
+
+    ``env``/``start_at`` resume a run over a durable checkpoint
+    (``repro net --resume``): the revived slot environment and the
+    checkpointed step id, as :meth:`repro.exec.Scheduler.run` takes
+    them.  The stats then cover the resumed part only.
     """
-    from ..exec import compile_plan
-
-    exec_plan = compile_plan(
-        plan,
-        owners={name: rel.owner for name, rel in relations.items()},
-        input_order=list(relations),
-        reveal_result=True,
-        backends=backends,
-    )
-    return secure_yannakakis_with_plan(engine, relations, plan, exec_plan)
-
-
-def secure_yannakakis_with_plan(
-    engine: Engine,
-    relations: Dict[str, SecureRelation],
-    plan: YannakakisPlan,
-    exec_plan: "object",
-) -> Tuple[AnnotatedRelation, ProtocolStats]:
-    """:func:`secure_yannakakis` over an already-compiled
-    :class:`~repro.exec.ir.ExecPlan`.
-
-    The compiled plan is pure public structure (step DAG over relation
-    names), so it may be shared across runs — the
-    :class:`~repro.serve.plancache.PlanCache` hands the same object to
-    every tenant whose query fingerprints identically, and the
-    transcript is byte-identical to a freshly-compiled run.  The plan
-    must have been compiled with ``reveal_result=True`` and an
-    ``input_order`` matching ``relations``' iteration order.
-    """
-    from ..exec import ExecPlan, Scheduler
-
-    if not isinstance(exec_plan, ExecPlan):
-        raise TypeError(f"expected an ExecPlan, got {type(exec_plan)!r}")
     ctx = engine.ctx
     start_msgs = len(ctx.transcript.messages)
     t0 = time.perf_counter()
-    env = Scheduler(engine).run(exec_plan, relations)
-    shared, values = env["output"]
+    shared, values = _run_plan(
+        engine, relations, plan, backends,
+        reveal=True, env=env, start_at=start_at,
+    )["output"]
     elapsed = time.perf_counter() - t0
     return _finish(ctx, plan, shared, values, elapsed, start_msgs)
 
@@ -163,19 +183,7 @@ def _finish(
         shared.attributes, shared.tuples, values, ring
     )
     result = plain_aggregate(result, plan.output).nonzero()
-
-    new_msgs = ctx.transcript.messages[start_msgs:]
-    by_phase: Dict[str, int] = {}
-    for m in new_msgs:
-        key = m.label.split("/")[0] if m.label else ""
-        by_phase[key] = by_phase.get(key, 0) + m.n_bytes
-    stats = ProtocolStats(
-        seconds=elapsed,
-        total_bytes=sum(m.n_bytes for m in new_msgs),
-        rounds=ctx.transcript.rounds,
-        bytes_by_phase=by_phase,
-    )
-    return result, stats
+    return result, ProtocolStats.of_window(ctx, start_msgs, elapsed)
 
 
 # ----------------------------------------------------------------------

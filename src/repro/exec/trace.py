@@ -15,11 +15,11 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mpc.engine import Engine
-    from ..mpc.transcript import Message, Transcript
+    from ..mpc.transcript import Transcript
 
 __all__ = ["NodeTrace", "ExecutionTrace", "traced"]
 
@@ -49,19 +49,6 @@ class NodeTrace:
             del d["backend"]
             del d["est_bytes"]
         return d
-
-
-def _slice_rounds(messages: Sequence["Message"]) -> int:
-    """Communication rounds within a message slice: maximal runs of a
-    single sender (mirrors ``Transcript.slice_rounds``, duplicated here
-    to keep this module dependency-free)."""
-    rounds = 0
-    last = None
-    for m in messages:
-        if m.sender != last:
-            rounds += 1
-            last = m.sender
-    return rounds
 
 
 @dataclass
@@ -111,7 +98,7 @@ class ExecutionTrace:
                     seconds=elapsed,
                     n_bytes=transcript.total_bytes - start_bytes,
                     n_messages=len(window),
-                    rounds=_slice_rounds(window),
+                    rounds=transcript.slice_rounds(window),
                     backend=backend,
                     est_bytes=est_bytes,
                 )

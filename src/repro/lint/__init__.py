@@ -24,8 +24,7 @@ dynamically:
   point match the ``BACKEND_CONTRACTS`` registry.
 
 See docs/LINTING.md for the rule catalogue, the suppression policy
-(``# oblint: disable=RULE — reason``), the contract vocabulary, and
-the baseline workflow.
+(``# oblint: disable=RULE — reason``) and the contract vocabulary.
 """
 
 from .contracts import declared_atoms

@@ -34,7 +34,7 @@ import ast
 from dataclasses import replace
 from typing import Dict, List, Optional, Set, Tuple
 
-from .project import Project, SourceFile, call_name
+from .project import Project, SourceFile, call_name, walk_shallow
 from .taint import SECRET_CONFIG, FunctionTaint
 
 __all__ = ["InterprocTaint", "interproc_taint"]
@@ -114,7 +114,7 @@ class InterprocTaint:
             if fn.name in self.secret_returning:
                 continue
             taint = self._taints[id(fn)]
-            for node in _shallow(fn):
+            for node in walk_shallow(fn):
                 if (
                     isinstance(node, ast.Return)
                     and node.value is not None
@@ -130,7 +130,7 @@ class InterprocTaint:
         by_name = self.project.functions_by_name
         for fn, _src in self._defs:
             taint = self._taints[id(fn)]
-            for node in _shallow(fn):
+            for node in walk_shallow(fn):
                 if not isinstance(node, ast.Call):
                     continue
                 name = call_name(node)
@@ -165,19 +165,6 @@ class InterprocTaint:
                     if len(seeds) != before:
                         grew = True
         return grew
-
-
-def _shallow(fn: ast.AST):
-    """Walk ``fn`` without descending into nested defs/classes."""
-    stack = list(ast.iter_child_nodes(fn))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
 
 
 def interproc_taint(project: Project) -> InterprocTaint:

@@ -278,7 +278,7 @@ def direct_labels(fn: ast.AST) -> Set[str]:
     """String-literal labels of send/section calls directly in ``fn``
     (nested defs excluded so class methods stay separable)."""
     out: Set[str] = set()
-    for node in _walk_shallow(fn):
+    for node in walk_shallow(fn):
         if isinstance(node, ast.Call):
             lit = _label_literal(node)
             if lit is not None:
@@ -288,7 +288,7 @@ def direct_labels(fn: ast.AST) -> Set[str]:
 
 def callee_names(fn: ast.AST) -> Set[str]:
     out: Set[str] = set()
-    for node in _walk_shallow(fn):
+    for node in walk_shallow(fn):
         if isinstance(node, ast.Call):
             name = call_name(node)
             if name is not None and name not in ("send", "section"):
@@ -296,9 +296,10 @@ def callee_names(fn: ast.AST) -> Set[str]:
     return out
 
 
-def _walk_shallow(fn: ast.AST) -> Iterator[ast.AST]:
-    """``ast.walk`` that does not descend into nested function/class
-    definitions (the top node itself is walked)."""
+def walk_shallow(fn: ast.AST) -> Iterator[ast.AST]:
+    """``ast.walk`` over the body of ``fn`` that does not descend into
+    nested function/class definitions (a nested definition is yielded,
+    its body is not)."""
     stack: List[ast.AST] = list(ast.iter_child_nodes(fn))
     while stack:
         node = stack.pop()

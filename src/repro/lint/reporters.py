@@ -18,8 +18,7 @@ def text_report(result: LintResult, rules: List[Rule]) -> str:
         f"{len(result.violations)} violation"
         f"{'s' if len(result.violations) != 1 else ''} "
         f"({result.files_checked} files, "
-        f"{result.suppressed} suppressed, "
-        f"{result.baselined} baselined)"
+        f"{result.suppressed} suppressed)"
     )
     if by_rule:
         summary += "  [" + ", ".join(
@@ -40,9 +39,8 @@ _SARIF_SCHEMA = (
 def sarif_report(result: LintResult, rules: List[Rule]) -> str:
     """Serialise findings as a single-run SARIF 2.1.0 log.
 
-    The baseline fingerprint doubles as the SARIF partial fingerprint,
-    so code-scanning alert identity tracks the same line-number-free
-    key the committed baseline uses.
+    :meth:`Violation.fingerprint` is the SARIF partial fingerprint, so
+    code-scanning alert identity is line-number-free.
     """
     run = {
         "tool": {
@@ -101,7 +99,6 @@ def json_report(result: LintResult, rules: List[Rule]) -> str:
             "ok": result.ok,
             "files_checked": result.files_checked,
             "suppressed": result.suppressed,
-            "baselined": result.baselined,
             "violations": [v.to_json() for v in result.violations],
             "rules": {
                 r.code: {"name": r.name, "description": r.description}

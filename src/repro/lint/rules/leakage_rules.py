@@ -38,24 +38,18 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 from ...leakage import ATOMS, SINK_ATOMS, UNCONDITIONAL_SINKS
 from ..contracts import declared_atoms
 from ..interproc import interproc_taint
-from ..project import FuncInfo, Project, SourceFile, call_name
+from ..project import (
+    FuncInfo,
+    Project,
+    SourceFile,
+    call_name,
+    walk_shallow,
+)
 from ..registry import Rule, register
 from ..taint import FunctionTaint
 from ..violations import Violation
 
 _MAX_DEPTH = 10
-
-
-def _shallow(fn: ast.AST):
-    stack = list(ast.iter_child_nodes(fn))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
 
 
 def _sink_args_tainted(
@@ -87,7 +81,7 @@ class UndeclaredLeakageRule(Rule):
         for fn in src.functions():
             covered = declared_atoms(fn, src) or frozenset()
             taint = engine.function_taint(fn)
-            for node in _shallow(fn):
+            for node in walk_shallow(fn):
                 if not isinstance(node, ast.Call):
                     continue
                 name = call_name(node)
@@ -175,7 +169,7 @@ def _witness_closure(
     if name in SINK_ATOMS:
         atoms.add(SINK_ATOMS[name])
     callees: Set[str] = set()
-    for node in _shallow(fn):
+    for node in walk_shallow(fn):
         if isinstance(node, ast.Call):
             cname = call_name(node)
             if cname in SINK_ATOMS:
@@ -351,7 +345,7 @@ class BackendContractParityRule(Rule):
         backend_names: Set[str],
         contracts: Dict[str, FrozenSet[str]],
     ) -> Iterator[Violation]:
-        for node in _shallow(fn):
+        for node in walk_shallow(fn):
             if not isinstance(node, ast.If):
                 continue
             backend = _backend_test(node.test, backend_names)

@@ -1,12 +1,11 @@
 """Lint orchestration: file discovery, rule dispatch, suppressions,
-baseline, and the ``repro lint`` CLI entry point.
+and the ``repro lint`` CLI entry point.
 
 The run pipeline is::
 
     discover .py files -> parse (AST + directives) -> run every rule
     -> drop violations with a justified inline suppression
        (an UNjustified suppression becomes an OBL000 finding)
-    -> subtract the committed baseline
     -> report; exit 1 on any remaining finding
 """
 
@@ -26,19 +25,10 @@ from typing import (
     Tuple,
 )
 
-from .baseline import (
-    apply_baseline,
-    load_baseline,
-    prune_baseline,
-    stale_entries,
-    write_baseline,
-)
 from .project import Project, SourceFile, parse_source
 from .registry import all_rules
 from .reporters import json_report, sarif_report, text_report
 from .violations import LintResult, Violation
-
-DEFAULT_BASELINE = "lint-baseline.json"
 
 #: Directory names never descended into.
 _SKIP_DIRS = {
@@ -199,20 +189,14 @@ def lint_sources(
 
 def run_lint(
     paths: Sequence[str],
-    baseline_path: Optional[Path] = None,
-    update_baseline: bool = False,
     select: Optional[Sequence[str]] = None,
     root: Optional[Path] = None,
-    check_baseline: bool = False,
     context_paths: Optional[Sequence[str]] = None,
 ) -> LintResult:
     """The full pipeline over ``paths``; see module docstring.
 
-    With ``check_baseline``, stale baseline entries (grandfathered
-    findings that no longer occur) become OBL000 failures — the
-    baseline must shrink as the backlog is fixed.  ``context_paths``
-    feed the cross-file index without being linted (see
-    :func:`lint_sources`).
+    ``context_paths`` feed the cross-file index without being linted
+    (see :func:`lint_sources`).
     """
     files = discover_files(paths)
     sources, parse_errors = load_sources(files, root=root)
@@ -225,39 +209,11 @@ def run_lint(
         sources, extra_violations=parse_errors, select=select,
         context=context,
     )
-    result = LintResult(
-        suppressed=suppressed, files_checked=len(sources)
+    return LintResult(
+        violations=violations,
+        suppressed=suppressed,
+        files_checked=len(sources),
     )
-    if update_baseline and baseline_path is not None:
-        write_baseline(baseline_path, violations)
-        result.baselined = len(violations)
-        return result
-    if baseline_path is not None:
-        fresh, matched = apply_baseline(
-            violations, load_baseline(baseline_path)
-        )
-        result.violations = fresh
-        result.baselined = matched
-        if check_baseline:
-            for entry in stale_entries(baseline_path, violations):
-                result.violations.append(
-                    Violation(
-                        rule="OBL000",
-                        path=entry.get("path", str(baseline_path)),
-                        line=1,
-                        col=0,
-                        message=(
-                            f"stale baseline entry for {entry['rule']} "
-                            f"(x{entry['stale']}): the finding no "
-                            "longer occurs — run "
-                            "'repro lint --prune-baseline'"
-                        ),
-                        snippet=entry.get("snippet", ""),
-                    )
-                )
-    else:
-        result.violations = violations
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -274,32 +230,12 @@ def add_lint_arguments(p: argparse.ArgumentParser) -> None:
         "--format", choices=["text", "json", "sarif"], default="text",
     )
     p.add_argument(
-        "--baseline", default=DEFAULT_BASELINE, metavar="FILE",
-        help="committed baseline of grandfathered findings",
-    )
-    p.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline (report every finding)",
-    )
-    p.add_argument(
-        "--write-baseline", action="store_true",
-        help="rewrite the baseline from the current findings",
-    )
-    p.add_argument(
         "--select", default=None, metavar="RULES",
         help="comma-separated rule codes to run (default: all)",
     )
     p.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit",
-    )
-    p.add_argument(
-        "--prune-baseline", action="store_true",
-        help="drop baseline entries no current finding matches",
-    )
-    p.add_argument(
-        "--check-baseline", action="store_true",
-        help="fail on stale baseline entries (CI gate)",
     )
     p.add_argument(
         "--changed", action="store_true",
@@ -345,7 +281,6 @@ def cmd_lint(args) -> int:
         return 0
     if args.plan:
         return cmd_audit_plan(args)
-    baseline = None if args.no_baseline else Path(args.baseline)
     select = (
         [s.strip() for s in args.select.split(",") if s.strip()]
         if args.select
@@ -363,35 +298,7 @@ def cmd_lint(args) -> int:
         # full tree they will be merged into.
         context_paths = list(args.paths)
         paths = [str(p) for p in changed]
-    if args.prune_baseline:
-        if baseline is None:
-            print("--prune-baseline requires a baseline file")
-            return 2
-        files = discover_files(paths)
-        sources, parse_errors = load_sources(files)
-        violations, _ = lint_sources(
-            sources, extra_violations=parse_errors, select=select
-        )
-        kept, dropped = prune_baseline(baseline, violations)
-        print(
-            f"baseline pruned: {kept} kept, {dropped} stale "
-            f"dropped ({args.baseline})"
-        )
-        return 0
-    result = run_lint(
-        paths,
-        baseline_path=baseline,
-        update_baseline=args.write_baseline,
-        select=select,
-        check_baseline=args.check_baseline,
-        context_paths=context_paths,
-    )
-    if args.write_baseline:
-        print(
-            f"baseline written to {args.baseline} "
-            f"({result.baselined} entries)"
-        )
-        return 0
+    result = run_lint(paths, select=select, context_paths=context_paths)
     if args.format == "json":
         print(json_report(result, rules))
     elif args.format == "sarif":

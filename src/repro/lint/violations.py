@@ -2,8 +2,8 @@
 
 A :class:`Violation` pins one finding to a file/line; its
 :meth:`~Violation.fingerprint` deliberately excludes the line *number*
-(hashing the rule, path, and source snippet instead) so a committed
-baseline survives unrelated edits that shift code up or down.
+(hashing the rule, path, and source snippet instead) so a SARIF alert
+keeps its identity across unrelated edits that shift code up or down.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ class Violation:
     line: int  #: 1-based line number
     col: int  #: 0-based column
     message: str
-    #: The stripped source line, used for baseline fingerprinting.
+    #: The stripped source line, part of the fingerprint.
     snippet: str = ""
 
     def fingerprint(self) -> str:
-        """Line-number-independent identity used by the baseline."""
+        """Line-number-independent identity (SARIF partial fingerprint)."""
         raw = f"{self.rule}|{self.path}|{self.snippet}"
         return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]
 
@@ -49,11 +49,10 @@ class Violation:
 
 @dataclass
 class LintResult:
-    """Outcome of one lint run, after suppressions and baseline."""
+    """Outcome of one lint run, after suppressions."""
 
-    violations: list = field(default_factory=list)  #: new findings
+    violations: list = field(default_factory=list)
     suppressed: int = 0  #: silenced by justified inline directives
-    baselined: int = 0  #: matched a committed baseline entry
     files_checked: int = 0
 
     @property

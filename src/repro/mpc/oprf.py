@@ -16,8 +16,9 @@ that every one of his items hashed to the bin maps to a chosen target.
   bin to the public degree), so the hint's size is input-independent and
   Alice's evaluation reveals nothing about membership.
 
-SIMULATED mode computes ``F_j(y)`` directly from a shared salt and
-charges the real message sizes.
+SIMULATED mode never builds a :class:`BatchedOprf`: PSI's one mode
+fork (:func:`repro.mpc.psi._opprf`) charges the real message sizes with
+:func:`charge_oprf_setup` and has no values to compute.
 """
 
 from __future__ import annotations
@@ -73,22 +74,22 @@ class BatchedOprf:
         alice_fps: Sequence[int],
         group_bits: int = DEFAULT_GROUP_BITS,
     ) -> None:
+        if ctx.mode != Mode.REAL:
+            raise ValueError(
+                "BatchedOprf runs the KKRT protocol; SIMULATED mode "
+                "charges its messages with charge_oprf_setup"
+            )
         self.ctx = ctx
         self._salt = b"oprf-session"
-        m = len(alice_fps)
-        self._m = m
-        if ctx.mode == Mode.REAL:
-            self._setup_real(list(alice_fps), group_bits)
-        else:
-            self._setup_simulated(list(alice_fps))
+        self._setup_real(list(alice_fps), group_bits)
 
-    # -- REAL: KKRT over a width-448 IKNP matrix --------------------------
+    # -- KKRT over a width-448 IKNP matrix --------------------------------
 
     def _setup_real(self, fps: List[int], group_bits: int) -> None:
         ctx = self.ctx
         rng = ctx.rng
         w = OPRF_WIDTH
-        m = self._m
+        m = len(fps)
         # Base OTs, roles reversed: Bob (the OPRF sender) receives with
         # secret choice s; Alice offers seed pairs.
         g = modp_group(group_bits)
@@ -131,30 +132,9 @@ class BatchedOprf:
             _out_hash(j, t_rows[j], self._salt) for j in range(m)
         ]
 
-    def _bob_eval_real(self, row: int, fp: int) -> int:
+    def bob_eval(self, row: int, fp: int) -> int:
         masked = self._bob_rows[row] ^ (_code(fp, self._salt) & self._s)
         return _out_hash(row, masked, self._salt)
-
-    # -- SIMULATED --------------------------------------------------------
-
-    def _setup_simulated(self, fps: List[int]) -> None:
-        charge_oprf_setup(self.ctx, self._m)
-        self.alice_values = [
-            self._bob_eval_sim(j, fp) for j, fp in enumerate(fps)
-        ]
-
-    def _bob_eval_sim(self, row: int, fp: int) -> int:
-        digest = hashlib.blake2b(
-            row.to_bytes(8, "little") + fp.to_bytes(8, "little"),
-            digest_size=8,
-            key=self._salt,
-        ).digest()
-        return int.from_bytes(digest, "little")
-
-    def bob_eval(self, row: int, fp: int) -> int:
-        if self.ctx.mode == Mode.REAL:
-            return self._bob_eval_real(row, fp)
-        return self._bob_eval_sim(row, fp)
 
 
 def charge_oprf_setup(ctx: Context, n_rows: int) -> None:

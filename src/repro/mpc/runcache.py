@@ -22,7 +22,7 @@ The storage lives in a :class:`SetupStore`, separable from the
 :class:`RunCache` view over it.  A default-constructed ``RunCache``
 owns a private store (the single-query behaviour); the serving layer
 (:mod:`repro.serve`) instead builds one store per
-:class:`~repro.serve.plancache.PlanCache` and hands every tenant
+:class:`~repro.serve.service.QueryService` and hands every tenant
 session a ``RunCache(store=shared)`` *view*.  Sharing is safe for the
 same reason per-run sharing is safe — the material is a pure function
 of public shapes — so a tenant's transcript is byte-identical whether
@@ -52,7 +52,7 @@ class SetupStore:
     their precompiled garble plans, and Beneš network topologies.
 
     One store per sharing domain — a single protocol run by default, a
-    whole plan cache in the serving layer.  Views (:class:`RunCache`)
+    whole query service in the serving layer.  Views (:class:`RunCache`)
     do the counting; the store only holds material and the lock that
     makes concurrent get-or-build race-free."""
 

@@ -16,7 +16,7 @@ Flow of a party::
     resume: DurableStore.load -> revive(newest checkpoint)
     wire  : SocketTransport.attach + start (handshake reconciles the
             journal position against the peer's expected counters)
-    run   : Scheduler.run(..., env=revived, start_at=checkpoint.step)
+    run   : query.run_secure(engine, env=revived, start_at=checkpoint.step)
     finish: session.finish barrier, profile, KIND_DONE record, BYE
 
 Net mode pins ``max_attempts=1``: an in-node supervisor retry would
@@ -33,8 +33,9 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..mpc.context import Mode
 from ..mpc.transcript import ALICE, BOB
-from .chaos import RunProfile, profile_run
+from .chaos import RunProfile, make_tpch_runner, profile_run
 from .durable import DurableStore, revive
+from .faults import FaultPlan
 from .session import DEFAULT_NODE_BUDGET, enable_session
 from .supervisor import RetryPolicy
 from .transport import ProcessFaults, ReconnectPolicy, SocketTransport
@@ -152,49 +153,14 @@ def _prepared(config: NetConfig) -> Any:
     return PREPARED[config.query](dataset)
 
 
-def _compiled(query_obj: Any, engine: Any) -> Tuple[Any, Any, Dict[str, Any]]:
-    """(yannakakis plan, exec plan, secure inputs) for one run — the
-    exact structures ``run_secure`` builds, exposed so the resume path
-    can drive the scheduler directly."""
-    from ..exec import compile_plan
-
-    inputs = query_obj.secure_inputs()
-    plan = query_obj.plan()
-    exec_plan = compile_plan(
-        plan,
-        owners={name: rel.owner for name, rel in inputs.items()},
-        input_order=list(inputs),
-        reveal_result=True,
-        backends=query_obj._effective_backends(engine),
-    )
-    return plan, exec_plan, inputs
-
-
-def _reveal(ctx: Any, plan: Any, env: Dict[str, Any]) -> Any:
-    """The post-scheduler tail of ``secure_yannakakis``: assemble the
-    revealed result relation from the final slot environment."""
-    from ..core.protocol import _finish
-
-    shared, values = env["output"]
-    result, _stats = _finish(ctx, plan, shared, values, 0.0, 0)
-    return result
-
-
 def solo_profile(config: NetConfig) -> RunProfile:
     """The unfaulted single-process baseline for this configuration —
     what both parties of a two-process run must reproduce exactly."""
-    from ..mpc.engine import Engine
-
-    prepared = _prepared(config)
-    ctx = prepared.make_context(Mode.SIMULATED, seed=config.seed)
-    engine = Engine(ctx, config.group_bits)
-    engine.backend = config.backend
-    session = enable_session(
-        ctx, None, node_budget=config.node_budget, seed=config.seed
-    )
-    result, _ = prepared.run_secure(engine)
-    session.finish()
-    return profile_run(ctx, session, result)
+    return make_tpch_runner(
+        config.query, scale_mb=config.scale_mb, seed=config.seed,
+        group_bits=config.group_bits, node_budget=config.node_budget,
+        backend=config.backend,
+    )(FaultPlan())
 
 
 # -- one party's run ---------------------------------------------------
@@ -208,7 +174,6 @@ def run_party(config: NetConfig) -> Dict[str, Any]:
     Raises whatever the run raises — the CLI maps sanitized
     :class:`~repro.runtime.aborts.ProtocolAbort` to a clean-abort exit
     code; anything else is a hard failure."""
-    from ..exec import Scheduler
     from ..mpc.engine import Engine
 
     prepared = _prepared(config)
@@ -258,8 +223,6 @@ def run_party(config: NetConfig) -> Dict[str, Any]:
     session.durable = store
     session.process_faults = config.faults
 
-    plan, exec_plan, inputs = _compiled(query_obj, engine)
-
     transport: Optional[SocketTransport] = None
     if config.listen is not None or config.connect is not None:
         transport = SocketTransport(
@@ -278,10 +241,9 @@ def run_party(config: NetConfig) -> Dict[str, Any]:
         transport.start()
 
     try:
-        env = Scheduler(engine).run(
-            exec_plan, inputs, env=env, start_at=resumed_from
+        result, _ = query_obj.run_secure(
+            engine, env=env, start_at=resumed_from
         )
-        result = _reveal(ctx, plan, env)
         session.finish()
         if transport is not None:
             # Linger until the peer is done too (or provably gone):

@@ -1,30 +1,26 @@
-"""Multi-tenant query serving: sessions, shared plan cache, admission.
+"""Multi-tenant query serving: sessions, shared set-up store, admission.
 
 The serving layer turns the single-query engine into a service:
 
-* :mod:`repro.serve.fingerprint` / :mod:`repro.serve.plancache` —
-  canonical plan fingerprints and the cross-tenant cache of compiled
-  :class:`~repro.exec.ir.ExecPlan`\\ s plus shared gadget setup
-  material (:class:`~repro.mpc.runcache.SetupStore`);
 * :mod:`repro.serve.admission` — per-tenant byte/round budgets priced
   by the cost estimator, enforced before any protocol bytes move;
 * :mod:`repro.serve.session` / :mod:`repro.serve.service` —
   baton-threaded query sessions interleaved deterministically by the
-  coordinator, with crash containment per session;
+  coordinator, with crash containment per session and one shared
+  :class:`~repro.mpc.runcache.SetupStore` of public gadget set-up
+  material;
 * :mod:`repro.serve.workload` / :mod:`repro.serve.chaos` — scripted
   TPC-H multi-tenant workloads with solo-run byte-comparison, and the
   tenant-isolation chaos sweep.
 
 The invariant every piece preserves (and the test battery pins): a
 tenant's transcript is **byte-identical** to its solo run — across
-interleaving policies, plan-cache hits, budget pressure, and faults or
-crashes in other tenants' sessions.
+interleaving policies, a warm or cold set-up store, budget pressure,
+and faults or crashes in other tenants' sessions.
 """
 
 from .admission import ADMIT, QUEUE, REJECT, AdmissionController, TenantBudget
 from .chaos import isolation_sweep
-from .fingerprint import fingerprint_document, plan_fingerprint
-from .plancache import PlanCache, PlanEntry
 from .service import INTERLEAVE_POLICIES, QueryService, ServiceReport
 from .session import (
     ADMITTED,
@@ -57,10 +53,6 @@ __all__ = [
     "AdmissionController",
     "TenantBudget",
     "isolation_sweep",
-    "fingerprint_document",
-    "plan_fingerprint",
-    "PlanCache",
-    "PlanEntry",
     "INTERLEAVE_POLICIES",
     "QueryService",
     "ServiceReport",

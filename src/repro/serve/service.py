@@ -5,7 +5,7 @@ through admission control — **before** any
 :class:`~repro.mpc.context.Context` exists, so rejected and queued
 requests move zero protocol bytes.  Admitted requests become
 :class:`~repro.serve.session.QuerySession`\\ s sharing one
-:class:`~repro.serve.plancache.PlanCache`; ``run`` then interleaves
+:class:`~repro.mpc.runcache.SetupStore`; ``run`` then interleaves
 every active session on the baton protocol, one exec-plan step at a
 time, under one of two policies:
 
@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional
 
+from ..mpc.runcache import RunCache, SetupStore
 from .admission import ADMIT, REJECT, AdmissionController
-from .plancache import PlanCache
 from .session import ADMITTED, REJECTED, QueryRequest, QuerySession
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -47,7 +47,9 @@ class ServiceReport:
 
     sessions: List[Dict[str, Any]] = field(default_factory=list)
     admission: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    plan_cache: Dict[str, int] = field(default_factory=dict)
+    #: What the sessions' shared set-up store holds (templates,
+    #: garble plans, topologies) — :meth:`SetupStore.sizes`.
+    setup_store: Dict[str, int] = field(default_factory=dict)
     interleave: str = "round_robin"
     n_steps: int = 0
 
@@ -65,7 +67,7 @@ class ServiceReport:
             "counts": self.counts,
             "sessions": list(self.sessions),
             "admission": dict(self.admission),
-            "plan_cache": dict(self.plan_cache),
+            "setup_store": dict(self.setup_store),
         }
 
     def summary(self) -> str:
@@ -73,9 +75,9 @@ class ServiceReport:
         parts = ", ".join(f"{n} {state}" for state, n in sorted(c.items()))
         return (
             f"{len(self.sessions)} sessions ({parts}); "
-            f"{self.n_steps} interleaved steps; "
-            f"plan cache {self.plan_cache.get('plan_hits', 0)} hits / "
-            f"{self.plan_cache.get('plan_misses', 0)} misses"
+            f"{self.n_steps} interleaved steps; shared set-up store: "
+            f"{self.setup_store.get('circuit_templates', 0)} templates, "
+            f"{self.setup_store.get('topologies', 0)} topologies"
         )
 
 
@@ -86,7 +88,6 @@ class QueryService:
     def __init__(
         self,
         interleave: str = "round_robin",
-        plan_cache: Optional[PlanCache] = None,
         admission: Optional[AdmissionController] = None,
     ) -> None:
         if interleave not in INTERLEAVE_POLICIES:
@@ -95,7 +96,10 @@ class QueryService:
                 f"expected one of {INTERLEAVE_POLICIES}"
             )
         self.interleave = interleave
-        self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
+        #: Public, shape-keyed set-up material (gadget templates, garble
+        #: plans, Beneš topologies) shared by every session this service
+        #: starts, ``run=`` ones included.
+        self.store = SetupStore()
         self.admission = (
             admission if admission is not None else AdmissionController()
         )
@@ -177,7 +181,9 @@ class QueryService:
     def _build_session(
         self, request: QueryRequest, cost: Optional["CostEstimate"]
     ) -> QuerySession:
-        session = QuerySession(request, plan_cache=self.plan_cache)
+        session = QuerySession(request)
+        # Per-session counting view over the shared store.
+        session.ctx.cache = RunCache(store=self.store)
         session.cost = cost
         self.sessions.append(session)
         return session
@@ -261,7 +267,7 @@ class QueryService:
                 for r in self.rejected
             ],
             admission=self.admission.snapshot(),
-            plan_cache=self.plan_cache.stats(),
+            setup_store=self.store.sizes(),
             interleave=self.interleave,
             n_steps=self._n_steps,
         )

@@ -12,8 +12,7 @@ has its own :class:`~repro.mpc.context.Context` (transcript, RNG),
 its own runtime :class:`~repro.runtime.session.Session` (framing,
 virtual clock, fault plan), and its own
 :class:`~repro.exec.trace.ExecutionTrace` namespaced by tenant.  The
-only cross-session objects are the shared
-:class:`~repro.serve.plancache.PlanCache` entries and
+only cross-session object is the service's
 :class:`~repro.mpc.runcache.SetupStore` — public setup material.
 
 Crash containment: whatever the worker raises —
@@ -42,7 +41,6 @@ from ..runtime.session import DEFAULT_NODE_BUDGET, enable_session
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..bench.estimator import CostEstimate
     from ..query.builder import JoinAggregateQuery
-    from .plancache import PlanCache
 
 __all__ = [
     "QUEUED",
@@ -75,8 +73,8 @@ class QueryRequest:
 
     Exactly one of ``query`` (a
     :class:`~repro.query.builder.JoinAggregateQuery` — priced by the
-    cost estimator and served through the plan cache) or ``run`` (an
-    arbitrary ``Engine -> result-rows`` callable, e.g. a prepared
+    cost estimator and leakage-audited at submit) or ``run`` (an
+    arbitrary ``Engine -> result-rows`` callable, e.g. a decomposed
     TPC-H query — unpriced unless ``cost`` is declared) must be set.
     """
 
@@ -94,7 +92,8 @@ class QueryRequest:
     #: means the service estimates; ``None`` + ``run`` means unpriced.
     cost: Optional["CostEstimate"] = None
     #: Output-size bound fed to the estimator (``None``: the product
-    #: of input sizes — the worst case the protocol itself assumes).
+    #: of the sizes of the relations the full join joins — the worst
+    #: case the protocol itself assumes).
     out_size_bound: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -117,13 +116,8 @@ class QuerySession:
     request never reaches this class, so it moves zero protocol
     bytes."""
 
-    def __init__(
-        self,
-        request: QueryRequest,
-        plan_cache: Optional["PlanCache"] = None,
-    ) -> None:
+    def __init__(self, request: QueryRequest) -> None:
         self.request = request
-        self.plan_cache = plan_cache
         self.state = ADMITTED
         self.error: Optional[BaseException] = None
         self.result: Optional[Iterable[Any]] = None
@@ -132,9 +126,6 @@ class QuerySession:
 
         params = SecurityParams(ell=request.effective_ell())
         self.ctx = Context(request.mode, params, seed=request.seed)
-        if plan_cache is not None:
-            # Per-session counting view over the shared setup store.
-            self.ctx.cache = plan_cache.run_cache()
         from ..exec.trace import ExecutionTrace
 
         self.trace = ExecutionTrace()
@@ -224,27 +215,7 @@ class QuerySession:
         if request.run is not None:
             return request.run(self.engine)
         assert request.query is not None
-        from ..core.protocol import secure_yannakakis_with_plan
-
-        query = request.query
-        if self.plan_cache is not None:
-            entry = self.plan_cache.get(query, tenant=request.tenant)
-            plan, exec_plan = entry.plan, entry.exec_plan
-        else:
-            from ..exec import compile_plan
-
-            plan = query.plan()
-            exec_plan = compile_plan(
-                plan,
-                owners=dict(query.owners),
-                input_order=list(query.relations),
-                reveal_result=True,
-                backends=query.backend_assignments(),
-            )
-        result, _stats = secure_yannakakis_with_plan(
-            self.engine, query.secure_inputs(), plan, exec_plan
-        )
-        return result
+        return request.query.run_secure(self.engine)[0]
 
     # -- reporting --------------------------------------------------------
 

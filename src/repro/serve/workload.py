@@ -6,9 +6,9 @@ prepared TPC-H queries, run them concurrently through a
 :class:`~repro.serve.service.QueryService`, and compare every
 session's :class:`~repro.runtime.chaos.RunProfile` against its **solo**
 run — the same request executed alone.  The serving layer's hard
-guarantee is that the two are byte-identical: interleaving, plan-cache
-sharing, and other tenants' faults must not shift a single transcript
-byte.
+guarantee is that the two are byte-identical: interleaving, the shared
+set-up store, and other tenants' faults must not shift a single
+transcript byte.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..mpc.context import Mode
 from ..runtime.chaos import RunProfile
-from .plancache import PlanCache
 from .service import QueryService, ServiceReport
 from .session import DONE, QueryRequest, QuerySession
 
@@ -44,25 +43,26 @@ def tpch_request(
     faults: Optional[Any] = None,
     backend: str = "yannakakis",
 ) -> QueryRequest:
-    """A :class:`QueryRequest` over one prepared TPC-H query.  The
-    dataset and query are prepared eagerly (deterministic given
-    ``scale_mb``); the relations are rebuilt per run, so requests are
-    independent.  ``backend`` is the join back-end policy the session's
-    engine runs under (see docs/BACKENDS.md)."""
+    """A :class:`QueryRequest` over one prepared TPC-H query
+    (deterministic given ``scale_mb``).  The single-plan queries
+    Q3/Q10/Q18 become ``query=`` requests, so admission prices and
+    leakage-audits them at submit; Q8/Q9 are several plans plus a
+    composition circuit and stay opaque ``run=`` requests.  ``backend``
+    is the join back-end policy of the run (see docs/BACKENDS.md)."""
     from ..tpch import PREPARED, generate
 
-    dataset = generate(scale_mb)
-    prepared = PREPARED[query.upper()](dataset)
+    prepared = PREPARED[query.upper()](generate(scale_mb))
+    build = prepared._build
 
     def run(engine: Any) -> Any:
         engine.backend = backend
-        result, _stats = prepared.run_secure(engine)
-        return result
+        return prepared.run_secure(engine)[0]
 
     return QueryRequest(
         tenant=tenant,
         name=name if name is not None else query.upper(),
-        run=run,
+        query=build().set_backend(backend) if build is not None else None,
+        run=run if build is None else None,
         ell=prepared.ell,
         mode=Mode.REAL if real else Mode.SIMULATED,
         group_bits=group_bits,
@@ -71,14 +71,11 @@ def tpch_request(
     )
 
 
-def run_solo(
-    request: QueryRequest,
-    plan_cache: Optional[PlanCache] = None,
-) -> QuerySession:
+def run_solo(request: QueryRequest) -> QuerySession:
     """Run one request alone, through the *same* session machinery the
     service uses (baton thread, yield points, runtime session), so its
     profile is directly comparable to a concurrent run's."""
-    session = QuerySession(request, plan_cache=plan_cache)
+    session = QuerySession(request)
     session.start()
     while session.step():
         pass

@@ -5,6 +5,7 @@ from .datagen import SCALES_MB, TpchDataset, generate
 from .queries import (
     PREPARED,
     PreparedQuery,
+    prepare,
     prepare_q10,
     prepare_q18,
     prepare_q3,
@@ -22,6 +23,7 @@ __all__ = [
     "TpchDataset",
     "date_ordinal",
     "generate",
+    "prepare",
     "prepare_q10",
     "prepare_q18",
     "prepare_q3",

@@ -26,6 +26,7 @@ from ..mpc.context import ALICE, BOB, Context, Mode
 from ..mpc.engine import Engine
 from ..mpc.params import SecurityParams
 from ..query.builder import JoinAggregateQuery
+from ..relalg.columns import TupleStore
 from ..relalg.relation import AnnotatedRelation
 from ..relalg.semiring import IntegerRing
 from .datagen import TpchDataset
@@ -39,6 +40,7 @@ __all__ = [
     "prepare_q8",
     "prepare_q9",
     "PREPARED",
+    "prepare",
     "to_signed",
 ]
 
@@ -90,13 +92,7 @@ class PreparedQuery:
         t0 = time.perf_counter()
         result = self._secure(engine)
         seconds = time.perf_counter() - t0
-        msgs = ctx.transcript.messages[before:]
-        stats = ProtocolStats(
-            seconds=seconds,
-            total_bytes=sum(m.n_bytes for m in msgs),
-            rounds=ctx.transcript.rounds,
-        )
-        return result, stats
+        return result, ProtocolStats.of_window(ctx, before, seconds)
 
     def run_plain(self) -> Tuple[AnnotatedRelation, float]:
         t0 = time.perf_counter()
@@ -300,25 +296,18 @@ def prepare_q18(
         )
         # Local subquery at lineitem's owner: qualifying orderkeys,
         # padded to |lineitem| (Section 8.1).
-        keys = np.asarray(lineitem.column("l_orderkey"))
-        qty = np.asarray(lineitem.column("l_quantity"))
-        totals: Dict[int, int] = {}
-        for k, q in zip(keys, qty):
-            totals[int(k)] = totals.get(int(k), 0) + int(q)
-        qualifying = [k for k, v in totals.items() if v > 300]
-        big = AnnotatedRelation(
-            ("orderkey",),
-            [(k,) for k in qualifying],
-            None,
-            IntegerRing(ell),
+        keys, group = np.unique(
+            np.asarray(lineitem.column("l_orderkey")), return_inverse=True
         )
-        from ..core.relation import dummy_tuple
-
-        pad = lineitem.n_rows - len(big)
+        totals = np.bincount(group, np.asarray(lineitem.column("l_quantity")))
+        qualifying = keys[totals > 300]
+        pad = lineitem.n_rows - len(qualifying)
         big = AnnotatedRelation(
             ("orderkey",),
-            list(big.tuples) + [dummy_tuple(1) for _ in range(pad)],
-            list(big.annotations) + [0] * pad,
+            TupleStore.from_columns(
+                ("orderkey",), [qualifying]
+            ).with_dummies(pad),
+            np.arange(lineitem.n_rows) < len(qualifying),
             IntegerRing(ell),
         )
         q = (
@@ -651,3 +640,15 @@ PREPARED: Dict[str, Callable[[TpchDataset], PreparedQuery]] = {
     "Q8": prepare_q8,
     "Q9": prepare_q9,
 }
+
+
+def prepare(
+    name: str,
+    dataset: TpchDataset,
+    q9_nations: Optional[List[int]] = None,
+) -> PreparedQuery:
+    """``PREPARED[name](dataset)``, with Q9's per-nation loop restricted
+    to ``q9_nations`` (the other queries take no such argument)."""
+    if name == "Q9":
+        return prepare_q9(dataset, nations=q9_nations)
+    return PREPARED[name](dataset)

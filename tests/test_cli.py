@@ -117,3 +117,25 @@ class TestChaosIsNeverVacuous:
         assert main(["chaos", "--sweep", "quick", *argv]) == 1
         out = capsys.readouterr().out
         assert "0 fault points" in out and "FAILED" in out
+
+
+class TestServeAdmitsAndRejectsTpch:
+    """A TPC-H request used to be an opaque ``run=``: unpriced, so
+    ``--budget-mb`` admitted it whatever the budget."""
+
+    def test_budget_rejects_before_any_message(self, capsys):
+        assert main([
+            "serve", "--queries", "Q3", "--tenants", "1",
+            "--scale", "tiny", "--budget-mb", "1",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "1 sessions (1 rejected)" in out
+        assert "tenant0/Q3#0: rejected, 0 msgs, 0.00 MB" in out
+
+    def test_two_tenants_match_solo(self, capsys):
+        assert main([
+            "serve", "--queries", "Q3", "Q3", "--tenants", "2",
+            "--scale", "tiny", "--check-solo",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert out.count("done, 54 msgs, 6.15 MB  [== solo]") == 2

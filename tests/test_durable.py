@@ -12,7 +12,6 @@ import pickle
 
 import pytest
 
-from repro.exec import Scheduler
 from repro.mpc.context import Mode
 from repro.mpc.engine import Engine
 from repro.runtime import (
@@ -30,7 +29,7 @@ from repro.runtime import (
     solo_profile,
 )
 from repro.runtime.durable import KIND_CHECKPOINT, KIND_DONE, KIND_META
-from repro.runtime.netrun import _compiled, _prepared, _reveal
+from repro.runtime.netrun import _prepared
 
 
 class TestJournal:
@@ -161,14 +160,9 @@ class TestResume:
         assert len(state.checkpoints) == len(q3_baseline.nodes_seen)
         for step_id, blob in state.checkpoints:
             engine, session, env, _ = revive(blob)
-            prepared = _prepared(config)
-            plan, exec_plan, inputs = _compiled(
-                prepared._build(), engine
+            result, _ = _prepared(config)._build().run_secure(
+                engine, env=env, start_at=step_id
             )
-            env = Scheduler(engine).run(
-                exec_plan, inputs, env=env, start_at=step_id
-            )
-            result = _reveal(engine.ctx, plan, env)
             session.finish()
             profile = profile_run(engine.ctx, session, result)
             assert profile.diff(q3_baseline) == "", (
@@ -201,9 +195,8 @@ class TestResume:
         session.retry_policy = RetryPolicy(max_attempts=1)
         store = DurableStore.create(path, config.meta())
         session.durable = store
-        plan, exec_plan, inputs = _compiled(prepared._build(), engine)
         with pytest.raises(PeerCrash):
-            Scheduler(engine).run(exec_plan, inputs)
+            prepared.run_secure(engine)
         store.close()
 
         resumed = run_party(

@@ -6,7 +6,10 @@ byte-for-byte — same sizes, same senders, same labels, same order —
 for every ownership split and both modes.
 """
 
+import ast
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +41,7 @@ from .conftest import TEST_GROUP_BITS
 from .test_protocol import OWNER_SPLITS, example_11
 
 OUTPUT = ("cls",)
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
 def make_plan(rels, output=OUTPUT, two_phase=False):
@@ -329,3 +333,40 @@ def test_topology_cache_shared_across_oeps():
     # be built once per run.
     assert stats["topology_hits"] > 0
     assert stats["topologies"] >= 1
+
+
+class TestOnePipeline:
+    """Structural guard: a plan reaches the scheduler through
+    ``core/protocol.py`` — one compile site, one scheduler — and no
+    other module under ``src/repro`` assembles a run of its own."""
+
+    def test_only_protocol_compiles_and_schedules(self):
+        sites = sorted(
+            (str(path.relative_to(SRC)), name)
+            for path in SRC.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            for name in [
+                getattr(node.func, "id", None)
+                or getattr(node.func, "attr", None)
+            ]
+            if name in ("compile_plan", "Scheduler")
+        )
+        assert sites == [
+            ("core/protocol.py", "Scheduler"),
+            ("core/protocol.py", "compile_plan"),
+        ]
+
+    @pytest.mark.parametrize(
+        "module", ["repro.serve.fingerprint", "repro.serve.plancache"]
+    )
+    def test_plan_cache_modules_are_gone(self, module):
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+
+    def test_no_entry_point_takes_a_precompiled_plan(self):
+        import repro.core
+        import repro.core.protocol as protocol
+
+        for namespace in (repro.core, protocol):
+            assert not hasattr(namespace, "secure_yannakakis_with_plan")

@@ -11,26 +11,24 @@ from repro.core.protocol import (
     legacy_secure_yannakakis_shared,
 )
 from repro.mpc import Engine, Mode
-from repro.tpch import PREPARED, generate
+from repro.tpch import generate, prepare
 
 pytestmark = pytest.mark.slow
 
 SEED = 5
 
 
-def prepare(name):
-    dataset = generate(1)
-    if name == "Q9":
-        return PREPARED[name](dataset, nations=[8, 14])
-    return PREPARED[name](dataset)
+def legacy_run(engine, relations, plan, backends, *, env, start_at):
+    """``run_secure``'s call, answered by the reference orchestration
+    (which can start a run, not resume one)."""
+    assert env is None and start_at is None
+    return legacy_secure_yannakakis(engine, relations, plan, backends)
 
 
 def run_transcript(query, *, legacy, monkeypatch):
     with monkeypatch.context() as mp:
         if legacy:
-            mp.setattr(
-                builder, "secure_yannakakis", legacy_secure_yannakakis
-            )
+            mp.setattr(builder, "secure_yannakakis", legacy_run)
             mp.setattr(
                 builder,
                 "secure_yannakakis_shared",
@@ -44,7 +42,7 @@ def run_transcript(query, *, legacy, monkeypatch):
 
 @pytest.mark.parametrize("name", ["Q3", "Q10", "Q18", "Q8", "Q9"])
 def test_tpch_fingerprint_identity(name, monkeypatch):
-    query = prepare(name)
+    query = prepare(name, generate(1), q9_nations=[8, 14])
     f_legacy, r_legacy = run_transcript(
         query, legacy=True, monkeypatch=monkeypatch
     )

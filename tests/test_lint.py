@@ -4,9 +4,8 @@ Three layers:
 
 * fixture tests — each rule's good/bad snippets under
   ``tests/lint_fixtures/`` flag (or stay silent) as documented;
-* framework tests — suppression accounting, baseline roundtrip +
-  stale-entry lifecycle, SARIF output, git-diff scoping, and the full
-  run over the real tree staying clean;
+* framework tests — suppression accounting, SARIF output, git-diff
+  scoping, and the full run over the real tree staying clean;
 * leakage-contract tests — the registry↔docs pin and the plan-level
   audit of TPC-H Q3 under each back-end route;
 * mutation tests — injecting a secret-dependent branch into a real
@@ -24,13 +23,6 @@ import pytest
 
 from repro.leakage import BACKEND_CONTRACTS, leakage_table
 from repro.lint import all_rules, lint_sources, run_lint
-from repro.lint.baseline import (
-    apply_baseline,
-    load_baseline,
-    prune_baseline,
-    stale_entries,
-    write_baseline,
-)
 from repro.lint.project import parse_source
 from repro.lint.reporters import sarif_report
 from repro.lint.runner import git_changed_files
@@ -140,7 +132,7 @@ def test_obl002_sanctioned_channel_impls_exempt():
 
 
 # ----------------------------------------------------------------------
-# framework: suppressions, baseline, full-tree run
+# framework: suppressions, full-tree run
 # ----------------------------------------------------------------------
 
 _SUPPRESSIBLE = (
@@ -172,38 +164,30 @@ def test_suppression_of_other_rule_does_not_apply():
     assert [v.rule for v in violations] == ["OBL003"]
 
 
-def test_baseline_roundtrip(tmp_path):
-    text = "import random\nimport secrets\n"
-    src = parse_source("repro/mpc/base.py", text)
-    violations, _ = lint_sources([src], select=["OBL003"])
-    assert len(violations) == 2
+def test_inline_suppression_is_the_only_silencing_mechanism(capsys):
+    """A finding is fixed or carries a justified inline suppression:
+    the grandfathering baseline, its flags and its file are gone."""
+    import argparse
+    import importlib
 
-    path = tmp_path / "baseline.json"
-    write_baseline(path, violations)
-    counts = load_baseline(path)
-    fresh, matched = apply_baseline(violations, counts)
-    assert fresh == [] and matched == 2
+    from repro.lint.runner import add_lint_arguments
 
-    # A NEW occurrence of a baselined fingerprint is still reported.
-    grown = parse_source("repro/mpc/base.py", text + "import random\n")
-    more, _ = lint_sources([grown], select=["OBL003"])
-    fresh, matched = apply_baseline(more, counts)
-    assert matched == 2
-    assert [v.rule for v in fresh] == ["OBL003"]
-
-
-def test_missing_baseline_file_is_empty(tmp_path):
-    assert load_baseline(tmp_path / "nope.json") == {}
+    parser = argparse.ArgumentParser()
+    add_lint_arguments(parser)
+    for flag in ("baseline=f", "no-baseline", "write-baseline",
+                 "prune-baseline", "check-baseline"):
+        with pytest.raises(SystemExit):
+            parser.parse_args([f"--{flag}"])
+    assert "unrecognized arguments" in capsys.readouterr().err
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.lint.baseline")
+    assert not (REPO_ROOT / "lint-baseline.json").exists()
 
 
 def test_repo_tree_is_lint_clean():
-    """The committed tree must pass its own linter with the committed
-    baseline — the same gate CI runs."""
-    result = run_lint(
-        [str(REPO_ROOT / "src")],
-        baseline_path=REPO_ROOT / "lint-baseline.json",
-        root=REPO_ROOT,
-    )
+    """The committed tree must pass its own linter — the same gate CI
+    runs."""
+    result = run_lint([str(REPO_ROOT / "src")], root=REPO_ROOT)
     assert result.ok, "\n".join(
         f"{v.path}:{v.line} {v.rule} {v.message}"
         for v in result.violations
@@ -349,57 +333,6 @@ def test_backend_contracts_registry_shape():
     for atoms in BACKEND_CONTRACTS.values():
         assert isinstance(atoms, frozenset)
         assert atoms <= set(ATOMS)
-
-
-# ----------------------------------------------------------------------
-# baseline lifecycle: stale detection + pruning
-# ----------------------------------------------------------------------
-
-
-def test_stale_baseline_entries_detected_and_pruned(tmp_path):
-    text = "import random\nimport secrets\n"
-    src = parse_source("repro/mpc/base.py", text)
-    violations, _ = lint_sources([src], select=["OBL003"])
-    path = tmp_path / "baseline.json"
-    write_baseline(path, violations)
-
-    # both findings live: nothing stale, prune is a no-op
-    assert stale_entries(path, violations) == []
-    assert prune_baseline(path, violations) == (2, 0)
-
-    # fix one finding: its entry goes stale and pruning drops it
-    fixed = parse_source("repro/mpc/base.py", "import random\n")
-    remaining, _ = lint_sources([fixed], select=["OBL003"])
-    stale = stale_entries(path, remaining)
-    assert [e["stale"] for e in stale] == [1]
-    kept, dropped = prune_baseline(path, remaining)
-    assert (kept, dropped) == (1, 1)
-    assert stale_entries(path, remaining) == []
-    # the surviving entry still absorbs the live finding
-    fresh, matched = apply_baseline(remaining, load_baseline(path))
-    assert fresh == [] and matched == 1
-
-
-def test_run_lint_check_baseline_fails_on_stale_entry(tmp_path):
-    src_dir = tmp_path / "repro" / "mpc"
-    src_dir.mkdir(parents=True)
-    (src_dir / "base.py").write_text("import random\nimport secrets\n")
-    baseline = tmp_path / "baseline.json"
-
-    result = run_lint([str(tmp_path)], root=tmp_path, select=["OBL003"])
-    write_baseline(baseline, result.violations)
-
-    (src_dir / "base.py").write_text("import random\n")
-    stale_run = run_lint(
-        [str(tmp_path)],
-        baseline_path=baseline,
-        root=tmp_path,
-        select=["OBL003"],
-        check_baseline=True,
-    )
-    assert not stale_run.ok
-    assert [v.rule for v in stale_run.violations] == ["OBL000"]
-    assert "stale baseline entry" in stale_run.violations[0].message
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from repro.mpc.modp import ModpGroup
 from repro.mpc.oprf import (
     OPPRF_PRIME,
     BatchedOprf,
+    charge_oprf_setup,
     lagrange_basis,
     poly_eval,
     poly_from_basis,
@@ -103,24 +104,21 @@ class TestBatchedOprf:
         oprf = BatchedOprf(ctx, [1, 2], GROUP_BITS)
         assert oprf.bob_eval(0, 99) != oprf.alice_values[0]
 
-    def test_simulated_consistency(self):
-        ctx = Context(Mode.SIMULATED, seed=4)
-        fps = [10, 20, 30]
-        oprf = BatchedOprf(ctx, fps)
-        for j, fp in enumerate(fps):
-            assert oprf.bob_eval(j, fp) == oprf.alice_values[j]
-        assert oprf.bob_eval(0, 999) != oprf.alice_values[0]
-
     def test_simulated_charges_real_shape(self):
-        sim = Context(Mode.SIMULATED, seed=5)
-        BatchedOprf(sim, list(range(40)))
-        assert sim.transcript.total_bytes > 0
-        # The u-matrix charge scales with the row count.
-        sim2 = Context(Mode.SIMULATED, seed=5)
-        BatchedOprf(sim2, list(range(4000)))
-        assert (
-            sim2.transcript.total_bytes > sim.transcript.total_bytes
-        )
+        """SIMULATED mode charges, message for message, what the REAL
+        set-up sends (default group: the one PSI runs it over) — and
+        never constructs the protocol object."""
+        for m in (0, 40):
+            real = Context(Mode.REAL, seed=5)
+            BatchedOprf(real, list(range(m)))
+            sim = Context(Mode.SIMULATED, seed=5)
+            charge_oprf_setup(sim, m)
+            assert (
+                sim.transcript.fingerprint()
+                == real.transcript.fingerprint()
+            )
+        with pytest.raises(ValueError, match="charge_oprf_setup"):
+            BatchedOprf(sim, [1, 2])
 
     def test_empty_input(self):
         ctx = Context(Mode.REAL, seed=6)

@@ -221,3 +221,33 @@ def test_stats_report_phases():
     )
     assert stats.total_bytes == ctx.transcript.total_bytes
     assert "reduce" in stats.bytes_by_phase
+
+
+def _second_run_stats(run):
+    """Stats of ``run(engine)`` alone on a fresh context, and as the
+    second run on a context another run already used (a fresh engine,
+    so both windows open with the same base-OT set-up)."""
+    fresh = run(Engine(Context(Mode.SIMULATED, seed=3), TEST_GROUP_BITS))
+    ctx = Context(Mode.SIMULATED, seed=3)
+    run(Engine(ctx, TEST_GROUP_BITS))
+    return fresh, run(Engine(ctx, TEST_GROUP_BITS)), ctx
+
+
+def test_stats_of_a_later_run_cover_its_own_window():
+    """Bytes AND rounds are the run's message window's — not the whole
+    transcript's — from both builders of ``ProtocolStats``:
+    ``secure_yannakakis`` and ``PreparedQuery.run_secure``."""
+    from repro.query import JoinAggregateQuery
+    from repro.tpch import generate, prepare_q3
+
+    query = JoinAggregateQuery(output=("cls",))
+    for name, rel in example_11().items():
+        query.add_relation(name, rel, owner=OWNER_SPLITS[0][name])
+    prepared = prepare_q3(generate(0.1))
+    for run in (query.run_secure, prepared.run_secure):
+        fresh, second, ctx = _second_run_stats(lambda e: run(e)[1])
+        assert fresh.rounds > 0
+        assert second.rounds == fresh.rounds
+        assert second.total_bytes == fresh.total_bytes
+        assert second.bytes_by_phase == fresh.bytes_by_phase
+        assert ctx.transcript.rounds > second.rounds

@@ -2,20 +2,16 @@
 
 Three battery sections:
 
-* **plan-cache keying** (hypothesis over fuzz-generated instances):
-  identical logical queries — including value-disjoint twins, which
-  differ in every private value — share one cache entry; flipping any
-  transcript-shaping public input (owners, schema, ``ell``, input
-  order) misses; and a cached run is byte-identical to a cold one,
-  covering both the compiled-plan entry and the pre-warmed
-  :class:`~repro.mpc.runcache.SetupStore`.
+* **shared set-up store**: a run over a store another tenant already
+  warmed (templates, garble plans, topologies) is byte-identical to a
+  cold private-store run; counters stay per session.
 
 * **admission control**: exact admit/queue/reject boundaries against
   the estimator's price, reservation accounting, queue draining on
   settle/replenish, and the regression that a rejected request moves
   **zero** protocol bytes (no context, no transcript sends).
 
-* **service runs**: deterministic interleaving, cross-tenant plan
+* **service runs**: deterministic interleaving, cross-tenant set-up
   sharing, and served results equal to a direct ``run_secure``.
 """
 
@@ -39,11 +35,8 @@ from repro.serve import (
     QUEUE,
     REJECT,
     AdmissionController,
-    PlanCache,
     QueryRequest,
     QueryService,
-    fingerprint_document,
-    plan_fingerprint,
     run_solo,
 )
 
@@ -61,105 +54,29 @@ def fuzz_query(master_seed: int, index: int = 0) -> JoinAggregateQuery:
     return generate_instance(master_seed, index, SMALL).query()
 
 
-def tiny_query(ell: int = 32, order: str = "rs") -> JoinAggregateQuery:
-    """A fixed two-relation query, parameterised on the fingerprint
-    axes the fuzz generator cannot isolate (ell, insertion order)."""
-    ring = IntegerRing(ell)
+def tiny_query() -> JoinAggregateQuery:
+    """A fixed two-relation cross-owner query."""
+    ring = IntegerRing(32)
     r = AnnotatedRelation(("a", "b"), [(1, 2), (3, 4)], [1, 1], ring)
     s = AnnotatedRelation(("b", "c"), [(2, 5), (4, 6)], [1, 1], ring)
-    q = JoinAggregateQuery(output=("a",))
-    if order == "rs":
-        q.add_relation("R", r, owner="alice")
-        q.add_relation("S", s, owner="bob")
-    else:
-        q.add_relation("S", s, owner="bob")
-        q.add_relation("R", r, owner="alice")
-    return q
-
-
-class TestFingerprint:
-    @given(seed=seeds)
-    def test_deterministic_and_content_independent(self, seed):
-        inst = generate_instance(seed, 0, SMALL)
-        twin = value_disjoint_twin(inst)
-        fp = plan_fingerprint(inst.query())
-        assert fp == plan_fingerprint(inst.query())
-        # The twin shares no attribute value with the original, yet
-        # has the same public shape: same fingerprint.
-        assert fp == plan_fingerprint(twin.query())
-
-    @given(seed=seeds)
-    def test_owner_flip_misses(self, seed):
-        q = fuzz_query(seed)
-        assert plan_fingerprint(q) != plan_fingerprint(q.swap_owners())
-
-    def test_ell_change_misses(self):
-        assert plan_fingerprint(tiny_query(ell=32)) != plan_fingerprint(
-            tiny_query(ell=48)
-        )
-
-    def test_input_order_in_key(self):
-        # compile_plan emits ShareSteps in insertion order, so two
-        # queries over the same relations in different order must not
-        # share a compiled plan.
-        fp_rs = plan_fingerprint(tiny_query(order="rs"))
-        fp_sr = plan_fingerprint(tiny_query(order="sr"))
-        assert fp_rs != fp_sr
-        doc = fingerprint_document(tiny_query(order="rs"))
-        assert doc["input_order"] == ["R", "S"]
-
-    def test_schema_change_misses(self):
-        base = tiny_query()
-        ring = IntegerRing(32)
-        renamed = JoinAggregateQuery(output=("a",))
-        renamed.add_relation(
-            "R",
-            AnnotatedRelation(("a", "d"), [(1, 2), (3, 4)], [1, 1], ring),
-            owner="alice",
-        )
-        renamed.add_relation(
-            "S",
-            AnnotatedRelation(("d", "c"), [(2, 5), (4, 6)], [1, 1], ring),
-            owner="bob",
-        )
-        assert plan_fingerprint(base) != plan_fingerprint(renamed)
-
-    def test_compile_flags_in_key(self):
-        q = tiny_query()
-        assert plan_fingerprint(q, reveal_result=True) != plan_fingerprint(
-            q, reveal_result=False
-        )
-        assert plan_fingerprint(q, pad_out_to=0) != plan_fingerprint(
-            q, pad_out_to=16
-        )
+    return (
+        JoinAggregateQuery(output=("a",))
+        .add_relation("R", r, owner="alice")
+        .add_relation("S", s, owner="bob")
+    )
 
 
 class TestPlanCache:
-    @given(seed=seeds)
-    def test_identical_logical_queries_hit(self, seed):
-        inst = generate_instance(seed, 0, SMALL)
-        cache = PlanCache()
-        first = cache.get(inst.query(), tenant="t1")
-        again = cache.get(inst.query(), tenant="t2")
-        twin = cache.get(value_disjoint_twin(inst).query(), tenant="t3")
-        assert first is again is twin
-        assert cache.stats()["plan_entries"] == 1
-        assert cache.stats()["plan_hits"] == 2
-        assert first.tenants == {"t1": 1, "t2": 1, "t3": 1}
-
-    @given(seed=seeds)
-    def test_owner_flip_gets_own_entry(self, seed):
-        q = fuzz_query(seed)
-        cache = PlanCache()
-        assert cache.get(q) is not cache.get(q.swap_owners())
-        assert cache.stats()["plan_entries"] == 2
+    """What serving caches across tenants is public set-up material —
+    gadget templates, garble plans, Beneš topologies — in the service's
+    one :class:`~repro.mpc.runcache.SetupStore`."""
 
     @settings(max_examples=10)
     @given(seed=seeds)
     def test_cached_run_byte_identical_to_cold(self, seed):
-        """The hard guarantee of sharing: a run through a cache
-        pre-warmed by another tenant (compiled plan AND setup store)
-        is byte-identical to a cold private-cache run."""
+        """The hard guarantee of sharing: a run over a set-up store
+        pre-warmed by another tenant is byte-identical to a cold
+        private-store run."""
         inst = generate_instance(seed, 0, SMALL)
         req = lambda q: QueryRequest(  # noqa: E731
             tenant="t", name="q", query=q, seed=5
@@ -167,22 +84,25 @@ class TestPlanCache:
         cold = run_solo(req(inst.query()))
         assert cold.state == "done", repr(cold.error)
 
-        cache = PlanCache()
-        # Pre-warm with the value-disjoint twin: same entry, and the
-        # twin's run fills the shared SetupStore.
-        warmup = run_solo(
+        svc = QueryService()
+        # Pre-warm with the value-disjoint twin: same public shapes, so
+        # its run fills the store with everything the next one needs.
+        svc.submit(
             QueryRequest(
                 tenant="other",
                 name="warm",
                 query=value_disjoint_twin(inst).query(),
                 seed=6,
-            ),
-            plan_cache=cache,
+            )
         )
+        svc.run()
+        svc.submit(req(inst.query()))
+        svc.run()
+        warmup, warm = svc.sessions
         assert warmup.state == "done", repr(warmup.error)
-        warm = run_solo(req(inst.query()), plan_cache=cache)
         assert warm.state == "done", repr(warm.error)
-        assert cache.stats()["plan_hits"] >= 1
+        assert warm.ctx.cache.store is warmup.ctx.cache.store is svc.store
+        assert warm.ctx.cache.stats()["circuit_misses"] == 0
         assert warm.profile is not None and cold.profile is not None
         assert warm.profile.diff(cold.profile) == ""
         assert warm.profile.fingerprint == cold.profile.fingerprint
@@ -406,10 +326,18 @@ class TestService:
         )
         report = svc.run()
         assert report.counts == {"done": 2}
-        assert report.plan_cache["plan_entries"] == 1
-        assert report.plan_cache["plan_hits"] == 1
-        entry = next(iter(svc.plan_cache.entries.values()))
-        assert set(entry.tenants) == {"t1", "t2"}
+        # Twins have the same public shapes, so together they build
+        # what one of them builds alone — each template exactly once.
+        solo = run_solo(
+            QueryRequest(tenant="t1", name="q", query=inst.query(), seed=5)
+        )
+        templates = solo.ctx.cache.stats()["circuit_templates"]
+        assert templates > 0
+        assert report.setup_store == svc.store.sizes()
+        assert report.setup_store["circuit_templates"] == templates
+        assert templates == sum(
+            s.ctx.cache.stats()["circuit_misses"] for s in svc.sessions
+        )
 
     def test_trace_namespaced_per_tenant(self):
         svc = QueryService()

@@ -195,6 +195,35 @@ class TestAcceptanceTpch:
         }
         assert result.isolated
 
+    def test_single_plan_requests_are_priced_and_match_the_run_form(self):
+        """Q3/Q10/Q18 reach admission as plans (priced, audited); the
+        decomposed queries stay opaque.  Same routes, same pipeline:
+        the transcript equals the ``run=`` form's."""
+        from repro.tpch import PREPARED, generate
+
+        svc = QueryService()
+        decomposed = tpch_request("Q8", tenant="t", scale_mb=0.1)
+        assert decomposed.query is None and svc.price(decomposed) is None
+        for backend in ("yannakakis", "auto"):
+            request = tpch_request(
+                "Q3", tenant="t", scale_mb=0.1, backend=backend
+            )
+            assert request.run is None
+            assert svc.price(request).total > 0
+            assert svc.plan_leakage(request) is not None
+            prepared = PREPARED["Q3"](generate(0.1))
+
+            def run(engine):
+                engine.backend = backend
+                return prepared.run_secure(engine)[0]
+
+            opaque = run_solo(
+                QueryRequest(tenant="t", name="Q3", run=run, ell=32, seed=7)
+            )
+            planned = run_solo(request)
+            assert planned.state == opaque.state == DONE
+            assert planned.profile.diff(opaque.profile) == ""
+
     def test_two_tenants_round_robin_with_budgets(self):
         """Budgeted two-tenant smoke (the CI gate): byte-exact vs solo
         with admission accounting active."""

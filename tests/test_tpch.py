@@ -8,6 +8,7 @@ from repro.tpch import (
     PREPARED,
     date_ordinal,
     generate,
+    prepare,
     prepare_q10,
     prepare_q18,
     prepare_q3,
@@ -169,6 +170,33 @@ class TestQueryDetails:
         plain, _ = prepare_q18(dataset).run_plain()
         for row, qty in plain:
             assert qty > 300
+
+    def test_q18_local_subquery_padded_to_lineitem(self):
+        """``bigorders``: the qualifying order keys in ascending order,
+        then zero-annotated dummies up to ``|lineitem|`` — against the
+        per-row loop the vectorised form replaced."""
+        from repro.core import is_dummy_tuple
+
+        dataset = generate(3)  # the smallest scale with a qualifying order
+        lineitem = dataset["lineitem"]
+        totals = {}
+        for k, q in zip(
+            lineitem.column("l_orderkey"), lineitem.column("l_quantity")
+        ):
+            totals[int(k)] = totals.get(int(k), 0) + int(q)
+        expect = sorted((k,) for k, v in totals.items() if v > 300)
+        assert expect
+        big = prepare_q18(dataset)._build().relations["bigorders"]
+        n, pad = len(expect), lineitem.n_rows - len(expect)
+        assert big.tuples[:n] == expect
+        assert big.annotations.tolist() == [1] * n + [0] * pad
+        assert all(is_dummy_tuple(t) for t in big.tuples[n:])
+        assert len(set(big.tuples[n:])) == pad
+
+    def test_prepare_restricts_q9_only(self, dataset):
+        assert prepare("Q9", dataset, [8, 9]).gc_runs == 4
+        assert prepare("Q9", dataset).gc_runs == 50
+        assert prepare("Q3", dataset, [8]).name == "Q3"
 
     def test_q9_amount_sign_handling(self, dataset):
         q = prepare_q9(dataset, nations=[8])
