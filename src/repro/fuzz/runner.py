@@ -163,6 +163,7 @@ def _plan_for(instance: QueryInstance) -> YannakakisPlan:
         instance.output,
         instance.owners,
         instance.sizes(),
+        SecurityParams(ell=instance.ell),
     )
     if instance.two_phase:
         plan = build_two_phase_plan(plan.tree, plan.output)

@@ -11,6 +11,7 @@ its AND count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 __all__ = ["Gate", "Circuit", "XOR", "AND", "INV"]
@@ -28,7 +29,7 @@ class Gate:
     out: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class Circuit:
     """An immutable compiled circuit.
 
@@ -43,7 +44,7 @@ class Circuit:
     gates: Tuple[Gate, ...]
     outputs: Tuple[int, ...]
 
-    @property
+    @cached_property
     def and_count(self) -> int:
         return sum(1 for g in self.gates if g.op == AND)
 

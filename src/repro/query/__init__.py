@@ -1,9 +1,9 @@
-"""Query frontend: the join-aggregate query API and the ownership-aware
+"""Query frontend: the join-aggregate query API and the cost-based
 planner."""
 
 from .builder import BACKEND_POLICIES, JoinAggregateQuery
 from .decompose import decompose_by_attribute, run_decomposed
-from .planner import choose_plan, plan_cost, route_backends
+from .planner import choose_plan, route_backends
 from .sql import SqlError, compile_sql, parse_sql
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "compile_sql",
     "decompose_by_attribute",
     "parse_sql",
-    "plan_cost",
     "route_backends",
     "run_decomposed",
 ]

@@ -75,11 +75,13 @@ class JoinAggregateQuery:
 
     def swap_owners(self) -> "JoinAggregateQuery":
         """The mirrored query: every ALICE-owned relation becomes
-        BOB-owned and vice versa.  The plan cost model is symmetric
-        under a global owner flip, so the mirrored query picks the same
-        plan; the protocol must then produce the identical result with
-        the reduce/semijoin communication mirrored between the parties
-        (see ``tests/test_owner_symmetry.py``)."""
+        BOB-owned and vice versa, pinned to this query's plan, so the
+        protocol must mirror the reduce/semijoin communication between
+        the parties (``tests/test_owner_symmetry.py``).  Pinned, because
+        prices are *not* flip-symmetric — only Bob-owned relations
+        reveal a payload in the full join, so between near-equal plans
+        the root follows Alice; the five TPC-H queries keep their tree
+        unaided (``tests/test_tpch.py``)."""
         from ..mpc.transcript import other_party
 
         mirrored = JoinAggregateQuery(self.output)
@@ -88,6 +90,7 @@ class JoinAggregateQuery:
                 name, rel, owner=other_party(self.owners[name])
             )
         mirrored.backend = self.backend
+        mirrored._plan = self.plan()
         return mirrored
 
     def set_backend(self, backend: str) -> "JoinAggregateQuery":
@@ -111,11 +114,14 @@ class JoinAggregateQuery:
         return is_free_connex(self.hypergraph(), set(self.output))
 
     def plan(self) -> YannakakisPlan:
-        """The ownership-aware plan (cached until relations change)."""
+        """The cheapest plan by estimated bytes at the public sizes,
+        whatever the back-end policy (cached until relations change)."""
         if self._plan is None:
             sizes = {n: len(r) for n, r in self.relations.items()}
+            bits = [r.semiring.bit_length for r in self.relations.values()]
             self._plan = choose_plan(
-                self.hypergraph(), self.output, self.owners, sizes
+                self.hypergraph(), self.output, self.owners, sizes,
+                SecurityParams(ell=max(bits, default=1)),  # the widest ring
             )
         return self._plan
 
@@ -128,7 +134,7 @@ class JoinAggregateQuery:
         """Default security parameters at the relations' own ring width
         — what this query's nodes are priced at, by the router and the
         estimator alike."""
-        ells = {r.semiring.ell for r in self.relations.values()}
+        ells = {r.semiring.bit_length for r in self.relations.values()}
         if len(ells) != 1:
             raise ValueError(
                 f"relations disagree on the ring width: {sorted(ells)}"

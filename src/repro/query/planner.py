@@ -1,76 +1,66 @@
-"""Ownership-aware plan selection.
+"""Cost-based plan selection.
 
 All rooted join trees that witness the free-connex property compute the
-same result at the same asymptotic cost, but their *constant factors*
-differ in the secure setting: a reduce-fold between two relations of
-the same party runs locally (or with the cheaper same-party semijoin),
-whereas a cross-party fold pays for PSI (Section 6.5, "when a party
-holds a subtree containing the root").  The planner enumerates the
-candidate rooted trees and picks one minimising the size-weighted
-number of cross-party operator invocations.
+same result, but their constant factors differ in the secure setting: a
+fold between two relations of one party runs locally, a cross-party one
+pays for PSI, and every operator is padded to public sizes (Section
+6.5).  An oblivious protocol's bytes are a function of those sizes
+alone, so the planner prices each candidate with the exact model
+(:func:`repro.bench.estimator.estimate_plan_cost`) and runs the
+cheapest; back-ends are then routed per node on that tree.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
+from itertools import islice
+from typing import Dict, Iterable, List, Optional, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..mpc.params import SecurityParams
-
+from ..mpc.params import SecurityParams
 from ..relalg.hypergraph import Hypergraph
-from ..relalg.join_tree import JoinTree
-from ..yannakakis.plan import (
-    ReduceFold,
-    YannakakisPlan,
-    build_plan,
-)
+from ..yannakakis.plan import ReduceFold, YannakakisPlan, candidate_plans
 
-__all__ = ["choose_plan", "plan_cost", "route_backends"]
+__all__ = ["choose_plan", "route_backends"]
 
-
-def plan_cost(
-    plan: YannakakisPlan,
-    owners: Dict[str, str],
-    sizes: Optional[Dict[str, int]] = None,
-) -> int:
-    """Size-weighted count of cross-party operator invocations."""
-    sizes = sizes or {n: 1 for n in plan.tree.nodes}
-    cost = 0
-    for step in plan.reduce_steps:
-        if isinstance(step, ReduceFold):
-            if owners[step.child] != owners[step.parent]:
-                cost += sizes[step.child] + sizes[step.parent]
-    for step in plan.semijoin_steps:
-        if owners[step.target] != owners[step.filter]:
-            cost += sizes[step.target] + sizes[step.filter]
-    return cost
+#: How many candidates :func:`choose_plan` prices before settling (an
+#: 8-relation star has 262,144 join trees).  Bounds work only: past it
+#: the choice is the cheapest of the first this-many, never "no plan".
+MAX_CANDIDATES = 1024
 
 
 def choose_plan(
     hypergraph: Hypergraph,
     output: Iterable[str],
     owners: Dict[str, str],
-    sizes: Optional[Dict[str, int]] = None,
+    sizes: Dict[str, int],
+    params: SecurityParams,
 ) -> YannakakisPlan:
-    """The cheapest compilable rooted join tree, or ``ValueError`` if the
-    query is not free-connex."""
+    """The cheapest of the query's
+    :func:`~repro.yannakakis.plan.candidate_plans`, or ``ValueError`` if
+    the query is not free-connex.
+
+    Cheapest is fewest bytes, then rounds, of the paper's protocol on
+    relations of these ``sizes`` before any output row
+    (``estimate_plan_cost`` at ``out_size=0``: all that public sizes
+    determine), then the smaller root name and sorted edge list — a
+    function of the arguments alone, so both parties derive the same
+    plan without a message.
+    """
+    from ..bench.estimator import estimate_plan_cost
+
+    def price(plan: YannakakisPlan) -> Tuple[int, int, str, List[List[str]]]:
+        est = estimate_plan_cost(plan, sizes, owners, 0, params)
+        parent = plan.tree.parent
+        edges = sorted(sorted((n, p)) for n, p in parent.items() if p)
+        return est.total, est.rounds, plan.tree.root, edges
+
     output = tuple(dict.fromkeys(output))  # dedupe, keep caller's order
-    best: Optional[Tuple[int, YannakakisPlan]] = None
-    for edges in hypergraph.all_join_trees():
-        for root in hypergraph.edges:
-            tree = JoinTree(hypergraph, edges, root)
-            try:
-                plan = build_plan(tree, output)
-            except ValueError:
-                continue
-            cost = plan_cost(plan, owners, sizes)
-            if best is None or cost < best[0]:
-                best = (cost, plan)
+    priced = islice(candidate_plans(hypergraph, output), MAX_CANDIDATES)
+    best = min(priced, key=price, default=None)
     if best is None:
         raise ValueError(
             "query is not free-connex; no rooted join tree compiles"
         )
-    return best[1]
+    return best
 
 
 def route_backends(
@@ -78,7 +68,7 @@ def route_backends(
     sizes: Dict[str, int],
     owners: Dict[str, str],
     backend: str = "auto",
-    params: Optional["SecurityParams"] = None,
+    params: Optional[SecurityParams] = None,
     group_bits: int = 2048,
 ) -> Dict[str, str]:
     """Assign a join back-end to every fold/semijoin node of ``plan``.

@@ -10,9 +10,8 @@ is alpha-acyclic.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
-
-import networkx as nx
+from itertools import combinations
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 
 __all__ = ["Hypergraph"]
 
@@ -77,71 +76,63 @@ class Hypergraph:
     # join trees
     # ------------------------------------------------------------------
 
-    def _intersection_graph(self) -> nx.Graph:
-        g = nx.Graph()
-        names = list(self.edges)
-        g.add_nodes_from(names)
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                w = len(self.edges[a] & self.edges[b])
-                if w > 0:
-                    g.add_edge(a, b, weight=w)
-        return g
-
-    def _is_valid_join_tree(self, tree: nx.Graph) -> bool:
+    def _is_valid_join_tree(self, tree: Sequence[Tuple[str, str]]) -> bool:
         """Check the running-intersection property: for every attribute,
-        the tree nodes containing it induce a connected subtree."""
-        for attr in self.vertices:
-            nodes = [n for n in tree.nodes if attr in self.edges[n]]
-            if len(nodes) > 1:
-                sub = tree.subgraph(nodes)
-                if not nx.is_connected(sub):
-                    return False
-        return True
+        the tree nodes containing it induce a connected subtree — i.e.
+        (``tree`` being a forest) exactly one tree edge fewer than nodes
+        lies inside them."""
+        holders = [
+            {n for n, attrs in self.edges.items() if v in attrs}
+            for v in self.vertices
+        ]
+        return all(
+            sum(a in h and b in h for a, b in tree) == len(h) - 1
+            for h in holders
+        )
 
-    def join_tree_edges(self) -> Optional[List[Tuple[str, str]]]:
-        """One (unrooted) join tree as a list of node-name pairs, or ``None``
-        if the hypergraph is cyclic.
+    def join_trees(self) -> Iterator[List[Tuple[str, str]]]:
+        """Lazily yield every (unrooted) join tree as a list of name
+        pairs; nothing if the hypergraph is cyclic.
 
-        Disconnected hypergraphs (Cartesian products) are handled by linking
-        the components with weight-0 edges, which vacuously preserves the
-        running-intersection property.
+        The join trees are exactly the maximum-weight spanning trees of
+        the complete intersection graph (weight = shared attributes, so
+        Cartesian components attach anywhere through weight-0 edges).
+        Kruskal's scan over the edges, heaviest first, branches on every
+        edge that joins two components: taking it always extends to a
+        maximum-weight tree; skipping it does iff an equally heavy later
+        edge can still close the same gap.  Every branch therefore ends
+        in a tree, and the order depends on relation names only.
         """
-        g = self._intersection_graph()
-        names = list(self.edges)
-        # Link components so a spanning tree exists.
-        comps = [list(c) for c in nx.connected_components(g)]
-        for a, b in zip(comps, comps[1:]):
-            g.add_edge(a[0], b[0], weight=0)
-        if len(names) == 1:
-            return []
-        mst = nx.maximum_spanning_tree(g, weight="weight")
-        if not self._is_valid_join_tree(mst):
-            return None
-        return list(mst.edges())
+        names = sorted(self.edges)
+        pairs = sorted(
+            (-len(self.edges[a] & self.edges[b]), a, b)
+            for a, b in combinations(names, 2)
+        )
 
-    def all_join_trees(self, limit: int = 2000) -> List[List[Tuple[str, str]]]:
-        """Enumerate join trees (as edge lists) up to ``limit`` spanning
-        trees inspected.  Used by the free-connex search for small queries;
-        TPC-H queries have at most 5 relations so this is instantaneous."""
-        g = self._intersection_graph()
-        # A valid join tree may connect relations that share no attribute
-        # (Cartesian components can attach anywhere), so enumerate over
-        # the complete graph with weight-0 filler edges.
-        names = list(self.edges)
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                if not g.has_edge(a, b):
-                    g.add_edge(a, b, weight=0)
-        if len(self.edges) == 1:
-            return [[]]
-        trees: List[List[Tuple[str, str]]] = []
-        for i, tree in enumerate(nx.SpanningTreeIterator(g)):
-            if i >= limit:
-                break
-            if self._is_valid_join_tree(tree):
-                trees.append(list(tree.edges()))
-        return trees
+        def merged(comp: Dict[str, str], a: str, b: str) -> Dict[str, str]:
+            return {n: comp[a] if c == comp[b] else c for n, c in comp.items()}
+
+        def grow(
+            i: int, comp: Dict[str, str], tree: List[Tuple[str, str]]
+        ) -> Iterator[List[Tuple[str, str]]]:
+            if len(tree) == len(names) - 1:
+                yield tree
+                return
+            w, a, b = pairs[i]
+            reach = comp
+            if comp[a] != comp[b]:
+                yield from grow(i + 1, merged(comp, a, b), tree + [(a, b)])
+                for w2, c, d in pairs[i + 1 :]:
+                    if w2 == w:
+                        reach = merged(reach, c, d)
+            if reach[a] == reach[b]:
+                yield from grow(i + 1, comp, tree)
+
+        trees = grow(0, {n: n for n in names}, [])
+        first = next(trees)
+        if self._is_valid_join_tree(first):  # one fails iff all do: cyclic
+            yield first
+            yield from trees
 
     def with_edge(self, name: str, attrs: Iterable[str]) -> "Hypergraph":
         """A copy with one extra hyperedge (used by the free-connex test,

@@ -144,25 +144,14 @@ def is_free_connex(hypergraph: Hypergraph, output: Iterable[str]) -> bool:
 def find_free_connex_tree(
     hypergraph: Hypergraph, output: Iterable[str]
 ) -> Optional[JoinTree]:
-    """Search for a rooted join tree on which the 3-phase plan compiles
-    (the reduce phase removes every non-output attribute).
-
-    Enumerates join trees (spanning trees of the intersection graph that
-    satisfy running intersection) and all choices of root.  Trees
-    satisfying the paper's TOP-ancestor condition (2) always compile;
-    the compile-based test additionally admits Cartesian-product
-    components.  Queries in practice have a handful of relations, so
-    exhaustive search is cheap.
+    """A rooted join tree on which the 3-phase plan compiles (the reduce
+    phase removes every non-output attribute), or ``None`` if the query
+    is not free-connex: the tree of the first of
+    :func:`repro.yannakakis.plan.candidate_plans`.  Trees satisfying the
+    paper's TOP-ancestor condition (2) always compile; the compile-based
+    test additionally admits Cartesian-product components.
     """
-    from ..yannakakis.plan import build_plan
+    from ..yannakakis.plan import candidate_plans
 
-    output = set(output)
-    for edges in hypergraph.all_join_trees():
-        for root in hypergraph.edges:
-            tree = JoinTree(hypergraph, edges, root)
-            try:
-                build_plan(tree, tuple(sorted(output)))
-            except ValueError:
-                continue
-            return tree
-    return None
+    first = next(candidate_plans(hypergraph, tuple(sorted(output))), None)
+    return first.tree if first is not None else None

@@ -21,9 +21,10 @@ secure one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from ..relalg.join_tree import JoinTree
+from ..relalg.hypergraph import Hypergraph
+from ..relalg.join_tree import JoinTree, is_free_connex
 
 __all__ = [
     "ReduceFold",
@@ -32,6 +33,7 @@ __all__ = [
     "JoinStep",
     "YannakakisPlan",
     "build_plan",
+    "candidate_plans",
 ]
 
 
@@ -218,6 +220,27 @@ def build_plan(tree: JoinTree, output: Sequence[str]) -> YannakakisPlan:
         semijoin_steps=semijoin_steps,
         join_steps=join_steps,
     )
+
+
+def candidate_plans(
+    hypergraph: Hypergraph, output: Sequence[str]
+) -> Iterator[YannakakisPlan]:
+    """Lazily compile every (join tree, root) of the query on which the
+    reduce phase succeeds — the one candidate loop, behind
+    :func:`repro.query.planner.choose_plan` and
+    :func:`repro.relalg.find_free_connex_tree`.  Yields nothing iff the
+    query is not free-connex (GYO decides up front, so stopping early
+    never reads as "no plan").  Trees, roots and each node's children —
+    the order its folds run in — all come in name order.
+    """
+    if not is_free_connex(hypergraph, output):
+        return
+    for edges in map(sorted, hypergraph.join_trees()):
+        for root in sorted(hypergraph.edges):
+            try:
+                yield build_plan(JoinTree(hypergraph, edges, root), output)
+            except ValueError:
+                continue
 
 
 def build_two_phase_plan(

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.mpc import ALICE, BOB, Context, Engine, Mode
-from repro.relalg import AnnotatedRelation, IntegerRing
+from repro.relalg import AnnotatedRelation, Hypergraph, IntegerRing
 
 try:
     from hypothesis import settings as _hyp_settings
@@ -36,6 +36,18 @@ except ImportError:  # pragma: no cover - hypothesis is optional
 
 #: Small OT group for REAL-mode tests (2048-bit is the production default).
 TEST_GROUP_BITS = 1536
+
+
+
+def chain(n: int) -> Hypergraph:
+    """``R0(a0, a1) - R1(a1, a2) - ...``: exactly one join tree."""
+    return Hypergraph({f"R{i}": (f"a{i}", f"a{i + 1}") for i in range(n)})
+
+
+def star(n: int) -> Hypergraph:
+    """``n`` relations ``Ri(k, xi)``: all ``n^(n-2)`` trees are join trees."""
+    return Hypergraph({f"R{i}": ("k", f"x{i}") for i in range(n)})
+
 
 #: Fixtures whose use implies REAL-mode cryptography.
 _REAL_FIXTURES = {"real_ctx", "real_engine"}

@@ -1,10 +1,32 @@
 """The command-line interface."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import main
+
+
+def test_import_needs_only_declared_dependencies():
+    """pyproject.toml declares numpy, and cryptography as the optional
+    ``fast`` extra: importing the CLI on top of those two loads nothing
+    else from outside the standard library."""
+    probe = (
+        "import sys, numpy\n"
+        "try:\n    import cryptography.hazmat.primitives.asymmetric.dh\n"
+        "except ImportError:\n    pass\n"
+        "before = set(sys.modules)\n"
+        "import repro.cli\n"
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(new - sys.stdlib_module_names - {'repro'}))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestCli:

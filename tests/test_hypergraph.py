@@ -1,8 +1,13 @@
 """Hypergraphs, GYO acyclicity, and join-tree construction."""
 
+from itertools import combinations, islice
+
+import numpy as np
 import pytest
 
 from repro.relalg import Hypergraph
+
+from .conftest import chain, star
 
 
 class TestAcyclicity:
@@ -75,29 +80,74 @@ class TestAcyclicity:
 class TestJoinTrees:
     def test_join_tree_of_path(self):
         h = Hypergraph({"R1": ("A", "B"), "R2": ("B", "C"), "R3": ("C", "D")})
-        edges = h.join_tree_edges()
-        assert edges is not None and len(edges) == 2
+        assert list(h.join_trees()) == [[("R1", "R2"), ("R2", "R3")]]
 
     def test_join_tree_of_cyclic_is_none(self):
         h = Hypergraph({"R1": ("A", "B"), "R2": ("B", "C"), "R3": ("A", "C")})
-        assert h.join_tree_edges() is None
+        assert list(h.join_trees()) == []
 
     def test_disconnected_components_linked(self):
         h = Hypergraph({"R1": ("A",), "R2": ("B",)})
-        edges = h.join_tree_edges()
-        assert edges is not None and len(edges) == 1
+        assert list(h.join_trees()) == [[("R1", "R2")]]
 
     def test_single_relation_tree(self):
-        assert Hypergraph({"R": ("A",)}).join_tree_edges() == []
+        assert list(Hypergraph({"R": ("A",)}).join_trees()) == [[]]
 
-    def test_all_join_trees_are_valid(self):
+    def test_every_join_tree_is_valid(self):
         h = Hypergraph(
             {"R1": ("A", "B"), "R2": ("B", "C"), "R3": ("B", "D")}
         )
-        trees = h.all_join_trees()
-        assert trees  # at least one
-        for edges in trees:
-            assert len(edges) == 2
+        trees = list(h.join_trees())
+        assert len(trees) == 3  # every spanning tree of the B-triangle
+        assert all(h._is_valid_join_tree(t) for t in trees)
+        # A spanning tree that separates B's holders R1 and R2.
+        path = Hypergraph(
+            {"R1": ("A", "B"), "R2": ("B", "C"), "R3": ("C", "D")}
+        )
+        assert not path._is_valid_join_tree([("R1", "R3"), ("R2", "R3")])
+
+    def test_join_trees_are_exactly_the_valid_spanning_trees(self):
+        """Brute force over every (n-1)-subset of pairs of small random
+        hypergraphs, Cartesian components included; the order is by
+        name, whatever order the relations were declared in."""
+        rng = np.random.default_rng(11)
+        for _ in range(150):
+            n_rel = int(rng.integers(2, 6))
+            attrs = [f"A{i}" for i in range(int(rng.integers(1, 6)))]
+            edges = {
+                f"R{i}": tuple(
+                    rng.choice(attrs, size=rng.integers(1, 3), replace=True)
+                )
+                for i in rng.permutation(n_rel)
+            }
+            h = Hypergraph(edges)
+            names = sorted(edges)
+
+            def spans(tree):
+                reached = {names[0]}
+                for _ in tree:
+                    for a, b in tree:
+                        if (a in reached) != (b in reached):
+                            reached |= {a, b}
+                return len(reached) == n_rel
+
+            expected = [
+                list(tree)
+                for tree in combinations(combinations(names, 2), n_rel - 1)
+                if spans(tree) and h._is_valid_join_tree(tree)
+            ]
+            got = list(h.join_trees())
+            assert sorted(map(sorted, got)) == sorted(expected), edges
+            assert bool(got) == h.is_acyclic(), edges
+            assert got == list(
+                Hypergraph({n: edges[n] for n in names}).join_trees()
+            )
+
+    def test_wide_queries_enumerate_lazily(self):
+        assert len(list(chain(10).join_trees())) == 1
+        first = list(islice(star(8).join_trees(), 500))  # of 8^6 = 262,144
+        assert len({tuple(sorted(t)) for t in first}) == 500
+        assert sum(1 for _ in star(5).join_trees()) == 5**3  # Cayley
 
     def test_with_edge(self):
         h = Hypergraph({"R": ("A", "B")})

@@ -3,12 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.fuzz.generator import generate_instance
+from repro.mpc.params import SecurityParams
+from repro.query import choose_plan
 from repro.relalg import (
     Hypergraph,
     JoinTree,
     find_free_connex_tree,
     is_free_connex,
 )
+from repro.yannakakis.plan import build_plan
+
+from .conftest import chain, star
 
 
 def paper_example():
@@ -114,6 +120,19 @@ class TestFreeConnex:
         assert is_free_connex(h, {"year"})
 
 
+def compiles_somewhere(h, out):
+    """Reference search: try every (join tree, root), no early exit."""
+    found = False
+    for edges in h.join_trees():
+        for root in h.edges:
+            try:
+                build_plan(JoinTree(h, edges, root), tuple(sorted(out)))
+                found = True
+            except ValueError:
+                pass
+    return found
+
+
 class TestCharacterisationsAgree:
     def test_random_hypergraphs(self):
         """The virtual-edge characterisation and the exhaustive rooted
@@ -137,12 +156,50 @@ class TestCharacterisationsAgree:
             witness = find_free_connex_tree(h, out)
             characterised = is_free_connex(h, out)
             assert (witness is not None) == characterised, (edges, out)
+            assert compiles_somewhere(h, out) == characterised, (edges, out)
             if witness is not None:
                 # The paper's TOP-ancestor condition is sufficient: any
                 # rooted tree satisfying it must compile.
-                from repro.yannakakis.plan import build_plan
-
                 if witness.satisfies_free_connex(out):
                     build_plan(witness, tuple(sorted(out)))
             agree += 1
         assert agree == 120
+
+    def test_planner_never_contradicts_gyo(self):
+        """``choose_plan`` raises, and ``find_free_connex_tree`` is
+        ``None``, iff GYO says not free-connex: on fuzz seeds 0-1 x 150
+        under their own and a random output set, and on shapes wider
+        than any candidate budget (the parent's 2,000-tree cap called a
+        7-relation chain "not free-connex")."""
+        rng = np.random.default_rng(5)
+        cases = []
+        for seed in (0, 1):
+            for index in range(150):
+                instance = generate_instance(seed, index)
+                h = instance.hypergraph()
+                cases.append((h, set(instance.output)))
+                attrs = sorted(h.vertices)
+                k = int(rng.integers(1, len(attrs) + 1))
+                cases.append((h, set(rng.choice(attrs, k, replace=False))))
+        for n in (7, 8, 10):
+            h = chain(n)
+            cases += [(h, {"a0"}), (h, {"a3", "a4"}), (h, {"a0", f"a{n}"})]
+        h = star(8)
+        cases += [(h, {"x0"}), (h, {"k", "x0", "x1"}), (h, {"x0", "x1"})]
+
+        verdicts = set()
+        for h, out in cases:
+            free_connex = is_free_connex(h, out)
+            verdicts.add(free_connex)
+            assert (find_free_connex_tree(h, out) is not None) == free_connex
+            owners = dict.fromkeys(h.edges, "alice")
+            sizes = dict.fromkeys(h.edges, 3)
+            args = h, sorted(out), owners, sizes, SecurityParams(ell=32)
+            if free_connex:
+                assert choose_plan(*args).output == tuple(sorted(out))
+            else:
+                with pytest.raises(ValueError, match="not free-connex"):
+                    choose_plan(*args)
+                if len(h.edges) <= 5:
+                    assert not compiles_somewhere(h, out), (h, out)
+        assert verdicts == {True, False}

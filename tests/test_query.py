@@ -1,13 +1,22 @@
-"""The query frontend: builder API and ownership-aware planner."""
+"""The query frontend: builder API and cost-based planner."""
+
+import time
+from itertools import islice
 
 import numpy as np
 import pytest
 
+from repro.bench.estimator import estimate_plan_cost
+from repro.fuzz.generator import generate_instance
 from repro.mpc import ALICE, BOB, Context, Engine, Mode
-from repro.query import JoinAggregateQuery, choose_plan, plan_cost
+from repro.mpc.params import SecurityParams
+from repro.query import JoinAggregateQuery, choose_plan
+from repro.query.planner import MAX_CANDIDATES
 from repro.relalg import AnnotatedRelation, Hypergraph, IntegerRing
+from repro.relalg.semiring import BooleanSemiring
+from repro.yannakakis.plan import ReduceFold, candidate_plans
 
-from .conftest import TEST_GROUP_BITS
+from .conftest import TEST_GROUP_BITS, chain, star
 
 RING = IntegerRing(32)
 
@@ -68,6 +77,38 @@ class TestBuilder:
         q = paper_query()
         assert q.run_plain().semantically_equal(q.run_naive())
 
+    def test_run_plain_over_boolean_semiring(self):
+        """Planning takes the width from ``Semiring.bit_length``: a
+        Boolean query (no ``.ell``) plans and runs in plaintext."""
+        sr = BooleanSemiring()
+        q = (
+            JoinAggregateQuery(output=["b"])
+            .add_relation(
+                "R1", AnnotatedRelation(("a", "b"), [(1, 2), (3, 2)], None, sr)
+            )
+            .add_relation(
+                "R2", AnnotatedRelation(("b", "c"), [(2, 4)], None, sr),
+                owner=BOB,
+            )
+        )
+        assert q.run_plain().to_dict() == {(2,): 1}
+        assert q.ring_params().ell == 1
+
+    def test_swap_owners_pins_the_plan(self):
+        """Alone, the chooser would root the mirrored query at the other
+        relation (``TestPlanner.test_sizes_weight_the_choice``'s query
+        at equal sizes: the root follows Alice)."""
+        q = (
+            JoinAggregateQuery(output=["b"])
+            .add_relation("R1", rel(("a", "b"), [(1, 2)]), owner=ALICE)
+            .add_relation("R2", rel(("b", "c"), [(2, 4)]), owner=BOB)
+        )
+        m = q.swap_owners()
+        assert m.plan() is q.plan()
+        sizes = {n: len(r) for n, r in m.relations.items()}
+        args = m.hypergraph(), m.output, m.owners, sizes, m.ring_params()
+        assert choose_plan(*args).root != m.plan().root
+
     def test_run_secure(self):
         q = paper_query()
         engine = Engine(
@@ -92,37 +133,107 @@ class TestBuilder:
         assert got == expect
 
 
+PARAMS = SecurityParams(ell=32)
+
+
+def plan_bytes(plan, owners, sizes):
+    return estimate_plan_cost(plan, sizes, owners, 0, PARAMS).total
+
+
 class TestPlanner:
     def test_prefers_same_owner_folds(self):
-        # Chain R1-R2-R3; R1,R2 same owner.  The planner should avoid a
-        # plan whose folds all cross parties.
+        # R1, R2, R3 all share b, so any of the three trees and roots
+        # compiles: the cheapest crosses parties as rarely as the split
+        # allows, and is the minimum of the one cost model.
         h = Hypergraph(
-            {"R1": ("a", "b"), "R2": ("b", "c"), "R3": ("c", "d")}
+            {"R1": ("a", "b"), "R2": ("b", "c"), "R3": ("b", "d")}
         )
-        owners = {"R1": ALICE, "R2": ALICE, "R3": BOB}
-        plan = choose_plan(h, ("d",), owners)
-        assert plan_cost(plan, owners) <= 2
+        sizes = dict.fromkeys(h.edges, 8)
+        candidates = list(candidate_plans(h, ("b",)))
+        assert len(candidates) == 9
+        for split in (ALICE, ALICE, BOB), (ALICE, BOB, ALICE), (BOB,) * 3:
+            owners = dict(zip(h.edges, split))
+            plan = choose_plan(h, ("b",), owners, sizes, PARAMS)
+            crossing = [
+                s for s in plan.reduce_steps if isinstance(s, ReduceFold)
+                and owners[s.child] != owners[s.parent]
+            ]
+            assert len(crossing) == len(set(split)) - 1
+            assert plan_bytes(plan, owners, sizes) == min(
+                plan_bytes(c, owners, sizes) for c in candidates
+            )
 
     def test_sizes_weight_the_choice(self):
         h = Hypergraph({"R1": ("a", "b"), "R2": ("b", "c")})
         owners = {"R1": ALICE, "R2": BOB}
-        small = choose_plan(h, ("b",), owners, {"R1": 1, "R2": 1})
-        big = choose_plan(
-            h, ("b",), owners, {"R1": 10_000, "R2": 1}
-        )
-        assert small is not None and big is not None
+
+        def root(sizes):
+            return choose_plan(h, ("b",), owners, sizes, PARAMS).tree.root
+
+        # Cuckoo-hashing the parent and revealing the root both scale
+        # with the root's size: the small side is the root.
+        assert root({"R1": 10_000, "R2": 1}) == "R2"
+        assert root({"R1": 1, "R2": 10_000}) == "R1"
+
+    def test_choice_ignores_declaration_order(self):
+        """Trees, roots and each node's children are enumerated by
+        name, so the whole plan — not only its (root, edge set) — is
+        the same however ``add_relation`` was ordered: on fuzz seeds
+        0-1 x 150, under the reversed and two random orders."""
+        rng = np.random.default_rng(11)
+        moved = 0
+        for seed in (0, 1):
+            for index in range(150):
+                inst = generate_instance(seed, index)
+                h = inst.hypergraph()
+                args = inst.output, inst.owners, inst.sizes()
+                params = SecurityParams(ell=inst.ell)
+                plan = choose_plan(h, *args, params)
+                names = list(h.edges)
+                orders = [names[::-1]] + [
+                    list(rng.permutation(names)) for _ in range(2)
+                ]
+                for order in orders:
+                    moved += order != names
+                    shuffled = Hypergraph({n: h.edges[n] for n in order})
+                    again = choose_plan(shuffled, *args, params)
+                    assert again.describe() == plan.describe(), (seed, index)
+        assert moved > 600
 
     def test_output_order_preserved(self):
         h = Hypergraph({"R1": ("a", "b", "c")})
-        plan = choose_plan(h, ("c", "a"), {"R1": ALICE})
+        plan = choose_plan(h, ("c", "a"), {"R1": ALICE}, {"R1": 1}, PARAMS)
         assert plan.output == ("c", "a")
 
     def test_non_free_connex_raises(self):
         h = Hypergraph(
             {"R1": ("a", "b"), "R2": ("b", "c"), "R3": ("a", "c")}
         )
-        with pytest.raises(ValueError):
-            choose_plan(h, ("a",), {"R1": ALICE, "R2": BOB, "R3": ALICE})
+        owners = {"R1": ALICE, "R2": BOB, "R3": ALICE}
+        with pytest.raises(ValueError, match="not free-connex"):
+            choose_plan(h, ("a",), owners, dict.fromkeys(owners, 1), PARAMS)
+
+    @pytest.mark.parametrize(
+        "h,seconds", [(chain(7), 0.05), (chain(8), 0.05), (chain(10), 0.05),
+                      (star(8), 2.0)],
+        ids=["chain7", "chain8", "chain10", "star8"],
+    )
+    def test_wide_queries_plan(self, h, seconds):
+        """The parent's 2,000-spanning-tree cap turned the 7-relation
+        chain into "not free-connex"; the budget now only bounds how
+        many of the star's 8 * 8^6 candidates are priced."""
+        names = list(h.edges)
+        owners = {n: (ALICE, BOB)[i % 2] for i, n in enumerate(names)}
+        sizes = {n: 10 + i for i, n in enumerate(names)}
+        output = sorted(h.edges[names[0]])
+        choose_plan(h, output, owners, sizes, PARAMS)  # warm the templates
+        t0 = time.perf_counter()
+        plan = choose_plan(h, output, owners, sizes, PARAMS)
+        assert time.perf_counter() - t0 < seconds
+        priced = islice(candidate_plans(h, output), MAX_CANDIDATES)
+        assert plan_bytes(plan, owners, sizes) == min(
+            plan_bytes(c, owners, sizes) for c in priced
+        )
 
     def test_cheaper_ownership_costs_less_at_runtime(self):
         """The Section 6.5 point, measured end to end: a party holding a

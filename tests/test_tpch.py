@@ -1,9 +1,15 @@
 """TPC-H substrate: the generator's invariants and all five queries."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
+from repro.bench.estimator import estimate_plan_cost
 from repro.mpc import Engine, Mode
+from repro.mpc.transcript import other_party
+from repro.query.planner import choose_plan
+from repro.relalg import Hypergraph
 from repro.tpch import (
     PREPARED,
     date_ordinal,
@@ -17,6 +23,7 @@ from repro.tpch import (
     to_signed,
     year_of_ordinals,
 )
+from repro.yannakakis.plan import candidate_plans
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +130,45 @@ def test_queries_secure_equals_plain(name, dataset):
     result, stats = query.run_secure(Engine(ctx))
     assert result.semantically_equal(plain), name
     assert stats.total_bytes > 0
+
+
+@pytest.mark.parametrize("name", sorted(PREPARED))
+def test_plan_is_the_cheapest_candidate_and_deterministic(
+    name, dataset, monkeypatch
+):
+    """Every query a TPC-H driver plans runs the argmin of the one cost
+    model over its candidates, under either owner split; the plan moves
+    neither with the order the relations were declared in nor — on
+    these five; prices are not flip-symmetric, so it is not a law —
+    with the owner flip that ``swap_owners()`` pins it across."""
+    planned = []
+
+    def spy(hypergraph, output, owners, sizes, params):
+        mirror = {n: other_party(o) for n, o in owners.items()}
+        plans = []
+        for split in (owners, mirror):
+            def price(plan):
+                est = estimate_plan_cost(plan, sizes, split, 0, params)
+                return est.total, est.rounds
+
+            plan = choose_plan(hypergraph, output, split, sizes, params)
+            assert price(plan) == min(
+                map(price, candidate_plans(hypergraph, plan.output))
+            )
+            orders = list(permutations(hypergraph.edges))
+            for order in orders[:: max(1, len(orders) // 24)]:
+                shuffled = Hypergraph({n: hypergraph.edges[n] for n in order})
+                again = choose_plan(shuffled, output, split, sizes, params)
+                assert again.describe() == plan.describe(), order
+            plans.append(plan)
+        assert plans[0].describe() == plans[1].describe()
+        planned.append(plans[0])
+        return plans[0]
+
+    monkeypatch.setattr("repro.query.builder.choose_plan", spy)
+    kwargs = {"nations": [8]} if name == "Q9" else {}
+    PREPARED[name](dataset, **kwargs).run_plain()
+    assert planned
 
 
 class TestQueryDetails:
