@@ -110,17 +110,26 @@ class _Estimator:
 
     # -- primitives -------------------------------------------------------
 
+    def _ot_base(self, reverse: bool) -> None:
+        """First use of an extension instance: Chou–Orlandi for the
+        forward one; ``kappa`` seed OTs of it for its mirror."""
+        if reverse in self._ot_base_charged:
+            return
+        self._ot_base_charged.add(reverse)
+        kappa = self.p.kappa
+        if reverse:
+            self._ot_base(False)
+            base = costs.cot_bytes(kappa, costs.seed_ot_widths(kappa))[0]
+        else:
+            base = sum(costs.base_ot_bytes(kappa, self.group_bits))
+        self.est.add("ot_base", base)
+        self.est.add_rounds(2)
+
     def ot(self, widths: Widths, reverse: bool = False) -> None:
         u, corrections = costs.cot_bytes(self.p.kappa, widths)
         if u == 0:
             return
-        if reverse not in self._ot_base_charged:
-            self.est.add(
-                "ot_base",
-                sum(costs.base_ot_bytes(self.p.kappa, self.group_bits)),
-            )
-            self.est.add_rounds(2)
-            self._ot_base_charged.add(reverse)
+        self._ot_base(reverse)
         self.est.add("ot_u", u)
         self.est.add("ot_ct", corrections)
         self.est.add_rounds(2)
@@ -153,7 +162,8 @@ class _Estimator:
         b, load = costs.psi_bins(self.p, m, n)
         self.est.add("psi_seeds", costs.psi_seed_bytes(self.p.cuckoo_hashes))
         self.est.add_rounds(3)
-        self.est.add("oprf", sum(costs.kkrt_setup_bytes(b)))
+        self._ot_base(reverse=True)  # the OPRF's base OTs come from it
+        self.est.add("oprf", sum(costs.kkrt_setup_bytes(self.p.kappa, b)))
         self.est.add("opprf_hints", costs.opprf_hint_bytes(b, load))
         circuit = gadgets.psi_bin_circuit(
             self.p.ell,
@@ -272,7 +282,7 @@ def estimate_plan_cost(
     """Predict the protocol's communication for ``plan`` over relations
     of the given sizes/owners, with ``out_size`` final join rows.
     ``group_bits`` is the base-OT group size the engine was built with
-    (the OPRFs pin their own groups, see :mod:`repro.mpc.costs`).
+    (the DH-OPRF pins its own group, see :mod:`repro.mpc.costs`).
 
     ``backends`` maps fold/semijoin labels to a join back-end (see
     :func:`repro.query.planner.route_backends`); unlisted nodes price

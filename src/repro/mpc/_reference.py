@@ -25,12 +25,11 @@ from typing import List, Sequence
 import numpy as np
 
 from .context import ALICE, BOB
-from .ot import ChouOrlandiOT, IknpExtension, Pair, _int_bytes, _kdf
+from .ot import IknpExtension, Pair, _kdf
 
 __all__ = [
     "stream_xor",
     "prg_bits",
-    "ReferenceChouOrlandiOT",
     "ReferenceIknpExtension",
 ]
 
@@ -57,49 +56,6 @@ def prg_bits(seed: bytes, n_bits: int, salt: bytes) -> np.ndarray:
         counter += 1
     raw = b"".join(chunks)[:n_bytes]
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:n_bits]
-
-
-class ReferenceChouOrlandiOT(ChouOrlandiOT):
-    """Chou–Orlandi with the legacy scalar ciphertext loop (the group
-    arithmetic was always scalar; only the stream cipher changed)."""
-
-    def transfer(
-        self, pairs: Sequence[Pair], choices: Sequence[int]
-    ) -> List[bytes]:
-        if len(pairs) != len(choices):
-            raise ValueError("one choice bit per message pair is required")
-        g, ctx = self.group, self.ctx
-
-        a = g.random_exponent(ctx.random_bytes)
-        big_a = g.pow(g.g, a)
-        ctx.send(BOB, g.element_bytes, "ot/base/A")
-        inv_a = g.inv(big_a)
-
-        big_bs, alice_keys = [], []
-        for c in choices:
-            b = g.random_exponent(ctx.random_bytes)
-            big_b = g.pow(g.g, b)
-            if c:
-                big_b = (big_b * big_a) % g.p
-            big_bs.append(big_b)
-            alice_keys.append(_kdf(_int_bytes(g.pow(big_a, b), g)))
-        ctx.send(ALICE, g.element_bytes * len(choices), "ot/base/B")
-
-        out: List[bytes] = []
-        total = 0
-        ciphertexts: List[Pair] = []
-        for (m0, m1), big_b in zip(pairs, big_bs):
-            if len(m0) != len(m1):
-                raise ValueError("OT messages in a pair must be equal-length")
-            k0 = _kdf(_int_bytes(g.pow(big_b, a), g))
-            k1 = _kdf(_int_bytes(g.pow((big_b * inv_a) % g.p, a), g))
-            ciphertexts.append((stream_xor(k0, m0), stream_xor(k1, m1)))
-            total += len(m0) + len(m1)
-        ctx.send(BOB, total, "ot/base/ciphertexts")
-
-        for (c0, c1), c, key in zip(ciphertexts, choices, alice_keys):
-            out.append(stream_xor(key, c1 if c else c0))
-        return out
 
 
 class ReferenceIknpExtension(IknpExtension):

@@ -49,6 +49,7 @@ __all__ = [
     "psi_seed_bytes",
     "psi_token_bits",
     "ring_bytes",
+    "seed_ot_widths",
     "share_bytes",
 ]
 
@@ -56,15 +57,15 @@ __all__ = [
 #: of same-width transfers.
 Widths = Sequence[Tuple[int, int]]
 
-#: MODP group of the base OTs — an engine's unless it is built with
-#: another, and always the KKRT OPRF's (PSI never passes one).
+#: MODP group of an engine's one Chou–Orlandi base phase, unless it is
+#: built with another.
 DEFAULT_GROUP_BITS = 2048
 
 #: KKRT code width (bits); 448 gives ~128-bit security for the code.
 OPRF_WIDTH = 448
 
 #: The DH-OPRF group is pinned independently of the engine's base-OT
-#: group (exactly as the KKRT OPRF pins its own): 2048-bit MODP.
+#: group: 2048-bit MODP.
 DH_GROUP_BITS = 2048
 
 #: Truncated-hash DH-OPRF token width: 128 bits bound the collision
@@ -92,11 +93,18 @@ def share_bytes(ell: int, n: int) -> int:
 
 
 def base_ot_bytes(kappa: int, group_bits: int) -> Tuple[int, int, int]:
-    """The one-time base phase of an extension instance — ``kappa``
-    Chou–Orlandi OTs of 16-byte seed pairs in reversed roles — as its
-    ``(A, B, ciphertexts)`` messages."""
+    """The one public-key set-up of an engine, the base phase of its
+    forward extension instance — ``kappa`` Chou–Orlandi OTs of 16-byte
+    seed pairs in reversed roles — as ``(A, B, ciphertexts)``."""
     elem = group_bits // 8
     return elem, elem * kappa, 2 * 16 * kappa
+
+
+def seed_ot_widths(n_seeds: int) -> Widths:
+    """Every other set of base OTs (the mirror's ``kappa``, a KKRT
+    OPRF's :data:`OPRF_WIDTH`): one extension batch of ``n_seeds`` OTs
+    that is never finished — only ``u`` crosses, the pads are seeds."""
+    return [(n_seeds, 16)]
 
 
 def cot_bytes(kappa: int, widths: Widths) -> Tuple[int, int]:
@@ -192,12 +200,13 @@ def psi_seed_bytes(n_hashes: int) -> int:
     return 16 * n_hashes
 
 
-def kkrt_setup_bytes(n_rows: int) -> Tuple[int, int, int, int]:
-    """The batched OPRF over ``n_rows`` bins as ``(A, B, ciphertexts,
-    u)``: an IKNP matrix widened to :data:`OPRF_WIDTH` columns — that
-    many base OTs over the default group, then one column-correction
-    message."""
-    return base_ot_bytes(OPRF_WIDTH, DEFAULT_GROUP_BITS) + (
+def kkrt_setup_bytes(kappa: int, n_rows: int) -> Tuple[int, int]:
+    """The batched OPRF over ``n_rows`` bins as ``(base u, u)``: an
+    IKNP matrix widened to :data:`OPRF_WIDTH` columns — the ``u`` of
+    that many :func:`seed_ot_widths` OTs of the reverse extension
+    instance, then one column-correction message."""
+    return (
+        cot_bytes(kappa, seed_ot_widths(OPRF_WIDTH))[0],
         cot_bytes(OPRF_WIDTH, [(n_rows, 0)])[0],
     )
 

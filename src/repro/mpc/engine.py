@@ -60,11 +60,11 @@ class Engine:
         #: query run on this engine is routed under this policy.  See
         #: :data:`repro.core.semijoin.BACKENDS` and docs/BACKENDS.md.
         self.backend: Optional[str] = None
+        #: The forward OT extension instance; ``ot.reverse`` is its
+        #: mirror for OTs in the reverse direction (Bob choosing) — used
+        #: under swapped protocol roles by the Gilboa multiplication's
+        #: second cross term and by PSI's OPRF.
         self.ot = make_ot(ctx, ot_group_bits)
-        # A second extension instance for OTs in the reverse direction
-        # (Bob choosing) — used by the Gilboa multiplication's second
-        # cross term; runs under swapped protocol roles.
-        self._ot_rev = make_ot(ctx, ot_group_bits)
         #: Optional :class:`repro.exec.ExecutionTrace` that the operator
         #: scheduler and composition circuits record per-node costs into.
         self.tracer = tracer
@@ -137,7 +137,7 @@ class Engine:
         rb = ring_bytes(ell)
         widths = gilboa_widths(ell, n)
         reverse = bits_owner == BOB
-        ot = self._ot_rev if reverse else self.ot
+        ot = self.ot.reverse if reverse else self.ot
         with ctx.section(label), (
             ctx.swapped_roles() if reverse else nullcontext()
         ):

@@ -5,11 +5,13 @@ programmable PRF*: per cuckoo bin, Alice learns one pseudorandom value
 ``F_b(x_b)`` for her single item while Bob can program the function so
 that every one of his items hashed to the bin maps to a chosen target.
 
-* :class:`KkrtOprf` — the OT-extension-based batched OPRF of Kolesnikov
-  et al. (KKRT16): an IKNP matrix widened to ``w = 448`` columns whose
-  row ``j`` is correlated with the pseudorandom code ``C(x_j)`` of
-  Alice's input; Bob, holding the secret column-selection ``s``, can
-  evaluate ``F_j(y) = H(j, Q_j xor (C(y) & s))`` on any ``y``.
+* :class:`BatchedOprf` — the OT-extension-based batched OPRF of
+  Kolesnikov et al. (KKRT16): an IKNP matrix widened to ``w = 448``
+  columns whose row ``j`` is correlated with the pseudorandom code
+  ``C(x_j)`` of Alice's input; Bob, holding the secret column-selection
+  ``s``, can evaluate ``F_j(y) = H(j, Q_j xor (C(y) & s))`` on any
+  ``y``.  Its 448 base OTs are random OTs of the engine's reverse
+  extension instance (:func:`_column_seeds`), as in KKRT itself.
 * :func:`interpolate_oprf_targets` / polynomial OPPRF — Bob interpolates,
   per bin, a degree-``L-1`` polynomial over ``GF(2^61 - 1)`` through
   ``(F_b(y), target_y)`` for his items (random filler points pad every
@@ -24,14 +26,13 @@ fork (:func:`repro.mpc.psi._opprf`) charges the real message sizes with
 from __future__ import annotations
 
 import hashlib
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .context import ALICE, BOB, Context, Mode
-from .costs import DEFAULT_GROUP_BITS, OPRF_WIDTH, kkrt_setup_bytes
-from .modp import modp_group
-from .ot import _chou_orlandi, _prg_bits, _prg_bits_all
+from .context import ALICE, Context, Mode
+from .costs import OPRF_WIDTH, kkrt_setup_bytes, seed_ot_widths
+from .ot import OT, CorrelatedBatch, _prg_bits, _prg_bits_all
 
 __all__ = [
     "OPRF_WIDTH",
@@ -60,6 +61,17 @@ def _out_hash(row: int, row_bits: np.ndarray, salt: bytes) -> int:
     return int.from_bytes(digest, "little")
 
 
+def _column_seeds(
+    ctx: Context, ot: OT, s: Optional[np.ndarray]
+) -> CorrelatedBatch:
+    """The OPRF's base OTs, roles reversed — Bob (the OPRF sender)
+    receives with secret choice ``s``, Alice owns the seed pairs:
+    :data:`OPRF_WIDTH` random OTs of the reverse extension instance, a
+    batch that is never finished."""
+    with ctx.swapped_roles(), ctx.section("oprf/base"):
+        return ot.reverse.correlated(s, seed_ot_widths(OPRF_WIDTH))
+
+
 class BatchedOprf:
     """One OPRF instance per row (= cuckoo bin).
 
@@ -68,12 +80,7 @@ class BatchedOprf:
     arbitrary fingerprints.
     """
 
-    def __init__(
-        self,
-        ctx: Context,
-        alice_fps: Sequence[int],
-        group_bits: int = DEFAULT_GROUP_BITS,
-    ) -> None:
+    def __init__(self, ctx: Context, ot: OT, alice_fps: Sequence[int]) -> None:
         if ctx.mode != Mode.REAL:
             raise ValueError(
                 "BatchedOprf runs the KKRT protocol; SIMULATED mode "
@@ -81,31 +88,17 @@ class BatchedOprf:
             )
         self.ctx = ctx
         self._salt = b"oprf-session"
-        self._setup_real(list(alice_fps), group_bits)
+        self._setup_real(ot, list(alice_fps))
 
     # -- KKRT over a width-448 IKNP matrix --------------------------------
 
-    def _setup_real(self, fps: List[int], group_bits: int) -> None:
+    def _setup_real(self, ot: OT, fps: List[int]) -> None:
         ctx = self.ctx
-        rng = ctx.rng
         w = OPRF_WIDTH
         m = len(fps)
-        # Base OTs, roles reversed: Bob (the OPRF sender) receives with
-        # secret choice s; Alice offers seed pairs.
-        g = modp_group(group_bits)
-        s = rng.integers(0, 2, size=w, dtype=np.uint8)
-        seeds_alice = [
-            (ctx.random_bytes(16), ctx.random_bytes(16)) for _ in range(w)
-        ]
-        # KNOWN GAP (DESIGN.md, "Known gaps"): 62-bit exponents from
-        # ctx.rng, where ModpGroup.random_exponent demands full width.
-        seeds_bob, total_ct = _chou_orlandi(
-            ctx, g, seeds_alice, s.tolist(),
-            exponent=lambda: int(rng.integers(1, 1 << 62)) % g.q,
-        )
-        ctx.send(ALICE, g.element_bytes, "oprf/base/A")
-        ctx.send(BOB, g.element_bytes * w, "oprf/base/B")
-        ctx.send(ALICE, total_ct, "oprf/base/ciphertexts")
+        s = ctx.rng.integers(0, 2, size=w, dtype=np.uint8)
+        # Alice's seed pairs (k0, k1); Bob's chosen seeds k_s.
+        k0, k1, k_s = _column_seeds(ctx, ot, s).seeds()
 
         if m == 0:
             self.alice_values = []
@@ -115,16 +108,12 @@ class BatchedOprf:
 
         # Alice: T columns; correction u_i = t0 ^ t1 ^ code-column-i.
         codes = np.stack([_code(fp, self._salt) for fp in fps])  # m x w
-        t_cols = _prg_bits_all([k0 for k0, _ in seeds_alice], m, b"col")
-        u_cols = (
-            t_cols
-            ^ _prg_bits_all([k1 for _, k1 in seeds_alice], m, b"col")
-            ^ codes.T
-        )
+        t_cols = _prg_bits_all(k0, m, b"col")
+        u_cols = t_cols ^ _prg_bits_all(k1, m, b"col") ^ codes.T
         ctx.send(ALICE, w * ((m + 7) // 8), "oprf/u")
 
         # Bob: q columns; Q_j = T_j ^ (C(x_j) & s).
-        q_cols = _prg_bits_all(seeds_bob, m, b"col") ^ (s[:, None] * u_cols)
+        q_cols = _prg_bits_all(k_s, m, b"col") ^ (s[:, None] * u_cols)
         t_rows = t_cols.T  # m x w
         self._bob_rows = q_cols.T
         self._s = s
@@ -137,15 +126,14 @@ class BatchedOprf:
         return _out_hash(row, masked, self._salt)
 
 
-def charge_oprf_setup(ctx: Context, n_rows: int) -> None:
+def charge_oprf_setup(ctx: Context, ot: OT, n_rows: int) -> None:
     """SIMULATED mode: charge what :meth:`BatchedOprf._setup_real` sends
-    for ``n_rows`` OPRF instances."""
-    a, b, ciphertexts, u = kkrt_setup_bytes(n_rows)
-    ctx.send(ALICE, a, "oprf/base/A")
-    ctx.send(BOB, b, "oprf/base/B")
-    ctx.send(ALICE, ciphertexts, "oprf/base/ciphertexts")
+    for ``n_rows`` OPRF instances — the same base-OT call, charge-only."""
+    _column_seeds(ctx, ot, None)
     if n_rows:
-        ctx.send(ALICE, u, "oprf/u")
+        ctx.send(
+            ALICE, kkrt_setup_bytes(ctx.params.kappa, n_rows)[1], "oprf/u"
+        )
 
 
 # -- polynomial OPPRF hints over GF(2^61 - 1) ----------------------------

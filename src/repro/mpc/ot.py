@@ -1,21 +1,22 @@
 """Oblivious transfer: Chou–Orlandi base OT and IKNP OT extension.
 
 OT is the asymmetric-crypto bedrock under the garbled-circuit protocol
-(the evaluator's input labels), Gilboa multiplication and the oblivious
-switching network.  Two back-ends share one interface:
+(the evaluator's input labels), Gilboa multiplication, the oblivious
+switching network and the KKRT OPRF.  Two back-ends share one interface:
 
-* :class:`ChouOrlandiOT` — the "simplest OT" protocol over an RFC 3526
-  group: sender publishes ``A = g^a``; per transfer the receiver sends
-  ``B = g^b * A^c`` and derives ``H(A^b)``; the sender derives
-  ``k0 = H(B^a)`` and ``k1 = H((B/A)^a) = H(B^a / A^a)`` and sends both
-  messages encrypted.  Exponentiations make this expensive, so it is
-  used directly only for small batches and — the same
-  :func:`_chou_orlandi`, roles reversed — as the base for extension.
 * :class:`IknpExtension` — stretches ``kappa`` base OTs (run in reversed
   roles with the extension sender choosing a secret ``s``) into any number
   of OTs using only SHA-256: the classic column-correlation construction.
 * :class:`SimulatedOT` — skips the crypto while charging the transcript
   exactly what the real extension would send.
+
+An engine does public-key work once: the base OTs of the forward
+instance ``make_ot`` returns, by :func:`_chou_orlandi` ("simplest OT"
+over an RFC 3526 group: sender publishes ``A = g^a``; per transfer the
+receiver sends ``B = g^b * A^c`` and derives ``H(A^b)``, the sender
+``k0 = H(B^a)`` and ``k1 = H(B^a / A^a)``).  Extended OTs are OTs, so
+the base OTs of the mirror ``ot.reverse`` (Bob choosing) are random OTs
+of the forward instance, and the KKRT OPRF's random OTs of the mirror.
 
 Every protocol consumer runs **correlated** OTs through the one entry
 point ``ot.correlated(choices, widths)``: IKNP hands the sender a random
@@ -32,18 +33,18 @@ through the shared :class:`Context`.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, List, Optional, Protocol, Sequence, Tuple
+import weakref
+from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from .batch import kdf_rows, sha256_rows, stream_xor_rows, words_to_le_bytes
 from .context import ALICE, BOB, Context
-from .costs import Widths, base_ot_bytes, cot_bytes
+from .costs import Widths, base_ot_bytes, cot_bytes, seed_ot_widths
 from .modp import ModpGroup, modp_group
 
 __all__ = [
     "OT",
-    "ChouOrlandiOT",
     "CorrelatedBatch",
     "IknpExtension",
     "SimulatedOT",
@@ -58,6 +59,11 @@ class OT(Protocol):
     run on: the batched correlated entry point, plus scalar
     chosen-message :meth:`transfer`."""
 
+    @property
+    def reverse(self) -> "OT":
+        """The paired instance for the opposite direction, used under
+        :meth:`Context.swapped_roles`; ``ot.reverse.reverse is ot``."""
+
     def correlated(
         self, choices: Optional[np.ndarray], widths: Widths
     ) -> "CorrelatedBatch": ...
@@ -71,6 +77,8 @@ class CorrelatedBatch:
     """One C-OT extension batch between its two messages: ``u`` has
     crossed, so both parties hold their pads; the sender now derives its
     1-messages from :attr:`p0` and :meth:`finish` ships the corrections.
+    A batch that is never finished is one *random* OT per row: the
+    sender holds ``(p0, p1)``, the receiver ``pc``.
 
     A charge-only batch (SIMULATED consumers, which compute their
     functionality directly) carries no pads and finishes without
@@ -86,14 +94,23 @@ class CorrelatedBatch:
         self._ctx = ctx
         self._widths = widths
         self._choices = choices
-        #: the sender's 0-messages: one ``(count, width)`` pad matrix
-        #: per segment; ``pads`` is the ``(p0, p1, p_choice)`` triple
-        #: of full-width ``(n, 32)`` matrices
-        self.p0, self._p1, self._pc = (
+        #: the sender's pad pair (``p0`` doubles as its 0-message) and
+        #: the receiver's chosen pad: one ``(count, width)`` matrix per
+        #: segment; ``pads`` is the ``(p0, p1, p_choice)`` triple of
+        #: full-width ``(n, 32)`` matrices
+        self.p0, self.p1, self.pc = (
             ([], [], [])
             if pads is None
             else (_split(p, widths) for p in pads)
         )
+
+    def seeds(self) -> List[List[bytes]]:
+        """A never-finished one-segment batch read as random OTs: the
+        sender's ``k0`` and ``k1`` and the receiver's ``k_c``, by row."""
+        return [
+            [row.tobytes() for row in pads[0]]
+            for pads in (self.p0, self.p1, self.pc)
+        ]
 
     def finish(
         self, m1: Sequence[np.ndarray] = ()
@@ -106,7 +123,7 @@ class CorrelatedBatch:
             self._ctx.send(BOB, n_bytes, "ot/ext/ciphertexts")
         out: List[np.ndarray] = []
         off = 0
-        for msg, p1, pc in zip(m1, self._p1, self._pc):
+        for msg, p1, pc in zip(m1, self.p1, self.pc):
             msg = np.asarray(msg, dtype=np.uint8)
             if msg.shape != p1.shape:
                 raise ValueError("one 1-message per pad row is required")
@@ -154,17 +171,16 @@ def _chou_orlandi(
     g: ModpGroup,
     pairs: Sequence[Pair],
     choices: Sequence[int],
-    exponent: Optional[Callable[[], int]] = None,
 ) -> Tuple[List[bytes], int]:
     """The "simplest OT" arithmetic, both roles: the receiver's chosen
     messages and the total ciphertext bytes.  Three exponentiations per
-    transfer (receiver ``g^b`` and ``A^b``, sender ``B^a``).  Callers
-    meter the three messages (``A``, one ``B`` per transfer, the
-    ciphertexts) under their own labels and role orientation.
-    ``exponent`` draws the secret exponents; the default is full width."""
-    draw = exponent or (lambda: g.random_exponent(ctx.random_bytes))
+    transfer (receiver ``g^b`` and ``A^b``, sender ``B^a``), every
+    secret exponent full width.  The caller meters the three messages
+    (``A``, one ``B`` per transfer, the ciphertexts)."""
+    if len(pairs) != len(choices):
+        raise ValueError("one choice bit per message pair is required")
     # Sender: A = g^a; T = A^a turns (B/A)^a into B^a / T.
-    a = draw()
+    a = g.random_exponent(ctx.random_bytes)
     big_a = g.pow(g.g, a)
     inv_t = pow(g.pow(big_a, a), -1, g.p)
 
@@ -174,7 +190,7 @@ def _chou_orlandi(
         if len(m0) != len(m1):
             raise ValueError("OT messages in a pair must be equal-length")
         # Receiver: B = g^b * A^c and her key H(A^b).
-        b = draw()
+        b = g.random_exponent(ctx.random_bytes)
         big_b = g.pow(g.g, b)
         if c:
             big_b = (big_b * big_a) % g.p
@@ -187,30 +203,6 @@ def _chou_orlandi(
         # Receiver: decrypt her chosen message.
         out.append(_stream_xor(key, c1 if c else c0))
     return out, total
-
-
-class ChouOrlandiOT:
-    """1-out-of-2 OT where Bob is the sender (he garbles, so he owns the
-    label pairs) and Alice the receiver."""
-
-    def __init__(self, ctx: Context, group_bits: int = 2048) -> None:
-        self.ctx = ctx
-        self.group = modp_group(group_bits)
-        self.group_bits = group_bits
-
-    def transfer(
-        self, pairs: Sequence[Pair], choices: Sequence[int]
-    ) -> List[bytes]:
-        """Alice receives ``pairs[i][choices[i]]``; Bob learns nothing of
-        ``choices``; Alice learns nothing of the other message."""
-        if len(pairs) != len(choices):
-            raise ValueError("one choice bit per message pair is required")
-        g, ctx = self.group, self.ctx
-        out, total = _chou_orlandi(ctx, g, pairs, choices)
-        ctx.send(BOB, g.element_bytes, "ot/base/A")
-        ctx.send(ALICE, g.element_bytes * len(choices), "ot/base/B")
-        ctx.send(BOB, total, "ot/base/ciphertexts")
-        return out
 
 
 def _prg_bits(seed: bytes, n_bits: int, salt: bytes) -> np.ndarray:
@@ -250,42 +242,86 @@ def _prg_bits_all(
     return np.unpackbits(np.ascontiguousarray(raw), axis=1)[:, :n_bits]
 
 
-class IknpExtension:
+class _Paired:
+    """An extension instance and its mirror are built together.  The
+    forward one — what the constructor call returns — owns the mirror
+    and runs the pair's one public-key base phase; the mirror takes its
+    base OTs from the forward one, to which it refers back only weakly,
+    so a finished run's engine (context, circuits, transcript) is freed
+    with its last reference, not by a later cycle collection."""
+
+    def __init__(
+        self,
+        ctx: Context,
+        group_bits: int = 2048,
+        forward: Optional["_Paired"] = None,
+    ) -> None:
+        self.ctx = ctx
+        self.kappa = ctx.params.kappa
+        self.group_bits = group_bits
+        self._base_done = False
+        self._mirror = None if forward else type(self)(ctx, group_bits, self)
+        self._forward = forward and weakref.ref(forward)
+
+    @property
+    def reverse(self) -> Any:
+        """The paired instance for the opposite direction."""
+        return self._mirror or self._forward()
+
+    # A weak reference neither pickles nor survives a deep copy (it
+    # would keep pointing at the original): a copied mirror drops it
+    # and the copied forward instance re-links the pair.
+    def __getstate__(self) -> Dict[str, Any]:
+        return {**self.__dict__, "_forward": None}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        if self._mirror is not None:
+            self._mirror._forward = weakref.ref(self)
+
+
+class IknpExtension(_Paired):
     """IKNP OT extension: ``kappa`` base OTs, then any number of OTs with
     symmetric crypto only.
 
     Base phase (roles reversed): extension-sender Bob picks secret bits
     ``s`` and acts as base-OT *receiver* to obtain seed ``k_i^{s_i}``;
-    extension-receiver Alice owns both seeds per column.
+    extension-receiver Alice owns both seeds per column.  A mirror's
+    base OTs are ``kappa`` random OTs of its forward instance instead.
     """
 
-    def __init__(self, ctx: Context, group_bits: int = 2048) -> None:
-        self.ctx = ctx
-        self.kappa = ctx.params.kappa
-        self._base_done = False
-        self.group_bits = group_bits
-        self._s: np.ndarray = np.zeros(0, dtype=np.uint8)
-        self._seeds_alice: List[Pair] = []
-        self._seeds_bob: List[bytes] = []
-        self._batch = 0
+    #: extension batches run so far: the next batch's PRG salt
+    _batch = 0
 
     def _base_phase(self) -> None:
         ctx = self.ctx
         self._s = ctx.rng.integers(0, 2, size=self.kappa, dtype=np.uint8)
-        self._seeds_alice = [
-            (ctx.random_bytes(16), ctx.random_bytes(16))
-            for _ in range(self.kappa)
-        ]
-        # Roles reversed: Alice is the base-OT *sender*, Bob receives
-        # the seed his secret bit selects.
-        g = modp_group(self.group_bits)
-        self._seeds_bob, total = _chou_orlandi(
-            ctx, g, self._seeds_alice, self._s.tolist()
-        )
-        ctx.send(ALICE, g.element_bytes, "ot/ext/base/A")
-        ctx.send(BOB, g.element_bytes * self.kappa, "ot/ext/base/B")
-        ctx.send(ALICE, total, "ot/ext/base/ciphertexts")
+        if self._mirror is None:
+            self._seeds_alice, self._seeds_bob = self._seeds_from_forward()
+        else:
+            self._seeds_alice = [
+                (ctx.random_bytes(16), ctx.random_bytes(16))
+                for _ in range(self.kappa)
+            ]
+            # Roles reversed: Alice is the base-OT *sender*, Bob
+            # receives the seed his secret bit selects.
+            g = modp_group(self.group_bits)
+            self._seeds_bob, total = _chou_orlandi(
+                ctx, g, self._seeds_alice, self._s.tolist()
+            )
+            ctx.send(ALICE, g.element_bytes, "ot/ext/base/A")
+            ctx.send(BOB, g.element_bytes * self.kappa, "ot/ext/base/B")
+            ctx.send(ALICE, total, "ot/ext/base/ciphertexts")
         self._base_done = True
+
+    def _seeds_from_forward(self) -> Tuple[List[Pair], List[bytes]]:
+        """The mirror's base OTs: its sender chooses ``s`` in a forward
+        batch that is never finished — the pads are the seeds."""
+        ctx = self.ctx
+        with ctx.swapped_roles(), ctx.section("ot/ext/base"):
+            cot = self.reverse.correlated(self._s, seed_ot_widths(self.kappa))
+        k0, k1, k_s = cot.seeds()
+        return list(zip(k0, k1)), k_s
 
     def _column_phase(
         self, m: int, r: np.ndarray
@@ -395,25 +431,24 @@ class IknpExtension:
         return out
 
 
-class SimulatedOT:
+class SimulatedOT(_Paired):
     """Functionally-identical OT that skips the crypto but charges the
-    transcript what :class:`IknpExtension` would send."""
-
-    def __init__(self, ctx: Context, group_bits: int = 2048) -> None:
-        self.ctx = ctx
-        self.group_bits = group_bits
-        self._base_charged = False
+    transcript what :class:`IknpExtension` would send — its mirror
+    issues the same seed-OT call, charge-only."""
 
     def _open(self, n_ots: int) -> None:
         """Charge the base phase (first batch only) and ``u``."""
-        ctx = self.ctx
-        kappa = ctx.params.kappa
-        if not self._base_charged:
-            a, b, ct = base_ot_bytes(kappa, self.group_bits)
-            ctx.send(ALICE, a, "ot/ext/base/A")
-            ctx.send(BOB, b, "ot/ext/base/B")
-            ctx.send(ALICE, ct, "ot/ext/base/ciphertexts")
-            self._base_charged = True
+        ctx, kappa = self.ctx, self.kappa
+        if not self._base_done:
+            if self._mirror is None:
+                with ctx.swapped_roles(), ctx.section("ot/ext/base"):
+                    self.reverse.correlated(None, seed_ot_widths(kappa))
+            else:
+                a, b, ct = base_ot_bytes(kappa, self.group_bits)
+                ctx.send(ALICE, a, "ot/ext/base/A")
+                ctx.send(BOB, b, "ot/ext/base/B")
+                ctx.send(ALICE, ct, "ot/ext/base/ciphertexts")
+            self._base_done = True
         ctx.send(ALICE, cot_bytes(kappa, [(n_ots, 0)])[0], "ot/ext/u")
 
     def correlated(
@@ -457,7 +492,7 @@ class SimulatedOT:
 
 
 def make_ot(ctx: Context, group_bits: int = 2048) -> OT:
-    """The OT back-end matching the context's execution mode."""
+    """The OT back-end (forward instance) for the context's mode."""
     from .context import Mode
 
     if ctx.mode == Mode.REAL:

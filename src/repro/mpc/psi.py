@@ -145,7 +145,8 @@ def psi_with_payloads(
 
         fp_bits = psi_token_bits(n_bins, ctx.params.sigma)
         opprf = _opprf(
-            ctx, alice_fps, bob_fps, members, counts, load, payloads, fp_bits
+            ctx, ot, alice_fps, bob_fps, members, counts, load, payloads,
+            fp_bits,
         )
 
         # One garbled circuit per bin.
@@ -189,6 +190,7 @@ def psi_with_payloads(
 
 def _opprf(
     ctx: Context,
+    ot: OT,
     alice_fps: np.ndarray,
     bob_fps: np.ndarray,
     members: np.ndarray,
@@ -204,13 +206,13 @@ def _opprf(
     charges the same messages and has no values to return."""
     n_bins = len(alice_fps)
     if ctx.mode == Mode.SIMULATED:
-        charge_oprf_setup(ctx, n_bins)
+        charge_oprf_setup(ctx, ot, n_bins)
         ctx.send(BOB, opprf_hint_bytes(n_bins, load), "opprf_hints")
         return ()
     modulus = ctx.modulus
     rng = ctx.rng
     token_mod = 1 << fp_bits
-    oprf = BatchedOprf(ctx, alice_fps.tolist())
+    oprf = BatchedOprf(ctx, ot, alice_fps.tolist())
     bob_fp_list = bob_fps.tolist()
     bob_bins = np.split(members, np.cumsum(counts)[:-1])
 

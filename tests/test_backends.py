@@ -138,16 +138,16 @@ class TestRouting:
     @pytest.mark.parametrize(
         "ell, winner, prices",
         [
-            (32, "yannakakis", {"yannakakis": 1_111_604, "linear": 1_177_724}),
-            (48, "linear", {"yannakakis": 1_387_334, "linear": 1_386_266}),
+            (32, "yannakakis", {"yannakakis": 1_098_852, "linear": 1_188_092}),
+            (48, "linear", {"yannakakis": 1_409_094, "linear": 1_400_378}),
         ],
     )
     def test_auto_routes_at_the_relations_ring_width(self, ell, winner, prices):
-        # Parent 73 x child 1024, cross-owner, both plain: the fold's
+        # Parent 82 x child 1024, cross-owner, both plain: the fold's
         # winner depends on the ring width, so routing every query at
         # the default ell = 32 sent this one to the dearer back-end at
         # ell = 48 while the estimator priced it at its own width.
-        q = two_relation_query(73, 1024, ring=IntegerRing(ell))
+        q = two_relation_query(82, 1024, ring=IntegerRing(ell))
         sizes = {n: len(r) for n, r in q.relations.items()}
         assert estimate_node_costs(
             q.plan(), sizes, q.owners, params=q.ring_params()

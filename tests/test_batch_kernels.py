@@ -142,21 +142,6 @@ class TestOtDifferential:
         old = self._run(ref.ReferenceIknpExtension, pairs, choices)
         assert new == old
 
-    def test_chou_orlandi_differential(self):
-        pairs, choices = self._pairs([16, 16, 16])
-
-        def run(cls):
-            ctx = Context(Mode.REAL, seed=5)
-            ot = cls(ctx, TEST_GROUP_BITS)
-            return ot.transfer(pairs, choices), ctx.transcript.fingerprint()
-
-        from repro.mpc.ot import ChouOrlandiOT
-
-        new = run(ChouOrlandiOT)
-        old = run(ref.ReferenceChouOrlandiOT)
-        assert new[0] == old[0] == [p[c] for p, c in zip(pairs, choices)]
-        assert new[1] == old[1]
-
     def test_real_and_simulated_fingerprints_agree(self):
         pairs, choices = self._pairs([8] * 50)
         ctx_r = Context(Mode.REAL, seed=1)

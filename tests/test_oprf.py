@@ -88,51 +88,50 @@ class TestBatchedOprf:
         fps = [int(f) for f in np.random.default_rng(1).integers(
             0, 1 << 62, 12
         )]
-        oprf = BatchedOprf(ctx, fps, GROUP_BITS)
+        oprf = BatchedOprf(ctx, make_ot(ctx, GROUP_BITS), fps)
         # Consistency: Bob evaluating on Alice's input recovers F_j(x_j).
         for j, fp in enumerate(fps):
             assert oprf.bob_eval(j, fp) == oprf.alice_values[j]
 
     def test_real_outputs_differ_across_rows(self):
         ctx = Context(Mode.REAL, seed=2)
-        oprf = BatchedOprf(ctx, [7, 7, 7], GROUP_BITS)
+        oprf = BatchedOprf(ctx, make_ot(ctx, GROUP_BITS), [7, 7, 7])
         # The same input in different rows gets independent PRF values.
         assert len(set(oprf.alice_values)) == 3
 
     def test_real_other_inputs_look_unrelated(self):
         ctx = Context(Mode.REAL, seed=3)
-        oprf = BatchedOprf(ctx, [1, 2], GROUP_BITS)
+        oprf = BatchedOprf(ctx, make_ot(ctx, GROUP_BITS), [1, 2])
         assert oprf.bob_eval(0, 99) != oprf.alice_values[0]
 
     def test_simulated_charges_real_shape(self):
         """SIMULATED mode charges, message for message, what the REAL
-        set-up sends (default group: the one PSI runs it over) — and
-        never constructs the protocol object."""
+        set-up sends — on a fresh OT pair (both base phases nested in
+        the OPRF's) and on a warm one — and never constructs the
+        protocol object."""
+        real = Context(Mode.REAL, seed=5)
+        sim = Context(Mode.SIMULATED, seed=5)
+        real_ot, sim_ot = make_ot(real, GROUP_BITS), make_ot(sim, GROUP_BITS)
         for m in (0, 40):
-            real = Context(Mode.REAL, seed=5)
-            BatchedOprf(real, list(range(m)))
-            sim = Context(Mode.SIMULATED, seed=5)
-            charge_oprf_setup(sim, m)
+            BatchedOprf(real, real_ot, list(range(m)))
+            charge_oprf_setup(sim, sim_ot, m)
             assert (
                 sim.transcript.fingerprint()
                 == real.transcript.fingerprint()
             )
+        assert [n for _, n, _ in sim.transcript.fingerprint()[-2:]] == [
+            128 * 448 // 8, 448 * 40 // 8
+        ]
         with pytest.raises(ValueError, match="charge_oprf_setup"):
-            BatchedOprf(sim, [1, 2])
+            BatchedOprf(sim, sim_ot, [1, 2])
 
     def test_empty_input(self):
         ctx = Context(Mode.REAL, seed=6)
-        oprf = BatchedOprf(ctx, [], GROUP_BITS)
+        oprf = BatchedOprf(ctx, make_ot(ctx, GROUP_BITS), [])
         assert oprf.alice_values == []
 
 
 @pytest.mark.real
-@pytest.mark.xfail(
-    strict=True,
-    reason="BatchedOprf._setup_real draws 62-bit DH exponents from "
-    "ctx.rng (DESIGN.md, known gaps); goes green when the KKRT base OTs "
-    "come from the engine's IKNP extension (ROADMAP item 3)",
-)
 def test_real_psi_draws_only_full_width_dh_exponents(monkeypatch):
     """Every secret exponent ``x`` of a ``g^x`` a REAL PSI computes —
     the engine's base OTs and the OPRF's own — must be full width:

@@ -5,7 +5,12 @@ import pytest
 
 from repro.mpc import Context, Mode
 from repro.mpc.modp import ModpGroup, modp_group
-from repro.mpc.ot import ChouOrlandiOT, IknpExtension, SimulatedOT, make_ot
+from repro.mpc.ot import (
+    IknpExtension,
+    SimulatedOT,
+    _chou_orlandi,
+    make_ot,
+)
 
 GROUP_BITS = 1536
 
@@ -38,26 +43,28 @@ class TestModpGroup:
         assert (x * g.inv(x)) % g.p == 1
 
 
+def chou_orlandi(ctx, pairs, choices):
+    """The engine's one public-key OT, as ``_base_phase`` calls it."""
+    return _chou_orlandi(ctx, modp_group(GROUP_BITS), pairs, choices)
+
+
 @pytest.mark.real
 class TestChouOrlandi:
     def test_transfers_chosen_messages(self):
         ctx = Context(Mode.REAL, seed=1)
-        ot = ChouOrlandiOT(ctx, GROUP_BITS)
         rng = np.random.default_rng(1)
         pairs, choices, expected = pairs_and_choices(rng, 6)
-        assert ot.transfer(pairs, choices) == expected
+        assert chou_orlandi(ctx, pairs, choices) == (expected, 6 * 32)
 
     def test_length_mismatch_rejected(self):
         ctx = Context(Mode.REAL, seed=1)
-        ot = ChouOrlandiOT(ctx, GROUP_BITS)
         with pytest.raises(ValueError):
-            ot.transfer([(b"a" * 16, b"b" * 16)], [0, 1])
+            chou_orlandi(ctx, [(b"a" * 16, b"b" * 16)], [0, 1])
 
     def test_unequal_pair_lengths_rejected(self):
         ctx = Context(Mode.REAL, seed=1)
-        ot = ChouOrlandiOT(ctx, GROUP_BITS)
         with pytest.raises(ValueError):
-            ot.transfer([(b"a", b"bb")], [0])
+            chou_orlandi(ctx, [(b"a", b"bb")], [0])
 
     def test_three_exponentiations_per_transfer(self, monkeypatch):
         # Receiver g^b and A^b, sender B^a (k1 reuses it through
@@ -72,24 +79,24 @@ class TestChouOrlandi:
         ctx = Context(Mode.REAL, seed=2)
         rng = np.random.default_rng(2)
         pairs, choices, expected = pairs_and_choices(rng, 8)
-        assert ChouOrlandiOT(ctx, GROUP_BITS).transfer(pairs, choices) == expected
+        assert chou_orlandi(ctx, pairs, choices)[0] == expected
         assert len(calls) == 3 * 8 + 2
 
     def test_extension_base_phase_is_the_same_protocol(self):
-        # IKNP's base phase is the same arithmetic with the roles
-        # reversed and its own labels: same sizes, mirrored senders.
-        n = 128
-        ctx = Context(Mode.REAL, seed=3)
-        rng = np.random.default_rng(3)
-        pairs, choices, _ = pairs_and_choices(rng, n)
-        ChouOrlandiOT(ctx, GROUP_BITS).transfer(pairs, choices)
+        # The forward instance's base phase is that arithmetic over
+        # kappa seed pairs, metered as A, one B per seed, ciphertexts.
         ext = Context(Mode.REAL, seed=3)
-        IknpExtension(ext, GROUP_BITS)._base_phase()
-        flip = {"alice": "bob", "bob": "alice"}
-        assert ext.transcript.fingerprint() == tuple(
-            (flip[s], size, label.replace("ot/base", "ot/ext/base"))
-            for s, size, label in ctx.transcript.fingerprint()
+        ot = IknpExtension(ext, GROUP_BITS)
+        ot._base_phase()
+        elem = GROUP_BITS // 8
+        assert ext.transcript.fingerprint() == (
+            ("alice", elem, "ot/ext/base/A"),
+            ("bob", elem * 128, "ot/ext/base/B"),
+            ("alice", 2 * 16 * 128, "ot/ext/base/ciphertexts"),
         )
+        assert ot._seeds_bob == [
+            pair[c] for pair, c in zip(ot._seeds_alice, ot._s)
+        ]
 
 
 @pytest.mark.real
@@ -198,8 +205,8 @@ class TestCorrelatedOT:
     @pytest.mark.parametrize("ell", [8, 20, 32, 48, 64])
     def test_additive_correlation_both_directions(self, ell):
         """Ring words: m1 = p0 + x mod 2^ell, so the receiver holds
-        p0 + c*x — through ``Engine.ot`` and, under swapped roles,
-        ``Engine._ot_rev``."""
+        p0 + c*x — through ``Engine.ot`` and, under swapped roles, its
+        mirror ``Engine.ot.reverse``."""
         from repro.mpc import ALICE, BOB, Engine, SecurityParams
         from repro.mpc.batch import le_bytes_to_words, words_to_le_bytes
 
@@ -222,10 +229,16 @@ class TestCorrelatedOT:
         run(eng.ot)
         forward = ctx.transcript.fingerprint()
         with ctx.swapped_roles():
-            run(eng._ot_rev)
+            run(eng.ot.reverse)
         reverse = ctx.transcript.fingerprint()[len(forward):]
+        # The extension messages are the mirror image of forward's; the
+        # set-up is not: three Chou-Orlandi messages there, here the one
+        # ``u`` of kappa forward OTs with the mirror's sender choosing.
+        assert reverse[0] == (ALICE, 128 * 16, "ot/ext/base/ot/ext/u")
         flip = {ALICE: BOB, BOB: ALICE}
-        assert reverse == tuple((flip[s], b, l) for s, b, l in forward)
+        assert reverse[1:] == tuple(
+            (flip[s], b, l) for s, b, l in forward[3:]
+        )
 
     def test_fingerprint_independent_of_choices_and_messages(self):
         def run(seed):

@@ -1,0 +1,294 @@
+"""One public-key set-up per engine.
+
+The forward extension instance's ``kappa`` Chou-Orlandi base OTs are
+the only public-key OT work an engine does: its mirror ``ot.reverse``
+and every KKRT OPRF take their base OTs as random OTs of an existing
+extension instance.  Pinned here: the exponentiation count of a REAL
+query, the correctness of the bootstrapped seeds, estimator == metered
+== REAL for each order in which the instances are first used, that
+checkpoint/revive keeps the pair a pair, and the structural guard that
+no second public-key call site comes back.
+"""
+
+import ast
+import pickle
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import repro
+import repro.mpc.ot as ot_module
+from repro.bench.estimator import estimate_query_cost
+from repro.mpc import ALICE, BOB, Context, Engine, Mode, SecurityParams
+from repro.mpc import costs
+from repro.mpc.modp import ModpGroup
+from repro.mpc.oprf import BatchedOprf
+from repro.mpc.ot import make_ot
+from repro.runtime import FaultPlan, enable_session
+from repro.runtime.checkpoint import Checkpoint
+from repro.runtime.durable import revive
+
+from .conftest import TEST_GROUP_BITS
+from .test_backends import two_relation_query
+
+SRC = Path(repro.__file__).parent
+KAPPA = 128
+
+
+# ----------------------------------------------------------------------
+# (a) exponentiations of a whole REAL query
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.real
+@pytest.mark.parametrize("backend", ["yannakakis", "linear"])
+def test_real_q3_runs_one_chou_orlandi_per_engine(monkeypatch, backend):
+    """Q3 at 0.03 MB (the benchmark's ``q3_real``): one base phase of
+    3 * kappa + 2 exponentiations per engine — the parent ran four under
+    ``yannakakis`` (two IKNP instances, two KKRT set-ups) and two under
+    ``linear``."""
+    from repro.tpch import PREPARED, generate
+
+    phases, pows = [], []
+    real_base, real_pow = ot_module._chou_orlandi, ModpGroup.pow
+
+    def base_spy(*args):
+        before = len(pows)
+        out = real_base(*args)
+        phases.append(len(pows) - before)
+        return out
+
+    def pow_spy(self, base, exp):
+        pows.append(exp)
+        return real_pow(self, base, exp)
+
+    monkeypatch.setattr(ot_module, "_chou_orlandi", base_spy)
+    monkeypatch.setattr(ModpGroup, "pow", pow_spy)
+    query = PREPARED["Q3"](generate(0.03))
+    engine = Engine(query.make_context(Mode.REAL, seed=7), TEST_GROUP_BITS)
+    engine.backend = backend
+    result, _ = query.run_secure(engine)
+    assert result.semantically_equal(query.run_plain()[0])
+    assert phases == [3 * KAPPA + 2]
+    if backend == "yannakakis":  # no DH-OPRF: nothing else exponentiates
+        assert len(pows) == 3 * KAPPA + 2
+
+
+# ----------------------------------------------------------------------
+# (b) the bootstrapped seeds are OTs of the offered pairs
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.real
+class TestBootstrappedSeeds:
+    def test_mirror_receives_the_seed_its_bit_selects(self):
+        ctx = Context(Mode.REAL, seed=1)
+        ot = make_ot(ctx, TEST_GROUP_BITS)
+        mirror = ot.reverse
+        mirror._base_phase()
+        assert len(mirror._seeds_bob) == len(mirror._s) == KAPPA
+        assert all(len(set(pair)) == 2 for pair in mirror._seeds_alice)
+        assert mirror._seeds_bob == [
+            pair[c] for pair, c in zip(mirror._seeds_alice, mirror._s)
+        ]
+        # ... and the forward instance paid the one public-key phase.
+        assert [lbl for _, _, lbl in ctx.transcript.fingerprint()] == [
+            "ot/ext/base/ot/ext/base/A",
+            "ot/ext/base/ot/ext/base/B",
+            "ot/ext/base/ot/ext/base/ciphertexts",
+            "ot/ext/base/ot/ext/u",
+        ]
+
+    def test_kkrt_columns_are_random_ots_of_the_mirror(self, monkeypatch):
+        ctx = Context(Mode.REAL, seed=2)
+        ot = make_ot(ctx, TEST_GROUP_BITS)
+        seen = []
+        real_correlated = ot.reverse.correlated
+
+        def spy(choices, widths):
+            seen.append((choices, widths, real_correlated(choices, widths)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(ot.reverse, "correlated", spy)
+        fps = list(range(1, 9))
+        oprf = BatchedOprf(ctx, ot, fps)
+        (s, widths, cot), = seen
+        assert widths == [(costs.OPRF_WIDTH, 16)] and len(s) == 448
+        p0, p1, pc = cot.p0[0], cot.p1[0], cot.pc[0]
+        assert (p0 != p1).any(axis=1).all()
+        assert (pc == np.where(s[:, None].astype(bool), p1, p0)).all()
+        # The OPRF built on them is consistent.
+        assert [oprf.bob_eval(j, fp) for j, fp in enumerate(fps)] == (
+            oprf.alice_values
+        )
+
+
+# ----------------------------------------------------------------------
+# (c) estimator == metered == REAL, whichever instance is used first
+# ----------------------------------------------------------------------
+
+
+def _reverse_gilboa(engine, n=8):
+    u = np.arange(1, n + 1, dtype=np.uint64)
+    product = engine._gilboa_cross(BOB, u, u + np.uint64(100), "cross")
+    assert (product.reconstruct() == u * (u + np.uint64(100))).all()
+
+
+@pytest.mark.real
+@pytest.mark.parametrize("group_bits", [1536, 2048])
+class TestFirstUseOrders:
+    def both_modes(self, run, group_bits):
+        transcripts = []
+        for mode in (Mode.REAL, Mode.SIMULATED):
+            ctx = Context(mode, SecurityParams(ell=32), seed=9)
+            run(Engine(ctx, group_bits))
+            transcripts.append(ctx.transcript)
+        real, sim = transcripts
+        # bytes, messages and labels — hence rounds — all agree
+        assert real.fingerprint() == sim.fingerprint()
+        assert real.rounds == sim.rounds
+        return sim
+
+    @pytest.mark.parametrize(
+        "backend, base_labels",
+        [
+            # DH-OPRF join: the OEP opens the forward instance and
+            # nothing ever opens the mirror
+            ("linear", ["ot/ext/base/A", "B", "ciphertexts"]),
+            # the fold's PSI is the first OT consumer: its OPRF opens
+            # the mirror, which opens the forward instance
+            (
+                "yannakakis",
+                [
+                    "psi/oprf/base/ot/ext/base/ot/ext/base/A",
+                    "B",
+                    "ciphertexts",
+                    "psi/oprf/base/ot/ext/base/ot/ext/u",
+                    "psi/oprf/base/ot/ext/u",
+                ],
+            ),
+        ],
+        ids=["forward-first", "psi-first"],
+    )
+    def test_query_routes(self, group_bits, backend, base_labels):
+        q = two_relation_query(6, 5, seed=4).set_backend(backend)
+        out = len(q.run_plain())
+        sim = self.both_modes(lambda e: q.run_secure(e), group_bits)
+        base = [m.label for m in sim.messages if "/base/" in m.label]
+        assert len(base) == len(base_labels)
+        assert all(got.endswith(w) for got, w in zip(base, base_labels))
+        est = estimate_query_cost(q, out_size=out, group_bits=group_bits)
+        assert est.total == sim.total_bytes
+
+    def test_reverse_first(self, group_bits):
+        sim = self.both_modes(_reverse_gilboa, group_bits)
+        kappa_u, _ = costs.cot_bytes(KAPPA, costs.seed_ot_widths(KAPPA))
+        gilboa = costs.cot_bytes(KAPPA, costs.gilboa_widths(32, 8))
+        assert [m.n_bytes for m in sim.messages] == [
+            *costs.base_ot_bytes(KAPPA, group_bits), kappa_u, *gilboa
+        ]
+        assert (kappa_u, sim.rounds) == (2048, 5)
+        # the mirror's sender (Alice) chose in the forward batch
+        assert [m.sender for m in sim.messages] == [
+            ALICE, BOB, ALICE, ALICE, BOB, ALICE
+        ]
+
+
+# ----------------------------------------------------------------------
+# checkpoint / revive keeps the pair a pair
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.real
+@pytest.mark.parametrize("via", ["deepcopy", "pickle"])
+def test_checkpointed_engine_keeps_its_mirror(via):
+    ctx = Context(Mode.REAL, SecurityParams(ell=32), seed=4)
+    session = enable_session(ctx, FaultPlan(), seed=4)
+    engine = Engine(ctx, TEST_GROUP_BITS)
+    _reverse_gilboa(engine)  # both set-ups done
+    seeds = engine.ot.reverse._seeds_alice
+    checkpoint = Checkpoint.capture(0, {}, engine, session)
+    mark = len(ctx.transcript.messages)
+    _reverse_gilboa(engine)  # the un-checkpointed continuation
+    suffix = ctx.transcript.fingerprint()[mark:]
+    assert [lbl for _, _, lbl in suffix] == [
+        "cross/ot/ext/u", "cross/ot/ext/ciphertexts"
+    ]
+
+    if via == "deepcopy":
+        checkpoint.restore({}, engine, session)
+    else:
+        engine, session, _, _ = revive(pickle.dumps(checkpoint))
+    ot = engine.ot
+    assert ot.reverse.reverse is ot and ot.reverse is not ot
+    assert ot._base_done and ot.reverse._base_done
+    assert ot.reverse._seeds_alice == seeds
+    assert ot.reverse._seeds_alice is not seeds
+    assert len(engine.ctx.transcript.messages) == mark
+    _reverse_gilboa(engine)
+    assert engine.ctx.transcript.fingerprint()[mark:] == suffix
+
+
+@pytest.mark.parametrize("mode", [Mode.REAL, Mode.SIMULATED])
+def test_pair_is_freed_without_the_cycle_collector(mode):
+    """The mirror's back-reference is weak, so dropping the engine drops
+    its context (circuits, transcript) at once: with a strong cycle,
+    ``q3_real``'s peak RSS grew by 6 MB per operation."""
+    import gc
+    import weakref
+
+    engine = Engine(Context(mode, seed=1), TEST_GROUP_BITS)
+    assert engine.ot.reverse.reverse is engine.ot
+    gc.disable()
+    try:
+        ctx = weakref.ref(engine.ctx)
+        del engine
+        assert ctx() is None
+    finally:
+        gc.enable()
+
+
+# ----------------------------------------------------------------------
+# structural guard, beside tests/test_engine.py::TestOneSeam
+# ----------------------------------------------------------------------
+
+
+class TestOnePublicKeyCallSite:
+    @staticmethod
+    def trees():
+        for path in sorted(SRC.rglob("*.py")):
+            yield str(path.relative_to(SRC)), ast.parse(path.read_text())
+
+    def test_chou_orlandi_has_one_caller(self):
+        callers = [
+            (name, cls.name, fn.name)
+            for name, tree in self.trees()
+            for cls in ast.walk(tree)
+            if isinstance(cls, (ast.ClassDef, ast.Module))
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", ""))
+            == "_chou_orlandi"
+        ]
+        assert callers == [("mpc/ot.py", "IknpExtension", "_base_phase")]
+
+    def test_only_ot_and_dhoprf_import_the_group(self):
+        importers = sorted(
+            name
+            for name, tree in self.trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[-1] == "modp"
+            or isinstance(node, ast.Import)
+            and any(a.name.endswith("modp") for a in node.names)
+        )
+        assert importers == ["mpc/dhoprf.py", "mpc/ot.py"]
+
+    def test_no_narrow_exponent_hook(self):
+        text = "".join(
+            p.read_text() for p in sorted((SRC / "mpc").rglob("*.py"))
+        )
+        assert "exponent=" not in text
