@@ -26,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from ..mpc import costs, gadgets
 from ..mpc.context import ALICE
-from ..mpc.costs import DEFAULT_GROUP_BITS, Widths
+from ..mpc.costs import Widths
 from ..mpc.params import DEFAULT_PARAMS, SecurityParams
 from ..yannakakis.plan import ReduceAggregate, ReduceFold, YannakakisPlan
 
@@ -101,9 +101,8 @@ class _Estimator:
     operators run them: the only knowledge kept here is which
     primitives an operator invokes, at what shapes."""
 
-    def __init__(self, params: SecurityParams, group_bits: int):
+    def __init__(self, params: SecurityParams):
         self.p = params
-        self.group_bits = group_bits
         self.est = CostEstimate()
         #: OT directions whose one-time base phase is already priced
         self._ot_base_charged: Set[bool] = set()
@@ -121,7 +120,7 @@ class _Estimator:
             self._ot_base(False)
             base = costs.cot_bytes(kappa, costs.seed_ot_widths(kappa))[0]
         else:
-            base = sum(costs.base_ot_bytes(kappa, self.group_bits))
+            base = sum(costs.base_ot_bytes(kappa))
         self.est.add("ot_base", base)
         self.est.add_rounds(2)
 
@@ -234,7 +233,7 @@ def estimate_node_bytes(
     planner's routing pass, the scheduler's per-node ``est_bytes`` and
     :func:`estimate_plan_cost` all price a node through the same
     :meth:`_Estimator.node`."""
-    e = _Estimator(params, DEFAULT_GROUP_BITS)
+    e = _Estimator(params)
     e.node(shape, backend)
     return e.est.total - e.est.by_part.get("ot_base", 0)
 
@@ -276,19 +275,16 @@ def estimate_plan_cost(
     owners: Dict[str, str],
     out_size: int,
     params: SecurityParams = DEFAULT_PARAMS,
-    group_bits: int = DEFAULT_GROUP_BITS,
     backends: Optional[Dict[str, str]] = None,
 ) -> CostEstimate:
     """Predict the protocol's communication for ``plan`` over relations
     of the given sizes/owners, with ``out_size`` final join rows.
-    ``group_bits`` is the base-OT group size the engine was built with
-    (the DH-OPRF pins its own group, see :mod:`repro.mpc.costs`).
 
     ``backends`` maps fold/semijoin labels to a join back-end (see
     :func:`repro.query.planner.route_backends`); unlisted nodes price
     as ``"yannakakis"``.
     """
-    e = _Estimator(params, group_bits)
+    e = _Estimator(params)
     nodes, plain = _walk_nodes(plan, sizes, owners)
     routes = backends or {}
     for label, shape in nodes.items():
@@ -322,12 +318,10 @@ def estimate_node_costs(
     sizes: Dict[str, int],
     owners: Dict[str, str],
     params: SecurityParams = DEFAULT_PARAMS,
-    group_bits: int = DEFAULT_GROUP_BITS,
 ) -> Dict[str, Dict[str, int]]:
     """:func:`estimate_node_bytes` of every fold/semijoin node under
     each join back-end: ``{node_label: {backend: bytes}}`` — what the
-    planner's routing pass decides on.  ``group_bits`` does not enter
-    a marginal price."""
+    planner's routing pass decides on."""
     return {
         label: {b: estimate_node_bytes(shape, b, params) for b in BACKENDS}
         for label, shape in _walk_nodes(plan, sizes, owners)[0].items()
@@ -339,7 +333,8 @@ def estimate_query_cost(
     query: "JoinAggregateQuery",
     out_size: Optional[int] = None,
     params: Optional[SecurityParams] = None,
-    group_bits: int = DEFAULT_GROUP_BITS,
+    # Inert: frozen benchmarks/e2e passes it; ROADMAP item 1 drops it.
+    group_bits: Optional[int] = None,
     backends: Optional[Dict[str, str]] = None,
 ) -> CostEstimate:
     """Price a whole :class:`~repro.query.builder.JoinAggregateQuery`
@@ -370,6 +365,5 @@ def estimate_query_cost(
         dict(query.owners),
         out_size,
         params=params,
-        group_bits=group_bits,
         backends=backends,
     )

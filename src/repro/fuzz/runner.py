@@ -85,10 +85,6 @@ __all__ = [
 #: and each must pass the obliviousness audit independently).
 FUZZ_BACKENDS = ("yannakakis", "linear", "auto", "both")
 
-#: Engine OT group size for fuzzing (smaller than the 2048-bit
-#: production default; REAL-mode iterations are per-bit OTs).
-FUZZ_GROUP_BITS = 1536
-
 
 @dataclass
 class FuzzFailure:
@@ -190,7 +186,7 @@ def _run_secure(
     ctx = Context(
         mode, SecurityParams(ell=instance.ell), seed=engine_seed
     )
-    engine = Engine(ctx, FUZZ_GROUP_BITS)
+    engine = Engine(ctx)
     backends = route_backends(
         plan, instance.sizes(), instance.owners, backend=backend,
         params=ctx.params,

@@ -10,9 +10,8 @@ protocol.
 Flagged inside ``mpc/``, ``core/``, ``exec/``:
 
 * ``import random`` / ``from random import ...`` (suppressing the
-  import line allowlists the whole module binding — that is the
-  explicit-allowlist mechanism the deterministic Miller–Rabin check in
-  ``mpc/modp.py`` uses);
+  import line allowlists the whole module binding — the
+  explicit-allowlist mechanism; nothing in the tree uses it);
 * any ``np.random.*`` use except ``default_rng(seed)`` with an explicit
   seed argument (a seeded generator is deterministic and replayable);
 * ``os.urandom`` / ``secrets.*`` (OS entropy bypasses the context RNG).

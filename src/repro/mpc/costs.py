@@ -26,8 +26,6 @@ from .params import SecurityParams
 from .waksman import padded_size, switch_count
 
 __all__ = [
-    "DEFAULT_GROUP_BITS",
-    "DH_GROUP_BITS",
     "DH_TOKEN_BYTES",
     "FRAME_HEADER_BYTES",
     "OPRF_WIDTH",
@@ -57,16 +55,13 @@ __all__ = [
 #: of same-width transfers.
 Widths = Sequence[Tuple[int, int]]
 
-#: MODP group of an engine's one Chou–Orlandi base phase, unless it is
-#: built with another.
-DEFAULT_GROUP_BITS = 2048
+#: A P-256 point on the wire (SEC1 compressed), and the bare
+#: x-coordinate the x-only DH-OPRF sends instead.
+POINT_BYTES = 33
+X_BYTES = 32
 
 #: KKRT code width (bits); 448 gives ~128-bit security for the code.
 OPRF_WIDTH = 448
-
-#: The DH-OPRF group is pinned independently of the engine's base-OT
-#: group: 2048-bit MODP.
-DH_GROUP_BITS = 2048
 
 #: Truncated-hash DH-OPRF token width: 128 bits bound the collision
 #: probability between any two distinct items by ``m * n / 2^128``, far
@@ -92,12 +87,11 @@ def share_bytes(ell: int, n: int) -> int:
     return n * ring_bytes(ell)
 
 
-def base_ot_bytes(kappa: int, group_bits: int) -> Tuple[int, int, int]:
+def base_ot_bytes(kappa: int) -> Tuple[int, int, int]:
     """The one public-key set-up of an engine, the base phase of its
     forward extension instance — ``kappa`` Chou–Orlandi OTs of 16-byte
     seed pairs in reversed roles — as ``(A, B, ciphertexts)``."""
-    elem = group_bits // 8
-    return elem, elem * kappa, 2 * 16 * kappa
+    return POINT_BYTES, POINT_BYTES * kappa, 2 * 16 * kappa
 
 
 def seed_ot_widths(n_seeds: int) -> Widths:
@@ -226,7 +220,6 @@ def psi_token_bits(n_bins: int, sigma: int) -> int:
 
 def dh_oprf_bytes(m: int, n: int) -> Tuple[int, int, int]:
     """A DH-OPRF matching of ``m`` blinded keys against ``n`` tokens as
-    ``(blind, eval, tokens)``: one group element per blinded key in
+    ``(blind, eval, tokens)``: one x-coordinate per blinded key in
     each direction, then the sorted tokens."""
-    elems = m * ((DH_GROUP_BITS + 7) // 8)
-    return elems, elems, n * DH_TOKEN_BYTES
+    return m * X_BYTES, m * X_BYTES, n * DH_TOKEN_BYTES

@@ -1,29 +1,33 @@
 """Linear-communication join matching via a DH-based OPRF (2HashDH).
 
 The linear join back-end (LINQ / Bifrost style; see docs/BACKENDS.md)
-replaces circuit PSI with the classic exponent-blinded Diffie-Hellman
-OPRF: the child owner holds a per-invocation key ``k`` and each side
-learns ``PRF_k(x) = H2(H1(x)^k)`` only for its own items.
+replaces circuit PSI with the classic scalar-blinded Diffie-Hellman
+OPRF over P-256, x-coordinates only: the child owner holds a
+per-invocation key ``k`` and each side learns
+``PRF_k(x) = H2(x(k * H1(x)))`` only for its own items.
 
 Protocol, with the parent owner as protocol-Alice and the child owner
 as protocol-Bob:
 
 1. Alice blinds each of her ``m`` (distinct, dummy-padded) key tuples
-   with a fresh exponent: ``a_i = H1(x_i)^{r_i}`` — one message of
-   ``m`` group elements ("blind").
-2. Bob raises every received element to his key: ``b_i = a_i^k``
-   ("eval").
+   with a fresh scalar: ``a_i = x(r_i * H1(x_i))`` — one message of
+   ``m`` x-coordinates ("blind").
+2. Bob multiplies every received element by his key:
+   ``b_i = x(k * a_i)`` ("eval").
 3. Bob tokenises his own ``n`` (distinct) tuples,
-   ``t_j = H2(H1(y_j)^k)``, and sends the tokens in sorted order
+   ``t_j = H2(x(k * H1(y_j)))``, and sends the tokens in sorted order
    ("tokens").
-4. Alice unblinds ``b_i^{1/r_i} = H1(x_i)^k`` locally, tokenises, and
-   matches against the sorted token list.
+4. Alice unblinds ``x(r_i^-1 * b_i) = x(k * H1(x_i))`` locally,
+   tokenises, and matches against the sorted token list.
 
-``H1`` hashes into the order-``q`` subgroup of quadratic residues (the
-SHA-512 image squared mod the RFC 3526 safe prime), so blinding
-exponents drawn from ``[1, q)`` are invertible and the blinded elements
-are uniform in the subgroup — Bob learns nothing about Alice's keys,
-and Alice's unblinding ``r_i^{-1} mod q`` recovers the exact PRF value.
+``H1`` (:func:`repro.mpc.p256.hash_to_curve`) is try-and-increment onto
+an x-coordinate of the prime-order curve, so blinding scalars drawn from
+``[1, n)`` are invertible mod ``n`` and the blinded elements are uniform
+— Bob learns nothing about Alice's keys.  Only x crosses: ``x(k * P) ==
+x(k * -P)``, so whichever point a party lifts an x-coordinate to gives
+the same PRF value, and each lift is the on-curve check of the received
+element.  The number of ``H1`` attempts depends on the hashing party's
+own item and is never sent.
 
 All three message sizes depend only on the public sizes ``m`` and
 ``n``, and the token order is pseudorandom under the PRF, so the
@@ -37,8 +41,8 @@ Items enter as their 32-byte digests (:func:`repro.mpc.cuckoo.
 item_digests`; callers may pass the digest matrix directly): the digest
 is ``H1``'s pre-image in REAL mode, and SIMULATED mode draws one salt
 from the shared context RNG, tokenises both digest matrices with it
-directly (``sha256(salt || digest)``, no exponentiations) and charges
-the identical three messages.
+directly (``sha256(salt || digest)``, no scalar multiplications) and
+charges the identical three messages.
 """
 
 from __future__ import annotations
@@ -50,15 +54,14 @@ from typing import Tuple
 import numpy as np
 
 from ..leakage import leaks
+from . import p256
 from .batch import sha256_rows, sorted_lookup
 from .context import ALICE, BOB, Context, Mode
-from .costs import DH_GROUP_BITS, DH_TOKEN_BYTES, dh_oprf_bytes
+from .costs import DH_TOKEN_BYTES, dh_oprf_bytes
 from .cuckoo import Items, has_duplicates, item_digests
-from .modp import ModpGroup, modp_group
 
 __all__ = ["DhOprfMatch", "dh_oprf_match"]
 
-_H1_SALT = b"secyan-dhoprf-h1"
 _H2_SALT = b"secyan-dhoprf-h2"
 
 
@@ -76,17 +79,9 @@ class DhOprfMatch:
     order: np.ndarray
 
 
-def _hash_to_group(group: ModpGroup, digest: bytes) -> int:
-    """``H1``: hash into the quadratic-residue subgroup (order ``q``)."""
-    h = int.from_bytes(hashlib.sha512(_H1_SALT + digest).digest(), "big")
-    return group.pow(h % group.p or 1, 2)
-
-
-def _token(group: ModpGroup, element: int) -> bytes:
-    """``H2``: truncated hash of a group element's fixed-width encoding."""
-    return hashlib.sha256(
-        _H2_SALT + int(element).to_bytes(group.element_bytes, "big")
-    ).digest()[:DH_TOKEN_BYTES]
+def _token(x: bytes) -> bytes:
+    """``H2``: truncated hash of a group element's x-coordinate."""
+    return hashlib.sha256(_H2_SALT + x).digest()[:DH_TOKEN_BYTES]
 
 
 @leaks("join_pattern:parent")
@@ -133,32 +128,28 @@ def _tokens_real(
     ctx: Context, alice: np.ndarray, bob: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The three protocol messages; ``(Alice's tokens, Bob's tokens)``."""
-    group = modp_group(DH_GROUP_BITS)
-    eb = group.element_bytes
-
-    # 1. Alice blinds her hashed keys with fresh per-item exponents.
-    blinds = [group.random_exponent(ctx.random_bytes) for _ in alice]
+    # 1. Alice blinds her hashed keys with fresh per-item scalars.
+    blinds = [p256.random_scalar(ctx.random_bytes) for _ in alice]
     blinded = [
-        group.pow(_hash_to_group(group, x.tobytes()), r)
+        p256.mul_x(r, p256.hash_to_curve(x.tobytes()))
         for x, r in zip(alice, blinds)
     ]
-    ctx.send(ALICE, len(alice) * eb, "blind")
+    ctx.send(ALICE, sum(map(len, blinded)), "blind")
 
     # 2. Bob applies his OPRF key to every blinded element ...
-    k = group.random_exponent(ctx.random_bytes)
-    evaluated = [group.pow(a, k) for a in blinded]
-    ctx.send(BOB, len(alice) * eb, "eval")
+    k = p256.random_scalar(ctx.random_bytes)
+    evaluated = [p256.mul_x(k, a) for a in blinded]
+    ctx.send(BOB, sum(map(len, evaluated)), "eval")
 
     # 3. ... and ships the tokens of his own items.
     bob_tokens = [
-        _token(group, group.pow(_hash_to_group(group, y.tobytes()), k))
-        for y in bob
+        _token(p256.mul_x(k, p256.hash_to_curve(y.tobytes()))) for y in bob
     ]
     ctx.send(BOB, len(bob) * DH_TOKEN_BYTES, "tokens")
 
     # 4. Alice unblinds locally.
     alice_tokens = [
-        _token(group, group.pow(b, pow(r, -1, group.q)))
+        _token(p256.mul_x(pow(r, -1, p256.N), b))
         for b, r in zip(evaluated, blinds)
     ]
     return (
@@ -176,7 +167,7 @@ def _tokens_simulated(
     ctx.send(BOB, tokens, "tokens")
 
     # One shared salt stands in for the PRF key: same token function on
-    # both digest matrices, no exponentiations.
+    # both digest matrices, no scalar multiplications.
     salt = np.frombuffer(ctx.random_bytes(16), dtype=np.uint8)
     both = np.concatenate([alice, bob]).view(np.uint8).reshape(-1, 32)
     rows = np.concatenate(

@@ -27,7 +27,6 @@ from .batch import bits_to_words, words_to_bits, words_to_le_bytes
 from .batch import le_bytes_to_words
 from .context import ALICE, BOB, Context, Mode
 from .costs import (
-    DEFAULT_GROUP_BITS,
     circuit_counts,
     gilboa_widths,
     merge_chain_counts,
@@ -51,7 +50,8 @@ class Engine:
     def __init__(
         self,
         ctx: Context,
-        ot_group_bits: int = DEFAULT_GROUP_BITS,
+        # Inert: frozen benchmarks/e2e passes it; ROADMAP item 1 drops it.
+        group_bits: Optional[int] = None,
         tracer: Optional["ExecutionTrace"] = None,
     ) -> None:
         self.ctx = ctx
@@ -64,7 +64,7 @@ class Engine:
         #: mirror for OTs in the reverse direction (Bob choosing) — used
         #: under swapped protocol roles by the Gilboa multiplication's
         #: second cross term and by PSI's OPRF.
-        self.ot = make_ot(ctx, ot_group_bits)
+        self.ot = make_ot(ctx)
         #: Optional :class:`repro.exec.ExecutionTrace` that the operator
         #: scheduler and composition circuits record per-node costs into.
         self.tracer = tracer

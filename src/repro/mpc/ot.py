@@ -12,9 +12,9 @@ switching network and the KKRT OPRF.  Two back-ends share one interface:
 
 An engine does public-key work once: the base OTs of the forward
 instance ``make_ot`` returns, by :func:`_chou_orlandi` ("simplest OT"
-over an RFC 3526 group: sender publishes ``A = g^a``; per transfer the
-receiver sends ``B = g^b * A^c`` and derives ``H(A^b)``, the sender
-``k0 = H(B^a)`` and ``k1 = H(B^a / A^a)``).  Extended OTs are OTs, so
+over P-256: sender publishes ``A = aG``; per transfer the receiver
+sends ``B = bG + cA`` and derives ``H(x(bA))``, the sender
+``k0 = H(x(aB))`` and ``k1 = H(x(a(B - A)))``).  Extended OTs are OTs, so
 the base OTs of the mirror ``ot.reverse`` (Bob choosing) are random OTs
 of the forward instance, and the KKRT OPRF's random OTs of the mirror.
 
@@ -38,10 +38,10 @@ from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
+from . import p256
 from .batch import kdf_rows, sha256_rows, stream_xor_rows, words_to_le_bytes
 from .context import ALICE, BOB, Context
 from .costs import Widths, base_ot_bytes, cot_bytes, seed_ot_widths
-from .modp import ModpGroup, modp_group
 
 __all__ = [
     "OT",
@@ -162,47 +162,48 @@ def _stream_xor(key: bytes, data: bytes) -> bytes:
     return out.tobytes()
 
 
-def _int_bytes(x: int, group: ModpGroup) -> bytes:
-    return x.to_bytes(group.element_bytes, "little")
-
-
 def _chou_orlandi(
     ctx: Context,
-    g: ModpGroup,
     pairs: Sequence[Pair],
     choices: Sequence[int],
-) -> Tuple[List[bytes], int]:
+) -> Tuple[List[bytes], Tuple[int, int, int]]:
     """The "simplest OT" arithmetic, both roles: the receiver's chosen
-    messages and the total ciphertext bytes.  Three exponentiations per
-    transfer (receiver ``g^b`` and ``A^b``, sender ``B^a``), every
-    secret exponent full width.  The caller meters the three messages
-    (``A``, one ``B`` per transfer, the ciphertexts)."""
+    messages and the bytes of the three messages the caller meters
+    (``A``, one ``B`` per transfer, the ciphertexts).  Four scalar
+    multiplications per transfer (receiver ``bG`` and ``bA``, sender
+    ``aB`` and ``a(B - A)``), every secret scalar full width; ``A`` and
+    ``B`` cross as compressed points and are decoded — validated — by
+    their receiver."""
     if len(pairs) != len(choices):
         raise ValueError("one choice bit per message pair is required")
-    # Sender: A = g^a; T = A^a turns (B/A)^a into B^a / T.
-    a = g.random_exponent(ctx.random_bytes)
-    big_a = g.pow(g.g, a)
-    inv_t = pow(g.pow(big_a, a), -1, g.p)
+    # Sender: A = aG.
+    a = p256.random_scalar(ctx.random_bytes)
+    own_a = p256.base_mul(a)
+    minus_a = p256.neg(own_a)
+    wire_a = p256.encode(own_a)
+    big_a = p256.decode(wire_a)  # the receiver's copy
 
     out: List[bytes] = []
-    total = 0
+    b_bytes = ct_bytes = 0
     for (m0, m1), c in zip(pairs, choices):
         if len(m0) != len(m1):
             raise ValueError("OT messages in a pair must be equal-length")
-        # Receiver: B = g^b * A^c and her key H(A^b).
-        b = g.random_exponent(ctx.random_bytes)
-        big_b = g.pow(g.g, b)
+        # Receiver: B = bG + cA and her key H(x(bA)).
+        b = p256.random_scalar(ctx.random_bytes)
+        big_b = p256.base_mul(b)
         if c:
-            big_b = (big_b * big_a) % g.p
-        key = _kdf(_int_bytes(g.pow(big_a, b), g))
-        # Sender: both keys from one exponentiation, both ciphertexts.
-        shared = g.pow(big_b, a)
-        c0 = _stream_xor(_kdf(_int_bytes(shared, g)), m0)
-        c1 = _stream_xor(_kdf(_int_bytes((shared * inv_t) % g.p, g)), m1)
-        total += len(c0) + len(c1)
+            big_b = p256.add(big_b, big_a)
+        wire_b = p256.encode(big_b)
+        key = _kdf(p256.mul(b, big_a))
+        # Sender: one key per message, both ciphertexts.
+        big_b = p256.decode(wire_b)
+        c0 = _stream_xor(_kdf(p256.mul(a, big_b)), m0)
+        c1 = _stream_xor(_kdf(p256.mul(a, p256.add(big_b, minus_a))), m1)
+        b_bytes += len(wire_b)
+        ct_bytes += len(c0) + len(c1)
         # Receiver: decrypt her chosen message.
         out.append(_stream_xor(key, c1 if c else c0))
-    return out, total
+    return out, (len(wire_a), b_bytes, ct_bytes)
 
 
 def _prg_bits(seed: bytes, n_bits: int, salt: bytes) -> np.ndarray:
@@ -251,16 +252,12 @@ class _Paired:
     with its last reference, not by a later cycle collection."""
 
     def __init__(
-        self,
-        ctx: Context,
-        group_bits: int = 2048,
-        forward: Optional["_Paired"] = None,
+        self, ctx: Context, forward: Optional["_Paired"] = None
     ) -> None:
         self.ctx = ctx
         self.kappa = ctx.params.kappa
-        self.group_bits = group_bits
         self._base_done = False
-        self._mirror = None if forward else type(self)(ctx, group_bits, self)
+        self._mirror = None if forward else type(self)(ctx, self)
         self._forward = forward and weakref.ref(forward)
 
     @property
@@ -305,13 +302,12 @@ class IknpExtension(_Paired):
             ]
             # Roles reversed: Alice is the base-OT *sender*, Bob
             # receives the seed his secret bit selects.
-            g = modp_group(self.group_bits)
-            self._seeds_bob, total = _chou_orlandi(
-                ctx, g, self._seeds_alice, self._s.tolist()
+            self._seeds_bob, (a, b, ct) = _chou_orlandi(
+                ctx, self._seeds_alice, self._s.tolist()
             )
-            ctx.send(ALICE, g.element_bytes, "ot/ext/base/A")
-            ctx.send(BOB, g.element_bytes * self.kappa, "ot/ext/base/B")
-            ctx.send(ALICE, total, "ot/ext/base/ciphertexts")
+            ctx.send(ALICE, a, "ot/ext/base/A")
+            ctx.send(BOB, b, "ot/ext/base/B")
+            ctx.send(ALICE, ct, "ot/ext/base/ciphertexts")
         self._base_done = True
 
     def _seeds_from_forward(self) -> Tuple[List[Pair], List[bytes]]:
@@ -444,7 +440,7 @@ class SimulatedOT(_Paired):
                 with ctx.swapped_roles(), ctx.section("ot/ext/base"):
                     self.reverse.correlated(None, seed_ot_widths(kappa))
             else:
-                a, b, ct = base_ot_bytes(kappa, self.group_bits)
+                a, b, ct = base_ot_bytes(kappa)
                 ctx.send(ALICE, a, "ot/ext/base/A")
                 ctx.send(BOB, b, "ot/ext/base/B")
                 ctx.send(ALICE, ct, "ot/ext/base/ciphertexts")
@@ -491,10 +487,10 @@ class SimulatedOT(_Paired):
         return [p[1] if c else p[0] for p, c in zip(pairs, choices)]
 
 
-def make_ot(ctx: Context, group_bits: int = 2048) -> OT:
+def make_ot(ctx: Context) -> OT:
     """The OT back-end (forward instance) for the context's mode."""
     from .context import Mode
 
     if ctx.mode == Mode.REAL:
-        return IknpExtension(ctx, group_bits)
-    return SimulatedOT(ctx, group_bits)
+        return IknpExtension(ctx)
+    return SimulatedOT(ctx)

@@ -69,7 +69,6 @@ def route_backends(
     owners: Dict[str, str],
     backend: str = "auto",
     params: Optional[SecurityParams] = None,
-    group_bits: int = 2048,
 ) -> Dict[str, str]:
     """Assign a join back-end to every fold/semijoin node of ``plan``.
 
@@ -99,9 +98,7 @@ def route_backends(
             f"choose from {BACKENDS + ('auto',)}"
         )
     node_costs = estimate_node_costs(
-        plan, sizes, owners,
-        params=params or DEFAULT_PARAMS,
-        group_bits=group_bits,
+        plan, sizes, owners, params=params or DEFAULT_PARAMS
     )
     return {
         label: min(

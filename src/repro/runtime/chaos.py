@@ -382,7 +382,6 @@ def make_tpch_runner(
     scale_mb: float = 0.1,
     real: bool = False,
     seed: int = 7,
-    group_bits: int = 1536,
     node_budget: int = DEFAULT_NODE_BUDGET,
     backend: Optional[str] = None,
 ) -> Runner:
@@ -402,7 +401,7 @@ def make_tpch_runner(
 
     def run(faults: FaultPlan) -> RunProfile:
         ctx = prepared.make_context(mode, seed=seed)
-        engine = Engine(ctx, group_bits)
+        engine = Engine(ctx)
         if backend is not None:
             engine.backend = backend
         session = enable_session(

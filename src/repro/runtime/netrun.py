@@ -67,7 +67,8 @@ class NetConfig:
     scale_mb: float = 0.1
     seed: int = 7
     backend: str = "yannakakis"
-    group_bits: int = 1536
+    # Inert: frozen benchmarks/e2e reads it; ROADMAP item 1 drops it.
+    group_bits: Optional[int] = None
     node_budget: int = DEFAULT_NODE_BUDGET
     listen: Optional[Tuple[str, int]] = None
     connect: Optional[Tuple[str, int]] = None
@@ -94,7 +95,7 @@ class NetConfig:
         a peer configured for a different run."""
         blob = (
             f"{self.query}|{self.scale_mb}|{self.seed}|{self.backend}"
-            f"|{self.group_bits}|{self.node_budget}"
+            f"|{self.node_budget}"
         )
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -107,7 +108,6 @@ class NetConfig:
             "scale_mb": self.scale_mb,
             "seed": self.seed,
             "backend": self.backend,
-            "group_bits": self.group_bits,
             "node_budget": self.node_budget,
             "session_id": self.session_id,
         }
@@ -158,8 +158,7 @@ def solo_profile(config: NetConfig) -> RunProfile:
     what both parties of a two-process run must reproduce exactly."""
     return make_tpch_runner(
         config.query, scale_mb=config.scale_mb, seed=config.seed,
-        group_bits=config.group_bits, node_budget=config.node_budget,
-        backend=config.backend,
+        node_budget=config.node_budget, backend=config.backend,
     )(FaultPlan())
 
 
@@ -209,7 +208,7 @@ def run_party(config: NetConfig) -> Dict[str, Any]:
         store = DurableStore.append_to(config.journal)
     else:
         ctx = prepared.make_context(Mode.SIMULATED, seed=config.seed)
-        engine = Engine(ctx, config.group_bits)
+        engine = Engine(ctx)
         engine.backend = config.backend
         session = enable_session(
             ctx, None, node_budget=config.node_budget, seed=config.seed

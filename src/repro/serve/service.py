@@ -142,9 +142,7 @@ class QueryService:
         from ..bench.estimator import estimate_query_cost
 
         return estimate_query_cost(
-            request.query,
-            out_size=request.out_size_bound,
-            group_bits=request.group_bits,
+            request.query, out_size=request.out_size_bound
         )
 
     def plan_leakage(self, request: QueryRequest) -> Optional[FrozenSet[str]]:

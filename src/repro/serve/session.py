@@ -84,7 +84,6 @@ class QueryRequest:
     run: Optional[Callable[[Engine], Iterable[Any]]] = None
     ell: Optional[int] = None
     mode: Mode = Mode.SIMULATED
-    group_bits: int = 1536
     seed: int = 11
     faults: Optional[FaultPlan] = None
     node_budget: int = DEFAULT_NODE_BUDGET
@@ -131,9 +130,7 @@ class QuerySession:
         self.trace = ExecutionTrace()
         self.trace.meta["tenant"] = request.tenant
         self.trace.meta["request"] = request.name
-        self.engine = Engine(
-            self.ctx, request.group_bits, tracer=self.trace
-        )
+        self.engine = Engine(self.ctx, tracer=self.trace)
         self.runtime_session = enable_session(
             self.ctx,
             request.faults,

@@ -38,7 +38,6 @@ def tpch_request(
     scale_mb: float = 0.1,
     real: bool = False,
     seed: int = 7,
-    group_bits: int = 1536,
     name: Optional[str] = None,
     faults: Optional[Any] = None,
     backend: str = "yannakakis",
@@ -65,7 +64,6 @@ def tpch_request(
         run=run if build is None else None,
         ell=prepared.ell,
         mode=Mode.REAL if real else Mode.SIMULATED,
-        group_bits=group_bits,
         seed=seed,
         faults=faults,
     )

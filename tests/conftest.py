@@ -34,10 +34,6 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is optional
     pass
 
-#: Small OT group for REAL-mode tests (2048-bit is the production default).
-TEST_GROUP_BITS = 1536
-
-
 
 def chain(n: int) -> Hypergraph:
     """``R0(a0, a1) - R1(a1, a2) - ...``: exactly one join tree."""
@@ -67,12 +63,28 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(pytest.mark.real)
 
 
-def make_engine(mode=Mode.SIMULATED, seed=0, group_bits=TEST_GROUP_BITS):
+def make_engine(mode=Mode.SIMULATED, seed=0):
     """One-line engine factory for tests that need several engines (or
     non-fixture parametrisation).  Test modules alias it with their
     historical default seed via ``functools.partial`` instead of each
     re-defining the same helper."""
-    return Engine(Context(mode, seed=seed), group_bits)
+    return Engine(Context(mode, seed=seed))
+
+
+def spy_scalar_muls(monkeypatch):
+    """Record the scalar of every P-256 scalar multiplication from here
+    on — the unit of public-key work — in the list returned."""
+    from repro.mpc import p256
+
+    scalars = []
+    for name in ("base_mul", "mul", "mul_x"):
+
+        def spy(k, *args, real=getattr(p256, name)):
+            scalars.append(k)
+            return real(k, *args)
+
+        monkeypatch.setattr(p256, name, spy)
+    return scalars
 
 
 def run_circuit(ctx, ot, circuit, alice_bits, bob_bits):
@@ -116,18 +128,18 @@ def real_ctx():
 
 @pytest.fixture
 def sim_engine(sim_ctx):
-    return Engine(sim_ctx, TEST_GROUP_BITS)
+    return Engine(sim_ctx)
 
 
 @pytest.fixture
 def real_engine(real_ctx):
-    return Engine(real_ctx, TEST_GROUP_BITS)
+    return Engine(real_ctx)
 
 
 @pytest.fixture(params=[Mode.SIMULATED, Mode.REAL])
 def any_engine(request):
     ctx = Context(request.param, seed=3)
-    return Engine(ctx, TEST_GROUP_BITS)
+    return Engine(ctx)
 
 
 RING = IntegerRing(32)

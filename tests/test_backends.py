@@ -28,7 +28,7 @@ from repro.query import (
 )
 from repro.relalg import AnnotatedRelation, IntegerRing
 
-from .conftest import TEST_GROUP_BITS, make_engine
+from .conftest import make_engine
 
 RING = IntegerRing(32)
 
@@ -99,6 +99,17 @@ class TestEstimatorBoundary:
         for m, n in [(4, 256), (4, 512), (8, 512)]:
             assert node_cost(m, n, "yannakakis") < node_cost(m, n, "linear")
 
+    @pytest.mark.parametrize("n, last", [(256, 17), (512, 39), (1024, 87)])
+    def test_boundary_rows(self, n, last):
+        # The largest parent a plain child of n rows still sends to the
+        # PSI: 18 / 40 / 90 while a DH-OPRF element was 256 bytes.
+        wins = [
+            m
+            for m in range(1, 128)
+            if node_cost(m, n, "yannakakis") < node_cost(m, n, "linear")
+        ]
+        assert wins == list(range(1, last + 1))
+
     def test_same_owner_nodes_are_exact_ties(self):
         # Same-owner folds never reach the PSI/DH-OPRF dispatch, so the
         # two back-ends price (and execute) identically.
@@ -138,8 +149,8 @@ class TestRouting:
     @pytest.mark.parametrize(
         "ell, winner, prices",
         [
-            (32, "yannakakis", {"yannakakis": 1_098_852, "linear": 1_188_092}),
-            (48, "linear", {"yannakakis": 1_409_094, "linear": 1_400_378}),
+            (32, "yannakakis", {"yannakakis": 1_098_852, "linear": 1_151_356}),
+            (48, "linear", {"yannakakis": 1_409_094, "linear": 1_363_642}),
         ],
     )
     def test_auto_routes_at_the_relations_ring_width(self, ell, winner, prices):
@@ -253,7 +264,6 @@ class TestTracePin:
         tracer = ExecutionTrace()
         engine = Engine(
             Context(Mode.SIMULATED, seed=13),
-            TEST_GROUP_BITS,
             tracer=tracer,
         )
         engine.backend = backend
@@ -307,16 +317,12 @@ class TestEstimateExactness:
         q = two_relation_query(24, 24, seed=8).set_backend("linear")
         engine = make_engine(seed=8)
         result, stats = q.run_secure(engine)
-        est = estimate_query_cost(
-            q, out_size=len(result), group_bits=TEST_GROUP_BITS
-        )
+        est = estimate_query_cost(q, out_size=len(result))
         assert est.total == stats.total_bytes
 
     def test_auto_route_is_byte_exact(self):
         q = two_relation_query(24, 24, seed=8).set_backend("auto")
         engine = make_engine(seed=8)
         result, stats = q.run_secure(engine)
-        est = estimate_query_cost(
-            q, out_size=len(result), group_bits=TEST_GROUP_BITS
-        )
+        est = estimate_query_cost(q, out_size=len(result))
         assert est.total == stats.total_bytes

@@ -15,7 +15,6 @@ from repro.relalg import AnnotatedRelation, IntegerRing
 from repro.tpch import generate, prepare_q3
 from repro.yannakakis import naive_join_aggregate
 
-from .conftest import TEST_GROUP_BITS
 
 RING = IntegerRing(32)
 
@@ -65,7 +64,7 @@ class TestRunnableBaseline:
     def test_counts_join_results(self, mode):
         r1 = rel(("a", "b"), [(1, 1), (2, 2), (3, 1)])
         r2 = rel(("b", "c"), [(1, 5), (2, 5), (1, 6)])
-        engine = Engine(Context(mode, seed=4), TEST_GROUP_BITS)
+        engine = Engine(Context(mode, seed=4))
         count = run_cartesian_gc(
             engine, {"R1": (r1, ALICE), "R2": (r2, BOB)}
         )
@@ -78,7 +77,7 @@ class TestRunnableBaseline:
         r1 = rel(("a",), [(1,), (2,)])
         r2 = rel(("a", "b"), [(1, 5), (2, 6)])
         r3 = rel(("b",), [(5,)])
-        engine = Engine(Context(mode, seed=5), TEST_GROUP_BITS)
+        engine = Engine(Context(mode, seed=5))
         count = run_cartesian_gc(
             engine,
             {"R1": (r1, ALICE), "R2": (r2, BOB), "R3": (r3, ALICE)},
@@ -87,7 +86,7 @@ class TestRunnableBaseline:
 
     def test_rejects_non_integer_keys(self, mode):
         r1 = rel(("a",), [("x",)])
-        engine = Engine(Context(mode, seed=6), TEST_GROUP_BITS)
+        engine = Engine(Context(mode, seed=6))
         with pytest.raises(TypeError):
             run_cartesian_gc(engine, {"R1": (r1, ALICE)})
 

@@ -27,7 +27,7 @@ from repro.mpc.ot import (
     make_ot,
 )
 
-from .conftest import TEST_GROUP_BITS, run_circuit
+from .conftest import run_circuit
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +124,7 @@ class TestOtDifferential:
 
     def _run(self, cls, pairs, choices, seed=17):
         ctx = Context(Mode.REAL, seed=seed)
-        ot = cls(ctx, TEST_GROUP_BITS)
+        ot = cls(ctx)
         out = ot.transfer(pairs, choices)
         out += ot.transfer(pairs[:3], choices[:3])  # second batch, new salt
         return out, ctx.transcript.fingerprint()
@@ -145,9 +145,9 @@ class TestOtDifferential:
     def test_real_and_simulated_fingerprints_agree(self):
         pairs, choices = self._pairs([8] * 50)
         ctx_r = Context(Mode.REAL, seed=1)
-        IknpExtension(ctx_r, TEST_GROUP_BITS).transfer(pairs, choices)
+        IknpExtension(ctx_r).transfer(pairs, choices)
         ctx_s = Context(Mode.SIMULATED, seed=1)
-        SimulatedOT(ctx_s, TEST_GROUP_BITS).transfer(pairs, choices)
+        SimulatedOT(ctx_s).transfer(pairs, choices)
         assert (
             ctx_r.transcript.fingerprint() == ctx_s.transcript.fingerprint()
         )
@@ -161,13 +161,13 @@ class TestOtDifferential:
         choices = rng.integers(0, 2, 60)
 
         ctx_a = Context(Mode.REAL, seed=8)
-        cot = IknpExtension(ctx_a, TEST_GROUP_BITS).correlated(
+        cot = IknpExtension(ctx_a).correlated(
             choices, [(60, 5)]
         )
         m0 = cot.p0[0]
         got_a = cot.finish([m1])[0]
         ctx_b = Context(Mode.REAL, seed=8)
-        got_b = IknpExtension(ctx_b, TEST_GROUP_BITS).transfer(
+        got_b = IknpExtension(ctx_b).transfer(
             [(a.tobytes(), b.tobytes()) for a, b in zip(m0, m1)],
             [int(c) for c in choices],
         )
@@ -194,7 +194,7 @@ class TestGilboaDifferential:
 
         def run(mode, bits_owner):
             ctx = Context(mode, seed=23)
-            eng = Engine(ctx, TEST_GROUP_BITS)
+            eng = Engine(ctx)
             sv = eng._gilboa_cross(bits_owner, u, v, "cross")
             return sv.reconstruct(), ctx.transcript.fingerprint()
 
@@ -222,7 +222,7 @@ class TestGarbledBatchDifferential:
 
         def run(mode):
             ctx = Context(mode, seed=31)
-            ot = make_ot(ctx, TEST_GROUP_BITS)
+            ot = make_ot(ctx)
             outs = np.concatenate(
                 [
                     run_circuit(ctx, ot, circuit, alice, bob),
@@ -246,7 +246,7 @@ class TestGarbledBatchDifferential:
         circuit = nonzero_circuit(12)
         alice, bob = self._inputs(circuit, 3)
         ctx = Context(Mode.REAL, seed=2)
-        ot = make_ot(ctx, TEST_GROUP_BITS)
+        ot = make_ot(ctx)
         run_circuit(ctx, ot, circuit, alice, bob)
         run_circuit(ctx, ot, circuit, alice, bob)
         stats = ctx.cache.stats()
@@ -268,7 +268,7 @@ class TestNonByteAlignedRing:
 
         def run(mode):
             ctx = Context(mode, params=params, seed=13)
-            eng = Engine(ctx, TEST_GROUP_BITS)
+            eng = Engine(ctx)
             x = eng.share(ALICE, [5, 0, 901, 2**19])
             y = eng.share(BOB, [3, 77, 0, 2**19 - 1])
             z = eng.mul_shared(x, y)
@@ -292,44 +292,31 @@ class TestNonByteAlignedRing:
 
 class TestExponentWidth:
     def test_random_exponent_is_full_width(self):
-        """Exponents must be uniform in [1, q), not 62-124-bit: over 200
+        """Scalars must be uniform in [1, n), not 62-124-bit: over 200
         draws, all lie in range, the top bit region is populated, and no
         draw is suspiciously short."""
         import secrets
 
-        from repro.mpc.modp import modp_group
+        from repro.mpc import p256
 
-        g = modp_group(1536)
-        qbits = g.q.bit_length()
-        draws = [g.random_exponent(secrets.token_bytes) for _ in range(200)]
-        assert all(1 <= x < g.q for x in draws)
+        nbits = p256.N.bit_length()
+        draws = [p256.random_scalar(secrets.token_bytes) for _ in range(200)]
+        assert all(1 <= x < p256.N for x in draws)
         lengths = [x.bit_length() for x in draws]
-        # P[bit_length <= qbits - 20] ~ 2^-20 per draw.
-        assert min(lengths) > qbits - 20
+        # P[bit_length <= nbits - 20] ~ 2^-20 per draw.
+        assert min(lengths) > nbits - 20
         # Roughly half the draws should have the top bit set.
-        top = sum(1 for L in lengths if L == qbits)
+        top = sum(1 for L in lengths if L == nbits)
         assert 40 < top < 160
 
     def test_random_exponent_deterministic_under_seeded_source(self):
-        from repro.mpc.modp import modp_group
+        from repro.mpc import p256
 
-        g = modp_group(1536)
         ctx1 = Context(Mode.REAL, seed=7)
         ctx2 = Context(Mode.REAL, seed=7)
-        assert g.random_exponent(ctx1.random_bytes) == g.random_exponent(
+        assert p256.random_scalar(ctx1.random_bytes) == p256.random_scalar(
             ctx2.random_bytes
         )
-
-    def test_openssl_pow_matches_builtin(self):
-        import secrets
-
-        from repro.mpc.modp import modp_group
-
-        g = modp_group(1536)
-        for _ in range(5):
-            base = g.pow(g.g, g.random_exponent(secrets.token_bytes))
-            exp = g.random_exponent(secrets.token_bytes)
-            assert g.pow(base, exp) == pow(base, exp, g.p)
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,6 @@ from repro.relalg import (
     join,
 )
 
-from .conftest import TEST_GROUP_BITS
 
 
 class TestPlaintextBooleanSemiring:
@@ -60,7 +59,7 @@ class TestSecureExistenceQuery:
             .add_relation("R1", r1, owner=ALICE)
             .add_relation("R2", r2, owner=BOB)
         )
-        engine = Engine(Context(Mode.SIMULATED, seed=1), TEST_GROUP_BITS)
+        engine = Engine(Context(Mode.SIMULATED, seed=1))
         result, _ = q.run_secure(engine)
         exists = {t[0] for t, v in result if v != 0}
         assert exists == {1, 3}

@@ -10,13 +10,12 @@ from repro.cli import main
 
 
 def test_import_needs_only_declared_dependencies():
-    """pyproject.toml declares numpy, and cryptography as the optional
-    ``fast`` extra: importing the CLI on top of those two loads nothing
-    else from outside the standard library."""
+    """pyproject.toml declares numpy and cryptography: importing the CLI
+    on top of those two loads nothing else from outside the standard
+    library."""
     probe = (
         "import sys, numpy\n"
-        "try:\n    import cryptography.hazmat.primitives.asymmetric.dh\n"
-        "except ImportError:\n    pass\n"
+        "import cryptography.hazmat.primitives.asymmetric.ec\n"
         "before = set(sys.modules)\n"
         "import repro.cli\n"
         "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
@@ -160,4 +159,4 @@ class TestServeAdmitsAndRejectsTpch:
             "--scale", "tiny", "--check-solo",
         ]) == 0
         out = capsys.readouterr().out
-        assert out.count("done, 48 msgs, 5.88 MB  [== solo]") == 2
+        assert out.count("done, 48 msgs, 5.86 MB  [== solo]") == 2

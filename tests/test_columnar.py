@@ -23,7 +23,6 @@ from repro.relalg.columns import (
 )
 from repro.baselines import run_sql_baseline, sql_backend_name
 
-from .conftest import TEST_GROUP_BITS
 
 
 # ----------------------------------------------------------------------
@@ -76,7 +75,7 @@ class TestAnnotationBoundaries:
 
     def test_share_column_round_trips_high_values(self):
         ctx = Context(Mode.SIMULATED, SecurityParams(ell=63), seed=3)
-        engine = Engine(ctx, TEST_GROUP_BITS)
+        engine = Engine(ctx)
         values = np.asarray([2**62, 2**63 - 1, 12345], dtype=np.uint64)
         sv = engine.share_column(ALICE, values)
         back = engine.reconstruct_column(sv, to=BOB)
@@ -195,7 +194,7 @@ def _secure_fingerprint(inst, relations):
     ctx = Context(
         Mode.SIMULATED, SecurityParams(ell=inst.ell), seed=11
     )
-    engine = Engine(ctx, TEST_GROUP_BITS)
+    engine = Engine(ctx)
     inputs = {
         n: SecureRelation.from_annotated(inst.owners[n], relations[n])
         for n in relations

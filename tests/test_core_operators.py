@@ -302,23 +302,23 @@ ABLATIONS = {
     "same_party_shortcut": (
         _join(oblivious_reduce_join, A2, A1),
         _join(oblivious_reduce_join, A2, B1),
-        (457_532, 3_497_412),
+        (437_021, 3_476_901),
     ),
     # Section 6.5: owner-known annotations vs forced sharing.
     "plain_annotation_fast_path": (
         _join(oblivious_reduce_join, (ALICE, 2, False), (BOB, 1, False)),
         _join(oblivious_reduce_join, A2, B1),
-        (3_227_468, 3_497_412),
+        (3_206_957, 3_476_901),
     ),
     # Section 5.1: Gilboa OT-multiplication vs a garbled multiplier.
     "gilboa_vs_garbled_multiplier": (
-        _mul("ot"), _mul("gc"), (360_640, 9_731_280),
+        _mul("ot"), _mul("gc"), (340_129, 9_710_769),
     ),
     # Why reduce comes first: a semijoin filter of arity 1 vs arity 4.
     "reduced_semijoin_filter": (
         _join(oblivious_semijoin, A2, B1),
         _join(oblivious_semijoin, A2, (BOB, 4, True)),
-        (4_435_568, 5_497_968),
+        (4_415_057, 5_477_457),
     ),
 }
 

@@ -8,7 +8,6 @@ from repro.query import JoinAggregateQuery
 from repro.query.decompose import decompose_by_attribute, run_decomposed
 from repro.relalg import AnnotatedRelation, IntegerRing
 
-from .conftest import TEST_GROUP_BITS
 
 RING = IntegerRing(32)
 
@@ -73,7 +72,7 @@ class TestEndToEnd:
     def test_matches_naive_evaluation(self):
         q = q9_shaped_query()
         expect = q.run_naive()
-        engine = Engine(Context(Mode.SIMULATED, seed=5), TEST_GROUP_BITS)
+        engine = Engine(Context(Mode.SIMULATED, seed=5))
         got = run_decomposed(engine, q, "nation", [0, 1, 2])
         # reorder expected columns to (nation, year)
         perm = [expect.attributes.index(a) for a in got.attributes]
@@ -90,9 +89,7 @@ class TestEndToEnd:
         parts = decompose_by_attribute(q, "nation", [0, 1, 2])
         prints = []
         for _value, sub in parts:
-            engine = Engine(
-                Context(Mode.SIMULATED, seed=6), TEST_GROUP_BITS
-            )
+            engine = Engine(Context(Mode.SIMULATED, seed=6))
             sub.run_secure_shared(engine)
             prints.append(engine.ctx.transcript.fingerprint())
         assert prints[0] == prints[1] == prints[2]

@@ -20,7 +20,7 @@ from .conftest import make_engine
 RING = IntegerRing(32)
 
 
-mk_engine = partial(make_engine, seed=3, group_bits=2048)
+mk_engine = partial(make_engine, seed=3)
 
 
 class TestSensitivity:

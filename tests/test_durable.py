@@ -182,7 +182,7 @@ class TestResume:
 
         prepared = _prepared(config)
         ctx = prepared.make_context(Mode.SIMULATED, seed=config.seed)
-        engine = Engine(ctx, config.group_bits)
+        engine = Engine(ctx)
         engine.backend = config.backend
         from repro.mpc.transcript import BOB
 

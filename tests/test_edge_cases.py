@@ -23,7 +23,7 @@ from repro.relalg import (
 )
 from repro.yannakakis import build_plan
 
-from .conftest import TEST_GROUP_BITS, make_engine
+from .conftest import make_engine
 
 RING = IntegerRing(32)
 
@@ -34,14 +34,14 @@ mk_engine = partial(make_engine, seed=1)
 class TestEmptyVectors:
     def test_empty_permutation(self):
         ctx = Context(Mode.SIMULATED, seed=1)
-        ot = make_ot(ctx, TEST_GROUP_BITS)
+        ot = make_ot(ctx)
         sv = SharedVector.zeros(0, ctx.modulus)
         out = oblivious_permutation(ctx, ot, [], sv)
         assert len(out) == 0
 
     def test_empty_oep_output(self):
         ctx = Context(Mode.SIMULATED, seed=1)
-        ot = make_ot(ctx, TEST_GROUP_BITS)
+        ot = make_ot(ctx)
         sv = share_vector(ctx, ALICE, [1, 2, 3])
         out = oblivious_extended_permutation(ctx, ot, [], sv, 0)
         assert len(out) == 0

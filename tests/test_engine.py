@@ -9,13 +9,12 @@ import pytest
 from repro.mpc import ALICE, BOB, Context, Engine, Mode
 from repro.mpc.psi import psi_with_payloads
 
-from .conftest import TEST_GROUP_BITS
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
 def mk_engine(mode, seed=21):
-    return Engine(Context(mode, seed=seed), TEST_GROUP_BITS)
+    return Engine(Context(mode, seed=seed))
 
 
 @pytest.mark.parametrize("mode", [Mode.SIMULATED, Mode.REAL])
@@ -318,7 +317,7 @@ class TestOneSeam:
 class TestCostParity:
     def test_mul_bytes_match_across_modes(self):
         def run(mode):
-            eng = Engine(Context(mode, seed=5), 2048)
+            eng = Engine(Context(mode, seed=5))
             x = eng.share(ALICE, list(range(10)))
             y = eng.share(BOB, list(range(10)))
             eng.mul_shared(x, y)
@@ -330,7 +329,7 @@ class TestCostParity:
         """The SIMULATED chain charge must equal REAL's actual bytes."""
 
         def run(mode, n):
-            eng = Engine(Context(mode, seed=5), 2048)
+            eng = Engine(Context(mode, seed=5))
             v = eng.share(ALICE, list(range(n)))
             eng.merge_aggregate_sum([i % 2 == 0 for i in range(n - 1)], v)
             return eng.ctx.transcript.total_bytes
@@ -355,7 +354,7 @@ class TestCostParity:
 class TestOrChainParity:
     def test_or_chain_bytes_match_across_modes(self):
         def run(mode, n):
-            eng = Engine(Context(mode, seed=6), 2048)
+            eng = Engine(Context(mode, seed=6))
             v = eng.share(BOB, [i % 2 for i in range(n)])
             eng.merge_aggregate_or([i % 3 == 0 for i in range(n - 1)], v)
             return eng.ctx.transcript.total_bytes

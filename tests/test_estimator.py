@@ -21,7 +21,6 @@ from repro.relalg import (
 )
 from repro.yannakakis import build_plan
 
-from .conftest import TEST_GROUP_BITS
 from .test_backends import chain_query, two_relation_query
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -46,9 +45,7 @@ def run_and_estimate(owners, n1, n2, output=("b",), seed=0, ell=32):
     rels = {"R1": r1, "R2": r2}
     h = Hypergraph({n: r.attributes for n, r in rels.items()})
     plan = build_plan(find_free_connex_tree(h, set(output)), output)
-    engine = Engine(
-        Context(Mode.SIMULATED, params, seed=1), TEST_GROUP_BITS
-    )
+    engine = Engine(Context(Mode.SIMULATED, params, seed=1))
     sec = {
         n: SecureRelation.from_annotated(owners[n], rels[n]) for n in rels
     }
@@ -59,7 +56,6 @@ def run_and_estimate(owners, n1, n2, output=("b",), seed=0, ell=32):
         owners,
         out_size=len(result),
         params=params,
-        group_bits=TEST_GROUP_BITS,
     )
     return stats.total_bytes, est
 
@@ -134,12 +130,8 @@ class TestEstimatorEqualsMetered:
         q = build().set_backend(backend)
         tracer = ExecutionTrace()
         ctx = Context(Mode.SIMULATED, seed=5)
-        result, stats = q.run_secure(
-            Engine(ctx, TEST_GROUP_BITS, tracer=tracer)
-        )
-        est = estimate_query_cost(
-            q, out_size=len(result), group_bits=TEST_GROUP_BITS
-        )
+        result, stats = q.run_secure(Engine(ctx, tracer=tracer))
+        est = estimate_query_cost(q, out_size=len(result))
         assert est.total == stats.total_bytes
         priced = 0
         for node, window in _node_windows(tracer, ctx.transcript.messages):
@@ -211,10 +203,10 @@ class TestByteBudgetPin:
     A change to a primitive's wire size is made in ``mpc/costs.py`` —
     and then here, knowingly."""
 
-    TOTAL = 59_514_552
+    TOTAL = 59_485_785
     #: set-up bytes (the benchmark's ``mpc.bytes.base_ot``): the one
     #: Chou-Orlandi phase, the mirror's seed-OT ``u``, one per PSI
-    BASE = 37_120 + 2_048 + 2 * 7_168
+    BASE = 8_353 + 2_048 + 2 * 7_168
     #: bytes per label class (the benchmark's ``mpc.bytes.*`` split),
     #: base OTs excluded
     GROUPS = {
@@ -226,9 +218,9 @@ class TestByteBudgetPin:
 
     #: Q3 at 0.1 MB under each join back-end: (bytes, rounds)
     BACKENDS = {
-        "yannakakis": (5_886_294, 29),
-        "linear": (3_115_098, 23),
-        "auto": (3_115_098, 23),
+        "yannakakis": (5_857_527, 29),
+        "linear": (2_951_931, 23),
+        "auto": (2_951_931, 23),
     }
 
     @staticmethod

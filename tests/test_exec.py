@@ -37,7 +37,6 @@ from repro.mpc import ALICE, BOB, Context, Engine, Mode
 from repro.relalg import Hypergraph, find_free_connex_tree
 from repro.yannakakis import build_plan, build_two_phase_plan
 
-from .conftest import TEST_GROUP_BITS
 from .test_protocol import OWNER_SPLITS, example_11
 
 OUTPUT = ("cls",)
@@ -156,7 +155,7 @@ def run_both(rels, owners, mode, *, two_phase=False, seed=11):
 
     def one(fn):
         ctx = Context(mode, seed=seed)
-        engine = Engine(ctx, TEST_GROUP_BITS)
+        engine = Engine(ctx)
         result, stats = fn(engine, secure_inputs(rels, owners), plan)
         return ctx.transcript.fingerprint(), result
 
@@ -199,7 +198,7 @@ def test_fingerprint_identity_shared_with_padding():
 
     def one(fn):
         ctx = Context(Mode.SIMULATED, seed=3)
-        engine = Engine(ctx, TEST_GROUP_BITS)
+        engine = Engine(ctx)
         res = fn(engine, secure_inputs(rels, owners), plan,
                  pad_out_to=8)
         return ctx.transcript.fingerprint(), res
@@ -221,7 +220,7 @@ def test_scheduler_missing_input_raises():
     owners = {"R1": ALICE, "R2": BOB, "R3": ALICE}
     ep = compile_plan(plan, owners)
     ctx = Context(Mode.SIMULATED, seed=0)
-    engine = Engine(ctx, TEST_GROUP_BITS)
+    engine = Engine(ctx)
     sec = secure_inputs(rels, owners)
     del sec["R3"]
     with pytest.raises(KeyError, match="missing input relations"):
@@ -239,7 +238,7 @@ def test_trace_nodes_cover_transcript():
     plan = make_plan(rels)
     tracer = ExecutionTrace()
     ctx = Context(Mode.SIMULATED, seed=9)
-    engine = Engine(ctx, TEST_GROUP_BITS, tracer=tracer)
+    engine = Engine(ctx, tracer=tracer)
     secure_yannakakis(engine, secure_inputs(rels, owners), plan)
 
     ep = compile_plan(plan, owners, reveal_result=True)
@@ -269,7 +268,7 @@ def test_trace_sections_report_phases():
     owners = {"R1": BOB, "R2": ALICE, "R3": BOB}
     tracer = ExecutionTrace()
     ctx = Context(Mode.SIMULATED, seed=9)
-    engine = Engine(ctx, TEST_GROUP_BITS, tracer=tracer)
+    engine = Engine(ctx, tracer=tracer)
     secure_yannakakis(
         engine, secure_inputs(rels, owners), make_plan(rels)
     )
@@ -282,7 +281,7 @@ def test_gadget_template_cache_hits():
     rels = example_11()
     owners = {"R1": ALICE, "R2": BOB, "R3": ALICE}
     ctx = Context(Mode.SIMULATED, seed=9)
-    engine = Engine(ctx, TEST_GROUP_BITS)
+    engine = Engine(ctx)
     secure_yannakakis(
         engine, secure_inputs(rels, owners), make_plan(rels)
     )
@@ -298,7 +297,7 @@ def test_context_cache_stats_across_reruns():
     rels = example_11()
     owners = {"R1": ALICE, "R2": BOB, "R3": ALICE}
     ctx = Context(Mode.SIMULATED, seed=9)
-    engine = Engine(ctx, TEST_GROUP_BITS)
+    engine = Engine(ctx)
     assert ctx.cache_stats() == ctx.cache.stats()
     assert ctx.cache_stats()["circuit_misses"] == 0
     secure_yannakakis(
@@ -324,7 +323,7 @@ def test_topology_cache_shared_across_oeps():
     rels = example_11()
     owners = {"R1": ALICE, "R2": BOB, "R3": ALICE}
     ctx = Context(Mode.REAL, seed=9)
-    engine = Engine(ctx, TEST_GROUP_BITS)
+    engine = Engine(ctx)
     secure_yannakakis(
         engine, secure_inputs(rels, owners), make_plan(rels)
     )

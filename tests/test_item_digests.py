@@ -26,7 +26,6 @@ from repro.mpc.ot import make_ot
 from repro.mpc.psi import psi_with_payloads
 from repro.relalg.columns import Column, TupleStore, fresh_nonces
 
-from .conftest import TEST_GROUP_BITS
 
 INT64 = st.integers(-(2**63), 2**63 - 1)
 #: What an obj column may hold: strings, ints on both sides of the
@@ -163,7 +162,7 @@ class TestDigestMatrixInputs:
         ):
             ctx = Context(mode, seed=7)
             res = psi_with_payloads(
-                ctx, make_ot(ctx, TEST_GROUP_BITS), a, b, z
+                ctx, make_ot(ctx), a, b, z
             )
             outs.append((
                 res.bin_of_item_index().tolist(),

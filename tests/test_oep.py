@@ -11,12 +11,11 @@ from repro.mpc.oep import (
 from repro.mpc.ot import make_ot
 from repro.mpc.sharing import share_vector
 
-from .conftest import TEST_GROUP_BITS
 
 
 def setup(mode, seed=4):
     ctx = Context(mode, seed=seed)
-    return ctx, make_ot(ctx, TEST_GROUP_BITS)
+    return ctx, make_ot(ctx)
 
 
 @pytest.mark.parametrize("mode", [Mode.SIMULATED, Mode.REAL])
@@ -108,7 +107,7 @@ class TestCostParity:
 
         def run(mode):
             ctx = Context(mode, seed=6)
-            ot = make_ot(ctx, 2048)
+            ot = make_ot(ctx)
             sv = share_vector(ctx, "alice", vals)
             oblivious_extended_permutation(ctx, ot, xi, sv, 21)
             return ctx.transcript.total_bytes
@@ -133,7 +132,7 @@ class TestCostParity:
 
         def run(mode, permute):
             ctx = Context(mode, SecurityParams(ell=ell), seed=6)
-            ot = make_ot(ctx, TEST_GROUP_BITS)
+            ot = make_ot(ctx)
             sv = share_vector(ctx, "alice", vals)
             if permute:
                 perm = list(np.random.default_rng(m).permutation(m))
@@ -153,7 +152,7 @@ class TestCostParity:
     def test_transcript_independent_of_xi(self):
         def run(xi):
             ctx = Context(Mode.SIMULATED, seed=6)
-            ot = make_ot(ctx, 2048)
+            ot = make_ot(ctx)
             sv = share_vector(ctx, "alice", list(range(10)))
             oblivious_extended_permutation(ctx, ot, xi, sv, 12)
             return ctx.transcript.fingerprint()

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.mpc import Context, Mode
-from repro.mpc.modp import ModpGroup
 from repro.mpc.oprf import (
     OPPRF_PRIME,
     BatchedOprf,
@@ -19,9 +18,9 @@ from repro.mpc.oprf import (
 from repro.mpc.ot import make_ot
 from repro.mpc.psi import psi_with_payloads
 
-FIELD = st.integers(0, OPPRF_PRIME - 1)
+from .conftest import spy_scalar_muls
 
-GROUP_BITS = 1536
+FIELD = st.integers(0, OPPRF_PRIME - 1)
 
 
 class TestPolynomials:
@@ -88,20 +87,20 @@ class TestBatchedOprf:
         fps = [int(f) for f in np.random.default_rng(1).integers(
             0, 1 << 62, 12
         )]
-        oprf = BatchedOprf(ctx, make_ot(ctx, GROUP_BITS), fps)
+        oprf = BatchedOprf(ctx, make_ot(ctx), fps)
         # Consistency: Bob evaluating on Alice's input recovers F_j(x_j).
         for j, fp in enumerate(fps):
             assert oprf.bob_eval(j, fp) == oprf.alice_values[j]
 
     def test_real_outputs_differ_across_rows(self):
         ctx = Context(Mode.REAL, seed=2)
-        oprf = BatchedOprf(ctx, make_ot(ctx, GROUP_BITS), [7, 7, 7])
+        oprf = BatchedOprf(ctx, make_ot(ctx), [7, 7, 7])
         # The same input in different rows gets independent PRF values.
         assert len(set(oprf.alice_values)) == 3
 
     def test_real_other_inputs_look_unrelated(self):
         ctx = Context(Mode.REAL, seed=3)
-        oprf = BatchedOprf(ctx, make_ot(ctx, GROUP_BITS), [1, 2])
+        oprf = BatchedOprf(ctx, make_ot(ctx), [1, 2])
         assert oprf.bob_eval(0, 99) != oprf.alice_values[0]
 
     def test_simulated_charges_real_shape(self):
@@ -111,7 +110,7 @@ class TestBatchedOprf:
         protocol object."""
         real = Context(Mode.REAL, seed=5)
         sim = Context(Mode.SIMULATED, seed=5)
-        real_ot, sim_ot = make_ot(real, GROUP_BITS), make_ot(sim, GROUP_BITS)
+        real_ot, sim_ot = make_ot(real), make_ot(sim)
         for m in (0, 40):
             BatchedOprf(real, real_ot, list(range(m)))
             charge_oprf_setup(sim, sim_ot, m)
@@ -127,27 +126,18 @@ class TestBatchedOprf:
 
     def test_empty_input(self):
         ctx = Context(Mode.REAL, seed=6)
-        oprf = BatchedOprf(ctx, make_ot(ctx, GROUP_BITS), [])
+        oprf = BatchedOprf(ctx, make_ot(ctx), [])
         assert oprf.alice_values == []
 
 
 @pytest.mark.real
 def test_real_psi_draws_only_full_width_dh_exponents(monkeypatch):
-    """Every secret exponent ``x`` of a ``g^x`` a REAL PSI computes —
-    the engine's base OTs and the OPRF's own — must be full width:
-    a ``k``-bit exponent falls to Pollard's kangaroo in ``2^(k/2)``."""
-    drawn = []
-    real_pow = ModpGroup.pow
-
-    def spy(self, base, exp):
-        if base == self.g:
-            drawn.append(exp)
-        return real_pow(self, base, exp)
-
-    monkeypatch.setattr(ModpGroup, "pow", spy)
+    """Every secret scalar of a scalar multiplication a REAL PSI
+    computes — the engine's base OTs are all of them — must be full
+    width: a ``k``-bit scalar falls to Pollard's kangaroo in
+    ``2^(k/2)``."""
+    drawn = spy_scalar_muls(monkeypatch)
     ctx = Context(Mode.REAL, seed=11)
-    psi_with_payloads(
-        ctx, make_ot(ctx, GROUP_BITS), [1, 2, 3], [2, 3, 4], [7, 8, 9]
-    )
+    psi_with_payloads(ctx, make_ot(ctx), [1, 2, 3], [2, 3, 4], [7, 8, 9])
     assert drawn
-    assert all(x.bit_length() > 256 for x in drawn)
+    assert all(k.bit_length() > 236 for k in drawn)

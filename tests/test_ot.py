@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.mpc import Context, Mode
-from repro.mpc.modp import ModpGroup, modp_group
 from repro.mpc.ot import (
     IknpExtension,
     SimulatedOT,
@@ -12,7 +11,7 @@ from repro.mpc.ot import (
     make_ot,
 )
 
-GROUP_BITS = 1536
+from .conftest import spy_scalar_muls
 
 
 def pairs_and_choices(rng, n):
@@ -22,76 +21,45 @@ def pairs_and_choices(rng, n):
     return pairs, choices, expected
 
 
-class TestModpGroup:
-    def test_rfc3526_2048_prefix(self):
-        g = modp_group(2048)
-        # RFC 3526 group 14 starts FFFFFFFF FFFFFFFF C90FDAA2...
-        assert hex(g.p).startswith("0xffffffffffffffffc90fdaa2")
-
-    def test_safe_prime_structure(self):
-        g = modp_group(1536)
-        assert (g.p - 1) % 2 == 0
-        assert g.element_bytes == 1536 // 8
-
-    def test_unknown_size_rejected(self):
-        with pytest.raises(ValueError):
-            modp_group(1024)
-
-    def test_inverse(self):
-        g = modp_group(1536)
-        x = 123456789
-        assert (x * g.inv(x)) % g.p == 1
-
-
-def chou_orlandi(ctx, pairs, choices):
-    """The engine's one public-key OT, as ``_base_phase`` calls it."""
-    return _chou_orlandi(ctx, modp_group(GROUP_BITS), pairs, choices)
-
-
 @pytest.mark.real
 class TestChouOrlandi:
     def test_transfers_chosen_messages(self):
         ctx = Context(Mode.REAL, seed=1)
         rng = np.random.default_rng(1)
         pairs, choices, expected = pairs_and_choices(rng, 6)
-        assert chou_orlandi(ctx, pairs, choices) == (expected, 6 * 32)
+        assert _chou_orlandi(ctx, pairs, choices) == (
+            expected, (33, 6 * 33, 6 * 32)
+        )
 
     def test_length_mismatch_rejected(self):
         ctx = Context(Mode.REAL, seed=1)
         with pytest.raises(ValueError):
-            chou_orlandi(ctx, [(b"a" * 16, b"b" * 16)], [0, 1])
+            _chou_orlandi(ctx, [(b"a" * 16, b"b" * 16)], [0, 1])
 
     def test_unequal_pair_lengths_rejected(self):
         ctx = Context(Mode.REAL, seed=1)
         with pytest.raises(ValueError):
-            chou_orlandi(ctx, [(b"a", b"bb")], [0])
+            _chou_orlandi(ctx, [(b"a", b"bb")], [0])
 
-    def test_three_exponentiations_per_transfer(self, monkeypatch):
-        # Receiver g^b and A^b, sender B^a (k1 reuses it through
-        # T = A^a): 3 per OT plus the sender's A and T.
-        calls = []
-        real_pow = ModpGroup.pow
-        monkeypatch.setattr(
-            ModpGroup, "pow",
-            lambda self, base, exp: calls.append(exp)
-            or real_pow(self, base, exp),
-        )
+    def test_four_scalar_multiplications_per_transfer(self, monkeypatch):
+        # Receiver bG and bA, sender aB and a(B - A): 4 per OT plus the
+        # sender's A.
+        calls = spy_scalar_muls(monkeypatch)
         ctx = Context(Mode.REAL, seed=2)
         rng = np.random.default_rng(2)
         pairs, choices, expected = pairs_and_choices(rng, 8)
-        assert chou_orlandi(ctx, pairs, choices)[0] == expected
-        assert len(calls) == 3 * 8 + 2
+        assert _chou_orlandi(ctx, pairs, choices)[0] == expected
+        assert len(calls) == 4 * 8 + 1
 
     def test_extension_base_phase_is_the_same_protocol(self):
         # The forward instance's base phase is that arithmetic over
         # kappa seed pairs, metered as A, one B per seed, ciphertexts.
         ext = Context(Mode.REAL, seed=3)
-        ot = IknpExtension(ext, GROUP_BITS)
+        ot = IknpExtension(ext)
         ot._base_phase()
-        elem = GROUP_BITS // 8
         assert ext.transcript.fingerprint() == (
-            ("alice", elem, "ot/ext/base/A"),
-            ("bob", elem * 128, "ot/ext/base/B"),
+            ("alice", 33, "ot/ext/base/A"),
+            ("bob", 33 * 128, "ot/ext/base/B"),
             ("alice", 2 * 16 * 128, "ot/ext/base/ciphertexts"),
         )
         assert ot._seeds_bob == [
@@ -103,14 +71,14 @@ class TestChouOrlandi:
 class TestIknpExtension:
     def test_large_batch(self):
         ctx = Context(Mode.REAL, seed=2)
-        ext = IknpExtension(ctx, GROUP_BITS)
+        ext = IknpExtension(ctx)
         rng = np.random.default_rng(2)
         pairs, choices, expected = pairs_and_choices(rng, 300)
         assert ext.transfer(pairs, choices) == expected
 
     def test_multiple_batches_reuse_base(self):
         ctx = Context(Mode.REAL, seed=3)
-        ext = IknpExtension(ctx, GROUP_BITS)
+        ext = IknpExtension(ctx)
         rng = np.random.default_rng(3)
         p1, c1, e1 = pairs_and_choices(rng, 10)
         assert ext.transfer(p1, c1) == e1
@@ -123,13 +91,13 @@ class TestIknpExtension:
 
     def test_variable_message_lengths(self):
         ctx = Context(Mode.REAL, seed=4)
-        ext = IknpExtension(ctx, GROUP_BITS)
+        ext = IknpExtension(ctx)
         pairs = [(b"xx", b"yy"), (b"a" * 40, b"b" * 40)]
         assert ext.transfer(pairs, [1, 0]) == [b"yy", b"a" * 40]
 
     def test_empty_batch(self):
         ctx = Context(Mode.REAL, seed=5)
-        assert IknpExtension(ctx, GROUP_BITS).transfer([], []) == []
+        assert IknpExtension(ctx).transfer([], []) == []
 
 
 class TestSimulatedOT:
@@ -143,12 +111,12 @@ class TestSimulatedOT:
 
     def test_charge_matches_real_extension_shape(self):
         """For the same batch, the simulated charge equals the real
-        IKNP bytes (with the production 2048-bit base group)."""
+        IKNP bytes."""
         rng = np.random.default_rng(7)
         pairs, choices, _ = pairs_and_choices(rng, 128)
 
         real = Context(Mode.REAL, seed=8)
-        IknpExtension(real, 2048).transfer(pairs, choices)
+        IknpExtension(real).transfer(pairs, choices)
         sim = Context(Mode.SIMULATED, seed=8)
         SimulatedOT(sim).transfer(pairs, choices)
         assert real.transcript.total_bytes == sim.transcript.total_bytes
@@ -189,7 +157,7 @@ class TestCorrelatedOT:
         m1 = p0 ^ delta)."""
         rng = np.random.default_rng(11)
         ctx = Context(Mode.REAL, seed=11)
-        ot = IknpExtension(ctx, GROUP_BITS)
+        ot = IknpExtension(ctx)
         choices = rng.integers(0, 2, 80).astype(np.uint8)
         cot = ot.correlated(choices, self.WIDTHS)
         delta = [
@@ -212,7 +180,7 @@ class TestCorrelatedOT:
 
         rng = np.random.default_rng(ell)
         ctx = Context(Mode.REAL, SecurityParams(ell=ell), seed=ell)
-        eng = Engine(ctx, GROUP_BITS)
+        eng = Engine(ctx)
         rb, mask, n = (ell + 7) // 8, ctx.mask, 40
         x = rng.integers(0, 2**63, n).astype(np.uint64) & mask
         choices = rng.integers(0, 2, n).astype(np.uint8)
@@ -245,7 +213,7 @@ class TestCorrelatedOT:
             rng = np.random.default_rng(seed)
             ctx = Context(Mode.REAL, seed=3)
             _cot(
-                IknpExtension(ctx, GROUP_BITS),
+                IknpExtension(ctx),
                 *_random_batch(rng, self.WIDTHS),
                 self.WIDTHS,
             )
@@ -257,15 +225,11 @@ class TestCorrelatedOT:
         rng = np.random.default_rng(5)
         choices, m1 = _random_batch(rng, self.WIDTHS)
         real = Context(Mode.REAL, seed=5)
-        _cot(IknpExtension(real, GROUP_BITS), choices, m1, self.WIDTHS)
+        _cot(IknpExtension(real), choices, m1, self.WIDTHS)
         ideal = Context(Mode.SIMULATED, seed=5)
-        p0, got = _cot(
-            SimulatedOT(ideal, GROUP_BITS), choices, m1, self.WIDTHS
-        )
+        p0, got = _cot(SimulatedOT(ideal), choices, m1, self.WIDTHS)
         charged = Context(Mode.SIMULATED, seed=5)
-        SimulatedOT(charged, GROUP_BITS).correlated(
-            None, self.WIDTHS
-        ).finish()
+        SimulatedOT(charged).correlated(None, self.WIDTHS).finish()
         fp = real.transcript.fingerprint()
         assert fp == ideal.transcript.fingerprint()
         assert fp == charged.transcript.fingerprint()
@@ -283,7 +247,7 @@ class TestCorrelatedOT:
     @pytest.mark.parametrize("cls", [IknpExtension, SimulatedOT])
     def test_zero_length_batch_sends_nothing(self, cls):
         ctx = Context(Mode.REAL, seed=1)
-        cot = cls(ctx, GROUP_BITS).correlated(
+        cot = cls(ctx).correlated(
             np.zeros(0, dtype=np.uint8), [(0, 16)]
         )
         assert cot.p0[0].shape == (0, 16)
@@ -293,7 +257,7 @@ class TestCorrelatedOT:
 
     def test_rejects_bad_shapes(self):
         ctx = Context(Mode.REAL, seed=1)
-        ot = IknpExtension(ctx, GROUP_BITS)
+        ot = IknpExtension(ctx)
         with pytest.raises(ValueError):
             ot.correlated(np.zeros(3, dtype=np.uint8), [(4, 16)])
         with pytest.raises(ValueError):

@@ -22,7 +22,6 @@ from repro.yannakakis import (
     naive_join_aggregate,
 )
 
-from .conftest import TEST_GROUP_BITS
 
 RING = IntegerRing(32)
 
@@ -99,7 +98,7 @@ class TestSemantics:
         h = Hypergraph(SCHEMA)
         tree = find_free_connex_tree(h, set(OUTPUT))
         plan = build_plan(tree, OUTPUT)
-        engine = Engine(Context(Mode.SIMULATED, seed=15), TEST_GROUP_BITS)
+        engine = Engine(Context(Mode.SIMULATED, seed=15))
         owners = {
             name: (ALICE if i % 2 else BOB)
             for i, name in enumerate(sorted(SCHEMA))

@@ -19,7 +19,6 @@ from repro.relalg import (
 )
 from repro.yannakakis import build_plan, naive_join_aggregate
 
-from .conftest import TEST_GROUP_BITS
 
 RING = IntegerRing(32)
 
@@ -66,7 +65,7 @@ def test_secure_protocol_equals_naive(instance):
     h = Hypergraph({n: r.attributes for n, r in rels.items()})
     tree = find_free_connex_tree(h, set(output))
     plan = build_plan(tree, output)
-    engine = Engine(Context(Mode.SIMULATED, seed=0), TEST_GROUP_BITS)
+    engine = Engine(Context(Mode.SIMULATED, seed=0))
     sec = {
         n: SecureRelation.from_annotated(owners[n], rels[n])
         for n in rels
@@ -96,7 +95,7 @@ def test_oep_matches_numpy_take(values, data):
         data.draw(st.integers(0, len(values) - 1)) for _ in range(n_out)
     ]
     ctx = Context(Mode.SIMULATED, seed=1)
-    ot = make_ot(ctx, TEST_GROUP_BITS)
+    ot = make_ot(ctx)
     sv = share_vector(ctx, ALICE, values)
     out = oblivious_extended_permutation(ctx, ot, xi, sv, n_out)
     expect = np.asarray(values, dtype=np.uint64)[np.asarray(xi)]
@@ -112,7 +111,7 @@ def test_merge_chain_invariant(values, data):
     appear exactly once per group, and the grand total is preserved."""
     n = len(values)
     same = [data.draw(st.booleans()) for _ in range(n - 1)]
-    engine = Engine(Context(Mode.SIMULATED, seed=2), TEST_GROUP_BITS)
+    engine = Engine(Context(Mode.SIMULATED, seed=2))
     v = engine.share(BOB, values)
     out = engine.merge_aggregate_sum(same, v).reconstruct()
     mod = engine.ctx.modulus

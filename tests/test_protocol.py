@@ -15,7 +15,6 @@ from repro.relalg import (
 )
 from repro.yannakakis import build_plan, naive_join_aggregate
 
-from .conftest import TEST_GROUP_BITS
 
 RING = IntegerRing(32)
 
@@ -25,7 +24,7 @@ def run_secure(rels, owners, output, mode, seed=42):
     tree = find_free_connex_tree(h, set(output))
     plan = build_plan(tree, tuple(output))
     ctx = Context(mode, seed=seed)
-    engine = Engine(ctx, TEST_GROUP_BITS)
+    engine = Engine(ctx)
     sec = {
         n: SecureRelation.from_annotated(owners[n], rels[n])
         for n in rels
@@ -194,8 +193,8 @@ class TestProtocolObliviousness:
 
 
 def test_whole_protocol_byte_parity_across_modes():
-    """REAL and SIMULATED runs of the same query charge identical bytes
-    (with the production 2048-bit OT group)."""
+    """REAL and SIMULATED runs of the same query charge identical
+    bytes."""
     rels = example_11()
 
     def run(mode):
@@ -203,7 +202,7 @@ def test_whole_protocol_byte_parity_across_modes():
         tree = find_free_connex_tree(h, {"cls"})
         plan = build_plan(tree, ("cls",))
         ctx = Context(mode, seed=77)
-        engine = Engine(ctx, 2048)
+        engine = Engine(ctx)
         sec = {
             n: SecureRelation.from_annotated(o, rels[n])
             for n, o in OWNER_SPLITS[0].items()
@@ -227,10 +226,10 @@ def _second_run_stats(run):
     """Stats of ``run(engine)`` alone on a fresh context, and as the
     second run on a context another run already used (a fresh engine,
     so both windows open with the same base-OT set-up)."""
-    fresh = run(Engine(Context(Mode.SIMULATED, seed=3), TEST_GROUP_BITS))
+    fresh = run(Engine(Context(Mode.SIMULATED, seed=3)))
     ctx = Context(Mode.SIMULATED, seed=3)
-    run(Engine(ctx, TEST_GROUP_BITS))
-    return fresh, run(Engine(ctx, TEST_GROUP_BITS)), ctx
+    run(Engine(ctx))
+    return fresh, run(Engine(ctx)), ctx
 
 
 def test_stats_of_a_later_run_cover_its_own_window():

@@ -8,12 +8,11 @@ from repro.mpc.ot import make_ot
 from repro.mpc.psi import psi_with_payloads
 from repro.mpc.sharing import SharedVector
 
-from .conftest import TEST_GROUP_BITS
 
 
 def run_psi(mode, alice_items, bob_items, payloads, seed=7, **kwargs):
     ctx = Context(mode, seed=seed)
-    ot = make_ot(ctx, TEST_GROUP_BITS)
+    ot = make_ot(ctx)
     res = psi_with_payloads(
         ctx, ot, alice_items, bob_items, payloads, **kwargs
     )
@@ -100,7 +99,7 @@ class TestObliviousness:
 
         def fingerprint(alice, bob, payloads):
             ctx = Context(Mode.SIMULATED, seed=3)
-            ot = make_ot(ctx, TEST_GROUP_BITS)
+            ot = make_ot(ctx)
             psi_with_payloads(ctx, ot, alice, bob, payloads)
             return ctx.transcript.fingerprint()
 
@@ -122,11 +121,11 @@ class TestObliviousness:
         payloads = list(range(20))
         real = Context(Mode.REAL, seed=9)
         psi_with_payloads(
-            real, make_ot(real, 2048), alice, bob, payloads
+            real, make_ot(real), alice, bob, payloads
         )
         sim = Context(Mode.SIMULATED, seed=9)
         psi_with_payloads(
-            sim, make_ot(sim, 2048), alice, bob, payloads
+            sim, make_ot(sim), alice, bob, payloads
         )
         assert (
             real.transcript.total_bytes == sim.transcript.total_bytes

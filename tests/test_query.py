@@ -16,7 +16,7 @@ from repro.relalg import AnnotatedRelation, Hypergraph, IntegerRing
 from repro.relalg.semiring import BooleanSemiring
 from repro.yannakakis.plan import ReduceFold, candidate_plans
 
-from .conftest import TEST_GROUP_BITS, chain, star
+from .conftest import chain, star
 
 RING = IntegerRing(32)
 
@@ -111,18 +111,14 @@ class TestBuilder:
 
     def test_run_secure(self):
         q = paper_query()
-        engine = Engine(
-            Context(Mode.SIMULATED, seed=1), TEST_GROUP_BITS
-        )
+        engine = Engine(Context(Mode.SIMULATED, seed=1))
         result, stats = q.run_secure(engine)
         assert result.semantically_equal(q.run_plain())
         assert stats.total_bytes > 0
 
     def test_run_secure_shared_keeps_annotations_hidden(self):
         q = paper_query()
-        engine = Engine(
-            Context(Mode.SIMULATED, seed=2), TEST_GROUP_BITS
-        )
+        engine = Engine(Context(Mode.SIMULATED, seed=2))
         res = q.run_secure_shared(engine)
         expect = q.run_plain().to_dict()
         got = {
@@ -254,9 +250,7 @@ class TestPlanner:
                     name, rel(attrs, tuples, rng.integers(1, 5, n)),
                     owner=owners[name],
                 )
-            engine = Engine(
-                Context(Mode.SIMULATED, seed=3), TEST_GROUP_BITS
-            )
+            engine = Engine(Context(Mode.SIMULATED, seed=3))
             q.run_secure(engine)
             return engine.ctx.transcript.total_bytes
 

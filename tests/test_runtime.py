@@ -314,7 +314,7 @@ class _FakeStep:
 
 def _supervised(specs, policy=None, n_sends=1):
     ctx, session = _session(specs)
-    engine = Engine(ctx, 1536)
+    engine = Engine(ctx)
     supervisor = Supervisor(session, engine, policy=policy)
 
     def thunk():
@@ -355,7 +355,7 @@ def test_supervisor_records_events():
     from repro.exec.trace import ExecutionTrace
 
     ctx, session = _session([FaultSpec("corrupt", message_index=0)])
-    engine = Engine(ctx, 1536)
+    engine = Engine(ctx)
     trace = ExecutionTrace()
     supervisor = Supervisor(session, engine, trace=trace)
     supervisor.run_step(

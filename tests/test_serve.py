@@ -207,7 +207,7 @@ class TestAdmissionController:
 class TestAdmissionInService:
     def test_estimator_priced_boundaries(self):
         q = fuzz_query(11)
-        cost = estimate_query_cost(q, group_bits=1536)
+        cost = estimate_query_cost(q)
         svc = QueryService()
         svc.register_tenant("t", byte_capacity=cost.total)
         req = lambda n: QueryRequest(  # noqa: E731
@@ -252,7 +252,7 @@ class TestAdmissionInService:
 
     def test_queued_request_runs_after_settlement(self):
         q = fuzz_query(11)
-        cost = estimate_query_cost(q, group_bits=1536)
+        cost = estimate_query_cost(q)
         svc = QueryService()
         # room for one reservation at a time, two windows of actuals
         svc.register_tenant("t", byte_capacity=cost.total)

@@ -36,8 +36,6 @@ from repro.serve import (
     tpch_request,
 )
 
-from .conftest import TEST_GROUP_BITS
-
 pytestmark = pytest.mark.serve
 
 SMALL = GeneratorConfig(max_relations=3, max_tuples=4)
@@ -65,7 +63,6 @@ def factory(master_seed, tenant, name, mode=None, config=SMALL):
             name=name,
             query=inst.query(),
             seed=5,
-            group_bits=TEST_GROUP_BITS,
             faults=faults,
             **kwargs,
         )

@@ -7,7 +7,6 @@ from repro.mpc import ALICE, BOB, Context, Engine, Mode
 from repro.query import JoinAggregateQuery, SqlError, compile_sql, parse_sql
 from repro.relalg import AnnotatedRelation, IntegerRing
 
-from .conftest import TEST_GROUP_BITS
 
 RING = IntegerRing(32)
 
@@ -127,7 +126,7 @@ class TestCompilation:
             tables,
             owners={"r1": ALICE, "r2": BOB, "r3": ALICE},
         )
-        engine = Engine(Context(Mode.SIMULATED, seed=1), TEST_GROUP_BITS)
+        engine = Engine(Context(Mode.SIMULATED, seed=1))
         result, _ = q.run_secure(engine)
         assert result.semantically_equal(q.run_plain())
 
@@ -346,7 +345,7 @@ class TestAliases:
             {"edges": edges},
             owners={"a": ALICE, "b": BOB},
         )
-        engine = Engine(Context(Mode.SIMULATED, seed=1), TEST_GROUP_BITS)
+        engine = Engine(Context(Mode.SIMULATED, seed=1))
         result, _ = q.run_secure(engine)
         assert result.semantically_equal(q.run_plain())
 

@@ -19,8 +19,6 @@ from repro.yannakakis import (
     naive_join_aggregate,
 )
 
-from .conftest import TEST_GROUP_BITS
-
 RING = IntegerRing(32)
 
 
@@ -63,7 +61,7 @@ class TestEquivalence:
         rels = make_inputs(seed=1, n=12)
         _, two = plans()
         expect = naive_join_aggregate(rels, ["d"])
-        engine = Engine(Context(Mode.SIMULATED, seed=2), TEST_GROUP_BITS)
+        engine = Engine(Context(Mode.SIMULATED, seed=2))
         sec = {
             n: SecureRelation.from_annotated(
                 ALICE if i % 2 == 0 else BOB, rels[n]
@@ -82,9 +80,7 @@ class TestCost:
         rels = make_inputs(seed=3, n=40)
 
         def run(plan):
-            engine = Engine(
-                Context(Mode.SIMULATED, seed=4), TEST_GROUP_BITS
-            )
+            engine = Engine(Context(Mode.SIMULATED, seed=4))
             sec = {
                 n: SecureRelation.from_annotated(
                     ALICE if i % 2 == 0 else BOB, rels[n]
@@ -96,4 +92,4 @@ class TestCost:
 
         three, two = plans()
         # exact: EXPERIMENTS.md's ablation table quotes this pair (2.8x)
-        assert (run(three), run(two)) == (1_692_596, 4_776_644)
+        assert (run(three), run(two)) == (1_672_085, 4_756_133)
