@@ -1,51 +1,56 @@
-"""Vectorised marshalling kernels for the 2PC hot paths.
+"""Vectorised marshalling and hashing kernels for the 2PC hot paths.
 
 The REAL-mode primitives move millions of tiny values between numpy
 vectors, Python ints, and wire-format byte strings.  Doing that one
 ``int.to_bytes`` at a time dominates every benchmark, so the hot paths
 (:meth:`repro.mpc.engine.Engine._gilboa_cross`,
 :func:`repro.mpc.yao.garbled_call`,
-:meth:`repro.mpc.ot.IknpExtension.transfer`, the OEP switch network)
+:meth:`repro.mpc.ot.IknpExtension.correlated`, the OEP switch network)
 marshal through the batch kernels here instead:
 
 * ring-element <-> little-endian byte **matrices** via ``view(np.uint8)``
   reinterpretation rather than per-element ``int.to_bytes`` loops;
 * ring-element <-> little-endian bit matrices (the garbled-circuit input
   encoding of :func:`repro.mpc.gadgets.bits_of`) via ``np.unpackbits``;
-* batched SHA-256: one C call per row of a contiguous input matrix,
-  digests landing in one output matrix so the stream-cipher XOR is a
-  single vectorised operation;
+* :func:`tccr_hash`, the fixed-key AES hash of every 16-byte block the
+  symmetric layer hashes — half-gates, garbler label expansion, IKNP's
+  column PRG and correlated-OT pads — one OpenSSL call per batch;
+* batched SHA-256 for inputs that are not one block (DH-OPRF tokens):
+  one C call per row of a contiguous input matrix, digests landing in
+  one output matrix;
 * :func:`sorted_lookup`: one argsort + ``searchsorted`` wherever an
   owner-local match used a dict probe per key (PSI's SIMULATED
   functionality, DH-OPRF token matching, same-owner alignment).
 
-Every kernel is pinned against the scalar reference implementations in
-:mod:`repro.mpc._reference` by the differential tests
-(``tests/test_batch_kernels.py``): identical outputs, byte-identical
-transcript fingerprints.
+The scalar twins the kernels are pinned against (identical outputs,
+byte-identical transcript fingerprints) live with the differential
+tests, ``tests/test_batch_kernels.py`` and ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Tuple
+import threading
+from typing import Optional, Tuple
 
 import numpy as np
+from cryptography.hazmat.primitives.ciphers import (
+    Cipher,
+    CipherContext,
+    algorithms,
+    modes,
+)
 
 __all__ = [
     "words_to_le_bytes",
     "le_bytes_to_words",
     "words_to_bits",
     "bits_to_words",
+    "tccr_hash",
+    "tweaks",
     "sha256_rows",
-    "kdf_rows",
-    "keystream_rows",
-    "stream_xor_rows",
     "sorted_lookup",
 ]
-
-#: Separator byte of :func:`repro.mpc.ot._kdf` (``sha256(b"\x00".join(parts))``).
-_KDF_SEP = 0
 
 
 def words_to_le_bytes(words: np.ndarray, width: int) -> np.ndarray:
@@ -103,6 +108,76 @@ def bits_to_words(bits: np.ndarray) -> np.ndarray:
     return le_bytes_to_words(packed)
 
 
+#: The public AES-128 key of :func:`tccr_hash` (the first 128 bits of
+#: pi's fractional part): fixed-key garbling needs a key everyone knows.
+FIXED_KEY = bytes.fromhex("243f6a8885a308d313198a2e03707344")
+#: The reduction term of doubling in GF(2^128) mod x^128 + x^7 + x^2 + x + 1.
+_GF128_R = np.uint64(0x87)
+_ONE = np.uint64(1)
+_TOP = np.uint64(63)
+_ROW = np.uint64(32)
+
+#: One encryptor per thread: ECB keeps no state between ``update`` calls,
+#: but an encryptor object is not safe to share across threads.
+_local = threading.local()
+
+
+def _fixed_key_aes() -> CipherContext:
+    enc: Optional[CipherContext] = getattr(_local, "aes", None)
+    if enc is None:
+        enc = Cipher(algorithms.AES(FIXED_KEY), modes.ECB()).encryptor()
+        _local.aes = enc
+    return enc
+
+
+def tccr_hash(x: np.ndarray, tweak: np.ndarray) -> np.ndarray:
+    """The tweakable correlation-robust hash ``H(x, t) = pi(sigma(x) ^ t)
+    ^ sigma(x)`` of Guo, Katz, Wang and Yu (S&P 2020), block-wise.
+
+    ``x`` and ``tweak`` are ``(..., 16)`` byte arrays of blocks that
+    broadcast together — one hash per element of the broadcast shape,
+    so a block hashed under many tweaks (a seed's expansion) is passed
+    once; ``tweak`` comes from :func:`tweaks`, and a block is the
+    little-endian integer of its bytes.
+    ``sigma`` is doubling in ``GF(2^128)`` — linear, and ``sigma(x) ^ x``
+    is a permutation too, the orthomorphism the bound needs — and ``pi``
+    is AES-128 under the public :data:`FIXED_KEY`, every block of the
+    call in one OpenSSL ``update_into``.  The bound holds while no
+    tweak repeats, so callers build tweaks from a public batch number
+    that is fresh per hashing batch (:meth:`repro.mpc.context.Context.
+    tweak_batch`)."""
+    x64 = np.ascontiguousarray(x, dtype=np.uint8).view("<u8")
+    lo, hi = x64[..., 0], x64[..., 1]
+    s = np.empty(x64.shape, dtype="<u8")
+    np.left_shift(lo, _ONE, out=s[..., 0])
+    s[..., 0] ^= (hi >> _TOP) * _GF128_R
+    np.left_shift(hi, _ONE, out=s[..., 1])
+    s[..., 1] |= lo >> _TOP
+    t64 = np.ascontiguousarray(tweak, dtype=np.uint8).view("<u8")
+    inp = s ^ t64
+    if not inp.size:
+        return inp.view(np.uint8)
+    out = np.empty(inp.nbytes + 15, dtype=np.uint8)
+    _fixed_key_aes().update_into(inp.data.cast("B"), out)
+    h = out[: inp.nbytes].view("<u8").reshape(inp.shape)
+    h ^= s
+    return h.view(np.uint8)
+
+
+def tweaks(batch: int, row: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``(..., 16)`` :func:`tccr_hash` tweaks, one per element of
+    ``row`` and ``index`` broadcast together: the low 64 bits hold the
+    public batch number, the high 64 ``row`` (an instance or OT number)
+    over ``index`` (the hash's position within the row), 32 bits each."""
+    high = (np.asarray(row, dtype=np.uint64) << _ROW) | np.asarray(
+        index, dtype=np.uint64
+    )
+    t = np.empty(high.shape + (2,), dtype="<u8")
+    t[..., 0] = batch
+    t[..., 1] = high
+    return t.view(np.uint8)
+
+
 def sha256_rows(rows: np.ndarray) -> np.ndarray:
     """SHA-256 of every row of a ``(m, L)`` byte matrix -> ``(m, 32)``."""
     rows = np.ascontiguousarray(rows, dtype=np.uint8)
@@ -117,64 +192,6 @@ def sha256_rows(rows: np.ndarray) -> np.ndarray:
         pos += 32
         start += length
     return np.frombuffer(bytes(out), dtype=np.uint8).reshape(m, 32)
-
-
-def kdf_rows(*parts: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`repro.mpc.ot._kdf` over byte-matrix parts.
-
-    Each part is ``(m, w_i)`` (or a 1-D ``(w_i,)`` array broadcast to all
-    rows); row ``j`` of the result is
-    ``sha256(b"\\x00".join(part[j] for part in parts))``.
-    """
-    mats = []
-    m = None
-    for p in parts:
-        p = np.asarray(p, dtype=np.uint8)
-        if p.ndim == 2:
-            m = p.shape[0] if m is None else m
-    if m is None:
-        raise ValueError("at least one 2-D part is required")
-    for i, p in enumerate(parts):
-        p = np.asarray(p, dtype=np.uint8)
-        if p.ndim == 1:
-            p = np.broadcast_to(p, (m, p.shape[0]))
-        if i:
-            mats.append(np.full((m, 1), _KDF_SEP, dtype=np.uint8))
-        mats.append(p)
-    return sha256_rows(np.concatenate(mats, axis=1))
-
-
-def keystream_rows(keys: np.ndarray, length: int) -> np.ndarray:
-    """``(m, 32)`` KDF keys -> ``(m, length)`` stream-cipher keystream.
-
-    Row ``j`` equals the first ``length`` bytes of the
-    :func:`repro.mpc.ot._stream_xor` keystream under ``keys[j]``:
-    block ``c`` is ``sha256(key || 0x00 || c_le64)``.
-    """
-    keys = np.asarray(keys, dtype=np.uint8)
-    m = keys.shape[0]
-    blocks = []
-    produced = 0
-    counter = 0
-    while produced < length:
-        ctr = np.frombuffer(
-            counter.to_bytes(8, "little"), dtype=np.uint8
-        )
-        blocks.append(kdf_rows(keys, ctr))
-        produced += 32
-        counter += 1
-    ks = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
-    return ks[:, :length]
-
-
-def stream_xor_rows(keys: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """Encrypt/decrypt a ``(m, w)`` message matrix row-by-row under the
-    ``(m, 32)`` key matrix — the batched form of
-    :func:`repro.mpc.ot._stream_xor`."""
-    data = np.asarray(data, dtype=np.uint8)
-    if data.shape[1] == 0:
-        return data.copy()
-    return data ^ keystream_rows(keys, data.shape[1])
 
 
 def sorted_lookup(

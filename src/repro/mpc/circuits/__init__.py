@@ -2,22 +2,12 @@
 
 from .builder import CircuitBuilder
 from .circuit import AND, INV, XOR, Circuit, Gate
-from .garbling import (
-    GarbledTables,
-    GarblingResult,
-    evaluate_garbled,
-    garble,
-)
 
 __all__ = [
     "AND",
     "Circuit",
     "CircuitBuilder",
     "Gate",
-    "GarbledTables",
-    "GarblingResult",
     "INV",
     "XOR",
-    "evaluate_garbled",
-    "garble",
 ]

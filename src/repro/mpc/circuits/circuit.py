@@ -5,20 +5,25 @@ on.  A circuit has Alice (evaluator) input wires, Bob (garbler) input
 wires, constant wires, and a gate list in topological (construction)
 order.  The gate basis is ``XOR / AND / INV`` — the free-XOR garbling
 technique makes XOR and INV communication-free, so the circuit's cost is
-its AND count.
+its AND count.  :attr:`Circuit.levels` regroups the gates by depth, the
+order the garbler and the evaluator step through them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-__all__ = ["Gate", "Circuit", "XOR", "AND", "INV"]
+import numpy as np
+
+__all__ = ["Gate", "Circuit", "Level", "XOR", "AND", "INV"]
 
 XOR = "XOR"
 AND = "AND"
 INV = "INV"
+#: Gate kinds in the order a level lists them.
+_KIND = {XOR: 0, INV: 1, AND: 2}
 
 
 @dataclass(frozen=True)
@@ -27,6 +32,23 @@ class Gate:
     a: int
     b: int  # unused (-1) for INV
     out: int
+
+
+class Level(NamedTuple):
+    """The gates of one depth, as wire-index arrays by kind.  Every
+    operand is an input, a constant or the output of an earlier level,
+    so each kind can be evaluated as one vectorised step."""
+
+    xor_a: np.ndarray
+    xor_b: np.ndarray
+    xor_out: np.ndarray
+    inv_a: np.ndarray
+    inv_out: np.ndarray
+    and_a: np.ndarray
+    and_b: np.ndarray
+    and_out: np.ndarray
+    #: each AND's position among the ANDs in construction order
+    and_index: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -51,6 +73,45 @@ class Circuit:
     @property
     def size(self) -> int:
         return len(self.gates)
+
+    @cached_property
+    def levels(self) -> Tuple[Level, ...]:
+        """The gates grouped by depth: inputs and constants have depth
+        0, a gate one more than the larger depth of its operands.
+        Computed once per template (templates are cached)."""
+        a, b, out = (
+            np.asarray([getattr(g, f) for g in self.gates], dtype=np.int64)
+            for f in ("a", "b", "out")
+        )
+        depth = [0] * self.n_wires
+        keys = []
+        for g in self.gates:
+            d = depth[g.a]
+            if g.op != INV and depth[g.b] > d:
+                d = depth[g.b]
+            depth[g.out] = d + 1
+            keys.append(d * len(_KIND) + _KIND[g.op])
+        # key = level * 3 + kind: sorting by it groups by level, then kind
+        key = np.asarray(keys, dtype=np.int64)
+        and_index = np.cumsum(key % len(_KIND) == _KIND[AND]) - 1
+        order = np.argsort(key, kind="stable")
+        n_levels = int(key.max(initial=-1)) // len(_KIND) + 1
+        bounds = np.searchsorted(
+            key[order], np.arange(n_levels * len(_KIND) + 1)
+        ).tolist()
+        levels = []
+        for i in range(0, n_levels * len(_KIND), len(_KIND)):
+            xor, inv, ands = (
+                order[bounds[j] : bounds[j + 1]]
+                for j in range(i, i + len(_KIND))
+            )
+            levels.append(
+                Level(
+                    a[xor], b[xor], out[xor], a[inv], out[inv],
+                    a[ands], b[ands], out[ands], and_index[ands],
+                )
+            )
+        return tuple(levels)
 
     def evaluate(
         self, alice_bits: Sequence[int], bob_bits: Sequence[int]

@@ -80,6 +80,9 @@ class Context:
         self._roles_swapped = False
         self._session: Optional["Session"] = None
         self._channel: Channel = self.transcript
+        #: the next :meth:`tweak_batch` number, in a cell that
+        #: :meth:`fresh` children share
+        self._tweak_batches = [0]
 
     @property
     def channel(self) -> Channel:
@@ -128,6 +131,17 @@ class Context:
     def random_bytes(self, n: int) -> bytes:
         return self.rng.bytes(n)
 
+    def tweak_batch(self) -> int:
+        """A public batch number no earlier call returned: what makes
+        the tweaks of one batch of fixed-key hashes
+        (:func:`repro.mpc.batch.tccr_hash`) unique within the context.
+        Both parties draw it in the same protocol order, so neither
+        sends it.  Like :attr:`rng`, a checkpoint restore does not
+        rewind it: a retried node hashes under fresh tweaks."""
+        n = self._tweak_batches[0]
+        self._tweak_batches[0] = n + 1
+        return n
+
     def send(self, sender: str, n_bytes: int, label: str = "") -> None:
         if self._roles_swapped:
             sender = other_party(sender)
@@ -169,6 +183,7 @@ class Context:
         its private transcript unframed."""
         child = Context(self.mode, self.params)
         child.rng = self.rng
+        child._tweak_batches = self._tweak_batches
         child.cache = self.cache
         child._roles_swapped = self._roles_swapped
         return child

@@ -32,7 +32,7 @@ import numpy as np
 
 from .context import ALICE, Context, Mode
 from .costs import OPRF_WIDTH, kkrt_setup_bytes, seed_ot_widths
-from .ot import OT, CorrelatedBatch, _prg_bits, _prg_bits_all
+from .ot import OT, CorrelatedBatch, _kdf, _prg_bits_all
 
 __all__ = [
     "OPRF_WIDTH",
@@ -48,11 +48,15 @@ OPPRF_PRIME = (1 << 61) - 1
 
 
 def _code(fp: int, salt: bytes, width: int = OPRF_WIDTH) -> np.ndarray:
-    """Pseudorandom code ``C(fp)``: ``width`` bits derived from the item
-    fingerprint."""
-    return _prg_bits(
-        fp.to_bytes(8, "little") + salt, width, b"kkrt-code"
+    """Pseudorandom code ``C(fp)``: ``width`` bits of SHA-256 blocks
+    over the item fingerprint and session salt — not one 16-byte block,
+    so not the fixed-key hash."""
+    seed = fp.to_bytes(8, "little") + salt
+    raw = b"".join(
+        _kdf(seed, b"kkrt-code", c.to_bytes(8, "little"))
+        for c in range((width + 255) // 256)
     )
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:width]
 
 
 def _out_hash(row: int, row_bits: np.ndarray, salt: bytes) -> int:
@@ -107,13 +111,14 @@ class BatchedOprf:
             return
 
         # Alice: T columns; correction u_i = t0 ^ t1 ^ code-column-i.
+        batch = ctx.tweak_batch()
         codes = np.stack([_code(fp, self._salt) for fp in fps])  # m x w
-        t_cols = _prg_bits_all(k0, m, b"col")
-        u_cols = t_cols ^ _prg_bits_all(k1, m, b"col") ^ codes.T
+        t_cols = _prg_bits_all(k0, m, batch)
+        u_cols = t_cols ^ _prg_bits_all(k1, m, batch) ^ codes.T
         ctx.send(ALICE, w * ((m + 7) // 8), "oprf/u")
 
         # Bob: q columns; Q_j = T_j ^ (C(x_j) & s).
-        q_cols = _prg_bits_all(k_s, m, b"col") ^ (s[:, None] * u_cols)
+        q_cols = _prg_bits_all(k_s, m, batch) ^ (s[:, None] * u_cols)
         t_rows = t_cols.T  # m x w
         self._bob_rows = q_cols.T
         self._s = s

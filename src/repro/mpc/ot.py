@@ -6,7 +6,10 @@ switching network and the KKRT OPRF.  Two back-ends share one interface:
 
 * :class:`IknpExtension` — stretches ``kappa`` base OTs (run in reversed
   roles with the extension sender choosing a secret ``s``) into any number
-  of OTs using only SHA-256: the classic column-correlation construction.
+  of OTs with symmetric crypto only: the classic column-correlation
+  construction, its column PRG and its pads both the fixed-key AES hash
+  :func:`~repro.mpc.batch.tccr_hash` (SHA-256 is left to the base
+  phase's key derivation, whose input is a curve point).
 * :class:`SimulatedOT` — skips the crypto while charging the transcript
   exactly what the real extension would send.
 
@@ -39,7 +42,7 @@ from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple
 import numpy as np
 
 from . import p256
-from .batch import kdf_rows, sha256_rows, stream_xor_rows, words_to_le_bytes
+from .batch import tccr_hash, tweaks
 from .context import ALICE, BOB, Context
 from .costs import Widths, base_ot_bytes, cot_bytes, seed_ot_widths
 
@@ -152,14 +155,15 @@ def _kdf(*parts: bytes) -> bytes:
 
 
 def _stream_xor(key: bytes, data: bytes) -> bytes:
-    """Encrypt/decrypt with a SHA-256-based stream cipher."""
-    if not data:
-        return b""
-    out = stream_xor_rows(
-        np.frombuffer(key, dtype=np.uint8)[None, :],
-        np.frombuffer(data, dtype=np.uint8)[None, :],
+    """Encrypt/decrypt with a SHA-256 keystream: block ``c`` is
+    ``_kdf(key, c_le64)``."""
+    stream = b"".join(
+        _kdf(key, c.to_bytes(8, "little")) for c in range(-(-len(data) // 32))
     )
-    return out.tobytes()
+    return bytes(
+        np.frombuffer(data, dtype=np.uint8)
+        ^ np.frombuffer(stream[: len(data)], dtype=np.uint8)
+    )
 
 
 def _chou_orlandi(
@@ -206,41 +210,32 @@ def _chou_orlandi(
     return out, (len(wire_a), b_bytes, ct_bytes)
 
 
-def _prg_bits(seed: bytes, n_bits: int, salt: bytes) -> np.ndarray:
-    """Expand ``seed`` into ``n_bits`` pseudorandom bits (uint8 array)."""
-    return _prg_bits_all([seed], n_bits, salt)[0]
-
-
 def _prg_bits_all(
-    seeds: Sequence[bytes], n_bits: int, salt: bytes
+    seeds: Sequence[bytes], n_bits: int, batch: int
 ) -> np.ndarray:
-    """Expand every seed into ``n_bits`` pseudorandom bits at once.
+    """Expand every 16-byte seed into ``n_bits`` pseudorandom bits at
+    once: row ``i`` is the bits of the blocks ``H(seeds[i], (batch, i,
+    c))``, ``c = 0, 1, ...`` — one :func:`tccr_hash` call over all
+    ``len(seeds) * n_blocks`` blocks.  Seeds expanded under one batch
+    number must be indexed alike by both parties: a receiver's ``k0``
+    and ``k1`` of column ``i`` and the sender's chosen ``k_{s_i}``."""
+    n_blocks = (n_bits + 127) // 128
+    x = np.frombuffer(b"".join(seeds), dtype=np.uint8).reshape(-1, 1, 16)
+    t = tweaks(batch, np.arange(len(x))[:, None], np.arange(n_blocks))
+    raw = tccr_hash(x, t).reshape(len(x), -1)
+    return np.unpackbits(raw, axis=1)[:, :n_bits]
 
-    Row ``i`` equals the legacy per-seed expansion
-    ``unpackbits(G(seeds[i], salt))[:n_bits]`` where ``G`` concatenates
-    ``_kdf(seed, salt, counter)`` blocks — here all ``len(seeds) *
-    n_chunks`` SHA-256 compressions run over one contiguous input matrix.
-    """
-    k = len(seeds)
-    n_bytes = (n_bits + 7) // 8
-    n_chunks = (n_bytes + 31) // 32
-    slen = len(seeds[0])
-    width = slen + len(salt) + 10  # seed | 0 | salt | 0 | counter_le64
-    rows = np.empty((k, n_chunks, width), dtype=np.uint8)
-    rows[:, :, :slen] = np.frombuffer(
-        b"".join(seeds), dtype=np.uint8
-    ).reshape(k, slen)[:, None, :]
-    rows[:, :, slen] = 0
-    rows[:, :, slen + 1 : slen + 1 + len(salt)] = np.frombuffer(
-        salt, dtype=np.uint8
-    )
-    rows[:, :, slen + 1 + len(salt)] = 0
-    rows[:, :, slen + 2 + len(salt) :] = words_to_le_bytes(
-        np.arange(n_chunks, dtype=np.uint64), 8
-    )[None, :, :]
-    digests = sha256_rows(rows.reshape(k * n_chunks, width))
-    raw = digests.reshape(k, n_chunks * 32)[:, :n_bytes]
-    return np.unpackbits(np.ascontiguousarray(raw), axis=1)[:, :n_bits]
+
+def _pads(
+    rows: np.ndarray, index: np.ndarray, batch: int, width: int
+) -> np.ndarray:
+    """``(k, m, width)`` one-time pads of ``k`` stacked ``(m, 16)`` IKNP
+    row matrices: row ``j``'s pad is ``H(rows[j], (batch, index[j], c))``
+    over blocks ``c``, truncated to ``width``."""
+    n_blocks = (width + 15) // 16
+    t = tweaks(batch, np.asarray(index)[:, None], np.arange(n_blocks))
+    pads = tccr_hash(rows[:, :, None, :], t).reshape(*rows.shape[:2], -1)
+    return pads[:, :, :width]
 
 
 class _Paired:
@@ -287,9 +282,6 @@ class IknpExtension(_Paired):
     base OTs are ``kappa`` random OTs of its forward instance instead.
     """
 
-    #: extension batches run so far: the next batch's PRG salt
-    _batch = 0
-
     def _base_phase(self) -> None:
         ctx = self.ctx
         self._s = ctx.rng.integers(0, 2, size=self.kappa, dtype=np.uint8)
@@ -321,48 +313,42 @@ class IknpExtension(_Paired):
 
     def _column_phase(
         self, m: int, r: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """One extension batch's column correlation: the batch salt,
-        Bob's ``Q`` rows, Alice's ``T`` rows and packed ``s``.  Sends
-        the ``u`` correction columns."""
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """One extension batch's column correlation: Bob's ``Q`` rows,
+        Alice's ``T`` rows, packed ``s``, and the tweak batch number of
+        the batch's pads.  Sends the ``u`` correction columns."""
         if not self._base_done:
             self._base_phase()
         ctx = self.ctx
-        salt = self._batch.to_bytes(8, "little")
-        self._batch += 1
+        batch = ctx.tweak_batch()
 
         # Alice: T columns from k^0; correction u = G(k0) ^ G(k1) ^ r.
         t_cols = _prg_bits_all(
-            [s[0] for s in self._seeds_alice], m, salt
+            [s[0] for s in self._seeds_alice], m, batch
         )  # kappa x m
         u_cols = (
             t_cols
-            ^ _prg_bits_all([s[1] for s in self._seeds_alice], m, salt)
+            ^ _prg_bits_all([s[1] for s in self._seeds_alice], m, batch)
             ^ r[None, :]
         )
         ctx.send(ALICE, cot_bytes(self.kappa, [(m, 0)])[0], "ot/ext/u")
 
         # Bob: q columns; row j satisfies Q_j = T_j ^ (r_j * s).
-        q_cols = _prg_bits_all(self._seeds_bob, m, salt) ^ (
+        q_cols = _prg_bits_all(self._seeds_bob, m, batch) ^ (
             self._s[:, None] * u_cols
         )
         q_rows = np.packbits(q_cols.T, axis=1)  # m x kappa/8
         t_rows = np.packbits(t_cols.T, axis=1)
-        return (
-            np.frombuffer(salt, dtype=np.uint8),
-            q_rows,
-            t_rows,
-            np.packbits(self._s),
-        )
+        return q_rows, t_rows, np.packbits(self._s), ctx.tweak_batch()
 
     def correlated(
         self, choices: Optional[np.ndarray], widths: Widths
     ) -> CorrelatedBatch:
         """Open one C-OT batch over consecutive ``(count, width)``
-        segments: sends ``u``; OT ``j``'s pads are ``H(j, Q_j)`` and
-        ``H(j, Q_j ^ s)`` for the sender and ``H(j, T_j)`` — the one
-        matching her choice — for the receiver, truncated to the
-        segment's width (one SHA-256 block, so ``width <= 32``)."""
+        segments: sends ``u``; OT ``j``'s pads are ``H(Q_j, t_j)`` and
+        ``H(Q_j ^ s, t_j)`` for the sender and ``H(T_j, t_j)`` — the one
+        matching her choice — for the receiver (:func:`_pads`), truncated
+        to the segment's width (at most two blocks, ``width <= 32``)."""
         if choices is None:
             raise ValueError("a real OT needs the receiver's choice bits")
         r = np.asarray(choices, dtype=np.uint8) & 1
@@ -373,18 +359,12 @@ class IknpExtension(_Paired):
             raise ValueError("C-OT pads are at most 32 bytes wide")
         if m == 0:
             return CorrelatedBatch(self.ctx, widths, r, [_NO_PADS] * 3)
-        salt, q_rows, t_rows, s_packed = self._column_phase(m, r)
-        jb = words_to_le_bytes(np.arange(m, dtype=np.uint64), 8)
-        return CorrelatedBatch(
-            self.ctx,
-            widths,
-            r,
-            [
-                kdf_rows(jb, salt, q_rows),
-                kdf_rows(jb, salt, q_rows ^ s_packed),
-                kdf_rows(jb, salt, t_rows),
-            ],
-        )
+        q_rows, t_rows, s_packed, batch = self._column_phase(m, r)
+        j = np.arange(m)
+        width = max(width for _, width in widths)
+        p0, p1 = _pads(np.stack([q_rows, q_rows ^ s_packed]), j, batch, width)
+        (pc,) = _pads(t_rows[None], j, batch, width)
+        return CorrelatedBatch(self.ctx, widths, r, [p0, p1, pc])
 
     def transfer(
         self, pairs: Sequence[Pair], choices: Sequence[int]
@@ -400,7 +380,7 @@ class IknpExtension(_Paired):
                 raise ValueError("OT messages in a pair must be equal-length")
             by_width.setdefault(len(m0), []).append(j)
         r = np.asarray(choices, dtype=np.uint8) & 1
-        salt, q_rows, t_rows, s_packed = self._column_phase(m, r)
+        q_rows, t_rows, s_packed, batch = self._column_phase(m, r)
         out: List[bytes] = [b""] * m
         total = 0
         for w, positions in by_width.items():
@@ -411,16 +391,14 @@ class IknpExtension(_Paired):
                 ).reshape(len(positions), w)
                 for c in (0, 1)
             )
-            jb = words_to_le_bytes(idx.astype(np.uint64), 8)
             qj = q_rows[idx]
-            y0 = stream_xor_rows(kdf_rows(jb, salt, qj), m0)
-            y1 = stream_xor_rows(kdf_rows(jb, salt, qj ^ s_packed), m1)
+            p0, p1 = _pads(np.stack([qj, qj ^ s_packed]), idx, batch, w)
+            y0, y1 = m0 ^ p0, m1 ^ p1
             total += y0.size + y1.size
             chosen = np.where(r[idx].astype(bool)[:, None], y1, y0)
-            # T_j packs the k_{r_j} column, so this key decrypts y_{r_j}.
-            rows = stream_xor_rows(
-                kdf_rows(jb, salt, t_rows[idx]), chosen
-            ).tobytes()
+            # T_j packs the k_{r_j} column, so its pad opens y_{r_j}.
+            (pc,) = _pads(t_rows[idx][None], idx, batch, w)
+            rows = (chosen ^ pc).tobytes()
             for k, j in enumerate(positions):
                 out[j] = rows[k * w : (k + 1) * w]
         self.ctx.send(BOB, total, "ot/ext/ciphertexts")

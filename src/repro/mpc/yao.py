@@ -149,10 +149,13 @@ def _run_garbled(
             alice_bits.reshape(-1), [(n * n_alice, LABEL_BYTES)]
         )
     # Bob: Alice-wire zero-labels are the OT's 0-pads, his own wires'
-    # active labels expand from the seed; only delta is drawn.
+    # active labels expand from the seed; only delta is drawn.  Both
+    # hash under the batch's public tweak number.
+    batch = ctx.tweak_batch()
     seed = ctx.random_bytes(SEED_BYTES)
     g = garble_batch(
-        plan, ctx.random_bytes, by_wire(cot.p0[0]), seed, garbler_bits
+        plan, ctx.random_bytes, by_wire(cot.p0[0]), seed, garbler_bits,
+        batch,
     )
     ctx.send(BOB, g.tables.size, "gc/tables")
     ctx.send(BOB, len(seed), "gc/bob_labels")
@@ -164,8 +167,8 @@ def _run_garbled(
     # Alice: her labels from the OT, Bob's from the seed.
     active = np.zeros((plan.n_wires, n, LABEL_BYTES), dtype=np.uint8)
     active[plan.alice_wires] = by_wire(alice_labels[0])
-    active[plan.garbler_wires] = expand_labels(seed, plan, n)
-    select = evaluate_batch(plan, g.tables, active)
+    active[plan.garbler_wires] = expand_labels(seed, plan, n, batch)
+    select = evaluate_batch(plan, g.tables, active, batch)
     permute = g.output_permute_bits()
     ctx.send(BOB, np.packbits(permute, axis=1).size, "gc/decode")
     return select ^ permute

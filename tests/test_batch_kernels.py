@@ -1,11 +1,11 @@
-"""Differential tests: vectorised batch kernels vs the retained scalar
-reference implementations (`repro.mpc._reference`).
+"""Differential tests: vectorised batch kernels vs the scalar reference
+implementations (`tests/reference.py`).
 
-The marshalling kernels and the chosen-message IKNP transfer are pinned
-against the legacy loops they replaced: identical outputs and
-byte-identical transcript fingerprints.  The protocol-level consumers
-(garbled batches, Gilboa) have no scalar twin; they are pinned on
-semantics and on REAL == SIMULATED fingerprints.
+The marshalling kernels, the fixed-key AES hash and the chosen-message
+IKNP transfer are pinned against one-block-at-a-time loops: identical
+outputs and byte-identical transcript fingerprints.  The protocol-level
+consumers (garbled batches, Gilboa) have no scalar twin; they are
+pinned on semantics and on REAL == SIMULATED fingerprints.
 """
 
 import hashlib
@@ -16,17 +16,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.mpc import ALICE, BOB, Context, Engine, Mode
-from repro.mpc import _reference as ref
 from repro.mpc import batch
 from repro.mpc.gadgets import bits_of, int_of, nonzero_circuit
 from repro.mpc.ot import (
     IknpExtension,
     SimulatedOT,
-    _prg_bits,
+    _prg_bits_all,
     _stream_xor,
     make_ot,
 )
 
+from . import reference as ref
 from .conftest import run_circuit
 
 
@@ -88,25 +88,89 @@ def test_sha256_rows_matches_hashlib(blob, m):
     st.binary(min_size=32, max_size=32),
     st.binary(min_size=0, max_size=200),
 )
-def test_stream_xor_rows_matches_reference(key, data):
-    legacy = ref.stream_xor(key, data)
-    assert _stream_xor(key, data) == legacy
-    got = batch.stream_xor_rows(
-        np.frombuffer(key, dtype=np.uint8)[None, :],
-        np.frombuffer(data, dtype=np.uint8).reshape(1, len(data)),
-    )
-    assert got.tobytes() == legacy
+def test_stream_xor_matches_reference(key, data):
+    assert _stream_xor(key, data) == ref.stream_xor(key, data)
 
 
 @given(
-    st.binary(min_size=16, max_size=16),
-    st.integers(0, 300),
-    st.binary(min_size=8, max_size=8),
+    st.lists(st.binary(min_size=16, max_size=16), min_size=1, max_size=4),
+    st.integers(1, 300),
+    st.integers(0, 2**64 - 1),
 )
-def test_prg_bits_matches_reference(seed, n_bits, salt):
-    if n_bits == 0:
-        return
-    assert (_prg_bits(seed, n_bits, salt) == ref.prg_bits(seed, n_bits, salt)).all()
+def test_prg_bits_matches_reference(seeds, n_bits, batch_no):
+    got = _prg_bits_all(seeds, n_bits, batch_no)
+    for i, seed in enumerate(seeds):
+        assert (got[i] == ref.prg_bits(seed, n_bits, batch_no, i)).all()
+
+
+@given(
+    st.lists(st.binary(min_size=16, max_size=16), min_size=1, max_size=6),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**32 - 1),
+)
+def test_tccr_hash_matches_row_by_row_aes(blocks, batch_no, row, index):
+    """Known answers: each block of the batched kernel equals the hash
+    recomputed alone — AES-ECB of the doubled block XOR the tweak,
+    XOR the doubled block — and tweaks pack as documented."""
+    x = np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(-1, 16)
+    rows = row ^ np.arange(len(blocks), dtype=np.uint64) % (2**32)
+    t = batch.tweaks(batch_no, rows, index)
+    got = batch.tccr_hash(x, t)
+    for b, r, h, tw in zip(blocks, rows, got, t):
+        assert bytes(tw) == ref.tweak(batch_no, int(r), index)
+        assert bytes(h) == ref.tccr(b, bytes(tw))
+
+
+def test_tccr_hash_fixed_vector():
+    """One pinned value, so a change of key, byte order or doubling is
+    caught even if the reference changed with it."""
+    x = np.arange(16, dtype=np.uint8)
+    t = batch.tweaks(1, np.uint64(2), np.uint64(3))
+    h = bytes(batch.tccr_hash(x, t))
+    assert h == ref.tccr(bytes(range(16)), ref.tweak(1, 2, 3))
+    assert h.hex() == "396b2377735546a5379bf687f76087c1"
+
+
+@pytest.mark.real
+@pytest.mark.parametrize("backend", ["yannakakis", "linear"])
+def test_no_tweak_repeats_over_real_q3(monkeypatch, backend):
+    """Every fixed-key hash of a REAL query (Q3 at 0.03 MB) through a
+    spy: no tweak hashes more than two distinct inputs.  Two is one
+    pair — a garbler's ``W`` and ``W ^ delta``, an IKNP sender's ``Q_j``
+    and ``Q_j ^ s``, a receiver's column seeds ``k0`` and ``k1`` — and
+    any other hash under that tweak is the peer recomputing its member,
+    so no ``(tweak, role)`` pair repeats.  A tweak without the batch
+    number, the instance or the half-gate index fails here."""
+    from repro.mpc.circuits import garbling
+    from repro.mpc import ot as ot_module
+    from repro.tpch import PREPARED, generate
+
+    seen = []
+    real_hash = batch.tccr_hash
+
+    def spy(x, t):
+        x, t = np.broadcast_arrays(
+            np.asarray(x, dtype=np.uint8), np.asarray(t, dtype=np.uint8)
+        )
+        seen.append(np.concatenate([t, x], axis=-1).reshape(-1, 32))
+        return real_hash(x, t)
+
+    for module in (garbling, ot_module):
+        monkeypatch.setattr(module, "tccr_hash", spy)
+    query = PREPARED["Q3"](generate(0.03))
+    engine = Engine(query.make_context(Mode.REAL, seed=7))
+    engine.backend = backend
+    result, _ = query.run_secure(engine)
+    assert result.semantically_equal(query.run_plain()[0])
+
+    pairs = np.unique(np.concatenate(seen).view("V32"))
+    tweak_of = pairs.view(np.uint8).reshape(-1, 32)[:, :16]
+    _, inputs_per_tweak = np.unique(
+        np.ascontiguousarray(tweak_of).view("V16"), return_counts=True
+    )
+    assert len(inputs_per_tweak) > 50_000  # the spy saw the whole query
+    assert inputs_per_tweak.max() == 2
 
 
 # ----------------------------------------------------------------------
@@ -126,7 +190,7 @@ class TestOtDifferential:
         ctx = Context(Mode.REAL, seed=seed)
         ot = cls(ctx)
         out = ot.transfer(pairs, choices)
-        out += ot.transfer(pairs[:3], choices[:3])  # second batch, new salt
+        out += ot.transfer(pairs[:3], choices[:3])  # second batch, new tweaks
         return out, ctx.transcript.fingerprint()
 
     def test_uniform_width_batch(self):

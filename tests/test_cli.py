@@ -16,6 +16,7 @@ def test_import_needs_only_declared_dependencies():
     probe = (
         "import sys, numpy\n"
         "import cryptography.hazmat.primitives.asymmetric.ec\n"
+        "import cryptography.hazmat.primitives.ciphers\n"
         "before = set(sys.modules)\n"
         "import repro.cli\n"
         "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"

@@ -1,7 +1,6 @@
 """Garbled circuits: garbled evaluation must match plaintext evaluation,
-and the scheme's structural security properties must hold."""
-
-import secrets
+the scheme's structural security properties must hold, and the level
+schedule must be a sound reordering of the gate list."""
 
 import numpy as np
 import pytest
@@ -9,9 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.mpc import Context, Mode, gadgets, yao
-from repro.mpc.circuits import CircuitBuilder, evaluate_garbled, garble
+from repro.mpc.batch import tccr_hash, tweaks
+from repro.mpc.circuits import AND, INV, CircuitBuilder
+from repro.mpc.circuits import garbling
 from repro.mpc.circuits.garbling import (
     SEED_BYTES,
+    evaluate_batch,
     expand_labels,
     garble_batch,
     make_garble_plan,
@@ -21,68 +23,143 @@ from repro.mpc.ot import SimulatedOT
 
 from .conftest import run_circuit
 
+#: Instances per garbled batch in the direct (OT-free) tests.
+BATCH_SIZES = (1, 5)
 
-def random_circuit(rng, n_alice=6, n_bob=6, n_gates=40):
+
+GATES = ("xor", "and", "inv", "and_self")
+
+
+def random_circuit(rng, n_alice=6, n_bob=6, n_gates=40, kinds=GATES):
+    """Random gates of the given kinds (``and_self`` is ``a AND a``)
+    over the inputs and both constants, then a random INV chain."""
     b = CircuitBuilder()
     wires = b.alice_input_bits(n_alice) + b.bob_input_bits(n_bob)
     wires.append(b.constant(0))
     wires.append(b.constant(1))
     for _ in range(n_gates):
-        op = rng.integers(0, 3)
+        kind = kinds[rng.integers(0, len(kinds))]
         a = wires[rng.integers(0, len(wires))]
         c = wires[rng.integers(0, len(wires))]
-        if op == 0:
+        if kind == "xor":
             wires.append(b.xor(a, c))
-        elif op == 1:
+        elif kind == "and":
             wires.append(b.and_(a, c))
-        else:
+        elif kind == "inv":
             wires.append(b.not_(a))
+        else:
+            wires.append(b.and_(a, a))
+    chain = wires[rng.integers(0, len(wires))]
+    for _ in range(rng.integers(1, 6)):
+        chain = b.not_(chain)
+        wires.append(chain)
     outputs = [wires[i] for i in rng.integers(0, len(wires), size=8)]
-    return b.build(outputs)
+    return b.build(outputs + [chain])
 
 
-def garbled_eval(circuit, alice_bits, bob_bits):
-    g = garble(circuit, secrets.token_bytes)
-    labels = {}
-    for w, bit in zip(circuit.alice_inputs, alice_bits):
-        labels[w] = g.label(w, bit)
-    for w, bit in zip(circuit.bob_inputs, bob_bits):
-        labels[w] = g.label(w, bit)
+def garble_direct(circuit, alice_bits, bob_bits, seed=0, batch=3):
+    """Garble one instance per row and evaluate it with the evaluator's
+    labels handed over directly (the OT is tested elsewhere): returns
+    the garbling, the evaluator's active labels of every wire, and the
+    decoded output bits."""
+    alice_bits = np.asarray(alice_bits, dtype=np.uint8).reshape(
+        -1, len(circuit.alice_inputs)
+    )
+    n = len(alice_bits)
+    bob_bits = np.asarray(bob_bits, dtype=np.uint8).reshape(n, -1)
+    plan = make_garble_plan(circuit)
+    rng = np.random.default_rng(seed)
+    alice_zero = np.frombuffer(
+        rng.bytes(16 * n * len(plan.alice_wires)), dtype=np.uint8
+    ).reshape(len(plan.alice_wires), n, 16)
+    label_seed = rng.bytes(SEED_BYTES)
+    consts = np.broadcast_to(plan.const_bits, (n, len(plan.const_bits)))
+    garbler_bits = np.concatenate([bob_bits, consts], axis=1)
+    g = garble_batch(
+        plan, rng.bytes, alice_zero, label_seed, garbler_bits, batch
+    )
+    active = np.zeros((plan.n_wires, n, 16), dtype=np.uint8)
+    active[plan.alice_wires] = alice_zero ^ (
+        g.delta[None] * alice_bits.T[:, :, None]
+    )
+    active[plan.garbler_wires] = expand_labels(label_seed, plan, n, batch)
+    select = evaluate_batch(plan, g.tables, active, batch)
+    return g, active, select ^ g.output_permute_bits()
+
+
+def wire_values(circuit, alice_bits, bob_bits):
+    """Plaintext value of every wire of one instance."""
+    value = np.zeros(circuit.n_wires, dtype=np.uint8)
+    value[list(circuit.alice_inputs)] = alice_bits
+    value[list(circuit.bob_inputs)] = bob_bits
     for w, bit in circuit.const_wires:
-        labels[w] = g.label(w, bit)
-    active = evaluate_garbled(circuit, g.tables, labels)
-    permute = g.output_permute_bits()
-    return [
-        (active[w] & 1) ^ p for w, p in zip(circuit.outputs, permute)
-    ]
+        value[w] = bit
+    for g in circuit.gates:
+        if g.op == INV:
+            value[g.out] = value[g.a] ^ 1
+        elif g.op == AND:
+            value[g.out] = value[g.a] & value[g.b]
+        else:
+            value[g.out] = value[g.a] ^ value[g.b]
+    return value
+
+
+def random_bits(circuit, rng, n):
+    na, nb = len(circuit.alice_inputs), len(circuit.bob_inputs)
+    return (
+        rng.integers(0, 2, (n, na), dtype=np.uint8),
+        rng.integers(0, 2, (n, nb), dtype=np.uint8),
+    )
+
+
+def assert_matches_plain(circuit, rng):
+    for n in BATCH_SIZES:
+        alice, bob = random_bits(circuit, rng, n)
+        _, _, outs = garble_direct(circuit, alice, bob, seed=n)
+        for a, b, o in zip(alice, bob, outs):
+            assert o.tolist() == circuit.evaluate(a, b)
 
 
 class TestCorrectness:
     def test_random_circuits(self):
         rng = np.random.default_rng(13)
         for _ in range(25):
-            c = random_circuit(rng)
-            alice = list(rng.integers(0, 2, len(c.alice_inputs)))
-            bob = list(rng.integers(0, 2, len(c.bob_inputs)))
-            assert garbled_eval(c, alice, bob) == c.evaluate(alice, bob)
+            assert_matches_plain(random_circuit(rng), rng)
+
+    def test_random_circuits_without_and_gates(self):
+        rng = np.random.default_rng(14)
+        for _ in range(10):
+            c = random_circuit(rng, kinds=("xor", "inv"))
+            assert c.and_count == 0
+            assert_matches_plain(c, rng)
 
     def test_arithmetic_circuit(self):
         ell = 8
         b = CircuitBuilder()
         xs, ys = b.alice_input_bits(ell), b.bob_input_bits(ell)
         c = b.build(b.mul(xs, ys))
-        out = garbled_eval(c, bits_of(13, ell), bits_of(19, ell))
-        assert int_of(out) == (13 * 19) % 256
+        for n in BATCH_SIZES:
+            _, _, outs = garble_direct(
+                c, [bits_of(13, ell)] * n, [bits_of(19, ell)] * n
+            )
+            assert [int_of(list(o)) for o in outs] == [(13 * 19) % 256] * n
 
     def test_all_gate_types(self):
         b = CircuitBuilder()
         (x,) = b.alice_input_bits(1)
         (y,) = b.bob_input_bits(1)
-        outs = [b.xor(x, y), b.and_(x, y), b.not_(x), b.or_(x, y)]
+        outs = [
+            b.xor(x, y), b.and_(x, y), b.not_(x), b.or_(x, y),
+            b.and_(x, x), b.and_(x, b.constant(1)), b.xor(y, b.constant(1)),
+        ]
         c = b.build(outs)
-        for xv in (0, 1):
-            for yv in (0, 1):
-                assert garbled_eval(c, [xv], [yv]) == c.evaluate([xv], [yv])
+        inputs = [(xv, yv) for xv in (0, 1) for yv in (0, 1)]
+        alice = [[xv] for xv, _ in inputs]
+        bob = [[yv] for _, yv in inputs]
+        for n in BATCH_SIZES:
+            _, _, got = garble_direct(c, (alice * 2)[:n], (bob * 2)[:n])
+            for a, bb, o in zip(alice * 2, bob * 2, got):
+                assert o.tolist() == c.evaluate(a, bb)
 
 
 class TestSchemeStructure:
@@ -90,10 +167,11 @@ class TestSchemeStructure:
         b = CircuitBuilder()
         (x,) = b.alice_input_bits(1)
         (y,) = b.bob_input_bits(1)
-        b.xor(x, y)
+        b.not_(b.xor(x, y))
         c = b.build([])
-        g = garble(c, secrets.token_bytes)
-        assert g.tables.n_bytes == 0
+        for n in BATCH_SIZES:
+            g, _, _ = garble_direct(c, [[0]] * n, [[1]] * n)
+            assert g.tables.size == 0
 
     def test_table_bytes_two_rows_per_and(self):
         # Half-gates: exactly two 16-byte ciphertexts per AND gate.
@@ -101,45 +179,55 @@ class TestSchemeStructure:
         xs, ys = b.alice_input_bits(8), b.bob_input_bits(8)
         b.add(xs, ys)
         c = b.build([])
-        g = garble(c, secrets.token_bytes)
-        assert g.tables.n_bytes == c.and_count * 2 * 16
+        for n in BATCH_SIZES:
+            g, _, _ = garble_direct(c, [[0] * 8] * n, [[1] * 8] * n)
+            assert g.tables.nbytes == c.and_count * 2 * 16 * n
 
     def test_labels_differ_by_global_delta(self):
-        b = CircuitBuilder()
-        xs = b.alice_input_bits(4)
-        c = b.build(xs)
-        g = garble(c, secrets.token_bytes)
-        for w in c.alice_inputs:
-            assert g.label(w, 0) ^ g.label(w, 1) == g.delta
+        """On every wire the evaluator's active label is the garbler's
+        zero-label XOR the wire's plaintext bit times that instance's
+        delta."""
+        rng = np.random.default_rng(3)
+        c = random_circuit(rng)
+        for n in BATCH_SIZES:
+            alice, bob = random_bits(c, rng, n)
+            g, active, _ = garble_direct(c, alice, bob, seed=n)
+            for i in range(n):
+                bits = wire_values(c, alice[i], bob[i])
+                expect = g.zero[:, i] ^ (bits[:, None] * g.delta[i])
+                assert (active[:, i] == expect).all()
 
     def test_delta_has_lsb_one(self):
         b = CircuitBuilder()
         b.alice_input_bits(1)
-        g = garble(b.build([]), secrets.token_bytes)
-        assert g.delta & 1 == 1
+        for n in BATCH_SIZES:
+            g, _, _ = garble_direct(b.build([]), [[0]] * n, [[]] * n)
+            assert (g.delta[:, 0] & 1 == 1).all()
 
     def test_select_bits_of_pair_differ(self):
         # Point-and-permute needs the two labels of a wire to carry
         # opposite select bits.
-        b = CircuitBuilder()
-        xs = b.alice_input_bits(4)
-        c = b.build(xs)
-        g = garble(c, secrets.token_bytes)
-        for w in c.alice_inputs:
-            assert (g.label(w, 0) & 1) != (g.label(w, 1) & 1)
+        rng = np.random.default_rng(4)
+        c = random_circuit(rng)
+        for n in BATCH_SIZES:
+            alice, bob = random_bits(c, rng, n)
+            g, _, _ = garble_direct(c, alice, bob)
+            one = g.zero ^ g.delta[None]
+            assert ((g.zero[:, :, 0] ^ one[:, :, 0]) & 1 == 1).all()
 
     def test_fresh_garblings_use_fresh_labels(self):
         b = CircuitBuilder()
         xs = b.alice_input_bits(2)
-        c = b.build(xs)
-        g1 = garble(c, secrets.token_bytes)
-        g2 = garble(c, secrets.token_bytes)
-        assert g1.zero_labels != g2.zero_labels
+        c = b.build([b.and_(*xs)])
+        for n in BATCH_SIZES:
+            g1, _, _ = garble_direct(c, [[1, 1]] * n, [[]] * n, seed=1)
+            g2, _, _ = garble_direct(c, [[1, 1]] * n, [[]] * n, seed=2)
+            assert (g1.delta != g2.delta).any(axis=1).all()
+            assert (g1.tables != g2.tables).any()
 
 
 # ----------------------------------------------------------------------
-# The batched protocol: seed-expanded garbler labels, C-OT evaluator
-# labels (the REAL half of repro.mpc.yao.garbled_call)
+# The level schedule
 # ----------------------------------------------------------------------
 
 #: Every template of ``mpc/gadgets.py``, as ``ell -> Circuit``.
@@ -156,6 +244,82 @@ TEMPLATES = {
 ELLS = (8, 20, 32, 48)
 
 
+class TestLevelSchedule:
+    @pytest.mark.parametrize("name", sorted(TEMPLATES))
+    def test_every_gate_once_after_its_operands(self, name):
+        """Each gate sits in exactly one level, strictly after the
+        levels that produce its operands, and ``and_index`` numbers the
+        ANDs in construction order."""
+        rng = np.random.default_rng(5)
+        for circuit in (TEMPLATES[name](32), random_circuit(rng)):
+            plan = make_garble_plan(circuit)
+            level_of = {}  # output wire -> level
+            and_at = {}  # output wire -> table row
+            for depth, lv in enumerate(circuit.levels):
+                outs = [lv.xor_out, lv.inv_out, lv.and_out]
+                for w in np.concatenate(outs).tolist():
+                    assert w not in level_of
+                    level_of[w] = depth
+                and_at.update(zip(lv.and_out.tolist(), lv.and_index.tolist()))
+                for a in np.concatenate(
+                    [lv.xor_a, lv.xor_b, lv.inv_a, lv.and_a, lv.and_b]
+                ).tolist():
+                    assert level_of.get(a, -1) < depth
+            assert sorted(level_of) == sorted(g.out for g in circuit.gates)
+            ands = [g.out for g in circuit.gates if g.op == AND]
+            assert [and_at[w] for w in ands] == list(range(len(ands)))
+            assert plan.n_ands == len(ands)
+
+    def test_tables_are_in_construction_order(self):
+        """Row ``k`` of the tables is the generator/evaluator half-gate
+        pair of the ``k``-th AND gate, hashed under tweaks ``2k`` and
+        ``2k + 1``: recompute both rows from the zero-labels."""
+        circuit = gadgets.nonzero_circuit(8)
+        alice, bob = random_bits(circuit, np.random.default_rng(6), 1)
+        g, _, _ = garble_direct(circuit, alice, bob, batch=11)
+        delta = g.delta[0]
+        ands = [gate for gate in circuit.gates if gate.op == AND]
+        for k, gate in enumerate(ands):
+            wa0, wb0 = g.zero[gate.a, 0], g.zero[gate.b, 0]
+
+            def h(x, j):
+                return tccr_hash(x, tweaks(11, np.uint64(0), np.uint64(j)))
+
+            t_g = h(wa0, 2 * k) ^ h(wa0 ^ delta, 2 * k) ^ (
+                delta * (wb0[0] & 1)
+            )
+            t_e = h(wb0, 2 * k + 1) ^ h(wb0 ^ delta, 2 * k + 1) ^ wa0
+            assert (g.tables[k, 0, 0] == t_g).all()
+            assert (g.tables[k, 1, 0] == t_e).all()
+
+    def test_merge_chain_level_count(self, monkeypatch):
+        """The 256-row merge chain is 169,379 gates in 1,371 levels, and
+        garbling and evaluating it hash once per level with ANDs (plus
+        the label expansion): a return to gate-by-gate stepping fails
+        here."""
+        circuit = gadgets.merge_sum_circuit(32, 256)
+        assert (len(circuit.gates), len(circuit.levels)) == (169_379, 1_371)
+        with_ands = sum(1 for lv in circuit.levels if len(lv.and_out))
+        calls = []
+
+        def spy(x, t):
+            calls.append(t.shape)
+            return tccr_hash(x, t)
+
+        monkeypatch.setattr(garbling, "tccr_hash", spy)
+        alice, bob = random_bits(circuit, np.random.default_rng(7), 1)
+        _, _, outs = garble_direct(circuit, alice, bob)
+        assert outs[0].tolist() == circuit.evaluate(alice[0], bob[0])
+        # garbler: expansion + one per level; evaluator: the same
+        assert len(calls) == 2 * (1 + with_ands)
+
+
+# ----------------------------------------------------------------------
+# The batched protocol: seed-expanded garbler labels, C-OT evaluator
+# labels (the REAL half of repro.mpc.yao.garbled_call)
+# ----------------------------------------------------------------------
+
+
 def run_real_batch(circuit, alice, bob, seed=0):
     """REAL garbling and evaluation over an ideal OT (the extension's
     own tests cover IKNP; skipping its base phase keeps this fast)."""
@@ -164,21 +328,13 @@ def run_real_batch(circuit, alice, bob, seed=0):
     return outs.tolist(), ctx
 
 
-def random_inputs(circuit, rng, n):
-    na, nb = len(circuit.alice_inputs), len(circuit.bob_inputs)
-    return (
-        rng.integers(0, 2, (n, na), dtype=np.uint8),
-        rng.integers(0, 2, (n, nb), dtype=np.uint8),
-    )
-
-
 @pytest.mark.real
 class TestSeedExpandedBatch:
     @pytest.mark.parametrize("ell", ELLS)
     @pytest.mark.parametrize("name", sorted(TEMPLATES))
     def test_every_template_matches_plain_evaluation(self, name, ell):
         circuit = TEMPLATES[name](ell)
-        alice, bob = random_inputs(circuit, np.random.default_rng(ell), 3)
+        alice, bob = random_bits(circuit, np.random.default_rng(ell), 3)
         outs, _ = run_real_batch(circuit, alice, bob)
         for a, b, o in zip(alice, bob, outs):
             assert o == circuit.evaluate(a, b)
@@ -190,7 +346,7 @@ class TestSeedExpandedBatch:
     )
     def test_random_inputs_match_plain_evaluation(self, name, ell, seed):
         circuit = TEMPLATES[name](ell)
-        alice, bob = random_inputs(circuit, np.random.default_rng(seed), 2)
+        alice, bob = random_bits(circuit, np.random.default_rng(seed), 2)
         outs, _ = run_real_batch(circuit, alice, bob, seed=seed)
         for a, b, o in zip(alice, bob, outs):
             assert o == circuit.evaluate(a, b)
@@ -204,14 +360,14 @@ class TestSeedExpandedBatch:
         view of a garbler input does not depend on its bit."""
         circuit = gadgets.psi_bin_circuit(32, 12, True)
         rng = np.random.default_rng(9)
-        alice, bob = random_inputs(circuit, rng, 4)
+        alice, bob = random_bits(circuit, rng, 4)
         other_bob = 1 - bob
         seen = []
         real_evaluate = yao.evaluate_batch
 
-        def spy(plan, tables, active):
+        def spy(plan, tables, active, batch):
             seen.append(active[plan.garbler_wires].copy())
-            return real_evaluate(plan, tables, active)
+            return real_evaluate(plan, tables, active, batch)
 
         monkeypatch.setattr(yao, "evaluate_batch", spy)
         outs1, ctx1 = run_real_batch(circuit, alice, bob, seed=5)
@@ -230,13 +386,15 @@ class TestSeedExpandedBatch:
     def test_expand_labels_is_a_prg_of_instance_and_wire(self):
         plan = make_garble_plan(gadgets.nonzero_circuit(8))
         seed = bytes(range(16))
-        small = expand_labels(seed, plan, 2)
-        big = expand_labels(seed, plan, 5)
+        small = expand_labels(seed, plan, 2, 0)
+        big = expand_labels(seed, plan, 5, 0)
         assert small.shape == (len(plan.garbler_wires), 2, 16)
         assert (big[:, :2] == small).all()  # a prefix of one stream
         flat = big.transpose(1, 0, 2).reshape(-1, 16)
         assert len({bytes(r) for r in flat}) == len(flat)
-        assert (expand_labels(bytes(16), plan, 2) != small).any()
+        assert (expand_labels(bytes(16), plan, 2, 0) != small).any()
+        # another batch number: another label on every wire
+        assert (expand_labels(seed, plan, 2, 1) != small).any(axis=2).all()
 
     def test_select_bits_independent_of_semantics(self):
         """lsb(zero) = lsb(active) ^ bit on garbler wires: the active
@@ -252,8 +410,8 @@ class TestSeedExpandedBatch:
         alice_zero = np.frombuffer(
             rng.bytes(16 * 6 * len(plan.alice_wires)), dtype=np.uint8
         ).reshape(len(plan.alice_wires), 6, 16)
-        g = garble_batch(plan, rng.bytes, alice_zero, seed, bits)
-        active = expand_labels(seed, plan, 6)
+        g = garble_batch(plan, rng.bytes, alice_zero, seed, bits, 0)
+        active = expand_labels(seed, plan, 6, 0)
         zero = g.zero[plan.garbler_wires]
         assert ((zero[:, :, 0] ^ active[:, :, 0]) & 1 == bits.T).all()
         assert (g.delta[:, 0] & 1 == 1).all()

@@ -295,8 +295,12 @@ class TestOnePublicKeyCallSite:
         )
 
     def test_only_ot_and_dhoprf_import_the_group(self):
+        """OpenSSL is reached twice: P-256 for the public-key work and
+        the fixed-key AES hash for the symmetric work."""
         assert self.importers("p256") == ["mpc/dhoprf.py", "mpc/ot.py"]
-        assert self.importers("cryptography") == ["mpc/p256.py"]
+        assert self.importers("cryptography") == [
+            "mpc/batch.py", "mpc/p256.py"
+        ]
 
     def test_one_group_and_three_inert_names(self):
         """``group_bits`` or ``modp`` anywhere in ``src/``: the names
