@@ -163,7 +163,7 @@ class _Estimator:
         self.est.add_rounds(3)
         self._ot_base(reverse=True)  # the OPRF's base OTs come from it
         self.est.add("oprf", sum(costs.kkrt_setup_bytes(self.p.kappa, b)))
-        self.est.add("opprf_hints", costs.opprf_hint_bytes(b, load))
+        self.est.add("opprf_hints", costs.opprf_hint_bytes(b, load, self.p.ell))
         circuit = gadgets.psi_bin_circuit(
             self.p.ell,
             costs.psi_token_bits(b, self.p.sigma),

@@ -28,6 +28,7 @@ from .waksman import padded_size, switch_count
 __all__ = [
     "DH_TOKEN_BYTES",
     "FRAME_HEADER_BYTES",
+    "OPPRF_LIMB_BITS",
     "OPRF_WIDTH",
     "OUT_SIZE_BYTES",
     "Widths",
@@ -42,6 +43,7 @@ __all__ = [
     "merge_chain_counts",
     "oep_widths",
     "opprf_hint_bytes",
+    "opprf_payload_limbs",
     "permutation_widths",
     "psi_bins",
     "psi_seed_bytes",
@@ -205,10 +207,22 @@ def kkrt_setup_bytes(kappa: int, n_rows: int) -> Tuple[int, int]:
     )
 
 
-def opprf_hint_bytes(n_bins: int, load: int) -> int:
-    """Two degree-``load - 1`` polynomials (match token, masked payload)
-    of 8-byte ``GF(2^61 - 1)`` coefficients per bin."""
-    return 8 * 2 * load * n_bins
+#: Bits of the masked payload one ``GF(2^61 - 1)`` element carries: an
+#: ``ell``-bit payload crosses the OPPRF as :func:`opprf_payload_limbs`
+#: elements, each below the prime.
+OPPRF_LIMB_BITS = 60
+
+
+def opprf_payload_limbs(ell: int) -> int:
+    """``ceil(ell / 60)``: one for every ``ell <= 60``."""
+    return -(-ell // OPPRF_LIMB_BITS)
+
+
+def opprf_hint_bytes(n_bins: int, load: int, ell: int) -> int:
+    """Per bin, degree-``load - 1`` polynomials of 8-byte
+    ``GF(2^61 - 1)`` coefficients: one for the match token and one per
+    limb of the ``ell``-bit masked payload."""
+    return 8 * (1 + opprf_payload_limbs(ell)) * load * n_bins
 
 
 def psi_token_bits(n_bins: int, sigma: int) -> int:

@@ -131,25 +131,26 @@ def _tokens_real(
     # 1. Alice blinds her hashed keys with fresh per-item scalars.
     blinds = [p256.random_scalar(ctx.random_bytes) for _ in alice]
     blinded = [
-        p256.mul_x(r, p256.hash_to_curve(x.tobytes()))
+        p256.mul_x(p256.secret(r), [p256.hash_to_curve(x.tobytes())])[0]
         for x, r in zip(alice, blinds)
     ]
     ctx.send(ALICE, sum(map(len, blinded)), "blind")
 
     # 2. Bob applies his OPRF key to every blinded element ...
-    k = p256.random_scalar(ctx.random_bytes)
-    evaluated = [p256.mul_x(k, a) for a in blinded]
+    k = p256.secret(p256.random_scalar(ctx.random_bytes))
+    evaluated = p256.mul_x(k, blinded)
     ctx.send(BOB, sum(map(len, evaluated)), "eval")
 
     # 3. ... and ships the tokens of his own items.
     bob_tokens = [
-        _token(p256.mul_x(k, p256.hash_to_curve(y.tobytes()))) for y in bob
+        _token(t)
+        for t in p256.mul_x(k, [p256.hash_to_curve(y.tobytes()) for y in bob])
     ]
     ctx.send(BOB, len(bob) * DH_TOKEN_BYTES, "tokens")
 
     # 4. Alice unblinds locally.
     alice_tokens = [
-        _token(p256.mul_x(pow(r, -1, p256.N), b))
+        _token(p256.mul_x(p256.secret(pow(r, -1, p256.N)), [b])[0])
         for b, r in zip(evaluated, blinds)
     ]
     return (

@@ -27,7 +27,7 @@ SIMULATED mode reshares ``x[xi]`` directly and charges identical bytes.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .context import Context, Mode
 from .costs import Widths, oep_widths, permutation_widths, ring_bytes
 from .ot import OT
 from .sharing import SharedVector
-from .waksman import pad_permutation, padded_size
+from .waksman import Layer, pad_permutation, padded_size
 
 __all__ = ["oblivious_permutation", "oblivious_extended_permutation"]
 
@@ -49,12 +49,13 @@ def oblivious_permutation(
     output position ``perm[i]`` receives input ``i``'s value, with fresh
     shares.  ``len(perm) == len(values)``."""
     n = len(values)
-    if sorted(perm) != list(range(n)):
+    perm = np.asarray(perm, dtype=np.int64)
+    if not np.array_equal(np.sort(perm), np.arange(n)):
         raise ValueError("perm must be a bijection on the vector's indices")
     with ctx.section(label):
         if ctx.mode == Mode.SIMULATED:
             inv = np.empty(n, dtype=np.int64)
-            inv[np.asarray(perm, dtype=np.int64)] = np.arange(n)
+            inv[perm] = np.arange(n)
             out_plain = values.reconstruct()[inv]
             _charge_switches(ctx, ot, permutation_widths(ctx.params.ell, n))
             return SharedVector.fresh(ctx, out_plain)
@@ -62,7 +63,7 @@ def oblivious_permutation(
         padded = values.concat(
             SharedVector.zeros(padded_size(n) - n, ctx.modulus)
         )
-        switched = _apply_switch_network(ctx, ot, [layers], [], padded)
+        switched = _apply_switch_network(ctx, ot, [layers], None, padded)
         # Output position perm[i] received input i; read back in order.
         return switched.take(np.arange(n))
 
@@ -92,7 +93,7 @@ def oblivious_extended_permutation(
             out_plain = values.reconstruct()[xi_arr]
             _charge_switches(ctx, ot, oep_widths(ctx.params.ell, m, n_out))
             return SharedVector.fresh(ctx, out_plain)
-        return _oep_real(ctx, ot, [int(s) for s in xi_arr], values, n_out)
+        return _oep_real(ctx, ot, xi_arr, values, n_out)
 
 
 # ----------------------------------------------------------------------
@@ -109,44 +110,12 @@ def _charge_switches(ctx: Context, ot: OT, widths: Widths) -> None:
 
 
 def _oep_real(
-    ctx: Context, ot: OT, xi: List[int], values: SharedVector, n_out: int
+    ctx: Context, ot: OT, xi: np.ndarray, values: SharedVector, n_out: int
 ) -> SharedVector:
     m = len(values)
     n_work = padded_size(max(m, n_out))
     padded = values.concat(SharedVector.zeros(n_work - m, ctx.modulus))
-
-    # Group target positions by source so duplicates are consecutive.
-    order = sorted(range(n_out), key=lambda i: (xi[i], i))
-    # P1: bring each used source to the head position of its block.
-    perm1 = [-1] * n_work
-    copy_bits = [False] * n_work
-    prev_source = None
-    for g, target in enumerate(order):
-        s = xi[target]
-        if s != prev_source:
-            perm1[s] = g
-            prev_source = s
-        else:
-            copy_bits[g] = True
-    free_slots = iter(
-        g for g in range(n_work) if g not in set(
-            p for p in perm1 if p >= 0
-        )
-    )
-    for s in range(n_work):
-        if perm1[s] == -1:
-            perm1[s] = next(free_slots)
-    # P2: route block member g to its target position order[g].
-    perm2 = [-1] * n_work
-    taken = [False] * n_work
-    for g, target in enumerate(order):
-        perm2[g] = target
-        taken[target] = True
-    free_targets = iter(t for t in range(n_work) if not taken[t])
-    for g in range(n_work):
-        if perm2[g] == -1:
-            perm2[g] = next(free_targets)
-
+    perm1, perm2, copy_bits = _ep_permutations(xi, n_work)
     # The size-keyed topology is cached across every OEP of the run;
     # only the per-permutation switch settings are recomputed here.
     layers1 = ctx.cache.benes_network(perm1)
@@ -157,22 +126,42 @@ def _oep_real(
     return routed.take(np.arange(n_out))
 
 
-def _switch_stages(
-    layers: List[List[Tuple[int, int, bool]]]
-) -> List[Tuple]:
+def _ep_permutations(
+    xi: np.ndarray, n_work: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The extended permutation ``xi`` as ``(perm1, perm2, copy_bits)``
+    over ``n_work`` wires.  Target positions sorted by source (stably)
+    form one block per used source.  ``perm1`` brings each used source
+    to its block's head and every unused one to the free slots in
+    ascending order; the copy bits mark the block positions after a
+    head; ``perm2`` routes block position ``g`` to its target and the
+    spare wires to the spare targets in order."""
+    n_out = len(xi)
+    order = np.argsort(xi, kind="stable")
+    sources = xi[order]
+    head = np.ones(n_out, dtype=bool)
+    head[1:] = sources[1:] != sources[:-1]
+    heads = np.flatnonzero(head)
+    perm1 = np.full(n_work, -1, dtype=np.int64)
+    perm1[sources[heads]] = heads
+    taken = np.zeros(n_work, dtype=bool)
+    taken[heads] = True
+    perm1[perm1 < 0] = np.flatnonzero(~taken)
+    copy_bits = np.zeros(n_work, dtype=bool)
+    copy_bits[:n_out] = ~head
+    perm2 = np.concatenate([order, np.arange(n_out, n_work)])
+    return perm1, perm2, copy_bits
+
+
+def _switch_stages(layers: List[Layer]) -> List[Tuple]:
     """One ``("switch", a_idx, b_idx, swaps)`` stage per non-empty layer
     (a layer's switches touch disjoint wire pairs, so each stages and
     replays as one vectorised step).  A stage's last element is
     Alice's choice bits, one per OT."""
     return [
-        (
-            "switch",
-            np.asarray([a for a, _, _ in layer], dtype=np.int64),
-            np.asarray([b for _, b, _ in layer], dtype=np.int64),
-            np.asarray([s for _, _, s in layer], dtype=np.uint8),
-        )
-        for layer in layers
-        if layer
+        ("switch", a, b, swaps.astype(np.uint8))
+        for a, b, swaps in layers
+        if len(a)
     ]
 
 
@@ -227,8 +216,8 @@ def _replay_alice(
     alice: np.ndarray,
 ) -> None:
     """Alice's side: apply her OT outputs stage by stage.  Switch
-    layers vectorise (disjoint wire pairs); the replication pass is a
-    sequential left-to-right scan by construction."""
+    layers vectorise (disjoint wire pairs); so does the replication
+    pass, as a segmented prefix sum (:func:`_copy_pass`)."""
     mask = ctx.mask
     rb = ring_bytes(ctx.params.ell)
     for stage, msg in zip(stages, messages):
@@ -241,37 +230,53 @@ def _replay_alice(
             alice[a_idx] = (np.where(sw, xb, xa) + v0) & mask
             alice[b_idx] = (np.where(sw, xa, xb) + v1) & mask
         else:
-            copy_bits = stage[1]  # for positions 1..n-1
-            vals = le_bytes_to_words(msg)
-            imask = int(mask)
-            for i in range(1, len(alice)):
-                prev = int(alice[i - 1])
-                keep = int(alice[i])
-                alice[i] = (
-                    (prev if copy_bits[i - 1] else keep) + int(vals[i - 1])
-                ) & imask
+            alice[:] = _copy_pass(
+                alice, stage[1].astype(bool), le_bytes_to_words(msg), mask
+            )
+
+
+def _copy_pass(
+    alice: np.ndarray,
+    copy_bits: np.ndarray,
+    vals: np.ndarray,
+    mask: np.uint64,
+) -> np.ndarray:
+    """Alice's replication pass: wire ``i >= 1`` becomes her OT output
+    ``vals[i - 1]`` plus the pass's *new* value of wire ``i - 1`` if
+    ``copy_bits[i - 1]``, else plus her old share of wire ``i``.  A run
+    of copies therefore sums from the wire before it, so each wire's new
+    value is a prefix sum of ``terms`` restarted at every non-copy wire:
+    one ``cumsum`` (mod 2^64, hence mod 2^ell) minus its value before
+    the wire's run."""
+    n = len(alice)
+    copied = np.zeros(n, dtype=bool)
+    copied[1:] = copy_bits
+    terms = np.where(copied, np.uint64(0), alice)
+    terms[1:] += vals
+    total = np.cumsum(terms, dtype=np.uint64)
+    run = np.maximum.accumulate(np.where(copied, 0, np.arange(n)))
+    return (total - total[run] + terms[run]) & mask
 
 
 def _apply_switch_network(
     ctx: Context,
     ot: OT,
-    networks: List[List[List[Tuple[int, int, bool]]]],
-    replication_after_first: Sequence[bool],
+    networks: List[List[Layer]],
+    copy_bits: Optional[np.ndarray],
     values: SharedVector,
 ) -> SharedVector:
-    """Run one or two Benes networks with an optional replication pass in
-    between, batching every OT into one correlated extension call: the
-    pads of every gate are known once ``u`` has crossed, Bob stages all
-    of them, one correction message crosses, Alice replays."""
+    """Run one or two Benes networks with an optional replication pass
+    (``copy_bits``, one per wire, the first ignored) in between,
+    batching every OT into one correlated extension call: the pads of
+    every gate are known once ``u`` has crossed, Bob stages all of
+    them, one correction message crosses, Alice replays."""
     alice = values.alice.astype(np.uint64).copy()
     bob = values.bob.astype(np.uint64).copy()
     rb = ring_bytes(ctx.params.ell)
 
     stages = _switch_stages(networks[0])
-    if replication_after_first and len(bob) > 1:
-        stages.append(
-            ("copy", np.asarray(replication_after_first[1:], dtype=np.uint8))
-        )
+    if copy_bits is not None and len(bob) > 1:
+        stages.append(("copy", copy_bits[1:].astype(np.uint8)))
     for network in networks[1:]:
         stages += _switch_stages(network)
     if not stages:  # a one-wire network has no gates

@@ -177,37 +177,48 @@ def _chou_orlandi(
     multiplications per transfer (receiver ``bG`` and ``bA``, sender
     ``aB`` and ``a(B - A)``), every secret scalar full width; ``A`` and
     ``B`` cross as compressed points and are decoded — validated — by
-    their receiver."""
+    their receiver.  Each secret scalar is one OpenSSL key: the
+    sender's ``a`` multiplies all ``2 * len(pairs)`` points in one
+    call."""
     if len(pairs) != len(choices):
         raise ValueError("one choice bit per message pair is required")
     # Sender: A = aG.
-    a = p256.random_scalar(ctx.random_bytes)
+    a = p256.secret(p256.random_scalar(ctx.random_bytes))
     own_a = p256.base_mul(a)
     minus_a = p256.neg(own_a)
     wire_a = p256.encode(own_a)
     big_a = p256.decode(wire_a)  # the receiver's copy
 
-    out: List[bytes] = []
-    b_bytes = ct_bytes = 0
+    # Receiver: per transfer B = bG + cA and her key H(x(bA)).
+    wire_bs: List[bytes] = []
+    keys: List[bytes] = []
     for (m0, m1), c in zip(pairs, choices):
         if len(m0) != len(m1):
             raise ValueError("OT messages in a pair must be equal-length")
-        # Receiver: B = bG + cA and her key H(x(bA)).
-        b = p256.random_scalar(ctx.random_bytes)
+        b = p256.secret(p256.random_scalar(ctx.random_bytes))
         big_b = p256.base_mul(b)
         if c:
             big_b = p256.add(big_b, big_a)
-        wire_b = p256.encode(big_b)
-        key = _kdf(p256.mul(b, big_a))
-        # Sender: one key per message, both ciphertexts.
-        big_b = p256.decode(wire_b)
-        c0 = _stream_xor(_kdf(p256.mul(a, big_b)), m0)
-        c1 = _stream_xor(_kdf(p256.mul(a, p256.add(big_b, minus_a))), m1)
-        b_bytes += len(wire_b)
+        wire_bs.append(p256.encode(big_b))
+        (shared_b,) = p256.mul(b, [big_a])
+        keys.append(_kdf(shared_b))
+
+    # Sender: one key per message, H(x(aB)) and H(x(a(B - A))).
+    big_bs = [p256.decode(wire_b) for wire_b in wire_bs]
+    shared = p256.mul(
+        a, [q for big_b in big_bs for q in (big_b, p256.add(big_b, minus_a))]
+    )
+    out: List[bytes] = []
+    ct_bytes = 0
+    for (m0, m1), c, key, x0, x1 in zip(
+        pairs, choices, keys, shared[0::2], shared[1::2]
+    ):
+        c0 = _stream_xor(_kdf(x0), m0)
+        c1 = _stream_xor(_kdf(x1), m1)
         ct_bytes += len(c0) + len(c1)
         # Receiver: decrypt her chosen message.
         out.append(_stream_xor(key, c1 if c else c0))
-    return out, (len(wire_a), b_bytes, ct_bytes)
+    return out, (len(wire_a), sum(map(len, wire_bs)), ct_bytes)
 
 
 def _prg_bits_all(

@@ -2,7 +2,10 @@
 
 Every scalar multiplication runs in OpenSSL (``cryptography``'s ECDH
 ``exchange`` is exactly ``x(k * P)``); only the affine addition that
-Chou–Orlandi's ``B = bG + A`` needs is Python.  The curve has prime
+Chou–Orlandi's ``B = bG + A`` needs is Python.  A secret scalar becomes
+one OpenSSL key (:func:`secret`), and the multiplications take it with
+every point it multiplies: Chou–Orlandi's ``a`` meets ``2 kappa``
+points and DH-OPRF's key ``k`` all ``m + n``.  The curve has prime
 order, so a point OpenSSL accepts as on-curve is in the group: every
 received encoding is validated by the one call that decodes it, and an
 off-curve one raises OpenSSL's ``ValueError``.
@@ -16,7 +19,7 @@ SEC1-compressed strings; the x-only functions (:func:`mul_x`,
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from cryptography.hazmat.primitives.asymmetric import ec
 
@@ -24,6 +27,7 @@ __all__ = [
     "N",
     "P",
     "Point",
+    "Secret",
     "add",
     "base_mul",
     "decode",
@@ -33,6 +37,7 @@ __all__ = [
     "mul_x",
     "neg",
     "random_scalar",
+    "secret",
 ]
 
 #: Field prime and (prime) group order.
@@ -40,6 +45,9 @@ P = 2**256 - 2**224 + 2**192 + 2**96 - 1
 N = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 
 Point = Tuple[int, int]
+#: A secret scalar as the OpenSSL key every multiplication by it uses
+#: (:func:`secret`).
+Secret = ec.EllipticCurvePrivateKey
 
 _CURVE = ec.SECP256R1()
 _ECDH = ec.ECDH()
@@ -71,23 +79,27 @@ def _lift(x: bytes) -> ec.EllipticCurvePublicKey:
     return ec.EllipticCurvePublicKey.from_encoded_point(_CURVE, b"\x02" + x)
 
 
-def _exchange(k: int, peer: ec.EllipticCurvePublicKey) -> bytes:
-    return ec.derive_private_key(k, _CURVE).exchange(_ECDH, peer)
+def secret(k: int) -> Secret:
+    """Scalar ``k`` as an OpenSSL private key.  Deriving it computes
+    ``k * G``, a fixed-base multiplication, so each secret scalar is
+    derived once however many points it then multiplies."""
+    return ec.derive_private_key(k, _CURVE)
 
 
-def base_mul(k: int) -> Point:
-    """``k * G``."""
-    return _affine(ec.derive_private_key(k, _CURVE).public_key())
+def base_mul(k: Secret) -> Point:
+    """``k * G``, computed when ``k`` was derived."""
+    return _affine(k.public_key())
 
 
-def mul(k: int, point: Point) -> bytes:
-    """``x(k * point)``."""
-    return _exchange(k, _public_key(point))
+def mul(k: Secret, points: Sequence[Point]) -> List[bytes]:
+    """``x(k * P)`` for every ``P`` in ``points``."""
+    return [k.exchange(_ECDH, _public_key(point)) for point in points]
 
 
-def mul_x(k: int, x: bytes) -> bytes:
-    """``x(k * P)`` for either point ``P`` over the x-coordinate ``x``."""
-    return _exchange(k, _lift(x))
+def mul_x(k: Secret, xs: Sequence[bytes]) -> List[bytes]:
+    """``x(k * P)`` for every x-coordinate, ``P`` either point over
+    it."""
+    return [k.exchange(_ECDH, _lift(x)) for x in xs]
 
 
 def neg(point: Point) -> Point:

@@ -23,7 +23,7 @@ Cost: ``~O(M + N)`` communication and computation, constant rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,8 +31,10 @@ from .batch import bits_to_words, sorted_lookup, words_to_bits
 from .circuits.circuit import Circuit
 from .context import ALICE, BOB, Context, Mode
 from .costs import (
+    OPPRF_LIMB_BITS,
     circuit_counts,
     opprf_hint_bytes,
+    opprf_payload_limbs,
     psi_bins,
     psi_seed_bytes,
     psi_token_bits,
@@ -51,9 +53,8 @@ from .oprf import (
     OPPRF_PRIME,
     BatchedOprf,
     charge_oprf_setup,
-    lagrange_basis,
-    poly_eval,
-    poly_from_basis,
+    horner,
+    interpolate,
 )
 from .ot import OT
 from .sharing import SharedVector, as_ring_column
@@ -200,60 +201,80 @@ def _opprf(
     fp_bits: int,
 ) -> Tuple[np.ndarray, ...]:
     """Step 3 — PSI's one mode fork: the batched OPRF, then Bob's
-    per-bin OPPRF polynomials.  REAL returns, per bin, Alice's
-    evaluations ``(token, masked payload)`` and Bob's targets ``(match
-    token s, payload mask w)`` — the bin circuits' inputs; SIMULATED
-    charges the same messages and has no values to return."""
+    OPPRF polynomials, every bin at once.  REAL returns, per bin,
+    Alice's evaluations ``(token, masked payload)`` and Bob's targets
+    ``(match token s, payload mask w)`` — the bin circuits' inputs;
+    SIMULATED charges the same messages and has no values to return."""
     n_bins = len(alice_fps)
+    ell = ctx.params.ell
     if ctx.mode == Mode.SIMULATED:
         charge_oprf_setup(ctx, ot, n_bins)
-        ctx.send(BOB, opprf_hint_bytes(n_bins, load), "opprf_hints")
+        ctx.send(BOB, opprf_hint_bytes(n_bins, load, ell), "opprf_hints")
         return ()
-    modulus = ctx.modulus
     rng = ctx.rng
-    token_mod = 1 << fp_bits
-    oprf = BatchedOprf(ctx, ot, alice_fps.tolist())
-    bob_fp_list = bob_fps.tolist()
-    bob_bins = np.split(members, np.cumsum(counts)[:-1])
+    prime = np.uint64(OPPRF_PRIME)
+    oprf = BatchedOprf(ctx, ot, alice_fps)
+    # Bob's items in their bins: the (n_bins, load) point matrix holds
+    # item members[e] at ``entry`` e — row bins[e], column its rank in
+    # the bin.
+    bins = np.repeat(np.arange(n_bins), counts)
+    starts = np.cumsum(counts) - counts
+    entry = (bins, np.arange(len(members)) - np.repeat(starts, counts))
 
-    # Bob programs per-bin OPPRF polynomials: one for the match token,
-    # one for the masked payload; both padded to degree L-1.
-    s_tokens = [int(rng.integers(0, token_mod)) for _ in range(n_bins)]
-    w_masks = [int(rng.integers(0, modulus)) for _ in range(n_bins)]
-    hint_bytes = 0
-    alice_tokens: List[int] = []
-    alice_payload_vals: List[int] = []
-    for b in range(n_bins):
-        xs: List[int] = []
-        ys_t: List[int] = []
-        ys_p: List[int] = []
-        for idx in bob_bins[b].tolist():
-            x = oprf.bob_eval(b, bob_fp_list[idx]) % OPPRF_PRIME
-            if x in xs:
-                raise RuntimeError(
-                    "OPRF output collision inside a bin (probability "
-                    "< 2^-sigma); re-run with fresh seeds"
-                )
-            xs.append(x)
-            ys_t.append(s_tokens[b])
-            ys_p.append((int(bob_payloads[idx]) - w_masks[b]) % modulus)
-        while len(xs) < load:
-            x = int(rng.integers(0, OPPRF_PRIME))
-            if x in xs:
-                continue
-            xs.append(x)
-            ys_t.append(int(rng.integers(0, OPPRF_PRIME)))
-            ys_p.append(int(rng.integers(0, modulus)))
-        # Both polynomials run through the same xs: one basis per bin.
-        basis = lagrange_basis(xs)
-        poly_t = poly_from_basis(basis, ys_t)
-        poly_p = poly_from_basis(basis, ys_p)
-        hint_bytes += 8 * (len(poly_t) + len(poly_p))
-        x_alice = oprf.alice_values[b] % OPPRF_PRIME
-        alice_tokens.append(poly_eval(poly_t, x_alice) % token_mod)
-        alice_payload_vals.append(poly_eval(poly_p, x_alice) % modulus)
-    ctx.send(BOB, hint_bytes, "opprf_hints")
-    return tuple(
-        np.asarray(words, dtype=np.uint64)
-        for words in (alice_tokens, alice_payload_vals, s_tokens, w_masks)
+    # Points: his items' OPRF values, random fillers up to the load.
+    xs = rng.integers(0, OPPRF_PRIME, size=(n_bins, load), dtype=np.uint64)
+    xs[entry] = oprf.bob_eval(bins, bob_fps[members]) % prime
+    filler = np.ones((n_bins, load), dtype=bool)
+    filler[entry] = False
+    _make_distinct(rng, xs, filler)
+
+    # Values: the bin's match token s and each payload masked with the
+    # bin's w (random at fillers), the payload cut into limbs below
+    # the prime — one polynomial per value row, all through the bin's
+    # points.
+    token_mod = 1 << fp_bits
+    s_tokens = rng.integers(
+        0, min(token_mod, OPPRF_PRIME), size=n_bins, dtype=np.uint64
     )
+    w_masks = ctx.random_ring_vector(n_bins)
+    tokens = rng.integers(0, OPPRF_PRIME, size=(n_bins, load), dtype=np.uint64)
+    tokens[entry] = s_tokens[bins]
+    masked = ctx.random_ring_vector(n_bins * load).reshape(n_bins, load)
+    masked[entry] = (bob_payloads[members] - w_masks[bins]) & ctx.mask
+    shifts = OPPRF_LIMB_BITS * np.arange(
+        opprf_payload_limbs(ell), dtype=np.uint64
+    )
+    limbs = (masked[:, None] >> shifts[:, None]) & np.uint64(
+        (1 << OPPRF_LIMB_BITS) - 1
+    )
+    coeffs = interpolate(xs, np.concatenate([tokens[:, None], limbs], axis=1))
+    ctx.send(BOB, 8 * coeffs.size, "opprf_hints")
+
+    # Alice evaluates her bin's polynomials at her OPRF value.
+    at = horner(coeffs, oprf.alice_values % prime)
+    alice_tokens = at[:, 0] & np.uint64(token_mod - 1)
+    alice_payloads = (at[:, 1:] << shifts).sum(axis=1, dtype=np.uint64)
+    return alice_tokens, alice_payloads & ctx.mask, s_tokens, w_masks
+
+
+def _make_distinct(
+    rng: np.random.Generator, xs: np.ndarray, filler: np.ndarray
+) -> None:
+    """Redraw filler points until each row of ``xs`` is distinct; two
+    of Bob's own points colliding is the OPRF's failure event."""
+    while True:
+        order = np.argsort(xs, axis=1)
+        srt = np.take_along_axis(xs, order, axis=1)
+        rows, cols = np.nonzero(srt[:, 1:] == srt[:, :-1])
+        if not len(rows):
+            return
+        left, right = order[rows, cols], order[rows, cols + 1]
+        if not (filler[rows, left] | filler[rows, right]).all():
+            raise RuntimeError(
+                "OPRF output collision inside a bin (probability "
+                "< 2^-sigma); re-run with fresh seeds"
+            )
+        redraw = np.where(filler[rows, right], right, left)
+        xs[rows, redraw] = rng.integers(
+            0, OPPRF_PRIME, size=len(rows), dtype=np.uint64
+        )

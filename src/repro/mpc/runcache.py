@@ -155,16 +155,11 @@ class RunCache:
             self.store.topologies[n] = topology
             return topology
 
-    def benes_network(self, perm: Sequence[int]) -> List[List[Tuple[int, int, bool]]]:
+    def benes_network(self, perm: Sequence[int]) -> List[waksman.Layer]:
         """Routed network for ``perm``: cached topology zipped with the
         per-permutation switch settings (same output format as
         :func:`repro.mpc.waksman.benes_network`)."""
-        topology = self.benes_topology(len(perm))
-        swaps = waksman.benes_routing(perm)
-        return [
-            [(a, b, s) for (a, b), s in zip(t_layer, s_layer)]
-            for t_layer, s_layer in zip(topology, swaps)
-        ]
+        return waksman.route(self.benes_topology(len(perm)), perm)
 
     # -- reporting --------------------------------------------------------
 

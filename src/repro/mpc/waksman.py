@@ -5,7 +5,8 @@ of 2x2 switches whose settings only the permutation holder (Alice) knows.
 This module builds the network *and* its routing for an arbitrary
 permutation: sizes are padded to the next power of two (padded slots are
 routed identically), giving ``2*log2(n) - 1`` layers and about
-``n*log2(n)`` switches.
+``n*log2(n)`` switches.  A layer is arrays: the wire pairs
+``(wire_a, wire_b)`` of its switches and, once routed, their settings.
 
 The network splits into two independent parts:
 
@@ -13,14 +14,21 @@ The network splits into two independent parts:
   depends only on the size ``n``, so it is memoised (both here and in
   the per-run :class:`~repro.mpc.runcache.RunCache`): a query that runs
   hundreds of OEPs over same-sized vectors builds each shape once.
-* :func:`benes_routing` — the per-permutation switch settings, computed
-  by the classic looping/2-colouring argument: the two inputs of every
+* :func:`benes_routing` — the per-permutation switch settings, by the
+  classic looping/2-colouring argument: the two inputs of every
   input-layer switch must enter different sub-networks, and the two
   inputs targeting the same output-layer switch must arrive from
-  different sub-networks; walking these constraints around their even
-  cycles yields a consistent assignment.
+  different sub-networks.  Both constraints together map input ``i`` to
+  ``f(i) = inv[perm[i] ^ 1] ^ 1``, which must take the same sub-network
+  as ``i``; the orbit of ``f`` through ``i`` and the one through
+  ``i ^ 1`` take opposite ones.  The top sub-network goes to the orbit
+  holding the smaller input — so a walk from each smallest unrouted
+  input, the textbook loop, sets every switch the same way — and
+  pointer doubling finds every orbit's minimum in ``log n`` vector
+  steps.  The recursion runs one level at a time across all
+  sub-networks of that level.
 
-:func:`benes_network` zips the two into the routed-switch format the OEP
+:func:`benes_network` zips the two into the routed layers the OEP
 protocol consumes.
 """
 
@@ -28,6 +36,8 @@ from __future__ import annotations
 
 import functools
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 __all__ = [
     "benes_network",
@@ -37,14 +47,16 @@ __all__ = [
     "switch_count",
     "pad_permutation",
     "padded_size",
+    "route",
 ]
 
-#: A switch: (wire_a, wire_b, swap?).  Switches within a layer are disjoint.
-Switch = Tuple[int, int, bool]
-Layer = List[Switch]
+#: A topology layer: the ``(wire_a, wire_b)`` arrays of its switches,
+#: which touch disjoint wires.
+TopologyLayer = Tuple[np.ndarray, np.ndarray]
 
-#: A topology layer: the (wire_a, wire_b) pairs without settings.
-TopologyLayer = Tuple[Tuple[int, int], ...]
+#: A routed layer: ``(wire_a, wire_b, swap)`` — swap switch ``j`` iff
+#: ``swap[j]``.
+Layer = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def padded_size(n: int) -> int:
@@ -55,11 +67,13 @@ def padded_size(n: int) -> int:
     return size
 
 
-def pad_permutation(perm: Sequence[int]) -> List[int]:
+def pad_permutation(perm: Sequence[int]) -> np.ndarray:
     """Extend a permutation of [n] to the next power of two with identity
     on the padding slots."""
     n = len(perm)
-    return list(perm) + list(range(n, padded_size(n)))
+    return np.concatenate(
+        [np.asarray(perm, dtype=np.int64), np.arange(n, padded_size(n))]
+    )
 
 
 def _check_size(n: int) -> None:
@@ -67,97 +81,93 @@ def _check_size(n: int) -> None:
         raise ValueError("Benes network size must be a power of two")
 
 
+def _halves(rows: np.ndarray) -> np.ndarray:
+    """The sub-networks one level down: row ``r`` splits into row
+    ``2r``, its even-indexed entries (the top half), and row ``2r + 1``,
+    its odd-indexed entries (the bottom half)."""
+    n_rows, size = rows.shape
+    return np.stack([rows[:, 0::2], rows[:, 1::2]], axis=1).reshape(
+        2 * n_rows, size // 2
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def benes_topology(n: int) -> Tuple[TopologyLayer, ...]:
     """The layers of (wire_a, wire_b) switch pairs of a size-``n`` Beneš
     network — permutation-independent, hence memoised by size.  ``n``
-    must be a power of two."""
+    must be a power of two.  Each sub-network's input and output layers
+    pair its wires ``(2p, 2p + 1)``; its top half runs on the
+    even-indexed wires and its bottom half on the odd-indexed ones, and
+    a layer lists the switches of its sub-networks top first."""
     _check_size(n)
-    return tuple(_topology(list(range(n))))
+    levels: List[TopologyLayer] = []
+    wires = np.arange(n).reshape(1, n)
+    while wires.shape[1] > 1:
+        levels.append((wires[:, 0::2].ravel(), wires[:, 1::2].ravel()))
+        wires = _halves(wires)
+    for a, b in levels:
+        a.flags.writeable = b.flags.writeable = False
+    return tuple(levels + levels[-2::-1])
 
 
-def _topology(wires: List[int]) -> List[TopologyLayer]:
-    n = len(wires)
-    if n == 1:
-        return []
-    if n == 2:
-        return [((wires[0], wires[1]),)]
-    in_layer = tuple((wires[2 * p], wires[2 * p + 1]) for p in range(n // 2))
-    top = _topology([wires[2 * p] for p in range(n // 2)])
-    bot = _topology([wires[2 * p + 1] for p in range(n // 2)])
-    middle = [top[d] + bot[d] for d in range(len(top))]
-    out_layer = tuple((wires[2 * q], wires[2 * q + 1]) for q in range(n // 2))
-    return [in_layer] + middle + [out_layer]
-
-
-def benes_routing(perm: Sequence[int]) -> List[Tuple[bool, ...]]:
+def benes_routing(perm: Sequence[int]) -> List[np.ndarray]:
     """Per-layer switch settings realising ``wire[perm[i]] <- wire[i]``,
     aligned switch-for-switch with :func:`benes_topology` of the same
     size.  ``perm`` must be a permutation whose length is a power of two
     (use :func:`pad_permutation` first)."""
-    n = len(perm)
+    sub = np.asarray(perm, dtype=np.int64)
+    n = len(sub)
     _check_size(n)
-    if sorted(perm) != list(range(n)):
+    if not np.array_equal(np.sort(sub), np.arange(n)):
         raise ValueError("not a permutation")
-    return _route_swaps(list(perm))
-
-
-def _route_swaps(perm: List[int]) -> List[Tuple[bool, ...]]:
-    n = len(perm)
     if n == 1:
         return []
-    if n == 2:
-        return [(perm[0] == 1,)]
+    # ``sub`` holds one permutation per sub-network of the current
+    # level, back to back, each on its own wire numbering.
+    in_layers: List[np.ndarray] = []
+    out_layers: List[np.ndarray] = []
+    size = n
+    while size > 2:
+        in_swaps, out_swaps, sub = _route_level(sub, size)
+        in_layers.append(in_swaps)
+        out_layers.append(out_swaps)
+        size //= 2
+    return in_layers + [sub[0::2] == 1] + out_layers[::-1]
 
-    inv = [0] * n
-    for i, t in enumerate(perm):
-        inv[t] = i
 
-    # 2-colouring: subnet[i] in {0,1} for each input position.
-    subnet = [-1] * n
-    for start in range(n):
-        if subnet[start] != -1:
-            continue
-        i, colour = start, 0
-        while subnet[i] == -1:
-            subnet[i] = colour
-            # The input landing in the same *output* pair must differ.
-            partner_out = inv[perm[i] ^ 1]
-            if subnet[partner_out] == -1:
-                subnet[partner_out] = colour ^ 1
-            # Its *input*-pair partner must differ from it in turn.
-            i = partner_out ^ 1
-            colour = subnet[partner_out] ^ 1
+def _route_level(
+    sub: np.ndarray, size: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One recursion level across all of its size-``size``
+    sub-networks: their input- and output-layer settings, and their
+    halves' permutations (:func:`_halves` order).  Works on the level's
+    flat wire numbering, where sub-network ``r`` owns wires
+    ``r * size`` to ``(r + 1) * size - 1``."""
+    wires = np.arange(len(sub))
+    target = sub + (wires & -size)
+    inv = np.empty_like(target)
+    inv[target] = wires
 
-    in_swaps: List[bool] = []
-    top_perm = [0] * (n // 2)
-    bot_perm = [0] * (n // 2)
-    for p in range(n // 2):
-        a, b = 2 * p, 2 * p + 1
-        swap = subnet[a] == 1
-        in_swaps.append(swap)
-        top_in = b if swap else a
-        bot_in = a if swap else b
-        top_perm[p] = perm[top_in] // 2
-        bot_perm[p] = perm[bot_in] // 2
+    # Colour 1 (bottom) iff the minimum of i's f-orbit exceeds that of
+    # i ^ 1's, found by pointer doubling.
+    step = inv[target ^ 1] ^ 1
+    low = wires
+    for _ in range(size.bit_length() - 2):  # orbits hold <= size/2 inputs
+        low = np.minimum(low, low[step])
+        step = step[step]
+    bottom = low > low[wires ^ 1]
 
-    out_swaps: List[bool] = []
-    for q in range(n // 2):
-        # The element reaching output switch q from the top subnet is the
-        # input with subnet colour 0 whose target lies in output pair q.
-        top_elem = next(
-            i for i in (inv[2 * q], inv[2 * q + 1]) if subnet[i] == 0
-        )
-        out_swaps.append(perm[top_elem] == 2 * q + 1)
-
-    top_layers = _route_swaps(top_perm)
-    bot_layers = _route_swaps(bot_perm)
-    # Merge the parallel sub-networks layer by layer (top switches first,
-    # matching the topology's layer order).
-    middle = [
-        top_layers[d] + bot_layers[d] for d in range(len(top_layers))
-    ]
-    return [tuple(in_swaps)] + middle + [tuple(out_swaps)]
+    # Input switch p sends its bottom-coloured input down; past the
+    # input layer, wire 2p feeds the top half and 2p + 1 the bottom.
+    in_swaps = bottom[0::2]
+    switched = target[wires ^ np.repeat(in_swaps, 2)]
+    # Output switch q swaps iff its input from the top sub-network
+    # targets output 2q + 1.
+    first = inv[0::2]
+    from_top = np.where(bottom[first], inv[1::2], first)
+    out_swaps = target[from_top] == wires[1::2]
+    halves = _halves(((switched & (size - 1)) >> 1).reshape(-1, size))
+    return in_swaps, out_swaps, halves.ravel()
 
 
 def benes_network(perm: Sequence[int]) -> List[Layer]:
@@ -167,22 +177,27 @@ def benes_network(perm: Sequence[int]) -> List[Layer]:
     ``perm`` must be a permutation whose length is a power of two (use
     :func:`pad_permutation` first).
     """
-    topology = benes_topology(len(perm))
-    swaps = benes_routing(perm)
+    return route(benes_topology(len(perm)), perm)
+
+
+def route(
+    topology: Sequence[TopologyLayer], perm: Sequence[int]
+) -> List[Layer]:
+    """``topology`` (of ``perm``'s size) with ``perm``'s settings."""
     return [
-        [(a, b, s) for (a, b), s in zip(t_layer, s_layer)]
-        for t_layer, s_layer in zip(topology, swaps)
+        (a, b, swaps)
+        for (a, b), swaps in zip(topology, benes_routing(perm))
     ]
 
 
-def apply_network(layers: List[Layer], values: Sequence) -> List:
+def apply_network(layers: Sequence[Layer], values: Sequence) -> List:
     """Plaintext application (reference semantics for tests)."""
-    vals = list(values)
-    for layer in layers:
-        for a, b, swap in layer:
-            if swap:
-                vals[a], vals[b] = vals[b], vals[a]
-    return vals
+    vals = np.empty(len(values), dtype=object)
+    vals[:] = list(values)
+    for a, b, swaps in layers:
+        a, b = a[swaps], b[swaps]
+        vals[a], vals[b] = vals[b], vals[a]
+    return vals.tolist()
 
 
 @functools.lru_cache(maxsize=None)

@@ -73,15 +73,17 @@ def make_engine(mode=Mode.SIMULATED, seed=0):
 
 def spy_scalar_muls(monkeypatch):
     """Record the scalar of every P-256 scalar multiplication from here
-    on — the unit of public-key work — in the list returned."""
+    on — the unit of public-key work — in the list returned: one entry
+    per ``base_mul`` and one per point a ``mul``/``mul_x`` multiplies."""
     from repro.mpc import p256
 
     scalars = []
     for name in ("base_mul", "mul", "mul_x"):
 
-        def spy(k, *args, real=getattr(p256, name)):
-            scalars.append(k)
-            return real(k, *args)
+        def spy(k, *points, real=getattr(p256, name)):
+            value = k.private_numbers().private_value
+            scalars.extend([value] * (len(points[0]) if points else 1))
+            return real(k, *points)
 
         monkeypatch.setattr(p256, name, spy)
     return scalars

@@ -1,13 +1,17 @@
 """Scalar reference implementations of the vectorised hot paths.
 
 The batch kernels in :mod:`repro.mpc.batch` and the IKNP extension built
-on them replaced one-value-at-a-time loops.  The scalar forms live on
-here, one block or one pair at a time, and the differential tests in
-``tests/test_batch_kernels.py`` pin the vectorised code against them:
-identical outputs and byte-identical transcript fingerprints.  The
-protocol-level consumers — garbled batches, Gilboa, the switch network
-— have no twin: their tests pin semantics and REAL == SIMULATED
-fingerprints instead.
+on them replaced one-value-at-a-time loops, and so did the batched
+OPPRF interpolation of :mod:`repro.mpc.oprf` and the level-wise
+Beneš router and permutation staging of :mod:`repro.mpc.waksman` and
+:mod:`repro.mpc.oep`.  The scalar forms live on here, one block, pair,
+bin or switch at a time, and the differential tests in
+``tests/test_batch_kernels.py``, ``tests/test_oprf.py``,
+``tests/test_waksman.py`` and ``tests/test_oep.py`` pin the vectorised
+code against them: identical outputs and byte-identical transcript
+fingerprints.  The protocol-level consumers — garbled batches, Gilboa,
+the switch network — have no twin: their tests pin semantics and
+REAL == SIMULATED fingerprints instead.
 
 Nothing in ``src/`` imports this module; it exists only as the ground
 truth for tests and for line-by-line auditing of the batched code.
@@ -15,13 +19,14 @@ truth for tests and for line-by-line auditing of the batched code.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from repro.mpc.batch import FIXED_KEY
 from repro.mpc.context import ALICE, BOB
+from repro.mpc.oprf import OPPRF_PRIME
 from repro.mpc.ot import IknpExtension, Pair, _kdf
 
 __all__ = [
@@ -31,6 +36,14 @@ __all__ = [
     "prg_bits",
     "pad",
     "ReferenceIknpExtension",
+    "mod_inv",
+    "lagrange_basis",
+    "poly_from_basis",
+    "poly_interpolate",
+    "poly_eval",
+    "route_swaps",
+    "ep_permutations",
+    "copy_pass",
 ]
 
 _MASK128 = (1 << 128) - 1
@@ -153,3 +166,185 @@ class ReferenceIknpExtension(IknpExtension):
             out.append(_xor(y1 if r[j] else y0, pad(tj, pad_batch, j, w)))
         ctx.send(BOB, total, "ot/ext/ciphertexts")
         return out
+
+
+# -- polynomial OPPRF over GF(2^61 - 1), one bin at a time ---------------
+
+
+def mod_inv(x: int, p: int = OPPRF_PRIME) -> int:
+    return pow(x, p - 2, p)
+
+
+def lagrange_basis(
+    xs: Sequence[int], p: int = OPPRF_PRIME
+) -> List[List[int]]:
+    """The Lagrange basis over ``xs``: row ``i`` holds the coefficients
+    (low degree first) of the polynomial that is 1 at ``xs[i]`` and 0 at
+    every other point.  ``O(n^2)``: the master polynomial
+    ``prod (X - x_j)`` is built once and divided synthetically per point."""
+    xs = [x % p for x in xs]
+    n = len(xs)
+    if len(set(xs)) != n:
+        raise ValueError("interpolation points must have distinct x")
+    master = [1]
+    for x in xs:  # master *= (X - x)
+        master = [
+            (lo - hi * x) % p for lo, hi in zip([0] + master, master + [0])
+        ]
+    basis = []
+    for x in xs:
+        quotient = [0] * n  # master / (X - x), by synthetic division
+        acc = 0
+        for k in range(n - 1, -1, -1):
+            acc = (master[k + 1] + acc * x) % p
+            quotient[k] = acc
+        scale = mod_inv(poly_eval(quotient, x, p), p)
+        basis.append([c * scale % p for c in quotient])
+    return basis
+
+
+def poly_from_basis(
+    basis: Sequence[Sequence[int]], ys: Sequence[int], p: int = OPPRF_PRIME
+) -> List[int]:
+    """Coefficients of ``sum_i ys[i] * basis[i]``: the polynomial through
+    ``(xs[i], ys[i])`` for the basis of :func:`lagrange_basis`."""
+    return [sum(y * c for y, c in zip(ys, col)) % p for col in zip(*basis)]
+
+
+def poly_interpolate(
+    points: Sequence[Tuple[int, int]], p: int = OPPRF_PRIME
+) -> List[int]:
+    """Lagrange interpolation: coefficients (low degree first) of the
+    unique degree-``len(points)-1`` polynomial through ``points``."""
+    return poly_from_basis(
+        lagrange_basis([x for x, _ in points], p), [y for _, y in points], p
+    )
+
+
+def poly_eval(coeffs: Sequence[int], x: int, p: int = OPPRF_PRIME) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
+
+
+# -- Beneš routing, one sub-network at a time ----------------------------
+
+
+def route_swaps(perm: List[int]) -> List[Tuple[bool, ...]]:
+    """Per-layer switch settings realising ``wire[perm[i]] <- wire[i]``
+    by the recursive looping algorithm: walk each constraint cycle from
+    its smallest uncoloured input, colouring inputs with the sub-network
+    they enter, then recurse into both halves."""
+    n = len(perm)
+    if n == 1:
+        return []
+    if n == 2:
+        return [(perm[0] == 1,)]
+
+    inv = [0] * n
+    for i, t in enumerate(perm):
+        inv[t] = i
+
+    # 2-colouring: subnet[i] in {0,1} for each input position.
+    subnet = [-1] * n
+    for start in range(n):
+        if subnet[start] != -1:
+            continue
+        i, colour = start, 0
+        while subnet[i] == -1:
+            subnet[i] = colour
+            # The input landing in the same *output* pair must differ.
+            partner_out = inv[perm[i] ^ 1]
+            if subnet[partner_out] == -1:
+                subnet[partner_out] = colour ^ 1
+            # Its *input*-pair partner must differ from it in turn.
+            i = partner_out ^ 1
+            colour = subnet[partner_out] ^ 1
+
+    in_swaps: List[bool] = []
+    top_perm = [0] * (n // 2)
+    bot_perm = [0] * (n // 2)
+    for p in range(n // 2):
+        a, b = 2 * p, 2 * p + 1
+        swap = subnet[a] == 1
+        in_swaps.append(swap)
+        top_in = b if swap else a
+        bot_in = a if swap else b
+        top_perm[p] = perm[top_in] // 2
+        bot_perm[p] = perm[bot_in] // 2
+
+    out_swaps: List[bool] = []
+    for q in range(n // 2):
+        # The element reaching output switch q from the top subnet is the
+        # input with subnet colour 0 whose target lies in output pair q.
+        top_elem = next(
+            i for i in (inv[2 * q], inv[2 * q + 1]) if subnet[i] == 0
+        )
+        out_swaps.append(perm[top_elem] == 2 * q + 1)
+
+    top_layers = route_swaps(top_perm)
+    bot_layers = route_swaps(bot_perm)
+    # Merge the parallel sub-networks layer by layer (top switches first,
+    # matching the topology's layer order).
+    middle = [
+        top_layers[d] + bot_layers[d] for d in range(len(top_layers))
+    ]
+    return [tuple(in_swaps)] + middle + [tuple(out_swaps)]
+
+
+# -- the extended permutation's networks, element by element -------------
+
+
+def ep_permutations(
+    xi: Sequence[int], n_work: int
+) -> Tuple[List[int], List[int], List[bool]]:
+    """``(perm1, perm2, copy_bits)`` of the extended permutation ``xi``
+    over ``n_work`` wires, built with lists: targets grouped by source,
+    ``perm1`` sends each used source to the head of its block and every
+    unused one to the lowest free slot, ``perm2`` sends block member
+    ``g`` to its target and the remaining wires to the free targets in
+    order."""
+    n_out = len(xi)
+    order = sorted(range(n_out), key=lambda i: (xi[i], i))
+    perm1 = [-1] * n_work
+    copy_bits = [False] * n_work
+    prev_source = None
+    for g, target in enumerate(order):
+        s = xi[target]
+        if s != prev_source:
+            perm1[s] = g
+            prev_source = s
+        else:
+            copy_bits[g] = True
+    used = set(p for p in perm1 if p >= 0)
+    free_slots = iter(g for g in range(n_work) if g not in used)
+    for s in range(n_work):
+        if perm1[s] == -1:
+            perm1[s] = next(free_slots)
+    perm2 = [-1] * n_work
+    taken = [False] * n_work
+    for g, target in enumerate(order):
+        perm2[g] = target
+        taken[target] = True
+    free_targets = iter(t for t in range(n_work) if not taken[t])
+    for g in range(n_work):
+        if perm2[g] == -1:
+            perm2[g] = next(free_targets)
+    return perm1, perm2, copy_bits
+
+
+def copy_pass(
+    alice: Sequence[int],
+    copy_bits: Sequence[bool],
+    vals: Sequence[int],
+    mask: int,
+) -> List[int]:
+    """Alice's replication pass, left to right: wire ``i >= 1`` takes
+    its left neighbour's new value if ``copy_bits[i - 1]`` else its own,
+    plus her OT output ``vals[i - 1]``, mod ``mask + 1``."""
+    out = [int(a) for a in alice]
+    for i in range(1, len(out)):
+        kept = out[i - 1] if copy_bits[i - 1] else out[i]
+        out[i] = (kept + int(vals[i - 1])) & mask
+    return out

@@ -5,11 +5,16 @@ import pytest
 
 from repro.mpc import Context, Mode
 from repro.mpc.oep import (
+    _copy_pass,
+    _ep_permutations,
     oblivious_extended_permutation,
     oblivious_permutation,
 )
 from repro.mpc.ot import make_ot
 from repro.mpc.sharing import share_vector
+from repro.mpc.waksman import padded_size
+
+from . import reference
 
 
 
@@ -158,3 +163,35 @@ class TestCostParity:
             return ctx.transcript.fingerprint()
 
         assert run([0] * 12) == run(list(range(10)) + [9, 3])
+
+
+class TestStaging:
+    """The numpy staging of the REAL network against the element-by-
+    element construction in ``tests/reference.py``."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ep_permutations_equal_list_construction(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            m = int(rng.integers(1, 70))
+            n_out = int(rng.integers(1, 70))
+            xi = rng.integers(0, m, n_out)
+            if seed == 0:
+                xi = np.sort(xi)[::-1].copy()  # descending, many repeats
+            n_work = padded_size(max(m, n_out))
+            got = _ep_permutations(xi, n_work)
+            want = reference.ep_permutations(xi.tolist(), n_work)
+            assert [g.tolist() for g in got] == [list(w) for w in want]
+
+    @pytest.mark.parametrize("ell", [1, 32, 63])
+    def test_copy_pass_equals_loop(self, ell):
+        rng = np.random.default_rng(ell)
+        mask = (1 << ell) - 1
+        for n in (1, 2, 3, 17, 256):
+            alice = rng.integers(0, mask + 1, n, dtype=np.uint64)
+            vals = rng.integers(0, mask + 1, n - 1, dtype=np.uint64)
+            for density in (0.0, 0.5, 0.9, 1.0):
+                bits = rng.random(n - 1) < density
+                got = _copy_pass(alice, bits, vals, np.uint64(mask))
+                want = reference.copy_pass(alice, bits, vals, mask)
+                assert got.tolist() == want

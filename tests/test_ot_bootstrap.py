@@ -119,9 +119,10 @@ class TestBootstrappedSeeds:
         assert (p0 != p1).any(axis=1).all()
         assert (pc == np.where(s[:, None].astype(bool), p1, p0)).all()
         # The OPRF built on them is consistent.
-        assert [oprf.bob_eval(j, fp) for j, fp in enumerate(fps)] == (
-            oprf.alice_values
-        )
+        assert (
+            oprf.bob_eval(np.arange(len(fps)), np.asarray(fps))
+            == oprf.alice_values
+        ).all()
 
 
 # ----------------------------------------------------------------------

@@ -58,50 +58,78 @@ def scalars(seed, count):
     return [p256.random_scalar(rng.bytes) for _ in range(count)]
 
 
+def base_mul(k):
+    return p256.base_mul(p256.secret(k))
+
+
+def mul(k, point):
+    (x,) = p256.mul(p256.secret(k), [point])
+    return x
+
+
+def mul_x(k, x):
+    (out,) = p256.mul_x(p256.secret(k), [x])
+    return out
+
+
 def test_generator_is_on_the_curve_with_order_n():
     x, y = G
     assert (y * y - (x**3 - 3 * x + B)) % P == 0
-    assert ref_mul(N, G) is None and p256.base_mul(1) == G
+    assert ref_mul(N, G) is None and base_mul(1) == G
 
 
 def test_scalar_multiplications_match_the_reference():
     ks = scalars(1, 20)
     for k, j in zip(ks, reversed(ks)):
         point = ref_mul(j, G)
-        assert p256.base_mul(k) == ref_mul(k, G)
-        assert p256.mul(k, point) == x_bytes(ref_mul(k, point))
-        assert p256.mul_x(k, x_bytes(point)) == x_bytes(ref_mul(k, point))
+        assert base_mul(k) == ref_mul(k, G)
+        assert mul(k, point) == x_bytes(ref_mul(k, point))
+        assert mul_x(k, x_bytes(point)) == x_bytes(ref_mul(k, point))
+
+
+def test_one_key_multiplies_many_points():
+    """One derived key serves every point: the many-point forms equal
+    one multiplication per point, in order, and an empty list is no
+    work."""
+    k, *js = scalars(8, 6)
+    points = [ref_mul(j, G) for j in js]
+    key = p256.secret(k)
+    expected = [x_bytes(ref_mul(k, point)) for point in points]
+    assert p256.mul(key, points) == expected
+    assert p256.mul_x(key, [x_bytes(point) for point in points]) == expected
+    assert p256.mul(key, []) == p256.mul_x(key, []) == []
+    assert p256.base_mul(key) == ref_mul(k, G)
 
 
 def test_addition_matches_the_reference_and_the_group_law():
     ks = scalars(2, 20)
     for a, b in zip(ks, ks[1:]):
-        pa, pb = p256.base_mul(a), p256.base_mul(b)
+        pa, pb = base_mul(a), base_mul(b)
         assert p256.add(pa, pb) == ref_add(pa, pb)
-        assert p256.add(pa, pb) == p256.base_mul((a + b) % N)
+        assert p256.add(pa, pb) == base_mul((a + b) % N)
         assert p256.add(p256.add(pa, pb), p256.neg(pb)) == pa
 
 
 @pytest.mark.parametrize("other", [lambda p: p, p256.neg])
 def test_degenerate_addition_raises(other):
-    point = p256.base_mul(5)
+    point = base_mul(5)
     with pytest.raises(ArithmeticError):
         p256.add(point, other(point))
 
 
 def test_mul_x_is_the_same_for_both_lifts():
     for k, j in zip(scalars(3, 5), scalars(4, 5)):
-        point = p256.base_mul(j)
+        point = base_mul(j)
         assert (
-            p256.mul(k, point)
-            == p256.mul(k, p256.neg(point))
-            == p256.mul_x(k, x_bytes(point))
+            mul(k, point)
+            == mul(k, p256.neg(point))
+            == mul_x(k, x_bytes(point))
         )
 
 
 def test_encoding_round_trips():
     for k in scalars(5, 20):
-        point = p256.base_mul(k)
+        point = base_mul(k)
         wire = p256.encode(point)
         assert len(wire) == 33 and wire[0] == 2 + (point[1] & 1)
         assert p256.decode(wire) == point
@@ -124,9 +152,9 @@ def twist_x():
 
 
 def test_off_curve_encodings_are_rejected():
-    good = p256.encode(p256.base_mul(7))
+    good = p256.encode(base_mul(7))
     with pytest.raises(ValueError):
-        p256.mul_x(3, twist_x())
+        mul_x(3, twist_x())
     for bad in (
         b"\x05" + good[1:],  # unknown prefix
         b"\x02" + twist_x(),  # on the twist
@@ -137,7 +165,7 @@ def test_off_curve_encodings_are_rejected():
         with pytest.raises(ValueError):
             p256.decode(bad)
     with pytest.raises(ValueError):
-        p256.mul(3, (G[0], G[1] + 1))
+        mul(3, (G[0], G[1] + 1))
 
 
 def test_hash_to_curve_is_try_and_increment():
@@ -160,5 +188,5 @@ def test_oprf_chain_unblinds_to_the_keyed_point():
     """2HashDH on x-coordinates: ``unblind(eval(blind(h))) == k * h``."""
     for r, k in zip(scalars(6, 10), scalars(7, 10)):
         h = p256.hash_to_curve(r.to_bytes(32, "big"))
-        evaluated = p256.mul_x(k, p256.mul_x(r, h))
-        assert p256.mul_x(pow(r, -1, N), evaluated) == p256.mul_x(k, h)
+        evaluated = mul_x(k, mul_x(r, h))
+        assert mul_x(pow(r, -1, N), evaluated) == mul_x(k, h)

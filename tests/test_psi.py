@@ -141,3 +141,34 @@ class TestObliviousness:
         assert not (res.ind.alice == res2.ind.alice).all() or not (
             res.payload.alice == res2.payload.alice
         ).all()
+
+
+@pytest.mark.real
+@pytest.mark.parametrize("ell", [32, 60, 61, 62, 63])
+def test_real_payloads_match_plaintext_at_every_ring_width(ell):
+    """An ``ell``-bit masked payload crosses the OPPRF as ``ceil(ell /
+    60)`` elements of ``GF(2^61 - 1)``, so REAL recovers every payload
+    at ``ell`` 62 and 63 too, where one field element cannot hold it.
+    The hints grow by one polynomial per bin past 60 bits, in both
+    modes alike; at ``ell <= 60`` they are the two polynomials they
+    always were."""
+    from repro.mpc import SecurityParams, costs
+
+    rng = np.random.default_rng(ell)
+    payloads = [int(v) for v in rng.integers(0, 2**ell, 8, dtype=np.uint64)]
+    alice = [("k", i) for i in range(10)]
+    bob = [("k", i) for i in range(5, 13)]
+    prints = []
+    for mode in (Mode.REAL, Mode.SIMULATED):
+        ctx = Context(mode, SecurityParams(ell=ell), seed=3)
+        res = psi_with_payloads(ctx, make_ot(ctx), alice, bob, payloads)
+        ind, pay = res.ind.reconstruct(), res.payload.reconstruct()
+        bins = res.bin_of_item_index()
+        for j in range(5, 10):
+            assert ind[bins[j]] == 1 and int(pay[bins[j]]) == payloads[j - 5]
+        prints.append(ctx.transcript.fingerprint())
+    assert prints[0] == prints[1]
+    (hints,) = [n for _, n, label in prints[0] if label.endswith("hints")]
+    n_bins, load = costs.psi_bins(ctx.params, len(alice), len(bob))
+    assert hints == costs.opprf_hint_bytes(n_bins, load, ell)
+    assert hints == 8 * (2 if ell <= 60 else 3) * load * n_bins

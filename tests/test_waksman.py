@@ -1,4 +1,8 @@
-"""Benes switching networks: routing correctness and size formulas."""
+"""Benes switching networks: routing correctness and size formulas.
+
+The level-wise router is pinned switch for switch against the recursive
+looping walk in ``tests/reference.py``.
+"""
 
 from itertools import permutations
 
@@ -8,9 +12,18 @@ import pytest
 from repro.mpc.waksman import (
     apply_network,
     benes_network,
+    benes_routing,
+    benes_topology,
     pad_permutation,
     switch_count,
 )
+
+from . import reference
+
+
+def settings(perm):
+    """:func:`benes_routing` in the oracle's format."""
+    return [tuple(bool(s) for s in layer) for layer in benes_routing(perm)]
 
 
 class TestRouting:
@@ -46,12 +59,43 @@ class TestRouting:
             benes_network([0, 0, 1, 1])
 
 
+class TestLevelWiseRouter:
+    """Every switch of the level-wise router equals the recursive
+    walk's: colour 0 goes to the orbit of ``i -> inv[perm[i]^1]^1``
+    holding the smaller input, which is the orbit the walk starts in."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_exhaustive_small(self, n):
+        for perm in permutations(range(n)):
+            assert settings(perm) == reference.route_swaps(list(perm))
+
+    @pytest.mark.parametrize("k", range(13))
+    def test_random_identity_and_reversal(self, k):
+        n = 2**k
+        rng = np.random.default_rng(k)
+        count = 200 if n == 8 else 3 if n < 1024 else 1
+        perms = [rng.permutation(n) for _ in range(count)]
+        for perm in perms + [np.arange(n), np.arange(n)[::-1]]:
+            assert settings(perm) == reference.route_swaps(perm.tolist())
+
+    def test_padded_sizes_up_to_4096(self):
+        rng = np.random.default_rng(7)
+        for n in [int(v) for v in rng.integers(1, 4097, 12)] + [4096]:
+            padded = pad_permutation(rng.permutation(n))
+            assert settings(padded) == reference.route_swaps(padded.tolist())
+
+    def test_settings_align_with_topology(self):
+        perm = np.random.default_rng(3).permutation(64)
+        for (a, b), swaps in zip(benes_topology(64), benes_routing(perm)):
+            assert len(a) == len(b) == len(swaps)
+
+
 class TestStructure:
     def test_layers_have_disjoint_wires(self):
         rng = np.random.default_rng(2)
         perm = list(rng.permutation(16))
-        for layer in benes_network(perm):
-            touched = [w for a, b, _ in layer for w in (a, b)]
+        for a, b, _ in benes_network(perm):
+            touched = np.concatenate([a, b]).tolist()
             assert len(touched) == len(set(touched))
 
     def test_depth_is_2logn_minus_1(self):
@@ -70,7 +114,7 @@ class TestStructure:
     def test_switch_count_matches_network(self):
         for n in (2, 4, 8, 16, 32):
             layers = benes_network(list(range(n)))
-            assert sum(len(l) for l in layers) == switch_count(n)
+            assert sum(len(a) for a, _, _ in layers) == switch_count(n)
 
     def test_switch_count_pads_to_power_of_two(self):
         assert switch_count(5) == switch_count(8)
@@ -78,4 +122,4 @@ class TestStructure:
 
     def test_pad_permutation_identity_tail(self):
         padded = pad_permutation([2, 0, 1])
-        assert padded == [2, 0, 1, 3]
+        assert padded.tolist() == [2, 0, 1, 3]
