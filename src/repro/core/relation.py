@@ -18,12 +18,13 @@ nothing to any aggregate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..mpc.batch import sha256_rows
 from ..mpc.context import Context
-from ..mpc.cuckoo import digest_encoded, encode_item
+from ..mpc.cuckoo import encode_item
 from ..mpc.engine import Engine
 from ..mpc.sharing import SharedVector
 from ..relalg.columns import (
@@ -32,6 +33,7 @@ from ..relalg.columns import (
     dummy_tuple,
     dummy_value,
     is_dummy_tuple,
+    lex_rank,
 )
 from ..relalg.relation import AnnotatedRelation
 
@@ -58,42 +60,110 @@ def _cell(encoded: bytes) -> bytes:
     return len(encoded).to_bytes(4, "little") + encoded
 
 
-def _le8(values: np.ndarray) -> List[bytes]:
-    """Each int64 as its 8 little-endian bytes."""
-    buf = values.astype("<i8", copy=False).tobytes()
-    return [buf[i : i + 8] for i in range(0, len(buf), 8)]
+def _bytes(raw: bytes) -> np.ndarray:
+    return np.frombuffer(raw, dtype=np.uint8)
 
 
 #: An int64 cell and a dummy cell are fixed-width: a constant prefix
 #: (taken from the scalar definition) plus the value's / nonce's 8 bytes.
-_INT_CELL = _cell(encode_item(0))[:-8]
-_DUMMY_CELL = _cell(encode_item(dummy_value(0)))[:-8]
+_INT_CELL = _bytes(_cell(encode_item(0))[:-8])
+_DUMMY_CELL = _bytes(_cell(encode_item(dummy_value(0)))[:-8])
+
+
+def _fixed_cells(prefix: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``(n, len(prefix) + 8)`` cells: the prefix, then each int64's 8
+    little-endian bytes."""
+    n = len(values)
+    le8 = values.astype("<i8").view(np.uint8).reshape(n, 8)
+    return np.concatenate(
+        [np.broadcast_to(prefix, (n, len(prefix))), le8], axis=1
+    )
+
+
+def _cell_table(values: List[Any]) -> Tuple[np.ndarray, np.ndarray]:
+    """An obj column's distinct values as framed cells: ``(table,
+    width)``, where ``table[k, :width[k]]`` is value ``k``'s cell (the
+    rows zero-padded to the widest), encoded once per value."""
+    cells = [_cell(encode_item(v)) for v in values]
+    width = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
+    table = np.zeros((len(cells), int(width.max(initial=0))), np.uint8)
+    for w in np.unique(width).tolist():
+        ks = np.flatnonzero(width == w)
+        table[ks, :w] = _bytes(b"".join([cells[k] for k in ks])).reshape(
+            len(ks), w
+        )
+    return table, width
+
+
+def _row_blocks(
+    store: TupleStore,
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """``(rows, block)`` pairs covering every row of ``store`` once:
+    ``block`` is a ``(len(rows), W)`` byte matrix whose row ``i`` is
+    ``encode_item`` of row ``rows[i]``.
+
+    Dummy rows form one block of fixed-width cells.  Real rows are
+    grouped by their cell-width signature (an int cell is fixed-width,
+    an obj cell as wide as its value's), so within a block every cell
+    is a column slice: int cells from the codes' bytes, obj cells
+    gathered by code from the column's :func:`_cell_table`."""
+    head = _bytes(b"t" + store.arity.to_bytes(4, "little"))
+
+    def block(n: int, cells: List[np.ndarray]) -> np.ndarray:
+        heads = np.broadcast_to(head, (n, len(head)))
+        return np.concatenate([heads] + cells, axis=1)
+
+    dummies = np.flatnonzero(store.nonce)
+    if len(dummies):
+        cell = _fixed_cells(_DUMMY_CELL, store.nonce[dummies])
+        yield dummies, block(len(dummies), [cell] * store.arity)
+    real = np.flatnonzero(store.nonce == 0)
+    if not len(real):
+        return
+    tables = {
+        j: _cell_table(c.values)
+        for j, c in enumerate(store.columns)
+        if c.values is not None
+    }
+    groups = [real]
+    if tables:
+        sig = lex_rank(
+            [w[store.columns[j].codes[real]] for j, (_, w) in tables.items()]
+        )
+        order = np.argsort(sig, kind="stable")
+        groups = np.split(real[order], np.flatnonzero(np.diff(sig[order])) + 1)
+    for rows in groups:
+        cells = []
+        for j, c in enumerate(store.columns):
+            codes = c.codes[rows]
+            if j in tables:
+                table, width = tables[j]
+                cells.append(table[codes, : width[codes[0]]])
+            else:
+                cells.append(_fixed_cells(_INT_CELL, codes))
+        yield rows, block(len(rows), cells)
 
 
 def encode_rows(store: TupleStore) -> List[bytes]:
     """``encode_item(row)`` for every row of ``store`` without building
-    the rows: int columns and dummy nonces encode as fixed-width byte
-    blocks, obj columns once per *distinct* value, gathered by code."""
-    arity = store.arity
-    head = b"t" + arity.to_bytes(4, "little")
-    cols = []
-    for c in store.columns:
-        if c.values is None:
-            cols.append([_INT_CELL + b for b in _le8(c.codes)])
-        else:
-            cells = [_cell(encode_item(v)) for v in c.values]
-            cols.append([cells[i] for i in c.codes.tolist()])
-    rows = [head + b"".join(r) for r in zip(*cols)] or [head] * store.n
-    dummies = np.flatnonzero(store.nonce)
-    for i, z in zip(dummies.tolist(), _le8(store.nonce[dummies])):
-        rows[i] = head + (_DUMMY_CELL + z) * arity
-    return rows
+    the rows: a bytes view over the :func:`_row_blocks` that
+    :func:`row_digests` hashes."""
+    out = [b""] * store.n
+    for rows, block in _row_blocks(store):
+        raw, w = block.tobytes(), block.shape[1]
+        for i, r in enumerate(rows.tolist()):
+            out[r] = raw[i * w : (i + 1) * w]
+    return out
 
 
 def row_digests(store: TupleStore) -> np.ndarray:
     """The PSI / DH-OPRF digest matrix of a store's rows — equal to
-    :func:`~repro.mpc.cuckoo.item_digests` of its materialised tuples."""
-    return digest_encoded(encode_rows(store))
+    :func:`~repro.mpc.cuckoo.item_digests` of its materialised tuples —
+    one :func:`~repro.mpc.batch.sha256_rows` per block of rows."""
+    out = np.empty((store.n, 32), dtype=np.uint8)
+    for rows, block in _row_blocks(store):
+        out[rows] = sha256_rows(block)
+    return out.view("<u8")
 
 
 @dataclass

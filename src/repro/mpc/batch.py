@@ -15,9 +15,11 @@ marshal through the batch kernels here instead:
 * :func:`tccr_hash`, the fixed-key AES hash of every 16-byte block the
   symmetric layer hashes — half-gates, garbler label expansion, IKNP's
   column PRG and correlated-OT pads — one OpenSSL call per batch;
-* batched SHA-256 for inputs that are not one block (DH-OPRF tokens):
-  one C call per row of a contiguous input matrix, digests landing in
-  one output matrix;
+* :func:`aes_prp`, AES-128 under a per-call secret key over a block
+  matrix — the SIMULATED DH-OPRF's token function, one OpenSSL call;
+* batched SHA-256 for inputs that are not one block (the item digests
+  of :func:`repro.core.relation.row_digests`): one C call per row of a
+  contiguous input matrix, digests landing in one output matrix;
 * :func:`sorted_lookup`: one argsort + ``searchsorted`` wherever an
   owner-local match used a dict probe per key (PSI's SIMULATED
   functionality, DH-OPRF token matching, same-owner alignment).
@@ -48,6 +50,7 @@ __all__ = [
     "bits_to_words",
     "tccr_hash",
     "tweaks",
+    "aes_prp",
     "sha256_rows",
     "sorted_lookup",
 ]
@@ -178,20 +181,30 @@ def tweaks(batch: int, row: np.ndarray, index: np.ndarray) -> np.ndarray:
     return t.view(np.uint8)
 
 
+def aes_prp(key: bytes, blocks: np.ndarray) -> np.ndarray:
+    """AES-128 under the secret ``key`` of every row of an ``(n, 16)``
+    byte matrix, one OpenSSL call: a keyed pseudorandom permutation, so
+    equal blocks map to equal outputs and distinct blocks to distinct
+    ones (the SIMULATED DH-OPRF's token function)."""
+    blocks = np.ascontiguousarray(blocks, dtype=np.uint8).reshape(-1, 16)
+    if not blocks.size:
+        return blocks
+    out = np.empty(blocks.nbytes + 15, dtype=np.uint8)
+    enc = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
+    enc.update_into(blocks.data.cast("B"), out)
+    return out[: blocks.nbytes].reshape(-1, 16)
+
+
 def sha256_rows(rows: np.ndarray) -> np.ndarray:
     """SHA-256 of every row of a ``(m, L)`` byte matrix -> ``(m, 32)``."""
     rows = np.ascontiguousarray(rows, dtype=np.uint8)
     m, length = rows.shape
-    out = bytearray(m * 32)
     buf = rows.data.cast("B")
     sha = hashlib.sha256
-    pos = 0
-    start = 0
-    for _ in range(m):
-        out[pos : pos + 32] = sha(buf[start : start + length]).digest()
-        pos += 32
-        start += length
-    return np.frombuffer(bytes(out), dtype=np.uint8).reshape(m, 32)
+    raw = b"".join(
+        [sha(buf[i * length : (i + 1) * length]).digest() for i in range(m)]
+    )
+    return np.frombuffer(raw, dtype=np.uint8).reshape(m, 32)
 
 
 def sorted_lookup(

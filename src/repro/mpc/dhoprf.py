@@ -39,10 +39,11 @@ intersection stay hidden from both parties.
 
 Items enter as their 32-byte digests (:func:`repro.mpc.cuckoo.
 item_digests`; callers may pass the digest matrix directly): the digest
-is ``H1``'s pre-image in REAL mode, and SIMULATED mode draws one salt
-from the shared context RNG, tokenises both digest matrices with it
-directly (``sha256(salt || digest)``, no scalar multiplications) and
-charges the identical three messages.
+is ``H1``'s pre-image in REAL mode, and SIMULATED mode draws one
+16-byte salt from the shared context RNG, tokenises both digest
+matrices with it directly (``AES-128_salt(digest[:16])``, one keyed
+PRP call, no scalar multiplications) and charges the identical three
+messages.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import numpy as np
 
 from ..leakage import leaks
 from . import p256
-from .batch import sha256_rows, sorted_lookup
+from .batch import aes_prp, sorted_lookup
 from .context import ALICE, BOB, Context, Mode
 from .costs import DH_TOKEN_BYTES, dh_oprf_bytes
 from .cuckoo import Items, has_duplicates, item_digests
@@ -167,12 +168,11 @@ def _tokens_simulated(
     ctx.send(BOB, evaluated, "eval")
     ctx.send(BOB, tokens, "tokens")
 
-    # One shared salt stands in for the PRF key: same token function on
-    # both digest matrices, no scalar multiplications.
-    salt = np.frombuffer(ctx.random_bytes(16), dtype=np.uint8)
-    both = np.concatenate([alice, bob]).view(np.uint8).reshape(-1, 32)
-    rows = np.concatenate(
-        [np.broadcast_to(salt, (len(both), 16)), both], axis=1
-    )
-    toks = _as_tokens(sha256_rows(rows)[:, :DH_TOKEN_BYTES].tobytes())
+    # One shared salt stands in for the PRF key: AES-128 keyed by it
+    # over each digest's first 16 bytes tokenises both matrices in one
+    # call, no scalar multiplications.  A keyed PRP: distinct digest
+    # prefixes get distinct tokens, in a pseudorandom order per call.
+    salt = ctx.random_bytes(16)
+    prefixes = np.concatenate([alice, bob])[:, :2].view(np.uint8)
+    toks = _as_tokens(aes_prp(salt, prefixes)[:, :DH_TOKEN_BYTES].tobytes())
     return toks[: len(alice)], toks[len(alice) :]

@@ -163,7 +163,8 @@ class JoinAggregateQuery:
         self, operators: Optional[ModuleType] = None
     ) -> AnnotatedRelation:
         """``operators`` selects the relational-operator module (the
-        columnar default or :mod:`repro.relalg._reference`)."""
+        columnar default or the tuple-path oracle of
+        ``tests/relalg_reference.py``)."""
         return execute_plan(self.plan(), self.relations, operators)
 
     def run_naive(self) -> AnnotatedRelation:

@@ -19,8 +19,9 @@ dummy row equals another row iff both are dummies with the same nonce,
 exactly the semantics of the tuple representation.
 
 Cross-relation comparisons go through :func:`joint_row_codes`, which
-re-encodes the stores into one shared ``int64`` code space so that
-equality of rows is equality of codes; all group-by, join and
+re-encodes the stores into one shared ``int64`` code space (the rows'
+lexicographic rank, :func:`lex_rank`) so that equality of rows is
+equality of codes; all group-by, join and
 deduplication kernels then run on plain integer arrays via
 ``np.unique``/``np.argsort``/``np.searchsorted``.
 """
@@ -51,6 +52,7 @@ __all__ = [
     "Column",
     "TupleStore",
     "joint_row_codes",
+    "lex_rank",
     "group_by_first_appearance",
     "sort_with_same_flags",
 ]
@@ -489,24 +491,29 @@ def joint_row_codes(stores: Sequence[TupleStore]) -> List[np.ndarray]:
     if arity == 0:
         # Every tuple projects to (): all rows are equal.
         return [np.zeros(s.n, dtype=np.int64) for s in stores]
-    per_attr = [
-        unify_codes([s.columns[j] for s in stores])
-        for j in range(arity)
-    ]
-    mats = []
-    for si, s in enumerate(stores):
-        real = (s.nonce == 0).astype(np.int64)
-        cols = [s.nonce] + [per_attr[j][si] * real for j in range(arity)]
-        mats.append(np.stack(cols, axis=1))
-    stacked = np.concatenate(mats, axis=0)
-    _, inv = np.unique(stacked, axis=0, return_inverse=True)
-    inv = inv.astype(np.int64, copy=False).reshape(len(stacked))
-    out: List[np.ndarray] = []
-    offset = 0
-    for s in stores:
-        out.append(inv[offset : offset + s.n])
-        offset += s.n
-    return out
+    real = [s.nonce == 0 for s in stores]
+    keys = [np.concatenate([s.nonce for s in stores])]
+    for j in range(arity):
+        codes = unify_codes([s.columns[j] for s in stores])
+        keys.append(np.concatenate([c * r for c, r in zip(codes, real)]))
+    rank = lex_rank(keys)
+    return np.split(rank, np.cumsum([s.n for s in stores])[:-1])
+
+
+def lex_rank(keys: Sequence[np.ndarray]) -> np.ndarray:
+    """The dense rank of every row of the equal-length ``int64`` columns
+    ``keys`` in lexicographic order (``keys[0]`` most significant): one
+    ``np.lexsort``, the run heads of the sorted rows and a cumsum."""
+    n = len(keys[0])
+    order = np.lexsort(keys[::-1])
+    head = np.zeros(n, dtype=bool)
+    head[:1] = True
+    for k in keys:
+        srt = k[order]
+        head[1:] |= srt[1:] != srt[:-1]
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.cumsum(head) - 1
+    return rank
 
 
 def group_by_first_appearance(

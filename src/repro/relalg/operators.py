@@ -16,7 +16,7 @@ shared code space (see :mod:`repro.relalg.columns`), in time linear (up
 to sorting) in input + output size — matching the complexity the
 Yannakakis algorithm relies on.  Output row order and duplicate
 structure are identical to the retained tuple-path reference
-(:mod:`repro.relalg._reference`): r1-major join order, dict-insertion
+(``tests/relalg_reference.py``): r1-major join order, dict-insertion
 group order.
 """
 

@@ -34,7 +34,7 @@ def execute_plan(
 
     ``operators`` selects the relational-operator implementation: the
     default columnar :mod:`repro.relalg.operators`, or the retained
-    tuple-path :mod:`repro.relalg._reference` (the differential-testing
+    tuple-path ``tests/relalg_reference.py`` (the differential-testing
     oracle).
     """
     ops = operators if operators is not None else columnar_operators

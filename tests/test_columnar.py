@@ -4,7 +4,7 @@ of the secure transcript, and the SQL baseline."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import SecureRelation, secure_yannakakis
@@ -13,15 +13,18 @@ from repro.mpc import ALICE, BOB, Context, Engine, Mode
 from repro.mpc.params import SecurityParams
 from repro.mpc.sharing import as_ring_column
 from repro.relalg import AnnotatedRelation, IntegerRing
-from repro.relalg import _reference
 from repro.relalg.columns import (
     Column,
     TupleStore,
     group_by_first_appearance,
     is_dummy_tuple,
     joint_row_codes,
+    lex_rank,
+    unify_codes,
 )
 from repro.baselines import run_sql_baseline, sql_backend_name
+
+from . import relalg_reference
 
 
 
@@ -89,6 +92,46 @@ class TestAnnotationBoundaries:
 
 ROWS = [(1, "x", 7), (2, "y", 7), (1, "x", 9), (3, "z", 7)]
 ATTRS = ("a", "b", "c")
+INT64_MIN, INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+
+
+def unique_row_codes(stores):
+    """The row codes as ``np.unique(axis=0)`` ranks them: the
+    ``(nonce, sanitised codes...)`` rows of every store, stacked."""
+    per_attr = [
+        unify_codes([s.columns[j] for s in stores])
+        for j in range(stores[0].arity)
+    ]
+    mats = [
+        np.stack(
+            [s.nonce] + [codes[i] * (s.nonce == 0) for codes in per_attr],
+            axis=1,
+        )
+        for i, s in enumerate(stores)
+    ]
+    _, inv = np.unique(np.concatenate(mats), axis=0, return_inverse=True)
+    return np.split(inv.reshape(-1), np.cumsum([s.n for s in stores])[:-1])
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 30),
+    k=st.integers(1, 3),
+)
+@example(seed=0, n=0, k=2)
+@example(seed=1, n=25, k=1)
+def test_lex_rank_equals_unique_rows(seed, n, k):
+    """Dense lexicographic ranks, exactly ``np.unique(axis=0)``'s
+    inverse: duplicates, negatives and the int64 extremes."""
+    rng = np.random.default_rng(seed)
+    mat = rng.integers(-3, 3, size=(n, k))
+    extreme = rng.random((n, k)) < 0.3
+    mat[extreme] = rng.choice(
+        [INT64_MIN, INT64_MIN + 1, -1, 0, INT64_MAX], size=extreme.sum()
+    )
+    _, inv = np.unique(mat, axis=0, return_inverse=True)
+    got = lex_rank([mat[:, j] for j in range(k)])
+    assert got.tolist() == inv.reshape(-1).tolist()
 
 
 class TestTupleStore:
@@ -123,6 +166,19 @@ class TestTupleStore:
         (codes2,) = joint_row_codes([dup])
         assert codes2[0] == codes2[4]
 
+    def test_joint_row_codes_rank_like_unique_rows_with_dummies(self):
+        rng = np.random.default_rng(4)
+        stores = []
+        for n in (0, 7, 40):
+            ints = rng.integers(-2, 2, n)
+            ints[:2] = [INT64_MIN, INT64_MAX][:n]
+            names = [f"v{i}" for i in rng.integers(0, 3, n)]
+            store = TupleStore.from_columns(("a", "b"), [ints, names])
+            stores.append(store.with_dummies(int(rng.integers(0, 4))))
+        got = joint_row_codes(stores)
+        want = unique_row_codes(stores)
+        assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
     def test_group_by_first_appearance_order(self):
         gid, first = group_by_first_appearance(
             np.asarray([5, 3, 5, 9, 3], dtype=np.int64)
@@ -154,7 +210,7 @@ def test_columnar_matches_reference_operators(seed):
     inst = generate_instance(seed, 0)
     query = inst.query()
     col = query.run_plain()
-    ref = query.run_plain(operators=_reference)
+    ref = query.run_plain(operators=relalg_reference)
     assert col.attributes == ref.attributes
     assert col.tuples == ref.tuples
     assert col.annotations.tolist() == ref.annotations.tolist()

@@ -10,11 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 import repro.core.relation as relation_mod
 import repro.mpc.cuckoo as cuckoo_mod
+import repro.mpc.dhoprf as dhoprf_mod
 from repro.core.relation import encode_rows, row_digests
 from repro.mpc import Context, Mode
+from repro.mpc.batch import aes_prp
 from repro.mpc.cuckoo import (
     encode_item,
     has_duplicates,
@@ -43,7 +46,9 @@ OBJECTS = st.one_of(
 @st.composite
 def stores(draw):
     """A store of arity 0-3 over int / obj / mixed columns with dummy
-    rows scattered between the real ones."""
+    rows scattered between the real ones, sometimes followed by two
+    string columns of different lengths, so rows fall into several
+    cell-width signatures."""
     arity = draw(st.integers(0, 3))
     n = draw(st.integers(0, 8))
     cols = []
@@ -54,6 +59,12 @@ def stores(draw):
         else:
             cols.append(Column.from_objects(
                 draw(st.lists(OBJECTS, min_size=n, max_size=n))))
+    if draw(st.booleans()):
+        for size in ((0, 2), (3, 9)):
+            text = st.text(min_size=size[0], max_size=size[1])
+            cols.append(Column.from_objects(
+                draw(st.lists(text, min_size=n, max_size=n))))
+        arity += 2
     nonce = np.zeros(n, dtype=np.int64)
     dummy = np.asarray(
         draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool
@@ -97,6 +108,20 @@ class TestEncodeRows:
     def test_zero_arity_rows_are_all_the_empty_tuple(self):
         store = TupleStore((), (), np.zeros(3, dtype=np.int64))
         assert encode_rows(store) == [encode_item(())] * 3
+
+    def test_many_width_signatures(self):
+        """Rows whose obj cells vary in width in two columns at once."""
+        a = [("x" * (i % 5),) for i in range(40)]
+        b = ["é" * (i % 3) for i in range(40)]
+        store = TupleStore.from_columns(
+            ("a", "b", "c"), [np.arange(40), Column.from_objects(a), b]
+        ).with_dummies(3)
+        assert encode_rows(store) == [
+            encode_item(t) for t in store.materialize()
+        ]
+        assert (
+            row_digests(store) == item_digests(store.materialize())
+        ).all()
 
 
 @pytest.fixture
@@ -223,11 +248,9 @@ class TestFailurePathsOnMatrices:
             dh_oprf_match(ctx, item_digests(a), item_digests(b))
 
     def test_dh_oprf_token_collision(self, monkeypatch):
-        import repro.mpc.dhoprf as dhoprf_mod
-
         monkeypatch.setattr(
-            dhoprf_mod, "sha256_rows",
-            lambda rows: np.zeros((len(rows), 32), dtype=np.uint8),
+            dhoprf_mod, "aes_prp",
+            lambda key, blocks: np.zeros((len(blocks), 16), dtype=np.uint8),
         )
         ctx = Context(Mode.SIMULATED, seed=1)
         with pytest.raises(RuntimeError, match="token collision"):
@@ -242,3 +265,65 @@ class TestFailurePathsOnMatrices:
         for b, part in enumerate(np.split(members, np.cumsum(counts)[:-1])):
             assert len(set(part.tolist())) == len(part)
         assert 50 <= counts.sum() <= 100
+
+
+def simulated_tokens(alice, bob, seed=5):
+    ctx = Context(Mode.SIMULATED, seed=seed)
+    return dhoprf_mod._tokens_simulated(
+        ctx, item_digests(alice), item_digests(bob)
+    )
+
+
+class TestSimulatedTokens:
+    """``AES-128_salt(digest[:16])``: the SIMULATED DH-OPRF token."""
+
+    @given(
+        key=st.binary(min_size=16, max_size=16),
+        blocks=st.lists(st.binary(min_size=16, max_size=16), max_size=6),
+    )
+    def test_aes_prp_matches_block_by_block(self, key, blocks):
+        x = np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(-1, 16)
+        got = aes_prp(key, x)
+        assert got.shape == (len(blocks), 16)
+        for b, t in zip(blocks, got):
+            enc = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
+            assert bytes(t) == enc.update(b)
+
+    def test_equal_digests_equal_tokens_on_both_sides(self):
+        alice_toks, bob_toks = simulated_tokens(ALICE_ITEMS, BOB_ITEMS)
+        for i, item in enumerate(ALICE_ITEMS):
+            if item in BOB_ITEMS:
+                assert alice_toks[i] == bob_toks[BOB_ITEMS.index(item)]
+
+    def test_distinct_prefixes_distinct_tokens(self):
+        alice_toks, bob_toks = simulated_tokens(range(500), range(500, 900))
+        assert len(set(alice_toks.tolist() + bob_toks.tolist())) == 900
+
+    def test_fresh_salt_per_call(self):
+        first, _ = simulated_tokens(ALICE_ITEMS, BOB_ITEMS, seed=5)
+        again, _ = simulated_tokens(ALICE_ITEMS, BOB_ITEMS, seed=5)
+        other, _ = simulated_tokens(ALICE_ITEMS, BOB_ITEMS, seed=6)
+        assert first.tolist() == again.tolist() != other.tolist()
+
+    def test_empty_inputs(self):
+        assert aes_prp(bytes(16), np.zeros((0, 16), np.uint8)).shape == (
+            0, 16,
+        )
+        alice_toks, bob_toks = simulated_tokens([], BOB_ITEMS)
+        assert len(alice_toks) == 0 and len(bob_toks) == len(BOB_ITEMS)
+        ctx = Context(Mode.SIMULATED, seed=1)
+        m = dh_oprf_match(ctx, [], [])
+        assert m.slot.tolist() == [] and m.order.tolist() == []
+
+    @pytest.mark.real
+    def test_match_semantics_equal_real(self):
+        """Token values and slot order differ between the modes; which
+        Bob item each Alice item matched, and the transcript, do not."""
+        outs = []
+        for mode in (Mode.SIMULATED, Mode.REAL):
+            ctx = Context(mode, seed=7)
+            m = dh_oprf_match(ctx, ALICE_ITEMS, BOB_ITEMS)
+            assert sorted(m.order.tolist()) == list(range(len(BOB_ITEMS)))
+            partner = np.where(m.slot >= 0, m.order[m.slot], -1)
+            outs.append((partner.tolist(), ctx.transcript.fingerprint()))
+        assert outs[0] == outs[1]
