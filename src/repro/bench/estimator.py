@@ -6,13 +6,16 @@ closed forms the SIMULATED mode charges, summed symbolically.  Useful
 for planning ("what would this query cost?") and asserted against the
 metered execution by the test suite.
 
-The estimate is exact for the deterministic parts (circuit templates,
-OEP networks, OT batches) and uses the deterministic bin/load formulas
-for PSI, so it matches the metered run to the byte for a given plan and
-ownership — the only approximation is that it assumes every operator
-takes its general path (no same-party shortcuts beyond what ownership
-dictates, payload-shared PSI whenever the child annotations are not
-input-plain).
+The estimator walks the plan :func:`~repro.exec.compiler.compile_plan`
+lowers, step by step in the order the scheduler runs it, so either
+phase order (reduce first, or the two-phase ablation's semijoins first)
+is priced as executed.  The estimate is exact for the deterministic
+parts (circuit templates, OEP networks, OT batches) and uses the
+deterministic bin/load formulas for PSI, so it matches the metered run
+to the byte for a given plan and ownership — the only approximation is
+that it assumes every operator takes its general path (no same-party
+shortcuts beyond what ownership dictates, payload-shared PSI whenever
+the child annotations are not input-plain).
 """
 
 from __future__ import annotations
@@ -24,11 +27,19 @@ from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Set, Tuple
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..query.builder import JoinAggregateQuery
 
+from ..exec.compiler import compile_plan
+from ..exec.ir import (
+    AggregateStep,
+    ExecPlan,
+    ReduceFoldStep,
+    SemijoinStep,
+    ShareStep,
+)
 from ..mpc import costs, gadgets
 from ..mpc.context import ALICE
 from ..mpc.costs import Widths
 from ..mpc.params import DEFAULT_PARAMS, SecurityParams
-from ..yannakakis.plan import ReduceAggregate, ReduceFold, YannakakisPlan
+from ..yannakakis.plan import YannakakisPlan
 
 __all__ = [
     "CostEstimate",
@@ -239,33 +250,37 @@ def estimate_node_bytes(
 
 
 def _walk_nodes(
-    plan: YannakakisPlan, sizes: Dict[str, int], owners: Dict[str, str]
-) -> Tuple[Dict[str, NodeShape], Dict[str, bool]]:
-    """The one plan walk: the shape of every reduce- and semijoin-phase
-    step by step label, in program order, and which relations' annotations
-    are still owner-plain afterwards.  Plainness is tracked along the way
-    so the Section 6.5 fast paths are credited exactly as the executor
-    takes them; sizes never change (every operator pads to its input)."""
+    plan: ExecPlan, sizes: Dict[str, int]
+) -> Tuple[Dict[str, Tuple[NodeShape, str]], Dict[str, bool]]:
+    """The one plan walk: the shape and back-end of every reduce- and
+    semijoin-phase step by step label, in the compiled plan's (executed)
+    order, and which relations' annotations are still owner-plain
+    afterwards.  Plainness is tracked along the way so the Section 6.5
+    fast paths are credited exactly as the executor takes them; sizes
+    never change (every operator pads to its input)."""
+    owners = {
+        s.relation: s.owner for s in plan.steps if isinstance(s, ShareStep)
+    }
     plain = {name: True for name in sizes}
-    nodes: Dict[str, NodeShape] = {}
-
-    def visit(label: str, kind: str, p: str, c: str) -> None:
+    nodes: Dict[str, Tuple[NodeShape, str]] = {}
+    for step in plan.steps:
+        if isinstance(step, ReduceFoldStep):
+            p, c, backend = step.parent, step.child, step.backend
+        elif isinstance(step, SemijoinStep):
+            # A semijoin's child is the filter's support, plain iff it is.
+            p, c, backend = step.target, step.filter, step.backend
+        elif isinstance(step, AggregateStep):
+            # An aggregation joins nothing: no back-end is dispatched.
+            p = c = step.node
+            backend = BACKENDS[0]
+        else:
+            continue
         same = owners[c] == owners[p]
-        nodes[label] = NodeShape(
-            kind, sizes[p], sizes[c], same, plain[c], plain[p]
+        shape = NodeShape(
+            step.kind, sizes[p], sizes[c], same, plain[c], plain[p]
         )
+        nodes[step.label] = (shape, backend)
         plain[p] = plain[p] and plain[c] and same
-
-    for step in plan.reduce_steps:
-        if isinstance(step, ReduceFold):
-            c, p = step.child, step.parent
-            visit(f"fold/{c}->{p}", "reduce_fold", p, c)
-        elif isinstance(step, ReduceAggregate):
-            visit(f"agg/{step.node}", "aggregate", step.node, step.node)
-    for step in plan.semijoin_steps:
-        # A semijoin's child is the filter's support, plain iff it is.
-        t, f = step.target, step.filter
-        visit(f"semi/{t}<-{f}", "semijoin", t, f)
     return nodes, plain
 
 
@@ -285,10 +300,11 @@ def estimate_plan_cost(
     as ``"yannakakis"``.
     """
     e = _Estimator(params)
-    nodes, plain = _walk_nodes(plan, sizes, owners)
-    routes = backends or {}
-    for label, shape in nodes.items():
-        e.node(shape, routes.get(label, "yannakakis"))
+    nodes, plain = _walk_nodes(
+        compile_plan(plan, owners, backends=backends), sizes
+    )
+    for shape, backend in nodes.values():
+        e.node(shape, backend)
 
     # Full join: reveal + OUT + per-relation OEP + products + result.
     reduced = plan.reduced_attrs
@@ -322,9 +338,10 @@ def estimate_node_costs(
     """:func:`estimate_node_bytes` of every fold/semijoin node under
     each join back-end: ``{node_label: {backend: bytes}}`` — what the
     planner's routing pass decides on."""
+    nodes, _ = _walk_nodes(compile_plan(plan, owners), sizes)
     return {
         label: {b: estimate_node_bytes(shape, b, params) for b in BACKENDS}
-        for label, shape in _walk_nodes(plan, sizes, owners)[0].items()
+        for label, (shape, _) in nodes.items()
         if shape.kind != "aggregate"
     }
 

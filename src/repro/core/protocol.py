@@ -16,43 +16,31 @@ results); ``secure_yannakakis_shared`` keeps them shared for query
 compositions (Section 7).
 
 Both entry points run the one pipeline, :func:`_run_plan` — the only
-place under ``src/`` that compiles a plan to an execution DAG
-(:mod:`repro.exec`) and hands it to the scheduler, which reproduces
-the historical transcript byte-for-byte.  Every other runner (the
-query builder, the serving layer, ``repro net``) reaches the scheduler
-through them.  The pre-IR sequential orchestrations are kept as
-``legacy_secure_yannakakis``/``legacy_secure_yannakakis_shared`` — the
-reference implementations the scheduler is tested against.
+place under ``src/`` that hands a compiled execution DAG
+(:mod:`repro.exec`) to the scheduler.  Every other runner (the query
+builder, the serving layer, ``repro net``) reaches the scheduler
+through them; the transcripts they produce are pinned by
+``tests/golden/fingerprints.json``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from ..leakage import leaks
-from ..mpc.context import ALICE, Context
+from ..mpc.context import Context
 from ..mpc.engine import Engine
-from ..mpc.sharing import reveal_vector
 from ..relalg.operators import aggregate as plain_aggregate
 from ..relalg.relation import AnnotatedRelation
 from ..relalg.semiring import IntegerRing
-from ..yannakakis.plan import (
-    ReduceAggregate,
-    ReduceFold,
-    YannakakisPlan,
-)
-from .aggregation import oblivious_aggregate
-from .join import ObliviousJoinResult, oblivious_join
+from ..yannakakis.plan import YannakakisPlan
+from .join import ObliviousJoinResult
 from .relation import SecureRelation
-from .semijoin import oblivious_reduce_join, oblivious_semijoin
 
 __all__ = [
     "secure_yannakakis",
     "secure_yannakakis_shared",
-    "legacy_secure_yannakakis",
-    "legacy_secure_yannakakis_shared",
     "ProtocolStats",
 ]
 
@@ -166,123 +154,8 @@ def secure_yannakakis(
         reveal=True, env=env, start_at=start_at,
     )["output"]
     elapsed = time.perf_counter() - t0
-    return _finish(ctx, plan, shared, values, elapsed, start_msgs)
-
-
-def _finish(
-    ctx: Context,
-    plan: YannakakisPlan,
-    shared: ObliviousJoinResult,
-    values: Sequence[int],
-    elapsed: float,
-    start_msgs: int,
-) -> Tuple[AnnotatedRelation, ProtocolStats]:
-    """Assemble the revealed result relation and the cost summary."""
-    ring = IntegerRing(ctx.params.ell)
     result = AnnotatedRelation(
-        shared.attributes, shared.tuples, values, ring
+        shared.attributes, shared.tuples, values, IntegerRing(ctx.params.ell)
     )
     result = plain_aggregate(result, plan.output).nonzero()
     return result, ProtocolStats.of_window(ctx, start_msgs, elapsed)
-
-
-# ----------------------------------------------------------------------
-# Reference implementations (pre-IR sequential orchestration).  The
-# scheduler's transcript is asserted byte-identical to these in
-# tests/test_exec.py and tests/test_exec_tpch.py.
-# ----------------------------------------------------------------------
-
-
-def _require_yannakakis_routes(
-    backends: Optional[Dict[str, str]],
-) -> None:
-    """The legacy orchestrations predate the back-end selector and only
-    implement the paper's PSI protocol; they accept the ``backends``
-    map for signature compatibility (tests swap them in for the
-    scheduler path) but refuse any non-default route."""
-    other = {
-        k: v for k, v in (backends or {}).items() if v != "yannakakis"
-    }
-    if other:
-        raise ValueError(
-            "the legacy orchestration only supports the 'yannakakis' "
-            f"back-end; got routes {other}"
-        )
-
-
-def legacy_secure_yannakakis_shared(
-    engine: Engine,
-    relations: Dict[str, SecureRelation],
-    plan: YannakakisPlan,
-    pad_out_to: int = 0,
-    backends: Optional[Dict[str, str]] = None,
-) -> ObliviousJoinResult:
-    """Sequential reference implementation of
-    :func:`secure_yannakakis_shared`."""
-    _require_yannakakis_routes(backends)
-    ctx = engine.ctx
-    rels = dict(relations)
-    missing = set(plan.tree.nodes) - set(rels)
-    if missing:
-        raise KeyError(f"missing input relations: {sorted(missing)}")
-
-    def run_semijoins() -> None:
-        with ctx.section("semijoin"):
-            for step in plan.semijoin_steps:
-                rels[step.target] = oblivious_semijoin(
-                    engine, rels[step.target], rels[step.filter],
-                    label=f"semi/{step.target}<-{step.filter}",
-                )
-
-    if plan.semijoin_first:  # the two-phase ablation order
-        run_semijoins()
-
-    with ctx.section("reduce"):
-        for step in plan.reduce_steps:
-            if isinstance(step, ReduceFold):
-                folded = oblivious_aggregate(
-                    engine, rels[step.child], step.agg_attrs,
-                    label=f"agg/{step.child}",
-                )
-                rels[step.parent] = oblivious_reduce_join(
-                    engine, rels[step.parent], folded,
-                    label=f"fold/{step.child}->{step.parent}",
-                )
-                del rels[step.child]
-            elif isinstance(step, ReduceAggregate):
-                rels[step.node] = oblivious_aggregate(
-                    engine, rels[step.node], step.attrs,
-                    label=f"agg/{step.node}",
-                )
-            else:  # pragma: no cover
-                raise TypeError(f"unknown reduce step {step!r}")
-
-    if not plan.semijoin_first:
-        run_semijoins()
-
-    with ctx.section("full_join"):
-        join_steps = [(s.child, s.parent) for s in plan.join_steps]
-        return oblivious_join(
-            engine, rels, join_steps, pad_out_to=pad_out_to
-        )
-
-
-@leaks("opened:result")
-def legacy_secure_yannakakis(
-    engine: Engine,
-    relations: Dict[str, SecureRelation],
-    plan: YannakakisPlan,
-    backends: Optional[Dict[str, str]] = None,
-) -> Tuple[AnnotatedRelation, ProtocolStats]:
-    """Sequential reference implementation of
-    :func:`secure_yannakakis`."""
-    _require_yannakakis_routes(backends)
-    ctx = engine.ctx
-    start_msgs = len(ctx.transcript.messages)
-    t0 = time.perf_counter()
-    shared = legacy_secure_yannakakis_shared(engine, relations, plan)
-    values = reveal_vector(
-        ctx, shared.annotations, ALICE, label="result"
-    )
-    elapsed = time.perf_counter() - t0
-    return _finish(ctx, plan, shared, values, elapsed, start_msgs)

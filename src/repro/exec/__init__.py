@@ -1,25 +1,26 @@
 """Execution layer: typed IR + instrumented scheduler.
 
-The secure Yannakakis pipeline in :mod:`repro.core.protocol` is a
-sequential orchestration function.  This package factors it into two
-halves:
+The secure Yannakakis pipeline in :mod:`repro.core.protocol` runs in
+two halves:
 
 * a **compiler** (:func:`compile_plan`) that lowers a
   :class:`~repro.yannakakis.plan.YannakakisPlan` plus party ownership
   into an :class:`ExecPlan` — a serialisable DAG of typed operator
-  steps with explicit dataflow slots; and
+  steps with explicit dataflow slots, in execution order; and
 * a **scheduler** (:class:`Scheduler`) that executes the DAG over an
-  :class:`~repro.mpc.engine.Engine` in one fixed order that reproduces
-  the legacy transcript byte-for-byte, with per-node structured
-  tracing (:class:`ExecutionTrace`) and run-wide template caching (via
-  :class:`~repro.mpc.runcache.RunCache` on the context).
+  :class:`~repro.mpc.engine.Engine` in that one fixed order, with
+  per-node structured tracing (:class:`ExecutionTrace`) and run-wide
+  template caching (via :class:`~repro.mpc.runcache.RunCache` on the
+  context).
 
-The legacy entry points remain as thin wrappers; see
-:func:`repro.core.protocol.secure_yannakakis`.
+The compiled plan is also what planning reads: the estimator prices
+its steps, the back-end router labels them, and :func:`audit_plan`
+composes their leakage.  The entry points are
+:func:`repro.core.protocol.secure_yannakakis` and its shared variant.
 """
 
 from ..mpc.runcache import RunCache
-from .audit import LeakageReport, NodeLeakage, audit_plan, audit_routes
+from .audit import LeakageReport, NodeLeakage, audit_plan
 from .compiler import compile_plan
 from .ir import (
     AggregateStep,
@@ -56,7 +57,6 @@ __all__ = [
     "ShareStep",
     "Step",
     "audit_plan",
-    "audit_routes",
     "compile_plan",
     "traced",
 ]

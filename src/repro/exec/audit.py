@@ -14,15 +14,16 @@ node contributes its back-end's registered contract
 the union — an all-``yannakakis`` route is exactly ``{}``, a route
 with any dispatched ``linear`` node is ``{join_pattern:parent}``.
 
-Three consumers:
+Three consumers, each auditing the plan
+:func:`~repro.exec.compiler.compile_plan` lowers:
 
 * ``repro lint --plan FILE [--allow ATOM]`` audits a serialised plan
   against a caller-supplied budget;
 * the serving layer rejects a tenant's plan *statically* at admission
   when its summary exceeds the tenant's pinned leakage budget
   (:meth:`repro.serve.service.QueryService.register_tenant`);
-* the fuzzer asserts both routes of every ``--backend both`` instance
-  match their documented models (docs/BACKENDS.md).
+* the fuzzer asserts every routed instance matches its back-end's
+  documented model (docs/BACKENDS.md).
 """
 
 from __future__ import annotations
@@ -33,14 +34,14 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from ..leakage import BACKEND_CONTRACTS
 from .ir import ExecPlan, ReduceFoldStep, SemijoinStep, ShareStep
 
-__all__ = ["NodeLeakage", "LeakageReport", "audit_plan", "audit_routes"]
+__all__ = ["NodeLeakage", "LeakageReport", "audit_plan"]
 
 
 @dataclass(frozen=True)
 class NodeLeakage:
     """The leakage contribution of one routed plan node."""
 
-    label: str  #: ``fold/{child}->{parent}`` / ``semi/{target}<-{filter}``
+    label: str  #: the step's :attr:`~repro.exec.ir.Step.label`
     kind: str  #: ``"reduce_fold"`` | ``"semijoin"``
     backend: str
     #: Whether the node reaches the cross-owner back-end dispatch at
@@ -173,46 +174,3 @@ def audit_plan(
                 _node(step.label, step.kind, step.backend, dispatched)
             )
     return LeakageReport(plan_name=plan.name, nodes=tuple(nodes))
-
-
-def audit_routes(
-    plan: object,
-    routes: Dict[str, str],
-    owners: Dict[str, str],
-) -> LeakageReport:
-    """Audit a :class:`~repro.yannakakis.plan.YannakakisPlan` plus a
-    resolved per-node route map (the planner's
-    :func:`~repro.query.planner.route_backends` output) *before*
-    compilation — the form the fuzzer and the admission controller
-    hold.  Unlisted nodes default to the paper's protocol, mirroring
-    the compiler."""
-    nodes: List[NodeLeakage] = []
-    for s in getattr(plan, "reduce_steps", []):
-        child = getattr(s, "child", None)
-        parent = getattr(s, "parent", None)
-        if child is None or parent is None:
-            continue  # ReduceAggregate: no join, no dispatch
-        label = f"fold/{child}->{parent}"
-        dispatched = bool(
-            getattr(s, "agg_attrs", ())
-        ) and _cross_owner(owners, child, parent)
-        nodes.append(
-            _node(
-                label,
-                "reduce_fold",
-                routes.get(label, "yannakakis"),
-                dispatched,
-            )
-        )
-    for s in getattr(plan, "semijoin_steps", []):
-        label = f"semi/{s.target}<-{s.filter}"
-        nodes.append(
-            _node(
-                label,
-                "semijoin",
-                routes.get(label, "yannakakis"),
-                _cross_owner(owners, s.target, s.filter),
-            )
-        )
-    name = getattr(plan, "name", "") or ""
-    return LeakageReport(plan_name=name, nodes=tuple(nodes))

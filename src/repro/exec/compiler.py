@@ -1,15 +1,18 @@
 """Lowering a :class:`~repro.yannakakis.plan.YannakakisPlan` to the
 execution IR.
 
-The compiler is pure planning — no context, no engine, no data.  It
-emits steps in the same order the legacy orchestration visited them, so
-the scheduler (topological order with min-id tie-break) replays the
-legacy transcript byte-for-byte.
+The compiler is pure planning — no context, no engine, no data — and
+the only lowering of a plan: it emits the steps in the order they run
+(reduce then semijoin, or the two-phase ablation's semijoin first, then
+the full join), numbered by position.  The scheduler dispatches that
+order, and the estimator, the back-end router and the leakage audit
+read it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Type
+from dataclasses import replace
+from typing import Any, Dict, List, Optional, Sequence, Type
 
 from ..yannakakis.plan import ReduceAggregate, ReduceFold, YannakakisPlan
 from .ir import (
@@ -23,6 +26,7 @@ from .ir import (
     RevealStep,
     SemijoinStep,
     ShareStep,
+    Step,
 )
 
 __all__ = ["compile_plan"]
@@ -41,43 +45,33 @@ def compile_plan(
 
     ``owners`` maps relation name to owning party; ``input_order`` fixes
     the order share/reveal/align steps enumerate the relations (defaults
-    to ``owners``' insertion order, which for dict inputs matches the
-    legacy pipeline's iteration order).  ``reveal_result`` appends the
+    to ``owners``' insertion order).  ``reveal_result`` appends the
     final opening of the annotations to Alice (the full-query entry
     point); shared pipelines leave the result as shares.
     ``backends`` maps fold/semijoin step labels
-    (``"fold/{child}->{parent}"`` / ``"semi/{target}<-{filter}"``) to a
-    join back-end; unlisted nodes default to ``"yannakakis"``.
+    (:attr:`~repro.exec.ir.Step.label`) to a join back-end; unlisted
+    nodes default to ``"yannakakis"``.
     """
     names = list(input_order) if input_order is not None else list(owners)
     missing = set(plan.tree.nodes) - set(names)
     if missing:
         raise KeyError(f"missing input relations: {sorted(missing)}")
-    routes = dict(backends or {})
+    routes = backends or {}
+    steps: List[Step] = []
 
-    steps = []
-    next_id = 0
-
-    def emit(cls: Type[Any], **kwargs: Any) -> Any:
-        nonlocal next_id
-        step = cls(id=next_id, **kwargs)
-        next_id += 1
+    def emit(cls: Type[Step], **kwargs: Any) -> None:
+        step = cls(id=len(steps), **kwargs)
+        routed = isinstance(step, (ReduceFoldStep, SemijoinStep))
+        if routed and step.label in routes:
+            step = replace(step, backend=routes[step.label])
         steps.append(step)
-        return step
 
     for n in names:
         emit(ShareStep, relation=n, owner=owners[n])
 
     def emit_semijoins() -> None:
         for s in plan.semijoin_steps:
-            emit(
-                SemijoinStep,
-                target=s.target,
-                filter=s.filter,
-                backend=routes.get(
-                    f"semi/{s.target}<-{s.filter}", "yannakakis"
-                ),
-            )
+            emit(SemijoinStep, target=s.target, filter=s.filter)
 
     if plan.semijoin_first:
         emit_semijoins()
@@ -88,9 +82,6 @@ def compile_plan(
                 child=r.child,
                 parent=r.parent,
                 agg_attrs=tuple(r.agg_attrs),
-                backend=routes.get(
-                    f"fold/{r.child}->{r.parent}", "yannakakis"
-                ),
             )
         elif isinstance(r, ReduceAggregate):
             emit(AggregateStep, node=r.node, attrs=tuple(r.attrs))

@@ -11,11 +11,14 @@ derives the dependency edges from those declarations:
 * repeated writes chain through the readers in between (WAW follows
   from WAR + RAW).
 
-Steps are frozen dataclasses so plans are hashable, comparable and
-serialisable: :meth:`ExecPlan.to_json` / :meth:`ExecPlan.from_json`
-round-trip through plain dicts.
+Step ids are the steps' positions, ``0..n-1``, and every dependency
+points backwards: the step tuple is the one execution order, and
+:attr:`Step.label` the one spelling of a node's name.  Steps are frozen
+dataclasses so plans are hashable, comparable and serialisable:
+:meth:`ExecPlan.to_json` / :meth:`ExecPlan.from_json` round-trip through
+plain dicts.
 
-Slot naming scheme (mirrors the legacy pipeline's intermediates):
+Slot naming scheme:
 
 =====================  ===================================================
 ``{relation}``         a :class:`~repro.core.relation.SecureRelation`
@@ -63,7 +66,7 @@ class Step:
 
     @property
     def section(self) -> Optional[str]:
-        """The legacy transcript section this step's messages belong to
+        """The transcript section this step's messages belong to
         (``None`` for steps that emit outside any section)."""
         return None
 
@@ -386,9 +389,8 @@ class ExecPlan:
     stage_of: Dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        ids = [s.id for s in self.steps]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate step ids")
+        if [s.id for s in self.steps] != list(range(len(self.steps))):
+            raise ValueError("step ids must be 0..n-1 in tuple order")
         self.deps = self._compute_deps()
         self.stage_of = self._compute_stages()
 
@@ -430,15 +432,7 @@ class ExecPlan:
         out: List[List[Step]] = [[] for _ in range(n_stages)]
         for step in self.steps:
             out[self.stage_of[step.id]].append(step)
-        for group in out:
-            group.sort(key=lambda s: s.id)
         return out
-
-    def step_by_id(self, step_id: int) -> Step:
-        for s in self.steps:
-            if s.id == step_id:
-                return s
-        raise KeyError(step_id)
 
     # -- serialisation ---------------------------------------------------
 

@@ -1,22 +1,21 @@
-"""Topological scheduler for :class:`~repro.exec.ir.ExecPlan` DAGs.
+"""Scheduler for :class:`~repro.exec.ir.ExecPlan` DAGs.
 
-One dispatch order: Kahn's algorithm with a min-id tie-break.  The
-compiler emits steps in the legacy orchestration's visit order, so the
-scheduler replays the legacy transcript **byte-for-byte** (same message
-sizes, same senders, same labels, same order) — the one fixed,
-data-independent message sequence the paper's security argument is
-over.
+One dispatch order, stated as the data: the plan's step tuple.  The
+compiler numbers steps by position and every dependency points
+backwards, so the tuple is a topological order — and it is the one
+fixed, data-independent message sequence the paper's security argument
+is over (the transcripts are pinned by
+``tests/golden/fingerprints.json``).
 
 Every executed node is recorded into the engine's
 :class:`~repro.exec.trace.ExecutionTrace` when one is attached.  The
-section wrappers reproduce the legacy transcript's label scheme
-exactly (``reduce``, ``semijoin``, ``full_join/oblivious_join``).
+section wrappers fix the transcript's label scheme (``reduce``,
+``semijoin``, ``full_join/oblivious_join``).
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mpc.engine import Engine
@@ -72,33 +71,6 @@ class Scheduler:
             else getattr(engine, "tracer", None)
         )
 
-    # -- ordering --------------------------------------------------------
-
-    def execution_order(self, plan: ExecPlan) -> List[Step]:
-        # Kahn's algorithm, always releasing the smallest ready id:
-        # reproduces the compiler's emission order (the legacy program
-        # order) for any DAG the compiler produces.
-        indegree = {s.id: len(plan.deps[s.id]) for s in plan.steps}
-        dependants: Dict[int, List[int]] = {s.id: [] for s in plan.steps}
-        for s in plan.steps:
-            for d in plan.deps[s.id]:
-                dependants[d].append(s.id)
-        ready = [s.id for s in plan.steps if indegree[s.id] == 0]
-        heapq.heapify(ready)
-        order: List[Step] = []
-        while ready:
-            sid = heapq.heappop(ready)
-            order.append(plan.step_by_id(sid))
-            for nxt in dependants[sid]:
-                indegree[nxt] -= 1
-                if indegree[nxt] == 0:
-                    heapq.heappush(ready, nxt)
-        if len(order) != len(plan.steps):
-            raise ValueError("cycle in execution plan")
-        return order
-
-    # -- execution -------------------------------------------------------
-
     def run(
         self,
         plan: ExecPlan,
@@ -121,8 +93,8 @@ class Scheduler:
         ``env``/``start_at`` make runs restartable over a durable
         checkpoint (``repro net --resume``): pass the revived slot
         environment and the checkpointed step id, and execution skips
-        every step before ``start_at`` in the execution order, resuming
-        at the checkpointed node itself."""
+        every step before ``start_at``, resuming at the checkpointed
+        node itself."""
         ctx = self.engine.ctx
         supervisor = self._make_supervisor()
         # Cooperative re-entrancy: a serving layer may interleave many
@@ -132,12 +104,9 @@ class Scheduler:
         # messages, so it cannot perturb the transcript.
         yield_hook = getattr(self.engine, "yield_hook", None)
         env = {} if env is None else env
-        waiting_for = start_at
-        for step in self.execution_order(plan):
-            if waiting_for is not None:
-                if step.id != waiting_for:
-                    continue
-                waiting_for = None
+        if start_at is not None and not 0 <= start_at < len(plan.steps):
+            raise ValueError(f"resume step {start_at} is not in the plan")
+        for step in plan.steps[start_at or 0:]:
             if yield_hook is not None:
                 yield_hook(step)
 
@@ -162,11 +131,6 @@ class Scheduler:
                 supervisor.run_step(step, env, thunk)
             else:
                 thunk()
-        if waiting_for is not None:
-            raise ValueError(
-                f"resume step {waiting_for} is not in the plan's "
-                "execution order"
-            )
         if self.trace is not None:
             self.trace.meta["plan"] = plan.name
             self.trace.meta["n_steps"] = len(plan.steps)

@@ -46,6 +46,8 @@ import numpy as np
 
 from ..core.protocol import secure_yannakakis
 from ..core.relation import SecureRelation
+from ..exec import audit_plan, compile_plan
+from ..leakage import BACKEND_CONTRACTS
 from ..mpc.context import Context, Mode
 from ..mpc.engine import Engine
 from ..mpc.params import SecurityParams
@@ -342,14 +344,14 @@ def audit_obliviousness(
     return failures
 
 
-#: What each concrete back-end's routed plan may leak, per
-#: docs/BACKENDS.md.  "auto" mixes the two, so it is bounded by their
-#: union; single-owner instances legitimately dispatch nothing and
-#: summarise ``{}`` under every back-end.
+#: What each back-end policy's routed plan may leak: a concrete
+#: back-end its registered contract (docs/BACKENDS.md); "auto" mixes
+#: them, so it is bounded by their union.  Single-owner instances
+#: legitimately dispatch nothing and summarise ``{}`` under every
+#: policy.
 _LEAKAGE_MODELS: Dict[str, frozenset] = {
-    "yannakakis": frozenset(),
-    "linear": frozenset({"join_pattern:parent"}),
-    "auto": frozenset({"join_pattern:parent"}),
+    **BACKEND_CONTRACTS,
+    "auto": frozenset().union(*BACKEND_CONTRACTS.values()),
 }
 
 
@@ -361,19 +363,17 @@ def audit_leakage(
     back-end's documented leakage model (failure kind ``"leakage"``).
 
     This is the plan-audit twin of the transcript audit: the composed
-    :func:`~repro.exec.audit.audit_routes` summary of the route the
-    secure run would execute must stay within what docs/BACKENDS.md
+    :func:`~repro.exec.audit.audit_plan` summary of the compiled plan
+    the secure run would execute must stay within what docs/BACKENDS.md
     promises for that back-end — an all-``yannakakis`` route must
     summarise exactly ``{}``; any route may at most add the linear
     back-end's ``join_pattern:parent``."""
-    from ..exec.audit import audit_routes
-
     plan = _plan_for(instance)
     routes = route_backends(
         plan, instance.sizes(), instance.owners, backend=backend,
         params=SecurityParams(ell=instance.ell),
     )
-    report = audit_routes(plan, routes, dict(instance.owners))
+    report = audit_plan(compile_plan(plan, instance.owners, backends=routes))
     allowed = _LEAKAGE_MODELS[backend]
     failures: List[FuzzFailure] = []
     problems = report.violations(allowed)

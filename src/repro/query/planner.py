@@ -15,9 +15,11 @@ from __future__ import annotations
 from itertools import islice
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from ..exec.compiler import compile_plan
+from ..exec.ir import ReduceFoldStep, SemijoinStep
 from ..mpc.params import SecurityParams
 from ..relalg.hypergraph import Hypergraph
-from ..yannakakis.plan import ReduceFold, YannakakisPlan, candidate_plans
+from ..yannakakis.plan import YannakakisPlan, candidate_plans
 
 __all__ = ["choose_plan", "route_backends"]
 
@@ -78,20 +80,18 @@ def route_backends(
     :func:`repro.bench.estimator.estimate_node_costs` and picks the
     cheaper one in bytes (ties break to ``"yannakakis"``, the paper's
     protocol — in particular every same-owner node, where the back-ends
-    are identical, routes there).  Returns a label-keyed map suitable
-    for :func:`repro.exec.compiler.compile_plan` and
-    :func:`repro.bench.estimator.estimate_plan_cost`.
+    are identical, routes there).  Returns a map keyed by the compiled
+    steps' labels, suitable for :func:`repro.exec.compiler.compile_plan`
+    and :func:`repro.bench.estimator.estimate_plan_cost`.
     """
     from ..bench.estimator import BACKENDS, DEFAULT_PARAMS, estimate_node_costs
 
     if backend in BACKENDS:
-        routes = {}
-        for step in plan.reduce_steps:
-            if isinstance(step, ReduceFold):
-                routes[f"fold/{step.child}->{step.parent}"] = backend
-        for step in plan.semijoin_steps:
-            routes[f"semi/{step.target}<-{step.filter}"] = backend
-        return routes
+        return {
+            step.label: backend
+            for step in compile_plan(plan, owners).steps
+            if isinstance(step, (ReduceFoldStep, SemijoinStep))
+        }
     if backend != "auto":
         raise ValueError(
             f"unknown back-end policy {backend!r}; "

@@ -73,7 +73,7 @@ class TenantBudget:
     #: plans may carry (``None`` = unpinned, any route admits;
     #: ``frozenset()`` = fully-oblivious routes only).  Checked by
     #: :meth:`AdmissionController.decide` against the plan's composed
-    #: :func:`~repro.exec.audit.audit_routes` summary — *before* any
+    #: :func:`~repro.exec.audit.audit_plan` summary — *before* any
     #: protocol byte moves, so an over-leaky plan is rejected
     #: statically, not caught mid-run.
     allowed_leakage: Optional[FrozenSet[str]] = None

@@ -120,7 +120,7 @@ class QueryService:
     ) -> None:
         """``allowed_leakage`` pins the tenant to a static leakage
         budget: every plan-bearing request is audited at submit time
-        (:func:`~repro.exec.audit.audit_routes`) and rejected before
+        (:func:`~repro.exec.audit.audit_plan`) and rejected before
         any protocol byte moves if its composed summary exceeds the
         budget.  ``frozenset()`` admits only fully-oblivious routes;
         ``None`` (default) leaves the tenant unpinned."""
@@ -151,13 +151,15 @@ class QueryService:
         requests, which carry no auditable plan)."""
         if request.query is None:
             return None
-        from ..exec.audit import audit_routes
+        from ..exec import audit_plan, compile_plan
 
         query = request.query
-        return audit_routes(
-            query.plan(),
-            query.backend_assignments(),
-            dict(query.owners),
+        return audit_plan(
+            compile_plan(
+                query.plan(),
+                query.owners,
+                backends=query.backend_assignments(),
+            )
         ).summary
 
     def submit(self, request: QueryRequest) -> str:

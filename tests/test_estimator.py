@@ -19,7 +19,7 @@ from repro.relalg import (
     IntegerRing,
     find_free_connex_tree,
 )
-from repro.yannakakis import build_plan
+from repro.yannakakis import build_plan, build_two_phase_plan
 
 from .test_backends import chain_query, two_relation_query
 
@@ -104,11 +104,20 @@ def _node_windows(trace, messages):
         off += node.n_messages
 
 
+def two_phase(q):
+    """``q`` pinned to its plan's two-phase ablation order (semijoins
+    before the reduce phase), which runs the same nodes on operands of
+    different plainness."""
+    plan = q.plan()
+    q._plan = build_two_phase_plan(plan.tree, plan.output)
+    return q
+
+
 class TestEstimatorEqualsMetered:
     """The estimator against the trace on every regime a fold/semijoin
     node has: back-end x owner split x child annotations (input-plain
     on the two-relation query; on the chain, r2 is shared by the time
-    it folds into r1 whenever r3 -> r2 crossed owners)."""
+    it folds into r1 whenever r3 -> r2 crossed owners) x phase order."""
 
     QUERIES = [
         pytest.param(
@@ -122,6 +131,10 @@ class TestEstimatorEqualsMetered:
             id="chain-" + "".join(p[0] for p in o),
         )
         for o in itertools.product((ALICE, BOB), repeat=3)
+    ] + [
+        pytest.param(
+            lambda: two_phase(chain_query()), id="chain-aba-two_phase"
+        ),
     ]
 
     @pytest.mark.parametrize("backend", ["yannakakis", "linear"])

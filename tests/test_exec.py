@@ -1,9 +1,10 @@
 """The execution layer: IR compilation, scheduling, tracing, caching.
 
 The load-bearing property is **transcript byte-identity**: the
-scheduler must replay the legacy sequential orchestration's transcript
-byte-for-byte — same sizes, same senders, same labels, same order —
-for every ownership split and both modes.
+scheduler's transcript — sizes, senders, labels, order — and result
+must hash to the pinned ``tests/golden/fingerprints.json`` digest for
+every ownership split, the two-phase order and a padded shared run, in
+both modes.
 """
 
 import ast
@@ -13,13 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import SecureRelation, is_dummy_tuple
-from repro.core.protocol import (
-    legacy_secure_yannakakis,
-    legacy_secure_yannakakis_shared,
-    secure_yannakakis,
-    secure_yannakakis_shared,
-)
+from repro.core import SecureRelation
+from repro.core.protocol import secure_yannakakis
 from repro.exec import (
     AlignStep,
     ExecPlan,
@@ -35,20 +31,18 @@ from repro.exec import (
 )
 from repro.mpc import ALICE, BOB, Context, Engine, Mode
 from repro.relalg import Hypergraph, find_free_connex_tree
-from repro.yannakakis import build_plan, build_two_phase_plan
+from repro.yannakakis import build_plan
 
+from .test_golden_fingerprints import example_run, load_golden, run_digest
 from .test_protocol import OWNER_SPLITS, example_11
 
 OUTPUT = ("cls",)
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
-def make_plan(rels, output=OUTPUT, two_phase=False):
+def make_plan(rels, output=OUTPUT):
     h = Hypergraph({n: r.attributes for n, r in rels.items()})
-    tree = find_free_connex_tree(h, set(output))
-    if two_phase:
-        return build_two_phase_plan(tree, tuple(output))
-    return build_plan(tree, tuple(output))
+    return build_plan(find_free_connex_tree(h, set(output)), tuple(output))
 
 
 def secure_inputs(rels, owners):
@@ -56,10 +50,6 @@ def secure_inputs(rels, owners):
         n: SecureRelation.from_annotated(owners[n], rels[n])
         for n in rels
     }
-
-
-def owners_of(sec):
-    return {n: r.owner for n, r in sec.items()}
 
 
 # ----------------------------------------------------------------------
@@ -120,6 +110,18 @@ def test_plan_json_roundtrip():
     assert json.loads(blob) == json.loads(back.dumps())
 
 
+def test_plan_ids_are_positions():
+    # The step tuple is the execution order: a loaded plan whose ids
+    # are not 0..n-1 in order is rejected, not re-sorted.
+    ep = compile_plan(
+        make_plan(example_11()), {"R1": ALICE, "R2": BOB, "R3": ALICE}
+    )
+    blob = ep.to_json()
+    blob["steps"][0]["id"], blob["steps"][1]["id"] = 1, 0
+    with pytest.raises(ValueError, match="0..n-1"):
+        ExecPlan.from_json(blob)
+
+
 def test_plan_describe_mentions_every_step():
     rels = example_11()
     ep = compile_plan(
@@ -146,72 +148,37 @@ def test_stages_group_independent_reveals():
 
 
 # ----------------------------------------------------------------------
-# Scheduler vs legacy: byte-identical transcripts
+# Scheduler vs the golden file: byte-identical transcripts
 # ----------------------------------------------------------------------
 
 
-def run_both(rels, owners, mode, *, two_phase=False, seed=11):
-    plan = make_plan(rels, two_phase=two_phase)
-
-    def one(fn):
-        ctx = Context(mode, seed=seed)
-        engine = Engine(ctx)
-        result, stats = fn(engine, secure_inputs(rels, owners), plan)
-        return ctx.transcript.fingerprint(), result
-
-    f_legacy, r_legacy = one(legacy_secure_yannakakis)
-    f_new, r_new = one(secure_yannakakis)
-    return f_legacy, r_legacy, f_new, r_new
+@pytest.fixture(scope="module")
+def golden():
+    return load_golden()
 
 
 @pytest.mark.parametrize("owners", OWNER_SPLITS)
-def test_fingerprint_identity_simulated(owners):
-    f_legacy, r_legacy, f_new, r_new = run_both(
-        example_11(), owners, Mode.SIMULATED
-    )
-    assert f_new == f_legacy
-    assert r_new.semantically_equal(r_legacy)
+def test_fingerprint_identity_simulated(owners, golden):
+    run = example_run("reduce_first", owners)
+    assert run_digest(run) == golden[run]
 
 
 @pytest.mark.real
-def test_fingerprint_identity_real():
-    f_legacy, r_legacy, f_new, r_new = run_both(
-        example_11(), {"R1": ALICE, "R2": BOB, "R3": ALICE}, Mode.REAL
-    )
-    assert f_new == f_legacy
-    assert r_new.semantically_equal(r_legacy)
+def test_fingerprint_identity_real(golden):
+    # REAL mode moves the same message sizes as SIMULATED, so it must
+    # hash to the SIMULATED golden digest.
+    run = example_run("reduce_first", {"R1": ALICE, "R2": BOB, "R3": ALICE})
+    assert run_digest(run, mode=Mode.REAL) == golden[run]
 
 
-def test_fingerprint_identity_two_phase():
-    f_legacy, r_legacy, f_new, r_new = run_both(
-        example_11(), {"R1": BOB, "R2": ALICE, "R3": BOB},
-        Mode.SIMULATED, two_phase=True,
-    )
-    assert f_new == f_legacy
-    assert r_new.semantically_equal(r_legacy)
+def test_fingerprint_identity_two_phase(golden):
+    run = example_run("two_phase", {"R1": BOB, "R2": ALICE, "R3": BOB})
+    assert run_digest(run) == golden[run]
 
 
-def test_fingerprint_identity_shared_with_padding():
-    rels = example_11()
-    owners = {"R1": ALICE, "R2": BOB, "R3": ALICE}
-    plan = make_plan(rels)
-
-    def one(fn):
-        ctx = Context(Mode.SIMULATED, seed=3)
-        engine = Engine(ctx)
-        res = fn(engine, secure_inputs(rels, owners), plan,
-                 pad_out_to=8)
-        return ctx.transcript.fingerprint(), res
-
-    f_legacy, r_legacy = one(legacy_secure_yannakakis_shared)
-    f_new, r_new = one(secure_yannakakis_shared)
-    assert f_new == f_legacy
-    # Padding rows carry fresh dummy nonces; the real rows must match.
-    real_new = [t for t in r_new.tuples if not is_dummy_tuple(t)]
-    real_legacy = [t for t in r_legacy.tuples if not is_dummy_tuple(t)]
-    assert real_new == real_legacy
-    assert len(r_new.tuples) == len(r_legacy.tuples) == 8
-    assert len(r_new.annotations) == 8
+def test_fingerprint_identity_shared_with_padding(golden):
+    run = example_run("shared_pad8", {"R1": ALICE, "R2": BOB, "R3": ALICE})
+    assert run_digest(run) == golden[run]
 
 
 def test_scheduler_missing_input_raises():
@@ -336,8 +303,11 @@ def test_topology_cache_shared_across_oeps():
 
 class TestOnePipeline:
     """Structural guard: a plan reaches the scheduler through
-    ``core/protocol.py`` — one compile site, one scheduler — and no
-    other module under ``src/repro`` assembles a run of its own."""
+    ``core/protocol.py`` — one scheduler — and no other module under
+    ``src/repro`` assembles a run of its own.  The other
+    ``compile_plan`` call sites are pure planning: the estimator, the
+    router and the leakage audits read the compiled steps and never
+    execute them."""
 
     def test_only_protocol_compiles_and_schedules(self):
         sites = sorted(
@@ -352,8 +322,13 @@ class TestOnePipeline:
             if name in ("compile_plan", "Scheduler")
         )
         assert sites == [
+            ("bench/estimator.py", "compile_plan"),
+            ("bench/estimator.py", "compile_plan"),
             ("core/protocol.py", "Scheduler"),
             ("core/protocol.py", "compile_plan"),
+            ("fuzz/runner.py", "compile_plan"),
+            ("query/planner.py", "compile_plan"),
+            ("serve/service.py", "compile_plan"),
         ]
 
     @pytest.mark.parametrize(

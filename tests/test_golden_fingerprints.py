@@ -1,4 +1,4 @@
-"""Golden transcript fingerprints of the five TPC-H queries.
+"""Golden transcript fingerprints.
 
 "Fingerprints byte-identical" is the contract every data-plane or
 performance change must keep.  This test pins it: each run below is
@@ -6,10 +6,13 @@ hashed as the SHA-256 of its transcript fingerprint (sender, size and
 label of every message) plus its sorted result rows, and the digests
 must equal ``tests/golden/fingerprints.json``.
 
-The runs are Q3, Q10, Q18 and Q8 at 0.3 MB and Q9 on nations 0-1,
-each under every join back-end and under both owner splits (as
+The TPC-H runs are Q3, Q10, Q18 and Q8 at 0.3 MB and Q9 on nations
+0-1, each under every join back-end and under both owner splits (as
 written, and with every relation's owner swapped), SIMULATED, at a
-fixed seed.
+fixed seed.  The ``example_11`` runs (the paper's running example,
+``tests/test_protocol.py``) cover every owner split, the two-phase
+ablation order and a shared run padded to 8 rows; ``tests/test_exec.py``
+checks them, the REAL run included.
 
 After a *deliberate* wire or plan change, print the diff and rewrite
 the file with::
@@ -34,13 +37,36 @@ QUERIES = ["Q3", "Q10", "Q18", "Q8", "Q9"]
 BACKENDS = ["yannakakis", "linear", "auto"]
 SPLITS = {"as_written": False, "swapped": True}
 
-RUNS = [
+TPCH_RUNS = [
     f"{q}/{b}/{s}" for q in QUERIES for b in BACKENDS for s in SPLITS
 ]
 
 
-def run_digest(dataset, run: str) -> str:
-    """SHA-256 of one run's transcript fingerprint and sorted result."""
+def example_run(variant: str, owners) -> str:
+    """The run name of ``example_11`` under ``variant`` and ``owners``:
+    ``{"R1": ALICE, "R2": BOB, "R3": ALICE}`` is split ``ABA``."""
+    split = "".join(owner[0].upper() for owner in owners.values())
+    return f"example_11/{variant}/{split}"
+
+
+def _example_runs():
+    from repro.mpc import ALICE, BOB
+
+    from .test_protocol import OWNER_SPLITS
+
+    cases = [("reduce_first", o) for o in OWNER_SPLITS] + [
+        ("two_phase", {"R1": BOB, "R2": ALICE, "R3": BOB}),
+        ("shared_pad8", OWNER_SPLITS[0]),
+    ]
+    return {example_run(v, o): (v, o) for v, o in cases}
+
+
+#: run name -> (variant, owners)
+EXAMPLE_RUNS = _example_runs()
+RUNS = TPCH_RUNS + list(EXAMPLE_RUNS)
+
+
+def _tpch_run(dataset, run: str):
     from repro.mpc import Engine, Mode
     from repro.tpch.queries import PREPARED, prepare_q9
 
@@ -56,9 +82,72 @@ def run_digest(dataset, run: str) -> str:
     rows = sorted(
         json.dumps([list(t), int(v)], default=int) for t, v in result
     )
-    fingerprint = [list(m) for m in engine.ctx.transcript.fingerprint()]
+    return engine.ctx.transcript, rows
+
+
+def _example_run(run: str, mode):
+    from repro.core import (
+        SecureRelation,
+        secure_yannakakis,
+        secure_yannakakis_shared,
+    )
+    from repro.mpc import Context, Engine
+    from repro.relalg import Hypergraph, find_free_connex_tree
+    from repro.relalg.columns import is_dummy_tuple
+    from repro.yannakakis import build_plan, build_two_phase_plan
+
+    from .test_protocol import example_11
+
+    variant, owners = EXAMPLE_RUNS[run]
+    rels = example_11()
+    tree = find_free_connex_tree(
+        Hypergraph({n: r.attributes for n, r in rels.items()}), {"cls"}
+    )
+    build = build_two_phase_plan if variant == "two_phase" else build_plan
+    plan = build(tree, ("cls",))
+    engine = Engine(Context(mode, seed=SEED))
+    inputs = {
+        n: SecureRelation.from_annotated(owners[n], r)
+        for n, r in rels.items()
+    }
+    if variant == "shared_pad8":
+        # Shared annotations are random shares and padding rows carry
+        # fresh nonces: pin the real rows and the padded row count.
+        shared = secure_yannakakis_shared(engine, inputs, plan, pad_out_to=8)
+        rows = sorted(
+            "dummy" if is_dummy_tuple(t) else json.dumps(list(t))
+            for t in shared.tuples
+        )
+    else:
+        result, _ = secure_yannakakis(engine, inputs, plan)
+        rows = sorted(
+            json.dumps([list(t), int(v)], default=int) for t, v in result
+        )
+    return engine.ctx.transcript, rows
+
+
+def run_digest(run: str, dataset=None, mode=None) -> str:
+    """SHA-256 of one run's transcript fingerprint and sorted result.
+    TPC-H runs need the generated ``dataset``; ``example_11`` runs take
+    a ``mode`` (SIMULATED by default)."""
+    from repro.mpc import Mode
+
+    if run.startswith("example_11/"):
+        transcript, rows = _example_run(run, mode or Mode.SIMULATED)
+    else:
+        transcript, rows = _tpch_run(dataset, run)
+    fingerprint = [list(m) for m in transcript.fingerprint()]
     blob = json.dumps([fingerprint, rows], default=int)
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def load_golden():
+    blob = json.loads(GOLDEN.read_text())
+    assert (blob["scale_mb"], blob["seed"], blob["q9_nations"]) == (
+        SCALE_MB, SEED, Q9_NATIONS,
+    )
+    assert sorted(blob["runs"]) == sorted(RUNS)
+    return blob["runs"]
 
 
 @pytest.fixture(scope="module")
@@ -70,17 +159,12 @@ def dataset():
 
 @pytest.fixture(scope="module")
 def golden():
-    blob = json.loads(GOLDEN.read_text())
-    assert (blob["scale_mb"], blob["seed"], blob["q9_nations"]) == (
-        SCALE_MB, SEED, Q9_NATIONS,
-    )
-    assert sorted(blob["runs"]) == sorted(RUNS)
-    return blob["runs"]
+    return load_golden()
 
 
-@pytest.mark.parametrize("run", RUNS)
+@pytest.mark.parametrize("run", TPCH_RUNS)
 def test_fingerprint_matches_golden(run, dataset, golden):
-    assert run_digest(dataset, run) == golden[run], (
+    assert run_digest(run, dataset) == golden[run], (
         f"{run}'s transcript or result moved; if deliberate, run "
         "`python -m tests.test_golden_fingerprints --regen`"
     )
@@ -94,7 +178,7 @@ if __name__ == "__main__":  # pragma: no cover
     if "--regen" not in sys.argv:
         sys.exit("usage: python -m tests.test_golden_fingerprints --regen")
     data = generate(SCALE_MB)
-    runs = {run: run_digest(data, run) for run in RUNS}
+    runs = {run: run_digest(run, data) for run in RUNS}
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     old_runs = old.get("runs", {})
     changed = [run for run in RUNS if old_runs.get(run) != runs[run]]

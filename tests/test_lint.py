@@ -269,39 +269,33 @@ def _q3_plans():
     from repro.tpch.queries import prepare_q3
 
     q = prepare_q3(generate(1))._build()
-    plan, owners = q.plan(), dict(q.owners)
-    out = {}
-    for backend in ("yannakakis", "linear"):
-        routes = q.backend_assignments(backend)
-        exec_plan = compile_plan(
-            plan, owners, backends=routes, name=f"q3-{backend}"
+    return {
+        backend: compile_plan(
+            q.plan(),
+            q.owners,
+            backends=q.backend_assignments(backend),
+            name=f"q3-{backend}",
         )
-        out[backend] = (exec_plan, plan, routes, owners)
-    return out
+        for backend in ("yannakakis", "linear")
+    }
 
 
 def test_q3_plan_audit_pins_backend_leakage():
     """The acceptance pin: all-yannakakis Q3 composes to the empty
     leakage summary; the all-linear route leaks exactly the
     pseudonymised join pattern — nothing more."""
-    from repro.exec import audit_plan, audit_routes
+    from repro.exec import audit_plan
 
     plans = _q3_plans()
 
-    exec_plan, plan, routes, owners = plans["yannakakis"]
-    report = audit_plan(exec_plan)
+    report = audit_plan(plans["yannakakis"])
     assert report.summary == frozenset()
     assert report.ok(frozenset())
-    assert audit_routes(plan, routes, owners).summary == frozenset()
 
-    exec_plan, plan, routes, owners = plans["linear"]
-    report = audit_plan(exec_plan)
+    report = audit_plan(plans["linear"])
     assert report.summary == frozenset({"join_pattern:parent"})
     assert not report.ok(frozenset())
     assert report.ok(frozenset({"join_pattern:parent"}))
-    assert audit_routes(plan, routes, owners).summary == frozenset(
-        {"join_pattern:parent"}
-    )
     # every violation names a concrete dispatched node
     assert all("join_pattern:parent" in line
                for line in report.violations(frozenset()))
@@ -310,8 +304,7 @@ def test_q3_plan_audit_pins_backend_leakage():
 def test_plan_audit_unknown_backend_is_violation():
     from repro.exec import audit_plan
 
-    exec_plan, _, _, _ = _q3_plans()["yannakakis"]
-    blob = json.loads(exec_plan.dumps())
+    blob = json.loads(_q3_plans()["yannakakis"].dumps())
     for step in blob["steps"]:
         if step["kind"] == "reduce_fold":
             step["backend"] = "mystery"
@@ -410,9 +403,8 @@ def test_cli_list_rules():
 def test_cli_plan_audit_roundtrip(tmp_path):
     """`repro lint --plan` on a serialised ExecPlan: the linear route
     fails a zero budget and passes once the atom is allowed."""
-    exec_plan, _, _, _ = _q3_plans()["linear"]
     plan_file = tmp_path / "q3-linear.json"
-    plan_file.write_text(exec_plan.dumps())
+    plan_file.write_text(_q3_plans()["linear"].dumps())
 
     denied = _run_cli("--plan", str(plan_file))
     assert denied.returncode == 1
