@@ -35,6 +35,7 @@ from ..exec.ir import (
     SemijoinStep,
     ShareStep,
 )
+from ..leakage import BACKENDS
 from ..mpc import costs, gadgets
 from ..mpc.context import ALICE
 from ..mpc.costs import Widths
@@ -50,11 +51,6 @@ __all__ = [
     "estimate_query_cost",
     "session_framing_overhead",
 ]
-
-#: The selectable join back-ends, in tie-break preference order (the
-#: paper's protocol first).  Mirrors repro.core.semijoin.BACKENDS
-#: without importing the operator layer into the estimator.
-BACKENDS = ("yannakakis", "linear")
 
 
 class NodeShape(NamedTuple):

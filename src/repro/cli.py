@@ -46,7 +46,9 @@ import argparse
 import sys
 
 from .bench import check_figure_shape, format_figure, run_figure
+from .leakage import BACKENDS
 from .mpc import Context, Engine, Mode
+from .query import BACKEND_POLICIES
 
 __all__ = ["main"]
 
@@ -133,7 +135,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    from .bench.estimator import BACKENDS, estimate_node_costs
+    from .bench.estimator import estimate_node_costs
     from .bench.estimator import estimate_query_cost
     from .tpch import PREPARED, generate
 
@@ -607,7 +609,7 @@ def main(argv=None) -> int:
         help="REAL-mode cryptography (slow; use tiny scales)",
     )
     p.add_argument(
-        "--backend", choices=["yannakakis", "linear", "auto"],
+        "--backend", choices=BACKEND_POLICIES,
         default="yannakakis",
         help="join back-end: the paper's PSI protocol, the "
         "linear-complexity DH-OPRF protocol, or per-node cost routing "
@@ -631,7 +633,7 @@ def main(argv=None) -> int:
         help="REAL-mode cryptography (slow; use tiny scales)",
     )
     p.add_argument(
-        "--backend", choices=["yannakakis", "linear", "auto"],
+        "--backend", choices=BACKEND_POLICIES,
         default="yannakakis",
         help="join back-end; fold/semijoin trace nodes report their "
         "routed back-end and estimated bytes",
@@ -701,7 +703,7 @@ def main(argv=None) -> int:
     )
     p.add_argument(
         "--backend",
-        choices=["yannakakis", "linear", "auto", "both"],
+        choices=[*BACKEND_POLICIES, "both"],
         default="yannakakis",
         help='join back-end; "both" runs every instance under both '
         "protocols — the cross-protocol differential oracle plus a "
@@ -749,7 +751,7 @@ def main(argv=None) -> int:
         "and kills/drops/partitions them (see docs/ROBUSTNESS.md)",
     )
     p.add_argument(
-        "--backend", choices=["yannakakis", "linear", "auto"],
+        "--backend", choices=BACKEND_POLICIES,
         default="yannakakis",
         help="join back-end the swept runs execute under",
     )
@@ -800,7 +802,7 @@ def main(argv=None) -> int:
     )
     p.add_argument("--seed", type=int, default=7)
     p.add_argument(
-        "--backend", choices=["yannakakis", "linear", "auto"],
+        "--backend", choices=BACKEND_POLICIES,
         default="yannakakis", help="join back-end",
     )
     p.add_argument(
@@ -913,7 +915,7 @@ def main(argv=None) -> int:
     )
     p.add_argument("--seed", type=int, default=7)
     p.add_argument(
-        "--backend", choices=["yannakakis", "linear", "auto"],
+        "--backend", choices=BACKEND_POLICIES,
         default="yannakakis",
         help="join back-end every served session runs under",
     )

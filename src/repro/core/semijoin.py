@@ -38,6 +38,7 @@ from typing import Any, Tuple
 
 import numpy as np
 
+from ..leakage import BACKENDS
 from ..mpc.batch import sorted_lookup
 from ..mpc.context import Context
 from ..mpc.engine import Engine
@@ -50,12 +51,6 @@ from .relation import SecureAnnotations, SecureRelation, row_digests
 from .shared_payload_psi import psi_with_shared_payloads
 
 __all__ = ["BACKENDS", "oblivious_reduce_join", "oblivious_semijoin"]
-
-#: Selectable join back-ends: "yannakakis" is the paper's PSI/OEP
-#: protocol, "linear" the LINQ/Bifrost-style DH-OPRF protocol of
-#: :mod:`repro.core.linear`.  The back-end only changes the cross-owner
-#: regime — same-owner and scalar-child nodes take identical paths.
-BACKENDS = ("yannakakis", "linear")
 
 
 def oblivious_reduce_join(

@@ -47,11 +47,11 @@ import numpy as np
 from ..core.protocol import secure_yannakakis
 from ..core.relation import SecureRelation
 from ..exec import audit_plan, compile_plan
-from ..leakage import BACKEND_CONTRACTS
+from ..leakage import BACKEND_CONTRACTS, BACKENDS
 from ..mpc.context import Context, Mode
 from ..mpc.engine import Engine
 from ..mpc.params import SecurityParams
-from ..query.planner import choose_plan, route_backends
+from ..query.planner import BACKEND_POLICIES, choose_plan, route_backends
 from ..runtime.aborts import ProtocolAbort
 from ..runtime.faults import FaultPlan, perturb_share
 from ..runtime.session import enable_session
@@ -85,7 +85,7 @@ __all__ = [
 #: each concrete back-end (the cross-protocol differential oracle:
 #: both must agree with the plaintext oracle, hence with each other,
 #: and each must pass the obliviousness audit independently).
-FUZZ_BACKENDS = ("yannakakis", "linear", "auto", "both")
+FUZZ_BACKENDS = BACKEND_POLICIES + ("both",)
 
 
 @dataclass
@@ -416,7 +416,7 @@ def check_instance(
             f"choose from {FUZZ_BACKENDS}"
         )
     backends = (
-        ("yannakakis", "linear") if backend == "both" else (backend,)
+        BACKENDS if backend == "both" else (backend,)
     )
     failures: List[FuzzFailure] = []
     for b in backends:
@@ -475,7 +475,7 @@ def fuzz(
     report = FuzzReport()
     t0 = time.perf_counter()
     real_backends = (
-        ("yannakakis", "linear") if backend == "both" else (backend,)
+        BACKENDS if backend == "both" else (backend,)
     )
     for i in range(start, start + iterations):
         instance = generate_instance(seed, i, config)

@@ -27,6 +27,12 @@ what each primitive and back-end is *allowed* to leak:
   (string keys, ``frozenset()``/``frozenset({...})`` values): the lint
   rules read it from source, so they work without importing this
   package.
+* :data:`BACKENDS` — the one back-end registry, ``BACKEND_CONTRACTS``'s
+  keys in order.  The operator dispatch, the cost estimator, the
+  routing policies, the fuzzer and the CLI derive their back-end sets
+  from it, so a back-end cannot exist without a declared contract.
+  This module imports nothing but the standard library, so every layer
+  can read it.
 
 ``docs/BACKENDS.md`` embeds :func:`leakage_table` between
 ``<!-- leakage-table:begin -->`` markers; ``tests/test_lint.py`` pins
@@ -35,12 +41,13 @@ doc ↔ registry agreement.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, TypeVar
+from typing import Callable, Dict, FrozenSet, Tuple, TypeVar
 
 __all__ = [
     "ATOMS",
     "BASELINE_ATOMS",
     "BACKEND_CONTRACTS",
+    "BACKENDS",
     "SINK_ATOMS",
     "UNCONDITIONAL_SINKS",
     "leaks",
@@ -74,14 +81,21 @@ BASELINE_ATOMS: FrozenSet[str] = frozenset(
     {"opened:result", "support:result"}
 )
 
-#: Per-back-end leakage summary over and above the baseline atoms.
-#: OBL008 parses this literal from source and checks it against the
-#: contracts declared at the dispatch point in repro/core/semijoin.py;
-#: keep keys in sync with ``repro.core.semijoin.BACKENDS``.
+#: Per-back-end leakage summary over and above the baseline atoms, one
+#: key per join back-end: "yannakakis" is the paper's PSI/OEP protocol,
+#: "linear" the LINQ/Bifrost-style DH-OPRF protocol of
+#: :mod:`repro.core.linear`.  OBL008 parses this literal from source and
+#: checks the dispatch point in repro/core/semijoin.py against it.
 BACKEND_CONTRACTS: Dict[str, FrozenSet[str]] = {
     "yannakakis": frozenset(),
     "linear": frozenset({"join_pattern:parent"}),
 }
+
+#: The selectable join back-ends, in tie-break preference order (the
+#: paper's protocol first).  Every other spelling of the set — the
+#: dispatch check, the estimator, the routing policies, the fuzzer and
+#: the CLI — derives from this one.
+BACKENDS: Tuple[str, ...] = tuple(BACKEND_CONTRACTS)
 
 #: Callee names that materialise plaintext from protocol state, and
 #: the atom each call witnesses.  The lint rules flag a call to one of

@@ -20,19 +20,24 @@ dynamically:
   ``@repro.leakage.leaks`` contract.
 * **OBL007 contract-rot** — every declared atom is witnessed by the
   function's call closure.
-* **OBL008 backend-contract-parity** — back-ends at an IR dispatch
-  point match the ``BACKEND_CONTRACTS`` registry.
+* **OBL008 backend-contract-parity** — a back-end's dispatch branch
+  calls nothing that leaks beyond its ``BACKEND_CONTRACTS`` entry.
 
 See docs/LINTING.md for the rule catalogue, the suppression policy
 (``# oblint: disable=RULE — reason``) and the contract vocabulary.
 """
 
 from .contracts import declared_atoms
-from .interproc import InterprocTaint, interproc_taint
 from .registry import Rule, all_rules, register
 from .runner import discover_files, lint_sources, run_lint
 from .suppress import parse_directives
-from .taint import NONDET_CONFIG, SECRET_CONFIG, FunctionTaint
+from .taint import (
+    NONDET_CONFIG,
+    SECRET_CONFIG,
+    FunctionTaint,
+    function_taint,
+    interproc_taint,
+)
 from .violations import LintResult, Violation
 
 __all__ = [
@@ -45,7 +50,7 @@ __all__ = [
     "parse_directives",
     "declared_atoms",
     "FunctionTaint",
-    "InterprocTaint",
+    "function_taint",
     "interproc_taint",
     "SECRET_CONFIG",
     "NONDET_CONFIG",

@@ -17,9 +17,9 @@ asserts it is leak-free.
 from __future__ import annotations
 
 import ast
-from typing import FrozenSet, Optional, Tuple
+from typing import Any, FrozenSet, Optional
 
-from .project import SourceFile, call_name
+from .project import SourceFile, call_name, walk_shallow
 
 __all__ = ["declared_atoms", "decorator_atoms", "marker_atoms"]
 
@@ -42,33 +42,26 @@ def decorator_atoms(fn: ast.AST) -> Optional[FrozenSet[str]]:
     return None
 
 
-def _nested_def_ranges(fn: ast.AST) -> Tuple[Tuple[int, int], ...]:
-    out = []
-    for child in ast.walk(fn):
-        if child is fn:
-            continue
-        if isinstance(
-            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            out.append((child.lineno, child.end_lineno or child.lineno))
-    return tuple(out)
-
-
-def marker_atoms(
-    fn: ast.AST, src: SourceFile
-) -> Optional[FrozenSet[str]]:
+def marker_atoms(fn: Any, src: SourceFile) -> Optional[FrozenSet[str]]:
     """Atoms of ``# oblint: leaks=`` markers inside ``fn``'s own body
     (markers inside nested definitions belong to the nested def)."""
     lo = fn.lineno
     hi = fn.end_lineno or lo
-    nested = _nested_def_ranges(fn)
+    marked = [line for line in src.directives.leaks if lo <= line <= hi]
+    if not marked:
+        return None
+    nested = [
+        (child.lineno, child.end_lineno or child.lineno)
+        for child in walk_shallow(fn)
+        if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        )
+    ]
     found = None
-    for line, atoms in src.directives.leaks.items():
-        if not (lo <= line <= hi):
-            continue
+    for line in marked:
         if any(nlo <= line <= nhi for nlo, nhi in nested):
             continue
-        found = (found or frozenset()) | frozenset(atoms)
+        found = (found or frozenset()) | frozenset(src.directives.leaks[line])
     return found
 
 

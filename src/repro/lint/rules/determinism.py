@@ -22,7 +22,7 @@ from typing import Iterator
 
 from ..project import Project, SourceFile, call_name, label_arg_of
 from ..registry import Rule, register
-from ..taint import NONDET_CONFIG, FunctionTaint
+from ..taint import NONDET_CONFIG, function_taint
 from ..violations import Violation
 
 
@@ -41,7 +41,7 @@ class DeterminismRule(Rule):
         if not src.in_protocol_dirs:
             return
         for fn in src.functions():
-            taint = FunctionTaint(fn, src, NONDET_CONFIG)
+            taint = function_taint(project, fn, NONDET_CONFIG)
             for node in ast.walk(fn):
                 if not isinstance(node, ast.Call):
                     continue

@@ -8,58 +8,38 @@ declarations against the code:
   materialising sink (:data:`repro.leakage.SINK_ATOMS`) on *tainted*
   data must sit inside a function whose contract declares the sink's
   atom.  Taint is the interprocedural closure
-  (:mod:`repro.lint.interproc`), so a secret produced in one module and
-  revealed in another is still caught.  Sinks in
+  (:func:`repro.lint.taint.interproc_taint`), so a secret produced in
+  one module and revealed in another is still caught.  Sinks in
   :data:`~repro.leakage.UNCONDITIONAL_SINKS` leak by construction and
   fire regardless of argument taint.
 * **OBL007 contract-rot** — every atom a contract declares must be
   *witnessed* by the function: it names a sink primitive itself, calls
-  one, or (transitively) calls a function that does.  An atom nothing
-  in the call closure can produce means the contract has rotted — the
-  leak was removed but the declaration stayed, silently over-budgeting
-  every plan audit above it.  Unknown atoms (outside the closed
-  vocabulary) are reported here too.
-* **OBL008 backend-contract-parity** — the back-ends registered at an
-  IR dispatch point (the ``BACKENDS`` tuple in
-  :mod:`repro.core.semijoin`) must each have an entry in the statically
-  parseable ``BACKEND_CONTRACTS`` registry, and the implementation a
-  dispatch branch calls must not declare leakage beyond its back-end's
-  registered contract — so adding a back-end cannot silently widen
-  what a routed plan leaks.  Both literals are read from the analysed
-  file set, which keeps single-file fixtures hermetic; the rule skips
-  when no registry is present (partial-tree runs).
+  one, or (transitively) calls a function that produces or declares
+  it.  An atom nothing in the call closure can produce means the
+  contract has rotted — the leak was removed but the declaration
+  stayed, silently over-budgeting every plan audit above it.  Unknown
+  atoms (outside the closed vocabulary) are reported here too.
+* **OBL008 backend-contract-parity** — a dispatch branch on a back-end
+  name (``if backend == "linear":``, the names being the keys of the
+  ``BACKEND_CONTRACTS`` registry in :mod:`repro.leakage`) must not call
+  an implementation whose contract declares leakage beyond that
+  back-end's registered contract — so adding a back-end cannot
+  silently widen what a routed plan leaks.  The registry is read from
+  the analysed file set, which keeps single-file fixtures hermetic;
+  the rule skips when no registry is present (partial-tree runs).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set
 
 from ...leakage import ATOMS, SINK_ATOMS, UNCONDITIONAL_SINKS
 from ..contracts import declared_atoms
-from ..interproc import interproc_taint
-from ..project import (
-    FuncInfo,
-    Project,
-    SourceFile,
-    call_name,
-    walk_shallow,
-)
+from ..project import FuncInfo, Project, SourceFile, call_name
 from ..registry import Rule, register
-from ..taint import FunctionTaint
+from ..taint import interproc_taint
 from ..violations import Violation
-
-_MAX_DEPTH = 10
-
-
-def _sink_args_tainted(
-    taint: Optional[FunctionTaint], node: ast.Call
-) -> bool:
-    if taint is None:
-        return False
-    return any(taint.is_tainted(a) for a in node.args) or any(
-        taint.is_tainted(k.value) for k in node.keywords
-    )
 
 
 @register
@@ -77,19 +57,17 @@ class UndeclaredLeakageRule(Rule):
     ) -> Iterator[Violation]:
         if not src.in_protocol_dirs:
             return
-        engine = interproc_taint(project)
         for fn in src.functions():
             covered = declared_atoms(fn, src) or frozenset()
-            taint = engine.function_taint(fn)
-            for node in walk_shallow(fn):
-                if not isinstance(node, ast.Call):
-                    continue
+            taint = interproc_taint(project, fn)
+            for node in project.info(fn).calls:
                 name = call_name(node)
                 atom = SINK_ATOMS.get(name or "")
                 if atom is None or atom in covered:
                     continue
-                if name in UNCONDITIONAL_SINKS or _sink_args_tainted(
-                    taint, node
+                args = node.args + [k.value for k in node.keywords]
+                if name in UNCONDITIONAL_SINKS or any(
+                    taint.is_tainted(a) for a in args
                 ):
                     yield self.make(
                         src, node.lineno, node.col_offset,
@@ -98,6 +76,21 @@ class UndeclaredLeakageRule(Rule):
                         "such contract (add @leaks(...) or "
                         f"'# oblint: leaks={atom}')",
                     )
+
+
+def _sinks(info: FuncInfo) -> FrozenSet[str]:
+    """Atoms a function produces itself: as a sink primitive, or by
+    calling one."""
+    names = info.call_names | {info.node.name}
+    return frozenset(SINK_ATOMS[n] for n in names if n in SINK_ATOMS)
+
+
+def _produced(info: FuncInfo) -> FrozenSet[str]:
+    """The OBL007 closure fact: atoms a function produces or declares.
+    Taint-independent by design — a legitimately annotated wrapper must
+    not flag just because the taint engine lost a flow."""
+    declared = declared_atoms(info.node, info.file) or frozenset()
+    return _sinks(info) | declared
 
 
 @register
@@ -127,7 +120,15 @@ class ContractRotRule(Rule):
                     f"contract; the vocabulary is {sorted(ATOMS)} "
                     "(repro.leakage.ATOMS)",
                 )
-            witnessed = _witness_closure(project, fn, src)
+            # Its own sink calls, plus what one resolution of some
+            # callee may produce or declare.
+            info = project.info(fn)
+            witnessed = _sinks(info).union(
+                *(
+                    project.closure_of_name(name, info.cls, _produced)[1]
+                    for name in info.callees
+                )
+            )
             for atom in sorted((declared - unknown) - witnessed):
                 yield self.make(
                     src, fn.lineno, fn.col_offset,
@@ -138,222 +139,41 @@ class ContractRotRule(Rule):
                 )
 
 
-def _witness_memo(project: Project) -> Dict[int, FrozenSet[str]]:
-    cached = getattr(project, "_witness_memo", None)
-    if cached is None:
-        cached = {}
-        project._witness_memo = cached  # type: ignore[attr-defined]
-    return cached
-
-
-def _witness_closure(
-    project: Project,
-    fn: ast.AST,
-    src: SourceFile,
-    cls: Optional[str] = None,
-    _depth: int = 0,
-) -> FrozenSet[str]:
-    """Atoms ``fn`` can produce: its own name as a sink primitive,
-    direct sink calls, and the witnessed-or-declared atoms of resolved
-    callees.  Taint-independent by design — a legitimately annotated
-    wrapper must not flag just because the taint engine lost a flow."""
-    memo = _witness_memo(project)
-    key = id(fn)
-    if key in memo:
-        return memo[key]
-    if _depth > _MAX_DEPTH:
-        return frozenset()
-    memo[key] = frozenset()  # in-progress marker breaks cycles
-    atoms: Set[str] = set()
-    name = getattr(fn, "name", None)
-    if name in SINK_ATOMS:
-        atoms.add(SINK_ATOMS[name])
-    callees: Set[str] = set()
-    for node in walk_shallow(fn):
-        if isinstance(node, ast.Call):
-            cname = call_name(node)
-            if cname in SINK_ATOMS:
-                atoms.add(SINK_ATOMS[cname])
-            if cname is not None:
-                callees.add(cname)
-    class_ns = project.classes.get(cls or "", {})
-    for cname in callees:
-        for info in _resolve(project, cname, class_ns):
-            atoms |= _witness_closure(
-                project, info.node, info.file, info.cls, _depth + 1
-            )
-            atoms |= declared_atoms(info.node, info.file) or frozenset()
-    result = frozenset(atoms)
-    memo[key] = result
-    return result
-
-
-def _resolve(
-    project: Project, name: str, class_ns: Dict[str, FuncInfo]
-) -> List[FuncInfo]:
-    if name in class_ns:
-        return [class_ns[name]]
-    infos = project.functions_by_name.get(name, [])
-    if infos:
-        return infos
-    init = project.classes.get(name, {}).get("__init__")
-    return [init] if init is not None else []
-
-
-# ----------------------------------------------------------------------
-# OBL008 — back-end contract parity at the IR dispatch point
-# ----------------------------------------------------------------------
-
-
-def _parse_registry(project: Project):
-    """(backends, contracts) literals from the analysed file set.
-
-    ``backends``: list of (src, lineno, tuple-of-names) for every
-    module-level ``BACKENDS = ("...", ...)``.  ``contracts``: the
-    merged ``BACKEND_CONTRACTS`` dict (name -> frozenset of atoms), or
-    None when no registry is in the file set.
-    """
-    cached = getattr(project, "_backend_registry", None)
-    if cached is not None:
-        return cached
-    backends = []
-    contracts: Optional[Dict[str, FrozenSet[str]]] = None
-    for f in project.files:
-        for stmt in f.tree.body:
-            if not (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-            ):
-                continue
-            target = stmt.targets[0].id
-            if target == "BACKENDS":
-                names = _str_elements(stmt.value)
-                if names is not None:
-                    backends.append((f, stmt.lineno, tuple(names)))
-            elif target == "BACKEND_CONTRACTS":
-                parsed = _parse_contracts_dict(stmt.value)
-                if parsed is not None:
-                    contracts = dict(contracts or {})
-                    contracts.update(parsed)
-    cached = (backends, contracts)
-    project._backend_registry = cached  # type: ignore[attr-defined]
-    return cached
-
-
-def _str_elements(expr: ast.expr) -> Optional[List[str]]:
-    if not isinstance(expr, (ast.Tuple, ast.List)):
-        return None
-    out = []
-    for e in expr.elts:
-        if not (isinstance(e, ast.Constant) and isinstance(e.value, str)):
-            return None
-        out.append(e.value)
-    return out
-
-
-def _parse_contracts_dict(
-    expr: ast.expr,
-) -> Optional[Dict[str, FrozenSet[str]]]:
-    if not isinstance(expr, ast.Dict):
-        return None
-    out: Dict[str, FrozenSet[str]] = {}
-    for k, v in zip(expr.keys, expr.values):
-        if not (isinstance(k, ast.Constant) and isinstance(k.value, str)):
-            return None
-        atoms = _frozenset_literal(v)
-        if atoms is None:
-            return None
-        out[k.value] = atoms
-    return out
-
-
-def _frozenset_literal(expr: ast.expr) -> Optional[FrozenSet[str]]:
-    """``frozenset()`` / ``frozenset({...})`` of string constants."""
-    if not (
-        isinstance(expr, ast.Call) and call_name(expr) == "frozenset"
-    ):
-        return None
-    if not expr.args:
-        return frozenset()
-    inner = expr.args[0]
-    elems = None
-    if isinstance(inner, (ast.Set, ast.Tuple, ast.List)):
-        elems = inner.elts
-    if elems is None:
-        return None
-    out = set()
-    for e in elems:
-        if not (isinstance(e, ast.Constant) and isinstance(e.value, str)):
-            return None
-        out.add(e.value)
-    return frozenset(out)
-
-
 @register
 class BackendContractParityRule(Rule):
     code = "OBL008"
     name = "backend-contract-parity"
     description = (
-        "Back-ends registered at an IR dispatch point (BACKENDS) must "
-        "have matching BACKEND_CONTRACTS entries, and no dispatch "
-        "branch may call an implementation whose contract exceeds its "
-        "back-end's registered leakage."
+        "No dispatch branch on a back-end name may call an "
+        "implementation whose contract exceeds that back-end's "
+        "registered leakage (BACKEND_CONTRACTS)."
     )
 
     def check_file(
         self, src: SourceFile, project: Project
     ) -> Iterator[Violation]:
-        if not src.in_protocol_dirs:
-            return
-        backends, contracts = _parse_registry(project)
-        if contracts is None:
+        contracts = project.backend_contracts
+        if not src.in_protocol_dirs or not contracts:
             return  # partial tree: no registry to check against
-        all_names: Set[str] = set()
-        for bsrc, lineno, names in backends:
-            all_names |= set(names)
-            if bsrc is not src:
-                continue
-            missing = sorted(set(names) - set(contracts))
-            if missing:
-                yield self.make(
-                    src, lineno, 0,
-                    f"back-end(s) {missing} registered in BACKENDS "
-                    "have no BACKEND_CONTRACTS entry (every back-end "
-                    "must declare its leakage model)",
-                )
-            extra = sorted(set(contracts) - set(names))
-            if extra:
-                yield self.make(
-                    src, lineno, 0,
-                    f"BACKEND_CONTRACTS declares back-end(s) {extra} "
-                    "not registered in BACKENDS (stale registry "
-                    "entry)",
-                )
-        if not all_names:
-            return
         for fn in src.functions():
-            yield from self._check_dispatch(
-                src, project, fn, all_names, contracts
-            )
+            yield from self._check_dispatch(src, project, fn, contracts)
 
     def _check_dispatch(
         self,
         src: SourceFile,
         project: Project,
         fn: ast.AST,
-        backend_names: Set[str],
         contracts: Dict[str, FrozenSet[str]],
     ) -> Iterator[Violation]:
-        for node in walk_shallow(fn):
+        backend_names = set(contracts)
+        for node in project.info(fn).nodes:
             if not isinstance(node, ast.If):
                 continue
             backend = _backend_test(node.test, backend_names)
             if backend is None:
                 continue
-            allowed = contracts.get(backend, frozenset())
             yield from self._check_branch(
-                src, project, node.body, backend, allowed
+                src, project, node.body, backend, contracts[backend]
             )
             # The else branch serves the remaining back-ends; a
             # further backend-test If inside it is handled by its own
@@ -365,7 +185,7 @@ class BackendContractParityRule(Rule):
                 and _backend_test(node.orelse[0].test, backend_names)
             ):
                 rest_allowed = frozenset.intersection(
-                    *(contracts.get(b, frozenset()) for b in rest)
+                    *(contracts[b] for b in rest)
                 )
                 label = "/".join(sorted(rest))
                 yield from self._check_branch(
@@ -387,9 +207,7 @@ class BackendContractParityRule(Rule):
                 cname = call_name(node)
                 if cname is None:
                     continue
-                for info in _resolve(
-                    project, cname, {}
-                ):
+                for info in project.resolve(cname):
                     declared = declared_atoms(info.node, info.file)
                     if declared is None:
                         continue

@@ -17,8 +17,8 @@ Two pairing signals:
   ``SimulatedOT``) pairs those classes: every method they share must
   emit the same labels.
 
-Resolution through duck-typed call sites is two-valued (definite vs
-possible, see :mod:`repro.lint.project`): a mismatch is reported only
+Resolution through duck-typed call sites is the project's two-valued
+call-graph closure (definite vs possible, see :mod:`repro.lint.project`): a mismatch is reported only
 when a label one side *definitely* emits is not even *possibly* emitted
 by the other.
 """
@@ -28,7 +28,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Tuple
 
-from ..project import FuncInfo, Project, SourceFile
+from ..project import Project, SourceFile, direct_labels
 from ..registry import Rule, register
 from ..taint import mode_branch_kind
 from ..violations import Violation
@@ -69,10 +69,12 @@ class ModeParityRule(Rule):
         if not src.in_protocol_dirs:
             return
         for fn in src.functions():
-            info = self._info_for(project, fn)
-            class_ns = project.classes.get(
-                info.cls if info else "", {}
-            )
+            info = project.info(fn)
+            if not any(
+                isinstance(n, ast.If) and mode_branch_kind(n.test)
+                for n in info.nodes
+            ):
+                continue  # no mode test in its own body
             for sim, real, node in self._mode_sides(fn):
                 pair = self._class_pair(sim, real)
                 if pair is not None:
@@ -82,8 +84,8 @@ class ModeParityRule(Rule):
                     continue
                 if not sim or not real:
                     continue
-                sd, sp = project.labels_of_statements(sim, class_ns)
-                rd, rp = project.labels_of_statements(real, class_ns)
+                sd, sp = project.labels_of_statements(sim, info.cls)
+                rd, rp = project.labels_of_statements(real, info.cls)
                 sim_only = sd - rp
                 real_only = rd - sp
                 if sim_only or real_only:
@@ -101,15 +103,6 @@ class ModeParityRule(Rule):
                         "mode branches emit different transcript "
                         "labels (" + "; ".join(detail) + ")",
                     )
-
-    @staticmethod
-    def _info_for(
-        project: Project, fn: ast.AST
-    ) -> Optional[FuncInfo]:
-        for info in project.functions_by_name.get(fn.name, []):
-            if info.node is fn:
-                return info
-        return None
 
     # -- side extraction ------------------------------------------------
 
@@ -172,8 +165,8 @@ class ModeParityRule(Rule):
         for name in sorted(set(sim_methods) & set(real_methods)):
             if name.startswith("__"):
                 continue
-            sd, sp = project.labels_of_info(sim_methods[name])
-            rd, rp = project.labels_of_info(real_methods[name])
+            sd, sp = project.closure(sim_methods[name], direct_labels)
+            rd, rp = project.closure(real_methods[name], direct_labels)
             sim_only = sd - rp
             real_only = rd - sp
             if sim_only or real_only:

@@ -9,18 +9,18 @@ protocol.
 
 Flagged inside ``mpc/``, ``core/``, ``exec/``:
 
-* ``import random`` / ``from random import ...`` (suppressing the
-  import line allowlists the whole module binding — the
-  explicit-allowlist mechanism; nothing in the tree uses it);
+* ``import random`` / ``import secrets`` and ``from`` imports of
+  either (the import is the finding; calls through the binding are
+  not reported again);
 * any ``np.random.*`` use except ``default_rng(seed)`` with an explicit
   seed argument (a seeded generator is deterministic and replayable);
-* ``os.urandom`` / ``secrets.*`` (OS entropy bypasses the context RNG).
+* ``os.urandom`` (OS entropy bypasses the context RNG).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Set
+from typing import Iterator
 
 from ..project import Project, SourceFile
 from ..registry import Rule, register
@@ -42,21 +42,10 @@ class RandomnessRule(Rule):
     ) -> Iterator[Violation]:
         if not src.in_protocol_dirs:
             return
-        # Pass 1: imports.  The violation is always emitted — the
-        # runner's suppression layer decides whether it is silenced,
-        # so allowlisting an import costs a justified inline directive
-        # and shows up in the "suppressed" count.
-        allowed_aliases: Set[str] = set()
         for node in ast.walk(src.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name.split(".")[0] in ("random", "secrets"):
-                        if src.directives.suppresses(
-                            node.lineno, self.code
-                        ):
-                            allowed_aliases.add(
-                                alias.asname or alias.name.split(".")[0]
-                            )
                         yield self.make(
                             src, node.lineno, node.col_offset,
                             f"import of {alias.name!r}: draw "
@@ -73,25 +62,15 @@ class RandomnessRule(Rule):
                         f"import from {node.module!r}: draw protocol "
                         "randomness from the context RNG instead",
                     )
-        # Pass 2: uses.
-        for node in ast.walk(src.tree):
-            if isinstance(node, ast.Call):
-                yield from self._check_call(src, node, allowed_aliases)
+            elif isinstance(node, ast.Call):
+                yield from self._check_call(src, node)
 
-    def _check_call(
-        self, src: SourceFile, node: ast.Call, allowed: Set[str]
-    ):
+    def _check_call(self, src: SourceFile, node: ast.Call):
         dotted = dotted_name(node.func)
         if dotted is None:
             return
         parts = dotted.split(".")
-        root = parts[0]
-        if root in ("random", "secrets") and root not in allowed:
-            # Usage through an un-allowlisted module binding; the
-            # import itself was already flagged, so stay quiet unless
-            # the import is out of sight (e.g. function-local).
-            return
-        if root in ("np", "numpy") and len(parts) >= 3 and (
+        if parts[0] in ("np", "numpy") and len(parts) >= 3 and (
             parts[1] == "random"
         ):
             fn = parts[2]

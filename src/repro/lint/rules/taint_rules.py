@@ -1,7 +1,8 @@
 """OBL001 secret-taint and OBL002 channel discipline.
 
-Both rules run the shared taint engine (:mod:`repro.lint.taint`) seeded
-with :data:`~repro.lint.taint.SECRET_CONFIG` over every function of the
+Both rules read the intraprocedural secret facts
+(:func:`repro.lint.taint.function_taint` under
+:data:`~repro.lint.taint.SECRET_CONFIG`) of every function of the
 protocol directories.
 
 * **OBL001** flags secret-dependent *control flow*: an ``if``/``while``/
@@ -29,17 +30,8 @@ from typing import Iterator, List, Optional, Tuple
 
 from ..project import Project, SourceFile, call_name, label_arg_of
 from ..registry import Rule, register
-from ..taint import (
-    SECRET_CONFIG,
-    FunctionTaint,
-    simulated_exempt_ranges,
-)
+from ..taint import SECRET_CONFIG, function_taint, simulated_exempt_ranges
 from ..violations import Violation
-
-
-def _protocol_functions(src: SourceFile):
-    for fn in src.functions():
-        yield fn, FunctionTaint(fn, src, SECRET_CONFIG)
 
 
 def _in_ranges(line: int, ranges: List[Tuple[int, int]]) -> bool:
@@ -63,7 +55,8 @@ class SecretTaintRule(Rule):
         # Per file, not per function: a nested ``ideal`` thunk is also
         # analysed on its own, away from the call that marks it.
         exempt = simulated_exempt_ranges(src.tree)
-        for fn, taint in _protocol_functions(src):
+        for fn in src.functions():
+            taint = function_taint(project, fn)
             if not taint.tainted and not self._has_inline_sources(fn):
                 # Fast path: nothing seeded, nothing to flag.
                 continue
@@ -165,7 +158,8 @@ class ChannelDisciplineRule(Rule):
         if not src.in_protocol_dirs:
             return
         sanctioned = src.path.endswith(SANCTIONED_CHANNEL_IMPLS)
-        for fn, taint in _protocol_functions(src):
+        for fn in src.functions():
+            taint = function_taint(project, fn)
             for node in ast.walk(fn):
                 if not isinstance(node, ast.Call):
                     continue

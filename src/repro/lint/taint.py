@@ -1,20 +1,20 @@
-"""Intra-procedural taint propagation over the AST.
+"""Taint propagation over the AST, and the per-project taint cache.
 
-One engine serves two rule families with different seeds:
+One engine serves two seedings:
 
-* OBL001/OBL002 seed from *secret* sources (share arrays, OT outputs,
-  ``# oblint: secret`` markers) and ask "does a secret reach a branch,
-  an index, or a metered byte count?".
-* OBL004 seeds from *nondeterminism* sources (wall clock, ``id()``,
-  set-iteration order) and asks "does nondeterminism reach a transcript
-  label?".
+* *secret* sources (share arrays, OT outputs, ``# oblint: secret``
+  markers): does a secret reach a branch, an index, a metered byte
+  count (OBL001/OBL002) or a reveal (OBL006)?
+* *nondeterminism* sources (wall clock, ``id()``, set-iteration order):
+  does nondeterminism reach a transcript label (OBL004)?
 
-The analysis is a flow-insensitive fixpoint over local variable names —
-deliberately conservative and simple (a name tainted anywhere in the
-function stays tainted) with three escape hatches that keep the false-
-positive rate workable: shape-reading attributes (``.shape``,
-``.nbytes``) are clean, declassifier calls (``reveal*``, designated
-reveals) are clean, and ``# oblint: public`` clears the assigned names.
+Per function the analysis is a flow-insensitive fixpoint over local
+variable names — deliberately conservative and simple (a name tainted
+anywhere in the function stays tainted) with three escape hatches that
+keep the false-positive rate workable: shape-reading attributes
+(``.shape``, ``.nbytes``) are clean, declassifier calls (``reveal*``,
+designated reveals) are clean, and ``# oblint: public`` clears the
+assigned names.
 
 Code dominated by an ``if ctx.mode == Mode.SIMULATED:`` test — and the
 ``ideal=`` thunk of a ``garbled_call``, which that seam evaluates in
@@ -22,25 +22,55 @@ SIMULATED mode only — is exempt from *control-flow* sinks: the simulated
 back-end legitimately computes the functionality on cleartext while the
 transcript is charged from public shapes only (see DESIGN.md,
 "Execution modes").
+
+Facts are computed once per function and cached on the
+:class:`~repro.lint.project.Project` (:func:`function_taint`).  OBL006
+reads the interprocedural closure (:func:`interproc_taint`), a
+project-wide fixpoint layered on those facts:
+
+1. **Secret-returning functions.**  A function whose ``return``
+   expression is tainted joins the *secret-returning* name set; every
+   bare call to such a name then seeds taint at its call sites (the
+   set is merged into ``TaintConfig.source_calls``).  Declassifier
+   names always win — ``reveal_vector`` returns designated-public
+   plaintext no matter what its body touches.
+2. **Secret parameters.**  When a call site passes a tainted argument,
+   the matching parameter of every definition
+   :meth:`~repro.lint.project.Project.resolve` finds is seeded
+   (positional mapping skips ``self``/``cls``; keywords match by name)
+   — the interprocedural twin of ``# oblint: secret-params``.
+
+Round 0 of the fixpoint is the intraprocedural secret facts OBL001 and
+OBL002 read; each later round recomputes only the functions whose
+seeds grew or that call a newly secret-returning name.  OBL001/OBL002
+stay intraprocedural on purpose: the closure would change their
+findings on the existing tree.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .project import SourceFile, call_name
+from .project import FuncInfo, Project, call_name
 
 __all__ = [
     "TaintConfig",
     "FunctionTaint",
     "SECRET_CONFIG",
     "NONDET_CONFIG",
+    "function_taint",
+    "interproc_taint",
     "dotted_name",
     "mode_branch_kind",
     "simulated_exempt_ranges",
 ]
+
+#: Interprocedural fixpoint rounds.  Taint only ever grows, so this
+#: bounds the propagation *depth* across function boundaries, not
+#: correctness of what is found within it.
+_MAX_ROUNDS = 4
 
 
 def dotted_name(expr: ast.expr) -> Optional[str]:
@@ -163,6 +193,7 @@ def simulated_exempt_ranges(tree: ast.AST) -> List[Tuple[int, int]]:
     ``garbled_call`` (a lambda, or a ``def`` of that name in ``tree``)."""
     spans: List[ast.AST] = []
     thunks: Set[str] = set()
+    defs: List[ast.FunctionDef] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.If):
             kind = mode_branch_kind(node.test)
@@ -176,11 +207,9 @@ def simulated_exempt_ranges(tree: ast.AST) -> List[Tuple[int, int]]:
                     thunks.add(kw.value.id)
                 elif kw.arg == "ideal":
                     spans.append(kw.value)
-    spans += [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name in thunks
-    ]
+        elif isinstance(node, ast.FunctionDef):
+            defs.append(node)
+    spans += [node for node in defs if node.name in thunks]
     return [(s.lineno, s.end_lineno or s.lineno) for s in spans]
 
 
@@ -192,18 +221,19 @@ def _is_set_expr(expr: ast.expr) -> bool:
     return False
 
 
-@dataclass
 class FunctionTaint:
-    """Taint facts for one function definition."""
+    """Taint facts for one function definition: ``tainted`` seeds plus
+    everything the body's statements propagate from them."""
 
-    fn: ast.AST
-    src: SourceFile
-    config: TaintConfig
-    tainted: Set[str] = field(default_factory=set)
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, info: FuncInfo, config: TaintConfig, tainted: Iterable[str] = ()
+    ) -> None:
+        self.fn = info.node
+        self.src = info.file
+        self.config = config
+        self.tainted: Set[str] = set(tainted)
         self._seed_params()
-        self._fixpoint()
+        self._fixpoint(info.nodes)
 
     # -- seeding --------------------------------------------------------
 
@@ -218,28 +248,14 @@ class FunctionTaint:
 
     # -- propagation ----------------------------------------------------
 
-    def _fixpoint(self) -> None:
+    def _fixpoint(self, nodes: List[ast.AST]) -> None:
+        stmts = [n for n in nodes if isinstance(n, ast.stmt)]
         for _ in range(10):
             before = len(self.tainted)
-            for stmt in self._statements():
+            for stmt in stmts:
                 self._transfer(stmt)
             if len(self.tainted) == before:
                 break
-
-    def _statements(self):
-        stack: List[ast.AST] = list(
-            ast.iter_child_nodes(self.fn)
-        )
-        while stack:
-            node = stack.pop()
-            if isinstance(
-                node,
-                (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
-            ):
-                continue
-            if isinstance(node, ast.stmt):
-                yield node
-            stack.extend(ast.iter_child_nodes(node))
 
     def _transfer(self, stmt: ast.stmt) -> None:
         cfg = self.config
@@ -400,3 +416,120 @@ def _target_names(target: ast.expr) -> Set[str]:
     elif isinstance(target, ast.Starred):
         out |= _target_names(target.value)
     return out
+
+
+# ----------------------------------------------------------------------
+# the per-project cache and the interprocedural closure
+# ----------------------------------------------------------------------
+
+
+def function_taint(
+    project: Project, fn: ast.AST, config: TaintConfig = SECRET_CONFIG
+) -> FunctionTaint:
+    """The intraprocedural facts of one definition, computed once per
+    project and ``config``."""
+    key = (id(fn), config)
+    taint = project.taints.get(key)
+    if taint is None:
+        taint = project.taints[key] = FunctionTaint(project.info(fn), config)
+    return taint
+
+
+def interproc_taint(project: Project, fn: ast.AST) -> FunctionTaint:
+    """The converged interprocedural secret taint of one definition."""
+    if project.interproc is None:
+        project.interproc = _interproc_fixpoint(project)
+    return project.interproc[id(fn)]
+
+
+def _interproc_fixpoint(project: Project) -> Dict[int, FunctionTaint]:
+    infos = project.infos
+    taints = {id(i.node): function_taint(project, i.node) for i in infos}
+    secret_returning: Set[str] = set()
+    seeds: Dict[int, Set[str]] = {}
+    # Round 0 is the cached intraprocedural facts; each later round
+    # grows from the functions whose facts just changed.
+    dirty = infos
+    for _ in range(1, _MAX_ROUNDS):
+        returning = {
+            i.node.name
+            for i in dirty
+            if i.node.name not in secret_returning
+            and _returns_taint(i, taints[id(i.node)])
+        }
+        grown = _grow_param_seeds(project, dirty, taints, seeds)
+        if not returning and not grown:
+            break
+        secret_returning |= returning
+        new_sources = returning - SECRET_CONFIG.declassifier_calls
+        config = replace(
+            SECRET_CONFIG,
+            source_calls=SECRET_CONFIG.source_calls.union(
+                secret_returning - SECRET_CONFIG.declassifier_calls
+            ),
+        )
+        dirty = [
+            i for i in infos
+            if id(i.node) in grown or i.call_names & new_sources
+        ]
+        for i in dirty:
+            key = id(i.node)
+            taints[key] = FunctionTaint(i, config, seeds.get(key, ()))
+    return taints
+
+
+def _returns_taint(info: FuncInfo, taint: FunctionTaint) -> bool:
+    return any(
+        isinstance(n, ast.Return)
+        and n.value is not None
+        and taint.is_tainted(n.value)
+        for n in info.nodes
+    )
+
+
+def _params(fn: Any) -> List[str]:
+    a = fn.args
+    return [p.arg for p in a.posonlyargs] + [p.arg for p in a.args]
+
+
+def _grow_param_seeds(
+    project: Project,
+    infos: List[FuncInfo],
+    taints: Dict[int, FunctionTaint],
+    seeds: Dict[int, Set[str]],
+) -> Set[int]:
+    """Seed callee parameters from the tainted arguments of every call
+    in ``infos``; returns the ids of the callees whose seeds grew."""
+    grown: Set[int] = set()
+    for info in infos:
+        taint = taints[id(info.node)]
+        for call in info.calls:
+            callees = project.resolve(call_name(call) or "", info.cls)
+            if not callees:
+                continue
+            tainted_pos = [
+                i
+                for i, a in enumerate(call.args)
+                if not isinstance(a, ast.Starred) and taint.is_tainted(a)
+            ]
+            tainted_kw = {
+                k.arg
+                for k in call.keywords
+                if k.arg is not None and taint.is_tainted(k.value)
+            }
+            if not tainted_pos and not tainted_kw:
+                continue
+            for callee in callees:
+                names = _params(callee.node)
+                # ``x.f(...)`` never passes the receiver positionally,
+                # so a method's ``self`` slot is skipped either way.
+                skip = names[:1] in (["self"], ["cls"])
+                params = names[1:] if skip else names
+                key = id(callee.node)
+                have = seeds.setdefault(key, set())
+                before = len(have)
+                have.update(params[i] for i in tainted_pos if i < len(params))
+                have |= tainted_kw & set(names)
+                if len(have) != before:
+                    grown.add(key)
+    return grown

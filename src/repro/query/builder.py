@@ -38,13 +38,9 @@ from ..relalg.relation import AnnotatedRelation
 from ..yannakakis.plain import execute_plan
 from ..yannakakis.naive import naive_join_aggregate
 from ..yannakakis.plan import YannakakisPlan
-from .planner import choose_plan, route_backends
+from .planner import BACKEND_POLICIES, choose_plan, route_backends
 
 __all__ = ["BACKEND_POLICIES", "JoinAggregateQuery"]
-
-#: Join back-end policies a query (or engine) may select:
-#: the two concrete protocols plus cost-based per-node routing.
-BACKEND_POLICIES = ("yannakakis", "linear", "auto")
 
 
 class JoinAggregateQuery:

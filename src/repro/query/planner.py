@@ -17,11 +17,16 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..exec.compiler import compile_plan
 from ..exec.ir import ReduceFoldStep, SemijoinStep
+from ..leakage import BACKENDS
 from ..mpc.params import SecurityParams
 from ..relalg.hypergraph import Hypergraph
 from ..yannakakis.plan import YannakakisPlan, candidate_plans
 
-__all__ = ["choose_plan", "route_backends"]
+__all__ = ["BACKEND_POLICIES", "choose_plan", "route_backends"]
+
+#: Join back-end policies a query (or engine) may select: the concrete
+#: protocols plus cost-based per-node routing.
+BACKEND_POLICIES = BACKENDS + ("auto",)
 
 #: How many candidates :func:`choose_plan` prices before settling (an
 #: 8-relation star has 262,144 join trees).  Bounds work only: past it
@@ -84,7 +89,7 @@ def route_backends(
     steps' labels, suitable for :func:`repro.exec.compiler.compile_plan`
     and :func:`repro.bench.estimator.estimate_plan_cost`.
     """
-    from ..bench.estimator import BACKENDS, DEFAULT_PARAMS, estimate_node_costs
+    from ..bench.estimator import DEFAULT_PARAMS, estimate_node_costs
 
     if backend in BACKENDS:
         return {
@@ -95,7 +100,7 @@ def route_backends(
     if backend != "auto":
         raise ValueError(
             f"unknown back-end policy {backend!r}; "
-            f"choose from {BACKENDS + ('auto',)}"
+            f"choose from {BACKEND_POLICIES}"
         )
     node_costs = estimate_node_costs(
         plan, sizes, owners, params=params or DEFAULT_PARAMS

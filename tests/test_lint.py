@@ -1,6 +1,6 @@
 """Tests for the ``repro lint`` obliviousness static analyzer.
 
-Three layers:
+Four layers:
 
 * fixture tests — each rule's good/bad snippets under
   ``tests/lint_fixtures/`` flag (or stay silent) as documented;
@@ -9,8 +9,12 @@ Three layers:
 * leakage-contract tests — the registry↔docs pin and the plan-level
   audit of TPC-H Q3 under each back-end route;
 * mutation tests — injecting a secret-dependent branch into a real
-  sharing gadget (OBL001) and stripping the ``@leaks`` contract off
-  the linear join entry point (OBL006); both must fire.
+  sharing gadget (OBL001), stripping the ``@leaks`` contract off the
+  linear join entry point (OBL006), and emptying the linear back-end's
+  registered contract on the real file set (OBL008); all must fire.
+
+Every rule's exact findings on the fixtures and on the mutated tree are
+pinned as data by ``tests/test_lint_golden.py``.
 """
 
 import json
@@ -22,10 +26,10 @@ from pathlib import Path
 import pytest
 
 from repro.leakage import BACKEND_CONTRACTS, leakage_table
-from repro.lint import all_rules, lint_sources, run_lint
+from repro.lint import all_rules, lint_sources
 from repro.lint.project import parse_source
 from repro.lint.reporters import sarif_report
-from repro.lint.runner import git_changed_files
+from repro.lint.runner import discover_files, git_changed_files, load_sources
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
@@ -184,17 +188,6 @@ def test_inline_suppression_is_the_only_silencing_mechanism(capsys):
     assert not (REPO_ROOT / "lint-baseline.json").exists()
 
 
-def test_repo_tree_is_lint_clean():
-    """The committed tree must pass its own linter — the same gate CI
-    runs."""
-    result = run_lint([str(REPO_ROOT / "src")], root=REPO_ROOT)
-    assert result.ok, "\n".join(
-        f"{v.path}:{v.line} {v.rule} {v.message}"
-        for v in result.violations
-    )
-    assert result.files_checked > 50
-
-
 def test_rule_catalogue_complete():
     codes = {r.code for r in all_rules()}
     assert set(RULES) <= codes
@@ -246,6 +239,34 @@ def test_mutation_stripped_contract_is_caught():
     assert any(
         v.rule == "OBL006" and "dh_oprf_match" in v.message for v in after
     ), "stripped @leaks contract was not flagged"
+
+
+_LINEAR_CONTRACT = '"linear": frozenset({"join_pattern:parent"})'
+
+
+def test_mutation_emptied_backend_contract_is_caught():
+    """Emptying the linear back-end's registered contract must trip
+    OBL008 at ``core/semijoin.py``'s linear dispatch, on the real
+    ``src/`` file set — where ``BACKEND_CONTRACTS`` is an annotated
+    assignment."""
+    sources, _ = load_sources(
+        discover_files([str(REPO_ROOT / "src")]), root=REPO_ROOT
+    )
+    before, _ = lint_sources(sources, select=["OBL008"])
+    assert before == [], "pristine tree must be OBL008-clean"
+
+    (i,) = [
+        i for i, s in enumerate(sources) if s.path == "src/repro/leakage.py"
+    ]
+    pristine = sources[i].text
+    assert pristine.count(_LINEAR_CONTRACT) == 1, "contract anchor moved"
+    mutant_text = pristine.replace(_LINEAR_CONTRACT, '"linear": frozenset()')
+    sources[i] = parse_source(sources[i].path, mutant_text)
+    after, _ = lint_sources(sources, select=["OBL008"])
+    assert [(v.rule, v.path) for v in after] == [
+        ("OBL008", "src/repro/core/semijoin.py")
+    ], "emptied back-end contract was not flagged"
+    assert "linear_cross_owner_payloads" in after[0].snippet
 
 
 # ----------------------------------------------------------------------
@@ -417,10 +438,13 @@ def test_cli_plan_audit_roundtrip(tmp_path):
 
 
 def test_cli_json_report_on_clean_tree():
+    """The committed tree must pass its own linter — the same gate CI
+    runs."""
     proc = _run_cli("src", "--format", "json")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     blob = json.loads(proc.stdout)
     assert blob["violations"] == []
+    assert blob["files_checked"] > 50
 
 
 @pytest.mark.skipif(
