@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.leakage import BACKEND_CONTRACTS, leakage_table
-from repro.lint import all_rules, lint_sources
+from repro.lint import all_rules, lint_sources, run_lint
 from repro.lint.project import parse_source
 from repro.lint.reporters import sarif_report
 from repro.lint.runner import discover_files, git_changed_files, load_sources
@@ -186,6 +186,17 @@ def test_inline_suppression_is_the_only_silencing_mechanism(capsys):
     with pytest.raises(ImportError):
         importlib.import_module("repro.lint.baseline")
     assert not (REPO_ROOT / "lint-baseline.json").exists()
+
+
+def test_repo_tree_is_lint_clean():
+    """The committed tree must pass its own linter — the same gate CI
+    runs."""
+    result = run_lint([str(REPO_ROOT / "src")], root=REPO_ROOT)
+    assert result.ok, "\n".join(
+        f"{v.path}:{v.line} {v.rule} {v.message}"
+        for v in result.violations
+    )
+    assert result.files_checked > 50
 
 
 def test_rule_catalogue_complete():
