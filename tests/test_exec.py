@@ -154,7 +154,7 @@ def test_stages_group_independent_reveals():
 
 @pytest.fixture(scope="module")
 def golden():
-    return load_golden()
+    return load_golden()["runs"]
 
 
 @pytest.mark.parametrize("owners", OWNER_SPLITS)

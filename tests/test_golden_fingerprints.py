@@ -4,7 +4,10 @@
 performance change must keep.  This test pins it: each run below is
 hashed as the SHA-256 of its transcript fingerprint (sender, size and
 label of every message) plus its sorted result rows, and the digests
-must equal ``tests/golden/fingerprints.json``.
+must equal ``tests/golden/fingerprints.json``.  Beside each digest the
+file pins the run's *shape*: the SHA-256 of its ``(sender, label)``
+sequence with its message and round counts — everything but the sizes.
+A change that only resizes messages moves digests and no shape.
 
 The TPC-H runs are Q3, Q10, Q18 and Q8 at 0.3 MB and Q9 on nations
 0-1, each under every join back-end and under both owner splits (as
@@ -14,8 +17,8 @@ fixed seed.  The ``example_11`` runs (the paper's running example,
 ablation order and a shared run padded to 8 rows; ``tests/test_exec.py``
 checks them, the REAL run included.
 
-After a *deliberate* wire or plan change, print the diff and rewrite
-the file with::
+After a *deliberate* wire or plan change, print the diff (shapes
+first) and rewrite the file with::
 
     PYTHONPATH=src python -m tests.test_golden_fingerprints --regen
 """
@@ -126,19 +129,38 @@ def _example_run(run: str, mode):
     return engine.ctx.transcript, rows
 
 
-def run_digest(run: str, dataset=None, mode=None) -> str:
-    """SHA-256 of one run's transcript fingerprint and sorted result.
-    TPC-H runs need the generated ``dataset``; ``example_11`` runs take
-    a ``mode`` (SIMULATED by default)."""
+def run_transcript(run: str, dataset=None, mode=None):
+    """One run's transcript and sorted result rows.  TPC-H runs need
+    the generated ``dataset``; ``example_11`` runs take a ``mode``
+    (SIMULATED by default)."""
     from repro.mpc import Mode
 
     if run.startswith("example_11/"):
-        transcript, rows = _example_run(run, mode or Mode.SIMULATED)
-    else:
-        transcript, rows = _tpch_run(dataset, run)
+        return _example_run(run, mode or Mode.SIMULATED)
+    return _tpch_run(dataset, run)
+
+
+def digest_of(transcript, rows) -> str:
+    """SHA-256 of a transcript fingerprint and a sorted result."""
     fingerprint = [list(m) for m in transcript.fingerprint()]
     blob = json.dumps([fingerprint, rows], default=int)
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def shape_of(transcript) -> dict:
+    """A transcript apart from its sizes: the SHA-256 of its ``(sender,
+    label)`` sequence, its message count and its round count."""
+    pattern = [[m.sender, m.label] for m in transcript.messages]
+    return {
+        "sha256": hashlib.sha256(json.dumps(pattern).encode()).hexdigest(),
+        "messages": len(transcript.messages),
+        "rounds": transcript.rounds,
+    }
+
+
+def run_digest(run: str, dataset=None, mode=None) -> str:
+    """SHA-256 of one run's transcript fingerprint and sorted result."""
+    return digest_of(*run_transcript(run, dataset, mode))
 
 
 def load_golden():
@@ -146,8 +168,8 @@ def load_golden():
     assert (blob["scale_mb"], blob["seed"], blob["q9_nations"]) == (
         SCALE_MB, SEED, Q9_NATIONS,
     )
-    assert sorted(blob["runs"]) == sorted(RUNS)
-    return blob["runs"]
+    assert sorted(blob["runs"]) == sorted(blob["shapes"]) == sorted(RUNS)
+    return blob
 
 
 @pytest.fixture(scope="module")
@@ -162,11 +184,31 @@ def golden():
     return load_golden()
 
 
+#: run name -> (digest, shape), each run executed once per session
+_SEEN = {}
+
+
+def _observed(run, dataset):
+    if run not in _SEEN:
+        transcript, rows = run_transcript(run, dataset)
+        _SEEN[run] = digest_of(transcript, rows), shape_of(transcript)
+    return _SEEN[run]
+
+
 @pytest.mark.parametrize("run", TPCH_RUNS)
 def test_fingerprint_matches_golden(run, dataset, golden):
-    assert run_digest(run, dataset) == golden[run], (
+    assert _observed(run, dataset)[0] == golden["runs"][run], (
         f"{run}'s transcript or result moved; if deliberate, run "
         "`python -m tests.test_golden_fingerprints --regen`"
+    )
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_shape_matches_golden(run, dataset, golden):
+    """Senders, labels, message and round counts: a wire-size change
+    leaves every one of these where it was."""
+    assert _observed(run, dataset)[1] == golden["shapes"][run], (
+        f"{run}'s message sequence moved (not only its sizes)"
     )
 
 
@@ -178,17 +220,22 @@ if __name__ == "__main__":  # pragma: no cover
     if "--regen" not in sys.argv:
         sys.exit("usage: python -m tests.test_golden_fingerprints --regen")
     data = generate(SCALE_MB)
-    runs = {run: run_digest(run, data) for run in RUNS}
+    seen = {run: run_transcript(run, data) for run in RUNS}
+    runs = {run: digest_of(*seen[run]) for run in RUNS}
+    shapes = {run: shape_of(seen[run][0]) for run in RUNS}
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    old_runs = old.get("runs", {})
-    changed = [run for run in RUNS if old_runs.get(run) != runs[run]]
-    for run in changed:
-        print(f"{run}: {old_runs.get(run)} -> {runs[run]}")
+    for key, new_values in (("shapes", shapes), ("runs", runs)):
+        old_values = old.get(key, {})
+        changed = [r for r in RUNS if old_values.get(r) != new_values[r]]
+        for run in changed:
+            print(f"{key} {run}: {old_values.get(run)} -> {new_values[run]}")
+        print(f"{len(changed)} of {len(RUNS)} {key} changed")
     new = {
         "scale_mb": SCALE_MB,
         "seed": SEED,
         "q9_nations": Q9_NATIONS,
         "runs": runs,
+        "shapes": shapes,
     }
     GOLDEN.write_text(json.dumps(new, indent=2) + "\n")
-    print(f"{len(changed)} of {len(RUNS)} runs changed; wrote {GOLDEN}")
+    print(f"wrote {GOLDEN}")
