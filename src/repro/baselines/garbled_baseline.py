@@ -109,7 +109,7 @@ def gc_gate_rate() -> float:
     zero = np.zeros((1, ell), dtype=np.uint8)
     start = time.perf_counter()
     garbled_call(
-        ctx, SimulatedOT(ctx), circuit_counts(circuit), 1, n_masked=0,
+        ctx, SimulatedOT(ctx), circuit_counts(circuit), 1,
         real=lambda: (circuit, zero, zero + 1),
         ideal=lambda: (None, zero),  # 0 * y**19
     )
@@ -207,7 +207,7 @@ def run_cartesian_gc(
     ctx = engine.ctx
     with ctx.section("gc_baseline"):
         _, out = garbled_call(
-            ctx, engine.ot, circuit_counts(circuit), 1, n_masked=0,
+            ctx, engine.ot, circuit_counts(circuit), 1,
             real=lambda: (circuit, alice_bits, bob_bits),
             ideal=lambda: (
                 None,

@@ -140,12 +140,12 @@ class _Estimator:
         self.est.add("ot_ct", corrections)
         self.est.add_rounds(2)
 
-    def garbled(self, counts: Tuple[int, int, int], n: int) -> None:
+    def garbled(self, counts: costs.CircuitCounts, n: int) -> None:
         """``n`` garblings of a template with these
         :func:`~repro.mpc.costs.circuit_counts`."""
         if n == 0:
             return
-        sizes = costs.garbled_bytes(*counts, n)
+        sizes = costs.garbled_bytes(counts, n, self.p.ell)
         self.est.add("gc_tables", sizes.tables)
         self.est.add("gc_labels", sizes.seed)
         self.ot([sizes.label_ots])

@@ -11,16 +11,20 @@ arithmetic, matching the arithmetic secret-sharing ring).  Gadgets:
 * ``div_unsigned``             — restoring long division (for avg/ratio
                                  query composition, Section 7)
 
+Outputs are either revealed bits (the wires passed to :meth:`build`)
+or shared words (:meth:`share_word`, one translated row per bit).
+:meth:`build` keeps only the gates some output reaches.
+
 The SIMULATED cost model charges a gadget by its built template's gate
-and wire counts; the wire sizes per AND gate, input bit and output bit
-live in :mod:`repro.mpc.costs`.
+and wire counts; the wire sizes per AND gate, input bit, translated row
+and revealed bit live in :mod:`repro.mpc.costs`.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .circuit import AND, INV, XOR, Circuit, Gate
+from .circuit import AND, INV, XOR, Circuit, Gate, Row
 
 __all__ = ["CircuitBuilder"]
 
@@ -38,6 +42,8 @@ class CircuitBuilder:
         self._bob: List[int] = []
         self._consts: List[Tuple[int, int]] = []
         self._const_cache: dict = {}
+        self._rows: List[Row] = []
+        self._n_words = 0
 
     # -- wires ----------------------------------------------------------
 
@@ -195,6 +201,26 @@ class CircuitBuilder:
             quot[i] = no_borrow
         return quot, rem[:n]
 
+    # -- shared outputs ---------------------------------------------------
+
+    def share_word(
+        self, bits: Sequence[Wire], word: Optional[int] = None,
+        weight: int = -1,
+    ) -> int:
+        """Output ``bits`` as a shared ring word, bit ``i`` weighing
+        ``2**i`` (times Bob's per-instance weight column ``weight``, if
+        given): one translated row per bit, added into ``word`` or a new
+        word.  Returns the word's index."""
+        if word is None:
+            word = self._n_words
+            self._n_words += 1
+        elif not 0 <= word < self._n_words:
+            raise ValueError(f"no shared word {word}")
+        self._rows.extend(
+            Row(w, word, shift, weight) for shift, w in enumerate(bits)
+        )
+        return word
+
     # -- helpers ----------------------------------------------------------
 
     def _and_tree(self, bits: Sequence[Wire]) -> Wire:
@@ -220,12 +246,24 @@ class CircuitBuilder:
 
     # -- finalisation ------------------------------------------------------
 
-    def build(self, outputs: Sequence[Wire]) -> Circuit:
+    def build(self, outputs: Sequence[Wire] = ()) -> Circuit:
+        """The circuit revealing ``outputs`` and sharing the words built
+        by :meth:`share_word`, without the gates neither reaches (an
+        adder's carry out of its top bit, a discarded remainder):
+        garbling a dead gate costs its table and computes nothing."""
+        live = set(outputs) | {r.wire for r in self._rows}
+        kept = []
+        for g in reversed(self._gates):
+            if g.out in live:
+                kept.append(g)
+                live.add(g.a)
+                live.add(g.b)
         return Circuit(
             n_wires=self._n_wires,
             alice_inputs=tuple(self._alice),
             bob_inputs=tuple(self._bob),
             const_wires=tuple(self._consts),
-            gates=tuple(self._gates),
+            gates=tuple(reversed(kept)),
             outputs=tuple(outputs),
+            rows=tuple(self._rows),
         )

@@ -7,6 +7,13 @@ order.  The gate basis is ``XOR / AND / INV`` — the free-XOR garbling
 technique makes XOR and INV communication-free, so the circuit's cost is
 its AND count.  :attr:`Circuit.levels` regroups the gates by depth, the
 order the garbler and the evaluator step through them.
+
+A circuit has two kinds of output: ``outputs`` are revealed to Alice
+bit by bit, and ``rows`` leave the circuit as arithmetic shares — row
+``j`` adds ``v_j * X_j`` to one shared word of its instance, where
+``v_j`` is the bit on its wire and ``X_j`` a weight Bob knows
+(:class:`Row`; the translation itself is
+:func:`repro.mpc.circuits.garbling.translate`).
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Gate", "Circuit", "Level", "XOR", "AND", "INV"]
+__all__ = ["Gate", "Circuit", "Level", "Row", "XOR", "AND", "INV"]
 
 XOR = "XOR"
 AND = "AND"
@@ -32,6 +39,17 @@ class Gate:
     a: int
     b: int  # unused (-1) for INV
     out: int
+
+
+class Row(NamedTuple):
+    """One translated output bit: the bit on ``wire`` times the weight
+    ``X = 2**shift`` — times Bob's per-instance weight column
+    ``weight`` unless it is ``-1`` — adds into shared word ``word``."""
+
+    wire: int
+    word: int
+    shift: int
+    weight: int = -1
 
 
 class Level(NamedTuple):
@@ -65,10 +83,25 @@ class Circuit:
     const_wires: Tuple[Tuple[int, int], ...]  # (wire, bit)
     gates: Tuple[Gate, ...]
     outputs: Tuple[int, ...]
+    rows: Tuple[Row, ...] = ()
 
     @cached_property
     def and_count(self) -> int:
         return sum(1 for g in self.gates if g.op == AND)
+
+    @property
+    def n_words(self) -> int:
+        """Shared words per instance: one past the highest row word."""
+        return 1 + max((r.word for r in self.rows), default=-1)
+
+    @cached_property
+    def sent_rows(self) -> Tuple[int, ...]:
+        """Indices of the rows that cross the wire: a row on a constant
+        wire has a value Bob knows, so he folds it into his share."""
+        const = {w for w, _ in self.const_wires}
+        return tuple(
+            j for j, r in enumerate(self.rows) if r.wire not in const
+        )
 
     @property
     def size(self) -> int:
@@ -116,8 +149,34 @@ class Circuit:
     def evaluate(
         self, alice_bits: Sequence[int], bob_bits: Sequence[int]
     ) -> List[int]:
-        """Plaintext evaluation — the reference semantics that garbled
-        evaluation must match (asserted by the test suite)."""
+        """Plaintext evaluation of the revealed outputs — the reference
+        semantics that garbled evaluation must match (asserted by the
+        test suite)."""
+        value = self._wire_values(alice_bits, bob_bits)
+        return [value[w] for w in self.outputs]
+
+    def evaluate_words(
+        self,
+        alice_bits: Sequence[int],
+        bob_bits: Sequence[int],
+        ell: int,
+        weights: Sequence[int] = (),
+        offsets: Sequence[int] = (),
+    ) -> List[int]:
+        """Plaintext value of the shared words mod ``2**ell``: Bob's
+        ``offsets[k]`` (0 if absent) plus the weighted bits of word
+        ``k``'s rows, ``weights`` being Bob's per-instance weight
+        columns."""
+        value = self._wire_values(alice_bits, bob_bits)
+        words = [int(o) for o in offsets] + [0] * (self.n_words - len(offsets))
+        for r in self.rows:
+            x = int(weights[r.weight]) if r.weight >= 0 else 1
+            words[r.word] += value[r.wire] * (x << r.shift)
+        return [w % (1 << ell) for w in words]
+
+    def _wire_values(
+        self, alice_bits: Sequence[int], bob_bits: Sequence[int]
+    ) -> Dict[int, int]:
         if len(alice_bits) != len(self.alice_inputs):
             raise ValueError(
                 f"expected {len(self.alice_inputs)} Alice bits, "
@@ -144,4 +203,4 @@ class Circuit:
                 value[g.out] = value[g.a] ^ 1
             else:  # pragma: no cover
                 raise ValueError(f"unknown gate op {g.op}")
-        return [value[w] for w in self.outputs]
+        return value

@@ -32,6 +32,7 @@ __all__ = [
     "OPRF_WIDTH",
     "OUT_SIZE_BYTES",
     "Widths",
+    "CircuitCounts",
     "GarbledBytes",
     "base_ot_bytes",
     "circuit_counts",
@@ -135,6 +136,18 @@ def permutation_widths(ell: int, n: int) -> Widths:
     return [(switch_count(n), 2 * ring_bytes(ell))]
 
 
+class CircuitCounts(NamedTuple):
+    """All of a template that :func:`garbled_bytes` depends on."""
+
+    ands: int
+    #: evaluator input bits, one label OT each
+    alice_bits: int
+    #: translated output rows that cross the wire (one ring element each)
+    rows: int
+    #: revealed output bits (one decode bit each)
+    revealed: int
+
+
 class GarbledBytes(NamedTuple):
     """The messages of one garbled batch, in wire order ``u`` (opening
     the label C-OT), tables, seed, label corrections, decode."""
@@ -144,32 +157,40 @@ class GarbledBytes(NamedTuple):
     tables: int
     #: every garbler-side input and constant label expands from it
     seed: int
+    #: the revealed outputs' decode bits, then the translated rows
     decode: int
 
 
 def garbled_bytes(
-    and_count: int, n_alice: int, n_outputs: int, n_instances: int
+    counts: CircuitCounts, n_instances: int, ell: int
 ) -> GarbledBytes:
     """``n_instances`` garblings of one template: two half-gates rows
     per AND, one label OT per evaluator input bit, one seed per batch,
-    one decode bit per output wire."""
+    per instance one decode bit per revealed output wire (packed to
+    bytes) and one ring element per translated row."""
     return GarbledBytes(
-        label_ots=(n_alice * n_instances, LABEL_BYTES),
-        tables=ROWS_PER_AND * LABEL_BYTES * and_count * n_instances,
+        label_ots=(counts.alice_bits * n_instances, LABEL_BYTES),
+        tables=ROWS_PER_AND * LABEL_BYTES * counts.ands * n_instances,
         seed=SEED_BYTES,
-        decode=((n_outputs + 7) // 8) * n_instances,
+        decode=(
+            (counts.revealed + 7) // 8 + counts.rows * ring_bytes(ell)
+        ) * n_instances,
     )
 
 
-def circuit_counts(circuit: "Circuit") -> Tuple[int, int, int]:
-    """A template's ``(and_count, n_alice, n_outputs)`` — all of it that
-    :func:`garbled_bytes` depends on."""
-    return circuit.and_count, len(circuit.alice_inputs), len(circuit.outputs)
+def circuit_counts(circuit: "Circuit") -> CircuitCounts:
+    """A template's :class:`CircuitCounts`."""
+    return CircuitCounts(
+        circuit.and_count,
+        len(circuit.alice_inputs),
+        len(circuit.sent_rows),
+        len(circuit.outputs),
+    )
 
 
 def merge_chain_counts(
     template: Callable[[int], "Circuit"], n: int
-) -> Tuple[int, int, int]:
+) -> CircuitCounts:
     """:func:`circuit_counts` of the length-``n`` merge chain
     ``template(n)`` without building it: the chain is structurally
     linear in ``n``, so its counts extrapolate exactly from the n=2 and
@@ -177,8 +198,7 @@ def merge_chain_counts(
     if n <= 3:
         return circuit_counts(template(n))
     c2, c3 = circuit_counts(template(2)), circuit_counts(template(3))
-    ands, ins, outs = (f2 + (n - 2) * (f3 - f2) for f2, f3 in zip(c2, c3))
-    return ands, ins, outs
+    return CircuitCounts(*(f2 + (n - 2) * (f3 - f2) for f2, f3 in zip(c2, c3)))
 
 
 def psi_bins(params: SecurityParams, m: int, n: int) -> Tuple[int, int]:

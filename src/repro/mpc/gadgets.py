@@ -2,9 +2,11 @@
 
 Each function returns a cached :class:`Circuit` for a given shape; the
 docstring states the exact input packing (Alice's bits first, then
-Bob's, all words little-endian).  REAL mode garbles these templates;
-SIMULATED mode charges their exact gate counts — one source of truth for
-both behaviour and cost.
+Bob's, all words little-endian) and its outputs: shared words leave a
+template through translated rows (:meth:`CircuitBuilder.share_word`),
+so no template adds a mask.  REAL mode garbles these templates;
+SIMULATED mode charges their exact gate and row counts — one source of
+truth for both behaviour and cost.
 """
 
 from __future__ import annotations
@@ -42,34 +44,28 @@ def int_of(bits: List[int]) -> int:
 
 @functools.lru_cache(maxsize=None)
 def mul_shared_circuit(ell: int) -> Circuit:
-    """``(x1+x2) * (y1+y2) + r``.
+    """``(x1+x2) * (y1+y2)`` as one shared word.
 
-    Alice: ``x1 | y1``; Bob: ``x2 | y2 | r``.  Output: ell bits (Alice's
-    arithmetic share; Bob's share is ``-r``).
+    Alice: ``x1 | y1``; Bob: ``x2 | y2``.
     """
     b = CircuitBuilder()
     x1, y1 = b.alice_input_bits(ell), b.alice_input_bits(ell)
-    x2, y2, r = (
-        b.bob_input_bits(ell),
-        b.bob_input_bits(ell),
-        b.bob_input_bits(ell),
-    )
-    x, y = b.add(x1, x2), b.add(y1, y2)
-    return b.build(b.add(b.mul(x, y), r))
+    x2, y2 = b.bob_input_bits(ell), b.bob_input_bits(ell)
+    b.share_word(b.mul(b.add(x1, x2), b.add(y1, y2)))
+    return b.build()
 
 
 @functools.lru_cache(maxsize=None)
 def nonzero_circuit(ell: int) -> Circuit:
-    """``Ind(x1+x2 != 0) + r`` (indicator as a ring element).
+    """``Ind(x1+x2 != 0)`` as one shared word.
 
-    Alice: ``x1``; Bob: ``x2 | r``.  Output: Alice's share.
+    Alice: ``x1``; Bob: ``x2``.
     """
     b = CircuitBuilder()
     x1 = b.alice_input_bits(ell)
-    x2, r = b.bob_input_bits(ell), b.bob_input_bits(ell)
-    bit = b.nonzero(b.add(x1, x2))
-    word = [bit] + [b.constant(0)] * (ell - 1)
-    return b.build(b.add(word, r))
+    x2 = b.bob_input_bits(ell)
+    b.share_word([b.nonzero(b.add(x1, x2))])
+    return b.build()
 
 
 @functools.lru_cache(maxsize=None)
@@ -77,10 +73,9 @@ def merge_sum_circuit(ell: int, n: int) -> Circuit:
     """The N-tuple merge-gate chain of Section 6.1 (sum semiring).
 
     Alice: ``ind[0..n-2] | v1[0..n-1]`` where ``ind[i] = 1`` iff sorted
-    tuples ``i`` and ``i+1`` share the group key; Bob:
-    ``v2[0..n-1] | r[0..n-1]``.  Output: ``n`` masked group aggregates —
-    position ``i`` holds the group total iff ``i`` is the last member of
-    its group, else 0 (before masking).
+    tuples ``i`` and ``i+1`` share the group key; Bob: ``v2[0..n-1]``.
+    Output: ``n`` shared group aggregates — word ``i`` holds the group
+    total iff ``i`` is the last member of its group, else 0.
     """
     if n < 1:
         raise ValueError("merge chain needs at least one tuple")
@@ -88,17 +83,14 @@ def merge_sum_circuit(ell: int, n: int) -> Circuit:
     ind = b.alice_input_bits(n - 1)
     v1 = [b.alice_input_bits(ell) for _ in range(n)]
     v2 = [b.bob_input_bits(ell) for _ in range(n)]
-    r = [b.bob_input_bits(ell) for _ in range(n)]
     zero = b.constant_word(0, ell)
     z = b.add(v1[0], v2[0])
-    outs: List[List[int]] = []
     for i in range(n - 1):
-        w = b.mux(ind[i], zero, z)
-        outs.append(b.add(w, r[i]))
+        b.share_word(b.mux(ind[i], zero, z))
         carried = b.mux(ind[i], z, zero)
         z = b.add(carried, b.add(v1[i + 1], v2[i + 1]))
-    outs.append(b.add(z, r[n - 1]))
-    return b.build([w for word in outs for w in word])
+    b.share_word(z)
+    return b.build()
 
 
 @functools.lru_cache(maxsize=None)
@@ -107,8 +99,8 @@ def merge_or_circuit(ell: int, n: int) -> Circuit:
     the support projection ``pi^1`` (Section 6.1).  The shared values are
     0/1 indicators, so only the LSBs of their shares enter the circuit.
 
-    Alice: ``ind[0..n-2] | lsb(v1)[0..n-1]``; Bob:
-    ``lsb(v2)[0..n-1] | r[0..n-1]``.  Output: ``n`` masked 0/1 words.
+    Alice: ``ind[0..n-2] | lsb(v1)[0..n-1]``; Bob: ``lsb(v2)[0..n-1]``.
+    Output: ``n`` shared 0/1 words, one translated row each.
     """
     if n < 1:
         raise ValueError("merge chain needs at least one tuple")
@@ -116,17 +108,13 @@ def merge_or_circuit(ell: int, n: int) -> Circuit:
     ind = b.alice_input_bits(n - 1)
     v1 = b.alice_input_bits(n)
     v2 = b.bob_input_bits(n)
-    r = [b.bob_input_bits(ell) for _ in range(n)]
     bits = [b.xor(a, c) for a, c in zip(v1, v2)]  # reconstruct indicators
     z = bits[0]
-    outs: List[List[int]] = []
-    zero_tail = [b.constant(0)] * (ell - 1)
     for i in range(n - 1):
-        w = b.and_(b.not_(ind[i]), z)
-        outs.append(b.add([w] + zero_tail, r[i]))
+        b.share_word([b.and_(b.not_(ind[i]), z)])
         z = b.or_(b.and_(ind[i], z), bits[i + 1])
-    outs.append(b.add([z] + zero_tail, r[n - 1]))
-    return b.build([w for word in outs for w in word])
+    b.share_word([z])
+    return b.build()
 
 
 @functools.lru_cache(maxsize=None)
@@ -134,29 +122,33 @@ def psi_bin_circuit(ell: int, fp_bits: int, reveal_payload: bool) -> Circuit:
     """Per-bin matching circuit of the PSI protocol (Sections 5.3/5.5).
 
     Alice: ``t (fp_bits) | p (ell)`` — her OPPRF outputs for this bin;
-    Bob: ``s (fp_bits) | w (ell) | fallback (ell) | r_ind (ell)``, then
-    ``r_pay (ell)`` unless the payload is revealed.
+    Bob: ``s (fp_bits)``, then ``w (ell) | fallback (ell)`` when the
+    payload is revealed.
 
-    ``m = eq(t, s)`` detects membership.  Outputs: the masked indicator
-    word, then the payload ``m ? (p + w) : fallback`` — masked with
-    ``r_pay`` when the payload stays shared (Section 6.2), or revealed
-    as-is for the shared-payload composition (Section 5.5, where the
-    revealed values are uniformly random permutation indices).
+    ``m = eq(t, s)`` detects membership; shared word 0 is ``m``.  The
+    payload is ``m ? (p + w) : fallback``:
+
+    * shared (Section 6.2): word 1 is ``sum_i 2^i (m AND p_i)`` plus a
+      row on ``m`` weighted by Bob's per-bin weight ``w - fallback``,
+      with Bob's offset ``fallback`` — the payload, with no adder or
+      mux in the circuit;
+    * revealed as-is for the shared-payload composition (Section 5.5,
+      where the revealed values are uniformly random permutation
+      indices): the mux and the adder compute it in the circuit.
     """
     b = CircuitBuilder()
     t = b.alice_input_bits(fp_bits)
     p = b.alice_input_bits(ell)
     s = b.bob_input_bits(fp_bits)
+    m = b.eq(t, s)
+    b.share_word([m])
+    if not reveal_payload:
+        pay = b.share_word([b.and_(m, bit) for bit in p])
+        b.share_word([m], word=pay, weight=0)
+        return b.build()
     w = b.bob_input_bits(ell)
     fallback = b.bob_input_bits(ell)
-    r_ind = b.bob_input_bits(ell)
-    r_pay = [] if reveal_payload else b.bob_input_bits(ell)
-    m = b.eq(t, s)
-    ind_word = b.add([m] + [b.constant(0)] * (ell - 1), r_ind)
-    pay = b.mux(m, b.add(p, w), fallback)
-    if r_pay:
-        pay = b.add(pay, r_pay)
-    return b.build(ind_word + pay)
+    return b.build(b.mux(m, b.add(p, w), fallback))
 
 
 @functools.lru_cache(maxsize=None)

@@ -13,9 +13,10 @@ Protocol outline (Pinkas et al. [27], PSTY19 shape):
    payload ``z_y - w_b``.
 4. One small garbled circuit per bin compares Alice's OPPRF output with
    ``s_b`` and produces ``[[Ind(x_b in Y)]]`` and the payload — in
-   shared form (with Bob's masks ``r``), or revealed to Alice for the
-   Section 5.5 composition where the revealed values are uniform
-   permutation indices.
+   shared form (translated out of the circuit, with Bob's per-bin
+   weight and offset folding in ``w_b`` and the fallback), or revealed
+   to Alice for the Section 5.5 composition where the revealed values
+   are uniform permutation indices.
 
 Cost: ``~O(M + N)`` communication and computation, constant rounds.
 """
@@ -28,7 +29,6 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .batch import bits_to_words, sorted_lookup, words_to_bits
-from .circuits.circuit import Circuit
 from .context import ALICE, BOB, Context, Mode
 from .costs import (
     OPPRF_LIMB_BITS,
@@ -58,7 +58,7 @@ from .oprf import (
 )
 from .ot import OT
 from .sharing import SharedVector, as_ring_column
-from .yao import garbled_call
+from .yao import RealInputs, garbled_call
 
 __all__ = ["PsiResult", "psi_with_payloads"]
 
@@ -154,15 +154,23 @@ def psi_with_payloads(
         ell = ctx.params.ell
         circuit = psi_bin_circuit(ell, fp_bits, reveal_payload)
 
-        def real() -> Tuple[Circuit, np.ndarray, np.ndarray]:
-            # Alice: t | p;  Bob: s | w | fallback (the seam adds r).
-            t, p, s, w, f = (
-                words_to_bits(words, width)
-                for words, width in zip(
-                    (*opprf, fallbacks), (fp_bits, ell, fp_bits, ell, ell)
-                )
+        def real() -> RealInputs:
+            # Alice: t | p;  Bob: s, then w | fallback as circuit inputs
+            # (revealed payload) or as his row weight and word offset.
+            t_words, p_words, s_words, w_words = opprf
+            alice = np.hstack(
+                [words_to_bits(t_words, fp_bits), words_to_bits(p_words, ell)]
             )
-            return circuit, np.hstack([t, p]), np.hstack([s, w, f])
+            s = words_to_bits(s_words, fp_bits)
+            if reveal_payload:
+                w, f = (words_to_bits(x, ell) for x in (w_words, fallbacks))
+                return RealInputs(circuit, alice, np.hstack([s, w, f]))
+            zero = np.zeros(n_bins, dtype=np.uint64)
+            return RealInputs(
+                circuit, alice, s,
+                weights=((w_words - fallbacks) & ctx.mask)[:, None],
+                offsets=np.stack([zero, fallbacks], axis=1),
+            )
 
         def ideal() -> Tuple[np.ndarray, Optional[np.ndarray]]:
             # Per bin, match iff Alice's item is one of Bob's (her dummy
@@ -179,7 +187,7 @@ def psi_with_payloads(
         with ctx.section("bin_circuits"):
             shares, revealed = garbled_call(
                 ctx, ot, circuit_counts(circuit), n_bins,
-                n_masked=1 if reveal_payload else 2, real=real, ideal=ideal,
+                real=real, ideal=ideal,
             )
         ind = shares.take(np.arange(n_bins))
         if reveal_payload:

@@ -89,28 +89,43 @@ def spy_scalar_muls(monkeypatch):
     return scalars
 
 
-def run_circuit(ctx, ot, circuit, alice_bits, bob_bits):
-    """``circuit`` through the seam with every output revealed: the raw,
-    mask-free view the template tests need (Bob's rows carry the mask
-    bits like any other input).  Bit matrices in, bit matrix out, in
-    either mode — SIMULATED evaluates the circuit in the clear."""
+def run_circuit(ctx, ot, circuit, alice_bits, bob_bits, weights=None,
+                offsets=None):
+    """``circuit`` through the seam, one instance per row of the bit
+    matrices, with Bob's optional row weights and word offsets: returns
+    ``(words, bits)`` — the ``(n, n_words)`` reconstructed shared words
+    (mod ``2**ell`` of the context) and the ``(n, revealed)`` output
+    bits.  SIMULATED evaluates the circuit in the clear."""
     from repro.mpc.costs import circuit_counts
     from repro.mpc.yao import garbled_call
 
     alice_bits = np.asarray(alice_bits, dtype=np.uint8)
     bob_bits = np.asarray(bob_bits, dtype=np.uint8)
-    _, out = garbled_call(
-        ctx, ot, circuit_counts(circuit), len(alice_bits), n_masked=0,
-        real=lambda: (circuit, alice_bits, bob_bits),
-        ideal=lambda: (
-            None,
-            np.asarray(
-                [circuit.evaluate(a, b) for a, b in zip(alice_bits, bob_bits)],
-                dtype=np.uint8,
-            ),
-        ),
+    n = len(alice_bits)
+
+    def ideal():
+        rows = range(n)
+        words = [
+            circuit.evaluate_words(
+                alice_bits[i], bob_bits[i], ctx.params.ell,
+                () if weights is None else weights[i],
+                () if offsets is None else offsets[i],
+            )
+            for i in rows
+        ]
+        bits = [circuit.evaluate(alice_bits[i], bob_bits[i]) for i in rows]
+        plain = np.asarray(words, dtype=np.uint64).reshape(n, -1)
+        return (
+            plain.T.reshape(-1) if circuit.rows else None,
+            np.asarray(bits, dtype=np.uint8).reshape(n, -1),
+        )
+
+    shares, bits = garbled_call(
+        ctx, ot, circuit_counts(circuit), n,
+        real=lambda: (circuit, alice_bits, bob_bits, weights, offsets),
+        ideal=ideal,
     )
-    return out
+    return shares.reconstruct().reshape(-1, n).T, bits
 
 
 @pytest.fixture

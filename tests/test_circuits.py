@@ -82,14 +82,18 @@ class TestStructure:
         ell = 16
         b = CircuitBuilder()
         xs, ys = b.alice_input_bits(ell), b.bob_input_bits(ell)
-        b.add(xs, ys)
-        c = b.build([])
-        assert c.and_count == ell  # one AND per bit of a ripple adder
+        c = b.build(b.add(xs, ys))
+        # one AND per carry into bits 1..ell-1 of a ripple adder: the
+        # carry out of the top bit is dead and not built
+        assert c.and_count == ell - 1
 
         b = CircuitBuilder()
         xs, ys = b.alice_input_bits(ell), b.bob_input_bits(ell)
-        b.mul(xs, ys)
-        assert b.build([]).and_count == ell * ell  # schoolbook multiplier
+        # schoolbook multiplier: the partial-product masks, then an
+        # adder of ell - i - 1 live ANDs per row i >= 1
+        masks = ell * (ell + 1) // 2
+        adders = (ell - 1) * (ell - 2) // 2
+        assert b.build(b.mul(xs, ys)).and_count == masks + adders
 
     def test_constants_cached(self):
         b = CircuitBuilder()
@@ -100,9 +104,25 @@ class TestStructure:
         b = CircuitBuilder()
         x = b.alice_input_bits(1)
         y = b.bob_input_bits(1)
-        b.or_(x[0], y[0])
-        c = b.build([])
+        c = b.build([b.or_(x[0], y[0])])
         assert c.and_count == 1
+
+    def test_build_drops_gates_no_output_reaches(self):
+        b = CircuitBuilder()
+        (x,) = b.alice_input_bits(1)
+        (y,) = b.bob_input_bits(1)
+        dead = b.and_(x, y)
+        b.not_(b.xor(dead, x))
+        live = b.and_(x, b.not_(y))
+        word = b.share_word([b.and_(live, y)])
+        c = b.build([live])
+        assert [g.out for g in c.gates] == [live - 1, live, live + 1]
+        assert c.and_count == 2 and c.n_words == word + 1 == 1
+        # the survivors keep their construction order in the tables
+        ands = [lv.and_index.tolist() for lv in c.levels if len(lv.and_out)]
+        assert sum(ands, []) == [0, 1]
+        assert c.evaluate([1], [0]) == [1]
+        assert c.evaluate_words([1], [1], 8) == [0]
 
     def test_word_length_mismatch(self):
         b = CircuitBuilder()

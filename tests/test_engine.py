@@ -261,6 +261,106 @@ def test_seam_parity(n):
         assert slices[name, Mode.REAL] or n == 0, name
 
 
+def width_cases(ell):
+    """The templates whose shared words leave by output translation, at
+    ring width ``ell``: ``name -> (run(engine), expect)``.  PSI runs with
+    matched and unmatched bins and non-zero fallbacks, in both payload
+    modes."""
+    from repro.mpc.costs import psi_bins
+
+    mod = 2**ell
+    rng = np.random.default_rng(ell)
+    x = [0, 3, 0, mod - 1] + [int(v) for v in rng.integers(1, mod, 2, np.uint64)]
+    y = [5, 0, 7, mod - 2] + [int(v) for v in rng.integers(0, mod, 2, np.uint64)]
+    same = [True, False, False, True, True]
+    flags = [int(v != 0) for v in x]
+    alice, bob = list(range(8)), list(range(0, 16, 2))
+    payloads = [int(v) for v in rng.integers(0, mod, len(bob), np.uint64)]
+
+    def chain(vals, ind, op):
+        out, acc = [0] * len(vals), None
+        for i, v in enumerate(vals):
+            acc = v if acc is None else op(acc, v)
+            if i == len(vals) - 1 or not ind[i]:
+                out[i], acc = acc, None
+        return out
+
+    def psi(reveal):
+        def run(eng):
+            n_bins = psi_bins(eng.ctx.params, len(alice), len(bob))[0]
+            fallbacks = rng.integers(1, mod, n_bins, np.uint64)
+            r = psi_with_payloads(
+                eng.ctx, eng.ot, alice, bob, payloads, fallbacks,
+                reveal_payload=reveal,
+            )
+            pay = r.payload if reveal else r.payload.reconstruct()
+            bins = r.bin_of_item_index()
+            expect_ind = np.zeros(n_bins, dtype=np.uint64)
+            expect_pay = fallbacks.copy()
+            for i in alice:
+                if i in bob:
+                    expect_ind[bins[i]] = 1
+                    expect_pay[bins[i]] = payloads[bob.index(i)]
+            assert 0 < expect_ind.sum() < n_bins  # matched and unmatched
+            return (
+                r.ind.reconstruct().tolist() == expect_ind.tolist(),
+                pay.tolist() == expect_pay.tolist(),
+            )
+
+        return run, (True, True)
+
+    def words(fn):
+        return lambda eng: fn(eng).reconstruct().tolist()
+
+    return {
+        "nonzero": (
+            words(lambda e: e.indicator_nonzero(e.share(ALICE, x))),
+            flags,
+        ),
+        "mul_gc": (
+            words(lambda e: e.mul_shared(
+                e.share(ALICE, x), e.share(BOB, y), via="gc")),
+            [a * b % mod for a, b in zip(x, y)],
+        ),
+        "merge_sum_1": (
+            words(lambda e: e.merge_aggregate_sum([], e.share(BOB, x[3:4]))),
+            x[3:4],
+        ),
+        "merge_sum": (
+            words(lambda e: e.merge_aggregate_sum(same, e.share(ALICE, x))),
+            chain(x, same, lambda a, b: (a + b) % mod),
+        ),
+        "merge_or_1": (
+            words(lambda e: e.merge_aggregate_or([], e.share(BOB, [1]))),
+            [1],
+        ),
+        "merge_or": (
+            words(lambda e: e.merge_aggregate_or(same, e.share(BOB, flags))),
+            chain(flags, same, max),
+        ),
+        "psi_shared_payload": psi(False),
+        "psi_revealed_payload": psi(True),
+    }
+
+
+@pytest.mark.real
+@pytest.mark.parametrize("ell", [32, 48, 61, 63])
+def test_translated_outputs_at_every_ring_width(ell):
+    """REAL results equal plaintext at ``ell`` for every template that
+    shares its outputs, and each sends what SIMULATED charges."""
+    from repro.mpc import SecurityParams
+
+    slices = {}
+    for mode in (Mode.SIMULATED, Mode.REAL):
+        eng = Engine(Context(mode, SecurityParams(ell=ell), seed=ell))
+        for name, (run, expect) in width_cases(ell).items():
+            mark = len(eng.ctx.transcript.messages)
+            assert run(eng) == expect, (name, mode)
+            slices[name, mode] = eng.ctx.transcript.fingerprint()[mark:]
+    for name in width_cases(ell):
+        assert slices[name, Mode.REAL] == slices[name, Mode.SIMULATED], name
+
+
 class TestOneSeam:
     """Structural guard: the execution mode meets a circuit in
     ``mpc/yao.py`` and nowhere else."""

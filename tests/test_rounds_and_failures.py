@@ -107,8 +107,7 @@ class TestFailureInjection:
     def test_seam_rejects_mis_sized_input_bits(self, side):
         """One word too many (or a bit too few) on either side used to
         be truncated by the marshalling and garble the wrong function;
-        the seam checks both matrices against the circuit's widths —
-        Bob's before the mask words it appends itself."""
+        the seam checks both matrices against the circuit's widths."""
         from repro.mpc.costs import circuit_counts
         from repro.mpc.gadgets import nonzero_circuit
         from repro.mpc.ot import SimulatedOT
@@ -120,7 +119,7 @@ class TestFailureInjection:
 
         def call(alice_width, bob_width):
             return garbled_call(
-                ctx, SimulatedOT(ctx), circuit_counts(circuit), 3, n_masked=1,
+                ctx, SimulatedOT(ctx), circuit_counts(circuit), 3,
                 real=lambda: (
                     circuit,
                     np.zeros((3, alice_width), dtype=np.uint8),
