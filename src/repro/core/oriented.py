@@ -126,7 +126,7 @@ class OrientedEngine:
         def run() -> PsiResult:
             return psi_with_payloads(
                 self.ctx,
-                self.engine.ot,
+                self.engine.ot,  # read inside the swap
                 owner_items,
                 other_items,
                 other_payloads,
@@ -158,26 +158,21 @@ class OrientedEngine:
             values: SharedVector, n_out: int,
             label: str = "oep/ext") -> SharedVector:
         """Extended permutation held by the owner."""
+        values = self._in(values)
         out = self._call(
-            oblivious_extended_permutation,
-            self.ctx,
-            self.engine.ot,
-            xi,
-            self._in(values),
-            n_out,
-            label,
+            lambda: oblivious_extended_permutation(
+                self.ctx, self.engine.ot, xi, values, n_out, label
+            )
         )
         return self._out(out)
 
     def permute(self, perm: Union[Sequence[int], np.ndarray],
                 values: SharedVector,
                 label: str = "oep/perm") -> SharedVector:
+        values = self._in(values)
         out = self._call(
-            oblivious_permutation,
-            self.ctx,
-            self.engine.ot,
-            perm,
-            self._in(values),
-            label,
+            lambda: oblivious_permutation(
+                self.ctx, self.engine.ot, perm, values, label
+            )
         )
         return self._out(out)

@@ -150,6 +150,11 @@ class Context:
     def section(self, label: str) -> ContextManager[None]:
         return self.transcript.section(label)
 
+    @property
+    def roles_swapped(self) -> bool:
+        """Whether protocol-Alice is physical Bob right now."""
+        return self._roles_swapped
+
     @contextmanager
     def swapped_roles(self) -> Iterator[None]:
         """Mirror the protocol roles: inside this block, code written for

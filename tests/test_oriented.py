@@ -60,10 +60,14 @@ class TestOrientation:
 
     def test_sender_labels_mirrored(self):
         """The same protocol run by the opposite owner produces the
-        mirror-image transcript (senders swapped, sizes identical)."""
+        mirror-image transcript (senders swapped, sizes identical) once
+        both extension instances are set up: their base phases belong
+        to the physical parties, not to the orientation."""
 
         def run(owner):
             eng = mk_engine(seed=5)
+            one = eng.share(ALICE, [1], label="setup")
+            eng.mul_shared(one, one)  # both instances' base phases
             oe = OrientedEngine(eng, owner)
             x = eng.share(ALICE, [3] * 4, label="in")
             y = eng.share(BOB, [5] * 4, label="in")
@@ -88,3 +92,41 @@ class TestOrientation:
         bins = res.bin_of_item_index()
         assert ind[bins[1]] == 1 and pay[bins[1]] == 70
         assert ind[bins[0]] == 0 and ind[bins[2]] == 0
+
+
+@pytest.mark.real
+@pytest.mark.parametrize("flip", [False, True], ids=["as_written", "swapped"])
+def test_each_extension_instance_has_one_physical_receiver(monkeypatch, flip):
+    """Over a REAL Q3 (0.03 MB), record who physically sends every
+    IKNP batch's ``u`` columns — the instance's receiver — per
+    instance: each has exactly one, Alice for the engine's forward
+    instance and Bob for its mirror.  An oriented call that handed the
+    forward instance to a role-swapped protocol would make the
+    receiver of one instance the sender of another of its batches."""
+    from repro.mpc import Engine, Mode
+    from repro.mpc.ot import IknpExtension
+    from repro.tpch import PREPARED, generate
+
+    receivers = {}
+    real_phase = IknpExtension._column_phase
+
+    def spy(self, m, r):
+        before = len(self.ctx.transcript.messages)
+        out = real_phase(self, m, r)
+        # a first batch runs the base phase first; its own u is last
+        sent = self.ctx.transcript.messages[before:][-1]
+        assert sent.label.endswith("ot/ext/u")
+        receivers.setdefault(id(self), set()).add(sent.sender)
+        return out
+
+    monkeypatch.setattr(IknpExtension, "_column_phase", spy)
+    query = PREPARED["Q3"](generate(0.03), flip_owners=flip)
+    engine = Engine(query.make_context(Mode.REAL, seed=5))
+    engine.backend = "yannakakis"
+    result, _ = query.run_secure(engine)
+    assert result.semantically_equal(query.run_plain()[0])
+    forward = engine.ot
+    assert receivers == {
+        id(forward): {ALICE},
+        id(forward.reverse): {BOB},
+    }

@@ -153,19 +153,27 @@ class TestFirstUseOrders:
     @pytest.mark.parametrize(
         "backend, base_labels",
         [
-            # DH-OPRF join: the OEP opens the forward instance and
-            # nothing ever opens the mirror
-            ("linear", ["ot/ext/base/A", "B", "ciphertexts"]),
-            # the fold's PSI is the first OT consumer: its OPRF opens
+            # DH-OPRF join: the OEP of the parent's owner, Bob, opens
             # the mirror, which opens the forward instance
+            (
+                "linear",
+                [
+                    "oep/switches/ot/ext/base/ot/ext/base/A",
+                    "B",
+                    "ciphertexts",
+                    "oep/switches/ot/ext/base/ot/ext/u",
+                ],
+            ),
+            # the fold's PSI, Bob's, is the first OT consumer: its OPRF
+            # opens the forward instance, its bin circuits the mirror
             (
                 "yannakakis",
                 [
-                    "psi/oprf/base/ot/ext/base/ot/ext/base/A",
+                    "psi/oprf/base/ot/ext/base/A",
                     "B",
                     "ciphertexts",
-                    "psi/oprf/base/ot/ext/base/ot/ext/u",
                     "psi/oprf/base/ot/ext/u",
+                    "bin_circuits/gc/alice_labels/ot/ext/base/ot/ext/u",
                 ],
             ),
         ],

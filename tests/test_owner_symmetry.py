@@ -5,7 +5,10 @@ query answer, and the communication pattern must transform predictably:
 
 * ``reduce`` / ``semijoin`` — these phases orient every sub-protocol at
   the relation *owner* (via ``Context.swapped_roles``), so a global
-  owner flip mirrors the per-party byte counts exactly;
+  owner flip mirrors the per-party byte counts exactly — apart from
+  the one-time base phases of the two OT extension instances, which
+  belong to the physical parties and land wherever each instance is
+  first used (they are left out of the comparison);
 * ``full_join`` — Alice-anchored by design: Alice's sent bytes are
   owner-independent, while the reveal payloads (sent for Bob-owned
   relations only) move with the flip, so Bob's bytes may change;
@@ -26,9 +29,12 @@ MIRRORED_SECTIONS = ("reduce", "semijoin")
 
 
 def party_section_bytes(transcript):
-    """``{(section, sender): bytes}`` at depth-1 section granularity."""
+    """``{(section, sender): bytes}`` at depth-1 section granularity,
+    base-phase messages left out."""
     out = {}
     for m in transcript.messages:
+        if "/base/" in m.label:
+            continue
         section = m.label.split("/")[0] if m.label else ""
         key = (section, m.sender)
         out[key] = out.get(key, 0) + m.n_bytes
