@@ -12,8 +12,10 @@ arithmetic, matching the arithmetic secret-sharing ring).  Gadgets:
                                  query composition, Section 7)
 
 Outputs are either revealed bits (the wires passed to :meth:`build`)
-or shared words (:meth:`share_word`, one translated row per bit).
-:meth:`build` keeps only the gates some output reaches.
+or shared words (:meth:`share_word`, one translated row per bit); Bob's
+input bits may also be disclosed outside the circuit under a revealed
+bit (:meth:`disclose`).  :meth:`build` keeps only the gates some output
+reaches.
 
 The SIMULATED cost model charges a gadget by its built template's gate
 and wire counts; the wire sizes per AND gate, input bit, translated row
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .circuit import AND, INV, XOR, Circuit, Gate, Row
+from .circuit import AND, INV, XOR, Circuit, Disclosure, Gate, Row
 
 __all__ = ["CircuitBuilder"]
 
@@ -44,6 +46,7 @@ class CircuitBuilder:
         self._const_cache: dict = {}
         self._rows: List[Row] = []
         self._n_words = 0
+        self._disclosure: Optional[Disclosure] = None
 
     # -- wires ----------------------------------------------------------
 
@@ -221,6 +224,21 @@ class CircuitBuilder:
         )
         return word
 
+    def disclose(self, key: Wire, payload: Sequence[Wire]) -> None:
+        """Disclose Bob's input bits ``payload`` to Alice where ``key``,
+        a revealed output, is 1 (zeros where it is 0), without a gate:
+        Bob, who holds both labels of ``key``, sends the packed payload
+        encrypted under the hash of its 1-label — ``ceil(len/8)`` bytes
+        per instance — and only Alice's label of a 1 opens it.  At most
+        one disclosure per circuit; an empty payload declares none."""
+        if not payload:
+            return
+        if self._disclosure is not None:
+            raise ValueError("a circuit discloses at most one payload")
+        if not set(payload) <= set(self._bob):
+            raise ValueError("only Bob's input bits can be disclosed")
+        self._disclosure = Disclosure(key, tuple(payload))
+
     # -- helpers ----------------------------------------------------------
 
     def _and_tree(self, bits: Sequence[Wire]) -> Wire:
@@ -251,6 +269,8 @@ class CircuitBuilder:
         by :meth:`share_word`, without the gates neither reaches (an
         adder's carry out of its top bit, a discarded remainder):
         garbling a dead gate costs its table and computes nothing."""
+        if self._disclosure and self._disclosure.key not in outputs:
+            raise ValueError("a disclosure's key bit must be revealed")
         live = set(outputs) | {r.wire for r in self._rows}
         kept = []
         for g in reversed(self._gates):
@@ -266,4 +286,5 @@ class CircuitBuilder:
             gates=tuple(reversed(kept)),
             outputs=tuple(outputs),
             rows=tuple(self._rows),
+            disclosure=self._disclosure,
         )

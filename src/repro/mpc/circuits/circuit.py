@@ -13,18 +13,24 @@ bit by bit, and ``rows`` leave the circuit as arithmetic shares — row
 ``j`` adds ``v_j * X_j`` to one shared word of its instance, where
 ``v_j`` is the bit on its wire and ``X_j`` a weight Bob knows
 (:class:`Row`; the translation itself is
-:func:`repro.mpc.circuits.garbling.translate`).
+:func:`repro.mpc.circuits.garbling.translate`).  A circuit may also
+*disclose* some of Bob's input bits to Alice where one revealed output
+is 1 (:class:`Disclosure`): they never enter the circuit, and leave it
+encrypted under that output wire's 1-label
+(:func:`repro.mpc.circuits.garbling.disclose`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Gate", "Circuit", "Level", "Row", "XOR", "AND", "INV"]
+__all__ = [
+    "Gate", "Circuit", "Disclosure", "Level", "Row", "XOR", "AND", "INV",
+]
 
 XOR = "XOR"
 AND = "AND"
@@ -50,6 +56,14 @@ class Row(NamedTuple):
     word: int
     shift: int
     weight: int = -1
+
+
+class Disclosure(NamedTuple):
+    """Bob's input wires ``payload`` reach Alice where the revealed
+    output ``key`` is 1, and read as zeros where it is 0."""
+
+    key: int
+    payload: Tuple[int, ...]
 
 
 class Level(NamedTuple):
@@ -84,6 +98,7 @@ class Circuit:
     gates: Tuple[Gate, ...]
     outputs: Tuple[int, ...]
     rows: Tuple[Row, ...] = ()
+    disclosure: Optional[Disclosure] = None
 
     @cached_property
     def and_count(self) -> int:
@@ -149,11 +164,16 @@ class Circuit:
     def evaluate(
         self, alice_bits: Sequence[int], bob_bits: Sequence[int]
     ) -> List[int]:
-        """Plaintext evaluation of the revealed outputs — the reference
-        semantics that garbled evaluation must match (asserted by the
-        test suite)."""
+        """Plaintext evaluation of the revealed outputs, then the
+        disclosed payload bits (zeros unless the key output is 1) — the
+        reference semantics that garbled evaluation must match (asserted
+        by the test suite)."""
         value = self._wire_values(alice_bits, bob_bits)
-        return [value[w] for w in self.outputs]
+        out = [value[w] for w in self.outputs]
+        if self.disclosure is not None:
+            key, payload = self.disclosure
+            out += [value[w] & value[key] for w in payload]
+        return out
 
     def evaluate_words(
         self,

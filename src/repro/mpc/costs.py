@@ -146,18 +146,23 @@ class CircuitCounts(NamedTuple):
     rows: int
     #: revealed output bits (one decode bit each)
     revealed: int
+    #: Bob's payload bits disclosed under a revealed bit's 1-label
+    #: (``ceil(bits / 8)`` bytes per instance)
+    disclosed: int
 
 
 class GarbledBytes(NamedTuple):
-    """The messages of one garbled batch, in wire order ``u`` (opening
-    the label C-OT), tables, seed, label corrections, decode."""
+    """The messages of one garbled batch, in wire order: ``u`` (opening
+    the label OTs), tables, seed, decode."""
 
-    #: the evaluator-input label OTs, as a :func:`cot_bytes` segment
-    label_ots: Tuple[int, int]
+    #: the evaluator-input label OTs: Δ-correlated, so the batch is
+    #: never finished and only its ``u`` crosses
+    label_ots: int
     tables: int
     #: every garbler-side input and constant label expands from it
     seed: int
-    #: the revealed outputs' decode bits, then the translated rows
+    #: the revealed outputs' decode bits, the translated rows, then the
+    #: disclosed payload
     decode: int
 
 
@@ -167,24 +172,29 @@ def garbled_bytes(
     """``n_instances`` garblings of one template: two half-gates rows
     per AND, one label OT per evaluator input bit, one seed per batch,
     per instance one decode bit per revealed output wire (packed to
-    bytes) and one ring element per translated row."""
+    bytes), one ring element per translated row and the disclosed
+    payload packed to bytes."""
     return GarbledBytes(
-        label_ots=(counts.alice_bits * n_instances, LABEL_BYTES),
+        label_ots=counts.alice_bits * n_instances,
         tables=ROWS_PER_AND * LABEL_BYTES * counts.ands * n_instances,
         seed=SEED_BYTES,
         decode=(
-            (counts.revealed + 7) // 8 + counts.rows * ring_bytes(ell)
+            (counts.revealed + 7) // 8
+            + counts.rows * ring_bytes(ell)
+            + (counts.disclosed + 7) // 8
         ) * n_instances,
     )
 
 
 def circuit_counts(circuit: "Circuit") -> CircuitCounts:
     """A template's :class:`CircuitCounts`."""
+    disclosure = circuit.disclosure
     return CircuitCounts(
         circuit.and_count,
         len(circuit.alice_inputs),
         len(circuit.sent_rows),
         len(circuit.outputs),
+        len(disclosure.payload) if disclosure else 0,
     )
 
 

@@ -4,7 +4,9 @@ Each function returns a cached :class:`Circuit` for a given shape; the
 docstring states the exact input packing (Alice's bits first, then
 Bob's, all words little-endian) and its outputs: shared words leave a
 template through translated rows (:meth:`CircuitBuilder.share_word`),
-so no template adds a mask.  REAL mode garbles these templates;
+so no template adds a mask, and Bob's tuples leave the reveal template
+by label-keyed disclosure (:meth:`CircuitBuilder.disclose`), not a
+mux.  REAL mode garbles these templates;
 SIMULATED mode charges their exact gate and row counts — one source of
 truth for both behaviour and cost.
 """
@@ -171,13 +173,14 @@ def reveal_tuple_circuit(ell: int, payload_bits: int) -> Circuit:
     nonzero, else a dummy.
 
     Alice: ``v1``; Bob: ``v2 | tuple payload (payload_bits)``.
-    Outputs (revealed to Alice): ``Ind(v != 0)`` then
-    ``Ind ? payload : 0...0``.
+    Outputs (revealed to Alice): ``Ind(v != 0)``, then the payload
+    disclosed under it (:meth:`CircuitBuilder.disclose`) — Bob's tuple
+    where the bit is 1, zeros where it is 0 — with no gate on it.
     """
     b = CircuitBuilder()
     v1 = b.alice_input_bits(ell)
     v2 = b.bob_input_bits(ell)
     payload = b.bob_input_bits(payload_bits)
     bit = b.nonzero(b.add(v1, v2))
-    zeros = [b.constant(0)] * payload_bits
-    return b.build([bit] + b.mux(bit, payload, zeros))
+    b.disclose(bit, payload)
+    return b.build([bit])

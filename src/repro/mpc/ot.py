@@ -29,6 +29,14 @@ its free choice anyway) and ships only ``m1 ^ p1`` — one ciphertext per
 OT instead of two.  ``transfer(pairs, choices)`` keeps the
 chosen-message form for callers that must fix both messages.
 
+The garbled-circuit evaluator's input labels take neither form:
+``ot.labels(n, choices)`` opens an extension batch and hashes nothing.
+IKNP leaves the sender ``Q_j`` and the receiver ``T_j = Q_j ^ r_j s``,
+which are already free-XOR label pairs with offset ``s``; with the bit
+of ``s`` that lands on a row's select bit forced to 1, the sender's
+``s`` is the garbler's ``delta`` and the rows are the labels, so only
+``u`` crosses (DESIGN.md, "Input-side wire format").
+
 Wire sizes come from :mod:`repro.mpc.costs`; all messages are metered
 through the shared :class:`Context`.
 """
@@ -37,7 +45,16 @@ from __future__ import annotations
 
 import hashlib
 import weakref
-from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -50,11 +67,29 @@ __all__ = [
     "OT",
     "CorrelatedBatch",
     "IknpExtension",
+    "LabelBatch",
     "SimulatedOT",
     "make_ot",
 ]
 
 Pair = Tuple[bytes, bytes]
+
+#: The bit of ``s`` that ``np.packbits`` (most significant bit first)
+#: puts in the low bit of a row's first byte, a label's select bit:
+#: forced to 1, so ``s`` is a free-XOR offset.  It costs one bit of the
+#: extension's secret, as in emp-toolkit.
+SELECT_BIT = 7
+
+
+class LabelBatch(NamedTuple):
+    """One batch of Δ-correlated OTs read as garbled-circuit input
+    labels: the sender's ``(n, 16)`` zero-labels ``Q_j``, the receiver's
+    active labels ``T_j = Q_j ^ r_j delta``, and ``delta``, the
+    instance's ``s`` packed to 16 bytes with select bit 1."""
+
+    zero: np.ndarray
+    active: np.ndarray
+    delta: np.ndarray
 
 
 class OT(Protocol):
@@ -70,6 +105,10 @@ class OT(Protocol):
     def correlated(
         self, choices: Optional[np.ndarray], widths: Widths
     ) -> "CorrelatedBatch": ...
+
+    def labels(
+        self, n: int, choices: Optional[np.ndarray] = None
+    ) -> Optional[LabelBatch]: ...
 
     def transfer(
         self, pairs: Sequence[Pair], choices: Sequence[int]
@@ -288,14 +327,16 @@ class IknpExtension(_Paired):
     symmetric crypto only.
 
     Base phase (roles reversed): extension-sender Bob picks secret bits
-    ``s`` and acts as base-OT *receiver* to obtain seed ``k_i^{s_i}``;
-    extension-receiver Alice owns both seeds per column.  A mirror's
-    base OTs are ``kappa`` random OTs of its forward instance instead.
+    ``s`` (bit :data:`SELECT_BIT` is 1) and acts as base-OT *receiver* to
+    obtain seed ``k_i^{s_i}``; extension-receiver Alice owns both seeds
+    per column.  A mirror's base OTs are ``kappa`` random OTs of its
+    forward instance instead.
     """
 
     def _base_phase(self) -> None:
         ctx = self.ctx
         self._s = ctx.rng.integers(0, 2, size=self.kappa, dtype=np.uint8)
+        self._s[SELECT_BIT] = 1
         if self._mirror is None:
             self._seeds_alice, self._seeds_bob = self._seeds_from_forward()
         else:
@@ -322,12 +363,21 @@ class IknpExtension(_Paired):
         k0, k1, k_s = cot.seeds()
         return list(zip(k0, k1)), k_s
 
+    @property
+    def delta(self) -> np.ndarray:
+        """The sender's ``s`` packed to ``kappa / 8`` bytes: every row
+        pair's XOR offset, and the garbling offset of the labels it
+        carries."""
+        if not self._base_done:
+            self._base_phase()
+        return np.packbits(self._s)
+
     def _column_phase(
         self, m: int, r: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """One extension batch's column correlation: Bob's ``Q`` rows,
-        Alice's ``T`` rows, packed ``s``, and the tweak batch number of
-        the batch's pads.  Sends the ``u`` correction columns."""
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One extension batch's column correlation: Bob's ``Q`` rows and
+        Alice's ``T`` rows, ``T_j = Q_j ^ r_j s``.  Sends the ``u``
+        correction columns."""
         if not self._base_done:
             self._base_phase()
         ctx = self.ctx
@@ -350,7 +400,7 @@ class IknpExtension(_Paired):
         )
         q_rows = np.packbits(q_cols.T, axis=1)  # m x kappa/8
         t_rows = np.packbits(t_cols.T, axis=1)
-        return q_rows, t_rows, np.packbits(self._s), ctx.tweak_batch()
+        return q_rows, t_rows
 
     def correlated(
         self, choices: Optional[np.ndarray], widths: Widths
@@ -370,12 +420,30 @@ class IknpExtension(_Paired):
             raise ValueError("C-OT pads are at most 32 bytes wide")
         if m == 0:
             return CorrelatedBatch(self.ctx, widths, r, [_NO_PADS] * 3)
-        q_rows, t_rows, s_packed, batch = self._column_phase(m, r)
+        q_rows, t_rows = self._column_phase(m, r)
+        s_packed, batch = self.delta, self.ctx.tweak_batch()
         j = np.arange(m)
         width = max(width for _, width in widths)
         p0, p1 = _pads(np.stack([q_rows, q_rows ^ s_packed]), j, batch, width)
         (pc,) = _pads(t_rows[None], j, batch, width)
         return CorrelatedBatch(self.ctx, widths, r, [p0, p1, pc])
+
+    def labels(
+        self, n: int, choices: Optional[np.ndarray] = None
+    ) -> LabelBatch:
+        """Open a batch of ``n`` Δ-correlated OTs and never finish it:
+        only ``u`` crosses, and the raw rows are the labels — the
+        sender's ``Q_j`` its zero-labels, the receiver's ``T_j`` her
+        active labels, ``delta`` the offset (:class:`LabelBatch`)."""
+        if choices is None:
+            raise ValueError("a real OT needs the receiver's choice bits")
+        r = np.asarray(choices, dtype=np.uint8) & 1
+        if len(r) != n:
+            raise ValueError("one choice bit per OT is required")
+        if n == 0:
+            return LabelBatch(_NO_PADS[:, :16], _NO_PADS[:, :16], self.delta)
+        q_rows, t_rows = self._column_phase(n, r)
+        return LabelBatch(q_rows, t_rows, self.delta)
 
     def transfer(
         self, pairs: Sequence[Pair], choices: Sequence[int]
@@ -391,7 +459,8 @@ class IknpExtension(_Paired):
                 raise ValueError("OT messages in a pair must be equal-length")
             by_width.setdefault(len(m0), []).append(j)
         r = np.asarray(choices, dtype=np.uint8) & 1
-        q_rows, t_rows, s_packed, batch = self._column_phase(m, r)
+        q_rows, t_rows = self._column_phase(m, r)
+        s_packed, batch = self.delta, self.ctx.tweak_batch()
         out: List[bytes] = [b""] * m
         total = 0
         for w, positions in by_width.items():
@@ -421,8 +490,12 @@ class SimulatedOT(_Paired):
     transcript what :class:`IknpExtension` would send — its mirror
     issues the same seed-OT call, charge-only."""
 
+    #: the ideal label offset, drawn by the first REAL-mode label batch
+    _delta: Optional[np.ndarray] = None
+
     def _open(self, n_ots: int) -> None:
-        """Charge the base phase (first batch only) and ``u``."""
+        """Charge the base phase (first batch only) and ``u`` (none for
+        an empty batch)."""
         ctx, kappa = self.ctx, self.kappa
         if not self._base_done:
             if self._mirror is None:
@@ -434,7 +507,8 @@ class SimulatedOT(_Paired):
                 ctx.send(BOB, b, "ot/ext/base/B")
                 ctx.send(ALICE, ct, "ot/ext/base/ciphertexts")
             self._base_done = True
-        ctx.send(ALICE, cot_bytes(kappa, [(n_ots, 0)])[0], "ot/ext/u")
+        if n_ots:
+            ctx.send(ALICE, cot_bytes(kappa, [(n_ots, 0)])[0], "ot/ext/u")
 
     def correlated(
         self, choices: Optional[np.ndarray], widths: Widths
@@ -459,6 +533,28 @@ class SimulatedOT(_Paired):
         )
         pc = np.where(r.astype(bool)[:, None], p1, p0)
         return CorrelatedBatch(ctx, widths, r, [p0, p1, pc])
+
+    def labels(
+        self, n: int, choices: Optional[np.ndarray] = None
+    ) -> Optional[LabelBatch]:
+        """Charge the opening of a label batch.  With ``choices=None`` it
+        is charge-only; with choices it also deals ideal correlated rows
+        under one ``delta`` per instance, drawn at its first such
+        batch."""
+        self._open(n)
+        if choices is None:
+            return None
+        r = np.asarray(choices, dtype=np.uint8) & 1
+        if len(r) != n:
+            raise ValueError("one choice bit per OT is required")
+        if self._delta is None:
+            delta = np.frombuffer(self.ctx.random_bytes(16), np.uint8).copy()
+            delta[0] |= 1
+            self._delta = delta
+        zero = np.frombuffer(
+            self.ctx.random_bytes(16 * n), dtype=np.uint8
+        ).reshape(n, 16)
+        return LabelBatch(zero, zero ^ (r[:, None] * self._delta), self._delta)
 
     def transfer(
         self, pairs: Sequence[Pair], choices: Sequence[int]

@@ -138,18 +138,27 @@ def test_no_tweak_repeats_over_real_q3(monkeypatch, backend):
     """Every fixed-key hash of a REAL query (Q3 at 0.03 MB) through a
     spy: no tweak hashes more than two distinct inputs.  Two is one
     pair — a garbler's ``W`` and ``W ^ delta`` (under a half-gate's or a
-    translated output row's tweak), an IKNP sender's ``Q_j`` and
+    translated output row's tweak, or Bob's key label ``W_1`` and
+    Alice's ``W_0`` under a disclosure's), an IKNP sender's ``Q_j`` and
     ``Q_j ^ s``, a receiver's column seeds ``k0`` and ``k1`` — and any
     other hash under that tweak is the peer recomputing its member, so
-    no ``(tweak, role)`` pair repeats.  A tweak without the batch
-    number, the instance or the half-gate index fails here, and so does
-    an output row hashed under a half-gate's tweak."""
+    no ``(tweak, role)`` pair repeats.  The evaluator's input labels are
+    IKNP's raw rows under the instance's one ``s``, so they meet the
+    hash only as garbled wires.  A tweak without the batch number, the
+    instance or the half-gate index fails here, and so does an output
+    row or a disclosure hashed under an earlier index."""
     from repro.mpc.circuits import garbling
     from repro.mpc import ot as ot_module
     from repro.tpch import PREPARED, generate
 
     seen = []
     real_hash = batch.tccr_hash
+    disclosed = []
+    real_pads = garbling._disclosure_pads
+
+    def pad_spy(labels, *args):
+        disclosed.append(len(labels))
+        return real_pads(labels, *args)
 
     def spy(x, t):
         x, t = np.broadcast_arrays(
@@ -160,6 +169,7 @@ def test_no_tweak_repeats_over_real_q3(monkeypatch, backend):
 
     for module in (garbling, ot_module):
         monkeypatch.setattr(module, "tccr_hash", spy)
+    monkeypatch.setattr(garbling, "_disclosure_pads", pad_spy)
     query = PREPARED["Q3"](generate(0.03))
     engine = Engine(query.make_context(Mode.REAL, seed=7))
     engine.backend = backend
@@ -171,7 +181,8 @@ def test_no_tweak_repeats_over_real_q3(monkeypatch, backend):
     _, inputs_per_tweak = np.unique(
         np.ascontiguousarray(tweak_of).view("V16"), return_counts=True
     )
-    assert len(inputs_per_tweak) > 50_000  # the spy saw the whole query
+    assert len(inputs_per_tweak) > 40_000  # the spy saw the whole query
+    assert sum(disclosed) > 0  # Bob's tuples left by disclosure
     assert inputs_per_tweak.max() == 2
 
 

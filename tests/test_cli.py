@@ -160,4 +160,4 @@ class TestServeAdmitsAndRejectsTpch:
             "--scale", "tiny", "--check-solo",
         ]) == 0
         out = capsys.readouterr().out
-        assert out.count("done, 48 msgs, 4.59 MB  [== solo]") == 2
+        assert out.count("done, 44 msgs, 3.48 MB  [== solo]") == 2

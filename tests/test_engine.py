@@ -262,10 +262,11 @@ def test_seam_parity(n):
 
 
 def width_cases(ell):
-    """The templates whose shared words leave by output translation, at
+    """The templates whose shared words leave by output translation, and
+    the reveal template whose tuples leave by label-keyed disclosure, at
     ring width ``ell``: ``name -> (run(engine), expect)``.  PSI runs with
     matched and unmatched bins and non-zero fallbacks, in both payload
-    modes."""
+    modes; the revealed tuples are 150 bits (two pad blocks)."""
     from repro.mpc.costs import psi_bins
 
     mod = 2**ell
@@ -276,6 +277,7 @@ def width_cases(ell):
     flags = [int(v != 0) for v in x]
     alice, bob = list(range(8)), list(range(0, 16, 2))
     payloads = [int(v) for v in rng.integers(0, mod, len(bob), np.uint64)]
+    tuples = rng.integers(0, 2, (len(x), 150), dtype=np.uint8)
 
     def chain(vals, ind, op):
         out, acc = [0] * len(vals), None
@@ -340,6 +342,16 @@ def width_cases(ell):
         ),
         "psi_shared_payload": psi(False),
         "psi_revealed_payload": psi(True),
+        "reveal_tuple": (
+            lambda e: [
+                a.tolist()
+                for a in e.reveal_nonzero_flags(e.share(BOB, x), tuples)
+            ],
+            [
+                [bool(f) for f in flags],
+                (tuples * np.asarray(flags, np.uint8)[:, None]).tolist(),
+            ],
+        ),
     }
 
 

@@ -154,31 +154,46 @@ def templates(ell):
 class TestCounts:
     """What each template garbles and sends, at the paper's ``ell = 32``
     and 55-bit PSI tokens: ``(ANDs, Alice's input bits, translated rows,
-    revealed bits)``.  Shared words leave through rows, so no template
-    carries a mask adder, and no gate is dead."""
+    revealed bits, disclosed bits)``.  Shared words leave through rows
+    and Bob's tuples by disclosure, so no template carries a mask adder
+    or a payload mux, and no gate is dead."""
 
     def test_per_element_templates(self):
-        assert circuit_counts(nonzero_circuit(32)) == (62, 32, 1, 0)
-        assert circuit_counts(mul_shared_circuit(32)) == (1_055, 64, 32, 0)
-        assert circuit_counts(div_reveal_circuit(48)) == (11_472, 96, 0, 48)
+        assert circuit_counts(nonzero_circuit(32)) == (62, 32, 1, 0, 0)
+        assert circuit_counts(mul_shared_circuit(32)) == (
+            1_055, 64, 32, 0, 0,
+        )
+        assert circuit_counts(div_reveal_circuit(48)) == (
+            11_472, 96, 0, 48, 0,
+        )
+
+    def test_reveal_tuple(self):
+        # the nonzero test alone: a 96-bit tuple (Q3's three 32-bit
+        # attributes) no longer adds 96 mux ANDs
+        assert circuit_counts(reveal_tuple_circuit(32, 96)) == (
+            62, 32, 0, 1, 96,
+        )
+        assert circuit_counts(reveal_tuple_circuit(32, 0)) == (
+            62, 32, 0, 1, 0,
+        )
 
     def test_psi_bin(self):
         # shared payload: the 54-AND comparison and m AND p_i, no mux
         assert circuit_counts(psi_bin_circuit(32, 55, False)) == (
-            54 + 32, 87, 1 + 32 + 1, 0,
+            54 + 32, 87, 1 + 32 + 1, 0, 0,
         )
         # revealed payload keeps its mux and adder; m alone is shared
         assert circuit_counts(psi_bin_circuit(32, 55, True)) == (
-            54 + 32 + 31, 87, 1, 32,
+            54 + 32 + 31, 87, 1, 32, 0,
         )
 
     def test_merge_chains_per_row(self):
         for n in (1, 2, 3):
             assert circuit_counts(merge_sum_circuit(32, n)) == (
-                31 + 126 * (n - 1), 32 * n + n - 1, 32 * n, 0,
+                31 + 126 * (n - 1), 32 * n + n - 1, 32 * n, 0, 0,
             )
             assert circuit_counts(merge_or_circuit(32, n)) == (
-                3 * (n - 1), 2 * n - 1, n, 0,
+                3 * (n - 1), 2 * n - 1, n, 0, 0,
             )
 
     @pytest.mark.parametrize("template", [merge_sum_circuit, merge_or_circuit])
