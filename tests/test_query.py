@@ -175,26 +175,24 @@ class TestPlanner:
         """Trees, roots and each node's children are enumerated by
         name, so the whole plan — not only its (root, edge set) — is
         the same however ``add_relation`` was ordered: on fuzz seeds
-        0-1 x 150, under the reversed and two random orders."""
+        0-1 x 100, under the reversed and a random order."""
         rng = np.random.default_rng(11)
         moved = 0
         for seed in (0, 1):
-            for index in range(150):
+            for index in range(100):
                 inst = generate_instance(seed, index)
                 h = inst.hypergraph()
                 args = inst.output, inst.owners, inst.sizes()
                 params = SecurityParams(ell=inst.ell)
                 plan = choose_plan(h, *args, params)
                 names = list(h.edges)
-                orders = [names[::-1]] + [
-                    list(rng.permutation(names)) for _ in range(2)
-                ]
+                orders = [names[::-1], list(rng.permutation(names))]
                 for order in orders:
                     moved += order != names
                     shuffled = Hypergraph({n: h.edges[n] for n in order})
                     again = choose_plan(shuffled, *args, params)
                     assert again.describe() == plan.describe(), (seed, index)
-        assert moved > 600
+        assert moved > 350
 
     def test_output_order_preserved(self):
         h = Hypergraph({"R1": ("a", "b", "c")})
