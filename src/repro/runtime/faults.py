@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set
 
+from ..mpc.transcript import ALICE, BOB
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.relation import SecureRelation
     from ..mpc.engine import Engine
@@ -55,6 +57,12 @@ MESSAGE_FAULT_KINDS = (
 
 FAULT_KINDS = MESSAGE_FAULT_KINDS + ("crash", "perturb_share")
 
+_FIELDS = ("kind", "message_index", "node", "party", "ticks")
+
+
+def _is_count(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -69,6 +77,15 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}")
+        for name in ("message_index", "node", "ticks"):
+            value = getattr(self, name)
+            if value is not None and not _is_count(value):
+                raise ValueError(
+                    f"fault {name} must be a non-negative int, "
+                    f"got {value!r}"
+                )
+        if self.party not in (None, ALICE, BOB):
+            raise ValueError(f"unknown fault party {self.party!r}")
         if self.kind in MESSAGE_FAULT_KINDS and self.message_index is None:
             raise ValueError(f"{self.kind!r} fault needs a message_index")
         if self.kind == "crash" and self.node is None:
@@ -85,13 +102,14 @@ class FaultSpec:
 
     @staticmethod
     def from_json(d: Dict[str, Any]) -> "FaultSpec":
-        return FaultSpec(
-            kind=d["kind"],
-            message_index=d.get("message_index"),
-            node=d.get("node"),
-            party=d.get("party"),
-            ticks=int(d.get("ticks", 0)),
-        )
+        """Inverse of :meth:`to_json`; fields are validated, never
+        coerced (a replayed ``"3"`` would match no wire index)."""
+        if not isinstance(d, dict) or "kind" not in d:
+            raise ValueError(f"not a fault spec: {d!r}")
+        unknown = sorted(set(d) - set(_FIELDS))
+        if unknown:
+            raise ValueError(f"unknown fault field(s) {unknown}")
+        return FaultSpec(**d)
 
     def __str__(self) -> str:
         where = []

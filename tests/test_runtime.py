@@ -118,6 +118,34 @@ def test_fault_spec_validation():
         FaultSpec("crash")  # needs a node
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"kind": "corrupt", "message_index": "3"},
+        {"kind": "corrupt", "message_index": -1},
+        {"kind": "corrupt", "message_index": True},
+        {"kind": "hang", "message_index": 1, "ticks": -5},
+        {"kind": "hang", "message_index": 1, "ticks": "5"},
+        {"kind": "crash", "node": "2", "party": BOB},
+        {"kind": "crash", "node": 2, "party": "carol"},
+    ],
+)
+def test_fault_spec_rejects_malformed_fields(fields):
+    # A replayed failure file with "message_index": "3" used to load,
+    # then match no wire index: the faulted run came back clean.
+    with pytest.raises(ValueError):
+        FaultSpec(**fields)
+    with pytest.raises(ValueError):
+        FaultSpec.from_json(fields)
+
+
+def test_fault_spec_json_rejects_unknown_keys():
+    with pytest.raises(ValueError):
+        FaultSpec.from_json({"kind": "corrupt", "msg": 3})
+    with pytest.raises(ValueError):
+        FaultSpec.from_json({"message_index": 3})
+
+
 def test_fault_plan_json_roundtrip():
     plan = FaultPlan(
         [
