@@ -49,8 +49,14 @@ from .bench import check_figure_shape, format_figure, run_figure
 from .leakage import BACKENDS
 from .mpc import Context, Engine, Mode
 from .query import BACKEND_POLICIES
+from .runtime.faults import (
+    MESSAGE_FAULT_KINDS,
+    PROCESS_FAULT_KINDS,
+    FaultSpec,
+    kinds_of,
+)
 
-__all__ = ["main"]
+__all__ = ["build_parser", "main"]
 
 
 def _cmd_figures(args) -> int:
@@ -169,29 +175,23 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _make_fault_plan(kind, at, ticks):
-    """One-spec FaultPlan from the fuzz CLI's fault options."""
-    from .runtime import (
-        DEFAULT_NODE_BUDGET,
-        FaultPlan,
-        FaultSpec,
-        MESSAGE_FAULT_KINDS,
-    )
-    from .mpc.transcript import BOB
+def _fault_arg(*levels):
+    """argparse ``type=`` for a fault SPEC (``KIND[@AT][:DURATION]
+    [/PARTY]``) whose kind is at one of ``levels``."""
+    kinds = kinds_of(*levels)
 
-    if kind == "perturb_share":
-        spec = FaultSpec("perturb_share")
-    elif kind == "crash":
-        spec = FaultSpec("crash", node=at, party=BOB)
-    elif kind in MESSAGE_FAULT_KINDS:
-        spec = FaultSpec(
-            kind,
-            message_index=at,
-            ticks=ticks if ticks else DEFAULT_NODE_BUDGET + 1,
-        )
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValueError(f"unknown fault kind {kind!r}")
-    return FaultPlan([spec])
+    def parse(text):
+        try:
+            spec = FaultSpec.parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if spec.kind not in kinds:
+            raise argparse.ArgumentTypeError(
+                f"{spec.kind!r} is not one of {', '.join(kinds)}"
+            )
+        return spec
+
+    return parse
 
 
 def _cmd_fuzz(args) -> int:
@@ -227,13 +227,9 @@ def _cmd_fuzz(args) -> int:
         print(f"corpus: {n} instances, {bad} failures")
         return 1 if bad else 0
 
-    fault = (
-        _make_fault_plan(
-            args.inject_fault, args.fault_at, args.fault_ticks
-        )
-        if args.inject_fault
-        else None
-    )
+    from .runtime import FaultPlan
+
+    fault = FaultPlan([args.inject_fault]) if args.inject_fault else None
 
     def progress(i, report):
         if (i + 1 - args.start) % 10 == 0:
@@ -273,49 +269,35 @@ def _cmd_net(args) -> int:
 
     from .runtime import (
         NetConfig,
-        ProcessFaults,
         ReconnectPolicy,
         ProtocolAbort,
         parse_endpoint,
         run_party,
     )
 
-    faults = None
-    if any(
-        v is not None
-        for v in (
-            args.kill_at_node, args.kill_at_wire, args.drop_at_wire,
-            args.stall_at_wire, args.partition_at_wire,
+    try:
+        config = NetConfig(
+            role=args.role,
+            query=args.query,
+            scale_mb=0.1 if args.scale == "tiny" else float(args.scale),
+            seed=args.seed,
+            backend=args.backend,
+            listen=parse_endpoint(args.listen) if args.listen else None,
+            connect=(
+                parse_endpoint(args.connect) if args.connect else None
+            ),
+            journal=args.journal,
+            resume=args.resume,
+            reconnect=ReconnectPolicy(
+                max_attempts=args.reconnect_attempts,
+            ),
+            heartbeat_s=args.heartbeat,
+            idle_timeout_s=args.idle_timeout,
+            exchange_deadline_s=args.exchange_deadline,
+            faults=args.fault,
         )
-    ):
-        faults = ProcessFaults(
-            kill_at_node=args.kill_at_node,
-            kill_at_wire=args.kill_at_wire,
-            drop_at_wire=args.drop_at_wire,
-            stall_at_wire=args.stall_at_wire,
-            stall_ms=args.stall_ms,
-            partition_at_wire=args.partition_at_wire,
-            partition_ms=args.partition_ms,
-        )
-
-    config = NetConfig(
-        role=args.role,
-        query=args.query,
-        scale_mb=0.1 if args.scale == "tiny" else float(args.scale),
-        seed=args.seed,
-        backend=args.backend,
-        listen=parse_endpoint(args.listen) if args.listen else None,
-        connect=parse_endpoint(args.connect) if args.connect else None,
-        journal=args.journal,
-        resume=args.resume,
-        reconnect=ReconnectPolicy(
-            max_attempts=args.reconnect_attempts,
-        ),
-        heartbeat_s=args.heartbeat,
-        idle_timeout_s=args.idle_timeout,
-        exchange_deadline_s=args.exchange_deadline,
-        faults=faults,
-    )
+    except ValueError as exc:
+        args.error(str(exc))
 
     def emit(payload) -> None:
         if args.out:
@@ -385,8 +367,6 @@ def _cmd_chaos(args) -> int:
     import tempfile
 
     from .runtime import (
-        MESSAGE_FAULT_KINDS,
-        PROCESS_FAULT_KINDS,
         FaultPlan,
         NetConfig,
         build_specs,
@@ -397,11 +377,7 @@ def _cmd_chaos(args) -> int:
         sweep_processes,
     )
 
-    level_kinds = (
-        PROCESS_FAULT_KINDS
-        if args.level == "process"
-        else MESSAGE_FAULT_KINDS + ("crash",)
-    )
+    level_kinds = kinds_of(args.level)
     kinds = tuple(args.kinds) if args.kinds else level_kinds
     foreign = [k for k in kinds if k not in level_kinds]
     if foreign:
@@ -468,15 +444,9 @@ def _cmd_chaos(args) -> int:
 def _cmd_serve(args) -> int:
     import json
 
-    from .runtime import MESSAGE_FAULT_KINDS
     from .serve import isolation_sweep, run_workload, tpch_request
 
     scale = 0.1 if args.scale == "tiny" else float(args.scale)
-    kinds = (
-        tuple(args.kinds)
-        if args.kinds
-        else MESSAGE_FAULT_KINDS + ("crash",)
-    )
 
     if args.isolation_sweep:
         # Two-tenant sweep: fault every point of the victim's run,
@@ -499,12 +469,13 @@ def _cmd_serve(args) -> int:
         report = isolation_sweep(
             factory(victim_q, "victim", args.seed),
             factory(observer_q, "observer", args.seed + 1),
-            interleave=args.interleave, kinds=kinds, stride=args.stride,
+            interleave=args.interleave, kinds=args.kinds,
+            stride=args.stride,
             on_progress=_sweep_progress(args),
         )
         report.meta.update(
             victim=victim_q, observer=observer_q, scale_mb=scale,
-            backend=args.backend, level="serve", kinds=list(kinds),
+            backend=args.backend, level="serve", kinds=list(args.kinds),
         )
         return _finish_sweep(
             args,
@@ -578,7 +549,7 @@ def _cmd_demo(args) -> int:
     return 1
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -666,27 +637,13 @@ def main(argv=None) -> int:
         help="skip the obliviousness transcript audit",
     )
     p.add_argument(
-        "--inject-fault", nargs="?", const="perturb_share",
-        default=None, metavar="KIND",
-        choices=[
-            "perturb_share", "corrupt", "truncate", "drop",
-            "duplicate", "reorder", "hang", "crash",
-        ],
-        help="self-test: inject one deterministic fault (default "
-        "kind: perturb_share; channel kinds are injected by the "
-        "session layer) and require the fuzzer to catch it — as an "
-        "oracle mismatch or a typed protocol abort (exit 0 iff "
-        "caught)",
-    )
-    p.add_argument(
-        "--fault-at", type=int, default=3, metavar="N",
-        help="wire-message index (message faults) or plan-node id "
-        "(crash) the injected fault targets",
-    )
-    p.add_argument(
-        "--fault-ticks", type=int, default=0, metavar="T",
-        help="hang duration in virtual ticks (0 = just past the "
-        "node deadline budget)",
+        "--inject-fault", nargs="?", const=FaultSpec("perturb_share"),
+        default=None, metavar="SPEC",
+        type=_fault_arg("message", "input"),
+        help="self-test: inject one fault, KIND[@AT][:TICKS][/PARTY] "
+        "(default: perturb_share; e.g. corrupt@3, crash@2/bob) and "
+        "require the fuzzer to catch it — as an oracle mismatch or a "
+        "typed protocol abort (exit 0 iff caught)",
     )
     p.add_argument("--max-failures", type=int, default=10)
     p.add_argument(
@@ -735,20 +692,18 @@ def main(argv=None) -> int:
     )
     p.add_argument(
         "--kinds", nargs="+", default=None,
-        choices=[
-            "corrupt", "truncate", "drop", "duplicate", "reorder",
-            "hang", "crash",
-            "kill-node", "kill-wire", "stall", "partition",
-        ],
+        choices=MESSAGE_FAULT_KINDS + PROCESS_FAULT_KINDS,
         help="fault kinds to sweep (default: all for the selected "
-        "level; kill-node/kill-wire/stall/partition are process-level "
-        "and a kind of the other level is rejected)",
+        f"level; message level: {', '.join(MESSAGE_FAULT_KINDS)}; "
+        f"process level: {', '.join(PROCESS_FAULT_KINDS)}; a kind of "
+        "the other level is rejected)",
     )
     p.add_argument(
         "--level", choices=["message", "process"], default="message",
-        help='"message" perturbs frames inside one process (PR-5); '
+        help='"message" perturbs frames inside one process; '
         '"process" runs both parties as real OS processes over TCP '
-        "and kills/drops/partitions them (see docs/ROBUSTNESS.md)",
+        "and kills/disconnects/partitions them (see "
+        "docs/ROBUSTNESS.md)",
     )
     p.add_argument(
         "--backend", choices=BACKEND_POLICIES,
@@ -840,21 +795,21 @@ def main(argv=None) -> int:
     g = p.add_argument_group(
         "fault injection (chaos-harness self-test hooks)"
     )
-    g.add_argument("--kill-at-node", type=int, default=None,
-                   metavar="NODE", help="SIGKILL self at this plan node")
-    g.add_argument("--kill-at-wire", type=int, default=None,
-                   metavar="N", help="SIGKILL self at wire exchange N")
-    g.add_argument("--drop-at-wire", type=int, default=None,
-                   metavar="N", help="force-close the TCP connection "
-                   "once, at wire exchange N")
-    g.add_argument("--stall-at-wire", type=int, default=None,
-                   metavar="N", help="freeze at wire exchange N")
-    g.add_argument("--stall-ms", type=int, default=400)
-    g.add_argument("--partition-at-wire", type=int, default=None,
-                   metavar="N", help="drop the connection AND freeze "
-                   "at wire exchange N")
-    g.add_argument("--partition-ms", type=int, default=400)
-    p.set_defaults(fn=_cmd_net)
+    process_fault = _fault_arg("process")
+    g.add_argument(
+        "--fault", action="append", default=[], metavar="SPEC",
+        type=process_fault,
+        help="fire a process-level fault on this party, KIND@AT[:MS] "
+        f"with KIND one of {', '.join(PROCESS_FAULT_KINDS)}; AT is "
+        "the plan node for kill-node, the wire exchange otherwise "
+        "(e.g. kill-wire@12, stall@12:400; repeatable)",
+    )
+    g.add_argument(
+        "--kill-at-node", dest="fault", action="append", metavar="NODE",
+        type=lambda node: process_fault(f"kill-node@{node}"),
+        help="same as --fault kill-node@NODE",
+    )
+    p.set_defaults(fn=_cmd_net, error=p.error)
 
     p = sub.add_parser(
         "serve",
@@ -902,11 +857,8 @@ def main(argv=None) -> int:
         help="message-index stride for --isolation-sweep",
     )
     p.add_argument(
-        "--kinds", nargs="+", default=None,
-        choices=[
-            "corrupt", "truncate", "drop", "duplicate", "reorder",
-            "hang", "crash",
-        ],
+        "--kinds", nargs="+", default=MESSAGE_FAULT_KINDS,
+        choices=MESSAGE_FAULT_KINDS,
         help="fault kinds for --isolation-sweep (default: all)",
     )
     p.add_argument(
@@ -940,8 +892,11 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("demo", help="run the quickstart example")
     p.set_defaults(fn=_cmd_demo)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     return args.fn(args)
 
 

@@ -1,7 +1,9 @@
 """Fault-tolerant session layer for the secure pipeline.
 
 Framed, sequence-numbered, checksummed messaging over the metered
-channel; deterministic fault injection; typed protocol aborts;
+channel; deterministic fault injection, one :class:`~.faults.FaultSpec`
+vocabulary for in-process message faults and ``repro net`` process
+faults alike (:mod:`.faults`); typed protocol aborts;
 node-granular checkpoint/retry; the one fault-sweep harness
 (:mod:`.chaos`); and the two-process execution stack — real TCP
 transport with reconnect (:mod:`.transport`), disk-durable crash
@@ -27,7 +29,6 @@ from .chaos import (
     build_specs,
     classify,
     classify_fault,
-    fault_points,
     fingerprint_sha256,
     make_tpch_runner,
     profile_run,
@@ -39,8 +40,10 @@ from .durable import DurableStore, Journal, JournalState, revive
 from .faults import (
     FAULT_KINDS,
     MESSAGE_FAULT_KINDS,
+    PROCESS_FAULT_KINDS,
     FaultPlan,
     FaultSpec,
+    kinds_of,
     perturb_share,
 )
 from .framing import FRAME_HEADER_BYTES, FRAME_MAGIC, Frame
@@ -50,13 +53,7 @@ from .session import (
     SessionState,
     enable_session,
 )
-from .netchaos import (
-    PROCESS_FAULT_KINDS,
-    ProcessFaultSpec,
-    build_process_specs,
-    run_scenario,
-    sweep_processes,
-)
+from .netchaos import run_scenario, sweep_processes
 from .netrun import (
     NET_QUERIES,
     NetConfig,
@@ -65,12 +62,7 @@ from .netrun import (
     solo_profile,
 )
 from .supervisor import RetryPolicy, Supervisor
-from .transport import (
-    ProcessFaults,
-    ReconnectPolicy,
-    SocketTransport,
-    free_port,
-)
+from .transport import ReconnectPolicy, SocketTransport, free_port
 
 __all__ = [
     "REASONS",
@@ -83,6 +75,8 @@ __all__ = [
     "VirtualClock",
     "FAULT_KINDS",
     "MESSAGE_FAULT_KINDS",
+    "PROCESS_FAULT_KINDS",
+    "kinds_of",
     "FaultSpec",
     "FaultPlan",
     "perturb_share",
@@ -100,7 +94,6 @@ __all__ = [
     "Outcome",
     "Report",
     "profile_run",
-    "fault_points",
     "classify",
     "sweep",
     "build_specs",
@@ -113,7 +106,6 @@ __all__ = [
     "revive",
     "SocketTransport",
     "ReconnectPolicy",
-    "ProcessFaults",
     "free_port",
     "NET_QUERIES",
     "NetConfig",
@@ -121,9 +113,6 @@ __all__ = [
     "run_party",
     "parse_endpoint",
     "fingerprint_sha256",
-    "PROCESS_FAULT_KINDS",
-    "ProcessFaultSpec",
-    "build_process_specs",
     "run_scenario",
     "sweep_processes",
 ]

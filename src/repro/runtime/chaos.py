@@ -39,7 +39,6 @@ from typing import (
     Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -49,7 +48,7 @@ from typing import (
 
 from ..mpc.transcript import ALICE, BOB
 from .aborts import ProtocolAbort, payload_is_sanitized
-from .faults import MESSAGE_FAULT_KINDS, FaultPlan, FaultSpec
+from .faults import FAULT_KINDS, MESSAGE_FAULT_KINDS, FaultPlan, FaultSpec
 from .session import DEFAULT_NODE_BUDGET, Session, enable_session
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -62,7 +61,6 @@ __all__ = [
     "Report",
     "profile_run",
     "fingerprint_sha256",
-    "fault_points",
     "classify",
     "sweep",
     "build_specs",
@@ -136,9 +134,9 @@ def fingerprint_sha256(profile: RunProfile) -> str:
 class Outcome:
     """Classification of one faulted run, at any level."""
 
-    #: The injected fault (``FaultSpec`` / ``ProcessFaultSpec``), or
-    #: ``None`` for the process level's no-fault smoke scenario.
-    fault: Any
+    #: The injected fault, or ``None`` for the process level's
+    #: no-fault smoke scenario.
+    fault: Optional[FaultSpec]
     classification: str
     detail: str = ""
     abort: Optional[Dict[str, Any]] = None
@@ -226,30 +224,8 @@ class Report:
         }
 
 
-def fault_points(
-    baseline: RunProfile,
-    kinds: Sequence[str],
-    node_kind: str,
-    stride: int = 1,
-) -> Iterator[Tuple[str, Optional[int], Optional[int], str]]:
-    """Every fault point of a sweep as ``(kind, node, wire, party)``:
-    ``node_kind`` at every plan node of the baseline, every other kind
-    at every ``stride``-th wire-message index.  The targeted party
-    alternates — with node parity, and from one wire point to the
-    next — so both roles are faulted."""
-    stride = max(stride, 1)
-    for kind in kinds:
-        if kind == node_kind:
-            for node in baseline.nodes_seen:
-                yield kind, node, None, ALICE if node % 2 else BOB
-        else:
-            for wire in range(0, baseline.n_messages, stride):
-                party = ALICE if (wire // stride) % 2 else BOB
-                yield kind, None, wire, party
-
-
 def classify(
-    fault: Any,
+    fault: Optional[FaultSpec],
     baseline: RunProfile,
     profiles: Optional[Mapping[str, RunProfile]] = None,
     aborts: Optional[Mapping[str, Any]] = None,
@@ -340,37 +316,46 @@ def classify_fault(
 
 def build_specs(
     baseline: RunProfile,
-    kinds: Sequence[str] = MESSAGE_FAULT_KINDS + ("crash",),
+    kinds: Sequence[str] = MESSAGE_FAULT_KINDS,
     stride: int = 1,
-    hang_ticks: int = DEFAULT_NODE_BUDGET + 1,
 ) -> List[FaultSpec]:
-    """The message-level fault points: every ``stride``-th wire index
-    for each message-fault kind, plus a crash at every plan node."""
-    return [
-        FaultSpec(kind, node=node, party=party)
-        if wire is None
-        else FaultSpec(
-            kind,
-            message_index=wire,
-            ticks=hang_ticks if kind == "hang" else 0,
-        )
-        for kind, node, wire, party in fault_points(
-            baseline, kinds, "crash", stride
-        )
-    ]
+    """Every fault point of a sweep: a kind whose target is a plan node
+    at every node of the baseline, any other at every ``stride``-th
+    wire index, each lasting its kind's default duration (a ``hang``
+    just past the node budget, a ``stall`` or ``partition`` 400 ms).
+    The targeted party alternates — with node parity, and from one wire
+    point to the next — so both roles are faulted; a message fault on a
+    wire hits the frame, not a party, and names none."""
+    stride = max(stride, 1)
+    specs: List[FaultSpec] = []
+    for kind in kinds:
+        row = FAULT_KINDS[kind]
+        if row.target == "node":
+            specs.extend(
+                FaultSpec.make(kind, node, ALICE if node % 2 else BOB)
+                for node in baseline.nodes_seen
+            )
+            continue
+        for wire in range(0, baseline.n_messages, stride):
+            party = ALICE if (wire // stride) % 2 else BOB
+            specs.append(
+                FaultSpec.make(
+                    kind, wire, party if row.level == "process" else None
+                )
+            )
+    return specs
 
 
 def sweep_faults(
     run: Runner,
-    kinds: Sequence[str] = MESSAGE_FAULT_KINDS + ("crash",),
+    kinds: Sequence[str] = MESSAGE_FAULT_KINDS,
     stride: int = 1,
-    hang_ticks: int = DEFAULT_NODE_BUDGET + 1,
     on_progress: Optional[Callable[[int, int, Outcome], None]] = None,
 ) -> Report:
     """Baseline once, then classify every message-level fault point."""
     baseline = run(FaultPlan())
     return sweep(
-        build_specs(baseline, kinds, stride, hang_ticks),
+        build_specs(baseline, kinds, stride),
         lambda spec: classify_fault(run, baseline, spec),
         baseline,
         on_progress,

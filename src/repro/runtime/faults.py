@@ -1,35 +1,42 @@
 """Deterministic fault injection: :class:`FaultSpec` and :class:`FaultPlan`.
 
-A fault plan is pure data — *which* fault, at *which* wire-message
-index or plan node, against *which* party — so any faulted run replays
-from its JSON spec alone.  Each spec fires **once**: the session's wire
-index is monotone across checkpoint retries (rollback rewinds sequence
-counters and the metered transcript, never the wire index), so a fault
-consumed on attempt 1 does not re-fire on attempt 2.  That one-shot
-semantics is what makes "retry from checkpoint" converge.
+A fault plan is pure data — *which* fault, at *which* wire index or
+plan node, against *which* party — so any faulted run replays from its
+spec alone.  One spec type describes a fault at every level it can be
+injected at:
 
-Fault kinds
------------
+* **message** faults perturb frames inside one process's session layer
+  (:mod:`.session`): ``repro chaos``, ``repro serve --isolation-sweep``
+  and ``repro fuzz --inject-fault`` inject them;
+* **process** faults hit one ``repro net`` party's OS process or socket
+  (:mod:`.transport`): ``repro chaos --level process`` hands them to
+  the targeted party as ``repro net --fault SPEC``;
+* the **input** fault perturbs a secret share before the protocol
+  starts; only the fuzzer's differential oracle can catch it.
 
-=================  ====================================================
-``corrupt``        flip a checksum bit of wire message *k*
-``truncate``       drop the last payload byte of wire message *k*
-``drop``           wire message *k* never arrives
-``duplicate``      wire message *k* is delivered twice
-``reorder``        wire message *k* is held and overtaken by the next
-                   same-sender message
-``hang``           the channel stalls ``ticks`` virtual ticks at *k*
-``crash``          party ``party`` crashes entering plan node ``node``
-``perturb_share``  additively perturb one input share (semantic fault;
-                   detected by the differential oracle, not the
-                   session — see ``repro fuzz --inject-fault``)
-=================  ====================================================
+Each spec fires **once**: the session's wire index is monotone across
+checkpoint retries (rollback rewinds sequence counters and the metered
+transcript, never the wire index), so a fault consumed on attempt 1
+does not re-fire on attempt 2.  That one-shot semantics is what makes
+"retry from checkpoint" converge.  A process fault keys on the
+transport's exchange count, which equals the session's wire index on a
+fresh ``repro net`` run (net mode injects no message faults).
+
+The kind table :data:`FAULT_KINDS` is the only list of kinds (every CLI
+choice list and sweep reads it; docs/ROBUSTNESS.md says what each
+does).  Every CLI writes a spec as ``KIND[@AT][:DURATION][/PARTY]``,
+which is also what ``str(spec)`` prints: ``AT`` is the wire index or
+plan node the kind targets, ``DURATION`` is in the kind's unit and
+defaults to the table's — ``corrupt@3``, ``hang@5:1048577``,
+``crash@2/bob``, ``stall@12:400``, ``perturb_share``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set
+from typing import Tuple
 
 from ..mpc.transcript import ALICE, BOB
 
@@ -38,67 +45,167 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mpc.engine import Engine
 
 __all__ = [
+    "DEFAULT_NODE_BUDGET",
     "FAULT_KINDS",
     "MESSAGE_FAULT_KINDS",
+    "PROCESS_FAULT_KINDS",
+    "FaultKind",
+    "kinds_of",
     "FaultSpec",
     "FaultPlan",
     "perturb_share",
 ]
 
-#: Kinds that target a wire-message index.
-MESSAGE_FAULT_KINDS = (
-    "corrupt",
-    "truncate",
-    "drop",
-    "duplicate",
-    "reorder",
-    "hang",
+#: Virtual ticks a plan node may consume before its deadline expires.
+#: Deliveries cost one tick each; real nodes use a few hundred at most,
+#: so only an injected ``hang`` (or a genuinely stalled channel) can
+#: exhaust this.
+DEFAULT_NODE_BUDGET = 1 << 20
+
+
+@dataclass(frozen=True)
+class FaultKind:
+    """One row of the kind table: the kind's level (``message``,
+    ``process`` or ``input``), the :class:`FaultSpec` fields holding
+    its target (``message_index`` or ``node``) and its duration
+    (``ticks`` or ``ms``), and the duration a spec's text form
+    defaults to."""
+
+    level: str
+    target: Optional[str] = None
+    unit: Optional[str] = None
+    default: int = 0
+
+
+_WIRE = "message_index"
+
+#: Every fault kind, in sweep order.  No name means two faults.
+FAULT_KINDS: Dict[str, FaultKind] = {
+    "corrupt": FaultKind("message", _WIRE),  # flip a checksum bit
+    "truncate": FaultKind("message", _WIRE),  # lose the last payload byte
+    "drop": FaultKind("message", _WIRE),  # the frame never arrives
+    "duplicate": FaultKind("message", _WIRE),  # ... arrives twice
+    "reorder": FaultKind("message", _WIRE),  # overtaken by the next one
+    "hang": FaultKind("message", _WIRE, "ticks", DEFAULT_NODE_BUDGET + 1),
+    "crash": FaultKind("message", "node"),  # PeerCrash entering the node
+    "perturb_share": FaultKind("input"),  # +1 on one input share
+    "kill-node": FaultKind("process", "node"),  # SIGKILL self
+    "kill-wire": FaultKind("process", _WIRE),  # SIGKILL self
+    "disconnect": FaultKind("process", _WIRE),  # force-close the socket
+    "stall": FaultKind("process", _WIRE, "ms", 400),  # freeze
+    "partition": FaultKind("process", _WIRE, "ms", 400),  # both
+}
+
+
+def kinds_of(*levels: str) -> Tuple[str, ...]:
+    """The table's kinds at the given levels, in table order."""
+    return tuple(k for k, v in FAULT_KINDS.items() if v.level in levels)
+
+
+#: What ``repro chaos`` sweeps at each ``--level``.
+MESSAGE_FAULT_KINDS = kinds_of("message")
+PROCESS_FAULT_KINDS = kinds_of("process")
+
+_FIELDS = ("kind", "message_index", "node", "party", "ticks", "ms")
+#: The target and duration fields, each with its unset value.
+_SLOTS = (("message_index", None), ("node", None), ("ticks", 0), ("ms", 0))
+_SYNTAX = re.compile(
+    r"(?P<kind>[a-z_-]+)(?:@(?P<at>\d+))?(?::(?P<duration>\d+))?"
+    r"(?:/(?P<party>[a-z]+))?"
 )
-
-FAULT_KINDS = MESSAGE_FAULT_KINDS + ("crash", "perturb_share")
-
-_FIELDS = ("kind", "message_index", "node", "party", "ticks")
-
-
-def _is_count(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One injected fault, fully determined by its fields."""
+    """One injected fault, fully determined by its fields.  A spec sets
+    exactly the fields its kind reads (see :data:`FAULT_KINDS`)."""
 
     kind: str
-    message_index: Optional[int] = None  #: wire index for message faults
-    node: Optional[int] = None  #: plan-node id for ``crash``
-    party: Optional[str] = None  #: crashing party for ``crash``
-    ticks: int = 0  #: stall duration for ``hang``
+    message_index: Optional[int] = None  #: wire index the kind targets
+    node: Optional[int] = None  #: plan-node id the kind targets
+    party: Optional[str] = None  #: the faulted party (crash, process)
+    ticks: int = 0  #: virtual-tick duration (``hang``)
+    ms: int = 0  #: wall-clock duration (``stall``, ``partition``)
 
     def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
+        kind = FAULT_KINDS.get(self.kind)
+        if kind is None:
             raise ValueError(f"unknown fault kind {self.kind!r}")
-        for name in ("message_index", "node", "ticks"):
+        if self.party not in (None, ALICE, BOB):
+            raise ValueError(f"unknown fault party {self.party!r}")
+        if kind.target is not None and getattr(self, kind.target) is None:
+            raise ValueError(f"{self.kind!r} fault needs a {kind.target}")
+        for name, unset in _SLOTS:
             value = getattr(self, name)
-            if value is not None and not _is_count(value):
+            if value == unset:
+                continue
+            if name not in (kind.target, kind.unit):
+                raise ValueError(f"{self.kind!r} fault takes no {name}")
+            if isinstance(value, bool) or not isinstance(value, int) or (
+                value < 0
+            ):
                 raise ValueError(
                     f"fault {name} must be a non-negative int, "
                     f"got {value!r}"
                 )
-        if self.party not in (None, ALICE, BOB):
-            raise ValueError(f"unknown fault party {self.party!r}")
-        if self.kind in MESSAGE_FAULT_KINDS and self.message_index is None:
-            raise ValueError(f"{self.kind!r} fault needs a message_index")
-        if self.kind == "crash" and self.node is None:
-            raise ValueError("crash fault needs a node id")
+
+    @property
+    def level(self) -> str:
+        return FAULT_KINDS[self.kind].level
+
+    @property
+    def at(self) -> Optional[int]:
+        """The wire index or plan node the fault targets."""
+        target = FAULT_KINDS[self.kind].target
+        return getattr(self, target) if target is not None else None
+
+    @staticmethod
+    def make(
+        kind: str,
+        at: Optional[int] = None,
+        party: Optional[str] = None,
+        duration: Optional[int] = None,
+    ) -> "FaultSpec":
+        """Build a spec by role rather than by field: ``at`` lands in
+        the kind's target field, ``duration`` (default: the table's)
+        in its unit field."""
+        row = FAULT_KINDS.get(kind, FaultKind(""))
+        fields: Dict[str, Any] = {}
+        if at is not None:
+            fields[row.target or _WIRE] = at
+        if duration is not None or row.unit is not None:
+            fields[row.unit or "ticks"] = (
+                row.default if duration is None else duration
+            )
+        return FaultSpec(kind, party=party, **fields)
+
+    @staticmethod
+    def parse(text: str) -> "FaultSpec":
+        """Inverse of ``str(spec)``: ``KIND[@AT][:DURATION][/PARTY]``."""
+        m = _SYNTAX.fullmatch(text.strip())
+        if m is None:
+            raise ValueError(
+                f"malformed fault spec {text!r} "
+                "(expected KIND[@AT][:DURATION][/PARTY])"
+            )
+        at, duration = (
+            None if g is None else int(g) for g in (m["at"], m["duration"])
+        )
+        return FaultSpec.make(m["kind"], at, m["party"], duration)
+
+    def __str__(self) -> str:
+        row = FAULT_KINDS[self.kind]
+        text = self.kind
+        if row.target is not None:
+            text += f"@{self.at}"
+        if row.unit is not None:
+            text += f":{getattr(self, row.unit)}"
+        if self.party is not None:
+            text += f"/{self.party}"
+        return text
 
     def to_json(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "message_index": self.message_index,
-            "node": self.node,
-            "party": self.party,
-            "ticks": self.ticks,
-        }
+        return {name: getattr(self, name) for name in _FIELDS}
 
     @staticmethod
     def from_json(d: Dict[str, Any]) -> "FaultSpec":
@@ -111,25 +218,14 @@ class FaultSpec:
             raise ValueError(f"unknown fault field(s) {unknown}")
         return FaultSpec(**d)
 
-    def __str__(self) -> str:
-        where = []
-        if self.message_index is not None:
-            where.append(f"msg={self.message_index}")
-        if self.node is not None:
-            where.append(f"node={self.node}")
-        if self.party is not None:
-            where.append(f"party={self.party}")
-        if self.ticks:
-            where.append(f"ticks={self.ticks}")
-        return f"{self.kind}({', '.join(where)})"
-
 
 class FaultPlan:
-    """A set of one-shot fault specs the session consults.
+    """A set of one-shot fault specs the session and transport consult.
 
-    ``for_message`` / ``for_node`` return (and consume) the first
-    un-fired spec matching the probe; :meth:`fresh` returns an un-fired
-    copy for the next run of a campaign.
+    ``for_message`` / ``for_node`` / ``for_exchange`` return (and
+    consume) the first un-fired spec matching the probe;
+    :meth:`fresh` returns an un-fired copy for the next run of a
+    campaign.
     """
 
     def __init__(self, specs: Sequence[FaultSpec] = ()) -> None:
@@ -145,36 +241,45 @@ class FaultPlan:
     def fresh(self) -> "FaultPlan":
         return FaultPlan(self.specs)
 
-    @property
-    def fired(self) -> List[FaultSpec]:
-        return [self.specs[i] for i in sorted(self._fired)]
+    def _take(
+        self, levels: Tuple[str, ...], target: str, at: int
+    ) -> Optional[FaultSpec]:
+        for i, spec in enumerate(self.specs):
+            row = FAULT_KINDS[spec.kind]
+            if i not in self._fired and row.level in levels and (
+                row.target == target and spec.at == at
+            ):
+                self._fired.add(i)
+                return spec
+        return None
 
     def for_message(self, wire_index: int) -> Optional[FaultSpec]:
-        for i, spec in enumerate(self.specs):
-            if (
-                i not in self._fired
-                and spec.kind in MESSAGE_FAULT_KINDS
-                and spec.message_index == wire_index
-            ):
-                self._fired.add(i)
-                return spec
-        return None
+        """A message fault at the session's wire index."""
+        return self._take(("message",), _WIRE, wire_index)
+
+    def for_exchange(self, index: int) -> Optional[FaultSpec]:
+        """A process fault at the transport's exchange count."""
+        return self._take(("process",), _WIRE, index)
 
     def for_node(self, node_id: int) -> Optional[FaultSpec]:
-        for i, spec in enumerate(self.specs):
-            if (
-                i not in self._fired
-                and spec.kind == "crash"
-                and spec.node == node_id
-            ):
-                self._fired.add(i)
-                return spec
-        return None
+        """A ``crash`` or ``kill-node`` entering plan node ``node_id``."""
+        return self._take(("message", "process"), "node", node_id)
 
     def input_faults(self) -> List[FaultSpec]:
         """The semantic (pre-run) faults: applied to the secret-shared
         inputs before the protocol starts."""
-        return [s for s in self.specs if s.kind == "perturb_share"]
+        return [s for s in self.specs if s.level == "input"]
+
+    def without_process(self) -> "FaultPlan":
+        """This plan minus its process-level specs, fired state kept:
+        what a journalled checkpoint may carry.  A kill spec pickled
+        into the journal would SIGKILL the resumed party again."""
+        keep = [
+            i for i, s in enumerate(self.specs) if s.level != "process"
+        ]
+        plan = FaultPlan([self.specs[i] for i in keep])
+        plan._fired = {j for j, i in enumerate(keep) if i in self._fired}
+        return plan
 
     def to_json(self) -> List[Dict[str, Any]]:
         return [s.to_json() for s in self.specs]

@@ -1,14 +1,15 @@
-"""Process-level chaos: kill, drop, stall and partition real parties.
+"""Process-level chaos: kill, disconnect, stall and partition real parties.
 
 The PR-5 chaos harness perturbs *frames* inside one process; this one
 perturbs *processes and sockets*.  Every scenario launches the two
 parties of a query as separate OS processes (``python -m repro net``)
-talking TCP over localhost, injects exactly one process-level fault
-into one of them, lets the built-in recovery machinery do its work —
-transparent reconnect for connection faults, restart + ``--resume``
-over the durable journal for kills — and hands what it observed to the
-shared classifier (:func:`repro.runtime.chaos.classify`), judged
-against the solo in-process baseline: a party that exited 0
+talking TCP over localhost, injects exactly one process-level
+:class:`~repro.runtime.faults.FaultSpec` into one of them (as
+``repro net --fault SPEC``), lets the built-in recovery machinery do
+its work — transparent reconnect for connection faults, restart +
+``--resume`` over the durable journal for kills — and hands what it
+observed to the shared classifier (:func:`repro.runtime.chaos.classify`),
+judged against the solo in-process baseline: a party that exited 0
 contributes its run profile, one that exited 2 its abort payload, and
 a hung scenario or any other exit code is a VIOLATION outright.
 
@@ -25,118 +26,18 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..mpc.transcript import ALICE, BOB
-from .chaos import (
-    Outcome,
-    Report,
-    RunProfile,
-    classify,
-    fault_points,
-    sweep,
-)
+from .chaos import Outcome, Report, RunProfile, build_specs, classify, sweep
+from .faults import PROCESS_FAULT_KINDS, FaultSpec
 from .netrun import NetConfig, profile_from_json, solo_profile
 from .transport import free_port
 
 __all__ = [
-    "PROCESS_FAULT_KINDS",
-    "ProcessFaultSpec",
-    "build_process_specs",
     "run_scenario",
     "sweep_processes",
 ]
-
-#: Fault kinds the process-level sweep injects.  ``kill-node`` /
-#: ``kill-wire`` SIGKILL one party (recovered via ``--resume``);
-#: ``drop`` force-closes the TCP connection once; ``stall`` freezes
-#: one party mid-exchange; ``partition`` drops the connection *and*
-#: freezes, so both reconnect paths exercise their backoff.
-PROCESS_FAULT_KINDS = (
-    "kill-node",
-    "kill-wire",
-    "drop",
-    "stall",
-    "partition",
-)
-
-
-@dataclass(frozen=True)
-class ProcessFaultSpec:
-    """One process-level fault, fully determined by its fields."""
-
-    kind: str
-    party: str = BOB
-    node: Optional[int] = None  #: plan-node id for ``kill-node``
-    wire: Optional[int] = None  #: wire-exchange index for the rest
-    ms: int = 400  #: stall/partition duration
-
-    def __post_init__(self) -> None:
-        if self.kind not in PROCESS_FAULT_KINDS:
-            raise ValueError(f"unknown process fault {self.kind!r}")
-        if self.kind == "kill-node" and self.node is None:
-            raise ValueError("kill-node needs a node id")
-        if self.kind != "kill-node" and self.wire is None:
-            raise ValueError(f"{self.kind} needs a wire index")
-
-    @property
-    def is_kill(self) -> bool:
-        return self.kind in ("kill-node", "kill-wire")
-
-    def flags(self) -> List[str]:
-        """CLI flags injecting this fault into the target party."""
-        if self.kind == "kill-node":
-            return ["--kill-at-node", str(self.node)]
-        if self.kind == "kill-wire":
-            return ["--kill-at-wire", str(self.wire)]
-        if self.kind == "drop":
-            return ["--drop-at-wire", str(self.wire)]
-        if self.kind == "stall":
-            return [
-                "--stall-at-wire", str(self.wire),
-                "--stall-ms", str(self.ms),
-            ]
-        return [
-            "--partition-at-wire", str(self.wire),
-            "--partition-ms", str(self.ms),
-        ]
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "party": self.party,
-            "node": self.node,
-            "wire": self.wire,
-            "ms": self.ms,
-        }
-
-    def __str__(self) -> str:
-        where = []
-        if self.node is not None:
-            where.append(f"node={self.node}")
-        if self.wire is not None:
-            where.append(f"wire={self.wire}")
-        where.append(f"party={self.party}")
-        return f"{self.kind}({', '.join(where)})"
-
-
-def build_process_specs(
-    baseline: RunProfile,
-    kinds: Sequence[str] = PROCESS_FAULT_KINDS,
-    stride: int = 6,
-    fault_ms: int = 400,
-) -> List[ProcessFaultSpec]:
-    """The sweep's scenarios: a kill at every plan node, and every
-    ``stride``-th wire-exchange index for the connection-level kinds."""
-    return [
-        ProcessFaultSpec(kind, node=node, party=party)
-        if wire is None
-        else ProcessFaultSpec(kind, wire=wire, party=party, ms=fault_ms)
-        for kind, node, wire, party in fault_points(
-            baseline, kinds, "kill-node", stride
-        )
-    ]
 
 
 # -- scenario execution ------------------------------------------------
@@ -161,7 +62,7 @@ def _party_cmd(
     endpoint: str,
     journal: str,
     out: str,
-    fault: Optional[ProcessFaultSpec],
+    fault: Optional[FaultSpec],
     resume: bool = False,
     python: str = sys.executable,
 ) -> List[str]:
@@ -182,7 +83,7 @@ def _party_cmd(
     if resume:
         cmd.append("--resume")
     elif fault is not None and fault.party == role:
-        cmd.extend(fault.flags())
+        cmd.extend(["--fault", str(fault)])
     return cmd
 
 
@@ -198,7 +99,7 @@ def _read_outcome(path: str) -> Optional[Dict[str, Any]]:
 def run_scenario(
     config: NetConfig,
     baseline: RunProfile,
-    fault: Optional[ProcessFaultSpec],
+    fault: Optional[FaultSpec],
     workdir: str,
     timeout_s: float = 120.0,
     python: str = sys.executable,
@@ -240,7 +141,7 @@ def run_scenario(
             launch(role)
         deadline = time.monotonic() + timeout_s
 
-        if fault is not None and fault.is_kill:
+        if fault is not None and fault.kind in ("kill-node", "kill-wire"):
             victim = procs[fault.party]
             try:
                 victim.wait(timeout=timeout_s)
@@ -301,18 +202,19 @@ def sweep_processes(
     stride: int = 6,
     workdir: str = ".",
     timeout_s: float = 120.0,
-    fault_ms: int = 400,
     python: str = sys.executable,
     on_progress: Optional[Callable[[int, int, Outcome], None]] = None,
 ) -> Report:
     """Baseline solo, smoke the no-fault two-process run, then
-    classify every scenario from :func:`build_process_specs`."""
+    classify every process-level fault point of :func:`build_specs`:
+    a kill at every plan node, every ``stride``-th wire index for the
+    connection-level kinds."""
     baseline = solo_profile(config)
-    specs: List[Optional[ProcessFaultSpec]] = [None]
-    specs.extend(build_process_specs(baseline, kinds, stride, fault_ms))
+    specs: List[Optional[FaultSpec]] = [None]
+    specs.extend(build_specs(baseline, kinds, stride))
     numbers = itertools.count()
 
-    def run_one(spec: Optional[ProcessFaultSpec]) -> Outcome:
+    def run_one(spec: Optional[FaultSpec]) -> Outcome:
         scenario_dir = os.path.join(
             workdir, f"scenario-{next(numbers):03d}"
         )

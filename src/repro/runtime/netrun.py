@@ -29,16 +29,16 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..mpc.context import Mode
 from ..mpc.transcript import ALICE, BOB
 from .chaos import RunProfile, make_tpch_runner, profile_run
 from .durable import DurableStore, revive
-from .faults import FaultPlan
+from .faults import FaultPlan, FaultSpec
 from .session import DEFAULT_NODE_BUDGET, enable_session
 from .supervisor import RetryPolicy
-from .transport import ProcessFaults, ReconnectPolicy, SocketTransport
+from .transport import ReconnectPolicy, SocketTransport
 
 __all__ = [
     "NET_QUERIES",
@@ -78,7 +78,8 @@ class NetConfig:
     heartbeat_s: float = 0.25
     idle_timeout_s: float = 10.0
     exchange_deadline_s: float = 120.0
-    faults: Optional[ProcessFaults] = None
+    #: Process-level faults this party fires on itself (chaos hooks).
+    faults: Sequence[FaultSpec] = ()
 
     def __post_init__(self) -> None:
         if self.role not in (ALICE, BOB):
@@ -88,6 +89,11 @@ class NetConfig:
                 f"net mode supports {NET_QUERIES}, not {self.query!r}"
             )
         self.query = self.query.upper()
+        for spec in self.faults:
+            if spec.level != "process" or spec.party not in (
+                None, self.role,
+            ):
+                raise ValueError(f"{spec} is no fault of {self.role}'s")
 
     @property
     def session_id(self) -> str:
@@ -220,7 +226,7 @@ def run_party(config: NetConfig) -> Dict[str, Any]:
     # Net mode fails closed on in-node faults: recovery is --resume.
     session.retry_policy = RetryPolicy(max_attempts=1)
     session.durable = store
-    session.process_faults = config.faults
+    session.faults = FaultPlan(config.faults)
 
     transport: Optional[SocketTransport] = None
     if config.listen is not None or config.connect is not None:
@@ -230,7 +236,6 @@ def run_party(config: NetConfig) -> Dict[str, Any]:
             listen=config.listen,
             connect=config.connect,
             reconnect=config.reconnect,
-            faults=config.faults,
             seed=config.seed,
             heartbeat_s=config.heartbeat_s,
             idle_timeout_s=config.idle_timeout_s,

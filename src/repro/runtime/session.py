@@ -7,9 +7,9 @@ becomes a framed, sequence-numbered, checksummed message
 against the current plan node's deadline, and an attached
 :class:`~repro.runtime.faults.FaultPlan` can deterministically corrupt,
 truncate, drop, duplicate, reorder or stall any wire message, or crash
-a party at a plan node.  Detected faults raise the typed aborts of
-:mod:`repro.runtime.aborts`; the supervisor turns retryable aborts into
-checkpoint retries.
+(in ``repro net``, SIGKILL) a party at a plan node.  Detected faults
+raise the typed aborts of :mod:`repro.runtime.aborts`; the supervisor
+turns retryable aborts into checkpoint retries.
 
 Two invariants the tests pin down:
 
@@ -25,6 +25,8 @@ Two invariants the tests pin down:
 
 from __future__ import annotations
 
+import os
+import signal
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -36,7 +38,7 @@ from .aborts import (
     TimeoutAbort,
 )
 from .clock import VirtualClock
-from .faults import FaultPlan
+from .faults import DEFAULT_NODE_BUDGET, FaultPlan
 from .framing import FRAME_HEADER_BYTES, Frame, make_frame, verify_frame
 from .framing import corrupted as _corrupted
 from .framing import truncated as _truncated
@@ -46,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mpc.context import Context
     from .checkpoint import Checkpoint
     from .durable import DurableStore
-    from .transport import ProcessFaults, SocketTransport
+    from .transport import SocketTransport
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -54,13 +56,6 @@ __all__ = [
     "Session",
     "enable_session",
 ]
-
-#: Virtual ticks a plan node may consume before its deadline expires.
-#: Deliveries cost one tick each; real nodes use a few hundred at most,
-#: so only an injected ``hang`` (or a genuinely stalled channel) can
-#: exhaust this.
-DEFAULT_NODE_BUDGET = 1 << 20
-
 
 @dataclass(frozen=True)
 class SessionState:
@@ -93,13 +88,12 @@ class Session:
         self.retry_policy: Optional[object] = None
         #: Process-local hooks of a two-process run (``repro net``):
         #: the socket transport every delivered frame is exchanged
-        #: through, the durable journal the supervisor commits
-        #: checkpoints to, and the process-level chaos faults.  All
-        #: three are ephemeral — :meth:`__getstate__` nulls them, and
+        #: through and the durable journal the supervisor commits
+        #: checkpoints to.  Both are ephemeral — :meth:`__getstate__`
+        #: nulls them (and drops the plan's process-level faults), and
         #: the resume path re-wires fresh ones.
         self.wire: Optional["SocketTransport"] = None
         self.durable: Optional["DurableStore"] = None
-        self.process_faults: Optional["ProcessFaults"] = None
         self._seq: Dict[str, int] = {ALICE: 0, BOB: 0}
         self._expected: Dict[str, int] = {ALICE: 0, BOB: 0}
         self._held: Dict[str, Frame] = {}
@@ -194,14 +188,15 @@ class Session:
 
     def begin_node(self, node_id: int, label: str = "") -> None:
         """Enter a plan node: arm its deadline and fire any node-scoped
-        fault (a party crash) before work starts."""
-        if self.process_faults is not None:
-            self.process_faults.at_node(node_id)
+        fault (a party crash, or a ``kill-node`` SIGKILL) before work
+        starts."""
+        spec = self.faults.for_node(node_id)
+        if spec is not None and spec.level == "process":
+            os.kill(os.getpid(), signal.SIGKILL)
         self.node = node_id
         self.node_label = label
         self.nodes_seen.append(node_id)
         self.deadline = self.clock.now + self.node_budget
-        spec = self.faults.for_node(node_id)
         if spec is not None:
             raise PeerCrash(
                 "peer-crashed",
@@ -258,12 +253,13 @@ class Session:
 
     def __getstate__(self) -> Dict[str, object]:
         """Pickled sessions (durable checkpoints) drop the
-        process-local hooks: sockets, journal file handles and chaos
-        hooks neither pickle nor belong to the resumed process."""
+        process-local hooks: sockets and journal file handles neither
+        pickle nor belong to the resumed process, and a journalled
+        process-level fault would fire again in it."""
         state = self.__dict__.copy()
         state["wire"] = None
         state["durable"] = None
-        state["process_faults"] = None
+        state["faults"] = self.faults.without_process()
         return state
 
     def state(self) -> SessionState:

@@ -58,8 +58,8 @@ import struct
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -68,12 +68,12 @@ from .aborts import TransportAbort
 from .framing import Frame
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .faults import FaultSpec
     from .session import Session
 
 __all__ = [
     "WIRE_MAGIC",
     "ReconnectPolicy",
-    "ProcessFaults",
     "SocketTransport",
     "free_port",
 ]
@@ -130,66 +130,6 @@ class ReconnectPolicy:
         return delays
 
 
-@dataclass
-class ProcessFaults:
-    """Process-level fault injection for the chaos harness.
-
-    Unlike PR-5's in-session :class:`~repro.runtime.faults.FaultPlan`
-    (which perturbs *frames*), these faults hit the OS process and the
-    socket: SIGKILL at a plan node or wire exchange, a forced
-    connection drop, a stall, or a partition (drop + refuse to talk
-    for a while).  Each fires once."""
-
-    kill_at_node: Optional[int] = None
-    kill_at_wire: Optional[int] = None
-    drop_at_wire: Optional[int] = None
-    stall_at_wire: Optional[int] = None
-    stall_ms: int = 0
-    partition_at_wire: Optional[int] = None
-    partition_ms: int = 0
-    _fired: Set[str] = field(default_factory=set)
-
-    def at_node(self, node_id: int) -> None:
-        if (
-            self.kill_at_node is not None
-            and node_id == self.kill_at_node
-            and "kill_node" not in self._fired
-        ):
-            self._fired.add("kill_node")
-            os.kill(os.getpid(), signal.SIGKILL)
-
-    def at_wire(self, wire: int, transport: "SocketTransport") -> None:
-        if (
-            self.kill_at_wire is not None
-            and wire == self.kill_at_wire
-            and "kill_wire" not in self._fired
-        ):
-            self._fired.add("kill_wire")
-            os.kill(os.getpid(), signal.SIGKILL)
-        if (
-            self.drop_at_wire is not None
-            and wire == self.drop_at_wire
-            and "drop" not in self._fired
-        ):
-            self._fired.add("drop")
-            transport.force_drop()
-        if (
-            self.stall_at_wire is not None
-            and wire == self.stall_at_wire
-            and "stall" not in self._fired
-        ):
-            self._fired.add("stall")
-            time.sleep(self.stall_ms / 1000.0)
-        if (
-            self.partition_at_wire is not None
-            and wire == self.partition_at_wire
-            and "partition" not in self._fired
-        ):
-            self._fired.add("partition")
-            transport.force_drop()
-            time.sleep(self.partition_ms / 1000.0)
-
-
 def _encode(msg_type: int, payload: bytes) -> bytes:
     return _MSG_HEADER.pack(WIRE_MAGIC, msg_type, len(payload)) + payload
 
@@ -237,7 +177,6 @@ class SocketTransport:
         listen: Optional[Tuple[str, int]] = None,
         connect: Optional[Tuple[str, int]] = None,
         reconnect: Optional[ReconnectPolicy] = None,
-        faults: Optional[ProcessFaults] = None,
         seed: int = 0,
         heartbeat_s: float = 0.5,
         idle_timeout_s: float = 15.0,
@@ -254,7 +193,6 @@ class SocketTransport:
         self.listen = listen
         self.connect = connect
         self.reconnect = reconnect or ReconnectPolicy()
-        self.faults = faults
         self.seed = int(seed)
         self.heartbeat_s = float(heartbeat_s)
         self.idle_timeout_s = float(idle_timeout_s)
@@ -365,11 +303,6 @@ class SocketTransport:
             self._listener.close()
             self._listener = None
 
-    def force_drop(self) -> None:
-        """Chaos hook: tear down the live connection (the next exchange
-        reconnects transparently)."""
-        self._drop_socket()
-
     def _drop_socket(self) -> None:
         with self._send_lock:
             if self._sock is not None:
@@ -386,15 +319,32 @@ class SocketTransport:
         """Called by the session for every frame, in the global
         deterministic delivery order.  Own-role frames are transmitted;
         peer-role frames block until the peer's copy arrives and is
-        verified against the local mirror."""
+        verified against the local mirror.  At most one process-level
+        fault of the session's plan fires first, keyed on this exchange
+        count."""
         wire = self._wire_count
         self._wire_count += 1
-        if self.faults is not None:
-            self.faults.at_wire(wire, self)
+        spec = (
+            self.session.faults.for_exchange(wire)
+            if self.session is not None
+            else None
+        )
+        if spec is not None:
+            self._fire(spec)
         if frame.sender == self.role:
             self._transmit(frame)
         else:
             self._await_peer(frame)
+
+    def _fire(self, spec: "FaultSpec") -> None:
+        """Chaos hook: a dropped connection is recovered by the next
+        exchange's transparent reconnect, a SIGKILL by ``--resume``."""
+        if spec.kind == "kill-wire":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if spec.kind in ("disconnect", "partition"):
+            self._drop_socket()
+        if spec.kind in ("stall", "partition"):
+            time.sleep(spec.ms / 1000.0)
 
     def ack(self, expected: Dict[str, int]) -> None:
         """Durable acknowledgement: tells the peer every frame below

@@ -38,7 +38,6 @@ from ..runtime.chaos import (
     sweep,
 )
 from ..runtime.faults import MESSAGE_FAULT_KINDS, FaultPlan, FaultSpec
-from ..runtime.session import DEFAULT_NODE_BUDGET
 from .service import QueryService
 from .session import DONE, QueryRequest
 from .workload import run_solo
@@ -54,9 +53,8 @@ def isolation_sweep(
     make_victim: RequestFactory,
     make_observer: RequestFactory,
     interleave: str = "round_robin",
-    kinds: Sequence[str] = MESSAGE_FAULT_KINDS + ("crash",),
+    kinds: Sequence[str] = MESSAGE_FAULT_KINDS,
     stride: int = 1,
-    hang_ticks: int = DEFAULT_NODE_BUDGET + 1,
     on_progress: Optional[Callable[[int, int, Outcome], None]] = None,
 ) -> Report:
     """Sweep every fault point in the victim; require the observer's
@@ -97,7 +95,7 @@ def isolation_sweep(
         return classify(spec, victim_baseline, **seen)
 
     report = sweep(
-        build_specs(victim_baseline, kinds, stride, hang_ticks),
+        build_specs(victim_baseline, kinds, stride),
         run_one,
         victim_baseline,
         on_progress,

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..mpc.context import Mode
-from ..runtime.chaos import RunProfile
 from .service import QueryService, ServiceReport
 from .session import DONE, QueryRequest, QuerySession
 
@@ -130,11 +129,7 @@ def run_workload(
                 continue
             solo = run_solo(session.request)
             assert solo.profile is not None
-            result.solo_deltas[session.request.name] = _diff(
-                session.profile, solo.profile
+            result.solo_deltas[session.request.name] = (
+                session.profile.diff(solo.profile)
             )
     return result
-
-
-def _diff(concurrent: RunProfile, solo: RunProfile) -> str:
-    return concurrent.diff(solo)

@@ -66,7 +66,7 @@ def serve_report(tmp_path):
 
 def process_report(tmp_path):
     return sweep_processes(
-        CONFIG, kinds=("drop",), stride=40, workdir=str(tmp_path),
+        CONFIG, kinds=("disconnect",), stride=40, workdir=str(tmp_path),
         timeout_s=90.0,
     )
 

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.runtime import FAULT_KINDS, FaultSpec, kinds_of
 
 
 def test_import_needs_only_declared_dependencies():
@@ -128,7 +129,7 @@ class TestChaosIsNeverVacuous:
             ([], "repro.runtime.chaos.build_specs"),
             (
                 ["--level", "process"],
-                "repro.runtime.netchaos.build_process_specs",
+                "repro.runtime.netchaos.build_specs",
             ),
         ],
     )
@@ -139,6 +140,36 @@ class TestChaosIsNeverVacuous:
         assert main(["chaos", "--sweep", "quick", *argv]) == 1
         out = capsys.readouterr().out
         assert "0 fault points" in out and "FAILED" in out
+
+
+class TestFaultKindChoices:
+    """Every CLI that names a fault kind accepts exactly the kind
+    table's kinds for its level(s), and nothing else."""
+
+    CLIS = {
+        "chaos": (("message", "process"), ["chaos", "--kinds", "{kind}"]),
+        "serve": (("message",), ["serve", "--kinds", "{kind}"]),
+        "fuzz": (("message", "input"), ["fuzz", "--inject-fault", "{spec}"]),
+        "net": (("process",), ["net", "--role", "bob", "--fault", "{spec}"]),
+    }
+
+    @pytest.mark.parametrize("cli", sorted(CLIS))
+    def test_choices_are_the_tables_kinds(self, cli, capsys):
+        levels, template = self.CLIS[cli]
+        parser = build_parser()
+        accepted = []
+        for kind, row in FAULT_KINDS.items():
+            spec = FaultSpec.make(kind, None if row.target is None else 0)
+            argv = [
+                a.format(kind=kind, spec=spec) for a in template
+            ]
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                continue
+            accepted.append(kind)
+        capsys.readouterr()
+        assert tuple(accepted) == kinds_of(*levels)
 
 
 class TestServeAdmitsAndRejectsTpch:

@@ -3,7 +3,7 @@
 Each test here launches both parties of Q3 as separate OS processes
 (``python -m repro net``) over a localhost TCP socket and checks the
 tentpole equality: whatever is done to the processes — nothing, a
-SIGKILL mid-plan followed by ``--resume``, a dropped connection, a
+SIGKILL mid-plan followed by ``--resume``, a forced disconnect, a
 partition — both parties' run profiles (rows, per-section accounting,
 transcript fingerprint) must come out byte-identical to the solo
 in-process baseline.
@@ -11,10 +11,13 @@ in-process baseline.
 
 import pytest
 
+from repro.cli import build_parser
 from repro.runtime import (
+    PROCESS_FAULT_KINDS,
+    FaultSpec,
     NetConfig,
-    ProcessFaultSpec,
-    build_process_specs,
+    build_specs,
+    netchaos,
     run_scenario,
     solo_profile,
 )
@@ -45,14 +48,14 @@ class TestTwoProcess:
         node = baseline.nodes_seen[len(baseline.nodes_seen) // 2]
         outcome = scenario(
             baseline, tmp_path,
-            ProcessFaultSpec("kill-node", node=node, party="bob"),
+            FaultSpec("kill-node", node=node, party="bob"),
         )
         assert outcome.resumed
 
     def test_sigkill_at_first_node(self, baseline, tmp_path):
         outcome = scenario(
             baseline, tmp_path,
-            ProcessFaultSpec(
+            FaultSpec(
                 "kill-node", node=baseline.nodes_seen[0], party="alice"
             ),
         )
@@ -61,7 +64,7 @@ class TestTwoProcess:
     def test_sigkill_at_last_node(self, baseline, tmp_path):
         outcome = scenario(
             baseline, tmp_path,
-            ProcessFaultSpec(
+            FaultSpec(
                 "kill-node", node=baseline.nodes_seen[-1], party="bob"
             ),
         )
@@ -72,8 +75,8 @@ class TestTwoProcess:
     ):
         outcome = scenario(
             baseline, tmp_path,
-            ProcessFaultSpec(
-                "drop", wire=baseline.n_messages // 2, party="bob"
+            FaultSpec.make(
+                "disconnect", baseline.n_messages // 2, party="bob"
             ),
         )
         assert not outcome.resumed  # no restart: in-transport recovery
@@ -82,39 +85,62 @@ class TestTwoProcess:
     def test_partition_heals(self, baseline, tmp_path):
         outcome = scenario(
             baseline, tmp_path,
-            ProcessFaultSpec("partition", wire=10, party="alice", ms=300),
+            FaultSpec.parse("partition@10:300/alice"),
         )
         assert outcome.reconnects >= 1
 
 
 class TestSpecBuilder:
     def test_kill_covers_every_node(self, baseline):
-        specs = build_process_specs(baseline, kinds=("kill-node",))
+        specs = build_specs(baseline, kinds=("kill-node",))
         assert sorted(s.node for s in specs) == sorted(
             baseline.nodes_seen
         )
         assert {s.party for s in specs} == {"alice", "bob"}
 
     def test_wire_kinds_stride(self, baseline):
-        specs = build_process_specs(
-            baseline, kinds=("drop",), stride=10
-        )
-        assert [s.wire for s in specs] == list(
+        specs = build_specs(baseline, kinds=("disconnect",), stride=10)
+        assert [s.message_index for s in specs] == list(
             range(0, baseline.n_messages, 10)
         )
+        # Process faults target a party; the parties alternate.
+        assert {s.party for s in specs} == {"alice", "bob"}
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            ProcessFaultSpec("kill-node")  # needs a node
+            FaultSpec("kill-node")  # needs a node
         with pytest.raises(ValueError):
-            ProcessFaultSpec("drop")  # needs a wire index
+            FaultSpec("disconnect")  # needs a wire index
         with pytest.raises(ValueError):
-            ProcessFaultSpec("nonsense", wire=0)
+            FaultSpec("nonsense", message_index=0)
+        with pytest.raises(ValueError):
+            FaultSpec("kill-node", node=1, ms=5)  # kills take no time
+        with pytest.raises(ValueError):
+            NetConfig(role="alice", faults=[FaultSpec.parse("corrupt@3")])
+        with pytest.raises(ValueError):
+            NetConfig(role="alice", faults=[FaultSpec.parse("stall@1/bob")])
 
     def test_flags_round_trip_kinds(self):
-        assert ProcessFaultSpec("kill-node", node=3).flags() == [
-            "--kill-at-node", "3",
-        ]
-        assert ProcessFaultSpec("partition", wire=5, ms=250).flags() == [
-            "--partition-at-wire", "5", "--partition-ms", "250",
-        ]
+        # The harness hands the target party `--fault str(spec)`; the
+        # party's own parser must read back the identical spec.  The
+        # other party and a resumed party get no fault.
+        for kind in PROCESS_FAULT_KINDS:
+            spec = FaultSpec.make(kind, 5, party="bob")
+            cmd = netchaos._party_cmd(
+                CONFIG, "bob", "127.0.0.1:1", "j", "o", spec
+            )
+            argv = cmd[cmd.index("net"):]
+            assert argv[argv.index("--fault") + 1] == str(spec)
+            assert build_parser().parse_args(argv).fault == [spec]
+            for role, resume in (("alice", False), ("bob", True)):
+                cmd = netchaos._party_cmd(
+                    CONFIG, role, "127.0.0.1:1", "j", "o", spec,
+                    resume=resume,
+                )
+                assert "--fault" not in cmd
+
+    def test_kill_at_node_is_a_kill_node_spec(self):
+        args = build_parser().parse_args(
+            ["net", "--role", "bob", "--kill-at-node", "4"]
+        )
+        assert args.fault == [FaultSpec("kill-node", node=4)]

@@ -17,6 +17,7 @@ Four layers:
 """
 
 import json
+import pickle
 
 import pytest
 
@@ -31,8 +32,9 @@ from repro.fuzz.runner import (
 )
 from repro.mpc import Context, Engine, Mode
 from repro.mpc.params import SecurityParams
-from repro.mpc.transcript import ALICE, BOB
+from repro.mpc.transcript import ALICE, BOB, Transcript
 from repro.runtime import (
+    FAULT_KINDS,
     FRAME_HEADER_BYTES,
     FaultPlan,
     FaultSpec,
@@ -41,6 +43,7 @@ from repro.runtime import (
     ProtocolAbort,
     RetryPolicy,
     SequenceAbort,
+    Session,
     Supervisor,
     TimeoutAbort,
     VirtualClock,
@@ -166,6 +169,53 @@ def test_fault_specs_fire_once():
     assert plan.for_message(3) is not None
     assert plan.for_message(3) is None, "one-shot spec re-fired"
     assert plan.fresh().for_message(3) is not None
+
+
+@pytest.mark.parametrize("kind", sorted(FAULT_KINDS))
+def test_every_kind_round_trips_text_and_json(kind):
+    row = FAULT_KINDS[kind]
+    for party in (None, ALICE, BOB):
+        spec = FaultSpec.make(
+            kind, None if row.target is None else 7, party=party,
+            duration=None if row.unit is None else 250,
+        )
+        assert spec.at == (None if row.target is None else 7)
+        assert FaultSpec.parse(str(spec)) == spec
+        assert FaultSpec.from_json(
+            json.loads(json.dumps(spec.to_json()))
+        ) == spec
+    if row.unit is not None:
+        # A duration left out of the text is the table's default.
+        bare = FaultSpec.parse(f"{kind}@7")
+        assert getattr(bare, row.unit) == row.default
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["corrupt", "corrupt@-1", "corrupt@3:5", "crash@x", "perturb_share@1",
+     "stall@2/carol", "kill-node@1:400", "drop@1 extra", ""],
+)
+def test_fault_spec_parse_rejects(text):
+    with pytest.raises(ValueError):
+        FaultSpec.parse(text)
+
+
+def test_process_faults_are_never_journalled():
+    # A kill spec pickled into a checkpoint would SIGKILL the resumed
+    # party again at the same node; message specs keep their latch.
+    plan = FaultPlan([
+        FaultSpec.parse("corrupt@1"),
+        FaultSpec.parse("kill-node@2"),
+        FaultSpec.parse("corrupt@3"),
+        FaultSpec.parse("stall@4:10"),
+    ])
+    assert plan.for_message(3) is not None
+    session = Session(Transcript(), plan)
+    revived = pickle.loads(pickle.dumps(session)).faults
+    assert [str(s) for s in revived.specs] == ["corrupt@1", "corrupt@3"]
+    assert revived.for_message(3) is None, "fired latch lost"
+    assert revived.for_message(1) is not None
+    assert len(session.faults) == 4  # the live plan is untouched
 
 
 # ----------------------------------------------------------------------

@@ -3,24 +3,27 @@
 Two-process integration (real ``repro net`` subprocesses, SIGKILL,
 ``--resume``) lives in ``tests/test_netrun.py``; this file covers the
 transport's in-process surface — the wire codec, the deterministic
-reconnect schedule, the process-fault one-shot latches, and a
+reconnect schedule, where process-level faults fire, and a
 two-transport loopback over a real localhost socket pair driven from
 two threads.
 """
 
 import threading
+import time
 
 import pytest
 
-from repro.mpc.transcript import ALICE, BOB
-from repro.runtime.aborts import TransportAbort
+from repro.mpc.transcript import ALICE, BOB, Transcript
+from repro.runtime import transport as transport_module
+from repro.runtime.aborts import PeerCrash, TransportAbort
+from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.runtime.framing import Frame, frame_digest
+from repro.runtime.session import Session
 from repro.runtime.supervisor import RetryPolicy
 from repro.runtime.transport import (
     _MSG_FRAME,
     _MSG_HEADER,
     WIRE_MAGIC,
-    ProcessFaults,
     ReconnectPolicy,
     SocketTransport,
     _encode,
@@ -126,33 +129,103 @@ class TestRetryJitter:
         assert policy.jittered_backoff(2, 7, 0) == policy.backoff(2)
 
 
-class TestProcessFaults:
+class _Killed(Exception):
+    """Stands in for the SIGKILL a process-level fault sends."""
+
+
+@pytest.fixture
+def no_sigkill(monkeypatch):
+    """Process faults SIGKILL the current process; record the kill and
+    raise instead."""
+    kills = []
+
+    def kill(pid, sig):
+        kills.append(sig)
+        raise _Killed
+
+    monkeypatch.setattr(transport_module.os, "kill", kill)
+    return kills
+
+
+class _Socketless(SocketTransport):
+    """A transport whose socket side only records what ``exchange``
+    did: frames handed on, connections dropped."""
+
+    def __init__(self, specs):
+        super().__init__(
+            role=ALICE, session_id="fake", listen=("127.0.0.1", 0)
+        )
+        self.attach(_SessionStub(FaultPlan(specs)))
+        self.events = []
+
+    def _transmit(self, frame):
+        self.events.append(("frame", frame.seq))
+
+    def _await_peer(self, frame):
+        self.events.append(("frame", frame.seq))
+
+    def _drop_socket(self):
+        self.events.append(("disconnect", None))
+
+
+class TestProcessLevelFaults:
+    """Process faults fire from the session's one FaultPlan, keyed on
+    the transport's exchange count (0-based: the fault at index k
+    fires before the k-th frame is handed on)."""
+
+    def exchange_all(self, transport, n):
+        for i in range(n):
+            transport.exchange(make_frame(i))
+
     def test_wire_faults_fire_once(self):
-        fired = []
+        transport = _Socketless(
+            [FaultSpec("disconnect", message_index=3)]
+        )
+        self.exchange_all(transport, 6)
+        assert transport.events == [
+            ("frame", 0), ("frame", 1), ("frame", 2),
+            ("disconnect", None),
+            ("frame", 3), ("frame", 4), ("frame", 5),
+        ]
+        # Latched: the same index never fires again.
+        assert transport.session.faults.for_exchange(3) is None
 
-        class FakeTransport:
-            def force_drop(self):
-                fired.append("drop")
+    def test_kill_wire_fires_at_the_exchange_index(self, no_sigkill):
+        transport = _Socketless([FaultSpec.parse("kill-wire@2")])
+        with pytest.raises(_Killed):
+            self.exchange_all(transport, 6)
+        assert transport.events == [("frame", 0), ("frame", 1)]
+        assert len(no_sigkill) == 1
 
-        faults = ProcessFaults(drop_at_wire=3)
-        t = FakeTransport()
-        for wire in range(6):
-            faults.at_wire(wire, t)
-        faults.at_wire(3, t)  # replay of the same index: latched
-        assert fired == ["drop"]
+    def test_message_faults_never_fire_in_the_transport(self):
+        transport = _Socketless([FaultSpec("drop", message_index=1)])
+        self.exchange_all(transport, 3)
+        assert ("disconnect", None) not in transport.events
 
     def test_stall_is_bounded(self):
-        faults = ProcessFaults(stall_at_wire=0, stall_ms=1)
-        faults.at_wire(0, None)  # must not need a transport
-        faults.at_wire(0, None)
+        transport = _Socketless([FaultSpec.parse("stall@0:1")])
+        t0 = time.monotonic()
+        self.exchange_all(transport, 2)
+        assert time.monotonic() - t0 < 1.0
+        assert ("disconnect", None) not in transport.events
 
-    def test_node_faults_ignore_other_nodes(self):
-        # kill_at_node SIGKILLs the *current* process, so only probe
-        # the non-matching path here (subprocess coverage is in
-        # test_netrun.py).
-        faults = ProcessFaults(kill_at_node=99)
-        faults.at_node(0)
-        faults.at_node(98)
+    def test_node_faults_ignore_other_nodes(self, no_sigkill):
+        session = Session(
+            Transcript(), FaultPlan([FaultSpec.parse("kill-node@99")])
+        )
+        session.begin_node(0)
+        session.begin_node(98)
+        assert not no_sigkill
+        with pytest.raises(_Killed):
+            session.begin_node(99)
+
+    def test_crash_is_a_peer_crash_not_a_kill(self, no_sigkill):
+        session = Session(
+            Transcript(), FaultPlan([FaultSpec.parse("crash@4/bob")])
+        )
+        with pytest.raises(PeerCrash):
+            session.begin_node(4)
+        assert not no_sigkill
 
 
 class TestFreePort:
@@ -167,10 +240,12 @@ class TestFreePort:
 
 class _SessionStub:
     """The sliver of Session the transport reads: the per-sender
-    delivered-frame counters (``repro net`` attaches the real thing)."""
+    delivered-frame counters and the fault plan (``repro net``
+    attaches the real thing)."""
 
-    def __init__(self):
+    def __init__(self, faults=None):
         self._expected = {ALICE: 0, BOB: 0}
+        self.faults = faults if faults is not None else FaultPlan()
         self.wire = None
         self.node = None
 
@@ -178,19 +253,21 @@ class _SessionStub:
 class TestLoopback:
     """Both roles in one process, over a real localhost socket."""
 
-    def run_party(self, role, port, frames, results, faults=None):
+    def run_party(
+        self, role, port, frames, results, faults=(), reconnect=None
+    ):
         transport = SocketTransport(
             role=role,
             session_id="loopback-test",
             listen=("127.0.0.1", port) if role == ALICE else None,
             connect=("127.0.0.1", port) if role == BOB else None,
-            faults=faults,
+            reconnect=reconnect,
             seed=7,
             heartbeat_s=0.1,
             idle_timeout_s=5.0,
             exchange_deadline_s=20.0,
         )
-        transport.attach(_SessionStub())
+        transport.attach(_SessionStub(FaultPlan(faults)))
         try:
             transport.start()
             for frame in frames:
@@ -212,7 +289,7 @@ class TestLoopback:
             threading.Thread(
                 target=self.run_party,
                 args=(role, port, frames, results),
-                kwargs={"faults": faults_by_role.get(role)},
+                kwargs={"faults": faults_by_role.get(role, ())},
             )
             for role in (ALICE, BOB)
         ]
@@ -249,7 +326,7 @@ class TestLoopback:
         frames = self.mirrored_frames(10)
         results = self.drive(
             frames,
-            faults_by_role={BOB: ProcessFaults(drop_at_wire=4)},
+            faults_by_role={BOB: [FaultSpec.parse("disconnect@4")]},
         )
         # The drop is recovered transparently: both sides complete,
         # at least one reconnect episode ran, outbox replay covered
@@ -268,19 +345,31 @@ class TestLoopback:
         evil = list(good)
         # Bob's mirror disagrees about the size of bob's second frame.
         evil[3] = make_frame(good[3].seq, BOB, n_bytes=4096)
-        ta = threading.Thread(
-            target=self.run_party, args=(ALICE, port, good, results)
-        )
-        tb = threading.Thread(
-            target=self.run_party, args=(BOB, port, evil, results)
-        )
-        ta.start()
-        tb.start()
-        ta.join(timeout=30.0)
-        tb.join(timeout=30.0)
-        aborts = [
-            r for r in results.values()
-            if isinstance(r, TransportAbort)
+        # Alice aborts at once; the survivor then spends its reconnect
+        # budget before connection-lost, so keep that budget short.
+        short = ReconnectPolicy(max_attempts=3, max_delay_s=0.2)
+        threads = [
+            threading.Thread(
+                target=self.run_party,
+                args=(role, port, frames, results),
+                kwargs={"reconnect": short},
+            )
+            for role, frames in ((ALICE, good), (BOB, evil))
         ]
-        assert aborts, f"expected a TransportAbort, got {results}"
-        assert any(a.reason == "peer-divergence" for a in aborts)
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+        assert not any(t.is_alive() for t in threads)
+        reasons = {
+            role: getattr(results.get(role), "reason", None)
+            for role in (ALICE, BOB)
+        }
+        assert all(
+            isinstance(results.get(role), TransportAbort)
+            for role in (ALICE, BOB)
+        ), f"expected both parties to abort, got {results}"
+        assert set(reasons.values()) <= {
+            "peer-divergence", "connection-lost",
+        }, reasons
+        assert "peer-divergence" in reasons.values()
