@@ -52,6 +52,7 @@ from .query import BACKEND_POLICIES
 from .runtime.faults import (
     MESSAGE_FAULT_KINDS,
     PROCESS_FAULT_KINDS,
+    FaultPlan,
     FaultSpec,
     kinds_of,
 )
@@ -227,8 +228,6 @@ def _cmd_fuzz(args) -> int:
         print(f"corpus: {n} instances, {bad} failures")
         return 1 if bad else 0
 
-    from .runtime import FaultPlan
-
     fault = FaultPlan([args.inject_fault]) if args.inject_fault else None
 
     def progress(i, report):
@@ -367,7 +366,6 @@ def _cmd_chaos(args) -> int:
     import tempfile
 
     from .runtime import (
-        FaultPlan,
         NetConfig,
         build_specs,
         classify_fault,

@@ -35,8 +35,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set
-from typing import Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple,
+)
 
 from ..mpc.transcript import ALICE, BOB
 
@@ -84,7 +85,7 @@ FAULT_KINDS: Dict[str, FaultKind] = {
     "corrupt": FaultKind("message", _WIRE),  # flip a checksum bit
     "truncate": FaultKind("message", _WIRE),  # lose the last payload byte
     "drop": FaultKind("message", _WIRE),  # the frame never arrives
-    "duplicate": FaultKind("message", _WIRE),  # ... arrives twice
+    "duplicate": FaultKind("message", _WIRE),  # ... is delivered twice
     "reorder": FaultKind("message", _WIRE),  # overtaken by the next one
     "hang": FaultKind("message", _WIRE, "ticks", DEFAULT_NODE_BUDGET + 1),
     "crash": FaultKind("message", "node"),  # PeerCrash entering the node
@@ -93,7 +94,7 @@ FAULT_KINDS: Dict[str, FaultKind] = {
     "kill-wire": FaultKind("process", _WIRE),  # SIGKILL self
     "disconnect": FaultKind("process", _WIRE),  # force-close the socket
     "stall": FaultKind("process", _WIRE, "ms", 400),  # freeze
-    "partition": FaultKind("process", _WIRE, "ms", 400),  # both
+    "partition": FaultKind("process", _WIRE, "ms", 400),  # both at once
 }
 
 
@@ -168,7 +169,8 @@ class FaultSpec:
     ) -> "FaultSpec":
         """Build a spec by role rather than by field: ``at`` lands in
         the kind's target field, ``duration`` (default: the table's)
-        in its unit field."""
+        in its unit field; one the kind lacks lands in a field the
+        spec then rejects."""
         row = FAULT_KINDS.get(kind, FaultKind(""))
         fields: Dict[str, Any] = {}
         if at is not None:

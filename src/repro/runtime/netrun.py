@@ -93,7 +93,9 @@ class NetConfig:
             if spec.level != "process" or spec.party not in (
                 None, self.role,
             ):
-                raise ValueError(f"{spec} is no fault of {self.role}'s")
+                raise ValueError(
+                    f"{spec} is not a process fault of {self.role}"
+                )
 
     @property
     def session_id(self) -> str:

@@ -324,11 +324,8 @@ class SocketTransport:
         count."""
         wire = self._wire_count
         self._wire_count += 1
-        spec = (
-            self.session.faults.for_exchange(wire)
-            if self.session is not None
-            else None
-        )
+        assert self.session is not None
+        spec = self.session.faults.for_exchange(wire)
         if spec is not None:
             self._fire(spec)
         if frame.sender == self.role:
@@ -337,8 +334,9 @@ class SocketTransport:
             self._await_peer(frame)
 
     def _fire(self, spec: "FaultSpec") -> None:
-        """Chaos hook: a dropped connection is recovered by the next
-        exchange's transparent reconnect, a SIGKILL by ``--resume``."""
+        """Fire one process-level fault (a chaos-harness hook): the
+        next exchange reconnects after a disconnect, ``--resume``
+        recovers a SIGKILL."""
         if spec.kind == "kill-wire":
             os.kill(os.getpid(), signal.SIGKILL)
         if spec.kind in ("disconnect", "partition"):
