@@ -95,7 +95,7 @@ def gc_gate_rate() -> float:
     """AND gates per second for garble+evaluate on this machine,
     measured once on a ~20k-gate circuit (the paper's extrapolation
     methodology, applied to our substrate).  Alice's 32 input labels
-    come from the ideal OT: an IKNP base phase is seconds that do not
+    come from the ideal OT: an extension base phase is seconds that do not
     scale with the circuit, and the rate multiplies a gate count."""
     b = CircuitBuilder()
     ell = 32

@@ -145,14 +145,17 @@ class _Estimator:
 
     def _ot_base(self, mirror: bool) -> None:
         """First use of a physical extension instance: Chou–Orlandi for
-        the forward one; ``kappa`` seed OTs of it for its mirror."""
+        the forward one; for its mirror ``kappa`` seed OTs of it and the
+        tree corrections its first ``u`` carries."""
         if mirror in self._ot_base_charged:
             return
         self._ot_base_charged.add(mirror)
         kappa = self.p.kappa
         if mirror:
             self._ot_base(False)
-            base = costs.cot_bytes(kappa, costs.seed_ot_widths(kappa))[0]
+            base = costs.cot_bytes(
+                kappa, costs.seed_ot_widths(kappa)
+            )[0] + costs.tree_correction_bytes(kappa)
         else:
             base = sum(costs.base_ot_bytes(kappa))
         self.est.add("ot_base", base)
@@ -284,8 +287,9 @@ def estimate_node_bytes(
 ) -> int:
     """Marginal bytes of one fold/semijoin node under ``backend`` — what
     the scheduler's trace meters for it: the node's total minus its
-    ``ot_base`` part, since the base-OT setup is charged once per engine
-    (to whichever node runs the first OT batch), not per node.  The
+    ``ot_base`` part, since the base-OT setup — with the mirror's tree
+    corrections, which ride in its first ``u`` — is charged once per
+    engine (to whichever node runs the first OT batch), not per node.  The
     planner's routing pass, the scheduler's per-node ``est_bytes`` and
     :func:`estimate_plan_cost` all price a node through the same
     :meth:`_Estimator.node`."""

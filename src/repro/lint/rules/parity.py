@@ -13,7 +13,7 @@ Two pairing signals:
   block) resolved through the project call graph; the label-literal
   sets must agree.
 * **Class pairing** — a mode dispatch whose branches return different
-  constructors (``make_ot`` returning ``IknpExtension`` vs
+  constructors (``make_ot`` returning ``SoftSpokenExtension`` vs
   ``SimulatedOT``) pairs those classes: every method they share must
   emit the same labels.
 

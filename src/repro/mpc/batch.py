@@ -5,16 +5,17 @@ vectors, Python ints, and wire-format byte strings.  Doing that one
 ``int.to_bytes`` at a time dominates every benchmark, so the hot paths
 (:meth:`repro.mpc.engine.Engine._gilboa_cross`,
 :func:`repro.mpc.yao.garbled_call`,
-:meth:`repro.mpc.ot.IknpExtension.correlated`, the OEP switch network)
-marshal through the batch kernels here instead:
+:meth:`repro.mpc.ot.SoftSpokenExtension.correlated`, the OEP switch
+network) marshal through the batch kernels here instead:
 
 * ring-element <-> little-endian byte **matrices** via ``view(np.uint8)``
   reinterpretation rather than per-element ``int.to_bytes`` loops;
 * ring-element <-> little-endian bit matrices (the garbled-circuit input
   encoding of :func:`repro.mpc.gadgets.bits_of`) via ``np.unpackbits``;
 * :func:`tccr_hash`, the fixed-key AES hash of every 16-byte block the
-  symmetric layer hashes — half-gates, garbler label expansion, IKNP's
-  column PRG and correlated-OT pads — one OpenSSL call per batch;
+  symmetric layer hashes — half-gates, garbler label expansion, the OT
+  extension's GGM trees and leaf PRG, KKRT's column PRG and correlated-OT
+  pads — one OpenSSL call per batch;
 * :func:`aes_prp`, AES-128 under a per-call secret key over a block
   matrix — the SIMULATED DH-OPRF's token function, one OpenSSL call;
 * batched SHA-256 for inputs that are not one block (the item digests

@@ -8,8 +8,8 @@ Construction:
 
 * A global 128-bit offset ``delta`` with LSB 1 (free-XOR): the secret
   ``s`` of the OT extension instance that carries the evaluator's input
-  labels (:meth:`repro.mpc.ot.IknpExtension.labels`), one per instance
-  and so one per garbler and direction, across all its batches.  Each
+  labels (:meth:`repro.mpc.ot.SoftSpokenExtension.labels`), one per
+  instance and so one per garbler and direction, across all its batches.  Each
   wire has labels ``W0`` and ``W1 = W0 ^ delta``; the LSB of a label is
   its public "select bit" (point-and-permute).
 * XOR gates are free: ``Wc0 = Wa0 ^ Wb0``.

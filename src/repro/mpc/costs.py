@@ -31,6 +31,8 @@ __all__ = [
     "OPPRF_LIMB_BITS",
     "OPRF_WIDTH",
     "OUT_SIZE_BYTES",
+    "SOFTSPOKEN_K",
+    "WIRE_FORMAT",
     "Widths",
     "CircuitCounts",
     "GarbledBytes",
@@ -52,7 +54,14 @@ __all__ = [
     "ring_bytes",
     "seed_ot_widths",
     "share_bytes",
+    "tree_correction_bytes",
 ]
+
+#: The version of the wire format this module sizes: bumped by every
+#: change to a message's size or to the message sequence, and folded
+#: into ``repro net``'s session id so that a journal or a peer of
+#: another format is refused at the start, not at a later divergence.
+WIRE_FORMAT = 2
 
 #: The shape of one C-OT batch: consecutive ``(count, width)`` segments
 #: of same-width transfers.
@@ -90,11 +99,31 @@ def share_bytes(ell: int, n: int) -> int:
     return n * ring_bytes(ell)
 
 
+#: SoftSpokenOT's field width: the extension matrix's ``kappa`` columns
+#: are ``kappa / k`` small-field VOLEs over ``GF(2^k)``, each from a
+#: GGM tree of ``2^k`` leaves punctured at the sender's ``k`` secret
+#: bits, so the receiver's correction is ``kappa / k`` bits per OT for
+#: ``2^k`` leaf expansions per block.  ``k = 4`` cuts IKNP's ``u`` by
+#: 75 %; ``k = 8`` would cost 32 times IKNP's sender-side PRG work.
+SOFTSPOKEN_K = 4
+
+
 def base_ot_bytes(kappa: int) -> Tuple[int, int, int]:
     """The one public-key set-up of an engine, the base phase of its
     forward extension instance — ``kappa`` Chou–Orlandi OTs of 16-byte
-    seed pairs in reversed roles — as ``(A, B, ciphertexts)``."""
+    GGM level sums in reversed roles, one per level of each of the
+    ``kappa / k`` trees — as ``(A, B, ciphertexts)``."""
     return POINT_BYTES, POINT_BYTES * kappa, 2 * 16 * kappa
+
+
+def tree_correction_bytes(kappa: int) -> int:
+    """The mirror instance's GGM trees below their first level: its
+    ``kappa`` base OTs are random OTs of the forward instance, whose
+    pads are the trees' level-1 nodes; each deeper level's two sums
+    cross once, masked by that level's pads — ``(k - 1)`` pairs of
+    16-byte corrections per tree, in the mirror's first ``u``
+    message."""
+    return (kappa // SOFTSPOKEN_K) * (SOFTSPOKEN_K - 1) * 2 * 16
 
 
 def seed_ot_widths(n_seeds: int) -> Widths:
@@ -106,12 +135,13 @@ def seed_ot_widths(n_seeds: int) -> Widths:
 
 def cot_bytes(kappa: int, widths: Widths) -> Tuple[int, int]:
     """One correlated-OT extension batch as ``(u, corrections)``: the
-    receiver's IKNP column corrections, then ONE ciphertext per OT (the
-    sender's 0-message is the OT's own random pad, so only the
-    1-message crosses)."""
+    receiver's SoftSpokenOT correction, one bit per OT for each of the
+    ``kappa / k`` VOLE blocks, then ONE ciphertext per OT (the sender's
+    0-message is the OT's own random pad, so only the 1-message
+    crosses)."""
     n_ots = sum(count for count, _ in widths)
     return (
-        kappa * ((n_ots + 7) // 8),
+        kappa // SOFTSPOKEN_K * ((n_ots + 7) // 8),
         sum(count * width for count, width in widths),
     )
 
@@ -228,12 +258,12 @@ def psi_seed_bytes(n_hashes: int) -> int:
 
 def kkrt_setup_bytes(kappa: int, n_rows: int) -> Tuple[int, int]:
     """The batched OPRF over ``n_rows`` bins as ``(base u, u)``: an
-    IKNP matrix widened to :data:`OPRF_WIDTH` columns — the ``u`` of
-    that many :func:`seed_ot_widths` OTs of the reverse extension
-    instance, then one column-correction message."""
+    IKNP-style matrix of :data:`OPRF_WIDTH` columns — the ``u`` of that
+    many :func:`seed_ot_widths` OTs of the reverse extension instance,
+    then one column-correction message of a bit per column and row."""
     return (
         cot_bytes(kappa, seed_ot_widths(OPRF_WIDTH))[0],
-        cot_bytes(OPRF_WIDTH, [(n_rows, 0)])[0],
+        OPRF_WIDTH * ((n_rows + 7) // 8),
     )
 
 

@@ -2,10 +2,10 @@
 
 Bob garbles, Alice evaluates, under the free-XOR offset ``delta`` that
 is the secret ``s`` of the OT extension instance carrying Alice's input
-labels: IKNP's rows are already label pairs with that offset, so her
-labels cost the extension's ``u`` columns and nothing else
-(:meth:`repro.mpc.ot.IknpExtension.labels`; DESIGN.md, "Input-side wire
-format").  A template's outputs are revealed bits, decoded by Alice,
+labels: the extension's rows are already label pairs with that offset,
+so her labels cost the extension's ``u`` correction and nothing else
+(:meth:`repro.mpc.ot.SoftSpokenExtension.labels`; DESIGN.md, "Input-side
+wire format").  A template's outputs are revealed bits, decoded by Alice,
 Bob's input bits disclosed under a revealed bit (below), or shared ring
 words, which leave the circuit by
 *output translation*: Bob holds both labels of every output wire, so

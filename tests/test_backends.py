@@ -99,13 +99,14 @@ class TestEstimatorBoundary:
         for m, n in [(4, 256), (4, 512), (8, 512)]:
             assert node_cost(m, n, "yannakakis") < node_cost(m, n, "linear")
 
-    @pytest.mark.parametrize("n, last", [(256, 32), (512, 72), (1024, 159)])
+    @pytest.mark.parametrize("n, last", [(256, 20), (512, 45), (1024, 100)])
     def test_boundary_rows(self, n, last):
         # The largest parent a plain child of n rows still sends to the
         # PSI: 18 / 40 / 90 while a DH-OPRF element was 256 bytes, 17 /
         # 39 / 87 while shared bin outputs were masked in the circuit,
         # 25 / 55 / 123 while the bin circuits' input labels crossed as
-        # OT corrections.
+        # OT corrections, 32 / 72 / 159 while the OT extension's ``u``
+        # was kappa bits per OT (IKNP) rather than kappa / 4.
         wins = [
             m
             for m in range(1, 256)
@@ -152,16 +153,16 @@ class TestRouting:
     @pytest.mark.parametrize(
         "ell, winner, prices",
         [
-            (32, "yannakakis", {"yannakakis": 1_187_388, "linear": 1_204_156}),
-            (48, "linear", {"yannakakis": 1_454_970, "linear": 1_447_642}),
+            (32, "linear", {"yannakakis": 634_308, "linear": 586_236}),
+            (48, "yannakakis", {"yannakakis": 771_894, "linear": 787_706}),
         ],
     )
     def test_auto_routes_at_the_relations_ring_width(self, ell, winner, prices):
-        # Parent 157 x child 1024, cross-owner, both plain: the fold's
+        # Parent 104 x child 1024, cross-owner, both plain: the fold's
         # winner depends on the ring width, so routing every query at
         # the default ell = 32 sent this one to the dearer back-end at
         # ell = 48 while the estimator priced it at its own width.
-        q = two_relation_query(157, 1024, ring=IntegerRing(ell))
+        q = two_relation_query(104, 1024, ring=IntegerRing(ell))
         sizes = {n: len(r) for n, r in q.relations.items()}
         assert estimate_node_costs(
             q.plan(), sizes, q.owners, params=q.ring_params()

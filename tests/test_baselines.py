@@ -10,7 +10,7 @@ from repro.baselines import (
 )
 from repro.baselines.garbled_baseline import per_combo_and_gates
 from repro.mpc import ALICE, BOB, Context, Engine, Mode
-from repro.mpc.ot import IknpExtension
+from repro.mpc.ot import SoftSpokenExtension
 from repro.relalg import AnnotatedRelation, IntegerRing
 from repro.tpch import generate, prepare_q3
 from repro.yannakakis import naive_join_aggregate
@@ -51,7 +51,7 @@ class TestCostModel:
         # The rate multiplies a gate count, so nothing that does not
         # scale with the circuit may be timed: no IKNP base phase.
         monkeypatch.setattr(
-            IknpExtension,
+            SoftSpokenExtension,
             "_base_phase",
             lambda self: pytest.fail("base OTs inside the gate-rate clock"),
         )

@@ -1,14 +1,16 @@
 """Differential tests: vectorised batch kernels vs the scalar reference
 implementations (`tests/reference.py`).
 
-The marshalling kernels, the fixed-key AES hash and the chosen-message
-IKNP transfer are pinned against one-block-at-a-time loops: identical
+The marshalling kernels, the fixed-key AES hash, the SoftSpokenOT
+extension's rows and correction, and its chosen-message transfer are
+pinned against one-block-at-a-time loops: identical
 outputs and byte-identical transcript fingerprints.  The protocol-level
 consumers (garbled batches, Gilboa) have no scalar twin; they are
 pinned on semantics and on REAL == SIMULATED fingerprints.
 """
 
 import hashlib
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -17,9 +19,10 @@ from hypothesis import strategies as st
 
 from repro.mpc import ALICE, BOB, Context, Engine, Mode
 from repro.mpc import batch
+from repro.mpc.costs import SOFTSPOKEN_K
 from repro.mpc.gadgets import bits_of, int_of, nonzero_circuit
 from repro.mpc.ot import (
-    IknpExtension,
+    SoftSpokenExtension,
     SimulatedOT,
     _prg_bits_all,
     _stream_xor,
@@ -139,14 +142,17 @@ def test_no_tweak_repeats_over_real_q3(monkeypatch, backend):
     spy: no tweak hashes more than two distinct inputs.  Two is one
     pair — a garbler's ``W`` and ``W ^ delta`` (under a half-gate's or a
     translated output row's tweak, or Bob's key label ``W_1`` and
-    Alice's ``W_0`` under a disclosure's), an IKNP sender's ``Q_j`` and
-    ``Q_j ^ s``, a receiver's column seeds ``k0`` and ``k1`` — and any
-    other hash under that tweak is the peer recomputing its member, so
-    no ``(tweak, role)`` pair repeats.  The evaluator's input labels are
-    IKNP's raw rows under the instance's one ``s``, so they meet the
-    hash only as garbled wires.  A tweak without the batch number, the
-    instance or the half-gate index fails here, and so does an output
-    row or a disclosure hashed under an earlier index."""
+    Alice's ``W_0`` under a disclosure's), an extension sender's ``Q_j``
+    and ``Q_j ^ s`` — and any other hash under that tweak is the peer
+    recomputing its member, so no ``(tweak, role)`` pair repeats.  The
+    extension's GGM nodes and leaf streams hash one input per tweak:
+    the punctured party recomputes only the nodes and leaves it holds,
+    under the owner's tweaks.  The evaluator's input labels are the
+    extension's raw rows under the instance's one ``s``, so they meet
+    the hash only as garbled wires.  A tweak without the batch number,
+    the instance or the half-gate index fails here, and so does an
+    output row or a disclosure hashed under an earlier index, or a leaf
+    or node hashed under its tree's or another leaf's row."""
     from repro.mpc.circuits import garbling
     from repro.mpc import ot as ot_module
     from repro.tpch import PREPARED, generate
@@ -167,9 +173,22 @@ def test_no_tweak_repeats_over_real_q3(monkeypatch, backend):
         seen.append(np.concatenate([t, x], axis=-1).reshape(-1, 32))
         return real_hash(x, t)
 
+    expanded = {"_ggm_children": 0, "_leaf_streams": 0}
+
+    def count(name):
+        real = getattr(ot_module, name)
+
+        def counted(*args):
+            expanded[name] += 1
+            return real(*args)
+
+        return counted
+
     for module in (garbling, ot_module):
         monkeypatch.setattr(module, "tccr_hash", spy)
     monkeypatch.setattr(garbling, "_disclosure_pads", pad_spy)
+    for name in expanded:
+        monkeypatch.setattr(ot_module, name, count(name))
     query = PREPARED["Q3"](generate(0.03))
     engine = Engine(query.make_context(Mode.REAL, seed=7))
     engine.backend = backend
@@ -183,11 +202,12 @@ def test_no_tweak_repeats_over_real_q3(monkeypatch, backend):
     )
     assert len(inputs_per_tweak) > 40_000  # the spy saw the whole query
     assert sum(disclosed) > 0  # Bob's tuples left by disclosure
+    assert min(expanded.values()) > 0  # both instances' trees and leaves
     assert inputs_per_tweak.max() == 2
 
 
 # ----------------------------------------------------------------------
-# IKNP extension vs the scalar per-pair loop
+# SoftSpokenOT extension vs the scalar per-tree, per-OT reference
 # ----------------------------------------------------------------------
 
 
@@ -208,21 +228,56 @@ class TestOtDifferential:
 
     def test_uniform_width_batch(self):
         pairs, choices = self._pairs([16] * 120)
-        new = self._run(IknpExtension, pairs, choices)
-        old = self._run(ref.ReferenceIknpExtension, pairs, choices)
+        new = self._run(SoftSpokenExtension, pairs, choices)
+        old = self._run(ref.ReferenceSoftSpokenExtension, pairs, choices)
         assert new == old
         assert new[0][:120] == [p[c] for p, c in zip(pairs, choices)]
 
     def test_mixed_width_batch(self):
         pairs, choices = self._pairs([2, 40, 4, 4, 40, 2, 33, 1])
-        new = self._run(IknpExtension, pairs, choices)
-        old = self._run(ref.ReferenceIknpExtension, pairs, choices)
+        new = self._run(SoftSpokenExtension, pairs, choices)
+        old = self._run(ref.ReferenceSoftSpokenExtension, pairs, choices)
         assert new == old
+
+    @pytest.mark.parametrize("which", ["forward", "mirror"])
+    def test_rows_and_correction_match_reference(self, which):
+        """The batched column phase against per-block GGM trees grown
+        from the base pairs, a per-leaf PRG and a per-OT combine: the
+        same ``Q`` and ``T`` rows, the same correction bytes and the
+        same transcript, batch after batch of one instance."""
+        sizes = [0, 1, 7, 8, 9, 300]
+
+        def run(cls):
+            ctx = Context(Mode.REAL, seed=23)
+            forward = cls(ctx)
+            ot = forward if which == "forward" else forward.reverse
+            wires = []
+            phase = ot._column_phase
+
+            def spy(m, r):
+                out = phase(m, r)
+                wires.append(out[2].tobytes())
+                return out
+
+            ot._column_phase = spy
+            rng = np.random.default_rng(len(which))
+            rows = []
+            with ctx.swapped_roles() if which == "mirror" else nullcontext():
+                for n in sizes:
+                    batch = ot.labels(n, rng.integers(0, 2, n))
+                    rows.append((batch.zero.tobytes(), batch.active.tobytes()))
+            return rows, wires, ctx.transcript.fingerprint()
+
+        new = run(SoftSpokenExtension)
+        assert new == run(ref.ReferenceSoftSpokenExtension)
+        assert [len(w) for w in new[1]] == [
+            128 // SOFTSPOKEN_K * ((n + 7) // 8) for n in sizes if n
+        ]
 
     def test_real_and_simulated_fingerprints_agree(self):
         pairs, choices = self._pairs([8] * 50)
         ctx_r = Context(Mode.REAL, seed=1)
-        IknpExtension(ctx_r).transfer(pairs, choices)
+        SoftSpokenExtension(ctx_r).transfer(pairs, choices)
         ctx_s = Context(Mode.SIMULATED, seed=1)
         SimulatedOT(ctx_s).transfer(pairs, choices)
         assert (
@@ -238,13 +293,13 @@ class TestOtDifferential:
         choices = rng.integers(0, 2, 60)
 
         ctx_a = Context(Mode.REAL, seed=8)
-        cot = IknpExtension(ctx_a).correlated(
+        cot = SoftSpokenExtension(ctx_a).correlated(
             choices, [(60, 5)]
         )
         m0 = cot.p0[0]
         got_a = cot.finish([m1])[0]
         ctx_b = Context(Mode.REAL, seed=8)
-        got_b = IknpExtension(ctx_b).transfer(
+        got_b = SoftSpokenExtension(ctx_b).transfer(
             [(a.tobytes(), b.tobytes()) for a, b in zip(m0, m1)],
             [int(c) for c in choices],
         )

@@ -191,4 +191,4 @@ class TestServeAdmitsAndRejectsTpch:
             "--scale", "tiny", "--check-solo",
         ]) == 0
         out = capsys.readouterr().out
-        assert out.count("done, 44 msgs, 3.48 MB  [== solo]") == 2
+        assert out.count("done, 44 msgs, 2.62 MB  [== solo]") == 2

@@ -12,7 +12,11 @@ from repro.core import SecureRelation, secure_yannakakis
 from repro.exec import ExecutionTrace
 from repro.mpc import ALICE, BOB, Context, Engine, Mode, SecurityParams
 from repro.mpc.circuits.garbling import SEED_BYTES
-from repro.mpc.costs import cot_bytes
+from repro.mpc.costs import (
+    SOFTSPOKEN_K,
+    cot_bytes,
+    tree_correction_bytes,
+)
 from repro.relalg import (
     AnnotatedRelation,
     Hypergraph,
@@ -152,10 +156,16 @@ class TestEstimatorEqualsMetered:
                 continue
             priced += 1
             # The marginal price leaves out the one-time base OTs,
-            # which land in whichever node runs the first batch.
+            # which land in whichever node runs the first batch, and
+            # the mirror's tree corrections, which ride in the first
+            # ``u`` of the mirror that batch sets up.
             base = sum(
                 m.n_bytes for m in window if "ot/ext/base/" in m.label
             )
+            if any(
+                m.label.endswith("ot/ext/base/ot/ext/u") for m in window
+            ):
+                base += tree_correction_bytes(128)
             assert node.est_bytes == node.n_bytes - base, node.label
         assert priced == len(q.backend_assignments())
 
@@ -216,18 +226,19 @@ class TestByteBudgetPin:
     A change to a primitive's wire size is made in ``mpc/costs.py`` —
     and then here, knowingly."""
 
-    TOTAL = 35_547_513
+    TOTAL = 26_682_681
     #: set-up bytes (the benchmark's ``mpc.bytes.base_ot``): the one
     #: Chou-Orlandi phase, the mirror's seed-OT ``u``, one per PSI
-    BASE = 8_353 + 2_048 + 2 * 7_168
+    BASE = 8_353 + 512 + 2 * 1_792
     #: bytes per label class (the benchmark's ``mpc.bytes.*`` split),
     #: base OTs excluded
     GROUPS = {
         "gc/bob_labels": 64,
-        # label OTs: the u columns alone
-        "gc/alice_labels/": 6_619_904,
-        "/switches/": 4_292_592,
-        "/cross": 2_880_000,
+        # label OTs: the u columns alone, the first batch's with the
+        # mirror's 3,072 B of tree corrections
+        "gc/alice_labels/": 1_658_048,
+        "/switches/": 2_129_904,
+        "/cross": 1_152_000,
         # half-gates tables, then the decode bits and translated rows
         "gc/tables": 19_018_400,
         "gc/decode": 729_660,
@@ -235,9 +246,9 @@ class TestByteBudgetPin:
 
     #: Q3 at 0.1 MB under each join back-end: (bytes, rounds)
     BACKENDS = {
-        "yannakakis": (3_477_807, 29),
-        "linear": (2_185_779, 21),
-        "auto": (2_185_779, 21),
+        "yannakakis": (2_615_439, 29),
+        "linear": (1_504_275, 21),
+        "auto": (1_504_275, 21),
     }
 
     @staticmethod
@@ -272,9 +283,9 @@ class TestByteBudgetPin:
 
     def test_groups_follow_the_closed_forms(self, messages):
         """One seed and one label batch per garbled batch, the label
-        batch its ``u`` alone (``kappa/8`` per 8 OTs, no ciphertexts);
-        every uniform-width C-OT batch is ``(kappa/8 per 8 OTs, one
-        ciphertext per OT)``."""
+        batch its ``u`` alone (``kappa/k`` bytes per 8 OTs, no
+        ciphertexts); every uniform-width C-OT batch is ``(kappa/k bytes
+        per 8 OTs, one ciphertext per OT)``."""
         messages = [m for m in messages if "/base/" not in m.label]
         seeds = [m for m in messages if m.label.endswith("gc/bob_labels")]
         tables = [m for m in messages if m.label.endswith("gc/tables")]
@@ -283,7 +294,7 @@ class TestByteBudgetPin:
         assert [m.label.rsplit("/", 3)[-3:] for m in labels] == [
             ["ot", "ext", "u"]
         ] * len(tables)
-        assert all(m.n_bytes % (128 // 8) == 0 for m in labels)
+        assert all(m.n_bytes % (128 // SOFTSPOKEN_K) == 0 for m in labels)
         batch = [m.n_bytes for m in messages if "/cross" in m.label]
         for u, ct in zip(batch[::2], batch[1::2]):
             assert cot_bytes(128, [(ct // 4, 4)]) == (u, ct)

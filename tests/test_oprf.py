@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.mpc import Context, Mode
+from repro.mpc.costs import SOFTSPOKEN_K
 from repro.mpc.oprf import (
     OPPRF_PRIME,
     BatchedOprf,
@@ -252,7 +253,7 @@ class TestBatchedOprf:
                 == real.transcript.fingerprint()
             )
         assert [n for _, n, _ in sim.transcript.fingerprint()[-2:]] == [
-            128 * 448 // 8, 448 * 40 // 8
+            128 // SOFTSPOKEN_K * 448 // 8, 448 * 40 // 8
         ]
         with pytest.raises(ValueError, match="charge_oprf_setup"):
             BatchedOprf(sim, sim_ot, [1, 2])

@@ -104,11 +104,11 @@ def test_each_extension_instance_has_one_physical_receiver(monkeypatch, flip):
     forward instance to a role-swapped protocol would make the
     receiver of one instance the sender of another of its batches."""
     from repro.mpc import Engine, Mode
-    from repro.mpc.ot import IknpExtension
+    from repro.mpc.ot import SoftSpokenExtension
     from repro.tpch import PREPARED, generate
 
     receivers = {}
-    real_phase = IknpExtension._column_phase
+    real_phase = SoftSpokenExtension._column_phase
 
     def spy(self, m, r):
         before = len(self.ctx.transcript.messages)
@@ -119,7 +119,7 @@ def test_each_extension_instance_has_one_physical_receiver(monkeypatch, flip):
         receivers.setdefault(id(self), set()).add(sent.sender)
         return out
 
-    monkeypatch.setattr(IknpExtension, "_column_phase", spy)
+    monkeypatch.setattr(SoftSpokenExtension, "_column_phase", spy)
     query = PREPARED["Q3"](generate(0.03), flip_owners=flip)
     engine = Engine(query.make_context(Mode.REAL, seed=5))
     engine.backend = "yannakakis"

@@ -8,7 +8,8 @@ query answer, and the communication pattern must transform predictably:
   owner flip mirrors the per-party byte counts exactly — apart from
   the one-time base phases of the two OT extension instances, which
   belong to the physical parties and land wherever each instance is
-  first used (they are left out of the comparison);
+  first used (they are left out of the comparison, with the mirror's
+  tree corrections in the ``u`` right after its seed batch);
 * ``full_join`` — Alice-anchored by design: Alice's sent bytes are
   owner-independent, while the reveal payloads (sent for Bob-owned
   relations only) move with the flip, so Bob's bytes may change;
@@ -19,6 +20,7 @@ query answer, and the communication pattern must transform predictably:
 import pytest
 
 from repro.mpc import ALICE, BOB, Engine, Mode
+from repro.mpc.costs import tree_correction_bytes
 from repro.tpch import PREPARED, generate
 
 SCALE = 1
@@ -30,14 +32,19 @@ MIRRORED_SECTIONS = ("reduce", "semijoin")
 
 def party_section_bytes(transcript):
     """``{(section, sender): bytes}`` at depth-1 section granularity,
-    base-phase messages left out."""
+    base-phase messages and the mirror's tree corrections left out."""
     out = {}
+    corrections = 0
     for m in transcript.messages:
+        n_bytes, corrections = m.n_bytes - corrections, 0
         if "/base/" in m.label:
+            if m.label.endswith("ot/ext/base/ot/ext/u"):
+                # the mirror's seed batch: its first u comes next
+                corrections = tree_correction_bytes(128)
             continue
         section = m.label.split("/")[0] if m.label else ""
         key = (section, m.sender)
-        out[key] = out.get(key, 0) + m.n_bytes
+        out[key] = out.get(key, 0) + n_bytes
     return out
 
 

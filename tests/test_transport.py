@@ -254,11 +254,18 @@ class TestLoopback:
     """Both roles in one process, over a real localhost socket."""
 
     def run_party(
-        self, role, port, frames, results, faults=(), reconnect=None
+        self,
+        role,
+        port,
+        frames,
+        results,
+        faults=(),
+        reconnect=None,
+        session_id="loopback-test",
     ):
         transport = SocketTransport(
             role=role,
-            session_id="loopback-test",
+            session_id=session_id,
             listen=("127.0.0.1", port) if role == ALICE else None,
             connect=("127.0.0.1", port) if role == BOB else None,
             reconnect=reconnect,
@@ -337,6 +344,41 @@ class TestLoopback:
             results[ALICE]["reconnects"] + results[BOB]["reconnects"]
             >= 1
         )
+
+    def test_peer_of_another_wire_format_fails_the_handshake(
+        self, monkeypatch
+    ):
+        """``repro net``'s session id digests the wire format: a peer
+        built for the previous one is refused at HELLO, before any
+        protocol frame."""
+        from repro.mpc import costs
+        from repro.runtime.netrun import NetConfig
+
+        ids = {ALICE: NetConfig(role=ALICE).session_id}
+        with monkeypatch.context() as patch:
+            patch.setattr(costs, "WIRE_FORMAT", costs.WIRE_FORMAT - 1)
+            ids[BOB] = NetConfig(role=BOB).session_id
+        port, results = free_port(), {}
+        short = ReconnectPolicy(max_attempts=3, max_delay_s=0.2)
+        threads = [
+            threading.Thread(
+                target=self.run_party,
+                args=(role, port, self.mirrored_frames(4), results),
+                kwargs={"reconnect": short, "session_id": ids[role]},
+            )
+            for role in (ALICE, BOB)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+        assert not any(t.is_alive() for t in threads)
+        reasons = {
+            getattr(results.get(role), "reason", None)
+            for role in (ALICE, BOB)
+        }
+        assert "handshake-failed" in reasons, results
+        assert reasons <= {"handshake-failed", "connection-lost"}, results
 
     def test_divergent_mirror_aborts(self):
         port = free_port()

@@ -92,4 +92,4 @@ class TestCost:
 
         three, two = plans()
         # exact: EXPERIMENTS.md's ablation table quotes this pair (2.9x)
-        assert (run(three), run(two)) == (1_199_765, 3_439_333)
+        assert (run(three), run(two)) == (928_085, 2_536_837)
