@@ -31,6 +31,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence, Tuple
 
+from ..mpc import costs
 from ..mpc.context import Mode
 from ..mpc.transcript import ALICE, BOB
 from .chaos import RunProfile, make_tpch_runner, profile_run
@@ -99,11 +100,13 @@ class NetConfig:
 
     @property
     def session_id(self) -> str:
-        """Digest of every protocol-visible knob: the handshake rejects
-        a peer configured for a different run."""
+        """Digest of every protocol-visible knob and of the wire format
+        (:data:`~repro.mpc.costs.WIRE_FORMAT`): the handshake rejects a
+        peer configured for a different run or built for another wire
+        format, and ``--resume`` a journal written under either."""
         blob = (
             f"{self.query}|{self.scale_mb}|{self.seed}|{self.backend}"
-            f"|{self.node_budget}"
+            f"|{self.node_budget}|wire{costs.WIRE_FORMAT}"
         )
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

@@ -232,3 +232,26 @@ class TestResume:
                 )
             )
         assert "different run configuration" in str(err.value)
+
+    def test_journal_of_another_wire_format_refused(
+        self, tmp_path, monkeypatch
+    ):
+        # The same run configuration under the previous wire format: a
+        # journal its binary wrote cannot be revived by this one.
+        from repro.mpc import costs
+
+        path = str(tmp_path / "old-wire.syj")
+        current = NetConfig(role="alice", **CONFIG_KW).session_id
+        with monkeypatch.context() as patch:
+            patch.setattr(costs, "WIRE_FORMAT", costs.WIRE_FORMAT - 1)
+            old = NetConfig(role="alice", journal=path, **CONFIG_KW)
+            assert len(old.session_id) == len(current) == 16
+            assert old.session_id != current
+            DurableStore.create(path, old.meta()).close()
+        with pytest.raises(ValueError) as err:
+            run_party(
+                NetConfig(
+                    role="alice", journal=path, resume=True, **CONFIG_KW
+                )
+            )
+        assert "different run configuration" in str(err.value)
