@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Dict, List, Optional, Set, Tuple, Type
 
 __all__ = [
     "Step",
@@ -366,15 +366,25 @@ def _detuple(value: Any) -> Any:
     return value
 
 
+def _check_keys(what: str, d: Dict[str, Any], keys: Set[str]) -> None:
+    """A plan file is read strictly: a misspelt key must not load as
+    a default (a ``backnd`` would route ``yannakakis`` and audit clean)."""
+    unknown = sorted(set(d) - keys)
+    if unknown:
+        raise ValueError(f"unknown {what} key(s) {unknown}")
+    missing = sorted(keys - set(d))
+    if missing:
+        raise ValueError(f"missing {what} key(s) {missing}")
+
+
 def step_from_json(d: Dict[str, Any]) -> Step:
     kind = d.get("kind")
     cls = _STEP_KINDS.get(kind)
     if cls is None:
         raise ValueError(f"unknown step kind: {kind!r}")
-    kwargs = {
-        f.name: _detuple(d[f.name]) for f in fields(cls) if f.name in d
-    }
-    return cls(**kwargs)
+    names = {f.name for f in fields(cls)}
+    _check_keys(f"{kind} step", d, names | {"kind"})
+    return cls(**{name: _detuple(d[name]) for name in names})
 
 
 @dataclass
@@ -446,11 +456,12 @@ class ExecPlan:
 
     @classmethod
     def from_json(cls, d: Dict[str, Any]) -> "ExecPlan":
+        _check_keys("plan", d, {"name", "inputs", "result_slot", "steps"})
         return cls(
             steps=tuple(step_from_json(s) for s in d["steps"]),
             inputs=tuple(d["inputs"]),
-            result_slot=d.get("result_slot", "result"),
-            name=d.get("name", ""),
+            result_slot=d["result_slot"],
+            name=d["name"],
         )
 
     def dumps(self) -> str:

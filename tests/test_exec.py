@@ -122,6 +122,26 @@ def test_plan_ids_are_positions():
         ExecPlan.from_json(blob)
 
 
+@pytest.mark.parametrize(
+    "mutate, key",
+    [
+        (lambda b: b["steps"][0].pop("id"), "id"),
+        (lambda b: b["steps"][-1].update(extra=1), "extra"),
+        (lambda b: b.pop("result_slot"), "result_slot"),
+        (lambda b: b.update(stages=[]), "stages"),
+    ],
+    ids=["step-missing", "step-unknown", "plan-missing", "plan-unknown"],
+)
+def test_plan_json_rejects_missing_and_unknown_keys(mutate, key):
+    ep = compile_plan(
+        make_plan(example_11()), {"R1": ALICE, "R2": BOB, "R3": ALICE}
+    )
+    blob = ep.to_json()
+    mutate(blob)
+    with pytest.raises(ValueError, match=key):
+        ExecPlan.from_json(blob)
+
+
 def test_plan_describe_mentions_every_step():
     rels = example_11()
     ep = compile_plan(

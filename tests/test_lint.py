@@ -349,6 +349,20 @@ def test_plan_audit_unknown_backend_is_violation():
                for line in report.violations(frozenset()))
 
 
+def test_plan_with_misspelled_backend_key_is_rejected():
+    # A step whose ``backend`` key is misspelt must not load as the
+    # default ``yannakakis`` route: that would audit a leaking plan
+    # as clean.
+    from repro.exec import ExecPlan
+
+    blob = json.loads(_q3_plans()["linear"].dumps())
+    for step in blob["steps"]:
+        if "backend" in step:
+            step["backnd"] = step.pop("backend")
+    with pytest.raises(ValueError, match="backnd"):
+        ExecPlan.loads(json.dumps(blob))
+
+
 def test_backend_contracts_registry_shape():
     """The registry the whole PR hangs off: closed key set, frozenset
     values drawn from the atom vocabulary."""
