@@ -28,7 +28,7 @@ positions riding along as ordinary ``__idx_`` integer columns.
 
 The three steps are exposed as composable pieces (``reveal_relation``,
 ``local_star_join``, ``align_factor``, ``finish_join``) so that the
-:mod:`repro.exec` scheduler can run them as separate DAG nodes;
+:mod:`repro.exec` scheduler can run them as separate plan steps;
 :func:`oblivious_join` strings them together for monolithic callers.
 Both paths produce byte-identical transcripts.
 """

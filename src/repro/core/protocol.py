@@ -16,7 +16,7 @@ results); ``secure_yannakakis_shared`` keeps them shared for query
 compositions (Section 7).
 
 Both entry points run the one pipeline, :func:`_run_plan` — the only
-place under ``src/`` that hands a compiled execution DAG
+place under ``src/`` that hands a compiled execution plan
 (:mod:`repro.exec`) to the scheduler.  Every other runner (the query
 builder, the serving layer, ``repro net``) reaches the scheduler
 through them; the transcripts they produce are pinned by
@@ -85,10 +85,10 @@ def _run_plan(
     pad_out_to: int = 0,
     env: Optional[Dict[str, Any]] = None,
     start_at: Optional[int] = None,
-) -> Dict[str, Any]:
+) -> Any:
     """The one run pipeline: compile ``plan`` over the owner-tagged
-    ``relations`` and execute the DAG; returns the scheduler's final
-    slot environment."""
+    ``relations`` and execute its steps; returns the value in the
+    plan's result slot."""
     # Imported lazily: repro.exec imports the core operators, so a
     # module-level import here would be circular.
     from ..exec import Scheduler, compile_plan
@@ -101,9 +101,10 @@ def _run_plan(
         reveal_result=reveal,
         backends=backends,
     )
-    return Scheduler(engine).run(
+    env = Scheduler(engine).run(
         exec_plan, relations, env=env, start_at=start_at
     )
+    return env[exec_plan.result_slot]
 
 
 def secure_yannakakis_shared(
@@ -124,7 +125,7 @@ def secure_yannakakis_shared(
     return _run_plan(
         engine, relations, plan, backends,
         reveal=False, pad_out_to=pad_out_to,
-    )["result"]
+    )
 
 
 def secure_yannakakis(
@@ -152,7 +153,7 @@ def secure_yannakakis(
     shared, values = _run_plan(
         engine, relations, plan, backends,
         reveal=True, env=env, start_at=start_at,
-    )["output"]
+    )
     elapsed = time.perf_counter() - t0
     result = AnnotatedRelation(
         shared.attributes, shared.tuples, values, IntegerRing(ctx.params.ell)

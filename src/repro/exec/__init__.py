@@ -5,9 +5,9 @@ two halves:
 
 * a **compiler** (:func:`compile_plan`) that lowers a
   :class:`~repro.yannakakis.plan.YannakakisPlan` plus party ownership
-  into an :class:`ExecPlan` — a serialisable DAG of typed operator
-  steps with explicit dataflow slots, in execution order; and
-* a **scheduler** (:class:`Scheduler`) that executes the DAG over an
+  into an :class:`ExecPlan` — a serialisable tuple of typed operator
+  steps, in execution order; and
+* a **scheduler** (:class:`Scheduler`) that executes the steps over an
   :class:`~repro.mpc.engine.Engine` in that one fixed order, with
   per-node structured tracing (:class:`ExecutionTrace`) and run-wide
   template caching (via :class:`~repro.mpc.runcache.RunCache` on the

@@ -1,41 +1,19 @@
 """The execution-plan IR.
 
-An :class:`ExecPlan` is a DAG of typed :class:`Step` nodes over named
-*dataflow slots* (an environment of intermediate values).  Each step
-declares the slots it ``reads``, ``writes`` and ``deletes``; the plan
-derives the dependency edges from those declarations:
-
-* a read depends on the slot's last writer (RAW);
-* a write depends on every read since the last write (WAR), so a step
-  may not clobber a slot another step still needs;
-* repeated writes chain through the readers in between (WAW follows
-  from WAR + RAW).
-
-Step ids are the steps' positions, ``0..n-1``, and every dependency
-points backwards: the step tuple is the one execution order, and
-:attr:`Step.label` the one spelling of a node's name.  Steps are frozen
-dataclasses so plans are hashable, comparable and serialisable:
-:meth:`ExecPlan.to_json` / :meth:`ExecPlan.from_json` round-trip through
-plain dicts.
-
-Slot naming scheme:
-
-=====================  ===================================================
-``{relation}``         a :class:`~repro.core.relation.SecureRelation`
-``shares:{relation}``  its annotation shares (oblivious-join step 1)
-``revealed:{relation}``its revealed nonzero ``(pos, tuple)`` list
-``joined``             Alice's local star join ``J*`` (with index cols)
-``factor:{relation}``  the relation's OEP-aligned annotation factor
-``result``             the :class:`ObliviousJoinResult`
-``output``             ``(result, revealed_values)`` after the final open
-=====================  ===================================================
+An :class:`ExecPlan` is a tuple of typed :class:`Step` nodes.  Step ids
+are the steps' positions, ``0..n-1``: the tuple is the one execution
+order, and :attr:`Step.label` the one spelling of a node's name.  Steps
+are frozen dataclasses so plans are hashable, comparable and
+serialisable: :meth:`ExecPlan.to_json` / :meth:`ExecPlan.from_json`
+round-trip through plain dicts.  The slots steps read and write live
+in :mod:`repro.exec.scheduler`, the one place that executes them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Optional, Set, Tuple, Type
+from dataclasses import dataclass, fields
+from typing import Any, Dict, Optional, Set, Tuple, Type
 
 __all__ = [
     "Step",
@@ -54,7 +32,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Step:
-    """One operator invocation in the DAG."""
+    """One operator invocation in the plan."""
 
     id: int
 
@@ -69,29 +47,6 @@ class Step:
         """The transcript section this step's messages belong to
         (``None`` for steps that emit outside any section)."""
         return None
-
-    @property
-    def restartable(self) -> bool:
-        """Whether the runtime supervisor may retry this step from its
-        node-granular checkpoint after a retryable
-        :class:`~repro.runtime.aborts.ProtocolAbort`.  Every current
-        step kind is a pure function of the (checkpointed) slot
-        environment, engine state and context RNG, so all are
-        restartable; a future operator with external side effects
-        overrides this to opt out."""
-        return True
-
-    @property
-    def reads(self) -> Tuple[str, ...]:
-        return ()
-
-    @property
-    def writes(self) -> Tuple[str, ...]:
-        return ()
-
-    @property
-    def deletes(self) -> Tuple[str, ...]:
-        return ()
 
     def to_json(self) -> Dict[str, Any]:
         d: Dict[str, Any] = {"kind": self.kind}
@@ -114,10 +69,6 @@ class ShareStep(Step):
     @property
     def label(self) -> str:
         return f"input/{self.relation}"
-
-    @property
-    def writes(self) -> Tuple[str, ...]:
-        return (self.relation,)
 
 
 @dataclass(frozen=True)
@@ -143,18 +94,6 @@ class ReduceFoldStep(Step):
     def section(self) -> Optional[str]:
         return "reduce"
 
-    @property
-    def reads(self) -> Tuple[str, ...]:
-        return (self.child, self.parent)
-
-    @property
-    def writes(self) -> Tuple[str, ...]:
-        return (self.parent,)
-
-    @property
-    def deletes(self) -> Tuple[str, ...]:
-        return (self.child,)
-
 
 @dataclass(frozen=True)
 class AggregateStep(Step):
@@ -173,14 +112,6 @@ class AggregateStep(Step):
     @property
     def section(self) -> Optional[str]:
         return "reduce"
-
-    @property
-    def reads(self) -> Tuple[str, ...]:
-        return (self.node,)
-
-    @property
-    def writes(self) -> Tuple[str, ...]:
-        return (self.node,)
 
 
 @dataclass(frozen=True)
@@ -204,14 +135,6 @@ class SemijoinStep(Step):
     def section(self) -> Optional[str]:
         return "semijoin"
 
-    @property
-    def reads(self) -> Tuple[str, ...]:
-        return (self.target, self.filter)
-
-    @property
-    def writes(self) -> Tuple[str, ...]:
-        return (self.target,)
-
 
 @dataclass(frozen=True)
 class RevealStep(Step):
@@ -229,14 +152,6 @@ class RevealStep(Step):
     @property
     def section(self) -> Optional[str]:
         return "full_join"
-
-    @property
-    def reads(self) -> Tuple[str, ...]:
-        return (self.relation,)
-
-    @property
-    def writes(self) -> Tuple[str, ...]:
-        return (f"shares:{self.relation}", f"revealed:{self.relation}")
 
 
 @dataclass(frozen=True)
@@ -258,16 +173,6 @@ class JoinStep(Step):
     def section(self) -> Optional[str]:
         return "full_join"
 
-    @property
-    def reads(self) -> Tuple[str, ...]:
-        return tuple(self.relations) + tuple(
-            f"revealed:{r}" for r in self.relations
-        )
-
-    @property
-    def writes(self) -> Tuple[str, ...]:
-        return ("joined",)
-
 
 @dataclass(frozen=True)
 class AlignStep(Step):
@@ -285,14 +190,6 @@ class AlignStep(Step):
     @property
     def section(self) -> Optional[str]:
         return "full_join"
-
-    @property
-    def reads(self) -> Tuple[str, ...]:
-        return ("joined", f"shares:{self.relation}")
-
-    @property
-    def writes(self) -> Tuple[str, ...]:
-        return (f"factor:{self.relation}",)
 
 
 @dataclass(frozen=True)
@@ -312,16 +209,6 @@ class ProductStep(Step):
     def section(self) -> Optional[str]:
         return "full_join"
 
-    @property
-    def reads(self) -> Tuple[str, ...]:
-        return ("joined",) + tuple(
-            f"factor:{r}" for r in self.relations
-        )
-
-    @property
-    def writes(self) -> Tuple[str, ...]:
-        return ("result",)
-
 
 @dataclass(frozen=True)
 class RevealResultStep(Step):
@@ -333,14 +220,6 @@ class RevealResultStep(Step):
     @property
     def label(self) -> str:
         return "result"
-
-    @property
-    def reads(self) -> Tuple[str, ...]:
-        return ("result",)
-
-    @property
-    def writes(self) -> Tuple[str, ...]:
-        return ("output",)
 
 
 _STEP_KINDS: Dict[str, Type[Step]] = {
@@ -389,60 +268,16 @@ def step_from_json(d: Dict[str, Any]) -> Step:
 
 @dataclass
 class ExecPlan:
-    """The compiled DAG: steps plus derived dependency structure."""
+    """The compiled plan: its step tuple is the one execution order."""
 
     steps: Tuple[Step, ...]
     inputs: Tuple[str, ...]
     result_slot: str = "result"
     name: str = ""
-    deps: Dict[int, Tuple[int, ...]] = field(init=False, repr=False)
-    stage_of: Dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if [s.id for s in self.steps] != list(range(len(self.steps))):
             raise ValueError("step ids must be 0..n-1 in tuple order")
-        self.deps = self._compute_deps()
-        self.stage_of = self._compute_stages()
-
-    def _compute_deps(self) -> Dict[int, Tuple[int, ...]]:
-        deps: Dict[int, set] = {s.id: set() for s in self.steps}
-        last_writer: Dict[str, int] = {}
-        readers_since: Dict[str, List[int]] = {}
-        for step in self.steps:
-            for slot in step.reads:
-                if slot in last_writer:
-                    deps[step.id].add(last_writer[slot])
-                readers_since.setdefault(slot, []).append(step.id)
-            for slot in step.writes + step.deletes:
-                for reader in readers_since.get(slot, ()):
-                    if reader != step.id:
-                        deps[step.id].add(reader)
-                if slot in last_writer:
-                    deps[step.id].add(last_writer[slot])
-                last_writer[slot] = step.id
-                readers_since[slot] = []
-        return {i: tuple(sorted(d)) for i, d in deps.items()}
-
-    def _compute_stages(self) -> Dict[int, int]:
-        """Longest-path level of each node: stage 0 has no dependencies,
-        stage ``k`` depends on something in stage ``k - 1``.  Steps are
-        topologically ordered by construction, so one forward pass."""
-        stage: Dict[int, int] = {}
-        for step in self.steps:
-            ds = self.deps[step.id]
-            stage[step.id] = (
-                1 + max(stage[d] for d in ds) if ds else 0
-            )
-        return stage
-
-    @property
-    def stages(self) -> List[List[Step]]:
-        """Steps grouped by stage, in stage order; within a stage, by id."""
-        n_stages = 1 + max(self.stage_of.values(), default=-1)
-        out: List[List[Step]] = [[] for _ in range(n_stages)]
-        for step in self.steps:
-            out[self.stage_of[step.id]].append(step)
-        return out
 
     # -- serialisation ---------------------------------------------------
 
@@ -470,16 +305,3 @@ class ExecPlan:
     @classmethod
     def loads(cls, s: str) -> "ExecPlan":
         return cls.from_json(json.loads(s))
-
-    def describe(self) -> str:
-        """Human-readable stage listing (for logs and the CLI)."""
-        lines = [f"ExecPlan {self.name or '<anonymous>'}: "
-                 f"{len(self.steps)} steps, {len(self.stages)} stages"]
-        for k, group in enumerate(self.stages):
-            for s in group:
-                ds = ",".join(str(d) for d in self.deps[s.id]) or "-"
-                lines.append(
-                    f"  stage {k}: #{s.id} {s.kind:<13} {s.label:<28}"
-                    f" deps[{ds}]"
-                )
-        return "\n".join(lines)

@@ -1,20 +1,34 @@
-"""Scheduler for :class:`~repro.exec.ir.ExecPlan` DAGs.
+"""Scheduler for :class:`~repro.exec.ir.ExecPlan` step tuples.
 
-One dispatch order, stated as the data: the plan's step tuple.  The
-compiler numbers steps by position and every dependency points
-backwards, so the tuple is a topological order — and it is the one
-fixed, data-independent message sequence the paper's security argument
-is over (the transcripts are pinned by
+One dispatch order, stated as the data: the plan's step tuple.  It is
+the one fixed, data-independent message sequence the paper's security
+argument is over (the transcripts are pinned by
 ``tests/golden/fingerprints.json``).
 
+Steps pass values through a slot environment that only this module
+reads and writes:
+
+=====================  ===================================================
+``{relation}``         a :class:`~repro.core.relation.SecureRelation`
+``shares:{relation}``  its annotation shares (oblivious-join step 1)
+``revealed:{relation}``its revealed nonzero ``(pos, tuple)`` list
+``joined``             Alice's local star join ``J*`` (with index cols)
+``factor:{relation}``  the relation's OEP-aligned annotation factor
+``result``             the :class:`ObliviousJoinResult`
+``output``             ``(result, revealed_values)`` after the final open
+=====================  ===================================================
+
 Every executed node is recorded into the engine's
-:class:`~repro.exec.trace.ExecutionTrace` when one is attached.  The
-section wrappers fix the transcript's label scheme (``reduce``,
-``semijoin``, ``full_join/oblivious_join``).
+:class:`~repro.exec.trace.ExecutionTrace` when one is attached.  Each
+step runs inside its :attr:`~repro.exec.ir.Step.section`, and the
+full-join steps nest ``oblivious_join`` under it: that fixes the
+transcript's label scheme (``reduce``, ``semijoin``,
+``full_join/oblivious_join``).
 """
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,30 +60,19 @@ from .ir import (
     ShareStep,
     Step,
 )
-from .trace import ExecutionTrace
 
 __all__ = ["Scheduler"]
 
 
 class Scheduler:
-    """Executes an :class:`ExecPlan` over an engine's context.
-
-    ``trace`` defaults to the engine's ``tracer`` attribute, so callers
+    """Executes an :class:`ExecPlan` over an engine's context, tracing
+    into the engine's ``tracer`` when one is attached, so callers
     configure instrumentation once on the engine and every pipeline
-    run picks it up.
-    """
+    run picks it up."""
 
-    def __init__(
-        self,
-        engine: "Engine",
-        trace: Optional[ExecutionTrace] = None,
-    ) -> None:
+    def __init__(self, engine: "Engine") -> None:
         self.engine = engine
-        self.trace = (
-            trace
-            if trace is not None
-            else getattr(engine, "tracer", None)
-        )
+        self.trace = getattr(engine, "tracer", None)
 
     def run(
         self,
@@ -79,7 +82,7 @@ class Scheduler:
         env: Optional[Dict[str, Any]] = None,
         start_at: Optional[int] = None,
     ) -> Dict[str, Any]:
-        """Execute the DAG; returns the final slot environment.  The
+        """Execute the plan; returns the final slot environment.  The
         caller reads ``plan.result_slot`` out of it.
 
         When the context carries a runtime session
@@ -90,7 +93,7 @@ class Scheduler:
         code never catches broader exception types here — operator bugs
         must propagate untouched.
 
-        ``env``/``start_at`` make runs restartable over a durable
+        ``env``/``start_at`` make runs resumable from a durable
         checkpoint (``repro net --resume``): pass the revived slot
         environment and the checkpointed step id, and execution skips
         every step before ``start_at``, resuming at the checkpointed
@@ -119,7 +122,6 @@ class Scheduler:
                         kind=step.kind,
                         label=step.label,
                         section=step.section,
-                        stage=plan.stage_of[step.id],
                         backend=backend,
                         est_bytes=est_bytes,
                     ):
@@ -134,7 +136,6 @@ class Scheduler:
         if self.trace is not None:
             self.trace.meta["plan"] = plan.name
             self.trace.meta["n_steps"] = len(plan.steps)
-            self.trace.meta["n_stages"] = len(plan.stages)
             self.trace.meta["cache"] = ctx.cache.stats()
         return env
 
@@ -182,6 +183,20 @@ class Scheduler:
         env: Dict[str, Any],
         relations: Dict[str, SecureRelation],
     ) -> None:
+        ctx = self.engine.ctx
+        with ExitStack() as sections:
+            if step.section is not None:
+                sections.enter_context(ctx.section(step.section))
+            if step.section == "full_join":
+                sections.enter_context(ctx.section("oblivious_join"))
+            self._execute(step, env, relations)
+
+    def _execute(
+        self,
+        step: Step,
+        env: Dict[str, Any],
+        relations: Dict[str, SecureRelation],
+    ) -> None:
         engine = self.engine
         ctx = engine.ctx
         if isinstance(step, ShareStep):
@@ -191,65 +206,56 @@ class Scheduler:
                 )
             env[step.relation] = relations[step.relation]
         elif isinstance(step, ReduceFoldStep):
-            with ctx.section("reduce"):
-                folded = oblivious_aggregate(
-                    engine, env[step.child], step.agg_attrs,
-                    label=f"agg/{step.child}",
-                )
-                env[step.parent] = oblivious_reduce_join(
-                    engine, env[step.parent], folded,
-                    label=step.label, backend=step.backend,
-                )
+            folded = oblivious_aggregate(
+                engine, env[step.child], step.agg_attrs,
+                label=f"agg/{step.child}",
+            )
+            env[step.parent] = oblivious_reduce_join(
+                engine, env[step.parent], folded,
+                label=step.label, backend=step.backend,
+            )
             del env[step.child]
         elif isinstance(step, AggregateStep):
-            with ctx.section("reduce"):
-                env[step.node] = oblivious_aggregate(
-                    engine, env[step.node], step.attrs,
-                    label=step.label,
-                )
+            env[step.node] = oblivious_aggregate(
+                engine, env[step.node], step.attrs, label=step.label,
+            )
         elif isinstance(step, SemijoinStep):
-            with ctx.section("semijoin"):
-                env[step.target] = oblivious_semijoin(
-                    engine, env[step.target], env[step.filter],
-                    label=step.label, backend=step.backend,
-                )
+            env[step.target] = oblivious_semijoin(
+                engine, env[step.target], env[step.filter],
+                label=step.label, backend=step.backend,
+            )
         elif isinstance(step, RevealStep):
-            with ctx.section("full_join"), ctx.section("oblivious_join"):
-                shares, revealed = reveal_relation(
-                    engine, env[step.relation], step.relation
-                )
+            shares, revealed = reveal_relation(
+                engine, env[step.relation], step.relation
+            )
             env[f"shares:{step.relation}"] = shares
             env[f"revealed:{step.relation}"] = revealed
         elif isinstance(step, JoinStep):
-            with ctx.section("full_join"), ctx.section("oblivious_join"):
-                env["joined"] = local_star_join(
-                    ctx,
-                    {n: env[n] for n in step.relations},
-                    {n: env[f"revealed:{n}"] for n in step.relations},
-                    list(step.join_order),
-                    pad_out_to=step.pad_out_to,
-                )
+            env["joined"] = local_star_join(
+                ctx,
+                {n: env[n] for n in step.relations},
+                {n: env[f"revealed:{n}"] for n in step.relations},
+                list(step.join_order),
+                pad_out_to=step.pad_out_to,
+            )
         elif isinstance(step, AlignStep):
             joined = env["joined"]
-            if len(joined) == 0:
-                env[f"factor:{step.relation}"] = None
-                return
-            with ctx.section("full_join"), ctx.section("oblivious_join"):
-                env[f"factor:{step.relation}"] = align_factor(
+            env[f"factor:{step.relation}"] = (
+                None
+                if len(joined) == 0
+                else align_factor(
                     engine,
                     step.relation,
                     env[f"shares:{step.relation}"],
                     joined,
                 )
+            )
         elif isinstance(step, ProductStep):
             joined = env["joined"]
             if len(joined) == 0:
                 env["result"] = empty_join_result(ctx, joined)
-                return
-            factors = [
-                env[f"factor:{n}"] for n in step.relations
-            ]
-            with ctx.section("full_join"), ctx.section("oblivious_join"):
+            else:
+                factors = [env[f"factor:{n}"] for n in step.relations]
                 env["result"] = finish_join(engine, joined, factors)
         elif isinstance(step, RevealResultStep):
             result = env["result"]

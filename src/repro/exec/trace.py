@@ -1,8 +1,8 @@
 """Structured execution tracing.
 
 An :class:`ExecutionTrace` collects one :class:`NodeTrace` per executed
-DAG node: wall time, bytes sent, message and round counts, plus the
-node's identity (kind, label, section, stage).  The whole trace is
+plan node: wall time, bytes sent, message and round counts, plus the
+node's identity (kind, label, section).  The whole trace is
 JSON-exportable — see ``docs/API.md`` for the schema.
 
 This module is stdlib-only so the core operator layer can import
@@ -26,13 +26,12 @@ __all__ = ["NodeTrace", "ExecutionTrace", "traced"]
 
 @dataclass
 class NodeTrace:
-    """Measurements for one executed DAG node."""
+    """Measurements for one executed plan node."""
 
     id: int
     kind: str
     label: str
     section: Optional[str]
-    stage: int
     seconds: float
     n_bytes: int
     n_messages: int
@@ -74,7 +73,6 @@ class ExecutionTrace:
         kind: str,
         label: str,
         section: Optional[str] = None,
-        stage: int = -1,
         backend: Optional[str] = None,
         est_bytes: Optional[int] = None,
     ) -> Iterator[None]:
@@ -94,7 +92,6 @@ class ExecutionTrace:
                     kind=kind,
                     label=label,
                     section=section,
-                    stage=stage,
                     seconds=elapsed,
                     n_bytes=transcript.total_bytes - start_bytes,
                     n_messages=len(window),
@@ -142,7 +139,6 @@ def traced(
     kind: str,
     label: str,
     section: Optional[str] = None,
-    stage: int = -1,
 ) -> Iterator[None]:
     """Record a block against ``engine.tracer`` when one is attached;
     otherwise a no-op.  Lets operator code outside the scheduler (e.g.
@@ -158,6 +154,5 @@ def traced(
         kind=kind,
         label=label,
         section=section,
-        stage=stage,
     ):
         yield

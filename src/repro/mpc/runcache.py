@@ -6,7 +6,7 @@ shapes over and over: every merge chain of length ``n`` garbles the same
 the same Beneš *topology* (the wire-pair structure depends only on the
 size; only the switch settings depend on the permutation).  A
 :class:`RunCache` hangs off the :class:`~repro.mpc.context.Context` and
-memoises both, so a DAG of operators builds each template once per run —
+memoises both, so a plan of operators builds each template once per run —
 and reports hit/miss statistics that the execution tracer
 (:mod:`repro.exec.trace`) surfaces per run.
 

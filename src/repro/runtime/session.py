@@ -48,6 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mpc.context import Context
     from .checkpoint import Checkpoint
     from .durable import DurableStore
+    from .supervisor import RetryPolicy
     from .transport import SocketTransport
 
 __all__ = [
@@ -84,8 +85,9 @@ class Session:
         self.node_budget = int(node_budget)
         self.meter_overhead = meter_overhead
         self.seed = int(seed)
-        #: Optional per-session override of the supervisor retry policy.
-        self.retry_policy: Optional[object] = None
+        #: The supervisor's retry policy; ``None`` is the default
+        #: :class:`~repro.runtime.supervisor.RetryPolicy`.
+        self.retry_policy: Optional["RetryPolicy"] = None
         #: Process-local hooks of a two-process run (``repro net``):
         #: the socket transport every delivered frame is exchanged
         #: through and the durable journal the supervisor commits

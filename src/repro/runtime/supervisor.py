@@ -5,11 +5,14 @@ plan node through :meth:`Supervisor.run_step`: checkpoint, arm the node
 deadline, run the operator, barrier.  A raised
 :class:`~repro.runtime.aborts.ProtocolAbort` — and **only** a
 ``ProtocolAbort``; operator bugs must propagate untouched — is handled
-per taxonomy: retryable aborts on restartable steps restore the
-checkpoint, advance the virtual clock by a bounded exponential backoff,
-re-key the context RNG with a fresh deterministic subkey, and re-run;
-terminal aborts (peer crash, retries exhausted, non-restartable steps)
-propagate.
+per taxonomy: retryable aborts restore the checkpoint, advance the
+virtual clock by a bounded exponential backoff, re-key the context RNG
+with a fresh deterministic subkey, and re-run; terminal aborts (peer
+crash, retries exhausted) propagate.  Every step kind is a pure
+function of the checkpointed slot environment, engine state and
+context RNG, so every step may be retried.  The retry policy is the
+session's :attr:`~repro.runtime.session.Session.retry_policy`, or the
+default :class:`RetryPolicy` when it is unset.
 
 The retried node re-executes against the rewound secret-share state
 with the identical public shapes, so its messages are byte-identical
@@ -89,18 +92,11 @@ class Supervisor:
         self,
         session: Session,
         engine: "Engine",
-        policy: Optional[RetryPolicy] = None,
         trace: Optional["ExecutionTrace"] = None,
     ) -> None:
         self.session = session
         self.engine = engine
-        override = session.retry_policy
-        if policy is not None:
-            self.policy = policy
-        elif isinstance(override, RetryPolicy):
-            self.policy = override
-        else:
-            self.policy = RetryPolicy()
+        self.policy = session.retry_policy or RetryPolicy()
         self.trace = trace
 
     def run_step(
@@ -128,7 +124,7 @@ class Supervisor:
                 session.n_aborts += 1
                 attempts += 1
                 self._event("abort", step, attempts, abort)
-                if not (abort.retryable and step.restartable):
+                if not abort.retryable:
                     raise
                 if attempts >= self.policy.max_attempts:
                     raise type(abort)(

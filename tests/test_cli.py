@@ -84,7 +84,7 @@ class TestCli:
         assert {"share", "reveal", "join", "align", "product"} <= kinds
         for node in blob["nodes"]:
             assert {
-                "id", "kind", "label", "section", "stage",
+                "id", "kind", "label", "section",
                 "seconds", "n_bytes", "n_messages", "rounds",
             } <= set(node)
 

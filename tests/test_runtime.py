@@ -387,19 +387,15 @@ class _FakeStep:
     id = 0
     kind = "probe"
     label = "probe"
-    restartable = True
 
 
-def _supervised(specs, policy=None, n_sends=1):
+def _supervised(specs, policy=None):
     ctx, session = _session(specs)
-    engine = Engine(ctx)
-    supervisor = Supervisor(session, engine, policy=policy)
-
-    def thunk():
-        for _ in range(n_sends):
-            ctx.send(ALICE, 16, "probe")
-
-    supervisor.run_step(_FakeStep(), {}, thunk)
+    session.retry_policy = policy
+    supervisor = Supervisor(session, Engine(ctx))
+    supervisor.run_step(
+        _FakeStep(), {}, lambda: ctx.send(ALICE, 16, "probe")
+    )
     return ctx, session
 
 
@@ -422,6 +418,16 @@ def test_supervisor_exhausts_retries():
     assert err.value.reason == "retries-exhausted"
     assert err.value.attempts == 3
     assert err.value.is_sanitized()
+
+
+def test_supervisor_takes_the_session_retry_policy():
+    with pytest.raises(IntegrityAbort) as err:
+        _supervised(
+            [FaultSpec("corrupt", message_index=0)],
+            policy=RetryPolicy(max_attempts=1),
+        )
+    assert err.value.reason == "retries-exhausted"
+    assert err.value.attempts == 1
 
 
 def test_supervisor_does_not_retry_a_crash():

@@ -2,8 +2,8 @@
 
 ``repro trace`` is a public artifact: notebooks and the bench tooling
 consume its JSON.  This test pins the *structure* — top-level keys,
-meta keys, per-node field names, and the (kind, label, section, stage)
-operator sequence for TPC-H Q3 — against
+meta keys, per-node field names, and the (kind, label, section,
+backend) operator sequence for TPC-H Q3 — against
 ``tests/golden/trace_q3_structure.json``.  Measurements (bytes,
 seconds, cache counters) are deliberately not pinned; they may drift
 with implementation changes without breaking consumers.
@@ -54,7 +54,7 @@ def structure_of(blob):
         "nodes": [
             {
                 k: n[k]
-                for k in ("kind", "label", "section", "stage", "backend")
+                for k in ("kind", "label", "section", "backend")
                 if k in n
             }
             for n in blob["nodes"]
