@@ -279,10 +279,6 @@ class SecureRelation:
             raise KeyError(f"attributes {missing} not in {self.attributes}")
         return [self.attributes.index(a) for a in attrs]
 
-    def project_store(self, attrs: Sequence[str]) -> TupleStore:
-        """Columnar projection onto ``attrs`` (no materialisation)."""
-        return self._store.project(attrs)
-
     def project_tuples(self, attrs: Sequence[str]) -> List[Tuple[Any, ...]]:
         return self._store.project(attrs).materialize()
 

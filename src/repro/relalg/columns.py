@@ -431,22 +431,6 @@ class TupleStore:
 
     # -- row views ------------------------------------------------------
 
-    def expanded_columns(self) -> List[Column]:
-        """Columns with dummy rows materialised as explicit
-        ``(DUMMY_MARKER, nonce)`` object values — needed when rows of
-        this store are combined with another store's columns (e.g. join
-        outputs mixing a dummy left row with a real right row)."""
-        dummies = np.flatnonzero(self.nonce)
-        if not len(dummies):
-            return list(self.columns)
-        out: List[Column] = []
-        for c in self.columns:
-            vals = c.to_pylist()
-            for i in dummies.tolist():
-                vals[i] = dummy_value(int(self.nonce[i]))
-            out.append(Column.from_values(vals))
-        return out
-
     def row(self, i: int) -> Tuple[Any, ...]:
         if self.nonce[i]:
             nv = dummy_value(int(self.nonce[i]))

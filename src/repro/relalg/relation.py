@@ -214,13 +214,6 @@ class AnnotatedRelation:
             raise KeyError(f"attributes {missing} not in {self.attributes}")
         return [self.attributes.index(a) for a in attrs]
 
-    def key_of(
-        self, t: Tuple[Any, ...], attrs: Sequence[str]
-    ) -> Tuple[Any, ...]:
-        """Project a single tuple onto ``attrs`` (by name)."""
-        idx = self.index_of(attrs)
-        return tuple(t[i] for i in idx)
-
     def keys(self, attrs: Sequence[str]) -> List[Tuple[Any, ...]]:
         """Projection of every tuple onto ``attrs``, preserving order and
         duplicates (the *tuple list* of ``pi_attrs``, not its set)."""

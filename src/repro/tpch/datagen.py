@@ -80,10 +80,6 @@ class TpchDataset:
     def __getitem__(self, name: str) -> Table:
         return self.tables[name]
 
-    @property
-    def total_rows(self) -> int:
-        return sum(t.n_rows for t in self.tables.values())
-
 
 def _rows(base: int, sf: float) -> int:
     return max(1, round(base * sf))
