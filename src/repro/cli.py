@@ -56,6 +56,8 @@ from .runtime.faults import (
     FaultSpec,
     kinds_of,
 )
+from .runtime.netrun import NetConfig, parse_endpoint
+from .runtime.transport import ReconnectPolicy
 
 __all__ = ["build_parser", "main"]
 
@@ -263,38 +265,33 @@ def _cmd_fuzz(args) -> int:
     return 0 if report.ok else 1
 
 
+def _net_config(args) -> NetConfig:
+    """``repro net``'s parsed arguments as one party's config."""
+    return NetConfig(
+        role=args.role,
+        query=args.query,
+        scale_mb=0.1 if args.scale == "tiny" else float(args.scale),
+        seed=args.seed,
+        backend=args.backend,
+        listen=parse_endpoint(args.listen) if args.listen else None,
+        connect=parse_endpoint(args.connect) if args.connect else None,
+        journal=args.journal,
+        resume=args.resume,
+        reconnect=ReconnectPolicy(max_attempts=args.reconnect_attempts),
+        heartbeat_s=args.heartbeat,
+        idle_timeout_s=args.idle_timeout,
+        exchange_deadline_s=args.exchange_deadline,
+        faults=tuple(args.fault),
+    )
+
+
 def _cmd_net(args) -> int:
     import json
 
-    from .runtime import (
-        NetConfig,
-        ReconnectPolicy,
-        ProtocolAbort,
-        parse_endpoint,
-        run_party,
-    )
+    from .runtime import ProtocolAbort, run_party
 
     try:
-        config = NetConfig(
-            role=args.role,
-            query=args.query,
-            scale_mb=0.1 if args.scale == "tiny" else float(args.scale),
-            seed=args.seed,
-            backend=args.backend,
-            listen=parse_endpoint(args.listen) if args.listen else None,
-            connect=(
-                parse_endpoint(args.connect) if args.connect else None
-            ),
-            journal=args.journal,
-            resume=args.resume,
-            reconnect=ReconnectPolicy(
-                max_attempts=args.reconnect_attempts,
-            ),
-            heartbeat_s=args.heartbeat,
-            idle_timeout_s=args.idle_timeout,
-            exchange_deadline_s=args.exchange_deadline,
-            faults=args.fault,
-        )
+        config = _net_config(args)
     except ValueError as exc:
         args.error(str(exc))
 
@@ -774,19 +771,23 @@ def build_parser() -> argparse.ArgumentParser:
         "abort) as JSON here",
     )
     p.add_argument(
-        "--heartbeat", type=float, default=0.25, metavar="S",
+        "--heartbeat", type=float, default=NetConfig.heartbeat_s,
+        metavar="S",
         help="heartbeat interval in seconds",
     )
     p.add_argument(
-        "--idle-timeout", type=float, default=10.0, metavar="S",
+        "--idle-timeout", type=float, default=NetConfig.idle_timeout_s,
+        metavar="S",
         help="silent-connection window before a reconnect is attempted",
     )
     p.add_argument(
-        "--exchange-deadline", type=float, default=120.0, metavar="S",
+        "--exchange-deadline", type=float,
+        default=NetConfig.exchange_deadline_s, metavar="S",
         help="hard wall-clock bound on one frame exchange",
     )
     p.add_argument(
-        "--reconnect-attempts", type=int, default=10,
+        "--reconnect-attempts", type=int,
+        default=ReconnectPolicy.max_attempts,
         help="reconnect attempts per episode before a terminal "
         "connection-lost abort",
     )

@@ -89,6 +89,10 @@ _MSG_ACK = 3
 _MSG_HEARTBEAT = 4
 _MSG_BYE = 5
 
+#: Unacknowledged frames kept for replay; one more aborts the exchange
+#: with ``outbox-overflow``.
+_OUTBOX_LIMIT = 8192
+
 #: Domain-separation constant for reconnect-jitter RNG subkeys.
 _RECONNECT_STREAM = 0x53594E54  # "SYNT"
 
@@ -168,6 +172,8 @@ class SocketTransport:
     runs the first handshake.  The session calls :meth:`exchange` for
     every delivered frame and :meth:`ack` at every durable checkpoint
     commit; the runner calls :meth:`close` after the final barrier.
+    The three timings have no defaults here: ``repro net`` takes them
+    from :class:`~repro.runtime.netrun.NetConfig`'s.
     """
 
     def __init__(
@@ -178,10 +184,10 @@ class SocketTransport:
         connect: Optional[Tuple[str, int]] = None,
         reconnect: Optional[ReconnectPolicy] = None,
         seed: int = 0,
-        heartbeat_s: float = 0.5,
-        idle_timeout_s: float = 15.0,
-        exchange_deadline_s: float = 120.0,
-        outbox_limit: int = 8192,
+        *,
+        heartbeat_s: float,
+        idle_timeout_s: float,
+        exchange_deadline_s: float,
     ) -> None:
         if role not in (ALICE, BOB):
             raise ValueError(f"unknown role {role!r}")
@@ -197,7 +203,6 @@ class SocketTransport:
         self.heartbeat_s = float(heartbeat_s)
         self.idle_timeout_s = float(idle_timeout_s)
         self.exchange_deadline_s = float(exchange_deadline_s)
-        self.outbox_limit = int(outbox_limit)
 
         self.session: Optional["Session"] = None
         self._sock: Optional[socket.socket] = None
@@ -363,7 +368,7 @@ class SocketTransport:
 
     def _transmit(self, frame: Frame) -> None:
         self._outbox.append(frame)
-        if len(self._outbox) > self.outbox_limit:
+        if len(self._outbox) > _OUTBOX_LIMIT:
             raise TransportAbort(
                 "outbox-overflow",
                 node=self._node(),

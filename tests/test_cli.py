@@ -172,6 +172,17 @@ class TestFaultKindChoices:
         assert tuple(accepted) == kinds_of(*levels)
 
 
+def test_net_defaults_are_net_configs():
+    # The transport timings and the reconnect budget are spelt once:
+    # `repro net` with no options runs exactly NetConfig's defaults.
+    from repro.cli import _net_config
+    from repro.runtime import NetConfig
+
+    for role in ("alice", "bob"):
+        args = build_parser().parse_args(["net", "--role", role])
+        assert _net_config(args) == NetConfig(role=role)
+
+
 class TestServeAdmitsAndRejectsTpch:
     """A TPC-H request used to be an opaque ``run=``: unpriced, so
     ``--budget-mb`` admitted it whatever the budget."""

@@ -153,7 +153,8 @@ class _Socketless(SocketTransport):
 
     def __init__(self, specs):
         super().__init__(
-            role=ALICE, session_id="fake", listen=("127.0.0.1", 0)
+            role=ALICE, session_id="fake", listen=("127.0.0.1", 0),
+            heartbeat_s=0.1, idle_timeout_s=5.0, exchange_deadline_s=20.0,
         )
         self.attach(_SessionStub(FaultPlan(specs)))
         self.events = []
