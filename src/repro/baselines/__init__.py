@@ -1,5 +1,7 @@
-"""Baselines: the SMCQL-style monolithic garbled circuit and the
-non-private plaintext evaluation."""
+"""Baselines: the SMCQL-style monolithic garbled circuit and an honest
+plaintext SQL engine.  The non-private evaluation is
+``PreparedQuery.run_plain`` (its communication, by the paper's
+convention, is ``PreparedQuery.effective_bytes``)."""
 
 from .garbled_baseline import (
     GcBaselineCost,
@@ -7,7 +9,6 @@ from .garbled_baseline import (
     gc_gate_rate,
     run_cartesian_gc,
 )
-from .nonprivate import NonPrivateResult, run_nonprivate
 from .sql_baseline import (
     SqlBaselineResult,
     run_sql_baseline,
@@ -16,12 +17,10 @@ from .sql_baseline import (
 
 __all__ = [
     "GcBaselineCost",
-    "NonPrivateResult",
     "SqlBaselineResult",
     "cartesian_gc_cost",
     "gc_gate_rate",
     "run_cartesian_gc",
-    "run_nonprivate",
     "run_sql_baseline",
     "sql_backend_name",
 ]

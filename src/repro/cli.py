@@ -17,37 +17,23 @@
     python -m repro lint src/
     python -m repro demo
 
-``figures`` regenerates the paper's evaluation series; ``tpch`` runs a
-single benchmark query end to end and prints results + costs;
-``trace`` runs one query through the execution scheduler and dumps the
-per-operator ExecutionTrace as JSON; ``estimate`` prints the analytic
-cost prediction without running the protocol; ``fuzz`` runs the
-differential query fuzzer and obliviousness transcript audit (see
-docs/TESTING.md); ``chaos`` sweeps a deterministic fault point across
-every wire message and plan node of a query execution and requires
-every run to end completed-correct or clean-abort (see
-docs/ROBUSTNESS.md) — ``--level process`` runs the sweep over real OS
-processes and TCP sockets, SIGKILLing and resuming parties; ``net``
-runs one party of a two-process query over a real socket, with
-disk-durable checkpoints and ``--resume`` crash recovery; ``lint``
-runs the obliviousness &
-channel-discipline static analyzer (see docs/LINTING.md); ``serve``
-drives a scripted multi-tenant workload through the query service —
-interleaved sessions, shared set-up store, per-tenant budgets — and can
-byte-compare every session against its solo run or sweep fault points
-in one tenant while watching another for transcript drift (see
-docs/SERVING.md); ``demo`` runs the Example 1.1 quickstart with REAL
-cryptography.
+Each sub-command's one-line summary is in ``repro --help`` and its
+options in ``repro <sub-command> --help``; ``--scale`` is a dataset
+size in MB, or ``tiny`` (= 0.1), everywhere.  docs/TESTING.md covers
+``fuzz``, docs/ROBUSTNESS.md ``chaos`` and ``net``, docs/SERVING.md
+``serve`` and docs/LINTING.md ``lint``.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .bench import check_figure_shape, format_figure, run_figure
+from .exec import ExecutionTrace
 from .leakage import BACKENDS
-from .mpc import Context, Engine, Mode
+from .mpc import Engine, Mode
 from .query import BACKEND_POLICIES
 from .runtime.faults import (
     MESSAGE_FAULT_KINDS,
@@ -56,10 +42,34 @@ from .runtime.faults import (
     FaultSpec,
     kinds_of,
 )
-from .runtime.netrun import NetConfig, parse_endpoint
+from .runtime.netrun import NET_QUERIES, NetConfig, parse_endpoint
 from .runtime.transport import ReconnectPolicy
+from .tpch import PREPARED, generate, prepare
 
 __all__ = ["build_parser", "main"]
+
+#: The TPC-H queries of every sub-command but ``net`` (``NET_QUERIES``).
+QUERIES = tuple(PREPARED)
+
+
+def _scale_arg(text: str) -> float:
+    """argparse ``type=`` of ``--scale``: a positive number of MB, or
+    ``tiny`` (= 0.1)."""
+    try:
+        mb = 0.1 if text == "tiny" else float(text)
+    except ValueError:
+        mb = 0.0
+    if not 0 < mb < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f'{text!r} is not a positive number of MB or "tiny"'
+        )
+    return mb
+
+
+def _write_json(path: str, payload) -> None:
+    """The one writer behind every ``-o``."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _cmd_figures(args) -> int:
@@ -79,7 +89,6 @@ def _cmd_figures(args) -> int:
         print()
     if args.json:
         import dataclasses
-        import json
 
         lines = [json.dumps(dataclasses.asdict(r)) for r in all_rows]
         with open(args.json, "w") as fh:  # one row per line: diffable
@@ -88,16 +97,20 @@ def _cmd_figures(args) -> int:
     return 1 if failures else 0
 
 
-def _cmd_tpch(args) -> int:
-    from .tpch import generate, prepare
-
+def _run_tpch(args, tracer=None):
+    """The run path of ``tpch`` and ``trace``: prepare ``args.query``,
+    run it on one engine, and return ``(query, mode, result, stats)``."""
     query = prepare(
         args.query, generate(args.scale), list(range(args.q9_nations))
     )
     mode = Mode.REAL if args.real else Mode.SIMULATED
-    engine = Engine(query.make_context(mode, seed=args.seed))
+    engine = Engine(query.make_context(mode, seed=args.seed), tracer=tracer)
     engine.backend = args.backend
-    result, stats = query.run_secure(engine)
+    return (query, mode, *query.run_secure(engine))
+
+
+def _cmd_tpch(args) -> int:
+    query, mode, result, stats = _run_tpch(args)
     plain, plain_seconds = query.run_plain()
     ok = result.semantically_equal(plain)
     print(f"{query.name}: {query.description}")
@@ -113,43 +126,27 @@ def _cmd_tpch(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    import json
-
-    from .exec import ExecutionTrace
-    from .tpch import generate, prepare
-
-    query = prepare(
-        args.query, generate(args.scale), list(range(args.q9_nations))
-    )
-    mode = Mode.REAL if args.real else Mode.SIMULATED
     tracer = ExecutionTrace()
-    engine = Engine(query.make_context(mode, seed=args.seed), tracer=tracer)
-    engine.backend = args.backend
-    query.run_secure(engine)
-    tracer.meta["query"] = query.name
-    tracer.meta["scale_mb"] = args.scale
-    tracer.meta["mode"] = mode.value
-    tracer.meta["backend"] = args.backend
-    payload = json.dumps(tracer.to_json(), indent=2)
+    query, mode, _, _ = _run_tpch(args, tracer)
+    tracer.meta.update(
+        query=query.name, scale_mb=args.scale, mode=mode.value,
+        backend=args.backend,
+    )
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload + "\n")
+        _write_json(args.output, tracer.to_json())
         print(
             f"{query.name}: {len(tracer.nodes)} trace nodes, "
             f"{tracer.total_bytes / 1e6:,.1f} MB -> {args.output}"
         )
     else:
-        print(payload)
+        print(json.dumps(tracer.to_json(), indent=2))
     return 0
 
 
 def _cmd_estimate(args) -> int:
-    from .bench.estimator import estimate_node_costs
-    from .bench.estimator import estimate_query_cost
-    from .tpch import PREPARED, generate
+    from .bench.estimator import estimate_node_costs, estimate_query_cost
 
-    dataset = generate(args.scale)
-    query = PREPARED[args.query](dataset)
+    query = PREPARED[args.query](generate(args.scale))
     print(
         f"{query.name} at {args.scale} MB: "
         f"{query.input_tuples:,} input tuples, "
@@ -198,36 +195,23 @@ def _fault_arg(*levels):
 
 
 def _cmd_fuzz(args) -> int:
-    from .fuzz import (
-        fuzz,
-        iter_corpus,
-        replay_file,
-    )
+    from .fuzz import fuzz, iter_corpus, replay_file
 
     if args.replay:
         failures = replay_file(args.replay, audit=not args.no_audit)
         for f in failures:
             print(f)
-        print(
-            f"replay {args.replay}: "
-            + ("FAILED" if failures else "ok")
-        )
+        print(f"replay {args.replay}: {'FAILED' if failures else 'ok'}")
         return 1 if failures else 0
 
     if args.corpus is not None:
-        from .fuzz import check_instance
-
-        n, bad = 0, 0
-        for path, instance in iter_corpus(args.corpus or None):
-            failures = check_instance(
-                instance, audit=not args.no_audit,
-                backend=args.backend,
-            )
-            n += 1
-            for f in failures:
+        paths = [path for path, _ in iter_corpus(args.corpus or None)]
+        bad = 0
+        for path in paths:
+            for f in replay_file(str(path), audit=not args.no_audit):
                 bad += 1
                 print(f"{path.name}: {f}")
-        print(f"corpus: {n} instances, {bad} failures")
+        print(f"corpus: {len(paths)} instances, {bad} failures")
         return 1 if bad else 0
 
     fault = FaultPlan([args.inject_fault]) if args.inject_fault else None
@@ -270,7 +254,7 @@ def _net_config(args) -> NetConfig:
     return NetConfig(
         role=args.role,
         query=args.query,
-        scale_mb=0.1 if args.scale == "tiny" else float(args.scale),
+        scale_mb=args.scale,
         seed=args.seed,
         backend=args.backend,
         listen=parse_endpoint(args.listen) if args.listen else None,
@@ -286,46 +270,36 @@ def _net_config(args) -> NetConfig:
 
 
 def _cmd_net(args) -> int:
-    import json
-
     from .runtime import ProtocolAbort, run_party
 
     try:
         config = _net_config(args)
     except ValueError as exc:
         args.error(str(exc))
-
-    def emit(payload) -> None:
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(json.dumps(payload, indent=2) + "\n")
-
     try:
         outcome = run_party(config)
     except ProtocolAbort as abort:
         # Sanitized failure: the typed abort is the whole public story.
-        emit(
-            {
-                "status": "abort",
-                "role": config.role,
-                "query": config.query,
-                "abort": abort.to_json(),
-            }
-        )
+        outcome = {
+            "status": "abort",
+            "role": config.role,
+            "query": config.query,
+            "abort": abort.to_json(),
+        }
         print(f"net {config.role} {config.query}: ABORT {abort}")
-        return 2
-    emit(outcome)
-    profile = outcome["profile"]
-    print(
-        f"net {config.role} {config.query}: done, "
-        f"{profile['n_messages']} msgs"
-        + (
-            f", resumed from node {outcome['resumed_from']}"
-            if outcome.get("resumed_from") is not None
-            else ""
+    else:
+        print(
+            f"net {config.role} {config.query}: done, "
+            f"{outcome['profile']['n_messages']} msgs"
+            + (
+                f", resumed from node {outcome['resumed_from']}"
+                if outcome.get("resumed_from") is not None
+                else ""
+            )
         )
-    )
-    return 0
+    if args.output:
+        _write_json(args.output, outcome)
+    return 2 if outcome["status"] == "abort" else 0
 
 
 def _sweep_progress(args):
@@ -341,8 +315,6 @@ def _sweep_progress(args):
 def _finish_sweep(args, title, report, real_sample=None) -> int:
     """The one print/write/exit path of every sweep command.  A sweep
     that classified no fault point proved nothing, so it fails."""
-    import json
-
     print(f"{title}: {report.summary()}")
     payload = report.to_json()
     ok = report.ok and report.n_fault_points > 0
@@ -353,8 +325,7 @@ def _finish_sweep(args, title, report, real_sample=None) -> int:
         payload["real_sample"] = real_sample.to_json()
         ok = ok and real_sample.ok
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
+        _write_json(args.output, payload)
         print(f"report -> {args.output}")
     return 0 if ok else 1
 
@@ -363,7 +334,6 @@ def _cmd_chaos(args) -> int:
     import tempfile
 
     from .runtime import (
-        NetConfig,
         build_specs,
         classify_fault,
         make_tpch_runner,
@@ -380,14 +350,13 @@ def _cmd_chaos(args) -> int:
             f"--level {args.level} sweeps the kinds "
             f"{', '.join(level_kinds)}; got {', '.join(foreign)}"
         )
-    scale = 0.1 if args.scale == "tiny" else float(args.scale)
     stride = 1 if args.sweep == "all" else args.stride
     meta = dict(
-        query=args.query, scale_mb=scale, backend=args.backend,
+        query=args.query, scale_mb=args.scale, backend=args.backend,
         level=args.level, stride=stride, kinds=list(kinds),
     )
     title = (
-        f"chaos {args.query} scale={scale} backend={args.backend} "
+        f"chaos {args.query} scale={args.scale} backend={args.backend} "
         f"[{args.level} level]"
     )
 
@@ -395,7 +364,7 @@ def _cmd_chaos(args) -> int:
         config = NetConfig(
             role="alice",  # per-scenario roles are set by the harness
             query=args.query,
-            scale_mb=scale,
+            scale_mb=args.scale,
             seed=args.seed,
             backend=args.backend,
         )
@@ -407,81 +376,74 @@ def _cmd_chaos(args) -> int:
         report.meta.update(meta)
         return _finish_sweep(args, title, report)
 
-    run = make_tpch_runner(
-        args.query, scale_mb=scale, seed=args.seed, backend=args.backend
-    )
-    report = sweep_faults(
-        run, kinds=kinds, stride=stride, on_progress=_sweep_progress(args)
-    )
-    report.meta.update(meta, mode="simulated")
     real_sample = None
-    if args.real_sample:
-        # REAL-mode spot check: the identical session/fault machinery
-        # over genuine cryptography, at a handful of evenly spaced
-        # fault points (REAL runs cost ~20s each at tiny scale).
+    for real in (False, True)[: 1 + bool(args.real_sample)]:
         run = make_tpch_runner(
-            args.query, scale_mb=scale, real=True, seed=args.seed,
+            args.query, scale_mb=args.scale, real=real, seed=args.seed,
             backend=args.backend,
         )
-        baseline = run(FaultPlan())
-        specs = build_specs(baseline, kinds=kinds)
-        step = max(1, len(specs) // args.real_sample)
-        real_sample = sweep(
-            specs[::step][: args.real_sample],
-            lambda spec: classify_fault(run, baseline, spec),
-            baseline,
-            lambda i, n, outcome: print(f"  real: {outcome}"),
-        )
-        real_sample.meta.update(meta, mode="real")
+        if not real:
+            report = sweep_faults(
+                run, kinds=kinds, stride=stride,
+                on_progress=_sweep_progress(args),
+            )
+            report.meta.update(meta, mode="simulated")
+        else:
+            # REAL-mode spot check: the identical session/fault machinery
+            # over genuine cryptography, at a handful of evenly spaced
+            # fault points (REAL runs cost ~20s each at tiny scale).
+            baseline = run(FaultPlan())
+            specs = build_specs(baseline, kinds=kinds)
+            step = max(1, len(specs) // args.real_sample)
+            real_sample = sweep(
+                specs[::step][: args.real_sample],
+                lambda spec: classify_fault(run, baseline, spec),
+                baseline,
+                lambda i, n, outcome: print(f"  real: {outcome}"),
+            )
+            real_sample.meta.update(meta, mode="real")
     return _finish_sweep(args, title, report, real_sample)
 
 
 def _cmd_serve(args) -> int:
-    import json
+    import functools
 
     from .serve import isolation_sweep, run_workload, tpch_request
 
-    scale = 0.1 if args.scale == "tiny" else float(args.scale)
-
     if args.isolation_sweep:
         # Two-tenant sweep: fault every point of the victim's run,
-        # require the observer byte-identical to its solo baseline.
-        victim_q = args.queries[0]
-        observer_q = (
-            args.queries[1] if len(args.queries) > 1 else args.queries[0]
-        )
-
-        def factory(query, tenant, seed):
-            def make(faults):
-                return tpch_request(
-                    query, tenant=tenant, scale_mb=scale, real=args.real,
-                    seed=seed, name=f"{query}/{tenant}", faults=faults,
-                    backend=args.backend,
-                )
-
-            return make
-
+        # require the observer byte-identical to its solo baseline.  A
+        # lone query is both.  Each request factory is tpch_request
+        # short of its next positional parameter, ``faults``.
+        victim_q, observer_q = (args.queries * 2)[:2]
         report = isolation_sweep(
-            factory(victim_q, "victim", args.seed),
-            factory(observer_q, "observer", args.seed + 1),
+            functools.partial(
+                tpch_request, victim_q, "victim", args.scale, args.real,
+                args.seed, f"{victim_q}/victim", backend=args.backend,
+            ),
+            functools.partial(
+                tpch_request, observer_q, "observer", args.scale,
+                args.real, args.seed + 1, f"{observer_q}/observer",
+                backend=args.backend,
+            ),
             interleave=args.interleave, kinds=args.kinds,
             stride=args.stride,
             on_progress=_sweep_progress(args),
         )
         report.meta.update(
-            victim=victim_q, observer=observer_q, scale_mb=scale,
+            victim=victim_q, observer=observer_q, scale_mb=args.scale,
             backend=args.backend, level="serve", kinds=list(args.kinds),
         )
         return _finish_sweep(
             args,
-            f"serve isolation {victim_q}->{observer_q} scale={scale} "
+            f"serve isolation {victim_q}->{observer_q} scale={args.scale} "
             f"interleave={args.interleave}",
             report,
         )
 
     requests = [
         tpch_request(
-            q, tenant=f"tenant{i % args.tenants}", scale_mb=scale,
+            q, tenant=f"tenant{i % args.tenants}", scale_mb=args.scale,
             real=args.real, seed=args.seed,
             name=f"{q}#{i}", backend=args.backend,
         )
@@ -519,11 +481,8 @@ def _cmd_serve(args) -> int:
     )
     if args.check_solo:
         ok = ok and result.isolated
-    payload = result.to_json()
-
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
+        _write_json(args.output, result.to_json())
         print(f"report -> {args.output}")
     return 0 if ok else 1
 
@@ -532,16 +491,55 @@ def _cmd_demo(args) -> int:
     import runpy
     from pathlib import Path
 
-    script = (
-        Path(__file__).resolve().parent.parent.parent
-        / "examples"
-        / "quickstart.py"
-    )
+    script = Path(__file__).resolve().parents[2] / "examples/quickstart.py"
     if script.exists():
         runpy.run_path(str(script), run_name="__main__")
         return 0
     print("examples/quickstart.py not found", file=sys.stderr)
     return 1
+
+
+#: The options several sub-commands share, each defined once; a
+#: sub-command picks its own with :func:`_add_options`.
+_OUTPUT = dict(
+    dest="output", default=None, metavar="FILE",
+    help="write the JSON (trace, report or party outcome) here",
+)
+_OPTIONS = {
+    "query": dict(choices=QUERIES),
+    "--seed": dict(type=int, default=7),
+    "--backend": dict(
+        choices=BACKEND_POLICIES, default="yannakakis",
+        help="join back-end: the paper's PSI protocol, the "
+        "linear-complexity DH-OPRF protocol, or per-node cost routing "
+        "(see docs/BACKENDS.md)",
+    ),
+    "--real": dict(
+        action="store_true",
+        help="REAL-mode cryptography (slow; use tiny scales)",
+    ),
+    "--q9-nations": dict(type=int, default=25),
+    "--verbose": dict(
+        action="store_true",
+        help="print every fault point's classification",
+    ),
+    "--output": _OUTPUT,
+    "--out": _OUTPUT,  # `repro net`'s spelling
+}
+
+
+def _add_options(p, *flags, scale=None) -> None:
+    """Add the shared options ``flags`` to ``p`` (``--output`` and
+    ``--out`` also as ``-o``) and, unless ``scale`` is None, ``--scale``
+    with that default."""
+    if scale is not None:
+        p.add_argument(
+            "--scale", type=_scale_arg, default=scale,
+            help='dataset scale in MB, or "tiny" (= 0.1)',
+        )
+    for flag in flags:
+        names = ("-o", flag) if flag in ("--output", "--out") else (flag,)
+        p.add_argument(*names, **_OPTIONS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -553,11 +551,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figures", help="regenerate the paper's figures")
     p.add_argument(
-        "--queries", nargs="+",
-        default=["Q3", "Q10", "Q18", "Q8", "Q9"],
+        "--queries", nargs="+", default=list(QUERIES), choices=QUERIES
     )
-    p.add_argument("--scales", nargs="+", type=float, default=[1, 3, 10])
-    p.add_argument("--q9-nations", type=int, default=25)
+    p.add_argument(
+        "--scales", nargs="+", type=_scale_arg, default=[1, 3, 10]
+    )
+    _add_options(p, "--q9-nations")
     p.add_argument(
         "--json", metavar="PATH",
         help="also write the measured rows (FigureRow fields) as JSON",
@@ -565,50 +564,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_figures)
 
     p = sub.add_parser("tpch", help="run one TPC-H benchmark query")
-    p.add_argument("query", choices=["Q3", "Q10", "Q18", "Q8", "Q9"])
-    p.add_argument("--scale", type=float, default=1)
-    p.add_argument("--seed", type=int, default=7)
+    _add_options(
+        p, "query", "--seed", "--backend", "--real", "--q9-nations",
+        scale=1,
+    )
     p.add_argument("--show", type=int, default=5)
-    p.add_argument("--q9-nations", type=int, default=25)
-    p.add_argument(
-        "--real", action="store_true",
-        help="REAL-mode cryptography (slow; use tiny scales)",
-    )
-    p.add_argument(
-        "--backend", choices=BACKEND_POLICIES,
-        default="yannakakis",
-        help="join back-end: the paper's PSI protocol, the "
-        "linear-complexity DH-OPRF protocol, or per-node cost routing "
-        "(see docs/BACKENDS.md)",
-    )
     p.set_defaults(fn=_cmd_tpch)
 
     p = sub.add_parser(
         "trace", help="per-operator execution trace as JSON"
     )
-    p.add_argument("query", choices=["Q3", "Q10", "Q18", "Q8", "Q9"])
-    p.add_argument("--scale", type=float, default=1)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--q9-nations", type=int, default=25)
-    p.add_argument(
-        "-o", "--output", default=None,
-        help="write the JSON here instead of stdout",
-    )
-    p.add_argument(
-        "--real", action="store_true",
-        help="REAL-mode cryptography (slow; use tiny scales)",
-    )
-    p.add_argument(
-        "--backend", choices=BACKEND_POLICIES,
-        default="yannakakis",
-        help="join back-end; fold/semijoin trace nodes report their "
-        "routed back-end and estimated bytes",
+    _add_options(
+        p, "query", "--seed", "--backend", "--real", "--q9-nations",
+        "--output", scale=1,
     )
     p.set_defaults(fn=_cmd_trace)
 
     p = sub.add_parser("estimate", help="analytic cost prediction")
-    p.add_argument("query", choices=["Q3", "Q10", "Q18", "Q8", "Q9"])
-    p.add_argument("--scale", type=float, default=1)
+    _add_options(p, "query", scale=1)
     p.set_defaults(fn=_cmd_estimate)
 
     p = sub.add_parser(
@@ -659,7 +632,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="yannakakis",
         help='join back-end; "both" runs every instance under both '
         "protocols — the cross-protocol differential oracle plus a "
-        "per-back-end obliviousness audit",
+        "per-back-end obliviousness audit. --replay and --corpus "
+        'ignore it: each file replays under its saved back-end, or "both" '
+        "when it has none",
     )
     p.set_defaults(fn=_cmd_fuzz)
 
@@ -668,13 +643,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-injection sweep: every message is a fault point",
     )
     p.add_argument(
-        "--query", type=lambda s: s.upper(), default="Q3",
-        choices=["Q3", "Q10", "Q18", "Q8", "Q9"],
+        "--query", type=str.upper, default="Q3", choices=QUERIES,
         help="TPC-H query to sweep (case-insensitive)",
     )
-    p.add_argument(
-        "--scale", default="tiny",
-        help='dataset scale in MB, or "tiny" (= 0.1)',
+    _add_options(
+        p, "--seed", "--backend", "--verbose", "--output", scale="tiny"
     )
     p.add_argument(
         "--sweep", choices=["all", "quick"], default="all",
@@ -701,11 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
         "docs/ROBUSTNESS.md)",
     )
     p.add_argument(
-        "--backend", choices=BACKEND_POLICIES,
-        default="yannakakis",
-        help="join back-end the swept runs execute under",
-    )
-    p.add_argument(
         "--timeout", type=float, default=120.0,
         help="per-scenario wall-clock budget for --level process",
     )
@@ -713,15 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--real-sample", type=int, default=0, metavar="N",
         help="additionally spot-check N fault points in REAL mode "
         "(slow: ~20s per run at tiny scale)",
-    )
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument(
-        "--verbose", action="store_true",
-        help="print every fault point's classification",
-    )
-    p.add_argument(
-        "-o", "--output", default=None,
-        help="write the JSON report here",
     )
     p.set_defaults(fn=_cmd_chaos, error=p.error)
 
@@ -742,19 +701,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="dial the peer there (conventionally bob)",
     )
     p.add_argument(
-        "--query", type=lambda s: s.upper(), default="Q3",
-        choices=["Q3", "Q10", "Q18"],
+        "--query", type=str.upper, default="Q3", choices=NET_QUERIES,
         help="single-plan TPC-H query to run (case-insensitive)",
     )
-    p.add_argument(
-        "--scale", default="tiny",
-        help='dataset scale in MB, or "tiny" (= 0.1)',
-    )
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument(
-        "--backend", choices=BACKEND_POLICIES,
-        default="yannakakis", help="join back-end",
-    )
+    _add_options(p, "--seed", "--backend", "--out", scale="tiny")
     p.add_argument(
         "--journal", default=None, metavar="FILE",
         help="disk journal for durable checkpoints (enables --resume "
@@ -764,11 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume", action="store_true",
         help="resume from the newest committed checkpoint in --journal "
         "instead of starting fresh",
-    )
-    p.add_argument(
-        "-o", "--out", default=None, metavar="FILE",
-        help="write the outcome payload (profile, transport stats, "
-        "abort) as JSON here",
     )
     p.add_argument(
         "--heartbeat", type=float, default=NetConfig.heartbeat_s,
@@ -816,9 +761,8 @@ def build_parser() -> argparse.ArgumentParser:
         "shared set-up store, per-tenant budgets",
     )
     p.add_argument(
-        "--queries", nargs="+", type=lambda s: s.upper(),
-        default=["Q3", "Q10", "Q18", "Q8", "Q9"],
-        choices=["Q3", "Q10", "Q18", "Q8", "Q9"],
+        "--queries", nargs="+", type=str.upper, default=list(QUERIES),
+        choices=QUERIES,
         help="TPC-H queries to serve (assigned to tenants round-robin; "
         "with --isolation-sweep, the first is the faulted victim and "
         "the second the observer)",
@@ -827,9 +771,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--tenants", type=int, default=2,
         help="number of tenants the queries are spread over",
     )
-    p.add_argument(
-        "--scale", default="tiny",
-        help='dataset scale in MB, or "tiny" (= 0.1)',
+    _add_options(
+        p, "--seed", "--backend", "--real", "--verbose", "--output",
+        scale="tiny",
     )
     p.add_argument(
         "--interleave", choices=["round_robin", "clock"],
@@ -859,24 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--kinds", nargs="+", default=MESSAGE_FAULT_KINDS,
         choices=MESSAGE_FAULT_KINDS,
         help="fault kinds for --isolation-sweep (default: all)",
-    )
-    p.add_argument(
-        "--real", action="store_true",
-        help="REAL-mode cryptography (slow; use tiny scales)",
-    )
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument(
-        "--backend", choices=BACKEND_POLICIES,
-        default="yannakakis",
-        help="join back-end every served session runs under",
-    )
-    p.add_argument(
-        "--verbose", action="store_true",
-        help="print every fault point's classification",
-    )
-    p.add_argument(
-        "-o", "--output", default=None,
-        help="write the JSON report here",
     )
     p.set_defaults(fn=_cmd_serve)
 

@@ -8,7 +8,7 @@ machine-checks the paper's obliviousness claim on value-disjoint
 database twins.  See ``docs/TESTING.md``.
 """
 
-from .corpus import default_corpus_dir, iter_corpus, save_instance
+from .corpus import default_corpus_dir, iter_corpus
 from .generator import (
     GeneratorConfig,
     QueryInstance,
@@ -47,5 +47,4 @@ __all__ = [
     "save_failure",
     "default_corpus_dir",
     "iter_corpus",
-    "save_instance",
 ]

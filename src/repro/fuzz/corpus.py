@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 from .generator import QueryInstance
 
-__all__ = ["default_corpus_dir", "iter_corpus", "save_instance"]
+__all__ = ["default_corpus_dir", "iter_corpus"]
 
 
 def default_corpus_dir() -> Path:
@@ -40,16 +40,3 @@ def iter_corpus(
     for path in sorted(root.glob("*.json")):
         blob = json.loads(path.read_text())
         yield path, QueryInstance.from_json(blob.get("instance", blob))
-
-
-def save_instance(
-    instance: QueryInstance, directory: str, name: str
-) -> Path:
-    """Add an instance to the corpus under ``<name>.json``."""
-    root = Path(directory)
-    root.mkdir(parents=True, exist_ok=True)
-    path = root / f"{name}.json"
-    path.write_text(
-        json.dumps(instance.to_json(), indent=2, sort_keys=True) + "\n"
-    )
-    return path

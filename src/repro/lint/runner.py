@@ -1,5 +1,5 @@
 """Lint orchestration: file discovery, rule dispatch, suppressions,
-and the ``repro lint`` CLI entry point.
+and the ``repro lint`` sub-command (its arguments and handler).
 
 The run pipeline is::
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import subprocess
-import sys
 from pathlib import Path
 from typing import (
     Callable,
@@ -307,14 +306,3 @@ def cmd_lint(args) -> int:
         print(text_report(result, rules))
     return 0 if result.ok else 1
 
-
-def main(argv=None) -> int:  # pragma: no cover - thin wrapper
-    parser = argparse.ArgumentParser(
-        prog="repro lint", description=__doc__
-    )
-    add_lint_arguments(parser)
-    return cmd_lint(parser.parse_args(argv))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

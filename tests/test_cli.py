@@ -1,5 +1,6 @@
 """The command-line interface."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -7,7 +8,9 @@ import sys
 import pytest
 
 from repro.cli import build_parser, main
-from repro.runtime import FAULT_KINDS, FaultSpec, kinds_of
+from repro.query import BACKEND_POLICIES
+from repro.runtime import FAULT_KINDS, NET_QUERIES, FaultSpec, kinds_of
+from repro.tpch import PREPARED
 
 
 def test_import_needs_only_declared_dependencies():
@@ -203,3 +206,69 @@ class TestServeAdmitsAndRejectsTpch:
         ]) == 0
         out = capsys.readouterr().out
         assert out.count("done, 44 msgs, 2.62 MB  [== solo]") == 2
+
+
+def _subparsers():
+    """``build_parser()``'s sub-command parsers, by name."""
+    (action,) = [
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+#: How to reach each ``--scale`` (``figures``: ``--scales``).
+SCALED = {
+    "tpch": ["tpch", "Q3", "--scale"],
+    "trace": ["trace", "Q3", "--scale"],
+    "estimate": ["estimate", "Q3", "--scale"],
+    "chaos": ["chaos", "--scale"],
+    "net": ["net", "--role", "bob", "--scale"],
+    "serve": ["serve", "--scale"],
+    "figures": ["figures", "--scales"],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(SCALED))
+def test_scale_is_a_positive_mb_or_tiny(cmd, capsys):
+    """``--scale foo`` used to be a ValueError traceback in chaos and
+    serve, and ``--scale -1`` ran an empty dataset everywhere."""
+    parser = build_parser()
+    for bad in ("foo", "0", "-1"):
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args([*SCALED[cmd], bad])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {SCALED[cmd][-1]}: " in err, err
+    args = parser.parse_args([*SCALED[cmd], "tiny"])
+    assert (args.scales if cmd == "figures" else [args.scale]) == [0.1]
+
+
+def test_shared_options_are_spelt_once():
+    """Each run option means the same on every sub-command that has it."""
+    subs = _subparsers()
+    seen = {}
+    for name, p in subs.items():
+        opts = {a.dest: a for a in p._actions}
+        for dest in opts:
+            seen.setdefault(dest, set()).add(name)
+        if "backend" in opts:
+            assert tuple(opts["backend"].choices) == (
+                (*BACKEND_POLICIES, "both") if name == "fuzz"
+                else BACKEND_POLICIES
+            )
+        for dest in ("query", "queries"):
+            if dest in opts:
+                assert tuple(opts[dest].choices) == (
+                    NET_QUERIES if name == "net" else tuple(PREPARED)
+                )
+        if "seed" in opts:
+            assert opts["seed"].default == (0 if name == "fuzz" else 7)
+        if "scale" in opts:
+            assert opts["scale"].default == (
+                1 if name in ("tpch", "trace", "estimate") else "tiny"
+            )
+    run = {"tpch", "trace", "chaos", "net", "serve"}
+    assert seen["backend"] == seen["seed"] == run | {"fuzz"}
+    assert seen["scale"] == run | {"estimate"}
+    assert seen["query"] | seen["queries"] == run | {"estimate", "figures"}

@@ -219,6 +219,33 @@ def test_cli_fuzz_corpus(capsys):
     assert "0 failures" in out
 
 
+def test_cli_fuzz_corpus_replays_each_entrys_backend(monkeypatch, capsys):
+    """``fuzz --corpus`` used to check every entry under the default
+    ``yannakakis`` alone; like ``--replay`` it now replays an entry
+    under its saved back-end, and under "both" when it has none."""
+    import repro.fuzz
+    import repro.fuzz.runner
+    from repro.cli import main
+
+    checked = []
+
+    def record(instance, audit=True, fault=None, backend="yannakakis"):
+        checked.append(backend)
+        return []
+
+    monkeypatch.setattr(repro.fuzz, "check_instance", record)
+    monkeypatch.setattr(repro.fuzz.runner, "check_instance", record)
+    assert main(["fuzz", "--corpus"]) == 0
+    saved = [
+        json.loads(path.read_text()).get("backend", "both")
+        for path, _ in iter_corpus()
+    ]
+    assert checked == saved
+    assert f"corpus: {len(saved)} instances, 0 failures" in (
+        capsys.readouterr().out
+    )
+
+
 def test_leakage_audit_sweep_is_clean():
     """Acceptance sweep: across 50 generated instances, every
     back-end's routed plan composes to a leakage summary within its
