@@ -25,11 +25,11 @@ import numpy as np
 
 from ..mpc.batch import bits_to_words, words_to_bits
 from ..mpc.circuits import CircuitBuilder
-from ..mpc.circuits.garbling import LABEL_BYTES, ROWS_PER_AND
 from ..mpc.context import ALICE, Context, Mode
-from ..mpc.costs import circuit_counts
+from ..mpc.costs import CircuitCounts, circuit_counts, cot_bytes, garbled_bytes
 from ..mpc.engine import Engine
 from ..mpc.ot import SimulatedOT
+from ..mpc.params import DEFAULT_PARAMS
 from ..mpc.yao import garbled_call
 from ..relalg.relation import AnnotatedRelation
 
@@ -71,16 +71,24 @@ def cartesian_gc_cost(
 ) -> GcBaselineCost:
     """Exact size/cost of the baseline circuit for relations of the
     given sizes (``runs`` > 1 models decomposed queries that pay the
-    baseline several times, e.g. Q9's 50 sub-queries)."""
+    baseline several times, e.g. Q9's 50 sub-queries).
+
+    Its bytes are one garbled batch priced by
+    :func:`~repro.mpc.costs.garbled_bytes` on the paper's parameters:
+    the tables, the seed, and the ``u`` of the label OTs.  The model has
+    no owner split, so every input bit is charged as an evaluator bit
+    (a label OT); its output, a count, adds a few decode bits that the
+    model leaves out with the adder that produces it."""
     combos = 1
     for s in sizes:
         combos *= int(s)
     and_gates = runs * combos * per_combo_and_gates(n_conditions, key_bits)
     input_bits = runs * sum(int(s) * key_bits for s in sizes)
-    comm = (
-        ROWS_PER_AND * LABEL_BYTES * and_gates
-        + 3 * LABEL_BYTES * input_bits  # labels + OT-extension traffic
+    sizes = garbled_bytes(
+        CircuitCounts(and_gates, input_bits, 0, 0, 0), 1, DEFAULT_PARAMS.ell
     )
+    label_u, _ = cot_bytes(DEFAULT_PARAMS.kappa, [(sizes.label_ots, 0)])
+    comm = sizes.tables + sizes.seed + sizes.decode + label_u
     return GcBaselineCost(
         combos=runs * combos,
         and_gates=and_gates,

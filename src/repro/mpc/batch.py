@@ -13,7 +13,7 @@ network) marshal through the batch kernels here instead:
 * ring-element <-> little-endian bit matrices (the garbled-circuit input
   encoding of :func:`repro.mpc.gadgets.bits_of`) via ``np.unpackbits``;
 * :func:`tccr_hash`, the fixed-key AES hash of every 16-byte block the
-  symmetric layer hashes — half-gates, garbler label expansion, the OT
+  symmetric layer hashes — the AND gates, garbler label expansion, the OT
   extension's GGM trees and leaf PRG, KKRT's column PRG and correlated-OT
   pads — one OpenSSL call per batch;
 * :func:`aes_prp`, AES-128 under a per-call secret key over a block

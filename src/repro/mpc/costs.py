@@ -20,7 +20,12 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, Tuple
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .circuits.circuit import Circuit
 
-from .circuits.garbling import LABEL_BYTES, ROWS_PER_AND, SEED_BYTES
+from .circuits.garbling import (
+    CONTROL_BITS,
+    HALF_BYTES,
+    SEED_BYTES,
+    TABLE_HALVES,
+)
 from .cuckoo import max_bin_load, num_bins
 from .params import SecurityParams
 from .waksman import padded_size, switch_count
@@ -61,7 +66,7 @@ __all__ = [
 #: change to a message's size or to the message sequence, and folded
 #: into ``repro net``'s session id so that a journal or a peer of
 #: another format is refused at the start, not at a later divergence.
-WIRE_FORMAT = 2
+WIRE_FORMAT = 3
 
 #: The shape of one C-OT batch: consecutive ``(count, width)`` segments
 #: of same-width transfers.
@@ -199,14 +204,17 @@ class GarbledBytes(NamedTuple):
 def garbled_bytes(
     counts: CircuitCounts, n_instances: int, ell: int
 ) -> GarbledBytes:
-    """``n_instances`` garblings of one template: two half-gates rows
-    per AND, one label OT per evaluator input bit, one seed per batch,
+    """``n_instances`` garblings of one template: per AND three 8-byte
+    half-ciphertexts (three-halves) plus four control bits, the bits
+    packed across the batch, one label OT per evaluator input bit, one
+    seed per batch,
     per instance one decode bit per revealed output wire (packed to
     bytes), one ring element per translated row and the disclosed
     payload packed to bytes."""
+    ands = counts.ands * n_instances
     return GarbledBytes(
         label_ots=counts.alice_bits * n_instances,
-        tables=ROWS_PER_AND * LABEL_BYTES * counts.ands * n_instances,
+        tables=TABLE_HALVES * HALF_BYTES * ands + -(-CONTROL_BITS * ands // 8),
         seed=SEED_BYTES,
         decode=(
             (counts.revealed + 7) // 8

@@ -33,7 +33,8 @@ Communication per batch of instances of one circuit, in wire order
 
 * the ``u`` columns of the OT batch that *is* Alice's input labels —
   Bob's zero-labels are its rows, so the OT runs first
-* garbled tables: two ``16``-byte ciphertexts per AND gate (half-gates)
+* garbled tables: three ``8``-byte half-ciphertexts per AND gate and
+  four control bits, packed across the batch (three-halves)
 * one 16-byte seed from which Alice expands the active labels of Bob's
   input and constant wires herself
 * ``gc/decode``: one decode bit per revealed output wire, one ring
@@ -184,7 +185,7 @@ def _run_garbled(
     g = garble_batch(
         plan, labels.delta, by_wire(labels.zero), seed, garbler_bits, batch
     )
-    ctx.send(BOB, g.tables.size, "gc/tables")
+    ctx.send(BOB, g.tables.nbytes + g.control.size, "gc/tables")
     ctx.send(BOB, len(seed), "gc/bob_labels")
     # Bob translates the shared outputs and encrypts the disclosed
     # payload: both travel after the revealed outputs' decode bits.
@@ -203,7 +204,7 @@ def _run_garbled(
     active = np.zeros((plan.n_wires, n, LABEL_BYTES), dtype=np.uint8)
     active[plan.alice_wires] = by_wire(labels.active)
     active[plan.garbler_wires] = expand_labels(seed, plan, n, batch)
-    bits = evaluate_batch(plan, g.tables, active, batch) ^ permute
+    bits = evaluate_batch(plan, g.tables, g.control, active, batch) ^ permute
     alice_rows = translated_shares(plan, active, rows, batch, ctx.mask)
     payload = disclosed_payloads(plan, active, sealed, bits, batch)
     return (

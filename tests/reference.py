@@ -4,13 +4,15 @@ The batch kernels in :mod:`repro.mpc.batch` and the SoftSpokenOT
 extension built on them replaced one-value-at-a-time loops, and so did
 the batched OPPRF interpolation of :mod:`repro.mpc.oprf` and the
 level-wise Beneš router and permutation staging of
-:mod:`repro.mpc.waksman` and :mod:`repro.mpc.oep`.  The scalar forms
+:mod:`repro.mpc.waksman` and :mod:`repro.mpc.oep`, and the level-wise
+three-halves garbler and evaluator of
+:mod:`repro.mpc.circuits.garbling`.  The scalar forms
 live on here, one block, pair, tree, bin or switch at a time, and the
 differential tests in ``tests/test_batch_kernels.py``,
-``tests/test_oprf.py``, ``tests/test_waksman.py`` and
-``tests/test_oep.py`` pin the vectorised code against them: identical
-outputs and byte-identical transcript fingerprints.  The protocol-level
-consumers — garbled batches, Gilboa, the switch network — have no twin:
+``tests/test_oprf.py``, ``tests/test_waksman.py``, ``tests/test_oep.py``
+and ``tests/test_garbling.py`` pin the vectorised code against them:
+identical outputs and byte-identical transcript fingerprints.  The
+protocol-level consumers — Gilboa, the switch network — have no twin:
 their tests pin semantics and REAL == SIMULATED fingerprints instead.
 
 Nothing in ``src/`` imports this module; it exists only as the ground
@@ -37,6 +39,8 @@ __all__ = [
     "prg_bits",
     "pad",
     "ReferenceSoftSpokenExtension",
+    "three_halves_garble",
+    "three_halves_evaluate",
     "mod_inv",
     "lagrange_basis",
     "poly_from_basis",
@@ -226,6 +230,124 @@ class ReferenceSoftSpokenExtension(SoftSpokenExtension):
             out.append(_xor(y1 if r[j] else y0, pad(tj, pad_batch, j, w)))
         ctx.send(BOB, total, "ot/ext/ciphertexts")
         return out
+
+
+# -- three-halves garbling, one AND gate at a time ------------------------
+
+_MASK64 = (1 << 64) - 1
+
+
+def _halves(label: bytes) -> Tuple[int, int]:
+    v = int.from_bytes(label, "little")
+    return v & _MASK64, v >> 64
+
+
+def _label(left: int, right: int) -> bytes:
+    return (left | right << 64).to_bytes(16, "little")
+
+
+def _hash3(label: bytes, batch: int, row: int, index: int) -> Tuple[int, int]:
+    """``(half, pad bits)``: the low 64 bits of ``H(label)`` and bits
+    0-1 of its high word."""
+    left, right = _halves(tccr(label, tweak(batch, row, index)))
+    return left, right & 3
+
+
+def _mask(bit: int) -> int:
+    return _MASK64 if bit & 1 else 0
+
+
+def _sliced(i: int, j: int, k1: int, k2: int, a: bytes, b: bytes):
+    """``R_ij . (A_L, A_R, B_L, B_R)`` for ``R_ij = P_ij ^ k1 E1 ^ k2
+    E2``, entry by entry: ``P_ij = [0 0 0 j; (1 ^ i) 0 0 0]``, ``E1 =
+    [1 1 1 0; 1 0 0 1]``, ``E2 = [1 0 0 1; 0 1 1 1]``."""
+    rows = (
+        ((0, 0, 0, j), (1, 1, 1, 0), (1, 0, 0, 1)),
+        ((1 ^ i, 0, 0, 0), (1, 0, 0, 1), (0, 1, 1, 1)),
+    )
+    words = _halves(a) + _halves(b)
+    out = []
+    for p, e1, e2 in rows:
+        acc = 0
+        for c in range(4):
+            if p[c] ^ (k1 & e1[c]) ^ (k2 & e2[c]):
+                acc ^= words[c]
+        out.append(acc)
+    return out
+
+
+def three_halves_evaluate(
+    a: bytes, b: bytes, g: Sequence[int], control: int,
+    batch: int, row: int, k: int,
+) -> bytes:
+    """The evaluator's output label of AND ``k`` of instance ``row``
+    from her labels ``a``, ``b``, the half-ciphertexts ``g`` and the
+    control nibble (bits: ``i``-coefficient of ``k1``, of ``k2``, then
+    the ``j``-coefficients)."""
+    i, j = a[0] & 1, b[0] & 1
+    ha, pa = _hash3(a, batch, row, 3 * k)
+    hb, pb = _hash3(b, batch, row, 3 * k + 1)
+    hx, _ = _hash3(_xor(a, b), batch, row, 3 * k + 2)
+    k1 = (pa ^ pb ^ (i * control) ^ (j * (control >> 2))) & 1
+    k2 = ((pa ^ pb ^ (i * control) ^ (j * (control >> 2))) >> 1) & 1
+    left, right = _sliced(i, j, k1, k2, a, b)
+    c_left = ha ^ hx ^ (_mask(i) & g[0]) ^ (_mask(j) & g[2]) ^ left
+    c_right = hb ^ hx ^ (_mask(j) & g[1]) ^ (_mask(i) & g[2]) ^ right
+    return _label(c_left, c_right)
+
+
+def three_halves_garble(
+    a0: bytes, b0: bytes, delta: bytes, batch: int, row: int, k: int
+) -> Tuple[bytes, Tuple[int, int, int], int]:
+    """``(C0, (G0, G1, G2), control)`` of AND ``k`` of instance ``row``
+    from its input zero-labels: the evaluator's equation at colours
+    ``(i, j)`` written out for ``(0, 0)``, ``(1, 0)`` and ``(0, 1)`` and
+    solved, every label hashed on its own."""
+    alpha, beta = a0[0] & 1, b0[0] & 1
+    a_bar = _xor(a0, delta) if alpha else a0
+    b_bar = _xor(b0, delta) if beta else b0
+    x_bar = _xor(a_bar, b_bar)
+    labels = {
+        "a": (a_bar, _xor(a_bar, delta)),
+        "b": (b_bar, _xor(b_bar, delta)),
+        "x": (x_bar, _xor(x_bar, delta)),
+    }
+    h = {
+        name: [_hash3(w, batch, row, 3 * k + j) for w in pair]
+        for j, (name, pair) in enumerate(labels.items())
+    }
+    # Pads of (k1, k2) at (i, j): pa[i] ^ pb[j]; its constant term dices.
+    pa = [h["a"][c][1] for c in (0, 1)]
+    pb = [h["b"][c][1] for c in (0, 1)]
+    rho = pa[0] ^ pb[0]
+    coef = {
+        "i1": beta, "i2": alpha ^ beta, "j1": alpha ^ beta, "j2": 1 ^ alpha
+    }
+    ci, cj = pa[0] ^ pa[1], pb[0] ^ pb[1]
+    control = (
+        ((ci & 1) ^ coef["i1"])
+        | (((ci >> 1) ^ coef["i2"]) & 1) << 1
+        | (((cj & 1) ^ coef["j1"])) << 2
+        | (((cj >> 1) ^ coef["j2"]) & 1) << 3
+    )
+    dl, dr = _halves(delta)
+
+    def target(i: int, j: int) -> Tuple[int, int]:
+        k1 = (rho & 1) ^ (coef["i1"] & i) ^ (coef["j1"] & j)
+        k2 = (rho >> 1) ^ (coef["i2"] & i) ^ (coef["j2"] & j)
+        left, right = _sliced(
+            i, j, k1, k2, labels["a"][i], labels["b"][j]
+        )
+        both = _mask((i ^ alpha) & (j ^ beta))
+        hx = h["x"][i ^ j][0]
+        return (
+            h["a"][i][0] ^ hx ^ left ^ (both & dl),
+            h["b"][j][0] ^ hx ^ right ^ (both & dr),
+        )
+
+    t00, t10, t01 = target(0, 0), target(1, 0), target(0, 1)
+    g = (t10[0] ^ t00[0], t01[1] ^ t00[1], t10[1] ^ t00[1])
+    return _label(*t00), g, control
 
 
 # -- polynomial OPPRF over GF(2^61 - 1), one bin at a time ---------------

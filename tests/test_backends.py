@@ -99,14 +99,15 @@ class TestEstimatorBoundary:
         for m, n in [(4, 256), (4, 512), (8, 512)]:
             assert node_cost(m, n, "yannakakis") < node_cost(m, n, "linear")
 
-    @pytest.mark.parametrize("n, last", [(256, 20), (512, 45), (1024, 100)])
+    @pytest.mark.parametrize("n, last", [(256, 24), (512, 51), (1024, 112)])
     def test_boundary_rows(self, n, last):
         # The largest parent a plain child of n rows still sends to the
         # PSI: 18 / 40 / 90 while a DH-OPRF element was 256 bytes, 17 /
         # 39 / 87 while shared bin outputs were masked in the circuit,
         # 25 / 55 / 123 while the bin circuits' input labels crossed as
         # OT corrections, 32 / 72 / 159 while the OT extension's ``u``
-        # was kappa bits per OT (IKNP) rather than kappa / 4.
+        # was kappa bits per OT (IKNP) rather than kappa / 4, 20 / 45 /
+        # 100 while an AND's table was half-gates' 32 B.
         wins = [
             m
             for m in range(1, 256)
@@ -153,16 +154,17 @@ class TestRouting:
     @pytest.mark.parametrize(
         "ell, winner, prices",
         [
-            (32, "linear", {"yannakakis": 634_308, "linear": 586_236}),
-            (48, "yannakakis", {"yannakakis": 771_894, "linear": 787_706}),
+            (32, "linear", {"yannakakis": 619_576, "linear": 591_356}),
+            (48, "yannakakis", {"yannakakis": 757_186, "linear": 796_410}),
         ],
     )
     def test_auto_routes_at_the_relations_ring_width(self, ell, winner, prices):
-        # Parent 104 x child 1024, cross-owner, both plain: the fold's
-        # winner depends on the ring width, so routing every query at
-        # the default ell = 32 sent this one to the dearer back-end at
+        # Parent 120 x child 1024 (104 while AND tables were
+        # half-gates'), cross-owner, both plain: the fold's winner
+        # depends on the ring width, so routing every query at the
+        # default ell = 32 sent this one to the dearer back-end at
         # ell = 48 while the estimator priced it at its own width.
-        q = two_relation_query(104, 1024, ring=IntegerRing(ell))
+        q = two_relation_query(120, 1024, ring=IntegerRing(ell))
         sizes = {n: len(r) for n, r in q.relations.items()}
         assert estimate_node_costs(
             q.plan(), sizes, q.owners, params=q.ring_params()

@@ -8,7 +8,7 @@ from repro.baselines import (
     run_cartesian_gc,
 )
 from repro.baselines.garbled_baseline import per_combo_and_gates
-from repro.mpc import ALICE, BOB, Context, Engine, Mode
+from repro.mpc import ALICE, BOB, Context, Engine, Mode, costs
 from repro.mpc.ot import SoftSpokenExtension
 from repro.relalg import AnnotatedRelation, IntegerRing
 from repro.tpch import generate, prepare_q3
@@ -45,6 +45,21 @@ class TestCostModel:
         assert slow.est_seconds == pytest.approx(
             1000 * fast.est_seconds
         )
+
+    def test_bytes_are_one_garbled_batch(self):
+        """The baseline's bytes come from the one cost model: one
+        garbled batch of its counts, every input bit an evaluator
+        label OT (only its ``u`` crosses)."""
+        cost = cartesian_gc_cost([10, 20, 30], 2, gate_rate=1e6)
+        sizes = costs.garbled_bytes(
+            costs.CircuitCounts(cost.and_gates, cost.input_bits, 0, 0, 0),
+            1, 32,
+        )
+        u, _ = costs.cot_bytes(128, [(cost.input_bits, 0)])
+        assert cost.comm_bytes == sizes.tables + sizes.seed + u
+        assert cost.comm_bytes == 24 * cost.and_gates + (
+            cost.and_gates + 1
+        ) // 2 + 16 + 32 * ((cost.input_bits + 7) // 8)
 
     def test_gate_rate_measured_positive(self, monkeypatch):
         # The rate multiplies a gate count, so nothing that does not

@@ -140,7 +140,7 @@ def test_tccr_hash_fixed_vector():
 def test_no_tweak_repeats_over_real_q3(monkeypatch, backend):
     """Every fixed-key hash of a REAL query (Q3 at 0.03 MB) through a
     spy: no tweak hashes more than two distinct inputs.  Two is one
-    pair — a garbler's ``W`` and ``W ^ delta`` (under a half-gate's or a
+    pair — a garbler's ``W`` and ``W ^ delta`` (under an AND gate's or a
     translated output row's tweak, or Bob's key label ``W_1`` and
     Alice's ``W_0`` under a disclosure's), an extension sender's ``Q_j``
     and ``Q_j ^ s`` — and any other hash under that tweak is the peer
@@ -150,7 +150,7 @@ def test_no_tweak_repeats_over_real_q3(monkeypatch, backend):
     under the owner's tweaks.  The evaluator's input labels are the
     extension's raw rows under the instance's one ``s``, so they meet
     the hash only as garbled wires.  A tweak without the batch number,
-    the instance or the half-gate index fails here, and so does an
+    the instance or the AND gate's hash index fails here, and so does an
     output row or a disclosure hashed under an earlier index, or a leaf
     or node hashed under its tree's or another leaf's row."""
     from repro.mpc.circuits import garbling

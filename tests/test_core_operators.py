@@ -302,23 +302,23 @@ ABLATIONS = {
     "same_party_shortcut": (
         _join(oblivious_reduce_join, A2, A1),
         _join(oblivious_reduce_join, A2, B1),
-        (192_797, 1_861_029),
+        (192_797, 1_589_634),
     ),
     # Section 6.5: owner-known annotations vs forced sharing.
     "plain_annotation_fast_path": (
         _join(oblivious_reduce_join, (ALICE, 2, False), (BOB, 1, False)),
         _join(oblivious_reduce_join, A2, B1),
-        (1_295_085, 1_861_029),
+        (1_099_485, 1_589_634),
     ),
     # Section 5.1: Gilboa OT-multiplication vs a garbled multiplier.
     "gilboa_vs_garbled_multiplier": (
-        _mul("ot"), _mul("gc"), (145_057, 8_751_281),
+        _mul("ot"), _mul("gc"), (145_057, 6_725_681),
     ),
     # Why reduce comes first: a semijoin filter of arity 1 vs arity 4.
     "reduced_semijoin_filter": (
         _join(oblivious_semijoin, A2, B1),
         _join(oblivious_semijoin, A2, (BOB, 4, True)),
-        (2_264_929, 2_765_921),
+        (1_915_557, 2_369_749),
     ),
 }
 

@@ -226,7 +226,7 @@ class TestByteBudgetPin:
     A change to a primitive's wire size is made in ``mpc/costs.py`` —
     and then here, knowingly."""
 
-    TOTAL = 26_682_681
+    TOTAL = 22_225_244
     #: set-up bytes (the benchmark's ``mpc.bytes.base_ot``): the one
     #: Chou-Orlandi phase, the mirror's seed-OT ``u``, one per PSI
     BASE = 8_353 + 512 + 2 * 1_792
@@ -239,16 +239,16 @@ class TestByteBudgetPin:
         "gc/alice_labels/": 1_658_048,
         "/switches/": 2_129_904,
         "/cross": 1_152_000,
-        # half-gates tables, then the decode bits and translated rows
-        "gc/tables": 19_018_400,
+        # three-halves tables, then the decode bits and translated rows
+        "gc/tables": 14_560_963,
         "gc/decode": 729_660,
     }
 
     #: Q3 at 0.1 MB under each join back-end: (bytes, rounds)
     BACKENDS = {
-        "yannakakis": (2_615_439, 29),
-        "linear": (1_504_275, 21),
-        "auto": (1_504_275, 21),
+        "yannakakis": (2_178_318, 29),
+        "linear": (1_293_488, 21),
+        "auto": (1_293_488, 21),
     }
 
     @staticmethod

@@ -19,10 +19,13 @@ from repro.mpc.circuits.garbling import (
     make_garble_plan,
     translate,
     translated_shares,
+    unpack_control,
 )
+from repro.mpc.costs import circuit_counts, garbled_bytes
 from repro.mpc.gadgets import bits_of, int_of
 from repro.mpc.ot import SimulatedOT
 
+from . import reference
 from .conftest import run_circuit
 
 #: Instances per garbled batch in the direct (OT-free) tests.
@@ -94,7 +97,7 @@ def garble_direct(circuit, alice_bits, bob_bits, seed=0, batch=3):
         g.delta * alice_bits.T[:, :, None]
     )
     active[plan.garbler_wires] = expand_labels(label_seed, plan, n, batch)
-    select = evaluate_batch(plan, g.tables, active, batch)
+    select = evaluate_batch(plan, g.tables, g.control, active, batch)
     return g, active, select ^ g.output_permute_bits()
 
 
@@ -184,14 +187,19 @@ class TestSchemeStructure:
             g, _, _ = garble_direct(c, [[0]] * n, [[1]] * n)
             assert g.tables.size == 0
 
-    def test_table_bytes_two_rows_per_and(self):
-        # Half-gates: exactly two 16-byte ciphertexts per AND gate.
+    def test_table_bytes_three_halves_per_and(self):
+        # Three-halves: three 8-byte half-ciphertexts per AND gate and
+        # four control bits, packed across the batch.
         b = CircuitBuilder()
         xs, ys = b.alice_input_bits(8), b.bob_input_bits(8)
         c = b.build(b.add(xs, ys))
-        for n in BATCH_SIZES:
+        for n in (1, 3, 5):
             g, _, _ = garble_direct(c, [[0] * 8] * n, [[1] * 8] * n)
-            assert g.tables.nbytes == c.and_count * 2 * 16 * n
+            ands = c.and_count * n
+            assert g.tables.nbytes == 24 * ands
+            assert g.control.size == (4 * ands + 7) // 8
+            tables = garbled_bytes(circuit_counts(c), n, 32).tables
+            assert tables == 24 * ands + (ands + 1) // 2
 
     def test_labels_differ_by_global_delta(self):
         """On every wire the evaluator's active label is the garbler's
@@ -247,6 +255,126 @@ class TestSchemeStructure:
 
 
 # ----------------------------------------------------------------------
+# Three-halves AND gates against the scalar reference
+# ----------------------------------------------------------------------
+
+
+def one_and():
+    """``x AND y`` over one Alice and one Bob input bit."""
+    b = CircuitBuilder()
+    (x,) = b.alice_input_bits(1)
+    (y,) = b.bob_input_bits(1)
+    return b.build([b.and_(x, y)])
+
+
+class TestThreeHalves:
+    BATCH = 4
+
+    def garble_one(self, seed):
+        """One instance of :func:`one_and` under a fresh delta and fresh
+        labels: the garbling and the evaluator's active inputs for each
+        of the four input combinations."""
+        circuit = one_and()
+        plan = make_garble_plan(circuit)
+        rng = np.random.default_rng(seed)
+        alice_zero = np.frombuffer(rng.bytes(16), np.uint8).reshape(1, 1, 16)
+        label_seed = rng.bytes(SEED_BYTES)
+        g = garble_batch(
+            plan, random_delta(rng), alice_zero, label_seed,
+            np.zeros((1, 1), np.uint8), self.BATCH,
+        )
+        bob_active = expand_labels(label_seed, plan, 1, self.BATCH)
+        combos = {}
+        for x in (0, 1):
+            for y in (0, 1):
+                active = np.zeros((plan.n_wires, 1, 16), np.uint8)
+                active[plan.alice_wires] = alice_zero ^ (g.delta * x)
+                # Bob's zero-label is the expanded one (his bit was 0)
+                active[plan.garbler_wires] = bob_active ^ (g.delta * y)
+                combos[x, y] = active
+        return plan, g, combos
+
+    def evaluate(self, plan, tables, control, active):
+        """The evaluator's output label (``evaluate_batch`` fills
+        ``active`` in place)."""
+        active = active.copy()
+        evaluate_batch(plan, tables, control, active, self.BATCH)
+        return active[plan.output_wires[0], 0]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_all_four_inputs_match_the_reference(self, seed):
+        plan, g, combos = self.garble_one(seed)
+        (gate,) = plan.circuit.gates
+        w0 = g.zero[gate.out, 0]
+        halves = g.tables[0, :, 0].tolist()
+        nibble = int(unpack_control(g.control, 1, 1)[0, 0])
+        for (x, y), active in combos.items():
+            out = self.evaluate(plan, g.tables, g.control, active)
+            expect = w0 ^ (g.delta * (x & y))
+            assert (out == expect).all(), (x, y)
+            ref = reference.three_halves_evaluate(
+                active[gate.a, 0].tobytes(), active[gate.b, 0].tobytes(),
+                halves, nibble, self.BATCH, 0, 0,
+            )
+            assert ref == expect.tobytes(), (x, y)
+
+    def tampered_fails(self, plan, g, combos, tables, control):
+        """Some input combination's output label is neither of the
+        wire's two labels."""
+        (gate,) = plan.circuit.gates
+        w0 = g.zero[gate.out, 0]
+        labels = {w0.tobytes(), (w0 ^ g.delta).tobytes()}
+        return any(
+            self.evaluate(plan, tables, control, a).tobytes() not in labels
+            for a in combos.values()
+        )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_control_bit_matters(self, seed):
+        plan, g, combos = self.garble_one(seed)
+        assert not self.tampered_fails(plan, g, combos, g.tables, g.control)
+        for bit in range(4):
+            control = g.control ^ np.uint8(1 << bit)
+            assert self.tampered_fails(plan, g, combos, g.tables, control)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_table_byte_matters(self, seed):
+        plan, g, combos = self.garble_one(seed)
+        raw = g.tables.view(np.uint8)
+        for pos in range(raw.size):
+            tampered = raw.copy()
+            tampered.reshape(-1)[pos] ^= np.uint8(1 << (pos % 8))
+            tables = tampered.view("<u8")
+            assert self.tampered_fails(plan, g, combos, tables, g.control)
+
+    def test_dicing_hides_the_colours(self):
+        """Exhaustively over the eight hash-derived pad bits: what the
+        evaluator at colours ``(i, j)`` sees of the control bits — her
+        own pads and the control nibble — is distributed the same for
+        every pair ``(alpha, beta)`` of the garbler's secret colours, so
+        the ``R_ij`` it selects reveals nothing about the inputs."""
+        from collections import Counter
+        from itertools import product
+
+        def view(alpha, beta, i, j, pads):
+            pa, pb = pads[:2], pads[2:]  # (pad of colour 0, of colour 1)
+            ci1, ci2, cj1, cj2 = garbling._dice(alpha, beta)
+            secret = ci1 | ci2 << 1 | cj1 << 2 | cj2 << 3
+            nibble = ((pa[0] ^ pa[1]) | (pb[0] ^ pb[1]) << 2) ^ secret
+            return pa[i], pb[j], nibble
+
+        for i, j in product((0, 1), repeat=2):
+            seen = {
+                (alpha, beta): Counter(
+                    view(alpha, beta, i, j, pads)
+                    for pads in product(range(4), repeat=4)
+                )
+                for alpha, beta in product((0, 1), repeat=2)
+            }
+            assert all(c == seen[0, 0] for c in seen.values()), (i, j)
+
+
+# ----------------------------------------------------------------------
 # The level schedule
 # ----------------------------------------------------------------------
 
@@ -291,26 +419,28 @@ class TestLevelSchedule:
             assert plan.n_ands == len(ands)
 
     def test_tables_are_in_construction_order(self):
-        """Row ``k`` of the tables is the generator/evaluator half-gate
-        pair of the ``k``-th AND gate, hashed under tweaks ``2k`` and
-        ``2k + 1``: recompute both rows from the zero-labels."""
+        """Row ``k`` of the tables is the ``k``-th AND gate's, hashed
+        under tweaks ``3k``, ``3k + 1`` and ``3k + 2``: the scalar
+        reference recomputes its half-ciphertexts, control bits and
+        output zero-label from the input zero-labels, instance by
+        instance, under several deltas."""
         circuit = gadgets.nonzero_circuit(8)
-        alice, bob = random_bits(circuit, np.random.default_rng(6), 1)
-        g, _, _ = garble_direct(circuit, alice, bob, batch=11)
-        delta = g.delta
         ands = [gate for gate in circuit.gates if gate.op == AND]
-        for k, gate in enumerate(ands):
-            wa0, wb0 = g.zero[gate.a, 0], g.zero[gate.b, 0]
-
-            def h(x, j):
-                return tccr_hash(x, tweaks(11, np.uint64(0), np.uint64(j)))
-
-            t_g = h(wa0, 2 * k) ^ h(wa0 ^ delta, 2 * k) ^ (
-                delta * (wb0[0] & 1)
-            )
-            t_e = h(wb0, 2 * k + 1) ^ h(wb0 ^ delta, 2 * k + 1) ^ wa0
-            assert (g.tables[k, 0, 0] == t_g).all()
-            assert (g.tables[k, 1, 0] == t_e).all()
+        for seed in range(3):
+            alice, bob = random_bits(circuit, np.random.default_rng(6), 3)
+            g, _, _ = garble_direct(circuit, alice, bob, seed=seed, batch=11)
+            control = unpack_control(g.control, len(ands), 3)
+            delta = g.delta.tobytes()
+            for k, gate in enumerate(ands):
+                for i in range(3):
+                    c0, halves, nibble = reference.three_halves_garble(
+                        g.zero[gate.a, i].tobytes(),
+                        g.zero[gate.b, i].tobytes(),
+                        delta, 11, i, k,
+                    )
+                    assert g.zero[gate.out, i].tobytes() == c0
+                    assert g.tables[k, :, i].tolist() == list(halves)
+                    assert control[k, i] == nibble
 
     def test_merge_chain_level_count(self, monkeypatch):
         """The 256-row merge chain is 127,654 gates in 1,368 levels, and
@@ -406,9 +536,9 @@ class TestSeedExpandedBatch:
         seen = []
         real_evaluate = yao.evaluate_batch
 
-        def spy(plan, tables, active, batch):
+        def spy(plan, tables, control, active, batch):
             seen.append(active[plan.garbler_wires].copy())
-            return real_evaluate(plan, tables, active, batch)
+            return real_evaluate(plan, tables, control, active, batch)
 
         monkeypatch.setattr(yao, "evaluate_batch", spy)
         outs1, ctx1 = run_real_batch(circuit, alice, bob, seed=5)
@@ -501,16 +631,16 @@ class TestOutputTranslation:
         ).tolist()
 
     def test_rows_hash_under_fresh_tweaks(self):
-        """Row ``j`` of instance ``i`` hashes under ``(batch, i, 2 *
-        n_ands + n_garbler_slots + j)``, after the half-gates and the
-        garbler-label slots: recompute the colour-0 share of Bob."""
+        """Row ``j`` of instance ``i`` hashes under ``(batch, i, 3 *
+        n_ands + n_garbler_slots + j)``, after the AND gates' hashes and
+        the garbler-label slots: recompute the colour-0 share of Bob."""
         circuit = gadgets.psi_bin_circuit(32, 12, False)
         plan = make_garble_plan(circuit)
         alice, bob = random_bits(circuit, np.random.default_rng(2), 2)
         g, _, _ = garble_direct(circuit, alice, bob, batch=9)
         x = np.ones((len(plan.row_wires), 2), dtype=np.uint64)
         _, bob_rows = translate(g, x, 9, self.MASK)
-        base = 2 * plan.n_ands + len(plan.garbler_wires)
+        base = 3 * plan.n_ands + len(plan.garbler_wires)
         assert plan.row_tweak_base == base
         for j, wire in enumerate(plan.row_wires.tolist()):
             for i in range(2):
@@ -525,8 +655,6 @@ class TestOutputTranslation:
     def test_constant_wire_gets_no_row(self):
         """A row on a constant wire is Bob's to fold in: not sent, not
         priced, and the word still comes out right."""
-        from repro.mpc.costs import circuit_counts
-
         b = CircuitBuilder()
         (x,) = b.alice_input_bits(1)
         b.share_word([x, b.constant(1), b.constant(0)])
@@ -633,7 +761,7 @@ class TestDisclosure:
 
     @pytest.mark.real
     def test_pads_meet_no_other_hashs_tweak(self, monkeypatch):
-        """One REAL garbled call (half-gates, garbler labels, a row and
+        """One REAL garbled call (AND tables, garbler labels, a row and
         a disclosure on the key wire): the disclosure's tweaks are used
         by no other hash of the call, and the payload comes out."""
         seen = {"disclosure": [], "other": []}
