@@ -183,6 +183,7 @@ class _Estimator:
         self.ot([(sizes.label_ots, 0)])  # u only
         self.est.add("gc_decode", sizes.decode)
         self.est.add_rounds(2)
+        self.ot(sizes.weight_ots, reverse=True)  # Bob chooses
 
     def oep(self, m: int, n_out: int) -> None:
         self.ot(costs.oep_widths(self.p.ell, m, n_out))
@@ -361,10 +362,11 @@ def estimate_plan_cost(
     for name, attrs in reduced.items():
         if plain[name]:
             e.share(sizes[name])
-        # reveal circuits: indicator only for Alice-owned; indicator +
-        # payload mux for Bob-owned.  Payload width is data-dependent;
-        # callers wanting exactness supply integer-only relations, for
-        # which the estimator assumes 4-byte slots per attribute.
+        # reveal circuits: the indicator, and for a Bob-owned relation
+        # his tuples disclosed under it (no gate).  Payload width is
+        # data-dependent; callers wanting exactness supply integer-only
+        # relations, for which the estimator assumes 4-byte slots per
+        # attribute.
         pbits = 0 if owners[name] == ALICE else 32 * len(attrs)
         reveal = gadgets.reveal_tuple_circuit(params.ell, pbits)
         e.garbled(costs.circuit_counts(reveal), sizes[name])

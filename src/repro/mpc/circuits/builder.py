@@ -12,7 +12,7 @@ arithmetic, matching the arithmetic secret-sharing ring).  Gadgets:
                                  query composition, Section 7)
 
 Outputs are either revealed bits (the wires passed to :meth:`build`)
-or shared words (:meth:`share_word`, one translated row per bit); Bob's
+or shared words (:meth:`share_word`, one row per bit); Bob's
 input bits may also be disclosed outside the circuit under a revealed
 bit (:meth:`disclose`).  :meth:`build` keeps only the gates some output
 reaches.
@@ -208,19 +208,20 @@ class CircuitBuilder:
 
     def share_word(
         self, bits: Sequence[Wire], word: Optional[int] = None,
-        weight: int = -1,
+        weight: int = -1, evaluator: bool = False,
     ) -> int:
         """Output ``bits`` as a shared ring word, bit ``i`` weighing
-        ``2**i`` (times Bob's per-instance weight column ``weight``, if
-        given): one translated row per bit, added into ``word`` or a new
-        word.  Returns the word's index."""
+        ``2**i`` (times the per-instance weight column ``weight``, if
+        given: Bob's, or Alice's when ``evaluator``): one row per bit,
+        added into ``word`` or a new word.  Returns the word's index."""
         if word is None:
             word = self._n_words
             self._n_words += 1
         elif not 0 <= word < self._n_words:
             raise ValueError(f"no shared word {word}")
         self._rows.extend(
-            Row(w, word, shift, weight) for shift, w in enumerate(bits)
+            Row(w, word, shift, weight, evaluator)
+            for shift, w in enumerate(bits)
         )
         return word
 

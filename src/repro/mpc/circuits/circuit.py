@@ -13,7 +13,9 @@ bit by bit, and ``rows`` leave the circuit as arithmetic shares — row
 ``j`` adds ``v_j * X_j`` to one shared word of its instance, where
 ``v_j`` is the bit on its wire and ``X_j`` a weight Bob knows
 (:class:`Row`; the translation itself is
-:func:`repro.mpc.circuits.garbling.translate`).  A circuit may also
+:func:`repro.mpc.circuits.garbling.translate`) or, on an *evaluator*
+row, a weight Alice knows (paid by one correlated OT on the wire's
+colour, :mod:`repro.mpc.yao`).  A circuit may also
 *disclose* some of Bob's input bits to Alice where one revealed output
 is 1 (:class:`Disclosure`): they never enter the circuit, and leave it
 encrypted under that output wire's 1-label
@@ -48,14 +50,16 @@ class Gate:
 
 
 class Row(NamedTuple):
-    """One translated output bit: the bit on ``wire`` times the weight
-    ``X = 2**shift`` — times Bob's per-instance weight column
-    ``weight`` unless it is ``-1`` — adds into shared word ``word``."""
+    """One shared output bit: the bit on ``wire`` times the weight
+    ``X = 2**shift`` — times a per-instance weight column ``weight``
+    unless it is ``-1`` — adds into shared word ``word``.  The column
+    is Bob's, or Alice's on an ``evaluator`` row."""
 
     wire: int
     word: int
     shift: int
     weight: int = -1
+    evaluator: bool = False
 
 
 class Disclosure(NamedTuple):
@@ -111,12 +115,19 @@ class Circuit:
 
     @cached_property
     def sent_rows(self) -> Tuple[int, ...]:
-        """Indices of the rows that cross the wire: a row on a constant
-        wire has a value Bob knows, so he folds it into his share."""
+        """Indices of the translated rows, which cross the wire: a row
+        on a constant wire has a value Bob knows, so he folds it into
+        his share, and an evaluator row is not translated."""
         const = {w for w, _ in self.const_wires}
         return tuple(
-            j for j, r in enumerate(self.rows) if r.wire not in const
+            j for j, r in enumerate(self.rows)
+            if r.wire not in const and not r.evaluator
         )
+
+    @cached_property
+    def evaluator_rows(self) -> Tuple[int, ...]:
+        """Indices of the rows whose weight column is Alice's."""
+        return tuple(j for j, r in enumerate(self.rows) if r.evaluator)
 
     @property
     def size(self) -> int:
@@ -182,15 +193,17 @@ class Circuit:
         ell: int,
         weights: Sequence[int] = (),
         offsets: Sequence[int] = (),
+        alice_weights: Sequence[int] = (),
     ) -> List[int]:
         """Plaintext value of the shared words mod ``2**ell``: Bob's
         ``offsets[k]`` (0 if absent) plus the weighted bits of word
         ``k``'s rows, ``weights`` being Bob's per-instance weight
-        columns."""
+        columns and ``alice_weights`` Alice's."""
         value = self._wire_values(alice_bits, bob_bits)
         words = [int(o) for o in offsets] + [0] * (self.n_words - len(offsets))
         for r in self.rows:
-            x = int(weights[r.weight]) if r.weight >= 0 else 1
+            column = alice_weights if r.evaluator else weights
+            x = int(column[r.weight]) if r.weight >= 0 else 1
             words[r.word] += value[r.wire] * (x << r.shift)
         return [w % (1 << ell) for w in words]
 

@@ -66,7 +66,7 @@ __all__ = [
 #: change to a message's size or to the message sequence, and folded
 #: into ``repro net``'s session id so that a journal or a peer of
 #: another format is refused at the start, not at a later divergence.
-WIRE_FORMAT = 3
+WIRE_FORMAT = 4
 
 #: The shape of one C-OT batch: consecutive ``(count, width)`` segments
 #: of same-width transfers.
@@ -184,11 +184,15 @@ class CircuitCounts(NamedTuple):
     #: Bob's payload bits disclosed under a revealed bit's 1-label
     #: (``ceil(bits / 8)`` bytes per instance)
     disclosed: int
+    #: rows weighted by the evaluator (one reverse C-OT of a ring
+    #: element each)
+    evaluator_rows: int = 0
 
 
 class GarbledBytes(NamedTuple):
     """The messages of one garbled batch, in wire order: ``u`` (opening
-    the label OTs), tables, seed, decode."""
+    the label OTs), tables, seed, decode, then the evaluator rows'
+    C-OT batch (its ``u``, then its corrections)."""
 
     #: the evaluator-input label OTs: Δ-correlated, so the batch is
     #: never finished and only its ``u`` crosses
@@ -199,6 +203,9 @@ class GarbledBytes(NamedTuple):
     #: the revealed outputs' decode bits, the translated rows, then the
     #: disclosed payload
     decode: int
+    #: the evaluator rows: one C-OT of a ring element per row and
+    #: instance, the garbler choosing by the row wire's permute bit
+    weight_ots: Widths
 
 
 def garbled_bytes(
@@ -210,7 +217,8 @@ def garbled_bytes(
     seed per batch,
     per instance one decode bit per revealed output wire (packed to
     bytes), one ring element per translated row and the disclosed
-    payload packed to bytes."""
+    payload packed to bytes, and one reverse C-OT of a ring element per
+    evaluator row."""
     ands = counts.ands * n_instances
     return GarbledBytes(
         label_ots=counts.alice_bits * n_instances,
@@ -221,6 +229,7 @@ def garbled_bytes(
             + counts.rows * ring_bytes(ell)
             + (counts.disclosed + 7) // 8
         ) * n_instances,
+        weight_ots=[(counts.evaluator_rows * n_instances, ring_bytes(ell))],
     )
 
 
@@ -233,6 +242,7 @@ def circuit_counts(circuit: "Circuit") -> CircuitCounts:
         len(circuit.sent_rows),
         len(circuit.outputs),
         len(disclosure.payload) if disclosure else 0,
+        len(circuit.evaluator_rows),
     )
 
 

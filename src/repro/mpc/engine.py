@@ -219,6 +219,15 @@ class Engine:
         )
         return alice, bob
 
+    def _zero_test_bits(self, v: SharedVector) -> Tuple[np.ndarray, np.ndarray]:
+        """The input packing of the zero tests: Alice's share, Bob's
+        negated share (``v = 0`` iff they are equal)."""
+        ell = self.ctx.params.ell
+        return (
+            words_to_bits(v.alice, ell),
+            words_to_bits((-v.bob) & self.ctx.mask, ell),
+        )
+
     def mul_alice_plain(self, plain: Sequence[int] | np.ndarray, y: SharedVector,
                         label: str = "mul_plain") -> SharedVector:
         """``z_i = a_i * y_i`` where Alice knows ``a`` in the clear:
@@ -244,7 +253,7 @@ class Engine:
         with ctx.section(label):
             return garbled_call(
                 ctx, self.ot, circuit_counts(circuit), len(x),
-                real=lambda: (circuit, *self._share_bits(x)),
+                real=lambda: (circuit, *self._zero_test_bits(x)),
                 ideal=lambda: (x.reconstruct() != 0, None),
             )[0]
 
@@ -259,13 +268,23 @@ class Engine:
         """The oblivious aggregation chain: tuples are sorted by group key
         (Alice-local); ``same_as_next[i]`` says tuple ``i`` and ``i+1``
         share the key.  Output position ``i`` holds the group's
-        +-aggregate iff ``i`` is the group's last member, else 0."""
-        return self._merge_chain(
-            gadgets.merge_sum_circuit,
-            self.ctx.params.ell,
-            self._segment_last_sums,
-            same_as_next, v, label,
+        +-aggregate iff ``i`` is the group's last member, else 0.
+
+        The circuit chains Bob's shares only; Alice, who knows the
+        groups, adds her own shares' group sums to her output shares."""
+        ctx = self.ctx
+        out = self._merge_chain(
+            gadgets.merge_sum_circuit, ctx.params.ell, same_as_next,
+            None, v.bob,
+            lambda ind: self._segment_last_sums(ind, v.bob),
+            label,
         )
+        if len(v) == 0:
+            return out
+        own = self._segment_last_sums(
+            np.asarray(same_as_next, dtype=bool), v.alice
+        ) & ctx.mask
+        return out + SharedVector(own, np.zeros_like(own), ctx.modulus)
 
     def merge_aggregate_or(
         self,
@@ -276,26 +295,30 @@ class Engine:
         """The chain with OR in place of the semiring addition — used by
         ``pi^1``.  ``v`` holds shared 0/1 indicators."""
         return self._merge_chain(
-            gadgets.merge_or_circuit,
-            1,
-            lambda ind, plain: self._segment_last_sums(ind, plain != 0) != 0,
-            same_as_next, v, label,
+            gadgets.merge_or_circuit, 1, same_as_next, v.alice, v.bob,
+            lambda ind: (
+                self._segment_last_sums(ind, v.reconstruct() != 0) != 0
+            ),
+            label,
         )
 
     def _merge_chain(
         self,
         make_circuit: Callable[..., "Circuit"],
         bits: int,
-        semantics: Callable[[np.ndarray, np.ndarray], np.ndarray],
         same_as_next: Sequence[bool],
-        v: SharedVector,
+        alice_values: Optional[np.ndarray],
+        bob_values: np.ndarray,
+        function: Callable[[np.ndarray], np.ndarray],
         label: str,
     ) -> SharedVector:
-        """One merge-gate chain of ``make_circuit`` over the low ``bits``
-        bits of each element of ``v``: a single circuit instance with one
-        shared output word per row.  ``semantics(boundaries, cleartext)``
-        is its function."""
-        n = len(v)
+        """One merge-gate chain of ``make_circuit``: a single circuit
+        instance with one shared output word per row.  Alice feeds the
+        boundaries, then the low ``bits`` bits of each of her
+        ``alice_values`` unless they are ``None``; Bob feeds those of
+        his ``bob_values``.  ``function(boundaries)`` is the chain's
+        output in the clear."""
+        n = len(bob_values)
         if n == 0:
             return self.zeros(0)
         if len(same_as_next) != n - 1:
@@ -305,13 +328,13 @@ class Engine:
         ind = np.asarray(same_as_next, dtype=bool)
 
         def real() -> Tuple["Circuit", np.ndarray, np.ndarray]:
-            alice_bits = np.concatenate(
-                [ind.astype(np.uint8), words_to_bits(v.alice, bits).reshape(-1)]
-            )
+            alice_bits = [ind.astype(np.uint8)]
+            if alice_values is not None:
+                alice_bits.append(words_to_bits(alice_values, bits).reshape(-1))
             return (
                 ctx.cache.circuit(make_circuit, ell, n),
-                alice_bits[None, :],
-                words_to_bits(v.bob, bits).reshape(1, -1),
+                np.concatenate(alice_bits)[None, :],
+                words_to_bits(bob_values, bits).reshape(1, -1),
             )
 
         counts = merge_chain_counts(
@@ -320,7 +343,7 @@ class Engine:
         with ctx.section(label):
             return garbled_call(
                 ctx, self.ot, counts, 1, real=real,
-                ideal=lambda: (semantics(ind, v.reconstruct()), None),
+                ideal=lambda: (function(ind), None),
             )[0]
 
     # -- Section 6.3 helpers -------------------------------------------------
@@ -372,7 +395,7 @@ class Engine:
         )
 
         def real() -> Tuple["Circuit", np.ndarray, np.ndarray]:
-            alice_bits, bob_bits = self._share_bits(v)
+            alice_bits, bob_bits = self._zero_test_bits(v)
             return circuit, alice_bits, np.concatenate([bob_bits, mat], axis=1)
 
         def ideal() -> Tuple[None, np.ndarray]:

@@ -6,7 +6,10 @@ Bob's, all words little-endian) and its outputs: shared words leave a
 template through translated rows (:meth:`CircuitBuilder.share_word`),
 so no template adds a mask, and Bob's tuples leave the reveal template
 by label-keyed disclosure (:meth:`CircuitBuilder.disclose`), not a
-mux.  REAL mode garbles these templates;
+mux.  A value one party holds in the clear stays out of the circuit:
+the zero tests compare Alice's share with Bob's negated one instead of
+adding them, the merge chain carries only Bob's shares, and a PSI bin's
+payload is a row weighted by Alice.  REAL mode garbles these templates;
 SIMULATED mode charges their exact gate and row counts — one source of
 truth for both behaviour and cost.
 """
@@ -59,38 +62,42 @@ def mul_shared_circuit(ell: int) -> Circuit:
 
 @functools.lru_cache(maxsize=None)
 def nonzero_circuit(ell: int) -> Circuit:
-    """``Ind(x1+x2 != 0)`` as one shared word.
+    """``Ind(x1+x2 != 0)`` as one shared word: ``x1 + x2`` is nonzero
+    iff ``x1 != -x2``, so one comparison (``ell - 1`` ANDs) and no
+    adder.
 
-    Alice: ``x1``; Bob: ``x2``.
+    Alice: ``x1``; Bob: ``-x2`` (his negated share).
     """
     b = CircuitBuilder()
     x1 = b.alice_input_bits(ell)
-    x2 = b.bob_input_bits(ell)
-    b.share_word([b.nonzero(b.add(x1, x2))])
+    neg_x2 = b.bob_input_bits(ell)
+    b.share_word([b.not_(b.eq(x1, neg_x2))])
     return b.build()
 
 
 @functools.lru_cache(maxsize=None)
 def merge_sum_circuit(ell: int, n: int) -> Circuit:
-    """The N-tuple merge-gate chain of Section 6.1 (sum semiring).
+    """The N-tuple merge-gate chain of Section 6.1 (sum semiring), over
+    Bob's shares only.
 
-    Alice: ``ind[0..n-2] | v1[0..n-1]`` where ``ind[i] = 1`` iff sorted
-    tuples ``i`` and ``i+1`` share the group key; Bob: ``v2[0..n-1]``.
-    Output: ``n`` shared group aggregates — word ``i`` holds the group
-    total iff ``i`` is the last member of its group, else 0.
+    Alice: ``ind[0..n-2]`` where ``ind[i] = 1`` iff sorted tuples ``i``
+    and ``i+1`` share the group key; Bob: ``v2[0..n-1]``.  Output: ``n``
+    shared words — word ``i`` holds the sum of Bob's shares over its
+    group iff ``i`` is the last member of the group, else 0.  Alice, who
+    knows the groups, adds her own shares' group sums to her output
+    shares locally (:meth:`repro.mpc.engine.Engine.merge_aggregate_sum`),
+    which makes them the group totals.
     """
     if n < 1:
         raise ValueError("merge chain needs at least one tuple")
     b = CircuitBuilder()
     ind = b.alice_input_bits(n - 1)
-    v1 = [b.alice_input_bits(ell) for _ in range(n)]
     v2 = [b.bob_input_bits(ell) for _ in range(n)]
     zero = b.constant_word(0, ell)
-    z = b.add(v1[0], v2[0])
+    z = v2[0]
     for i in range(n - 1):
         b.share_word(b.mux(ind[i], zero, z))
-        carried = b.mux(ind[i], z, zero)
-        z = b.add(carried, b.add(v1[i + 1], v2[i + 1]))
+        z = b.add(b.mux(ind[i], z, zero), v2[i + 1])
     b.share_word(z)
     return b.build()
 
@@ -123,29 +130,29 @@ def merge_or_circuit(ell: int, n: int) -> Circuit:
 def psi_bin_circuit(ell: int, fp_bits: int, reveal_payload: bool) -> Circuit:
     """Per-bin matching circuit of the PSI protocol (Sections 5.3/5.5).
 
-    Alice: ``t (fp_bits) | p (ell)`` — her OPPRF outputs for this bin;
-    Bob: ``s (fp_bits)``, then ``w (ell) | fallback (ell)`` when the
-    payload is revealed.
+    Alice: ``t (fp_bits)``, then ``p (ell)`` when the payload is
+    revealed — her OPPRF outputs for this bin; Bob: ``s (fp_bits)``,
+    then ``w (ell) | fallback (ell)`` when the payload is revealed.
 
     ``m = eq(t, s)`` detects membership; shared word 0 is ``m``.  The
     payload is ``m ? (p + w) : fallback``:
 
-    * shared (Section 6.2): word 1 is ``sum_i 2^i (m AND p_i)`` plus a
-      row on ``m`` weighted by Bob's per-bin weight ``w - fallback``,
-      with Bob's offset ``fallback`` — the payload, with no adder or
-      mux in the circuit;
+    * shared (Section 6.2): word 1 is a row on ``m`` weighted by
+      Alice's per-bin weight ``p`` (column 0 of hers) plus a row on
+      ``m`` weighted by Bob's ``w - fallback``, with Bob's offset
+      ``fallback`` — the payload, with no gate in the circuit;
     * revealed as-is for the shared-payload composition (Section 5.5,
       where the revealed values are uniformly random permutation
       indices): the mux and the adder compute it in the circuit.
     """
     b = CircuitBuilder()
     t = b.alice_input_bits(fp_bits)
-    p = b.alice_input_bits(ell)
+    p = b.alice_input_bits(ell) if reveal_payload else []
     s = b.bob_input_bits(fp_bits)
     m = b.eq(t, s)
     b.share_word([m])
     if not reveal_payload:
-        pay = b.share_word([b.and_(m, bit) for bit in p])
+        pay = b.share_word([m], weight=0, evaluator=True)
         b.share_word([m], word=pay, weight=0)
         return b.build()
     w = b.bob_input_bits(ell)
@@ -172,15 +179,16 @@ def reveal_tuple_circuit(ell: int, payload_bits: int) -> Circuit:
     """Section 6.3 step 1: reveal Bob's tuple iff its annotation is
     nonzero, else a dummy.
 
-    Alice: ``v1``; Bob: ``v2 | tuple payload (payload_bits)``.
-    Outputs (revealed to Alice): ``Ind(v != 0)``, then the payload
-    disclosed under it (:meth:`CircuitBuilder.disclose`) — Bob's tuple
-    where the bit is 1, zeros where it is 0 — with no gate on it.
+    Alice: ``v1``; Bob: ``-v2 | tuple payload (payload_bits)``.
+    Outputs (revealed to Alice): ``Ind(v != 0)`` — ``v1 != -v2``, as in
+    :func:`nonzero_circuit` — then the payload disclosed under it
+    (:meth:`CircuitBuilder.disclose`) — Bob's tuple where the bit is 1,
+    zeros where it is 0 — with no gate on it.
     """
     b = CircuitBuilder()
     v1 = b.alice_input_bits(ell)
-    v2 = b.bob_input_bits(ell)
+    neg_v2 = b.bob_input_bits(ell)
     payload = b.bob_input_bits(payload_bits)
-    bit = b.nonzero(b.add(v1, v2))
+    bit = b.not_(b.eq(v1, neg_v2))
     b.disclose(bit, payload)
     return b.build([bit])

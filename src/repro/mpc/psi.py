@@ -13,10 +13,10 @@ Protocol outline (Pinkas et al. [27], PSTY19 shape):
    payload ``z_y - w_b``.
 4. One small garbled circuit per bin compares Alice's OPPRF output with
    ``s_b`` and produces ``[[Ind(x_b in Y)]]`` and the payload — in
-   shared form (translated out of the circuit, with Bob's per-bin
-   weight and offset folding in ``w_b`` and the fallback), or revealed
-   to Alice for the Section 5.5 composition where the revealed values
-   are uniform permutation indices.
+   shared form (rows on the match bit weighted by Alice's OPPRF
+   payload and by Bob's ``w_b`` less the fallback, which is his
+   offset), or revealed to Alice for the Section 5.5 composition where
+   the revealed values are uniform permutation indices.
 
 Cost: ``~O(M + N)`` communication and computation, constant rounds.
 """
@@ -155,21 +155,21 @@ def psi_with_payloads(
         circuit = psi_bin_circuit(ell, fp_bits, reveal_payload)
 
         def real() -> RealInputs:
-            # Alice: t | p;  Bob: s, then w | fallback as circuit inputs
-            # (revealed payload) or as his row weight and word offset.
+            # Alice: t, then p as a circuit input (revealed payload) or
+            # her row weight;  Bob: s, then w | fallback as circuit
+            # inputs or his row weight and word offset.
             t_words, p_words, s_words, w_words = opprf
-            alice = np.hstack(
-                [words_to_bits(t_words, fp_bits), words_to_bits(p_words, ell)]
-            )
-            s = words_to_bits(s_words, fp_bits)
+            t, s = (words_to_bits(x, fp_bits) for x in (t_words, s_words))
             if reveal_payload:
                 w, f = (words_to_bits(x, ell) for x in (w_words, fallbacks))
+                alice = np.hstack([t, words_to_bits(p_words, ell)])
                 return RealInputs(circuit, alice, np.hstack([s, w, f]))
             zero = np.zeros(n_bins, dtype=np.uint64)
             return RealInputs(
-                circuit, alice, s,
+                circuit, t, s,
                 weights=((w_words - fallbacks) & ctx.mask)[:, None],
                 offsets=np.stack([zero, fallbacks], axis=1),
+                alice_weights=p_words[:, None],
             )
 
         def ideal() -> Tuple[np.ndarray, Optional[np.ndarray]]:

@@ -16,7 +16,12 @@ Alice holds yields her arithmetic share of ``v * X`` (``v`` the bit,
 Yao-to-arithmetic conversion Section 5.2 invokes (ABY [12] adds Bob's
 mask ``r`` inside the circuit instead, one ``ell``-AND adder per shared
 word); DESIGN.md ("Output translation") has the construction and its
-security argument.  A disclosed payload
+security argument.  A row whose weight ``X`` Alice holds (an
+*evaluator row*) is not translated: the bit is ``c ^ pi`` for Alice's
+colour ``c`` and Bob's permute bit ``pi``, so ``v X = c X + pi (1 - 2c)
+X`` — Alice's term plus one correlated OT in which Bob chooses by
+``pi`` (:func:`_evaluator_rows`; DESIGN.md, "Plaintext operands outside
+the circuit").  A disclosed payload
 (:class:`~repro.mpc.circuits.circuit.Disclosure`) never enters the
 circuit: Bob sends it encrypted under the hash of its key wire's
 1-label, which Alice holds exactly when the revealed key bit is 1
@@ -40,6 +45,9 @@ Communication per batch of instances of one circuit, in wire order
 * ``gc/decode``: one decode bit per revealed output wire, one ring
   element per translated row, then the disclosed payload packed to
   bytes
+* ``gc/alice_weights``, for evaluator rows only: one C-OT per row and
+  instance, Bob choosing — his ``u``, then Alice's corrections, one
+  ring element each
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from typing import Any, Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .batch import words_to_le_bytes
+from .batch import le_bytes_to_words, words_to_le_bytes
 from .circuits.circuit import Circuit
 from .circuits.garbling import (
     LABEL_BYTES,
@@ -71,16 +79,18 @@ __all__ = ["RealInputs", "garbled_call"]
 
 class RealInputs(NamedTuple):
     """What a REAL garbled call runs on: the template, both parties'
-    ``(n_instances, width)`` input bit matrices and Bob's translation
+    ``(n_instances, width)`` input bit matrices, Bob's translation
     inputs — ``(n_instances, k)`` per-instance weight columns (what a
     :class:`~repro.mpc.circuits.circuit.Row`'s ``weight`` indexes) and
-    ``(n_instances, n_words)`` offsets added to his word shares."""
+    ``(n_instances, n_words)`` offsets added to his word shares — and
+    Alice's weight columns, which the evaluator rows index."""
 
     circuit: Circuit
     alice_bits: np.ndarray
     bob_bits: np.ndarray
     weights: Optional[np.ndarray] = None
     offsets: Optional[np.ndarray] = None
+    alice_weights: Optional[np.ndarray] = None
 
 
 def garbled_call(
@@ -135,15 +145,22 @@ def garbled_call(
 
 def _row_weights(ctx: Context, inputs: RealInputs) -> np.ndarray:
     """``(n_rows, n)`` weights ``X`` of every row of the circuit:
-    ``2**shift``, times Bob's weight column where the row names one."""
+    ``2**shift``, times the weight column the row names, Bob's or (on
+    an evaluator row) Alice's."""
     rows = inputs.circuit.rows
     n = len(inputs.alice_bits)
     shifts = np.asarray([r.shift for r in rows], dtype=np.uint64)
     x = np.ones((len(rows), n), dtype=np.uint64) << shifts[:, None]
-    named = [j for j, r in enumerate(rows) if r.weight >= 0]
-    if named:
-        cols = [rows[j].weight for j in named]
-        x[named] *= np.asarray(inputs.weights, dtype=np.uint64).T[cols]
+    for evaluator, columns in (
+        (False, inputs.weights), (True, inputs.alice_weights),
+    ):
+        named = [
+            j for j, r in enumerate(rows)
+            if r.weight >= 0 and r.evaluator == evaluator
+        ]
+        if named:
+            cols = [rows[j].weight for j in named]
+            x[named] *= np.asarray(columns, dtype=np.uint64).T[cols]
     return x & np.uint64(ctx.mask)
 
 
@@ -190,7 +207,8 @@ def _run_garbled(
     # Bob translates the shared outputs and encrypts the disclosed
     # payload: both travel after the revealed outputs' decode bits.
     x = _row_weights(ctx, inputs)
-    rows, bob_rows = translate(g, x[list(circuit.sent_rows)], batch, ctx.mask)
+    sent = list(circuit.sent_rows)
+    rows, bob_rows = translate(g, x[sent], batch, ctx.mask)
     permute = g.output_permute_bits()
     wire_rows = words_to_le_bytes(rows.T.reshape(-1), ring_bytes(ctx.params.ell))
     sealed = disclose(g, bob_bits[:, plan.payload_cols], batch)
@@ -205,32 +223,60 @@ def _run_garbled(
     active[plan.alice_wires] = by_wire(labels.active)
     active[plan.garbler_wires] = expand_labels(seed, plan, n, batch)
     bits = evaluate_batch(plan, g.tables, g.control, active, batch) ^ permute
-    alice_rows = translated_shares(plan, active, rows, batch, ctx.mask)
     payload = disclosed_payloads(plan, active, sealed, bits, batch)
+    # Each party's share of every row: Bob knows the value of a row on
+    # a constant wire (and did not send it).
+    const = dict(circuit.const_wires)
+    known = np.asarray([const.get(r.wire, 0) for r in circuit.rows], np.uint64)
+    alice, bob = np.zeros_like(x), x * known[:, None]
+    alice[sent] = translated_shares(plan, active, rows, batch, ctx.mask)
+    bob[sent] = bob_rows
+    ev = list(circuit.evaluator_rows)
+    if ev:
+        wires = [circuit.rows[j].wire for j in ev]
+        alice[ev], bob[ev] = _evaluator_rows(
+            ctx, ot, g.zero[wires], active[wires], x[ev]
+        )
     return (
-        _word_shares(ctx, inputs, x, alice_rows, bob_rows),
+        _word_shares(ctx, inputs, alice, bob),
         np.concatenate([bits, payload], axis=1),
     )
 
 
-def _word_shares(
+def _evaluator_rows(
     ctx: Context,
-    inputs: RealInputs,
+    ot: OT,
+    zero: np.ndarray,
+    active: np.ndarray,
     x: np.ndarray,
-    alice_rows: np.ndarray,
-    bob_rows: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Alice's and Bob's ``(n_rows, n)`` shares of the evaluator rows
+    from their wires' zero-labels (Bob's) and active labels (Alice's)
+    and the weights ``X`` (Alice's).  The wire carries ``c ^ pi = c +
+    pi (1 - 2c)``, ``c`` the colour of Alice's label and ``pi`` the
+    permute bit, so ``v X = c X + pi (1 - 2c) X``: in one C-OT per row
+    Bob chooses by ``pi`` and gets ``r + pi (1 - 2c) X``, ``r`` Alice's
+    pad, and Alice keeps ``c X - r``."""
+    mask = np.uint64(ctx.mask)
+    rb = ring_bytes(ctx.params.ell)
+    permute = zero[..., 0] & 1
+    colour = (active[..., 0] & 1).astype(np.uint64)
+    with ctx.section("gc/alice_weights"), ctx.swapped_roles():
+        cot = ot.reverse.correlated(permute.reshape(-1), [(permute.size, rb)])
+        r = le_bytes_to_words(cot.p0[0]).reshape(x.shape)
+        q = (np.uint64(1) - np.uint64(2) * colour) * x  # (1 - 2c) X
+        (got,) = cot.finish([words_to_le_bytes((r + q).reshape(-1) & mask, rb)])
+    return (colour * x - r) & mask, le_bytes_to_words(got).reshape(x.shape)
+
+
+def _word_shares(
+    ctx: Context, inputs: RealInputs, alice: np.ndarray, bob: np.ndarray
 ) -> SharedVector:
-    """The shared words, word-major: each party sums its shares of a
-    word's sent rows; Bob adds his offsets and ``v * X`` of every row on
-    a constant wire, whose value he knows (and did not send)."""
+    """The shared words, word-major: each party sums its ``(n_rows,
+    n)`` row shares by word, and Bob adds his offsets."""
     circuit = inputs.circuit
-    const = dict(circuit.const_wires)
-    bits = np.asarray([const.get(r.wire, 0) for r in circuit.rows], np.uint64)
-    sent = list(circuit.sent_rows)
-    alice, bob = np.zeros_like(x), x * bits[:, None]
-    alice[sent], bob[sent] = alice_rows, bob_rows
     words = [r.word for r in circuit.rows]
-    shares = np.zeros((2, circuit.n_words, x.shape[1]), dtype=np.uint64)
+    shares = np.zeros((2, circuit.n_words, alice.shape[1]), dtype=np.uint64)
     np.add.at(shares[0], words, alice)
     np.add.at(shares[1], words, bob)
     if inputs.offsets is not None:
@@ -251,3 +297,6 @@ def _charge_garbled(
     ctx.send(BOB, sizes.tables, "gc/tables")
     ctx.send(BOB, sizes.seed, "gc/bob_labels")
     ctx.send(BOB, sizes.decode, "gc/decode")
+    if counts.evaluator_rows:
+        with ctx.section("gc/alice_weights"), ctx.swapped_roles():
+            ot.reverse.correlated(None, sizes.weight_ots).finish()

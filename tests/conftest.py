@@ -90,9 +90,10 @@ def spy_scalar_muls(monkeypatch):
 
 
 def run_circuit(ctx, ot, circuit, alice_bits, bob_bits, weights=None,
-                offsets=None):
+                offsets=None, alice_weights=None):
     """``circuit`` through the seam, one instance per row of the bit
-    matrices, with Bob's optional row weights and word offsets: returns
+    matrices, with Bob's optional row weights and word offsets and
+    Alice's optional row weights: returns
     ``(words, bits)`` — the ``(n, n_words)`` reconstructed shared words
     (mod ``2**ell`` of the context) and the ``(n, revealed)`` output
     bits.  SIMULATED evaluates the circuit in the clear."""
@@ -110,6 +111,7 @@ def run_circuit(ctx, ot, circuit, alice_bits, bob_bits, weights=None,
                 alice_bits[i], bob_bits[i], ctx.params.ell,
                 () if weights is None else weights[i],
                 () if offsets is None else offsets[i],
+                () if alice_weights is None else alice_weights[i],
             )
             for i in rows
         ]
@@ -122,7 +124,9 @@ def run_circuit(ctx, ot, circuit, alice_bits, bob_bits, weights=None,
 
     shares, bits = garbled_call(
         ctx, ot, circuit_counts(circuit), n,
-        real=lambda: (circuit, alice_bits, bob_bits, weights, offsets),
+        real=lambda: (
+            circuit, alice_bits, bob_bits, weights, offsets, alice_weights,
+        ),
         ideal=ideal,
     )
     return shares.reconstruct().reshape(-1, n).T, bits

@@ -12,6 +12,10 @@ differential tests in ``tests/test_batch_kernels.py``,
 ``tests/test_oprf.py``, ``tests/test_waksman.py``, ``tests/test_oep.py``
 and ``tests/test_garbling.py`` pin the vectorised code against them:
 identical outputs and byte-identical transcript fingerprints.  The
+templates that keep a party's plaintext out of the circuit — the zero
+test, the merge chain over Bob's shares, the evaluator-weighted row —
+have one-instance forms here too, pinned through REAL garbling by
+``tests/test_plaintext_operands.py``.  The
 protocol-level consumers — Gilboa, the switch network — have no twin:
 their tests pin semantics and REAL == SIMULATED fingerprints instead.
 
@@ -41,6 +45,9 @@ __all__ = [
     "ReferenceSoftSpokenExtension",
     "three_halves_garble",
     "three_halves_evaluate",
+    "zero_test",
+    "merge_sum_chain",
+    "evaluator_row",
     "mod_inv",
     "lagrange_basis",
     "poly_from_basis",
@@ -348,6 +355,42 @@ def three_halves_garble(
     t00, t10, t01 = target(0, 0), target(1, 0), target(0, 1)
     g = (t10[0] ^ t00[0], t01[1] ^ t00[1], t10[1] ^ t00[1])
     return _label(*t00), g, control
+
+
+# -- plaintext operands outside the circuit, one instance at a time -----
+
+
+def zero_test(x1: int, neg_x2: int, ell: int) -> int:
+    """The zero test's circuit: 1 iff some bit of Alice's share ``x1``
+    differs from Bob's negated share ``neg_x2`` — ``x1 + x2 != 0``."""
+    return int(any((x1 >> i ^ neg_x2 >> i) & 1 for i in range(ell)))
+
+
+def merge_sum_chain(
+    same_as_next: Sequence[bool], bob: Sequence[int], ell: int
+) -> List[int]:
+    """The merge chain over Bob's shares, row by row as the circuit
+    runs it: row ``i`` outputs the running sum ``z`` where tuple ``i``
+    ends its group and 0 elsewhere, and carries ``z`` into the next
+    tuple's sum only within a group."""
+    mask = (1 << ell) - 1
+    z, out = bob[0], []
+    for same, nxt in zip(same_as_next, bob[1:]):
+        out.append(0 if same else z)
+        z = ((z if same else 0) + nxt) & mask
+    return out + [z]
+
+
+def evaluator_row(
+    colour: int, permute: int, x: int, pad: int, ell: int
+) -> Tuple[int, int]:
+    """One evaluator row's ``(Alice's, Bob's)`` shares: the wire carries
+    ``colour ^ permute``, Alice holds the weight ``x``, and in the C-OT
+    Bob chooses by ``permute`` between Alice's pad and the pad plus her
+    correlation ``(1 - 2 colour) x``."""
+    mask = (1 << ell) - 1
+    chosen = pad + (1 - 2 * colour) * x if permute else pad
+    return (colour * x - pad) & mask, chosen & mask
 
 
 # -- polynomial OPPRF over GF(2^61 - 1), one bin at a time ---------------

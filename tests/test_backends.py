@@ -99,7 +99,7 @@ class TestEstimatorBoundary:
         for m, n in [(4, 256), (4, 512), (8, 512)]:
             assert node_cost(m, n, "yannakakis") < node_cost(m, n, "linear")
 
-    @pytest.mark.parametrize("n, last", [(256, 24), (512, 51), (1024, 112)])
+    @pytest.mark.parametrize("n, last", [(256, 36), (512, 80), (1024, 177)])
     def test_boundary_rows(self, n, last):
         # The largest parent a plain child of n rows still sends to the
         # PSI: 18 / 40 / 90 while a DH-OPRF element was 256 bytes, 17 /
@@ -107,7 +107,8 @@ class TestEstimatorBoundary:
         # 25 / 55 / 123 while the bin circuits' input labels crossed as
         # OT corrections, 32 / 72 / 159 while the OT extension's ``u``
         # was kappa bits per OT (IKNP) rather than kappa / 4, 20 / 45 /
-        # 100 while an AND's table was half-gates' 32 B.
+        # 100 while an AND's table was half-gates' 32 B, 24 / 51 / 112
+        # while the bin circuits garbled Alice's payload.
         wins = [
             m
             for m in range(1, 256)
@@ -154,17 +155,19 @@ class TestRouting:
     @pytest.mark.parametrize(
         "ell, winner, prices",
         [
-            (32, "linear", {"yannakakis": 619_576, "linear": 591_356}),
-            (48, "yannakakis", {"yannakakis": 757_186, "linear": 796_410}),
+            (32, "linear", {"yannakakis": 642_875, "linear": 613_756}),
+            (48, "yannakakis", {"yannakakis": 702_757, "linear": 834_490}),
         ],
     )
     def test_auto_routes_at_the_relations_ring_width(self, ell, winner, prices):
-        # Parent 120 x child 1024 (104 while AND tables were
-        # half-gates'), cross-owner, both plain: the fold's winner
-        # depends on the ring width, so routing every query at the
-        # default ell = 32 sent this one to the dearer back-end at
-        # ell = 48 while the estimator priced it at its own width.
-        q = two_relation_query(120, 1024, ring=IntegerRing(ell))
+        # Parent 190 x child 1024 (104 while AND tables were
+        # half-gates', 120 while the bin circuits garbled Alice's
+        # payload),
+        # cross-owner, both plain: the fold's winner depends on the
+        # ring width, so routing every query at the default ell = 32
+        # sent this one to the dearer back-end at ell = 48 while the
+        # estimator priced it at its own width.
+        q = two_relation_query(190, 1024, ring=IntegerRing(ell))
         sizes = {n: len(r) for n, r in q.relations.items()}
         assert estimate_node_costs(
             q.plan(), sizes, q.owners, params=q.ring_params()

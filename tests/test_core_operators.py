@@ -308,7 +308,7 @@ ABLATIONS = {
     "plain_annotation_fast_path": (
         _join(oblivious_reduce_join, (ALICE, 2, False), (BOB, 1, False)),
         _join(oblivious_reduce_join, A2, B1),
-        (1_099_485, 1_589_634),
+        (763_061, 1_589_634),
     ),
     # Section 5.1: Gilboa OT-multiplication vs a garbled multiplier.
     "gilboa_vs_garbled_multiplier": (
@@ -318,7 +318,7 @@ ABLATIONS = {
     "reduced_semijoin_filter": (
         _join(oblivious_semijoin, A2, B1),
         _join(oblivious_semijoin, A2, (BOB, 4, True)),
-        (1_915_557, 2_369_749),
+        (1_794_037, 2_175_317),
     ),
 }
 

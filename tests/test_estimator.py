@@ -226,7 +226,7 @@ class TestByteBudgetPin:
     A change to a primitive's wire size is made in ``mpc/costs.py`` —
     and then here, knowingly."""
 
-    TOTAL = 22_225_244
+    TOTAL = 15_822_880
     #: set-up bytes (the benchmark's ``mpc.bytes.base_ot``): the one
     #: Chou-Orlandi phase, the mirror's seed-OT ``u``, one per PSI
     BASE = 8_353 + 512 + 2 * 1_792
@@ -236,19 +236,21 @@ class TestByteBudgetPin:
         "gc/bob_labels": 64,
         # label OTs: the u columns alone, the first batch's with the
         # mirror's 3,072 B of tree corrections
-        "gc/alice_labels/": 1_658_048,
+        "gc/alice_labels/": 978_368,
         "/switches/": 2_129_904,
         "/cross": 1_152_000,
         # three-halves tables, then the decode bits and translated rows
-        "gc/tables": 14_560_963,
-        "gc/decode": 729_660,
+        "gc/tables": 9_295_423,
+        "gc/decode": 241_980,
+        # the PSI payloads' evaluator rows: 8 B per bin (u, correction)
+        "gc/alice_weights/": 30_536,
     }
 
     #: Q3 at 0.1 MB under each join back-end: (bytes, rounds)
     BACKENDS = {
-        "yannakakis": (2_178_318, 29),
-        "linear": (1_293_488, 21),
-        "auto": (1_293_488, 21),
+        "yannakakis": (1_537_052, 29),
+        "linear": (1_046_438, 21),
+        "auto": (1_046_438, 21),
     }
 
     @staticmethod

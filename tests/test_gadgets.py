@@ -42,32 +42,30 @@ class TestMulTemplates:
 class TestNonzero:
     @pytest.mark.parametrize("x1,x2", [(0, 0), (3, 253), (5, 0), (0, 9)])
     def test_indicator(self, x1, x2):
+        # Bob feeds his negated share
         c = nonzero_circuit(ELL)
-        out = c.evaluate_words(w(x1), w(x2), ELL)
+        out = c.evaluate_words(w(x1), w(-x2 % MOD), ELL)
         assert out == [1 if (x1 + x2) % MOD != 0 else 0]
         assert len(c.rows) == 1
 
 
 class TestMergeChains:
     def test_sum_chain_groups(self):
+        # the chain sums Bob's values only: Alice adds her own locally
         n = 5
         c = merge_sum_circuit(ELL, n)
-        vals = [3, 4, 10, 1, 2]
+        v2 = [3, 4, 250, 1, 2]
         same = [1, 0, 0, 1]  # groups {0,1},{2},{3,4}
-        v1 = [7, 1, 9, 2, 8]
-        v2 = [(v - a) % MOD for v, a in zip(vals, v1)]
-        abits = list(same)
-        for x in v1:
-            abits += w(x)
         bbits = []
         for x in v2:
             bbits += w(x)
-        assert c.evaluate_words(abits, bbits, ELL) == [0, 7, 10, 0, 3]
+        assert c.evaluate_words(same, bbits, ELL) == [0, 7, 250, 0, 3]
         assert len(c.rows) == n * ELL
+        assert len(c.alice_inputs) == n - 1
 
     def test_sum_chain_single_tuple(self):
         c = merge_sum_circuit(ELL, 1)
-        assert c.evaluate_words(w(5), w(6), ELL) == [11]
+        assert c.evaluate_words([], w(6), ELL) == [6]
 
     def test_or_chain(self):
         n = 4
@@ -97,19 +95,21 @@ class TestPsiBin:
         c = psi_bin_circuit(ELL, fp, reveal_payload=False)
 
         def run(t, s, p, wv, fb):
-            # Bob's weight w - fallback and offset fallback stay out of
-            # the circuit: they enter through the translated rows.
+            # Alice's payload p, Bob's weight w - fallback and offset
+            # fallback stay out of the circuit: they weight its rows.
             return tuple(
                 c.evaluate_words(
-                    bits_of(t, fp) + w(p), bits_of(s, fp), ELL,
+                    bits_of(t, fp), bits_of(s, fp), ELL,
                     weights=[(wv - fb) % MOD], offsets=[0, fb],
+                    alice_weights=[p],
                 )
             )
 
         assert run(500, 500, 10, 20, 99) == (1, 30)
         assert run(500, 501, 10, 20, 99) == (0, 99)
         assert c.outputs == ()
-        assert len(c.bob_inputs) == fp
+        assert len(c.alice_inputs) == len(c.bob_inputs) == fp
+        assert c.and_count == fp - 1
 
     def test_reveal_variant_skips_mask(self):
         fp = 12
@@ -131,9 +131,10 @@ class TestRevealTuple:
     def test_payload_gated_by_nonzero(self):
         c = reveal_tuple_circuit(ELL, 6)
         payload = [1, 0, 1, 1, 0, 1]
-        out = c.evaluate(w(5), w((0 - 5) % MOD) + payload)
+        # Bob feeds -v2: v2 = -5 makes v = 0, v2 = 1 makes it 6
+        out = c.evaluate(w(5), w(5) + payload)
         assert out[0] == 0 and int_of(out[1:]) == 0
-        out = c.evaluate(w(5), w(1) + payload)
+        out = c.evaluate(w(5), w(-1 % MOD) + payload)
         assert out[0] == 1 and out[1:] == payload
 
 
@@ -154,46 +155,51 @@ def templates(ell):
 class TestCounts:
     """What each template garbles and sends, at the paper's ``ell = 32``
     and 55-bit PSI tokens: ``(ANDs, Alice's input bits, translated rows,
-    revealed bits, disclosed bits)``.  Shared words leave through rows
-    and Bob's tuples by disclosure, so no template carries a mask adder
-    or a payload mux, and no gate is dead."""
+    revealed bits, disclosed bits, evaluator rows)``.  Shared words leave
+    through rows and Bob's tuples by disclosure, so no template carries a
+    mask adder or a payload mux, and no gate is dead; what one party
+    holds in the clear enters no gate."""
 
     def test_per_element_templates(self):
-        assert circuit_counts(nonzero_circuit(32)) == (62, 32, 1, 0, 0)
+        # the zero test compares x1 with -x2: no adder
+        assert circuit_counts(nonzero_circuit(32)) == (31, 32, 1, 0, 0, 0)
         assert circuit_counts(mul_shared_circuit(32)) == (
-            1_055, 64, 32, 0, 0,
+            1_055, 64, 32, 0, 0, 0,
         )
         assert circuit_counts(div_reveal_circuit(48)) == (
-            11_472, 96, 0, 48, 0,
+            11_472, 96, 0, 48, 0, 0,
         )
 
     def test_reveal_tuple(self):
-        # the nonzero test alone: a 96-bit tuple (Q3's three 32-bit
+        # the zero test alone: a 96-bit tuple (Q3's three 32-bit
         # attributes) no longer adds 96 mux ANDs
         assert circuit_counts(reveal_tuple_circuit(32, 96)) == (
-            62, 32, 0, 1, 96,
+            31, 32, 0, 1, 96, 0,
         )
         assert circuit_counts(reveal_tuple_circuit(32, 0)) == (
-            62, 32, 0, 1, 0,
+            31, 32, 0, 1, 0, 0,
         )
 
     def test_psi_bin(self):
-        # shared payload: the 54-AND comparison and m AND p_i, no mux
+        # shared payload: the 54-AND comparison alone; Alice's payload
+        # weights one evaluator row
         assert circuit_counts(psi_bin_circuit(32, 55, False)) == (
-            54 + 32, 87, 1 + 32 + 1, 0, 0,
+            54, 55, 1 + 1, 0, 0, 1,
         )
         # revealed payload keeps its mux and adder; m alone is shared
         assert circuit_counts(psi_bin_circuit(32, 55, True)) == (
-            54 + 32 + 31, 87, 1, 32, 0,
+            54 + 32 + 31, 87, 1, 32, 0, 0,
         )
 
     def test_merge_chains_per_row(self):
+        # the sum chain carries Bob's shares only: two muxes and one
+        # adder per row, one boundary bit per row from Alice
         for n in (1, 2, 3):
             assert circuit_counts(merge_sum_circuit(32, n)) == (
-                31 + 126 * (n - 1), 32 * n + n - 1, 32 * n, 0, 0,
+                95 * (n - 1), n - 1, 32 * n, 0, 0, 0,
             )
             assert circuit_counts(merge_or_circuit(32, n)) == (
-                3 * (n - 1), 2 * n - 1, n, 0, 0,
+                3 * (n - 1), 2 * n - 1, n, 0, 0, 0,
             )
 
     @pytest.mark.parametrize("template", [merge_sum_circuit, merge_or_circuit])

@@ -443,12 +443,12 @@ class TestLevelSchedule:
                     assert control[k, i] == nibble
 
     def test_merge_chain_level_count(self, monkeypatch):
-        """The 256-row merge chain is 127,654 gates in 1,368 levels, and
+        """The 256-row merge chain is 88,230 gates in 1,366 levels, and
         garbling and evaluating it hash once per level with ANDs (plus
         the label expansion): a return to gate-by-gate stepping fails
         here."""
         circuit = gadgets.merge_sum_circuit(32, 256)
-        assert (len(circuit.gates), len(circuit.levels)) == (127_654, 1_368)
+        assert (len(circuit.gates), len(circuit.levels)) == (88_230, 1_366)
         with_ands = sum(1 for lv in circuit.levels if len(lv.and_out))
         calls = []
 
@@ -471,12 +471,16 @@ class TestLevelSchedule:
 
 
 def translation_inputs(circuit, rng, n, ell=32):
-    """Random per-instance row weights and word offsets for Bob, as many
-    columns as ``circuit`` reads."""
-    k = 1 + max((r.weight for r in circuit.rows), default=-1)
+    """Random per-instance row weights and word offsets for Bob, then
+    row weights for Alice, as many columns as ``circuit`` reads."""
+
+    def columns(evaluator):
+        named = [r.weight for r in circuit.rows if r.evaluator == evaluator]
+        return 1 + max(named, default=-1)
+
     return tuple(
         rng.integers(0, 2**ell, (n, cols), dtype=np.uint64)
-        for cols in (k, circuit.n_words)
+        for cols in (columns(False), circuit.n_words, columns(True))
     )
 
 
@@ -486,15 +490,15 @@ def run_real_batch(circuit, alice, bob, seed=0):
     every instance's revealed bits and shared words against plaintext
     evaluation."""
     ctx = Context(Mode.REAL, seed=seed)
-    weights, offsets = translation_inputs(
+    weights = translation_inputs(
         circuit, np.random.default_rng(seed), len(alice)
     )
     words, bits = run_circuit(
-        ctx, SimulatedOT(ctx), circuit, alice, bob, weights, offsets
+        ctx, SimulatedOT(ctx), circuit, alice, bob, *weights
     )
     for i, (a, b) in enumerate(zip(alice, bob)):
         assert words[i].tolist() == circuit.evaluate_words(
-            a, b, 32, weights[i], offsets[i]
+            a, b, 32, *(column[i] for column in weights)
         )
     return bits.tolist(), ctx
 
@@ -675,12 +679,12 @@ class TestOutputTranslation:
         circuit = TEMPLATES[name](32)
         rng = np.random.default_rng(4)
         alice, bob = random_bits(circuit, rng, 3)
-        weights, offsets = translation_inputs(circuit, rng, 3)
+        weights = translation_inputs(circuit, rng, 3)
         seen = []
         for mode in (Mode.REAL, Mode.SIMULATED):
             ctx = Context(mode, seed=1)
             words, bits = run_circuit(
-                ctx, SimulatedOT(ctx), circuit, alice, bob, weights, offsets
+                ctx, SimulatedOT(ctx), circuit, alice, bob, *weights
             )
             seen.append((words.tolist(), bits.tolist(),
                          ctx.transcript.fingerprint()))
