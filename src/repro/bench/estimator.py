@@ -1,35 +1,36 @@
 """Analytic cost estimation for a compiled plan.
 
 Predicts the protocol's communication *without running it*, from the
-plan structure, the relation sizes and the ownership map — the same
-closed forms the SIMULATED mode charges, summed symbolically.  Useful
-for planning ("what would this query cost?") and asserted against the
-metered execution by the test suite.
+plan structure, the relation sizes and the ownership map, by running
+SIMULATED mode's own charge paths — the OT extension's, the garbled
+calls', the OPRF/OPPRF's and the DH-OPRF's — on a count-only meter in
+place of a :class:`~repro.mpc.context.Context`.  Useful for planning
+("what would this query cost?") and asserted against the metered
+execution by the test suite.
 
 The estimator walks the plan :func:`~repro.exec.compiler.compile_plan`
 lowers, step by step in the order the scheduler runs it, so either
 phase order (reduce first, or the two-phase ablation's semijoins first)
-is priced as executed.  The estimate is exact for the deterministic
-parts (circuit templates, OEP networks, OT batches) and uses the
-deterministic bin/load formulas for PSI, so it matches the metered run
-to the byte for a given plan and ownership — the only approximation is
-that it assumes every operator takes its general path (no same-party
-shortcuts beyond what ownership dictates, payload-shared PSI whenever
-the child annotations are not input-plain).
+is priced as executed.  PSI bins and loads come from the same
+deterministic formulas the protocol uses, so the estimate is the
+metered run's bytes, message count and rounds for a given plan and
+ownership — the only approximation is that it assumes every operator
+takes its general path (no same-party shortcuts beyond what ownership
+dictates, payload-shared PSI whenever the child annotations are not
+input-plain).
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from contextlib import contextmanager, nullcontext
 from typing import (
     TYPE_CHECKING,
+    ContextManager,
     Dict,
     Iterator,
     NamedTuple,
     Optional,
-    Set,
     Tuple,
 )
 
@@ -46,9 +47,13 @@ from ..exec.ir import (
 )
 from ..leakage import BACKENDS
 from ..mpc import costs, gadgets
-from ..mpc.context import ALICE
+from ..mpc.context import ALICE, BOB, Mode
 from ..mpc.costs import Widths
+from ..mpc.dhoprf import charge_dh_oprf
+from ..mpc.ot import SimulatedOT
 from ..mpc.params import DEFAULT_PARAMS, SecurityParams
+from ..mpc.psi import charge_opprf
+from ..mpc.yao import garbled_call
 from ..yannakakis.plan import YannakakisPlan
 
 __all__ = [
@@ -91,120 +96,114 @@ def session_framing_overhead(n_messages: int) -> int:
     return int(n_messages) * costs.FRAME_HEADER_BYTES
 
 
-@dataclass
-class CostEstimate:
-    """Predicted bytes, broken down by mechanism.
+class CostEstimate(NamedTuple):
+    """A plan's predicted communication: what SIMULATED's charge paths
+    send for it, counted.  Exact for the priced ``out_size`` — the
+    bytes, the message count and the rounds (direction changes) of the
+    metered transcript."""
 
-    ``rounds`` is a coarse upper-estimate of the communication rounds
-    (direction changes): the byte prediction is exact, but round counts
-    depend on message interleaving across operators, so the estimator
-    charges a documented constant per primitive invocation instead
-    (2 per OT batch, 2 per garbled-circuit exchange, 3 per PSI setup,
-    1 per reveal).  Admission control budgets against it; nothing
-    asserts it equals the metered round count."""
-
-    total: int = 0
-    by_part: Dict[str, int] = field(default_factory=dict)
-    rounds: int = 0
-
-    def add(self, part: str, n_bytes: int) -> None:
-        n_bytes = int(n_bytes)
-        self.total += n_bytes
-        self.by_part[part] = self.by_part.get(part, 0) + n_bytes
-
-    def add_rounds(self, n: int) -> None:
-        self.rounds += int(n)
+    total: int
+    messages: int
+    rounds: int
 
 
-class _Estimator:
-    """Sums :mod:`repro.mpc.costs` sizes in the composition the
-    operators run them: the only knowledge kept here is which
-    primitives an operator invokes, at what shapes."""
+class _Meter:
+    """A count-only :class:`~repro.mpc.context.Meter`: the charge paths
+    run on it as on a SIMULATED context, and it counts what they send —
+    bytes, messages, and rounds as
+    :class:`~repro.mpc.transcript.Transcript` counts them — without
+    recording, labelling or computing anything."""
 
-    def __init__(self, params: SecurityParams):
-        self.p = params
-        self.est = CostEstimate()
-        #: physical extension instances (the mirror is ``True``) whose
-        #: one-time base phase is already priced
-        self._ot_base_charged: Set[bool] = set()
-        #: whether the primitives priced now run role-swapped, as an
-        #: oriented engine of physical Bob runs them
-        self._swapped = False
+    mode = Mode.SIMULATED
+
+    def __init__(self, params: SecurityParams) -> None:
+        self.params = params
+        self.roles_swapped = False
+        self.total = self.messages = self.rounds = 0
+        self._last: Optional[str] = None
 
     @contextmanager
-    def _oriented(self, swapped: bool) -> Iterator[None]:
-        """Price the primitives inside as the oriented engine of
-        physical Bob (``swapped``) or Alice runs them."""
-        outer, self._swapped = self._swapped, swapped
+    def swapped_roles(self) -> Iterator[None]:
+        self.roles_swapped = not self.roles_swapped
         try:
             yield
         finally:
-            self._swapped = outer
+            self.roles_swapped = not self.roles_swapped
+
+    def send(self, sender: str, n_bytes: int, label: str = "") -> None:
+        if self.roles_swapped:
+            sender = BOB if sender == ALICE else ALICE
+        self.total += int(n_bytes)
+        self.messages += 1
+        if sender != self._last:
+            self.rounds += 1
+            self._last = sender
+
+    def section(self, label: str) -> ContextManager[None]:
+        return nullcontext()
+
+
+class _Estimator:
+    """Runs SIMULATED's charge paths on a :class:`_Meter` in the
+    composition the operators run them: the only knowledge kept here is
+    which primitives a node invokes, at what shapes, in which order."""
+
+    def __init__(self, params: SecurityParams):
+        self.p = params
+        self.meter = _Meter(params)
+        #: the forward extension instance, as an engine holds it
+        self._ot = SimulatedOT(self.meter)
+
+    @property
+    def ot(self) -> SimulatedOT:
+        """The instance the protocol's Bob sends on, as
+        :attr:`~repro.mpc.engine.Engine.ot` reads it."""
+        return self._ot.reverse if self.meter.roles_swapped else self._ot
+
+    def _oriented(self, swapped: bool) -> ContextManager[None]:
+        """Price the primitives inside as the oriented engine of
+        physical Bob (``swapped``) or Alice runs them."""
+        if swapped == self.meter.roles_swapped:
+            return nullcontext()
+        return self.meter.swapped_roles()
 
     # -- primitives -------------------------------------------------------
 
-    def _ot_base(self, mirror: bool) -> None:
-        """First use of a physical extension instance: Chou–Orlandi for
-        the forward one; for its mirror ``kappa`` seed OTs of it and the
-        tree corrections its first ``u`` carries."""
-        if mirror in self._ot_base_charged:
-            return
-        self._ot_base_charged.add(mirror)
-        kappa = self.p.kappa
-        if mirror:
-            self._ot_base(False)
-            base = costs.cot_bytes(
-                kappa, costs.seed_ot_widths(kappa)
-            )[0] + costs.tree_correction_bytes(kappa)
-        else:
-            base = sum(costs.base_ot_bytes(kappa))
-        self.est.add("ot_base", base)
-        self.est.add_rounds(2)
-
-    def ot(self, widths: Widths, reverse: bool = False) -> None:
+    def ot_batch(self, widths: Widths, reverse: bool = False) -> None:
         """One C-OT batch; ``reverse`` in protocol roles (Bob
         choosing)."""
-        u, corrections = costs.cot_bytes(self.p.kappa, widths)
-        if u == 0:
-            return
-        self._ot_base(reverse != self._swapped)
-        self.est.add("ot_u", u)
-        self.est.add("ot_ct", corrections)
-        self.est.add_rounds(2)
+        with self.meter.swapped_roles() if reverse else nullcontext():
+            self.ot.correlated(None, widths).finish()
 
     def garbled(self, counts: costs.CircuitCounts, n: int) -> None:
         """``n`` garblings of a template with these
         :func:`~repro.mpc.costs.circuit_counts`."""
-        if n == 0:
-            return
-        sizes = costs.garbled_bytes(counts, n, self.p.ell)
-        self.est.add("gc_tables", sizes.tables)
-        self.est.add("gc_labels", sizes.seed)
-        self.ot([(sizes.label_ots, 0)])  # u only
-        self.est.add("gc_decode", sizes.decode)
-        self.est.add_rounds(2)
-        self.ot(sizes.weight_ots, reverse=True)  # Bob chooses
+        garbled_call(
+            self.meter, self.ot, counts, n,
+            real=lambda: (), ideal=lambda: (None, None),
+        )
 
     def oep(self, m: int, n_out: int) -> None:
-        self.ot(costs.oep_widths(self.p.ell, m, n_out))
+        self.ot_batch(costs.oep_widths(self.p.ell, m, n_out))
 
     def gilboa(self, n: int, n_cross_terms: int) -> None:
         for i in range(n_cross_terms):
-            self.ot(costs.gilboa_widths(self.p.ell, n), reverse=bool(i % 2))
+            self.ot_batch(costs.gilboa_widths(self.p.ell, n), bool(i % 2))
 
-    def share(self, n: int) -> None:
-        self.est.add("shares", costs.share_bytes(self.p.ell, n))
-        self.est.add_rounds(1)
+    def share(self, sender: str, n: int) -> None:
+        """One message of ``n`` ring elements: a sharing or a reveal."""
+        self.meter.send(sender, costs.share_bytes(self.p.ell, n))
 
     def psi(self, m: int, n: int, shared_payload: bool) -> int:
         """One circuit PSI; returns its bin count."""
         b, load = costs.psi_bins(self.p, m, n)
-        self.est.add("psi_seeds", costs.psi_seed_bytes(self.p.cuckoo_hashes))
-        self.est.add_rounds(3)
-        # the OPRF's base OTs come from the protocol-reverse instance
-        self._ot_base(not self._swapped)
-        self.est.add("oprf", sum(costs.kkrt_setup_bytes(self.p.kappa, b)))
-        self.est.add("opprf_hints", costs.opprf_hint_bytes(b, load, self.p.ell))
+        if shared_payload:
+            # Section 5.5: the other party's OEP into the PSI's payloads
+            # runs first; the one onto the bins follows it.
+            with self.meter.swapped_roles():
+                self.oep(n + b, n + b)
+        self.meter.send(ALICE, costs.psi_seed_bytes(self.p.cuckoo_hashes))
+        charge_opprf(self.meter, self.ot, b, load)
         circuit = gadgets.psi_bin_circuit(
             self.p.ell,
             costs.psi_token_bits(b, self.p.sigma),
@@ -212,10 +211,6 @@ class _Estimator:
         )
         self.garbled(costs.circuit_counts(circuit), b)
         if shared_payload:
-            # Section 5.5: two extra OEPs around the PSI, the first held
-            # by the other party.
-            with self._oriented(not self._swapped):
-                self.oep(n + b, n + b)
             self.oep(n + b, b)
         return b
 
@@ -262,20 +257,18 @@ class _Estimator:
             if child_plain and parent_plain:
                 return  # fully local
             if child_plain:
-                self.share(child_n)
+                self.share(ALICE, child_n)
             self.oep(child_n + 1, parent_n)
         elif backend == "linear":
             # DH-OPRF matching, then the child payloads in token order.
-            self.est.add(
-                "dhoprf", sum(costs.dh_oprf_bytes(parent_n, child_n))
-            )
-            self.est.add_rounds(2)
+            charge_dh_oprf(self.meter, parent_n, child_n)
             if child_n > 0:
                 if child_plain:
-                    self.share(child_n)
+                    self.share(BOB, child_n)
                 else:  # the child owner's permutation
-                    with self._oriented(not self._swapped):
-                        self.ot(costs.permutation_widths(ell, child_n))
+                    self.ot_batch(
+                        costs.permutation_widths(ell, child_n), reverse=True
+                    )
             self.oep(child_n + 1, parent_n)
         else:
             b = self.psi(parent_n, child_n, shared_payload=not child_plain)
@@ -287,16 +280,19 @@ def estimate_node_bytes(
     shape: NodeShape, backend: str, params: SecurityParams
 ) -> int:
     """Marginal bytes of one fold/semijoin node under ``backend`` — what
-    the scheduler's trace meters for it: the node's total minus its
-    ``ot_base`` part, since the base-OT setup — with the mirror's tree
-    corrections, which ride in its first ``u`` — is charged once per
-    engine (to whichever node runs the first OT batch), not per node.  The
-    planner's routing pass, the scheduler's per-node ``est_bytes`` and
-    :func:`estimate_plan_cost` all price a node through the same
-    :meth:`_Estimator.node`."""
+    the scheduler's trace meters for it: its bytes on a meter whose two
+    extension instances have already run their base phases, since the
+    base-OT setup — with the mirror's tree corrections, which ride in
+    its first ``u`` — is charged once per engine (to whichever node runs
+    the first OT batch), not per node.  The planner's routing pass, the
+    scheduler's per-node ``est_bytes`` and :func:`estimate_plan_cost`
+    all price a node through the same :meth:`_Estimator.node`."""
     e = _Estimator(params)
+    for ot in (e.ot, e.ot.reverse):
+        ot.labels(1)
+    before = e.meter.total
     e.node(shape, backend)
-    return e.est.total - e.est.by_part.get("ot_base", 0)
+    return e.meter.total - before
 
 
 def _walk_nodes(
@@ -361,7 +357,7 @@ def estimate_plan_cost(
     reduced = plan.reduced_attrs
     for name, attrs in reduced.items():
         if plain[name]:
-            e.share(sizes[name])
+            e.share(owners[name], sizes[name])
         # reveal circuits: the indicator, and for a Bob-owned relation
         # his tuples disclosed under it (no gate).  Payload width is
         # data-dependent; callers wanting exactness supply integer-only
@@ -370,15 +366,14 @@ def estimate_plan_cost(
         pbits = 0 if owners[name] == ALICE else 32 * len(attrs)
         reveal = gadgets.reveal_tuple_circuit(params.ell, pbits)
         e.garbled(costs.circuit_counts(reveal), sizes[name])
-    e.est.add("out_size", costs.OUT_SIZE_BYTES)
-    e.est.add_rounds(1)
+    e.meter.send(ALICE, costs.OUT_SIZE_BYTES)
     if out_size > 0:
         for name in reduced:
             e.oep(sizes[name] + 1, out_size)
         e.gilboa(out_size, n_cross_terms=2 * (len(reduced) - 1))
-    e.est.add("result_reveal", costs.share_bytes(params.ell, out_size))
-    e.est.add_rounds(1)
-    return e.est
+    e.share(BOB, out_size)  # the result, revealed to Alice
+    m = e.meter
+    return CostEstimate(m.total, m.messages, m.rounds)
 
 
 def estimate_node_costs(

@@ -168,7 +168,8 @@ def _cmd_estimate(args) -> int:
         print(f"    {label}: {cells}  -> auto routes {routed[label]}")
     est = estimate_query_cost(jq, out_size=0, backends=routed)
     print(
-        f"  plan total under auto routing: {est.total:,} B at out_size=0 "
+        f"  plan total under auto routing: {est.total:,} B in "
+        f"{est.messages:,} messages, {est.rounds:,} rounds at out_size=0 "
         "(reduce + semijoin + reveal; the output-sized part of the full "
         "join is left out)"
     )

@@ -359,25 +359,6 @@ def expand_labels(
     return tccr_hash(block, t).transpose(1, 0, 2)
 
 
-def expand_labels(
-    seed: bytes, plan: GarblePlan, n: int, batch: int
-) -> np.ndarray:
-    """The ``(n_garbler_wires, n, 16)`` active labels of the plan's
-    garbler-side wires over ``n`` instances: label ``(instance, slot)``
-    is ``H(seed, (batch, instance, 3 * n_ands + slot))`` — the tweaks
-    after the batch's AND hashes.  Both parties run this — the garbler
-    to fix its zero-labels, the evaluator in place of receiving the
-    labels."""
-    n_slots = len(plan.garbler_wires)
-    block = np.frombuffer(seed, dtype=np.uint8)
-    t = tweaks(
-        batch,
-        np.arange(n)[:, None],
-        3 * plan.n_ands + np.arange(n_slots)[None, :],
-    )
-    return tccr_hash(block, t).transpose(1, 0, 2)
-
-
 def garble_batch(
     plan: GarblePlan,
     delta: np.ndarray,

@@ -30,7 +30,7 @@ from .transcript import ALICE, BOB, Transcript, other_party
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.session import Session
 
-__all__ = ["Mode", "Context", "Channel", "ALICE", "BOB"]
+__all__ = ["Mode", "Context", "Channel", "Meter", "ALICE", "BOB"]
 
 
 @runtime_checkable
@@ -61,6 +61,23 @@ class Mode(enum.Enum):
 
     REAL = "real"
     SIMULATED = "simulated"
+
+
+class Meter(Protocol):
+    """What a SIMULATED charge path needs of its context: the
+    parameters, the mode, the role orientation and :meth:`send`.  A
+    :class:`Context` is one; so is the cost estimator's count-only
+    meter, which prices a plan through the same charge paths without
+    building a context (see :mod:`repro.bench.estimator`)."""
+
+    params: SecurityParams
+    mode: Mode
+
+    def swapped_roles(self) -> ContextManager[None]: ...
+
+    def send(self, sender: str, n_bytes: int, label: str = "") -> None: ...
+
+    def section(self, label: str) -> ContextManager[None]: ...
 
 
 class Context:

@@ -144,11 +144,11 @@ def cot_bytes(kappa: int, widths: Widths) -> Tuple[int, int]:
     ``kappa / k`` VOLE blocks, then ONE ciphertext per OT (the sender's
     0-message is the OT's own random pad, so only the 1-message
     crosses)."""
-    n_ots = sum(count for count, _ in widths)
-    return (
-        kappa // SOFTSPOKEN_K * ((n_ots + 7) // 8),
-        sum(count * width for count, width in widths),
-    )
+    n_ots = corrections = 0
+    for count, width in widths:
+        n_ots += count
+        corrections += count * width
+    return kappa // SOFTSPOKEN_K * ((n_ots + 7) // 8), corrections
 
 
 def gilboa_widths(ell: int, n: int) -> Widths:
@@ -274,15 +274,12 @@ def psi_seed_bytes(n_hashes: int) -> int:
     return 16 * n_hashes
 
 
-def kkrt_setup_bytes(kappa: int, n_rows: int) -> Tuple[int, int]:
-    """The batched OPRF over ``n_rows`` bins as ``(base u, u)``: an
-    IKNP-style matrix of :data:`OPRF_WIDTH` columns — the ``u`` of that
-    many :func:`seed_ot_widths` OTs of the reverse extension instance,
-    then one column-correction message of a bit per column and row."""
-    return (
-        cot_bytes(kappa, seed_ot_widths(OPRF_WIDTH))[0],
-        OPRF_WIDTH * ((n_rows + 7) // 8),
-    )
+def kkrt_setup_bytes(n_rows: int) -> int:
+    """The batched OPRF's ``u`` over ``n_rows`` bins: an IKNP-style
+    matrix of :data:`OPRF_WIDTH` columns, whose base OTs are that many
+    :func:`seed_ot_widths` OTs of the reverse extension instance, takes
+    one column-correction message of a bit per column and row."""
+    return OPRF_WIDTH * ((n_rows + 7) // 8)
 
 
 #: Bits of the masked payload one ``GF(2^61 - 1)`` element carries: an

@@ -57,11 +57,11 @@ import numpy as np
 from ..leakage import leaks
 from . import p256
 from .batch import aes_prp, sorted_lookup
-from .context import ALICE, BOB, Context, Mode
+from .context import ALICE, BOB, Context, Meter, Mode
 from .costs import DH_TOKEN_BYTES, dh_oprf_bytes
 from .cuckoo import Items, has_duplicates, item_digests
 
-__all__ = ["DhOprfMatch", "dh_oprf_match"]
+__all__ = ["DhOprfMatch", "charge_dh_oprf", "dh_oprf_match"]
 
 _H2_SALT = b"secyan-dhoprf-h2"
 
@@ -163,10 +163,7 @@ def _tokens_real(
 def _tokens_simulated(
     ctx: Context, alice: np.ndarray, bob: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    blind, evaluated, tokens = dh_oprf_bytes(len(alice), len(bob))
-    ctx.send(ALICE, blind, "blind")
-    ctx.send(BOB, evaluated, "eval")
-    ctx.send(BOB, tokens, "tokens")
+    charge_dh_oprf(ctx, len(alice), len(bob))
 
     # One shared salt stands in for the PRF key: AES-128 keyed by it
     # over each digest's first 16 bytes tokenises both matrices in one
@@ -176,3 +173,12 @@ def _tokens_simulated(
     prefixes = np.concatenate([alice, bob])[:, :2].view(np.uint8)
     toks = _as_tokens(aes_prp(salt, prefixes)[:, :DH_TOKEN_BYTES].tobytes())
     return toks[: len(alice)], toks[len(alice) :]
+
+
+def charge_dh_oprf(ctx: Meter, m: int, n: int) -> None:
+    """Charge the three messages :func:`_tokens_real` sends for ``m``
+    of Alice's items and ``n`` of Bob's."""
+    blind, evaluated, tokens = dh_oprf_bytes(m, n)
+    ctx.send(ALICE, blind, "blind")
+    ctx.send(BOB, evaluated, "eval")
+    ctx.send(BOB, tokens, "tokens")

@@ -33,7 +33,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .context import ALICE, Context, Mode
+from .context import ALICE, Context, Meter, Mode
 from .costs import OPRF_WIDTH, kkrt_setup_bytes, seed_ot_widths
 from .ot import OT, CorrelatedBatch, _kdf, _prg_bits_all
 
@@ -83,7 +83,7 @@ def _out_hashes(
 
 
 def _column_seeds(
-    ctx: Context, ot: OT, s: Optional[np.ndarray]
+    ctx: Meter, ot: OT, s: Optional[np.ndarray]
 ) -> CorrelatedBatch:
     """The OPRF's base OTs, roles reversed — Bob (the OPRF sender)
     receives with secret choice ``s``, Alice owns the seed pairs:
@@ -154,14 +154,12 @@ class BatchedOprf:
         return _out_hashes(rows, masked, self._salt)
 
 
-def charge_oprf_setup(ctx: Context, ot: OT, n_rows: int) -> None:
+def charge_oprf_setup(ctx: Meter, ot: OT, n_rows: int) -> None:
     """SIMULATED mode: charge what :meth:`BatchedOprf._setup_real` sends
     for ``n_rows`` OPRF instances — the same base-OT call, charge-only."""
     _column_seeds(ctx, ot, None)
     if n_rows:
-        ctx.send(
-            ALICE, kkrt_setup_bytes(ctx.params.kappa, n_rows)[1], "oprf/u"
-        )
+        ctx.send(ALICE, kkrt_setup_bytes(n_rows), "oprf/u")
 
 
 # -- polynomial OPPRF hints over GF(2^61 - 1), batched -------------------

@@ -13,8 +13,10 @@ switching network and the KKRT OPRF.  Two back-ends share one interface:
   the fixed-key AES hash :func:`~repro.mpc.batch.tccr_hash` (SHA-256 is
   left to the base phase's key derivation, whose input is a curve
   point).
-* :class:`SimulatedOT` — skips the crypto while charging the transcript
-  exactly what the real extension would send.
+* :class:`SimulatedOT` — skips the crypto and computes nothing: it
+  charges exactly what the real extension would send, on a
+  :class:`~repro.mpc.context.Meter` (a SIMULATED context, or the cost
+  estimator's count-only meter).
 
 An engine does public-key work once: the base OTs of the forward
 instance ``make_ot`` returns, by :func:`_chou_orlandi` ("simplest OT"
@@ -64,7 +66,7 @@ import numpy as np
 
 from . import p256
 from .batch import tccr_hash, tweaks
-from .context import ALICE, BOB, Context
+from .context import ALICE, BOB, Context, Meter
 from .costs import (
     SOFTSPOKEN_K,
     Widths,
@@ -139,7 +141,7 @@ class CorrelatedBatch:
 
     def __init__(
         self,
-        ctx: Context,
+        ctx: Meter,
         widths: Widths,
         choices: Optional[np.ndarray] = None,
         pads: Optional[Sequence[np.ndarray]] = None,
@@ -447,7 +449,7 @@ class _Paired:
     with its last reference, not by a later cycle collection."""
 
     def __init__(
-        self, ctx: Context, forward: Optional["_Paired"] = None
+        self, ctx: Meter, forward: Optional["_Paired"] = None
     ) -> None:
         self.ctx = ctx
         self.kappa = ctx.params.kappa
@@ -492,6 +494,7 @@ class SoftSpokenExtension(_Paired):
     mirror's first ``u`` message.
     """
 
+    ctx: Context
     #: a mirror's masked level sums until its first ``u`` carries them
     _pending: Optional[np.ndarray] = None
 
@@ -727,13 +730,12 @@ class SoftSpokenExtension(_Paired):
 
 
 class SimulatedOT(_Paired):
-    """Functionally-identical OT that skips the crypto but charges the
-    transcript what :class:`SoftSpokenExtension` would send — its mirror
-    issues the same seed-OT call, charge-only, and its first ``u``
-    carries the tree corrections."""
+    """Charge-only OT: sends, message for message, what
+    :class:`SoftSpokenExtension` sends — its mirror issues the same
+    seed-OT call and its first ``u`` carries the tree corrections — and
+    deals nothing.  Its consumers compute their functionality directly
+    (SIMULATED mode), or nothing at all (the cost estimator's meter)."""
 
-    #: the ideal label offset, drawn by the first REAL-mode label batch
-    _delta: Optional[np.ndarray] = None
     #: a mirror's tree corrections, until its first ``u`` carries them
     _pending = 0
 
@@ -760,48 +762,17 @@ class SimulatedOT(_Paired):
     def correlated(
         self, choices: Optional[np.ndarray], widths: Widths
     ) -> CorrelatedBatch:
-        """Charge the opening of a C-OT batch.  With ``choices=None``
-        the batch is charge-only — what the SIMULATED consumers use, at
-        any scale; with choices it also deals ideal random pads."""
-        ctx = self.ctx
+        """Charge the opening of a C-OT batch; the batch is charge-only
+        (the choices are not read)."""
         m = sum(count for count, _ in widths)
         if m:
             self._open(m)
-        if choices is None:
-            return CorrelatedBatch(ctx, widths)
-        r = np.asarray(choices, dtype=np.uint8) & 1
-        if len(r) != m:
-            raise ValueError("one choice bit per OT is required")
-        p0, p1 = (
-            np.frombuffer(ctx.random_bytes(32 * m), dtype=np.uint8).reshape(
-                m, 32
-            )
-            for _ in range(2)
-        )
-        pc = np.where(r.astype(bool)[:, None], p1, p0)
-        return CorrelatedBatch(ctx, widths, r, [p0, p1, pc])
+        return CorrelatedBatch(self.ctx, widths)
 
-    def labels(
-        self, n: int, choices: Optional[np.ndarray] = None
-    ) -> Optional[LabelBatch]:
-        """Charge the opening of a label batch.  With ``choices=None`` it
-        is charge-only; with choices it also deals ideal correlated rows
-        under one ``delta`` per instance, drawn at its first such
-        batch."""
+    def labels(self, n: int, choices: Optional[np.ndarray] = None) -> None:
+        """Charge the opening of a label batch (the choices are not
+        read); there are no labels to return."""
         self._open(n)
-        if choices is None:
-            return None
-        r = np.asarray(choices, dtype=np.uint8) & 1
-        if len(r) != n:
-            raise ValueError("one choice bit per OT is required")
-        if self._delta is None:
-            delta = np.frombuffer(self.ctx.random_bytes(16), np.uint8).copy()
-            delta[0] |= 1
-            self._delta = delta
-        zero = np.frombuffer(
-            self.ctx.random_bytes(16 * n), dtype=np.uint8
-        ).reshape(n, 16)
-        return LabelBatch(zero, zero ^ (r[:, None] * self._delta), self._delta)
 
     def transfer(
         self, pairs: Sequence[Pair], choices: Sequence[int]

@@ -29,7 +29,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .batch import bits_to_words, sorted_lookup, words_to_bits
-from .context import ALICE, BOB, Context, Mode
+from .context import ALICE, BOB, Context, Meter, Mode
 from .costs import (
     OPPRF_LIMB_BITS,
     circuit_counts,
@@ -60,7 +60,7 @@ from .ot import OT
 from .sharing import SharedVector, as_ring_column
 from .yao import RealInputs, garbled_call
 
-__all__ = ["PsiResult", "psi_with_payloads"]
+__all__ = ["PsiResult", "charge_opprf", "psi_with_payloads"]
 
 
 @dataclass
@@ -216,8 +216,7 @@ def _opprf(
     n_bins = len(alice_fps)
     ell = ctx.params.ell
     if ctx.mode == Mode.SIMULATED:
-        charge_oprf_setup(ctx, ot, n_bins)
-        ctx.send(BOB, opprf_hint_bytes(n_bins, load, ell), "opprf_hints")
+        charge_opprf(ctx, ot, n_bins, load)
         return ()
     rng = ctx.rng
     prime = np.uint64(OPPRF_PRIME)
@@ -263,6 +262,15 @@ def _opprf(
     alice_tokens = at[:, 0] & np.uint64(token_mod - 1)
     alice_payloads = (at[:, 1:] << shifts).sum(axis=1, dtype=np.uint64)
     return alice_tokens, alice_payloads & ctx.mask, s_tokens, w_masks
+
+
+def charge_opprf(ctx: Meter, ot: OT, n_bins: int, load: int) -> None:
+    """SIMULATED mode: charge what :func:`_opprf` sends for ``n_bins``
+    bins of Bob's ``load`` — the OPRF set-up, then the hints."""
+    charge_oprf_setup(ctx, ot, n_bins)
+    ctx.send(
+        BOB, opprf_hint_bytes(n_bins, load, ctx.params.ell), "opprf_hints"
+    )
 
 
 def _make_distinct(

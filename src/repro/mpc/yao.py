@@ -69,7 +69,7 @@ from .circuits.garbling import (
     translate,
     translated_shares,
 )
-from .context import BOB, Context, Mode
+from .context import BOB, Context, Meter, Mode
 from .costs import CircuitCounts, garbled_bytes, ring_bytes
 from .ot import OT
 from .sharing import SharedVector
@@ -94,7 +94,7 @@ class RealInputs(NamedTuple):
 
 
 def garbled_call(
-    ctx: Context,
+    ctx: Meter,
     ot: OT,
     counts: CircuitCounts,
     n_instances: int,
@@ -112,13 +112,15 @@ def garbled_call(
     ``(shared words, revealed bits)`` — the words word-major, ``None``
     for a kind the circuit does not output; SIMULATED mode shares them
     afresh and charges what REAL sends.  Only the thunk of the running
-    mode is evaluated.
+    mode is evaluated.  ``ctx`` may be a count-only
+    :class:`~repro.mpc.context.Meter` when ``ideal()`` returns no
+    values: the call then only charges.
 
     Returns ``(shares, bits)``: the shared words as one vector in
     word-major order (word ``j`` of instance ``i`` at
     ``j * n_instances + i``) and the ``(n_instances, revealed +
     disclosed)`` bit matrix (as :meth:`Circuit.evaluate` orders it)."""
-    no_shares = SharedVector.zeros(0, ctx.modulus)
+    no_shares = SharedVector.zeros(0, ctx.params.modulus)
     if n_instances == 0:
         width = counts.revealed + counts.disclosed
         return no_shares, np.zeros((0, width), dtype=np.uint8)
@@ -127,8 +129,9 @@ def garbled_call(
         plain, bits = ideal()
         if bits is None:
             bits = np.zeros((n_instances, 0), dtype=np.uint8)
-        shares = no_shares if plain is None else SharedVector.fresh(ctx, plain)
-        return shares, bits
+        if plain is None:
+            return no_shares, bits
+        return SharedVector.fresh(_live(ctx), plain), bits
     inputs = RealInputs(*real())
     circuit = inputs.circuit
     for who, bits, wires in (
@@ -140,7 +143,14 @@ def garbled_call(
                 f"{who}'s input bits have shape {bits.shape}, the "
                 f"circuit takes {(n_instances, wires)}"
             )
-    return _run_garbled(ctx, ot, inputs)
+    return _run_garbled(_live(ctx), ot, inputs)
+
+
+def _live(ctx: Meter) -> Context:
+    """``ctx`` as the context a call that computes values needs."""
+    if not isinstance(ctx, Context):
+        raise TypeError("a count-only meter computes no values")
+    return ctx
 
 
 def _row_weights(ctx: Context, inputs: RealInputs) -> np.ndarray:
@@ -286,7 +296,7 @@ def _word_shares(
 
 
 def _charge_garbled(
-    ctx: Context, ot: OT, counts: CircuitCounts, n_instances: int
+    ctx: Meter, ot: OT, counts: CircuitCounts, n_instances: int
 ) -> None:
     """SIMULATED mode: charge ``n_instances`` garblings of a template
     with these counts, message for message as :func:`_run_garbled`

@@ -2,8 +2,9 @@
 
 Every priced request is charged *before* any protocol bytes move: the
 service prices the query with the cost estimator
-(:func:`repro.bench.estimator.estimate_query_cost` — exact on bytes,
-upper-estimate on rounds), and the :class:`AdmissionController` decides
+(:func:`repro.bench.estimator.estimate_query_cost` — bytes and rounds
+exact for the priced ``out_size``, an upper bound only through the
+worst-case ``out_size``), and the :class:`AdmissionController` decides
 
 * **ADMIT** — the estimate fits the tenant's currently-available
   budget; the estimate is *reserved* so concurrent requests cannot

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.mpc import ALICE, BOB, Context, Engine, Mode
+from repro.mpc.ot import CorrelatedBatch, LabelBatch, SimulatedOT
 from repro.relalg import AnnotatedRelation, Hypergraph, IntegerRing
 
 try:
@@ -87,6 +88,47 @@ def spy_scalar_muls(monkeypatch):
 
         monkeypatch.setattr(p256, name, spy)
     return scalars
+
+
+class IdealOT(SimulatedOT):
+    """The ideal OT functionality, for REAL garbling without the
+    extension's crypto (its own tests cover that; skipping its base
+    phase keeps these fast): it charges what :class:`SimulatedOT`
+    charges and, given choice bits, deals random pads or
+    Δ-correlated labels from the context's RNG — one ``delta`` per
+    instance, drawn at its first label batch."""
+
+    _delta = None
+
+    def correlated(self, choices, widths):
+        batch = super().correlated(choices, widths)
+        if choices is None:
+            return batch
+        r = np.asarray(choices, dtype=np.uint8) & 1
+        if len(r) != sum(count for count, _ in widths):
+            raise ValueError("one choice bit per OT is required")
+        p0, p1 = (
+            np.frombuffer(self.ctx.random_bytes(32 * len(r)), np.uint8)
+            .reshape(-1, 32)
+            for _ in range(2)
+        )
+        pc = np.where(r.astype(bool)[:, None], p1, p0)
+        return CorrelatedBatch(self.ctx, widths, r, [p0, p1, pc])
+
+    def labels(self, n, choices=None):
+        super().labels(n)
+        if choices is None:
+            return None
+        r = np.asarray(choices, dtype=np.uint8) & 1
+        if len(r) != n:
+            raise ValueError("one choice bit per OT is required")
+        if self._delta is None:
+            delta = np.frombuffer(self.ctx.random_bytes(16), np.uint8).copy()
+            delta[0] |= 1
+            self._delta = delta
+        zero = np.frombuffer(self.ctx.random_bytes(16 * n), np.uint8)
+        zero = zero.reshape(n, 16)
+        return LabelBatch(zero, zero ^ (r[:, None] * self._delta), self._delta)
 
 
 def run_circuit(ctx, ot, circuit, alice_bits, bob_bits, weights=None,

@@ -1,5 +1,7 @@
 """The garbled-circuit baseline: cost model and the runnable circuit."""
 
+import time
+
 import pytest
 
 from repro.baselines import (
@@ -7,6 +9,7 @@ from repro.baselines import (
     gc_gate_rate,
     run_cartesian_gc,
 )
+from repro.baselines import garbled_baseline
 from repro.baselines.garbled_baseline import per_combo_and_gates
 from repro.mpc import ALICE, BOB, Context, Engine, Mode, costs
 from repro.mpc.ot import SoftSpokenExtension
@@ -63,14 +66,28 @@ class TestCostModel:
 
     def test_gate_rate_measured_positive(self, monkeypatch):
         # The rate multiplies a gate count, so nothing that does not
-        # scale with the circuit may be timed: no IKNP base phase.
+        # scale with the circuit may be timed: the extension's base
+        # phase runs before the clock starts.
+        events = []
+
+        def spy(name, real):
+            def wrapped(*args):
+                events.append(name)
+                return real(*args)
+
+            return wrapped
+
+        base = SoftSpokenExtension._base_phase
         monkeypatch.setattr(
-            SoftSpokenExtension,
-            "_base_phase",
-            lambda self: pytest.fail("base OTs inside the gate-rate clock"),
+            SoftSpokenExtension, "_base_phase", spy("base", base)
+        )
+        monkeypatch.setattr(
+            garbled_baseline.time, "perf_counter",
+            spy("clock", time.perf_counter),
         )
         rate = gc_gate_rate.__wrapped__()
         assert rate > 100  # even pure Python garbles >100 gates/s
+        assert events == ["base", "clock", "clock"]
 
 
 @pytest.mark.parametrize("mode", [Mode.SIMULATED, Mode.REAL])

@@ -56,7 +56,10 @@ class TestCli:
         assert f"{row.secure_seconds:.2f}s" in out
 
     def test_estimate(self, capsys):
-        from repro.bench.estimator import estimate_node_costs
+        from repro.bench.estimator import (
+            estimate_node_costs,
+            estimate_query_cost,
+        )
         from repro.tpch import PREPARED, generate
 
         assert main(["estimate", "Q3", "--scale", "1"]) == 0
@@ -73,6 +76,11 @@ class TestCli:
             for backend, n_bytes in per_backend.items():
                 assert f"{backend} {n_bytes:,}" in line
             assert line.endswith(routed[label])
+        est = estimate_query_cost(jq, out_size=0, backends=routed)
+        assert (
+            f"{est.total:,} B in {est.messages:,} messages, "
+            f"{est.rounds:,} rounds at out_size=0"
+        ) in out
 
     def test_estimate_decomposed_points_at_tpch(self, capsys):
         assert main(["estimate", "Q8", "--scale", "1"]) == 0

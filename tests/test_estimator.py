@@ -61,42 +61,51 @@ def run_and_estimate(owners, n1, n2, output=("b",), seed=0, ell=32):
         out_size=len(result),
         params=params,
     )
-    return stats.total_bytes, est
+    assert stats.total_bytes == engine.ctx.transcript.total_bytes
+    return engine.ctx.transcript, est
+
+
+def assert_exact(est, transcript):
+    """The estimate is the metered transcript's bytes, message count
+    and rounds."""
+    assert est == (
+        transcript.total_bytes, len(transcript.messages), transcript.rounds
+    )
 
 
 class TestAccuracy:
     @pytest.mark.parametrize("n1,n2", [(10, 10), (40, 25), (7, 60)])
     def test_cross_party_exact(self, n1, n2):
-        actual, est = run_and_estimate(
+        transcript, est = run_and_estimate(
             {"R1": ALICE, "R2": BOB}, n1, n2, seed=n1
         )
-        assert est.total == actual
+        assert_exact(est, transcript)
 
     def test_reverse_ownership_exact(self):
-        actual, est = run_and_estimate({"R1": BOB, "R2": ALICE}, 30, 20)
-        assert est.total == actual
+        transcript, est = run_and_estimate({"R1": BOB, "R2": ALICE}, 30, 20)
+        assert_exact(est, transcript)
 
     def test_same_party_exact(self):
         # Plain-annotated inputs reach the full join: each relation is
         # secret-shared exactly once there.
-        actual, est = run_and_estimate({"R1": ALICE, "R2": ALICE}, 40, 25)
-        assert est.total == actual
+        transcript, est = run_and_estimate({"R1": ALICE, "R2": ALICE}, 40, 25)
+        assert_exact(est, transcript)
 
     def test_semijoin_phase_exact(self):
         # Output on both ends forces the semijoin/full-join phases.
-        actual, est = run_and_estimate(
+        transcript, est = run_and_estimate(
             {"R1": ALICE, "R2": BOB}, 20, 20, output=("a", "b", "c")
         )
-        assert est.total == actual
+        assert_exact(est, transcript)
 
     @pytest.mark.parametrize("ell", [16, 20, 32, 44, 48])
     def test_exact_at_every_ring_width(self, ell):
         # A ring element is packed to ceil(ell / 8) bytes by every
         # primitive, share and reveal included.
-        actual, est = run_and_estimate(
+        transcript, est = run_and_estimate(
             {"R1": ALICE, "R2": BOB}, 40, 25, ell=ell
         )
-        assert est.total == actual
+        assert_exact(est, transcript)
 
 
 def _node_windows(trace, messages):
@@ -147,9 +156,9 @@ class TestEstimatorEqualsMetered:
         q = build().set_backend(backend)
         tracer = ExecutionTrace()
         ctx = Context(Mode.SIMULATED, seed=5)
-        result, stats = q.run_secure(Engine(ctx, tracer=tracer))
+        result, _ = q.run_secure(Engine(ctx, tracer=tracer))
         est = estimate_query_cost(q, out_size=len(result))
-        assert est.total == stats.total_bytes
+        assert_exact(est, ctx.transcript)
         priced = 0
         for node, window in _node_windows(tracer, ctx.transcript.messages):
             if node.est_bytes is None:
@@ -171,7 +180,25 @@ class TestEstimatorEqualsMetered:
 
 
 class TestOneCostModel:
-    """Structural guard: sizes come from ``repro.mpc.costs`` alone."""
+    """Structural guard: the estimator runs SIMULATED's own charge paths
+    and sends only single messages itself, sized by ``repro.mpc.costs``."""
+
+    CHARGE_PATHS = {
+        "mpc.ot": {"SimulatedOT"},
+        "mpc.yao": {"garbled_call"},
+        "mpc.oprf": {"charge_oprf_setup"},
+        "mpc.psi": {"charge_opprf"},
+        "mpc.dhoprf": {"charge_dh_oprf"},
+        "mpc.context": {"ALICE", "BOB", "Mode", "Meter"},
+    }
+
+    #: the multi-message primitives' sizes, which only the charge paths
+    #: may compose
+    PRIMITIVE_SIZES = {
+        "cot_bytes", "garbled_bytes", "base_ot_bytes",
+        "tree_correction_bytes", "kkrt_setup_bytes", "dh_oprf_bytes",
+        "opprf_hint_bytes",
+    }
 
     def test_estimator_imports_only_the_cost_model(self):
         tree = ast.parse((SRC / "bench" / "estimator.py").read_text())
@@ -183,16 +210,21 @@ class TestOneCostModel:
             names = {a.name for a in node.names}
             if module == "mpc":
                 assert names <= allowed, names
-            elif module == "mpc.context":
-                assert names <= {"ALICE", "BOB"}, names
+            elif module in self.CHARGE_PATHS:
+                assert names <= self.CHARGE_PATHS[module], names
             elif module.startswith("mpc."):
                 assert module[len("mpc."):] in allowed, module
+        called = {
+            getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+        }
+        assert called & self.PRIMITIVE_SIZES == set()
 
     def test_estimator_internals_stay_internal(self):
-        # Nothing outside the estimator builds its accumulator or pokes
-        # its base-OT bookkeeping; marginal prices come from
-        # estimate_node_bytes.
-        private = ("_" "Estimator", "_ot_base" "_charged")
+        # Nothing outside the estimator builds its accumulator or its
+        # meter; marginal prices come from estimate_node_bytes.
+        private = ("_" "Estimator", "_" "Meter")
         root = SRC.parents[1]
         offenders = [
             str(path.relative_to(root))
@@ -205,15 +237,6 @@ class TestOneCostModel:
 
 
 class TestBreakdown:
-    def test_parts_sum_to_total(self):
-        _, est = run_and_estimate({"R1": ALICE, "R2": BOB}, 15, 15)
-        assert sum(est.by_part.values()) == est.total
-
-    def test_gc_tables_present_for_cross_party(self):
-        _, est = run_and_estimate({"R1": ALICE, "R2": BOB}, 15, 15)
-        assert est.by_part.get("gc_tables", 0) > 0
-        assert est.by_part.get("oprf", 0) > 0
-
     def test_estimate_scales_linearly(self):
         _, small = run_and_estimate({"R1": ALICE, "R2": BOB}, 20, 20)
         _, big = run_and_estimate({"R1": ALICE, "R2": BOB}, 80, 80)

@@ -23,10 +23,10 @@ from repro.mpc.circuits.garbling import (
 )
 from repro.mpc.costs import circuit_counts, garbled_bytes
 from repro.mpc.gadgets import bits_of, int_of
-from repro.mpc.ot import SimulatedOT
+from repro.mpc.ot import make_ot
 
 from . import reference
-from .conftest import run_circuit
+from .conftest import IdealOT, run_circuit
 
 #: Instances per garbled batch in the direct (OT-free) tests.
 BATCH_SIZES = (1, 5)
@@ -494,7 +494,7 @@ def run_real_batch(circuit, alice, bob, seed=0):
         circuit, np.random.default_rng(seed), len(alice)
     )
     words, bits = run_circuit(
-        ctx, SimulatedOT(ctx), circuit, alice, bob, *weights
+        ctx, IdealOT(ctx), circuit, alice, bob, *weights
     )
     for i, (a, b) in enumerate(zip(alice, bob)):
         assert words[i].tolist() == circuit.evaluate_words(
@@ -666,7 +666,7 @@ class TestOutputTranslation:
         assert len(c.rows) == 3 and c.sent_rows == (0,)
         assert circuit_counts(c).rows == 1
         ctx = Context(Mode.REAL, seed=3)
-        words, _ = run_circuit(ctx, SimulatedOT(ctx), c, [[0], [1]], [[], []])
+        words, _ = run_circuit(ctx, IdealOT(ctx), c, [[0], [1]], [[], []])
         assert words.tolist() == [[2], [3]]
         (decode,) = [m for m in ctx.transcript.messages if m.label == "gc/decode"]
         assert decode.n_bytes == 2 * 4  # one 4-byte row per instance
@@ -684,7 +684,7 @@ class TestOutputTranslation:
         for mode in (Mode.REAL, Mode.SIMULATED):
             ctx = Context(mode, seed=1)
             words, bits = run_circuit(
-                ctx, SimulatedOT(ctx), circuit, alice, bob, *weights
+                ctx, make_ot(ctx), circuit, alice, bob, *weights
             )
             seen.append((words.tolist(), bits.tolist(),
                          ctx.transcript.fingerprint()))
@@ -790,7 +790,7 @@ class TestDisclosure:
         alice = np.asarray([[1], [0], [1]], dtype=np.uint8)
         bob = rng.integers(0, 2, (3, self.N_BITS + 2), dtype=np.uint8)
         ctx = Context(Mode.REAL, seed=8)
-        words, bits = run_circuit(ctx, SimulatedOT(ctx), c, alice, bob)
+        words, bits = run_circuit(ctx, IdealOT(ctx), c, alice, bob)
         for a, b_, w, o in zip(alice, bob, words, bits):
             assert o.tolist() == c.evaluate(a, b_)
             assert w.tolist() == c.evaluate_words(a, b_, 32)

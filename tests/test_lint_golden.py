@@ -45,11 +45,11 @@ MUTATIONS = {
         "",
     ),
     # OBL005: the SIMULATED branch of PSI's mode fork spells a label
-    # its REAL twin does not send.
+    # its REAL twin does not send (in the charge function it calls).
     "psi_label_renamed": (
         "repro/mpc/psi.py",
-        '"opprf_hints")\n        return ()',
-        '"opprf_hint")\n        return ()',
+        'ctx.params.ell), "opprf_hints"',
+        'ctx.params.ell), "opprf_hint"',
     ),
     # OBL007: a declared atom nothing in the call closure produces.
     "reveal_unwitnessed_atom": (

@@ -16,7 +16,7 @@ from repro.mpc.ot import (
     make_ot,
 )
 
-from .conftest import spy_scalar_muls
+from .conftest import IdealOT, spy_scalar_muls
 
 
 def assert_received_off_path(ot):
@@ -250,7 +250,7 @@ class TestCorrelatedOT:
         real = Context(Mode.REAL, seed=5)
         _cot(SoftSpokenExtension(real), choices, m1, self.WIDTHS)
         ideal = Context(Mode.SIMULATED, seed=5)
-        p0, got = _cot(SimulatedOT(ideal), choices, m1, self.WIDTHS)
+        p0, got = _cot(IdealOT(ideal), choices, m1, self.WIDTHS)
         charged = Context(Mode.SIMULATED, seed=5)
         SimulatedOT(charged).correlated(None, self.WIDTHS).finish()
         fp = real.transcript.fingerprint()
@@ -260,14 +260,14 @@ class TestCorrelatedOT:
             ("alice", 128 // K * 10, "ot/ext/u"),
             ("bob", 5 * sum(range(1, 17)), "ot/ext/ciphertexts"),
         )
-        # The ideal back-end is functional too.
+        # The ideal OT the REAL garbling tests run on is functional too.
         off = 0
         for p, m, g in zip(p0, m1, got):
             c = choices[off : off + 5, None].astype(bool)
             off += 5
             assert (g == np.where(c, m, p)).all()
 
-    @pytest.mark.parametrize("cls", [SoftSpokenExtension, SimulatedOT])
+    @pytest.mark.parametrize("cls", [SoftSpokenExtension, IdealOT])
     def test_zero_length_batch_sends_nothing(self, cls):
         ctx = Context(Mode.REAL, seed=1)
         cot = cls(ctx).correlated(
@@ -278,7 +278,7 @@ class TestCorrelatedOT:
         assert got[0].shape == (0, 16)
         assert ctx.transcript.messages == []
 
-    @pytest.mark.parametrize("cls", [SoftSpokenExtension, SimulatedOT])
+    @pytest.mark.parametrize("cls", [SoftSpokenExtension, IdealOT])
     def test_finish_needs_one_matrix_per_segment(self, cls):
         """A batch with pads refuses a finish that would drop a
         segment, before anything is sent; a charge-only batch still
@@ -341,14 +341,24 @@ class TestLabelOTs:
         assert mirror.delta.tobytes() not in deltas
         assert mirror.delta[0] & 1 == 1
 
-    def test_simulated_back_end_deals_one_delta_per_instance(self):
-        ctx = Context(Mode.REAL, seed=6)
+    def test_simulated_back_end_only_charges(self):
+        """``SimulatedOT`` deals nothing and draws no randomness, with
+        choice bits or without: its batches charge and carry no pads."""
+        ctx = Context(Mode.SIMULATED, seed=6)
+        state = ctx.rng.bit_generator.state
         ot = SimulatedOT(ctx)
-        assert ot.labels(4) is None  # charge-only
         r = np.asarray([0, 1, 1, 0], dtype=np.uint8)
-        first, second = ot.labels(4, r), ot.labels(4, r)
-        assert (first.delta == second.delta).all() and first.delta[0] & 1
-        assert ((first.zero ^ first.active) == r[:, None] * first.delta).all()
+        assert ot.labels(4, r) is None
+        cot = ot.reverse.correlated(r, [(4, 8)])
+        assert (cot.p0, cot.p1, cot.pc) == ([], [], [])
+        assert cot.finish() == []
+        assert ctx.rng.bit_generator.state == state
+        assert [m.label for m in ctx.transcript.messages] == [
+            "ot/ext/base/A", "ot/ext/base/B", "ot/ext/base/ciphertexts",
+            "ot/ext/u",  # the label batch
+            "ot/ext/base/ot/ext/u",  # the mirror's seed OTs
+            "ot/ext/u", "ot/ext/ciphertexts",  # the mirror's batch
+        ]
 
     @pytest.mark.parametrize("flip", [False, True])
     def test_garbling_runs_under_each_instances_s(self, monkeypatch, flip):

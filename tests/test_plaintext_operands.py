@@ -17,11 +17,11 @@ from repro.mpc.gadgets import (
     nonzero_circuit,
     reveal_tuple_circuit,
 )
-from repro.mpc.ot import CorrelatedBatch, SimulatedOT
+from repro.mpc.ot import CorrelatedBatch
 from repro.mpc.psi import psi_with_payloads
 
 from . import reference
-from .conftest import run_circuit
+from .conftest import IdealOT, run_circuit
 
 pytestmark = pytest.mark.real
 
@@ -53,7 +53,7 @@ class TestZeroTest:
         x1, x2, alice, bob = self.share_pairs()
         ctx = Context(Mode.REAL, seed=11)
         words, _ = run_circuit(
-            ctx, SimulatedOT(ctx), nonzero_circuit(self.ELL), alice, bob
+            ctx, IdealOT(ctx), nonzero_circuit(self.ELL), alice, bob
         )
         assert words[:, 0].tolist() == self.expected(x1, x2).tolist()
 
@@ -64,7 +64,7 @@ class TestZeroTest:
         )
         ctx = Context(Mode.REAL, seed=12)
         _, bits = run_circuit(
-            ctx, SimulatedOT(ctx), reveal_tuple_circuit(self.ELL, 5),
+            ctx, IdealOT(ctx), reveal_tuple_circuit(self.ELL, 5),
             alice, np.hstack([bob, payload]),
         )
         want = self.expected(x1, x2)
@@ -100,7 +100,7 @@ class TestMergeSumChain:
             bob = rng.integers(0, 1 << ell, n, dtype=np.uint64)
             for name, ind in boundary_cases(n, rng).items():
                 words, _ = run_circuit(
-                    ctx, SimulatedOT(ctx), merge_sum_circuit(ell, n),
+                    ctx, IdealOT(ctx), merge_sum_circuit(ell, n),
                     np.asarray([ind], dtype=np.uint8).reshape(1, -1),
                     words_to_bits(bob, ell).reshape(1, -1),
                 )
@@ -168,7 +168,7 @@ class TestEvaluatorRow:
         monkeypatch.setattr(yao, "_evaluator_rows", spy)
         ctx = Context(Mode.REAL, seed=seed)
         words, _ = run_circuit(
-            ctx, SimulatedOT(ctx), weighted_xor(), alice, bob,
+            ctx, IdealOT(ctx), weighted_xor(), alice, bob,
             alice_weights=weights,
         )
         return words[:, 0], alice[:, 0] ^ bob[:, 0], weights[:, 0], seen

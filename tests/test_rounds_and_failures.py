@@ -110,7 +110,7 @@ class TestFailureInjection:
         the seam checks both matrices against the circuit's widths."""
         from repro.mpc.costs import circuit_counts
         from repro.mpc.gadgets import nonzero_circuit
-        from repro.mpc.ot import SimulatedOT
+        from .conftest import IdealOT
         from repro.mpc.yao import garbled_call
 
         ctx = Context(Mode.REAL, seed=6)
@@ -119,7 +119,7 @@ class TestFailureInjection:
 
         def call(alice_width, bob_width):
             return garbled_call(
-                ctx, SimulatedOT(ctx), circuit_counts(circuit), 3,
+                ctx, IdealOT(ctx), circuit_counts(circuit), 3,
                 real=lambda: (
                     circuit,
                     np.zeros((3, alice_width), dtype=np.uint8),

@@ -141,10 +141,7 @@ class TestSetupStoreViews:
 
 
 def priced(total: int, rounds: int = 0) -> CostEstimate:
-    est = CostEstimate()
-    est.add("test", total)
-    est.add_rounds(rounds)
-    return est
+    return CostEstimate(total, 0, rounds)
 
 
 class TestAdmissionController:
