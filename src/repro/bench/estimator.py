@@ -231,15 +231,18 @@ class _Estimator:
             # exactly when they share an owner
             with self._oriented(parent_bob == same_owner):
                 self.oep(child_n, child_n)
-                chain = gadgets.merge_sum_circuit
                 if kind == "semijoin":
                     nonzero = gadgets.nonzero_circuit(ell)
                     self.garbled(costs.circuit_counts(nonzero), child_n)
-                    chain = gadgets.merge_or_circuit
-                self.garbled(
-                    costs.merge_chain_counts(lambda k: chain(ell, k), child_n),
-                    1,
-                )
+                    self.garbled(
+                        costs.merge_chain_counts(
+                            lambda k: gadgets.merge_or_circuit(ell, k),
+                            child_n,
+                        ),
+                        1,
+                    )
+                else:
+                    self.ot_batch([(child_n - 1, costs.ring_bytes(ell))])
         if kind == "aggregate" or parent_n == 0:
             return
         with self._oriented(parent_bob):

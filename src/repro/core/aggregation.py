@@ -7,9 +7,10 @@ Two operators:
 
 Both return an output relation of the *same size* as the input: the
 owner sorts her tuples by the group key, the annotation shares are
-permuted consistently with OEP, and a garbled merge-gate chain folds
-each group's annotations into its last position; all other positions
-become zero-annotated dummy tuples.  The output is therefore
+permuted consistently with OEP, and a merge-gate chain folds each
+group's annotations into its last position (for sums one C-OT batch on
+the owner's boundary bits, for ``pi^1`` a garbled OR chain); all other
+positions become zero-annotated dummy tuples.  The output is therefore
 *semantically equivalent* to the true projection while its size and
 access pattern depend only on the (public) input size.
 

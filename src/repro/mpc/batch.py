@@ -3,7 +3,7 @@
 The REAL-mode primitives move millions of tiny values between numpy
 vectors, Python ints, and wire-format byte strings.  Doing that one
 ``int.to_bytes`` at a time dominates every benchmark, so the hot paths
-(:meth:`repro.mpc.engine.Engine._gilboa_cross`,
+(:meth:`repro.mpc.engine.Engine._ring_cot`,
 :func:`repro.mpc.yao.garbled_call`,
 :meth:`repro.mpc.ot.SoftSpokenExtension.correlated`, the OEP switch
 network) marshal through the batch kernels here instead:

@@ -66,7 +66,7 @@ __all__ = [
 #: change to a message's size or to the message sequence, and folded
 #: into ``repro net``'s session id so that a journal or a peer of
 #: another format is refused at the start, not at a later divergence.
-WIRE_FORMAT = 4
+WIRE_FORMAT = 5
 
 #: The shape of one C-OT batch: consecutive ``(count, width)`` segments
 #: of same-width transfers.

@@ -26,12 +26,7 @@ from . import gadgets
 from .batch import bits_to_words, words_to_bits, words_to_le_bytes
 from .batch import le_bytes_to_words
 from .context import ALICE, BOB, Context, Mode
-from .costs import (
-    circuit_counts,
-    gilboa_widths,
-    merge_chain_counts,
-    ring_bytes,
-)
+from .costs import circuit_counts, merge_chain_counts, ring_bytes
 from .ot import OT, make_ot
 from .sharing import (
     SharedVector,
@@ -128,6 +123,34 @@ class Engine:
     # 32-bit multiplier.  ``via="gc"`` keeps the garbled-circuit path for
     # the ablation benchmark.
 
+    def _ring_cot(
+        self,
+        count: int,
+        choices: Callable[[], np.ndarray],
+        m1: Callable[[np.ndarray], np.ndarray],
+        real: Callable[[np.ndarray, np.ndarray], SharedVector],
+        ideal: Callable[[], np.ndarray],
+    ) -> SharedVector:
+        """One C-OT batch of ``count`` ring elements on :attr:`ot`: Alice
+        chooses by ``choices()``, Bob's 0-messages are his pads ``r``
+        and his 1-messages ``m1(r)``.  REAL returns ``real(r, recv)``
+        with ``recv`` what Alice received; SIMULATED charges the same
+        batch and returns a fresh sharing of ``ideal()``."""
+        ctx = self.ctx
+        mask = ctx.mask
+        rb = ring_bytes(ctx.params.ell)
+        widths = [(count, rb)]
+        ot = self.ot
+        if ctx.mode == Mode.SIMULATED:
+            ot.correlated(None, widths).finish()
+            return SharedVector.fresh(ctx, ideal())
+        cot = ot.correlated(choices(), widths)
+        r = le_bytes_to_words(cot.p0[0]) & mask
+        recv = le_bytes_to_words(
+            cot.finish([words_to_le_bytes(m1(r) & mask, rb)])[0]
+        ) & mask
+        return real(r, recv)
+
     def _gilboa_cross(
         self, bits_owner: str, u: np.ndarray, v: np.ndarray,
         label: str,
@@ -143,34 +166,31 @@ class Engine:
         ell = ctx.params.ell
         n = len(u)
         mask = ctx.mask
-        rb = ring_bytes(ell)
-        widths = gilboa_widths(ell, n)
         reverse = bits_owner == BOB
-        with ctx.section(label), (
-            ctx.swapped_roles() if reverse else nullcontext()
-        ):
-            ot = self.ot
-            if ctx.mode == Mode.SIMULATED:
-                ot.correlated(None, widths).finish()
-                return SharedVector.fresh(
-                    ctx, u.astype(np.uint64) * v.astype(np.uint64)
-                )
-            cot = ot.correlated(
-                words_to_bits(u.astype(np.uint64), ell).reshape(-1), widths
-            )
-            r = le_bytes_to_words(cot.p0[0]).reshape(n, ell) & mask
+
+        def m1(r: np.ndarray) -> np.ndarray:
             shifted = (
                 v.astype(np.uint64)[:, None]
                 << np.arange(ell, dtype=np.uint64)[None, :]
             )
-            m1 = words_to_le_bytes(((r + shifted) & mask).reshape(-1), rb)
-            recv = le_bytes_to_words(cot.finish([m1])[0]).reshape(
-                n, ell
-            ).sum(axis=1, dtype=np.uint64) & mask
-            sender_share = (-r.sum(axis=1, dtype=np.uint64)) & mask
+            return r + shifted.reshape(-1)
+
+        def real(r: np.ndarray, recv: np.ndarray) -> SharedVector:
+            chooser = recv.reshape(n, ell).sum(axis=1, dtype=np.uint64) & mask
+            sender = (-r.reshape(n, ell).sum(axis=1, dtype=np.uint64)) & mask
             if reverse:
-                return SharedVector(sender_share, recv, ctx.modulus)
-            return SharedVector(recv, sender_share, ctx.modulus)
+                return SharedVector(sender, chooser, ctx.modulus)
+            return SharedVector(chooser, sender, ctx.modulus)
+
+        with ctx.section(label), (
+            ctx.swapped_roles() if reverse else nullcontext()
+        ):
+            return self._ring_cot(
+                n * ell,
+                lambda: words_to_bits(u.astype(np.uint64), ell).reshape(-1),
+                m1, real,
+                lambda: u.astype(np.uint64) * v.astype(np.uint64),
+            )
 
     def mul_shared(self, x: SharedVector, y: SharedVector,
                    label: str = "mul", via: str = "ot") -> SharedVector:
@@ -270,20 +290,51 @@ class Engine:
         share the key.  Output position ``i`` holds the group's
         +-aggregate iff ``i`` is the group's last member, else 0.
 
-        The circuit chains Bob's shares only; Alice, who knows the
-        groups, adds her own shares' group sums to her output shares."""
+        The chain runs over Bob's shares ``v2``: ``z_0 = v2_0`` and
+        ``z_{i+1} = ind_i z_i + v2_{i+1}``, where ``ind_i`` is Alice's
+        boundary bit.  Its one product per row is one C-OT of a ring
+        element, all ``n - 1`` in one batch: Bob's pad ``r_i`` is his
+        share ``-r_i`` of ``ind_i z_i``, so his share of ``z`` is
+        ``zB_{i+1} = v2_{i+1} - r_i`` and his 1-message ``r_i + zB_i``;
+        Alice receives ``r_i + ind_i zB_i`` and keeps her share
+        ``zA_{i+1} = ind_i zA_i + recv_i`` as a segmented running sum.
+        Alice, who knows the groups, then adds her own shares' group
+        sums."""
+        n = len(v)
+        if n == 0:
+            return self.zeros(0)
+        if len(same_as_next) != n - 1:
+            raise ValueError("need n-1 boundary indicators")
         ctx = self.ctx
-        out = self._merge_chain(
-            gadgets.merge_sum_circuit, ctx.params.ell, same_as_next,
-            None, v.bob,
-            lambda ind: self._segment_last_sums(ind, v.bob),
-            label,
-        )
-        if len(v) == 0:
-            return out
-        own = self._segment_last_sums(
-            np.asarray(same_as_next, dtype=bool), v.alice
-        ) & ctx.mask
+        mask = ctx.mask
+        ind = np.asarray(same_as_next, dtype=bool)
+
+        def bob_z(r: np.ndarray) -> np.ndarray:
+            """Bob's shares ``zB_0 .. zB_{n-1}`` of the running sums."""
+            return (v.bob - np.concatenate([[np.uint64(0)], r])) & mask
+
+        def real(r: np.ndarray, recv: np.ndarray) -> SharedVector:
+            # zA_{i+1} is the sum of recv over i's segment: back to the
+            # last j <= i with ind_j = 0, or to the start
+            csum = np.concatenate(
+                [[np.uint64(0)], np.cumsum(recv, dtype=np.uint64)]
+            )
+            start = np.maximum.accumulate(
+                np.where(ind, 0, np.arange(n - 1))
+            )
+            za = csum - np.concatenate([[np.uint64(0)], csum[start]])
+            zb = bob_z(r)
+            alice = np.append(za[:-1] - za[1:], za[-1])
+            bob = np.append(zb[:-1] + r, zb[-1])
+            return SharedVector(alice & mask, bob & mask, ctx.modulus)
+
+        with ctx.section(label):
+            out = self._ring_cot(
+                n - 1, lambda: ind.astype(np.uint8),
+                lambda r: r + bob_z(r)[:-1], real,
+                lambda: self._segment_last_sums(ind, v.bob),
+            )
+        own = self._segment_last_sums(ind, v.alice) & mask
         return out + SharedVector(own, np.zeros_like(own), ctx.modulus)
 
     def merge_aggregate_or(
@@ -293,32 +344,11 @@ class Engine:
         label: str = "merge_or",
     ) -> SharedVector:
         """The chain with OR in place of the semiring addition — used by
-        ``pi^1``.  ``v`` holds shared 0/1 indicators."""
-        return self._merge_chain(
-            gadgets.merge_or_circuit, 1, same_as_next, v.alice, v.bob,
-            lambda ind: (
-                self._segment_last_sums(ind, v.reconstruct() != 0) != 0
-            ),
-            label,
-        )
-
-    def _merge_chain(
-        self,
-        make_circuit: Callable[..., "Circuit"],
-        bits: int,
-        same_as_next: Sequence[bool],
-        alice_values: Optional[np.ndarray],
-        bob_values: np.ndarray,
-        function: Callable[[np.ndarray], np.ndarray],
-        label: str,
-    ) -> SharedVector:
-        """One merge-gate chain of ``make_circuit``: a single circuit
-        instance with one shared output word per row.  Alice feeds the
-        boundaries, then the low ``bits`` bits of each of her
-        ``alice_values`` unless they are ``None``; Bob feeds those of
-        his ``bob_values``.  ``function(boundaries)`` is the chain's
-        output in the clear."""
-        n = len(bob_values)
+        ``pi^1``.  ``v`` holds shared 0/1 indicators: one garbled
+        instance of :func:`~repro.mpc.gadgets.merge_or_circuit` with
+        one shared word per row.  Alice feeds the boundaries and the
+        LSBs of her shares, Bob those of his."""
+        n = len(v)
         if n == 0:
             return self.zeros(0)
         if len(same_as_next) != n - 1:
@@ -328,22 +358,25 @@ class Engine:
         ind = np.asarray(same_as_next, dtype=bool)
 
         def real() -> Tuple["Circuit", np.ndarray, np.ndarray]:
-            alice_bits = [ind.astype(np.uint8)]
-            if alice_values is not None:
-                alice_bits.append(words_to_bits(alice_values, bits).reshape(-1))
+            alice = np.concatenate(
+                [ind.astype(np.uint8), words_to_bits(v.alice, 1).reshape(-1)]
+            )
             return (
-                ctx.cache.circuit(make_circuit, ell, n),
-                np.concatenate(alice_bits)[None, :],
-                words_to_bits(bob_values, bits).reshape(1, -1),
+                ctx.cache.circuit(gadgets.merge_or_circuit, ell, n),
+                alice[None, :],
+                words_to_bits(v.bob, 1).reshape(1, -1),
             )
 
         counts = merge_chain_counts(
-            lambda k: ctx.cache.circuit(make_circuit, ell, k), n
+            lambda k: ctx.cache.circuit(gadgets.merge_or_circuit, ell, k), n
         )
         with ctx.section(label):
             return garbled_call(
                 ctx, self.ot, counts, 1, real=real,
-                ideal=lambda: (function(ind), None),
+                ideal=lambda: (
+                    self._segment_last_sums(ind, v.reconstruct() != 0) != 0,
+                    None,
+                ),
             )[0]
 
     # -- Section 6.3 helpers -------------------------------------------------

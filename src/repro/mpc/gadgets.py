@@ -8,10 +8,12 @@ so no template adds a mask, and Bob's tuples leave the reveal template
 by label-keyed disclosure (:meth:`CircuitBuilder.disclose`), not a
 mux.  A value one party holds in the clear stays out of the circuit:
 the zero tests compare Alice's share with Bob's negated one instead of
-adding them, the merge chain carries only Bob's shares, and a PSI bin's
-payload is a row weighted by Alice.  REAL mode garbles these templates;
-SIMULATED mode charges their exact gate and row counts — one source of
-truth for both behaviour and cost.
+adding them, and a PSI bin's payload is a row weighted by Alice.  (The
+Section 6.1 sum chain has no template: its one product per row is with
+Alice's boundary bit, one C-OT in
+:meth:`repro.mpc.engine.Engine.merge_aggregate_sum`.)  REAL mode
+garbles these templates; SIMULATED mode charges their exact gate and
+row counts — one source of truth for both behaviour and cost.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "int_of",
     "mul_shared_circuit",
     "nonzero_circuit",
-    "merge_sum_circuit",
     "merge_or_circuit",
     "psi_bin_circuit",
     "div_reveal_circuit",
@@ -72,33 +73,6 @@ def nonzero_circuit(ell: int) -> Circuit:
     x1 = b.alice_input_bits(ell)
     neg_x2 = b.bob_input_bits(ell)
     b.share_word([b.not_(b.eq(x1, neg_x2))])
-    return b.build()
-
-
-@functools.lru_cache(maxsize=None)
-def merge_sum_circuit(ell: int, n: int) -> Circuit:
-    """The N-tuple merge-gate chain of Section 6.1 (sum semiring), over
-    Bob's shares only.
-
-    Alice: ``ind[0..n-2]`` where ``ind[i] = 1`` iff sorted tuples ``i``
-    and ``i+1`` share the group key; Bob: ``v2[0..n-1]``.  Output: ``n``
-    shared words — word ``i`` holds the sum of Bob's shares over its
-    group iff ``i`` is the last member of the group, else 0.  Alice, who
-    knows the groups, adds her own shares' group sums to her output
-    shares locally (:meth:`repro.mpc.engine.Engine.merge_aggregate_sum`),
-    which makes them the group totals.
-    """
-    if n < 1:
-        raise ValueError("merge chain needs at least one tuple")
-    b = CircuitBuilder()
-    ind = b.alice_input_bits(n - 1)
-    v2 = [b.bob_input_bits(ell) for _ in range(n)]
-    zero = b.constant_word(0, ell)
-    z = v2[0]
-    for i in range(n - 1):
-        b.share_word(b.mux(ind[i], zero, z))
-        z = b.add(b.mux(ind[i], z, zero), v2[i + 1])
-    b.share_word(z)
     return b.build()
 
 

@@ -1,8 +1,8 @@
 """Per-run cross-operator setup cache.
 
 One protocol run touches the same circuit templates and switching-network
-shapes over and over: every merge chain of length ``n`` garbles the same
-``merge_sum_circuit(ell, n)`` template, every OEP over ``n`` wires routes
+shapes over and over: every OR chain of length ``n`` garbles the same
+``merge_or_circuit(ell, n)`` template, every OEP over ``n`` wires routes
 the same Beneš *topology* (the wire-pair structure depends only on the
 size; only the switch settings depend on the permutation).  A
 :class:`RunCache` hangs off the :class:`~repro.mpc.context.Context` and
@@ -108,7 +108,7 @@ class RunCache:
 
         ``builder`` is one of the :mod:`repro.mpc.gadgets` constructors;
         the cache key is ``(gadget name, *shape)`` — e.g.
-        ``("merge_sum_circuit", 32, 512)``.
+        ``("merge_or_circuit", 32, 512)``.
         """
         key: Tuple[object, ...] = (builder.__name__,) + shape
         with self.store.lock:

@@ -403,7 +403,7 @@ class TestOneSeam:
     @pytest.mark.parametrize(
         "module, forks",
         [
-            ("mpc/engine.py", ["_gilboa_cross"]),
+            ("mpc/engine.py", ["_ring_cot"]),
             ("mpc/psi.py", ["_opprf"]),  # the OPRF/OPPRF half, not the bins
             ("baselines/garbled_baseline.py", []),
         ],

@@ -249,31 +249,33 @@ class TestByteBudgetPin:
     A change to a primitive's wire size is made in ``mpc/costs.py`` —
     and then here, knowingly."""
 
-    TOTAL = 15_822_880
+    TOTAL = 12_147_937
     #: set-up bytes (the benchmark's ``mpc.bytes.base_ot``): the one
     #: Chou-Orlandi phase, the mirror's seed-OT ``u``, one per PSI
     BASE = 8_353 + 512 + 2 * 1_792
     #: bytes per label class (the benchmark's ``mpc.bytes.*`` split),
     #: base OTs excluded
     GROUPS = {
-        "gc/bob_labels": 64,
+        "gc/bob_labels": 48,
         # label OTs: the u columns alone, the first batch's with the
         # mirror's 3,072 B of tree corrections
-        "gc/alice_labels/": 978_368,
+        "gc/alice_labels/": 972_352,
         "/switches/": 2_129_904,
         "/cross": 1_152_000,
         # three-halves tables, then the decode bits and translated rows
-        "gc/tables": 9_295_423,
-        "gc/decode": 241_980,
+        "gc/tables": 5_806_500,
+        "gc/decode": 49_980,
         # the PSI payloads' evaluator rows: 8 B per bin (u, correction)
         "gc/alice_weights/": 30_536,
+        # the sum chain: one C-OT of a ring element per boundary
+        "/merge_sum/": 12_012,
     }
 
     #: Q3 at 0.1 MB under each join back-end: (bytes, rounds)
     BACKENDS = {
-        "yannakakis": (1_537_052, 29),
-        "linear": (1_046_438, 21),
-        "auto": (1_046_438, 21),
+        "yannakakis": (1_171_634, 29),
+        "linear": (681_020, 21),
+        "auto": (681_020, 21),
     }
 
     @staticmethod
@@ -320,6 +322,8 @@ class TestByteBudgetPin:
             ["ot", "ext", "u"]
         ] * len(tables)
         assert all(m.n_bytes % (128 // SOFTSPOKEN_K) == 0 for m in labels)
-        batch = [m.n_bytes for m in messages if "/cross" in m.label]
-        for u, ct in zip(batch[::2], batch[1::2]):
-            assert cot_bytes(128, [(ct // 4, 4)]) == (u, ct)
+        for pattern in ("/cross", "/merge_sum/"):
+            batch = [m.n_bytes for m in messages if pattern in m.label]
+            assert batch, pattern
+            for u, ct in zip(batch[::2], batch[1::2]):
+                assert cot_bytes(128, [(ct // 4, 4)]) == (u, ct)

@@ -31,7 +31,7 @@ from repro.exec import (
 )
 from repro.mpc import ALICE, BOB, Context, Engine, Mode
 from repro.relalg import Hypergraph, find_free_connex_tree
-from repro.yannakakis import build_plan
+from repro.yannakakis import build_plan, build_two_phase_plan
 
 from .test_golden_fingerprints import example_run, load_golden, run_digest
 from .test_protocol import OWNER_SPLITS, example_11
@@ -264,12 +264,12 @@ def test_gadget_template_cache_hits():
     owners = {"R1": ALICE, "R2": BOB, "R3": ALICE}
     ctx = Context(Mode.SIMULATED, seed=9)
     engine = Engine(ctx)
-    secure_yannakakis(
-        engine, secure_inputs(rels, owners), make_plan(rels)
-    )
+    h = Hypergraph({n: r.attributes for n, r in rels.items()})
+    plan = build_two_phase_plan(find_free_connex_tree(h, set(OUTPUT)), OUTPUT)
+    secure_yannakakis(engine, secure_inputs(rels, owners), plan)
     stats = ctx.cache.stats()
-    # Same-shaped gadgets recur across operators: the run must reuse
-    # templates, not rebuild them.
+    # Same-shaped gadgets recur across operators (every semijoin's zero
+    # test and OR chain): the run must reuse templates, not rebuild them.
     assert stats["circuit_hits"] > 0
     assert stats["circuit_templates"] >= 1
     assert stats["circuit_misses"] == stats["circuit_templates"]

@@ -6,18 +6,21 @@ to (``Circuit.evaluate_words``), revealed outputs bit by bit."""
 import numpy as np
 import pytest
 
+from repro.mpc import SecurityParams
+from repro.mpc.context import Context, Mode
 from repro.mpc.costs import CircuitCounts, circuit_counts, merge_chain_counts
 from repro.mpc.gadgets import (
     bits_of,
     div_reveal_circuit,
     int_of,
     merge_or_circuit,
-    merge_sum_circuit,
     mul_shared_circuit,
     nonzero_circuit,
     psi_bin_circuit,
     reveal_tuple_circuit,
 )
+from repro.mpc.engine import Engine
+from repro.mpc.sharing import SharedVector
 
 ELL = 8
 MOD = 1 << ELL
@@ -50,22 +53,30 @@ class TestNonzero:
 
 
 class TestMergeChains:
-    def test_sum_chain_groups(self):
-        # the chain sums Bob's values only: Alice adds her own locally
-        n = 5
-        c = merge_sum_circuit(ELL, n)
-        v2 = [3, 4, 250, 1, 2]
-        same = [1, 0, 0, 1]  # groups {0,1},{2},{3,4}
-        bbits = []
-        for x in v2:
-            bbits += w(x)
-        assert c.evaluate_words(same, bbits, ELL) == [0, 7, 250, 0, 3]
-        assert len(c.rows) == n * ELL
-        assert len(c.alice_inputs) == n - 1
+    """The OR chain is a template; the sum chain has none (one C-OT per
+    row on Alice's boundary bit), so its cases run through the REAL
+    engine over Bob's values, with Alice's shares zero."""
 
+    @staticmethod
+    def sum_chain(same, v2):
+        """The chain's output words and the number of messages sent."""
+        eng = Engine(Context(Mode.REAL, SecurityParams(ell=ELL), seed=1))
+        v = SharedVector(
+            np.zeros(len(v2), np.uint64), np.asarray(v2, np.uint64), MOD
+        )
+        out = eng.merge_aggregate_sum(same, v).reconstruct().tolist()
+        return out, len(eng.ctx.transcript.messages)
+
+    @pytest.mark.real
+    def test_sum_chain_groups(self):
+        same = [1, 0, 0, 1]  # groups {0,1},{2},{3,4}
+        out, _ = self.sum_chain(same, [3, 4, 250, 1, 2])
+        assert out == [0, 7, 250, 0, 3]
+
+    @pytest.mark.real
     def test_sum_chain_single_tuple(self):
-        c = merge_sum_circuit(ELL, 1)
-        assert c.evaluate_words([], w(6), ELL) == [6]
+        # no boundary, no OT: one tuple sends nothing
+        assert self.sum_chain([], [6]) == ([6], 0)
 
     def test_or_chain(self):
         n = 4
@@ -79,14 +90,14 @@ class TestMergeChains:
         assert len(c.rows) == n
 
     def test_chain_size_linear(self):
-        a2 = merge_sum_circuit(ELL, 2).and_count
-        a3 = merge_sum_circuit(ELL, 3).and_count
-        a5 = merge_sum_circuit(ELL, 5).and_count
+        a2 = merge_or_circuit(ELL, 2).and_count
+        a3 = merge_or_circuit(ELL, 3).and_count
+        a5 = merge_or_circuit(ELL, 5).and_count
         assert a5 - a3 == 2 * (a3 - a2)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            merge_sum_circuit(ELL, 0)
+            merge_or_circuit(ELL, 0)
 
 
 class TestPsiBin:
@@ -143,7 +154,6 @@ def templates(ell):
     return {
         "mul_shared": mul_shared_circuit(ell),
         "nonzero": nonzero_circuit(ell),
-        "merge_sum": merge_sum_circuit(ell, 4),
         "merge_or": merge_or_circuit(ell, 4),
         "psi_bin": psi_bin_circuit(ell, 55, False),
         "psi_bin_reveal": psi_bin_circuit(ell, 55, True),
@@ -192,17 +202,14 @@ class TestCounts:
         )
 
     def test_merge_chains_per_row(self):
-        # the sum chain carries Bob's shares only: two muxes and one
-        # adder per row, one boundary bit per row from Alice
+        # the OR chain: three ANDs per row; Alice feeds a boundary bit
+        # and her share's LSB per row
         for n in (1, 2, 3):
-            assert circuit_counts(merge_sum_circuit(32, n)) == (
-                95 * (n - 1), n - 1, 32 * n, 0, 0, 0,
-            )
             assert circuit_counts(merge_or_circuit(32, n)) == (
                 3 * (n - 1), 2 * n - 1, n, 0, 0, 0,
             )
 
-    @pytest.mark.parametrize("template", [merge_sum_circuit, merge_or_circuit])
+    @pytest.mark.parametrize("template", [merge_or_circuit])
     @pytest.mark.parametrize("ell", [32, 48])
     def test_merge_chain_counts_are_exact(self, template, ell):
         for n in range(2, 10):

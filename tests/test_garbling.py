@@ -382,7 +382,6 @@ class TestThreeHalves:
 TEMPLATES = {
     "mul_shared": gadgets.mul_shared_circuit,
     "nonzero": gadgets.nonzero_circuit,
-    "merge_sum": lambda ell: gadgets.merge_sum_circuit(ell, 3),
     "merge_or": lambda ell: gadgets.merge_or_circuit(ell, 3),
     "psi_bin": lambda ell: gadgets.psi_bin_circuit(ell, 12, False),
     "psi_bin_reveal": lambda ell: gadgets.psi_bin_circuit(ell, 12, True),
@@ -443,12 +442,12 @@ class TestLevelSchedule:
                     assert control[k, i] == nibble
 
     def test_merge_chain_level_count(self, monkeypatch):
-        """The 256-row merge chain is 88,230 gates in 1,366 levels, and
+        """The 256-row OR chain is 2,041 gates in 1,021 levels, and
         garbling and evaluating it hash once per level with ANDs (plus
         the label expansion): a return to gate-by-gate stepping fails
         here."""
-        circuit = gadgets.merge_sum_circuit(32, 256)
-        assert (len(circuit.gates), len(circuit.levels)) == (88_230, 1_366)
+        circuit = gadgets.merge_or_circuit(32, 256)
+        assert (len(circuit.gates), len(circuit.levels)) == (2_041, 1_021)
         with_ands = sum(1 for lv in circuit.levels if len(lv.and_out))
         calls = []
 

@@ -1,8 +1,11 @@
 """Templates that keep a party's plaintext out of the circuit, pinned
-through REAL garbling against the one-instance forms of
+through REAL runs against the one-instance forms of
 ``tests/reference.py``: the zero test (Alice's share against Bob's
-negated one), the merge chain over Bob's shares, and the evaluator row
-(a weight Alice holds, paid by one C-OT on the wire's colour)."""
+negated one), the sum chain (one C-OT per row on Alice's boundary bit,
+no circuit at all), and the evaluator row (a weight Alice holds, paid
+by one C-OT on the wire's colour)."""
+
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,11 +15,7 @@ from repro.mpc.batch import words_to_bits
 from repro.mpc.circuits.builder import CircuitBuilder
 from repro.mpc.context import BOB, Context, Mode
 from repro.mpc.engine import Engine
-from repro.mpc.gadgets import (
-    merge_sum_circuit,
-    nonzero_circuit,
-    reveal_tuple_circuit,
-)
+from repro.mpc.gadgets import nonzero_circuit, reveal_tuple_circuit
 from repro.mpc.ot import CorrelatedBatch
 from repro.mpc.psi import psi_with_payloads
 
@@ -77,13 +76,16 @@ def boundary_cases(n, rng):
     return {
         "one_group": [True] * (n - 1),
         "singletons": [False] * (n - 1),
-        "mixed": rng.integers(0, 2, n - 1).astype(bool).tolist(),
+        "alternating": [i % 2 == 0 for i in range(n - 1)],
+        "random": rng.integers(0, 2, n - 1).astype(bool).tolist(),
     }
 
 
 @pytest.mark.parametrize("ell", [32, 48])
 class TestMergeSumChain:
-    NS = (1, 2, 3, 17)
+    """The sum chain as one C-OT batch on Alice's boundary bits."""
+
+    NS = (1, 2, 3, 257)
 
     def values(self, rng, n, ell, wrap):
         """Random ring values, or values near ``2**ell`` whose group
@@ -94,18 +96,17 @@ class TestMergeSumChain:
         return [int(v) for v in rng.integers(0, top, n, dtype=np.uint64)]
 
     def test_circuit_matches_the_reference(self, ell):
+        """The chain, in REAL mode, at every boundary pattern and with
+        values near ``2**ell``, against the row-by-row reference."""
         rng = np.random.default_rng(ell)
-        ctx = Context(Mode.REAL, SecurityParams(ell=ell), seed=4)
-        for n in self.NS:
-            bob = rng.integers(0, 1 << ell, n, dtype=np.uint64)
+        eng = Engine(Context(Mode.REAL, SecurityParams(ell=ell), seed=4))
+        for n, wrap in product(self.NS, (False, True)):
+            plain = self.values(rng, n, ell, wrap)
             for name, ind in boundary_cases(n, rng).items():
-                words, _ = run_circuit(
-                    ctx, IdealOT(ctx), merge_sum_circuit(ell, n),
-                    np.asarray([ind], dtype=np.uint8).reshape(1, -1),
-                    words_to_bits(bob, ell).reshape(1, -1),
-                )
-                want = reference.merge_sum_chain(ind, bob.tolist(), ell)
-                assert words[0].tolist() == want, (n, name)
+                v = eng.share(BOB, plain)
+                got = eng.merge_aggregate_sum(ind, v).reconstruct().tolist()
+                want = reference.merge_sum_chain(ind, plain, ell)
+                assert got == want, (n, wrap, name)
 
     @pytest.mark.parametrize("wrap", [False, True])
     def test_engine_matches_segment_sums(self, ell, wrap):
@@ -130,6 +131,39 @@ class TestMergeSumChain:
                 assert ((np.asarray(bob, np.uint64) + alice) & mask).tolist() == (
                     want.tolist()
                 ), (n, name)
+
+    def test_transcript_shape_depends_on_n_alone(self, ell):
+        """Twin instances — other boundaries, other values — send the
+        same messages as each other and as SIMULATED: one ``u`` and one
+        batch of corrections for ``n - 1`` C-OTs, and nothing at all for
+        one tuple."""
+        rng = np.random.default_rng(ell)
+
+        def shape(mode, same_as_next, plain):
+            """The chain's messages on a fresh engine."""
+            eng = Engine(Context(mode, SecurityParams(ell=ell), seed=9))
+            v = eng.share(BOB, plain)
+            before = len(eng.ctx.transcript.messages)
+            eng.merge_aggregate_sum(same_as_next, v)
+            return eng.ctx.transcript.fingerprint()[before:]
+
+        for n in self.NS:
+            cases = list(boundary_cases(n, rng).values())
+            shapes = {
+                shape(mode, ind, self.values(rng, n, ell, wrap))
+                for mode in (Mode.REAL, Mode.SIMULATED)
+                for ind, wrap in ((cases[0], False), (cases[-1], True))
+            }
+            assert len(shapes) == 1, n
+            # a fresh engine's first batch carries the one-time base phase
+            labels = [
+                label for _, _, label in shapes.pop()
+                if "/ot/ext/base/" not in label
+            ]
+            assert labels == (
+                [] if n == 1
+                else ["merge_sum/ot/ext/u", "merge_sum/ot/ext/ciphertexts"]
+            ), n
 
 
 def weighted_xor():
@@ -216,7 +250,7 @@ class TestEvaluatorRow:
 
 @pytest.mark.parametrize("ell", [32, 48])
 def test_real_equals_simulated_per_changed_template(ell):
-    """The zero test, the reveal circuit, the merge chain and the
+    """The zero test, the reveal circuit, the sum chain and the
     shared-payload PSI with Alice's payload as an evaluator row: same
     results and byte-identical transcripts in both modes, the REAL one
     over the SoftSpokenOT extension."""

@@ -114,14 +114,14 @@ class TestSetupStoreViews:
         the shared store.  A default-constructed RunCache keeps a
         private store, so tests that assert hit/miss counts stay
         order-independent."""
-        from repro.mpc.gadgets import merge_sum_circuit
+        from repro.mpc.gadgets import merge_or_circuit
         from repro.mpc.runcache import RunCache, SetupStore
 
         store = SetupStore()
         a = RunCache(store=store)
         b = RunCache(store=store)
-        assert a.circuit(merge_sum_circuit, 32, 4) is b.circuit(
-            merge_sum_circuit, 32, 4
+        assert a.circuit(merge_or_circuit, 32, 4) is b.circuit(
+            merge_or_circuit, 32, 4
         )
         assert a.stats()["circuit_misses"] == 1
         assert a.stats()["circuit_hits"] == 0
@@ -135,7 +135,7 @@ class TestSetupStoreViews:
         }
         # a fresh default cache shares nothing with the store above
         private = RunCache()
-        private.circuit(merge_sum_circuit, 32, 4)
+        private.circuit(merge_or_circuit, 32, 4)
         assert private.stats()["circuit_misses"] == 1
         assert store.sizes()["circuit_templates"] == 1
 

@@ -92,4 +92,4 @@ class TestCost:
 
         three, two = plans()
         # exact: EXPERIMENTS.md's ablation table quotes this pair (3.0x)
-        assert (run(three), run(two)) == (610_557, 1_831_911)
+        assert (run(three), run(two)) == (419_051, 1_544_652)
