@@ -234,13 +234,10 @@ class _Estimator:
                 if kind == "semijoin":
                     nonzero = gadgets.nonzero_circuit(ell)
                     self.garbled(costs.circuit_counts(nonzero), child_n)
-                    self.garbled(
-                        costs.merge_chain_counts(
-                            lambda k: gadgets.merge_or_circuit(ell, k),
-                            child_n,
-                        ),
-                        1,
+                    chain = costs.merge_chain_counts(
+                        gadgets.merge_or_circuit, child_n
                     )
+                    self.garbled(chain, 1)
                 else:
                     self.ot_batch([(child_n - 1, costs.ring_bytes(ell))])
         if kind == "aggregate" or parent_n == 0:

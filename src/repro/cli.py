@@ -759,7 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="multi-tenant query service: interleaved sessions, "
-        "shared set-up store, per-tenant budgets",
+        "per-tenant budgets",
     )
     p.add_argument(
         "--queries", nargs="+", type=str.upper, default=list(QUERIES),

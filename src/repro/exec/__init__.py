@@ -9,9 +9,7 @@ two halves:
   steps, in execution order; and
 * a **scheduler** (:class:`Scheduler`) that executes the steps over an
   :class:`~repro.mpc.engine.Engine` in that one fixed order, with
-  per-node structured tracing (:class:`ExecutionTrace`) and run-wide
-  template caching (via :class:`~repro.mpc.runcache.RunCache` on the
-  context).
+  per-node structured tracing (:class:`ExecutionTrace`).
 
 The compiled plan is also what planning reads: the estimator prices
 its steps, the back-end router labels them, and :func:`audit_plan`
@@ -19,7 +17,6 @@ composes their leakage.  The entry points are
 :func:`repro.core.protocol.secure_yannakakis` and its shared variant.
 """
 
-from ..mpc.runcache import RunCache
 from .audit import LeakageReport, NodeLeakage, audit_plan
 from .compiler import compile_plan
 from .ir import (
@@ -51,7 +48,6 @@ __all__ = [
     "ReduceFoldStep",
     "RevealResultStep",
     "RevealStep",
-    "RunCache",
     "Scheduler",
     "SemijoinStep",
     "ShareStep",

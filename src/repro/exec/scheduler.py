@@ -136,7 +136,6 @@ class Scheduler:
         if self.trace is not None:
             self.trace.meta["plan"] = plan.name
             self.trace.meta["n_steps"] = len(plan.steps)
-            self.trace.meta["cache"] = ctx.cache.stats()
         return env
 
     def _node_estimate(

@@ -6,7 +6,6 @@ from .engine import Engine
 from .oep import oblivious_extended_permutation, oblivious_permutation
 from .params import DEFAULT_PARAMS, SecurityParams
 from .psi import PsiResult, psi_with_payloads
-from .runcache import RunCache
 from .sharing import SharedVector, reveal_vector, share_vector
 from .transcript import Transcript, other_party
 
@@ -18,7 +17,6 @@ __all__ = [
     "Engine",
     "Mode",
     "PsiResult",
-    "RunCache",
     "SecurityParams",
     "SharedVector",
     "Transcript",

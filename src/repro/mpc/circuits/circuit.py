@@ -6,7 +6,10 @@ wires, constant wires, and a gate list in topological (construction)
 order.  The gate basis is ``XOR / AND / INV`` — the free-XOR garbling
 technique makes XOR and INV communication-free, so the circuit's cost is
 its AND count.  :attr:`Circuit.levels` regroups the gates by depth, the
-order the garbler and the evaluator step through them.
+order the garbler and the evaluator step through them; each level
+carries its AND gates' operands and hash tweak indices, and the
+garbling layout (which wire holds whose label) is cached beside it, so
+a cached template is garbled without further preparation.
 
 A circuit has two kinds of output: ``outputs`` are revealed to Alice
 bit by bit, and ``rows`` leave the circuit as arithmetic shares — row
@@ -39,6 +42,8 @@ AND = "AND"
 INV = "INV"
 #: Gate kinds in the order a level lists them.
 _KIND = {XOR: 0, INV: 1, AND: 2}
+#: Added to ``3k``: the hashes of ``A``, ``B`` and ``A ^ B`` of AND ``k``.
+_HASHES = np.arange(3, dtype=np.uint64)[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -80,11 +85,14 @@ class Level(NamedTuple):
     xor_out: np.ndarray
     inv_a: np.ndarray
     inv_out: np.ndarray
-    and_a: np.ndarray
-    and_b: np.ndarray
+    #: ``(2, n_and)``: the wires of the AND gates' two operands
+    and_operands: np.ndarray
     and_out: np.ndarray
     #: each AND's position among the ANDs in construction order
     and_index: np.ndarray
+    #: ``(3, n_and, 1)``: AND ``k`` hashes its ``A``, ``B`` and ``A ^
+    #: B`` under tweak indices ``3k``, ``3k + 1`` and ``3k + 2``
+    and_tweaks: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -164,13 +172,78 @@ class Circuit:
                 order[bounds[j] : bounds[j + 1]]
                 for j in range(i, i + len(_KIND))
             )
+            index = and_index[ands]
             levels.append(
                 Level(
                     a[xor], b[xor], out[xor], a[inv], out[inv],
-                    a[ands], b[ands], out[ands], and_index[ands],
+                    np.stack([a[ands], b[ands]]), out[ands], index,
+                    3 * index.astype(np.uint64)[None, :, None] + _HASHES,
                 )
             )
         return tuple(levels)
+
+    @cached_property
+    def max_level_ands(self) -> int:
+        """The most ANDs of any level."""
+        return max((len(lv.and_out) for lv in self.levels), default=0)
+
+    # -- the garbling layout: on which wires each party's labels sit ------
+
+    @cached_property
+    def alice_wires(self) -> np.ndarray:
+        return np.asarray(self.alice_inputs, dtype=np.int64)
+
+    @cached_property
+    def bob_cols(self) -> np.ndarray:
+        """The columns of Bob's input bits that are garbled: all but
+        the disclosed payload's."""
+        payload = np.asarray(self._payload, dtype=np.int64)
+        return np.flatnonzero(~np.isin(self.bob_inputs, payload))
+
+    @cached_property
+    def payload_cols(self) -> np.ndarray:
+        """The columns of Bob's input bits on the disclosed payload."""
+        column = {w: i for i, w in enumerate(self.bob_inputs)}
+        return np.asarray([column[w] for w in self._payload], dtype=np.int64)
+
+    @property
+    def _payload(self) -> Tuple[int, ...]:
+        return self.disclosure.payload if self.disclosure else ()
+
+    @cached_property
+    def garbler_wires(self) -> np.ndarray:
+        """The wires whose bits the garbler knows and garbles: Bob's
+        inputs on :attr:`bob_cols`, then the constants."""
+        bob = np.asarray(self.bob_inputs, dtype=np.int64)
+        const = np.asarray([w for w, _ in self.const_wires], dtype=np.int64)
+        return np.concatenate([bob[self.bob_cols], const])
+
+    @cached_property
+    def const_bits(self) -> np.ndarray:
+        return np.asarray([b & 1 for _, b in self.const_wires], dtype=np.uint8)
+
+    @cached_property
+    def output_wires(self) -> np.ndarray:
+        return np.asarray(self.outputs, dtype=np.int64)
+
+    @cached_property
+    def row_wires(self) -> np.ndarray:
+        """The wires of the :attr:`sent_rows`."""
+        return np.asarray(
+            [self.rows[j].wire for j in self.sent_rows], dtype=np.int64
+        )
+
+    @property
+    def row_tweak_base(self) -> int:
+        """Sent row ``j`` hashes under index ``row_tweak_base + j``: past
+        the AND gates' hashes and the garbler-side label slots."""
+        return 3 * self.and_count + len(self.garbler_wires)
+
+    @property
+    def disclosure_tweak_base(self) -> int:
+        """Block ``c`` of a disclosed payload's pad hashes under index
+        ``disclosure_tweak_base + c``: past the translated rows."""
+        return self.row_tweak_base + len(self.row_wires)
 
     def evaluate(
         self, alice_bits: Sequence[int], bob_bits: Sequence[int]

@@ -72,7 +72,7 @@ gates, and one hash call all of its AND gates across all instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -80,9 +80,7 @@ from ..batch import tccr_hash, tweaks
 from .circuit import Circuit
 
 __all__ = [
-    "GarblePlan",
     "BatchGarbling",
-    "make_garble_plan",
     "expand_labels",
     "garble_batch",
     "evaluate_batch",
@@ -103,93 +101,7 @@ CONTROL_BITS = 4
 #: The seed a batch's garbler-side active labels expand from.
 SEED_BYTES = 16
 
-#: Added to ``3k``: the hashes of ``A``, ``B`` and ``A ^ B`` of AND ``k``.
-_HASHES = np.arange(3, dtype=np.uint64)[:, None, None]
 _ROW = np.uint64(32)
-
-
-@dataclass
-class GarblePlan:
-    """Precompiled, instance-independent view of one circuit template:
-    its input-wire ordering; the template's :attr:`Circuit.levels` are
-    the gate schedule."""
-
-    circuit: Circuit
-    n_wires: int
-    alice_wires: np.ndarray
-    #: wires whose bits the garbler knows and garbles: Bob's inputs
-    #: (the disclosed ones excepted), then constants
-    garbler_wires: np.ndarray
-    #: the columns of Bob's input bits on :attr:`garbler_wires`, and on
-    #: the disclosed payload
-    bob_cols: np.ndarray
-    payload_cols: np.ndarray
-    const_bits: np.ndarray
-    output_wires: np.ndarray
-    #: the wires of the circuit's sent (non-constant) rows
-    row_wires: np.ndarray
-    n_ands: int
-    #: per level, the ``(3, n_and, 1)`` tweak indices ``3k + j`` of its
-    #: AND gates (``None`` for a level without ANDs)
-    and_tweaks: Tuple[Optional[np.ndarray], ...]
-    #: per level, the ``(2, n_and)`` wires of its AND gates' operands
-    and_operands: Tuple[Optional[np.ndarray], ...]
-    #: the most ANDs of any level
-    max_level_ands: int
-
-    @property
-    def row_tweak_base(self) -> int:
-        """Sent row ``j`` hashes under index ``row_tweak_base + j``: past
-        the AND gates' hashes and the garbler-side label slots."""
-        return 3 * self.n_ands + len(self.garbler_wires)
-
-    @property
-    def disclosure_tweak_base(self) -> int:
-        """Block ``c`` of a disclosed payload's pad hashes under index
-        ``disclosure_tweak_base + c``: past the translated rows."""
-        return self.row_tweak_base + len(self.row_wires)
-
-
-def make_garble_plan(circuit: Circuit) -> GarblePlan:
-    alice = np.asarray(circuit.alice_inputs, dtype=np.int64)
-    bob = np.asarray(circuit.bob_inputs, dtype=np.int64)
-    payload = circuit.disclosure.payload if circuit.disclosure else ()
-    disclosed = np.isin(bob, np.asarray(payload, dtype=np.int64))
-    column = {w: i for i, w in enumerate(circuit.bob_inputs)}
-    const_w = np.asarray(
-        [w for w, _ in circuit.const_wires], dtype=np.int64
-    )
-    const_b = np.asarray(
-        [b & 1 for _, b in circuit.const_wires], dtype=np.uint8
-    )
-    and_tweaks = tuple(
-        3 * lv.and_index.astype(np.uint64)[None, :, None] + _HASHES
-        if len(lv.and_out)
-        else None
-        for lv in circuit.levels
-    )
-    return GarblePlan(
-        circuit=circuit,
-        n_wires=circuit.n_wires,
-        alice_wires=alice,
-        garbler_wires=np.concatenate([bob[~disclosed], const_w]),
-        bob_cols=np.flatnonzero(~disclosed),
-        payload_cols=np.asarray([column[w] for w in payload], dtype=np.int64),
-        const_bits=const_b,
-        output_wires=np.asarray(circuit.outputs, dtype=np.int64),
-        row_wires=np.asarray(
-            [circuit.rows[j].wire for j in circuit.sent_rows], dtype=np.int64
-        ),
-        n_ands=circuit.and_count,
-        and_tweaks=and_tweaks,
-        and_operands=tuple(
-            np.stack([lv.and_a, lv.and_b]) if len(lv.and_out) else None
-            for lv in circuit.levels
-        ),
-        max_level_ands=max(
-            (len(lv.and_out) for lv in circuit.levels), default=0
-        ),
-    )
 
 
 # -- the three-halves AND gate ----------------------------------------
@@ -282,9 +194,9 @@ class _LevelScratch:
     level's size and reused by every level: a level of ``m`` ANDs takes
     the leading ``m`` of each (contiguous, as the AES call wants)."""
 
-    def __init__(self, plan: GarblePlan, n: int, batch: int, blocks: int):
+    def __init__(self, circuit: Circuit, n: int, batch: int, blocks: int):
         self.n, self.blocks = n, blocks
-        width = plan.max_level_ands * n
+        width = circuit.max_level_ands * n
         self.x = np.empty(blocks * width * 2, dtype="<u8")
         self.t = np.empty(3 * width * 2, dtype="<u8")
         self.t[0::2] = batch
@@ -312,7 +224,7 @@ class BatchGarbling:
     offset, and the AND tables in construction order — the
     half-ciphertexts and the packed control bits."""
 
-    plan: GarblePlan
+    circuit: Circuit
     delta: np.ndarray  # (16,)
     zero: np.ndarray  # (n_wires, n, 16)
     tables: np.ndarray  # (n_ands, 3, n) uint64 half-ciphertexts
@@ -320,7 +232,7 @@ class BatchGarbling:
 
     def output_permute_bits(self) -> np.ndarray:
         """``(n, n_outputs)`` select bits of the output zero-labels."""
-        return (self.zero[self.plan.output_wires][:, :, 0] & 1).T
+        return (self.zero[self.circuit.output_wires][:, :, 0] & 1).T
 
 
 def pack_control(nibbles: np.ndarray) -> np.ndarray:
@@ -341,26 +253,26 @@ def unpack_control(packed: np.ndarray, n_ands: int, n: int) -> np.ndarray:
 
 
 def expand_labels(
-    seed: bytes, plan: GarblePlan, n: int, batch: int
+    seed: bytes, circuit: Circuit, n: int, batch: int
 ) -> np.ndarray:
-    """The ``(n_garbler_wires, n, 16)`` active labels of the plan's
+    """The ``(n_garbler_wires, n, 16)`` active labels of the circuit's
     garbler-side wires over ``n`` instances: label ``(instance, slot)``
     is ``H(seed, (batch, instance, 3 * n_ands + slot))`` — the tweaks
     after the batch's AND hashes.  Both parties run this — the garbler
     to fix its zero-labels, the evaluator in place of receiving the
     labels."""
-    n_slots = len(plan.garbler_wires)
+    n_slots = len(circuit.garbler_wires)
     block = np.frombuffer(seed, dtype=np.uint8)
     t = tweaks(
         batch,
         np.arange(n)[:, None],
-        3 * plan.n_ands + np.arange(n_slots)[None, :],
+        3 * circuit.and_count + np.arange(n_slots)[None, :],
     )
     return tccr_hash(block, t).transpose(1, 0, 2)
 
 
 def garble_batch(
-    plan: GarblePlan,
+    circuit: Circuit,
     delta: np.ndarray,
     alice_zero: np.ndarray,
     seed: bytes,
@@ -368,7 +280,7 @@ def garble_batch(
     batch: int,
 ) -> BatchGarbling:
     """Garble one instance per row of ``garbler_bits`` (``(n, n_garbler_
-    wires)``, the bits on :attr:`GarblePlan.garbler_wires`) at once,
+    wires)``, the bits on :attr:`Circuit.garbler_wires`) at once,
     under the free-XOR offset ``delta`` (16 bytes, LSB 1).
     ``alice_zero`` is the ``(n_alice, n, 16)`` matrix of evaluator-input
     zero-labels; the garbler-side active labels expand from ``seed``.
@@ -385,29 +297,28 @@ def garble_batch(
     if not delta[0] & 1:
         raise ValueError("the free-XOR offset needs select bit 1")
     n = garbler_bits.shape[0]
-    zero = np.zeros((plan.n_wires, n, LABEL_BYTES), dtype=np.uint8)
-    zero[plan.alice_wires] = alice_zero
-    zero[plan.garbler_wires] = expand_labels(seed, plan, n, batch) ^ (
+    zero = np.zeros((circuit.n_wires, n, LABEL_BYTES), dtype=np.uint8)
+    zero[circuit.alice_wires] = alice_zero
+    zero[circuit.garbler_wires] = expand_labels(seed, circuit, n, batch) ^ (
         delta * garbler_bits.T[:, :, None]
     )
-    tables = np.empty((plan.n_ands, TABLE_HALVES, n), dtype="<u8")
-    nibbles = np.empty((plan.n_ands, n), dtype=np.uint8)
+    tables = np.empty((circuit.and_count, TABLE_HALVES, n), dtype="<u8")
+    nibbles = np.empty((circuit.and_count, n), dtype=np.uint8)
     # Label arithmetic on (L, R) uint64 halves.
     z, d = zero.view("<u8"), delta.view("<u8")
     dl, dr = d
     table = _garbler_table(delta)
-    scratch = _LevelScratch(plan, n, batch, 6)
+    scratch = _LevelScratch(circuit, n, batch, 6)
     one, two, three = np.uint64(1), np.uint64(2), np.uint64(3)
 
-    steps = zip(plan.circuit.levels, plan.and_tweaks, plan.and_operands)
-    for lv, index, operands in steps:
+    for lv in circuit.levels:
         if len(lv.xor_out):
             z[lv.xor_out] = z[lv.xor_a] ^ z[lv.xor_b]
         if len(lv.inv_out):
             z[lv.inv_out] = z[lv.inv_a] ^ d
-        if index is None:
+        if not len(lv.and_out):
             continue
-        zero_ab = z[operands]
+        zero_ab = z[lv.and_operands]
         colour_ab = zero_ab[..., 0] & one  # (alpha, beta)
         # x[input, colour]: the colour-0 labels Ab, Bb, Ab ^ Bb, then
         # each XOR delta; the hash of colour c sits at [input, c].
@@ -420,7 +331,7 @@ def garble_batch(
         np.bitwise_xor(x[:, 0, ..., 0], dl, out=x[:, 1, ..., 0])
         np.bitwise_xor(x[:, 0, ..., 1], dr, out=x[:, 1, ..., 1])
         h = tccr_hash(
-            x.view(np.uint8), scratch.tweaks(index)[:, None]
+            x.view(np.uint8), scratch.tweaks(lv.and_tweaks)[:, None]
         ).view("<u8")
         # Pads of (k1, k2) at colours (i, j): bits 0-1 of the high words
         # of H(A_i) ^ H(B_j).  Their constant term is the dicing
@@ -444,11 +355,11 @@ def garble_batch(
         out[4] ^= h[2, 0, ..., 0] ^ h[2, 1, ..., 0]
         z[lv.and_out] = out[:2].transpose(1, 2, 0)
         tables[lv.and_index] = out[2:].transpose(1, 0, 2)
-    return BatchGarbling(plan, delta, zero, tables, pack_control(nibbles))
+    return BatchGarbling(circuit, delta, zero, tables, pack_control(nibbles))
 
 
 def evaluate_batch(
-    plan: GarblePlan,
+    circuit: Circuit,
     tables: np.ndarray,
     control: np.ndarray,
     active_inputs: np.ndarray,
@@ -461,22 +372,24 @@ def evaluate_batch(
     active = active_inputs
     n = active.shape[1]
     w = active.view("<u8")
-    nibbles = unpack_control(control, plan.n_ands, n).astype(np.uint64) << 2
-    scratch = _LevelScratch(plan, n, batch, 3)
+    nibbles = unpack_control(control, circuit.and_count, n)
+    nibbles = nibbles.astype(np.uint64) << 2
+    scratch = _LevelScratch(circuit, n, batch, 3)
     one, three, six = np.uint64(1), np.uint64(3), np.uint64(6)
-    steps = zip(plan.circuit.levels, plan.and_tweaks, plan.and_operands)
-    for lv, index, operands in steps:
+    for lv in circuit.levels:
         if len(lv.xor_out):
             w[lv.xor_out] = w[lv.xor_a] ^ w[lv.xor_b]
         if len(lv.inv_out):
             w[lv.inv_out] = w[lv.inv_a]  # relabelled: flipped meaning
-        if index is None:
+        if not len(lv.and_out):
             continue
         x = scratch.inputs(len(lv.and_out))
         a, b = x[0], x[1]
-        np.take(w, operands, axis=0, out=x[:2])
+        np.take(w, lv.and_operands, axis=0, out=x[:2])
         np.bitwise_xor(a, b, out=x[2])
-        h = tccr_hash(x.view(np.uint8), scratch.tweaks(index)).view("<u8")
+        h = tccr_hash(
+            x.view(np.uint8), scratch.tweaks(lv.and_tweaks)
+        ).view("<u8")
         colour_ab = x[:2, ..., 0] & one  # (i, j)
         code = (
             colour_ab[0]
@@ -496,17 +409,19 @@ def evaluate_batch(
         out ^= mask[6:8] & (v ^ b[..., 1])
         out ^= mask[8:10] & a_l
         w[lv.and_out] = out.transpose(1, 2, 0)
-    return (active[plan.output_wires][:, :, 0] & 1).T
+    return (active[circuit.output_wires][:, :, 0] & 1).T
 
 
-def _row_hash(labels: np.ndarray, plan: GarblePlan, batch: int) -> np.ndarray:
+def _row_hash(
+    labels: np.ndarray, circuit: Circuit, batch: int
+) -> np.ndarray:
     """``(..., n_rows, n)`` uint64: the low 8 bytes of each ``(..., n_rows,
     n, 16)`` row label hashed under its row's tweak."""
     n_rows, n = labels.shape[-3:-1]
     t = tweaks(
         batch,
         np.arange(n)[None, :],
-        plan.row_tweak_base + np.arange(n_rows)[:, None],
+        circuit.row_tweak_base + np.arange(n_rows)[:, None],
     )
     return tccr_hash(labels, t)[..., :8].copy().view("<u8")[..., 0]
 
@@ -524,11 +439,12 @@ def translate(
     H(W_0) + H(W_1)`` and the garbler keeps ``v_0 X - H(W_0)``; an
     evaluator holding ``W_c`` takes ``H(W_c)`` or ``T - H(W_c)``
     (:func:`translated_shares`), and the two shares sum to ``v_c X``."""
-    plan = g.plan
-    z = g.zero[plan.row_wires]  # (n_rows, n, 16)
+    z = g.zero[g.circuit.row_wires]  # (n_rows, n, 16)
     p = (z[:, :, 0] & 1).astype(np.uint64)  # the value of colour 0
     colour0 = z ^ (g.delta * p[:, :, None].astype(np.uint8))
-    h0, h1 = _row_hash(np.stack([colour0, colour0 ^ g.delta]), plan, batch)
+    h0, h1 = _row_hash(
+        np.stack([colour0, colour0 ^ g.delta]), g.circuit, batch
+    )
     m = np.uint64(mask)
     v1_minus_v0 = np.uint64(1) - np.uint64(2) * p  # 1 - 2p, wrapping
     rows = (v1_minus_v0 * weights + h0 + h1) & m
@@ -536,7 +452,7 @@ def translate(
 
 
 def translated_shares(
-    plan: GarblePlan,
+    circuit: Circuit,
     active: np.ndarray,
     rows: np.ndarray,
     batch: int,
@@ -546,14 +462,14 @@ def translated_shares(
     active labels and the garbler's ``rows``: ``H(W)`` under colour 0,
     ``T - H(W)`` under colour 1 — one arithmetic expression, no branch
     on the select bit."""
-    w = active[plan.row_wires]
+    w = active[circuit.row_wires]
     c = (w[:, :, 0] & 1).astype(np.uint64)
-    h = _row_hash(w, plan, batch)
+    h = _row_hash(w, circuit, batch)
     return (h + c * (rows - np.uint64(2) * h)) & np.uint64(mask)
 
 
 def _disclosure_pads(
-    labels: np.ndarray, plan: GarblePlan, batch: int, n_bytes: int
+    labels: np.ndarray, circuit: Circuit, batch: int, n_bytes: int
 ) -> np.ndarray:
     """``(n, n_bytes)``: each instance's key-wire label hashed block by
     block under the disclosure tweaks, truncated."""
@@ -561,7 +477,7 @@ def _disclosure_pads(
     t = tweaks(
         batch,
         np.arange(len(labels))[:, None],
-        plan.disclosure_tweak_base + np.arange(n_blocks)[None, :],
+        circuit.disclosure_tweak_base + np.arange(n_blocks)[None, :],
     )
     return tccr_hash(labels[:, None, :], t).reshape(len(labels), -1)[
         :, :n_bytes
@@ -576,16 +492,16 @@ def disclose(
     pads of the key wire's 1-label ``W0 ^ delta`` — one ``ceil(bits /
     8)``-byte row per instance (no columns when the circuit discloses
     nothing)."""
-    plan = g.plan
+    circuit = g.circuit
     packed = np.packbits(payload_bits, axis=1, bitorder="little")
-    if plan.circuit.disclosure is None:
+    if circuit.disclosure is None:
         return packed
-    one = g.zero[plan.circuit.disclosure.key] ^ g.delta
-    return packed ^ _disclosure_pads(one, plan, batch, packed.shape[1])
+    one = g.zero[circuit.disclosure.key] ^ g.delta
+    return packed ^ _disclosure_pads(one, circuit, batch, packed.shape[1])
 
 
 def disclosed_payloads(
-    plan: GarblePlan,
+    circuit: Circuit,
     active: np.ndarray,
     rows: np.ndarray,
     decoded: np.ndarray,
@@ -595,11 +511,10 @@ def disclosed_payloads(
     outputs, the ``(n, payload_bits)`` payload decrypted with her label
     of the key wire where the key bit is 1, zeros where it is 0 (her
     label there is ``W0``, whose pad is unrelated to the 1-label's)."""
-    circuit = plan.circuit
     if circuit.disclosure is None:
         return np.zeros((len(decoded), 0), dtype=np.uint8)
     key, payload = circuit.disclosure
-    pads = _disclosure_pads(active[key], plan, batch, rows.shape[1])
+    pads = _disclosure_pads(active[key], circuit, batch, rows.shape[1])
     bits = np.unpackbits(rows ^ pads, axis=1, bitorder="little")
     key_bits = decoded[:, circuit.outputs.index(key)]
     return bits[:, : len(payload)] * key_bits[:, None]

@@ -24,7 +24,6 @@ from typing import (
 import numpy as np
 
 from .params import DEFAULT_PARAMS, SecurityParams
-from .runcache import RunCache
 from .transcript import ALICE, BOB, Transcript, other_party
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -93,13 +92,11 @@ class Context:
         self.params = params
         self.transcript = Transcript()
         self.rng = np.random.default_rng(seed)
-        self.cache = RunCache()
         self._roles_swapped = False
         self._session: Optional["Session"] = None
         self._channel: Channel = self.transcript
-        #: the next :meth:`tweak_batch` number, in a cell that
-        #: :meth:`fresh` children share
-        self._tweak_batches = [0]
+        #: the next :meth:`tweak_batch` number
+        self._tweak_batch = 0
 
     @property
     def channel(self) -> Channel:
@@ -155,8 +152,8 @@ class Context:
         Both parties draw it in the same protocol order, so neither
         sends it.  Like :attr:`rng`, a checkpoint restore does not
         rewind it: a retried node hashes under fresh tweaks."""
-        n = self._tweak_batches[0]
-        self._tweak_batches[0] = n + 1
+        n = self._tweak_batch
+        self._tweak_batch = n + 1
         return n
 
     def send(self, sender: str, n_bytes: int, label: str = "") -> None:
@@ -184,31 +181,6 @@ class Context:
             yield
         finally:
             self._roles_swapped = not self._roles_swapped
-
-    def cache_stats(self) -> dict:
-        """Hit/miss counters of the per-run setup cache (circuit
-        templates and Beneš topologies) — see
-        :meth:`repro.mpc.runcache.RunCache.stats`.  Because
-        :meth:`fresh` shares the cache, these counters aggregate over
-        every sub-protocol of the run."""
-        return self.cache.stats()
-
-    def fresh(self) -> "Context":
-        """A new context with the same configuration but an empty
-        transcript (used when measuring a sub-protocol in isolation).
-
-        The role orientation carries over: a sub-protocol measured inside
-        a :meth:`swapped_roles` block must keep attributing bytes to the
-        correct physical party.  The run cache is shared — setup material
-        is public and per-run, not per-transcript.  The session layer is
-        deliberately **not** inherited: an isolated measurement meters
-        its private transcript unframed."""
-        child = Context(self.mode, self.params)
-        child.rng = self.rng
-        child._tweak_batches = self._tweak_batches
-        child.cache = self.cache
-        child._roles_swapped = self._roles_swapped
-        return child
 
     def __repr__(self) -> str:
         return (

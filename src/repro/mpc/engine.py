@@ -219,7 +219,7 @@ class Engine:
                        label: str) -> SharedVector:
         """Garbled-circuit multiplication (ablation reference)."""
         ctx = self.ctx
-        circuit = ctx.cache.circuit(gadgets.mul_shared_circuit, ctx.params.ell)
+        circuit = gadgets.mul_shared_circuit(ctx.params.ell)
         with ctx.section(label):
             return garbled_call(
                 ctx, self.ot, circuit_counts(circuit), len(x),
@@ -269,7 +269,7 @@ class Engine:
                           label: str = "nonzero") -> SharedVector:
         """``z_i = Ind(x_i != 0)`` as shared ring elements."""
         ctx = self.ctx
-        circuit = ctx.cache.circuit(gadgets.nonzero_circuit, ctx.params.ell)
+        circuit = gadgets.nonzero_circuit(ctx.params.ell)
         with ctx.section(label):
             return garbled_call(
                 ctx, self.ot, circuit_counts(circuit), len(x),
@@ -354,7 +354,6 @@ class Engine:
         if len(same_as_next) != n - 1:
             raise ValueError("need n-1 boundary indicators")
         ctx = self.ctx
-        ell = ctx.params.ell
         ind = np.asarray(same_as_next, dtype=bool)
 
         def real() -> Tuple["Circuit", np.ndarray, np.ndarray]:
@@ -362,14 +361,12 @@ class Engine:
                 [ind.astype(np.uint8), words_to_bits(v.alice, 1).reshape(-1)]
             )
             return (
-                ctx.cache.circuit(gadgets.merge_or_circuit, ell, n),
+                gadgets.merge_or_circuit(n),
                 alice[None, :],
                 words_to_bits(v.bob, 1).reshape(1, -1),
             )
 
-        counts = merge_chain_counts(
-            lambda k: ctx.cache.circuit(gadgets.merge_or_circuit, ell, k), n
-        )
+        counts = merge_chain_counts(gadgets.merge_or_circuit, n)
         with ctx.section(label):
             return garbled_call(
                 ctx, self.ot, counts, 1, real=real,
@@ -423,9 +420,7 @@ class Engine:
             mat = np.asarray(payload_bits, dtype=np.uint8)
             if mat.ndim != 2 or len(mat) != n:
                 raise ValueError("payload matrix must be (n, pbits)")
-        circuit = ctx.cache.circuit(
-            gadgets.reveal_tuple_circuit, ctx.params.ell, mat.shape[1]
-        )
+        circuit = gadgets.reveal_tuple_circuit(ctx.params.ell, mat.shape[1])
 
         def real() -> Tuple["Circuit", np.ndarray, np.ndarray]:
             alice_bits, bob_bits = self._zero_test_bits(v)
@@ -456,7 +451,7 @@ class Engine:
             raise ValueError("vector length mismatch")
         ctx = self.ctx
         ell = ctx.params.ell
-        circuit = ctx.cache.circuit(gadgets.div_reveal_circuit, ell)
+        circuit = gadgets.div_reveal_circuit(ell)
 
         def ideal() -> Tuple[None, np.ndarray]:
             xs, ys = x.reconstruct(), y.reconstruct()

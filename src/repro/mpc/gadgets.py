@@ -14,6 +14,10 @@ Alice's boundary bit, one C-OT in
 :meth:`repro.mpc.engine.Engine.merge_aggregate_sum`.)  REAL mode
 garbles these templates; SIMULATED mode charges their exact gate and
 row counts — one source of truth for both behaviour and cost.
+
+Templates are public, pure functions of their shapes, so each
+builder's process-wide ``lru_cache`` is their one cache, shared by
+every run and every served session.
 """
 
 from __future__ import annotations
@@ -77,7 +81,7 @@ def nonzero_circuit(ell: int) -> Circuit:
 
 
 @functools.lru_cache(maxsize=None)
-def merge_or_circuit(ell: int, n: int) -> Circuit:
+def merge_or_circuit(n: int) -> Circuit:
     """The merge chain with OR in place of the semiring addition, used by
     the support projection ``pi^1`` (Section 6.1).  The shared values are
     0/1 indicators, so only the LSBs of their shares enter the circuit.

@@ -36,7 +36,7 @@ from .context import Context, Mode
 from .costs import Widths, oep_widths, permutation_widths, ring_bytes
 from .ot import OT
 from .sharing import SharedVector
-from .waksman import Layer, pad_permutation, padded_size
+from .waksman import Layer, benes_network, pad_permutation, padded_size
 
 __all__ = ["oblivious_permutation", "oblivious_extended_permutation"]
 
@@ -59,7 +59,7 @@ def oblivious_permutation(
             out_plain = values.reconstruct()[inv]
             _charge_switches(ctx, ot, permutation_widths(ctx.params.ell, n))
             return SharedVector.fresh(ctx, out_plain)
-        layers = ctx.cache.benes_network(pad_permutation(perm))
+        layers = benes_network(pad_permutation(perm))
         padded = values.concat(
             SharedVector.zeros(padded_size(n) - n, ctx.modulus)
         )
@@ -116,10 +116,10 @@ def _oep_real(
     n_work = padded_size(max(m, n_out))
     padded = values.concat(SharedVector.zeros(n_work - m, ctx.modulus))
     perm1, perm2, copy_bits = _ep_permutations(xi, n_work)
-    # The size-keyed topology is cached across every OEP of the run;
-    # only the per-permutation switch settings are recomputed here.
-    layers1 = ctx.cache.benes_network(perm1)
-    layers2 = ctx.cache.benes_network(perm2)
+    # The size-keyed topology is cached across every OEP; only the
+    # per-permutation switch settings are recomputed here.
+    layers1 = benes_network(perm1)
+    layers2 = benes_network(perm2)
     routed = _apply_switch_network(
         ctx, ot, [layers1, layers2], copy_bits, padded
     )

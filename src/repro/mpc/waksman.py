@@ -11,9 +11,9 @@ routed identically), giving ``2*log2(n) - 1`` layers and about
 The network splits into two independent parts:
 
 * :func:`benes_topology` — the wire-pair structure of every layer.  It
-  depends only on the size ``n``, so it is memoised (both here and in
-  the per-run :class:`~repro.mpc.runcache.RunCache`): a query that runs
-  hundreds of OEPs over same-sized vectors builds each shape once.
+  depends only on the size ``n``, so it is memoised process-wide: a
+  query that runs hundreds of OEPs over same-sized vectors builds each
+  shape once.
 * :func:`benes_routing` — the per-permutation switch settings, by the
   classic looping/2-colouring argument: the two inputs of every
   input-layer switch must enter different sub-networks, and the two

@@ -182,16 +182,15 @@ def _run_garbled(
     extension batch.  Returns the shared words and the ``(n, revealed +
     disclosed)`` bit matrix Alice decodes.
 
-    The whole batch runs instance-parallel: the template's
-    :class:`~repro.mpc.circuits.garbling.GarblePlan` comes from the run
-    cache."""
+    The whole batch runs instance-parallel over the template's
+    :attr:`~repro.mpc.circuits.circuit.Circuit.levels`."""
     circuit, alice_bits, bob_bits = inputs[:3]
     n, n_alice = alice_bits.shape
-    plan = ctx.cache.garble_plan(circuit)
+    const_bits = circuit.const_bits
     garbler_bits = np.concatenate(
         [
-            bob_bits[:, plan.bob_cols],
-            np.broadcast_to(plan.const_bits, (n, len(plan.const_bits))),
+            bob_bits[:, circuit.bob_cols],
+            np.broadcast_to(const_bits, (n, len(const_bits))),
         ],
         axis=1,
     )
@@ -210,7 +209,7 @@ def _run_garbled(
     batch = ctx.tweak_batch()
     seed = ctx.random_bytes(SEED_BYTES)
     g = garble_batch(
-        plan, labels.delta, by_wire(labels.zero), seed, garbler_bits, batch
+        circuit, labels.delta, by_wire(labels.zero), seed, garbler_bits, batch
     )
     ctx.send(BOB, g.tables.nbytes + g.control.size, "gc/tables")
     ctx.send(BOB, len(seed), "gc/bob_labels")
@@ -221,7 +220,7 @@ def _run_garbled(
     rows, bob_rows = translate(g, x[sent], batch, ctx.mask)
     permute = g.output_permute_bits()
     wire_rows = words_to_le_bytes(rows.T.reshape(-1), ring_bytes(ctx.params.ell))
-    sealed = disclose(g, bob_bits[:, plan.payload_cols], batch)
+    sealed = disclose(g, bob_bits[:, circuit.payload_cols], batch)
     ctx.send(
         BOB,
         np.packbits(permute, axis=1).size + wire_rows.size + sealed.size,
@@ -229,17 +228,18 @@ def _run_garbled(
     )
 
     # Alice: her labels from the OT, Bob's from the seed.
-    active = np.zeros((plan.n_wires, n, LABEL_BYTES), dtype=np.uint8)
-    active[plan.alice_wires] = by_wire(labels.active)
-    active[plan.garbler_wires] = expand_labels(seed, plan, n, batch)
-    bits = evaluate_batch(plan, g.tables, g.control, active, batch) ^ permute
-    payload = disclosed_payloads(plan, active, sealed, bits, batch)
+    active = np.zeros((circuit.n_wires, n, LABEL_BYTES), dtype=np.uint8)
+    active[circuit.alice_wires] = by_wire(labels.active)
+    active[circuit.garbler_wires] = expand_labels(seed, circuit, n, batch)
+    bits = evaluate_batch(circuit, g.tables, g.control, active, batch)
+    bits ^= permute
+    payload = disclosed_payloads(circuit, active, sealed, bits, batch)
     # Each party's share of every row: Bob knows the value of a row on
     # a constant wire (and did not send it).
     const = dict(circuit.const_wires)
     known = np.asarray([const.get(r.wire, 0) for r in circuit.rows], np.uint64)
     alice, bob = np.zeros_like(x), x * known[:, None]
-    alice[sent] = translated_shares(plan, active, rows, batch, ctx.mask)
+    alice[sent] = translated_shares(circuit, active, rows, batch, ctx.mask)
     bob[sent] = bob_rows
     ev = list(circuit.evaluator_rows)
     if ev:

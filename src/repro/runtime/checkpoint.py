@@ -8,7 +8,7 @@ rewind:
 * the **engine state** (OT back-ends carry one-time base-OT phases and
   batch counters; re-running a node without rewinding them would charge
   different bytes than the unfaulted run) — deep-copied with the
-  context, tracer and run cache shared, not cloned;
+  context and tracer shared, not cloned;
 * the **transcript position** (message count, last sender, round
   count) via ``Transcript.state``;
 * the **session channel counters** via ``Session.state``;
@@ -62,8 +62,8 @@ class Checkpoint:
     @staticmethod
     def _shared_memo(engine: "Engine") -> Dict[int, Any]:
         """Deep-copy memo pinning run-global objects: the context (its
-        transcript/rng/cache are rewound separately or deliberately
-        shared) and the tracer."""
+        transcript is rewound separately, its RNG deliberately not) and
+        the tracer."""
         memo: Dict[int, Any] = {id(engine.ctx): engine.ctx}
         tracer = getattr(engine, "tracer", None)
         if tracer is not None:

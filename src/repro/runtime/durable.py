@@ -5,7 +5,7 @@ The supervisor already captures a node-granular
 slot environment, engine state (including the one-time base-OT
 charging), transcript position and session counters, with the context
 graph *pinned* (shared, not cloned) so the captured checkpoint carries
-the live transcript prefix, RNG state and setup cache.  A
+the live transcript prefix and RNG state.  A
 :class:`DurableStore` serialises each capture to an append-only journal
 with atomic fsync'd commits, so a party can be ``kill -9``'d mid-query
 and restarted with ``repro net --resume``: :func:`revive` rebuilds the
@@ -166,7 +166,7 @@ class DurableStore:
 
     def save_checkpoint(self, step_id: int, checkpoint: "Checkpoint") -> None:
         """Commit one captured checkpoint.  The checkpoint *pins* the
-        live context (transcript, RNG, cache, session), so pickling at
+        live context (transcript, RNG, session), so pickling at
         capture time snapshots the whole recoverable state in one
         record."""
         self.journal.append(KIND_CHECKPOINT, pickle.dumps(checkpoint))
@@ -214,7 +214,7 @@ def revive(
     one committed checkpoint record.
 
     The pickled checkpoint's engine state carries the pinned context —
-    transcript prefix, RNG, setup cache, session counters — so nothing
+    transcript prefix, RNG, session counters — so nothing
     outside the record is needed.  Two deliberate resets:
 
     * the revived session's :class:`~repro.runtime.faults.FaultPlan` is

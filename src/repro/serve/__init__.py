@@ -1,4 +1,4 @@
-"""Multi-tenant query serving: sessions, shared set-up store, admission.
+"""Multi-tenant query serving: sessions, interleaving, admission.
 
 The serving layer turns the single-query engine into a service:
 
@@ -6,16 +6,15 @@ The serving layer turns the single-query engine into a service:
   by the cost estimator, enforced before any protocol bytes move;
 * :mod:`repro.serve.session` / :mod:`repro.serve.service` —
   baton-threaded query sessions interleaved deterministically by the
-  coordinator, with crash containment per session and one shared
-  :class:`~repro.mpc.runcache.SetupStore` of public gadget set-up
-  material;
+  coordinator, with crash containment per session;
 * :mod:`repro.serve.workload` / :mod:`repro.serve.chaos` — scripted
   TPC-H multi-tenant workloads with solo-run byte-comparison, and the
   tenant-isolation chaos sweep.
 
 The invariant every piece preserves (and the test battery pins): a
 tenant's transcript is **byte-identical** to its solo run — across
-interleaving policies, a warm or cold set-up store, budget pressure,
+interleaving policies, warm or cold process-wide template caches,
+budget pressure,
 and faults or crashes in other tenants' sessions.
 """
 

@@ -4,8 +4,7 @@
 through admission control — **before** any
 :class:`~repro.mpc.context.Context` exists, so rejected and queued
 requests move zero protocol bytes.  Admitted requests become
-:class:`~repro.serve.session.QuerySession`\\ s sharing one
-:class:`~repro.mpc.runcache.SetupStore`; ``run`` then interleaves
+:class:`~repro.serve.session.QuerySession`\\ s; ``run`` then interleaves
 every active session on the baton protocol, one exec-plan step at a
 time, under one of two policies:
 
@@ -29,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional
 
-from ..mpc.runcache import RunCache, SetupStore
 from .admission import ADMIT, REJECT, AdmissionController
 from .session import ADMITTED, REJECTED, QueryRequest, QuerySession
 
@@ -47,9 +45,6 @@ class ServiceReport:
 
     sessions: List[Dict[str, Any]] = field(default_factory=list)
     admission: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: What the sessions' shared set-up store holds (templates,
-    #: garble plans, topologies) — :meth:`SetupStore.sizes`.
-    setup_store: Dict[str, int] = field(default_factory=dict)
     interleave: str = "round_robin"
     n_steps: int = 0
 
@@ -67,7 +62,6 @@ class ServiceReport:
             "counts": self.counts,
             "sessions": list(self.sessions),
             "admission": dict(self.admission),
-            "setup_store": dict(self.setup_store),
         }
 
     def summary(self) -> str:
@@ -75,9 +69,7 @@ class ServiceReport:
         parts = ", ".join(f"{n} {state}" for state, n in sorted(c.items()))
         return (
             f"{len(self.sessions)} sessions ({parts}); "
-            f"{self.n_steps} interleaved steps; shared set-up store: "
-            f"{self.setup_store.get('circuit_templates', 0)} templates, "
-            f"{self.setup_store.get('topologies', 0)} topologies"
+            f"{self.n_steps} interleaved steps"
         )
 
 
@@ -96,10 +88,6 @@ class QueryService:
                 f"expected one of {INTERLEAVE_POLICIES}"
             )
         self.interleave = interleave
-        #: Public, shape-keyed set-up material (gadget templates, garble
-        #: plans, Beneš topologies) shared by every session this service
-        #: starts, ``run=`` ones included.
-        self.store = SetupStore()
         self.admission = (
             admission if admission is not None else AdmissionController()
         )
@@ -182,8 +170,6 @@ class QueryService:
         self, request: QueryRequest, cost: Optional["CostEstimate"]
     ) -> QuerySession:
         session = QuerySession(request)
-        # Per-session counting view over the shared store.
-        session.ctx.cache = RunCache(store=self.store)
         session.cost = cost
         self.sessions.append(session)
         return session
@@ -267,7 +253,6 @@ class QueryService:
                 for r in self.rejected
             ],
             admission=self.admission.snapshot(),
-            setup_store=self.store.sizes(),
             interleave=self.interleave,
             n_steps=self._n_steps,
         )

@@ -11,9 +11,10 @@ pick sequence, and the sessions share no mutable protocol state: each
 has its own :class:`~repro.mpc.context.Context` (transcript, RNG),
 its own runtime :class:`~repro.runtime.session.Session` (framing,
 virtual clock, fault plan), and its own
-:class:`~repro.exec.trace.ExecutionTrace` namespaced by tenant.  The
-only cross-session object is the service's
-:class:`~repro.mpc.runcache.SetupStore` — public setup material.
+:class:`~repro.exec.trace.ExecutionTrace` namespaced by tenant.  What
+they do share is public: the process-wide caches of circuit templates
+(:mod:`repro.mpc.gadgets`) and Beneš topologies
+(:func:`repro.mpc.waksman.benes_topology`), pure functions of shapes.
 
 Crash containment: whatever the worker raises —
 :class:`~repro.runtime.aborts.ProtocolAbort` or an arbitrary crash —

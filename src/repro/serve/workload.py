@@ -6,8 +6,8 @@ prepared TPC-H queries, run them concurrently through a
 :class:`~repro.serve.service.QueryService`, and compare every
 session's :class:`~repro.runtime.chaos.RunProfile` against its **solo**
 run — the same request executed alone.  The serving layer's hard
-guarantee is that the two are byte-identical: interleaving, the shared
-set-up store, and other tenants' faults must not shift a single
+guarantee is that the two are byte-identical: interleaving, warm
+template caches, and other tenants' faults must not shift a single
 transcript byte.
 """
 

@@ -374,18 +374,6 @@ class TestGarbledBatchDifferential:
         assert (words == words_sim).all()
         assert fp_real == fp_sim
 
-    def test_plan_cache_reuses_template(self):
-        circuit = nonzero_circuit(12)
-        alice, bob = self._inputs(circuit, 3)
-        ctx = Context(Mode.REAL, seed=2)
-        ot = make_ot(ctx)
-        run_circuit(ctx, ot, circuit, alice, bob)
-        run_circuit(ctx, ot, circuit, alice, bob)
-        stats = ctx.cache.stats()
-        assert stats["plan_misses"] == 1
-        assert stats["plan_hits"] == 1
-
-
 # ----------------------------------------------------------------------
 # Whole-engine parity at a non-byte-aligned ring width (the rb bugfix)
 # ----------------------------------------------------------------------

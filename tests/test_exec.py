@@ -31,7 +31,7 @@ from repro.exec import (
 )
 from repro.mpc import ALICE, BOB, Context, Engine, Mode
 from repro.relalg import Hypergraph, find_free_connex_tree
-from repro.yannakakis import build_plan, build_two_phase_plan
+from repro.yannakakis import build_plan
 
 from .test_golden_fingerprints import example_run, load_golden, run_digest
 from .test_protocol import OWNER_SPLITS, example_11
@@ -213,7 +213,6 @@ def test_trace_nodes_cover_transcript():
     assert by_kind["share"].n_bytes == 0
     assert by_kind["reveal"].n_bytes > 0
     assert by_kind["reveal"].section == "full_join"
-    assert tracer.meta["cache"]["circuit_templates"] > 0
     # JSON export carries every node field.
     blob = tracer.to_json()
     assert blob["total_bytes"] == tracer.total_bytes
@@ -259,63 +258,6 @@ def test_q3_node_messages_carry_the_node_section():
     assert checked == {"reduce", "full_join"}
 
 
-def test_gadget_template_cache_hits():
-    rels = example_11()
-    owners = {"R1": ALICE, "R2": BOB, "R3": ALICE}
-    ctx = Context(Mode.SIMULATED, seed=9)
-    engine = Engine(ctx)
-    h = Hypergraph({n: r.attributes for n, r in rels.items()})
-    plan = build_two_phase_plan(find_free_connex_tree(h, set(OUTPUT)), OUTPUT)
-    secure_yannakakis(engine, secure_inputs(rels, owners), plan)
-    stats = ctx.cache.stats()
-    # Same-shaped gadgets recur across operators (every semijoin's zero
-    # test and OR chain): the run must reuse templates, not rebuild them.
-    assert stats["circuit_hits"] > 0
-    assert stats["circuit_templates"] >= 1
-    assert stats["circuit_misses"] == stats["circuit_templates"]
-
-
-def test_context_cache_stats_across_reruns():
-    rels = example_11()
-    owners = {"R1": ALICE, "R2": BOB, "R3": ALICE}
-    ctx = Context(Mode.SIMULATED, seed=9)
-    engine = Engine(ctx)
-    assert ctx.cache_stats() == ctx.cache.stats()
-    assert ctx.cache_stats()["circuit_misses"] == 0
-    secure_yannakakis(
-        engine, secure_inputs(rels, owners), make_plan(rels)
-    )
-    first = ctx.cache_stats()
-    # Every miss builds exactly one template; nothing is rebuilt.
-    assert first["circuit_misses"] == first["circuit_templates"]
-    assert first["topology_misses"] == first["topologies"]
-    # A second run on the same context reuses every template: hit
-    # counters grow, miss counters stay frozen.
-    secure_yannakakis(
-        engine, secure_inputs(rels, owners), make_plan(rels)
-    )
-    second = ctx.cache_stats()
-    assert second["circuit_misses"] == first["circuit_misses"]
-    assert second["topology_misses"] == first["topology_misses"]
-    assert second["circuit_hits"] > first["circuit_hits"]
-
-
-@pytest.mark.real
-def test_topology_cache_shared_across_oeps():
-    rels = example_11()
-    owners = {"R1": ALICE, "R2": BOB, "R3": ALICE}
-    ctx = Context(Mode.REAL, seed=9)
-    engine = Engine(ctx)
-    secure_yannakakis(
-        engine, secure_inputs(rels, owners), make_plan(rels)
-    )
-    stats = ctx.cache.stats()
-    # Every OEP routes two Benes networks; same-size topologies must
-    # be built once per run.
-    assert stats["topology_hits"] > 0
-    assert stats["topologies"] >= 1
-
-
 class TestOnePipeline:
     """Structural guard: a plan reaches the scheduler through
     ``core/protocol.py`` — one scheduler — and no other module under
@@ -347,7 +289,12 @@ class TestOnePipeline:
         ]
 
     @pytest.mark.parametrize(
-        "module", ["repro.serve.fingerprint", "repro.serve.plancache"]
+        "module",
+        [
+            "repro.serve.fingerprint",
+            "repro.serve.plancache",
+            "repro.mpc.runcache",
+        ],
     )
     def test_plan_cache_modules_are_gone(self, module):
         with pytest.raises(ImportError):

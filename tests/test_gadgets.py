@@ -80,7 +80,7 @@ class TestMergeChains:
 
     def test_or_chain(self):
         n = 4
-        c = merge_or_circuit(ELL, n)
+        c = merge_or_circuit(n)
         indicator = [0, 1, 0, 1]
         same = [1, 1, 0]  # groups {0,1,2}, {3}
         v1 = [1, 0, 1, 1]
@@ -90,14 +90,14 @@ class TestMergeChains:
         assert len(c.rows) == n
 
     def test_chain_size_linear(self):
-        a2 = merge_or_circuit(ELL, 2).and_count
-        a3 = merge_or_circuit(ELL, 3).and_count
-        a5 = merge_or_circuit(ELL, 5).and_count
+        a2 = merge_or_circuit(2).and_count
+        a3 = merge_or_circuit(3).and_count
+        a5 = merge_or_circuit(5).and_count
         assert a5 - a3 == 2 * (a3 - a2)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            merge_or_circuit(ELL, 0)
+            merge_or_circuit(0)
 
 
 class TestPsiBin:
@@ -154,7 +154,7 @@ def templates(ell):
     return {
         "mul_shared": mul_shared_circuit(ell),
         "nonzero": nonzero_circuit(ell),
-        "merge_or": merge_or_circuit(ell, 4),
+        "merge_or": merge_or_circuit(4),
         "psi_bin": psi_bin_circuit(ell, 55, False),
         "psi_bin_reveal": psi_bin_circuit(ell, 55, True),
         "div_reveal": div_reveal_circuit(ell),
@@ -205,17 +205,16 @@ class TestCounts:
         # the OR chain: three ANDs per row; Alice feeds a boundary bit
         # and her share's LSB per row
         for n in (1, 2, 3):
-            assert circuit_counts(merge_or_circuit(32, n)) == (
+            assert circuit_counts(merge_or_circuit(n)) == (
                 3 * (n - 1), 2 * n - 1, n, 0, 0, 0,
             )
 
     @pytest.mark.parametrize("template", [merge_or_circuit])
-    @pytest.mark.parametrize("ell", [32, 48])
-    def test_merge_chain_counts_are_exact(self, template, ell):
+    def test_merge_chain_counts_are_exact(self, template):
         for n in range(2, 10):
-            got = merge_chain_counts(lambda k: template(ell, k), n)
+            got = merge_chain_counts(template, n)
             assert isinstance(got, CircuitCounts)
-            assert got == circuit_counts(template(ell, n)), n
+            assert got == circuit_counts(template(n)), n
 
     @pytest.mark.parametrize("ell", [32, 48])
     def test_no_template_has_a_dead_gate(self, ell):

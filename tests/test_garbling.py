@@ -16,7 +16,6 @@ from repro.mpc.circuits.garbling import (
     evaluate_batch,
     expand_labels,
     garble_batch,
-    make_garble_plan,
     translate,
     translated_shares,
     unpack_control,
@@ -79,25 +78,26 @@ def garble_direct(circuit, alice_bits, bob_bits, seed=0, batch=3):
     )
     n = len(alice_bits)
     bob_bits = np.asarray(bob_bits, dtype=np.uint8).reshape(n, -1)
-    plan = make_garble_plan(circuit)
     rng = np.random.default_rng(seed)
     alice_zero = np.frombuffer(
-        rng.bytes(16 * n * len(plan.alice_wires)), dtype=np.uint8
-    ).reshape(len(plan.alice_wires), n, 16)
+        rng.bytes(16 * n * len(circuit.alice_wires)), dtype=np.uint8
+    ).reshape(len(circuit.alice_wires), n, 16)
     label_seed = rng.bytes(SEED_BYTES)
-    consts = np.broadcast_to(plan.const_bits, (n, len(plan.const_bits)))
+    consts = np.broadcast_to(circuit.const_bits, (n, len(circuit.const_bits)))
     garbler_bits = np.concatenate(
-        [bob_bits[:, plan.bob_cols], consts], axis=1
+        [bob_bits[:, circuit.bob_cols], consts], axis=1
     )
     g = garble_batch(
-        plan, random_delta(rng), alice_zero, label_seed, garbler_bits, batch
+        circuit, random_delta(rng), alice_zero, label_seed, garbler_bits, batch
     )
-    active = np.zeros((plan.n_wires, n, 16), dtype=np.uint8)
-    active[plan.alice_wires] = alice_zero ^ (
+    active = np.zeros((circuit.n_wires, n, 16), dtype=np.uint8)
+    active[circuit.alice_wires] = alice_zero ^ (
         g.delta * alice_bits.T[:, :, None]
     )
-    active[plan.garbler_wires] = expand_labels(label_seed, plan, n, batch)
-    select = evaluate_batch(plan, g.tables, g.control, active, batch)
+    active[circuit.garbler_wires] = expand_labels(
+        label_seed, circuit, n, batch
+    )
+    select = evaluate_batch(circuit, g.tables, g.control, active, batch)
     return g, active, select ^ g.output_permute_bits()
 
 
@@ -224,11 +224,10 @@ class TestSchemeStructure:
         for n in BATCH_SIZES:
             g, _, _ = garble_direct(c, [[0]] * n, [[]] * n)
             assert g.delta.shape == (16,) and g.delta[0] & 1 == 1
-        plan = make_garble_plan(c)
         even = random_delta(np.random.default_rng(1)) ^ np.uint8(1)
         with pytest.raises(ValueError, match="select bit"):
             garble_batch(
-                plan, even, np.zeros((1, 1, 16), np.uint8), bytes(16),
+                c, even, np.zeros((1, 1, 16), np.uint8), bytes(16),
                 np.zeros((1, 0), np.uint8), 0,
             )
 
@@ -275,41 +274,40 @@ class TestThreeHalves:
         labels: the garbling and the evaluator's active inputs for each
         of the four input combinations."""
         circuit = one_and()
-        plan = make_garble_plan(circuit)
         rng = np.random.default_rng(seed)
         alice_zero = np.frombuffer(rng.bytes(16), np.uint8).reshape(1, 1, 16)
         label_seed = rng.bytes(SEED_BYTES)
         g = garble_batch(
-            plan, random_delta(rng), alice_zero, label_seed,
+            circuit, random_delta(rng), alice_zero, label_seed,
             np.zeros((1, 1), np.uint8), self.BATCH,
         )
-        bob_active = expand_labels(label_seed, plan, 1, self.BATCH)
+        bob_active = expand_labels(label_seed, circuit, 1, self.BATCH)
         combos = {}
         for x in (0, 1):
             for y in (0, 1):
-                active = np.zeros((plan.n_wires, 1, 16), np.uint8)
-                active[plan.alice_wires] = alice_zero ^ (g.delta * x)
+                active = np.zeros((circuit.n_wires, 1, 16), np.uint8)
+                active[circuit.alice_wires] = alice_zero ^ (g.delta * x)
                 # Bob's zero-label is the expanded one (his bit was 0)
-                active[plan.garbler_wires] = bob_active ^ (g.delta * y)
+                active[circuit.garbler_wires] = bob_active ^ (g.delta * y)
                 combos[x, y] = active
-        return plan, g, combos
+        return circuit, g, combos
 
-    def evaluate(self, plan, tables, control, active):
+    def evaluate(self, circuit, tables, control, active):
         """The evaluator's output label (``evaluate_batch`` fills
         ``active`` in place)."""
         active = active.copy()
-        evaluate_batch(plan, tables, control, active, self.BATCH)
-        return active[plan.output_wires[0], 0]
+        evaluate_batch(circuit, tables, control, active, self.BATCH)
+        return active[circuit.output_wires[0], 0]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_all_four_inputs_match_the_reference(self, seed):
-        plan, g, combos = self.garble_one(seed)
-        (gate,) = plan.circuit.gates
+        circuit, g, combos = self.garble_one(seed)
+        (gate,) = circuit.gates
         w0 = g.zero[gate.out, 0]
         halves = g.tables[0, :, 0].tolist()
         nibble = int(unpack_control(g.control, 1, 1)[0, 0])
         for (x, y), active in combos.items():
-            out = self.evaluate(plan, g.tables, g.control, active)
+            out = self.evaluate(circuit, g.tables, g.control, active)
             expect = w0 ^ (g.delta * (x & y))
             assert (out == expect).all(), (x, y)
             ref = reference.three_halves_evaluate(
@@ -318,34 +316,34 @@ class TestThreeHalves:
             )
             assert ref == expect.tobytes(), (x, y)
 
-    def tampered_fails(self, plan, g, combos, tables, control):
+    def tampered_fails(self, circuit, g, combos, tables, control):
         """Some input combination's output label is neither of the
         wire's two labels."""
-        (gate,) = plan.circuit.gates
+        (gate,) = circuit.gates
         w0 = g.zero[gate.out, 0]
         labels = {w0.tobytes(), (w0 ^ g.delta).tobytes()}
         return any(
-            self.evaluate(plan, tables, control, a).tobytes() not in labels
+            self.evaluate(circuit, tables, control, a).tobytes() not in labels
             for a in combos.values()
         )
 
     @pytest.mark.parametrize("seed", range(3))
     def test_every_control_bit_matters(self, seed):
-        plan, g, combos = self.garble_one(seed)
-        assert not self.tampered_fails(plan, g, combos, g.tables, g.control)
+        circuit, g, combos = self.garble_one(seed)
+        assert not self.tampered_fails(circuit, g, combos, g.tables, g.control)
         for bit in range(4):
             control = g.control ^ np.uint8(1 << bit)
-            assert self.tampered_fails(plan, g, combos, g.tables, control)
+            assert self.tampered_fails(circuit, g, combos, g.tables, control)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_every_table_byte_matters(self, seed):
-        plan, g, combos = self.garble_one(seed)
+        circuit, g, combos = self.garble_one(seed)
         raw = g.tables.view(np.uint8)
         for pos in range(raw.size):
             tampered = raw.copy()
             tampered.reshape(-1)[pos] ^= np.uint8(1 << (pos % 8))
             tables = tampered.view("<u8")
-            assert self.tampered_fails(plan, g, combos, tables, g.control)
+            assert self.tampered_fails(circuit, g, combos, tables, g.control)
 
     def test_dicing_hides_the_colours(self):
         """Exhaustively over the eight hash-derived pad bits: what the
@@ -382,7 +380,7 @@ class TestThreeHalves:
 TEMPLATES = {
     "mul_shared": gadgets.mul_shared_circuit,
     "nonzero": gadgets.nonzero_circuit,
-    "merge_or": lambda ell: gadgets.merge_or_circuit(ell, 3),
+    "merge_or": lambda ell: gadgets.merge_or_circuit(3),
     "psi_bin": lambda ell: gadgets.psi_bin_circuit(ell, 12, False),
     "psi_bin_reveal": lambda ell: gadgets.psi_bin_circuit(ell, 12, True),
     "div_reveal": gadgets.div_reveal_circuit,
@@ -399,7 +397,6 @@ class TestLevelSchedule:
         ANDs in construction order."""
         rng = np.random.default_rng(5)
         for circuit in (TEMPLATES[name](32), random_circuit(rng)):
-            plan = make_garble_plan(circuit)
             level_of = {}  # output wire -> level
             and_at = {}  # output wire -> table row
             for depth, lv in enumerate(circuit.levels):
@@ -409,13 +406,13 @@ class TestLevelSchedule:
                     level_of[w] = depth
                 and_at.update(zip(lv.and_out.tolist(), lv.and_index.tolist()))
                 for a in np.concatenate(
-                    [lv.xor_a, lv.xor_b, lv.inv_a, lv.and_a, lv.and_b]
+                    [lv.xor_a, lv.xor_b, lv.inv_a, *lv.and_operands]
                 ).tolist():
                     assert level_of.get(a, -1) < depth
             assert sorted(level_of) == sorted(g.out for g in circuit.gates)
             ands = [g.out for g in circuit.gates if g.op == AND]
             assert [and_at[w] for w in ands] == list(range(len(ands)))
-            assert plan.n_ands == len(ands)
+            assert circuit.and_count == len(ands)
 
     def test_tables_are_in_construction_order(self):
         """Row ``k`` of the tables is the ``k``-th AND gate's, hashed
@@ -446,7 +443,7 @@ class TestLevelSchedule:
         garbling and evaluating it hash once per level with ANDs (plus
         the label expansion): a return to gate-by-gate stepping fails
         here."""
-        circuit = gadgets.merge_or_circuit(32, 256)
+        circuit = gadgets.merge_or_circuit(256)
         assert (len(circuit.gates), len(circuit.levels)) == (2_041, 1_021)
         with_ands = sum(1 for lv in circuit.levels if len(lv.and_out))
         calls = []
@@ -539,9 +536,9 @@ class TestSeedExpandedBatch:
         seen = []
         real_evaluate = yao.evaluate_batch
 
-        def spy(plan, tables, control, active, batch):
-            seen.append(active[plan.garbler_wires].copy())
-            return real_evaluate(plan, tables, control, active, batch)
+        def spy(circuit, tables, control, active, batch):
+            seen.append(active[circuit.garbler_wires].copy())
+            return real_evaluate(circuit, tables, control, active, batch)
 
         monkeypatch.setattr(yao, "evaluate_batch", spy)
         outs1, ctx1 = run_real_batch(circuit, alice, bob, seed=5)
@@ -558,35 +555,34 @@ class TestSeedExpandedBatch:
         assert outs1 != outs2
 
     def test_expand_labels_is_a_prg_of_instance_and_wire(self):
-        plan = make_garble_plan(gadgets.nonzero_circuit(8))
+        circuit = gadgets.nonzero_circuit(8)
         seed = bytes(range(16))
-        small = expand_labels(seed, plan, 2, 0)
-        big = expand_labels(seed, plan, 5, 0)
-        assert small.shape == (len(plan.garbler_wires), 2, 16)
+        small = expand_labels(seed, circuit, 2, 0)
+        big = expand_labels(seed, circuit, 5, 0)
+        assert small.shape == (len(circuit.garbler_wires), 2, 16)
         assert (big[:, :2] == small).all()  # a prefix of one stream
         flat = big.transpose(1, 0, 2).reshape(-1, 16)
         assert len({bytes(r) for r in flat}) == len(flat)
-        assert (expand_labels(bytes(16), plan, 2, 0) != small).any()
+        assert (expand_labels(bytes(16), circuit, 2, 0) != small).any()
         # another batch number: another label on every wire
-        assert (expand_labels(seed, plan, 2, 1) != small).any(axis=2).all()
+        assert (expand_labels(seed, circuit, 2, 1) != small).any(axis=2).all()
 
     def test_select_bits_independent_of_semantics(self):
         """lsb(zero) = lsb(active) ^ bit on garbler wires: the active
         label's select bit (what Alice sees) is the PRG's, whatever the
         bit."""
         circuit = gadgets.nonzero_circuit(8)
-        plan = make_garble_plan(circuit)
         rng = np.random.default_rng(0)
-        bits = rng.integers(0, 2, (6, len(plan.garbler_wires))).astype(
+        bits = rng.integers(0, 2, (6, len(circuit.garbler_wires))).astype(
             np.uint8
         )
         seed = rng.bytes(SEED_BYTES)
         alice_zero = np.frombuffer(
-            rng.bytes(16 * 6 * len(plan.alice_wires)), dtype=np.uint8
-        ).reshape(len(plan.alice_wires), 6, 16)
-        g = garble_batch(plan, random_delta(rng), alice_zero, seed, bits, 0)
-        active = expand_labels(seed, plan, 6, 0)
-        zero = g.zero[plan.garbler_wires]
+            rng.bytes(16 * 6 * len(circuit.alice_wires)), dtype=np.uint8
+        ).reshape(len(circuit.alice_wires), 6, 16)
+        g = garble_batch(circuit, random_delta(rng), alice_zero, seed, bits, 0)
+        active = expand_labels(seed, circuit, 6, 0)
+        zero = g.zero[circuit.garbler_wires]
         assert ((zero[:, :, 0] ^ active[:, :, 0]) & 1 == bits.T).all()
 
 
@@ -605,16 +601,16 @@ class TestOutputTranslation:
         b = CircuitBuilder()
         (x,) = b.alice_input_bits(1)
         b.share_word([x])
-        plan = make_garble_plan(b.build())
+        circuit = b.build()
         n = len(zero_colours)
         rng = np.random.default_rng(8)
         alice_zero = rng.integers(0, 256, (1, n, 16), dtype=np.uint8)
         alice_zero[0, :, 0] = (alice_zero[0, :, 0] & 0xFE) | zero_colours
         g = garble_batch(
-            plan, random_delta(rng), alice_zero, rng.bytes(SEED_BYTES),
+            circuit, random_delta(rng), alice_zero, rng.bytes(SEED_BYTES),
             np.zeros((n, 0), np.uint8), batch,
         )
-        return plan, g
+        return circuit, g
 
     def test_each_colour_gives_v_times_x(self):
         """Both colours of both values: ``W0`` with select bit 0 and 1,
@@ -622,13 +618,13 @@ class TestOutputTranslation:
         plus Bob's is ``v * X`` every time."""
         zero_colours = np.asarray([0, 1, 0, 1], dtype=np.uint8)
         values = np.asarray([0, 0, 1, 1], dtype=np.uint8)
-        plan, g = self.garble_one_row(zero_colours)
+        circuit, g = self.garble_one_row(zero_colours)
         x = np.asarray([[7, 2**31 + 5, 2**32 - 1, 12345]], dtype=np.uint64)
         rows, bob = translate(g, x, 5, self.MASK)
         active = g.zero ^ (g.delta[None] * values[None, :, None])
-        held = active[plan.row_wires][0, :, 0] & 1
+        held = active[circuit.row_wires][0, :, 0] & 1
         assert held.tolist() == [0, 1, 1, 0]  # every colour, every value
-        alice = translated_shares(plan, active, rows, 5, self.MASK)
+        alice = translated_shares(circuit, active, rows, 5, self.MASK)
         assert ((alice + bob) & np.uint64(self.MASK)).tolist() == (
             (values * x) & np.uint64(self.MASK)
         ).tolist()
@@ -638,14 +634,13 @@ class TestOutputTranslation:
         n_ands + n_garbler_slots + j)``, after the AND gates' hashes and
         the garbler-label slots: recompute the colour-0 share of Bob."""
         circuit = gadgets.psi_bin_circuit(32, 12, False)
-        plan = make_garble_plan(circuit)
         alice, bob = random_bits(circuit, np.random.default_rng(2), 2)
         g, _, _ = garble_direct(circuit, alice, bob, batch=9)
-        x = np.ones((len(plan.row_wires), 2), dtype=np.uint64)
+        x = np.ones((len(circuit.row_wires), 2), dtype=np.uint64)
         _, bob_rows = translate(g, x, 9, self.MASK)
-        base = 3 * plan.n_ands + len(plan.garbler_wires)
-        assert plan.row_tweak_base == base
-        for j, wire in enumerate(plan.row_wires.tolist()):
+        base = 3 * circuit.and_count + len(circuit.garbler_wires)
+        assert circuit.row_tweak_base == base
+        for j, wire in enumerate(circuit.row_wires.tolist()):
             for i in range(2):
                 w0 = g.zero[wire, i]
                 p = w0[0] & 1
@@ -719,19 +714,18 @@ class TestDisclosure:
         from repro.mpc.circuits.garbling import disclose, disclosed_payloads
 
         c = self.disclosing_circuit()
-        plan = make_garble_plan(c)
         rng = np.random.default_rng(5)
         key = np.asarray([1, 0, 1, 0, 0, 1], dtype=np.uint8)
         bob = rng.integers(0, 2, (len(key), self.N_BITS + 2), dtype=np.uint8)
         g, active, outs = garble_direct(c, key[:, None], bob, batch=4)
-        payload = bob[:, plan.payload_cols]
+        payload = bob[:, c.payload_cols]
         assert (outs[:, 0] == key).all()
         rows = disclose(g, payload, 4)
         assert rows.shape == (len(key), self.N_BITS // 8)
-        got = disclosed_payloads(plan, active, rows, outs, 4)
+        got = disclosed_payloads(c, active, rows, outs, 4)
         assert (got == payload * key[:, None]).all()
         forced = disclosed_payloads(
-            plan, active, rows, np.ones_like(outs), 4
+            c, active, rows, np.ones_like(outs), 4
         )
         for i in np.flatnonzero(key == 0):
             assert (forced[i] != payload[i]).any()
@@ -739,7 +733,7 @@ class TestDisclosure:
         # garbled: only y, z carry garbler labels
         for a, b_, o in zip(key, bob, outs):
             assert c.evaluate([a], b_)[: len(c.outputs)] == o.tolist()
-        assert len(plan.garbler_wires) == 2 + len(plan.const_bits)
+        assert len(c.garbler_wires) == 2 + len(c.const_bits)
 
     def test_pads_hash_past_the_rows(self):
         """The pad of block ``c`` is ``H(W1, (batch, instance,
@@ -747,19 +741,18 @@ class TestDisclosure:
         from repro.mpc.circuits.garbling import disclose
 
         c = self.disclosing_circuit()
-        plan = make_garble_plan(c)
         rng = np.random.default_rng(6)
         bob = rng.integers(0, 2, (2, self.N_BITS + 2), dtype=np.uint8)
         g, _, _ = garble_direct(c, [[1], [0]], bob, batch=7)
-        assert plan.disclosure_tweak_base == plan.row_tweak_base + len(
-            plan.row_wires
+        assert c.disclosure_tweak_base == c.row_tweak_base + len(
+            c.row_wires
         )
-        rows = disclose(g, bob[:, plan.payload_cols], 7)
+        rows = disclose(g, bob[:, c.payload_cols], 7)
         one = g.zero[c.disclosure.key, 1] ^ g.delta
         pad = tccr_hash(
-            one, tweaks(7, np.uint64(1), np.uint64(plan.disclosure_tweak_base))
+            one, tweaks(7, np.uint64(1), np.uint64(c.disclosure_tweak_base))
         )
-        packed = np.packbits(bob[1, plan.payload_cols], bitorder="little")
+        packed = np.packbits(bob[1, c.payload_cols], bitorder="little")
         assert (rows[1] == packed ^ pad[: len(packed)]).all()
 
     @pytest.mark.real

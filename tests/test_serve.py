@@ -2,9 +2,9 @@
 
 Three battery sections:
 
-* **shared set-up store**: a run over a store another tenant already
-  warmed (templates, garble plans, topologies) is byte-identical to a
-  cold private-store run; counters stay per session.
+* **shared set-up material**: a run over gadget templates and Beneš
+  topologies another tenant already built is byte-identical to a run
+  over cleared caches, in SIMULATED and in REAL mode.
 
 * **admission control**: exact admit/queue/reject boundaries against
   the estimator's price, reservation accounting, queue draining on
@@ -27,7 +27,7 @@ from repro.fuzz.generator import (
     generate_instance,
     value_disjoint_twin,
 )
-from repro.mpc import Context, Transcript
+from repro.mpc import Context, Mode, Transcript, gadgets, waksman
 from repro.query.builder import JoinAggregateQuery
 from repro.relalg import AnnotatedRelation, IntegerRing
 from repro.serve import (
@@ -66,27 +66,38 @@ def tiny_query() -> JoinAggregateQuery:
     )
 
 
+def clear_setup_caches() -> None:
+    """Empty the process-wide caches of public set-up material: every
+    gadget template (and the garbling layout cached on it) and every
+    Beneš topology."""
+    for builder in vars(gadgets).values():
+        if hasattr(builder, "cache_clear"):
+            builder.cache_clear()
+    waksman.benes_topology.cache_clear()
+
+
 class TestPlanCache:
-    """What serving caches across tenants is public set-up material —
-    gadget templates, garble plans, Beneš topologies — in the service's
-    one :class:`~repro.mpc.runcache.SetupStore`."""
+    """What serving shares across tenants is public set-up material —
+    gadget templates with their garbling layout, Beneš topologies — in
+    process-wide caches keyed by public shapes."""
 
     @settings(max_examples=10)
     @given(seed=seeds)
     def test_cached_run_byte_identical_to_cold(self, seed):
-        """The hard guarantee of sharing: a run over a set-up store
-        pre-warmed by another tenant is byte-identical to a cold
-        private-store run."""
+        """The hard guarantee of sharing: a run over set-up material
+        pre-warmed by another tenant is byte-identical to a run that
+        builds every template and topology itself."""
         inst = generate_instance(seed, 0, SMALL)
         req = lambda q: QueryRequest(  # noqa: E731
             tenant="t", name="q", query=q, seed=5
         )
+        clear_setup_caches()
         cold = run_solo(req(inst.query()))
         assert cold.state == "done", repr(cold.error)
 
         svc = QueryService()
         # Pre-warm with the value-disjoint twin: same public shapes, so
-        # its run fills the store with everything the next one needs.
+        # its run builds everything the next one needs.
         svc.submit(
             QueryRequest(
                 tenant="other",
@@ -101,43 +112,24 @@ class TestPlanCache:
         warmup, warm = svc.sessions
         assert warmup.state == "done", repr(warmup.error)
         assert warm.state == "done", repr(warm.error)
-        assert warm.ctx.cache.store is warmup.ctx.cache.store is svc.store
-        assert warm.ctx.cache.stats()["circuit_misses"] == 0
         assert warm.profile is not None and cold.profile is not None
         assert warm.profile.diff(cold.profile) == ""
         assert warm.profile.fingerprint == cold.profile.fingerprint
 
-
-class TestSetupStoreViews:
-    def test_counters_per_view_material_shared(self):
-        """Sessions count their own hits/misses; the material lives in
-        the shared store.  A default-constructed RunCache keeps a
-        private store, so tests that assert hit/miss counts stay
-        order-independent."""
-        from repro.mpc.gadgets import merge_or_circuit
-        from repro.mpc.runcache import RunCache, SetupStore
-
-        store = SetupStore()
-        a = RunCache(store=store)
-        b = RunCache(store=store)
-        assert a.circuit(merge_or_circuit, 32, 4) is b.circuit(
-            merge_or_circuit, 32, 4
+    @pytest.mark.real
+    def test_real_run_byte_identical_cold_and_warm(self):
+        """REAL mode garbles the cached templates, whose levels and
+        wire layout live as long as the process: a warm run's
+        transcript equals a cold one's."""
+        req = QueryRequest(
+            tenant="t", name="q", query=tiny_query(), mode=Mode.REAL, seed=5
         )
-        assert a.stats()["circuit_misses"] == 1
-        assert a.stats()["circuit_hits"] == 0
-        assert b.stats()["circuit_misses"] == 0
-        assert b.stats()["circuit_hits"] == 1
-        assert a.benes_topology(8) is b.benes_topology(8)
-        assert store.sizes() == {
-            "circuit_templates": 1,
-            "topologies": 1,
-            "garble_plans": 0,
-        }
-        # a fresh default cache shares nothing with the store above
-        private = RunCache()
-        private.circuit(merge_or_circuit, 32, 4)
-        assert private.stats()["circuit_misses"] == 1
-        assert store.sizes()["circuit_templates"] == 1
+        clear_setup_caches()
+        cold = run_solo(req)
+        warm = run_solo(req)
+        assert cold.state == warm.state == "done", repr(cold.error)
+        assert warm.profile is not None and cold.profile is not None
+        assert warm.profile.fingerprint == cold.profile.fingerprint
 
 
 def priced(total: int, rounds: int = 0) -> CostEstimate:
@@ -323,18 +315,10 @@ class TestService:
         )
         report = svc.run()
         assert report.counts == {"done": 2}
-        # Twins have the same public shapes, so together they build
-        # what one of them builds alone — each template exactly once.
         solo = run_solo(
             QueryRequest(tenant="t1", name="q", query=inst.query(), seed=5)
         )
-        templates = solo.ctx.cache.stats()["circuit_templates"]
-        assert templates > 0
-        assert report.setup_store == svc.store.sizes()
-        assert report.setup_store["circuit_templates"] == templates
-        assert templates == sum(
-            s.ctx.cache.stats()["circuit_misses"] for s in svc.sessions
-        )
+        assert svc.sessions[0].profile.fingerprint == solo.profile.fingerprint
 
     def test_trace_namespaced_per_tenant(self):
         svc = QueryService()

@@ -118,27 +118,6 @@ class TestContext:
         v = ctx.random_ring_vector(1000)
         assert (v < ctx.modulus).all()
 
-    def test_fresh_keeps_config_clears_transcript(self):
-        ctx = Context(Mode.REAL, seed=2)
-        ctx.send(ALICE, 5)
-        child = ctx.fresh()
-        assert child.mode == Mode.REAL
-        assert child.transcript.total_bytes == 0
-
-    def test_fresh_preserves_swapped_roles(self):
-        # Regression: a sub-protocol measured inside a swapped_roles
-        # block must keep attributing bytes to the physical sender.
-        ctx = Context(Mode.SIMULATED, seed=2)
-        with ctx.swapped_roles():
-            child = ctx.fresh()
-            child.send(ALICE, 5, "x")
-        assert child.transcript.messages[0].sender == BOB
-
-    def test_fresh_shares_run_cache(self):
-        ctx = Context(Mode.SIMULATED, seed=2)
-        child = ctx.fresh()
-        assert child.cache is ctx.cache
-
 
 class TestSecurityParams:
     def test_defaults_match_paper(self):
