@@ -8,7 +8,12 @@ import pytest
 
 from repro.mpc import SecurityParams
 from repro.mpc.context import Context, Mode
-from repro.mpc.costs import CircuitCounts, circuit_counts, merge_chain_counts
+from repro.mpc.costs import (
+    CircuitCounts,
+    circuit_counts,
+    garbled_bytes,
+    merge_chain_counts,
+)
 from repro.mpc.gadgets import (
     bits_of,
     div_reveal_circuit,
@@ -210,11 +215,16 @@ class TestCounts:
             )
 
     @pytest.mark.parametrize("template", [merge_or_circuit])
-    def test_merge_chain_counts_are_exact(self, template):
+    @pytest.mark.parametrize("ell", [32, 48])
+    def test_merge_chain_counts_are_exact(self, template, ell):
+        """The extrapolated counts equal the built chain's, and so price
+        to the same bytes at either ring width the engine charges at."""
         for n in range(2, 10):
             got = merge_chain_counts(template, n)
             assert isinstance(got, CircuitCounts)
-            assert got == circuit_counts(template(n)), n
+            built = circuit_counts(template(n))
+            assert got == built, n
+            assert garbled_bytes(got, 1, ell) == garbled_bytes(built, 1, ell)
 
     @pytest.mark.parametrize("ell", [32, 48])
     def test_no_template_has_a_dead_gate(self, ell):
