@@ -196,14 +196,14 @@ class _Estimator:
 
     def psi(self, m: int, n: int, shared_payload: bool) -> int:
         """One circuit PSI; returns its bin count."""
-        b, load = costs.psi_bins(self.p, m, n)
+        b = costs.psi_bins(self.p, m)
         if shared_payload:
             # Section 5.5: the other party's OEP into the PSI's payloads
             # runs first; the one onto the bins follows it.
             with self.meter.swapped_roles():
                 self.oep(n + b, n + b)
         self.meter.send(ALICE, costs.psi_seed_bytes(self.p.cuckoo_hashes))
-        charge_opprf(self.meter, self.ot, b, load)
+        charge_opprf(self.meter, self.ot, b, n)
         circuit = gadgets.psi_bin_circuit(
             self.p.ell,
             costs.psi_token_bits(b, self.p.sigma),

@@ -26,14 +26,14 @@ from .circuits.garbling import (
     SEED_BYTES,
     TABLE_HALVES,
 )
-from .cuckoo import max_bin_load, num_bins
+from .cuckoo import num_bins
+from .okvs import okvs_slots
 from .params import SecurityParams
 from .waksman import padded_size, switch_count
 
 __all__ = [
     "DH_TOKEN_BYTES",
     "FRAME_HEADER_BYTES",
-    "OPPRF_LIMB_BITS",
     "OPRF_WIDTH",
     "OUT_SIZE_BYTES",
     "SOFTSPOKEN_K",
@@ -51,7 +51,6 @@ __all__ = [
     "merge_chain_counts",
     "oep_widths",
     "opprf_hint_bytes",
-    "opprf_payload_limbs",
     "permutation_widths",
     "psi_bins",
     "psi_seed_bytes",
@@ -66,7 +65,7 @@ __all__ = [
 #: change to a message's size or to the message sequence, and folded
 #: into ``repro net``'s session id so that a journal or a peer of
 #: another format is refused at the start, not at a later divergence.
-WIRE_FORMAT = 5
+WIRE_FORMAT = 6
 
 #: The shape of one C-OT batch: consecutive ``(count, width)`` segments
 #: of same-width transfers.
@@ -259,14 +258,9 @@ def merge_chain_counts(
     return CircuitCounts(*(f2 + (n - 2) * (f3 - f2) for f2, f3 in zip(c2, c3)))
 
 
-def psi_bins(params: SecurityParams, m: int, n: int) -> Tuple[int, int]:
-    """``(n_bins, load)`` of a PSI between ``m`` cuckoo-side and ``n``
-    simple-hash-side items: the table size and the public bound every
-    bin's load is padded to."""
-    n_bins = num_bins(m, params.cuckoo_expansion)
-    return n_bins, max_bin_load(
-        n, n_bins, params.cuckoo_hashes, params.sigma
-    )
+def psi_bins(params: SecurityParams, m: int) -> int:
+    """The cuckoo table size of a PSI over ``m`` cuckoo-side items."""
+    return num_bins(m, params.cuckoo_expansion)
 
 
 def psi_seed_bytes(n_hashes: int) -> int:
@@ -282,28 +276,18 @@ def kkrt_setup_bytes(n_rows: int) -> int:
     return OPRF_WIDTH * ((n_rows + 7) // 8)
 
 
-#: Bits of the masked payload one ``GF(2^61 - 1)`` element carries: an
-#: ``ell``-bit payload crosses the OPPRF as :func:`opprf_payload_limbs`
-#: elements, each below the prime.
-OPPRF_LIMB_BITS = 60
-
-
-def opprf_payload_limbs(ell: int) -> int:
-    """``ceil(ell / 60)``: one for every ``ell <= 60``."""
-    return -(-ell // OPPRF_LIMB_BITS)
-
-
-def opprf_hint_bytes(n_bins: int, load: int, ell: int) -> int:
-    """Per bin, degree-``load - 1`` polynomials of 8-byte
-    ``GF(2^61 - 1)`` coefficients: one for the match token and one per
-    limb of the ``ell``-bit masked payload."""
-    return 8 * (1 + opprf_payload_limbs(ell)) * load * n_bins
+def opprf_hint_bytes(params: SecurityParams, n: int) -> int:
+    """The OPPRF's one OKVS of 16-byte slots, sized for the at most
+    ``cuckoo_hashes * n`` simple-hash entries of ``n`` items: a token
+    and an ``ell <= 64``-bit masked payload fit one slot."""
+    return 16 * okvs_slots(params.cuckoo_hashes * n, params.sigma)
 
 
 def psi_token_bits(n_bins: int, sigma: int) -> int:
     """Match-token width: sigma + log2(B) bits bound the probability of
     any bin's comparison colliding spuriously by 2^-sigma (PSTY19);
-    capped at the OPPRF field size."""
+    capped at 61 bits, the field width of the polynomial OPPRF the OKVS
+    replaced, so that the bin circuits stayed as they were."""
     return min(61, sigma + max(1, math.ceil(math.log2(max(n_bins, 2)))))
 
 

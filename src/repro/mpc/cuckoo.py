@@ -5,7 +5,9 @@ functions so that each bin holds at most one item (failure probability
 below ``2^-sigma``; on failure we re-draw hash seeds, which the protocol
 permits since seeds are chosen before any data-dependent interaction).
 Bob hashes each of his items into *all three* candidate bins ("simple
-hashing"), padding every bin to a public maximum load.
+hashing"); his entries are programmed into one oblivious key-value
+store sized by his item count (:mod:`repro.mpc.okvs`), so no bin is
+padded.
 
 Items are serialised with a canonical encoding shared by both parties
 and hashed **once** into a 32-byte digest, one row of an ``(n, 4)``
@@ -37,7 +39,7 @@ __all__ = [
     "candidate_bins",
     "CuckooTable",
     "simple_hash_bins",
-    "max_bin_load",
+    "splitmix",
     "num_bins",
     "FINGERPRINT_BITS",
     "DUMMY_ALICE",
@@ -127,74 +129,21 @@ def candidate_bins(
     out = np.empty((len(digests), len(seeds)), dtype=np.int64)
     for h, seed in enumerate(seeds):
         k0, k1 = np.frombuffer(seed, dtype="<u8")
-        x = digests[:, 1 + h % 3] ^ k0
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        out[:, h] = ((x ^ (x >> np.uint64(31))) + k1) % np.uint64(n_bins)
+        x = splitmix(digests[:, 1 + h % 3] ^ k0)
+        out[:, h] = (x + k1) % np.uint64(n_bins)
     return out
+
+
+def splitmix(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 finaliser, elementwise on ``uint64`` words."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
 
 def num_bins(n_items: int, expansion: float = 1.27) -> int:
     """Cuckoo table size ``B`` (footnote 3: B = 1.27 M suffices)."""
     return max(1, math.ceil(n_items * expansion))
-
-
-def _binom_isf(q: float, n: int, p: float) -> int:
-    """Smallest ``k`` with ``P[Binomial(n, p) > k] <= q``, for
-    ``q < 1/2``.  The tail is summed smallest term first, from a
-    log-space anchor at ``floor(np)``: a binomial's median — hence the
-    answer — is at least that."""
-    if p >= 1.0:
-        return n
-    k = int(n * p)
-    term = math.exp(
-        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-        + k * math.log(p) + (n - k) * math.log1p(-p)
-    )
-    odds = p / (1.0 - p)
-    terms: List[float] = []  # terms[i] = P[X = k + 1 + i]
-    while k + len(terms) < n and term > q * 2.0**-64:
-        j = k + len(terms)
-        term *= (n - j) / (j + 1) * odds
-        terms.append(term)
-    tail = 0.0
-    while terms and tail + terms[-1] <= q:
-        tail += terms.pop()
-    return k + len(terms)
-
-
-def max_bin_load(
-    n_items: int, n_bins: int, n_hashes: int = 3, sigma: int = 40
-) -> int:
-    """Public bound ``L`` on Bob's simple-hash bin load such that
-    ``B * P[Binomial(n_hashes * N, 1/B) > L] < 2^-sigma``.
-
-    It depends only on public sizes, so padding to it leaks nothing —
-    and it is a wire size: the exact tail down to ``1e-14`` and the
-    looser Chernoff scan below are pinned (tests/test_cuckoo.py, to
-    the ``scipy.stats.binom.isf`` values they were first computed with).
-    """
-    if n_items == 0:
-        return 1
-    n = n_items * n_hashes
-    p = 1.0 / n_bins
-    target = 2.0 ** (-sigma) / n_bins
-    # Smallest L with P[Bin(n,p) > L] < target.
-    load = _binom_isf(max(target, 1e-14), n, p) + 1
-    if target < 1e-14:
-        mean = n * p
-        # Chernoff: P[X > L] <= exp(-mean) * (e*mean/L)^L — valid (and
-        # decreasing in L) only for L > mean, so clamp the scan start:
-        # from below the mean the bound is vacuous and the first
-        # spuriously-small log_tail would end the scan at an L that the
-        # binomial tail exceeds by orders of magnitude.
-        load = max(load, math.ceil(mean) + 1)
-        while load <= n:
-            log_tail = -mean + load * (1 + math.log(mean / load))
-            if log_tail < math.log(target):
-                break
-            load += 1
-    return min(load, n)
 
 
 class CuckooTable:

@@ -4,12 +4,13 @@ Protocol outline (Pinkas et al. [27], PSTY19 shape):
 
 1. Alice cuckoo-hashes her set into ``B = 1.27 M`` bins (3 hash
    functions, at most one item per bin) and sends the hash seeds.
-2. Bob simple-hashes each of his items into all 3 candidate bins; the
-   per-bin load is padded to the public bound ``L`` (Section 5.3's
-   "details of cuckoo hashing").
+2. Bob simple-hashes each of his items into all 3 candidate bins
+   (Section 5.3's "details of cuckoo hashing").
 3. A batched OPRF gives Alice one pseudorandom value per bin; Bob
-   programs per-bin OPPRF polynomials so that any of his items in the
-   bin evaluates to his chosen match token ``s_b`` and to the masked
+   programs the OPPRF as one oblivious key-value store over his
+   ``(bin, item)`` entries (:mod:`repro.mpc.okvs`), sized by his item
+   count alone, so that any of his items in a bin decodes, under the
+   bin's OPRF, to his chosen match token ``s_b`` and to the masked
    payload ``z_y - w_b``.
 4. One small garbled circuit per bin compares Alice's OPPRF output with
    ``s_b`` and produces ``[[Ind(x_b in Y)]]`` and the payload — in
@@ -31,10 +32,8 @@ import numpy as np
 from .batch import bits_to_words, sorted_lookup, words_to_bits
 from .context import ALICE, BOB, Context, Meter, Mode
 from .costs import (
-    OPPRF_LIMB_BITS,
     circuit_counts,
     opprf_hint_bytes,
-    opprf_payload_limbs,
     psi_bins,
     psi_seed_bytes,
     psi_token_bits,
@@ -49,13 +48,8 @@ from .cuckoo import (
     simple_hash_bins,
 )
 from .gadgets import psi_bin_circuit
-from .oprf import (
-    OPPRF_PRIME,
-    BatchedOprf,
-    charge_oprf_setup,
-    horner,
-    interpolate,
-)
+from .okvs import Okvs
+from .oprf import BatchedOprf, charge_oprf_setup
 from .ot import OT
 from .sharing import SharedVector, as_ring_column
 from .yao import RealInputs, garbled_call
@@ -111,7 +105,7 @@ def psi_with_payloads(
         raise ValueError("PSI requires distinct items on Bob's side")
 
     with ctx.section(label):
-        n_bins, load = psi_bins(ctx.params, len(alice), len(bob))
+        n_bins = psi_bins(ctx.params, len(alice))
         table = CuckooTable(
             alice,
             n_bins,
@@ -119,13 +113,6 @@ def psi_with_payloads(
             seed=int(ctx.rng.integers(0, 2**31)),
         )
         ctx.send(ALICE, psi_seed_bytes(ctx.params.cuckoo_hashes), "seeds")
-
-        members, counts = simple_hash_bins(bob, table.seeds, n_bins)
-        if counts.max() > load:
-            raise RuntimeError(
-                "simple-hash bin exceeded its statistical load bound "
-                "(probability < 2^-sigma); re-run with fresh seeds"
-            )
 
         payloads = as_ring_column(bob_payloads, ctx.modulus)
         fallbacks = (
@@ -146,8 +133,7 @@ def psi_with_payloads(
 
         fp_bits = psi_token_bits(n_bins, ctx.params.sigma)
         opprf = _opprf(
-            ctx, ot, alice_fps, bob_fps, members, counts, load, payloads,
-            fp_bits,
+            ctx, ot, table.seeds, alice_fps, bob, bob_fps, payloads, fp_bits
         )
 
         # One garbled circuit per bin.
@@ -200,97 +186,53 @@ def psi_with_payloads(
 def _opprf(
     ctx: Context,
     ot: OT,
+    seeds: Sequence[bytes],
     alice_fps: np.ndarray,
+    bob: np.ndarray,
     bob_fps: np.ndarray,
-    members: np.ndarray,
-    counts: np.ndarray,
-    load: int,
     bob_payloads: np.ndarray,
     fp_bits: int,
 ) -> Tuple[np.ndarray, ...]:
-    """Step 3 — PSI's one mode fork: the batched OPRF, then Bob's
-    OPPRF polynomials, every bin at once.  REAL returns, per bin,
-    Alice's evaluations ``(token, masked payload)`` and Bob's targets
-    ``(match token s, payload mask w)`` — the bin circuits' inputs;
-    SIMULATED charges the same messages and has no values to return."""
+    """Step 3 — PSI's one mode fork: the batched OPRF, then Bob's OKVS
+    over his entries.  REAL returns, per bin, Alice's decoded
+    ``(token, masked payload)`` and Bob's targets ``(match token s,
+    payload mask w)`` — the bin circuits' inputs; SIMULATED charges the
+    same messages and has no values to return."""
     n_bins = len(alice_fps)
-    ell = ctx.params.ell
     if ctx.mode == Mode.SIMULATED:
-        charge_opprf(ctx, ot, n_bins, load)
+        charge_opprf(ctx, ot, n_bins, len(bob))
         return ()
     rng = ctx.rng
-    prime = np.uint64(OPPRF_PRIME)
     oprf = BatchedOprf(ctx, ot, alice_fps)
-    # Bob's items in their bins: the (n_bins, load) point matrix holds
-    # item members[e] at ``entry`` e — row bins[e], column its rank in
-    # the bin.
+    # Bob's entries: item members[e] in bin bins[e], keyed (bin, item)
+    # — distinct, since an item whose hashes collide enters a bin once.
+    members, counts = simple_hash_bins(bob, seeds, n_bins)
     bins = np.repeat(np.arange(n_bins), counts)
-    starts = np.cumsum(counts) - counts
-    entry = (bins, np.arange(len(members)) - np.repeat(starts, counts))
+    keys = np.stack([bins.astype(np.uint64), bob_fps[members]], axis=1)
 
-    # Points: his items' OPRF values, random fillers up to the load.
-    xs = rng.integers(0, OPPRF_PRIME, size=(n_bins, load), dtype=np.uint64)
-    xs[entry] = oprf.bob_eval(bins, bob_fps[members]) % prime
-    filler = np.ones((n_bins, load), dtype=bool)
-    filler[entry] = False
-    _make_distinct(rng, xs, filler)
-
-    # Values: the bin's match token s and each payload masked with the
-    # bin's w (random at fillers), the payload cut into limbs below
-    # the prime — one polynomial per value row, all through the bin's
-    # points.
-    token_mod = 1 << fp_bits
-    s_tokens = rng.integers(
-        0, min(token_mod, OPPRF_PRIME), size=n_bins, dtype=np.uint64
-    )
+    # Values: the bin's match token s and the payload masked with the
+    # bin's w, one 16-byte slot padded with the entry's OPRF output.
+    s_tokens = rng.integers(0, 1 << fp_bits, size=n_bins, dtype=np.uint64)
     w_masks = ctx.random_ring_vector(n_bins)
-    tokens = rng.integers(0, OPPRF_PRIME, size=(n_bins, load), dtype=np.uint64)
-    tokens[entry] = s_tokens[bins]
-    masked = ctx.random_ring_vector(n_bins * load).reshape(n_bins, load)
-    masked[entry] = (bob_payloads[members] - w_masks[bins]) & ctx.mask
-    shifts = OPPRF_LIMB_BITS * np.arange(
-        opprf_payload_limbs(ell), dtype=np.uint64
+    masked = (bob_payloads[members] - w_masks[bins]) & ctx.mask
+    values = np.stack([s_tokens[bins], masked], axis=1)
+    values ^= oprf.bob_eval(bins, keys[:, 1])
+    okvs = Okvs(
+        ctx.params.cuckoo_hashes * len(bob), ctx.params.sigma, b"".join(seeds)
     )
-    limbs = (masked[:, None] >> shifts[:, None]) & np.uint64(
-        (1 << OPPRF_LIMB_BITS) - 1
-    )
-    coeffs = interpolate(xs, np.concatenate([tokens[:, None], limbs], axis=1))
-    ctx.send(BOB, 8 * coeffs.size, "opprf_hints")
+    table = okvs.encode(keys, values, rng)
+    ctx.send(BOB, table.nbytes, "opprf_hints")
 
-    # Alice evaluates her bin's polynomials at her OPRF value.
-    at = horner(coeffs, oprf.alice_values % prime)
-    alice_tokens = at[:, 0] & np.uint64(token_mod - 1)
-    alice_payloads = (at[:, 1:] << shifts).sum(axis=1, dtype=np.uint64)
-    return alice_tokens, alice_payloads & ctx.mask, s_tokens, w_masks
+    # Alice decodes her bins' keys and strips her OPRF outputs.
+    mine = np.stack([np.arange(n_bins, dtype=np.uint64), alice_fps], axis=1)
+    at = okvs.decode(table, mine) ^ oprf.alice_values
+    token_mask = np.uint64((1 << fp_bits) - 1)
+    return at[:, 0] & token_mask, at[:, 1] & ctx.mask, s_tokens, w_masks
 
 
-def charge_opprf(ctx: Meter, ot: OT, n_bins: int, load: int) -> None:
+def charge_opprf(ctx: Meter, ot: OT, n_bins: int, n_bob: int) -> None:
     """SIMULATED mode: charge what :func:`_opprf` sends for ``n_bins``
-    bins of Bob's ``load`` — the OPRF set-up, then the hints."""
+    bins and ``n_bob`` items of Bob's — the OPRF set-up, then the
+    OKVS."""
     charge_oprf_setup(ctx, ot, n_bins)
-    ctx.send(
-        BOB, opprf_hint_bytes(n_bins, load, ctx.params.ell), "opprf_hints"
-    )
-
-
-def _make_distinct(
-    rng: np.random.Generator, xs: np.ndarray, filler: np.ndarray
-) -> None:
-    """Redraw filler points until each row of ``xs`` is distinct; two
-    of Bob's own points colliding is the OPRF's failure event."""
-    while True:
-        order = np.argsort(xs, axis=1)
-        srt = np.take_along_axis(xs, order, axis=1)
-        rows, cols = np.nonzero(srt[:, 1:] == srt[:, :-1])
-        if not len(rows):
-            return
-        left, right = order[rows, cols], order[rows, cols + 1]
-        if not (filler[rows, left] | filler[rows, right]).all():
-            raise RuntimeError(
-                "OPRF output collision inside a bin (probability "
-                "< 2^-sigma); re-run with fresh seeds"
-            )
-        redraw = np.where(filler[rows, right], right, left)
-        xs[rows, redraw] = rng.integers(
-            0, OPPRF_PRIME, size=len(rows), dtype=np.uint64
-        )
+    ctx.send(BOB, opprf_hint_bytes(ctx.params, n_bob), "opprf_hints")

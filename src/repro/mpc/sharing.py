@@ -13,6 +13,7 @@ constant) need no communication, exactly as in the paper.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence, Union
 
 import numpy as np
@@ -32,6 +33,10 @@ __all__ = [
 
 def _to_ring(values: Sequence[int] | np.ndarray, modulus: int) -> np.ndarray:
     arr = np.asarray(values)
+    if arr.dtype.kind == "f" and not isinstance(values, np.ndarray):
+        # Python ints of 2^63 and more beside smaller ones convert to
+        # floats: keep them objects (the path below refuses real floats).
+        arr = np.asarray(values, dtype=object)
     if arr.size == 0:
         return np.zeros(0, dtype=np.uint64)
     if arr.dtype.kind == "f":
@@ -39,7 +44,8 @@ def _to_ring(values: Sequence[int] | np.ndarray, modulus: int) -> np.ndarray:
     if arr.dtype.kind not in ("i", "u", "b"):
         # Object arrays (Python bignums): reduce in object space.
         return np.asarray(
-            [int(v) % modulus for v in arr.tolist()], dtype=np.uint64
+            [operator.index(v) % modulus for v in arr.tolist()],
+            dtype=np.uint64,
         )
     # Reduce in uint64 space: the unsigned cast wraps mod 2^64 (exact
     # for negatives), and the ring modulus divides 2^64, so the mask

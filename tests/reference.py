@@ -2,14 +2,13 @@
 
 The batch kernels in :mod:`repro.mpc.batch` and the SoftSpokenOT
 extension built on them replaced one-value-at-a-time loops, and so did
-the batched OPPRF interpolation of :mod:`repro.mpc.oprf` and the
-level-wise Beneš router and permutation staging of
+the level-wise Beneš router and permutation staging of
 :mod:`repro.mpc.waksman` and :mod:`repro.mpc.oep`, and the level-wise
 three-halves garbler and evaluator of
 :mod:`repro.mpc.circuits.garbling`.  The scalar forms
-live on here, one block, pair, tree, bin or switch at a time, and the
+live on here, one block, pair, tree or switch at a time, and the
 differential tests in ``tests/test_batch_kernels.py``,
-``tests/test_oprf.py``, ``tests/test_waksman.py``, ``tests/test_oep.py``
+``tests/test_waksman.py``, ``tests/test_oep.py``
 and ``tests/test_garbling.py`` pin the vectorised code against them:
 identical outputs and byte-identical transcript fingerprints.  The
 templates that keep a party's plaintext out of the circuit — the zero
@@ -32,7 +31,6 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from repro.mpc.batch import FIXED_KEY
 from repro.mpc.context import ALICE, BOB
-from repro.mpc.oprf import OPPRF_PRIME
 from repro.mpc.costs import SOFTSPOKEN_K as K
 from repro.mpc.ot import Pair, SoftSpokenExtension, _kdf
 
@@ -48,11 +46,6 @@ __all__ = [
     "zero_test",
     "merge_sum_chain",
     "evaluator_row",
-    "mod_inv",
-    "lagrange_basis",
-    "poly_from_basis",
-    "poly_interpolate",
-    "poly_eval",
     "route_swaps",
     "ep_permutations",
     "copy_pass",
@@ -391,66 +384,6 @@ def evaluator_row(
     mask = (1 << ell) - 1
     chosen = pad + (1 - 2 * colour) * x if permute else pad
     return (colour * x - pad) & mask, chosen & mask
-
-
-# -- polynomial OPPRF over GF(2^61 - 1), one bin at a time ---------------
-
-
-def mod_inv(x: int, p: int = OPPRF_PRIME) -> int:
-    return pow(x, p - 2, p)
-
-
-def lagrange_basis(
-    xs: Sequence[int], p: int = OPPRF_PRIME
-) -> List[List[int]]:
-    """The Lagrange basis over ``xs``: row ``i`` holds the coefficients
-    (low degree first) of the polynomial that is 1 at ``xs[i]`` and 0 at
-    every other point.  ``O(n^2)``: the master polynomial
-    ``prod (X - x_j)`` is built once and divided synthetically per point."""
-    xs = [x % p for x in xs]
-    n = len(xs)
-    if len(set(xs)) != n:
-        raise ValueError("interpolation points must have distinct x")
-    master = [1]
-    for x in xs:  # master *= (X - x)
-        master = [
-            (lo - hi * x) % p for lo, hi in zip([0] + master, master + [0])
-        ]
-    basis = []
-    for x in xs:
-        quotient = [0] * n  # master / (X - x), by synthetic division
-        acc = 0
-        for k in range(n - 1, -1, -1):
-            acc = (master[k + 1] + acc * x) % p
-            quotient[k] = acc
-        scale = mod_inv(poly_eval(quotient, x, p), p)
-        basis.append([c * scale % p for c in quotient])
-    return basis
-
-
-def poly_from_basis(
-    basis: Sequence[Sequence[int]], ys: Sequence[int], p: int = OPPRF_PRIME
-) -> List[int]:
-    """Coefficients of ``sum_i ys[i] * basis[i]``: the polynomial through
-    ``(xs[i], ys[i])`` for the basis of :func:`lagrange_basis`."""
-    return [sum(y * c for y, c in zip(ys, col)) % p for col in zip(*basis)]
-
-
-def poly_interpolate(
-    points: Sequence[Tuple[int, int]], p: int = OPPRF_PRIME
-) -> List[int]:
-    """Lagrange interpolation: coefficients (low degree first) of the
-    unique degree-``len(points)-1`` polynomial through ``points``."""
-    return poly_from_basis(
-        lagrange_basis([x for x, _ in points], p), [y for _, y in points], p
-    )
-
-
-def poly_eval(coeffs: Sequence[int], x: int, p: int = OPPRF_PRIME) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
 
 
 # -- Beneš routing, one sub-network at a time ----------------------------

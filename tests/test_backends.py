@@ -99,10 +99,12 @@ class TestEstimatorBoundary:
         for m, n in [(4, 256), (4, 512), (8, 512)]:
             assert node_cost(m, n, "yannakakis") < node_cost(m, n, "linear")
 
-    @pytest.mark.parametrize("n, last", [(256, 36), (512, 80), (1024, 177)])
+    @pytest.mark.parametrize("n, last", [(256, 50), (512, 100), (1024, 213)])
     def test_boundary_rows(self, n, last):
         # The largest parent a plain child of n rows still sends to the
-        # PSI: 18 / 40 / 90 while a DH-OPRF element was 256 bytes, 17 /
+        # PSI: 36 / 80 / 177 while the OPPRF hints were per-bin
+        # polynomials padded to the worst bin, 18 / 40 / 90 while a
+        # DH-OPRF element was 256 bytes, 17 /
         # 39 / 87 while shared bin outputs were masked in the circuit,
         # 25 / 55 / 123 while the bin circuits' input labels crossed as
         # OT corrections, 32 / 72 / 159 while the OT extension's ``u``
@@ -155,19 +157,19 @@ class TestRouting:
     @pytest.mark.parametrize(
         "ell, winner, prices",
         [
-            (32, "linear", {"yannakakis": 642_875, "linear": 613_756}),
-            (48, "yannakakis", {"yannakakis": 702_757, "linear": 834_490}),
+            (32, "linear", {"yannakakis": 677_280, "linear": 629_756}),
+            (48, "yannakakis", {"yannakakis": 768_708, "linear": 861_690}),
         ],
     )
     def test_auto_routes_at_the_relations_ring_width(self, ell, winner, prices):
-        # Parent 190 x child 1024 (104 while AND tables were
+        # Parent 240 x child 1024 (104 while AND tables were
         # half-gates', 120 while the bin circuits garbled Alice's
-        # payload),
+        # payload, 190 while the OPPRF hints were padded polynomials),
         # cross-owner, both plain: the fold's winner depends on the
         # ring width, so routing every query at the default ell = 32
         # sent this one to the dearer back-end at ell = 48 while the
         # estimator priced it at its own width.
-        q = two_relation_query(190, 1024, ring=IntegerRing(ell))
+        q = two_relation_query(240, 1024, ring=IntegerRing(ell))
         sizes = {n: len(r) for n, r in q.relations.items()}
         assert estimate_node_costs(
             q.plan(), sizes, q.owners, params=q.ring_params()

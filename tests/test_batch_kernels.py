@@ -437,50 +437,3 @@ class TestExponentWidth:
         assert p256.random_scalar(ctx1.random_bytes) == p256.random_scalar(
             ctx2.random_bytes
         )
-
-
-# ----------------------------------------------------------------------
-# Cuckoo max_bin_load Chernoff-scan boundary (the log-domain bugfix)
-# ----------------------------------------------------------------------
-
-
-class TestMaxBinLoad:
-    def test_scan_starts_above_mean(self):
-        """With a tiny tail target the Chernoff scan runs; the returned
-        load must exceed the binomial mean (below it the bound is
-        vacuous and, pre-fix, log(mean/load) could pick a spurious L)."""
-        import math
-
-        from repro.mpc.cuckoo import max_bin_load
-
-        for n_items, n_bins, sigma in [
-            (10_000, 13, 128),
-            (5_000, 7, 200),
-            (100_000, 127, 160),
-        ]:
-            load = max_bin_load(n_items, n_bins, sigma=sigma)
-            mean = n_items * 3 / n_bins
-            assert load > mean
-            # And the Chernoff tail at the returned load really is below
-            # the per-bin budget.
-            target = 2.0 ** (-sigma) / n_bins
-            log_tail = -mean + load * (1 + math.log(mean / load))
-            assert log_tail < math.log(target)
-
-    def test_monotone_in_sigma(self):
-        from repro.mpc.cuckoo import max_bin_load
-
-        loads = [
-            max_bin_load(1000, 1270, sigma=s) for s in (20, 40, 80, 160, 320)
-        ]
-        assert loads == sorted(loads)
-        assert all(l >= 1 for l in loads)
-
-    def test_no_exceptions_over_grid(self):
-        from repro.mpc.cuckoo import max_bin_load
-
-        for n_items in (0, 1, 2, 17, 400):
-            for n_bins in (1, 2, 13, 512):
-                for sigma in (1, 40, 300):
-                    load = max_bin_load(n_items, n_bins, sigma=sigma)
-                    assert 1 <= load <= max(1, n_items * 3)

@@ -213,7 +213,7 @@ class TestServeAdmitsAndRejectsTpch:
             "--scale", "tiny", "--check-solo",
         ]) == 0
         out = capsys.readouterr().out
-        assert out.count("done, 46 msgs, 1.17 MB  [== solo]") == 2
+        assert out.count("done, 46 msgs, 1.04 MB  [== solo]") == 2
 
 
 def _subparsers():

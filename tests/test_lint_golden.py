@@ -48,8 +48,8 @@ MUTATIONS = {
     # its REAL twin does not send (in the charge function it calls).
     "psi_label_renamed": (
         "repro/mpc/psi.py",
-        'ctx.params.ell), "opprf_hints"',
-        'ctx.params.ell), "opprf_hint"',
+        'n_bob), "opprf_hints"',
+        'n_bob), "opprf_hint"',
     ),
     # OBL007: a declared atom nothing in the call closure produces.
     "reveal_unwitnessed_atom": (

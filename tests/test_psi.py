@@ -131,6 +131,30 @@ class TestObliviousness:
             real.transcript.total_bytes == sim.transcript.total_bytes
         )
 
+    @pytest.mark.real
+    def test_real_transcript_independent_of_bobs_entries(self):
+        """The OKVS is sized by Bob's item count, never by his entry
+        count: two REAL runs with the same set sizes but different
+        intersections and a different number of Bob's items whose bin
+        hashes collide send identical transcripts, each equal to
+        SIMULATED's."""
+        from repro.mpc.cuckoo import item_digests, simple_hash_bins
+
+        alice = [("k", i) for i in range(4)]  # 6 bins: hashes collide
+        bobs = [[("k", i) for i in range(2, 14)], [("c", i) for i in range(12)]]
+        prints, entries = [], []
+        for mode, bob in [(Mode.REAL, b) for b in bobs] + [
+            (Mode.SIMULATED, bobs[0])
+        ]:
+            ctx, res = run_psi(mode, alice, bob, list(range(12)), seed=5)
+            prints.append(ctx.transcript.fingerprint())
+            members, _ = simple_hash_bins(
+                item_digests(bob), res.table.seeds, res.n_bins
+            )
+            entries.append(len(members))
+        assert entries[0] != entries[1]  # collisions differ
+        assert prints[0] == prints[1] == prints[2]
+
     def test_shares_are_fresh_random(self):
         ctx, res = run_psi(
             Mode.SIMULATED, [("k", 1)], [("k", 1)], [5], seed=1
@@ -144,15 +168,15 @@ class TestObliviousness:
 
 
 @pytest.mark.real
-@pytest.mark.parametrize("ell", [32, 60, 61, 62, 63])
+@pytest.mark.parametrize("ell", [32, 60, 61, 62, 63, 64])
 def test_real_payloads_match_plaintext_at_every_ring_width(ell):
-    """An ``ell``-bit masked payload crosses the OPPRF as ``ceil(ell /
-    60)`` elements of ``GF(2^61 - 1)``, so REAL recovers every payload
-    at ``ell`` 62 and 63 too, where one field element cannot hold it.
-    The hints grow by one polynomial per bin past 60 bits, in both
-    modes alike; at ``ell <= 60`` they are the two polynomials they
-    always were."""
+    """An ``ell``-bit masked payload crosses the OPPRF in one 16-byte
+    OKVS slot beside the match token, so REAL recovers every payload up
+    to ``ell`` 64.  The hint is one slot per 1.3 of Bob's at most three
+    entries per item, plus the dense part, in both modes alike and at
+    every ``ell``."""
     from repro.mpc import SecurityParams, costs
+    from repro.mpc.okvs import dense_width
 
     rng = np.random.default_rng(ell)
     payloads = [int(v) for v in rng.integers(0, 2**ell, 8, dtype=np.uint64)]
@@ -169,6 +193,8 @@ def test_real_payloads_match_plaintext_at_every_ring_width(ell):
         prints.append(ctx.transcript.fingerprint())
     assert prints[0] == prints[1]
     (hints,) = [n for _, n, label in prints[0] if label.endswith("hints")]
-    n_bins, load = costs.psi_bins(ctx.params, len(alice), len(bob))
-    assert hints == costs.opprf_hint_bytes(n_bins, load, ell)
-    assert hints == 8 * (2 if ell <= 60 else 3) * load * n_bins
+    assert hints == costs.opprf_hint_bytes(ctx.params, len(bob))
+    # 24 entries: 3 thirds of ceil(1.3 * 24 / 3) = 11 slots, then the
+    # dense part, one slot past sigma at this size (E = 1.5)
+    assert dense_width(24, 40) == 41
+    assert hints == 16 * (3 * 11 + 41)

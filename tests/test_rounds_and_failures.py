@@ -8,7 +8,6 @@ exercises the statistical-failure escape hatches.
 import numpy as np
 import pytest
 
-import repro.mpc.costs as costs_mod
 from repro.mpc import Context, Engine, Mode
 from repro.mpc.oep import oblivious_extended_permutation
 from repro.mpc.ot import make_ot
@@ -71,14 +70,32 @@ class TestConstantRounds:
 
 
 class TestFailureInjection:
-    def test_bin_overflow_detected(self, monkeypatch):
-        """If the statistical load bound were violated the protocol must
-        abort rather than truncate silently."""
-        monkeypatch.setattr(costs_mod, "max_bin_load", lambda *a, **k: 0)
-        ctx = Context(Mode.SIMULATED, seed=2)
+    @pytest.mark.real
+    def test_okvs_encoding_failure_aborts(self, monkeypatch):
+        """An OKVS whose rows are dependent (forced here: every key
+        hashes to one row) aborts the PSI: one encoding, no retry with
+        fresh seeds, and no hint sent."""
+        from repro.mpc.okvs import Okvs
+
+        rows, encode, calls = Okvs.rows, Okvs.encode, []
+
+        def counted(self, keys, *rest):
+            calls.append(len(keys))
+            return encode(self, keys, *rest)
+
+        monkeypatch.setattr(
+            Okvs, "rows", lambda self, keys: rows(self, keys[[0] * len(keys)])
+        )
+        monkeypatch.setattr(Okvs, "encode", counted)
+        ctx = Context(Mode.REAL, seed=2)
         ot = make_ot(ctx)
-        with pytest.raises(RuntimeError, match="load bound"):
+        with pytest.raises(RuntimeError, match="OKVS encoding failed"):
             psi_with_payloads(ctx, ot, [1, 2, 3], [1, 2], [5, 6])
+        assert len(calls) == 1 and calls[0] > 1
+        assert not any(
+            label.endswith("opprf_hints")
+            for _, _, label in ctx.transcript.fingerprint()
+        )
 
     def test_cuckoo_exhaustion_surfaces(self):
         from repro.mpc.cuckoo import CuckooTable

@@ -92,4 +92,4 @@ class TestCost:
 
         three, two = plans()
         # exact: EXPERIMENTS.md's ablation table quotes this pair (3.0x)
-        assert (run(three), run(two)) == (419_051, 1_544_652)
+        assert (run(three), run(two)) == (389_419, 1_455_756)
