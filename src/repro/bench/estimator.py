@@ -26,6 +26,7 @@ import math
 from contextlib import contextmanager, nullcontext
 from typing import (
     TYPE_CHECKING,
+    Callable,
     ContextManager,
     Dict,
     Iterator,
@@ -175,12 +176,19 @@ class _Estimator:
         with self.meter.swapped_roles() if reverse else nullcontext():
             self.ot.correlated(None, widths).finish()
 
-    def garbled(self, counts: costs.CircuitCounts, n: int) -> None:
+    def garbled(
+        self,
+        counts: costs.CircuitCounts,
+        n: int,
+        alice_flow: Optional[Callable[[], None]] = None,
+    ) -> None:
         """``n`` garblings of a template with these
-        :func:`~repro.mpc.costs.circuit_counts`."""
+        :func:`~repro.mpc.costs.circuit_counts`, ``alice_flow`` sending
+        in Alice's label flow."""
         garbled_call(
             self.meter, self.ot, counts, n,
             real=lambda: (), ideal=lambda: (None, None),
+            alice_flow=alice_flow,
         )
 
     def oep(self, m: int, n_out: int) -> None:
@@ -204,12 +212,20 @@ class _Estimator:
                 self.oep(n + b, n + b)
         self.meter.send(ALICE, costs.psi_seed_bytes(self.p.cuckoo_hashes))
         charge_opprf(self.meter, self.ot, b, n)
+        fp_bits = costs.psi_token_bits(b, self.p.sigma)
+        # the leaf OTs: Bob's random OTs, never finished, then Alice's
+        # messages once her label batch is open
+        with self.meter.swapped_roles():
+            self.ot.correlated(None, costs.leaf_ot_widths(b, fp_bits))
         circuit = gadgets.psi_bin_circuit(
             self.p.ell,
-            costs.psi_token_bits(b, self.p.sigma),
+            fp_bits,
             shared_payload,  # the payload is revealed iff it is an index
         )
-        self.garbled(costs.circuit_counts(circuit), b)
+        self.garbled(
+            costs.circuit_counts(circuit), b,
+            lambda: self.meter.send(ALICE, costs.leaf_bytes(b, fp_bits)),
+        )
         if shared_payload:
             self.oep(n + b, b)
         return b

@@ -5,7 +5,7 @@ arithmetic, matching the arithmetic secret-sharing ring).  Gadgets:
 
 * ``add`` / ``sub`` / ``neg``  — ripple-carry, final carry dropped (mod 2^ell)
 * ``mul``                      — shift-and-add schoolbook multiplier, low ell bits
-* ``eq`` / ``is_zero`` / ``nonzero``
+* ``eq`` / ``is_zero`` / ``nonzero`` / ``all_``
 * ``mux``                      — word select
 * ``lt_unsigned`` / ``gt_unsigned``
 * ``div_unsigned``             — restoring long division (for avg/ratio
@@ -154,6 +154,10 @@ class CircuitBuilder:
 
     def is_zero(self, xs: Word) -> Wire:
         return self._and_tree([self.not_(x) for x in xs])
+
+    def all_(self, bits: Sequence[Wire]) -> Wire:
+        """1 iff every bit is 1: a balanced tree of ``len - 1`` ANDs."""
+        return self._and_tree(bits)
 
     def nonzero(self, xs: Word) -> Wire:
         return self.not_(self.is_zero(xs))

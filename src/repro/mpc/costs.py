@@ -15,7 +15,7 @@ literals at the send sites).  REAL paths send what they actually built.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .circuits.circuit import Circuit
@@ -48,6 +48,10 @@ __all__ = [
     "garbled_bytes",
     "gilboa_widths",
     "kkrt_setup_bytes",
+    "LEAF_BITS",
+    "leaf_bytes",
+    "leaf_ot_widths",
+    "leaf_widths",
     "merge_chain_counts",
     "oep_widths",
     "opprf_hint_bytes",
@@ -65,7 +69,7 @@ __all__ = [
 #: change to a message's size or to the message sequence, and folded
 #: into ``repro net``'s session id so that a journal or a peer of
 #: another format is refused at the start, not at a later divergence.
-WIRE_FORMAT = 6
+WIRE_FORMAT = 7
 
 #: The shape of one C-OT batch: consecutive ``(count, width)`` segments
 #: of same-width transfers.
@@ -285,10 +289,42 @@ def opprf_hint_bytes(params: SecurityParams, n: int) -> int:
 
 def psi_token_bits(n_bins: int, sigma: int) -> int:
     """Match-token width: sigma + log2(B) bits bound the probability of
-    any bin's comparison colliding spuriously by 2^-sigma (PSTY19);
-    capped at 61 bits, the field width of the polynomial OPPRF the OKVS
-    replaced, so that the bin circuits stayed as they were."""
+    any bin's comparison colliding spuriously by 2^-sigma (PSTY19).
+    The token must fit one ``uint64`` word, column 0 of its OKVS value
+    slot, into which ``rng.integers(0, 1 << fp_bits)`` draws it; any
+    cap up to 63 would do, and 61 is kept so that no message moves."""
     return min(61, sigma + max(1, math.ceil(math.log2(max(n_bins, 2)))))
+
+
+#: Token bits per leaf of the PSI bins' OT equality test
+#: (:mod:`repro.mpc.leaves`): ``w = 4`` gives 14 leaves of a 55-bit
+#: token, so a 13-AND garbled tree, for 16-bit leaf messages; ``w = 5``
+#: trades 11 fewer ANDs for messages twice as wide (DESIGN.md,
+#: "Equality by OT leaves").  At most 5: a leaf's messages fill one
+#: ``uint64`` word at most half.
+LEAF_BITS = 4
+
+
+def leaf_widths(fp_bits: int) -> List[int]:
+    """The widths of an ``fp_bits``-bit token's leaves, low bits first:
+    :data:`LEAF_BITS` each, the last one the remainder."""
+    return [
+        min(LEAF_BITS, fp_bits - lo) for lo in range(0, fp_bits, LEAF_BITS)
+    ]
+
+
+def leaf_ot_widths(n_bins: int, fp_bits: int) -> Widths:
+    """The leaf OTs' one batch, never finished: a random OT per token
+    bit and bin, each pad ``2^w`` bits — one bit for every message of
+    its leaf's 1-of-``2^w`` OT."""
+    return [(n_bins * fp_bits, ((1 << LEAF_BITS) + 7) // 8)]
+
+
+def leaf_bytes(n_bins: int, fp_bits: int) -> int:
+    """Alice's leaf messages: per bin and leaf of ``w`` bits, ``2^w``
+    one-bit messages, packed across the batch."""
+    bits = sum(1 << w for w in leaf_widths(fp_bits))
+    return (n_bins * bits + 7) // 8
 
 
 def dh_oprf_bytes(m: int, n: int) -> Tuple[int, int, int]:

@@ -8,7 +8,9 @@ so no template adds a mask, and Bob's tuples leave the reveal template
 by label-keyed disclosure (:meth:`CircuitBuilder.disclose`), not a
 mux.  A value one party holds in the clear stays out of the circuit:
 the zero tests compare Alice's share with Bob's negated one instead of
-adding them, and a PSI bin's payload is a row weighted by Alice.  (The
+adding them, and a PSI bin's payload is a row weighted by Alice.  A PSI
+bin garbles only the AND of its token's leaf equalities, which OTs
+left XOR-shared (:mod:`repro.mpc.leaves`).  (The
 Section 6.1 sum chain has no template: its one product per row is with
 Alice's boundary bit, one C-OT in
 :meth:`repro.mpc.engine.Engine.merge_aggregate_sum`.)  REAL mode
@@ -27,6 +29,7 @@ from typing import List
 
 from .circuits.builder import CircuitBuilder
 from .circuits.circuit import Circuit
+from .costs import leaf_widths
 
 __all__ = [
     "bits_of",
@@ -106,14 +109,19 @@ def merge_or_circuit(n: int) -> Circuit:
 
 @functools.lru_cache(maxsize=None)
 def psi_bin_circuit(ell: int, fp_bits: int, reveal_payload: bool) -> Circuit:
-    """Per-bin matching circuit of the PSI protocol (Sections 5.3/5.5).
+    """Per-bin matching circuit of the PSI protocol (Sections 5.3/5.5)
+    for ``fp_bits``-bit match tokens, compared leaf by leaf.
 
-    Alice: ``t (fp_bits)``, then ``p (ell)`` when the payload is
-    revealed — her OPPRF outputs for this bin; Bob: ``s (fp_bits)``,
-    then ``w (ell) | fallback (ell)`` when the payload is revealed.
+    The leaf OTs (:mod:`repro.mpc.leaves`) leave each of the token's
+    ``n = len(leaf_widths(fp_bits))`` leaves XOR-shared: Alice's mask
+    ``r_j`` and Bob's bit ``b_j = r_j ^ [t_j == s_j]``.  Alice: ``r
+    (n)``, then ``p (ell)`` when the payload is revealed — her OPPRF
+    payload for this bin; Bob: ``b (n)``, then ``w (ell) | fallback
+    (ell)`` when the payload is revealed.
 
-    ``m = eq(t, s)`` detects membership; shared word 0 is ``m``.  The
-    payload is ``m ? (p + w) : fallback``:
+    ``m``, the AND of every ``r_j ^ b_j`` (``n - 1`` ANDs), detects
+    membership; shared word 0 is ``m``.  The payload is ``m ? (p + w)
+    : fallback``:
 
     * shared (Section 6.2): word 1 is a row on ``m`` weighted by
       Alice's per-bin weight ``p`` (column 0 of hers) plus a row on
@@ -123,11 +131,12 @@ def psi_bin_circuit(ell: int, fp_bits: int, reveal_payload: bool) -> Circuit:
       where the revealed values are uniformly random permutation
       indices): the mux and the adder compute it in the circuit.
     """
+    n = len(leaf_widths(fp_bits))
     b = CircuitBuilder()
-    t = b.alice_input_bits(fp_bits)
+    r = b.alice_input_bits(n)
     p = b.alice_input_bits(ell) if reveal_payload else []
-    s = b.bob_input_bits(fp_bits)
-    m = b.eq(t, s)
+    leaves = b.bob_input_bits(n)
+    m = b.all_([b.xor(x, y) for x, y in zip(r, leaves)])
     b.share_word([m])
     if not reveal_payload:
         pay = b.share_word([m], weight=0, evaluator=True)

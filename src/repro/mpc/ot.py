@@ -431,13 +431,36 @@ def _bit_sums(streams: np.ndarray) -> np.ndarray:
     )
 
 
+#: The three mask-and-shift steps that transpose an 8x8 bit matrix held
+#: in one ``uint64``, row ``r`` its byte ``r`` (Hacker's Delight §7-3):
+#: 2x2, then 4x4, then 8x8 blocks swap across the diagonal.
+_TRANSPOSE_8X8 = tuple(
+    (np.uint64(shift), np.uint64(mask))
+    for shift, mask in (
+        (7, 0x00AA00AA00AA00AA),
+        (14, 0x0000CCCC0000CCCC),
+        (28, 0x00000000F0F0F0F0),
+    )
+)
+
+
 def _rows(cols: np.ndarray, m: int) -> np.ndarray:
     """The ``(m, kappa / 8)`` rows of ``kappa`` packed columns: bit
     ``j`` of column ``c`` is bit ``c`` of row ``j``, most significant
-    first as :func:`np.packbits` packs."""
-    flat = np.ascontiguousarray(cols).reshape(-1, cols.shape[-1])
-    bits = np.unpackbits(flat.view(np.uint8), axis=1)[:, :m]
-    return np.packbits(np.ascontiguousarray(bits.T), axis=1)
+    first as :func:`np.packbits` packs.  Byte ``b`` of 8 consecutive
+    columns is an 8x8 bit block, read as one big-endian word so that
+    its rows run most significant first; transposed in place, the word
+    holds byte ``c / 8`` of rows ``8b`` to ``8b + 7``."""
+    flat = np.ascontiguousarray(cols).reshape(-1, cols.shape[-1]).view("u1")
+    kappa, n_bytes = flat.shape
+    blocks = flat.reshape(kappa // 8, 8, n_bytes).transpose(0, 2, 1)
+    x = np.ascontiguousarray(blocks[..., ::-1]).view(np.uint64)[..., 0]
+    for shift, mask in _TRANSPOSE_8X8:
+        t = (x ^ (x >> shift)) & mask
+        x ^= t ^ (t << shift)
+    out = x.T.copy().view(np.uint8).reshape(n_bytes, kappa // 8, 8)
+    rows = np.ascontiguousarray(out[..., ::-1].transpose(0, 2, 1))
+    return rows.reshape(8 * n_bytes, kappa // 8)[:m]
 
 
 class _Paired:

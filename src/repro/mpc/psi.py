@@ -12,9 +12,14 @@ Protocol outline (Pinkas et al. [27], PSTY19 shape):
    count alone, so that any of his items in a bin decodes, under the
    bin's OPRF, to his chosen match token ``s_b`` and to the masked
    payload ``z_y - w_b``.
-4. One small garbled circuit per bin compares Alice's OPPRF output with
-   ``s_b`` and produces ``[[Ind(x_b in Y)]]`` and the payload — in
-   shared form (rows on the match bit weighted by Alice's OPPRF
+4. Per bin, Alice's OPPRF output ``t_b`` is compared with ``s_b`` leaf
+   by leaf (:mod:`repro.mpc.leaves`): one 1-of-16 OT per 4-bit leaf,
+   Bob choosing by his leaf of ``s_b``, leaves each leaf's equality
+   XOR-shared — Bob's random OTs open in his flow with the hints,
+   Alice's 16-bit messages cross in her flow with her label OTs.  One
+   small garbled circuit per bin ANDs the shared leaves (13 ANDs for a
+   55-bit token) and produces ``[[Ind(x_b in Y)]]`` and the payload —
+   in shared form (rows on the match bit weighted by Alice's OPPRF
    payload and by Bob's ``w_b`` less the fallback, which is his
    offset), or revealed to Alice for the Section 5.5 composition where
    the revealed values are uniform permutation indices.
@@ -48,6 +53,7 @@ from .cuckoo import (
     simple_hash_bins,
 )
 from .gadgets import psi_bin_circuit
+from .leaves import LeafOts
 from .okvs import Okvs
 from .oprf import BatchedOprf, charge_oprf_setup
 from .ot import OT
@@ -136,23 +142,24 @@ def psi_with_payloads(
             ctx, ot, table.seeds, alice_fps, bob, bob_fps, payloads, fp_bits
         )
 
-        # One garbled circuit per bin.
+        # One garbled circuit per bin, on the leaf OTs' shares.
         ell = ctx.params.ell
         circuit = psi_bin_circuit(ell, fp_bits, reveal_payload)
 
         def real() -> RealInputs:
-            # Alice: t, then p as a circuit input (revealed payload) or
-            # her row weight;  Bob: s, then w | fallback as circuit
-            # inputs or his row weight and word offset.
-            t_words, p_words, s_words, w_words = opprf
-            t, s = (words_to_bits(x, fp_bits) for x in (t_words, s_words))
+            # Alice: her leaf masks r, then p as a circuit input
+            # (revealed payload) or her row weight;  Bob: his leaf bits,
+            # then w | fallback as circuit inputs or his row weight and
+            # word offset.
+            t_words, p_words, _, w_words = opprf
+            r, b = leaves.shares(ctx.rng, t_words)
             if reveal_payload:
                 w, f = (words_to_bits(x, ell) for x in (w_words, fallbacks))
-                alice = np.hstack([t, words_to_bits(p_words, ell)])
-                return RealInputs(circuit, alice, np.hstack([s, w, f]))
+                alice = np.hstack([r, words_to_bits(p_words, ell)])
+                return RealInputs(circuit, alice, np.hstack([b, w, f]))
             zero = np.zeros(n_bins, dtype=np.uint64)
             return RealInputs(
-                circuit, t, s,
+                circuit, r, b,
                 weights=((w_words - fallbacks) & ctx.mask)[:, None],
                 offsets=np.stack([zero, fallbacks], axis=1),
                 alice_weights=p_words[:, None],
@@ -171,9 +178,12 @@ def psi_with_payloads(
             return np.concatenate([ind, pay]), None
 
         with ctx.section("bin_circuits"):
+            # Bob chooses by his tokens s (REAL; SIMULATED only charges)
+            s_words = opprf[2] if opprf else None
+            leaves = LeafOts(ctx, ot, n_bins, fp_bits, s_words)
             shares, revealed = garbled_call(
                 ctx, ot, circuit_counts(circuit), n_bins,
-                real=real, ideal=ideal,
+                real=real, ideal=ideal, alice_flow=leaves.send,
             )
         ind = shares.take(np.arange(n_bins))
         if reveal_payload:

@@ -37,7 +37,8 @@ Communication per batch of instances of one circuit, in wire order
 (sizes from :func:`repro.mpc.costs.garbled_bytes`):
 
 * the ``u`` columns of the OT batch that *is* Alice's input labels —
-  Bob's zero-labels are its rows, so the OT runs first
+  Bob's zero-labels are its rows, so the OT runs first — and whatever
+  else the caller has Alice send in the same flow (``alice_flow``)
 * garbled tables: three ``8``-byte half-ciphertexts per AND gate and
   four control bits, packed across the batch (three-halves)
 * one 16-byte seed from which Alice expands the active labels of Bob's
@@ -101,6 +102,7 @@ def garbled_call(
     *,
     real: Callable[[], Tuple[Any, ...]],
     ideal: Callable[[], Tuple[Optional[np.ndarray], Optional[np.ndarray]]],
+    alice_flow: Optional[Callable[[], None]] = None,
 ) -> Tuple[SharedVector, np.ndarray]:
     """``n_instances`` evaluations of one circuit template with these
     :func:`~repro.mpc.costs.circuit_counts`: its shared words come back
@@ -112,7 +114,10 @@ def garbled_call(
     ``(shared words, revealed bits)`` — the words word-major, ``None``
     for a kind the circuit does not output; SIMULATED mode shares them
     afresh and charges what REAL sends.  Only the thunk of the running
-    mode is evaluated.  ``ctx`` may be a count-only
+    mode is evaluated.  ``alice_flow``, if given, sends the messages
+    that share Alice's label flow, in both modes: it runs once her label
+    batch is open and before Bob garbles (the PSI's leaf messages, from
+    which Bob's input bits come).  ``ctx`` may be a count-only
     :class:`~repro.mpc.context.Meter` when ``ideal()`` returns no
     values: the call then only charges.
 
@@ -125,7 +130,7 @@ def garbled_call(
         width = counts.revealed + counts.disclosed
         return no_shares, np.zeros((0, width), dtype=np.uint8)
     if ctx.mode == Mode.SIMULATED:
-        _charge_garbled(ctx, ot, counts, n_instances)
+        _charge_garbled(ctx, ot, counts, n_instances, alice_flow)
         plain, bits = ideal()
         if bits is None:
             bits = np.zeros((n_instances, 0), dtype=np.uint8)
@@ -143,7 +148,7 @@ def garbled_call(
                 f"{who}'s input bits have shape {bits.shape}, the "
                 f"circuit takes {(n_instances, wires)}"
             )
-    return _run_garbled(_live(ctx), ot, inputs)
+    return _run_garbled(_live(ctx), ot, inputs, alice_flow)
 
 
 def _live(ctx: Meter) -> Context:
@@ -175,7 +180,10 @@ def _row_weights(ctx: Context, inputs: RealInputs) -> np.ndarray:
 
 
 def _run_garbled(
-    ctx: Context, ot: OT, inputs: RealInputs
+    ctx: Context,
+    ot: OT,
+    inputs: RealInputs,
+    alice_flow: Optional[Callable[[], None]] = None,
 ) -> Tuple[SharedVector, np.ndarray]:
     """REAL mode: garble and evaluate the circuit once per row of the
     input bit matrices, all of Alice's input labels one Δ-correlated
@@ -203,6 +211,8 @@ def _run_garbled(
         labels = ot.labels(n * n_alice, alice_bits.reshape(-1))
     if labels is None:  # pragma: no cover - a REAL OT always deals
         raise TypeError("a charge-only OT cannot feed REAL garbling")
+    if alice_flow is not None:
+        alice_flow()
     # Bob: Alice-wire zero-labels are the OT's rows and delta its
     # secret, his own wires' active labels expand from the seed.  Both
     # parties hash under the batch's public tweak number.
@@ -296,7 +306,11 @@ def _word_shares(
 
 
 def _charge_garbled(
-    ctx: Meter, ot: OT, counts: CircuitCounts, n_instances: int
+    ctx: Meter,
+    ot: OT,
+    counts: CircuitCounts,
+    n_instances: int,
+    alice_flow: Optional[Callable[[], None]] = None,
 ) -> None:
     """SIMULATED mode: charge ``n_instances`` garblings of a template
     with these counts, message for message as :func:`_run_garbled`
@@ -304,6 +318,8 @@ def _charge_garbled(
     sizes = garbled_bytes(counts, n_instances, ctx.params.ell)
     with ctx.section("gc/alice_labels"):
         ot.labels(sizes.label_ots)
+    if alice_flow is not None:
+        alice_flow()
     ctx.send(BOB, sizes.tables, "gc/tables")
     ctx.send(BOB, sizes.seed, "gc/bob_labels")
     ctx.send(BOB, sizes.decode, "gc/decode")

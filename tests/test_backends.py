@@ -89,7 +89,7 @@ class TestEstimatorBoundary:
 
     def test_linear_wins_square_shapes(self):
         # Balanced cross-owner nodes: DH-OPRF's O(m+n) group elements
-        # beat the PSI's per-bin garbled circuits by >10x.
+        # beat the PSI's per-bin leaf OTs and garbled trees by 2-3x.
         for m, n in [(16, 16), (24, 24), (64, 64)]:
             assert node_cost(m, n, "linear") < node_cost(m, n, "yannakakis")
 
@@ -99,10 +99,15 @@ class TestEstimatorBoundary:
         for m, n in [(4, 256), (4, 512), (8, 512)]:
             assert node_cost(m, n, "yannakakis") < node_cost(m, n, "linear")
 
-    @pytest.mark.parametrize("n, last", [(256, 50), (512, 100), (1024, 213)])
+    @pytest.mark.parametrize(
+        "n, last",
+        [(256, 100), (512, 201), (1024, 403)],
+        ids=["256", "512", "1024"],
+    )
     def test_boundary_rows(self, n, last):
         # The largest parent a plain child of n rows still sends to the
-        # PSI: 36 / 80 / 177 while the OPPRF hints were per-bin
+        # PSI: 50 / 100 / 213 while a bin's tokens were compared by a
+        # 54-AND garbled eq, 36 / 80 / 177 while the OPPRF hints were per-bin
         # polynomials padded to the worst bin, 18 / 40 / 90 while a
         # DH-OPRF element was 256 bytes, 17 /
         # 39 / 87 while shared bin outputs were masked in the circuit,
@@ -113,7 +118,7 @@ class TestEstimatorBoundary:
         # while the bin circuits garbled Alice's payload.
         wins = [
             m
-            for m in range(1, 256)
+            for m in range(1, 512)
             if node_cost(m, n, "yannakakis") < node_cost(m, n, "linear")
         ]
         assert wins == list(range(1, last + 1))
@@ -157,19 +162,20 @@ class TestRouting:
     @pytest.mark.parametrize(
         "ell, winner, prices",
         [
-            (32, "linear", {"yannakakis": 677_280, "linear": 629_756}),
-            (48, "yannakakis", {"yannakakis": 768_708, "linear": 861_690}),
+            (32, "linear", {"yannakakis": 758_851, "linear": 687_356}),
+            (48, "yannakakis", {"yannakakis": 936_005, "linear": 959_610}),
         ],
     )
     def test_auto_routes_at_the_relations_ring_width(self, ell, winner, prices):
-        # Parent 240 x child 1024 (104 while AND tables were
+        # Parent 420 x child 1024 (104 while AND tables were
         # half-gates', 120 while the bin circuits garbled Alice's
-        # payload, 190 while the OPPRF hints were padded polynomials),
+        # payload, 190 while the OPPRF hints were padded polynomials,
+        # 240 while a bin's tokens were compared by a garbled eq),
         # cross-owner, both plain: the fold's winner depends on the
         # ring width, so routing every query at the default ell = 32
         # sent this one to the dearer back-end at ell = 48 while the
         # estimator priced it at its own width.
-        q = two_relation_query(240, 1024, ring=IntegerRing(ell))
+        q = two_relation_query(420, 1024, ring=IntegerRing(ell))
         sizes = {n: len(r) for n, r in q.relations.items()}
         assert estimate_node_costs(
             q.plan(), sizes, q.owners, params=q.ring_params()

@@ -201,7 +201,7 @@ class TestServeAdmitsAndRejectsTpch:
     def test_budget_rejects_before_any_message(self, capsys):
         assert main([
             "serve", "--queries", "Q3", "--tenants", "1",
-            "--scale", "tiny", "--budget-mb", "1",
+            "--scale", "tiny", "--budget-mb", "0.5",
         ]) == 0
         out = capsys.readouterr().out
         assert "1 sessions (1 rejected)" in out
@@ -213,7 +213,7 @@ class TestServeAdmitsAndRejectsTpch:
             "--scale", "tiny", "--check-solo",
         ]) == 0
         out = capsys.readouterr().out
-        assert out.count("done, 46 msgs, 1.04 MB  [== solo]") == 2
+        assert out.count("done, 50 msgs, 0.73 MB  [== solo]") == 2
 
 
 def _subparsers():

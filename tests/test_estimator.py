@@ -249,7 +249,7 @@ class TestByteBudgetPin:
     A change to a primitive's wire size is made in ``mpc/costs.py`` —
     and then here, knowingly."""
 
-    TOTAL = 10_768_401
+    TOTAL = 7_514_685
     #: set-up bytes (the benchmark's ``mpc.bytes.base_ot``): the one
     #: Chou-Orlandi phase, the mirror's seed-OT ``u``, one per PSI
     BASE = 8_353 + 512 + 2 * 1_792
@@ -258,12 +258,14 @@ class TestByteBudgetPin:
     GROUPS = {
         "gc/bob_labels": 48,
         # label OTs: the u columns alone, the first batch's with the
-        # mirror's 3,072 B of tree corrections
-        "gc/alice_labels/": 972_352,
+        # mirror's 3,072 B of tree corrections; a PSI bin's are its 14
+        # leaf masks
+        "gc/alice_labels/": 393_216,
         "/switches/": 2_129_904,
         "/cross": 1_152_000,
-        # three-halves tables, then the decode bits and translated rows
-        "gc/tables": 5_806_500,
+        # three-halves tables (13 ANDs per PSI bin), then the decode bits
+        # and translated rows
+        "gc/tables": 2_259_390,
         "gc/decode": 49_980,
         # the PSI payloads' evaluator rows: 8 B per bin (u, correction)
         "gc/alice_weights/": 30_536,
@@ -272,13 +274,17 @@ class TestByteBudgetPin:
         # one OKVS per PSI, 16 B a slot: 1.3 slots per Bob entry bound
         # (3 per item) and 40 dense
         "/opprf_hints": 388_304,
+        # the PSI bins' leaf OTs: Bob's u, a random OT per token bit,
+        # then Alice's 16 one-bit messages per 4-bit leaf
+        "/leaves/": 872_530,
     }
 
     #: Q3 at 0.1 MB under each join back-end: (bytes, rounds)
     BACKENDS = {
-        "yannakakis": (1_040_338, 29),
+        "yannakakis": (730_950, 29),
         "linear": (681_020, 21),
-        "auto": (681_020, 21),
+        # lineitem -> orders to the PSI, the rest linear
+        "auto": (621_651, 25),
     }
 
     @staticmethod

@@ -106,34 +106,44 @@ class TestMergeChains:
 
 
 class TestPsiBin:
-    def test_match_and_miss(self):
-        fp = 12
-        c = psi_bin_circuit(ELL, fp, reveal_payload=False)
+    """The bin circuit ANDs the leaf equalities that the leaf OTs left
+    XOR-shared: Alice feeds her masks ``r``, Bob his bits ``b = r ^
+    [t_j == s_j]`` (``tests/test_leaves.py`` checks the OTs)."""
 
-        def run(t, s, p, wv, fb):
+    R = [1, 0, 1]  # Alice's masks of a 12-bit token's three leaves
+
+    def bob(self, equal):
+        return [r ^ e for r, e in zip(self.R, equal)]
+
+    def test_match_and_miss(self):
+        c = psi_bin_circuit(ELL, 12, reveal_payload=False)
+
+        def run(equal, p, wv, fb):
             # Alice's payload p, Bob's weight w - fallback and offset
             # fallback stay out of the circuit: they weight its rows.
             return tuple(
                 c.evaluate_words(
-                    bits_of(t, fp), bits_of(s, fp), ELL,
+                    self.R, self.bob(equal), ELL,
                     weights=[(wv - fb) % MOD], offsets=[0, fb],
                     alice_weights=[p],
                 )
             )
 
-        assert run(500, 500, 10, 20, 99) == (1, 30)
-        assert run(500, 501, 10, 20, 99) == (0, 99)
+        assert run([1, 1, 1], 10, 20, 99) == (1, 30)
+        for miss in ([0, 1, 1], [1, 1, 0], [0, 0, 0]):
+            assert run(miss, 10, 20, 99) == (0, 99)
         assert c.outputs == ()
-        assert len(c.alice_inputs) == len(c.bob_inputs) == fp
-        assert c.and_count == fp - 1
+        assert len(c.alice_inputs) == len(c.bob_inputs) == 3
+        assert c.and_count == 2
 
     def test_reveal_variant_skips_mask(self):
-        fp = 12
-        c = psi_bin_circuit(ELL, fp, reveal_payload=True)
-        alice = bits_of(7, fp) + w(10)
-        bob = bits_of(7, fp) + w(20) + w(99)
+        c = psi_bin_circuit(ELL, 12, reveal_payload=True)
+        alice = self.R + w(10)
+        bob = self.bob([1, 1, 1]) + w(20) + w(99)
         assert c.evaluate_words(alice, bob, ELL) == [1]
         assert int_of(c.evaluate(alice, bob)) == 30  # p + w, revealed
+        bob = self.bob([1, 0, 1]) + w(20) + w(99)
+        assert int_of(c.evaluate(alice, bob)) == 99  # the fallback
 
 
 class TestProdAndDiv:
@@ -196,14 +206,14 @@ class TestCounts:
         )
 
     def test_psi_bin(self):
-        # shared payload: the 54-AND comparison alone; Alice's payload
-        # weights one evaluator row
+        # shared payload: the 13-AND tree over a 55-bit token's 14
+        # shared leaves alone; Alice's payload weights one evaluator row
         assert circuit_counts(psi_bin_circuit(32, 55, False)) == (
-            54, 55, 1 + 1, 0, 0, 1,
+            13, 14, 1 + 1, 0, 0, 1,
         )
         # revealed payload keeps its mux and adder; m alone is shared
         assert circuit_counts(psi_bin_circuit(32, 55, True)) == (
-            54 + 32 + 31, 87, 1, 32, 0, 0,
+            13 + 32 + 31, 14 + 32, 1, 32, 0, 0,
         )
 
     def test_merge_chains_per_row(self):

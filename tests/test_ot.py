@@ -455,3 +455,27 @@ class TestSoftSpokenVole:
         assert len({leaf.tobytes() for leaf in owner.reshape(-1, 16)}) == (
             128 // K << K
         )
+
+
+def unpacked_rows(cols, m):
+    """The rows of ``kappa`` packed columns by unpacking every bit to a
+    byte, transposing and packing again: the form the blocked bit
+    transpose replaced, kept as its reference."""
+    flat = np.ascontiguousarray(cols).reshape(-1, cols.shape[-1])
+    bits = np.unpackbits(flat.view(np.uint8), axis=1)[:, :m]
+    return np.packbits(np.ascontiguousarray(bits.T), axis=1)
+
+
+class TestRowTranspose:
+    @pytest.mark.parametrize("m", [1, 7, 8, 63, 64, 65, 2**14 + 3])
+    def test_blocked_transpose_is_byte_identical(self, m):
+        rng = np.random.default_rng(m)
+        # the column phase's (kappa / k, k, words) bit sums, in whole
+        # 128-bit blocks, and the bare minimum of words
+        for words in (2 * -(-m // 128), -(-m // 64)):
+            cols = rng.integers(
+                0, 2**64, size=(128 // K, K, words), dtype=np.uint64
+            )
+            rows = ot_module._rows(cols, m)
+            assert rows.shape == (m, 16)
+            assert rows.tobytes() == unpacked_rows(cols, m).tobytes()

@@ -155,6 +155,33 @@ class TestObliviousness:
         assert entries[0] != entries[1]  # collisions differ
         assert prints[0] == prints[1] == prints[2]
 
+    @pytest.mark.real
+    @pytest.mark.parametrize("reveal_payload", [False, True])
+    def test_real_transcript_independent_of_matches(self, reveal_payload):
+        """The leaf OTs and the bin circuits send the same messages
+        whichever of Alice's items match: REAL runs where all, half
+        and none of them do send identical transcripts, each equal to
+        SIMULATED's message for message."""
+        alice = [("k", i) for i in range(12)]
+        bobs = [
+            [("k", i) for i in range(20)],  # every item of Alice's
+            [("k", i) for i in range(6, 26)],  # half of them
+            [("z", i) for i in range(20)],  # none
+        ]
+        kwargs = {"reveal_payload": reveal_payload}
+        if reveal_payload:
+            kwargs["bob_fallbacks"] = list(range(res_bins(12)))
+        prints, matches = [], []
+        for mode, bob in [(Mode.REAL, b) for b in bobs] + [
+            (Mode.SIMULATED, bobs[0])
+        ]:
+            ctx, res = run_psi(mode, alice, bob, list(range(20)), **kwargs)
+            prints.append(ctx.transcript.fingerprint())
+            matches.append(int(res.ind.reconstruct().sum()))
+        assert matches == [12, 6, 0, 12]
+        assert prints[0] == prints[1] == prints[2] == prints[3]
+        assert any("leaves/messages" in label for _, _, label in prints[0])
+
     def test_shares_are_fresh_random(self):
         ctx, res = run_psi(
             Mode.SIMULATED, [("k", 1)], [("k", 1)], [5], seed=1

@@ -331,7 +331,7 @@ def _plain_and_framed(workload):
 
 
 @pytest.mark.parametrize(
-    "workload, n_messages", [("toy", 3), ("Q3", 46), ("Q10", 46)]
+    "workload, n_messages", [("toy", 3), ("Q3", 50), ("Q10", 50)]
 )
 def test_session_framing_is_accounting_neutral(workload, n_messages):
     p, t = _plain_and_framed(workload)
