@@ -2,9 +2,10 @@
 
 Predicts the protocol's communication *without running it*, from the
 plan structure, the relation sizes and the ownership map, by running
-SIMULATED mode's own charge paths — the OT extension's, the garbled
-calls', the OPRF/OPPRF's and the DH-OPRF's — on a count-only meter in
-place of a :class:`~repro.mpc.context.Context`.  Useful for planning
+the primitives' own send paths — the OT extension's, the garbled
+calls', the OPRF/OPPRF's and the DH-OPRF's, through which both
+execution modes send — on a count-only meter in place of a
+:class:`~repro.mpc.context.Context`.  Useful for planning
 ("what would this query cost?") and asserted against the metered
 execution by the test suite.
 
@@ -51,6 +52,8 @@ from ..mpc import costs, gadgets
 from ..mpc.context import ALICE, BOB, Mode
 from ..mpc.costs import Widths
 from ..mpc.dhoprf import charge_dh_oprf
+from ..mpc.leaves import LeafOts
+from ..mpc.oprf import charge_oprf_setup
 from ..mpc.ot import SimulatedOT
 from ..mpc.params import DEFAULT_PARAMS, SecurityParams
 from ..mpc.psi import charge_opprf
@@ -98,8 +101,8 @@ def session_framing_overhead(n_messages: int) -> int:
 
 
 class CostEstimate(NamedTuple):
-    """A plan's predicted communication: what SIMULATED's charge paths
-    send for it, counted.  Exact for the priced ``out_size`` — the
+    """A plan's predicted communication: what the primitives' send
+    paths send for it, counted.  Exact for the priced ``out_size`` — the
     bytes, the message count and the rounds (direction changes) of the
     metered transcript."""
 
@@ -109,7 +112,7 @@ class CostEstimate(NamedTuple):
 
 
 class _Meter:
-    """A count-only :class:`~repro.mpc.context.Meter`: the charge paths
+    """A count-only :class:`~repro.mpc.context.Meter`: the send paths
     run on it as on a SIMULATED context, and it counts what they send —
     bytes, messages, and rounds as
     :class:`~repro.mpc.transcript.Transcript` counts them — without
@@ -145,7 +148,7 @@ class _Meter:
 
 
 class _Estimator:
-    """Runs SIMULATED's charge paths on a :class:`_Meter` in the
+    """Runs the primitives' send paths on a :class:`_Meter` in the
     composition the operators run them: the only knowledge kept here is
     which primitives a node invokes, at what shapes, in which order."""
 
@@ -211,21 +214,18 @@ class _Estimator:
             with self.meter.swapped_roles():
                 self.oep(n + b, n + b)
         self.meter.send(ALICE, costs.psi_seed_bytes(self.p.cuckoo_hashes))
-        charge_opprf(self.meter, self.ot, b, n)
+        charge_oprf_setup(self.meter, self.ot, b)
+        charge_opprf(self.meter, n)
         fp_bits = costs.psi_token_bits(b, self.p.sigma)
         # the leaf OTs: Bob's random OTs, never finished, then Alice's
         # messages once her label batch is open
-        with self.meter.swapped_roles():
-            self.ot.correlated(None, costs.leaf_ot_widths(b, fp_bits))
+        leaves = LeafOts(self.meter, self.ot, b, fp_bits)
         circuit = gadgets.psi_bin_circuit(
             self.p.ell,
             fp_bits,
             shared_payload,  # the payload is revealed iff it is an index
         )
-        self.garbled(
-            costs.circuit_counts(circuit), b,
-            lambda: self.meter.send(ALICE, costs.leaf_bytes(b, fp_bits)),
-        )
+        self.garbled(costs.circuit_counts(circuit), b, leaves.send)
         if shared_payload:
             self.oep(n + b, b)
         return b

@@ -13,8 +13,6 @@ dynamically:
   context RNG, never global ``random``/``np.random``/OS entropy.
 * **OBL004 label-determinism** — no wall-clock, set-order, or ``id()``
   values in transcript labels or trace fingerprints.
-* **OBL005 mode-parity** — REAL and SIMULATED back-ends emit the same
-  transcript label literals.
 * **OBL006 undeclared-leakage** — every reveal of tainted data (via
   the interprocedural taint closure) is covered by a declared
   ``@repro.leakage.leaks`` contract.

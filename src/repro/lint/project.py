@@ -11,15 +11,10 @@ Rules get two views:
   (:meth:`Project.closure`), the taint cache :mod:`repro.lint.taint`
   fills, and the ``BACKEND_CONTRACTS`` registry literal (OBL008).
 
-A closure is *two-valued*: a fact is **definite** for a callee name
-when every same-named definition in the project has it, and
-**possible** when at least one does.  OBL005 compares transcript
-labels this way — definite labels of one side must be at least
-possible on the other — which keeps duck-typed dispatch
-(``ot.transfer`` resolving to three back-ends) from producing false
-mismatches while still catching a label string that one back-end
-spells differently.  OBL007 reads the possible side of the atoms a
-callee can produce.
+A closure collects the facts a function *may* reach: its own and those
+of every definition a call of it may resolve to, so a duck-typed call
+(``ot.transfer`` resolving to three back-ends) reaches all of them.
+OBL007 reads the atoms a callee can produce this way.
 """
 
 from __future__ import annotations
@@ -35,7 +30,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Set,
     Tuple,
 )
 
@@ -81,14 +75,6 @@ def label_arg_of(node: ast.Call) -> Optional[ast.expr]:
             return k.value
     if len(node.args) > pos:
         return node.args[pos]
-    return None
-
-
-def _label_literal(node: ast.Call) -> Optional[str]:
-    """The non-empty string-literal label of a send/section call."""
-    arg = label_arg_of(node)
-    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-        return arg.value or None
     return None
 
 
@@ -161,9 +147,9 @@ def parse_source(path: str, text: str) -> SourceFile:
 # the function index and the call-graph closure
 # ----------------------------------------------------------------------
 
-#: (definite, possible) — see the module docstring.
-Closure = Tuple[frozenset, frozenset]
-_EMPTY: Closure = (frozenset(), frozenset())
+#: the facts a function may reach — see the module docstring.
+Closure = FrozenSet[str]
+_EMPTY: Closure = frozenset()
 _MAX_DEPTH = 10
 
 #: A per-function fact a closure propagates over the call graph.
@@ -185,8 +171,6 @@ class FuncInfo:
     #: the call names a closure follows (send/section are label
     #: carriers, not callees)
     callees: FrozenSet[str] = field(init=False)
-    #: string-literal send/section labels in the body
-    direct_labels: FrozenSet[str] = field(init=False)
 
     def __post_init__(self) -> None:
         self.nodes = list(walk_shallow(self.node))
@@ -195,14 +179,6 @@ class FuncInfo:
             n for n in map(call_name, self.calls) if n is not None
         )
         self.callees = self.call_names - set(LABEL_ARG)
-        self.direct_labels = frozenset(
-            lit for lit in map(_label_literal, self.calls) if lit is not None
-        )
-
-
-def direct_labels(info: FuncInfo) -> FrozenSet[str]:
-    """The OBL005 fact: transcript labels a function spells itself."""
-    return info.direct_labels
 
 
 class Project:
@@ -256,8 +232,8 @@ class Project:
     def closure(
         self, info: FuncInfo, fact: Fact, _depth: int = 0
     ) -> Closure:
-        """(definite, possible) ``fact`` of ``info`` and of everything
-        it calls, transitively, through :meth:`resolve`."""
+        """``fact`` of ``info`` and of everything it may call,
+        transitively, through :meth:`resolve`."""
         memo = self.closures.setdefault(fact, {})
         key = id(info.node)
         if key in memo:
@@ -266,13 +242,12 @@ class Project:
             return _EMPTY
         # In-progress marker breaks recursion cycles.
         memo[key] = _EMPTY
-        definite = set(fact(info))
-        possible = set(definite)
-        for name in info.callees:
-            d, p = self.closure_of_name(name, info.cls, fact, _depth + 1)
-            definite |= d
-            possible |= p
-        result = (frozenset(definite), frozenset(possible))
+        result = fact(info).union(
+            *(
+                self.closure_of_name(name, info.cls, fact, _depth + 1)
+                for name in info.callees
+            )
+        )
         memo[key] = result
         return result
 
@@ -280,37 +255,10 @@ class Project:
         self, name: str, cls: Optional[str], fact: Fact, depth: int = 1
     ) -> Closure:
         """The closure of a call of ``name`` made inside class ``cls``:
-        definite on every resolution, possible on at least one."""
-        sets = [self.closure(i, fact, depth) for i in self.resolve(name, cls)]
-        if not sets:
-            return _EMPTY
-        return (
-            frozenset.intersection(*(s[0] for s in sets)),
-            frozenset.union(*(s[1] for s in sets)),
+        the facts of every definition it may resolve to."""
+        return _EMPTY.union(
+            *(self.closure(i, fact, depth) for i in self.resolve(name, cls))
         )
-
-    def labels_of_statements(
-        self, stmts: List[ast.stmt], cls: Optional[str]
-    ) -> Closure:
-        """Labels emitted by a statement list, callees resolved."""
-        definite: Set[str] = set()
-        possible: Set[str] = set()
-        for stmt in stmts:
-            for node in ast.walk(stmt):
-                if not isinstance(node, ast.Call):
-                    continue
-                lit = _label_literal(node)
-                if lit is not None:
-                    definite.add(lit)
-                    possible.add(lit)
-                    continue
-                name = call_name(node)
-                if name is None or name in LABEL_ARG:
-                    continue
-                d, p = self.closure_of_name(name, cls, direct_labels)
-                definite |= d
-                possible |= p
-        return (frozenset(definite), frozenset(possible))
 
 
 def _iter_defs(

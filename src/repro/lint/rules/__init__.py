@@ -3,7 +3,6 @@
 from . import (  # noqa: F401
     determinism,
     leakage_rules,
-    parity,
     randomness,
     taint_rules,
 )

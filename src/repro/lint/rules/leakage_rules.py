@@ -125,7 +125,7 @@ class ContractRotRule(Rule):
             info = project.info(fn)
             witnessed = _sinks(info).union(
                 *(
-                    project.closure_of_name(name, info.cls, _produced)[1]
+                    project.closure_of_name(name, info.cls, _produced)
                     for name in info.callees
                 )
             )

@@ -4,8 +4,9 @@ A :class:`Context` bundles everything a protocol invocation needs: the
 security parameters, the execution mode, the communication transcript, and
 a deterministic randomness source.  Protocols are written as orchestration
 functions over one context; in REAL mode the cryptographic primitives
-actually run, in SIMULATED mode functionally-identical fast paths run and
-charge the identical communication to the transcript.
+actually run, in SIMULATED mode functionally-identical fast paths run.
+Each primitive sends through one path in both modes, sized from public
+shapes; REAL checks its payloads' sizes against it (:class:`Checked`).
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ from typing import (
     TYPE_CHECKING,
     ContextManager,
     Iterator,
+    List,
     Optional,
     Protocol,
+    Sequence,
     runtime_checkable,
 )
 
@@ -29,7 +32,10 @@ from .transcript import ALICE, BOB, Transcript, other_party
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.session import Session
 
-__all__ = ["Mode", "Context", "Channel", "Meter", "ALICE", "BOB"]
+__all__ = [
+    "Mode", "Context", "Channel", "Meter", "Checked", "ScheduleMismatch",
+    "ALICE", "BOB",
+]
 
 
 @runtime_checkable
@@ -63,11 +69,12 @@ class Mode(enum.Enum):
 
 
 class Meter(Protocol):
-    """What a SIMULATED charge path needs of its context: the
-    parameters, the mode, the role orientation and :meth:`send`.  A
-    :class:`Context` is one; so is the cost estimator's count-only
-    meter, which prices a plan through the same charge paths without
-    building a context (see :mod:`repro.bench.estimator`)."""
+    """What a primitive's send path needs of its context: the
+    parameters, the mode, the role orientation, :meth:`send` and
+    :meth:`section`.  A :class:`Context` is one, in either mode; so is
+    the cost estimator's count-only meter, which prices a plan through
+    the same send paths without building a context (see
+    :mod:`repro.bench.estimator`)."""
 
     params: SecurityParams
     mode: Mode
@@ -77,6 +84,40 @@ class Meter(Protocol):
     def send(self, sender: str, n_bytes: int, label: str = "") -> None: ...
 
     def section(self, label: str) -> ContextManager[None]: ...
+
+
+class ScheduleMismatch(RuntimeError):
+    """A REAL payload whose size is not what its primitive's send path
+    sends for the public shapes: a bug in the primitive, not a fault of
+    the run, so not a :class:`~repro.runtime.aborts.ProtocolAbort`,
+    which the supervisor would retry."""
+
+
+class Checked:
+    """A primitive's sends, sized from public shapes alone and, in REAL,
+    checked against the payloads.  Both modes run the primitive's one
+    send path; REAL hands it ``payloads``, the sizes of the payloads it
+    computed in send order, and each :meth:`send` first compares its
+    scheduled size with the next of them.  SIMULATED, and the cost
+    estimator's meter, have no payloads and pass ``None``."""
+
+    def __init__(
+        self, ctx: Meter, payloads: Optional[Sequence[int]] = None
+    ) -> None:
+        self._ctx = ctx
+        self._payloads: Optional[List[int]] = (
+            None if payloads is None else list(payloads)
+        )
+
+    def send(self, sender: str, n_bytes: int, label: str = "") -> None:
+        if self._payloads is not None:
+            payload = self._payloads.pop(0) if self._payloads else None
+            if payload != n_bytes:
+                raise ScheduleMismatch(
+                    f"{label!r}: REAL computed a payload of {payload} B, "
+                    f"its send path sends {n_bytes} B"
+                )
+        self._ctx.send(sender, n_bytes, label)
 
 
 class Context:

@@ -42,22 +42,22 @@ item_digests`; callers may pass the digest matrix directly): the digest
 is ``H1``'s pre-image in REAL mode, and SIMULATED mode draws one
 16-byte salt from the shared context RNG, tokenises both digest
 matrices with it directly (``AES-128_salt(digest[:16])``, one keyed
-PRP call, no scalar multiplications) and charges the identical three
-messages.
+PRP call, no scalar multiplications).  Both modes send the three
+messages through :func:`charge_dh_oprf`.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..leakage import leaks
 from . import p256
 from .batch import aes_prp, sorted_lookup
-from .context import ALICE, BOB, Context, Meter, Mode
+from .context import ALICE, BOB, Checked, Context, Meter, Mode
 from .costs import DH_TOKEN_BYTES, dh_oprf_bytes
 from .cuckoo import Items, has_duplicates, item_digests
 
@@ -104,10 +104,12 @@ def dh_oprf_match(
     if has_duplicates(bob):
         raise ValueError("DH-OPRF matching requires distinct Bob items")
     with ctx.section(label):
+        sizes: Optional[List[int]] = None  # REAL's payloads, checked
         if ctx.mode == Mode.REAL:
-            alice_tokens, bob_tokens = _tokens_real(ctx, alice, bob)
+            alice_tokens, bob_tokens, sizes = _tokens_real(ctx, alice, bob)
         else:
             alice_tokens, bob_tokens = _tokens_simulated(ctx, alice, bob)
+        charge_dh_oprf(ctx, len(alice), len(bob), sizes)
         # Bob's tokens travel sorted; Alice matches hers against them.
         order, slot = sorted_lookup(bob_tokens, alice_tokens)
         srt = bob_tokens[order]
@@ -127,44 +129,40 @@ def _as_tokens(raw: bytes) -> np.ndarray:
 
 def _tokens_real(
     ctx: Context, alice: np.ndarray, bob: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The three protocol messages; ``(Alice's tokens, Bob's tokens)``."""
+) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+    """The three protocol messages' payloads: ``(Alice's tokens, Bob's
+    tokens, the sizes of what crosses)``."""
     # 1. Alice blinds her hashed keys with fresh per-item scalars.
     blinds = [p256.random_scalar(ctx.random_bytes) for _ in alice]
     blinded = [
         p256.mul_x(p256.secret(r), [p256.hash_to_curve(x.tobytes())])[0]
         for x, r in zip(alice, blinds)
     ]
-    ctx.send(ALICE, sum(map(len, blinded)), "blind")
 
     # 2. Bob applies his OPRF key to every blinded element ...
     k = p256.secret(p256.random_scalar(ctx.random_bytes))
     evaluated = p256.mul_x(k, blinded)
-    ctx.send(BOB, sum(map(len, evaluated)), "eval")
 
     # 3. ... and ships the tokens of his own items.
-    bob_tokens = [
+    bob_tokens = b"".join(
         _token(t)
         for t in p256.mul_x(k, [p256.hash_to_curve(y.tobytes()) for y in bob])
-    ]
-    ctx.send(BOB, len(bob) * DH_TOKEN_BYTES, "tokens")
+    )
 
     # 4. Alice unblinds locally.
     alice_tokens = [
         _token(p256.mul_x(p256.secret(pow(r, -1, p256.N)), [b])[0])
         for b, r in zip(evaluated, blinds)
     ]
-    return (
-        _as_tokens(b"".join(alice_tokens)),
-        _as_tokens(b"".join(bob_tokens)),
-    )
+    sizes = [
+        sum(map(len, blinded)), sum(map(len, evaluated)), len(bob_tokens)
+    ]
+    return _as_tokens(b"".join(alice_tokens)), _as_tokens(bob_tokens), sizes
 
 
 def _tokens_simulated(
     ctx: Context, alice: np.ndarray, bob: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    charge_dh_oprf(ctx, len(alice), len(bob))
-
     # One shared salt stands in for the PRF key: AES-128 keyed by it
     # over each digest's first 16 bytes tokenises both matrices in one
     # call, no scalar multiplications.  A keyed PRP: distinct digest
@@ -175,10 +173,15 @@ def _tokens_simulated(
     return toks[: len(alice)], toks[len(alice) :]
 
 
-def charge_dh_oprf(ctx: Meter, m: int, n: int) -> None:
-    """Charge the three messages :func:`_tokens_real` sends for ``m``
-    of Alice's items and ``n`` of Bob's."""
+def charge_dh_oprf(
+    ctx: Meter, m: int, n: int, payloads: Optional[Sequence[int]] = None
+) -> None:
+    """The three messages of a match of ``m`` of Alice's items against
+    ``n`` of Bob's, the one send path of both modes.  REAL passes the
+    sizes of the payloads :func:`_tokens_real` computed, which are
+    checked."""
+    wire = Checked(ctx, payloads)
     blind, evaluated, tokens = dh_oprf_bytes(m, n)
-    ctx.send(ALICE, blind, "blind")
-    ctx.send(BOB, evaluated, "eval")
-    ctx.send(BOB, tokens, "tokens")
+    wire.send(ALICE, blind, "blind")
+    wire.send(BOB, evaluated, "eval")
+    wire.send(BOB, tokens, "tokens")

@@ -31,7 +31,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .batch import le_bytes_to_words, words_to_bits
-from .context import ALICE, Meter
+from .context import ALICE, Checked, Meter
 from .costs import LEAF_BITS, leaf_bytes, leaf_ot_widths, leaf_widths
 from .ot import OT
 
@@ -119,15 +119,13 @@ class LeafOts:
         return r.astype(np.uint8), b.astype(np.uint8)
 
     def send(self) -> None:
-        """Alice's leaf messages: those :meth:`shares` sealed, or their
-        size alone."""
-        n_bytes = (
-            leaf_bytes(self._n_bins, self._fp_bits)
-            if self._sealed is None
-            else self._sealed.nbytes
-        )
+        """Alice's leaf messages, sized by the bins and the token width;
+        the size of those :meth:`shares` sealed (REAL) is checked."""
+        sealed = None if self._sealed is None else [self._sealed.nbytes]
         with self._ctx.section("leaves"):
-            self._ctx.send(ALICE, n_bytes, "messages")
+            Checked(self._ctx, sealed).send(
+                ALICE, leaf_bytes(self._n_bins, self._fp_bits), "messages"
+            )
 
 
 def _kept(widths: np.ndarray) -> np.ndarray:

@@ -22,12 +22,13 @@ crosses the wire.  All OTs across the whole network are batched into a
 single OT-extension call, so the protocol runs in constant rounds with
 ``~O((M+N) log(M+N))`` communication.
 
-SIMULATED mode reshares ``x[xi]`` directly and charges identical bytes.
+SIMULATED mode reshares ``x[xi]`` directly; both modes send the
+network's batch through :func:`_switches`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,7 +58,7 @@ def oblivious_permutation(
             inv = np.empty(n, dtype=np.int64)
             inv[perm] = np.arange(n)
             out_plain = values.reconstruct()[inv]
-            _charge_switches(ctx, ot, permutation_widths(ctx.params.ell, n))
+            _switches(ctx, ot, permutation_widths(ctx.params.ell, n))
             return SharedVector.fresh(ctx, out_plain)
         layers = benes_network(pad_permutation(perm))
         padded = values.concat(
@@ -91,7 +92,7 @@ def oblivious_extended_permutation(
     with ctx.section(label):
         if ctx.mode == Mode.SIMULATED:
             out_plain = values.reconstruct()[xi_arr]
-            _charge_switches(ctx, ot, oep_widths(ctx.params.ell, m, n_out))
+            _switches(ctx, ot, oep_widths(ctx.params.ell, m, n_out))
             return SharedVector.fresh(ctx, out_plain)
         return _oep_real(ctx, ot, xi_arr, values, n_out)
 
@@ -101,12 +102,21 @@ def oblivious_extended_permutation(
 # ----------------------------------------------------------------------
 
 
-def _charge_switches(ctx: Context, ot: OT, widths: Widths) -> None:
-    """SIMULATED mode: charge the network's one C-OT batch under the
-    section the REAL path runs it in, so both modes spell the labels
-    ``<label>/switches/ot/...``."""
+def _switches(
+    ctx: Context,
+    ot: OT,
+    widths: Widths,
+    choices: Optional[np.ndarray] = None,
+    stage: Optional[Callable[[List[np.ndarray]], List[np.ndarray]]] = None,
+) -> List[np.ndarray]:
+    """The network's one C-OT batch, the one send path of both modes,
+    under ``<label>/switches/ot/...``: REAL passes Alice's control bits
+    and ``stage``, which stages Bob's side on the gates' 0-pads and
+    returns his 1-messages; returns what Alice received.  SIMULATED
+    passes neither and only charges."""
     with ctx.section("switches"):
-        ot.correlated(None, widths).finish()
+        cot = ot.correlated(choices, widths)
+        return cot.finish(() if stage is None else stage(cot.p0))
 
 
 def _oep_real(
@@ -282,14 +292,12 @@ def _apply_switch_network(
     if not stages:  # a one-wire network has no gates
         return values
 
-    with ctx.section("switches"):
-        cot = ot.correlated(
-            np.concatenate([st[-1] for st in stages]),
-            [
-                (len(st[-1]), 2 * rb if st[0] == "switch" else rb)
-                for st in stages
-            ],
-        )
-        messages = cot.finish(_stage_bob(ctx, stages, cot.p0, bob))
+    messages = _switches(
+        ctx,
+        ot,
+        [(len(st[-1]), 2 * rb if st[0] == "switch" else rb) for st in stages],
+        np.concatenate([st[-1] for st in stages]),
+        lambda pads: _stage_bob(ctx, stages, pads, bob),
+    )
     _replay_alice(ctx, stages, messages, alice)
     return SharedVector(alice, bob, ctx.modulus)

@@ -17,9 +17,11 @@ Bob's ``F_b(y)``; Alice decodes her bins' keys and strips her own.
   engine's reverse extension instance (:func:`_column_seeds`), as in
   KKRT itself.
 
-SIMULATED mode never builds a :class:`BatchedOprf`: PSI's one mode
-fork (:func:`repro.mpc.psi._opprf`) charges the real message sizes with
-:func:`charge_oprf_setup` and has no values to compute.
+Both modes send the set-up through :func:`charge_oprf_setup`.
+SIMULATED mode never builds a :class:`BatchedOprf`: it has no values to
+compute, and PSI's one mode fork (:func:`repro.mpc.psi._opprf`) calls
+the send path alone; REAL's :class:`BatchedOprf` hands it the
+correction it computed, whose size is checked.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .context import ALICE, Context, Meter, Mode
+from .context import ALICE, Checked, Context, Meter, Mode
 from .costs import OPRF_WIDTH, kkrt_setup_bytes, seed_ot_widths
 from .ot import OT, CorrelatedBatch, _kdf, _prg_bits_all
 
@@ -90,12 +92,18 @@ class BatchedOprf:
     def __init__(self, ctx: Context, ot: OT, alice_fps: Iterable[int]) -> None:
         if ctx.mode != Mode.REAL:
             raise ValueError(
-                "BatchedOprf runs the KKRT protocol; SIMULATED mode "
-                "charges its messages with charge_oprf_setup"
+                "BatchedOprf computes the KKRT protocol's values, which "
+                "SIMULATED mode has none of; both modes send its "
+                "messages through charge_oprf_setup"
             )
         self.ctx = ctx
         self._salt = b"oprf-session"
-        self._setup_real(ot, [int(fp) for fp in alice_fps])
+        self._fps = [int(fp) for fp in alice_fps]
+        #: Bob's secret column selection, his base-OT choices
+        self._s = ctx.rng.integers(0, 2, size=OPRF_WIDTH, dtype=np.uint8)
+        self.alice_values = np.zeros((0, 2), dtype=np.uint64)
+        self._bob_rows = np.zeros((0, OPRF_WIDTH), dtype=np.uint8)
+        charge_oprf_setup(ctx, ot, len(self._fps), self)
 
     # -- KKRT over a width-448 IKNP matrix --------------------------------
 
@@ -104,29 +112,27 @@ class BatchedOprf:
             [_code(fp, self._salt) for fp in fps], dtype=np.uint8
         ).reshape(len(fps), OPRF_WIDTH)
 
-    def _setup_real(self, ot: OT, fps: Sequence[int]) -> None:
-        ctx = self.ctx
-        w = OPRF_WIDTH
+    def _extend(self, seeds: CorrelatedBatch) -> int:
+        """Both parties' rows of the OPRF matrix from the base OTs:
+        Alice's ``T`` columns from her seed pairs and her correction
+        ``u``, Bob's ``Q`` columns from his chosen seeds and ``u``.
+        Returns the size of ``u`` on the wire, a bit per column and
+        row."""
+        ctx, fps = self.ctx, self._fps
         m = len(fps)
-        s = ctx.rng.integers(0, 2, size=w, dtype=np.uint8)
         # Alice's seed pairs (k0, k1); Bob's chosen seeds k_s.
-        k0, k1, k_s = _column_seeds(ctx, ot, s).seeds()
-        self._s = s
-        if m == 0:
-            self.alice_values = np.zeros((0, 2), dtype=np.uint64)
-            self._bob_rows = np.zeros((0, w), dtype=np.uint8)
-            return
+        k0, k1, k_s = seeds.seeds()
 
         # Alice: T columns; correction u_i = t0 ^ t1 ^ code-column-i.
         batch = ctx.tweak_batch()
         t_cols = _prg_bits_all(k0, m, batch)
         u_cols = t_cols ^ _prg_bits_all(k1, m, batch) ^ self._codes(fps).T
-        ctx.send(ALICE, w * ((m + 7) // 8), "oprf/u")
 
         # Bob: q columns; Q_j = T_j ^ (C(x_j) & s).
-        q_cols = _prg_bits_all(k_s, m, batch) ^ (s[:, None] * u_cols)
+        q_cols = _prg_bits_all(k_s, m, batch) ^ (self._s[:, None] * u_cols)
         self._bob_rows = q_cols.T
         self.alice_values = _out_hashes(np.arange(m), t_cols.T, self._salt)
+        return np.packbits(u_cols, axis=1).nbytes
 
     def bob_eval(self, rows: np.ndarray, fps: np.ndarray) -> np.ndarray:
         """``F_{rows[i]}(fps[i])`` for every ``i``: each distinct
@@ -140,9 +146,15 @@ class BatchedOprf:
         return _out_hashes(rows, masked, self._salt)
 
 
-def charge_oprf_setup(ctx: Meter, ot: OT, n_rows: int) -> None:
-    """SIMULATED mode: charge what :meth:`BatchedOprf._setup_real` sends
-    for ``n_rows`` OPRF instances — the same base-OT call, charge-only."""
-    _column_seeds(ctx, ot, None)
+def charge_oprf_setup(
+    ctx: Meter, ot: OT, n_rows: int, oprf: Optional[BatchedOprf] = None
+) -> None:
+    """The set-up of ``n_rows`` OPRF instances, the one send path of
+    both modes: the base OTs, then Alice's ``u``.  REAL passes the
+    :class:`BatchedOprf` being set up, which chooses the base OTs and
+    computes ``u``, whose size is checked; SIMULATED passes nothing and
+    only charges."""
+    seeds = _column_seeds(ctx, ot, None if oprf is None else oprf._s)
     if n_rows:
-        ctx.send(ALICE, kkrt_setup_bytes(n_rows), "oprf/u")
+        u = None if oprf is None else [oprf._extend(seeds)]
+        Checked(ctx, u).send(ALICE, kkrt_setup_bytes(n_rows), "oprf/u")

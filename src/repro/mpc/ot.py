@@ -2,7 +2,10 @@
 
 OT is the asymmetric-crypto bedrock under the garbled-circuit protocol
 (the evaluator's input labels), Gilboa multiplication, the oblivious
-switching network and the KKRT OPRF.  Two back-ends share one interface:
+switching network and the KKRT OPRF.  Two back-ends share one interface
+and one send path — the base phase, ``u`` and the ciphertexts are each
+sent from one method of their common base class, sized from public
+shapes:
 
 * :class:`SoftSpokenExtension` — stretches ``kappa`` base OTs (run in
   reversed roles, the extension sender choosing along his secret ``s``)
@@ -12,9 +15,10 @@ switching network and the KKRT OPRF.  Two back-ends share one interface:
   per OT instead of ``kappa``.  Its GGM trees, leaf PRG and pads are all
   the fixed-key AES hash :func:`~repro.mpc.batch.tccr_hash` (SHA-256 is
   left to the base phase's key derivation, whose input is a curve
-  point).
+  point).  It hands the send path its payloads' sizes, which are
+  checked (:class:`~repro.mpc.context.Checked`).
 * :class:`SimulatedOT` — skips the crypto and computes nothing: it
-  charges exactly what the real extension would send, on a
+  sends through the same path with no payloads, on a
   :class:`~repro.mpc.context.Meter` (a SIMULATED context, or the cost
   estimator's count-only meter).
 
@@ -66,7 +70,7 @@ import numpy as np
 
 from . import p256
 from .batch import tccr_hash, tweaks
-from .context import ALICE, BOB, Context, Meter
+from .context import ALICE, BOB, Checked, Context, Meter
 from .costs import (
     SOFTSPOKEN_K,
     Widths,
@@ -149,6 +153,7 @@ class CorrelatedBatch:
         self._ctx = ctx
         self._widths = widths
         self._choices = choices
+        self._charge_only = pads is None
         #: the sender's pad pair (``p0`` doubles as its 0-message) and
         #: the receiver's chosen pad: one ``(count, width)`` matrix per
         #: segment; ``pads`` is the ``(p0, p1, p_choice)`` triple of
@@ -177,19 +182,38 @@ class CorrelatedBatch:
         none."""
         if len(m1) != len(self.p1):
             raise ValueError("one 1-message matrix per segment is required")
-        u_bytes, n_bytes = cot_bytes(self._ctx.params.kappa, self._widths)
-        if u_bytes:  # an empty batch sent no ``u`` and sends nothing now
-            self._ctx.send(BOB, n_bytes, "ot/ext/ciphertexts")
         out: List[np.ndarray] = []
-        off = 0
+        off = sent = 0
         for msg, p1, pc in zip(m1, self.p1, self.pc):
             msg = np.asarray(msg, dtype=np.uint8)
             if msg.shape != p1.shape:
                 raise ValueError("one 1-message per pad row is required")
             c = self._choices[off : off + len(pc), None].astype(bool)
             off += len(pc)
-            out.append(np.where(c, msg ^ p1 ^ pc, pc))
+            wire = msg ^ p1
+            sent += wire.nbytes
+            out.append(np.where(c, wire ^ pc, pc))
+        u_bytes, n_bytes = cot_bytes(self._ctx.params.kappa, self._widths)
+        if u_bytes:  # an empty batch sent no ``u`` and sends nothing now
+            _send_ciphertexts(
+                self._ctx, n_bytes, None if self._charge_only else [sent]
+            )
         return out
+
+
+def _send_ciphertexts(
+    ctx: Meter, n_bytes: int, payloads: Optional[Sequence[int]] = None
+) -> None:
+    """The one ``ot/ext/ciphertexts`` send, after a batch's ``u``: a
+    C-OT batch's corrections, one per OT, or a chosen-message
+    transfer's two ciphertexts per OT."""
+    Checked(ctx, payloads).send(BOB, n_bytes, "ot/ext/ciphertexts")
+
+
+def _pair_bytes(pairs: Sequence[Pair]) -> int:
+    """A chosen-message transfer's ciphertexts: both messages of every
+    pair, each as wide as its plaintext."""
+    return sum(len(m0) + len(m1) for m0, m1 in pairs)
 
 
 def _split(pads: np.ndarray, widths: Widths) -> List[np.ndarray]:
@@ -469,7 +493,11 @@ class _Paired:
     and runs the pair's one public-key base phase; the mirror takes its
     base OTs from the forward one, to which it refers back only weakly,
     so a finished run's engine (context, circuits, transcript) is freed
-    with its last reference, not by a later cycle collection."""
+    with its last reference, not by a later cycle collection.
+
+    Both back-ends send through the methods below, which size every
+    message from ``kappa`` and the batch size alone; the extension
+    passes its payloads' sizes, which are checked against them."""
 
     def __init__(
         self, ctx: Meter, forward: Optional["_Paired"] = None
@@ -477,6 +505,8 @@ class _Paired:
         self.ctx = ctx
         self.kappa = ctx.params.kappa
         self._base_done = False
+        #: whether a mirror's tree corrections wait for its first ``u``
+        self._corrections_due = False
         self._mirror = None if forward else type(self)(ctx, self)
         self._forward = forward and weakref.ref(forward)
 
@@ -484,6 +514,39 @@ class _Paired:
     def reverse(self) -> Any:
         """The paired instance for the opposite direction."""
         return self._mirror or self._forward()
+
+    def _send_base(self, payloads: Optional[Sequence[int]] = None) -> None:
+        """The forward instance's base phase: ``kappa`` Chou–Orlandi
+        transfers in reversed roles, as ``A``, one ``B`` per transfer and
+        the ciphertexts."""
+        wire = Checked(self.ctx, payloads)
+        a, b, ct = base_ot_bytes(self.kappa)
+        wire.send(ALICE, a, "ot/ext/base/A")
+        wire.send(BOB, b, "ot/ext/base/B")
+        wire.send(ALICE, ct, "ot/ext/base/ciphertexts")
+
+    def _seed_ots(self, choices: Optional[np.ndarray]) -> CorrelatedBatch:
+        """A mirror's base phase: ``kappa`` random OTs of the forward
+        instance, Bob choosing by ``choices``, in a batch that is never
+        finished.  The tree corrections it leaves ride on the mirror's
+        first ``u``."""
+        ctx = self.ctx
+        with ctx.swapped_roles(), ctx.section("ot/ext/base"):
+            cot: CorrelatedBatch = self.reverse.correlated(
+                choices, seed_ot_widths(self.kappa)
+            )
+        self._corrections_due = True
+        return cot
+
+    def _send_u(self, n_ots: int, payload: Optional[int] = None) -> None:
+        """A batch's ``u``: ``kappa / k`` bits per OT, and on a mirror's
+        first batch its tree corrections."""
+        n_bytes = cot_bytes(self.kappa, [(n_ots, 0)])[0]
+        if self._corrections_due:
+            n_bytes += tree_correction_bytes(self.kappa)
+            self._corrections_due = False
+        wire = Checked(self.ctx, None if payload is None else [payload])
+        wire.send(ALICE, n_bytes, "ot/ext/u")
 
     # A weak reference neither pickles nor survives a deep copy (it
     # would keep pointing at the original): a copied mirror drops it
@@ -548,25 +611,19 @@ class SoftSpokenExtension(_Paired):
         sums = self._grow(
             np.frombuffer(level1, dtype=np.uint8).reshape(-1, 2, 16)
         )
-        received, (a, b, ct) = _chou_orlandi(
+        received, sizes = _chou_orlandi(
             ctx,
             [(e.tobytes(), o.tobytes()) for e, o in sums.reshape(-1, 2, 16)],
             _tree_choices(self._s).tolist(),
         )
-        ctx.send(ALICE, a, "ot/ext/base/A")
-        ctx.send(BOB, b, "ot/ext/base/B")
-        ctx.send(ALICE, ct, "ot/ext/base/ciphertexts")
+        self._send_base(sizes)
         self._puncture(np.frombuffer(b"".join(received), dtype=np.uint8))
 
     def _trees_from_forward(self) -> None:
         """A mirror: Bob chooses off his path in a forward batch that is
         never finished.  Alice's pads are the trees' first level and
         mask the deeper levels' sums, which wait for the first ``u``."""
-        ctx = self.ctx
-        with ctx.swapped_roles(), ctx.section("ot/ext/base"):
-            cot = self.reverse.correlated(
-                _tree_choices(self._s), seed_ot_widths(self.kappa)
-            )
+        cot = self._seed_ots(_tree_choices(self._s))
         p0, p1, pc = (
             p[0].reshape(-1, K, 16) for p in (cot.p0, cot.p1, cot.pc)
         )
@@ -624,8 +681,7 @@ class SoftSpokenExtension(_Paired):
         batch = self.ctx.tweak_batch()
         t_rows, c = self._receiver_rows(m, r, batch)
         pending, self._pending = self._pending, None
-        extra = 0 if pending is None else pending.nbytes
-        self.ctx.send(ALICE, c.nbytes + extra, "ot/ext/u")
+        self._send_u(m, c.nbytes + (0 if pending is None else pending.nbytes))
         if pending is not None:
             self._unmask(pending)
         return self._sender_rows(c, m, batch), t_rows, c
@@ -748,39 +804,27 @@ class SoftSpokenExtension(_Paired):
             rows = (chosen ^ pc).tobytes()
             for k, j in enumerate(positions):
                 out[j] = rows[k * w : (k + 1) * w]
-        self.ctx.send(BOB, total, "ot/ext/ciphertexts")
+        _send_ciphertexts(self.ctx, _pair_bytes(pairs), [total])
         return out
 
 
 class SimulatedOT(_Paired):
-    """Charge-only OT: sends, message for message, what
-    :class:`SoftSpokenExtension` sends — its mirror issues the same
-    seed-OT call and its first ``u`` carries the tree corrections — and
-    deals nothing.  Its consumers compute their functionality directly
-    (SIMULATED mode), or nothing at all (the cost estimator's meter)."""
-
-    #: a mirror's tree corrections, until its first ``u`` carries them
-    _pending = 0
+    """Charge-only OT: sends through the same methods as
+    :class:`SoftSpokenExtension`, with no payloads, and deals nothing.
+    Its consumers compute their functionality directly (SIMULATED
+    mode), or nothing at all (the cost estimator's meter)."""
 
     def _open(self, n_ots: int) -> None:
         """Charge the base phase (first batch only) and ``u`` (none for
         an empty batch)."""
-        ctx, kappa = self.ctx, self.kappa
         if not self._base_done:
             if self._mirror is None:
-                with ctx.swapped_roles(), ctx.section("ot/ext/base"):
-                    self.reverse.correlated(None, seed_ot_widths(kappa))
-                self._pending = tree_correction_bytes(kappa)
+                self._seed_ots(None)
             else:
-                a, b, ct = base_ot_bytes(kappa)
-                ctx.send(ALICE, a, "ot/ext/base/A")
-                ctx.send(BOB, b, "ot/ext/base/B")
-                ctx.send(ALICE, ct, "ot/ext/base/ciphertexts")
+                self._send_base()
             self._base_done = True
         if n_ots:
-            u = cot_bytes(kappa, [(n_ots, 0)])[0]
-            ctx.send(ALICE, u + self._pending, "ot/ext/u")
-            self._pending = 0
+            self._send_u(n_ots)
 
     def correlated(
         self, choices: Optional[np.ndarray], widths: Widths
@@ -805,11 +849,7 @@ class SimulatedOT(_Paired):
         if not pairs:
             return []
         self._open(len(pairs))
-        self.ctx.send(
-            BOB,
-            sum(len(m0) + len(m1) for m0, m1 in pairs),
-            "ot/ext/ciphertexts",
-        )
+        _send_ciphertexts(self.ctx, _pair_bytes(pairs))
         return [p[1] if c else p[0] for p, c in zip(pairs, choices)]
 
 

@@ -35,7 +35,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .batch import bits_to_words, sorted_lookup, words_to_bits
-from .context import ALICE, BOB, Context, Meter, Mode
+from .context import ALICE, BOB, Checked, Context, Meter, Mode
 from .costs import (
     circuit_counts,
     opprf_hint_bytes,
@@ -206,11 +206,12 @@ def _opprf(
     """Step 3 — PSI's one mode fork: the batched OPRF, then Bob's OKVS
     over his entries.  REAL returns, per bin, Alice's decoded
     ``(token, masked payload)`` and Bob's targets ``(match token s,
-    payload mask w)`` — the bin circuits' inputs; SIMULATED charges the
-    same messages and has no values to return."""
+    payload mask w)`` — the bin circuits' inputs; SIMULATED sends
+    through the same two paths and has no values to return."""
     n_bins = len(alice_fps)
     if ctx.mode == Mode.SIMULATED:
-        charge_opprf(ctx, ot, n_bins, len(bob))
+        charge_oprf_setup(ctx, ot, n_bins)
+        charge_opprf(ctx, len(bob))
         return ()
     rng = ctx.rng
     oprf = BatchedOprf(ctx, ot, alice_fps)
@@ -231,7 +232,7 @@ def _opprf(
         ctx.params.cuckoo_hashes * len(bob), ctx.params.sigma, b"".join(seeds)
     )
     table = okvs.encode(keys, values, rng)
-    ctx.send(BOB, table.nbytes, "opprf_hints")
+    charge_opprf(ctx, len(bob), table)
 
     # Alice decodes her bins' keys and strips her OPRF outputs.
     mine = np.stack([np.arange(n_bins, dtype=np.uint64), alice_fps], axis=1)
@@ -240,9 +241,15 @@ def _opprf(
     return at[:, 0] & token_mask, at[:, 1] & ctx.mask, s_tokens, w_masks
 
 
-def charge_opprf(ctx: Meter, ot: OT, n_bins: int, n_bob: int) -> None:
-    """SIMULATED mode: charge what :func:`_opprf` sends for ``n_bins``
-    bins and ``n_bob`` items of Bob's — the OPRF set-up, then the
-    OKVS."""
-    charge_oprf_setup(ctx, ot, n_bins)
-    ctx.send(BOB, opprf_hint_bytes(ctx.params, n_bob), "opprf_hints")
+def charge_opprf(
+    ctx: Meter, n_bob: int, table: Optional[np.ndarray] = None
+) -> None:
+    """The OPPRF's own message, after the OPRF set-up
+    (:func:`~repro.mpc.oprf.charge_oprf_setup`), the one send path of
+    both modes: Bob's OKVS over the entries of his ``n_bob`` items,
+    sized by ``n_bob`` alone.  REAL passes the ``table`` it encoded,
+    whose size is checked."""
+    hints = None if table is None else [table.nbytes]
+    Checked(ctx, hints).send(
+        BOB, opprf_hint_bytes(ctx.params, n_bob), "opprf_hints"
+    )

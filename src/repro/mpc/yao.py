@@ -20,8 +20,8 @@ security argument.  A row whose weight ``X`` Alice holds (an
 *evaluator row*) is not translated: the bit is ``c ^ pi`` for Alice's
 colour ``c`` and Bob's permute bit ``pi``, so ``v X = c X + pi (1 - 2c)
 X`` — Alice's term plus one correlated OT in which Bob chooses by
-``pi`` (:func:`_evaluator_rows`; DESIGN.md, "Plaintext operands outside
-the circuit").  A disclosed payload
+``pi`` (:meth:`_Garbling.weighted`; DESIGN.md, "Plaintext operands
+outside the circuit").  A disclosed payload
 (:class:`~repro.mpc.circuits.circuit.Disclosure`) never enters the
 circuit: Bob sends it encrypted under the hash of its key wire's
 1-label, which Alice holds exactly when the revealed key bit is 1
@@ -34,7 +34,8 @@ execution mode is consulted for a circuit, so a change to the garbling
 scheme, the label transfer or the share conversion is made here once.
 
 Communication per batch of instances of one circuit, in wire order
-(sizes from :func:`repro.mpc.costs.garbled_bytes`):
+(sizes from :func:`repro.mpc.costs.garbled_bytes`), which both modes
+send through :func:`_garbled_wire`:
 
 * the ``u`` columns of the OT batch that *is* Alice's input labels —
   Bob's zero-labels are its rows, so the OT runs first — and whatever
@@ -53,7 +54,7 @@ Communication per batch of instances of one circuit, in wire order
 
 from __future__ import annotations
 
-from typing import Any, Callable, NamedTuple, Optional, Tuple
+from typing import Any, Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -70,9 +71,9 @@ from .circuits.garbling import (
     translate,
     translated_shares,
 )
-from .context import BOB, Context, Meter, Mode
+from .context import BOB, Checked, Context, Meter, Mode, ScheduleMismatch
 from .costs import CircuitCounts, garbled_bytes, ring_bytes
-from .ot import OT
+from .ot import OT, LabelBatch
 from .sharing import SharedVector
 
 __all__ = ["RealInputs", "garbled_call"]
@@ -113,13 +114,13 @@ def garbled_call(
     circuit.  ``ideal()`` returns the same function's plain outputs as
     ``(shared words, revealed bits)`` — the words word-major, ``None``
     for a kind the circuit does not output; SIMULATED mode shares them
-    afresh and charges what REAL sends.  Only the thunk of the running
-    mode is evaluated.  ``alice_flow``, if given, sends the messages
-    that share Alice's label flow, in both modes: it runs once her label
-    batch is open and before Bob garbles (the PSI's leaf messages, from
-    which Bob's input bits come).  ``ctx`` may be a count-only
-    :class:`~repro.mpc.context.Meter` when ``ideal()`` returns no
-    values: the call then only charges.
+    afresh.  Only the thunk of the running mode is evaluated; both
+    modes send through :func:`_garbled_wire`.  ``alice_flow``, if
+    given, sends the messages that share Alice's label flow: it runs
+    once her label batch is open and before Bob garbles (the PSI's leaf
+    messages, from which Bob's input bits come).  ``ctx`` may be a
+    count-only :class:`~repro.mpc.context.Meter` when ``ideal()``
+    returns no values: the call then only charges.
 
     Returns ``(shares, bits)``: the shared words as one vector in
     word-major order (word ``j`` of instance ``i`` at
@@ -130,7 +131,7 @@ def garbled_call(
         width = counts.revealed + counts.disclosed
         return no_shares, np.zeros((0, width), dtype=np.uint8)
     if ctx.mode == Mode.SIMULATED:
-        _charge_garbled(ctx, ot, counts, n_instances, alice_flow)
+        _garbled_wire(ctx, ot, counts, n_instances, alice_flow)
         plain, bits = ideal()
         if bits is None:
             bits = np.zeros((n_instances, 0), dtype=np.uint8)
@@ -148,7 +149,9 @@ def garbled_call(
                 f"{who}'s input bits have shape {bits.shape}, the "
                 f"circuit takes {(n_instances, wires)}"
             )
-    return _run_garbled(_live(ctx), ot, inputs, alice_flow)
+    run = _Garbling(_live(ctx), inputs)
+    _garbled_wire(ctx, ot, counts, n_instances, alice_flow, run)
+    return run.result()
 
 
 def _live(ctx: Meter) -> Context:
@@ -156,6 +159,165 @@ def _live(ctx: Meter) -> Context:
     if not isinstance(ctx, Context):
         raise TypeError("a count-only meter computes no values")
     return ctx
+
+
+def _garbled_wire(
+    ctx: Meter,
+    ot: OT,
+    counts: CircuitCounts,
+    n: int,
+    alice_flow: Optional[Callable[[], None]],
+    run: Optional["_Garbling"] = None,
+) -> None:
+    """The messages of ``n`` garblings of a template with these counts,
+    in wire order (the module docstring's list), sized by
+    :func:`~repro.mpc.costs.garbled_bytes`: the one send path of both
+    modes.  REAL passes the ``run`` that computes each payload where
+    the sequence reaches it, and each payload's size is checked."""
+    sizes = garbled_bytes(counts, n, ctx.params.ell)
+    with ctx.section("gc/alice_labels"):
+        labels = ot.labels(
+            sizes.label_ots, None if run is None else run.alice_choices
+        )
+    if alice_flow is not None:
+        alice_flow()
+    wire = Checked(ctx, None if run is None else run.garble(labels))
+    wire.send(BOB, sizes.tables, "gc/tables")
+    wire.send(BOB, sizes.seed, "gc/bob_labels")
+    wire.send(BOB, sizes.decode, "gc/decode")
+    if counts.evaluator_rows:
+        with ctx.section("gc/alice_weights"), ctx.swapped_roles():
+            cot = ot.reverse.correlated(
+                None if run is None else run.permute, sizes.weight_ots
+            )
+            got = cot.finish(() if run is None else run.weighted(cot.p0[0]))
+        if run is not None:
+            run.received(got[0])
+
+
+class _Garbling:
+    """REAL mode's side of :func:`_garbled_wire`: the garbled batch,
+    every instance garbled and evaluated in parallel over the template's
+    :attr:`~repro.mpc.circuits.circuit.Circuit.levels`, all of Alice's
+    input labels one Δ-correlated extension batch."""
+
+    def __init__(self, ctx: Context, inputs: RealInputs) -> None:
+        self.ctx = ctx
+        self.inputs = inputs
+        #: Alice's choice bits of her label batch, instance-major
+        self.alice_choices = inputs.alice_bits.reshape(-1)
+        circuit = inputs.circuit
+        #: the evaluator rows, and the garbler's choice bits of their
+        #: C-OT (the rows' permute bits), once :meth:`garble` ran
+        self._ev = list(circuit.evaluator_rows)
+        self.permute: Optional[np.ndarray] = None
+        self._ev_done = not self._ev
+
+    def garble(self, labels: Optional[LabelBatch]) -> List[int]:
+        """Bob garbles on Alice's open label batch, translates the
+        shared rows and seals the disclosed payload; Alice evaluates on
+        what his three messages carry.  Returns their sizes: tables,
+        seed, decode."""
+        if labels is None:  # pragma: no cover - a REAL OT always deals
+            raise TypeError("a charge-only OT cannot feed REAL garbling")
+        ctx, inputs = self.ctx, self.inputs
+        circuit, alice_bits, bob_bits = inputs[:3]
+        n, n_alice = alice_bits.shape
+        const_bits = circuit.const_bits
+        garbler_bits = np.concatenate(
+            [
+                bob_bits[:, circuit.bob_cols],
+                np.broadcast_to(const_bits, (n, len(const_bits))),
+            ],
+            axis=1,
+        )
+
+        def by_wire(rows: np.ndarray) -> np.ndarray:
+            """``(n * n_alice, 16)`` OT rows -> ``(n_alice, n, 16)``."""
+            return rows.reshape(n, n_alice, LABEL_BYTES).transpose(1, 0, 2)
+
+        # Bob: Alice-wire zero-labels are the OT's rows and delta its
+        # secret, his own wires' active labels expand from the seed.  Both
+        # parties hash under the batch's public tweak number.
+        batch = ctx.tweak_batch()
+        seed = ctx.random_bytes(SEED_BYTES)
+        g = garble_batch(
+            circuit, labels.delta, by_wire(labels.zero), seed, garbler_bits,
+            batch,
+        )
+        # Bob translates the shared outputs and encrypts the disclosed
+        # payload: both travel after the revealed outputs' decode bits.
+        x = _row_weights(ctx, inputs)
+        sent = list(circuit.sent_rows)
+        rows, bob_rows = translate(g, x[sent], batch, ctx.mask)
+        permute = g.output_permute_bits()
+        wire_rows = words_to_le_bytes(
+            rows.T.reshape(-1), ring_bytes(ctx.params.ell)
+        )
+        sealed = disclose(g, bob_bits[:, circuit.payload_cols], batch)
+
+        # Alice: her labels from the OT, Bob's from the seed.
+        active = np.zeros((circuit.n_wires, n, LABEL_BYTES), dtype=np.uint8)
+        active[circuit.alice_wires] = by_wire(labels.active)
+        active[circuit.garbler_wires] = expand_labels(seed, circuit, n, batch)
+        bits = evaluate_batch(circuit, g.tables, g.control, active, batch)
+        bits ^= permute
+        payload = disclosed_payloads(circuit, active, sealed, bits, batch)
+        self._bits = np.concatenate([bits, payload], axis=1)
+        # Each party's share of every row: Bob knows the value of a row
+        # on a constant wire (and did not send it).
+        const = dict(circuit.const_wires)
+        known = np.asarray(
+            [const.get(r.wire, 0) for r in circuit.rows], np.uint64
+        )
+        self._alice, self._bob = np.zeros_like(x), x * known[:, None]
+        self._alice[sent] = translated_shares(
+            circuit, active, rows, batch, ctx.mask
+        )
+        self._bob[sent] = bob_rows
+        self._x = x
+        wires = [circuit.rows[j].wire for j in self._ev]
+        self.permute = (g.zero[wires][..., 0] & 1).reshape(-1)
+        self._colour = (active[wires][..., 0] & 1).astype(np.uint64)
+        return [
+            g.tables.nbytes + g.control.size,
+            len(seed),
+            np.packbits(permute, axis=1).size + wire_rows.size + sealed.size,
+        ]
+
+    def weighted(self, p0: np.ndarray) -> List[np.ndarray]:
+        """Alice's 1-messages of the evaluator rows' C-OT.  A row's wire
+        carries ``c ^ pi = c + pi (1 - 2c)``, ``c`` the colour of
+        Alice's label and ``pi`` the permute bit, so ``v X = c X + pi (1
+        - 2c) X``: Bob chooses by ``pi`` and gets ``r + pi (1 - 2c) X``,
+        ``r`` Alice's pad, and Alice keeps ``c X - r``."""
+        mask = np.uint64(self.ctx.mask)
+        x = self._x[self._ev]
+        r = le_bytes_to_words(p0).reshape(x.shape)
+        q = (np.uint64(1) - np.uint64(2) * self._colour) * x  # (1 - 2c) X
+        self._alice[self._ev] = (self._colour * x - r) & mask
+        rb = ring_bytes(self.ctx.params.ell)
+        return [words_to_le_bytes((r + q).reshape(-1) & mask, rb)]
+
+    def received(self, got: np.ndarray) -> None:
+        """Bob's shares of the evaluator rows: what his C-OT chose."""
+        self._bob[self._ev] = le_bytes_to_words(got).reshape(
+            len(self._ev), -1
+        )
+        self._ev_done = True
+
+    def result(self) -> Tuple[SharedVector, np.ndarray]:
+        """The shared words and the ``(n, revealed + disclosed)`` bit
+        matrix Alice decoded."""
+        if not self._ev_done:
+            raise ScheduleMismatch(
+                "'gc/alice_weights': the circuit has evaluator rows, "
+                "the counts none"
+            )
+        return (
+            _word_shares(self.ctx, self.inputs, self._alice, self._bob),
+            self._bits,
+        )
 
 
 def _row_weights(ctx: Context, inputs: RealInputs) -> np.ndarray:
@@ -179,116 +341,6 @@ def _row_weights(ctx: Context, inputs: RealInputs) -> np.ndarray:
     return x & np.uint64(ctx.mask)
 
 
-def _run_garbled(
-    ctx: Context,
-    ot: OT,
-    inputs: RealInputs,
-    alice_flow: Optional[Callable[[], None]] = None,
-) -> Tuple[SharedVector, np.ndarray]:
-    """REAL mode: garble and evaluate the circuit once per row of the
-    input bit matrices, all of Alice's input labels one Δ-correlated
-    extension batch.  Returns the shared words and the ``(n, revealed +
-    disclosed)`` bit matrix Alice decodes.
-
-    The whole batch runs instance-parallel over the template's
-    :attr:`~repro.mpc.circuits.circuit.Circuit.levels`."""
-    circuit, alice_bits, bob_bits = inputs[:3]
-    n, n_alice = alice_bits.shape
-    const_bits = circuit.const_bits
-    garbler_bits = np.concatenate(
-        [
-            bob_bits[:, circuit.bob_cols],
-            np.broadcast_to(const_bits, (n, len(const_bits))),
-        ],
-        axis=1,
-    )
-
-    def by_wire(rows: np.ndarray) -> np.ndarray:
-        """``(n * n_alice, 16)`` OT rows -> ``(n_alice, n, 16)``."""
-        return rows.reshape(n, n_alice, LABEL_BYTES).transpose(1, 0, 2)
-
-    with ctx.section("gc/alice_labels"):
-        labels = ot.labels(n * n_alice, alice_bits.reshape(-1))
-    if labels is None:  # pragma: no cover - a REAL OT always deals
-        raise TypeError("a charge-only OT cannot feed REAL garbling")
-    if alice_flow is not None:
-        alice_flow()
-    # Bob: Alice-wire zero-labels are the OT's rows and delta its
-    # secret, his own wires' active labels expand from the seed.  Both
-    # parties hash under the batch's public tweak number.
-    batch = ctx.tweak_batch()
-    seed = ctx.random_bytes(SEED_BYTES)
-    g = garble_batch(
-        circuit, labels.delta, by_wire(labels.zero), seed, garbler_bits, batch
-    )
-    ctx.send(BOB, g.tables.nbytes + g.control.size, "gc/tables")
-    ctx.send(BOB, len(seed), "gc/bob_labels")
-    # Bob translates the shared outputs and encrypts the disclosed
-    # payload: both travel after the revealed outputs' decode bits.
-    x = _row_weights(ctx, inputs)
-    sent = list(circuit.sent_rows)
-    rows, bob_rows = translate(g, x[sent], batch, ctx.mask)
-    permute = g.output_permute_bits()
-    wire_rows = words_to_le_bytes(rows.T.reshape(-1), ring_bytes(ctx.params.ell))
-    sealed = disclose(g, bob_bits[:, circuit.payload_cols], batch)
-    ctx.send(
-        BOB,
-        np.packbits(permute, axis=1).size + wire_rows.size + sealed.size,
-        "gc/decode",
-    )
-
-    # Alice: her labels from the OT, Bob's from the seed.
-    active = np.zeros((circuit.n_wires, n, LABEL_BYTES), dtype=np.uint8)
-    active[circuit.alice_wires] = by_wire(labels.active)
-    active[circuit.garbler_wires] = expand_labels(seed, circuit, n, batch)
-    bits = evaluate_batch(circuit, g.tables, g.control, active, batch)
-    bits ^= permute
-    payload = disclosed_payloads(circuit, active, sealed, bits, batch)
-    # Each party's share of every row: Bob knows the value of a row on
-    # a constant wire (and did not send it).
-    const = dict(circuit.const_wires)
-    known = np.asarray([const.get(r.wire, 0) for r in circuit.rows], np.uint64)
-    alice, bob = np.zeros_like(x), x * known[:, None]
-    alice[sent] = translated_shares(circuit, active, rows, batch, ctx.mask)
-    bob[sent] = bob_rows
-    ev = list(circuit.evaluator_rows)
-    if ev:
-        wires = [circuit.rows[j].wire for j in ev]
-        alice[ev], bob[ev] = _evaluator_rows(
-            ctx, ot, g.zero[wires], active[wires], x[ev]
-        )
-    return (
-        _word_shares(ctx, inputs, alice, bob),
-        np.concatenate([bits, payload], axis=1),
-    )
-
-
-def _evaluator_rows(
-    ctx: Context,
-    ot: OT,
-    zero: np.ndarray,
-    active: np.ndarray,
-    x: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Alice's and Bob's ``(n_rows, n)`` shares of the evaluator rows
-    from their wires' zero-labels (Bob's) and active labels (Alice's)
-    and the weights ``X`` (Alice's).  The wire carries ``c ^ pi = c +
-    pi (1 - 2c)``, ``c`` the colour of Alice's label and ``pi`` the
-    permute bit, so ``v X = c X + pi (1 - 2c) X``: in one C-OT per row
-    Bob chooses by ``pi`` and gets ``r + pi (1 - 2c) X``, ``r`` Alice's
-    pad, and Alice keeps ``c X - r``."""
-    mask = np.uint64(ctx.mask)
-    rb = ring_bytes(ctx.params.ell)
-    permute = zero[..., 0] & 1
-    colour = (active[..., 0] & 1).astype(np.uint64)
-    with ctx.section("gc/alice_weights"), ctx.swapped_roles():
-        cot = ot.reverse.correlated(permute.reshape(-1), [(permute.size, rb)])
-        r = le_bytes_to_words(cot.p0[0]).reshape(x.shape)
-        q = (np.uint64(1) - np.uint64(2) * colour) * x  # (1 - 2c) X
-        (got,) = cot.finish([words_to_le_bytes((r + q).reshape(-1) & mask, rb)])
-    return (colour * x - r) & mask, le_bytes_to_words(got).reshape(x.shape)
-
-
 def _word_shares(
     ctx: Context, inputs: RealInputs, alice: np.ndarray, bob: np.ndarray
 ) -> SharedVector:
@@ -303,26 +355,3 @@ def _word_shares(
         shares[1] += np.asarray(inputs.offsets, dtype=np.uint64).T
     alice_words, bob_words = shares.reshape(2, -1) & ctx.mask
     return SharedVector(alice_words, bob_words, ctx.modulus)
-
-
-def _charge_garbled(
-    ctx: Meter,
-    ot: OT,
-    counts: CircuitCounts,
-    n_instances: int,
-    alice_flow: Optional[Callable[[], None]] = None,
-) -> None:
-    """SIMULATED mode: charge ``n_instances`` garblings of a template
-    with these counts, message for message as :func:`_run_garbled`
-    sends them."""
-    sizes = garbled_bytes(counts, n_instances, ctx.params.ell)
-    with ctx.section("gc/alice_labels"):
-        ot.labels(sizes.label_ots)
-    if alice_flow is not None:
-        alice_flow()
-    ctx.send(BOB, sizes.tables, "gc/tables")
-    ctx.send(BOB, sizes.seed, "gc/bob_labels")
-    ctx.send(BOB, sizes.decode, "gc/decode")
-    if counts.evaluator_rows:
-        with ctx.section("gc/alice_weights"), ctx.swapped_roles():
-            ot.reverse.correlated(None, sizes.weight_ots).finish()

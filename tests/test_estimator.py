@@ -180,24 +180,26 @@ class TestEstimatorEqualsMetered:
 
 
 class TestOneCostModel:
-    """Structural guard: the estimator runs SIMULATED's own charge paths
-    and sends only single messages itself, sized by ``repro.mpc.costs``."""
+    """Structural guard: the estimator runs the primitives' own send
+    paths, the ones REAL and SIMULATED both send through, and sends only
+    single messages itself, sized by ``repro.mpc.costs``."""
 
-    CHARGE_PATHS = {
+    SEND_PATHS = {
         "mpc.ot": {"SimulatedOT"},
         "mpc.yao": {"garbled_call"},
+        "mpc.leaves": {"LeafOts"},
         "mpc.oprf": {"charge_oprf_setup"},
         "mpc.psi": {"charge_opprf"},
         "mpc.dhoprf": {"charge_dh_oprf"},
         "mpc.context": {"ALICE", "BOB", "Mode", "Meter"},
     }
 
-    #: the multi-message primitives' sizes, which only the charge paths
+    #: the multi-message primitives' sizes, which only the send paths
     #: may compose
     PRIMITIVE_SIZES = {
         "cot_bytes", "garbled_bytes", "base_ot_bytes",
         "tree_correction_bytes", "kkrt_setup_bytes", "dh_oprf_bytes",
-        "opprf_hint_bytes",
+        "opprf_hint_bytes", "leaf_ot_widths", "leaf_bytes",
     }
 
     def test_estimator_imports_only_the_cost_model(self):
@@ -210,8 +212,8 @@ class TestOneCostModel:
             names = {a.name for a in node.names}
             if module == "mpc":
                 assert names <= allowed, names
-            elif module in self.CHARGE_PATHS:
-                assert names <= self.CHARGE_PATHS[module], names
+            elif module in self.SEND_PATHS:
+                assert names <= self.SEND_PATHS[module], names
             elif module.startswith("mpc."):
                 assert module[len("mpc."):] in allowed, module
         called = {

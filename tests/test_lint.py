@@ -38,7 +38,6 @@ RULES = (
     "OBL002",
     "OBL003",
     "OBL004",
-    "OBL005",
     "OBL006",
     "OBL007",
     "OBL008",

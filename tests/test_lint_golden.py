@@ -2,7 +2,7 @@
 
 ``repro lint``'s findings are pinned as data: every entry of
 ``tests/golden/lint_findings.json`` lists the ``(rule, path, line, col,
-message)`` findings of one lint run under all eight rules, and each run
+message)`` findings of one lint run under all seven rules, and each run
 below must reproduce its entry exactly.
 
 The runs are every file of ``tests/lint_fixtures/`` (linted as a module
@@ -43,13 +43,6 @@ MUTATIONS = {
         "repro/core/linear.py",
         '@leaks("join_pattern:parent")\n',
         "",
-    ),
-    # OBL005: the SIMULATED branch of PSI's mode fork spells a label
-    # its REAL twin does not send (in the charge function it calls).
-    "psi_label_renamed": (
-        "repro/mpc/psi.py",
-        'n_bob), "opprf_hints"',
-        'n_bob), "opprf_hint"',
     ),
     # OBL007: a declared atom nothing in the call closure produces.
     "reveal_unwitnessed_atom": (

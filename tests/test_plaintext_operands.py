@@ -24,8 +24,9 @@ from .conftest import IdealOT, run_circuit
 
 pytestmark = pytest.mark.real
 
-#: the unwrapped share computation, which the spies below call
-_EVALUATOR_ROWS = yao._evaluator_rows
+#: the unwrapped last step of the evaluator rows, which the spy below
+#: calls
+_RECEIVED = yao._Garbling.received
 
 
 class TestZeroTest:
@@ -180,26 +181,26 @@ class TestEvaluatorRow:
 
     def run(self, monkeypatch, n, seed=0):
         """``n`` instances of :func:`weighted_xor` on random bits and
-        weights: the reconstructed words, the inputs, and what
-        ``_evaluator_rows`` saw and returned — the row wire's permute
-        bits and colours, and both parties' shares."""
+        weights: the reconstructed words, the inputs, and what the
+        evaluator row's C-OT saw and left — the row wire's permute bits
+        and colours, and both parties' shares."""
         rng = np.random.default_rng(seed)
         alice, bob = (rng.integers(0, 2, (n, 1), dtype=np.uint8)
                       for _ in range(2))
         weights = rng.integers(0, 2**32, (n, 1), dtype=np.uint64)
         seen = {}
 
-        def spy(ctx, ot, zero, active, x):
-            shares = _EVALUATOR_ROWS(ctx, ot, zero, active, x)
+        def spy(run, got):
+            _RECEIVED(run, got)
+            (row,) = run._ev
             seen.update(
-                permute=(zero[0, :, 0] & 1).tolist(),
-                colour=(active[0, :, 0] & 1).tolist(),
-                alice=shares[0][0].tolist(),
-                bob=shares[1][0].tolist(),
+                permute=run.permute.tolist(),
+                colour=run._colour[0].tolist(),
+                alice=run._alice[row].tolist(),
+                bob=run._bob[row].tolist(),
             )
-            return shares
 
-        monkeypatch.setattr(yao, "_evaluator_rows", spy)
+        monkeypatch.setattr(yao._Garbling, "received", spy)
         ctx = Context(Mode.REAL, seed=seed)
         words, _ = run_circuit(
             ctx, IdealOT(ctx), weighted_xor(), alice, bob,
