@@ -29,7 +29,7 @@ from .circuits.garbling import (
 from .cuckoo import num_bins
 from .okvs import okvs_slots
 from .params import SecurityParams
-from .waksman import padded_size, switch_count
+from .waksman import switch_count
 
 __all__ = [
     "DH_TOKEN_BYTES",
@@ -69,7 +69,7 @@ __all__ = [
 #: change to a message's size or to the message sequence, and folded
 #: into ``repro net``'s session id so that a journal or a peer of
 #: another format is refused at the start, not at a later divergence.
-WIRE_FORMAT = 7
+WIRE_FORMAT = 8
 
 #: The shape of one C-OT batch: consecutive ``(count, width)`` segments
 #: of same-width transfers.
@@ -162,16 +162,19 @@ def gilboa_widths(ell: int, n: int) -> Widths:
 
 def oep_widths(ell: int, m: int, n_out: int) -> Widths:
     """An extended permutation from ``m`` inputs to ``n_out`` outputs:
-    two Benes networks of two-word switches around one pass of one-word
-    copy gates, over the power-of-two padded wire count."""
-    n_work = padded_size(max(m, n_out))
-    rb = ring_bytes(ell)
-    return [(2 * switch_count(n_work), 2 * rb), (n_work - 1, rb)]
+    a Beneš network on ``max(m, n_out)`` wires, a copy pass of
+    ``n_out - 1`` gates and a Beneš network on ``n_out`` wires, each
+    switch and gate one C-OT of one ring element."""
+    n_gates = (
+        switch_count(max(m, n_out)) + max(n_out - 1, 0) + switch_count(n_out)
+    )
+    return [(n_gates, ring_bytes(ell))]
 
 
 def permutation_widths(ell: int, n: int) -> Widths:
-    """A plain permutation of ``n`` shares: one Benes network."""
-    return [(switch_count(n), 2 * ring_bytes(ell))]
+    """A plain permutation of ``n`` shares: one Beneš network on ``n``
+    wires, one C-OT of a ring element per switch."""
+    return [(switch_count(n), ring_bytes(ell))]
 
 
 class CircuitCounts(NamedTuple):

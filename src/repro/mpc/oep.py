@@ -9,17 +9,21 @@ Construction (Mohassel & Sadeghian [24]): decompose the EP into
 
     permutation P1  ->  replication pass  ->  permutation P2
 
-over ``max(M, N)`` wires.  ``P1`` brings one copy of every needed source
-to the head of its block of duplicated targets; the replication pass has
-each wire either keep its value or copy its left neighbour; ``P2`` routes
-the block members to their target positions.  Permutations run on a
-Benes switching network; every 2x2 switch and every replication gate is
-applied to the shared values with ONE correlated 1-out-of-2 OT in which
-Bob offers both refreshed share pairs and Alice selects with her
-(private) control bit.  The refresh masks are Bob's free choice, so he
-derives them from the OT's own 0-pad and only the "crossed" pair
-crosses the wire.  All OTs across the whole network are batched into a
-single OT-extension call, so the protocol runs in constant rounds with
+``P1`` runs over ``max(M, N)`` wires (zero wires added only when
+``M < N``) and brings one copy of every needed source to the head of
+its block of duplicated targets; every head and every target lies in
+``[0, N)``, so the replication pass — each wire either keeps its value
+or copies its left neighbour — and ``P2``, which routes the block
+members to their target positions, run over the first ``N`` wires
+only.  Permutations run on Beneš switching networks of exactly their
+wire count (:mod:`repro.mpc.waksman`).  Every 2x2 switch and every
+replication gate is applied to the shared values with ONE correlated
+1-out-of-2 OT of ONE ring element, in which Alice selects with her
+(private) control bit and Bob adopts the OT's own 0-pad as his share
+offset, so only his 1-message — the pad plus the difference of his
+two shares — crosses the wire (DESIGN.md, "One-word switches").  All
+OTs across the whole network are batched into a single OT-extension
+call, so the protocol runs in constant rounds with
 ``~O((M+N) log(M+N))`` communication.
 
 SIMULATED mode reshares ``x[xi]`` directly; both modes send the
@@ -37,7 +41,7 @@ from .context import Context, Mode
 from .costs import Widths, oep_widths, permutation_widths, ring_bytes
 from .ot import OT
 from .sharing import SharedVector
-from .waksman import Layer, benes_network, pad_permutation, padded_size
+from .waksman import Layer, benes_network
 
 __all__ = ["oblivious_permutation", "oblivious_extended_permutation"]
 
@@ -60,13 +64,9 @@ def oblivious_permutation(
             out_plain = values.reconstruct()[inv]
             _switches(ctx, ot, permutation_widths(ctx.params.ell, n))
             return SharedVector.fresh(ctx, out_plain)
-        layers = benes_network(pad_permutation(perm))
-        padded = values.concat(
-            SharedVector.zeros(padded_size(n) - n, ctx.modulus)
+        return _apply_switch_network(
+            ctx, ot, _switch_stages(benes_network(perm)), values
         )
-        switched = _apply_switch_network(ctx, ot, [layers], None, padded)
-        # Output position perm[i] received input i; read back in order.
-        return switched.take(np.arange(n))
 
 
 def oblivious_extended_permutation(
@@ -123,29 +123,29 @@ def _oep_real(
     ctx: Context, ot: OT, xi: np.ndarray, values: SharedVector, n_out: int
 ) -> SharedVector:
     m = len(values)
-    n_work = padded_size(max(m, n_out))
-    padded = values.concat(SharedVector.zeros(n_work - m, ctx.modulus))
-    perm1, perm2, copy_bits = _ep_permutations(xi, n_work)
-    # The size-keyed topology is cached across every OEP; only the
+    perm1, perm2, copy_bits = _ep_permutations(xi, max(m, n_out))
+    padded = values.concat(SharedVector.zeros(len(perm1) - m, ctx.modulus))
+    # The size-keyed topologies are cached across OEPs; only the
     # per-permutation switch settings are recomputed here.
-    layers1 = benes_network(perm1)
-    layers2 = benes_network(perm2)
-    routed = _apply_switch_network(
-        ctx, ot, [layers1, layers2], copy_bits, padded
+    stages = (
+        _switch_stages(benes_network(perm1))
+        + [("copy", copy_bits[1:].astype(np.uint8))]
+        + _switch_stages(benes_network(perm2))
     )
+    routed = _apply_switch_network(ctx, ot, stages, padded)
     return routed.take(np.arange(n_out))
 
 
 def _ep_permutations(
     xi: np.ndarray, n_work: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The extended permutation ``xi`` as ``(perm1, perm2, copy_bits)``
-    over ``n_work`` wires.  Target positions sorted by source (stably)
-    form one block per used source.  ``perm1`` brings each used source
-    to its block's head and every unused one to the free slots in
-    ascending order; the copy bits mark the block positions after a
-    head; ``perm2`` routes block position ``g`` to its target and the
-    spare wires to the spare targets in order."""
+    """The extended permutation ``xi`` as ``(perm1, perm2, copy_bits)``.
+    Target positions sorted by source (stably) form one block per used
+    source, so every block lies in ``[0, n_out)``.  ``perm1``, over
+    ``n_work >= n_out`` wires, brings each used source to its block's
+    head and every unused one to the free slots in ascending order; the
+    ``n_out`` copy bits mark the block positions after a head; ``perm2``,
+    over ``n_out`` wires, routes block position ``g`` to its target."""
     n_out = len(xi)
     order = np.argsort(xi, kind="stable")
     sources = xi[order]
@@ -157,22 +157,15 @@ def _ep_permutations(
     taken = np.zeros(n_work, dtype=bool)
     taken[heads] = True
     perm1[perm1 < 0] = np.flatnonzero(~taken)
-    copy_bits = np.zeros(n_work, dtype=bool)
-    copy_bits[:n_out] = ~head
-    perm2 = np.concatenate([order, np.arange(n_out, n_work)])
-    return perm1, perm2, copy_bits
+    return perm1, order, ~head
 
 
 def _switch_stages(layers: List[Layer]) -> List[Tuple]:
-    """One ``("switch", a_idx, b_idx, swaps)`` stage per non-empty layer
-    (a layer's switches touch disjoint wire pairs, so each stages and
+    """One ``("switch", a_idx, b_idx, swaps)`` stage per layer (a
+    layer's switches touch disjoint wire pairs, so each stages and
     replays as one vectorised step).  A stage's last element is
     Alice's choice bits, one per OT."""
-    return [
-        ("switch", a, b, swaps.astype(np.uint8))
-        for a, b, swaps in layers
-        if len(a)
-    ]
+    return [("switch", a, b, swaps.astype(np.uint8)) for a, b, swaps in layers]
 
 
 def _stage_bob(
@@ -181,41 +174,35 @@ def _stage_bob(
     pads: List[np.ndarray],
     bob: np.ndarray,
 ) -> List[np.ndarray]:
-    """Bob's side of the network, given every gate's 0-pad: each gate
-    offers Alice ``(keep, cross)`` re-randomised share tuples, and the
-    fresh masks are Bob's to choose, so he fixes them such that the
-    ``keep`` tuple *is* the pad — his new shares become ``old - pad`` —
-    and only the ``cross`` tuple has to be sent.  ``bob`` is updated in
-    place stage by stage (his running share vector is the one
-    sequential thing); returns the ``cross`` byte matrix per stage."""
+    """Bob's side of the network, given every gate's 0-pad ``p0``: the
+    fresh offset of his shares is his to choose, so he adopts the pad,
+    and his 1-message is the pad plus the difference his shares owe
+    Alice's when her bit is 1.  A switch on wires ``(a, b)`` makes his
+    shares ``a - p0`` and ``b + p0`` and sends ``p0 + (b - a)``; a copy
+    gate on wire ``i`` makes his share ``i - p0`` and sends ``p0`` plus
+    his new share of wire ``i - 1`` minus his old share of wire ``i``.
+    ``bob`` is updated in place stage by stage (his running share
+    vector is the one sequential thing); returns the 1-message byte
+    matrix per stage."""
     mask = ctx.mask
     rb = ring_bytes(ctx.params.ell)
     crossed = []
     for stage, p0 in zip(stages, pads):
+        pad = le_bytes_to_words(p0)
         if stage[0] == "switch":
             _, a_idx, b_idx, _ = stage
             ua, ub = bob[a_idx], bob[b_idx]
-            ra = (ua - le_bytes_to_words(p0[:, :rb])) & mask
-            rbv = (ub - le_bytes_to_words(p0[:, rb:])) & mask
-            bob[a_idx], bob[b_idx] = ra, rbv
-            crossed.append(
-                np.concatenate(
-                    [
-                        words_to_le_bytes((ub - ra) & mask, rb),
-                        words_to_le_bytes((ua - rbv) & mask, rb),
-                    ],
-                    axis=1,
-                )
-            )
+            bob[a_idx], bob[b_idx] = (ua - pad) & mask, (ub + pad) & mask
+            m1 = pad + ub - ua
         else:
-            # Position i's "copy" tuple offers its left neighbour's
-            # post-pass share, which is r[i-2] for i >= 2 (already
-            # refreshed by the previous gate) and the original share
-            # for i = 1.
-            r = (bob[1:] - le_bytes_to_words(p0)) & mask
-            prev = np.concatenate([bob[:1], r[:-1]])
-            crossed.append(words_to_le_bytes((prev - r) & mask, rb))
-            bob[1:] = r
+            # Wire i's left neighbour's post-pass share is r[i-2] for
+            # i >= 2 (already refreshed by the previous gate) and the
+            # original share for i = 1.
+            k = len(pad)
+            r = (bob[1 : k + 1] - pad) & mask
+            m1 = np.concatenate([bob[:1], r[:-1]]) - r
+            bob[1 : k + 1] = r
+        crossed.append(words_to_le_bytes(m1 & mask, rb))
     return crossed
 
 
@@ -225,24 +212,23 @@ def _replay_alice(
     messages: List[np.ndarray],
     alice: np.ndarray,
 ) -> None:
-    """Alice's side: apply her OT outputs stage by stage.  Switch
-    layers vectorise (disjoint wire pairs); so does the replication
-    pass, as a segmented prefix sum (:func:`_copy_pass`)."""
+    """Alice's side: apply her OT outputs ``v`` stage by stage.  A
+    switch with her bit ``s`` makes her shares ``a + s(b - a) + v`` and
+    ``b - s(b - a) - v``; switch layers vectorise (disjoint wire
+    pairs), and so does the replication pass, as a segmented prefix sum
+    (:func:`_copy_pass`)."""
     mask = ctx.mask
-    rb = ring_bytes(ctx.params.ell)
     for stage, msg in zip(stages, messages):
+        v = le_bytes_to_words(msg)
         if stage[0] == "switch":
             _, a_idx, b_idx, swaps = stage
-            v0 = le_bytes_to_words(msg[:, :rb])
-            v1 = le_bytes_to_words(msg[:, rb:])
             xa, xb = alice[a_idx], alice[b_idx]
             sw = swaps.astype(bool)
-            alice[a_idx] = (np.where(sw, xb, xa) + v0) & mask
-            alice[b_idx] = (np.where(sw, xa, xb) + v1) & mask
+            alice[a_idx] = (np.where(sw, xb, xa) + v) & mask
+            alice[b_idx] = (np.where(sw, xa, xb) - v) & mask
         else:
-            alice[:] = _copy_pass(
-                alice, stage[1].astype(bool), le_bytes_to_words(msg), mask
-            )
+            k = len(v) + 1
+            alice[:k] = _copy_pass(alice[:k], stage[1].astype(bool), v, mask)
 
 
 def _copy_pass(
@@ -269,33 +255,23 @@ def _copy_pass(
 
 
 def _apply_switch_network(
-    ctx: Context,
-    ot: OT,
-    networks: List[List[Layer]],
-    copy_bits: Optional[np.ndarray],
-    values: SharedVector,
+    ctx: Context, ot: OT, stages: List[Tuple], values: SharedVector
 ) -> SharedVector:
-    """Run one or two Benes networks with an optional replication pass
-    (``copy_bits``, one per wire, the first ignored) in between,
-    batching every OT into one correlated extension call: the pads of
-    every gate are known once ``u`` has crossed, Bob stages all of
-    them, one correction message crosses, Alice replays."""
+    """Run ``stages`` — switch layers and at most one replication pass
+    ``("copy", bits)``, whose gate ``i`` acts on wire ``i + 1`` — over
+    ``values``, batching every OT into one correlated extension call:
+    the pads of every gate are known once ``u`` has crossed, Bob stages
+    all of them, one correction message crosses, Alice replays."""
+    stages = [st for st in stages if len(st[-1])]
+    if not stages:  # a one-wire network has no gates
+        return values
     alice = values.alice.astype(np.uint64).copy()
     bob = values.bob.astype(np.uint64).copy()
     rb = ring_bytes(ctx.params.ell)
-
-    stages = _switch_stages(networks[0])
-    if copy_bits is not None and len(bob) > 1:
-        stages.append(("copy", copy_bits[1:].astype(np.uint8)))
-    for network in networks[1:]:
-        stages += _switch_stages(network)
-    if not stages:  # a one-wire network has no gates
-        return values
-
     messages = _switches(
         ctx,
         ot,
-        [(len(st[-1]), 2 * rb if st[0] == "switch" else rb) for st in stages],
+        [(len(st[-1]), rb) for st in stages],
         np.concatenate([st[-1] for st in stages]),
         lambda pads: _stage_bob(ctx, stages, pads, bob),
     )

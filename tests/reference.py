@@ -14,9 +14,11 @@ identical outputs and byte-identical transcript fingerprints.  The
 templates that keep a party's plaintext out of the circuit — the zero
 test, the merge chain over Bob's shares, the evaluator-weighted row —
 have one-instance forms here too, pinned through REAL garbling by
-``tests/test_plaintext_operands.py``.  The
-protocol-level consumers — Gilboa, the switch network — have no twin:
-their tests pin semantics and REAL == SIMULATED fingerprints instead.
+``tests/test_plaintext_operands.py``; so does the OEP's one-word
+switch, pinned against Bob's staging and Alice's replay by
+``tests/test_oep.py``.  The protocol-level consumers — Gilboa, the
+switch network as a whole — have no twin: their tests pin semantics
+and REAL == SIMULATED fingerprints instead.
 
 Nothing in ``src/`` imports this module; it exists only as the ground
 truth for tests and for line-by-line auditing of the batched code.
@@ -47,6 +49,7 @@ __all__ = [
     "merge_sum_chain",
     "evaluator_row",
     "route_swaps",
+    "switch",
     "ep_permutations",
     "copy_pass",
 ]
@@ -391,49 +394,71 @@ def evaluator_row(
 
 def route_swaps(perm: List[int]) -> List[Tuple[bool, ...]]:
     """Per-layer switch settings realising ``wire[perm[i]] <- wire[i]``
-    by the recursive looping algorithm: walk each constraint cycle from
-    its smallest uncoloured input, colouring inputs with the sub-network
-    they enter, then recurse into both halves."""
-    n = len(perm)
-    if n == 1:
-        return []
-    if n == 2:
-        return [(perm[0] == 1,)]
+    by the recursive looping algorithm, generalised to any size by
+    Chang & Melhem's split: colour every input with the half it enters
+    by a graph walk, then recurse into both halves.  The layers of
+    parallel sub-networks merge by depth, top first; a two-wire
+    sub-network is one switch, placed as its own output layer; empty
+    layers are dropped."""
+    ins, outs = _route(perm)
+    return [tuple(layer) for layer in ins + outs[::-1] if layer]
 
+
+def _route(perm: List[int]) -> Tuple[List[List[bool]], List[List[bool]]]:
+    """A sub-network's input- and output-layer settings, by depth."""
+    n = len(perm)
+    if n < 2:
+        return [], []
+    if n == 2:
+        return [[]], [[perm[0] == 1]]
+    half = n // 2
     inv = [0] * n
     for i, t in enumerate(perm):
         inv[t] = i
 
-    # 2-colouring: subnet[i] in {0,1} for each input position.
+    def partners(i: int) -> List[int]:
+        # Its input switch's other input, and the input that targets
+        # its output switch's other output; the odd last input and
+        # output wires bypass the switches and have no partner.
+        found = [i ^ 1] if i ^ 1 < n else []
+        if perm[i] ^ 1 < n:
+            found.append(inv[perm[i] ^ 1])
+        return found
+
+    # 2-colouring: subnet[i] in {0 (top), 1 (bottom)} for each input.
     subnet = [-1] * n
+
+    def colour(start: int, c: int) -> None:
+        todo = [(start, c)]
+        while todo:
+            i, c = todo.pop()
+            if subnet[i] != -1:
+                assert subnet[i] == c, "constraints are 2-colourable"
+                continue
+            subnet[i] = c
+            todo.extend((j, c ^ 1) for j in partners(i))
+
+    if n % 2:  # the bypass wire enters the bottom half
+        colour(n - 1, 1)
     for start in range(n):
-        if subnet[start] != -1:
-            continue
-        i, colour = start, 0
-        while subnet[i] == -1:
-            subnet[i] = colour
-            # The input landing in the same *output* pair must differ.
-            partner_out = inv[perm[i] ^ 1]
-            if subnet[partner_out] == -1:
-                subnet[partner_out] = colour ^ 1
-            # Its *input*-pair partner must differ from it in turn.
-            i = partner_out ^ 1
-            colour = subnet[partner_out] ^ 1
+        if subnet[start] == -1:
+            colour(start, 0)
 
     in_swaps: List[bool] = []
-    top_perm = [0] * (n // 2)
-    bot_perm = [0] * (n // 2)
-    for p in range(n // 2):
+    top_perm: List[int] = []
+    bot_perm: List[int] = []
+    for p in range(half):
         a, b = 2 * p, 2 * p + 1
         swap = subnet[a] == 1
         in_swaps.append(swap)
-        top_in = b if swap else a
-        bot_in = a if swap else b
-        top_perm[p] = perm[top_in] // 2
-        bot_perm[p] = perm[bot_in] // 2
+        top_in, bot_in = (b, a) if swap else (a, b)
+        top_perm.append(perm[top_in] // 2)
+        bot_perm.append(perm[bot_in] // 2)
+    if n % 2:
+        bot_perm.append(perm[n - 1] // 2)
 
     out_swaps: List[bool] = []
-    for q in range(n // 2):
+    for q in range(half):
         # The element reaching output switch q from the top subnet is the
         # input with subnet colour 0 whose target lies in output pair q.
         top_elem = next(
@@ -441,14 +466,41 @@ def route_swaps(perm: List[int]) -> List[Tuple[bool, ...]]:
         )
         out_swaps.append(perm[top_elem] == 2 * q + 1)
 
-    top_layers = route_swaps(top_perm)
-    bot_layers = route_swaps(bot_perm)
-    # Merge the parallel sub-networks layer by layer (top switches first,
-    # matching the topology's layer order).
-    middle = [
-        top_layers[d] + bot_layers[d] for d in range(len(top_layers))
-    ]
-    return [tuple(in_swaps)] + middle + [tuple(out_swaps)]
+    top_ins, top_outs = _route(top_perm)
+    bot_ins, bot_outs = _route(bot_perm)
+    depth = max(len(top_ins), len(bot_ins))
+
+    def merge(top: List[List[bool]], bot: List[List[bool]]):
+        top = top + [[]] * (depth - len(top))
+        bot = bot + [[]] * (depth - len(bot))
+        return [t + b for t, b in zip(top, bot)]
+
+    return (
+        [in_swaps] + merge(top_ins, bot_ins),
+        [out_swaps] + merge(top_outs, bot_outs),
+    )
+
+
+# -- one one-word switch --------------------------------------------------
+
+
+def switch(
+    a: Tuple[int, int], b: Tuple[int, int], s: int, p0: int, mask: int
+) -> Tuple[int, Tuple[int, int], Tuple[int, int]]:
+    """One switch on wires ``a`` and ``b``, each an ``(alice, bob)``
+    share pair, with Alice's bit ``s`` and Bob's C-OT 0-pad ``p0``: Bob
+    sends ``m1 = p0 + (b_B - a_B)``, Alice receives ``v = p0`` or
+    ``m1`` by ``s``; returns ``m1`` and the new share pairs of ``a``
+    and ``b``, which hold ``a + s(b - a)`` and ``b - s(b - a)``."""
+    (a_alice, a_bob), (b_alice, b_bob) = a, b
+    m1 = (p0 + b_bob - a_bob) & mask
+    v = m1 if s else p0
+    d = s * (b_alice - a_alice)
+    return (
+        m1,
+        ((a_alice + d + v) & mask, (a_bob - p0) & mask),
+        ((b_alice - d - v) & mask, (b_bob + p0) & mask),
+    )
 
 
 # -- the extended permutation's networks, element by element -------------
@@ -458,15 +510,15 @@ def ep_permutations(
     xi: Sequence[int], n_work: int
 ) -> Tuple[List[int], List[int], List[bool]]:
     """``(perm1, perm2, copy_bits)`` of the extended permutation ``xi``
-    over ``n_work`` wires, built with lists: targets grouped by source,
-    ``perm1`` sends each used source to the head of its block and every
-    unused one to the lowest free slot, ``perm2`` sends block member
-    ``g`` to its target and the remaining wires to the free targets in
-    order."""
+    built with lists: targets grouped by source, ``perm1`` (over
+    ``n_work`` wires) sends each used source to the head of its block
+    and every unused one to the lowest free slot, ``perm2`` (over the
+    ``len(xi)`` wires the blocks fill) sends block member ``g`` to its
+    target."""
     n_out = len(xi)
     order = sorted(range(n_out), key=lambda i: (xi[i], i))
     perm1 = [-1] * n_work
-    copy_bits = [False] * n_work
+    copy_bits = [False] * n_out
     prev_source = None
     for g, target in enumerate(order):
         s = xi[target]
@@ -480,16 +532,7 @@ def ep_permutations(
     for s in range(n_work):
         if perm1[s] == -1:
             perm1[s] = next(free_slots)
-    perm2 = [-1] * n_work
-    taken = [False] * n_work
-    for g, target in enumerate(order):
-        perm2[g] = target
-        taken[target] = True
-    free_targets = iter(t for t in range(n_work) if not taken[t])
-    for g in range(n_work):
-        if perm2[g] == -1:
-            perm2[g] = next(free_targets)
-    return perm1, perm2, copy_bits
+    return perm1, order, copy_bits
 
 
 def copy_pass(

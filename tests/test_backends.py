@@ -95,18 +95,23 @@ class TestEstimatorBoundary:
 
     def test_yannakakis_wins_tiny_parent_large_plain_child(self):
         # Few cuckoo bins (parent side) keep the PSI cheap, while the
-        # linear path pays a child-sized share + OEP regardless.
-        for m, n in [(4, 256), (4, 512), (8, 512)]:
+        # linear path pays a child-sized share + OEP regardless.  (4,
+        # 256) left the list when the OEP's networks shrank to their
+        # true size with one-word switches: the PSI wins there up to a
+        # parent of 2 rows only (test_boundary_rows).
+        for m, n in [(2, 256), (4, 512), (8, 512)]:
             assert node_cost(m, n, "yannakakis") < node_cost(m, n, "linear")
 
     @pytest.mark.parametrize(
         "n, last",
-        [(256, 100), (512, 201), (1024, 403)],
+        [(256, 2), (512, 13), (1024, 42)],
         ids=["256", "512", "1024"],
     )
     def test_boundary_rows(self, n, last):
         # The largest parent a plain child of n rows still sends to the
-        # PSI: 50 / 100 / 213 while a bin's tokens were compared by a
+        # PSI: 100 / 201 / 403 while the linear path's OEP ran padded
+        # networks of two-word switches, 50 / 100 / 213 while a bin's
+        # tokens were compared by a
         # 54-AND garbled eq, 36 / 80 / 177 while the OPPRF hints were per-bin
         # polynomials padded to the worst bin, 18 / 40 / 90 while a
         # DH-OPRF element was 256 bytes, 17 /
@@ -162,20 +167,22 @@ class TestRouting:
     @pytest.mark.parametrize(
         "ell, winner, prices",
         [
-            (32, "linear", {"yannakakis": 758_851, "linear": 687_356}),
-            (48, "yannakakis", {"yannakakis": 936_005, "linear": 959_610}),
+            (32, "linear", {"yannakakis": 129_888, "linear": 119_012}),
+            (48, "yannakakis", {"yannakakis": 144_334, "linear": 153_750}),
         ],
     )
     def test_auto_routes_at_the_relations_ring_width(self, ell, winner, prices):
-        # Parent 420 x child 1024 (104 while AND tables were
+        # Parent 56 x child 1024 (104 while AND tables were
         # half-gates', 120 while the bin circuits garbled Alice's
         # payload, 190 while the OPPRF hints were padded polynomials,
-        # 240 while a bin's tokens were compared by a garbled eq),
+        # 240 while a bin's tokens were compared by a garbled eq, 420
+        # while the OEP ran padded networks of two-word switches;
+        # both widths route 420 linear now),
         # cross-owner, both plain: the fold's winner depends on the
         # ring width, so routing every query at the default ell = 32
         # sent this one to the dearer back-end at ell = 48 while the
         # estimator priced it at its own width.
-        q = two_relation_query(420, 1024, ring=IntegerRing(ell))
+        q = two_relation_query(56, 1024, ring=IntegerRing(ell))
         sizes = {n: len(r) for n, r in q.relations.items()}
         assert estimate_node_costs(
             q.plan(), sizes, q.owners, params=q.ring_params()

@@ -302,13 +302,13 @@ ABLATIONS = {
     "same_party_shortcut": (
         _join(oblivious_reduce_join, A2, A1),
         _join(oblivious_reduce_join, A2, B1),
-        (192_797, 1_233_272),
+        (177_437, 1_067_672),
     ),
     # Section 6.5: owner-known annotations vs forced sharing.
     "plain_annotation_fast_path": (
         _join(oblivious_reduce_join, (ALICE, 2, False), (BOB, 1, False)),
         _join(oblivious_reduce_join, A2, B1),
-        (406_699, 1_233_272),
+        (335_331, 1_067_672),
     ),
     # Section 5.1: Gilboa OT-multiplication vs a garbled multiplier.
     "gilboa_vs_garbled_multiplier": (
@@ -318,7 +318,7 @@ ABLATIONS = {
     "reduced_semijoin_filter": (
         _join(oblivious_semijoin, A2, B1),
         _join(oblivious_semijoin, A2, (BOB, 4, True)),
-        (1_437_675, 1_804_091),
+        (1_242_123, 1_378_755),
     ),
 }
 

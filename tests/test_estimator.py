@@ -251,7 +251,7 @@ class TestByteBudgetPin:
     A change to a primitive's wire size is made in ``mpc/costs.py`` —
     and then here, knowingly."""
 
-    TOTAL = 7_514_685
+    TOTAL = 6_325_865
     #: set-up bytes (the benchmark's ``mpc.bytes.base_ot``): the one
     #: Chou-Orlandi phase, the mirror's seed-OT ``u``, one per PSI
     BASE = 8_353 + 512 + 2 * 1_792
@@ -263,7 +263,10 @@ class TestByteBudgetPin:
         # mirror's 3,072 B of tree corrections; a PSI bin's are its 14
         # leaf masks
         "gc/alice_labels/": 393_216,
-        "/switches/": 2_129_904,
+        # the OEPs: one C-OT of a ring element per switch and copy
+        # gate, each network on its own wire count (2,129,904 with
+        # two-word switches on power-of-two padded networks)
+        "/switches/": 941_084,
         "/cross": 1_152_000,
         # three-halves tables (13 ANDs per PSI bin), then the decode bits
         # and translated rows
@@ -283,10 +286,11 @@ class TestByteBudgetPin:
 
     #: Q3 at 0.1 MB under each join back-end: (bytes, rounds)
     BACKENDS = {
-        "yannakakis": (730_950, 29),
-        "linear": (681_020, 21),
-        # lineitem -> orders to the PSI, the rest linear
-        "auto": (621_651, 25),
+        "yannakakis": (602_082, 29),
+        "linear": (385_808, 21),
+        # every node linear since the OEP's switches shrank (before,
+        # lineitem -> orders went to the PSI: 621,651 B in 25 rounds)
+        "auto": (385_808, 21),
     }
 
     @staticmethod

@@ -91,5 +91,5 @@ class TestCost:
             return stats.total_bytes
 
         three, two = plans()
-        # exact: EXPERIMENTS.md's ablation table quotes this pair (3.9x)
-        assert (run(three), run(two)) == (311_677, 1_222_530)
+        # exact: EXPERIMENTS.md's ablation table quotes this pair (4.0x)
+        assert (run(three), run(two)) == (256_601, 1_019_390)
