@@ -171,6 +171,11 @@ class _Estimator:
             return nullcontext()
         return self.meter.swapped_roles()
 
+    def step(self) -> None:
+        """A plan node starts: the scheduler closes both extension
+        instances' silent-OT pools."""
+        self._ot.close_pools()
+
     # -- primitives -------------------------------------------------------
 
     def ot_batch(self, widths: Widths, reverse: bool = False) -> None:
@@ -241,6 +246,7 @@ class _Estimator:
             parent_owner,
         ) = shape
         ell = self.p.ell
+        self.step()
         parent_bob = parent_owner != ALICE
         if child_n and not child_plain:  # else: the owner-local fast path
             # the child owner's aggregation: Bob's iff the parent's is
@@ -372,6 +378,7 @@ def estimate_plan_cost(
     # Full join: reveal + OUT + per-relation OEP + products + result.
     reduced = plan.reduced_attrs
     for name, attrs in reduced.items():
+        e.step()
         if plain[name]:
             e.share(owners[name], sizes[name])
         # reveal circuits: the indicator, and for a Bob-owned relation
@@ -385,7 +392,9 @@ def estimate_plan_cost(
     e.meter.send(ALICE, costs.OUT_SIZE_BYTES)
     if out_size > 0:
         for name in reduced:
+            e.step()
             e.oep(sizes[name] + 1, out_size)
+        e.step()
         e.gilboa(out_size, n_cross_terms=2 * (len(reduced) - 1))
     e.share(BOB, out_size)  # the result, revealed to Alice
     m = e.meter

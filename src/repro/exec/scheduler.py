@@ -112,6 +112,9 @@ class Scheduler:
         for step in plan.steps[start_at or 0:]:
             if yield_hook is not None:
                 yield_hook(step)
+            # Silent-OT pools live for one node, so no checkpoint holds
+            # one open (OT.close_pools).
+            self.engine.ot.close_pools()
 
             def thunk(step: Step = step) -> None:
                 if self.trace is not None:

@@ -52,6 +52,7 @@ __all__ = [
     "tccr_hash",
     "tweaks",
     "aes_prp",
+    "aes_ctr",
     "sha256_rows",
     "sorted_lookup",
 ]
@@ -134,6 +135,13 @@ def _fixed_key_aes() -> CipherContext:
     return enc
 
 
+def _blocks(words: np.ndarray) -> np.ndarray:
+    """``(..., 2)`` 64-bit words as ``(...)`` 16-byte elements (a
+    ``complex128`` view, never computed on): a broadcast copy moves one
+    block per element, not two words per inner loop."""
+    return words.view(np.complex128)[..., 0]
+
+
 def tccr_hash(x: np.ndarray, tweak: np.ndarray) -> np.ndarray:
     """The tweakable correlation-robust hash ``H(x, t) = pi(sigma(x) ^ t)
     ^ sigma(x)`` of Guo, Katz, Wang and Yu (S&P 2020), block-wise.
@@ -149,21 +157,35 @@ def tccr_hash(x: np.ndarray, tweak: np.ndarray) -> np.ndarray:
     call in one OpenSSL ``update_into``.  The bound holds while no
     tweak repeats, so callers build tweaks from a public batch number
     that is fresh per hashing batch (:meth:`repro.mpc.context.Context.
-    tweak_batch`)."""
+    tweak_batch`).
+
+    ``sigma(x)`` is computed once per distinct block, in ``x``'s shape,
+    and copied block-wise to the broadcast shape only when ``x`` is
+    smaller; the AES input is built in its own buffer, so every
+    word-wise operation runs over contiguous memory."""
     x64 = np.ascontiguousarray(x, dtype=np.uint8).view("<u8")
-    lo, hi = x64[..., 0], x64[..., 1]
-    s = np.empty(x64.shape, dtype="<u8")
-    np.left_shift(lo, _ONE, out=s[..., 0])
-    s[..., 0] ^= (hi >> _TOP) * _GF128_R
-    np.left_shift(hi, _ONE, out=s[..., 1])
-    s[..., 1] |= lo >> _TOP
     t64 = np.ascontiguousarray(tweak, dtype=np.uint8).view("<u8")
-    inp = s ^ t64
+    shape = np.broadcast_shapes(x64.shape, t64.shape)
+    s = np.left_shift(x64, _ONE)
+    carry = x64 >> _TOP
+    s[..., 1] |= carry[..., 0]
+    carry[..., 1] *= _GF128_R
+    s[..., 0] ^= carry[..., 1]
+    if s.shape != shape:
+        full = np.empty(shape, dtype="<u8")
+        np.copyto(_blocks(full), _blocks(s))
+        s = full
+    inp = np.empty(shape, dtype="<u8")
+    if t64.shape != shape:
+        np.copyto(_blocks(inp), _blocks(t64))
+        inp ^= s
+    else:
+        np.bitwise_xor(s, t64, out=inp)
     if not inp.size:
         return inp.view(np.uint8)
     out = np.empty(inp.nbytes + 15, dtype=np.uint8)
     _fixed_key_aes().update_into(inp.data.cast("B"), out)
-    h = out[: inp.nbytes].view("<u8").reshape(inp.shape)
+    h = out[: inp.nbytes].view("<u8").reshape(shape)
     h ^= s
     return h.view(np.uint8)
 
@@ -172,13 +194,14 @@ def tweaks(batch: int, row: np.ndarray, index: np.ndarray) -> np.ndarray:
     """``(..., 16)`` :func:`tccr_hash` tweaks, one per element of
     ``row`` and ``index`` broadcast together: the low 64 bits hold the
     public batch number, the high 64 ``row`` (an instance or OT number)
-    over ``index`` (the hash's position within the row), 32 bits each."""
-    high = (np.asarray(row, dtype=np.uint64) << _ROW) | np.asarray(
-        index, dtype=np.uint64
-    )
-    t = np.empty(high.shape + (2,), dtype="<u8")
+    over ``index`` (the hash's position within the row), 32 bits each.
+    Built as one base block, the batch number, whose high word takes
+    the row/index offset in place."""
+    row = np.asarray(row, dtype=np.uint64)
+    index = np.asarray(index, dtype=np.uint64)
+    t = np.empty(np.broadcast_shapes(row.shape, index.shape) + (2,), "<u8")
     t[..., 0] = batch
-    t[..., 1] = high
+    np.bitwise_or(row << _ROW, index, out=t[..., 1])
     return t.view(np.uint8)
 
 
@@ -194,6 +217,18 @@ def aes_prp(key: bytes, blocks: np.ndarray) -> np.ndarray:
     enc = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
     enc.update_into(blocks.data.cast("B"), out)
     return out[: blocks.nbytes].reshape(-1, 16)
+
+
+def aes_ctr(key: bytes, first: int, n_blocks: int) -> np.ndarray:
+    """Blocks ``first`` to ``first + n_blocks - 1`` of AES-128-CTR's
+    keystream under ``key``, the counter one big-endian 128-bit block,
+    as ``(n_blocks, 16)`` bytes: a random-access PRG for public
+    randomness (the silent-OT pool's LPN code), one OpenSSL call."""
+    counter = first.to_bytes(16, "big")
+    enc = Cipher(algorithms.AES(key), modes.CTR(counter)).encryptor()
+    out = np.zeros(16 * n_blocks + 15, dtype=np.uint8)
+    enc.update_into(out[: 16 * n_blocks].data, out)
+    return out[: 16 * n_blocks].reshape(n_blocks, 16)
 
 
 def sha256_rows(rows: np.ndarray) -> np.ndarray:

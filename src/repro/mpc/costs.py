@@ -15,7 +15,15 @@ literals at the send sites).  REAL paths send what they actually built.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, List, NamedTuple, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .circuits.circuit import Circuit
@@ -33,13 +41,19 @@ from .waksman import switch_count
 
 __all__ = [
     "DH_TOKEN_BYTES",
+    "FERRET_BOOT",
+    "FERRET_MAIN",
     "FRAME_HEADER_BYTES",
+    "LPN_D",
     "OPRF_WIDTH",
     "OUT_SIZE_BYTES",
+    "POOL_MIN",
     "SOFTSPOKEN_K",
     "WIRE_FORMAT",
     "Widths",
     "CircuitCounts",
+    "LpnSet",
+    "PoolDraw",
     "GarbledBytes",
     "base_ot_bytes",
     "circuit_counts",
@@ -56,12 +70,14 @@ __all__ = [
     "oep_widths",
     "opprf_hint_bytes",
     "permutation_widths",
+    "pool_draw",
     "psi_bins",
     "psi_seed_bytes",
     "psi_token_bits",
     "ring_bytes",
     "seed_ot_widths",
     "share_bytes",
+    "tree_bytes",
     "tree_correction_bytes",
 ]
 
@@ -69,7 +85,7 @@ __all__ = [
 #: change to a message's size or to the message sequence, and folded
 #: into ``repro net``'s session id so that a journal or a peer of
 #: another format is refused at the start, not at a later divergence.
-WIRE_FORMAT = 8
+WIRE_FORMAT = 9
 
 #: The shape of one C-OT batch: consecutive ``(count, width)`` segments
 #: of same-width transfers.
@@ -152,6 +168,122 @@ def cot_bytes(kappa: int, widths: Widths) -> Tuple[int, int]:
         n_ots += count
         corrections += count * width
     return kappa // SOFTSPOKEN_K * ((n_ots + 7) // 8), corrections
+
+
+class LpnSet(NamedTuple):
+    """One Ferret parameter set (Yang, Weng, Lan, Zhang and Wang, CCS
+    2020): an iteration turns a reserve of ``k + t * depth`` COTs into
+    ``n`` under regular-noise LPN — ``k`` of the reserve are the LPN
+    secret, the rest the path bits of ``t`` single-point COTs, each a
+    punctured GGM tree of ``2^depth`` leaves, so ``n = t * 2^depth``."""
+
+    n: int
+    t: int
+    k: int
+    depth: int
+
+    @property
+    def reserve(self) -> int:
+        """The COTs an iteration consumes."""
+        return self.k + self.t * self.depth
+
+
+#: emp-ot's ``ferret_b13``: the main set, whose iterations each keep
+#: their successor's reserve out of their own outputs, and the bootstrap
+#: set, whose one iteration fills the main set's first reserve from a
+#: SoftSpokenOT batch.  The bootstrap set used alone would open for
+#: 0.44 MB but refill for 0.28 MB per 429 k COTs (DESIGN.md,
+#: "Silent-OT pool").
+FERRET_MAIN = LpnSet(n=10_485_760, t=1_280, k=452_000, depth=13)
+FERRET_BOOT = LpnSet(n=470_016, t=918, k=32_768, depth=9)
+
+#: Reserve columns XORed into each output row: the local-linear code's
+#: row weight.
+LPN_D = 10
+
+#: The smallest batch that opens an instance's pool: past the
+#: break-even, where opening (a SoftSpokenOT batch of the bootstrap
+#: reserve, the bootstrap trees' SPCOTs, one bit per OT) costs less
+#: than SoftSpokenOT's ``kappa / k`` bits per OT; :func:`pool_draw`
+#: applies it.
+POOL_MIN = 1 << 17
+
+
+def tree_bytes(lpn: LpnSet) -> int:
+    """The sender's bytes of one single-point COT: per level of its tree
+    the two level sums, each masked by one side of a reserve COT, and
+    one correction, ``Delta`` XOR all its leaves."""
+    return lpn.depth * 2 * 16 + 16
+
+
+def _drawn_trees(row: int) -> int:
+    """The trees of a main iteration whose SPCOTs have crossed once its
+    draws, which start at the first row past the reserve its successor
+    keeps, reach ``row``: every bin from that first row's up to
+    ``row``'s."""
+    main = FERRET_MAIN
+    if row <= main.reserve:
+        return 0
+    return -(-row >> main.depth) - (main.reserve >> main.depth)
+
+
+class PoolDraw(NamedTuple):
+    """What drawing one batch from an extension instance's pool costs,
+    the rows it takes and the pool it leaves."""
+
+    #: usable rows left in the current main iteration; ``None`` while
+    #: the pool is closed (the batch ran SoftSpokenOT)
+    left: Optional[int]
+    #: the receiver's ``ot/ext/u``: SoftSpokenOT's correction, or one
+    #: derandomisation bit per OT after an opening batch's
+    #: SoftSpokenOT correction of the bootstrap reserve
+    u: int
+    #: the sender's SPCOT bytes the batch owes: those of every tree
+    #: whose bin the batch is the first to draw from
+    sender: int
+    #: whether the batch opens the pool: a SoftSpokenOT batch of random
+    #: choices fills the bootstrap reserve
+    opens: bool = False
+    #: the main iterations' rows the batch takes, in order, as ``(lo,
+    #: hi, fresh)``; ``fresh`` when a new iteration starts there from
+    #: the reserve the current one (on opening, the bootstrap
+    #: iteration) keeps in its first rows
+    rows: Tuple[Tuple[int, int, bool], ...] = ()
+
+
+def pool_draw(kappa: int, left: Optional[int], m: int) -> PoolDraw:
+    """A batch of ``m`` OTs against a pool with ``left`` rows (``None``
+    while closed).  A closed pool opens at a batch of at least
+    :data:`POOL_MIN` OTs and then serves every later batch until the
+    scheduler closes it before the next plan node.  Opening draws the
+    bootstrap iteration's trees that fill the main reserve; a main
+    iteration's draws take its rows in order past the reserve its
+    successor keeps, and a tree's SPCOT crosses with the first batch
+    that draws from its bin; a drained iteration refills the pool with a
+    new one from that reserve, drawing the reserve's own bins."""
+    if left is None and m < POOL_MIN:
+        return PoolDraw(None, cot_bytes(kappa, [(m, 0)])[0], 0)
+    main, boot = FERRET_MAIN, FERRET_BOOT
+    usable = main.n - main.reserve
+    u, sender, trees = (m + 7) // 8, 0, 0
+    opens = left is None
+    if opens:
+        u += cot_bytes(kappa, [(boot.reserve, 0)])[0]
+        sender = -(-main.reserve >> boot.depth) * tree_bytes(boot)
+    rows: List[Tuple[int, int, bool]] = []
+    while m:
+        fresh = not left
+        if left == 0:  # a drained main iteration's reserve
+            trees += main.reserve >> main.depth
+        if not left:
+            left = usable
+        row, take = main.n - left, min(left, m)
+        trees += _drawn_trees(row + take) - _drawn_trees(row)
+        rows.append((row, row + take, fresh))
+        left, m = left - take, m - take
+    return PoolDraw(
+        left, u, sender + trees * tree_bytes(main), opens, tuple(rows)
+    )
 
 
 def gilboa_widths(ell: int, n: int) -> Widths:

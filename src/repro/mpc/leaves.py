@@ -74,8 +74,10 @@ class LeafOts:
             None if s_words is None
             else words_to_bits(s_words, fp_bits).reshape(-1)
         )
+        #: the instance the leaf OTs draw from (Bob receiving)
+        self._ot = ot.reverse
         with ctx.swapped_roles(), ctx.section("leaves"):
-            self._cot = ot.reverse.correlated(
+            self._cot = self._ot.correlated(
                 choices, leaf_ot_widths(n_bins, fp_bits)
             )
         #: Alice's packed messages, once :meth:`shares` sealed them
@@ -120,9 +122,13 @@ class LeafOts:
 
     def send(self) -> None:
         """Alice's leaf messages, sized by the bins and the token width;
-        the size of those :meth:`shares` sealed (REAL) is checked."""
+        the size of those :meth:`shares` sealed (REAL) is checked.  The
+        SPCOT bytes the random OTs' draw owes go first, if nothing has
+        carried them since."""
         sealed = None if self._sealed is None else [self._sealed.nbytes]
         with self._ctx.section("leaves"):
+            with self._ctx.swapped_roles():
+                self._ot.send_pool()  # Bob's pads wait for their SPCOTs
             Checked(self._ctx, sealed).send(
                 ALICE, leaf_bytes(self._n_bins, self._fp_bits), "messages"
             )

@@ -37,6 +37,9 @@ from .ot import OT, CorrelatedBatch, _kdf, _prg_bits_all
 
 __all__ = ["OPRF_WIDTH", "BatchedOprf", "charge_oprf_setup"]
 
+#: Entries :meth:`BatchedOprf.bob_eval` masks at a time.
+_EVAL_SLICE = 1 << 15
+
 
 def _code(fp: int, salt: bytes, width: int = OPRF_WIDTH) -> np.ndarray:
     """Pseudorandom code ``C(fp)``: ``width`` bits of SHA-256 blocks
@@ -78,7 +81,11 @@ def _column_seeds(
     :data:`OPRF_WIDTH` random OTs of the reverse extension instance, a
     batch that is never finished."""
     with ctx.swapped_roles(), ctx.section("oprf/base"):
-        return ot.reverse.correlated(s, seed_ot_widths(OPRF_WIDTH))
+        seeds = ot.reverse.correlated(s, seed_ot_widths(OPRF_WIDTH))
+        # Bob reads his seeds once Alice's ``u`` comes: any SPCOT bytes
+        # the draw left owing go first, in her flow.
+        ot.reverse.send_pool()
+    return seeds
 
 
 class BatchedOprf:
@@ -136,14 +143,21 @@ class BatchedOprf:
 
     def bob_eval(self, rows: np.ndarray, fps: np.ndarray) -> np.ndarray:
         """``F_{rows[i]}(fps[i])`` for every ``i``: each distinct
-        fingerprint's code is computed once and every pair is masked in
-        one matrix operation."""
+        fingerprint's code is computed once, and the pairs are masked a
+        slice at a time, so the ``OPRF_WIDTH``-byte temporaries stay a
+        few MB however many entries Bob has."""
         distinct, which = np.unique(
             np.asarray(fps, dtype=np.uint64), return_inverse=True
         )
         codes = self._codes(distinct.tolist())
-        masked = self._bob_rows[rows] ^ (codes[which.ravel()] & self._s)
-        return _out_hashes(rows, masked, self._salt)
+        which = which.ravel()
+        out = np.empty((len(rows), 2), dtype=np.uint64)
+        for lo in range(0, len(rows), _EVAL_SLICE):
+            part = slice(lo, lo + _EVAL_SLICE)
+            codes_s = codes[which[part]] & self._s
+            masked = self._bob_rows[rows[part]] ^ codes_s
+            out[part] = _out_hashes(rows[part], masked, self._salt)
+        return out
 
 
 def charge_oprf_setup(

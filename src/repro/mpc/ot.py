@@ -1,4 +1,5 @@
-"""Oblivious transfer: Chou–Orlandi base OT and SoftSpokenOT extension.
+"""Oblivious transfer: Chou–Orlandi base OT, SoftSpokenOT extension and
+the silent-OT pools past it.
 
 OT is the asymmetric-crypto bedrock under the garbled-circuit protocol
 (the evaluator's input labels), Gilboa multiplication, the oblivious
@@ -21,6 +22,16 @@ shapes:
   sends through the same path with no payloads, on a
   :class:`~repro.mpc.context.Meter` (a SIMULATED context, or the cost
   estimator's count-only meter).
+
+Past a size, batches stop paying SoftSpokenOT's ``kappa / k`` bits
+per OT: within a plan node, each instance opens a pool of random COTs
+at its first batch of :data:`~repro.mpc.costs.POOL_MIN` OTs or more,
+extended by Ferret's single-point COTs and regular-noise LPN
+(:class:`_Iteration`) from a SoftSpokenOT bootstrap batch, and every
+later batch of the node sends one derandomisation bit per OT in its
+``u``.  The pool's counts live on the instance (:class:`_Paired`,
+:func:`~repro.mpc.costs.pool_draw`), so both back-ends and the cost
+estimator follow them (DESIGN.md, "Silent-OT pool").
 
 An engine does public-key work once: the base OTs of the forward
 instance ``make_ot`` returns, by :func:`_chou_orlandi` ("simplest OT"
@@ -68,14 +79,18 @@ from typing import (
 
 import numpy as np
 
-from . import p256
-from .batch import tccr_hash, tweaks
+from . import costs, p256
+from .batch import aes_ctr, tccr_hash, tweaks
 from .context import ALICE, BOB, Checked, Context, Meter
 from .costs import (
+    LPN_D,
     SOFTSPOKEN_K,
+    LpnSet,
+    PoolDraw,
     Widths,
     base_ot_bytes,
     cot_bytes,
+    pool_draw,
     seed_ot_widths,
     tree_correction_bytes,
 )
@@ -127,6 +142,10 @@ class OT(Protocol):
         self, n: int, choices: Optional[np.ndarray] = None
     ) -> Optional[LabelBatch]: ...
 
+    def send_pool(self) -> None: ...
+
+    def close_pools(self) -> None: ...
+
     def transfer(
         self, pairs: Sequence[Pair], choices: Sequence[int]
     ) -> List[bytes]: ...
@@ -145,12 +164,14 @@ class CorrelatedBatch:
 
     def __init__(
         self,
-        ctx: Meter,
+        owner: "_Paired",
         widths: Widths,
         choices: Optional[np.ndarray] = None,
         pads: Optional[Sequence[np.ndarray]] = None,
     ) -> None:
-        self._ctx = ctx
+        #: the instance the batch is drawn from, whose corrections also
+        #: carry the SPCOT bytes its pool owes
+        self._owner = owner
         self._widths = widths
         self._choices = choices
         self._charge_only = pads is None
@@ -193,21 +214,13 @@ class CorrelatedBatch:
             wire = msg ^ p1
             sent += wire.nbytes
             out.append(np.where(c, wire ^ pc, pc))
-        u_bytes, n_bytes = cot_bytes(self._ctx.params.kappa, self._widths)
+        owner = self._owner
+        u_bytes, n_bytes = cot_bytes(owner.kappa, self._widths)
         if u_bytes:  # an empty batch sent no ``u`` and sends nothing now
-            _send_ciphertexts(
-                self._ctx, n_bytes, None if self._charge_only else [sent]
+            owner._send_ciphertexts(
+                n_bytes, None if self._charge_only else sent
             )
         return out
-
-
-def _send_ciphertexts(
-    ctx: Meter, n_bytes: int, payloads: Optional[Sequence[int]] = None
-) -> None:
-    """The one ``ot/ext/ciphertexts`` send, after a batch's ``u``: a
-    C-OT batch's corrections, one per OT, or a chosen-message
-    transfer's two ciphertexts per OT."""
-    Checked(ctx, payloads).send(BOB, n_bytes, "ot/ext/ciphertexts")
 
 
 def _pair_bytes(pairs: Sequence[Pair]) -> int:
@@ -347,65 +360,108 @@ def _tree_choices(s: np.ndarray) -> np.ndarray:
     return (1 - s.reshape(-1, K)[:, ::-1]).ravel()
 
 
-def _heap_rows(n_trees: int, level: int) -> np.ndarray:
-    """The tweak rows of every tree's nodes at ``level``: tree ``i``'s
-    node ``p`` is row ``2^k i + 2^level + p``, its heap index."""
-    return (
-        (np.arange(n_trees, dtype=np.int64)[:, None] << K)
-        + (1 << level)
-        + np.arange(1 << level)
-    )
-
-
 def _ggm_children(
-    nodes: np.ndarray, rows: np.ndarray, batch: int
+    nodes: np.ndarray, batch: int, level: int, depth: int, first: int
 ) -> np.ndarray:
-    """Both children of every ``(..., 16)`` node: ``H(node, (batch,
-    row, side))``, shaped ``(..., 2, 16)``."""
+    """Both children of every node at ``level`` of the ``(n, 2^level,
+    16)`` trees numbered from ``first``, shaped ``(n, 2^level, 2, 16)``:
+    ``H(node, (batch, row, side))``, where tree ``i``'s node ``p`` is
+    row ``2^depth i + 2^level + p``, its heap index.  The tweaks' high
+    words are one base per tree plus one offset per child, the offsets
+    shared by every tree."""
+    n = len(nodes)
+    one, row = np.uint64(1), np.uint64(32)
+    base = np.arange(first, first + n, dtype=np.uint64) << np.uint64(depth)
+    base = (base + np.uint64(1 << level)) << row
+    child = np.arange(2 << level, dtype=np.uint64)
+    offset = ((child >> one) << row) | (child & one)
+    t = np.empty((n, 2 << level, 2), dtype="<u8")
+    t[..., 0] = batch
+    np.add(base[:, None], offset, out=t[..., 1])
     return tccr_hash(
-        nodes[..., None, :], tweaks(batch, rows[..., None], np.arange(2))
+        nodes[:, :, None, :], t.view(np.uint8).reshape(n, -1, 2, 16)
     )
+
+
+def _fold(words: np.ndarray) -> np.ndarray:
+    """``(n, w)``: the XOR over axis 1 of ``(n, 2^l, w)`` words, halving
+    it in contiguous passes."""
+    while words.shape[1] > 1:
+        half = words.shape[1] // 2
+        words = words[:, :half] ^ words[:, half:]
+    return words[:, 0]
+
+
+def _xor_leaves(leaves: np.ndarray) -> np.ndarray:
+    """``(n, 16)``: the XOR of each tree's ``(n, 2^l, 16)`` leaves."""
+    words = np.ascontiguousarray(leaves).view("<u8")
+    return _fold(words.reshape(len(leaves), -1, 2)).view(np.uint8)
+
+
+def _level_sums(nodes: np.ndarray) -> np.ndarray:
+    """``(n, 2, 16)``: the XOR of each tree's even ``(n, 2^l, 16)``
+    nodes and of its odd ones."""
+    words = np.ascontiguousarray(nodes).view("<u8")
+    sums = _fold(words.reshape(len(nodes), -1, 4))
+    return sums.view(np.uint8).reshape(-1, 2, 16)
+
+
+def _ggm_leaves(
+    level1: np.ndarray,
+    batch: int,
+    depth: int,
+    first: int,
+    sums: Optional[List[np.ndarray]] = None,
+) -> np.ndarray:
+    """The ``(n, 2^depth, 16)`` leaves of the owner's trees grown from
+    their ``(n, 2, 16)`` first levels, numbered from ``first`` in the
+    tweaks, so a slice of a forest grows as it would in the whole; each
+    deeper level's :func:`_level_sums` are appended to ``sums``."""
+    n, nodes = len(level1), level1
+    for level in range(1, depth):
+        nodes = _ggm_children(nodes, batch, level, depth, first)
+        nodes = nodes.reshape(n, 2 << level, 16)
+        if sums is not None:
+            sums.append(_level_sums(nodes))
+    return nodes
 
 
 def _ggm_tree(
-    level1: np.ndarray, batch: int
+    level1: np.ndarray, batch: int, depth: int = K, first: int = 0
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The owner's trees grown from their ``(n, 2, 16)`` first levels:
-    the ``(n, 2^k, 16)`` leaves and the ``(n, k, 2, 16)`` level sums,
-    the XOR of each level's even nodes and of its odd ones."""
-    n, nodes, sums = len(level1), level1, [level1]
-    for level in range(1, K):
-        nodes = _ggm_children(nodes, _heap_rows(n, level), batch)
-        nodes = nodes.reshape(n, 2 << level, 16)
-        sums.append(
-            np.bitwise_xor.reduce(nodes.reshape(n, -1, 2, 16), axis=1)
-        )
-    return nodes, np.stack(sums, axis=1)
+    the ``(n, 2^depth, 16)`` leaves and the ``(n, depth, 2, 16)`` level
+    sums, the XOR of each level's even nodes and of its odd ones."""
+    sums = [level1]
+    leaves = _ggm_leaves(level1, batch, depth, first, sums)
+    return leaves, np.stack(sums, axis=1)
 
 
 def _punctured_tree(
-    received: np.ndarray, punctured: np.ndarray, batch: int
+    received: np.ndarray,
+    punctured: np.ndarray,
+    batch: int,
+    depth: int = K,
+    first: int = 0,
 ) -> np.ndarray:
-    """The punctured party's ``(n, 2^k, 16)`` leaves from the level sums
-    off its path, ``(n, k, 16)``: level by level, it grows the nodes it
-    knows and recovers the one sibling of its path the sum still lacks.
-    The path's nodes, and so the leaf at ``punctured``, stay zero and
-    are never hashed."""
+    """The punctured party's ``(n, 2^depth, 16)`` leaves from the level
+    sums off its path, ``(n, depth, 16)``: level by level, it grows the
+    nodes it knows and recovers the one sibling of its path the sum
+    still lacks.  The path's nodes, and so the leaf at ``punctured``,
+    stay zero: the children of the zero node it holds on the path are
+    dropped as they are hashed."""
     n = len(received)
     trees = np.arange(n)
     nodes = np.zeros((n, 2, 16), dtype=np.uint8)
     path = np.zeros(n, dtype=np.int64)
-    for level in range(1, K + 1):
+    for level in range(1, depth + 1):
         if level > 1:
-            known = np.arange(1 << (level - 1)) != path[:, None]
-            children = np.zeros((n, 1 << (level - 1), 2, 16), np.uint8)
-            children[known] = _ggm_children(
-                nodes[known], _heap_rows(n, level - 1)[known], batch
-            )
+            children = _ggm_children(nodes, batch, level - 1, depth, first)
+            children[trees, path] = 0
             nodes = children.reshape(n, 1 << level, 16)
-        bit = (punctured >> (K - level)) & 1
+        bit = (punctured >> (depth - level)) & 1
         side = 1 - bit
-        have = np.bitwise_xor.reduce(nodes.reshape(n, -1, 2, 16), axis=1)
+        have = _level_sums(nodes)
         nodes[trees, 2 * path + side] = (
             received[:, level - 1] ^ have[trees, side]
         )
@@ -487,6 +543,161 @@ def _rows(cols: np.ndarray, m: int) -> np.ndarray:
     return rows.reshape(8 * n_bytes, kappa // 8)[:m]
 
 
+#: Rows a pool materialises at a time, whole bins of its iteration: a
+#: slice's trees, code columns and gathers stay a few MB however large
+#: the iteration or the batch that draws it.
+_POOL_SLICE = 1 << 15
+
+
+def _lpn_columns(key: bytes, lo: int, hi: int, k: int) -> np.ndarray:
+    """``(LPN_D, hi - lo)``: the reserve columns of the public code's
+    rows ``lo`` to ``hi - 1``, row ``i`` from the three AES-CTR blocks
+    ``3i`` to ``3i + 2`` under the iteration's public ``key``, each of
+    its first ``LPN_D`` 32-bit words mod ``k`` (32-bit indices: the
+    gathers read half the index bytes)."""
+    words = aes_ctr(key, 3 * lo, 3 * (hi - lo)).view("<u4")
+    return words.reshape(hi - lo, 12)[:, :LPN_D].T % np.uint32(k)
+
+
+def _xor_gather(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``(m, width)``: per code row, the XOR of the ``(k, width)``
+    reserve rows its ``(LPN_D, m)`` columns select."""
+    width = rows.shape[1]
+    blocks = rows.view(f"V{width}").reshape(-1)
+    acc = np.take(blocks, columns[0]).view("<u8")
+    for col in columns[1:]:
+        acc ^= np.take(blocks, col).view("<u8")
+    return acc.view(np.uint8).reshape(-1, width)
+
+
+class _Iteration:
+    """REAL: one Ferret iteration of an instance's pool (Yang, Weng, Lan,
+    Zhang and Wang, CCS 2020), semi-honest.  It turns a reserve of COTs
+    — the sender's rows ``q``, the receiver's bits ``b`` and rows ``t =
+    q ^ b Delta`` — into ``lpn.n`` more: the first ``lpn.k`` are the
+    regular-noise LPN secret, the other ``t * depth`` the path bits of
+    ``lpn.t`` single-point COTs, one punctured GGM tree per bin of
+    ``2^depth`` outputs.  The receiver's path bits are the reserve's
+    random choice bits, so nothing crosses from her.  Per tree the
+    sender sends each level's two sums, the side off a path bit ``a``
+    readable under ``H(q ^ a Delta)`` alone, and ``Delta`` XOR all his
+    leaves, which completes her leaf at the punctured point.
+
+    Output row ``i`` is the XOR of the :data:`~repro.mpc.costs.LPN_D`
+    secret rows a public local-linear code selects, and leaf ``i`` of
+    the trees: the sender's ``v_i``, the receiver's ``v_i ^ e_i Delta``
+    with ``e_i = 1`` at her punctured points.  :meth:`rows`
+    materialises any range of outputs by slices of whole bins, both
+    parties growing the trees of its bins; a tree's SPCOT runs the
+    first time its bin is grown, and its bytes are the call's."""
+
+    def __init__(
+        self,
+        ctx: Context,
+        lpn: LpnSet,
+        delta: np.ndarray,
+        reserve: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    ) -> None:
+        q, b, t = reserve
+        k, h = lpn.k, lpn.depth
+        self.lpn, self._delta = lpn, delta
+        #: the LPN secret: both parties' rows side by side, the sender's
+        #: ``q`` then the receiver's ``t``, so one gather serves both,
+        #: and the receiver's bits
+        self._qt = np.concatenate([q[:k], t[:k]], axis=1)
+        self._b = b[:k].copy()
+        path = slice(k, lpn.reserve)
+        self._path_q, self._path_t = q[path].copy(), t[path].copy()
+        #: the receiver's punctured points, her path bits most
+        #: significant first
+        self._bits = b[path].reshape(lpn.t, h).astype(np.int64)
+        self._alpha = self._bits @ (1 << np.arange(h - 1, -1, -1))
+        self._batch, self._pad_batch = ctx.tweak_batch(), ctx.tweak_batch()
+        self._key = tweaks(self._batch, 0, 0).tobytes()
+        #: the sender's trees, by their first levels
+        self._level1 = np.frombuffer(
+            ctx.random_bytes(32 * lpn.t), dtype=np.uint8
+        ).reshape(lpn.t, 2, 16)
+        #: what the receiver took from each SPCOT once it ran: the level
+        #: sums off her path and the correction
+        self._received = np.zeros((lpn.t, h, 16), dtype=np.uint8)
+        self._corrections = np.zeros((lpn.t, 16), dtype=np.uint8)
+        self._sent = np.zeros(lpn.t, dtype=bool)
+
+    def rows(
+        self, lo: int, hi: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Outputs ``lo`` to ``hi - 1``: the sender's ``(m, 16)`` rows,
+        the receiver's ``(m,)`` bits and ``(m, 16)`` rows, and the bytes
+        of the SPCOTs this call ran."""
+        h = self.lpn.depth
+        m = hi - lo
+        q = np.empty((m, 16), dtype=np.uint8)
+        t = np.empty((m, 16), dtype=np.uint8)
+        b = np.empty(m, dtype=np.uint8)
+        wire, start = 0, lo
+        while start < hi:
+            end = min(hi, (start // _POOL_SLICE + 1) * _POOL_SLICE)
+            b0, b1 = start >> h, ((end - 1) >> h) + 1
+            cut = slice(start - (b0 << h), end - (b0 << h))
+            out = slice(start - lo, end - lo)
+            columns = _lpn_columns(self._key, start, end, self.lpn.k)
+            secret = _xor_gather(self._qt, columns)
+            own, sums = _ggm_tree(self._level1[b0:b1], self._batch, h, b0)
+            fresh = np.flatnonzero(~self._sent[b0:b1])
+            if len(fresh):
+                wire += self._spcot(b0 + fresh, sums[fresh], own[fresh])
+            leaves = own.reshape(-1, 16)[cut]
+            np.bitwise_xor(secret[:, :16], leaves, out=q[out])
+            del own, sums, leaves
+            theirs = self._receiver_leaves(b0, b1).reshape(-1, 16)[cut]
+            np.bitwise_xor(secret[:, 16:], theirs, out=t[out])
+            bits = b[out]
+            np.take(self._b, columns[0], out=bits)
+            for col in columns[1:]:
+                bits ^= np.take(self._b, col)
+            # e_i: one 1 per bin, at its punctured point
+            noise = (np.arange(b0, b1) << h) + self._alpha[b0:b1] - start
+            bits[noise[(noise >= 0) & (noise < end - start)]] ^= 1
+            start = end
+        return q, b, t, wire
+
+    def _spcot(
+        self, trees: np.ndarray, sums: np.ndarray, leaves: np.ndarray
+    ) -> int:
+        """The single-point COTs of ``trees`` from the sender's level
+        sums and leaves: he masks each level's two sums under the
+        reserve COT of its path bit and adds ``Delta`` XOR his leaves;
+        the receiver opens the sum off her path.  Returns the bytes he
+        sent."""
+        h = self.lpn.depth
+        j = (trees[:, None] * h + np.arange(h)).ravel()
+        q = self._path_q[j]
+        hide = _pads(np.stack([q ^ self._delta, q]), j, self._pad_batch, 16)
+        hide = hide.reshape(2, len(trees), h, 16).transpose(1, 2, 0, 3)
+        cipher = sums ^ hide
+        corrections = _xor_leaves(leaves) ^ self._delta
+        (mine,) = _pads(self._path_t[j][None], j, self._pad_batch, 16)
+        side = (1 - self._bits[trees])[..., None, None]
+        off = np.take_along_axis(cipher, side, axis=2)[:, :, 0]
+        self._received[trees] = off ^ mine.reshape(len(trees), h, 16)
+        self._corrections[trees] = corrections
+        self._sent[trees] = True
+        return cipher.nbytes + corrections.nbytes
+
+    def _receiver_leaves(self, b0: int, b1: int) -> np.ndarray:
+        """The receiver's leaves of trees ``b0`` to ``b1 - 1``: the
+        owner's off her punctured points, and at each ``Delta`` XOR the
+        owner's leaf, from the tree's correction."""
+        alpha = self._alpha[b0:b1]
+        leaves = _punctured_tree(
+            self._received[b0:b1], alpha, self._batch, self.lpn.depth, b0
+        )
+        trees = np.arange(b1 - b0)
+        leaves[trees, alpha] = self._corrections[b0:b1] ^ _xor_leaves(leaves)
+        return leaves
+
+
 class _Paired:
     """An extension instance and its mirror are built together.  The
     forward one — what the constructor call returns — owns the mirror
@@ -495,9 +706,22 @@ class _Paired:
     so a finished run's engine (context, circuits, transcript) is freed
     with its last reference, not by a later cycle collection.
 
+    Each instance keeps one pool of random COTs (DESIGN.md, "Silent-OT
+    pool"): it opens at a batch of at least
+    :data:`~repro.mpc.costs.POOL_MIN` OTs and serves every later batch,
+    for one derandomisation bit per OT, until :meth:`close_pools` ends
+    it with the plan node.  The counts live here, so both back-ends and
+    the estimator's meter follow the same rule
+    (:func:`~repro.mpc.costs.pool_draw`).
+
     Both back-ends send through the methods below, which size every
     message from ``kappa`` and the batch size alone; the extension
     passes its payloads' sizes, which are checked against them."""
+
+    #: whether the back-end computes payloads whose sizes are checked
+    _checks = False
+    #: REAL: the pool's current iteration, once it opened
+    _iteration: Optional["_Iteration"] = None
 
     def __init__(
         self, ctx: Meter, forward: Optional["_Paired"] = None
@@ -507,6 +731,11 @@ class _Paired:
         self._base_done = False
         #: whether a mirror's tree corrections wait for its first ``u``
         self._corrections_due = False
+        #: usable rows left in the pool; ``None`` while it is closed
+        self._pool_left: Optional[int] = None
+        #: the SPCOT bytes a batch's draw left the sender owing, as
+        #: scheduled and (REAL) as computed
+        self._pool_due = self._pool_wire = 0
         self._mirror = None if forward else type(self)(ctx, self)
         self._forward = forward and weakref.ref(forward)
 
@@ -514,6 +743,47 @@ class _Paired:
     def reverse(self) -> Any:
         """The paired instance for the opposite direction."""
         return self._mirror or self._forward()
+
+    def send_pool(self) -> None:
+        """The SPCOT bytes a batch's draw left owing, as their own
+        ``ot/ext/pool`` message, if nothing carried them yet: a batch's
+        corrections carry them, and so does the mirror's next ``u``,
+        which the same party sends.  A batch that is never finished —
+        random OTs, labels — calls this right before the sender's next
+        message of its protocol (the leaf messages, KKRT's ``u``, the
+        garbled tables), in a round the sender opens anyway."""
+        due, wire = self._take_due()
+        if due:
+            Checked(self.ctx, [wire] if self._checks else None).send(
+                BOB, due, "ot/ext/pool"
+            )
+
+    def close_pools(self) -> None:
+        """Close this instance's pool and its mirror's.  The scheduler
+        calls it before every plan node, and so before the node's
+        checkpoint: a retried node opens fresh pools under its re-keyed
+        randomness rather than drawing rows whose derandomisation bits
+        a failed attempt may have sent, and its bytes equal the
+        unfaulted attempt's.  SPCOT bytes still owed keep their ride."""
+        for ot in (self, self.reverse):
+            ot._pool_left = ot._iteration = None
+
+    def _send_ciphertexts(
+        self, n_bytes: int, sent: Optional[int] = None
+    ) -> None:
+        """The one ``ot/ext/ciphertexts`` send, after a batch's ``u``: a
+        C-OT batch's corrections, one per OT, or a chosen-message
+        transfer's two ciphertexts per OT, and after them the SPCOT
+        bytes the pool owes the receiver."""
+        due, wire = self._take_due()
+        Checked(self.ctx, None if sent is None else [sent + wire]).send(
+            BOB, n_bytes + due, "ot/ext/ciphertexts"
+        )
+
+    def _take_due(self) -> Tuple[int, int]:
+        due, wire = self._pool_due, self._pool_wire
+        self._pool_due = self._pool_wire = 0
+        return due, wire
 
     def _send_base(self, payloads: Optional[Sequence[int]] = None) -> None:
         """The forward instance's base phase: ``kappa`` Chou–Orlandi
@@ -529,7 +799,8 @@ class _Paired:
         """A mirror's base phase: ``kappa`` random OTs of the forward
         instance, Bob choosing by ``choices``, in a batch that is never
         finished.  The tree corrections it leaves ride on the mirror's
-        first ``u``."""
+        first ``u``, and so do any SPCOT bytes the batch's draw left the
+        forward instance owing."""
         ctx = self.ctx
         with ctx.swapped_roles(), ctx.section("ot/ext/base"):
             cot: CorrelatedBatch = self.reverse.correlated(
@@ -538,13 +809,23 @@ class _Paired:
         self._corrections_due = True
         return cot
 
-    def _send_u(self, n_ots: int, payload: Optional[int] = None) -> None:
-        """A batch's ``u``: ``kappa / k`` bits per OT, and on a mirror's
-        first batch its tree corrections."""
-        n_bytes = cot_bytes(self.kappa, [(n_ots, 0)])[0]
+    def _send_u(self, draw: PoolDraw, payload: Optional[int] = None) -> None:
+        """A batch's ``u`` for its ``draw``: ``kappa / k`` bits per OT
+        while the pool is closed, else one bit per OT after an opening's
+        SoftSpokenOT correction; on a mirror's first batch also its tree
+        corrections.  The SPCOT bytes the draw leaves owing wait for the
+        sender's next message; those the mirror owes, whose sender is
+        this batch's receiver, ride here (REAL's ``payload`` counts
+        them)."""
+        self._pool_left = draw.left
+        self._pool_due += draw.sender
+        owed, owed_wire = self.reverse._take_due()
+        n_bytes = draw.u + owed
         if self._corrections_due:
             n_bytes += tree_correction_bytes(self.kappa)
             self._corrections_due = False
+        if payload is not None:
+            payload += owed_wire
         wire = Checked(self.ctx, None if payload is None else [payload])
         wire.send(ALICE, n_bytes, "ot/ext/u")
 
@@ -581,6 +862,7 @@ class SoftSpokenExtension(_Paired):
     """
 
     ctx: Context
+    _checks = True
     #: a mirror's masked level sums until its first ``u`` carries them
     _pending: Optional[np.ndarray] = None
 
@@ -675,16 +957,82 @@ class SoftSpokenExtension(_Paired):
         self, m: int, r: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One extension batch: Bob's ``Q`` rows, Alice's ``T`` rows,
-        ``T_j = Q_j ^ r_j s``, and the correction Alice sends."""
+        ``T_j = Q_j ^ r_j s``, and the correction Alice sends —
+        SoftSpokenOT's while the pool stays closed, else her
+        derandomisation bits against the pool (:meth:`_draw`)."""
         if not self._base_done:
             self._base_phase()
+        pending, self._pending = self._pending, None
+        sent = 0
+        if pending is not None:
+            sent = pending.nbytes
+            self._unmask(pending)
+        draw = pool_draw(self.kappa, self._pool_left, m)
+        if draw.left is None:
+            q_rows, t_rows, c = self._softspoken(m, r)
+        else:
+            q_rows, t_rows, c, opening = self._draw(draw, r)
+            sent += opening
+        self._send_u(draw, sent + c.nbytes)
+        return q_rows, t_rows, c
+
+    def _softspoken(
+        self, m: int, r: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A SoftSpokenOT batch: ``Q`` rows, ``T`` rows and the
+        correction."""
         batch = self.ctx.tweak_batch()
         t_rows, c = self._receiver_rows(m, r, batch)
-        pending, self._pending = self._pending, None
-        self._send_u(m, c.nbytes + (0 if pending is None else pending.nbytes))
-        if pending is not None:
-            self._unmask(pending)
         return self._sender_rows(c, m, batch), t_rows, c
+
+    def _draw(
+        self, draw: PoolDraw, r: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """The pool's rows of ``draw``, derandomised to Alice's choices:
+        she sends ``d_j = r_j ^ b_j`` against a row's random bit ``b_j``
+        and Bob takes ``Q_j = w_j ^ d_j s``, so her row is already
+        ``Q_j ^ r_j s``.  An opening draw first fills the bootstrap
+        reserve by a SoftSpokenOT batch of random choices; a fresh range
+        starts a main iteration.  Returns the rows, the packed ``d`` and
+        the opening's SoftSpokenOT correction bytes; the iterations'
+        SPCOT bytes are owed."""
+        ctx, delta = self.ctx, self.delta
+        opening = 0
+        if draw.opens:
+            boot = costs.FERRET_BOOT
+            bits = ctx.rng.integers(0, 2, size=boot.reserve, dtype=np.uint8)
+            q, t, c = self._softspoken(boot.reserve, bits)
+            opening = c.nbytes
+            self._iteration = _Iteration(ctx, boot, delta, (q, bits, t))
+            del q, t
+        parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        for lo, hi, fresh in draw.rows:
+            if fresh:
+                self._refill()
+            parts.append(self._pool_rows(lo, hi))
+        q, b, t = (
+            np.concatenate(x) if len(x) > 1 else x[0] for x in zip(*parts)
+        )
+        d = r ^ b
+        q ^= d[:, None] * delta
+        return q, t, np.packbits(d), opening
+
+    def _pool_rows(
+        self, lo: int, hi: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows ``lo`` to ``hi - 1`` of the current iteration; the SPCOT
+        bytes they ran are owed."""
+        assert self._iteration is not None
+        q, b, t, wire = self._iteration.rows(lo, hi)
+        self._pool_wire += wire
+        return q, b, t
+
+    def _refill(self) -> None:
+        """Start a main iteration from the reserve the current one keeps
+        in its first rows."""
+        main = costs.FERRET_MAIN
+        reserve = self._pool_rows(0, main.reserve)
+        self._iteration = _Iteration(self.ctx, main, self.delta, reserve)
 
     def _receiver_rows(
         self, m: int, r: np.ndarray, batch: int
@@ -742,14 +1090,14 @@ class SoftSpokenExtension(_Paired):
         if any(width > 32 for _, width in widths):
             raise ValueError("C-OT pads are at most 32 bytes wide")
         if m == 0:
-            return CorrelatedBatch(self.ctx, widths, r, [_NO_PADS] * 3)
+            return CorrelatedBatch(self, widths, r, [_NO_PADS] * 3)
         q_rows, t_rows, _ = self._column_phase(m, r)
         s_packed, batch = self.delta, self.ctx.tweak_batch()
         j = np.arange(m)
         width = max(width for _, width in widths)
         p0, p1 = _pads(np.stack([q_rows, q_rows ^ s_packed]), j, batch, width)
         (pc,) = _pads(t_rows[None], j, batch, width)
-        return CorrelatedBatch(self.ctx, widths, r, [p0, p1, pc])
+        return CorrelatedBatch(self, widths, r, [p0, p1, pc])
 
     def labels(
         self, n: int, choices: Optional[np.ndarray] = None
@@ -804,7 +1152,7 @@ class SoftSpokenExtension(_Paired):
             rows = (chosen ^ pc).tobytes()
             for k, j in enumerate(positions):
                 out[j] = rows[k * w : (k + 1) * w]
-        _send_ciphertexts(self.ctx, _pair_bytes(pairs), [total])
+        self._send_ciphertexts(_pair_bytes(pairs), total)
         return out
 
 
@@ -824,7 +1172,7 @@ class SimulatedOT(_Paired):
                 self._send_base()
             self._base_done = True
         if n_ots:
-            self._send_u(n_ots)
+            self._send_u(pool_draw(self.kappa, self._pool_left, n_ots))
 
     def correlated(
         self, choices: Optional[np.ndarray], widths: Widths
@@ -834,7 +1182,7 @@ class SimulatedOT(_Paired):
         m = sum(count for count, _ in widths)
         if m:
             self._open(m)
-        return CorrelatedBatch(self.ctx, widths)
+        return CorrelatedBatch(self, widths)
 
     def labels(self, n: int, choices: Optional[np.ndarray] = None) -> None:
         """Charge the opening of a label batch (the choices are not
@@ -849,7 +1197,7 @@ class SimulatedOT(_Paired):
         if not pairs:
             return []
         self._open(len(pairs))
-        _send_ciphertexts(self.ctx, _pair_bytes(pairs))
+        self._send_ciphertexts(_pair_bytes(pairs))
         return [p[1] if c else p[0] for p, c in zip(pairs, choices)]
 
 

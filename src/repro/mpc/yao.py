@@ -40,6 +40,9 @@ send through :func:`_garbled_wire`:
 * the ``u`` columns of the OT batch that *is* Alice's input labels —
   Bob's zero-labels are its rows, so the OT runs first — and whatever
   else the caller has Alice send in the same flow (``alice_flow``)
+* ``ot/ext/pool``, only when that label batch's draw from the
+  instance's silent-OT pool owes SPCOT bytes: the trees Alice's labels
+  wait for
 * garbled tables: three ``8``-byte half-ciphertexts per AND gate and
   four control bits, packed across the batch (three-halves)
 * one 16-byte seed from which Alice expands the active labels of Bob's
@@ -181,6 +184,7 @@ def _garbled_wire(
         )
     if alice_flow is not None:
         alice_flow()
+    ot.send_pool()  # the SPCOTs the label batch's draw owes, if any
     wire = Checked(ctx, None if run is None else run.garble(labels))
     wire.send(BOB, sizes.tables, "gc/tables")
     wire.send(BOB, sizes.seed, "gc/bob_labels")

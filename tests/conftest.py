@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.mpc import ALICE, BOB, Context, Engine, Mode
+from repro.mpc.costs import LpnSet
 from repro.mpc.ot import CorrelatedBatch, LabelBatch, SimulatedOT
 from repro.relalg import AnnotatedRelation, Hypergraph, IntegerRing
 
@@ -62,6 +63,28 @@ def pytest_collection_modifyitems(config, items):
             v is Mode.REAL for v in callspec.params.values()
         ):
             item.add_marker(pytest.mark.real)
+
+
+#: A silent-OT pool small enough to open, drain and refill in a test:
+#: main iterations of 8 trees of 64 leaves over a 64-COT LPN secret
+#: (reserve 112, 400 usable rows each), bootstrapped by 4 trees of 32.
+SMALL_MAIN = LpnSet(n=512, t=8, k=64, depth=6)
+SMALL_BOOT = LpnSet(n=128, t=4, k=32, depth=5)
+SMALL_POOL_MIN = 64
+
+
+@pytest.fixture
+def small_pool(monkeypatch):
+    """Every extension instance's pool on :data:`SMALL_MAIN` and
+    :data:`SMALL_BOOT`, opening at :data:`SMALL_POOL_MIN` OTs and
+    materialised 128 rows (two bins) at a time."""
+    from repro.mpc import costs, ot
+
+    monkeypatch.setattr(costs, "FERRET_MAIN", SMALL_MAIN)
+    monkeypatch.setattr(costs, "FERRET_BOOT", SMALL_BOOT)
+    monkeypatch.setattr(costs, "POOL_MIN", SMALL_POOL_MIN)
+    monkeypatch.setattr(ot, "_POOL_SLICE", 128)
+    return SMALL_MAIN
 
 
 def make_engine(mode=Mode.SIMULATED, seed=0):
@@ -113,7 +136,7 @@ class IdealOT(SimulatedOT):
             for _ in range(2)
         )
         pc = np.where(r.astype(bool)[:, None], p1, p0)
-        return CorrelatedBatch(self.ctx, widths, r, [p0, p1, pc])
+        return CorrelatedBatch(self, widths, r, [p0, p1, pc])
 
     def labels(self, n, choices=None):
         super().labels(n)

@@ -125,6 +125,45 @@ def test_tccr_hash_matches_row_by_row_aes(blocks, batch_no, row, index):
         assert bytes(h) == ref.tccr(b, bytes(tw))
 
 
+#: ``(x, tweak)`` block shapes (without the 16-byte axis) that broadcast
+#: the way the callers do: equal, a seed under many tweaks, a tweak
+#: over many blocks, stacked pads, scalars and empty batches
+BROADCAST_SHAPES = [
+    ((5,), (5,)),
+    ((3, 1), (3, 4)),
+    ((2, 3, 1), (3, 2)),
+    ((4,), ()),
+    ((), (6,)),
+    ((2, 1, 3), (1, 4, 1)),
+    ((0, 1), (0, 2)),
+    ((1,), (1,)),
+]
+
+
+@pytest.mark.parametrize("x_shape, t_shape", BROADCAST_SHAPES)
+def test_tccr_hash_and_tweaks_match_scalar_twins(x_shape, t_shape):
+    """Differential: over broadcast shapes, every block of
+    :func:`batch.tccr_hash` is the scalar :func:`ref.tccr` of its own
+    block and tweak, and every tweak of :func:`batch.tweaks` is
+    :func:`ref.tweak` of its row and index."""
+    rng = np.random.default_rng(len(x_shape) * 7 + len(t_shape))
+    x = rng.integers(0, 256, x_shape + (16,), dtype=np.uint8)
+    rows = rng.integers(0, 2**32, t_shape, dtype=np.uint64)
+    index = rng.integers(0, 2**32, t_shape[-1:], dtype=np.uint64)
+    batch_no = int(rng.integers(0, 2**63))
+    t = batch.tweaks(batch_no, rows, index)
+    assert t.shape == t_shape + (16,)
+    for at in np.ndindex(*t_shape):
+        i = int(index[at[-1]]) if t_shape else int(index)
+        assert bytes(t[at]) == ref.tweak(batch_no, int(rows[at]), i)
+    got = batch.tccr_hash(x, t)
+    shape = np.broadcast_shapes(x_shape, t_shape)
+    assert got.shape == shape + (16,)
+    xb, tb = np.broadcast_to(x, got.shape), np.broadcast_to(t, got.shape)
+    for at in np.ndindex(*shape):
+        assert bytes(got[at]) == ref.tccr(bytes(xb[at]), bytes(tb[at]))
+
+
 def test_tccr_hash_fixed_vector():
     """One pinned value, so a change of key, byte order or doubling is
     caught even if the reference changed with it."""
@@ -146,8 +185,10 @@ def test_no_tweak_repeats_over_real_q3(monkeypatch, backend):
     and ``Q_j ^ s`` — and any other hash under that tweak is the peer
     recomputing its member, so no ``(tweak, role)`` pair repeats.  The
     extension's GGM nodes and leaf streams hash one input per tweak:
-    the punctured party recomputes only the nodes and leaves it holds,
-    under the owner's tweaks.  The evaluator's input labels are the
+    the punctured party recomputes the nodes and leaves it holds, under
+    the owner's tweaks, and beside them the zero it holds on its path,
+    whose children it drops — a second, public input.  The evaluator's
+    input labels are the
     extension's raw rows under the instance's one ``s``, so they meet
     the hash only as garbled wires.  A tweak without the batch number,
     the instance or the AND gate's hash index fails here, and so does an

@@ -98,6 +98,21 @@ class TestAccuracy:
         )
         assert_exact(est, transcript)
 
+    @pytest.mark.parametrize(
+        "owners",
+        [{"R1": ALICE, "R2": BOB}, {"R1": BOB, "R2": ALICE}],
+        ids=["AB", "BA"],
+    )
+    def test_exact_with_pools_open(self, small_pool, owners):
+        # Both instances' silent-OT pools open, drain and refill: the
+        # estimator's instances follow the same counts.
+        transcript, est = run_and_estimate(
+            owners, 40, 25, output=("a", "b", "c")
+        )
+        labels = [m.label for m in transcript.messages]
+        assert any(label.endswith("ot/ext/pool") for label in labels)
+        assert_exact(est, transcript)
+
     @pytest.mark.parametrize("ell", [16, 20, 32, 44, 48])
     def test_exact_at_every_ring_width(self, ell):
         # A ring element is packed to ceil(ell / 8) bytes by every

@@ -1,14 +1,24 @@
 """Oblivious transfer: base OT, SoftSpokenOT extension, simulated OT."""
 
+import copy
+import pickle
 from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 import repro.mpc.ot as ot_module
-from repro.mpc import Context, Mode
+from repro.mpc import Context, Mode, costs
+from repro.mpc.costs import (
+    FERRET_BOOT,
+    FERRET_MAIN,
+    POOL_MIN,
+    cot_bytes,
+    pool_draw,
+    tree_bytes,
+    tree_correction_bytes,
+)
 from repro.mpc.costs import SOFTSPOKEN_K as K
-from repro.mpc.costs import tree_correction_bytes
 from repro.mpc.ot import (
     SoftSpokenExtension,
     SimulatedOT,
@@ -16,7 +26,7 @@ from repro.mpc.ot import (
     make_ot,
 )
 
-from .conftest import IdealOT, spy_scalar_muls
+from .conftest import SMALL_POOL_MIN, IdealOT, spy_scalar_muls
 
 
 def assert_received_off_path(ot):
@@ -479,3 +489,224 @@ class TestRowTranspose:
             rows = ot_module._rows(cols, m)
             assert rows.shape == (m, 16)
             assert rows.tobytes() == unpacked_rows(cols, m).tobytes()
+
+
+# ----------------------------------------------------------------------
+# The silent-OT pool: Ferret iterations under every batch past POOL_MIN
+# ----------------------------------------------------------------------
+
+#: On :func:`~tests.conftest.small_pool` (400 usable rows an iteration,
+#: opening at 64): a SoftSpokenOT batch, the opening, a draw that
+#: drains the pool exactly, one that refills and drains it again, one
+#: that refills for 5 rows, and one that spans two refills; with the
+#: rows left after each.
+POOL_SIZES = (10, 70, 330, 400, 5, 900)
+POOL_LEFT = (None, 330, 0, 0, 395, 295)
+
+
+def pool_batches(ctx, ot, sizes, seed, mirror=False):
+    """Label and C-OT batches of ``sizes`` on ``ot``, alternating, each
+    pool message sent where a protocol sends it: per batch the choices,
+    the sender's and receiver's rows, and the rows left in the pool."""
+    rng = np.random.default_rng(seed)
+    out = []
+    with ctx.swapped_roles() if mirror else nullcontext():
+        for i, n in enumerate(sizes):
+            r = rng.integers(0, 2, n).astype(np.uint8)
+            if i % 2:
+                batch = ot.labels(n, r)
+                ot.send_pool()
+                rows = None if batch is None else (batch.zero, batch.active)
+            else:
+                m1 = rng.integers(0, 256, (n, 8), dtype=np.uint8)
+                cot = ot.correlated(r, [(n, 8)])
+                got = cot.finish([m1] if cot.p1 else [])  # charge-only: none
+                rows = None if not got else (cot.p0[0], m1, got[0])
+            out.append((r, rows, ot._pool_left))
+    return out
+
+
+@pytest.mark.real
+class TestSilentPool:
+    @pytest.mark.parametrize(
+        "mirror", [False, True], ids=["forward", "mirror"]
+    )
+    def test_rows_open_drain_and_refill_correlated(self, small_pool, mirror):
+        ctx = Context(Mode.REAL, seed=31)
+        forward = make_ot(ctx)
+        ot = forward.reverse if mirror else forward
+        batches = pool_batches(ctx, ot, POOL_SIZES, 31, mirror)
+        assert tuple(left for *_, left in batches) == POOL_LEFT
+        delta = ot.delta
+        for i, (r, rows, _) in enumerate(batches):
+            c = r.astype(bool)[:, None]
+            if i % 2:  # Q_j ^ T_j = r_j delta, rows distinct
+                zero, active = rows
+                assert ((zero ^ active) == r[:, None] * delta).all()
+                assert len({row.tobytes() for row in zero}) == len(r)
+            else:  # the receiver opens m1 where she chose 1, else p0
+                p0, m1, got = rows
+                assert (got == np.where(c, m1, p0)).all()
+        labels = [m.label for m in ctx.transcript.messages]
+        assert labels.count("ot/ext/pool") == 3  # the three label draws
+
+    def test_derandomisation_bits_hide_the_choices(self, small_pool):
+        """The sender's view of a pool batch is ``d = u ^ b``: with every
+        choice 0 it is the pool's own bits ``A b ^ e``, which must look
+        uniform, and with every choice 1 their complement."""
+        ctx = Context(Mode.REAL, seed=40)
+        ot = make_ot(ctx)
+        n = 4000  # opens the pool and spans ten refills
+        for u in (0, 1):
+            _, _, d = ot._column_phase(n, np.full(n, u, dtype=np.uint8))
+            ones = np.unpackbits(d)[:n].mean()
+            assert 0.45 < ones < 0.55, (u, ones)
+
+    def test_below_pool_min_is_softspoken(self, small_pool):
+        """A batch below POOL_MIN on a closed pool sends SoftSpokenOT's
+        ``u``, ``kappa / k`` bits per OT, and leaves the pool closed."""
+        ctx = Context(Mode.REAL, seed=32)
+        ot = make_ot(ctx)
+        n = SMALL_POOL_MIN - 1
+        ot.labels(n, np.ones(n, dtype=np.uint8))
+        assert ot._pool_left is None and ot._iteration is None
+        assert ctx.transcript.fingerprint()[-1] == (
+            "alice", 128 // K * -(-n // 8), "ot/ext/u"
+        )
+
+    def test_copy_and_pickle_mid_pool_resume_identically(self, small_pool):
+        """A checkpoint's deep copy, or a pickle, taken mid-pool carries
+        the pool: the next batches deal the same rows and send the
+        same messages as the original's."""
+        ctx = Context(Mode.REAL, seed=33)
+        ot = make_ot(ctx)
+        pool_batches(ctx, ot, (70, 100), 33)
+        runs = []
+        for c, o in (
+            (ctx, ot),
+            copy.deepcopy((ctx, ot)),
+            pickle.loads(pickle.dumps((ctx, ot))),
+        ):
+            batches = pool_batches(c, o, (250, 200, 90), 34)
+            rows = [b"".join(x.tobytes() for x in r) for _, r, _ in batches]
+            runs.append((rows, c.transcript.fingerprint()))
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_twin_instances_send_alike(self, small_pool):
+        """Different secrets and choices, same batch sizes: the same
+        transcript, pool messages included, both directions."""
+        prints = []
+        for seed in (35, 36):
+            ctx = Context(Mode.REAL, seed=seed)
+            ot = make_ot(ctx)
+            pool_batches(ctx, ot, POOL_SIZES, seed)
+            pool_batches(ctx, ot.reverse, POOL_SIZES, seed + 1, mirror=True)
+            prints.append(ctx.transcript.fingerprint())
+        assert prints[0] == prints[1]
+        pool = [m for m in prints[0] if m[2] == "ot/ext/pool"]
+        assert {sender for sender, _, _ in pool} == {"alice", "bob"}
+
+    def test_simulated_charges_what_real_sends(self, small_pool):
+        prints = []
+        for mode in (Mode.REAL, Mode.SIMULATED):
+            ctx = Context(mode, seed=37)
+            ot = make_ot(ctx)
+            pool_batches(ctx, ot, POOL_SIZES, 37)
+            pool_batches(ctx, ot.reverse, POOL_SIZES[::-1], 38, mirror=True)
+            # a chosen-message transfer drawn across a refill
+            pairs, choices, expected = pairs_and_choices(
+                np.random.default_rng(39), 500
+            )
+            assert ot.transfer(pairs, choices) == expected
+            prints.append(ctx.transcript.fingerprint())
+        assert prints[0] == prints[1]
+
+    def test_a_retried_node_draws_fresh_rows(self, small_pool, monkeypatch):
+        """A node retried after its pool ``u`` crossed opens fresh pools
+        under its re-keyed randomness: no pool row is materialised
+        twice, so the sender never holds two derandomisations of one
+        row's bit, and the retried run's accounting and fingerprint
+        equal the unfaulted run's."""
+        from repro.runtime import FaultPlan, FaultSpec, make_tpch_runner
+
+        rows, draws = [], []
+        iteration_rows = ot_module._Iteration.rows
+        draw = SoftSpokenExtension._draw
+
+        def spy_rows(self, lo, hi):
+            rows.extend((self._batch, i) for i in range(lo, hi))
+            return iteration_rows(self, lo, hi)
+
+        def spy_draw(self, pool, r):
+            draws.append(len(self.ctx.transcript.messages))
+            return draw(self, pool, r)
+
+        monkeypatch.setattr(ot_module._Iteration, "rows", spy_rows)
+        monkeypatch.setattr(SoftSpokenExtension, "_draw", spy_draw)
+        run = make_tpch_runner("Q3", scale_mb=0.03, real=True)
+        baseline = run(FaultPlan())
+        # corrupt the message right after the last pool draw's ``u``:
+        # the node's earlier draws have crossed by then
+        rows.clear()
+        retried = run(
+            FaultPlan([FaultSpec("corrupt", message_index=draws[-1] + 1)])
+        )
+        assert retried.n_retries == 1
+        assert retried.diff(baseline) == ""
+        assert len(rows) == len(set(rows))
+
+
+class TestPoolPrice:
+    """:func:`~repro.mpc.costs.pool_draw` on the shipped parameters."""
+
+    def test_ferret_b13(self):
+        assert (FERRET_BOOT.reserve, FERRET_MAIN.reserve) == (41_030, 468_640)
+        assert FERRET_BOOT.n >= FERRET_MAIN.reserve
+        for lpn in (FERRET_BOOT, FERRET_MAIN):
+            assert lpn.n == lpn.t << lpn.depth
+        assert (tree_bytes(FERRET_BOOT), tree_bytes(FERRET_MAIN)) == (304, 432)
+
+    def test_opening_price(self):
+        m = POOL_MIN
+        draw = pool_draw(128, None, m)
+        boot_trees = -(-FERRET_MAIN.reserve // (1 << FERRET_BOOT.depth))
+        first_trees = -(-(FERRET_MAIN.reserve + m) >> FERRET_MAIN.depth) - (
+            FERRET_MAIN.reserve >> FERRET_MAIN.depth
+        )
+        assert draw == (
+            FERRET_MAIN.n - FERRET_MAIN.reserve - m,
+            m // 8 + cot_bytes(128, [(FERRET_BOOT.reserve, 0)])[0],
+            boot_trees * 304 + first_trees * 432,
+            True,
+            ((FERRET_MAIN.reserve, FERRET_MAIN.reserve + m, True),),
+        )
+
+    def test_pool_min_sits_past_the_break_even(self, monkeypatch):
+        """Opening at POOL_MIN costs less than SoftSpokenOT; opening at
+        half of it would cost more."""
+        assert pool_draw(128, None, POOL_MIN - 1).left is None
+        monkeypatch.setattr(costs, "POOL_MIN", 1)
+        for m, cheaper in ((POOL_MIN, True), (POOL_MIN // 2, False)):
+            draw = pool_draw(128, None, m)
+            softspoken = cot_bytes(128, [(m, 0)])[0]
+            assert (draw.u + draw.sender < softspoken) == cheaper
+
+    def test_bytes_never_rise(self):
+        """Once a batch opens the pool, no sequence of batches costs
+        more than SoftSpokenOT would."""
+        rng = np.random.default_rng(39)
+        sizes = rng.integers(1, 3 * POOL_MIN, 400).tolist()
+        left, pooled, softspoken = None, 0, 0
+        for m in sizes:
+            draw = pool_draw(128, left, m)
+            left, pooled = draw.left, pooled + draw.u + draw.sender
+            softspoken += cot_bytes(128, [(m, 0)])[0]
+            assert pooled <= softspoken
+        assert left is not None
+        # a drained main iteration refills, its reserve's trees first
+        usable = FERRET_MAIN.n - FERRET_MAIN.reserve
+        full = pool_draw(128, 0, usable)
+        assert full.left == 0
+        assert full.sender == FERRET_MAIN.t * tree_bytes(FERRET_MAIN)
+        assert full.rows == ((FERRET_MAIN.reserve, FERRET_MAIN.n, True),)
+        assert not full.opens

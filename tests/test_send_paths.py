@@ -189,3 +189,33 @@ def test_a_size_off_by_one_fails_real_alone(
     assert str(caught.value).startswith(f"'{label}': ")
     # a bug, which the supervisor must not retry
     assert not isinstance(caught.value, ProtocolAbort)
+
+
+def test_real_and_simulated_agree_with_both_pools_open(small_pool):
+    """A PSI whose leaf OTs open one instance's silent-OT pool and whose
+    label OTs open the other's: REAL sends what SIMULATED charges, pool
+    messages included."""
+    prints = []
+    for mode in (Mode.REAL, Mode.SIMULATED):
+        ctx = Context(mode, seed=3)
+        forward = make_ot(ctx)
+        psi_with_payloads(
+            ctx, forward, [1, 2, 3, 4], [3, 4, 5], [30, 40, 50]
+        )
+        assert None not in (forward._pool_left, forward.reverse._pool_left)
+        prints.append(ctx.transcript.fingerprint())
+    assert prints[0] == prints[1]
+    assert any(label.endswith("ot/ext/pool") for _, _, label in prints[0])
+
+
+def test_a_tree_size_off_by_one_fails_real_alone(monkeypatch, small_pool):
+    """The pool's SPCOT bytes ride wherever the schedule puts them; a
+    tree priced one byte off is caught there, in REAL alone."""
+    from repro.mpc import costs
+
+    mutated = off_by_one(costs.tree_bytes, None)
+    monkeypatch.setattr(costs, "tree_bytes", mutated)
+    run_psi(Context(Mode.SIMULATED, seed=3))
+    with pytest.raises(ScheduleMismatch) as caught:
+        run_psi(Context(Mode.REAL, seed=3))
+    assert str(caught.value).split("'")[1].startswith("ot/ext/")
