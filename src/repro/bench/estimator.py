@@ -12,13 +12,13 @@ execution by the test suite.
 The estimator walks the plan :func:`~repro.exec.compiler.compile_plan`
 lowers, step by step in the order the scheduler runs it, so either
 phase order (reduce first, or the two-phase ablation's semijoins first)
-is priced as executed.  PSI bins and loads come from the same
-deterministic formulas the protocol uses, so the estimate is the
-metered run's bytes, message count and rounds for a given plan and
-ownership — the only approximation is that it assumes every operator
-takes its general path (no same-party shortcuts beyond what ownership
-dictates, payload-shared PSI whenever the child annotations are not
-input-plain).
+and the full join's steps are priced as executed.  PSI bins and loads
+come from the same deterministic formulas the protocol uses, so the
+estimate is the metered run's bytes, message count and rounds for a
+given plan and ownership — the only approximation is that it assumes
+every operator takes its general path (no same-party shortcuts beyond
+what ownership dictates, payload-shared PSI whenever the child
+annotations are not input-plain).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from typing import (
     Iterator,
     NamedTuple,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -42,10 +43,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from ..exec.compiler import compile_plan
 from ..exec.ir import (
     AggregateStep,
-    ExecPlan,
+    AlignStep,
+    JoinStep,
+    ProductStep,
     ReduceFoldStep,
+    RevealResultStep,
+    RevealStep,
     SemijoinStep,
-    ShareStep,
+    Step,
 )
 from ..leakage import BACKENDS
 from ..mpc import costs, gadgets
@@ -87,6 +92,10 @@ class NodeShape(NamedTuple):
     #: instances the node uses, which decides only the one-time base
     #: phases a plan total includes
     parent_owner: str = ALICE
+    #: the child has no attributes (a fold's empty ``agg_attrs``, a
+    #: semijoin's empty ``shared_attrs``): the reduce-join scales by its
+    #: sum on every back-end
+    scalar: bool = False
 
 
 def session_framing_overhead(n_messages: int) -> int:
@@ -241,19 +250,16 @@ class _Estimator:
         """Price one node under ``backend``: its whole transcript
         window — the child's aggregation (a semijoin's support
         projection), then the reduce-join."""
-        (
-            kind, parent_n, child_n, same_owner, child_plain, parent_plain,
-            parent_owner,
-        ) = shape
         ell = self.p.ell
         self.step()
-        parent_bob = parent_owner != ALICE
-        if child_n and not child_plain:  # else: the owner-local fast path
+        parent_bob = shape.parent_owner != ALICE
+        child_n = shape.child_n
+        if child_n and not shape.child_plain:  # else: owner-local
             # the child owner's aggregation: Bob's iff the parent's is
             # exactly when they share an owner
-            with self._oriented(parent_bob == same_owner):
+            with self._oriented(parent_bob == shape.same_owner):
                 self.oep(child_n, child_n)
-                if kind == "semijoin":
+                if shape.kind == "semijoin":
                     nonzero = gadgets.nonzero_circuit(ell)
                     self.garbled(costs.circuit_counts(nonzero), child_n)
                     chain = costs.merge_chain_counts(
@@ -262,7 +268,7 @@ class _Estimator:
                     self.garbled(chain, 1)
                 else:
                     self.ot_batch([(child_n - 1, costs.ring_bytes(ell))])
-        if kind == "aggregate" or parent_n == 0:
+        if shape.kind == "aggregate" or shape.parent_n == 0:
             return
         with self._oriented(parent_bob):
             self._reduce_join(shape, backend)
@@ -270,17 +276,19 @@ class _Estimator:
     def _reduce_join(self, shape: NodeShape, backend: str) -> None:
         """The parent side of a node, under the parent owner's
         orientation."""
-        _, parent_n, child_n, same_owner, child_plain, parent_plain, _ = shape
+        parent_n, child_n = shape.parent_n, shape.child_n
+        same_owner, child_plain = shape.same_owner, shape.child_plain
         ell = self.p.ell
-        if same_owner:
-            # Back-end-independent: same-owner folds never cross the
-            # PSI/DH-OPRF dispatch, so both back-ends price (and run)
-            # identically here.
-            if child_plain and parent_plain:
-                return  # fully local
-            if child_plain:
-                self.share(ALICE, child_n)
-            self.oep(child_n + 1, parent_n)
+        if same_owner and child_plain and shape.parent_plain:
+            return  # fully local
+        if shape.scalar or same_owner:
+            # Back-end-independent: neither path crosses the PSI/DH-OPRF
+            # dispatch.  A scalar child is shared and summed, with no
+            # alignment; a same-owner one is OEP-aligned by its owner.
+            if child_plain:  # the child owner shares it
+                self.share(ALICE if same_owner else BOB, child_n)
+            if not shape.scalar:
+                self.oep(child_n + 1, parent_n)
         elif backend == "linear":
             # DH-OPRF matching, then the child payloads in token order.
             charge_dh_oprf(self.meter, parent_n, child_n)
@@ -295,7 +303,7 @@ class _Estimator:
         else:
             b = self.psi(parent_n, child_n, shared_payload=not child_plain)
             self.oep(b, parent_n)
-        self.gilboa(parent_n, n_cross_terms=1 if parent_plain else 2)
+        self.gilboa(parent_n, n_cross_terms=1 if shape.parent_plain else 2)
 
 
 def estimate_node_bytes(
@@ -317,40 +325,35 @@ def estimate_node_bytes(
     return e.meter.total - before
 
 
-def _walk_nodes(
-    plan: ExecPlan, sizes: Dict[str, int]
-) -> Tuple[Dict[str, Tuple[NodeShape, str]], Dict[str, bool]]:
-    """The one plan walk: the shape and back-end of every reduce- and
-    semijoin-phase step by step label, in the compiled plan's (executed)
-    order, and which relations' annotations are still owner-plain
-    afterwards.  Plainness is tracked along the way so the Section 6.5
-    fast paths are credited exactly as the executor takes them; sizes
-    never change (every operator pads to its input)."""
-    owners = {
-        s.relation: s.owner for s in plan.steps if isinstance(s, ShareStep)
-    }
-    plain = {name: True for name in sizes}
-    nodes: Dict[str, Tuple[NodeShape, str]] = {}
-    for step in plan.steps:
+def _shapes(
+    steps: Sequence[Step],
+    sizes: Dict[str, int],
+    owners: Dict[str, str],
+    plain: Dict[str, bool],
+) -> Iterator[Tuple[Step, Optional[NodeShape]]]:
+    """The one plan walk: every step in run order, with its shape if it
+    is a reduce- or semijoin-phase node.  ``plain`` (which relations'
+    annotations are still owner-plain) is tracked along the way so the
+    Section 6.5 fast paths are credited exactly as the executor takes
+    them; sizes never change (every operator pads to its input)."""
+    for step in steps:
         if isinstance(step, ReduceFoldStep):
-            p, c, backend = step.parent, step.child, step.backend
+            p, c, scalar = step.parent, step.child, not step.agg_attrs
         elif isinstance(step, SemijoinStep):
             # A semijoin's child is the filter's support, plain iff it is.
-            p, c, backend = step.target, step.filter, step.backend
+            p, c, scalar = step.target, step.filter, not step.shared_attrs
         elif isinstance(step, AggregateStep):
-            # An aggregation joins nothing: no back-end is dispatched.
             p = c = step.node
-            backend = BACKENDS[0]
+            scalar = False
         else:
+            yield step, None
             continue
         same = owners[c] == owners[p]
-        shape = NodeShape(
+        yield step, NodeShape(
             step.kind, sizes[p], sizes[c], same, plain[c], plain[p],
-            owners[p],
+            owners[p], scalar,
         )
-        nodes[step.label] = (shape, backend)
         plain[p] = plain[p] and plain[c] and same
-    return nodes, plain
 
 
 def estimate_plan_cost(
@@ -369,34 +372,39 @@ def estimate_plan_cost(
     as ``"yannakakis"``.
     """
     e = _Estimator(params)
-    nodes, plain = _walk_nodes(
-        compile_plan(plan, owners, backends=backends), sizes
+    ell = params.ell
+    plain = dict.fromkeys(sizes, True)
+    compiled = compile_plan(
+        plan, owners, reveal_result=True, backends=backends
     )
-    for shape, backend in nodes.values():
-        e.node(shape, backend)
-
-    # Full join: reveal + OUT + per-relation OEP + products + result.
-    reduced = plan.reduced_attrs
-    for name, attrs in reduced.items():
+    for step, shape in _shapes(compiled.steps, sizes, owners, plain):
         e.step()
-        if plain[name]:
-            e.share(owners[name], sizes[name])
-        # reveal circuits: the indicator, and for a Bob-owned relation
-        # his tuples disclosed under it (no gate).  Payload width is
-        # data-dependent; callers wanting exactness supply integer-only
-        # relations, for which the estimator assumes 4-byte slots per
-        # attribute.
-        pbits = 0 if owners[name] == ALICE else 32 * len(attrs)
-        reveal = gadgets.reveal_tuple_circuit(params.ell, pbits)
-        e.garbled(costs.circuit_counts(reveal), sizes[name])
-    e.meter.send(ALICE, costs.OUT_SIZE_BYTES)
-    if out_size > 0:
-        for name in reduced:
-            e.step()
-            e.oep(sizes[name] + 1, out_size)
-        e.step()
-        e.gilboa(out_size, n_cross_terms=2 * (len(reduced) - 1))
-    e.share(BOB, out_size)  # the result, revealed to Alice
+        if shape is not None:
+            # An aggregation joins nothing: no back-end is dispatched.
+            e.node(shape, getattr(step, "backend", BACKENDS[0]))
+        elif isinstance(step, RevealStep):
+            name = step.relation
+            if plain[name]:
+                e.share(owners[name], sizes[name])
+            # reveal circuits: the indicator, and for a Bob-owned
+            # relation his tuples disclosed under it (no gate).  Payload
+            # width is data-dependent; callers wanting exactness supply
+            # integer-only relations, for which the estimator assumes
+            # 4-byte slots per attribute.
+            pbits = (
+                0 if owners[name] == ALICE
+                else 32 * len(plan.reduced_attrs[name])
+            )
+            reveal = gadgets.reveal_tuple_circuit(ell, pbits)
+            e.garbled(costs.circuit_counts(reveal), sizes[name])
+        elif isinstance(step, JoinStep):
+            e.meter.send(ALICE, costs.OUT_SIZE_BYTES)  # |J*| to Bob
+        elif isinstance(step, AlignStep) and out_size:
+            e.oep(sizes[step.relation] + 1, out_size)
+        elif isinstance(step, ProductStep) and out_size:
+            e.gilboa(out_size, n_cross_terms=2 * (len(step.relations) - 1))
+        elif isinstance(step, RevealResultStep):
+            e.share(BOB, out_size)  # the result, revealed to Alice
     m = e.meter
     return CostEstimate(m.total, m.messages, m.rounds)
 
@@ -410,11 +418,13 @@ def estimate_node_costs(
     """:func:`estimate_node_bytes` of every fold/semijoin node under
     each join back-end: ``{node_label: {backend: bytes}}`` — what the
     planner's routing pass decides on."""
-    nodes, _ = _walk_nodes(compile_plan(plan, owners), sizes)
+    plain = dict.fromkeys(sizes, True)
     return {
-        label: {b: estimate_node_bytes(shape, b, params) for b in BACKENDS}
-        for label, (shape, _) in nodes.items()
-        if shape.kind != "aggregate"
+        step.label: {
+            b: estimate_node_bytes(shape, b, params) for b in BACKENDS
+        }
+        for step, shape in _shapes(plan.steps, sizes, owners, plain)
+        if shape is not None and shape.kind != "aggregate"
     }
 
 
@@ -443,7 +453,7 @@ def estimate_query_cost(
     """
     sizes = {n: len(r) for n, r in query.relations.items()}
     if out_size is None:
-        out_size = math.prod(sizes[n] for n in query.plan().reduced_nodes)
+        out_size = math.prod(sizes[n] for n in query.plan().reduced_attrs)
     if params is None:
         params = query.ring_params()
     if backends is None:

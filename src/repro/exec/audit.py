@@ -45,8 +45,8 @@ class NodeLeakage:
     kind: str  #: ``"reduce_fold"`` | ``"semijoin"``
     backend: str
     #: Whether the node reaches the cross-owner back-end dispatch at
-    #: all (same-owner nodes and scalar-child folds run an identical
-    #: local path under every back-end and leak nothing).
+    #: all (same-owner nodes and scalar children run the same path
+    #: under every back-end and leak nothing).
     dispatched: bool
     atoms: FrozenSet[str]
     #: Set when ``backend`` has no BACKEND_CONTRACTS entry — an
@@ -159,18 +159,17 @@ def audit_plan(
         }
     nodes: List[NodeLeakage] = []
     for step in plan.steps:
+        # A scalar child (a fold's empty agg_attrs, a semijoin's empty
+        # shared_attrs) joins through the scalar path, the same on every
+        # back-end — never dispatched.
         if isinstance(step, ReduceFoldStep):
-            # A scalar child (empty agg_attrs) folds through the local
-            # scalar path on every back-end — never dispatched.
-            dispatched = bool(step.agg_attrs) and _cross_owner(
-                owners, step.child, step.parent
-            )
-            nodes.append(
-                _node(step.label, step.kind, step.backend, dispatched)
-            )
+            keyed = bool(step.agg_attrs)
+            parent, child = step.parent, step.child
         elif isinstance(step, SemijoinStep):
-            dispatched = _cross_owner(owners, step.target, step.filter)
-            nodes.append(
-                _node(step.label, step.kind, step.backend, dispatched)
-            )
+            keyed = bool(step.shared_attrs)
+            parent, child = step.target, step.filter
+        else:
+            continue
+        dispatched = keyed and _cross_owner(owners, child, parent)
+        nodes.append(_node(step.label, step.kind, step.backend, dispatched))
     return LeakageReport(plan_name=plan.name, nodes=tuple(nodes))

@@ -2,29 +2,28 @@
 execution IR.
 
 The compiler is pure planning — no context, no engine, no data — and
-the only lowering of a plan: it emits the steps in the order they run
-(reduce then semijoin, or the two-phase ablation's semijoin first, then
-the full join), numbered by position.  The scheduler dispatches that
-order, and the estimator, the back-end router and the leakage audit
-read it.
+the only lowering of a plan: the share steps, then the plan's own
+reduce and semijoin steps in the order the plan runs them, routed, then
+the full join, all numbered by position.  The scheduler dispatches that
+order, and the estimator and the leakage audit read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence, Type
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Type
 
-from ..yannakakis.plan import ReduceAggregate, ReduceFold, YannakakisPlan
+if TYPE_CHECKING:  # pragma: no cover - typing only: plan.py imports .ir
+    from ..yannakakis.plan import YannakakisPlan
+
 from .ir import (
     AggregateStep,
     AlignStep,
     ExecPlan,
     JoinStep,
     ProductStep,
-    ReduceFoldStep,
     RevealResultStep,
     RevealStep,
-    SemijoinStep,
     ShareStep,
     Step,
 )
@@ -60,47 +59,22 @@ def compile_plan(
     steps: List[Step] = []
 
     def emit(cls: Type[Step], **kwargs: Any) -> None:
-        step = cls(id=len(steps), **kwargs)
-        routed = isinstance(step, (ReduceFoldStep, SemijoinStep))
-        if routed and step.label in routes:
-            step = replace(step, backend=routes[step.label])
-        steps.append(step)
+        steps.append(cls(id=len(steps), **kwargs))
 
     for n in names:
         emit(ShareStep, relation=n, owner=owners[n])
-
-    def emit_semijoins() -> None:
-        for s in plan.semijoin_steps:
-            emit(SemijoinStep, target=s.target, filter=s.filter)
-
-    if plan.semijoin_first:
-        emit_semijoins()
-    for r in plan.reduce_steps:
-        if isinstance(r, ReduceFold):
-            emit(
-                ReduceFoldStep,
-                child=r.child,
-                parent=r.parent,
-                agg_attrs=tuple(r.agg_attrs),
-            )
-        elif isinstance(r, ReduceAggregate):
-            emit(AggregateStep, node=r.node, attrs=tuple(r.attrs))
-        else:
-            raise TypeError(f"unknown reduce step: {r!r}")
-    if not plan.semijoin_first:
-        emit_semijoins()
-
-    folded_away = {
-        r.child for r in plan.reduce_steps if isinstance(r, ReduceFold)
-    }
-    survivors = tuple(n for n in names if n not in folded_away)
+    for s in plan.steps:
+        if not isinstance(s, AggregateStep) and s.label in routes:
+            s = replace(s, backend=routes[s.label])
+        steps.append(replace(s, id=len(steps)))
+    survivors = tuple(n for n in names if n in plan.reduced_attrs)
 
     for n in survivors:
         emit(RevealStep, relation=n)
     emit(
         JoinStep,
         relations=survivors,
-        join_order=tuple((s.child, s.parent) for s in plan.join_steps),
+        join_order=plan.join_order,
         pad_out_to=pad_out_to,
     )
     for n in survivors:

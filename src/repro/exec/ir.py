@@ -121,6 +121,9 @@ class SemijoinStep(Step):
 
     target: str = ""
     filter: str = ""
+    #: The attributes target and filter share; none makes the filter a
+    #: scalar child, which never reaches the back-end dispatch.
+    shared_attrs: Tuple[str, ...] = ()
     #: Join back-end for the semijoin's reduce-join (see
     #: :data:`repro.core.semijoin.BACKENDS`).
     backend: str = "yannakakis"

@@ -151,8 +151,10 @@ class Scheduler:
         metered actuals.  ``(None, None)`` for every other node kind."""
         if isinstance(step, ReduceFoldStep):
             parent, child = env[step.parent], env[step.child]
+            scalar = not step.agg_attrs
         elif isinstance(step, SemijoinStep):
             parent, child = env[step.target], env[step.filter]
+            scalar = not step.shared_attrs
         else:
             return None, None
         from ..bench.estimator import NodeShape, estimate_node_bytes
@@ -164,6 +166,7 @@ class Scheduler:
             parent.owner == child.owner,
             child.annotations.kind == "plain",
             parent.annotations.kind == "plain",
+            scalar=scalar,
         )
         return step.backend, estimate_node_bytes(
             shape, step.backend, self.engine.ctx.params

@@ -140,26 +140,13 @@ class Context:
         self._tweak_batch = 0
 
     @property
-    def channel(self) -> Channel:
-        """The pluggable communication layer every :meth:`send` routes
-        through.  Defaults to the bare transcript; attaching a session
-        (see :attr:`session`) swaps it; custom channels (test doubles,
-        alternative transports) may be assigned directly as long as
-        they ultimately meter into :attr:`transcript`."""
-        return self._channel
-
-    @channel.setter
-    def channel(self, channel: Channel) -> None:
-        self._channel = channel
-
-    @property
     def session(self) -> Optional["Session"]:
         """Optional fault-tolerant session layer
         (:func:`repro.runtime.session.enable_session` attaches one);
         when set, every :meth:`send` is framed, checksummed and
         deadline-supervised before it is metered.  Assigning a session
-        also makes it the active :attr:`channel` (``None`` restores
-        the bare transcript)."""
+        routes every send through it (``None`` restores the bare
+        transcript)."""
         return self._session
 
     @session.setter

@@ -15,8 +15,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..exec.compiler import compile_plan
-from ..exec.ir import ReduceFoldStep, SemijoinStep
+from ..exec.ir import AggregateStep
 from ..leakage import BACKENDS
 from ..mpc.params import SecurityParams
 from ..relalg.hypergraph import Hypergraph
@@ -85,7 +84,7 @@ def route_backends(
     :func:`repro.bench.estimator.estimate_node_costs` and picks the
     cheaper one in bytes (ties break to ``"yannakakis"``, the paper's
     protocol — in particular every same-owner node, where the back-ends
-    are identical, routes there).  Returns a map keyed by the compiled
+    are identical, routes there).  Returns a map keyed by the plan
     steps' labels, suitable for :func:`repro.exec.compiler.compile_plan`
     and :func:`repro.bench.estimator.estimate_plan_cost`.
     """
@@ -94,8 +93,8 @@ def route_backends(
     if backend in BACKENDS:
         return {
             step.label: backend
-            for step in compile_plan(plan, owners).steps
-            if isinstance(step, (ReduceFoldStep, SemijoinStep))
+            for step in plan.steps
+            if not isinstance(step, AggregateStep)
         }
     if backend != "auto":
         raise ValueError(

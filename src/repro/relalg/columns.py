@@ -186,11 +186,6 @@ class Column:
         b = _remap_codes(other, mapping)
         return Column(np.concatenate([a, b]), list(mapping))
 
-    def value_at(self, i: int) -> Hashable:
-        if self.values is None:
-            return int(self.codes[i])
-        return self.values[int(self.codes[i])]
-
     def to_pylist(self) -> List[Hashable]:
         if self.values is None:
             return list(self.codes.tolist())
@@ -430,12 +425,6 @@ class TupleStore:
         )
 
     # -- row views ------------------------------------------------------
-
-    def row(self, i: int) -> Tuple[Any, ...]:
-        if self.nonce[i]:
-            nv = dummy_value(int(self.nonce[i]))
-            return tuple(nv for _ in range(self.arity))
-        return tuple(c.value_at(i) for c in self.columns)
 
     def materialize(self) -> List[Tuple[Any, ...]]:
         """The tuple-list view (cached; the compatibility API)."""

@@ -2,21 +2,9 @@
 
 from .naive import full_join, naive_join_aggregate
 from .plain import execute_plan, yannakakis
-from .plan import (
-    JoinStep,
-    ReduceAggregate,
-    ReduceFold,
-    SemijoinStep,
-    YannakakisPlan,
-    build_plan,
-    build_two_phase_plan,
-)
+from .plan import YannakakisPlan, build_plan, build_two_phase_plan
 
 __all__ = [
-    "JoinStep",
-    "ReduceAggregate",
-    "ReduceFold",
-    "SemijoinStep",
     "YannakakisPlan",
     "build_plan",
     "build_two_phase_plan",

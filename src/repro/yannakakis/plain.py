@@ -10,16 +10,12 @@ from __future__ import annotations
 from types import ModuleType
 from typing import Dict, Optional, Sequence
 
+from ..exec.ir import AggregateStep, ReduceFoldStep
 from ..relalg import operators as columnar_operators
 from ..relalg.join_tree import JoinTree, find_free_connex_tree
 from ..relalg.hypergraph import Hypergraph
 from ..relalg.relation import AnnotatedRelation
-from .plan import (
-    ReduceAggregate,
-    ReduceFold,
-    YannakakisPlan,
-    build_plan,
-)
+from .plan import YannakakisPlan, build_plan
 
 __all__ = ["execute_plan", "yannakakis"]
 
@@ -29,7 +25,7 @@ def execute_plan(
     relations: Dict[str, AnnotatedRelation],
     operators: Optional[ModuleType] = None,
 ) -> AnnotatedRelation:
-    """Run the three phases on plaintext annotated relations and return the
+    """Run the plan's steps on plaintext annotated relations and return the
     query result with attributes ordered as ``plan.output``.
 
     ``operators`` selects the relational-operator implementation: the
@@ -44,35 +40,21 @@ def execute_plan(
     if missing:
         raise KeyError(f"missing input relations: {sorted(missing)}")
 
-    def run_semijoins() -> None:
-        for step in plan.semijoin_steps:
-            rels[step.target] = semijoin(
-                rels[step.target], rels[step.filter]
-            )
-
-    # The two-phase ablation order: semijoins on the unreduced tree.
-    if plan.semijoin_first:
-        run_semijoins()
-
-    # Phase 1: reduce.
-    for step in plan.reduce_steps:
-        if isinstance(step, ReduceFold):
+    # Reduce and semijoin phases, in the plan's order.
+    for step in plan.steps:
+        if isinstance(step, ReduceFoldStep):
             folded = aggregate(rels[step.child], step.agg_attrs)
             rels[step.parent] = join(rels[step.parent], folded)
             del rels[step.child]
-        elif isinstance(step, ReduceAggregate):
+        elif isinstance(step, AggregateStep):
             rels[step.node] = aggregate(rels[step.node], step.attrs)
-        else:  # pragma: no cover - plan only emits the two step types
-            raise TypeError(f"unknown reduce step {step!r}")
+        else:
+            rels[step.target] = semijoin(rels[step.target], rels[step.filter])
 
-    # Phase 2: semijoins (remove dangling tuples).
-    if not plan.semijoin_first:
-        run_semijoins()
-
-    # Phase 3: full join.
-    for step in plan.join_steps:
-        rels[step.parent] = join(rels[step.parent], rels[step.child])
-        del rels[step.child]
+    # Full join.
+    for child, parent in plan.join_order:
+        rels[parent] = join(rels[parent], rels[child])
+        del rels[child]
 
     result = rels[plan.root]
     # Reorder columns to the requested output order and drop zero groups.

@@ -13,117 +13,175 @@ The paper splits the classical two-phase Yannakakis algorithm into
 3. **Full join** — a bottom-up pass of annotated joins; the root relation
    is then exactly the query result.
 
-Both the plaintext executor and the secure protocol run the *same* plan,
-which is what makes the plaintext algorithm a correctness oracle for the
-secure one.
+The first two phases are written in the execution IR's own steps
+(:mod:`repro.exec.ir`), in the order they run; this module is the one
+place that order is decided.  Both the plaintext executor and the
+secure protocol run the *same* steps, which is what makes the plaintext
+algorithm a correctness oracle for the secure one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple, Union
 
+from ..exec.ir import AggregateStep, ReduceFoldStep, SemijoinStep
 from ..relalg.hypergraph import Hypergraph
 from ..relalg.join_tree import JoinTree, is_free_connex
 
 __all__ = [
-    "ReduceFold",
-    "ReduceAggregate",
-    "SemijoinStep",
-    "JoinStep",
+    "PlanStep",
     "YannakakisPlan",
     "build_plan",
+    "build_two_phase_plan",
     "candidate_plans",
 ]
 
-
-@dataclass(frozen=True)
-class ReduceFold:
-    """``R_parent <- R_parent ⋈⊗ pi_agg_attrs^(+)(R_child)``; child removed."""
-
-    child: str
-    parent: str
-    agg_attrs: Tuple[str, ...]
+#: A reduce- or semijoin-phase step.
+PlanStep = Union[ReduceFoldStep, AggregateStep, SemijoinStep]
 
 
 @dataclass(frozen=True)
-class ReduceAggregate:
-    """``R_node <- pi_attrs^(+)(R_node)``; node stays with new attributes."""
-
-    node: str
-    attrs: Tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class SemijoinStep:
-    """``R_target <- R_target ⋉⊗ R_filter``."""
-
-    target: str
-    filter: str
-
-
-@dataclass(frozen=True)
-class JoinStep:
-    """``R_parent <- R_parent ⋈⊗ R_child``; child removed."""
-
-    child: str
-    parent: str
-
-
-@dataclass
 class YannakakisPlan:
-    """A fully-ordered 3-phase plan over a rooted join tree.
-
-    ``semijoin_first`` marks the *original* two-phase Yannakakis order
-    (semijoins on the unreduced relations, then reduce, then full join)
-    — kept as an ablation of the paper's Section 6.4 remark that
-    semijoining before reducing "would incur unnecessary computation".
-    """
+    """A fully-ordered 3-phase plan over a rooted join tree."""
 
     tree: JoinTree
     output: Tuple[str, ...]
-    reduce_steps: List[object]
+    #: The reduce- and semijoin-phase steps in run order, ids ``0..n-1``
+    #: (:func:`~repro.exec.compiler.compile_plan` re-numbers them).
+    steps: Tuple[PlanStep, ...]
     #: Attribute sets of the nodes that survive the reduce phase.
     reduced_attrs: Dict[str, Tuple[str, ...]]
-    #: Parent map of the reduced tree (root maps to ``None``).
-    reduced_parent: Dict[str, Optional[str]]
-    semijoin_steps: List[SemijoinStep]
-    join_steps: List[JoinStep]
-    root: str = ""
-    semijoin_first: bool = False
-
-    def __post_init__(self):
-        if not self.root:
-            roots = [n for n, p in self.reduced_parent.items() if p is None]
-            if len(roots) != 1:
-                raise ValueError(
-                    "reduced_parent must describe a single-rooted tree; "
-                    f"found roots {roots!r}"
-                )
-            self.root = roots[0]
+    #: The full join's bottom-up ``(child, parent)`` order.
+    join_order: Tuple[Tuple[str, str], ...]
 
     @property
-    def reduced_nodes(self) -> List[str]:
-        return list(self.reduced_attrs)
+    def root(self) -> str:
+        """The reduced tree's root: the join tree's, which never folds."""
+        return self.tree.root
 
     def describe(self) -> str:
-        """Human-readable plan listing, one step per line."""
-        lines = [f"root: {self.tree.root}  output: {list(self.output)}"]
-        lines.append("-- reduce --")
-        for s in self.reduce_steps:
-            if isinstance(s, ReduceFold):
-                lines.append(
-                    f"{s.parent} <- {s.parent} JOIN agg_{list(s.agg_attrs)}({s.child})"
-                )
-            else:
-                lines.append(f"{s.node} <- agg_{list(s.attrs)}({s.node})")
-        lines.append("-- semijoin --")
-        for s in self.semijoin_steps:
-            lines.append(f"{s.target} <- {s.target} SEMIJOIN {s.filter}")
+        """Human-readable plan listing, one step per line, phases in run
+        order."""
+        lines = [f"root: {self.root}  output: {list(self.output)}"]
+        sections = [s.section for s in self.steps] + ["reduce", "semijoin"]
+        for section in dict.fromkeys(sections):
+            lines.append(f"-- {section} --")
+            lines.extend(_spell(s) for s in self.steps if s.section == section)
         lines.append("-- full join --")
-        for s in self.join_steps:
-            lines.append(f"{s.parent} <- {s.parent} JOIN {s.child}")
+        lines.extend(f"{p} <- {p} JOIN {c}" for c, p in self.join_order)
         return "\n".join(lines)
+
+
+def _spell(s: PlanStep) -> str:
+    if isinstance(s, ReduceFoldStep):
+        agg = f"agg_{list(s.agg_attrs)}({s.child})"
+        return f"{s.parent} <- {s.parent} JOIN {agg}"
+    if isinstance(s, AggregateStep):
+        return f"{s.node} <- agg_{list(s.attrs)}({s.node})"
+    return f"{s.target} <- {s.target} SEMIJOIN {s.filter}"
+
+
+def _reduce(
+    tree: JoinTree, output: Sequence[str]
+) -> Tuple[List[PlanStep], Dict[str, FrozenSet[str]]]:
+    """The reduce phase's steps, and the attributes of the nodes that
+    survive it.
+
+    Bottom-up over the rooted tree.  A childless node folds into its
+    parent when its needed attributes fit there, else it stops with a
+    local aggregation.  A node with remaining (stopped) children — and
+    the root — may still aggregate away attributes needed by no other
+    remaining relation and not in the output: this is the standard
+    aggregation push-down, valid by semiring distributivity, and it
+    extends the paper's reduce phase to Cartesian-product components.
+    A fold removes only childless nodes, so a survivor's parent
+    survives too.
+    """
+    output_set = set(output)
+    steps: List[PlanStep] = []
+    attrs = {n: tree.attrs(n) for n in tree.nodes}
+    remaining_children = {n: set(tree.children[n]) for n in tree.nodes}
+
+    for node in tree.bottom_up():
+        parent = tree.parent[node]
+        parent_attrs = attrs[parent] if parent is not None else frozenset()
+        if not remaining_children[node] and parent is not None:
+            f_prime = (output_set | parent_attrs) & attrs[node]
+            if f_prime <= parent_attrs:
+                steps.append(ReduceFoldStep(
+                    id=0, child=node, parent=parent,
+                    agg_attrs=tuple(sorted(f_prime)),
+                ))
+                del attrs[node]
+                remaining_children[parent].discard(node)
+                continue
+        needed = output_set | parent_attrs
+        for child in remaining_children[node]:
+            needed |= attrs[child]
+        new_attrs = frozenset(needed & attrs[node])
+        if new_attrs != attrs[node]:
+            steps.append(AggregateStep(
+                id=0, node=node, attrs=tuple(sorted(new_attrs))
+            ))
+            attrs[node] = new_attrs
+
+    for n, a in attrs.items():
+        if not a <= output_set:
+            raise ValueError(
+                f"reduce leaves non-output attributes in {n}: "
+                f"{set(a) - output_set} — this rooted join tree "
+                "does not witness the free-connex property"
+            )
+    return steps, attrs
+
+
+def _edges(
+    tree: JoinTree, nodes: Dict[str, FrozenSet[str]]
+) -> List[Tuple[str, str]]:
+    """The tree's ``(child, parent)`` edges among ``nodes``, bottom-up."""
+    return [
+        (n, p)
+        for n in tree.bottom_up()
+        for p in [tree.parent[n]]
+        if n in nodes and p is not None
+    ]
+
+
+def _semijoin_passes(
+    tree: JoinTree, attrs: Dict[str, FrozenSet[str]]
+) -> List[PlanStep]:
+    """Bottom-up ``parent <- parent ⋉ child``, then top-down
+    ``child <- child ⋉ parent``, over the nodes of ``attrs`` with those
+    attributes."""
+
+    def semijoin(target: str, filter: str) -> SemijoinStep:
+        shared = tuple(sorted(attrs[target] & attrs[filter]))
+        return SemijoinStep(
+            id=0, target=target, filter=filter, shared_attrs=shared
+        )
+
+    edges = _edges(tree, attrs)
+    return [semijoin(p, c) for c, p in edges] + [
+        semijoin(c, p) for c, p in reversed(edges)
+    ]
+
+
+def _plan(
+    tree: JoinTree,
+    output: Sequence[str],
+    steps: List[PlanStep],
+    reduced: Dict[str, FrozenSet[str]],
+) -> YannakakisPlan:
+    return YannakakisPlan(
+        tree=tree,
+        output=tuple(output),
+        steps=tuple(replace(s, id=i) for i, s in enumerate(steps)),
+        reduced_attrs={
+            n: tuple(sorted(reduced[n])) for n in tree.nodes if n in reduced
+        },
+        join_order=tuple(_edges(tree, reduced)),
+    )
 
 
 def build_plan(tree: JoinTree, output: Sequence[str]) -> YannakakisPlan:
@@ -133,93 +191,26 @@ def build_plan(tree: JoinTree, output: Sequence[str]) -> YannakakisPlan:
     condition — callers should obtain the tree from
     :func:`repro.relalg.find_free_connex_tree`.
     """
-    output_set = set(output)
+    reduce, reduced = _reduce(tree, output)
+    return _plan(tree, output, reduce + _semijoin_passes(tree, reduced),
+                 reduced)
 
-    # --- Phase 1: reduce ------------------------------------------------
-    # Bottom-up over the rooted tree.  A childless node folds into its
-    # parent when its needed attributes fit there, else it stops with a
-    # local aggregation.  A node with remaining (stopped) children — and
-    # the root — may still aggregate away attributes needed by no other
-    # remaining relation and not in the output: this is the standard
-    # aggregation push-down, valid by semiring distributivity, and it
-    # extends the paper's reduce phase to Cartesian-product components.
-    reduce_steps: List[object] = []
-    attrs: Dict[str, FrozenSet[str]] = {
-        n: tree.attrs(n) for n in tree.nodes
-    }
-    removed: set = set()
-    remaining_children: Dict[str, set] = {
-        n: set(tree.children[n]) for n in tree.nodes
-    }
 
-    for node in tree.bottom_up():
-        parent = tree.parent[node]
-        parent_attrs = attrs[parent] if parent is not None else frozenset()
-        if not remaining_children[node] and parent is not None:
-            f_prime = (output_set | parent_attrs) & attrs[node]
-            if f_prime <= parent_attrs:
-                reduce_steps.append(
-                    ReduceFold(node, parent, tuple(sorted(f_prime)))
-                )
-                removed.add(node)
-                remaining_children[parent].discard(node)
-                continue
-        needed = output_set | parent_attrs
-        for child in remaining_children[node]:
-            needed |= attrs[child]
-        new_attrs = frozenset(needed & attrs[node])
-        if new_attrs != attrs[node]:
-            reduce_steps.append(
-                ReduceAggregate(node, tuple(sorted(new_attrs)))
-            )
-            attrs[node] = new_attrs
+def build_two_phase_plan(
+    tree: JoinTree, output: Sequence[str]
+) -> YannakakisPlan:
+    """The ORIGINAL Yannakakis order: two semijoin passes over the
+    *unreduced* tree first, then the reduce folds, then the full join.
 
-    reduced = [n for n in tree.nodes if n not in removed]
-    for n in reduced:
-        if not attrs[n] <= output_set:
-            raise ValueError(
-                f"reduce leaves non-output attributes in {n}: "
-                f"{set(attrs[n]) - output_set} — this rooted join tree "
-                "does not witness the free-connex property"
-            )
-    reduced_attrs = {n: tuple(sorted(attrs[n])) for n in reduced}
-    reduced_parent: Dict[str, Optional[str]] = {}
-    for n in reduced:
-        p = tree.parent[n]
-        while p is not None and p in removed:  # cannot happen, but be safe
-            p = tree.parent[p]
-        reduced_parent[n] = p
-
-    # --- Phase 2: semijoins ----------------------------------------------
-    # Bottom-up: parent <- parent ⋉ child; top-down: child <- child ⋉ parent.
-    reduced_set = set(reduced)
-    bottom_up = [n for n in tree.bottom_up() if n in reduced_set]
-    semijoin_steps: List[SemijoinStep] = []
-    for n in bottom_up:
-        p = reduced_parent[n]
-        if p is not None:
-            semijoin_steps.append(SemijoinStep(target=p, filter=n))
-    for n in reversed(bottom_up):
-        p = reduced_parent[n]
-        if p is not None:
-            semijoin_steps.append(SemijoinStep(target=n, filter=p))
-
-    # --- Phase 3: full join ------------------------------------------------
-    join_steps = [
-        JoinStep(child=n, parent=reduced_parent[n])
-        for n in bottom_up
-        if reduced_parent[n] is not None
-    ]
-
-    return YannakakisPlan(
-        tree=tree,
-        output=tuple(output),
-        reduce_steps=reduce_steps,
-        reduced_attrs=reduced_attrs,
-        reduced_parent=reduced_parent,
-        semijoin_steps=semijoin_steps,
-        join_steps=join_steps,
-    )
+    Semantically equivalent to :func:`build_plan`, but the semijoins run
+    on relations whose non-output attributes have not been aggregated
+    away — the extra cost the paper's Section 6.4 remark warns about
+    ("would incur unnecessary computation").  Kept as that ablation.
+    """
+    reduce, reduced = _reduce(tree, output)
+    unreduced = {n: tree.attrs(n) for n in tree.nodes}
+    return _plan(tree, output, _semijoin_passes(tree, unreduced) + reduce,
+                 reduced)
 
 
 def candidate_plans(
@@ -241,37 +232,3 @@ def candidate_plans(
                 yield build_plan(JoinTree(hypergraph, edges, root), output)
             except ValueError:
                 continue
-
-
-def build_two_phase_plan(
-    tree: JoinTree, output: Sequence[str]
-) -> YannakakisPlan:
-    """The ORIGINAL Yannakakis order: two semijoin passes over the
-    *unreduced* tree first, then the reduce folds, then the full join.
-
-    Semantically equivalent to :func:`build_plan`, but the semijoins run
-    on relations whose non-output attributes have not been aggregated
-    away — the extra cost the paper's Section 6.4 remark warns about.
-    Exposed for the ablation benchmark only.
-    """
-    base = build_plan(tree, output)
-    semijoins: List[SemijoinStep] = []
-    order = tree.bottom_up()
-    for n in order:
-        p = tree.parent[n]
-        if p is not None:
-            semijoins.append(SemijoinStep(target=p, filter=n))
-    for n in reversed(order):
-        p = tree.parent[n]
-        if p is not None:
-            semijoins.append(SemijoinStep(target=n, filter=p))
-    return YannakakisPlan(
-        tree=tree,
-        output=base.output,
-        reduce_steps=base.reduce_steps,
-        reduced_attrs=base.reduced_attrs,
-        reduced_parent=base.reduced_parent,
-        semijoin_steps=semijoins,
-        join_steps=base.join_steps,
-        semijoin_first=True,
-    )

@@ -19,7 +19,7 @@ from repro.bench.estimator import (
     estimate_node_costs,
     estimate_query_cost,
 )
-from repro.exec import ExecutionTrace
+from repro.exec import ExecutionTrace, audit_plan, compile_plan
 from repro.mpc import ALICE, BOB, Context, Engine, Mode
 from repro.query import (
     BACKEND_POLICIES,
@@ -210,6 +210,31 @@ class TestRouting:
         engine.backend = "auto"
         result, _ = q.run_secure(engine)
         assert result.semantically_equal(q.run_plain())
+
+    def test_scalar_children_are_never_dispatched(self):
+        # R1(a, x) and R2(b, y) share no attribute, so both semijoins of
+        # the output-(a, b) plan have scalar children: they join by the
+        # same sharing and Gilboa products under either back-end, so
+        # auto ties to the paper's protocol and a linear route leaks
+        # nothing and sends no DH-OPRF message.
+        rng = np.random.default_rng(2)
+        q = JoinAggregateQuery(output=("a", "b"))
+        for name, attrs, n, owner in [
+            ("R1", ("a", "x"), 10, ALICE), ("R2", ("b", "y"), 6, BOB),
+        ]:
+            rows = [(int(u), int(v)) for u, v in rng.integers(0, 5, (n, 2))]
+            rel = AnnotatedRelation(attrs, rows, rng.integers(1, 9, n), RING)
+            q.add_relation(name, rel, owner)
+        auto = q.backend_assignments("auto")
+        assert len(auto) == 2 and set(auto.values()) == {"yannakakis"}
+        linear = q.backend_assignments("linear")
+        report = audit_plan(compile_plan(q.plan(), q.owners, backends=linear))
+        assert [n.dispatched for n in report.nodes] == [False, False]
+        assert report.summary == frozenset()
+        ctx = Context(Mode.SIMULATED, seed=3)
+        result, _ = q.set_backend("linear").run_secure(Engine(ctx))
+        assert result.semantically_equal(q.run_plain())
+        assert not any("dhoprf" in m.label for m in ctx.transcript.messages)
 
     def test_route_backends_rejects_unknown_policy(self):
         q = two_relation_query(8, 8)

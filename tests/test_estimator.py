@@ -30,25 +30,35 @@ from .test_backends import chain_query, two_relation_query
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
+def random_relation(rng, attrs, n, ring, key_range=50):
+    return AnnotatedRelation(
+        attrs,
+        [
+            tuple(int(v) for v in row)
+            for row in rng.integers(0, key_range, (n, len(attrs)))
+        ],
+        rng.integers(1, 9, n),
+        ring,
+    )
+
+
 def run_and_estimate(owners, n1, n2, output=("b",), seed=0, ell=32):
     rng = np.random.default_rng(seed)
     ring = IntegerRing(ell)
+    rels = {
+        "R1": random_relation(rng, ("a", "b"), n1, ring),
+        "R2": random_relation(rng, ("b", "c"), n2, ring),
+    }
+    return meter_and_estimate(owners, rels, output, ell=ell)
+
+
+def meter_and_estimate(owners, rels, output, ell=32, two_phase=False):
+    """One metered SIMULATED run of ``rels`` and the estimate of its
+    plan at the run's output size."""
     params = SecurityParams(ell=ell)
-    r1 = AnnotatedRelation(
-        ("a", "b"),
-        [(int(x), int(y)) for x, y in rng.integers(0, 50, (n1, 2))],
-        rng.integers(1, 9, n1),
-        ring,
-    )
-    r2 = AnnotatedRelation(
-        ("b", "c"),
-        [(int(x), int(y)) for x, y in rng.integers(0, 50, (n2, 2))],
-        rng.integers(1, 9, n2),
-        ring,
-    )
-    rels = {"R1": r1, "R2": r2}
     h = Hypergraph({n: r.attributes for n, r in rels.items()})
-    plan = build_plan(find_free_connex_tree(h, set(output)), output)
+    build = build_two_phase_plan if two_phase else build_plan
+    plan = build(find_free_connex_tree(h, set(output)), output)
     engine = Engine(Context(Mode.SIMULATED, params, seed=1))
     sec = {
         n: SecureRelation.from_annotated(owners[n], rels[n]) for n in rels
@@ -56,7 +66,7 @@ def run_and_estimate(owners, n1, n2, output=("b",), seed=0, ell=32):
     result, stats = secure_yannakakis(engine, sec, plan)
     est = estimate_plan_cost(
         plan,
-        {"R1": n1, "R2": n2},
+        {n: len(r) for n, r in rels.items()},
         owners,
         out_size=len(result),
         params=params,
@@ -71,6 +81,27 @@ def assert_exact(est, transcript):
     assert est == (
         transcript.total_bytes, len(transcript.messages), transcript.rounds
     )
+
+
+RING32 = IntegerRing(32)
+OWNER_PAIRS = list(itertools.product((ALICE, BOB), repeat=2))
+CHAIN = {"R1": ("a", "b"), "R2": ("b", "c"), "R3": ("c", "d")}
+
+
+def chain_relations(order, split, sizes=(9, 6, 8)):
+    """R1(a, b) -- R2(b, c) -- R3(c, d) of distinct tuples, inserted in
+    ``order`` and owned by ``split`` (in that order)."""
+    rng = np.random.default_rng(11)
+    rels = {}
+    for name, n in zip(CHAIN, sizes):
+        keys = rng.choice(16, n, replace=False)
+        rels[name] = AnnotatedRelation(
+            CHAIN[name],
+            [(int(k) // 4, int(k) % 4) for k in keys],
+            rng.integers(1, 9, n),
+            RING32,
+        )
+    return {n: rels[n] for n in order}, dict(zip(order, split))
 
 
 class TestAccuracy:
@@ -119,6 +150,49 @@ class TestAccuracy:
         # primitive, share and reveal included.
         transcript, est = run_and_estimate(
             {"R1": ALICE, "R2": BOB}, 40, 25, ell=ell
+        )
+        assert_exact(est, transcript)
+
+    @pytest.mark.parametrize("output", [("a",), ("b",), ("a", "b")])
+    @pytest.mark.parametrize(
+        "owners",
+        [dict(zip(("R1", "R2"), o)) for o in OWNER_PAIRS],
+        ids=["".join(p[0] for p in o) for o in OWNER_PAIRS],
+    )
+    def test_scalar_child_exact(self, owners, output):
+        # R1(a, x) and R2(b, y) share no attribute: every fold and
+        # semijoin between them has a scalar child, which joins by
+        # sharing its sum on every back-end, never through a PSI.
+        rng = np.random.default_rng(4)
+        rels = {
+            "R1": random_relation(rng, ("a", "x"), 10, RING32, 5),
+            "R2": random_relation(rng, ("b", "y"), 6, RING32, 5),
+        }
+        transcript, est = meter_and_estimate(owners, rels, output)
+        assert_exact(est, transcript)
+
+    @pytest.mark.parametrize(
+        "split", list(itertools.product((ALICE, BOB), repeat=3)),
+        ids=lambda o: "".join(p[0] for p in o),
+    )
+    @pytest.mark.parametrize(
+        "order", list(itertools.permutations(("R1", "R2", "R3"))),
+        ids="-".join,
+    )
+    def test_chain_full_join_exact(self, order, split):
+        # Every attribute is output, so the full join keeps all three
+        # relations; distinct tuples make the result size |J*|.  The
+        # insertion order is the order the full join's steps run in.
+        rels, owners = chain_relations(order, split)
+        output = ("a", "b", "c", "d")
+        transcript, est = meter_and_estimate(owners, rels, output)
+        assert_exact(est, transcript)
+
+    def test_chain_two_phase_exact(self):
+        rels, owners = chain_relations(("R1", "R2", "R3"), (ALICE, BOB, ALICE))
+        output = ("a", "b", "c", "d")
+        transcript, est = meter_and_estimate(
+            owners, rels, output, two_phase=True
         )
         assert_exact(est, transcript)
 

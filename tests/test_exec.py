@@ -262,9 +262,9 @@ class TestOnePipeline:
     """Structural guard: a plan reaches the scheduler through
     ``core/protocol.py`` — one scheduler — and no other module under
     ``src/repro`` assembles a run of its own.  The other
-    ``compile_plan`` call sites are pure planning: the estimator, the
-    router and the leakage audits read the compiled steps and never
-    execute them."""
+    ``compile_plan`` call sites are pure planning: the estimator and
+    the leakage audits read the compiled steps and never execute them.
+    The router reads the plan's own steps and compiles nothing."""
 
     def test_only_protocol_compiles_and_schedules(self):
         sites = sorted(
@@ -280,11 +280,9 @@ class TestOnePipeline:
         )
         assert sites == [
             ("bench/estimator.py", "compile_plan"),
-            ("bench/estimator.py", "compile_plan"),
             ("core/protocol.py", "Scheduler"),
             ("core/protocol.py", "compile_plan"),
             ("fuzz/runner.py", "compile_plan"),
-            ("query/planner.py", "compile_plan"),
             ("serve/service.py", "compile_plan"),
         ]
 

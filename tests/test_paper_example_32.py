@@ -15,12 +15,8 @@ from repro.relalg import (
     find_free_connex_tree,
     is_free_connex,
 )
-from repro.yannakakis import (
-    ReduceAggregate,
-    ReduceFold,
-    build_plan,
-    naive_join_aggregate,
-)
+from repro.exec.ir import AggregateStep, ReduceFoldStep, SemijoinStep
+from repro.yannakakis import build_plan, naive_join_aggregate
 
 
 RING = IntegerRing(32)
@@ -60,15 +56,14 @@ class TestStructure:
         h = Hypergraph(SCHEMA)
         tree = find_free_connex_tree(h, set(OUTPUT))
         plan = build_plan(tree, OUTPUT)
-        folds = [s for s in plan.reduce_steps if isinstance(s, ReduceFold)]
-        aggs = [
-            s for s in plan.reduce_steps if isinstance(s, ReduceAggregate)
-        ]
+        folds = [s for s in plan.steps if isinstance(s, ReduceFoldStep)]
+        aggs = [s for s in plan.steps if isinstance(s, AggregateStep)]
         # R2 and R1 fold away; G is aggregated out of R4.
         assert {f.child for f in folds} >= {"R2"}
         assert any("G" not in s.attrs for s in aggs)
-        assert plan.semijoin_steps  # multiple output-only nodes remain
-        assert plan.join_steps
+        # multiple output-only nodes remain
+        assert any(isinstance(s, SemijoinStep) for s in plan.steps)
+        assert plan.join_order
         # Everything left is output-only.
         for attrs in plan.reduced_attrs.values():
             assert set(attrs) <= set(OUTPUT)

@@ -14,7 +14,8 @@ from repro.query import JoinAggregateQuery, choose_plan
 from repro.query.planner import MAX_CANDIDATES
 from repro.relalg import AnnotatedRelation, Hypergraph, IntegerRing
 from repro.relalg.semiring import BooleanSemiring
-from repro.yannakakis.plan import ReduceFold, candidate_plans
+from repro.exec.ir import ReduceFoldStep
+from repro.yannakakis.plan import candidate_plans
 
 from .conftest import chain, star
 
@@ -151,7 +152,7 @@ class TestPlanner:
             owners = dict(zip(h.edges, split))
             plan = choose_plan(h, ("b",), owners, sizes, PARAMS)
             crossing = [
-                s for s in plan.reduce_steps if isinstance(s, ReduceFold)
+                s for s in plan.steps if isinstance(s, ReduceFoldStep)
                 and owners[s.child] != owners[s.parent]
             ]
             assert len(crossing) == len(set(split)) - 1

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import SecureRelation, secure_yannakakis
+from repro.exec.ir import SemijoinStep
 from repro.mpc import ALICE, BOB, Context, Engine, Mode
 from repro.relalg import (
     AnnotatedRelation,
@@ -53,9 +54,16 @@ class TestEquivalence:
 
     def test_two_phase_semijoins_whole_tree(self):
         three, two = plans()
-        assert two.semijoin_first
-        assert len(two.semijoin_steps) >= len(three.semijoin_steps)
-        assert len(two.semijoin_steps) == 4  # 2 edges x 2 passes
+
+        def semijoins(plan):
+            return [s for s in plan.steps if isinstance(s, SemijoinStep)]
+
+        # The passes run first, over the unreduced tree's attributes.
+        assert two.steps[:4] == tuple(semijoins(two))
+        assert len(semijoins(two)) >= len(semijoins(three))
+        assert len(semijoins(two)) == 4  # 2 edges x 2 passes
+        assert all(s.shared_attrs for s in semijoins(two))
+        assert two.join_order == three.join_order
 
     def test_secure_two_phase_matches(self):
         rels = make_inputs(seed=1, n=12)
