@@ -229,8 +229,8 @@ class _Estimator:
                 self.oep(n + b, n + b)
         self.meter.send(ALICE, costs.psi_seed_bytes(self.p.cuckoo_hashes))
         charge_oprf_setup(self.meter, self.ot, b)
-        charge_opprf(self.meter, n)
         fp_bits = costs.psi_token_bits(b, self.p.sigma)
+        charge_opprf(self.meter, n, fp_bits)
         # the leaf OTs: Bob's random OTs, never finished, then Alice's
         # messages once her label batch is open
         leaves = LeafOts(self.meter, self.ot, b, fp_bits)
@@ -267,7 +267,7 @@ class _Estimator:
                     )
                     self.garbled(chain, 1)
                 else:
-                    self.ot_batch([(child_n - 1, costs.ring_bytes(ell))])
+                    self.ot_batch(costs.ring_widths(ell, child_n - 1))
         if shape.kind == "aggregate" or shape.parent_n == 0:
             return
         with self._oriented(parent_bob):

@@ -40,17 +40,19 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.protocol import secure_yannakakis
 from ..core.relation import SecureRelation
 from ..exec import audit_plan, compile_plan
+from ..exec.audit import NodeLeakage
 from ..leakage import BACKEND_CONTRACTS, BACKENDS
 from ..mpc.context import Context, Mode
 from ..mpc.engine import Engine
 from ..mpc.params import SecurityParams
+from ..mpc.transcript import Message
 from ..query.planner import BACKEND_POLICIES, choose_plan, route_backends
 from ..runtime.aborts import ProtocolAbort
 from ..runtime.faults import FaultPlan, perturb_share
@@ -367,7 +369,12 @@ def audit_leakage(
     the secure run would execute must stay within what docs/BACKENDS.md
     promises for that back-end — an all-``yannakakis`` route must
     summarise exactly ``{}``; any route may at most add the linear
-    back-end's ``join_pattern:parent``."""
+    back-end's ``join_pattern:parent``.
+
+    The summary is only as good as the audit's per-node ``dispatched``
+    flags, so under a route that may dispatch the DH-OPRF the flags are
+    also checked against a SIMULATED run's transcript
+    (:func:`_dispatch_problems`)."""
     plan = _plan_for(instance)
     routes = route_backends(
         plan, instance.sizes(), instance.owners, backend=backend,
@@ -382,6 +389,9 @@ def audit_leakage(
             "yannakakis route must be leakage-free but summarises "
             f"{sorted(report.summary)}"
         )
+    if backend != "yannakakis":
+        _, ctx = _run_secure(instance, plan, Mode.SIMULATED, backend=backend)
+        problems += _dispatch_problems(report.nodes, ctx.transcript.messages)
     for detail in problems:
         failures.append(
             FuzzFailure(
@@ -390,6 +400,32 @@ def audit_leakage(
             )
         )
     return failures
+
+
+def _dispatch_problems(
+    nodes: Sequence[NodeLeakage], messages: Sequence[Message]
+) -> List[str]:
+    """Each audited node against what the run sent under its label: a
+    node sends a ``dhoprf`` section iff the audit marks it dispatched
+    to the ``linear`` back-end.  A node marked undispatched that sends
+    one is leakage the summary misses; a dispatched one that sends none
+    is leakage it over-reports."""
+    sent = set()
+    for m in messages:
+        path = f"/{m.label}/"
+        if "/dhoprf/" in path:
+            sent.add(path[: path.index("/dhoprf/") + 1])
+    problems = []
+    for n in nodes:
+        claimed = n.dispatched and n.backend == "linear"
+        sends = any(f"/{n.label}/" in path for path in sent)
+        if claimed != sends:
+            problems.append(
+                f"node {n.label} (backend {n.backend}): the audit says "
+                f"dispatched={n.dispatched}, but the run sent "
+                f"{'a' if sends else 'no'} dhoprf section"
+            )
+    return problems
 
 
 def check_instance(

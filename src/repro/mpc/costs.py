@@ -37,7 +37,7 @@ from .circuits.garbling import (
 from .cuckoo import num_bins
 from .okvs import okvs_slots
 from .params import SecurityParams
-from .waksman import switch_count
+from .waksman import prefix_switch_count, switch_count
 
 __all__ = [
     "DH_TOKEN_BYTES",
@@ -75,6 +75,7 @@ __all__ = [
     "psi_seed_bytes",
     "psi_token_bits",
     "ring_bytes",
+    "ring_widths",
     "seed_ot_widths",
     "share_bytes",
     "tree_bytes",
@@ -85,10 +86,10 @@ __all__ = [
 #: change to a message's size or to the message sequence, and folded
 #: into ``repro net``'s session id so that a journal or a peer of
 #: another format is refused at the start, not at a later divergence.
-WIRE_FORMAT = 9
+WIRE_FORMAT = 10
 
-#: The shape of one C-OT batch: consecutive ``(count, width)`` segments
-#: of same-width transfers.
+#: The shape of one C-OT batch: consecutive ``(count, bits)`` segments
+#: of same-width transfers, each width in bits.
 Widths = Sequence[Tuple[int, int]]
 
 #: A P-256 point on the wire (SEC1 compressed), and the bare
@@ -115,6 +116,11 @@ FRAME_HEADER_BYTES = 4 + 8 + 4 + 32
 def ring_bytes(ell: int) -> int:
     """Bytes one ``Z_{2^ell}`` element is packed to on the wire."""
     return (ell + 7) // 8
+
+
+def ring_widths(ell: int, n: int) -> Widths:
+    """``n`` C-OTs of one ring element each, at its packed width."""
+    return [(n, 8 * ring_bytes(ell))]
 
 
 def share_bytes(ell: int, n: int) -> int:
@@ -154,7 +160,7 @@ def seed_ot_widths(n_seeds: int) -> Widths:
     """Every other set of base OTs (the mirror's ``kappa``, a KKRT
     OPRF's :data:`OPRF_WIDTH`): one extension batch of ``n_seeds`` OTs
     that is never finished — only ``u`` crosses, the pads are seeds."""
-    return [(n_seeds, 16)]
+    return [(n_seeds, 128)]
 
 
 def cot_bytes(kappa: int, widths: Widths) -> Tuple[int, int]:
@@ -162,12 +168,13 @@ def cot_bytes(kappa: int, widths: Widths) -> Tuple[int, int]:
     receiver's SoftSpokenOT correction, one bit per OT for each of the
     ``kappa / k`` VOLE blocks, then ONE ciphertext per OT (the sender's
     0-message is the OT's own random pad, so only the 1-message
-    crosses)."""
-    n_ots = corrections = 0
+    crosses), each at its segment's width in bits, packed across the
+    batch."""
+    n_ots = bits = 0
     for count, width in widths:
         n_ots += count
-        corrections += count * width
-    return kappa // SOFTSPOKEN_K * ((n_ots + 7) // 8), corrections
+        bits += count * width
+    return kappa // SOFTSPOKEN_K * ((n_ots + 7) // 8), (bits + 7) // 8
 
 
 class LpnSet(NamedTuple):
@@ -287,26 +294,32 @@ def pool_draw(kappa: int, left: Optional[int], m: int) -> PoolDraw:
 
 
 def gilboa_widths(ell: int, n: int) -> Widths:
-    """One Gilboa cross term over ``n`` element pairs: one C-OT of a
-    ring element per bit of the chosen factor."""
-    return [(n * ell, ring_bytes(ell))]
+    """One Gilboa cross term over ``n`` element pairs, bit-major: per
+    bit ``i`` of the chosen factor, ``n`` C-OTs over ``Z_{2^(ell -
+    i)}`` — the term ``2^i u_i v`` needs only its low ``ell - i`` bits
+    before the shift (Gilboa's triangle), ``ell (ell + 1) / 2`` bits
+    per pair."""
+    return [(n, ell - i) for i in range(ell)]
 
 
 def oep_widths(ell: int, m: int, n_out: int) -> Widths:
     """An extended permutation from ``m`` inputs to ``n_out`` outputs:
-    a Beneš network on ``max(m, n_out)`` wires, a copy pass of
-    ``n_out - 1`` gates and a Beneš network on ``n_out`` wires, each
-    switch and gate one C-OT of one ring element."""
+    the switches of a Beneš network on ``max(m, n_out)`` wires that
+    feed its first ``n_out`` outputs, a copy pass of ``n_out - 1``
+    gates and a Beneš network on ``n_out`` wires, each switch and gate
+    one C-OT of one ring element."""
     n_gates = (
-        switch_count(max(m, n_out)) + max(n_out - 1, 0) + switch_count(n_out)
+        prefix_switch_count(max(m, n_out), n_out)
+        + max(n_out - 1, 0)
+        + switch_count(n_out)
     )
-    return [(n_gates, ring_bytes(ell))]
+    return ring_widths(ell, n_gates)
 
 
 def permutation_widths(ell: int, n: int) -> Widths:
     """A plain permutation of ``n`` shares: one Beneš network on ``n``
     wires, one C-OT of a ring element per switch."""
-    return [(switch_count(n), ring_bytes(ell))]
+    return ring_widths(ell, switch_count(n))
 
 
 class CircuitCounts(NamedTuple):
@@ -367,7 +380,7 @@ def garbled_bytes(
             + counts.rows * ring_bytes(ell)
             + (counts.disclosed + 7) // 8
         ) * n_instances,
-        weight_ots=[(counts.evaluator_rows * n_instances, ring_bytes(ell))],
+        weight_ots=ring_widths(ell, counts.evaluator_rows * n_instances),
     )
 
 
@@ -415,11 +428,15 @@ def kkrt_setup_bytes(n_rows: int) -> int:
     return OPRF_WIDTH * ((n_rows + 7) // 8)
 
 
-def opprf_hint_bytes(params: SecurityParams, n: int) -> int:
-    """The OPPRF's one OKVS of 16-byte slots, sized for the at most
-    ``cuckoo_hashes * n`` simple-hash entries of ``n`` items: a token
-    and an ``ell <= 64``-bit masked payload fit one slot."""
-    return 16 * okvs_slots(params.cuckoo_hashes * n, params.sigma)
+def opprf_hint_bytes(params: SecurityParams, n: int, fp_bits: int) -> int:
+    """The OPPRF's one OKVS, sized for the at most ``cuckoo_hashes * n``
+    simple-hash entries of ``n`` items: per slot the token column at
+    ``fp_bits`` bits and the masked payload's at ``ell``, packed across
+    the table.  Decoding is XOR-linear, so the low bits of a decode are
+    the decode of the table's low bits: the bits no party reads are not
+    sent."""
+    slots = okvs_slots(params.cuckoo_hashes * n, params.sigma)
+    return (slots * (fp_bits + params.ell) + 7) // 8
 
 
 def psi_token_bits(n_bins: int, sigma: int) -> int:
@@ -432,12 +449,12 @@ def psi_token_bits(n_bins: int, sigma: int) -> int:
 
 
 #: Token bits per leaf of the PSI bins' OT equality test
-#: (:mod:`repro.mpc.leaves`): ``w = 4`` gives 14 leaves of a 55-bit
-#: token, so a 13-AND garbled tree, for 16-bit leaf messages; ``w = 5``
-#: trades 11 fewer ANDs for messages twice as wide (DESIGN.md,
+#: (:mod:`repro.mpc.leaves`): ``w = 5`` gives 11 leaves of a 55-bit
+#: token, so a 10-AND garbled tree, for 32-bit leaf messages; ``w = 4``
+#: would take 14 leaves and 13 ANDs for 16-bit ones (DESIGN.md,
 #: "Equality by OT leaves").  At most 5: a leaf's messages fill one
 #: ``uint64`` word at most half.
-LEAF_BITS = 4
+LEAF_BITS = 5
 
 
 def leaf_widths(fp_bits: int) -> List[int]:
@@ -452,7 +469,7 @@ def leaf_ot_widths(n_bins: int, fp_bits: int) -> Widths:
     """The leaf OTs' one batch, never finished: a random OT per token
     bit and bin, each pad ``2^w`` bits — one bit for every message of
     its leaf's 1-of-``2^w`` OT."""
-    return [(n_bins * fp_bits, ((1 << LEAF_BITS) + 7) // 8)]
+    return [(n_bins * fp_bits, 1 << LEAF_BITS)]
 
 
 def leaf_bytes(n_bins: int, fp_bits: int) -> int:

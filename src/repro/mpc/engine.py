@@ -13,7 +13,7 @@ decided there, and output shares are always *fresh* (Section 5.2).
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..exec.trace import ExecutionTrace
@@ -26,7 +26,13 @@ from . import gadgets
 from .batch import bits_to_words, words_to_bits, words_to_le_bytes
 from .batch import le_bytes_to_words
 from .context import ALICE, BOB, Context, Mode
-from .costs import circuit_counts, merge_chain_counts, ring_bytes
+from .costs import (
+    Widths,
+    circuit_counts,
+    gilboa_widths,
+    merge_chain_counts,
+    ring_widths,
+)
 from .ot import OT, make_ot
 from .sharing import (
     SharedVector,
@@ -125,31 +131,31 @@ class Engine:
 
     def _ring_cot(
         self,
-        count: int,
+        widths: Widths,
         choices: Callable[[], np.ndarray],
-        m1: Callable[[np.ndarray], np.ndarray],
-        real: Callable[[np.ndarray, np.ndarray], SharedVector],
+        m1: Callable[[List[np.ndarray]], List[np.ndarray]],
+        real: Callable[[List[np.ndarray], List[np.ndarray]], SharedVector],
         ideal: Callable[[], np.ndarray],
     ) -> SharedVector:
-        """One C-OT batch of ``count`` ring elements on :attr:`ot`: Alice
-        chooses by ``choices()``, Bob's 0-messages are his pads ``r``
-        and his 1-messages ``m1(r)``.  REAL returns ``real(r, recv)``
-        with ``recv`` what Alice received; SIMULATED charges the same
-        batch and returns a fresh sharing of ``ideal()``."""
+        """One C-OT batch of ring elements on :attr:`ot`, a segment of
+        ``bits <= 64`` bits an OT over ``Z_{2^bits}``: Alice chooses by
+        ``choices()``, Bob's 0-messages are his pads ``r`` (one word
+        vector per segment) and his 1-messages ``m1(r)``, reduced to the
+        segment's bits.  REAL returns ``real(r, recv)`` with ``recv``
+        what Alice received; SIMULATED charges the same batch and
+        returns a fresh sharing of ``ideal()``."""
         ctx = self.ctx
-        mask = ctx.mask
-        rb = ring_bytes(ctx.params.ell)
-        widths = [(count, rb)]
         ot = self.ot
         if ctx.mode == Mode.SIMULATED:
             ot.correlated(None, widths).finish()
             return SharedVector.fresh(ctx, ideal())
         cot = ot.correlated(choices(), widths)
-        r = le_bytes_to_words(cot.p0[0]) & mask
-        recv = le_bytes_to_words(
-            cot.finish([words_to_le_bytes(m1(r) & mask, rb)])[0]
-        ) & mask
-        return real(r, recv)
+        r = [le_bytes_to_words(p) for p in cot.p0]
+        sent = cot.finish([
+            words_to_le_bytes(x, -(-bits // 8))
+            for x, (_, bits) in zip(m1(r), widths)
+        ])
+        return real(r, [le_bytes_to_words(x) for x in sent])
 
     def _gilboa_cross(
         self, bits_owner: str, u: np.ndarray, v: np.ndarray,
@@ -157,27 +163,29 @@ class Engine:
     ) -> SharedVector:
         """Fresh shares of ``u_i * v_i`` where ``bits_owner`` holds ``u``
         and the other party holds ``v``: per bit ``i`` of ``u``, one
-        correlated OT of ``(r, r + (v << i))`` selected by that bit,
-        with ``r`` the OT's own 0-pad.
+        correlated OT over ``Z_{2^(ell - i)}`` of ``(r, r + v)``
+        selected by that bit, with ``r`` the OT's own 0-pad, after which
+        both parties shift their shares left by ``i`` — the term
+        ``2^i u_i v`` mod ``2^ell`` needs only ``ell - i`` bits
+        (Gilboa's triangle, :func:`~repro.mpc.costs.gilboa_widths`).
 
-        All ``n * ell`` OTs run as one extension batch and the received
-        shares are reassembled with vectorised byte packing."""
+        All ``n * ell`` OTs run as one extension batch, bit-major, one
+        segment per bit."""
         ctx = self.ctx
         ell = ctx.params.ell
-        n = len(u)
         mask = ctx.mask
         reverse = bits_owner == BOB
+        vv = v.astype(np.uint64)
 
-        def m1(r: np.ndarray) -> np.ndarray:
-            shifted = (
-                v.astype(np.uint64)[:, None]
-                << np.arange(ell, dtype=np.uint64)[None, :]
-            )
-            return r + shifted.reshape(-1)
+        def shifted_sum(terms: List[np.ndarray]) -> np.ndarray:
+            out = np.zeros(len(u), dtype=np.uint64)
+            for i, t in enumerate(terms):
+                out += t << np.uint64(i)
+            return out & mask
 
-        def real(r: np.ndarray, recv: np.ndarray) -> SharedVector:
-            chooser = recv.reshape(n, ell).sum(axis=1, dtype=np.uint64) & mask
-            sender = (-r.reshape(n, ell).sum(axis=1, dtype=np.uint64)) & mask
+        def real(r: List[np.ndarray], recv: List[np.ndarray]) -> SharedVector:
+            chooser = shifted_sum(recv)
+            sender = -shifted_sum(r) & mask
             if reverse:
                 return SharedVector(sender, chooser, ctx.modulus)
             return SharedVector(chooser, sender, ctx.modulus)
@@ -186,10 +194,10 @@ class Engine:
             ctx.swapped_roles() if reverse else nullcontext()
         ):
             return self._ring_cot(
-                n * ell,
-                lambda: words_to_bits(u.astype(np.uint64), ell).reshape(-1),
-                m1, real,
-                lambda: u.astype(np.uint64) * v.astype(np.uint64),
+                gilboa_widths(ell, len(u)),
+                lambda: words_to_bits(u.astype(np.uint64), ell).T.reshape(-1),
+                lambda r: [ri + vv for ri in r], real,
+                lambda: u.astype(np.uint64) * vv,
             )
 
     def mul_shared(self, x: SharedVector, y: SharedVector,
@@ -330,8 +338,10 @@ class Engine:
 
         with ctx.section(label):
             out = self._ring_cot(
-                n - 1, lambda: ind.astype(np.uint8),
-                lambda r: r + bob_z(r)[:-1], real,
+                ring_widths(ctx.params.ell, n - 1),
+                lambda: ind.astype(np.uint8),
+                lambda r: [r[0] + bob_z(r[0])[:-1]],
+                lambda r, recv: real(r[0] & mask, recv[0] & mask),
                 lambda: self._segment_last_sums(ind, v.bob),
             )
         own = self._segment_last_sums(ind, v.alice) & mask

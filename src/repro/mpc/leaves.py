@@ -143,13 +143,19 @@ def _kept(widths: np.ndarray) -> np.ndarray:
 def _pack(sealed: np.ndarray, widths: np.ndarray) -> np.ndarray:
     """The wire form of ``(n, n_leaves)`` sealed messages: each leaf's
     ``2^w`` message bits, low first, packed across the batch."""
-    bits = (sealed[:, :, None] >> _MESSAGES) & np.uint64(1)
-    return np.packbits(bits[:, _kept(widths)].astype(np.uint8))
+    raw = np.ascontiguousarray(sealed, dtype="<u8").view(np.uint8)
+    bits = np.unpackbits(
+        raw.reshape(*sealed.shape, 8), axis=2, bitorder="little"
+    )[:, :, : len(_MESSAGES)]
+    return np.packbits(bits[:, _kept(widths)])
 
 
 def _unpack(wire: np.ndarray, n: int, widths: np.ndarray) -> np.ndarray:
     """:func:`_pack`'s inverse: the ``(n, n_leaves)`` message words."""
     kept = _kept(widths)
-    bits = np.zeros((n, *kept.shape), dtype=np.uint64)
-    bits[:, kept] = np.unpackbits(wire)[: n * int(kept.sum())].reshape(n, -1)
-    return np.bitwise_or.reduce(bits << _MESSAGES, axis=2)
+    bits = np.zeros((n, kept.shape[0], 64), dtype=np.uint8)
+    bits[:, :, : len(_MESSAGES)][:, kept] = np.unpackbits(wire)[
+        : n * int(kept.sum())
+    ].reshape(n, -1)
+    raw = np.packbits(bits, axis=2, bitorder="little")
+    return raw.view("<u8")[:, :, 0].astype(np.uint64)

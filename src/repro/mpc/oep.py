@@ -15,7 +15,9 @@ its block of duplicated targets; every head and every target lies in
 ``[0, N)``, so the replication pass — each wire either keeps its value
 or copies its left neighbour — and ``P2``, which routes the block
 members to their target positions, run over the first ``N`` wires
-only.  Permutations run on Beneš switching networks of exactly their
+only, and ``P1`` keeps only the switches that feed one of them
+(:func:`~repro.mpc.waksman.prefix_masks`; which depends on ``(M, N)``
+alone).  Permutations run on Beneš switching networks of exactly their
 wire count (:mod:`repro.mpc.waksman`).  Every 2x2 switch and every
 replication gate is applied to the shared values with ONE correlated
 1-out-of-2 OT of ONE ring element, in which Alice selects with her
@@ -38,7 +40,13 @@ import numpy as np
 
 from .batch import le_bytes_to_words, words_to_le_bytes
 from .context import Context, Mode
-from .costs import Widths, oep_widths, permutation_widths, ring_bytes
+from .costs import (
+    Widths,
+    oep_widths,
+    permutation_widths,
+    ring_bytes,
+    ring_widths,
+)
 from .ot import OT
 from .sharing import SharedVector
 from .waksman import Layer, benes_network
@@ -128,7 +136,7 @@ def _oep_real(
     # The size-keyed topologies are cached across OEPs; only the
     # per-permutation switch settings are recomputed here.
     stages = (
-        _switch_stages(benes_network(perm1))
+        _switch_stages(benes_network(perm1, n_out))
         + [("copy", copy_bits[1:].astype(np.uint8))]
         + _switch_stages(benes_network(perm2))
     )
@@ -267,11 +275,11 @@ def _apply_switch_network(
         return values
     alice = values.alice.astype(np.uint64).copy()
     bob = values.bob.astype(np.uint64).copy()
-    rb = ring_bytes(ctx.params.ell)
+    ell = ctx.params.ell
     messages = _switches(
         ctx,
         ot,
-        [(len(st[-1]), rb) for st in stages],
+        [w for st in stages for w in ring_widths(ell, len(st[-1]))],
         np.concatenate([st[-1] for st in stages]),
         lambda pads: _stage_bob(ctx, stages, pads, bob),
     )

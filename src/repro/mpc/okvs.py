@@ -22,6 +22,10 @@ is uniform: it tells Alice nothing about Bob's keys.  An encoding
 fails only if the keys' rows are linearly dependent, with probability
 at most ``2^-sigma``; it then aborts — a retry with fresh hash seeds
 would be visible and data dependent.
+
+Decoding is XOR-linear, so a decode of the table's low bits is the low
+bits of a decode: PSI sends each slot at the bits Alice reads
+(:func:`~repro.mpc.costs.opprf_hint_bytes`).
 """
 
 from __future__ import annotations
@@ -33,9 +37,17 @@ from typing import List, Tuple
 
 import numpy as np
 
+from .batch import bits_to_words, words_to_bits
 from .cuckoo import splitmix
 
-__all__ = ["EXPANSION", "Okvs", "dense_width", "okvs_slots"]
+__all__ = [
+    "EXPANSION",
+    "Okvs",
+    "dense_width",
+    "okvs_slots",
+    "pack_table",
+    "unpack_table",
+]
 
 #: Sparse slots per key bound (the 3-hash table peels below 1.22).
 EXPANSION = 1.3
@@ -84,6 +96,28 @@ def dense_width(n: int, sigma: int) -> int:
 def okvs_slots(n: int, sigma: int) -> int:
     """Table size for at most ``n`` keys: a function of public sizes."""
     return 3 * _block(n) + dense_width(n, sigma)
+
+
+def pack_table(table: np.ndarray, bits: Tuple[int, int]) -> np.ndarray:
+    """A table on the wire at ``bits`` of its two columns: per slot
+    column 0's low ``bits[0]`` bits, then column 1's low ``bits[1]``,
+    low first, packed across the table."""
+    columns = [words_to_bits(table[:, j], b) for j, b in enumerate(bits)]
+    return np.packbits(np.hstack(columns), bitorder="little")
+
+
+def unpack_table(
+    wire: np.ndarray, n_slots: int, bits: Tuple[int, int]
+) -> np.ndarray:
+    """:func:`pack_table`'s ``(n_slots, 2)`` table, each word its sent
+    bits zero-extended: it decodes to the low bits of every decode of
+    the packed table."""
+    flat = np.unpackbits(wire, count=n_slots * sum(bits), bitorder="little")
+    flat = flat.reshape(n_slots, sum(bits))
+    return np.stack(
+        [bits_to_words(flat[:, : bits[0]]), bits_to_words(flat[:, bits[0] :])],
+        axis=1,
+    )
 
 
 def _xor_select(bits: np.ndarray, slots: np.ndarray) -> np.ndarray:

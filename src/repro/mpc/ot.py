@@ -158,6 +158,12 @@ class CorrelatedBatch:
     A batch that is never finished is one *random* OT per row: the
     sender holds ``(p0, p1)``, the receiver ``pc``.
 
+    A segment of ``bits`` bits is an OT of ``bits``-bit strings: its
+    pads and messages are ``(count, ceil(bits / 8))`` little-endian
+    byte matrices whose bits past ``bits`` are zero (a 1-message's are
+    dropped), and its corrections cross at ``bits`` bits each, packed
+    across the batch (:func:`_pack`).
+
     A charge-only batch (SIMULATED consumers, which compute their
     functionality directly) carries no pads and finishes without
     messages."""
@@ -176,9 +182,9 @@ class CorrelatedBatch:
         self._choices = choices
         self._charge_only = pads is None
         #: the sender's pad pair (``p0`` doubles as its 0-message) and
-        #: the receiver's chosen pad: one ``(count, width)`` matrix per
-        #: segment; ``pads`` is the ``(p0, p1, p_choice)`` triple of
-        #: full-width ``(n, 32)`` matrices
+        #: the receiver's chosen pad: one ``(count, ceil(bits / 8))``
+        #: matrix per segment; ``pads`` is the ``(p0, p1, p_choice)``
+        #: triple of full-width ``(n, 32)`` matrices
         self.p0, self.p1, self.pc = (
             ([], [], [])
             if pads is None
@@ -203,23 +209,27 @@ class CorrelatedBatch:
         none."""
         if len(m1) != len(self.p1):
             raise ValueError("one 1-message matrix per segment is required")
-        out: List[np.ndarray] = []
-        off = sent = 0
-        for msg, p1, pc in zip(m1, self.p1, self.pc):
+        wires: List[np.ndarray] = []
+        for msg, p1, (_, bits) in zip(m1, self.p1, self._widths):
             msg = np.asarray(msg, dtype=np.uint8)
             if msg.shape != p1.shape:
                 raise ValueError("one 1-message per pad row is required")
-            c = self._choices[off : off + len(pc), None].astype(bool)
-            off += len(pc)
-            wire = msg ^ p1
-            sent += wire.nbytes
-            out.append(np.where(c, wire ^ pc, pc))
+            wires.append(_truncate(msg ^ p1, bits))
+        stream = None if self._charge_only else _pack(wires, self._widths)
         owner = self._owner
         u_bytes, n_bytes = cot_bytes(owner.kappa, self._widths)
         if u_bytes:  # an empty batch sent no ``u`` and sends nothing now
             owner._send_ciphertexts(
-                n_bytes, None if self._charge_only else sent
+                n_bytes, None if stream is None else stream.nbytes
             )
+        out: List[np.ndarray] = []
+        if stream is None:
+            return out
+        off = 0
+        for wire, pc in zip(_unpack(stream, wires, self._widths), self.pc):
+            c = self._choices[off : off + len(pc), None].astype(bool)
+            off += len(pc)
+            out.append(np.where(c, wire ^ pc, pc))
         return out
 
 
@@ -230,12 +240,56 @@ def _pair_bytes(pairs: Sequence[Pair]) -> int:
 
 
 def _split(pads: np.ndarray, widths: Widths) -> List[np.ndarray]:
-    """Cut an ``(n, 32)`` pad matrix into per-segment ``(count, width)``
-    matrices."""
+    """Cut an ``(n, 32)`` pad matrix into per-segment ``(count,
+    ceil(bits / 8))`` matrices, each truncated to its ``bits``."""
     out, off = [], 0
-    for count, width in widths:
-        out.append(pads[off : off + count, :width])
+    for count, bits in widths:
+        out.append(_truncate(pads[off : off + count, : -(-bits // 8)], bits))
         off += count
+    return out
+
+
+def _truncate(rows: np.ndarray, bits: int) -> np.ndarray:
+    """``rows`` with every bit past the first ``bits`` of a row zero."""
+    if bits % 8:
+        rows = rows.copy()
+        rows[:, -1] &= (1 << bits % 8) - 1
+    return rows
+
+
+def _pack(wires: Sequence[np.ndarray], widths: Widths) -> np.ndarray:
+    """A batch's corrections on the wire: each row's ``bits`` low bits,
+    low first, in OT order, packed to ``ceil(sum(count * bits) / 8)``
+    bytes.  Byte-aligned segments are their rows back to back."""
+    if all(bits % 8 == 0 for _, bits in widths):
+        rows = [w.reshape(-1) for w in wires]
+        return np.concatenate(rows) if rows else _NO_PADS[:, 0]
+    return np.packbits(
+        np.concatenate(
+            [
+                np.unpackbits(w, axis=1, count=bits, bitorder="little")
+                .reshape(-1)
+                for w, (_, bits) in zip(wires, widths)
+            ]
+        ),
+        bitorder="little",
+    )
+
+
+def _unpack(
+    stream: np.ndarray, wires: Sequence[np.ndarray], widths: Widths
+) -> List[np.ndarray]:
+    """The receiver's per-segment rows out of :func:`_pack`'s
+    ``stream`` (a byte-aligned batch's are the sender's ``wires``)."""
+    if all(bits % 8 == 0 for _, bits in widths):
+        return list(wires)
+    flat = np.unpackbits(stream, bitorder="little")
+    out: List[np.ndarray] = []
+    off = 0
+    for count, bits in widths:
+        seg = flat[off : off + count * bits].reshape(count, bits)
+        out.append(np.packbits(seg, axis=1, bitorder="little"))
+        off += count * bits
     return out
 
 
@@ -1076,25 +1130,25 @@ class SoftSpokenExtension(_Paired):
     def correlated(
         self, choices: Optional[np.ndarray], widths: Widths
     ) -> CorrelatedBatch:
-        """Open one C-OT batch over consecutive ``(count, width)``
+        """Open one C-OT batch over consecutive ``(count, bits)``
         segments: sends ``u``; OT ``j``'s pads are ``H(Q_j, t_j)`` and
         ``H(Q_j ^ s, t_j)`` for the sender and ``H(T_j, t_j)`` — the one
         matching her choice — for the receiver (:func:`_pads`), truncated
-        to the segment's width (at most two blocks, ``width <= 32``)."""
+        to the segment's width (at most two blocks, ``bits <= 256``)."""
         if choices is None:
             raise ValueError("a real OT needs the receiver's choice bits")
         r = np.asarray(choices, dtype=np.uint8) & 1
         m = sum(count for count, _ in widths)
         if len(r) != m:
             raise ValueError("one choice bit per OT is required")
-        if any(width > 32 for _, width in widths):
-            raise ValueError("C-OT pads are at most 32 bytes wide")
+        if any(not 0 < bits <= 256 for _, bits in widths):
+            raise ValueError("C-OT pads are 1 to 256 bits wide")
         if m == 0:
             return CorrelatedBatch(self, widths, r, [_NO_PADS] * 3)
         q_rows, t_rows, _ = self._column_phase(m, r)
         s_packed, batch = self.delta, self.ctx.tweak_batch()
         j = np.arange(m)
-        width = max(width for _, width in widths)
+        width = -(-max(bits for _, bits in widths) // 8)
         p0, p1 = _pads(np.stack([q_rows, q_rows ^ s_packed]), j, batch, width)
         (pc,) = _pads(t_rows[None], j, batch, width)
         return CorrelatedBatch(self, widths, r, [p0, p1, pc])

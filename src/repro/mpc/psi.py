@@ -13,11 +13,11 @@ Protocol outline (Pinkas et al. [27], PSTY19 shape):
    bin's OPRF, to his chosen match token ``s_b`` and to the masked
    payload ``z_y - w_b``.
 4. Per bin, Alice's OPPRF output ``t_b`` is compared with ``s_b`` leaf
-   by leaf (:mod:`repro.mpc.leaves`): one 1-of-16 OT per 4-bit leaf,
+   by leaf (:mod:`repro.mpc.leaves`): one 1-of-32 OT per 5-bit leaf,
    Bob choosing by his leaf of ``s_b``, leaves each leaf's equality
    XOR-shared — Bob's random OTs open in his flow with the hints,
-   Alice's 16-bit messages cross in her flow with her label OTs.  One
-   small garbled circuit per bin ANDs the shared leaves (13 ANDs for a
+   Alice's 32-bit messages cross in her flow with her label OTs.  One
+   small garbled circuit per bin ANDs the shared leaves (10 ANDs for a
    55-bit token) and produces ``[[Ind(x_b in Y)]]`` and the payload —
    in shared form (rows on the match bit weighted by Alice's OPPRF
    payload and by Bob's ``w_b`` less the fallback, which is his
@@ -54,7 +54,7 @@ from .cuckoo import (
 )
 from .gadgets import psi_bin_circuit
 from .leaves import LeafOts
-from .okvs import Okvs
+from .okvs import Okvs, pack_table, unpack_table
 from .oprf import BatchedOprf, charge_oprf_setup
 from .ot import OT
 from .sharing import SharedVector, as_ring_column
@@ -211,7 +211,7 @@ def _opprf(
     n_bins = len(alice_fps)
     if ctx.mode == Mode.SIMULATED:
         charge_oprf_setup(ctx, ot, n_bins)
-        charge_opprf(ctx, len(bob))
+        charge_opprf(ctx, len(bob), fp_bits)
         return ()
     rng = ctx.rng
     oprf = BatchedOprf(ctx, ot, alice_fps)
@@ -222,7 +222,8 @@ def _opprf(
     keys = np.stack([bins.astype(np.uint64), bob_fps[members]], axis=1)
 
     # Values: the bin's match token s and the payload masked with the
-    # bin's w, one 16-byte slot padded with the entry's OPRF output.
+    # bin's w, one 16-byte slot padded with the entry's OPRF output; the
+    # table crosses at the token's and the ring's bits per slot.
     s_tokens = rng.integers(0, 1 << fp_bits, size=n_bins, dtype=np.uint64)
     w_masks = ctx.random_ring_vector(n_bins)
     masked = (bob_payloads[members] - w_masks[bins]) & ctx.mask
@@ -232,24 +233,28 @@ def _opprf(
         ctx.params.cuckoo_hashes * len(bob), ctx.params.sigma, b"".join(seeds)
     )
     table = okvs.encode(keys, values, rng)
-    charge_opprf(ctx, len(bob), table)
+    bits = (fp_bits, ctx.params.ell)
+    wire = pack_table(table, bits)
+    charge_opprf(ctx, len(bob), fp_bits, wire)
 
-    # Alice decodes her bins' keys and strips her OPRF outputs.
+    # Alice decodes her bins' keys on the table's low bits, the low bits
+    # of the full decode, and strips her OPRF outputs.
     mine = np.stack([np.arange(n_bins, dtype=np.uint64), alice_fps], axis=1)
-    at = okvs.decode(table, mine) ^ oprf.alice_values
+    received = unpack_table(wire, len(table), bits)
+    at = okvs.decode(received, mine) ^ oprf.alice_values
     token_mask = np.uint64((1 << fp_bits) - 1)
     return at[:, 0] & token_mask, at[:, 1] & ctx.mask, s_tokens, w_masks
 
 
 def charge_opprf(
-    ctx: Meter, n_bob: int, table: Optional[np.ndarray] = None
+    ctx: Meter, n_bob: int, fp_bits: int, wire: Optional[np.ndarray] = None
 ) -> None:
     """The OPPRF's own message, after the OPRF set-up
     (:func:`~repro.mpc.oprf.charge_oprf_setup`), the one send path of
     both modes: Bob's OKVS over the entries of his ``n_bob`` items,
-    sized by ``n_bob`` alone.  REAL passes the ``table`` it encoded,
-    whose size is checked."""
-    hints = None if table is None else [table.nbytes]
+    sized by ``n_bob`` and the public token width ``fp_bits``.  REAL
+    passes the packed table it sends, whose size is checked."""
+    hints = None if wire is None else [wire.nbytes]
     Checked(ctx, hints).send(
-        BOB, opprf_hint_bytes(ctx.params, n_bob), "opprf_hints"
+        BOB, opprf_hint_bytes(ctx.params, n_bob, fp_bits), "opprf_hints"
     )

@@ -40,13 +40,17 @@ the phantoms' targets are the identity, and no switch touches one.
   phantoms pair among themselves and stay put.
 
 :func:`benes_network` zips the two into the routed layers the OEP
-protocol consumes.
+protocol consumes.  When only the first ``n_out`` outputs are read (the
+extended permutation's first network, whose wires past ``n_out`` are
+dropped), it keeps only the switches that feed one of them
+(:func:`prefix_masks`); which those are depends on ``(n, n_out)``
+alone, and :func:`prefix_switch_count` counts them in closed form.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +59,8 @@ __all__ = [
     "benes_topology",
     "benes_routing",
     "apply_network",
+    "prefix_masks",
+    "prefix_switch_count",
     "switch_count",
     "route",
 ]
@@ -223,11 +229,37 @@ def _route_level(
     )
 
 
-def benes_network(perm: Sequence[int]) -> List[Layer]:
+def benes_network(
+    perm: Sequence[int], n_out: Optional[int] = None
+) -> List[Layer]:
     """Layers of switches realising ``wire[perm[i]] <- wire[i]``, i.e.
     the value entering on wire ``i`` leaves on wire ``perm[i]``, on
-    exactly ``len(perm)`` wires."""
-    return route(benes_topology(len(perm)), perm)
+    exactly ``len(perm)`` wires.  With ``n_out``, only the switches
+    that feed one of the first ``n_out`` outputs are kept: those
+    outputs are as in the full network, the others are not."""
+    n = len(perm)
+    layers = route(benes_topology(n), perm)
+    if n_out is None or n_out >= n:
+        return layers
+    return [
+        (a[keep], b[keep], swaps[keep])
+        for (a, b, swaps), keep in zip(layers, prefix_masks(n, n_out))
+    ]
+
+
+@functools.lru_cache(maxsize=32)
+def prefix_masks(n: int, n_out: int) -> Tuple[np.ndarray, ...]:
+    """Per layer of :func:`benes_topology` of ``n``, which switches feed
+    one of the first ``n_out`` outputs: a backward pass from those
+    outputs, in which a kept switch makes both its input wires live."""
+    live = np.arange(n) < n_out
+    masks: List[np.ndarray] = []
+    for a, b in reversed(benes_topology(n)):
+        keep = live[a] | live[b]
+        live[a[keep]] = live[b[keep]] = True
+        keep.flags.writeable = False
+        masks.append(keep)
+    return tuple(masks[::-1])
 
 
 def route(
@@ -258,3 +290,25 @@ def switch_count(n: int) -> int:
         return max(n - 1, 0)
     half = n // 2
     return 2 * half + switch_count(half) + switch_count(n - half)
+
+
+@functools.lru_cache(maxsize=None)
+def prefix_switch_count(n: int, n_out: int) -> int:
+    """The switches of the ``n``-wire network that feed one of its first
+    ``n_out`` outputs (:func:`prefix_masks`).  Every input of a
+    sub-network with a live output reaches it, so all its input switches
+    stay; of its output switches, the ``ceil(k/2)`` on its first ``k``
+    outputs, whose top and bottom halves then each have
+    ``ceil(k/2)`` live outputs (the bypass output is the last, live only
+    when all are)."""
+    if n_out >= n:
+        return switch_count(n)
+    if n_out <= 0:
+        return 0
+    half, k = n // 2, (n_out + 1) // 2
+    return (
+        (half if n > 2 else 0)
+        + k
+        + prefix_switch_count(half, k)
+        + prefix_switch_count(n - half, k)
+    )

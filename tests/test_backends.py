@@ -104,12 +104,15 @@ class TestEstimatorBoundary:
 
     @pytest.mark.parametrize(
         "n, last",
-        [(256, 2), (512, 13), (1024, 42)],
+        [(256, 3), (512, 14), (1024, 36)],
         ids=["256", "512", "1024"],
     )
     def test_boundary_rows(self, n, last):
         # The largest parent a plain child of n rows still sends to the
-        # PSI: 100 / 201 / 403 while the linear path's OEP ran padded
+        # PSI: 2 / 13 / 42 before Gilboa's triangle, bit-packed OPPRF
+        # slots, 5-bit leaves and the truncated first network (the last
+        # cheapens the linear path's OEP into a parent-sized output
+        # most), 100 / 201 / 403 while the linear path's OEP ran padded
         # networks of two-word switches, 50 / 100 / 213 while a bin's
         # tokens were compared by a
         # 54-AND garbled eq, 36 / 80 / 177 while the OPPRF hints were per-bin
@@ -167,22 +170,23 @@ class TestRouting:
     @pytest.mark.parametrize(
         "ell, winner, prices",
         [
-            (32, "linear", {"yannakakis": 129_888, "linear": 119_012}),
-            (48, "yannakakis", {"yannakakis": 144_334, "linear": 153_750}),
+            (32, "linear", {"yannakakis": 81_194, "linear": 78_340}),
+            (48, "yannakakis", {"yannakakis": 96_296, "linear": 98_070}),
         ],
     )
     def test_auto_routes_at_the_relations_ring_width(self, ell, winner, prices):
-        # Parent 56 x child 1024 (104 while AND tables were
+        # Parent 40 x child 1024 (104 while AND tables were
         # half-gates', 120 while the bin circuits garbled Alice's
         # payload, 190 while the OPPRF hints were padded polynomials,
         # 240 while a bin's tokens were compared by a garbled eq, 420
-        # while the OEP ran padded networks of two-word switches;
-        # both widths route 420 linear now),
+        # while the OEP ran padded networks of two-word switches, 56
+        # before the wire's true widths; both widths route 56 linear
+        # now),
         # cross-owner, both plain: the fold's winner depends on the
         # ring width, so routing every query at the default ell = 32
         # sent this one to the dearer back-end at ell = 48 while the
         # estimator priced it at its own width.
-        q = two_relation_query(56, 1024, ring=IntegerRing(ell))
+        q = two_relation_query(40, 1024, ring=IntegerRing(ell))
         sizes = {n: len(r) for n, r in q.relations.items()}
         assert estimate_node_costs(
             q.plan(), sizes, q.owners, params=q.ring_params()

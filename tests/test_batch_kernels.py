@@ -335,7 +335,7 @@ class TestOtDifferential:
 
         ctx_a = Context(Mode.REAL, seed=8)
         cot = SoftSpokenExtension(ctx_a).correlated(
-            choices, [(60, 5)]
+            choices, [(60, 40)]
         )
         m0 = cot.p0[0]
         got_a = cot.finish([m1])[0]

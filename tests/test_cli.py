@@ -213,7 +213,7 @@ class TestServeAdmitsAndRejectsTpch:
             "--scale", "tiny", "--check-solo",
         ]) == 0
         out = capsys.readouterr().out
-        assert out.count("done, 50 msgs, 0.60 MB  [== solo]") == 2
+        assert out.count("done, 50 msgs, 0.54 MB  [== solo]") == 2
 
 
 def _subparsers():

@@ -302,23 +302,23 @@ ABLATIONS = {
     "same_party_shortcut": (
         _join(oblivious_reduce_join, A2, A1),
         _join(oblivious_reduce_join, A2, B1),
-        (177_437, 1_067_672),
+        (145_693, 1_003_408),
     ),
     # Section 6.5: owner-known annotations vs forced sharing.
     "plain_annotation_fast_path": (
         _join(oblivious_reduce_join, (ALICE, 2, False), (BOB, 1, False)),
         _join(oblivious_reduce_join, A2, B1),
-        (335_331, 1_067_672),
+        (290_523, 1_003_408),
     ),
     # Section 5.1: Gilboa OT-multiplication vs a garbled multiplier.
     "gilboa_vs_garbled_multiplier": (
-        _mul("ot"), _mul("gc"), (145_057, 6_725_681),
+        _mul("ot"), _mul("gc"), (113_313, 6_725_681),
     ),
     # Why reduce comes first: a semijoin filter of arity 1 vs arity 4.
     "reduced_semijoin_filter": (
         _join(oblivious_semijoin, A2, B1),
         _join(oblivious_semijoin, A2, (BOB, 4, True)),
-        (1_242_123, 1_378_755),
+        (1_177_859, 1_309_624),
     ),
 }
 

@@ -473,3 +473,65 @@ class TestOrChainParity:
 
         for n in (2, 5, 9):
             assert run(Mode.REAL, n) == run(Mode.SIMULATED, n), n
+
+
+@pytest.mark.real
+class TestGilboaTriangle:
+    """A cross term's message ``i`` is a C-OT over ``Z_{2^(ell - i)}``,
+    both shares shifted left by ``i`` (``costs.gilboa_widths``)."""
+
+    @staticmethod
+    def cross(mode, ell, bits_owner, u, v, seed=3):
+        from repro.mpc import SecurityParams
+
+        eng = Engine(Context(mode, SecurityParams(ell=ell), seed=seed))
+        out = eng._gilboa_cross(
+            bits_owner,
+            np.asarray(u, dtype=np.uint64),
+            np.asarray(v, dtype=np.uint64),
+            "cross",
+        )
+        return out, eng.ctx
+
+    @pytest.mark.parametrize("ell", range(1, 7))
+    def test_exhaustive_small_rings(self, ell):
+        grid = np.arange(1 << ell, dtype=np.uint64)
+        u, v = (a.reshape(-1) for a in np.meshgrid(grid, grid))
+        mask = np.uint64((1 << ell) - 1)
+        for owner in (ALICE, BOB):
+            out, ctx = self.cross(Mode.REAL, ell, owner, u, v)
+            assert (out.reconstruct() == (u * v) & mask).all()
+            assert (out.alice <= mask).all() and (out.bob <= mask).all()
+            _, sim = self.cross(Mode.SIMULATED, ell, owner, u, v)
+            fp = ctx.transcript.fingerprint()
+            assert fp == sim.transcript.fingerprint()
+            bits = len(u) * ell * (ell + 1) // 2
+            assert fp[-1][1:] == (-(-bits // 8), "cross/ot/ext/ciphertexts")
+
+    @pytest.mark.parametrize("ell", [32, 48, 64])
+    def test_random_wide_rings(self, ell):
+        from repro.mpc import SecurityParams
+
+        rng = np.random.default_rng(ell)
+        mask = np.uint64((1 << ell) - 1) if ell < 64 else ~np.uint64(0)
+        u, v = (
+            rng.integers(0, 2**63, 300, dtype=np.uint64) * np.uint64(2)
+            + rng.integers(0, 2, 300, dtype=np.uint64)
+            for _ in range(2)
+        )
+        u, v = u & mask, v & mask
+        u[:3], v[3:6] = mask, mask  # all-ones factors on either side
+        prints = []
+        for mode in (Mode.REAL, Mode.SIMULATED):
+            eng = Engine(Context(mode, SecurityParams(ell=ell), seed=9))
+            x, y = eng.share(ALICE, u), eng.share(BOB, v)
+            z = eng.mul_shared(x, y)
+            assert (z.reconstruct() == (u * v) & mask).all()
+            prints.append(eng.ctx.transcript.fingerprint())
+        assert prints[0] == prints[1]
+        crossed = [
+            n for _, n, lab in prints[0]
+            if "cross" in lab and "/base/" not in lab
+            and lab.endswith("ciphertexts")
+        ]
+        assert crossed == [-(-300 * ell * (ell + 1) // 2 // 8)] * 2

@@ -15,6 +15,7 @@ from repro.mpc.circuits.garbling import SEED_BYTES
 from repro.mpc.costs import (
     SOFTSPOKEN_K,
     cot_bytes,
+    gilboa_widths,
     tree_correction_bytes,
 )
 from repro.relalg import (
@@ -340,7 +341,7 @@ class TestByteBudgetPin:
     A change to a primitive's wire size is made in ``mpc/costs.py`` —
     and then here, knowingly."""
 
-    TOTAL = 6_325_865
+    TOTAL = 5_676_731
     #: set-up bytes (the benchmark's ``mpc.bytes.base_ot``): the one
     #: Chou-Orlandi phase, the mirror's seed-OT ``u``, one per PSI
     BASE = 8_353 + 512 + 2 * 1_792
@@ -349,37 +350,43 @@ class TestByteBudgetPin:
     GROUPS = {
         "gc/bob_labels": 48,
         # label OTs: the u columns alone, the first batch's with the
-        # mirror's 3,072 B of tree corrections; a PSI bin's are its 14
-        # leaf masks
-        "gc/alice_labels/": 393_216,
+        # mirror's 3,072 B of tree corrections; a PSI bin's are its 11
+        # leaf masks (14 with 4-bit leaves: 393,216)
+        "gc/alice_labels/": 362_752,
         # the OEPs: one C-OT of a ring element per switch and copy
-        # gate, each network on its own wire count (2,129,904 with
-        # two-word switches on power-of-two padded networks)
-        "/switches/": 941_084,
-        "/cross": 1_152_000,
-        # three-halves tables (13 ANDs per PSI bin), then the decode bits
+        # gate, each network on its own wire count, an extended
+        # permutation's first one only the switches that feed its
+        # outputs (2,129,904 with two-word switches on power-of-two
+        # padded networks, 941,084 with the whole first network)
+        "/switches/": 866_512,
+        # Gilboa's triangle: 528 bits per pair at ell = 32, u and
+        # corrections (1,152,000 with ell bits per OT)
+        "/cross": 873_000,
+        # three-halves tables (10 ANDs per PSI bin), then the decode bits
         # and translated rows
-        "gc/tables": 2_259_390,
+        "gc/tables": 2_072_700,
         "gc/decode": 49_980,
         # the PSI payloads' evaluator rows: 8 B per bin (u, correction)
         "gc/alice_weights/": 30_536,
         # the sum chain: one C-OT of a ring element per boundary
         "/merge_sum/": 12_012,
-        # one OKVS per PSI, 16 B a slot: 1.3 slots per Bob entry bound
-        # (3 per item) and 40 dense
-        "/opprf_hints": 388_304,
+        # one OKVS per PSI, a slot at the token's and the ring's bits
+        # (388,304 at 16 B a slot): 1.3 slots per Bob entry bound (3 per
+        # item) and 40 dense
+        "/opprf_hints": 251_792,
         # the PSI bins' leaf OTs: Bob's u, a random OT per token bit,
-        # then Alice's 16 one-bit messages per 4-bit leaf
-        "/leaves/": 872_530,
+        # then Alice's 32 one-bit messages per 5-bit leaf (872,530 with
+        # 4-bit leaves)
+        "/leaves/": 930_634,
     }
 
     #: Q3 at 0.1 MB under each join back-end: (bytes, rounds)
     BACKENDS = {
-        "yannakakis": (602_082, 29),
-        "linear": (385_808, 21),
+        "yannakakis": (538_062, 29),
+        "linear": (342_272, 21),
         # every node linear since the OEP's switches shrank (before,
         # lineitem -> orders went to the PSI: 621,651 B in 25 rounds)
-        "auto": (385_808, 21),
+        "auto": (342_272, 21),
     }
 
     @staticmethod
@@ -415,8 +422,9 @@ class TestByteBudgetPin:
     def test_groups_follow_the_closed_forms(self, messages):
         """One seed and one label batch per garbled batch, the label
         batch its ``u`` alone (``kappa/k`` bytes per 8 OTs, no
-        ciphertexts); every uniform-width C-OT batch is ``(kappa/k bytes
-        per 8 OTs, one ciphertext per OT)``."""
+        ciphertexts); the sum chain is one C-OT batch of ring elements
+        (``kappa/k`` bytes per 8 OTs, one ciphertext per OT), a Gilboa
+        cross term one of ``ell`` segments, ``ell - i`` bits each."""
         messages = [m for m in messages if "/base/" not in m.label]
         seeds = [m for m in messages if m.label.endswith("gc/bob_labels")]
         tables = [m for m in messages if m.label.endswith("gc/tables")]
@@ -426,8 +434,13 @@ class TestByteBudgetPin:
             ["ot", "ext", "u"]
         ] * len(tables)
         assert all(m.n_bytes % (128 // SOFTSPOKEN_K) == 0 for m in labels)
-        for pattern in ("/cross", "/merge_sum/"):
+        widths = {
+            # u is kappa/k = 32 bytes per 8 OTs, 32 OTs per pair
+            "/cross": lambda u, ct: gilboa_widths(32, u // 128),
+            "/merge_sum/": lambda u, ct: [(ct // 4, 32)],
+        }
+        for pattern, shape in widths.items():
             batch = [m.n_bytes for m in messages if pattern in m.label]
             assert batch, pattern
             for u, ct in zip(batch[::2], batch[1::2]):
-                assert cot_bytes(128, [(ct // 4, 4)]) == (u, ct)
+                assert cot_bytes(128, shape(u, ct)) == (u, ct)

@@ -249,7 +249,9 @@ def test_cli_fuzz_corpus_replays_each_entrys_backend(monkeypatch, capsys):
 def test_leakage_audit_sweep_is_clean():
     """Acceptance sweep: across 50 generated instances, every
     back-end's routed plan composes to a leakage summary within its
-    documented model — statically, without running the protocol."""
+    documented model, and under ``linear`` and ``auto`` its nodes'
+    ``dispatched`` flags match the DH-OPRF sections a SIMULATED run
+    sends."""
     from repro.fuzz import audit_leakage
 
     for i in range(50):
@@ -258,3 +260,31 @@ def test_leakage_audit_sweep_is_clean():
             assert audit_leakage(inst, backend=backend) == [], (
                 f"instance {i} backend {backend}"
             )
+
+
+@pytest.mark.parametrize("backend", ["linear", "auto"])
+def test_leakage_audit_catches_an_under_reporting_audit(monkeypatch, backend):
+    """An audit that marks every node undispatched summarises ``{}``,
+    inside every model; only the transcript shows the DH-OPRF sections
+    of the nodes it hid, and the oracle reports each as leakage."""
+    import dataclasses
+
+    import repro.fuzz.runner as runner
+    from repro.fuzz import audit_leakage
+
+    inst = generate_instance(3, 0)
+    assert audit_leakage(inst, backend="linear") == []
+    honest = runner.audit_plan
+
+    def under_reporting(plan, owners=None):
+        report = honest(plan, owners)
+        report.nodes = tuple(
+            dataclasses.replace(n, dispatched=False) for n in report.nodes
+        )
+        return report
+
+    monkeypatch.setattr(runner, "audit_plan", under_reporting)
+    failures = audit_leakage(inst, backend=backend)
+    hidden = [f for f in failures if "dispatched=False" in f.detail]
+    assert hidden and all(f.kind == "leakage" for f in failures)
+    assert any("fold/R1->R4" in f.detail for f in hidden)

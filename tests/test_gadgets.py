@@ -206,14 +206,15 @@ class TestCounts:
         )
 
     def test_psi_bin(self):
-        # shared payload: the 13-AND tree over a 55-bit token's 14
-        # shared leaves alone; Alice's payload weights one evaluator row
+        # shared payload: the 10-AND tree over a 55-bit token's 11
+        # shared 5-bit leaves alone; Alice's payload weights one
+        # evaluator row
         assert circuit_counts(psi_bin_circuit(32, 55, False)) == (
-            13, 14, 1 + 1, 0, 0, 1,
+            10, 11, 1 + 1, 0, 0, 1,
         )
         # revealed payload keeps its mux and adder; m alone is shared
         assert circuit_counts(psi_bin_circuit(32, 55, True)) == (
-            13 + 32 + 31, 14 + 32, 1, 32, 0, 0,
+            10 + 32 + 31, 11 + 32, 1, 32, 0, 0,
         )
 
     def test_merge_chains_per_row(self):

@@ -40,6 +40,17 @@ def leaf_values(words, fp_bits):
     return np.stack(out, axis=1)
 
 
+#: the shipped leaf width, and the width of a short last leaf
+W = LEAF_BITS
+SHORT = W - 1
+
+
+def expected_widths(fp_bits):
+    """Full leaves of ``W`` bits, then the remainder if any."""
+    full, rest = divmod(fp_bits, W)
+    return [W] * full + ([rest] if rest else [])
+
+
 def open_leaves(t, s, fp_bits, seed=1):
     ctx = Context(Mode.REAL, seed=seed)
     t, s = (np.asarray(x, dtype=np.uint64) for x in (t, s))
@@ -55,36 +66,42 @@ class TestLeafWidths:
             assert set(widths[:-1]) <= {LEAF_BITS}
             assert 1 <= widths[-1] <= LEAF_BITS
 
-    def test_q3_tokens_have_a_short_last_leaf(self):
-        # 55-bit tokens (2^15 bins): 13 full leaves and a 3-bit one
+    def test_q3_tokens_split_into_full_leaves(self):
+        # 55-bit tokens (2^15 bins): 11 leaves of 5 bits, none short
         fp_bits = psi_token_bits(1 << 15, 40)
         assert fp_bits == 55
-        assert leaf_widths(fp_bits) == [4] * 13 + [3]
-        # 13 x 16 + 8 message bits, 27 B a bin
-        assert leaf_bytes(8, fp_bits) == 8 * 27
+        assert LEAF_BITS == 5
+        assert leaf_widths(fp_bits) == expected_widths(fp_bits) == [5] * 11
+        # 11 x 32 message bits, 44 B a bin
+        assert leaf_bytes(8, fp_bits) == 8 * 44
 
     @pytest.mark.parametrize("n_bins", [1 << 21, (1 << 21) + 1, 1 << 40])
     def test_at_and_above_the_cap(self, n_bins):
         # 40 + 21 bits reach the 61-bit cap; more bins stay at it
         fp_bits = psi_token_bits(n_bins, 40)
         assert fp_bits == 61
-        assert leaf_widths(fp_bits) == [4] * 15 + [1]
+        assert leaf_widths(fp_bits) == expected_widths(fp_bits)
         assert sum(leaf_widths(fp_bits)) == fp_bits
-        assert leaf_bytes(1, fp_bits) == (15 * 16 + 2 + 7) // 8
+        full, rest = divmod(fp_bits, W)
+        assert leaf_bytes(1, fp_bits) == (full * 2**W + 2**rest + 7) // 8
 
 
 @pytest.mark.real
 class TestLeafShares:
-    #: a 4-bit leaf and a 3-bit last one
-    FP_BITS = 7
+    #: a full leaf and a short last one
+    FP_BITS = W + SHORT
+    #: bins: every pair of full leaves once
+    N = 1 << 2 * W
 
     def every_pair(self):
-        """256 bins: leaf 0 runs over all 16 x 16 ``(t_0, s_0)``, the
-        3-bit leaf over all 8 x 8 ``(t_1, s_1)``, four times each."""
-        i = np.arange(256, dtype=np.uint64)
-        three, four, seven = (np.uint64(k) for k in (3, 4, 7))
-        t = (i >> four) | ((i >> three) & seven) << four
-        s = (i & np.uint64(15)) | (i & seven) << four
+        """``N`` bins: leaf 0 runs over all ``2^W x 2^W`` pairs ``(t_0,
+        s_0)``, the short leaf over all ``2^SHORT x 2^SHORT`` pairs
+        ``(t_1, s_1)``, four times each."""
+        i = np.arange(self.N, dtype=np.uint64)
+        w, short = np.uint64(W), np.uint64(SHORT)
+        low, low_short = np.uint64(2**W - 1), np.uint64(2**SHORT - 1)
+        t = (i >> w) | ((i >> short) & low_short) << w
+        s = (i & low) | (i & low_short) << w
         return t, s
 
     def test_shares_xor_to_leaf_equality_for_every_pair(self):
@@ -92,10 +109,12 @@ class TestLeafShares:
         ctx, leaves, t = open_leaves(t, s, self.FP_BITS)
         r, b = leaves.shares(ctx.rng, t)
         equal = leaf_values(t, self.FP_BITS) == leaf_values(s, self.FP_BITS)
-        assert r.shape == b.shape == (256, 2)
+        assert leaf_widths(self.FP_BITS) == [W, SHORT]
+        assert r.shape == b.shape == (self.N, 2)
         np.testing.assert_array_equal(r ^ b, equal.astype(np.uint8))
-        # both leaves' pairs are all there: 16 and 8 matches of each
-        assert equal.sum(axis=0).tolist() == [16, 32]
+        # both leaves' pairs are all there: 2^W matches of leaf 0, and
+        # 2^SHORT of the short leaf, four times each
+        assert equal.sum(axis=0).tolist() == [2**W, 4 * 2**SHORT]
 
     def test_bobs_bit_is_uniform_over_alices_masks(self):
         """For every pair, Alice's mask 0 and mask 1 give Bob the two
@@ -117,10 +136,10 @@ class TestLeafShares:
         ctx, leaves, t = open_leaves(t, s, self.FP_BITS)
         r, _ = leaves.shares(ctx.rng, t)
         pc = leaves_module.le_bytes_to_words(leaves._cot.pc[0])
-        mine = np.bitwise_xor.reduceat(pc.reshape(256, -1), [0, 4], 1)
+        mine = np.bitwise_xor.reduceat(pc.reshape(self.N, -1), [0, W], 1)
         widths = np.asarray(leaf_widths(self.FP_BITS), dtype=np.uint64)
-        sealed = leaves_module._unpack(leaves._sealed, 256, widths)
-        v = np.arange(16, dtype=np.uint64)
+        sealed = leaves_module._unpack(leaves._sealed, self.N, widths)
+        v = np.arange(2**W, dtype=np.uint64)
         opened = ((sealed ^ mine)[:, :, None] >> v) & np.uint64(1)
         want = r[:, :, None] ^ (leaf_values(t, self.FP_BITS)[:, :, None] == v)
         exists = v[None, :] < (np.uint64(1) << widths)[:, None]
@@ -137,7 +156,9 @@ class TestLeafShares:
         leaves.send()
         sent = ctx.transcript.messages[-1]
         assert sent.label == "leaves/messages"
-        assert sent.n_bytes == leaf_bytes(256, self.FP_BITS) == 256 * 3
+        per_bin = (2**W + 2**SHORT) // 8
+        assert sent.n_bytes == leaf_bytes(self.N, self.FP_BITS)
+        assert sent.n_bytes == self.N * per_bin
 
     def test_61_bit_tokens_with_a_one_bit_last_leaf(self):
         rng = np.random.default_rng(5)

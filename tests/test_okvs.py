@@ -6,7 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from repro.mpc.okvs import EXPANSION, Okvs, _peel, dense_width, okvs_slots
+from repro.mpc.okvs import (
+    EXPANSION,
+    Okvs,
+    _peel,
+    dense_width,
+    okvs_slots,
+    pack_table,
+    unpack_table,
+)
 
 SIGMA = 40
 
@@ -131,3 +139,30 @@ def test_dense_width_is_sigma_at_scale():
     for n in (300, 4500, 181_152):
         assert dense_width(n, SIGMA) == SIGMA
     assert dense_width(181_152, 80) == 80
+
+
+@pytest.mark.parametrize(
+    "bits", [(55, 32), (61, 64), (41, 48), (1, 1), (64, 1)]
+)
+def test_packed_table_decodes_to_the_low_bits(bits):
+    """PSI sends the table at the token's and the ring's bits per slot:
+    ``ceil(slots * sum(bits) / 8)`` bytes, and a decode of the unpacked
+    table is the full decode with each column cut to its bits — for
+    every key, encoded or not."""
+    rng = np.random.default_rng(sum(bits))
+    n = 300
+    okvs = Okvs(n, SIGMA, b"packed")
+    keys, values = random_keys(rng, n), random_values(rng, n)
+    table = okvs.encode(keys, values, rng)
+    wire = pack_table(table, bits)
+    assert wire.nbytes == -(-len(table) * sum(bits) // 8)
+    received = unpack_table(wire, len(table), bits)
+    masks = np.asarray(
+        [(1 << b) - 1 for b in bits], dtype=np.uint64
+    )
+    assert (received == table & masks).all()
+    others = random_keys(rng, 50)
+    for probe in (keys, others):
+        full = okvs.decode(table, probe)
+        assert (okvs.decode(received, probe) == full & masks).all()
+    assert (okvs.decode(received, keys) == values & masks).all()

@@ -166,20 +166,25 @@ def _cot(ot, choices, m1, widths):
 
 
 def _random_batch(rng, widths):
+    """Choice bits and 1-messages of ``widths``, each message's bits
+    past its segment's width zero."""
     m = sum(k for k, _ in widths)
     choices = rng.integers(0, 2, m).astype(np.uint8)
-    m1 = [
-        np.frombuffer(rng.bytes(k * w), dtype=np.uint8).reshape(k, w)
-        for k, w in widths
-    ]
+    m1 = []
+    for k, bits in widths:
+        w = -(-bits // 8)
+        msg = np.frombuffer(rng.bytes(k * w), dtype=np.uint8).reshape(k, w)
+        msg = msg.copy()
+        msg[:, -1] &= 0xFF >> (-bits % 8)
+        m1.append(msg)
     return choices, m1
 
 
 @pytest.mark.real
 class TestCorrelatedOT:
-    #: every width a consumer uses (labels 16, ring words 1-8, switch
-    #: tuples 2-16) in one mixed-width batch
-    WIDTHS = [(5, w) for w in range(1, 17)]
+    #: every byte width a consumer uses (seeds 16, ring words 1-8,
+    #: leaf pads 2-4), in bits, in one mixed-width batch
+    WIDTHS = [(5, 8 * w) for w in range(1, 17)]
 
     def test_xor_correlation_every_width(self):
         """Receiver gets p0 on 0 and the sender's m1 on 1 (labels:
@@ -190,7 +195,8 @@ class TestCorrelatedOT:
         choices = rng.integers(0, 2, 80).astype(np.uint8)
         cot = ot.correlated(choices, self.WIDTHS)
         delta = [
-            np.frombuffer(rng.bytes(w), dtype=np.uint8) for _, w in self.WIDTHS
+            np.frombuffer(rng.bytes(w // 8), dtype=np.uint8)
+            for _, w in self.WIDTHS
         ]
         got = cot.finish([p ^ d for p, d in zip(cot.p0, delta)])
         off = 0
@@ -215,7 +221,7 @@ class TestCorrelatedOT:
         choices = rng.integers(0, 2, n).astype(np.uint8)
 
         def run(ot):
-            cot = ot.correlated(choices, [(n, rb)])
+            cot = ot.correlated(choices, [(n, 8 * rb)])
             p0 = le_bytes_to_words(cot.p0[0]) & mask
             got = cot.finish([words_to_le_bytes((p0 + x) & mask, rb)])
             assert (
@@ -278,10 +284,42 @@ class TestCorrelatedOT:
             assert (g == np.where(c, m, p)).all()
 
     @pytest.mark.parametrize("cls", [SoftSpokenExtension, IdealOT])
+    def test_bit_width_segments_round_trip(self, cls):
+        """Segments of 1..64 bits: pads and outputs carry no bit past a
+        segment's width, the receiver gets ``p0`` or ``m1`` with the
+        extra bits of a 1-message dropped, and the corrections cross
+        packed, at ``cot_bytes``'s size — odd counts included, so that
+        segments start mid-byte."""
+        widths = [(3 + bits % 4, bits) for bits in range(1, 65)]
+        rng = np.random.default_rng(21)
+        ctx = Context(Mode.REAL, seed=21)
+        choices, m1 = _random_batch(rng, widths)
+        noisy = [m.copy() for m in m1]
+        for m, (_, bits) in zip(noisy, widths):
+            m[:, -1] |= ~np.uint8(0xFF >> (-bits % 8))  # bits to drop
+        cot = cls(ctx).correlated(choices, widths)
+        got = cot.finish(noisy)
+        off = 0
+        for p0, pc, m, g, (k, bits) in zip(
+            cot.p0, cot.pc, m1, got, widths
+        ):
+            top = np.uint8(0xFF >> (-bits % 8))
+            for x in (p0, pc, g):
+                assert x.shape == (k, -(-bits // 8))
+                assert not (x[:, -1] & ~top).any()
+            c = choices[off : off + k, None].astype(bool)
+            off += k
+            assert (g == np.where(c, m, p0)).all()
+        assert ctx.transcript.messages[-1].label == "ot/ext/ciphertexts"
+        n_bytes = cot_bytes(128, widths)[1]
+        assert ctx.transcript.messages[-1].n_bytes == n_bytes
+        assert n_bytes == -(-sum(k * bits for k, bits in widths) // 8)
+
+    @pytest.mark.parametrize("cls", [SoftSpokenExtension, IdealOT])
     def test_zero_length_batch_sends_nothing(self, cls):
         ctx = Context(Mode.REAL, seed=1)
         cot = cls(ctx).correlated(
-            np.zeros(0, dtype=np.uint8), [(0, 16)]
+            np.zeros(0, dtype=np.uint8), [(0, 128)]
         )
         assert cot.p0[0].shape == (0, 16)
         got = cot.finish([np.zeros((0, 16), dtype=np.uint8)])
@@ -295,7 +333,7 @@ class TestCorrelatedOT:
         finishes with no 1-messages."""
         ctx = Context(Mode.REAL, seed=2)
         ot = cls(ctx)
-        widths = [(1, 4), (2, 4)]
+        widths = [(1, 32), (2, 32)]
         cot = ot.correlated(np.asarray([0, 1, 1], dtype=np.uint8), widths)
         sent = len(ctx.transcript.messages)
         for m1 in ([np.zeros((1, 4), dtype=np.uint8)], []):
@@ -310,10 +348,12 @@ class TestCorrelatedOT:
         ctx = Context(Mode.REAL, seed=1)
         ot = SoftSpokenExtension(ctx)
         with pytest.raises(ValueError):
-            ot.correlated(np.zeros(3, dtype=np.uint8), [(4, 16)])
+            ot.correlated(np.zeros(3, dtype=np.uint8), [(4, 128)])
         with pytest.raises(ValueError):
-            ot.correlated(np.zeros(1, dtype=np.uint8), [(1, 33)])
-        cot = ot.correlated(np.zeros(2, dtype=np.uint8), [(2, 4)])
+            ot.correlated(np.zeros(1, dtype=np.uint8), [(1, 257)])
+        with pytest.raises(ValueError):
+            ot.correlated(np.zeros(1, dtype=np.uint8), [(1, 0)])
+        cot = ot.correlated(np.zeros(2, dtype=np.uint8), [(2, 32)])
         with pytest.raises(ValueError):
             cot.finish([np.zeros((2, 5), dtype=np.uint8)])
 
@@ -359,7 +399,7 @@ class TestLabelOTs:
         ot = SimulatedOT(ctx)
         r = np.asarray([0, 1, 1, 0], dtype=np.uint8)
         assert ot.labels(4, r) is None
-        cot = ot.reverse.correlated(r, [(4, 8)])
+        cot = ot.reverse.correlated(r, [(4, 64)])
         assert (cot.p0, cot.p1, cot.pc) == ([], [], [])
         assert cot.finish() == []
         assert ctx.rng.bit_generator.state == state
@@ -519,7 +559,7 @@ def pool_batches(ctx, ot, sizes, seed, mirror=False):
                 rows = None if batch is None else (batch.zero, batch.active)
             else:
                 m1 = rng.integers(0, 256, (n, 8), dtype=np.uint8)
-                cot = ot.correlated(r, [(n, 8)])
+                cot = ot.correlated(r, [(n, 64)])
                 got = cot.finish([m1] if cot.p1 else [])  # charge-only: none
                 rows = None if not got else (cot.p0[0], m1, got[0])
             out.append((r, rows, ot._pool_left))

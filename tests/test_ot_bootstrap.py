@@ -126,7 +126,7 @@ class TestBootstrappedSeeds:
         fps = list(range(1, 9))
         oprf = BatchedOprf(ctx, ot, fps)
         (s, widths, cot), = seen
-        assert widths == [(costs.OPRF_WIDTH, 16)] and len(s) == 448
+        assert widths == [(costs.OPRF_WIDTH, 128)] and len(s) == 448
         p0, p1, pc = cot.p0[0], cot.p1[0], cot.pc[0]
         assert (p0 != p1).any(axis=1).all()
         assert (pc == np.where(s[:, None].astype(bool), p1, p0)).all()

@@ -197,11 +197,11 @@ class TestObliviousness:
 @pytest.mark.real
 @pytest.mark.parametrize("ell", [32, 60, 61, 62, 63, 64])
 def test_real_payloads_match_plaintext_at_every_ring_width(ell):
-    """An ``ell``-bit masked payload crosses the OPPRF in one 16-byte
-    OKVS slot beside the match token, so REAL recovers every payload up
-    to ``ell`` 64.  The hint is one slot per 1.3 of Bob's at most three
-    entries per item, plus the dense part, in both modes alike and at
-    every ``ell``."""
+    """An ``ell``-bit masked payload crosses the OPPRF in one OKVS slot
+    beside the match token, so REAL recovers every payload up to
+    ``ell`` 64.  The hint is one slot per 1.3 of Bob's at most three
+    entries per item, plus the dense part, each slot at the token's and
+    the ring's bits, in both modes alike and at every ``ell``."""
     from repro.mpc import SecurityParams, costs
     from repro.mpc.okvs import dense_width
 
@@ -220,8 +220,9 @@ def test_real_payloads_match_plaintext_at_every_ring_width(ell):
         prints.append(ctx.transcript.fingerprint())
     assert prints[0] == prints[1]
     (hints,) = [n for _, n, label in prints[0] if label.endswith("hints")]
-    assert hints == costs.opprf_hint_bytes(ctx.params, len(bob))
+    fp_bits = costs.psi_token_bits(costs.psi_bins(ctx.params, 10), 40)
+    assert hints == costs.opprf_hint_bytes(ctx.params, len(bob), fp_bits)
     # 24 entries: 3 thirds of ceil(1.3 * 24 / 3) = 11 slots, then the
     # dense part, one slot past sigma at this size (E = 1.5)
     assert dense_width(24, 40) == 41
-    assert hints == 16 * (3 * 11 + 41)
+    assert hints == -(-(3 * 11 + 41) * (fp_bits + ell) // 8)

@@ -100,4 +100,4 @@ class TestCost:
 
         three, two = plans()
         # exact: EXPERIMENTS.md's ablation table quotes this pair (4.0x)
-        assert (run(three), run(two)) == (256_601, 1_019_390)
+        assert (run(three), run(two)) == (243_479, 972_304)

@@ -17,6 +17,8 @@ from repro.mpc.waksman import (
     benes_network,
     benes_routing,
     benes_topology,
+    prefix_masks,
+    prefix_switch_count,
     switch_count,
 )
 
@@ -135,3 +137,94 @@ class TestStructure:
         for n in range(1, 301):
             layers = benes_network(list(range(n)))
             assert sum(len(a) for a, _, _ in layers) == switch_count(n), n
+
+
+def all_prefix_outputs(perm):
+    """For every ``k`` in ``1 .. n - 1`` at once: which switches of
+    ``perm``'s network feed one of its first ``k`` outputs (a backward
+    pass over a ``(wires, k)`` liveness matrix), and the wire each input
+    reaches in the network of only those switches — ``(masks,
+    outputs)``, one column per ``k``."""
+    n = len(perm)
+    layers = benes_network(perm)
+    ks = np.arange(1, n)
+    live = np.arange(n)[:, None] < ks[None, :]
+    masks = []
+    for a, b, _ in reversed(layers):
+        keep = live[a] | live[b]
+        live[a] |= keep
+        live[b] |= keep
+        masks.append(keep)
+    masks = masks[::-1]
+    vals = np.repeat(np.arange(n)[:, None], len(ks), axis=1)
+    for (a, b, swaps), keep in zip(layers, masks):
+        sw = swaps[:, None] & keep
+        va, vb = vals[a], vals[b]
+        vals[a], vals[b] = np.where(sw, vb, va), np.where(sw, va, vb)
+    return masks, vals
+
+
+class TestTruncatedNetwork:
+    """The extended permutation's first network keeps only the switches
+    that feed one of its first ``n_out`` outputs."""
+
+    def test_first_outputs_match_full_network_up_to_300(self):
+        rng = np.random.default_rng(8)
+        for n in range(2, 301):
+            perm = rng.permutation(n)
+            full = np.empty(n, dtype=np.int64)
+            full[perm] = np.arange(n)  # the input each output receives
+            masks, vals = all_prefix_outputs(perm)
+            kept = sum(m.sum(axis=0) for m in masks)
+            for k in range(1, n):
+                assert (vals[:k, k - 1] == full[:k]).all(), (n, k)
+                assert kept[k - 1] == prefix_switch_count(n, k), (n, k)
+            # the library's masks are the oracle's, on a sample of k
+            for k in {k for k in (1, 2, n // 2, n - 1) if 0 < k < n}:
+                got = prefix_masks(n, k)
+                assert all(
+                    (g == m[:, k - 1]).all() for g, m in zip(got, masks)
+                ), (n, k)
+
+    def test_benes_network_truncates_every_prefix_small(self):
+        rng = np.random.default_rng(9)
+        for n in range(2, 41):
+            perm = list(rng.permutation(n))
+            full = apply_network(benes_network(perm), list(range(n)))
+            for k in range(1, n + 1):
+                layers = benes_network(perm, k)
+                routed = apply_network(layers, list(range(n)))
+                assert routed[:k] == full[:k], (n, k)
+                count = sum(len(a) for a, _, _ in layers)
+                assert count == prefix_switch_count(n, k)
+
+    @pytest.mark.parametrize(
+        "n, k, full, kept",
+        [
+            # Q3's full-join OEP at 10 MB, and each fold's
+            (15_001, 133, 197_709, 110_902),
+            (19_050, 15_000, 255_778, 234_719),
+        ],
+    )
+    def test_benchmark_shapes(self, n, k, full, kept):
+        assert switch_count(n) == prefix_switch_count(n, n) == full
+        assert prefix_switch_count(n, k) == kept
+        perm = np.random.default_rng(n).permutation(n)
+        layers = benes_network(perm, k)
+        assert sum(len(a) for a, _, _ in layers) == kept
+        values = np.arange(n)
+        for a, b, swaps in layers:
+            a, b = a[swaps], b[swaps]
+            values[a], values[b] = values[b], values[a].copy()
+        want = np.empty(n, dtype=np.int64)
+        want[perm] = np.arange(n)
+        assert (values[:k] == want[:k]).all()
+
+    def test_counts_edge_cases(self):
+        assert prefix_switch_count(5, 0) == 0
+        assert prefix_switch_count(2, 1) == 1
+        assert prefix_switch_count(7, 9) == switch_count(7)
+        # a sub-network with any live output keeps all its input switches
+        for n in range(3, 200):
+            assert prefix_switch_count(n, 1) >= n // 2
+            assert prefix_switch_count(n, n - 1) <= switch_count(n)
