@@ -66,7 +66,9 @@ def linear_cross_owner_payloads(
 
     x_store, gid = _key_rows(parent, child)
     match = oe.dh_oprf_match(
-        row_digests(x_store), row_digests(child.store), label="dhoprf"
+        row_digests(x_store, ctx.digest_salt),
+        row_digests(child.store, ctx.digest_salt),
+        label="dhoprf",
     )
 
     # Child payloads in token-sorted slot order, secret-shared, with a

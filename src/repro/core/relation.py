@@ -22,9 +22,9 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..mpc.batch import sha256_rows
+from ..mpc.batch import aes_digests
 from ..mpc.context import Context
-from ..mpc.cuckoo import encode_item
+from ..mpc.cuckoo import LOCAL_SALT, encode_item
 from ..mpc.engine import Engine
 from ..mpc.sharing import SharedVector
 from ..relalg.columns import (
@@ -42,7 +42,6 @@ __all__ = [
     "dummy_tuple",
     "is_dummy_tuple",
     "sort_key",
-    "encode_rows",
     "row_digests",
     "SecureAnnotations",
     "SecureRelation",
@@ -144,25 +143,14 @@ def _row_blocks(
         yield rows, block(len(rows), cells)
 
 
-def encode_rows(store: TupleStore) -> List[bytes]:
-    """``encode_item(row)`` for every row of ``store`` without building
-    the rows: a bytes view over the :func:`_row_blocks` that
-    :func:`row_digests` hashes."""
-    out = [b""] * store.n
-    for rows, block in _row_blocks(store):
-        raw, w = block.tobytes(), block.shape[1]
-        for i, r in enumerate(rows.tolist()):
-            out[r] = raw[i * w : (i + 1) * w]
-    return out
-
-
-def row_digests(store: TupleStore) -> np.ndarray:
-    """The PSI / DH-OPRF digest matrix of a store's rows — equal to
-    :func:`~repro.mpc.cuckoo.item_digests` of its materialised tuples —
-    one :func:`~repro.mpc.batch.sha256_rows` per block of rows."""
+def row_digests(store: TupleStore, salt: bytes = LOCAL_SALT) -> np.ndarray:
+    """The PSI / DH-OPRF digest matrix of a store's rows under ``salt``
+    — equal to :func:`~repro.mpc.cuckoo.item_digests` of its
+    materialised tuples — one :func:`~repro.mpc.batch.aes_digests` per
+    block of rows."""
     out = np.empty((store.n, 32), dtype=np.uint8)
     for rows, block in _row_blocks(store):
-        out[rows] = sha256_rows(block)
+        out[rows] = aes_digests(salt, block)
     return out.view("<u8")
 
 

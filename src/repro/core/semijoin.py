@@ -186,7 +186,9 @@ def _cross_owner_payloads(
     # The child's tuples are distinct whenever it came out of a
     # projection-aggregation, which the Yannakakis plan guarantees.
     x_store, gid = _key_rows(parent, child)
-    x_items, child_items = row_digests(x_store), row_digests(child.store)
+    salt = engine.ctx.digest_salt
+    x_items = row_digests(x_store, salt)
+    child_items = row_digests(child.store, salt)
     if child.annotations.kind == "plain":
         res = oe.psi(
             x_items, child_items, child.annotations.values, label="psi"

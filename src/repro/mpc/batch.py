@@ -18,9 +18,11 @@ network) marshal through the batch kernels here instead:
   pads — one OpenSSL call per batch;
 * :func:`aes_prp`, AES-128 under a per-call secret key over a block
   matrix — the SIMULATED DH-OPRF's token function, one OpenSSL call;
-* batched SHA-256 for inputs that are not one block (the item digests
-  of :func:`repro.core.relation.row_digests`): one C call per row of a
-  contiguous input matrix, digests landing in one output matrix;
+* :func:`aes_digests`, the 32-byte item digests under PSI and the
+  DH-OPRF join (:func:`repro.mpc.cuckoo.item_digests`,
+  :func:`repro.core.relation.row_digests`): CBC-MAC under a secret salt
+  over rows of equal length, one OpenSSL call per 16-byte block
+  position for every row of a slice at once — no hash call per row;
 * :func:`sorted_lookup`: one argsort + ``searchsorted`` wherever an
   owner-local match used a dict probe per key (PSI's SIMULATED
   functionality, DH-OPRF token matching, same-owner alignment).
@@ -32,7 +34,6 @@ tests, ``tests/test_batch_kernels.py`` and ``tests/reference.py``.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from typing import Optional, Tuple
 
@@ -53,7 +54,7 @@ __all__ = [
     "tweaks",
     "aes_prp",
     "aes_ctr",
-    "sha256_rows",
+    "aes_digests",
     "sorted_lookup",
 ]
 
@@ -127,11 +128,14 @@ _ROW = np.uint64(32)
 _local = threading.local()
 
 
+def _ecb(key: bytes) -> CipherContext:
+    return Cipher(algorithms.AES(key), modes.ECB()).encryptor()
+
+
 def _fixed_key_aes() -> CipherContext:
     enc: Optional[CipherContext] = getattr(_local, "aes", None)
     if enc is None:
-        enc = Cipher(algorithms.AES(FIXED_KEY), modes.ECB()).encryptor()
-        _local.aes = enc
+        enc = _local.aes = _ecb(FIXED_KEY)
     return enc
 
 
@@ -210,11 +214,16 @@ def aes_prp(key: bytes, blocks: np.ndarray) -> np.ndarray:
     byte matrix, one OpenSSL call: a keyed pseudorandom permutation, so
     equal blocks map to equal outputs and distinct blocks to distinct
     ones (the SIMULATED DH-OPRF's token function)."""
+    return _encrypt(_ecb(key), blocks)
+
+
+def _encrypt(enc: CipherContext, blocks: np.ndarray) -> np.ndarray:
+    """Every row of an ``(n, 16)`` byte matrix under the ECB encryptor
+    ``enc``, which keeps no state between calls."""
     blocks = np.ascontiguousarray(blocks, dtype=np.uint8).reshape(-1, 16)
     if not blocks.size:
         return blocks
     out = np.empty(blocks.nbytes + 15, dtype=np.uint8)
-    enc = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
     enc.update_into(blocks.data.cast("B"), out)
     return out[: blocks.nbytes].reshape(-1, 16)
 
@@ -231,16 +240,39 @@ def aes_ctr(key: bytes, first: int, n_blocks: int) -> np.ndarray:
     return out[: 16 * n_blocks].reshape(n_blocks, 16)
 
 
-def sha256_rows(rows: np.ndarray) -> np.ndarray:
-    """SHA-256 of every row of a ``(m, L)`` byte matrix -> ``(m, 32)``."""
-    rows = np.ascontiguousarray(rows, dtype=np.uint8)
+#: Rows :func:`aes_digests` hashes at a time, so its temporaries stay
+#: a few MB however many rows a block has.
+_DIGEST_SLICE = 1 << 12
+
+
+def aes_digests(salt: bytes, rows: np.ndarray) -> np.ndarray:
+    """The 32-byte digest of every row of an ``(m, L)`` byte matrix
+    under the secret 16-byte ``salt``: the CBC-MAC (AES-128 keyed by
+    ``salt``, zero IV) of ``L`` as 8 little-endian bytes, the row and
+    zero padding — a PRF, since the length prefix makes the messages
+    prefix-free — run one block further twice, with the blocks ``1``
+    and ``2``, for the two halves.  One ECB call, as in :func:`aes_prp`,
+    per block position over every row of a slice."""
+    enc = _ecb(salt)
     m, length = rows.shape
-    buf = rows.data.cast("B")
-    sha = hashlib.sha256
-    raw = b"".join(
-        [sha(buf[i * length : (i + 1) * length]).digest() for i in range(m)]
-    )
-    return np.frombuffer(raw, dtype=np.uint8).reshape(m, 32)
+    n_chunks = (8 + length + 15) // 16
+    out = np.empty((m, 32), dtype=np.uint8)
+    for lo in range(0, m, _DIGEST_SLICE):
+        part = rows[lo : lo + _DIGEST_SLICE]
+        msg = np.zeros((len(part), 16 * n_chunks), dtype=np.uint8)
+        msg.view("<u8")[:, 0] = length
+        msg[:, 8 : 8 + length] = part
+        # Block-major, so each block position is contiguous (moved as
+        # 16-byte ``complex128`` elements, never computed on).
+        chunks = msg.view(np.complex128).T.copy()
+        mac = _encrypt(enc, chunks[0].view(np.uint8))
+        for chunk in chunks[1:]:
+            mac = _encrypt(enc, mac ^ chunk.view(np.uint8).reshape(-1, 16))
+        tail = np.repeat(mac, 2, axis=0)
+        tail[0::2, 0] ^= 1
+        tail[1::2, 0] ^= 2
+        out[lo : lo + len(part)] = _encrypt(enc, tail).reshape(-1, 32)
+    return out
 
 
 def sorted_lookup(

@@ -138,6 +138,9 @@ class Context:
         self._channel: Channel = self.transcript
         #: the next :meth:`tweak_batch` number
         self._tweak_batch = 0
+        #: the secret salt of every item digest of the session
+        #: (:func:`repro.mpc.cuckoo.item_digests`), drawn as it starts
+        self.digest_salt = self.random_bytes(16)
 
     @property
     def session(self) -> Optional["Session"]:

@@ -10,7 +10,8 @@ store sized by his item count (:mod:`repro.mpc.okvs`), so no bin is
 padded.
 
 Items are serialised with a canonical encoding shared by both parties
-and hashed **once** into a 32-byte digest, one row of an ``(n, 4)``
+and hashed **once**, under the session's secret salt, into a 32-byte
+digest (:func:`repro.mpc.batch.aes_digests`), one row of an ``(n, 4)``
 ``uint64`` matrix: word 0 (masked to 62 bits) is the fingerprint the
 bin circuits compare, words 1-3 keyed with the 16-byte seeds give the
 three bin hashes, and the whole row is the DH-OPRF token input
@@ -23,16 +24,17 @@ the other party's dummies.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from typing import Hashable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Hashable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .batch import aes_digests
+
 __all__ = [
     "Items",
+    "LOCAL_SALT",
     "encode_item",
-    "digest_encoded",
     "item_digests",
     "has_duplicates",
     "fingerprints",
@@ -59,6 +61,10 @@ DUMMY_BOB = 3 << 62
 
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
+#: The public salt of digests outside a protocol run (tests, tools); a
+#: run digests under its context's secret ``Context.digest_salt``.
+LOCAL_SALT = bytes(16)
+
 
 def encode_item(item: Hashable) -> bytes:
     """Canonical byte encoding, identical on both parties."""
@@ -67,7 +73,7 @@ def encode_item(item: Hashable) -> bytes:
     if isinstance(item, int):
         if _INT64_MIN <= item <= _INT64_MAX:
             # Fixed width, so whole int columns encode as one matrix
-            # (:func:`repro.core.relation.encode_rows`).
+            # (:func:`repro.core.relation.row_digests`).
             return b"i" + item.to_bytes(8, "little", signed=True)
         # Wider ints: length-prefixed under their own tag (injective).
         length = (item.bit_length() + 8) // 8
@@ -89,21 +95,23 @@ def encode_item(item: Hashable) -> bytes:
     raise TypeError(f"cannot encode {type(item).__name__} as a PSI item")
 
 
-def digest_encoded(encoded: Iterable[bytes]) -> np.ndarray:
-    """SHA-256 of every canonical encoding as an ``(n, 4)`` ``uint64``
-    digest matrix (one C hash per item)."""
-    sha = hashlib.sha256
-    raw = b"".join([sha(e).digest() for e in encoded])
-    return np.frombuffer(raw, dtype="<u8").reshape(-1, 4)
-
-
-def item_digests(items: Items) -> np.ndarray:
-    """The digest matrix of ``items``; a matrix passes through."""
+def item_digests(items: Items, salt: bytes = LOCAL_SALT) -> np.ndarray:
+    """The digest matrix of ``items`` under ``salt``: each item's
+    :func:`encode_item` bytes, grouped by length, one
+    :func:`~repro.mpc.batch.aes_digests` call per length.  A matrix
+    passes through."""
     if isinstance(items, np.ndarray) and items.dtype == np.uint64:
         if items.ndim != 2 or items.shape[1] != 4:
             raise ValueError("a digest matrix has shape (n, 4)")
         return np.ascontiguousarray(items)
-    return digest_encoded(encode_item(x) for x in items)
+    encoded = [encode_item(x) for x in items]
+    length = np.array([len(e) for e in encoded], dtype=np.int64)
+    out = np.empty((len(encoded), 32), dtype=np.uint8)
+    for w in np.unique(length).tolist():
+        ks = np.flatnonzero(length == w)
+        block = np.frombuffer(b"".join([encoded[k] for k in ks]), np.uint8)
+        out[ks] = aes_digests(salt, block.reshape(len(ks), w))
+    return out.view("<u8")
 
 
 def has_duplicates(digests: np.ndarray) -> bool:
@@ -155,7 +163,7 @@ class CuckooTable:
         n_bins: Optional[int] = None,
         n_hashes: int = 3,
         seed: int = 0,
-        max_relocations: int = 500,
+        max_rounds: int = 500,
         max_rehashes: int = 32,
     ) -> None:
         self.digests = item_digests(items)
@@ -172,37 +180,38 @@ class CuckooTable:
             self.candidates = candidate_bins(
                 self.digests, self.seeds, self.n_bins
             )
-            if self._try_build(rng, max_relocations):
+            if self._try_build(max_rounds):
                 return
         raise RuntimeError(
             f"cuckoo hashing failed after {max_rehashes} rehashes "
             f"({n} items, {self.n_bins} bins)"
         )
 
-    def _try_build(
-        self, rng: np.random.Generator, max_relocations: int
-    ) -> bool:
-        """Random-walk insertion over the precomputed candidates."""
-        candidates = self.candidates.tolist()
-        bins = [-1] * self.n_bins  # bins[b] = item index or -1
-        picks: List[int] = []
-        for idx in range(len(candidates)):
-            cur = idx
-            for _ in range(max_relocations):
-                mine = candidates[cur]
-                empty = [b for b in mine if bins[b] < 0]
-                if empty:
-                    bins[empty[0]] = cur
-                    cur = -1
-                    break
-                if not picks:  # eviction choices, drawn a block at a time
-                    picks = rng.integers(0, len(mine), size=1024).tolist()
-                victim_bin = mine[picks.pop()]
-                cur, bins[victim_bin] = bins[victim_bin], cur
-            if cur != -1:
-                return False
-        self.bins = np.asarray(bins, dtype=np.int64)
-        return True
+    def _try_build(self, max_rounds: int) -> bool:
+        """Insertion in vectorised rounds: every pending item proposes
+        its next candidate bin, the lowest item index among a bin's
+        proposers takes it, and the occupant it evicts and the
+        proposers it beat move on to their own next candidates.  No
+        free slot for some item after ``max_rounds`` rounds: a rehash."""
+        n, n_hashes = self.candidates.shape
+        bins = np.full(self.n_bins, -1, dtype=np.int64)
+        claim = np.full(self.n_bins, n, dtype=np.int64)  # lowest proposer
+        tries = np.zeros(n, dtype=np.int64)  # candidates tried so far
+        pending = np.arange(n, dtype=np.int64)
+        for _ in range(max_rounds):
+            if not len(pending):
+                break
+            want = self.candidates[pending, tries[pending] % n_hashes]
+            np.minimum.at(claim, want, pending)
+            won = claim[want] == pending
+            claim[want] = n
+            taken = want[won]
+            evicted = bins[taken]
+            bins[taken] = pending[won]
+            pending = np.concatenate([pending[~won], evicted[evicted >= 0]])
+            tries[pending] += 1
+        self.bins = bins
+        return not len(pending)
 
     def occupancy(self) -> int:
         return int((self.bins >= 0).sum())

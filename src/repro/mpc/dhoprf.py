@@ -98,7 +98,8 @@ def dh_oprf_match(
     deduplicated, dummy-padded key projections, exactly like PSI), as
     hashables or as precomputed digest matrices.
     """
-    alice, bob = item_digests(alice_items), item_digests(bob_items)
+    salt = ctx.digest_salt
+    alice, bob = item_digests(alice_items, salt), item_digests(bob_items, salt)
     if has_duplicates(alice):
         raise ValueError("DH-OPRF matching requires distinct Alice items")
     if has_duplicates(bob):

@@ -27,13 +27,14 @@ correction it computed, whose size is checked.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
+from .batch import tccr_hash, tweaks
 from .context import ALICE, Checked, Context, Meter, Mode
 from .costs import OPRF_WIDTH, kkrt_setup_bytes, seed_ot_widths
-from .ot import OT, CorrelatedBatch, _kdf, _prg_bits_all
+from .ot import OT, CorrelatedBatch, _prg_bits_all
 
 __all__ = ["OPRF_WIDTH", "BatchedOprf", "charge_oprf_setup"]
 
@@ -41,16 +42,21 @@ __all__ = ["OPRF_WIDTH", "BatchedOprf", "charge_oprf_setup"]
 _EVAL_SLICE = 1 << 15
 
 
-def _code(fp: int, salt: bytes, width: int = OPRF_WIDTH) -> np.ndarray:
-    """Pseudorandom code ``C(fp)``: ``width`` bits of SHA-256 blocks
-    over the item fingerprint and session salt — not one 16-byte block,
-    so not the fixed-key hash."""
-    seed = fp.to_bytes(8, "little") + salt
-    raw = b"".join(
-        _kdf(seed, b"kkrt-code", c.to_bytes(8, "little"))
-        for c in range((width + 255) // 256)
-    )
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:width]
+#: 16-byte blocks of one code, truncated to ``OPRF_WIDTH`` bits.
+_CODE_BLOCKS = -(-OPRF_WIDTH // 128)
+
+
+def _codes(fps: np.ndarray, batch: int) -> np.ndarray:
+    """Pseudorandom codes ``C(fp)``, one ``OPRF_WIDTH``-bit row per
+    fingerprint, in one :func:`~repro.mpc.batch.tccr_hash` call: block
+    ``c`` hashes the fingerprint under the public tweak of row ``c`` of
+    ``batch``, above the bit doubling carries into, so every ``(fp, c)``
+    is a distinct AES input."""
+    blocks = np.zeros((len(fps), 1, 2), dtype="<u8")
+    blocks[:, 0, 0] = fps
+    t = tweaks(batch, np.arange(_CODE_BLOCKS), np.zeros(1, np.uint64))
+    bits = np.unpackbits(tccr_hash(blocks.view(np.uint8), t), axis=-1)
+    return bits.reshape(len(fps), 128 * _CODE_BLOCKS)[:, :OPRF_WIDTH]
 
 
 def _out_hashes(
@@ -96,7 +102,7 @@ class BatchedOprf:
     arbitrary fingerprints.
     """
 
-    def __init__(self, ctx: Context, ot: OT, alice_fps: Iterable[int]) -> None:
+    def __init__(self, ctx: Context, ot: OT, alice_fps: np.ndarray) -> None:
         if ctx.mode != Mode.REAL:
             raise ValueError(
                 "BatchedOprf computes the KKRT protocol's values, which "
@@ -105,7 +111,8 @@ class BatchedOprf:
             )
         self.ctx = ctx
         self._salt = b"oprf-session"
-        self._fps = [int(fp) for fp in alice_fps]
+        self._fps = np.asarray(alice_fps, dtype=np.uint64)
+        self._code_batch = ctx.tweak_batch()
         #: Bob's secret column selection, his base-OT choices
         self._s = ctx.rng.integers(0, 2, size=OPRF_WIDTH, dtype=np.uint8)
         self.alice_values = np.zeros((0, 2), dtype=np.uint64)
@@ -113,11 +120,6 @@ class BatchedOprf:
         charge_oprf_setup(ctx, ot, len(self._fps), self)
 
     # -- KKRT over a width-448 IKNP matrix --------------------------------
-
-    def _codes(self, fps: Sequence[int]) -> np.ndarray:
-        return np.array(
-            [_code(fp, self._salt) for fp in fps], dtype=np.uint8
-        ).reshape(len(fps), OPRF_WIDTH)
 
     def _extend(self, seeds: CorrelatedBatch) -> int:
         """Both parties' rows of the OPRF matrix from the base OTs:
@@ -133,7 +135,8 @@ class BatchedOprf:
         # Alice: T columns; correction u_i = t0 ^ t1 ^ code-column-i.
         batch = ctx.tweak_batch()
         t_cols = _prg_bits_all(k0, m, batch)
-        u_cols = t_cols ^ _prg_bits_all(k1, m, batch) ^ self._codes(fps).T
+        codes = _codes(fps, self._code_batch)
+        u_cols = t_cols ^ _prg_bits_all(k1, m, batch) ^ codes.T
 
         # Bob: q columns; Q_j = T_j ^ (C(x_j) & s).
         q_cols = _prg_bits_all(k_s, m, batch) ^ (self._s[:, None] * u_cols)
@@ -142,20 +145,14 @@ class BatchedOprf:
         return np.packbits(u_cols, axis=1).nbytes
 
     def bob_eval(self, rows: np.ndarray, fps: np.ndarray) -> np.ndarray:
-        """``F_{rows[i]}(fps[i])`` for every ``i``: each distinct
-        fingerprint's code is computed once, and the pairs are masked a
-        slice at a time, so the ``OPRF_WIDTH``-byte temporaries stay a
-        few MB however many entries Bob has."""
-        distinct, which = np.unique(
-            np.asarray(fps, dtype=np.uint64), return_inverse=True
-        )
-        codes = self._codes(distinct.tolist())
-        which = which.ravel()
+        """``F_{rows[i]}(fps[i])`` for every ``i``, a slice at a time, so
+        the ``OPRF_WIDTH``-byte temporaries stay a few MB however many
+        entries Bob has."""
         out = np.empty((len(rows), 2), dtype=np.uint64)
         for lo in range(0, len(rows), _EVAL_SLICE):
             part = slice(lo, lo + _EVAL_SLICE)
-            codes_s = codes[which[part]] & self._s
-            masked = self._bob_rows[rows[part]] ^ codes_s
+            codes = _codes(fps[part], self._code_batch) & self._s
+            masked = self._bob_rows[rows[part]] ^ codes
             out[part] = _out_hashes(rows[part], masked, self._salt)
         return out
 

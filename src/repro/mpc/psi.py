@@ -106,7 +106,8 @@ def psi_with_payloads(
     """
     if len(bob_items) != len(bob_payloads):
         raise ValueError("one payload per Bob item is required")
-    alice, bob = item_digests(alice_items), item_digests(bob_items)
+    salt = ctx.digest_salt
+    alice, bob = item_digests(alice_items, salt), item_digests(bob_items, salt)
     if has_duplicates(bob):
         raise ValueError("PSI requires distinct items on Bob's side")
 

@@ -9,7 +9,6 @@ consumers (garbled batches, Gilboa) have no scalar twin; they are
 pinned on semantics and on REAL == SIMULATED fingerprints.
 """
 
-import hashlib
 from contextlib import nullcontext
 
 import numpy as np
@@ -76,15 +75,6 @@ def test_bits_to_words_empty_batch():
     assert out.shape == (0,) and out.dtype == np.uint64
     out2 = batch.bits_to_words(np.zeros((0, 32), dtype=np.uint8))
     assert out2.shape == (0,)
-
-
-@given(st.binary(min_size=0, max_size=90), st.integers(1, 6))
-def test_sha256_rows_matches_hashlib(blob, m):
-    rows = np.frombuffer(blob.ljust(m * 13, b"\0")[: m * 13], dtype=np.uint8)
-    rows = rows.reshape(m, 13)
-    out = batch.sha256_rows(rows)
-    for row, digest in zip(rows, out):
-        assert bytes(digest) == hashlib.sha256(bytes(row)).digest()
 
 
 @given(

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -166,6 +166,37 @@ class TestCuckooTable:
     def test_impossible_table_raises(self):
         with pytest.raises(RuntimeError):
             CuckooTable(list(range(10)), n_bins=3, max_rehashes=2)
+
+
+def random_digests(n, seed):
+    """``n`` digest rows drawn uniformly: what a salted PRF gives."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 2**64, size=(n, 4), dtype=np.uint64)
+
+
+class TestVectorisedInsertion:
+    """Rounds of proposals, the lowest index winning each bin."""
+
+    @given(n=st.integers(0, 3000), seed=st.integers(0, 2**32 - 1))
+    @settings(deadline=None)
+    def test_every_item_in_one_of_its_bins(self, n, seed):
+        table = CuckooTable(random_digests(n, seed), seed=seed)
+        occupied = np.flatnonzero(table.bins >= 0)
+        placed = table.bins[occupied]
+        # every item exactly once, so no bin holds two
+        assert np.array_equal(np.sort(placed), np.arange(n))
+        home = table.candidates[placed] == occupied[:, None]
+        assert home.any(axis=1).all()
+
+    def test_no_rehash_at_the_q3_sim_shape(self):
+        # q3_sim's folds: 15,000 items in 19,050 bins.  One attempt
+        # each: a rehash would raise.
+        for seed in range(1000):
+            table = CuckooTable(
+                random_digests(15_000, seed), 19_050, seed=seed,
+                max_rehashes=1,
+            )
+            assert table.occupancy() == 15_000
 
 
 class TestSimpleHashing:

@@ -3,7 +3,7 @@
 ``encode_item`` stays the definition of an item's canonical bytes; the
 vectorised row encoder must agree with it byte for byte, and every
 protocol entry point must behave identically on a list of hashables and
-on its precomputed digest matrix.
+on its precomputed digest matrix under the context's salt.
 """
 
 import numpy as np
@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 import repro.core.relation as relation_mod
+import repro.mpc.batch as batch_mod
 import repro.mpc.cuckoo as cuckoo_mod
 import repro.mpc.dhoprf as dhoprf_mod
-from repro.core.relation import encode_rows, row_digests
+from repro.core.relation import row_digests
 from repro.mpc import Context, Mode
-from repro.mpc.batch import aes_prp
+from repro.mpc.batch import aes_digests, aes_prp
 from repro.mpc.cuckoo import (
+    LOCAL_SALT,
     encode_item,
     has_duplicates,
     item_digests,
@@ -28,6 +30,17 @@ from repro.mpc.dhoprf import dh_oprf_match
 from repro.mpc.ot import make_ot
 from repro.mpc.psi import psi_with_payloads
 from repro.relalg.columns import Column, TupleStore, fresh_nonces
+
+
+def encode_rows(store):
+    """``encode_item(row)`` for every row of ``store`` without building
+    the rows: a bytes view over the blocks ``row_digests`` hashes."""
+    out = [b""] * store.n
+    for rows, block in relation_mod._row_blocks(store):
+        raw, w = block.tobytes(), block.shape[1]
+        for i, r in enumerate(rows.tolist()):
+            out[r] = raw[i * w : (i + 1) * w]
+    return out
 
 
 INT64 = st.integers(-(2**63), 2**63 - 1)
@@ -124,6 +137,87 @@ class TestEncodeRows:
         ).all()
 
 
+def cbc_digest(salt, row):
+    """The scalar twin of ``aes_digests`` for one row: each half is the
+    last block of AES-CBC (zero IV) over the length-prefixed, zero-padded
+    row followed by the block ``1`` or ``2``."""
+    msg = len(row).to_bytes(8, "little") + row
+    msg += bytes(-len(msg) % 16)
+    halves = []
+    for j in (1, 2):
+        enc = Cipher(algorithms.AES(salt), modes.CBC(bytes(16))).encryptor()
+        halves.append(enc.update(msg + j.to_bytes(16, "little"))[-16:])
+    return b"".join(halves)
+
+
+def digests_of(salt, rows):
+    """``aes_digests`` of byte strings of one length, as bytes."""
+    block = np.frombuffer(b"".join(rows), dtype=np.uint8)
+    out = aes_digests(salt, block.reshape(len(rows), -1))
+    return [bytes(d) for d in out]
+
+
+SALTS = st.binary(min_size=16, max_size=16)
+#: Row lengths either side of the 16-byte chunk boundaries, counting the
+#: 8-byte length prefix (8 / 24 B) and not counting it (16 / 32 B).
+STRADDLING = [0, 1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33]
+
+
+class TestDigestKernel:
+    """``aes_digests``: a salted CBC-MAC, one AES call per chunk."""
+
+    @given(salt=SALTS, data=st.binary(min_size=33, max_size=33))
+    def test_matches_the_scalar_cbc_mac(self, salt, data):
+        for w in STRADDLING:
+            rows = [data[:w], data[33 - w:]]
+            assert digests_of(salt, rows) == [
+                cbc_digest(salt, r) for r in rows
+            ]
+
+    @given(salt=SALTS, data=st.binary(min_size=33, max_size=33))
+    def test_lengths_straddling_a_chunk_are_distinct(self, salt, data):
+        got = [digests_of(salt, [data[:w]])[0] for w in STRADDLING]
+        assert len(set(got)) == len(got)
+
+    @given(salt=SALTS, row=st.binary(max_size=20))
+    def test_trailing_zero_bytes_are_distinct(self, salt, row):
+        got = [
+            digests_of(salt, [row + bytes(k)])[0] for k in range(0, 18)
+        ]
+        assert len(set(got)) == len(got)
+
+    @given(store=stores(), salt=SALTS)
+    def test_equal_salts_equal_digests(self, store, salt):
+        digests = row_digests(store, salt)
+        assert (digests == row_digests(store, bytes(salt))).all()
+        assert (digests == item_digests(store.materialize(), salt)).all()
+
+    @given(store=stores(), a=SALTS, b=SALTS)
+    def test_another_salt_other_digests(self, store, a, b):
+        assume(a != b and store.n > 0)
+        assert (row_digests(store, a) != row_digests(store, b)).all()
+
+    def test_known_answer(self):
+        item, salt = ("Secure", "Yannakakis", 2021), bytes(range(16))
+        got = bytes(item_digests([item], salt).view(np.uint8))
+        assert got.hex() == KNOWN_DIGEST
+        assert got == cbc_digest(salt, encode_item(item))
+
+    def test_slices_agree_with_one_pass(self, monkeypatch):
+        rows = np.arange(70 * 13, dtype=np.uint64).astype(np.uint8)
+        rows = rows.reshape(70, 13)
+        whole = aes_digests(bytes(16), rows)
+        monkeypatch.setattr(batch_mod, "_DIGEST_SLICE", 16)
+        assert (aes_digests(bytes(16), rows) == whole).all()
+
+
+#: ``item_digests([("Secure", "Yannakakis", 2021)], bytes(range(16)))``
+KNOWN_DIGEST = (
+    "bf186ea70f11c5001614d3a9d22461ae"
+    "26430253545efe52369f9efe56e1f485"
+)
+
+
 @pytest.fixture
 def encode_calls(monkeypatch):
     """Count calls of the scalar encoder from either module."""
@@ -168,24 +262,27 @@ ALICE_ITEMS = [("k", i) for i in range(18)]
 BOB_ITEMS = [("k", i) for i in range(9, 30)]
 
 
+def matrices(ctx, alice, bob):
+    """Both item lists' digest matrices under ``ctx``'s salt."""
+    salt = ctx.digest_salt
+    return item_digests(alice, salt), item_digests(bob, salt)
+
+
 @pytest.mark.parametrize(
     "mode", [Mode.SIMULATED, pytest.param(Mode.REAL, marks=pytest.mark.real)]
 )
 class TestDigestMatrixInputs:
-    """Same seed, items vs their digest matrix: identical outputs."""
+    """Same seed, items vs their digest matrix under the context's salt:
+    identical outputs."""
 
     def test_psi(self, mode):
         payloads = [1000 + i for i in range(9, 30)]
         outs = []
-        for a, b, z in (
-            (ALICE_ITEMS, BOB_ITEMS, payloads),
-            (
-                item_digests(ALICE_ITEMS),
-                item_digests(BOB_ITEMS),
-                np.asarray(payloads),
-            ),
-        ):
+        for as_matrix in (False, True):
             ctx = Context(mode, seed=7)
+            a, b, z = ALICE_ITEMS, BOB_ITEMS, payloads
+            if as_matrix:
+                a, b, z = matrices(ctx, a, b) + (np.asarray(payloads),)
             res = psi_with_payloads(
                 ctx, make_ot(ctx), a, b, z
             )
@@ -204,11 +301,11 @@ class TestDigestMatrixInputs:
 
     def test_dh_oprf(self, mode):
         outs = []
-        for a, b in (
-            (ALICE_ITEMS, BOB_ITEMS),
-            (item_digests(ALICE_ITEMS), item_digests(BOB_ITEMS)),
-        ):
+        for as_matrix in (False, True):
             ctx = Context(mode, seed=7)
+            a, b = ALICE_ITEMS, BOB_ITEMS
+            if as_matrix:
+                a, b = matrices(ctx, a, b)
             m = dh_oprf_match(ctx, a, b)
             outs.append((m.slot.tolist(), m.order.tolist()))
         assert outs[0] == outs[1]
@@ -327,3 +424,51 @@ class TestSimulatedTokens:
             partner = np.where(m.slot >= 0, m.order[m.slot], -1)
             outs.append((partner.tolist(), ctx.transcript.fingerprint()))
         assert outs[0] == outs[1]
+
+
+class TestNoPerRowHashing:
+    """SIMULATED Q3 makes as many ``hashlib`` calls at 1 MB as at
+    0.3 MB, and every item digest it computes is under the context's
+    one salt."""
+
+    @staticmethod
+    def run_q3(scale, backend, monkeypatch):
+        import hashlib
+
+        from repro.mpc import Engine
+        from repro.tpch import PREPARED, generate
+
+        calls, salts = [], []
+
+        def counted(name):
+            real = getattr(hashlib, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return call
+
+        def spy(salt, rows):
+            salts.append(salt)
+            return aes_digests(salt, rows)
+
+        query = PREPARED["Q3"](generate(scale))
+        engine = Engine(query.make_context(Mode.SIMULATED, seed=7))
+        engine.backend = backend
+        with monkeypatch.context() as patch:
+            for name in ("sha256", "blake2b"):
+                patch.setattr(hashlib, name, counted(name))
+            for module in (relation_mod, cuckoo_mod):
+                patch.setattr(module, "aes_digests", spy)
+            result, _ = query.run_secure(engine)
+        assert result.semantically_equal(query.run_plain()[0])
+        assert salts and set(salts) == {engine.ctx.digest_salt}
+        assert LOCAL_SALT not in salts
+        return len(calls)
+
+    @pytest.mark.parametrize("backend", ["yannakakis", "linear"])
+    def test_hash_calls_do_not_grow_with_the_data(self, monkeypatch, backend):
+        small = self.run_q3(0.3, backend, monkeypatch)
+        large = self.run_q3(1, backend, monkeypatch)
+        assert small == large

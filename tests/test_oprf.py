@@ -5,11 +5,46 @@ import pytest
 
 from repro.mpc import Context, Mode
 from repro.mpc.costs import SOFTSPOKEN_K
-from repro.mpc.oprf import BatchedOprf, charge_oprf_setup
+from repro.mpc.batch import tccr_hash, tweaks
+from repro.mpc.oprf import BatchedOprf, _codes, charge_oprf_setup
 from repro.mpc.ot import make_ot
 from repro.mpc.psi import psi_with_payloads
 
 from .conftest import spy_scalar_muls
+
+
+class TestCodes:
+    """KKRT's pseudorandom codes: one fixed-key hash call, 448 bits."""
+
+    FPS = np.concatenate([
+        np.arange(100, dtype=np.uint64),
+        # top-bit twins: doubling carries their difference into bit 64
+        np.arange(100, dtype=np.uint64) | np.uint64(1 << 63),
+    ])
+
+    def test_codewords_are_far_apart(self):
+        codes = _codes(self.FPS, batch=0)
+        assert codes.shape == (200, 448) and codes.dtype == np.uint8
+        dist = (codes[:, None, :] != codes[None, :, :]).sum(axis=-1)
+        # Binomial(448, 1/2) per pair: mean 224, sd 10.6
+        assert dist[~np.eye(len(self.FPS), dtype=bool)].min() > 150
+
+    def test_block_by_block(self):
+        fp = np.uint64(0xDEADBEEF12345678)
+        block = np.array([fp, 0], dtype="<u8").view(np.uint8)
+        want = b"".join(
+            bytes(tccr_hash(block, tweaks(9, np.array(c), np.array(0))))
+            for c in range(4)
+        )
+        bits = np.unpackbits(np.frombuffer(want, dtype=np.uint8))[:448]
+        assert (_codes(np.array([fp]), batch=9)[0] == bits).all()
+
+    def test_a_function_of_fp_and_batch(self):
+        fps = np.array([5, 9, 5], dtype=np.uint64)
+        a = _codes(fps, batch=3)
+        assert (a[0] == a[2]).all() and (a[0] != a[1]).any()
+        assert (a != _codes(fps, batch=4)).any()
+        assert _codes(fps[:0], batch=3).shape == (0, 448)
 
 
 @pytest.mark.real
@@ -23,7 +58,7 @@ class TestBatchedOprf:
         # Consistency: Bob evaluating on Alice's input recovers F_j(x_j).
         rows = np.arange(len(fps))
         assert (oprf.bob_eval(rows, np.array(fps)) == oprf.alice_values).all()
-        # ... in any order, with repeats, each item's code computed once.
+        # ... in any order, with repeats.
         rows = np.array([3, 0, 3, 11, 5, 0])
         assert (
             oprf.bob_eval(rows, np.array(fps)[rows]) == oprf.alice_values[rows]
