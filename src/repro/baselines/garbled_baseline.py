@@ -29,7 +29,7 @@ from ..mpc.context import ALICE, Context, Mode
 from ..mpc.costs import CircuitCounts, circuit_counts, cot_bytes, garbled_bytes
 from ..mpc.engine import Engine
 from ..mpc.ot import SoftSpokenExtension
-from ..mpc.params import DEFAULT_PARAMS
+from ..mpc.params import DEFAULT_PARAMS, KAPPA
 from ..mpc.yao import garbled_call
 from ..relalg.relation import AnnotatedRelation
 
@@ -87,7 +87,7 @@ def cartesian_gc_cost(
     sizes = garbled_bytes(
         CircuitCounts(and_gates, input_bits, 0, 0, 0), 1, DEFAULT_PARAMS.ell
     )
-    label_u, _ = cot_bytes(DEFAULT_PARAMS.kappa, [(sizes.label_ots, 0)])
+    label_u, _ = cot_bytes(KAPPA, [(sizes.label_ots, 0)])
     comm = sizes.tables + sizes.seed + sizes.decode + label_u
     return GcBaselineCost(
         combos=runs * combos,

@@ -38,18 +38,18 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.relation import SecureRelation
     from ..query.builder import JoinAggregateQuery
 
+from ..core.semijoin import dispatched
 from ..exec.compiler import compile_plan
 from ..exec.ir import (
     AggregateStep,
     AlignStep,
     JoinStep,
     ProductStep,
-    ReduceFoldStep,
     RevealResultStep,
     RevealStep,
-    SemijoinStep,
     Step,
 )
 from ..leakage import BACKENDS
@@ -60,7 +60,7 @@ from ..mpc.dhoprf import charge_dh_oprf
 from ..mpc.leaves import LeafOts
 from ..mpc.oprf import charge_oprf_setup
 from ..mpc.ot import SimulatedOT
-from ..mpc.params import DEFAULT_PARAMS, SecurityParams
+from ..mpc.params import CUCKOO_HASHES, DEFAULT_PARAMS, SIGMA, SecurityParams
 from ..mpc.psi import charge_opprf
 from ..mpc.yao import garbled_call
 from ..yannakakis.plan import YannakakisPlan
@@ -72,6 +72,7 @@ __all__ = [
     "estimate_node_costs",
     "estimate_plan_cost",
     "estimate_query_cost",
+    "estimate_step_bytes",
     "session_framing_overhead",
 ]
 
@@ -221,15 +222,15 @@ class _Estimator:
 
     def psi(self, m: int, n: int, shared_payload: bool) -> int:
         """One circuit PSI; returns its bin count."""
-        b = costs.psi_bins(self.p, m)
+        b = costs.psi_bins(m)
         if shared_payload:
             # Section 5.5: the other party's OEP into the PSI's payloads
             # runs first; the one onto the bins follows it.
             with self.meter.swapped_roles():
                 self.oep(n + b, n + b)
-        self.meter.send(ALICE, costs.psi_seed_bytes(self.p.cuckoo_hashes))
+        self.meter.send(ALICE, costs.psi_seed_bytes(CUCKOO_HASHES))
         charge_oprf_setup(self.meter, self.ot, b)
-        fp_bits = costs.psi_token_bits(b, self.p.sigma)
+        fp_bits = costs.psi_token_bits(b, SIGMA)
         charge_opprf(self.meter, n, fp_bits)
         # the leaf OTs: Bob's random OTs, never finished, then Alice's
         # messages once her label batch is open
@@ -281,10 +282,10 @@ class _Estimator:
         ell = self.p.ell
         if same_owner and child_plain and shape.parent_plain:
             return  # fully local
-        if shape.scalar or same_owner:
-            # Back-end-independent: neither path crosses the PSI/DH-OPRF
-            # dispatch.  A scalar child is shared and summed, with no
-            # alignment; a same-owner one is OEP-aligned by its owner.
+        if not dispatched(shape.scalar, same_owner):
+            # Back-end-independent.  A scalar child is shared and
+            # summed, with no alignment; a same-owner one is OEP-aligned
+            # by its owner.
             if child_plain:  # the child owner shares it
                 self.share(ALICE if same_owner else BOB, child_n)
             if not shape.scalar:
@@ -337,11 +338,10 @@ def _shapes(
     Section 6.5 fast paths are credited exactly as the executor takes
     them; sizes never change (every operator pads to its input)."""
     for step in steps:
-        if isinstance(step, ReduceFoldStep):
-            p, c, scalar = step.parent, step.child, not step.agg_attrs
-        elif isinstance(step, SemijoinStep):
+        join = step.reduce_join
+        if join is not None:
             # A semijoin's child is the filter's support, plain iff it is.
-            p, c, scalar = step.target, step.filter, not step.shared_attrs
+            p, c, scalar = join
         elif isinstance(step, AggregateStep):
             p = c = step.node
             scalar = False
@@ -424,6 +424,30 @@ def estimate_node_costs(
             b: estimate_node_bytes(shape, b, params) for b in BACKENDS
         }
         for step, shape in _shapes(plan.steps, sizes, owners, plain)
+        if shape is not None and shape.kind != "aggregate"
+    }
+
+
+def estimate_step_bytes(
+    steps: Sequence[Step],
+    relations: Dict[str, "SecureRelation"],
+    params: SecurityParams = DEFAULT_PARAMS,
+) -> Dict[int, int]:
+    """:func:`estimate_node_bytes` of every fold/semijoin step under its
+    own routed back-end, keyed by step id: one plan walk over the input
+    relations' sizes, owners and plainness.  These are the ``est_bytes``
+    the scheduler's trace reports beside each node's metered bytes."""
+    rels = relations.items()
+    return {
+        step.id: estimate_node_bytes(
+            shape, step.backend, params  # type: ignore[attr-defined]
+        )
+        for step, shape in _shapes(
+            steps,
+            {n: len(r) for n, r in rels},
+            {n: r.owner for n, r in rels},
+            {n: r.annotations.kind == "plain" for n, r in rels},
+        )
         if shape is not None and shape.kind != "aggregate"
     }
 

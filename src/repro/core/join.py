@@ -43,7 +43,7 @@ from ..leakage import leaks
 from ..mpc.context import ALICE, Context
 from ..mpc.costs import OUT_SIZE_BYTES
 from ..mpc.engine import Engine
-from ..mpc.sharing import SharedVector
+from ..mpc.sharing import SharedVector, reveal_vector
 from ..relalg.columns import Column, TupleStore, fresh_nonces, dummy_value
 from ..relalg.relation import AnnotatedRelation
 from ..relalg.operators import join as plain_join
@@ -61,6 +61,7 @@ __all__ = [
     "empty_join_result",
     "align_factor",
     "finish_join",
+    "reveal_result",
 ]
 
 
@@ -302,3 +303,10 @@ def oblivious_join(
             for name in relations
         ]
         return finish_join(engine, joined, factors)
+
+
+@leaks("opened:result")
+def reveal_result(ctx: Context, result: ObliviousJoinResult) -> np.ndarray:
+    """Open the result annotations to Alice: the query's answer, the
+    one reveal its semantics sanction (Section 4)."""
+    return reveal_vector(ctx, result.annotations, ALICE, label="result")

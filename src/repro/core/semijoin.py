@@ -14,14 +14,17 @@ the shared indicator 1).
 
 Three regimes, matching the paper:
 
-* different owners, child annotations owner-known — PSI with plain
-  payloads (Section 6.5 fast path);
-* different owners, child annotations shared — PSI with secret-shared
-  payloads (Section 5.5);
+* a scalar child (no attributes) — every parent annotation is scaled
+  by the child's sum;
 * same owner — no PSI: the owner locally aligns child tuples with
   parent tuples (a dummy slot for non-joining tuples) and one OEP plus
   the multiplication circuits refresh the shares.  Fully plain
-  same-owner inputs never leave the owner at all.
+  same-owner inputs never leave the owner at all;
+* a keyed child of the other owner (:func:`dispatched`) — the
+  back-end's entry of :data:`CROSS_OWNER`: the paper's PSI (plain
+  payloads on the Section 6.5 fast path, shared ones by Section 5.5)
+  or the DH-OPRF join of :mod:`repro.core.linear`.  The table is
+  checked against the back-end contracts on import.
 
 The owner-local alignment maps run columnar: parent keys and child
 tuples are re-encoded into one shared ``int64`` code space
@@ -34,11 +37,11 @@ row_digests`); no Python tuple is built.
 
 from __future__ import annotations
 
-from typing import Any, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 import numpy as np
 
-from ..leakage import BACKENDS
+from ..leakage import BACKENDS, check_backend_table
 from ..mpc.batch import sorted_lookup
 from ..mpc.context import Context
 from ..mpc.engine import Engine
@@ -50,7 +53,21 @@ from .oriented import OrientedEngine
 from .relation import SecureAnnotations, SecureRelation, row_digests
 from .shared_payload_psi import psi_with_shared_payloads
 
-__all__ = ["BACKENDS", "oblivious_reduce_join", "oblivious_semijoin"]
+__all__ = [
+    "BACKENDS",
+    "CROSS_OWNER",
+    "dispatched",
+    "oblivious_reduce_join",
+    "oblivious_semijoin",
+]
+
+
+def dispatched(scalar: bool, same_owner: bool) -> bool:
+    """Whether a reduce-join reaches the back-end dispatch: its child is
+    keyed and held by the other owner.  A scalar child and a same-owner
+    one join the same way under every back-end, so they leak nothing
+    and price alike whatever the route."""
+    return not scalar and not same_owner
 
 
 def oblivious_reduce_join(
@@ -75,15 +92,14 @@ def oblivious_reduce_join(
     if m == 0:
         return parent
 
+    scalar = not child.attributes
     with ctx.section(label):
-        if not child.attributes:
+        if dispatched(scalar, parent.owner == child.owner):
+            new_annots = CROSS_OWNER[backend](engine, parent, child)
+        elif scalar:
             new_annots = _scalar_child_payloads(engine, parent, child)
-        elif parent.owner == child.owner:
-            new_annots = _same_owner_payloads(engine, parent, child)
-        elif backend == "linear":
-            new_annots = linear_cross_owner_payloads(engine, parent, child)
         else:
-            new_annots = _cross_owner_payloads(engine, parent, child)
+            new_annots = _same_owner_payloads(engine, parent, child)
     return SecureRelation(
         parent.owner, parent.attributes, parent.store, new_annots
     )
@@ -214,6 +230,15 @@ def _as_shared(payload: Any, ctx: Context) -> SharedVector:
     if isinstance(payload, SharedVector):
         return payload
     raise TypeError("expected a shared per-bin payload vector")
+
+
+#: The cross-owner reduce-join of each back-end, the one place a
+#: back-end changes what a node runs.
+CROSS_OWNER: Dict[str, Callable[..., SecureAnnotations]] = {
+    "yannakakis": _cross_owner_payloads,
+    "linear": linear_cross_owner_payloads,
+}
+check_backend_table(CROSS_OWNER)
 
 
 def oblivious_semijoin(

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..mpc.cuckoo import Items, num_bins
+from ..mpc.costs import psi_bins
+from ..mpc.cuckoo import Items
 from ..mpc.engine import Engine
 from ..mpc.psi import PsiResult
 from ..mpc.sharing import SharedVector
@@ -51,7 +52,7 @@ def psi_with_shared_payloads(
     ctx = engine.ctx
     oe = OrientedEngine(engine, owner)
     n = len(other_items)
-    b = num_bins(len(owner_items), ctx.params.cuckoo_expansion)
+    b = psi_bins(len(owner_items))
 
     with ctx.section(label):
         # (1) extend with B zero shares.

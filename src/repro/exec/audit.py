@@ -1,6 +1,6 @@
 """Plan-level leakage audit.
 
-The code-level contract rules (OBL006–OBL008) pin what each primitive
+The code-level contract rules (OBL006, OBL007) pin what each primitive
 *may* leak; this module answers the composition question for one
 concrete plan: given the per-node ``backend`` assignments a routed
 :class:`~repro.exec.ir.ExecPlan` carries, what does the *whole plan*
@@ -8,8 +8,10 @@ reveal beyond the public sizes?
 
 Composition follows the paper's argument: every node that never
 reaches the cross-owner back-end dispatch (same-owner folds, scalar
-children) is back-end-independent and leaks nothing; every dispatched
-node contributes its back-end's registered contract
+children; :func:`~repro.core.semijoin.dispatched`, the predicate the
+operator itself branches on) is back-end-independent and leaks
+nothing; every dispatched node contributes its back-end's registered
+contract
 (:data:`repro.leakage.BACKEND_CONTRACTS`).  The whole-plan summary is
 the union — an all-``yannakakis`` route is exactly ``{}``, a route
 with any dispatched ``linear`` node is ``{join_pattern:parent}``.
@@ -31,8 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from ..core.semijoin import dispatched
 from ..leakage import BACKEND_CONTRACTS
-from .ir import ExecPlan, ReduceFoldStep, SemijoinStep, ShareStep
+from .ir import ExecPlan, ShareStep
 
 __all__ = ["NodeLeakage", "LeakageReport", "audit_plan"]
 
@@ -117,31 +120,6 @@ class LeakageReport:
         }
 
 
-def _node(
-    label: str,
-    kind: str,
-    backend: str,
-    dispatched: bool,
-) -> NodeLeakage:
-    atoms = BACKEND_CONTRACTS.get(backend)
-    return NodeLeakage(
-        label=label,
-        kind=kind,
-        backend=backend,
-        dispatched=dispatched,
-        atoms=atoms or frozenset(),
-        unknown_backend=atoms is None,
-    )
-
-
-def _cross_owner(
-    owners: Dict[str, str], a: str, b: str
-) -> bool:
-    # Unknown ownership is audited conservatively as cross-owner.
-    oa, ob = owners.get(a), owners.get(b)
-    return oa is None or ob is None or oa != ob
-
-
 def audit_plan(
     plan: ExecPlan,
     owners: Optional[Dict[str, str]] = None,
@@ -159,17 +137,17 @@ def audit_plan(
         }
     nodes: List[NodeLeakage] = []
     for step in plan.steps:
-        # A scalar child (a fold's empty agg_attrs, a semijoin's empty
-        # shared_attrs) joins through the scalar path, the same on every
-        # back-end — never dispatched.
-        if isinstance(step, ReduceFoldStep):
-            keyed = bool(step.agg_attrs)
-            parent, child = step.parent, step.child
-        elif isinstance(step, SemijoinStep):
-            keyed = bool(step.shared_attrs)
-            parent, child = step.target, step.filter
-        else:
+        join = step.reduce_join
+        if join is None:
             continue
-        dispatched = keyed and _cross_owner(owners, child, parent)
-        nodes.append(_node(step.label, step.kind, step.backend, dispatched))
+        parent, child, scalar = join
+        backend: str = step.backend  # type: ignore[attr-defined]
+        atoms = BACKEND_CONTRACTS.get(backend)
+        # Unknown ownership is audited conservatively as cross-owner.
+        owner = owners.get(parent)
+        same = owner is not None and owner == owners.get(child)
+        nodes.append(NodeLeakage(
+            step.label, step.kind, backend, dispatched(scalar, same),
+            atoms or frozenset(), unknown_backend=atoms is None,
+        ))
     return LeakageReport(plan_name=plan.name, nodes=tuple(nodes))

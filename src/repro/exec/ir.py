@@ -39,6 +39,15 @@ class Step:
     kind = "step"
 
     @property
+    def reduce_join(self) -> Optional[Tuple[str, str, bool]]:
+        """``(parent, child, scalar)`` of the reduce-join a fold or a
+        semijoin ends in (Section 6.2), ``None`` for other steps: a
+        fold's child is its aggregated child, a semijoin's the filter's
+        support, and ``scalar`` says it keeps no attribute.  The
+        estimator, the router, the trace and the audit read it here."""
+        return None
+
+    @property
     def label(self) -> str:
         return self.kind
 
@@ -87,6 +96,10 @@ class ReduceFoldStep(Step):
     kind = "reduce_fold"
 
     @property
+    def reduce_join(self) -> Tuple[str, str, bool]:
+        return self.parent, self.child, not self.agg_attrs
+
+    @property
     def label(self) -> str:
         return f"fold/{self.child}->{self.parent}"
 
@@ -129,6 +142,10 @@ class SemijoinStep(Step):
     backend: str = "yannakakis"
 
     kind = "semijoin"
+
+    @property
+    def reduce_join(self) -> Tuple[str, str, bool]:
+        return self.target, self.filter, not self.shared_attrs
 
     @property
     def label(self) -> str:

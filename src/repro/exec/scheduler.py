@@ -35,8 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mpc.engine import Engine
     from ..runtime.supervisor import Supervisor
 
-from ..mpc.context import ALICE
-from ..mpc.sharing import reveal_vector
 from ..core.aggregation import oblivious_aggregate
 from ..core.join import (
     align_factor,
@@ -44,6 +42,7 @@ from ..core.join import (
     finish_join,
     local_star_join,
     reveal_relation,
+    reveal_result,
 )
 from ..core.relation import SecureRelation
 from ..core.semijoin import oblivious_reduce_join, oblivious_semijoin
@@ -109,6 +108,13 @@ class Scheduler:
         env = {} if env is None else env
         if start_at is not None and not 0 <= start_at < len(plan.steps):
             raise ValueError(f"resume step {start_at} is not in the plan")
+        # A traced node reports its estimated marginal bytes beside its
+        # metered ones (the estimator imports this package: lazily).
+        est_bytes: Dict[int, int] = {}
+        if self.trace is not None:
+            from ..bench.estimator import estimate_step_bytes
+
+            est_bytes = estimate_step_bytes(plan.steps, relations, ctx.params)
         for step in plan.steps[start_at or 0:]:
             if yield_hook is not None:
                 yield_hook(step)
@@ -118,15 +124,14 @@ class Scheduler:
 
             def thunk(step: Step = step) -> None:
                 if self.trace is not None:
-                    backend, est_bytes = self._node_estimate(step, env)
                     with self.trace.node(
                         ctx.transcript,
                         id=step.id,
                         kind=step.kind,
                         label=step.label,
                         section=step.section,
-                        backend=backend,
-                        est_bytes=est_bytes,
+                        backend=getattr(step, "backend", None),
+                        est_bytes=est_bytes.get(step.id),
                     ):
                         self._dispatch(step, env, relations)
                 else:
@@ -140,37 +145,6 @@ class Scheduler:
             self.trace.meta["plan"] = plan.name
             self.trace.meta["n_steps"] = len(plan.steps)
         return env
-
-    def _node_estimate(
-        self, step: Step, env: Dict[str, Any]
-    ) -> "tuple[Optional[str], Optional[int]]":
-        """For fold/semijoin nodes: the back-end the node will run under
-        and its pre-dispatch estimated bytes (marginal, excluding the
-        one-time base-OT setup), computed from the *live* operand sizes
-        and plainness — the numbers the trace reports next to the
-        metered actuals.  ``(None, None)`` for every other node kind."""
-        if isinstance(step, ReduceFoldStep):
-            parent, child = env[step.parent], env[step.child]
-            scalar = not step.agg_attrs
-        elif isinstance(step, SemijoinStep):
-            parent, child = env[step.target], env[step.filter]
-            scalar = not step.shared_attrs
-        else:
-            return None, None
-        from ..bench.estimator import NodeShape, estimate_node_bytes
-
-        shape = NodeShape(
-            step.kind,
-            len(parent),
-            len(child),
-            parent.owner == child.owner,
-            child.annotations.kind == "plain",
-            parent.annotations.kind == "plain",
-            scalar=scalar,
-        )
-        return step.backend, estimate_node_bytes(
-            shape, step.backend, self.engine.ctx.params
-        )
 
     def _make_supervisor(self) -> Optional["Supervisor"]:
         """A step supervisor when the context has a session attached
@@ -264,10 +238,6 @@ class Scheduler:
                 env["result"] = finish_join(engine, joined, factors)
         elif isinstance(step, RevealResultStep):
             result = env["result"]
-            # oblint: leaks=opened:result
-            values = reveal_vector(
-                ctx, result.annotations, ALICE, label="result"
-            )
-            env["output"] = (result, values)
+            env["output"] = (result, reveal_result(ctx, result))
         else:  # pragma: no cover
             raise TypeError(f"unknown step {step!r}")

@@ -52,7 +52,7 @@ from ..leakage import BACKEND_CONTRACTS, BACKENDS
 from ..mpc.context import Context, Mode
 from ..mpc.engine import Engine
 from ..mpc.params import SecurityParams
-from ..mpc.transcript import Message
+from ..mpc.transcript import Message, Transcript
 from ..query.planner import BACKEND_POLICIES, choose_plan, route_backends
 from ..runtime.aborts import ProtocolAbort
 from ..runtime.faults import FaultPlan, perturb_share
@@ -300,6 +300,14 @@ def audit_obliviousness(
     same per-node back-ends under any routing including "auto" — the
     audit therefore checks each back-end's obliviousness, never mixes
     them across twins."""
+    return _audit_twins(instance, mode, twin_seed, backend)[0]
+
+
+def _audit_twins(
+    instance: QueryInstance, mode: Mode, twin_seed: int, backend: str
+) -> Tuple[List[FuzzFailure], Transcript]:
+    """:func:`audit_obliviousness`, also returning the instance's own
+    transcript for :func:`audit_leakage`."""
     plan = _plan_for(instance)
     twin = value_disjoint_twin(instance, twin_seed)
     _, ctx_a = _run_secure(instance, plan, mode, backend=backend)
@@ -343,7 +351,7 @@ def audit_obliviousness(
             fail(
                 f"message counts differ: {len(fa)} vs {len(fb)}"
             )
-    return failures
+    return failures, ta
 
 
 #: What each back-end policy's routed plan may leak: a concrete
@@ -360,6 +368,7 @@ _LEAKAGE_MODELS: Dict[str, frozenset] = {
 def audit_leakage(
     instance: QueryInstance,
     backend: str = "yannakakis",
+    messages: Optional[Sequence[Message]] = None,
 ) -> List[FuzzFailure]:
     """Statically audit the instance's routed plan against the
     back-end's documented leakage model (failure kind ``"leakage"``).
@@ -372,58 +381,61 @@ def audit_leakage(
     back-end's ``join_pattern:parent``.
 
     The summary is only as good as the audit's per-node ``dispatched``
-    flags, so under a route that may dispatch the DH-OPRF the flags are
-    also checked against a SIMULATED run's transcript
-    (:func:`_dispatch_problems`)."""
+    flags, so the flags are also checked against the ``messages`` of a
+    run of the instance under this back-end (:func:`_dispatch_problems`);
+    without them, one SIMULATED run supplies its transcript."""
     plan = _plan_for(instance)
     routes = route_backends(
         plan, instance.sizes(), instance.owners, backend=backend,
         params=SecurityParams(ell=instance.ell),
     )
     report = audit_plan(compile_plan(plan, instance.owners, backends=routes))
-    allowed = _LEAKAGE_MODELS[backend]
-    failures: List[FuzzFailure] = []
-    problems = report.violations(allowed)
-    if backend == "yannakakis" and report.summary:
-        problems.append(
-            "yannakakis route must be leakage-free but summarises "
-            f"{sorted(report.summary)}"
-        )
-    if backend != "yannakakis":
+    if messages is None:
         _, ctx = _run_secure(instance, plan, Mode.SIMULATED, backend=backend)
-        problems += _dispatch_problems(report.nodes, ctx.transcript.messages)
-    for detail in problems:
-        failures.append(
-            FuzzFailure(
-                "leakage", instance.seed, detail,
-                backend=backend, instance=instance,
-            )
+        messages = ctx.transcript.messages
+    problems = report.violations(_LEAKAGE_MODELS[backend])
+    problems += _dispatch_problems(report.nodes, messages)
+    return [
+        FuzzFailure(
+            "leakage", instance.seed, detail,
+            backend=backend, instance=instance,
         )
-    return failures
+        for detail in problems
+    ]
+
+
+#: The sections each back-end's cross-owner join
+#: (:data:`~repro.core.semijoin.CROSS_OWNER`) sends under.
+_DISPATCH_SECTIONS: Dict[str, Tuple[str, ...]] = {
+    "yannakakis": ("psi", "psi_shared"),
+    "linear": ("dhoprf",),
+}
 
 
 def _dispatch_problems(
     nodes: Sequence[NodeLeakage], messages: Sequence[Message]
 ) -> List[str]:
     """Each audited node against what the run sent under its label: a
-    node sends a ``dhoprf`` section iff the audit marks it dispatched
-    to the ``linear`` back-end.  A node marked undispatched that sends
-    one is leakage the summary misses; a dispatched one that sends none
-    is leakage it over-reports."""
-    sent = set()
-    for m in messages:
-        path = f"/{m.label}/"
-        if "/dhoprf/" in path:
-            sent.add(path[: path.index("/dhoprf/") + 1])
+    node sends its back-end's cross-owner sections (``psi`` or
+    ``psi_shared`` on ``yannakakis``, ``dhoprf`` on ``linear``) iff the
+    audit marks it dispatched, and no other back-end's.  A node marked
+    undispatched that sends one is leakage the summary misses; a
+    dispatched one that sends none is leakage it over-reports."""
+    paths = {f"/{m.label}/" for m in messages}
     problems = []
     for n in nodes:
-        claimed = n.dispatched and n.backend == "linear"
-        sends = any(f"/{n.label}/" in path for path in sent)
-        if claimed != sends:
+        own = f"/{n.label}/"
+        sent = sorted(
+            b for b, sections in _DISPATCH_SECTIONS.items()
+            if any(
+                own in p and f"/{s}/" in p for p in paths for s in sections
+            )
+        )
+        if sent != ([n.backend] if n.dispatched else []):
             problems.append(
                 f"node {n.label} (backend {n.backend}): the audit says "
                 f"dispatched={n.dispatched}, but the run sent "
-                f"{'a' if sends else 'no'} dhoprf section"
+                f"{' and '.join(sent) or 'no'} cross-owner sections"
             )
     return problems
 
@@ -460,8 +472,11 @@ def check_instance(
             instance, mode=mode, fault=fault, backend=b
         )
         if audit and fault is None:
-            failures += audit_obliviousness(instance, mode=mode, backend=b)
-            failures += audit_leakage(instance, backend=b)
+            found, transcript = _audit_twins(instance, mode, 1, b)
+            failures += found
+            failures += audit_leakage(
+                instance, backend=b, messages=transcript.messages
+            )
     return failures
 
 

@@ -10,23 +10,20 @@ what each primitive and back-end is *allowed* to leak:
 
 * :data:`ATOMS` — the closed vocabulary of leakage atoms.  A contract
   may only ever name atoms from this dict; :func:`leaks` raises at
-  import time otherwise, and the lint rules (OBL006–OBL008) reject
+  import time otherwise, and the lint rules (OBL006, OBL007) reject
   unknown atoms statically.
-* :func:`leaks` — the contract decorator protocol entry points carry
-  (``@leaks("join_pattern:parent")``).  Functions that cannot take a
-  decorator (closures, branches) use a ``# oblint: leaks=`` comment
-  marker instead (:mod:`repro.lint.suppress`).
+* :func:`leaks` — the contract decorator every function that reveals
+  protocol data carries (``@leaks("join_pattern:parent")``).
 * :data:`SINK_ATOMS` — which callee names *materialise* plaintext, and
   which atom each one witnesses.  The lint taint engine treats a call
   to one of these on tainted data as a leakage event that must be
   covered by the enclosing function's contract (OBL006).
 * :data:`BACKEND_CONTRACTS` — the per-back-end leakage summary the
-  plan-level audit composes (:mod:`repro.exec.audit`) and OBL008
-  checks against the dispatch point in :mod:`repro.core.semijoin`.
-  The dict literal below is deliberately *statically parseable*
-  (string keys, ``frozenset()``/``frozenset({...})`` values): the lint
-  rules read it from source, so they work without importing this
-  package.
+  plan-level audit composes (:mod:`repro.exec.audit`).
+  :func:`check_backend_table` holds the cross-owner dispatch table of
+  :mod:`repro.core.semijoin` to it when :mod:`repro.core` is imported:
+  one implementation per registered back-end, none declaring more
+  than its back-end's contract.
 * :data:`BACKENDS` — the one back-end registry, ``BACKEND_CONTRACTS``'s
   keys in order.  The operator dispatch, the cost estimator, the
   routing policies, the fuzzer and the CLI derive their back-end sets
@@ -41,7 +38,7 @@ doc ↔ registry agreement.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Tuple, TypeVar
+from typing import Callable, Dict, FrozenSet, Mapping, Tuple, TypeVar
 
 __all__ = [
     "ATOMS",
@@ -50,6 +47,7 @@ __all__ = [
     "BACKENDS",
     "SINK_ATOMS",
     "UNCONDITIONAL_SINKS",
+    "check_backend_table",
     "leaks",
     "declared_leakage",
     "leakage_table",
@@ -84,8 +82,7 @@ BASELINE_ATOMS: FrozenSet[str] = frozenset(
 #: Per-back-end leakage summary over and above the baseline atoms, one
 #: key per join back-end: "yannakakis" is the paper's PSI/OEP protocol,
 #: "linear" the LINQ/Bifrost-style DH-OPRF protocol of
-#: :mod:`repro.core.linear`.  OBL008 parses this literal from source and
-#: checks the dispatch point in repro/core/semijoin.py against it.
+#: :mod:`repro.core.linear`.
 BACKEND_CONTRACTS: Dict[str, FrozenSet[str]] = {
     "yannakakis": frozenset(),
     "linear": frozenset({"join_pattern:parent"}),
@@ -93,7 +90,7 @@ BACKEND_CONTRACTS: Dict[str, FrozenSet[str]] = {
 
 #: The selectable join back-ends, in tie-break preference order (the
 #: paper's protocol first).  Every other spelling of the set — the
-#: dispatch check, the estimator, the routing policies, the fuzzer and
+#: dispatch table, the estimator, the routing policies, the fuzzer and
 #: the CLI — derives from this one.
 BACKENDS: Tuple[str, ...] = tuple(BACKEND_CONTRACTS)
 
@@ -144,6 +141,29 @@ def leaks(*atoms: str) -> Callable[[_F], _F]:
 def declared_leakage(fn: object) -> FrozenSet[str]:
     """The contract attached by :func:`leaks` (empty if undeclared)."""
     return getattr(fn, "__leakage__", frozenset())
+
+
+def check_backend_table(
+    table: Mapping[str, Callable[..., object]],
+    contracts: Mapping[str, FrozenSet[str]] = BACKEND_CONTRACTS,
+) -> None:
+    """Raise unless ``table`` holds one implementation per registered
+    back-end and each declares (:func:`declared_leakage`) nothing
+    beyond its back-end's contract — so a back-end cannot be added, or
+    an implementation widened, without the registry saying so."""
+    if set(table) != set(contracts):
+        raise ValueError(
+            f"the dispatch table implements {sorted(table)}, but "
+            f"BACKEND_CONTRACTS registers {sorted(contracts)}"
+        )
+    for backend, impl in table.items():
+        excess = sorted(declared_leakage(impl) - contracts[backend])
+        if excess:
+            raise ValueError(
+                f"back-end {backend!r}'s implementation "
+                f"{getattr(impl, '__name__', impl)}() declares {excess} "
+                f"beyond its contract {sorted(contracts[backend])}"
+            )
 
 
 def leakage_table() -> str:

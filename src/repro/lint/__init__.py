@@ -18,11 +18,10 @@ dynamically:
   ``@repro.leakage.leaks`` contract.
 * **OBL007 contract-rot** — every declared atom is witnessed by the
   function's call closure.
-* **OBL008 backend-contract-parity** — a back-end's dispatch branch
-  calls nothing that leaks beyond its ``BACKEND_CONTRACTS`` entry.
 
-See docs/LINTING.md for the rule catalogue, the suppression policy
-(``# oblint: disable=RULE — reason``) and the contract vocabulary.
+See docs/LINTING.md for the rule catalogue (and why OBL005 and OBL008
+retired), the suppression policy (``# oblint: disable=RULE — reason``)
+and the contract vocabulary.
 """
 
 from .contracts import declared_atoms

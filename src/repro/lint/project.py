@@ -8,8 +8,8 @@ Rules get two views:
 * :class:`Project` — all files of the run plus what is derived from
   them once per run: the index of every function/method, the one
   callee resolver (:meth:`Project.resolve`), the one call-graph closure
-  (:meth:`Project.closure`), the taint cache :mod:`repro.lint.taint`
-  fills, and the ``BACKEND_CONTRACTS`` registry literal (OBL008).
+  (:meth:`Project.closure`) and the taint cache :mod:`repro.lint.taint`
+  fills.
 
 A closure collects the facts a function *may* reach: its own and those
 of every definition a call of it may resolve to, so a duck-typed call
@@ -202,9 +202,6 @@ class Project:
         self.taints: Dict[Tuple[int, Any], "FunctionTaint"] = {}
         #: id(def node) -> converged interprocedural secret taint
         self.interproc: Optional[Dict[int, "FunctionTaint"]] = None
-        #: merged ``BACKEND_CONTRACTS`` literal; None when no file in
-        #: the set defines one (a partial tree)
-        self.backend_contracts = _read_backend_contracts(files)
 
     @property
     def infos(self) -> List[FuncInfo]:
@@ -277,61 +274,3 @@ def _iter_defs(
                 yield from walk(child, cls)
 
     yield from walk(tree, None)
-
-
-# ----------------------------------------------------------------------
-# the back-end registry literal (OBL008)
-# ----------------------------------------------------------------------
-
-
-def _literal(expr: Optional[ast.expr]) -> Any:
-    """The value of a string literal, a tuple/list/set of strings, a
-    ``frozenset(...)`` of one, or a dict from strings to any of these;
-    None for anything else."""
-    if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
-        return expr.value
-    if isinstance(expr, (ast.Tuple, ast.List, ast.Set)):
-        elts = [_literal(e) for e in expr.elts]
-        return tuple(elts) if all(isinstance(e, str) for e in elts) else None
-    if isinstance(expr, ast.Dict):
-        keys = [_literal(k) for k in expr.keys]
-        values = [_literal(v) for v in expr.values]
-        if not all(isinstance(k, str) for k in keys) or None in values:
-            return None
-        return dict(zip(keys, values))
-    if (
-        isinstance(expr, ast.Call)
-        and call_name(expr) == "frozenset"
-        and len(expr.args) <= 1
-        and not expr.keywords
-    ):
-        inner = _literal(expr.args[0]) if expr.args else ()
-        return frozenset(inner) if isinstance(inner, tuple) else None
-    return None
-
-
-def _read_backend_contracts(
-    files: List[SourceFile],
-) -> Optional[Dict[str, FrozenSet[str]]]:
-    """Every module-level ``BACKEND_CONTRACTS = {...}`` (plain or
-    annotated) of the file set, merged; None when there is none."""
-    contracts: Optional[Dict[str, FrozenSet[str]]] = None
-    for f in files:
-        for stmt in f.tree.body:
-            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                target, value = stmt.targets[0], stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                target, value = stmt.target, stmt.value
-            else:
-                continue
-            if not (
-                isinstance(target, ast.Name)
-                and target.id == "BACKEND_CONTRACTS"
-            ):
-                continue
-            parsed = _literal(value)
-            if isinstance(parsed, dict) and all(
-                isinstance(v, frozenset) for v in parsed.values()
-            ):
-                contracts = {**(contracts or {}), **parsed}
-    return contracts

@@ -63,7 +63,7 @@ def git_changed_files(
 
     The pre-commit fast path: lint only what this commit touches
     (``cmd_lint`` still feeds the full tree in as cross-file
-    *context*, so OBL007/OBL008 and the interprocedural taint resolve
+    *context*, so OBL007 and the interprocedural taint resolve
     correctly); CI remains the authoritative full-tree run.
 
     ``runner`` is injectable for tests; it receives an argv list and

@@ -1,6 +1,6 @@
 """``# oblint:`` comment directives.
 
-Five directive forms, all parsed from end-of-line (or own-line) comments:
+Four directive forms, all parsed from end-of-line (or own-line) comments:
 
 * ``# oblint: disable=OBL001 — reason``      suppress rule(s) on this line
   (a reason after an em-dash/hyphen is MANDATORY; a bare disable is
@@ -10,10 +10,9 @@ Five directive forms, all parsed from end-of-line (or own-line) comments:
 * ``# oblint: secret-params=x,y``             taint listed parameters of
   the enclosing function (place inside the function, typically on the
   docstring line or first statement)
-* ``# oblint: leaks=atom[,atom]``             declare a leakage contract
-  for the enclosing function — the comment-marker twin of the
-  ``@repro.leakage.leaks(...)`` decorator, for call sites that cannot
-  carry a decorator (branches of a dispatcher, closures)
+
+A leakage contract is not a directive: it is the
+``@repro.leakage.leaks(...)`` decorator (:mod:`repro.lint.contracts`).
 
 An own-line directive applies to the *next* code line, so long
 statements can carry a readable suppression above them.
@@ -27,7 +26,7 @@ from typing import Dict, Optional, Set, Tuple
 
 _DIRECTIVE = re.compile(
     r"#\s*oblint:\s*"
-    r"(?P<kind>disable|secret-params|secret|public|leaks)"
+    r"(?P<kind>disable|secret-params|secret|public)"
     r"(?:\s*=\s*(?P<args>[\w*:,\s]+?))?"
     r"\s*(?:(?:—|–|--|-)\s*(?P<reason>.+))?$"
 )
@@ -45,8 +44,6 @@ class Directives:
     public_lines: Set[int] = field(default_factory=set)
     #: line -> parameter names declared secret
     secret_params: Dict[int, Tuple[str, ...]] = field(default_factory=dict)
-    #: line -> leakage atoms declared for the enclosing function
-    leaks: Dict[int, Tuple[str, ...]] = field(default_factory=dict)
 
     def suppresses(self, line: int, rule: str) -> bool:
         entry = self.disables.get(line)
@@ -90,10 +87,4 @@ def parse_directives(text: str) -> Directives:
             )
             if names:
                 out.secret_params[target] = names
-        elif kind == "leaks":
-            atoms = tuple(
-                a.strip() for a in (args or "").split(",") if a.strip()
-            )
-            if atoms:
-                out.leaks[target] = atoms
     return out

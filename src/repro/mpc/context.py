@@ -26,7 +26,7 @@ from typing import (
 
 import numpy as np
 
-from .params import DEFAULT_PARAMS, SecurityParams
+from .params import DEFAULT_PARAMS, KAPPA, SIGMA, SecurityParams
 from .transcript import ALICE, BOB, Transcript, other_party
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -215,6 +215,6 @@ class Context:
 
     def __repr__(self) -> str:
         return (
-            f"Context(mode={self.mode.value}, kappa={self.params.kappa}, "
-            f"sigma={self.params.sigma}, ell={self.params.ell})"
+            f"Context(mode={self.mode.value}, kappa={KAPPA}, "
+            f"sigma={SIGMA}, ell={self.params.ell})"
         )

@@ -36,7 +36,7 @@ from .circuits.garbling import (
 )
 from .cuckoo import num_bins
 from .okvs import okvs_slots
-from .params import SecurityParams
+from .params import CUCKOO_EXPANSION, CUCKOO_HASHES, SIGMA, SecurityParams
 from .waksman import prefix_switch_count, switch_count
 
 __all__ = [
@@ -410,9 +410,9 @@ def merge_chain_counts(
     return CircuitCounts(*(f2 + (n - 2) * (f3 - f2) for f2, f3 in zip(c2, c3)))
 
 
-def psi_bins(params: SecurityParams, m: int) -> int:
+def psi_bins(m: int) -> int:
     """The cuckoo table size of a PSI over ``m`` cuckoo-side items."""
-    return num_bins(m, params.cuckoo_expansion)
+    return num_bins(m, CUCKOO_EXPANSION)
 
 
 def psi_seed_bytes(n_hashes: int) -> int:
@@ -429,13 +429,13 @@ def kkrt_setup_bytes(n_rows: int) -> int:
 
 
 def opprf_hint_bytes(params: SecurityParams, n: int, fp_bits: int) -> int:
-    """The OPPRF's one OKVS, sized for the at most ``cuckoo_hashes * n``
+    """The OPPRF's one OKVS, sized for the at most ``CUCKOO_HASHES * n``
     simple-hash entries of ``n`` items: per slot the token column at
     ``fp_bits`` bits and the masked payload's at ``ell``, packed across
     the table.  Decoding is XOR-linear, so the low bits of a decode are
     the decode of the table's low bits: the bits no party reads are not
     sent."""
-    slots = okvs_slots(params.cuckoo_hashes * n, params.sigma)
+    slots = okvs_slots(CUCKOO_HASHES * n, SIGMA)
     return (slots * (fp_bits + params.ell) + 7) // 8
 
 

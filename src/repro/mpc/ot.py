@@ -82,6 +82,7 @@ import numpy as np
 from . import costs, p256
 from .batch import aes_ctr, tccr_hash, tweaks
 from .context import ALICE, BOB, Checked, Context, Meter
+from .params import KAPPA
 from .costs import (
     LPN_D,
     SOFTSPOKEN_K,
@@ -774,6 +775,7 @@ class _Paired:
 
     #: whether the back-end computes payloads whose sizes are checked
     _checks = False
+    kappa = KAPPA
     #: REAL: the pool's current iteration, once it opened
     _iteration: Optional["_Iteration"] = None
 
@@ -781,7 +783,6 @@ class _Paired:
         self, ctx: Meter, forward: Optional["_Paired"] = None
     ) -> None:
         self.ctx = ctx
-        self.kappa = ctx.params.kappa
         self._base_done = False
         #: whether a mirror's tree corrections wait for its first ``u``
         self._corrections_due = False

@@ -57,6 +57,7 @@ from .leaves import LeafOts
 from .okvs import Okvs, pack_table, unpack_table
 from .oprf import BatchedOprf, charge_oprf_setup
 from .ot import OT
+from .params import CUCKOO_HASHES, SIGMA
 from .sharing import SharedVector, as_ring_column
 from .yao import RealInputs, garbled_call
 
@@ -112,14 +113,14 @@ def psi_with_payloads(
         raise ValueError("PSI requires distinct items on Bob's side")
 
     with ctx.section(label):
-        n_bins = psi_bins(ctx.params, len(alice))
+        n_bins = psi_bins(len(alice))
         table = CuckooTable(
             alice,
             n_bins,
-            ctx.params.cuckoo_hashes,
+            CUCKOO_HASHES,
             seed=int(ctx.rng.integers(0, 2**31)),
         )
-        ctx.send(ALICE, psi_seed_bytes(ctx.params.cuckoo_hashes), "seeds")
+        ctx.send(ALICE, psi_seed_bytes(CUCKOO_HASHES), "seeds")
 
         payloads = as_ring_column(bob_payloads, ctx.modulus)
         fallbacks = (
@@ -138,7 +139,7 @@ def psi_with_payloads(
         alice_fps[occupied] = fingerprints(alice)[table.bins[occupied]]
         bob_fps = fingerprints(bob)
 
-        fp_bits = psi_token_bits(n_bins, ctx.params.sigma)
+        fp_bits = psi_token_bits(n_bins, SIGMA)
         opprf = _opprf(
             ctx, ot, table.seeds, alice_fps, bob, bob_fps, payloads, fp_bits
         )
@@ -230,9 +231,7 @@ def _opprf(
     masked = (bob_payloads[members] - w_masks[bins]) & ctx.mask
     values = np.stack([s_tokens[bins], masked], axis=1)
     values ^= oprf.bob_eval(bins, keys[:, 1])
-    okvs = Okvs(
-        ctx.params.cuckoo_hashes * len(bob), ctx.params.sigma, b"".join(seeds)
-    )
+    okvs = Okvs(CUCKOO_HASHES * len(bob), SIGMA, b"".join(seeds))
     table = okvs.encode(keys, values, rng)
     bits = (fp_bits, ctx.params.ell)
     wire = pack_table(table, bits)

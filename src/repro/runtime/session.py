@@ -13,8 +13,7 @@ turns retryable aborts into checkpoint retries.
 
 Two invariants the tests pin down:
 
-* **Accounting neutrality** — with ``meter_overhead=True`` every
-  delivered frame meters ``payload + FRAME_HEADER_BYTES`` under the
+* **Accounting neutrality** — every delivered frame meters ``payload + FRAME_HEADER_BYTES`` under the
   payload's own label, so a session-enabled run's transcript is the
   plain run's transcript plus a fixed per-message constant, identically
   in REAL and SIMULATED mode.
@@ -74,16 +73,13 @@ class Session:
         self,
         transcript: Transcript,
         faults: Optional[FaultPlan] = None,
-        clock: Optional[VirtualClock] = None,
         node_budget: int = DEFAULT_NODE_BUDGET,
-        meter_overhead: bool = True,
         seed: int = 0,
     ) -> None:
         self.transcript = transcript
         self.faults = faults if faults is not None else FaultPlan()
-        self.clock = clock if clock is not None else VirtualClock()
+        self.clock = VirtualClock()
         self.node_budget = int(node_budget)
-        self.meter_overhead = meter_overhead
         self.seed = int(seed)
         #: The supervisor's retry policy; ``None`` is the default
         #: :class:`~repro.runtime.supervisor.RetryPolicy`.
@@ -181,10 +177,9 @@ class Session:
             # transcript stays byte-identical to the solo run.
             self.wire.exchange(frame)
         self._expected[frame.sender] = expected + 1
-        metered = frame.n_bytes + (
-            FRAME_HEADER_BYTES if self.meter_overhead else 0
+        self.transcript.send(
+            frame.sender, frame.n_bytes + FRAME_HEADER_BYTES, frame.label
         )
-        self.transcript.send(frame.sender, metered, frame.label)
 
     # -- node scoping ----------------------------------------------------
 
@@ -284,10 +279,12 @@ class Session:
 def enable_session(
     ctx: "Context",
     faults: Optional[FaultPlan] = None,
-    **kwargs: object,
+    *,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    seed: int = 0,
 ) -> Session:
     """Attach a session to a context; every subsequent ``ctx.send``
     routes through it.  Returns the session."""
-    session = Session(ctx.transcript, faults=faults, **kwargs)  # type: ignore[arg-type]
+    session = Session(ctx.transcript, faults, node_budget, seed)
     ctx.session = session
     return session

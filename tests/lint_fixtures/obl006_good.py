@@ -6,12 +6,6 @@ def open_with_decorator(ctx, shares):  # oblint: secret-params=shares
     return reveal_vector(ctx, shares, label="out")  # noqa: F821 - fixture
 
 
-def open_with_marker(ctx, sv):
-    plain = sv.reconstruct()
-    # oblint: leaks=opened:result
-    return reveal_vector(ctx, plain, label="out")  # noqa: F821 - fixture
-
-
 def open_untainted(ctx, sizes):
     # revealing untainted (public) values is not a leakage event
     return reveal_vector(ctx, sizes, label="sizes")  # noqa: F821 - fixture

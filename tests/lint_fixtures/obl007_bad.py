@@ -11,8 +11,3 @@ def rotted_contract(ctx, x):
 @leaks("bogus:atom")  # noqa: F821 - fixture
 def unknown_atom(ctx, shares):
     return reveal_vector(ctx, shares, label="out")  # noqa: F821 - fixture
-
-
-def rotted_marker(ctx, x):
-    # oblint: leaks=support:result
-    return x * 2

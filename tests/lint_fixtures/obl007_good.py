@@ -12,12 +12,6 @@ def closure_witness(ctx, shares):
     return direct_witness(ctx, shares)
 
 
-def marker_witness(ctx, sv):
-    plain = sv.reconstruct()
-    # oblint: leaks=opened:result
-    return reveal_vector(ctx, plain, label="out")  # noqa: F821 - fixture
-
-
 def reveal_nonzero_flags(ctx, shares, label):
     # a sink-named primitive witnesses its own atom intrinsically
     # (the real one hides the reveal behind mode dispatch)

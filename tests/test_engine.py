@@ -289,7 +289,7 @@ def width_cases(ell):
 
     def psi(reveal):
         def run(eng):
-            n_bins = psi_bins(eng.ctx.params, len(alice))
+            n_bins = psi_bins(len(alice))
             fallbacks = rng.integers(1, mod, n_bins, np.uint64)
             r = psi_with_payloads(
                 eng.ctx, eng.ot, alice, bob, payloads, fallbacks,

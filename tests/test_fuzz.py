@@ -288,3 +288,50 @@ def test_leakage_audit_catches_an_under_reporting_audit(monkeypatch, backend):
     hidden = [f for f in failures if "dispatched=False" in f.detail]
     assert hidden and all(f.kind == "leakage" for f in failures)
     assert any("fold/R1->R4" in f.detail for f in hidden)
+
+
+def _disjoint_pair() -> QueryInstance:
+    """R1(a, x) at Alice and R2(b, y) at Bob, output ``(a, b)``: no
+    shared attribute, so both semijoins have scalar children."""
+    import numpy as np
+
+    from repro.mpc import ALICE, BOB
+    from repro.relalg import AnnotatedRelation, IntegerRing
+
+    rng = np.random.default_rng(2)
+    relations = {}
+    for name, attrs, n in [("R1", ("a", "x"), 10), ("R2", ("b", "y"), 6)]:
+        rows = [(int(u), int(v)) for u, v in rng.integers(0, 5, (n, 2))]
+        relations[name] = AnnotatedRelation(
+            attrs, rows, rng.integers(1, 9, n), IntegerRing(32)
+        )
+    return QueryInstance(
+        seed=(0, 0), relations=relations, owners={"R1": ALICE, "R2": BOB},
+        output=("a", "b"), ell=32,
+    )
+
+
+@pytest.mark.parametrize("backend", ["yannakakis", "linear"])
+def test_leakage_audit_catches_a_scalar_dispatching_predicate(
+    monkeypatch, backend
+):
+    """An audit predicate under which scalar children dispatch marks
+    both semijoins of the disjoint pair dispatched.  Under
+    ``yannakakis`` that summarises ``{}`` and under ``linear`` stays
+    inside its model, so only the transcript, which holds no PSI and
+    no DH-OPRF section at either node, shows it."""
+    import repro.exec.audit as audit
+    from repro.fuzz import audit_leakage
+
+    inst = _disjoint_pair()
+    assert audit_leakage(inst, backend=backend) == []
+    monkeypatch.setattr(
+        audit, "dispatched", lambda scalar, same_owner: not same_owner
+    )
+    failures = audit_leakage(inst, backend=backend)
+    assert len(failures) == 2 and all(
+        f.kind == "leakage"
+        and "dispatched=True" in f.detail
+        and "sent no cross-owner sections" in f.detail
+        for f in failures
+    )

@@ -6,12 +6,13 @@ Four layers:
   ``tests/lint_fixtures/`` flag (or stay silent) as documented;
 * framework tests — suppression accounting, SARIF output, git-diff
   scoping, and the full run over the real tree staying clean;
-* leakage-contract tests — the registry↔docs pin and the plan-level
-  audit of TPC-H Q3 under each back-end route;
+* leakage-contract tests — the registry↔docs pin, the plan-level
+  audit of TPC-H Q3 under each back-end route, and the import-time
+  check of the back-end dispatch table against the registry;
 * mutation tests — injecting a secret-dependent branch into a real
-  sharing gadget (OBL001), stripping the ``@leaks`` contract off the
-  linear join entry point (OBL006), and emptying the linear back-end's
-  registered contract on the real file set (OBL008); all must fire.
+  sharing gadget (OBL001) and stripping the ``@leaks`` contract off the
+  linear join entry point (OBL006) must fire; emptying the linear
+  back-end's registered contract must fail the dispatch-table check.
 
 Every rule's exact findings on the fixtures and on the mutated tree are
 pinned as data by ``tests/test_lint_golden.py``.
@@ -25,11 +26,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.leakage import BACKEND_CONTRACTS, leakage_table
+from repro.leakage import (
+    BACKEND_CONTRACTS,
+    check_backend_table,
+    leakage_table,
+)
 from repro.lint import all_rules, lint_sources, run_lint
 from repro.lint.project import parse_source
 from repro.lint.reporters import sarif_report
-from repro.lint.runner import discover_files, git_changed_files, load_sources
+from repro.lint.runner import git_changed_files
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
@@ -40,7 +45,6 @@ RULES = (
     "OBL004",
     "OBL006",
     "OBL007",
-    "OBL008",
 )
 
 
@@ -200,7 +204,7 @@ def test_repo_tree_is_lint_clean():
 
 def test_rule_catalogue_complete():
     codes = {r.code for r in all_rules()}
-    assert set(RULES) <= codes
+    assert set(RULES) == codes
 
 
 # ----------------------------------------------------------------------
@@ -251,32 +255,29 @@ def test_mutation_stripped_contract_is_caught():
     ), "stripped @leaks contract was not flagged"
 
 
-_LINEAR_CONTRACT = '"linear": frozenset({"join_pattern:parent"})'
-
-
 def test_mutation_emptied_backend_contract_is_caught():
-    """Emptying the linear back-end's registered contract must trip
-    OBL008 at ``core/semijoin.py``'s linear dispatch, on the real
-    ``src/`` file set — where ``BACKEND_CONTRACTS`` is an annotated
-    assignment."""
-    sources, _ = load_sources(
-        discover_files([str(REPO_ROOT / "src")]), root=REPO_ROOT
-    )
-    before, _ = lint_sources(sources, select=["OBL008"])
-    assert before == [], "pristine tree must be OBL008-clean"
+    """Emptying the linear back-end's registered contract must fail the
+    check ``repro.core`` runs on its dispatch table at import: the
+    linear implementation's ``@leaks`` then exceeds it."""
+    from repro.core.semijoin import CROSS_OWNER
 
-    (i,) = [
-        i for i, s in enumerate(sources) if s.path == "src/repro/leakage.py"
-    ]
-    pristine = sources[i].text
-    assert pristine.count(_LINEAR_CONTRACT) == 1, "contract anchor moved"
-    mutant_text = pristine.replace(_LINEAR_CONTRACT, '"linear": frozenset()')
-    sources[i] = parse_source(sources[i].path, mutant_text)
-    after, _ = lint_sources(sources, select=["OBL008"])
-    assert [(v.rule, v.path) for v in after] == [
-        ("OBL008", "src/repro/core/semijoin.py")
-    ], "emptied back-end contract was not flagged"
-    assert "linear_cross_owner_payloads" in after[0].snippet
+    check_backend_table(CROSS_OWNER, BACKEND_CONTRACTS)
+    emptied = {**BACKEND_CONTRACTS, "linear": frozenset()}
+    with pytest.raises(ValueError, match="linear_cross_owner_payloads"):
+        check_backend_table(CROSS_OWNER, emptied)
+
+
+def test_dispatch_table_keys_must_equal_the_registry():
+    """A table key with no contract, or a contract with no table
+    entry, fails the import-time check."""
+    from repro.core.semijoin import CROSS_OWNER
+
+    extra = {**CROSS_OWNER, "mystery": CROSS_OWNER["yannakakis"]}
+    with pytest.raises(ValueError, match="implements.*'mystery'"):
+        check_backend_table(extra, BACKEND_CONTRACTS)
+    missing = {"yannakakis": CROSS_OWNER["yannakakis"]}
+    with pytest.raises(ValueError, match=r"implements \['yannakakis'\]"):
+        check_backend_table(missing, BACKEND_CONTRACTS)
 
 
 # ----------------------------------------------------------------------

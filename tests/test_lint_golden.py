@@ -2,7 +2,7 @@
 
 ``repro lint``'s findings are pinned as data: every entry of
 ``tests/golden/lint_findings.json`` lists the ``(rule, path, line, col,
-message)`` findings of one lint run under all seven rules, and each run
+message)`` findings of one lint run under all six rules, and each run
 below must reproduce its entry exactly.
 
 The runs are every file of ``tests/lint_fixtures/`` (linted as a module
@@ -49,13 +49,6 @@ MUTATIONS = {
         "repro/mpc/sharing.py",
         '@leaks("opened:result")\ndef reveal_vector',
         '@leaks("opened:result", "support:result")\ndef reveal_vector',
-    ),
-    # OBL008: the linear back-end's registered contract is emptied, so
-    # its dispatch branch calls an implementation that exceeds it.
-    "linear_contract_emptied": (
-        "repro/leakage.py",
-        '"linear": frozenset({"join_pattern:parent"})',
-        '"linear": frozenset()',
     ),
 }
 

@@ -220,7 +220,7 @@ def test_real_payloads_match_plaintext_at_every_ring_width(ell):
         prints.append(ctx.transcript.fingerprint())
     assert prints[0] == prints[1]
     (hints,) = [n for _, n, label in prints[0] if label.endswith("hints")]
-    fp_bits = costs.psi_token_bits(costs.psi_bins(ctx.params, 10), 40)
+    fp_bits = costs.psi_token_bits(costs.psi_bins(10), 40)
     assert hints == costs.opprf_hint_bytes(ctx.params, len(bob), fp_bits)
     # 24 entries: 3 thirds of ceil(1.3 * 24 / 3) = 11 slots, then the
     # dense part, one slot past sigma at this size (E = 1.5)

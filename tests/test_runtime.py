@@ -346,12 +346,6 @@ def test_session_framing_is_accounting_neutral(workload, n_messages):
     assert t.rounds == p.rounds
 
 
-def test_meter_overhead_can_be_disabled():
-    ctx, session = _session([], meter_overhead=False)
-    _exchange(ctx, session)
-    assert ctx.transcript.total_bytes == 16 + 16 + 8
-
-
 def test_transcript_rollback():
     ctx = Context(Mode.SIMULATED, SecurityParams(ell=32), seed=1)
     ctx.send(ALICE, 16, "keep")

@@ -122,19 +122,35 @@ class TestContext:
 class TestSecurityParams:
     def test_defaults_match_paper(self):
         from repro.mpc import DEFAULT_PARAMS
+        from repro.mpc.params import (
+            CUCKOO_EXPANSION,
+            CUCKOO_HASHES,
+            KAPPA,
+            SIGMA,
+        )
 
-        assert DEFAULT_PARAMS.kappa == 128
-        assert DEFAULT_PARAMS.sigma == 40
+        assert KAPPA == 128
+        assert SIGMA == 40
         assert DEFAULT_PARAMS.ell == 32
-        assert DEFAULT_PARAMS.cuckoo_expansion == 1.27
-        assert DEFAULT_PARAMS.cuckoo_hashes == 3
+        assert CUCKOO_EXPANSION == 1.27
+        assert CUCKOO_HASHES == 3
+
+    def test_ring_width_is_the_only_setting(self):
+        # kappa, sigma and the cuckoo shape are fixed by the wire
+        # formats; a SecurityParams that varied them could never be run.
+        import dataclasses
+
+        from repro.mpc import SecurityParams
+
+        assert [f.name for f in dataclasses.fields(SecurityParams)] == ["ell"]
+        with pytest.raises(TypeError):
+            SecurityParams(kappa=256)  # type: ignore[call-arg]
 
     def test_derived_properties(self):
         from repro.mpc import SecurityParams
 
         p = SecurityParams(ell=48)
         assert p.modulus == 2**48
-        assert p.label_bytes == 16
 
     def test_params_frozen(self):
         import dataclasses
