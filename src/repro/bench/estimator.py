@@ -52,7 +52,7 @@ from ..exec.ir import (
     RevealStep,
     Step,
 )
-from ..leakage import BACKENDS
+from ..leakage import BACKENDS, check_backend_keys
 from ..mpc import costs, gadgets
 from ..mpc.context import ALICE, BOB, Mode
 from ..mpc.costs import Widths
@@ -144,7 +144,7 @@ class _Meter:
         finally:
             self.roles_swapped = not self.roles_swapped
 
-    def send(self, sender: str, n_bytes: int, label: str = "") -> None:
+    def send(self, sender: str, n_bytes: int, label: str) -> None:
         if self.roles_swapped:
             sender = BOB if sender == ALICE else ALICE
         self.total += int(n_bytes)
@@ -216,9 +216,9 @@ class _Estimator:
         for i in range(n_cross_terms):
             self.ot_batch(costs.gilboa_widths(self.p.ell, n), bool(i % 2))
 
-    def share(self, sender: str, n: int) -> None:
+    def share(self, sender: str, n: int, label: str) -> None:
         """One message of ``n`` ring elements: a sharing or a reveal."""
-        self.meter.send(sender, costs.share_bytes(self.p.ell, n))
+        self.meter.send(sender, costs.share_bytes(self.p.ell, n), label)
 
     def psi(self, m: int, n: int, shared_payload: bool) -> int:
         """One circuit PSI; returns its bin count."""
@@ -228,7 +228,7 @@ class _Estimator:
             # runs first; the one onto the bins follows it.
             with self.meter.swapped_roles():
                 self.oep(n + b, n + b)
-        self.meter.send(ALICE, costs.psi_seed_bytes(CUCKOO_HASHES))
+        self.meter.send(ALICE, costs.psi_seed_bytes(CUCKOO_HASHES), "seeds")
         charge_oprf_setup(self.meter, self.ot, b)
         fp_bits = costs.psi_token_bits(b, SIGMA)
         charge_opprf(self.meter, n, fp_bits)
@@ -279,7 +279,6 @@ class _Estimator:
         orientation."""
         parent_n, child_n = shape.parent_n, shape.child_n
         same_owner, child_plain = shape.same_owner, shape.child_plain
-        ell = self.p.ell
         if same_owner and child_plain and shape.parent_plain:
             return  # fully local
         if not dispatched(shape.scalar, same_owner):
@@ -287,24 +286,41 @@ class _Estimator:
             # summed, with no alignment; a same-owner one is OEP-aligned
             # by its owner.
             if child_plain:  # the child owner shares it
-                self.share(ALICE if same_owner else BOB, child_n)
+                self.share(ALICE if same_owner else BOB, child_n, "share")
             if not shape.scalar:
                 self.oep(child_n + 1, parent_n)
-        elif backend == "linear":
-            # DH-OPRF matching, then the child payloads in token order.
-            charge_dh_oprf(self.meter, parent_n, child_n)
-            if child_n > 0:
-                if child_plain:
-                    self.share(BOB, child_n)
-                else:  # the child owner's permutation
-                    self.ot_batch(
-                        costs.permutation_widths(ell, child_n), reverse=True
-                    )
-            self.oep(child_n + 1, parent_n)
         else:
-            b = self.psi(parent_n, child_n, shared_payload=not child_plain)
-            self.oep(b, parent_n)
+            CROSS_OWNER_PRICE[backend](self, shape)
         self.gilboa(parent_n, n_cross_terms=1 if shape.parent_plain else 2)
+
+    def _psi_payloads(self, shape: NodeShape) -> None:
+        """The paper's PSI, then the OEP onto the parent's rows."""
+        b = self.psi(shape.parent_n, shape.child_n, not shape.child_plain)
+        self.oep(b, shape.parent_n)
+
+    def _linear_payloads(self, shape: NodeShape) -> None:
+        """DH-OPRF matching, then the child payloads in token order."""
+        child_n = shape.child_n
+        charge_dh_oprf(self.meter, shape.parent_n, child_n)
+        if child_n > 0:
+            if shape.child_plain:
+                self.share(BOB, child_n, "payload")
+            else:  # the child owner's permutation
+                self.ot_batch(
+                    costs.permutation_widths(self.p.ell, child_n),
+                    reverse=True,
+                )
+        self.oep(child_n + 1, shape.parent_n)
+
+
+#: The price of each back-end's cross-owner reduce-join, keyed like
+#: :data:`repro.core.semijoin.CROSS_OWNER` and checked against the same
+#: registry on import.
+CROSS_OWNER_PRICE: Dict[str, Callable[[_Estimator, NodeShape], None]] = {
+    "yannakakis": _Estimator._psi_payloads,
+    "linear": _Estimator._linear_payloads,
+}
+check_backend_keys(CROSS_OWNER_PRICE, what="the estimator's price table")
 
 
 def estimate_node_bytes(
@@ -385,7 +401,7 @@ def estimate_plan_cost(
         elif isinstance(step, RevealStep):
             name = step.relation
             if plain[name]:
-                e.share(owners[name], sizes[name])
+                e.share(owners[name], sizes[name], "share")
             # reveal circuits: the indicator, and for a Bob-owned
             # relation his tuples disclosed under it (no gate).  Payload
             # width is data-dependent; callers wanting exactness supply
@@ -398,13 +414,13 @@ def estimate_plan_cost(
             reveal = gadgets.reveal_tuple_circuit(ell, pbits)
             e.garbled(costs.circuit_counts(reveal), sizes[name])
         elif isinstance(step, JoinStep):
-            e.meter.send(ALICE, costs.OUT_SIZE_BYTES)  # |J*| to Bob
+            e.meter.send(ALICE, costs.OUT_SIZE_BYTES, "out_size")  # |J*|
         elif isinstance(step, AlignStep) and out_size:
             e.oep(sizes[step.relation] + 1, out_size)
         elif isinstance(step, ProductStep) and out_size:
             e.gilboa(out_size, n_cross_terms=2 * (len(step.relations) - 1))
         elif isinstance(step, RevealResultStep):
-            e.share(BOB, out_size)  # the result, revealed to Alice
+            e.share(BOB, out_size, "result")  # revealed to Alice
     m = e.meter
     return CostEstimate(m.total, m.messages, m.rounds)
 

@@ -16,7 +16,7 @@ from typing import Any, Callable, Sequence, Union
 
 import numpy as np
 
-from ..leakage import leaks
+from ..leakage import reveals
 from ..mpc.context import ALICE, BOB, Context
 from ..mpc.cuckoo import Items
 from ..mpc.dhoprf import DhOprfMatch, dh_oprf_match
@@ -141,7 +141,7 @@ class OrientedEngine:
             res.payload = self._out(res.payload)
         return res
 
-    @leaks("join_pattern:parent")
+    @reveals("join_pattern:parent")
     def dh_oprf_match(
         self,
         owner_items: Items,

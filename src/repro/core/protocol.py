@@ -65,7 +65,7 @@ class ProtocolStats:
         window = ctx.transcript.messages[start_msgs:]
         by_phase: Dict[str, int] = {}
         for m in window:
-            key = m.label.split("/")[0] if m.label else ""
+            key = m.label.split("/")[0]
             by_phase[key] = by_phase.get(key, 0) + m.n_bytes
         return cls(
             seconds=seconds,

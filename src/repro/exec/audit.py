@@ -1,6 +1,6 @@
 """Plan-level leakage audit.
 
-The code-level contract rules (OBL006, OBL007) pin what each primitive
+The run-time contracts (:mod:`repro.leakage`) hold what each primitive
 *may* leak; this module answers the composition question for one
 concrete plan: given the per-node ``backend`` assignments a routed
 :class:`~repro.exec.ir.ExecPlan` carries, what does the *whole plan*

@@ -46,6 +46,7 @@ from ..core.join import (
 )
 from ..core.relation import SecureRelation
 from ..core.semijoin import oblivious_reduce_join, oblivious_semijoin
+from ..leakage import leaks
 from .ir import (
     AggregateStep,
     AlignStep,
@@ -73,6 +74,7 @@ class Scheduler:
         self.engine = engine
         self.trace = getattr(engine, "tracer", None)
 
+    @leaks()
     def run(
         self,
         plan: ExecPlan,
@@ -96,7 +98,12 @@ class Scheduler:
         checkpoint (``repro net --resume``): pass the revived slot
         environment and the checkpointed step id, and execution skips
         every step before ``start_at``, resuming at the checkpointed
-        node itself."""
+        node itself.
+
+        The run is a leakage scope whose own contract is empty
+        (:func:`repro.leakage.leaks`): every reveal it reaches must sit
+        under an operator that declares it, or it raises
+        :class:`~repro.leakage.UndeclaredLeakage`."""
         ctx = self.engine.ctx
         supervisor = self._make_supervisor()
         # Cooperative re-entrancy: a serving layer may interleave many

@@ -1,4 +1,5 @@
-"""The leakage-atom registry and declared-leakage contracts.
+"""The leakage-atom registry and declared-leakage contracts, checked
+while a plan runs.
 
 The paper's security argument is compositional: every oblivious phase
 leaks nothing beyond declared public sizes, so the pipeline as a whole
@@ -6,24 +7,29 @@ leaks nothing.  Since the DH-OPRF linear join landed (docs/BACKENDS.md)
 that statement is *conditional on routing* — the linear back-end
 deliberately reveals a PRF-pseudonymised join pattern to the parent
 owner.  This module is the single machine-readable source of truth for
-what each primitive and back-end is *allowed* to leak:
+what each primitive and back-end is *allowed* to leak, and the check
+that holds the running code to it:
 
 * :data:`ATOMS` — the closed vocabulary of leakage atoms.  A contract
-  may only ever name atoms from this dict; :func:`leaks` raises at
-  import time otherwise, and the lint rules (OBL006, OBL007) reject
-  unknown atoms statically.
-* :func:`leaks` — the contract decorator every function that reveals
-  protocol data carries (``@leaks("join_pattern:parent")``).
-* :data:`SINK_ATOMS` — which callee names *materialise* plaintext, and
-  which atom each one witnesses.  The lint taint engine treats a call
-  to one of these on tainted data as a leakage event that must be
-  covered by the enclosing function's contract (OBL006).
+  may only ever name atoms from this dict; :func:`leaks` and
+  :func:`reveals` raise at import time otherwise.
+* :func:`leaks` — the contract decorator (``@leaks("join_pattern:parent")``).
+  While the function runs it is the innermost *scope*: its atoms are
+  the contract every sink it reaches is checked against.
+  :meth:`repro.exec.scheduler.Scheduler.run` is ``@leaks()``, so every
+  plan run is a scope whose own contract is empty.
+* :func:`reveals` — the one-atom decorator of the *sink* primitives,
+  the calls that materialise plaintext from protocol state.  A sink
+  raises :class:`UndeclaredLeakage` when a scope is active and its
+  contract does not declare the sink's atom.  Outside any scope (a
+  unit test or a benchmark calling a primitive directly) a sink is
+  unchecked.  The decorator is the sink registry.
 * :data:`BACKEND_CONTRACTS` — the per-back-end leakage summary the
   plan-level audit composes (:mod:`repro.exec.audit`).
   :func:`check_backend_table` holds the cross-owner dispatch table of
   :mod:`repro.core.semijoin` to it when :mod:`repro.core` is imported:
-  one implementation per registered back-end, none declaring more
-  than its back-end's contract.
+  one implementation per registered back-end, each declaring exactly
+  its back-end's contract.
 * :data:`BACKENDS` — the one back-end registry, ``BACKEND_CONTRACTS``'s
   keys in order.  The operator dispatch, the cost estimator, the
   routing policies, the fuzzer and the CLI derive their back-end sets
@@ -38,17 +44,30 @@ doc ↔ registry agreement.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Mapping, Tuple, TypeVar
+import functools
+from contextvars import ContextVar
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Mapping,
+    Optional,
+    Tuple,
+    TypeVar,
+    cast,
+)
 
 __all__ = [
     "ATOMS",
     "BASELINE_ATOMS",
     "BACKEND_CONTRACTS",
     "BACKENDS",
-    "SINK_ATOMS",
-    "UNCONDITIONAL_SINKS",
+    "UndeclaredLeakage",
+    "check_backend_keys",
     "check_backend_table",
     "leaks",
+    "reveals",
     "declared_leakage",
     "leakage_table",
 ]
@@ -94,53 +113,106 @@ BACKEND_CONTRACTS: Dict[str, FrozenSet[str]] = {
 #: the CLI — derives from this one.
 BACKENDS: Tuple[str, ...] = tuple(BACKEND_CONTRACTS)
 
-#: Callee names that materialise plaintext from protocol state, and
-#: the atom each call witnesses.  The lint rules flag a call to one of
-#: these with *tainted* arguments unless the enclosing function's
-#: contract declares the atom (OBL006).
-SINK_ATOMS: Dict[str, str] = {
-    "reveal": "opened:result",
-    "reveal_vector": "opened:result",
-    "reconstruct_column": "opened:result",
-    "divide_reveal": "opened:result",
-    "reveal_nonzero_flags": "support:result",
-    "dh_oprf_match": "join_pattern:parent",
-}
-
-#: Sinks that leak *by construction*, independent of argument taint:
-#: ``dh_oprf_match`` reveals the match pattern to the parent owner even
-#: though its inputs are each owner's own plaintext keys.
-UNCONDITIONAL_SINKS: FrozenSet[str] = frozenset({"dh_oprf_match"})
-
 _F = TypeVar("_F", bound=Callable[..., object])
 
+#: The contract of the innermost active :func:`leaks` scope; ``None``
+#: outside every scope.
+_SCOPE: ContextVar[Optional[FrozenSet[str]]] = ContextVar(
+    "leakage_scope", default=None
+)
 
-def leaks(*atoms: str) -> Callable[[_F], _F]:
-    """Declare a function's leakage contract.
 
-    ``@leaks("join_pattern:parent")`` records that calling the function
-    may reveal that atom (and nothing else beyond the contracts of its
-    callees).  Unknown atoms fail fast at import time; the lint rules
-    additionally verify the contract against the function body
-    (OBL006/OBL007).
-    """
+class UndeclaredLeakage(RuntimeError):
+    """A sink revealed an atom its innermost active contract does not
+    declare: the running code leaks more than it says."""
+
+
+def _known(atoms: Tuple[str, ...]) -> FrozenSet[str]:
     unknown = [a for a in atoms if a not in ATOMS]
     if unknown:
         raise ValueError(
             f"unknown leakage atom(s) {unknown}; the vocabulary is "
             f"{sorted(ATOMS)} (repro.leakage.ATOMS)"
         )
+    return frozenset(atoms)
 
-    def mark(fn: _F) -> _F:
-        fn.__leakage__ = frozenset(atoms)  # type: ignore[attr-defined]
-        return fn
 
-    return mark
+def _declare(fn: Callable[..., Any], atoms: FrozenSet[str]) -> None:
+    fn.__leakage__ = atoms  # type: ignore[attr-defined]
+
+
+def leaks(*atoms: str) -> Callable[[_F], _F]:
+    """Declare a function's leakage contract and make it a scope.
+
+    ``@leaks("join_pattern:parent")`` records that calling the function
+    may reveal that atom and nothing else: while it runs, every sink
+    (:func:`reveals`) it reaches is checked against these atoms, until
+    a nested ``@leaks`` function opens an inner scope of its own.
+    Unknown atoms fail fast at import time.
+    """
+    contract = _known(atoms)
+
+    def wrap(fn: _F) -> _F:
+        @functools.wraps(fn)
+        def scoped(*args: Any, **kwargs: Any) -> Any:
+            token = _SCOPE.set(contract)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                _SCOPE.reset(token)
+
+        _declare(scoped, contract)
+        return cast(_F, scoped)
+
+    return wrap
+
+
+def reveals(atom: str) -> Callable[[_F], _F]:
+    """Mark a sink primitive: calling it reveals ``atom``.
+
+    Inside a :func:`leaks` scope whose contract lacks ``atom`` the call
+    raises :class:`UndeclaredLeakage` before anything is sent; outside
+    every scope it is unchecked.
+    """
+    declared = _known((atom,))
+
+    def wrap(fn: _F) -> _F:
+        @functools.wraps(fn)
+        def sink(*args: Any, **kwargs: Any) -> Any:
+            contract = _SCOPE.get()
+            if contract is not None and atom not in contract:
+                raise UndeclaredLeakage(
+                    f"{fn.__qualname__}() reveals '{atom}' inside a "
+                    f"scope whose contract is {sorted(contract)}; "
+                    "declare it with @leaks(...) on the caller"
+                )
+            return fn(*args, **kwargs)
+
+        _declare(sink, declared)
+        return cast(_F, sink)
+
+    return wrap
 
 
 def declared_leakage(fn: object) -> FrozenSet[str]:
-    """The contract attached by :func:`leaks` (empty if undeclared)."""
+    """The contract attached by :func:`leaks` or :func:`reveals`
+    (empty if undeclared)."""
     return getattr(fn, "__leakage__", frozenset())
+
+
+def check_backend_keys(
+    table: Mapping[str, object],
+    contracts: Mapping[str, FrozenSet[str]] = BACKEND_CONTRACTS,
+    what: str = "the dispatch table",
+) -> None:
+    """Raise unless ``table`` has one entry per registered back-end:
+    a back-end cannot be added to a per-back-end table, or to the
+    registry, without the other."""
+    if set(table) != set(contracts):
+        raise ValueError(
+            f"{what} implements {sorted(table)}, but "
+            f"BACKEND_CONTRACTS registers {sorted(contracts)}"
+        )
 
 
 def check_backend_table(
@@ -148,21 +220,19 @@ def check_backend_table(
     contracts: Mapping[str, FrozenSet[str]] = BACKEND_CONTRACTS,
 ) -> None:
     """Raise unless ``table`` holds one implementation per registered
-    back-end and each declares (:func:`declared_leakage`) nothing
-    beyond its back-end's contract — so a back-end cannot be added, or
-    an implementation widened, without the registry saying so."""
-    if set(table) != set(contracts):
-        raise ValueError(
-            f"the dispatch table implements {sorted(table)}, but "
-            f"BACKEND_CONTRACTS registers {sorted(contracts)}"
-        )
+    back-end and each declares (:func:`declared_leakage`) exactly its
+    back-end's contract — so a back-end cannot be added, or an
+    implementation widened or left undeclared, without the registry
+    saying so."""
+    check_backend_keys(table, contracts)
     for backend, impl in table.items():
-        excess = sorted(declared_leakage(impl) - contracts[backend])
-        if excess:
+        declared = declared_leakage(impl)
+        if declared != contracts[backend]:
             raise ValueError(
                 f"back-end {backend!r}'s implementation "
-                f"{getattr(impl, '__name__', impl)}() declares {excess} "
-                f"beyond its contract {sorted(contracts[backend])}"
+                f"{getattr(impl, '__name__', impl)}() declares "
+                f"{sorted(declared)}, but its contract is "
+                f"{sorted(contracts[backend])}"
             )
 
 

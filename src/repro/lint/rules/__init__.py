@@ -1,8 +1,3 @@
 """Rule implementations — importing this package registers them all."""
 
-from . import (  # noqa: F401
-    determinism,
-    leakage_rules,
-    randomness,
-    taint_rules,
-)
+from . import determinism, randomness, taint_rules  # noqa: F401

@@ -61,10 +61,9 @@ def git_changed_files(
 ) -> List[Path]:
     """``.py`` files changed vs HEAD (staged + unstaged + untracked).
 
-    The pre-commit fast path: lint only what this commit touches
-    (``cmd_lint`` still feeds the full tree in as cross-file
-    *context*, so OBL007 and the interprocedural taint resolve
-    correctly); CI remains the authoritative full-tree run.
+    The pre-commit fast path: lint only what this commit touches.
+    Every rule reads one file, so a changed file needs no other file
+    as context; CI remains the authoritative full-tree run.
 
     ``runner`` is injectable for tests; it receives an argv list and
     returns the command's stdout.
@@ -128,24 +127,14 @@ def lint_sources(
     sources: List[SourceFile],
     extra_violations: Sequence[Violation] = (),
     select: Optional[Sequence[str]] = None,
-    context: Optional[Sequence[SourceFile]] = None,
 ) -> Tuple[List[Violation], int]:
     """Run every (selected) rule; returns (violations, n_suppressed).
 
     Inline ``# oblint: disable`` directives are honoured here; a
     suppression without a justification is converted into an OBL000
     finding so silencing a rule always costs an explicit reason.
-
-    ``context`` adds files to the cross-file project index (call
-    graph, label parity, contract registry) *without* linting them —
-    the ``--changed`` fast path lints only a commit's files but still
-    resolves against the whole tree.
     """
-    project_sources = list(sources)
-    if context:
-        have = {s.path for s in project_sources}
-        project_sources += [s for s in context if s.path not in have]
-    project = Project(project_sources)
+    project = Project(list(sources))
     rules = all_rules()
     if select:
         wanted = set(select)
@@ -190,23 +179,12 @@ def run_lint(
     paths: Sequence[str],
     select: Optional[Sequence[str]] = None,
     root: Optional[Path] = None,
-    context_paths: Optional[Sequence[str]] = None,
 ) -> LintResult:
-    """The full pipeline over ``paths``; see module docstring.
-
-    ``context_paths`` feed the cross-file index without being linted
-    (see :func:`lint_sources`).
-    """
+    """The full pipeline over ``paths``; see module docstring."""
     files = discover_files(paths)
     sources, parse_errors = load_sources(files, root=root)
-    context: Optional[List[SourceFile]] = None
-    if context_paths:
-        context, _ = load_sources(
-            discover_files(context_paths), root=root
-        )
     violations, suppressed = lint_sources(
-        sources, extra_violations=parse_errors, select=select,
-        context=context,
+        sources, extra_violations=parse_errors, select=select
     )
     return LintResult(
         violations=violations,
@@ -286,18 +264,13 @@ def cmd_lint(args) -> int:
         else None
     )
     paths = args.paths
-    context_paths: Optional[List[str]] = None
     if args.changed:
         changed = git_changed_files()
         if not changed:
             print("0 violations (no changed .py files)")
             return 0
-        # Lint only the commit's files, but resolve cross-file rules
-        # (label parity, call graph, contract registry) against the
-        # full tree they will be merged into.
-        context_paths = list(args.paths)
         paths = [str(p) for p in changed]
-    result = run_lint(paths, select=select, context_paths=context_paths)
+    result = run_lint(paths, select=select)
     if args.format == "json":
         print(json_report(result, rules))
     elif args.format == "sarif":

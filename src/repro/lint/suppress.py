@@ -12,7 +12,7 @@ Four directive forms, all parsed from end-of-line (or own-line) comments:
   docstring line or first statement)
 
 A leakage contract is not a directive: it is the
-``@repro.leakage.leaks(...)`` decorator (:mod:`repro.lint.contracts`).
+``@repro.leakage.leaks(...)`` decorator, checked at run time.
 
 An own-line directive applies to the *next* code line, so long
 statements can carry a readable suppression above them.

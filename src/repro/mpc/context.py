@@ -49,7 +49,7 @@ class Channel(Protocol):
     real socket transport).  Channels meter message *metadata*; no
     payload ever crosses this interface."""
 
-    def send(self, sender: str, n_bytes: int, label: str = "") -> None:
+    def send(self, sender: str, n_bytes: int, label: str) -> None:
         """Record/deliver one logical message of ``n_bytes``."""
         ...  # pragma: no cover - protocol stub
 
@@ -81,7 +81,7 @@ class Meter(Protocol):
 
     def swapped_roles(self) -> ContextManager[None]: ...
 
-    def send(self, sender: str, n_bytes: int, label: str = "") -> None: ...
+    def send(self, sender: str, n_bytes: int, label: str) -> None: ...
 
     def section(self, label: str) -> ContextManager[None]: ...
 
@@ -109,7 +109,7 @@ class Checked:
             None if payloads is None else list(payloads)
         )
 
-    def send(self, sender: str, n_bytes: int, label: str = "") -> None:
+    def send(self, sender: str, n_bytes: int, label: str) -> None:
         if self._payloads is not None:
             payload = self._payloads.pop(0) if self._payloads else None
             if payload != n_bytes:
@@ -187,7 +187,7 @@ class Context:
         self._tweak_batch = n + 1
         return n
 
-    def send(self, sender: str, n_bytes: int, label: str = "") -> None:
+    def send(self, sender: str, n_bytes: int, label: str) -> None:
         if self._roles_swapped:
             sender = other_party(sender)
         self._channel.send(sender, n_bytes, label)

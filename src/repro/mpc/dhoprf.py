@@ -54,7 +54,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..leakage import leaks
+from ..leakage import reveals
 from . import p256
 from .batch import aes_prp, sorted_lookup
 from .context import ALICE, BOB, Checked, Context, Meter, Mode
@@ -85,7 +85,7 @@ def _token(x: bytes) -> bytes:
     return hashlib.sha256(_H2_SALT + x).digest()[:DH_TOKEN_BYTES]
 
 
-@leaks("join_pattern:parent")
+@reveals("join_pattern:parent")
 def dh_oprf_match(
     ctx: Context,
     alice_items: Items,

@@ -21,7 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 import numpy as np
 
-from ..leakage import leaks
+from ..leakage import reveals
 from . import gadgets
 from .batch import bits_to_words, words_to_bits, words_to_le_bytes
 from .batch import le_bytes_to_words
@@ -113,7 +113,7 @@ class Engine:
         col = as_ring_column(column, self.ctx.modulus)
         return share_vector(self.ctx, owner, col, label)
 
-    @leaks("opened:result")
+    @reveals("opened:result")
     def reconstruct_column(
         self, sv: SharedVector, to: str = ALICE, label: str = "reveal"
     ) -> np.ndarray:
@@ -406,7 +406,7 @@ class Engine:
                 acc = self.mul_shared(acc, f, label=f"mul{i}")
         return acc
 
-    @leaks("support:result")
+    @reveals("support:result")
     def reveal_nonzero_flags(
         self,
         v: SharedVector,
@@ -451,7 +451,7 @@ class Engine:
 
     # -- division (query composition, Section 7) ----------------------------
 
-    @leaks("opened:result")
+    @reveals("opened:result")
     def divide_reveal(self, x: SharedVector, y: SharedVector,
                       label: str = "div") -> np.ndarray:
         """``x_i // y_i`` revealed to Alice (the final step of an

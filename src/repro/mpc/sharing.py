@@ -18,7 +18,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from ..leakage import leaks
+from ..leakage import reveals
 from .context import ALICE, Context
 from .costs import share_bytes
 from .transcript import other_party
@@ -225,7 +225,7 @@ def share_vector(
     return SharedVector(complement, own, ctx.modulus)
 
 
-@leaks("opened:result")
+@reveals("opened:result")
 def reveal_vector(
     ctx: Context, sv: SharedVector, to: str, label: str = "reveal"
 ) -> np.ndarray:

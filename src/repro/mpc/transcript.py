@@ -75,13 +75,17 @@ class Transcript:
 
     # -- recording ------------------------------------------------------
 
-    def send(self, sender: str, n_bytes: int, label: str = "") -> None:
-        """Record ``n_bytes`` sent by ``sender``."""
+    def send(self, sender: str, n_bytes: int, label: str) -> None:
+        """Record ``n_bytes`` sent by ``sender`` under ``label``, which
+        must be non-empty: every message is attributable to a protocol
+        section."""
         if sender not in (ALICE, BOB):
             raise ValueError(f"unknown party {sender!r}")
         if n_bytes < 0:
             raise ValueError("cannot send a negative number of bytes")
-        full = "/".join(self._labels + ([label] if label else []))
+        if not label:
+            raise ValueError("every message needs a non-empty label")
+        full = "/".join(self._labels + [label])
         self.messages.append(Message(sender, int(n_bytes), full))
         if sender != self._last_sender:
             self._rounds += 1
@@ -136,7 +140,7 @@ class Transcript:
         message's section path."""
         out: Dict[str, int] = {}
         for m in self.messages:
-            key = "/".join(m.label.split("/")[:depth]) if m.label else ""
+            key = "/".join(m.label.split("/")[:depth])
             out[key] = out.get(key, 0) + m.n_bytes
         return out
 
@@ -147,7 +151,7 @@ class Transcript:
         rounds: Dict[str, int] = {}
         last: Dict[str, str] = {}
         for m in self.messages:
-            key = "/".join(m.label.split("/")[:depth]) if m.label else ""
+            key = "/".join(m.label.split("/")[:depth])
             if m.sender != last.get(key):
                 rounds[key] = rounds.get(key, 0) + 1
                 last[key] = m.sender
@@ -173,7 +177,7 @@ class Transcript:
         for key, b in sorted(
             self.bytes_by_section().items(), key=lambda kv: -kv[1]
         ):
-            lines.append(f"  {key or '(unlabelled)'}: {b:,} bytes")
+            lines.append(f"  {key}: {b:,} bytes")
         return "\n".join(lines)
 
     def to_json(self) -> dict:

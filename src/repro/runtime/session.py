@@ -111,7 +111,7 @@ class Session:
         held and re-sent frames)."""
         return self._wire_index
 
-    def send(self, sender: str, n_bytes: int, label: str = "") -> None:
+    def send(self, sender: str, n_bytes: int, label: str) -> None:
         """Frame and deliver one logical message, applying at most one
         injected fault keyed on the monotone wire index."""
         seq = self._seq[sender]

@@ -22,8 +22,3 @@ def index_by_correction(ctx, ot, table, sv, m1):
     cot = ot.correlated(sv.alice & 1, [(len(sv), 4)])  # tainted choices
     recv = cot.finish([m1])[0]
     return table[recv[0, 0]]  # secret-dependent memory access
-
-
-def send_length_from_correction(ctx, ot, choices, m1):
-    got = ot.correlated(choices, [(len(choices), 4)]).finish([m1])
-    ctx.send("bob", int(got[0].sum()), "leaky")  # length leaks the message

@@ -327,6 +327,21 @@ class TestOneCostModel:
         ]
         assert offenders == []
 
+    def test_every_backend_has_a_price(self):
+        """A cross-owner node is priced by its back-end's entry of one
+        table, held to the back-end registry like the dispatch table:
+        a registered back-end with no price fails."""
+        from repro.bench.estimator import CROSS_OWNER_PRICE
+        from repro.core.semijoin import CROSS_OWNER
+        from repro.leakage import BACKEND_CONTRACTS, check_backend_keys
+
+        assert set(CROSS_OWNER_PRICE) == set(CROSS_OWNER)
+        extra = {**BACKEND_CONTRACTS, "mystery": frozenset()}
+        with pytest.raises(ValueError, match="registers.*'mystery'"):
+            check_backend_keys(CROSS_OWNER_PRICE, extra)
+        source = (SRC / "bench" / "estimator.py").read_text()
+        assert '== "linear"' not in source
+
 
 class TestBreakdown:
     def test_estimate_scales_linearly(self):

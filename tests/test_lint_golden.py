@@ -2,13 +2,13 @@
 
 ``repro lint``'s findings are pinned as data: every entry of
 ``tests/golden/lint_findings.json`` lists the ``(rule, path, line, col,
-message)`` findings of one lint run under all six rules, and each run
+message)`` findings of one lint run under all three rules, and each run
 below must reproduce its entry exactly.
 
 The runs are every file of ``tests/lint_fixtures/`` (linted as a module
 under ``repro/mpc``), the real ``src/`` tree as committed, and the tree
-under each mutation of :data:`MUTATIONS` — one injected defect per rule
-family, applied to one real file.
+under each mutation of :data:`MUTATIONS` — an injected defect applied
+to one real file.
 
 After a *deliberate* change to a rule, print the diff and rewrite the
 file with::
@@ -37,18 +37,6 @@ MUTATIONS = {
         "    sender = other_party(to)\n"
         "    if sv.reconstruct()[0] > 0:  # MUTATION: secret-dependent\n"
         '        label = label + "/nz"\n',
-    ),
-    # OBL006: the linear join entry point loses its contract.
-    "linear_leaks_stripped": (
-        "repro/core/linear.py",
-        '@leaks("join_pattern:parent")\n',
-        "",
-    ),
-    # OBL007: a declared atom nothing in the call closure produces.
-    "reveal_unwitnessed_atom": (
-        "repro/mpc/sharing.py",
-        '@leaks("opened:result")\ndef reveal_vector',
-        '@leaks("opened:result", "support:result")\ndef reveal_vector',
     ),
 }
 

@@ -5,9 +5,11 @@ both execution modes send them from the same call sites: SIMULATED with
 no payloads, REAL with the sizes of the payloads it computed, which
 :class:`repro.mpc.context.Checked` compares with what the path sends.
 The structural tests keep it so: a label spelled at one site cannot be
-spelled differently at another, and no send sits on one side of a mode
-test.  The mutation tests put one size of the schedule off by one and
-show the run-time check firing, in REAL alone.
+spelled differently at another, no send sits on one side of a mode
+test, and no module but the channel implementations sends on the raw
+transcript, past the session framing layer.  The mutation tests put
+one size of the schedule off by one and show the run-time check
+firing, in REAL alone.
 """
 
 from __future__ import annotations
@@ -27,7 +29,14 @@ from repro.mpc.ot import make_ot
 from repro.mpc.psi import psi_with_payloads
 from repro.runtime.aborts import ProtocolAbort
 
-MPC = Path(__file__).resolve().parents[1] / "src" / "repro" / "mpc"
+REPRO = Path(__file__).resolve().parents[1] / "src" / "repro"
+MPC = REPRO / "mpc"
+
+#: the modules allowed a raw ``Transcript.send``: the transcript itself,
+#: the context router (which hands off to the session when one is
+#: enabled) and the session framing layer, the one wrapper that adds
+#: sequence numbers, checksums and fault handling
+CHANNEL_IMPLS = ("mpc/transcript.py", "mpc/context.py", "runtime/session.py")
 
 #: the one section spelled at two sites: :class:`repro.mpc.leaves.LeafOts`
 #: opens its OTs under it and sends Alice's messages under it, each site
@@ -55,10 +64,18 @@ def run(ctx, payload):
 '''
 
 
-def sources() -> Dict[str, str]:
+#: OBL002's raw-send fixture, which the retired rule flagged: a helper
+#: that meters a message past the session
+RAW_SEND = '''
+def helper(ctx, n):
+    ctx.transcript.send("alice", n, "raw")
+'''
+
+
+def sources(root: Path = MPC) -> Dict[str, str]:
     return {
-        str(path.relative_to(MPC)): path.read_text()
-        for path in sorted(MPC.rglob("*.py"))
+        path.relative_to(root).as_posix(): path.read_text()
+        for path in sorted(root.rglob("*.py"))
     }
 
 
@@ -106,6 +123,27 @@ def sends_in_mode_branches(files: Dict[str, str]) -> List[str]:
     return found
 
 
+def raw_transcript_sends(files: Dict[str, str]) -> List[str]:
+    """The ``transcript.send`` and ``<expr>.transcript.send`` calls."""
+    found = []
+    for name, text in files.items():
+        for node in ast.walk(ast.parse(text)):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "send"
+            ):
+                continue
+            recv = node.func.value
+            if (
+                isinstance(recv, ast.Name) and recv.id == "transcript"
+                or isinstance(recv, ast.Attribute)
+                and recv.attr == "transcript"
+            ):
+                found.append(f"{name}:{node.lineno}")
+    return found
+
+
 def shared(sites: Dict[str, List[str]]) -> Dict[str, List[str]]:
     return {label: at for label, at in sites.items() if len(at) > 1}
 
@@ -131,6 +169,21 @@ class TestOneSendSite:
     def test_a_label_spelled_twice_is_caught(self):
         sends, _ = label_sites({"twins.py": TWIN_SENDS})
         assert shared(sends) == {"blind": ["twins.py:3", "twins.py:6"]}
+
+
+class TestOneChannel:
+    def test_only_the_channel_impls_send_on_the_raw_transcript(self):
+        files = sources(REPRO)
+        impls = {k: v for k, v in files.items() if k in CHANNEL_IMPLS}
+        assert sorted(impls) == sorted(CHANNEL_IMPLS)
+        assert raw_transcript_sends(impls)  # the session's one send
+        rest = {k: v for k, v in files.items() if k not in CHANNEL_IMPLS}
+        assert raw_transcript_sends(rest) == []
+
+    def test_a_raw_transcript_send_is_caught(self):
+        assert raw_transcript_sends({"runtime/helper.py": RAW_SEND}) == [
+            "runtime/helper.py:3",
+        ]
 
 
 def off_by_one(f, index):

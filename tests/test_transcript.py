@@ -16,10 +16,10 @@ class TestTranscript:
 
     def test_rounds_count_direction_changes(self):
         t = Transcript()
-        t.send(ALICE, 1)
-        t.send(ALICE, 1)
-        t.send(BOB, 1)
-        t.send(ALICE, 1)
+        t.send(ALICE, 1, "a")
+        t.send(ALICE, 1, "b")
+        t.send(BOB, 1, "c")
+        t.send(ALICE, 1, "d")
         assert t.rounds == 3
 
     def test_sections_nest(self):
@@ -35,7 +35,17 @@ class TestTranscript:
 
     def test_negative_bytes_rejected(self):
         with pytest.raises(ValueError):
-            Transcript().send(ALICE, -1)
+            Transcript().send(ALICE, -1, "x")
+
+    def test_every_send_needs_a_label(self):
+        t = Transcript()
+        with pytest.raises(ValueError, match="label"):
+            t.send(ALICE, 1, "")
+        with pytest.raises(TypeError):
+            t.send(ALICE, 1)  # type: ignore[call-arg]
+        with t.section("psi"), pytest.raises(ValueError, match="label"):
+            t.send(ALICE, 1, "")  # a section is no label
+        assert t.messages == []
 
     def test_fingerprint_is_shape_only(self):
         t1, t2 = Transcript(), Transcript()
@@ -68,22 +78,22 @@ class TestTranscript:
 
     def test_rounds_by_section_depth_and_unlabelled(self):
         t = Transcript()
-        t.send(ALICE, 1)
+        t.send(ALICE, 1, "seeds")  # outside every section
         with t.section("psi"):
             with t.section("ot"):
                 t.send(BOB, 1, "u")
                 t.send(ALICE, 1, "v")
             t.send(ALICE, 1, "w")
-        assert t.rounds_by_section() == {"": 1, "psi": 2}
+        assert t.rounds_by_section() == {"seeds": 1, "psi": 2}
         assert t.rounds_by_section(depth=2) == {
-            "": 1, "psi/ot": 2, "psi/w": 1,
+            "seeds": 1, "psi/ot": 2, "psi/w": 1,
         }
 
     def test_slice_rounds(self):
         t = Transcript()
-        t.send(ALICE, 1)
-        t.send(ALICE, 1)
-        t.send(BOB, 1)
+        t.send(ALICE, 1, "a")
+        t.send(ALICE, 1, "b")
+        t.send(BOB, 1, "c")
         assert Transcript.slice_rounds(t.messages) == 2
         assert Transcript.slice_rounds(t.messages[1:]) == 2
         assert Transcript.slice_rounds([]) == 0
