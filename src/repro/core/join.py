@@ -44,7 +44,7 @@ from ..mpc.context import ALICE, Context
 from ..mpc.costs import OUT_SIZE_BYTES
 from ..mpc.engine import Engine
 from ..mpc.sharing import SharedVector, reveal_vector
-from ..relalg.columns import Column, TupleStore, fresh_nonces, dummy_value
+from ..relalg.columns import Column, TupleStore, dummy_value
 from ..relalg.relation import AnnotatedRelation
 from ..relalg.operators import join as plain_join
 from ..relalg.semiring import IntegerRing
@@ -146,11 +146,14 @@ def _pad_join(
             f"bound {pad_out_to}"
         )
     pad = pad_out_to - len(joined)
-    # One dummy nonce per padding row, shared across its visible
+    # One dummy value per padding row, shared across its visible
     # attributes (the row is a mixed dummy: real __idx_ slots, dummy
-    # data slots — exactly the tuple-path layout).
-    nonces = fresh_nonces(pad)
-    dummy_vals = [dummy_value(int(x)) for x in nonces.tolist()]
+    # data slots — exactly the tuple-path layout).  It is a function of
+    # the row's position in J* alone, in the negative nonces no
+    # counter-drawn dummy reaches: the process-wide counter's state
+    # would tell Alice how many dummies the inputs made.
+    positions = range(len(joined), pad_out_to)
+    dummy_vals = [dummy_value(-1 - p) for p in positions]
     pad_cols = []
     for a in joined.attributes:
         if a.startswith("__idx_"):

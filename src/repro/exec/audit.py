@@ -98,27 +98,6 @@ class LeakageReport:
     def ok(self, allow: FrozenSet[str] = frozenset()) -> bool:
         return not self.violations(allow)
 
-    def to_json(
-        self, allow: FrozenSet[str] = frozenset()
-    ) -> Dict[str, object]:
-        return {
-            "plan": self.plan_name,
-            "summary": sorted(self.summary),
-            "allow": sorted(allow),
-            "ok": self.ok(allow),
-            "violations": self.violations(allow),
-            "nodes": [
-                {
-                    "label": n.label,
-                    "kind": n.kind,
-                    "backend": n.backend,
-                    "dispatched": n.dispatched,
-                    "atoms": sorted(n.atoms),
-                }
-                for n in self.nodes
-            ],
-        }
-
 
 def audit_plan(
     plan: ExecPlan,

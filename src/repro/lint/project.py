@@ -1,13 +1,13 @@
-"""The analysed file set and the one analysis core every rule reads.
+"""The analysed file set and the one analysis core the rule reads.
 
-Rules get two views:
+The rule gets two views:
 
 * :class:`SourceFile` — one parsed module: AST, raw lines, directives,
   and whether it lies in the *protocol directories* whose obliviousness
-  invariants the OBL rules enforce.
+  invariants OBL001 enforces.
 * :class:`Project` — all files of the run, the index of every
   function definition, and the taint cache :mod:`repro.lint.taint`
-  fills.  Every rule reads one file at a time: no fact crosses a file
+  fills.  The rule reads one file at a time: no fact crosses a file
   boundary, so a file lints the same alone as in the full tree.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
 from .suppress import Directives, parse_directives
 
@@ -32,10 +32,6 @@ PROTOCOL_DIRS = (
     "repro/runtime",
 )
 
-#: Argument positions of transcript-label parameters, per callee name.
-#: ``send(sender, n_bytes, label)`` / ``section(label)``.
-LABEL_ARG = {"send": (2, "label"), "section": (0, "label")}
-
 
 def call_name(node: ast.Call) -> Optional[str]:
     """The bare name a call dispatches on (``f(...)`` or ``x.f(...)``)."""
@@ -44,21 +40,6 @@ def call_name(node: ast.Call) -> Optional[str]:
         return f.id
     if isinstance(f, ast.Attribute):
         return f.attr
-    return None
-
-
-def label_arg_of(node: ast.Call) -> Optional[ast.expr]:
-    """The transcript-label argument of a send/section call, if any."""
-    name = call_name(node)
-    spec = LABEL_ARG.get(name or "")
-    if spec is None:
-        return None
-    pos, kw = spec
-    for k in node.keywords:
-        if k.arg == kw:
-            return k.value
-    if len(node.args) > pos:
-        return node.args[pos]
     return None
 
 
@@ -150,8 +131,8 @@ class Project:
         self._by_node: Dict[int, FuncInfo] = {
             id(info.node): info for f in files for info in f.defs()
         }
-        #: (id(def node), config) -> intraprocedural taint facts
-        self.taints: Dict[Tuple[int, Any], "FunctionTaint"] = {}
+        #: id(def node) -> intraprocedural taint facts
+        self.taints: Dict[int, "FunctionTaint"] = {}
 
     def info(self, fn: ast.AST) -> FuncInfo:
         """The index entry of a definition of the file set."""

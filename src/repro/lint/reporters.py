@@ -1,15 +1,14 @@
-"""Text, JSON, and SARIF reporters for lint results."""
+"""Text and SARIF reporters for lint results."""
 
 from __future__ import annotations
 
 import json
-from typing import List
 
-from .registry import Rule
+from . import secret_taint
 from .violations import LintResult
 
 
-def text_report(result: LintResult, rules: List[Rule]) -> str:
+def text_report(result: LintResult) -> str:
     lines = [v.format() for v in result.violations]
     by_rule: dict = {}
     for v in result.violations:
@@ -36,7 +35,7 @@ _SARIF_SCHEMA = (
 )
 
 
-def sarif_report(result: LintResult, rules: List[Rule]) -> str:
+def sarif_report(result: LintResult) -> str:
     """Serialise findings as a single-run SARIF 2.1.0 log.
 
     :meth:`Violation.fingerprint` is the SARIF partial fingerprint, so
@@ -49,11 +48,12 @@ def sarif_report(result: LintResult, rules: List[Rule]) -> str:
                 "informationUri": "docs/LINTING.md",
                 "rules": [
                     {
-                        "id": r.code,
-                        "name": r.name,
-                        "shortDescription": {"text": r.description},
+                        "id": secret_taint.CODE,
+                        "name": secret_taint.NAME,
+                        "shortDescription": {
+                            "text": secret_taint.DESCRIPTION
+                        },
                     }
-                    for r in rules
                 ],
             }
         },
@@ -92,18 +92,3 @@ def sarif_report(result: LintResult, rules: List[Rule]) -> str:
         indent=2,
     )
 
-
-def json_report(result: LintResult, rules: List[Rule]) -> str:
-    return json.dumps(
-        {
-            "ok": result.ok,
-            "files_checked": result.files_checked,
-            "suppressed": result.suppressed,
-            "violations": [v.to_json() for v in result.violations],
-            "rules": {
-                r.code: {"name": r.name, "description": r.description}
-                for r in rules
-            },
-        },
-        indent=2,
-    )

@@ -1,9 +1,9 @@
-"""Lint orchestration: file discovery, rule dispatch, suppressions,
-and the ``repro lint`` sub-command (its arguments and handler).
+"""Lint orchestration: file discovery, the rule, suppressions, and the
+``repro lint`` sub-command (its arguments and handler).
 
 The run pipeline is::
 
-    discover .py files -> parse (AST + directives) -> run every rule
+    discover .py files -> parse (AST + directives) -> run OBL001
     -> drop violations with a justified inline suppression
        (an UNjustified suppression becomes an OBL000 finding)
     -> report; exit 1 on any remaining finding
@@ -12,7 +12,6 @@ The run pipeline is::
 from __future__ import annotations
 
 import argparse
-import json
 import subprocess
 from pathlib import Path
 from typing import (
@@ -24,9 +23,9 @@ from typing import (
     Tuple,
 )
 
+from . import secret_taint
 from .project import Project, SourceFile, parse_source
-from .registry import all_rules
-from .reporters import json_report, sarif_report, text_report
+from .reporters import sarif_report, text_report
 from .violations import LintResult, Violation
 
 #: Directory names never descended into.
@@ -62,8 +61,8 @@ def git_changed_files(
     """``.py`` files changed vs HEAD (staged + unstaged + untracked).
 
     The pre-commit fast path: lint only what this commit touches.
-    Every rule reads one file, so a changed file needs no other file
-    as context; CI remains the authoritative full-tree run.
+    The rule reads one file, so a changed file needs no other file as
+    context; CI remains the authoritative full-tree run.
 
     ``runner`` is injectable for tests; it receives an argv list and
     returns the command's stdout.
@@ -126,23 +125,17 @@ def load_sources(
 def lint_sources(
     sources: List[SourceFile],
     extra_violations: Sequence[Violation] = (),
-    select: Optional[Sequence[str]] = None,
 ) -> Tuple[List[Violation], int]:
-    """Run every (selected) rule; returns (violations, n_suppressed).
+    """Run the rule; returns (violations, n_suppressed).
 
     Inline ``# oblint: disable`` directives are honoured here; a
     suppression without a justification is converted into an OBL000
     finding so silencing a rule always costs an explicit reason.
     """
     project = Project(list(sources))
-    rules = all_rules()
-    if select:
-        wanted = set(select)
-        rules = [r for r in rules if r.code in wanted]
     raw: List[Violation] = list(extra_violations)
     for src in sources:
-        for rule in rules:
-            raw.extend(rule.check_file(src, project))
+        raw.extend(secret_taint.check_file(src, project))
 
     kept: List[Violation] = []
     suppressed = 0
@@ -176,15 +169,13 @@ def lint_sources(
 
 
 def run_lint(
-    paths: Sequence[str],
-    select: Optional[Sequence[str]] = None,
-    root: Optional[Path] = None,
+    paths: Sequence[str], root: Optional[Path] = None
 ) -> LintResult:
     """The full pipeline over ``paths``; see module docstring."""
     files = discover_files(paths)
     sources, parse_errors = load_sources(files, root=root)
     violations, suppressed = lint_sources(
-        sources, extra_violations=parse_errors, select=select
+        sources, extra_violations=parse_errors
     )
     return LintResult(
         violations=violations,
@@ -203,17 +194,7 @@ def add_lint_arguments(p: argparse.ArgumentParser) -> None:
         "paths", nargs="*", default=["src"],
         help="files or directories to lint (default: src)",
     )
-    p.add_argument(
-        "--format", choices=["text", "json", "sarif"], default="text",
-    )
-    p.add_argument(
-        "--select", default=None, metavar="RULES",
-        help="comma-separated rule codes to run (default: all)",
-    )
-    p.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalogue and exit",
-    )
+    p.add_argument("--format", choices=["text", "sarif"], default="text")
     p.add_argument(
         "--changed", action="store_true",
         help="lint only .py files changed vs HEAD (pre-commit mode)",
@@ -239,30 +220,16 @@ def cmd_audit_plan(args) -> int:
     plan = ExecPlan.loads(Path(args.plan).read_text())
     allow = frozenset(args.allow or ())
     report = audit_plan(plan)
-    if args.format == "json":
-        print(json.dumps(report.to_json(allow), indent=2))
-    else:
-        name = report.plan_name or args.plan
-        print(f"plan {name}: leakage summary "
-              f"{sorted(report.summary) or '{}'}")
-        for line in report.violations(allow):
-            print(f"  FAIL {line}")
+    name = report.plan_name or args.plan
+    print(f"plan {name}: leakage summary {sorted(report.summary) or '{}'}")
+    for line in report.violations(allow):
+        print(f"  FAIL {line}")
     return 0 if report.ok(allow) else 1
 
 
 def cmd_lint(args) -> int:
-    rules = all_rules()
-    if args.list_rules:
-        for r in rules:
-            print(f"{r.code} [{r.name}] {r.description}")
-        return 0
     if args.plan:
         return cmd_audit_plan(args)
-    select = (
-        [s.strip() for s in args.select.split(",") if s.strip()]
-        if args.select
-        else None
-    )
     paths = args.paths
     if args.changed:
         changed = git_changed_files()
@@ -270,12 +237,10 @@ def cmd_lint(args) -> int:
             print("0 violations (no changed .py files)")
             return 0
         paths = [str(p) for p in changed]
-    result = run_lint(paths, select=select)
-    if args.format == "json":
-        print(json_report(result, rules))
-    elif args.format == "sarif":
-        print(sarif_report(result, rules))
+    result = run_lint(paths)
+    if args.format == "sarif":
+        print(sarif_report(result))
     else:
-        print(text_report(result, rules))
+        print(text_report(result))
     return 0 if result.ok else 1
 

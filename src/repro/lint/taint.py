@@ -1,12 +1,7 @@
-"""Taint propagation over the AST, and the per-project taint cache.
+"""Secret-taint propagation over the AST, and the per-project cache.
 
-One engine serves two seedings:
-
-* *secret* sources (share arrays, OT outputs, ``# oblint: secret``
-  markers): does a secret reach a branch or an index (OBL001)?
-* *nondeterminism* sources (wall clock, ``id()``, set-iteration order):
-  does nondeterminism reach a transcript label (OBL004)?
-
+The sources are share arrays, OT outputs and ``# oblint: secret``
+markers, and OBL001 asks whether a secret reaches a branch or an index.
 Per function the analysis is a flow-insensitive fixpoint over local
 variable names — deliberately conservative and simple (a name tainted
 anywhere in the function stays tainted) with three escape hatches that
@@ -39,7 +34,6 @@ __all__ = [
     "TaintConfig",
     "FunctionTaint",
     "SECRET_CONFIG",
-    "NONDET_CONFIG",
     "function_taint",
     "dotted_name",
     "mode_branch_kind",
@@ -65,8 +59,6 @@ class TaintConfig:
 
     #: bare call names producing tainted values
     source_calls: FrozenSet[str] = frozenset()
-    #: dotted call names (``time.time``) producing tainted values
-    source_dotted: FrozenSet[str] = frozenset()
     #: attribute loads that ARE the secret (``x.alice`` share arrays)
     source_attrs: FrozenSet[str] = frozenset()
     #: calls whose result is clean even on tainted input
@@ -75,13 +67,9 @@ class TaintConfig:
     shape_attrs: FrozenSet[str] = frozenset(
         {"shape", "size", "nbytes", "ndim", "dtype"}
     )
-    #: honour ``# oblint: secret`` / ``public`` / ``secret-params``
-    use_markers: bool = False
-    #: iterating a set literal / ``set()`` taints the loop target
-    set_iteration_is_source: bool = False
 
 
-#: Seeds for the obliviousness rules: secret-shared payloads, OT
+#: Seeds for the obliviousness rule: secret-shared payloads, OT
 #: outputs, and explicit annotations.  ``reconstruct`` is a source (the
 #: cleartext of shared data); the ``reveal*`` family and the decoded
 #: outputs of a garbled batch are *designated reveals* — public by
@@ -109,35 +97,6 @@ SECRET_CONFIG = TaintConfig(
             "garbled_call",
         }
     ),
-    use_markers=True,
-)
-
-#: Seeds for the determinism rule: wall-clock, object identity, OS
-#: entropy, and hash/set-iteration order.  ``sorted`` restores a
-#: deterministic order, so it declassifies.
-NONDET_CONFIG = TaintConfig(
-    source_calls=frozenset({"id", "hash", "urandom", "getpid"}),
-    source_dotted=frozenset(
-        {
-            "time.time",
-            "time.time_ns",
-            "time.monotonic",
-            "time.monotonic_ns",
-            "time.perf_counter",
-            "time.perf_counter_ns",
-            "datetime.now",
-            "datetime.utcnow",
-            "datetime.today",
-            "datetime.datetime.now",
-            "datetime.datetime.utcnow",
-            "os.urandom",
-            "os.getpid",
-            "uuid.uuid1",
-            "uuid.uuid4",
-        }
-    ),
-    declassifier_calls=frozenset({"sorted", "len", "min", "max", "sum"}),
-    set_iteration_is_source=True,
 )
 
 
@@ -186,22 +145,13 @@ def simulated_exempt_ranges(tree: ast.AST) -> List[Tuple[int, int]]:
     return [(s.lineno, s.end_lineno or s.lineno) for s in spans]
 
 
-def _is_set_expr(expr: ast.expr) -> bool:
-    if isinstance(expr, ast.Set) or isinstance(expr, ast.SetComp):
-        return True
-    if isinstance(expr, ast.Call):
-        return call_name(expr) in ("set", "frozenset")
-    return False
-
-
 class FunctionTaint:
     """Taint facts for one function definition: its seeds plus
     everything the body's statements propagate from them."""
 
-    def __init__(self, info: FuncInfo, config: TaintConfig) -> None:
+    def __init__(self, info: FuncInfo) -> None:
         self.fn = info.node
         self.src = info.file
-        self.config = config
         self.tainted: Set[str] = set()
         self._seed_params()
         self._fixpoint(info.nodes)
@@ -209,8 +159,6 @@ class FunctionTaint:
     # -- seeding --------------------------------------------------------
 
     def _seed_params(self) -> None:
-        if not self.config.use_markers:
-            return
         lo = self.fn.lineno
         hi = self.fn.end_lineno or lo
         for line, names in self.src.directives.secret_params.items():
@@ -229,8 +177,6 @@ class FunctionTaint:
                 break
 
     def _transfer(self, stmt: ast.stmt) -> None:
-        cfg = self.config
-        markers = cfg.use_markers
         if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             targets = (
                 stmt.targets
@@ -240,20 +186,15 @@ class FunctionTaint:
             names = set()
             for t in targets:
                 names |= _target_names(t)
-            if markers and stmt.lineno in self.src.directives.public_lines:
+            if stmt.lineno in self.src.directives.public_lines:
                 self.tainted -= names
                 return
             value = getattr(stmt, "value", None)
-            seeded = (
-                markers
-                and stmt.lineno in self.src.directives.secret_lines
-            )
+            seeded = stmt.lineno in self.src.directives.secret_lines
             if seeded or (value is not None and self.is_tainted(value)):
                 self.tainted |= names
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            if self.is_tainted(stmt.iter) or (
-                cfg.set_iteration_is_source and _is_set_expr(stmt.iter)
-            ):
+            if self.is_tainted(stmt.iter):
                 self.tainted |= _target_names(stmt.target)
         elif isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
@@ -265,7 +206,7 @@ class FunctionTaint:
     # -- expression taint ----------------------------------------------
 
     def is_tainted(self, expr: ast.expr) -> bool:
-        cfg = self.config
+        cfg = SECRET_CONFIG
         if isinstance(expr, ast.Name):
             return expr.id in self.tainted
         if isinstance(expr, ast.Attribute):
@@ -276,12 +217,9 @@ class FunctionTaint:
             return self.is_tainted(expr.value)
         if isinstance(expr, ast.Call):
             name = call_name(expr)
-            dotted = dotted_name(expr.func)
             if name in cfg.declassifier_calls:
                 return False
-            if name in cfg.source_calls or (
-                dotted is not None and dotted in cfg.source_dotted
-            ):
+            if name in cfg.source_calls:
                 return True
             if any(self.is_tainted(a) for a in expr.args):
                 return True
@@ -351,10 +289,7 @@ class FunctionTaint:
         added: Set[str] = set()
         try:
             for gen in generators:
-                if self.is_tainted(gen.iter) or (
-                    self.config.set_iteration_is_source
-                    and _is_set_expr(gen.iter)
-                ):
+                if self.is_tainted(gen.iter):
                     fresh = _target_names(gen.target) - self.tainted
                     self.tainted |= fresh
                     added |= fresh
@@ -394,13 +329,10 @@ def _target_names(target: ast.expr) -> Set[str]:
 # ----------------------------------------------------------------------
 
 
-def function_taint(
-    project: Project, fn: ast.AST, config: TaintConfig = SECRET_CONFIG
-) -> FunctionTaint:
+def function_taint(project: Project, fn: ast.AST) -> FunctionTaint:
     """The intraprocedural facts of one definition, computed once per
-    project and ``config``."""
-    key = (id(fn), config)
-    taint = project.taints.get(key)
+    project."""
+    taint = project.taints.get(id(fn))
     if taint is None:
-        taint = project.taints[key] = FunctionTaint(project.info(fn), config)
+        taint = project.taints[id(fn)] = FunctionTaint(project.info(fn))
     return taint

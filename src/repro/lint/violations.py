@@ -35,17 +35,6 @@ class Violation:
             f"{self.rule} {self.message}"
         )
 
-    def to_json(self) -> dict:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "snippet": self.snippet,
-            "fingerprint": self.fingerprint(),
-        }
-
 
 @dataclass
 class LintResult:

@@ -12,7 +12,7 @@ moves:
   Strings, dummy markers and mixed-type columns land here.
 
 Dummy tuples (Section 4, footnote 2) are *row* properties, not values:
-``nonce[i] > 0`` marks row ``i`` as the dummy tuple whose every
+``nonce[i] != 0`` marks row ``i`` as the dummy tuple whose every
 attribute is ``(DUMMY_MARKER, nonce[i])``.  Keeping the nonce out of the
 columns lets the group-by/join kernels treat dummies uniformly — a
 dummy row equals another row iff both are dummies with the same nonce,
@@ -60,7 +60,9 @@ __all__ = [
 DUMMY_MARKER = "__dummy__"
 
 #: Global nonce stream: every dummy ever generated is distinct, so
-#: dummies never join each other (or any real value) by accident.
+#: dummies never join each other (or any real value) by accident.  It
+#: counts up from 1; the negative nonces are the padding rows of a
+#: padded join output (``core/join._pad_join``), one per position.
 _dummy_nonce = itertools.count(1)
 
 
@@ -235,7 +237,7 @@ class TupleStore:
     """An immutable columnar block of tuples plus a dummy-nonce vector.
 
     ``nonce[i] == 0`` means row ``i`` is the real tuple spelled by the
-    columns; ``nonce[i] == k > 0`` means row ``i`` is the dummy tuple
+    columns; ``nonce[i] == k != 0`` means row ``i`` is the dummy tuple
     ``((DUMMY_MARKER, k),) * arity`` and its column codes are ignored.
     """
 

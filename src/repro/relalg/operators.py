@@ -120,8 +120,8 @@ def _join_store(
         return extra.take(out_r2).with_attributes(out_attrs)
     n1 = s1.nonce[out_r1]
     n2 = extra.nonce[out_r2]
-    both = (n1 > 0) & (n1 == n2)
-    mixed = ((n1 > 0) | (n2 > 0)) & ~both
+    both = (n1 != 0) & (n1 == n2)
+    mixed = ((n1 != 0) | (n2 != 0)) & ~both
     if mixed.any():
         rows1 = s1.materialize()
         rows2 = extra.materialize()

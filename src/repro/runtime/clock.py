@@ -1,8 +1,8 @@
 """A virtual clock for deterministic deadlines and backoff.
 
-The session layer never reads wall-clock time (OBL004): progress is
-measured in *ticks*, advanced by frame deliveries, injected hangs and
-retry backoff.  Two runs with the same fault plan therefore observe the
+The session layer never reads wall-clock time: progress is measured in
+*ticks*, advanced by frame deliveries, injected hangs and retry
+backoff.  Two runs with the same fault plan therefore observe the
 identical clock, which is what makes deadline expiry reproducible.
 """
 

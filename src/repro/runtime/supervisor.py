@@ -55,8 +55,7 @@ class RetryPolicy:
     stays exact and pinned by tests) and is derived from a seeded RNG
     keyed on ``(stream, session seed, step, attempt)`` — never
     wall-clock or :mod:`random` — so the full retry schedule is a pure
-    function of the session seed and replays identically
-    (OBL003/OBL004-clean).
+    function of the session seed and replays identically.
     """
 
     max_attempts: int = 3

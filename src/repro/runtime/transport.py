@@ -111,7 +111,7 @@ class ReconnectPolicy:
     The jitter is drawn from a seeded RNG keyed on ``(stream, seed,
     reconnect index)`` — never wall-clock or :mod:`random` — so a
     party's reconnect schedule is a pure function of its seed and its
-    reconnect count, replayable across runs (OBL003-clean)."""
+    reconnect count, replayable across runs."""
 
     max_attempts: int = 10
     base_delay_s: float = 0.05

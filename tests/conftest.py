@@ -73,17 +73,26 @@ SMALL_BOOT = LpnSet(n=128, t=4, k=32, depth=5)
 SMALL_POOL_MIN = 64
 
 
+def small_pool_settings():
+    """``(module, name, value)`` of every setting :func:`small_pool`
+    patches, for a process that sets them without pytest."""
+    from repro.mpc import costs, ot
+
+    return [
+        (costs, "FERRET_MAIN", SMALL_MAIN),
+        (costs, "FERRET_BOOT", SMALL_BOOT),
+        (costs, "POOL_MIN", SMALL_POOL_MIN),
+        (ot, "_POOL_SLICE", 128),
+    ]
+
+
 @pytest.fixture
 def small_pool(monkeypatch):
     """Every extension instance's pool on :data:`SMALL_MAIN` and
     :data:`SMALL_BOOT`, opening at :data:`SMALL_POOL_MIN` OTs and
     materialised 128 rows (two bins) at a time."""
-    from repro.mpc import costs, ot
-
-    monkeypatch.setattr(costs, "FERRET_MAIN", SMALL_MAIN)
-    monkeypatch.setattr(costs, "FERRET_BOOT", SMALL_BOOT)
-    monkeypatch.setattr(costs, "POOL_MIN", SMALL_POOL_MIN)
-    monkeypatch.setattr(ot, "_POOL_SLICE", 128)
+    for module, name, value in small_pool_settings():
+        monkeypatch.setattr(module, name, value)
     return SMALL_MAIN
 
 

@@ -2,10 +2,11 @@
 
 Four layers:
 
-* fixture tests — each rule's good/bad snippets under
+* fixture tests — the rule's good/bad snippets under
   ``tests/lint_fixtures/`` flag (or stay silent) as documented;
 * framework tests — suppression accounting, SARIF output, git-diff
-  scoping, and the full run over the real tree staying clean;
+  scoping, and the full run over the real tree staying clean, as CI
+  runs it;
 * leakage-contract tests — the registry↔docs pin, the plan-level
   audit of TPC-H Q3 under each back-end route, and the import-time
   check of the back-end dispatch table against the registry;
@@ -18,8 +19,10 @@ Four layers:
 The run-time side of the contracts (scopes and sinks) is tested in
 ``tests/test_leakage.py``.
 
-Every rule's exact findings on the fixtures and on the mutated tree are
-pinned as data by ``tests/test_lint_golden.py``.
+The rule's exact findings on the fixtures and on the mutated tree are
+pinned as data by ``tests/test_lint_golden.py``.  Determinism, which
+OBL003 and OBL004 once linted, is checked by running the replay
+(``tests/test_replay.py``).
 """
 
 import json
@@ -35,21 +38,20 @@ from repro.leakage import (
     check_backend_table,
     leakage_table,
 )
-from repro.lint import all_rules, lint_sources, run_lint
+from repro.lint import lint_sources, run_lint
 from repro.lint.project import parse_source
 from repro.lint.reporters import sarif_report
 from repro.lint.runner import git_changed_files
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
-RULES = ("OBL001", "OBL003", "OBL004")
+RULES = ("OBL001",)
 
 
-def lint_fixture(name, select, path_prefix="repro/mpc"):
+def lint_fixture(name, path_prefix="repro/mpc"):
     text = (FIXTURES / name).read_text(encoding="utf-8")
     src = parse_source(f"{path_prefix}/{name}", text)
-    violations, suppressed = lint_sources([src], select=list(select))
-    return violations, suppressed
+    return lint_sources([src])
 
 
 # ----------------------------------------------------------------------
@@ -59,14 +61,14 @@ def lint_fixture(name, select, path_prefix="repro/mpc"):
 
 @pytest.mark.parametrize("rule", RULES)
 def test_bad_fixture_flags(rule):
-    violations, _ = lint_fixture(f"{rule.lower()}_bad.py", [rule])
+    violations, _ = lint_fixture(f"{rule.lower()}_bad.py")
     assert violations, f"{rule} bad fixture produced no findings"
     assert all(v.rule == rule for v in violations)
 
 
 @pytest.mark.parametrize("rule", RULES)
 def test_good_fixture_clean(rule):
-    violations, _ = lint_fixture(f"{rule.lower()}_good.py", [rule])
+    violations, _ = lint_fixture(f"{rule.lower()}_good.py")
     assert violations == []
 
 
@@ -76,7 +78,7 @@ def test_obl001_flags_every_bad_gadget():
     attribute) — all five must fire, and so must the ``real=`` thunk
     of a ``garbled_call`` (only its ``ideal=`` thunk is SIMULATED-side
     code; the good fixture holds that half)."""
-    violations, _ = lint_fixture("obl001_bad.py", ["OBL001"])
+    violations, _ = lint_fixture("obl001_bad.py")
     assert len(violations) >= 6
     lines = (FIXTURES / "obl001_bad.py").read_text().splitlines()
     assert any("real=lambda" in lines[v.line - 1] for v in violations)
@@ -87,7 +89,7 @@ def test_correlated_ot_outputs_are_secret_sources():
     ``transfer_segments`` as the taint source for OT outputs: pads,
     received messages and anything computed from them must not reach a
     branch or an index."""
-    violations, _ = lint_fixture("obl001_cot_bad.py", ["OBL001"])
+    violations, _ = lint_fixture("obl001_cot_bad.py")
     lines = (FIXTURES / "obl001_cot_bad.py").read_text().splitlines()
     flagged = {
         (v.rule, lines[v.line - 1].split("#")[0].strip())
@@ -101,9 +103,7 @@ def test_correlated_ot_outputs_are_secret_sources():
 
 
 def test_rules_only_fire_in_protocol_dirs():
-    violations, _ = lint_fixture(
-        "obl001_bad.py", ["OBL001"], path_prefix="repro/bench"
-    )
+    violations, _ = lint_fixture("obl001_bad.py", path_prefix="repro/bench")
     assert violations == []
 
 
@@ -111,33 +111,37 @@ def test_rules_only_fire_in_protocol_dirs():
 # framework: suppressions, full-tree run
 # ----------------------------------------------------------------------
 
-_SUPPRESSIBLE = (
-    "import random"
-    "  # oblint: disable=OBL003 — fixed-seed public sanity check\n"
-)
+def secret_branch(directive=""):
+    """A module whose one OBL001 finding carries ``directive``."""
+    text = (
+        "def check(sv):\n"
+        f"    if sv.reconstruct()[0] > 0:{directive}\n"
+        "        return 1\n"
+    )
+    return parse_source("repro/mpc/supp.py", text)
 
 
 def test_justified_suppression_is_counted_not_reported():
-    src = parse_source("repro/mpc/supp.py", _SUPPRESSIBLE)
-    violations, suppressed = lint_sources([src], select=["OBL003"])
+    src = secret_branch(
+        "  # oblint: disable=OBL001 — public sanity check of a test vector"
+    )
+    violations, suppressed = lint_sources([src])
     assert violations == []
     assert suppressed == 1
 
 
 def test_unjustified_suppression_becomes_obl000():
-    text = "import random  # oblint: disable=OBL003\n"
-    src = parse_source("repro/mpc/supp.py", text)
-    violations, suppressed = lint_sources([src], select=["OBL003"])
+    src = secret_branch("  # oblint: disable=OBL001")
+    violations, suppressed = lint_sources([src])
     assert suppressed == 0
     assert [v.rule for v in violations] == ["OBL000"]
     assert "justification" in violations[0].message
 
 
 def test_suppression_of_other_rule_does_not_apply():
-    text = "import random  # oblint: disable=OBL001 — wrong rule\n"
-    src = parse_source("repro/mpc/supp.py", text)
-    violations, _ = lint_sources([src], select=["OBL003"])
-    assert [v.rule for v in violations] == ["OBL003"]
+    src = secret_branch("  # oblint: disable=OBL003 — a retired rule")
+    violations, _ = lint_sources([src])
+    assert [v.rule for v in violations] == ["OBL001"]
 
 
 def test_inline_suppression_is_the_only_silencing_mechanism(capsys):
@@ -172,8 +176,27 @@ def test_repo_tree_is_lint_clean():
 
 
 def test_rule_catalogue_complete():
-    codes = {r.code for r in all_rules()}
-    assert set(RULES) == codes
+    """OBL001 is the one rule: the SARIF log's catalogue lists it
+    alone, and the framework for several rules is gone — its registry
+    and the options that selected, listed or JSON-reported rules."""
+    import argparse
+    import importlib
+
+    from repro.lint.runner import add_lint_arguments
+    from repro.lint.violations import LintResult
+
+    blob = json.loads(sarif_report(LintResult()))
+    rules = blob["runs"][0]["tool"]["driver"]["rules"]
+    assert tuple(r["id"] for r in rules) == RULES
+    for module in ("registry", "rules"):
+        with pytest.raises(ImportError):
+            importlib.import_module(f"repro.lint.{module}")
+    parser = argparse.ArgumentParser()
+    add_lint_arguments(parser)
+    for argv in (["--select", "OBL001"], ["--list-rules"],
+                 ["--format", "json"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
 
 
 # ----------------------------------------------------------------------
@@ -191,13 +214,13 @@ _MUTATION = (
 def test_mutation_secret_branch_is_caught():
     pristine = GADGET.read_text(encoding="utf-8")
     src = parse_source("repro/mpc/sharing.py", pristine)
-    before, _ = lint_sources([src], select=["OBL001"])
+    before, _ = lint_sources([src])
     assert before == [], "pristine gadget must be OBL001-clean"
 
     assert pristine.count(_ANCHOR) == 1, "mutation anchor moved"
     mutant_text = pristine.replace(_ANCHOR, _ANCHOR + _MUTATION)
     mutant = parse_source("repro/mpc/sharing.py", mutant_text)
-    after, _ = lint_sources([mutant], select=["OBL001"])
+    after, _ = lint_sources([mutant])
     assert any(
         v.rule == "OBL001" and "branch" in v.message for v in after
     ), "injected secret-dependent branch was not flagged"
@@ -351,23 +374,22 @@ def test_backend_contracts_registry_shape():
 
 
 def test_sarif_report_shape():
-    src = parse_source("repro/mpc/base.py", "import random\n")
-    violations, _ = lint_sources([src], select=["OBL003"])
+    violations, _ = lint_sources([secret_branch()])
     from repro.lint.violations import LintResult
 
     result = LintResult(violations=violations, files_checked=1)
-    blob = json.loads(sarif_report(result, all_rules()))
+    blob = json.loads(sarif_report(result))
     assert blob["version"] == "2.1.0"
     run = blob["runs"][0]
     assert run["tool"]["driver"]["name"] == "oblint"
     rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
     assert set(RULES) <= rule_ids
     (res,) = run["results"]
-    assert res["ruleId"] == "OBL003"
+    assert res["ruleId"] == "OBL001"
     assert res["level"] == "error"
     loc = res["locations"][0]["physicalLocation"]
-    assert loc["artifactLocation"]["uri"] == "repro/mpc/base.py"
-    assert loc["region"]["startLine"] == 1
+    assert loc["artifactLocation"]["uri"] == "repro/mpc/supp.py"
+    assert loc["region"]["startLine"] == 2
     fp = res["partialFingerprints"]["oblint/v1"]
     assert fp == violations[0].fingerprint()
 
@@ -410,13 +432,6 @@ def _run_cli(*argv):
     )
 
 
-def test_cli_list_rules():
-    proc = _run_cli("--list-rules")
-    assert proc.returncode == 0
-    for rule in RULES:
-        assert rule in proc.stdout
-
-
 def test_cli_plan_audit_roundtrip(tmp_path):
     """`repro lint --plan` on a serialised ExecPlan: the linear route
     fails a zero budget and passes once the atom is allowed."""
@@ -433,14 +448,13 @@ def test_cli_plan_audit_roundtrip(tmp_path):
     assert allowed.returncode == 0, allowed.stdout + allowed.stderr
 
 
-def test_cli_json_report_on_clean_tree():
-    """The committed tree must pass its own linter — the same gate CI
-    runs."""
-    proc = _run_cli("src", "--format", "json")
+def test_cli_sarif_report_on_clean_tree():
+    """CI's own invocation, ``repro lint src/ --format sarif``: it
+    passes, and its log parses with no result in it."""
+    proc = _run_cli("src/", "--format", "sarif")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     blob = json.loads(proc.stdout)
-    assert blob["violations"] == []
-    assert blob["files_checked"] > 50
+    assert blob["runs"][0]["results"] == []
 
 
 @pytest.mark.skipif(

@@ -2,8 +2,8 @@
 
 ``repro lint``'s findings are pinned as data: every entry of
 ``tests/golden/lint_findings.json`` lists the ``(rule, path, line, col,
-message)`` findings of one lint run under all three rules, and each run
-below must reproduce its entry exactly.
+message)`` findings of one lint run, and each run below must reproduce
+its entry exactly.
 
 The runs are every file of ``tests/lint_fixtures/`` (linted as a module
 under ``repro/mpc``), the real ``src/`` tree as committed, and the tree

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import SecureAnnotations, SecureRelation, oblivious_join
 from repro.core.protocol import secure_yannakakis_shared
-from repro.mpc import ALICE, BOB
+from repro.mpc import ALICE, BOB, Mode
 from repro.relalg import (
     AnnotatedRelation,
     Hypergraph,
@@ -97,3 +97,48 @@ class TestPadding:
         vals = res.annotations.reconstruct()
         real = {t for t, v in zip(res.tuples, vals) if int(v)}
         assert real == {(1, 1), (2, 2)}
+
+    def test_padding_rows_hide_how_many_dummies_were_made(self):
+        """J*'s padding rows are Alice's to see, and they depend on
+        their positions alone: Bob's duplicate keys make the owner-local
+        aggregations draw dummies from the process-wide counter, and
+        the padding must not show how many."""
+        from repro.relalg.columns import is_dummy_tuple
+
+        from .test_protocol import OWNER_SPLITS, example_11
+
+        def run(persons):
+            rels = example_11()
+            r2 = rels["R2"]
+            rels["R2"] = AnnotatedRelation(
+                r2.attributes,
+                [(p, d) for p, (_, d) in zip(persons, r2.tuples)],
+                r2.annotations,
+                RING,
+            )
+            tree = find_free_connex_tree(
+                Hypergraph({n: r.attributes for n, r in rels.items()}),
+                {"cls"},
+            )
+            eng = mk_engine(mode=Mode.SIMULATED)
+            sec = {
+                n: SecureRelation.from_annotated(OWNER_SPLITS[0][n], r)
+                for n, r in rels.items()
+            }
+            res = secure_yannakakis_shared(
+                eng, sec, build_plan(tree, ("cls",)), pad_out_to=8
+            )
+            padding = [t for t in res.tuples if is_dummy_tuple(t)]
+            return eng.ctx.transcript.fingerprint(), padding
+
+        runs = [
+            run(persons)
+            for persons in (
+                ["p1", "p2", "p3", "p4"],
+                ["p1", "p1", "p2", "p3"],
+                ["p1", "p1", "p1", "p1"],
+            )
+        ]
+        assert runs[0][1], "no padding row to compare"
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]

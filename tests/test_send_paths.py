@@ -21,7 +21,7 @@ from typing import Dict, List, Tuple
 
 import pytest
 
-from repro.lint.project import call_name, label_arg_of
+from repro.lint.project import call_name
 from repro.mpc import dhoprf, leaves, oprf, ot, psi, yao
 from repro.mpc.context import Context, Mode, ScheduleMismatch
 from repro.mpc.dhoprf import dh_oprf_match
@@ -77,6 +77,22 @@ def sources(root: Path = MPC) -> Dict[str, str]:
         path.relative_to(root).as_posix(): path.read_text()
         for path in sorted(root.rglob("*.py"))
     }
+
+
+#: the position of the label argument of ``send(sender, n_bytes,
+#: label)`` and of ``section(label)``
+LABEL_POSITION = {"send": 2, "section": 0}
+
+
+def label_arg_of(node: ast.Call):
+    """The label argument of a ``send`` or ``section`` call, if any."""
+    pos = LABEL_POSITION.get(call_name(node) or "")
+    if pos is None:
+        return None
+    for k in node.keywords:
+        if k.arg == "label":
+            return k.value
+    return node.args[pos] if len(node.args) > pos else None
 
 
 def label_sites(
