@@ -32,10 +32,10 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from ..mpc.context import Context
 from ..mpc.engine import Engine
 from ..relalg.columns import (
     TupleStore,
-    fresh_nonces,
     group_by_first_appearance,
     joint_row_codes,
     sort_with_same_flags,
@@ -58,17 +58,17 @@ def _group_layout(
 
 
 def _output_store(
-    sorted_proj: TupleStore, same: np.ndarray
+    ctx: Context, sorted_proj: TupleStore, same: np.ndarray
 ) -> TupleStore:
     """Group keys at last-of-group positions, fresh dummies elsewhere
-    (one vectorised nonce-block reservation)."""
+    (one vectorised nonce-block reservation from the run's context)."""
     n = sorted_proj.n
     last = np.ones(n, dtype=bool)
     if n > 1:
         last[:-1] = ~same
     nonce = sorted_proj.nonce.copy()
     inner = ~last
-    nonce[inner] = fresh_nonces(int(inner.sum()))
+    nonce[inner] = ctx.dummy_nonces(int(inner.sum()))
     return TupleStore(
         sorted_proj.attributes, sorted_proj.columns, nonce
     )
@@ -98,7 +98,9 @@ def oblivious_aggregate(
         sums = np.zeros(len(first), dtype=np.uint64)
         np.add.at(sums, gid, rel.annotations.values)
         sums &= engine.ctx.mask
-        out_store = proj.take(first).with_dummies(n - len(first))
+        out_store = proj.take(first).with_dummies(
+            engine.ctx.dummy_nonces(n - len(first))
+        )
         out_annots = np.zeros(n, dtype=np.uint64)
         out_annots[: len(first)] = sums
         return SecureRelation(
@@ -117,7 +119,7 @@ def oblivious_aggregate(
     return SecureRelation(
         rel.owner,
         attrs,
-        _output_store(sorted_proj, same),
+        _output_store(engine.ctx, sorted_proj, same),
         SecureAnnotations.shared(merged),
     )
 
@@ -144,7 +146,9 @@ def oblivious_support_projection(
         sub = rel.store.project(attrs).take(nz)
         codes = joint_row_codes([sub])[0]
         _, first = group_by_first_appearance(codes)
-        out_store = sub.take(first).with_dummies(n - len(first))
+        out_store = sub.take(first).with_dummies(
+            engine.ctx.dummy_nonces(n - len(first))
+        )
         out_annots = np.zeros(n, dtype=np.uint64)
         out_annots[: len(first)] = 1
         return SecureRelation(
@@ -164,6 +168,6 @@ def oblivious_support_projection(
     return SecureRelation(
         rel.owner,
         attrs,
-        _output_store(sorted_proj, same),
+        _output_store(engine.ctx, sorted_proj, same),
         SecureAnnotations.shared(merged),
     )

@@ -26,6 +26,7 @@ from typing import Tuple
 import numpy as np
 
 from ..leakage import leaks
+from ..mpc.context import Context
 from ..mpc.engine import Engine
 from ..mpc.sharing import SharedVector
 from ..relalg.columns import (
@@ -40,7 +41,7 @@ __all__ = ["linear_cross_owner_payloads"]
 
 
 def _key_rows(
-    parent: SecureRelation, child: SecureRelation
+    ctx: Context, parent: SecureRelation, child: SecureRelation
 ) -> Tuple[TupleStore, np.ndarray]:
     """The cross-owner join's parent side, for either back-end:
     ``X = pi_{F'}(parent)`` deduplicated and padded with dummies to
@@ -48,7 +49,8 @@ def _key_rows(
     ``gid[i]``."""
     proj = parent.store.project(child.attributes)
     gid, first = group_by_first_appearance(joint_row_codes([proj])[0])
-    return proj.take(first).with_dummies(len(parent) - len(first)), gid
+    pad = ctx.dummy_nonces(len(parent) - len(first))
+    return proj.take(first).with_dummies(pad), gid
 
 
 @leaks("join_pattern:parent")
@@ -64,7 +66,7 @@ def linear_cross_owner_payloads(
     n = len(child)
     oe = OrientedEngine(engine, owner)
 
-    x_store, gid = _key_rows(parent, child)
+    x_store, gid = _key_rows(ctx, parent, child)
     match = oe.dh_oprf_match(
         row_digests(x_store, ctx.digest_salt),
         row_digests(child.store, ctx.digest_salt),

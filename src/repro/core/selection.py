@@ -22,6 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ..relalg.columns import fresh_nonces
 from ..relalg.operators import select, select_with_dummies
 from ..relalg.relation import AnnotatedRelation
 
@@ -72,7 +73,7 @@ def apply_selection(
     )
     return AnnotatedRelation(
         rel.attributes,
-        selected.store.with_dummies(pad),
+        selected.store.with_dummies(fresh_nonces(pad)),
         annots,
         rel.semiring,
     )

@@ -201,7 +201,7 @@ def _cross_owner_payloads(
 
     # The child's tuples are distinct whenever it came out of a
     # projection-aggregation, which the Yannakakis plan guarantees.
-    x_store, gid = _key_rows(parent, child)
+    x_store, gid = _key_rows(engine.ctx, parent, child)
     salt = engine.ctx.digest_salt
     x_items = row_digests(x_store, salt)
     child_items = row_digests(child.store, salt)

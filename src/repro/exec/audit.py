@@ -16,11 +16,9 @@ contract
 the union — an all-``yannakakis`` route is exactly ``{}``, a route
 with any dispatched ``linear`` node is ``{join_pattern:parent}``.
 
-Three consumers, each auditing the plan
+Two consumers, each auditing the plan
 :func:`~repro.exec.compiler.compile_plan` lowers:
 
-* ``repro lint --plan FILE [--allow ATOM]`` audits a serialised plan
-  against a caller-supplied budget;
 * the serving layer rejects a tenant's plan *statically* at admission
   when its summary exceeds the tenant's pinned leakage budget
   (:meth:`repro.serve.service.QueryService.register_tenant`);
@@ -61,7 +59,6 @@ class NodeLeakage:
 class LeakageReport:
     """Composed leakage of one routed plan."""
 
-    plan_name: str
     nodes: Tuple[NodeLeakage, ...]
 
     @property
@@ -129,4 +126,4 @@ def audit_plan(
             step.label, step.kind, backend, dispatched(scalar, same),
             atoms or frozenset(), unknown_backend=atoms is None,
         ))
-    return LeakageReport(plan_name=plan.name, nodes=tuple(nodes))
+    return LeakageReport(nodes=tuple(nodes))

@@ -3,17 +3,17 @@
 An :class:`ExecPlan` is a tuple of typed :class:`Step` nodes.  Step ids
 are the steps' positions, ``0..n-1``: the tuple is the one execution
 order, and :attr:`Step.label` the one spelling of a node's name.  Steps
-are frozen dataclasses so plans are hashable, comparable and
-serialisable: :meth:`ExecPlan.to_json` / :meth:`ExecPlan.from_json`
-round-trip through plain dicts.  The slots steps read and write live
-in :mod:`repro.exec.scheduler`, the one place that executes them.
+are frozen dataclasses so plans are hashable and comparable.  A plan
+lives only in the process that compiles it
+(:func:`repro.exec.compiler.compile_plan`): it has no file format.  The
+slots steps read and write live in :mod:`repro.exec.scheduler`, the one
+place that executes them.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields
-from typing import Any, Dict, Optional, Set, Tuple, Type
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 __all__ = [
     "Step",
@@ -56,12 +56,6 @@ class Step:
         """The transcript section this step's messages belong to
         (``None`` for steps that emit outside any section)."""
         return None
-
-    def to_json(self) -> Dict[str, Any]:
-        d: Dict[str, Any] = {"kind": self.kind}
-        for f in fields(self):
-            d[f.name] = getattr(self, f.name)
-        return d
 
 
 @dataclass(frozen=True)
@@ -242,50 +236,6 @@ class RevealResultStep(Step):
         return "result"
 
 
-_STEP_KINDS: Dict[str, Type[Step]] = {
-    cls.kind: cls
-    for cls in (
-        ShareStep,
-        ReduceFoldStep,
-        AggregateStep,
-        SemijoinStep,
-        RevealStep,
-        JoinStep,
-        AlignStep,
-        ProductStep,
-        RevealResultStep,
-    )
-}
-
-
-def _detuple(value: Any) -> Any:
-    """JSON arrays back into the tuples the frozen dataclasses expect."""
-    if isinstance(value, list):
-        return tuple(_detuple(v) for v in value)
-    return value
-
-
-def _check_keys(what: str, d: Dict[str, Any], keys: Set[str]) -> None:
-    """A plan file is read strictly: a misspelt key must not load as
-    a default (a ``backnd`` would route ``yannakakis`` and audit clean)."""
-    unknown = sorted(set(d) - keys)
-    if unknown:
-        raise ValueError(f"unknown {what} key(s) {unknown}")
-    missing = sorted(keys - set(d))
-    if missing:
-        raise ValueError(f"missing {what} key(s) {missing}")
-
-
-def step_from_json(d: Dict[str, Any]) -> Step:
-    kind = d.get("kind")
-    cls = _STEP_KINDS.get(kind)
-    if cls is None:
-        raise ValueError(f"unknown step kind: {kind!r}")
-    names = {f.name for f in fields(cls)}
-    _check_keys(f"{kind} step", d, names | {"kind"})
-    return cls(**{name: _detuple(d[name]) for name in names})
-
-
 @dataclass
 class ExecPlan:
     """The compiled plan: its step tuple is the one execution order."""
@@ -298,30 +248,3 @@ class ExecPlan:
     def __post_init__(self) -> None:
         if [s.id for s in self.steps] != list(range(len(self.steps))):
             raise ValueError("step ids must be 0..n-1 in tuple order")
-
-    # -- serialisation ---------------------------------------------------
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "inputs": list(self.inputs),
-            "result_slot": self.result_slot,
-            "steps": [s.to_json() for s in self.steps],
-        }
-
-    @classmethod
-    def from_json(cls, d: Dict[str, Any]) -> "ExecPlan":
-        _check_keys("plan", d, {"name", "inputs", "result_slot", "steps"})
-        return cls(
-            steps=tuple(step_from_json(s) for s in d["steps"]),
-            inputs=tuple(d["inputs"]),
-            result_slot=d["result_slot"],
-            name=d["name"],
-        )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
-
-    @classmethod
-    def loads(cls, s: str) -> "ExecPlan":
-        return cls.from_json(json.loads(s))

@@ -16,7 +16,7 @@ policy (``# oblint: disable=RULE — reason``).
 
 from .runner import discover_files, lint_sources, run_lint
 from .suppress import parse_directives
-from .taint import SECRET_CONFIG, FunctionTaint, function_taint
+from .taint import FunctionTaint
 from .violations import LintResult, Violation
 
 __all__ = [
@@ -25,8 +25,6 @@ __all__ = [
     "discover_files",
     "parse_directives",
     "FunctionTaint",
-    "function_taint",
-    "SECRET_CONFIG",
     "Violation",
     "LintResult",
 ]

@@ -1,26 +1,19 @@
-"""The analysed file set and the one analysis core the rule reads.
+"""The analysed file and the AST helpers the rule reads.
 
-The rule gets two views:
-
-* :class:`SourceFile` — one parsed module: AST, raw lines, directives,
-  and whether it lies in the *protocol directories* whose obliviousness
-  invariants OBL001 enforces.
-* :class:`Project` — all files of the run, the index of every
-  function definition, and the taint cache :mod:`repro.lint.taint`
-  fills.  The rule reads one file at a time: no fact crosses a file
-  boundary, so a file lints the same alone as in the full tree.
+:class:`SourceFile` is one parsed module: AST, raw lines, directives,
+and whether it lies in the *protocol directories* whose obliviousness
+invariants OBL001 enforces.  The rule reads one file at a time: no fact
+crosses a file boundary, so a file lints the same alone as in the full
+tree.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
+from typing import Any, Iterator, List, Optional
 
 from .suppress import Directives, parse_directives
-
-if TYPE_CHECKING:
-    from .taint import FunctionTaint
 
 #: Directories (as posix path fragments) whose modules carry the
 #: protocol's obliviousness obligations.
@@ -67,9 +60,6 @@ class SourceFile:
     tree: ast.Module
     directives: Directives
     lines: List[str] = field(default_factory=list)
-    _defs: Optional[List["FuncInfo"]] = field(
-        default=None, init=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         if not self.lines:
@@ -85,16 +75,9 @@ class SourceFile:
         return ""
 
     def functions(self) -> List[Any]:
-        """Every function definition, nested ones included."""
-        return [info.node for info in self.defs()]
-
-    def defs(self) -> List["FuncInfo"]:
-        """Every function definition with its own-body facts, for the
-        project index (computed once, so runs sharing a file share
-        them)."""
-        if self._defs is None:
-            self._defs = [FuncInfo(fn, self) for fn in _iter_defs(self.tree)]
-        return self._defs
+        """Every function definition, nested ones included, in source
+        order (each before the definitions nested in it)."""
+        return list(_iter_defs(self.tree))
 
 
 def parse_source(path: str, text: str) -> SourceFile:
@@ -106,42 +89,7 @@ def parse_source(path: str, text: str) -> SourceFile:
     )
 
 
-# ----------------------------------------------------------------------
-# the function index
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class FuncInfo:
-    """One function definition and its own body."""
-
-    node: Any  #: the ``FunctionDef``/``AsyncFunctionDef``
-    file: SourceFile
-    #: :func:`walk_shallow` of the body, computed once
-    nodes: List[ast.AST] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.nodes = list(walk_shallow(self.node))
-
-
-class Project:
-    """All files of one lint run plus everything derived from them."""
-
-    def __init__(self, files: List[SourceFile]):
-        self._by_node: Dict[int, FuncInfo] = {
-            id(info.node): info for f in files for info in f.defs()
-        }
-        #: id(def node) -> intraprocedural taint facts
-        self.taints: Dict[int, "FunctionTaint"] = {}
-
-    def info(self, fn: ast.AST) -> FuncInfo:
-        """The index entry of a definition of the file set."""
-        return self._by_node[id(fn)]
-
-
 def _iter_defs(node: ast.AST) -> Iterator[Any]:
-    """Yield every function definition, nested ones included, in
-    source order (each before the definitions nested in it)."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield child

@@ -24,7 +24,7 @@ from typing import (
 )
 
 from . import secret_taint
-from .project import Project, SourceFile, parse_source
+from .project import SourceFile, parse_source
 from .reporters import sarif_report, text_report
 from .violations import LintResult, Violation
 
@@ -132,10 +132,9 @@ def lint_sources(
     suppression without a justification is converted into an OBL000
     finding so silencing a rule always costs an explicit reason.
     """
-    project = Project(list(sources))
     raw: List[Violation] = list(extra_violations)
     for src in sources:
-        raw.extend(secret_taint.check_file(src, project))
+        raw.extend(secret_taint.check_file(src))
 
     kept: List[Violation] = []
     suppressed = 0
@@ -199,37 +198,9 @@ def add_lint_arguments(p: argparse.ArgumentParser) -> None:
         "--changed", action="store_true",
         help="lint only .py files changed vs HEAD (pre-commit mode)",
     )
-    p.add_argument(
-        "--plan", default=None, metavar="FILE",
-        help="audit a serialised ExecPlan's composed leakage instead "
-        "of linting source files",
-    )
-    p.add_argument(
-        "--allow", action="append", default=None, metavar="ATOM",
-        help="leakage atom the --plan audit may accept (repeatable)",
-    )
-
-
-def cmd_audit_plan(args) -> int:
-    """``repro lint --plan FILE [--allow ATOM]...`` — plan audit."""
-    # Imported here: the audit pulls in the (numpy-backed) exec layer,
-    # which plain source linting never needs.
-    from ..exec.audit import audit_plan
-    from ..exec.ir import ExecPlan
-
-    plan = ExecPlan.loads(Path(args.plan).read_text())
-    allow = frozenset(args.allow or ())
-    report = audit_plan(plan)
-    name = report.plan_name or args.plan
-    print(f"plan {name}: leakage summary {sorted(report.summary) or '{}'}")
-    for line in report.violations(allow):
-        print(f"  FAIL {line}")
-    return 0 if report.ok(allow) else 1
 
 
 def cmd_lint(args) -> int:
-    if args.plan:
-        return cmd_audit_plan(args)
     paths = args.paths
     if args.changed:
         changed = git_changed_files()

@@ -1,8 +1,7 @@
 """OBL001 secret-taint.
 
 The rule reads the intraprocedural secret facts
-(:func:`repro.lint.taint.function_taint` under
-:data:`~repro.lint.taint.SECRET_CONFIG`) of every function of the
+(:class:`repro.lint.taint.FunctionTaint`) of every function of the
 protocol directories, and flags secret-dependent *control flow*: an
 ``if``/``while``/ternary/comprehension condition, an ``assert``, a
 ``match`` subject, or a subscript index computed from secret data.  Any
@@ -24,11 +23,11 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Tuple, Union
 
-from .project import Project, SourceFile, call_name
+from .project import SourceFile, call_name
 from .taint import (
-    SECRET_CONFIG,
+    SOURCE_ATTRS,
+    SOURCE_CALLS,
     FunctionTaint,
-    function_taint,
     simulated_exempt_ranges,
 )
 from .violations import Violation
@@ -45,7 +44,7 @@ def _in_ranges(line: int, ranges: List[Tuple[int, int]]) -> bool:
     return any(lo <= line <= hi for lo, hi in ranges)
 
 
-def check_file(src: SourceFile, project: Project) -> Iterator[Violation]:
+def check_file(src: SourceFile) -> Iterator[Violation]:
     """Every OBL001 finding of one file."""
     if not src.in_protocol_dirs:
         return
@@ -53,7 +52,7 @@ def check_file(src: SourceFile, project: Project) -> Iterator[Violation]:
     # analysed on its own, away from the call that marks it.
     exempt = simulated_exempt_ranges(src.tree)
     for fn in src.functions():
-        taint = function_taint(project, fn)
+        taint = FunctionTaint(fn, src)
         if not taint.tainted and not _has_inline_sources(fn):
             # Fast path: nothing seeded, nothing to flag.
             continue
@@ -72,13 +71,10 @@ def check_file(src: SourceFile, project: Project) -> Iterator[Violation]:
 def _has_inline_sources(fn: ast.AST) -> bool:
     """Could an expression be tainted without any tainted name?
     (source calls / source attrs used inline)"""
-    cfg = SECRET_CONFIG
     for node in ast.walk(fn):
-        if isinstance(node, ast.Attribute) and (
-            node.attr in cfg.source_attrs
-        ):
+        if isinstance(node, ast.Attribute) and node.attr in SOURCE_ATTRS:
             return True
-        if isinstance(node, ast.Call) and call_name(node) in cfg.source_calls:
+        if isinstance(node, ast.Call) and call_name(node) in SOURCE_CALLS:
             return True
     return False
 

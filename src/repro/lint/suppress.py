@@ -1,32 +1,29 @@
 """``# oblint:`` comment directives.
 
-Four directive forms, all parsed from end-of-line (or own-line) comments:
+Two directive forms, both parsed from end-of-line (or own-line) comments:
 
 * ``# oblint: disable=OBL001 — reason``      suppress rule(s) on this line
   (a reason after an em-dash/hyphen is MANDATORY; a bare disable is
   itself reported as OBL000)
-* ``# oblint: secret``                        taint the assigned names
 * ``# oblint: public``                        declassify the assigned names
-* ``# oblint: secret-params=x,y``             taint listed parameters of
-  the enclosing function (place inside the function, typically on the
-  docstring line or first statement)
 
 A leakage contract is not a directive: it is the
 ``@repro.leakage.leaks(...)`` decorator, checked at run time.
 
-An own-line directive applies to the *next* code line, so long
-statements can carry a readable suppression above them.
+An own-line directive applies to the *next code line* (blank lines and
+comment-only lines in between are skipped), so long statements can
+carry a readable suppression above them.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 _DIRECTIVE = re.compile(
     r"#\s*oblint:\s*"
-    r"(?P<kind>disable|secret-params|secret|public)"
+    r"(?P<kind>disable|public)"
     r"(?:\s*=\s*(?P<args>[\w*:,\s]+?))?"
     r"\s*(?:(?:—|–|--|-)\s*(?P<reason>.+))?$"
 )
@@ -40,10 +37,7 @@ class Directives:
     disables: Dict[int, Tuple[Set[str], Optional[str]]] = field(
         default_factory=dict
     )
-    secret_lines: Set[int] = field(default_factory=set)
     public_lines: Set[int] = field(default_factory=set)
-    #: line -> parameter names declared secret
-    secret_params: Dict[int, Tuple[str, ...]] = field(default_factory=dict)
 
     def suppresses(self, line: int, rule: str) -> bool:
         entry = self.disables.get(line)
@@ -57,6 +51,19 @@ class Directives:
         return entry[1] if entry else None
 
 
+def _is_code(raw: str) -> bool:
+    stripped = raw.strip()
+    return bool(stripped) and not stripped.startswith("#")
+
+
+def _next_code_line(lines: List[str], i: int) -> int:
+    """The 1-based number of the first code line after line ``i``."""
+    j = i + 1
+    while j <= len(lines) and not _is_code(lines[j - 1]):
+        j += 1
+    return j
+
+
 def parse_directives(text: str) -> Directives:
     """Scan every line of ``text`` for oblint directives."""
     out = Directives()
@@ -65,26 +72,11 @@ def parse_directives(text: str) -> Directives:
         m = _DIRECTIVE.search(raw)
         if m is None:
             continue
-        # Own-line directives annotate the next code line.
-        target = i
-        if raw.lstrip().startswith("#"):
-            target = i + 1
-        kind = m.group("kind")
-        args = m.group("args")
-        reason = m.group("reason")
-        if kind == "disable":
-            rules = {
-                r.strip() for r in (args or "*").split(",") if r.strip()
-            }
-            out.disables[target] = (rules or {"*"}, reason)
-        elif kind == "secret":
-            out.secret_lines.add(target)
-        elif kind == "public":
+        target = i if _is_code(raw) else _next_code_line(lines, i)
+        if m.group("kind") == "disable":
+            args = m.group("args") or "*"
+            rules = {r.strip() for r in args.split(",") if r.strip()}
+            out.disables[target] = (rules or {"*"}, m.group("reason"))
+        else:
             out.public_lines.add(target)
-        elif kind == "secret-params":
-            names = tuple(
-                n.strip() for n in (args or "").split(",") if n.strip()
-            )
-            if names:
-                out.secret_params[target] = names
     return out

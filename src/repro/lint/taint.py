@@ -1,14 +1,13 @@
-"""Secret-taint propagation over the AST, and the per-project cache.
+"""Secret-taint propagation over the AST.
 
-The sources are share arrays, OT outputs and ``# oblint: secret``
-markers, and OBL001 asks whether a secret reaches a branch or an index.
-Per function the analysis is a flow-insensitive fixpoint over local
-variable names — deliberately conservative and simple (a name tainted
-anywhere in the function stays tainted) with three escape hatches that
-keep the false-positive rate workable: shape-reading attributes
-(``.shape``, ``.nbytes``) are clean, declassifier calls (``reveal*``,
-designated reveals) are clean, and ``# oblint: public`` clears the
-assigned names.  The analysis is intraprocedural: what a reveal may
+The sources are share arrays and OT outputs, and OBL001 asks whether a
+secret reaches a branch or an index.  Per function the analysis is a
+flow-insensitive fixpoint over local variable names — deliberately
+conservative and simple (a name tainted anywhere in the function stays
+tainted) with three escape hatches that keep the false-positive rate
+workable: shape-reading attributes (``.shape``, ``.nbytes``) are clean,
+declassifier calls (``reveal*``, designated reveals) are clean, and
+``# oblint: public`` clears the assigned names.  The analysis is intraprocedural: what a reveal may
 open is checked while the plan runs (:mod:`repro.leakage`), not here.
 
 Code dominated by an ``if ctx.mode == Mode.SIMULATED:`` test — and the
@@ -17,24 +16,17 @@ SIMULATED mode only — is exempt from *control-flow* sinks: the simulated
 back-end legitimately computes the functionality on cleartext while the
 transcript is charged from public shapes only (see DESIGN.md,
 "Execution modes").
-
-Facts are computed once per function and cached on the
-:class:`~repro.lint.project.Project` (:func:`function_taint`).
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Set, Tuple
 
-from .project import FuncInfo, Project, call_name
+from .project import SourceFile, call_name, walk_shallow
 
 __all__ = [
-    "TaintConfig",
     "FunctionTaint",
-    "SECRET_CONFIG",
-    "function_taint",
     "dotted_name",
     "mode_branch_kind",
     "simulated_exempt_ranges",
@@ -53,50 +45,37 @@ def dotted_name(expr: ast.expr) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
-class TaintConfig:
-    """What seeds, propagates, and clears taint."""
-
-    #: bare call names producing tainted values
-    source_calls: FrozenSet[str] = frozenset()
-    #: attribute loads that ARE the secret (``x.alice`` share arrays)
-    source_attrs: FrozenSet[str] = frozenset()
-    #: calls whose result is clean even on tainted input
-    declassifier_calls: FrozenSet[str] = frozenset()
-    #: attribute reads that expose only public shape
-    shape_attrs: FrozenSet[str] = frozenset(
-        {"shape", "size", "nbytes", "ndim", "dtype"}
-    )
-
-
-#: Seeds for the obliviousness rule: secret-shared payloads, OT
-#: outputs, and explicit annotations.  ``reconstruct`` is a source (the
-#: cleartext of shared data); the ``reveal*`` family and the decoded
-#: outputs of a garbled batch are *designated reveals* — public by
-#: protocol design — hence declassifiers.
-SECRET_CONFIG = TaintConfig(
-    source_calls=frozenset(
-        {
-            "to_shared",
-            "reconstruct",
-            "transfer",
-            # the C-OT entry point: the batch carries the sender's
-            # pads, ``finish`` returns the receiver's messages
-            "correlated",
-            "finish",
-        }
-    ),
-    source_attrs=frozenset({"alice", "bob"}),
-    declassifier_calls=frozenset(
-        {
-            "len",
-            "reveal",
-            "reveal_vector",
-            "reveal_nonzero_flags",
-            "divide_reveal",
-            "garbled_call",
-        }
-    ),
+#: Seeds for the obliviousness rule: calls producing secret values.
+#: ``reconstruct`` is a source (the cleartext of shared data).
+SOURCE_CALLS: FrozenSet[str] = frozenset(
+    {
+        "to_shared",
+        "reconstruct",
+        "transfer",
+        # the C-OT entry point: the batch carries the sender's
+        # pads, ``finish`` returns the receiver's messages
+        "correlated",
+        "finish",
+    }
+)
+#: Attribute loads that ARE the secret (``x.alice`` share arrays).
+SOURCE_ATTRS: FrozenSet[str] = frozenset({"alice", "bob"})
+#: Calls whose result is clean even on tainted input: the ``reveal*``
+#: family and the decoded outputs of a garbled batch are *designated
+#: reveals*, public by protocol design.
+DECLASSIFIER_CALLS: FrozenSet[str] = frozenset(
+    {
+        "len",
+        "reveal",
+        "reveal_vector",
+        "reveal_nonzero_flags",
+        "divide_reveal",
+        "garbled_call",
+    }
+)
+#: Attribute reads that expose only public shape.
+SHAPE_ATTRS: FrozenSet[str] = frozenset(
+    {"shape", "size", "nbytes", "ndim", "dtype"}
 )
 
 
@@ -146,29 +125,19 @@ def simulated_exempt_ranges(tree: ast.AST) -> List[Tuple[int, int]]:
 
 
 class FunctionTaint:
-    """Taint facts for one function definition: its seeds plus
-    everything the body's statements propagate from them."""
+    """Taint facts for one function definition: the names its own body
+    (nested definitions excluded) propagates secrets into."""
 
-    def __init__(self, info: FuncInfo) -> None:
-        self.fn = info.node
-        self.src = info.file
+    def __init__(self, fn: ast.AST, src: SourceFile) -> None:
+        self.fn = fn
+        self.src = src
         self.tainted: Set[str] = set()
-        self._seed_params()
-        self._fixpoint(info.nodes)
-
-    # -- seeding --------------------------------------------------------
-
-    def _seed_params(self) -> None:
-        lo = self.fn.lineno
-        hi = self.fn.end_lineno or lo
-        for line, names in self.src.directives.secret_params.items():
-            if lo <= line <= hi:
-                self.tainted.update(names)
+        self._fixpoint()
 
     # -- propagation ----------------------------------------------------
 
-    def _fixpoint(self, nodes: List[ast.AST]) -> None:
-        stmts = [n for n in nodes if isinstance(n, ast.stmt)]
+    def _fixpoint(self) -> None:
+        stmts = [n for n in walk_shallow(self.fn) if isinstance(n, ast.stmt)]
         for _ in range(10):
             before = len(self.tainted)
             for stmt in stmts:
@@ -190,8 +159,7 @@ class FunctionTaint:
                 self.tainted -= names
                 return
             value = getattr(stmt, "value", None)
-            seeded = stmt.lineno in self.src.directives.secret_lines
-            if seeded or (value is not None and self.is_tainted(value)):
+            if value is not None and self.is_tainted(value):
                 self.tainted |= names
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
             if self.is_tainted(stmt.iter):
@@ -206,20 +174,19 @@ class FunctionTaint:
     # -- expression taint ----------------------------------------------
 
     def is_tainted(self, expr: ast.expr) -> bool:
-        cfg = SECRET_CONFIG
         if isinstance(expr, ast.Name):
             return expr.id in self.tainted
         if isinstance(expr, ast.Attribute):
-            if expr.attr in cfg.shape_attrs:
+            if expr.attr in SHAPE_ATTRS:
                 return False
-            if expr.attr in cfg.source_attrs:
+            if expr.attr in SOURCE_ATTRS:
                 return True
             return self.is_tainted(expr.value)
         if isinstance(expr, ast.Call):
             name = call_name(expr)
-            if name in cfg.declassifier_calls:
+            if name in DECLASSIFIER_CALLS:
                 return False
-            if name in cfg.source_calls:
+            if name in SOURCE_CALLS:
                 return True
             if any(self.is_tainted(a) for a in expr.args):
                 return True
@@ -323,16 +290,3 @@ def _target_names(target: ast.expr) -> Set[str]:
         out |= _target_names(target.value)
     return out
 
-
-# ----------------------------------------------------------------------
-# the per-project cache
-# ----------------------------------------------------------------------
-
-
-def function_taint(project: Project, fn: ast.AST) -> FunctionTaint:
-    """The intraprocedural facts of one definition, computed once per
-    project."""
-    taint = project.taints.get(id(fn))
-    if taint is None:
-        taint = project.taints[id(fn)] = FunctionTaint(project.info(fn))
-    return taint

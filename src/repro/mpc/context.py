@@ -37,6 +37,12 @@ __all__ = [
     "ALICE", "BOB",
 ]
 
+#: The first nonce :meth:`Context.dummy_nonces` returns: above every
+#: nonce the process-wide counter of data preparation
+#: (:func:`repro.relalg.columns.fresh_nonces`) reaches, so a run's
+#: dummies never equal a prepared relation's.
+_RUN_NONCE_BASE = 1 << 62
+
 
 @runtime_checkable
 class Channel(Protocol):
@@ -138,6 +144,8 @@ class Context:
         self._channel: Channel = self.transcript
         #: the next :meth:`tweak_batch` number
         self._tweak_batch = 0
+        #: the next :meth:`dummy_nonces` nonce
+        self._dummy_nonce = _RUN_NONCE_BASE
         #: the secret salt of every item digest of the session
         #: (:func:`repro.mpc.cuckoo.item_digests`), drawn as it starts
         self.digest_salt = self.random_bytes(16)
@@ -186,6 +194,16 @@ class Context:
         n = self._tweak_batch
         self._tweak_batch = n + 1
         return n
+
+    def dummy_nonces(self, k: int) -> np.ndarray:
+        """``k`` dummy-row nonces (:mod:`repro.relalg.columns`) no
+        earlier call returned, for the dummies an operator makes while
+        the plan runs: a run's dummies are a function of its context,
+        so one process replays a seeded run.  Like :meth:`tweak_batch`,
+        a checkpoint restore does not rewind it."""
+        start = self._dummy_nonce
+        self._dummy_nonce = start + k
+        return np.arange(start, start + k, dtype=np.int64)
 
     def send(self, sender: str, n_bytes: int, label: str) -> None:
         if self._roles_swapped:

@@ -59,15 +59,20 @@ __all__ = [
 
 DUMMY_MARKER = "__dummy__"
 
-#: Global nonce stream: every dummy ever generated is distinct, so
-#: dummies never join each other (or any real value) by accident.  It
-#: counts up from 1; the negative nonces are the padding rows of a
-#: padded join output (``core/join._pad_join``), one per position.
+#: The nonce stream of data preparation (TPC-H masks, padded
+#: selections): every dummy it makes is distinct, so dummies never
+#: join each other (or any real value) by accident.  It counts up from
+#: 1.  The dummies an operator makes while a plan runs take their
+#: nonces from the run's context instead
+#: (:meth:`repro.mpc.context.Context.dummy_nonces`, from 2^62 up), and
+#: the negative nonces are the padding rows of a padded join output
+#: (``core/join._pad_join``), one per position.
 _dummy_nonce = itertools.count(1)
 
 
 def fresh_nonces(k: int) -> np.ndarray:
-    """Reserve a block of ``k`` fresh dummy nonces as an int64 array."""
+    """Reserve a block of ``k`` fresh preparation-time dummy nonces as
+    an int64 array."""
     return np.fromiter(
         itertools.islice(_dummy_nonce, k), dtype=np.int64, count=k
     )
@@ -410,12 +415,12 @@ class TupleStore:
             np.concatenate([self.nonce, other.nonce]),
         )
 
-    def with_dummies(self, k: int) -> "TupleStore":
-        """Append ``k`` fresh dummy rows (vectorised dummy generation:
-        one nonce-block reservation, zero Python tuples built)."""
-        if k <= 0:
+    def with_dummies(self, pad_nonce: np.ndarray) -> "TupleStore":
+        """Append one dummy row per nonce of ``pad_nonce`` (vectorised
+        dummy generation: zero Python tuples built)."""
+        k = len(pad_nonce)
+        if k == 0:
             return self
-        pad_nonce = fresh_nonces(k)
         zeros = np.zeros(k, dtype=np.int64)
         return TupleStore(
             self.attributes,

@@ -8,13 +8,17 @@ worker thread, but only ever between an explicit hand-off
 before every plan step.  Exactly one worker runs at a time, so the
 global interleaving is a deterministic function of the coordinator's
 pick sequence, and the sessions share no mutable protocol state: each
-has its own :class:`~repro.mpc.context.Context` (transcript, RNG),
+has its own :class:`~repro.mpc.context.Context` (transcript, RNG, the
+nonces of the dummy rows its operators make),
 its own runtime :class:`~repro.runtime.session.Session` (framing,
 virtual clock, fault plan), and its own
 :class:`~repro.exec.trace.ExecutionTrace` namespaced by tenant.  What
 they do share is public: the process-wide caches of circuit templates
 (:mod:`repro.mpc.gadgets`) and Beneš topologies
-(:func:`repro.mpc.waksman.benes_topology`), pure functions of shapes.
+(:func:`repro.mpc.waksman.benes_topology`), pure functions of shapes,
+and the process-wide counter TPC-H's data preparation draws its masked
+rows' dummy nonces from, which moves shares but no message (DESIGN.md,
+"Determinism checked by replay").
 
 Crash containment: whatever the worker raises —
 :class:`~repro.runtime.aborts.ProtocolAbort` or an arbitrary crash —

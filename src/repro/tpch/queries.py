@@ -26,7 +26,7 @@ from ..mpc.context import ALICE, BOB, Context, Mode
 from ..mpc.engine import Engine
 from ..mpc.params import SecurityParams
 from ..query.builder import JoinAggregateQuery
-from ..relalg.columns import TupleStore
+from ..relalg.columns import TupleStore, fresh_nonces
 from ..relalg.relation import AnnotatedRelation
 from ..relalg.semiring import IntegerRing
 from .datagen import TpchDataset
@@ -306,7 +306,7 @@ def prepare_q18(
             ("orderkey",),
             TupleStore.from_columns(
                 ("orderkey",), [qualifying]
-            ).with_dummies(pad),
+            ).with_dummies(fresh_nonces(pad)),
             np.arange(lineitem.n_rows) < len(qualifying),
             IntegerRing(ell),
         )

@@ -16,6 +16,7 @@ from repro.relalg import AnnotatedRelation, IntegerRing
 from repro.relalg.columns import (
     Column,
     TupleStore,
+    fresh_nonces,
     group_by_first_appearance,
     is_dummy_tuple,
     joint_row_codes,
@@ -174,7 +175,8 @@ class TestTupleStore:
             ints[:2] = [INT64_MIN, INT64_MAX][:n]
             names = [f"v{i}" for i in rng.integers(0, 3, n)]
             store = TupleStore.from_columns(("a", "b"), [ints, names])
-            stores.append(store.with_dummies(int(rng.integers(0, 4))))
+            pad = fresh_nonces(int(rng.integers(0, 4)))
+            stores.append(store.with_dummies(pad))
         got = joint_row_codes(stores)
         want = unique_row_codes(stores)
         assert [g.tolist() for g in got] == [w.tolist() for w in want]
@@ -187,7 +189,9 @@ class TestTupleStore:
         assert first.tolist() == [0, 1, 3]
 
     def test_dummy_rows_survive_round_trip(self):
-        store = TupleStore.from_tuples(ATTRS, ROWS).with_dummies(2)
+        store = TupleStore.from_tuples(ATTRS, ROWS).with_dummies(
+            fresh_nonces(2)
+        )
         rows = store.materialize()
         assert rows[:4] == ROWS
         assert all(is_dummy_tuple(t) for t in rows[4:])
@@ -318,7 +322,9 @@ class TestSqlBaseline:
 
     def test_dummy_tuples_excluded(self):
         ring = IntegerRing(32)
-        store = TupleStore.from_tuples(("a",), [(1,), (2,)]).with_dummies(3)
+        store = TupleStore.from_tuples(("a",), [(1,), (2,)]).with_dummies(
+            fresh_nonces(3)
+        )
         rel = AnnotatedRelation(
             ("a",), store, [5, 6, 1, 1, 1], ring
         )

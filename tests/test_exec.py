@@ -8,8 +8,8 @@ both modes.
 """
 
 import ast
+import dataclasses
 import importlib
-import json
 from pathlib import Path
 
 import pytest
@@ -90,51 +90,19 @@ def test_compile_missing_relation_raises():
         compile_plan(plan, {"R1": ALICE, "R2": BOB})
 
 
-def test_plan_json_roundtrip():
-    rels = example_11()
-    plan = make_plan(rels)
-    owners = {"R1": ALICE, "R2": BOB, "R3": ALICE}
-    ep = compile_plan(plan, owners, pad_out_to=9, reveal_result=True,
-                      name="ex11")
-    blob = ep.dumps()
-    back = ExecPlan.loads(blob)
-    assert back.steps == ep.steps
-    assert back.inputs == ep.inputs
-    assert back.result_slot == ep.result_slot
-    # JSON is pure data — stable under a second round trip.
-    assert json.loads(blob) == json.loads(back.dumps())
-
-
 def test_plan_ids_are_positions():
-    # The step tuple is the execution order: a loaded plan whose ids
-    # are not 0..n-1 in order is rejected, not re-sorted.
+    # The step tuple is the execution order: a plan whose ids are not
+    # 0..n-1 in order is rejected, not re-sorted.
     ep = compile_plan(
         make_plan(example_11()), {"R1": ALICE, "R2": BOB, "R3": ALICE}
     )
-    blob = ep.to_json()
-    blob["steps"][0]["id"], blob["steps"][1]["id"] = 1, 0
+    first, second = ep.steps[:2]
+    swapped = (
+        dataclasses.replace(first, id=1),
+        dataclasses.replace(second, id=0),
+    ) + ep.steps[2:]
     with pytest.raises(ValueError, match="0..n-1"):
-        ExecPlan.from_json(blob)
-
-
-@pytest.mark.parametrize(
-    "mutate, key",
-    [
-        (lambda b: b["steps"][0].pop("id"), "id"),
-        (lambda b: b["steps"][-1].update(extra=1), "extra"),
-        (lambda b: b.pop("result_slot"), "result_slot"),
-        (lambda b: b.update(stages=[]), "stages"),
-    ],
-    ids=["step-missing", "step-unknown", "plan-missing", "plan-unknown"],
-)
-def test_plan_json_rejects_missing_and_unknown_keys(mutate, key):
-    ep = compile_plan(
-        make_plan(example_11()), {"R1": ALICE, "R2": BOB, "R3": ALICE}
-    )
-    blob = ep.to_json()
-    mutate(blob)
-    with pytest.raises(ValueError, match=key):
-        ExecPlan.from_json(blob)
+        ExecPlan(swapped, ep.inputs)
 
 
 # ----------------------------------------------------------------------

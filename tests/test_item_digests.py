@@ -102,7 +102,7 @@ class TestEncodeRows:
         # (An *empty* dictionary column cannot take the placeholder
         # code dummy rows park in it; no operator builds one.)
         assume(store.n > 0)
-        padded = store.with_dummies(k)
+        padded = store.with_dummies(fresh_nonces(k))
         assert encode_rows(padded) == [
             encode_item(t) for t in padded.materialize()
         ]
@@ -128,7 +128,7 @@ class TestEncodeRows:
         b = ["é" * (i % 3) for i in range(40)]
         store = TupleStore.from_columns(
             ("a", "b", "c"), [np.arange(40), Column.from_objects(a), b]
-        ).with_dummies(3)
+        ).with_dummies(fresh_nonces(3))
         assert encode_rows(store) == [
             encode_item(t) for t in store.materialize()
         ]
@@ -236,7 +236,7 @@ class TestEncodeOnce:
     def test_int_store_never_calls_the_scalar_encoder(self, encode_calls):
         store = TupleStore.from_columns(
             ("a", "b"), [np.arange(500), -np.arange(500)]
-        ).with_dummies(100)
+        ).with_dummies(fresh_nonces(100))
         assert len(row_digests(store)) == 600
         assert encode_calls == []
 

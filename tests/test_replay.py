@@ -19,11 +19,14 @@ two fresh interpreters, one under ``PYTHONHASHSEED=0`` and one under
 * whether the run moved numpy's or ``random``'s global generator,
   which it must not.
 
-The interpreters are fresh because one process does not replay itself:
-dummy-row nonces come from a process-wide counter
-(``repro.relalg.columns``), so a second run in the same process
-computes different shares (DESIGN.md, "Determinism checked by
-replay").
+The interpreters are fresh because one process does not replay a
+TPC-H run: its masked rows are rebuilt on every run and draw their
+dummy nonces from the process-wide counter of data preparation
+(``repro.relalg.columns.fresh_nonces``), so a second run in the same
+process computes different shares (DESIGN.md, "Determinism checked by
+replay").  The dummies an operator makes while a plan runs come from
+the run's context, so a run over fixed relations does replay in the
+process that ran it, which every ownership split of Example 1.1 checks.
 
 Run one interpreter's half alone, printing its JSON, with::
 
@@ -37,7 +40,14 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+
+import pytest
+
+from repro.mpc import Mode
+
+from .test_protocol import OWNER_SPLITS, example_11, run_secure
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -79,16 +89,11 @@ def golden_runs() -> dict:
     return {"runs": runs, "shapes": shapes}
 
 
-def share_digest() -> str:
-    """SHA-256 over the shares of every ``SharedVector`` built while Q3
-    runs in both modes under both back-ends, with small silent-OT
-    pools."""
-    from repro.leakage import BACKENDS
-    from repro.mpc import Engine, Mode
+@contextmanager
+def recorded_shares():
+    """A SHA-256 that absorbs the shares of every ``SharedVector`` built
+    inside the block."""
     from repro.mpc.sharing import SharedVector
-    from repro.tpch import PREPARED, generate
-
-    from .conftest import small_pool_settings
 
     digest = hashlib.sha256()
     build = SharedVector.__init__
@@ -97,20 +102,37 @@ def share_digest() -> str:
         build(self, alice, bob, modulus)
         digest.update(self.alice.tobytes() + self.bob.tobytes())
 
+    SharedVector.__init__ = recording  # type: ignore[method-assign]
+    try:
+        yield digest
+    finally:
+        SharedVector.__init__ = build  # type: ignore[method-assign]
+
+
+def share_digest() -> str:
+    """SHA-256 over the shares of every ``SharedVector`` built while Q3
+    runs in both modes under both back-ends, with small silent-OT
+    pools."""
+    from repro.leakage import BACKENDS
+    from repro.mpc import Engine
+    from repro.tpch import PREPARED, generate
+
+    from .conftest import small_pool_settings
+
     patched = small_pool_settings()
     saved = [(m, name, getattr(m, name)) for m, name, _ in patched]
     for module, name, value in patched:
         setattr(module, name, value)
-    SharedVector.__init__ = recording  # type: ignore[method-assign]
     try:
         query = PREPARED["Q3"](generate(SHARE_SCALE_MB))
-        for mode in (Mode.REAL, Mode.SIMULATED):
-            for backend in BACKENDS:
-                engine = Engine(query.make_context(mode, seed=SHARE_SEED))
-                engine.backend = backend
-                query.run_secure(engine)
+        with recorded_shares() as digest:
+            for mode in (Mode.REAL, Mode.SIMULATED):
+                for backend in BACKENDS:
+                    ctx = query.make_context(mode, seed=SHARE_SEED)
+                    engine = Engine(ctx)
+                    engine.backend = backend
+                    query.run_secure(engine)
     finally:
-        SharedVector.__init__ = build  # type: ignore[method-assign]
         for module, name, value in saved:
             setattr(module, name, value)
     return digest.hexdigest()
@@ -163,6 +185,20 @@ def test_seeded_runs_replay_in_fresh_processes():
     assert len(set(shares.values())) == 1, (
         f"Q3's shares differ between fresh processes: {shares}"
     )
+
+
+@pytest.mark.parametrize("mode", [Mode.SIMULATED, Mode.REAL])
+@pytest.mark.parametrize("owners", OWNER_SPLITS)
+def test_seeded_run_replays_in_its_own_process(mode, owners):
+    """Run twice in one process under one seed, Example 1.1 builds the
+    same shares: the dummies its operators make come from the run's
+    context, not from a counter the first run advanced."""
+    digests = []
+    for _ in range(2):
+        with recorded_shares() as digest:
+            run_secure(example_11(), owners, ("cls",), mode)
+        digests.append(digest.hexdigest())
+    assert digests[0] == digests[1]
 
 
 if __name__ == "__main__":  # pragma: no cover
