@@ -22,7 +22,7 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..mpc.batch import aes_digests
+from ..mpc.batch import DigestMessages, aes_digests
 from ..mpc.context import Context
 from ..mpc.cuckoo import LOCAL_SALT, encode_item
 from ..mpc.engine import Engine
@@ -69,14 +69,11 @@ _INT_CELL = _bytes(_cell(encode_item(0))[:-8])
 _DUMMY_CELL = _bytes(_cell(encode_item(dummy_value(0)))[:-8])
 
 
-def _fixed_cells(prefix: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``(n, len(prefix) + 8)`` cells: the prefix, then each int64's 8
-    little-endian bytes."""
-    n = len(values)
-    le8 = values.astype("<i8").view(np.uint8).reshape(n, 8)
-    return np.concatenate(
-        [np.broadcast_to(prefix, (n, len(prefix))), le8], axis=1
-    )
+def _fixed_cells(prefix: np.ndarray, values: np.ndarray) -> List[np.ndarray]:
+    """The two parts of ``len(values)`` fixed-width cells: the prefix,
+    then each int64's 8 little-endian bytes."""
+    le8 = np.asarray(values, dtype="<i8").view(np.uint8)
+    return [prefix, le8.reshape(len(values), 8)]
 
 
 def _cell_table(values: List[Any]) -> Tuple[np.ndarray, np.ndarray]:
@@ -96,10 +93,10 @@ def _cell_table(values: List[Any]) -> Tuple[np.ndarray, np.ndarray]:
 
 def _row_blocks(
     store: TupleStore,
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+) -> Iterator[Tuple[np.ndarray, DigestMessages]]:
     """``(rows, block)`` pairs covering every row of ``store`` once:
-    ``block`` is a ``(len(rows), W)`` byte matrix whose row ``i`` is
-    ``encode_item`` of row ``rows[i]``.
+    ``block.rows[i]`` is ``encode_item`` of row ``rows[i]``, written in
+    place in the messages :func:`~repro.mpc.batch.aes_digests` hashes.
 
     Dummy rows form one block of fixed-width cells.  Real rows are
     grouped by their cell-width signature (an int cell is fixed-width,
@@ -108,14 +105,21 @@ def _row_blocks(
     gathered by code from the column's :func:`_cell_table`."""
     head = _bytes(b"t" + store.arity.to_bytes(4, "little"))
 
-    def block(n: int, cells: List[np.ndarray]) -> np.ndarray:
-        heads = np.broadcast_to(head, (n, len(head)))
-        return np.concatenate([heads] + cells, axis=1)
+    def block(n: int, parts: List[np.ndarray]) -> DigestMessages:
+        """``n`` rows of the head and then ``parts`` side by side, each
+        part one byte column range (a constant prefix broadcasts)."""
+        parts = [head] + parts
+        out = DigestMessages.zeros(n, sum(p.shape[-1] for p in parts))
+        rows, at = out.rows, 0
+        for part in parts:
+            rows[:, at : at + part.shape[-1]] = part
+            at += part.shape[-1]
+        return out
 
     dummies = np.flatnonzero(store.nonce)
     if len(dummies):
         cell = _fixed_cells(_DUMMY_CELL, store.nonce[dummies])
-        yield dummies, block(len(dummies), [cell] * store.arity)
+        yield dummies, block(len(dummies), cell * store.arity)
     real = np.flatnonzero(store.nonce == 0)
     if not len(real):
         return
@@ -132,15 +136,15 @@ def _row_blocks(
         order = np.argsort(sig, kind="stable")
         groups = np.split(real[order], np.flatnonzero(np.diff(sig[order])) + 1)
     for rows in groups:
-        cells = []
+        parts: List[np.ndarray] = []
         for j, c in enumerate(store.columns):
             codes = c.codes[rows]
             if j in tables:
                 table, width = tables[j]
-                cells.append(table[codes, : width[codes[0]]])
+                parts.append(table[codes, : width[codes[0]]])
             else:
-                cells.append(_fixed_cells(_INT_CELL, codes))
-        yield rows, block(len(rows), cells)
+                parts.extend(_fixed_cells(_INT_CELL, codes))
+        yield rows, block(len(rows), parts)
 
 
 def row_digests(store: TupleStore, salt: bytes = LOCAL_SALT) -> np.ndarray:

@@ -156,15 +156,16 @@ def _same_owner_payloads(
     ctx = engine.ctx
     n = len(child)
     pcodes, ccodes = _child_alignment(parent, child)
-    if len(np.unique(ccodes)) != n:
+    try:
+        order, slot = sorted_lookup(ccodes, pcodes)
+    except ValueError:
         raise ValueError(
             "reduce-join requires distinct child tuples (run the "
             "child through an oblivious projection-aggregation "
             "first, as the Yannakakis plan does)"
-        )
+        ) from None
     # mu[i] = the child row parent row i joins, or n = the dummy slot
     # (``slot`` is -1 there, which indexes the appended ``n``).
-    order, slot = sorted_lookup(ccodes, pcodes)
     mu = np.append(order, n)[slot]
 
     if (

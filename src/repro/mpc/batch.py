@@ -35,7 +35,7 @@ tests, ``tests/test_batch_kernels.py`` and ``tests/reference.py``.
 from __future__ import annotations
 
 import threading
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import (
@@ -54,6 +54,7 @@ __all__ = [
     "tweaks",
     "aes_prp",
     "aes_ctr",
+    "DigestMessages",
     "aes_digests",
     "sorted_lookup",
 ]
@@ -240,28 +241,52 @@ def aes_ctr(key: bytes, first: int, n_blocks: int) -> np.ndarray:
     return out[: 16 * n_blocks].reshape(n_blocks, 16)
 
 
-#: Rows :func:`aes_digests` hashes at a time, so its temporaries stay
-#: a few MB however many rows a block has.
+#: Rows :func:`aes_digests` hashes at a time, so its block-major
+#: temporaries stay a few MB however many rows a block has.
 _DIGEST_SLICE = 1 << 12
 
 
-def aes_digests(salt: bytes, rows: np.ndarray) -> np.ndarray:
+class DigestMessages(NamedTuple):
+    """Rows of one ``length`` laid out as :func:`aes_digests` hashes
+    them: ``msg[i]`` is the length as 8 little-endian bytes, row ``i``
+    and zero padding to whole 16-byte blocks.  A caller that writes its
+    rows straight into :attr:`rows` saves copying them."""
+
+    msg: np.ndarray
+    length: int
+
+    @classmethod
+    def zeros(cls, m: int, length: int) -> "DigestMessages":
+        """``m`` all-zero rows, their length prefixes set."""
+        msg = np.zeros((m, 16 * ((8 + length + 15) // 16)), dtype=np.uint8)
+        msg.view("<u8")[:, 0] = length
+        return cls(msg, length)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The ``(m, length)`` view of the rows inside :attr:`msg`."""
+        return self.msg[:, 8 : 8 + self.length]
+
+
+def aes_digests(
+    salt: bytes, rows: Union[np.ndarray, DigestMessages]
+) -> np.ndarray:
     """The 32-byte digest of every row of an ``(m, L)`` byte matrix
     under the secret 16-byte ``salt``: the CBC-MAC (AES-128 keyed by
     ``salt``, zero IV) of ``L`` as 8 little-endian bytes, the row and
     zero padding — a PRF, since the length prefix makes the messages
     prefix-free — run one block further twice, with the blocks ``1``
     and ``2``, for the two halves.  One ECB call, as in :func:`aes_prp`,
-    per block position over every row of a slice."""
+    per block position over every row of a slice.  Rows already laid
+    out as :class:`DigestMessages` are hashed where they are."""
+    if not isinstance(rows, DigestMessages):
+        laid_out = DigestMessages.zeros(*rows.shape)
+        laid_out.rows[...] = rows
+        rows = laid_out
     enc = _ecb(salt)
-    m, length = rows.shape
-    n_chunks = (8 + length + 15) // 16
-    out = np.empty((m, 32), dtype=np.uint8)
-    for lo in range(0, m, _DIGEST_SLICE):
-        part = rows[lo : lo + _DIGEST_SLICE]
-        msg = np.zeros((len(part), 16 * n_chunks), dtype=np.uint8)
-        msg.view("<u8")[:, 0] = length
-        msg[:, 8 : 8 + length] = part
+    out = np.empty((len(rows.msg), 32), dtype=np.uint8)
+    for lo in range(0, len(out), _DIGEST_SLICE):
+        msg = rows.msg[lo : lo + _DIGEST_SLICE]
         # Block-major, so each block position is contiguous (moved as
         # 16-byte ``complex128`` elements, never computed on).
         chunks = msg.view(np.complex128).T.copy()
@@ -271,20 +296,26 @@ def aes_digests(salt: bytes, rows: np.ndarray) -> np.ndarray:
         tail = np.repeat(mac, 2, axis=0)
         tail[0::2, 0] ^= 1
         tail[1::2, 0] ^= 2
-        out[lo : lo + len(part)] = _encrypt(enc, tail).reshape(-1, 32)
+        out[lo : lo + len(msg)] = _encrypt(enc, tail).reshape(-1, 32)
     return out
 
 
 def sorted_lookup(
     keys: np.ndarray, queries: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(order, slot)``: ``order`` stably sorts ``keys`` and
-    ``slot[i]`` is the position of ``queries[i]`` in the sorted keys,
-    or ``-1`` when it is absent — one argsort + one ``searchsorted``
-    in place of a dict probe per query."""
-    order = np.argsort(keys, kind="stable")
+    """``(order, slot)``: ``order`` sorts ``keys`` and ``slot[i]`` is
+    the position of ``queries[i]`` in the sorted keys, or ``-1`` when it
+    is absent — one argsort + one ``searchsorted`` in place of a dict
+    probe per query.
+
+    ``keys`` must be distinct, so the order is the one sort of them
+    whatever the algorithm; a duplicate, found in one pass over the
+    sorted keys, raises ``ValueError``."""
+    order = np.argsort(keys)
     if not len(keys):
         return order, np.full(len(queries), -1, dtype=np.int64)
     srt = keys[order]
+    if (srt[1:] == srt[:-1]).any():
+        raise ValueError("sorted_lookup requires distinct keys")
     pos = np.minimum(np.searchsorted(srt, queries), len(keys) - 1)
     return order, np.where(srt[pos] == queries, pos, -1)

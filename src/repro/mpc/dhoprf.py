@@ -25,9 +25,10 @@ an x-coordinate of the prime-order curve, so blinding scalars drawn from
 ``[1, n)`` are invertible mod ``n`` and the blinded elements are uniform
 — Bob learns nothing about Alice's keys.  Only x crosses: ``x(k * P) ==
 x(k * -P)``, so whichever point a party lifts an x-coordinate to gives
-the same PRF value, and each lift is the on-curve check of the received
-element.  The number of ``H1`` attempts depends on the hashing party's
-own item and is never sent.
+the same PRF value.  ``H1``'s own lift is the point multiplied, and
+each lift of a received x-coordinate is its on-curve check.  The number
+of ``H1`` attempts depends on the hashing party's own item and is never
+sent.
 
 All three message sizes depend only on the public sizes ``m`` and
 ``n``, and the token order is pseudorandom under the PRF, so the
@@ -112,14 +113,34 @@ def dh_oprf_match(
             alice_tokens, bob_tokens = _tokens_simulated(ctx, alice, bob)
         charge_dh_oprf(ctx, len(alice), len(bob), sizes)
         # Bob's tokens travel sorted; Alice matches hers against them.
-        order, slot = sorted_lookup(bob_tokens, alice_tokens)
-        srt = bob_tokens[order]
-        if (srt[1:] == srt[:-1]).any():
+        order, slot = _match(bob_tokens, alice_tokens)
+        return DhOprfMatch(slot, order)
+
+
+def _match(
+    bob_tokens: np.ndarray, alice_tokens: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(order, slot)`` of :func:`~repro.mpc.batch.sorted_lookup` over
+    the 16-byte tokens, found on their first 8 bytes as big-endian
+    ``uint64`` keys (which sort as the tokens do) and every hit
+    confirmed on all 16.  A tie among Bob's 8-byte keys (probability
+    about ``n^2 / 2^65``) takes the full-width path."""
+    bob, alice = (
+        t.view(">u8").reshape(-1, 2) for t in (bob_tokens, alice_tokens)
+    )
+    try:
+        order, slot = sorted_lookup(bob[:, 0], alice[:, 0])
+    except ValueError:
+        try:
+            return sorted_lookup(bob_tokens, alice_tokens)
+        except ValueError:
             raise RuntimeError(
                 "DH-OPRF token collision between distinct items "
                 "(probability < 2^-100); re-run with a fresh context"
-            )
-        return DhOprfMatch(slot, order)
+            ) from None
+    hit = slot >= 0
+    hit[hit] = bob[order[slot[hit]], 1] == alice[hit, 1]
+    return order, np.where(hit, slot, -1)
 
 
 def _as_tokens(raw: bytes) -> np.ndarray:
@@ -136,7 +157,7 @@ def _tokens_real(
     # 1. Alice blinds her hashed keys with fresh per-item scalars.
     blinds = [p256.random_scalar(ctx.random_bytes) for _ in alice]
     blinded = [
-        p256.mul_x(p256.secret(r), [p256.hash_to_curve(x.tobytes())])[0]
+        p256.mul(p256.secret(r), [p256.hash_to_curve(x.tobytes())])[0]
         for x, r in zip(alice, blinds)
     ]
 
@@ -147,7 +168,7 @@ def _tokens_real(
     # 3. ... and ships the tokens of his own items.
     bob_tokens = b"".join(
         _token(t)
-        for t in p256.mul_x(k, [p256.hash_to_curve(y.tobytes()) for y in bob])
+        for t in p256.mul(k, [p256.hash_to_curve(y.tobytes()) for y in bob])
     )
 
     # 4. Alice unblinds locally.

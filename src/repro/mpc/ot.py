@@ -335,7 +335,8 @@ def _chou_orlandi(
     own_a = p256.base_mul(a)
     minus_a = p256.neg(own_a)
     wire_a = p256.encode(own_a)
-    big_a = p256.decode(wire_a)  # the receiver's copy
+    key_a = p256.decode(wire_a)  # the receiver's copy, built once
+    big_a = p256.affine(key_a)
 
     # Receiver: per transfer B = bG + cA and her key H(x(bA)).
     wire_bs: List[bytes] = []
@@ -348,14 +349,16 @@ def _chou_orlandi(
         if c:
             big_b = p256.add(big_b, big_a)
         wire_bs.append(p256.encode(big_b))
-        (shared_b,) = p256.mul(b, [big_a])
+        (shared_b,) = p256.mul(b, [key_a])
         keys.append(_kdf(shared_b))
 
     # Sender: one key per message, H(x(aB)) and H(x(a(B - A))).
-    big_bs = [p256.decode(wire_b) for wire_b in wire_bs]
-    shared = p256.mul(
-        a, [q for big_b in big_bs for q in (big_b, p256.add(big_b, minus_a))]
-    )
+    keys_b = [p256.decode(wire_b) for wire_b in wire_bs]
+    shared = p256.mul(a, [
+        q
+        for key_b in keys_b
+        for q in (key_b, p256.add(p256.affine(key_b), minus_a))
+    ])
     out: List[bytes] = []
     ct_bytes = 0
     for (m0, m1), c, key, x0, x1 in zip(

@@ -11,15 +11,18 @@ received encoding is validated by the one call that decodes it, and an
 off-curve one raises OpenSSL's ``ValueError``.
 
 Points are affine ``(x, y)`` integer pairs, crossing the wire as 33-byte
-SEC1-compressed strings; the x-only functions (:func:`mul_x`,
-:func:`hash_to_curve`) work on 32-byte big-endian x-coordinates, where
-``x(k * P) == x(k * -P)`` makes the choice of lift immaterial.
+SEC1-compressed strings; :func:`mul_x` works on 32-byte big-endian
+x-coordinates, where ``x(k * P) == x(k * -P)`` makes the choice of lift
+immaterial.  A point a multiplication takes is an OpenSSL public key
+(:data:`Public`); building one from an encoding or from coordinates
+validates it, so a point that several scalars multiply, or that was
+decoded or hashed onto the curve, is built once and passed as its key.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple, Union
 
 from cryptography.hazmat.primitives.asymmetric import ec
 
@@ -27,8 +30,10 @@ __all__ = [
     "N",
     "P",
     "Point",
+    "Public",
     "Secret",
     "add",
+    "affine",
     "base_mul",
     "decode",
     "encode",
@@ -48,6 +53,8 @@ Point = Tuple[int, int]
 #: A secret scalar as the OpenSSL key every multiplication by it uses
 #: (:func:`secret`).
 Secret = ec.EllipticCurvePrivateKey
+#: A validated point as the OpenSSL key a multiplication takes.
+Public = ec.EllipticCurvePublicKey
 
 _CURVE = ec.SECP256R1()
 _ECDH = ec.ECDH()
@@ -65,16 +72,19 @@ def random_scalar(random_bytes: Callable[[int], bytes]) -> int:
             return k
 
 
-def _public_key(point: Point) -> ec.EllipticCurvePublicKey:
+def _public_key(point: Union[Point, Public]) -> Public:
+    if isinstance(point, Public):
+        return point
     return ec.EllipticCurvePublicNumbers(*point, _CURVE).public_key()
 
 
-def _affine(key: ec.EllipticCurvePublicKey) -> Point:
+def affine(key: Public) -> Point:
+    """The ``(x, y)`` coordinates of a point held as its key."""
     nums = key.public_numbers()
     return nums.x, nums.y
 
 
-def _lift(x: bytes) -> ec.EllipticCurvePublicKey:
+def _lift(x: bytes) -> Public:
     """The even-``y`` point over a 32-byte x-coordinate."""
     return ec.EllipticCurvePublicKey.from_encoded_point(_CURVE, b"\x02" + x)
 
@@ -88,11 +98,13 @@ def secret(k: int) -> Secret:
 
 def base_mul(k: Secret) -> Point:
     """``k * G``, computed when ``k`` was derived."""
-    return _affine(k.public_key())
+    return affine(k.public_key())
 
 
-def mul(k: Secret, points: Sequence[Point]) -> List[bytes]:
-    """``x(k * P)`` for every ``P`` in ``points``."""
+def mul(k: Secret, points: Sequence[Union[Point, Public]]) -> List[bytes]:
+    """``x(k * P)`` for every ``P`` in ``points``: affine coordinates,
+    or a key already built (:func:`decode`, :func:`hash_to_curve`),
+    which is not built again."""
     return [k.exchange(_ECDH, _public_key(point)) for point in points]
 
 
@@ -125,26 +137,26 @@ def encode(point: Point) -> bytes:
     return bytes([2 | (y & 1)]) + x.to_bytes(32, "big")
 
 
-def decode(data: bytes) -> Point:
-    """Inverse of :func:`encode`; rejects anything else."""
+def decode(data: bytes) -> Public:
+    """Inverse of :func:`encode`, as the point's key (:func:`affine`
+    gives its coordinates); rejects anything else."""
     if len(data) != 33:
         raise ValueError("a compressed P-256 point is 33 bytes")
-    return _affine(ec.EllipticCurvePublicKey.from_encoded_point(_CURVE, data))
+    return ec.EllipticCurvePublicKey.from_encoded_point(_CURVE, data)
 
 
-def hash_to_curve(digest: bytes) -> bytes:
-    """The x-coordinate ``sha256(salt | digest | ctr)`` of the first
-    counter that lands on the curve (about half do).  The iteration
-    count depends only on the hashing party's own ``digest`` and never
-    reaches the wire."""
+def hash_to_curve(digest: bytes) -> Public:
+    """The point over the x-coordinate ``sha256(salt | digest | ctr)``
+    of the first counter that lands on the curve (about half do), as
+    the key the lift that found it built.  The iteration count depends
+    only on the hashing party's own ``digest`` and never reaches the
+    wire."""
     ctr = 0
     while True:
         x = hashlib.sha256(
             _H2C_SALT + digest + ctr.to_bytes(4, "little")
         ).digest()
         try:
-            _lift(x)
+            return _lift(x)
         except ValueError:
             ctr += 1
-        else:
-            return x

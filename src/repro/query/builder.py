@@ -55,6 +55,8 @@ class JoinAggregateQuery:
         #: (``engine.backend``) takes precedence.  See docs/BACKENDS.md.
         self.backend: str = "yannakakis"
         self._plan: Optional[YannakakisPlan] = None
+        #: policy -> (the plan it was routed on, its route map)
+        self._routes: Dict[str, Tuple[YannakakisPlan, Dict[str, str]]] = {}
 
     def add_relation(
         self,
@@ -143,15 +145,21 @@ class JoinAggregateQuery:
         """The per-node back-end map a secure run of this query would
         execute (label-keyed, as the compiler and estimator expect).
         ``backend`` overrides the query's own policy (an engine-level
-        override is resolved the same way by ``run_secure``)."""
+        override is resolved the same way by ``run_secure``).  Routed
+        once per policy and plan: like the plan, a route map is a
+        function of public sizes, owners and the ring width alone."""
         policy = backend if backend is not None else self.backend
-        return route_backends(
-            self.plan(),
-            {n: len(r) for n, r in self.relations.items()},
-            self.owners,
-            backend=policy,
-            params=self.ring_params() if policy == "auto" else None,
-        )
+        plan = self.plan()
+        cached = self._routes.get(policy)
+        if cached is None or cached[0] is not plan:
+            cached = self._routes[policy] = plan, route_backends(
+                plan,
+                {n: len(r) for n, r in self.relations.items()},
+                self.owners,
+                backend=policy,
+                params=self.ring_params() if policy == "auto" else None,
+            )
+        return cached[1]
 
     # -- evaluation ---------------------------------------------------------
 

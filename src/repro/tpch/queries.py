@@ -5,7 +5,9 @@ selections become zero-annotated dummy tuples, ``nation``/``region``
 are treated as public, Q18's subquery is evaluated locally by
 lineitem's owner, Q8/Q9 are decomposed per Section 7 — and returns a
 :class:`PreparedQuery` that can run securely (any engine) or in
-plaintext (the non-private baseline).
+plaintext (the non-private baseline).  Preparing builds the masked
+relations once; every run reuses them, and with them one plan and one
+route map per back-end policy (DESIGN.md, "Prepared once").
 
 Relations are partitioned between the parties in the worst possible
 way, alternating owners along the join tree, exactly as the paper's
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,7 +56,14 @@ def to_signed(value: int, ell: int) -> int:
 
 @dataclass
 class PreparedQuery:
-    """A benchmark query ready to run."""
+    """A benchmark query ready to run.
+
+    It holds its masked input relations, built once when it was
+    prepared, and the queries over them that its runs execute: one for
+    Q3, Q10 and Q18, one per half for Q8, one per nation and aggregate
+    for Q9.  A held query plans on its first run and routes on its
+    first run under each back-end policy; later runs reuse both, which
+    are functions of public sizes, owners and the ring width alone."""
 
     name: str
     description: str
@@ -65,9 +74,9 @@ class PreparedQuery:
     result_scale: int
     _secure: Callable[[Engine], AnnotatedRelation]
     _plain: Callable[[], AnnotatedRelation]
-    #: builder for the underlying single-plan query (None for the
-    #: decomposed Q8/Q9) — benchmarks use it to reach the input
-    #: relations for ingestion/marshalling measurements.
+    #: a fresh, not yet planned query over the held relations of a
+    #: single-plan query (None for the decomposed Q8/Q9): its caller
+    #: may re-route or mirror it without touching this query's runs.
     _build: Optional[Callable[[], "JoinAggregateQuery"]] = None
     #: SMCQL-style baseline model: relation sizes of one Cartesian
     #: product, the number of join conditions, and how many times the
@@ -106,6 +115,17 @@ def _maybe_flip(
     return query.swap_owners() if flip_owners else query
 
 
+def _single_plan(build: Callable[[], JoinAggregateQuery]) -> Dict[str, Any]:
+    """The run paths of a single-plan query: both run one held query
+    built by ``build``, and ``_build`` is ``build`` itself."""
+    held = build()
+    return dict(
+        _secure=lambda engine: held.run_secure(engine)[0],
+        _plain=held.run_plain,
+        _build=build,
+    )
+
+
 def _rename(rel: AnnotatedRelation, mapping: Dict[str, str]) -> AnnotatedRelation:
     return rel.replace(
         attributes=tuple(mapping.get(a, a) for a in rel.attributes)
@@ -142,27 +162,27 @@ def prepare_q3(
     customer, orders, lineitem = (
         dataset["customer"], dataset["orders"], dataset["lineitem"],
     )
+    c = _rel(
+        customer, ["c_custkey"], {"c_custkey": "custkey"}, ell,
+        mask=np.asarray(
+            [s == "AUTOMOBILE" for s in customer.column("c_mktsegment")]
+        ),
+    )
+    o = _rel(
+        orders,
+        ["o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"],
+        {"o_custkey": "custkey", "o_orderkey": "orderkey"},
+        ell,
+        mask=np.asarray(orders.column("o_orderdate")) < cutoff,
+    )
+    l = _rel(
+        lineitem, ["l_orderkey"], {"l_orderkey": "orderkey"}, ell,
+        annotation=lambda cols: np.asarray(cols["l_extendedprice"])
+        * (100 - np.asarray(cols["l_discount"])),
+        mask=np.asarray(lineitem.column("l_shipdate")) > cutoff,
+    )
 
     def build() -> JoinAggregateQuery:
-        c = _rel(
-            customer, ["c_custkey"], {"c_custkey": "custkey"}, ell,
-            mask=np.asarray(
-                [s == "AUTOMOBILE" for s in customer.column("c_mktsegment")]
-            ),
-        )
-        o = _rel(
-            orders,
-            ["o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"],
-            {"o_custkey": "custkey", "o_orderkey": "orderkey"},
-            ell,
-            mask=np.asarray(orders.column("o_orderdate")) < cutoff,
-        )
-        l = _rel(
-            lineitem, ["l_orderkey"], {"l_orderkey": "orderkey"}, ell,
-            annotation=lambda cols: np.asarray(cols["l_extendedprice"])
-            * (100 - np.asarray(cols["l_discount"])),
-            mask=np.asarray(lineitem.column("l_shipdate")) > cutoff,
-        )
         q = (
             JoinAggregateQuery(
                 output=["orderkey", "o_orderdate", "o_shippriority"]
@@ -189,9 +209,7 @@ def prepare_q3(
         effective_bytes=eff,
         input_tuples=customer.n_rows + orders.n_rows + lineitem.n_rows,
         result_scale=100 * 100,  # cents x percent
-        _secure=lambda engine: build().run_secure(engine)[0],
-        _plain=lambda: build().run_plain(),
-        _build=build,
+        **_single_plan(build),
         gc_sizes=[customer.n_rows, orders.n_rows, lineitem.n_rows],
         gc_conditions=2,
     )
@@ -213,27 +231,28 @@ def prepare_q10(
         dataset["customer"], dataset["orders"], dataset["lineitem"],
     )
 
+    c = _rel(
+        customer,
+        ["c_custkey", "c_name", "c_nationkey"],
+        {"c_custkey": "custkey"},
+        ell,
+    )
+    odate = np.asarray(orders.column("o_orderdate"))
+    o = _rel(
+        orders, ["o_orderkey", "o_custkey"],
+        {"o_custkey": "custkey", "o_orderkey": "orderkey"}, ell,
+        mask=(odate >= lo) & (odate < hi),
+    )
+    l = _rel(
+        lineitem, ["l_orderkey"], {"l_orderkey": "orderkey"}, ell,
+        annotation=lambda cols: np.asarray(cols["l_extendedprice"])
+        * (100 - np.asarray(cols["l_discount"])),
+        mask=np.asarray(
+            [f == "R" for f in lineitem.column("l_returnflag")]
+        ),
+    )
+
     def build() -> JoinAggregateQuery:
-        c = _rel(
-            customer,
-            ["c_custkey", "c_name", "c_nationkey"],
-            {"c_custkey": "custkey"},
-            ell,
-        )
-        odate = np.asarray(orders.column("o_orderdate"))
-        o = _rel(
-            orders, ["o_orderkey", "o_custkey"],
-            {"o_custkey": "custkey", "o_orderkey": "orderkey"}, ell,
-            mask=(odate >= lo) & (odate < hi),
-        )
-        l = _rel(
-            lineitem, ["l_orderkey"], {"l_orderkey": "orderkey"}, ell,
-            annotation=lambda cols: np.asarray(cols["l_extendedprice"])
-            * (100 - np.asarray(cols["l_discount"])),
-            mask=np.asarray(
-                [f == "R" for f in lineitem.column("l_returnflag")]
-            ),
-        )
         q = (
             JoinAggregateQuery(output=["custkey", "c_name", "c_nationkey"])
             .add_relation("customer", c, owner=ALICE)
@@ -256,9 +275,7 @@ def prepare_q10(
         effective_bytes=eff,
         input_tuples=customer.n_rows + orders.n_rows + lineitem.n_rows,
         result_scale=100 * 100,
-        _secure=lambda engine: build().run_secure(engine)[0],
-        _plain=lambda: build().run_plain(),
-        _build=build,
+        **_single_plan(build),
         gc_sizes=[customer.n_rows, orders.n_rows, lineitem.n_rows],
         gc_conditions=2,
     )
@@ -280,36 +297,37 @@ def prepare_q18(
         dataset["customer"], dataset["orders"], dataset["lineitem"],
     )
 
+    c = _rel(
+        customer, ["c_custkey", "c_name"], {"c_custkey": "custkey"}, ell
+    )
+    o = _rel(
+        orders,
+        ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"],
+        {"o_custkey": "custkey", "o_orderkey": "orderkey"},
+        ell,
+    )
+    l = _rel(
+        lineitem, ["l_orderkey"], {"l_orderkey": "orderkey"}, ell,
+        annotation=lambda cols: np.asarray(cols["l_quantity"]),
+    )
+    # Local subquery at lineitem's owner: qualifying orderkeys,
+    # padded to |lineitem| (Section 8.1).
+    keys, group = np.unique(
+        np.asarray(lineitem.column("l_orderkey")), return_inverse=True
+    )
+    totals = np.bincount(group, np.asarray(lineitem.column("l_quantity")))
+    qualifying = keys[totals > 300]
+    pad = lineitem.n_rows - len(qualifying)
+    big = AnnotatedRelation(
+        ("orderkey",),
+        TupleStore.from_columns(
+            ("orderkey",), [qualifying]
+        ).with_dummies(fresh_nonces(pad)),
+        np.arange(lineitem.n_rows) < len(qualifying),
+        IntegerRing(ell),
+    )
+
     def build() -> JoinAggregateQuery:
-        c = _rel(
-            customer, ["c_custkey", "c_name"], {"c_custkey": "custkey"}, ell
-        )
-        o = _rel(
-            orders,
-            ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"],
-            {"o_custkey": "custkey", "o_orderkey": "orderkey"},
-            ell,
-        )
-        l = _rel(
-            lineitem, ["l_orderkey"], {"l_orderkey": "orderkey"}, ell,
-            annotation=lambda cols: np.asarray(cols["l_quantity"]),
-        )
-        # Local subquery at lineitem's owner: qualifying orderkeys,
-        # padded to |lineitem| (Section 8.1).
-        keys, group = np.unique(
-            np.asarray(lineitem.column("l_orderkey")), return_inverse=True
-        )
-        totals = np.bincount(group, np.asarray(lineitem.column("l_quantity")))
-        qualifying = keys[totals > 300]
-        pad = lineitem.n_rows - len(qualifying)
-        big = AnnotatedRelation(
-            ("orderkey",),
-            TupleStore.from_columns(
-                ("orderkey",), [qualifying]
-            ).with_dummies(fresh_nonces(pad)),
-            np.arange(lineitem.n_rows) < len(qualifying),
-            IntegerRing(ell),
-        )
         q = (
             JoinAggregateQuery(
                 output=[
@@ -340,9 +358,7 @@ def prepare_q18(
             customer.n_rows + orders.n_rows + 2 * lineitem.n_rows
         ),
         result_scale=1,
-        _secure=lambda engine: build().run_secure(engine)[0],
-        _plain=lambda: build().run_plain(),
-        _build=build,
+        **_single_plan(build),
         gc_sizes=[
             customer.n_rows, orders.n_rows,
             lineitem.n_rows, lineitem.n_rows,
@@ -358,20 +374,50 @@ def prepare_q18(
 
 def _q8_queries(
     dataset: TpchDataset, ell: int, flip_owners: bool = False
-):
+) -> Tuple[JoinAggregateQuery, JoinAggregateQuery]:
+    """Q8's two halves, ``(numerator, denominator)``: they differ only
+    in the supplier's annotation, so the other relations are shared."""
     lo, hi = date_ordinal("1995-01-01"), date_ordinal("1996-12-31")
     part, supplier, lineitem, orders, customer = (
         dataset["part"], dataset["supplier"], dataset["lineitem"],
         dataset["orders"], dataset["customer"],
     )
+    p = _rel(
+        part, ["p_partkey"], {"p_partkey": "partkey"}, ell,
+        mask=np.asarray(
+            [t == "SMALL PLATED COPPER" for t in part.column("p_type")]
+        ),
+    )
+    l = _rel(
+        lineitem,
+        ["l_partkey", "l_suppkey", "l_orderkey"],
+        {
+            "l_partkey": "partkey",
+            "l_suppkey": "suppkey",
+            "l_orderkey": "orderkey",
+        },
+        ell,
+        annotation=lambda cols: (
+            np.asarray(cols["l_extendedprice"])
+            * (100 - np.asarray(cols["l_discount"]))
+            // 100
+        ),
+    )
+    odate = np.asarray(orders.column("o_orderdate"))
+    o = _rel(
+        orders, ["o_orderkey", "o_custkey", "o_year"],
+        {"o_orderkey": "orderkey", "o_custkey": "custkey"}, ell,
+        mask=(odate >= lo) & (odate <= hi),
+    )
+    c = _rel(
+        customer, ["c_custkey"], {"c_custkey": "custkey"}, ell,
+        mask=np.isin(
+            np.asarray(customer.column("c_nationkey")),
+            [8, 9, 12, 18, 21],
+        ),
+    )
 
     def build(nation_indicator: bool) -> JoinAggregateQuery:
-        p = _rel(
-            part, ["p_partkey"], {"p_partkey": "partkey"}, ell,
-            mask=np.asarray(
-                [t == "SMALL PLATED COPPER" for t in part.column("p_type")]
-            ),
-        )
         if nation_indicator:
             s_annot = lambda cols: (
                 np.asarray(cols["s_nationkey"]) == 8
@@ -381,34 +427,6 @@ def _q8_queries(
         s = _rel(
             supplier, ["s_suppkey"], {"s_suppkey": "suppkey"}, ell,
             annotation=s_annot,
-        )
-        l = _rel(
-            lineitem,
-            ["l_partkey", "l_suppkey", "l_orderkey"],
-            {
-                "l_partkey": "partkey",
-                "l_suppkey": "suppkey",
-                "l_orderkey": "orderkey",
-            },
-            ell,
-            annotation=lambda cols: (
-                np.asarray(cols["l_extendedprice"])
-                * (100 - np.asarray(cols["l_discount"]))
-                // 100
-            ),
-        )
-        odate = np.asarray(orders.column("o_orderdate"))
-        o = _rel(
-            orders, ["o_orderkey", "o_custkey", "o_year"],
-            {"o_orderkey": "orderkey", "o_custkey": "custkey"}, ell,
-            mask=(odate >= lo) & (odate <= hi),
-        )
-        c = _rel(
-            customer, ["c_custkey"], {"c_custkey": "custkey"}, ell,
-            mask=np.isin(
-                np.asarray(customer.column("c_nationkey")),
-                [8, 9, 12, 18, 21],
-            ),
         )
         q = (
             JoinAggregateQuery(output=["o_year"])
@@ -420,7 +438,7 @@ def _q8_queries(
         )
         return _maybe_flip(q, flip_owners)
 
-    return build
+    return build(True), build(False)
 
 
 def prepare_q8(
@@ -431,16 +449,16 @@ def prepare_q8(
     Reported ``mkt_share`` is in 1/10000ths."""
     ell = 48
     scale = 10_000
-    build = _q8_queries(dataset, ell, flip_owners)
+    num_q, den_q = _q8_queries(dataset, ell, flip_owners)
 
     def secure(engine: Engine) -> AnnotatedRelation:
-        num = build(True).run_secure_shared(engine)
-        den = build(False).run_secure_shared(engine)
+        num = num_q.run_secure_shared(engine)
+        den = den_q.run_secure_shared(engine)
         return divide_compose(engine, num, den, scale=scale)
 
     def plain() -> AnnotatedRelation:
-        num = build(True).run_plain()
-        den = build(False).run_plain()
+        num = num_q.run_plain()
+        den = den_q.run_plain()
         num_map = num.to_dict()
         rows, vals = [], []
         for t, d in den.to_dict().items():
@@ -579,13 +597,18 @@ def prepare_q9(
     ell = 48
     nations = list(range(25)) if nations is None else list(nations)
     build = _q9_queries(dataset, ell, flip_owners)
+    queries = {
+        (nk, which): build(nk, which)
+        for nk in nations
+        for which in ("revenue", "cost")
+    }
     ring = IntegerRing(ell)
 
     def secure(engine: Engine) -> AnnotatedRelation:
         rows, vals = [], []
         for nk in nations:
-            revenue = build(nk, "revenue").run_secure_shared(engine)
-            cost = build(nk, "cost").run_secure_shared(engine)
+            revenue = queries[nk, "revenue"].run_secure_shared(engine)
+            cost = queries[nk, "cost"].run_secure_shared(engine)
             diff = subtract_compose(engine, revenue, cost)
             for t, v in diff:
                 rows.append((nk,) + t)
@@ -597,8 +620,8 @@ def prepare_q9(
     def plain() -> AnnotatedRelation:
         rows, vals = [], []
         for nk in nations:
-            rev = build(nk, "revenue").run_plain().to_dict()
-            cost = build(nk, "cost").run_plain().to_dict()
+            rev = queries[nk, "revenue"].run_plain().to_dict()
+            cost = queries[nk, "cost"].run_plain().to_dict()
             for t in sorted(set(rev) | set(cost)):
                 diff = (rev.get(t, 0) - cost.get(t, 0)) % ring.modulus
                 if diff:

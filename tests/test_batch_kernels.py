@@ -164,6 +164,35 @@ def test_tccr_hash_fixed_vector():
     assert h.hex() == "396b2377735546a5379bf687f76087c1"
 
 
+# ----------------------------------------------------------------------
+# sorted_lookup vs a dict probe
+# ----------------------------------------------------------------------
+
+
+@given(
+    keys=st.lists(st.integers(0, 40), unique=True, max_size=30),
+    queries=st.lists(st.integers(0, 40), max_size=30),
+)
+def test_sorted_lookup_matches_a_dict_probe(keys, queries):
+    """``order`` sorts the distinct keys and ``order[slot[i]]`` is the
+    key ``queries[i]`` equals, or ``slot[i]`` is -1 — empty keys, empty
+    queries and absent queries included."""
+    k = np.asarray(keys, dtype=np.uint64)
+    order, slot = batch.sorted_lookup(k, np.asarray(queries, np.uint64))
+    assert k[order].tolist() == sorted(keys)
+    index = {key: i for i, key in enumerate(keys)}
+    assert [int(order[s]) if s >= 0 else None for s in slot] == [
+        index.get(q) for q in queries
+    ]
+
+
+@given(keys=st.lists(st.integers(0, 40), min_size=1, max_size=30))
+def test_sorted_lookup_rejects_a_duplicate_key(keys):
+    keys = np.asarray(keys + keys[:1], dtype=np.uint64)
+    with pytest.raises(ValueError, match="distinct keys"):
+        batch.sorted_lookup(keys, np.zeros(0, dtype=np.uint64))
+
+
 @pytest.mark.real
 @pytest.mark.parametrize("backend", ["yannakakis", "linear"])
 def test_no_tweak_repeats_over_real_q3(monkeypatch, backend):

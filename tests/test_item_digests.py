@@ -18,7 +18,7 @@ import repro.mpc.cuckoo as cuckoo_mod
 import repro.mpc.dhoprf as dhoprf_mod
 from repro.core.relation import row_digests
 from repro.mpc import Context, Mode
-from repro.mpc.batch import aes_digests, aes_prp
+from repro.mpc.batch import aes_digests, aes_prp, sorted_lookup
 from repro.mpc.cuckoo import (
     LOCAL_SALT,
     encode_item,
@@ -37,7 +37,7 @@ def encode_rows(store):
     the rows: a bytes view over the blocks ``row_digests`` hashes."""
     out = [b""] * store.n
     for rows, block in relation_mod._row_blocks(store):
-        raw, w = block.tobytes(), block.shape[1]
+        raw, w = block.rows.tobytes(), block.length
         for i, r in enumerate(rows.tolist()):
             out[r] = raw[i * w : (i + 1) * w]
     return out
@@ -362,6 +362,36 @@ class TestFailurePathsOnMatrices:
         for b, part in enumerate(np.split(members, np.cumsum(counts)[:-1])):
             assert len(set(part.tolist())) == len(part)
         assert 50 <= counts.sum() <= 100
+
+
+def tokens(pairs):
+    """16-byte tokens, each 8 bytes ``hi`` then 8 bytes ``lo``."""
+    raw = b"".join(bytes([hi]) * 8 + bytes([lo]) * 8 for hi, lo in pairs)
+    return np.frombuffer(raw, dtype="S16")
+
+
+#: Tokens over a four-letter alphabet, so 8-byte prefixes often tie.
+PAIRS = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+class TestTokenMatch:
+    """DH-OPRF matches its tokens on their first 8 bytes and confirms
+    every hit on all 16; a tie among Bob's prefixes matches on all 16."""
+
+    @given(
+        bob=st.lists(PAIRS, unique=True, max_size=12),
+        alice=st.lists(PAIRS, max_size=12),
+    )
+    def test_equals_the_full_width_lookup(self, bob, alice):
+        got = dhoprf_mod._match(tokens(bob), tokens(alice))
+        want = sorted_lookup(tokens(bob), tokens(alice))
+        assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
+    def test_a_shared_prefix_alone_is_no_hit(self):
+        order, slot = dhoprf_mod._match(
+            tokens([(2, 2), (1, 1)]), tokens([(1, 2), (2, 2)])
+        )
+        assert order.tolist() == [1, 0] and slot.tolist() == [-1, 1]
 
 
 def simulated_tokens(alice, bob, seed=5):

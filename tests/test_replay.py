@@ -1,10 +1,12 @@
-"""Seeded runs replay in any fresh process.
+"""Seeded runs replay, in the process that ran them and in any fresh one.
 
 The golden transcripts (``tests/golden/fingerprints.json``) and the
 obliviousness audit compare runs byte for byte, so a run must be a
-function of its seed and its inputs alone.  This test runs the replay:
-two fresh interpreters, one under ``PYTHONHASHSEED=0`` and one under
-``=1``, each compute
+function of its seed and its inputs alone.  These tests run the replay.
+Within one process, a prepared TPC-H query run twice under one seed and
+every ownership split of Example 1.1 run twice must build the same
+shares.  Across processes, two fresh interpreters, one under
+``PYTHONHASHSEED=0`` and one under ``=1``, each compute
 
 * every golden run's digest and shape, which must equal the golden
   file's (a wall-clock, ``id()``, ``os.getpid()`` or ``hash()`` value
@@ -19,14 +21,12 @@ two fresh interpreters, one under ``PYTHONHASHSEED=0`` and one under
 * whether the run moved numpy's or ``random``'s global generator,
   which it must not.
 
-The interpreters are fresh because one process does not replay a
-TPC-H run: its masked rows are rebuilt on every run and draw their
-dummy nonces from the process-wide counter of data preparation
-(``repro.relalg.columns.fresh_nonces``), so a second run in the same
-process computes different shares (DESIGN.md, "Determinism checked by
-replay").  The dummies an operator makes while a plan runs come from
-the run's context, so a run over fixed relations does replay in the
-process that ran it, which every ownership split of Example 1.1 checks.
+The interpreters are fresh only for the hash seed, which a running
+process cannot change.  A prepared query builds its masked relations
+once, so the dummy nonces they drew from the process-wide counter of
+data preparation (``repro.relalg.columns.fresh_nonces``) are the same
+on every run, and the dummies an operator makes while a plan runs come
+from the run's context (DESIGN.md, "Determinism checked by replay").
 
 Run one interpreter's half alone, printing its JSON, with::
 
@@ -109,13 +109,18 @@ def recorded_shares():
         SharedVector.__init__ = build  # type: ignore[method-assign]
 
 
-def share_digest() -> str:
+def prepared_q3():
+    from repro.tpch import PREPARED, generate
+
+    return PREPARED["Q3"](generate(SHARE_SCALE_MB))
+
+
+def share_digest(query=None) -> str:
     """SHA-256 over the shares of every ``SharedVector`` built while Q3
-    runs in both modes under both back-ends, with small silent-OT
-    pools."""
+    (``query``, else a freshly prepared one) runs in both modes under
+    both back-ends, with small silent-OT pools."""
     from repro.leakage import BACKENDS
     from repro.mpc import Engine
-    from repro.tpch import PREPARED, generate
 
     from .conftest import small_pool_settings
 
@@ -124,7 +129,7 @@ def share_digest() -> str:
     for module, name, value in patched:
         setattr(module, name, value)
     try:
-        query = PREPARED["Q3"](generate(SHARE_SCALE_MB))
+        query = query or prepared_q3()
         with recorded_shares() as digest:
             for mode in (Mode.REAL, Mode.SIMULATED):
                 for backend in BACKENDS:
@@ -185,6 +190,15 @@ def test_seeded_runs_replay_in_fresh_processes():
     assert len(set(shares.values())) == 1, (
         f"Q3's shares differ between fresh processes: {shares}"
     )
+
+
+def test_prepared_query_replays_in_its_own_process():
+    """Run twice on one ``PreparedQuery`` under one seed, TPC-H Q3
+    builds the same shares in both modes under both back-ends: its
+    masked relations, dummies included, were built once, when it was
+    prepared."""
+    query = prepared_q3()
+    assert share_digest(query) == share_digest(query)
 
 
 @pytest.mark.parametrize("mode", [Mode.SIMULATED, Mode.REAL])

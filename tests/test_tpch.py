@@ -262,3 +262,78 @@ class TestQueryDetails:
         wrong = prepare_q3(dataset).make_context(Mode.SIMULATED)
         with pytest.raises(ValueError):
             q8.run_secure(Engine(wrong))
+
+
+class TestPreparedOnce:
+    """A ``PreparedQuery`` builds its relations when it is prepared,
+    plans on its first run and routes on its first run under each
+    policy; ``_build()`` hands out fresh queries over the same
+    relations, which plan for themselves."""
+
+    @staticmethod
+    def count_planning(monkeypatch):
+        import repro.query.builder as builder
+
+        calls = {"plan": 0, "route": 0}
+
+        def counted(key, real):
+            def call(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+
+            return call
+
+        for key, name in (
+            ("plan", "choose_plan"), ("route", "route_backends"),
+        ):
+            monkeypatch.setattr(
+                builder, name, counted(key, getattr(builder, name))
+            )
+        return calls
+
+    @staticmethod
+    def run(prepared, backend=None):
+        ctx = prepared.make_context(Mode.SIMULATED, seed=7)
+        engine = Engine(ctx)
+        engine.backend = backend
+        result, _ = prepared.run_secure(engine)
+        return sorted(result.to_dict().items()), ctx.transcript.fingerprint()
+
+    @pytest.mark.parametrize("name, plans", [("Q3", 1), ("Q8", 2)])
+    def test_a_second_run_neither_plans_nor_routes(
+        self, name, plans, monkeypatch
+    ):
+        calls = self.count_planning(monkeypatch)
+        prepared = PREPARED[name](generate(0.1))
+        first = self.run(prepared, "auto")
+        assert calls == {"plan": plans, "route": plans}
+        assert self.run(prepared, "auto") == first
+        assert calls == {"plan": plans, "route": plans}
+        self.run(prepared, "linear")  # another policy routes, once
+        self.run(prepared, "linear")
+        assert calls == {"plan": plans, "route": 2 * plans}
+
+    def test_mutating_a_built_query_leaves_the_runs_alone(self):
+        prepared = prepare_q3(generate(0.1))
+        before = self.run(prepared)
+        built = prepared._build()
+        assert built is not prepared._build() and built._plan is None
+        assert all(
+            rel is prepared._build().relations[name]
+            for name, rel in built.relations.items()
+        )
+        built.set_backend("linear")
+        built.swap_owners().set_backend("linear")
+        assert self.run(prepared) == before
+
+    def test_other_sizes_or_owners_plan_afresh(self, monkeypatch):
+        calls = self.count_planning(monkeypatch)
+        small = generate(0.1)
+        for prepared in (
+            prepare_q3(small),
+            prepare_q3(generate(0.3)),
+            prepare_q3(small, flip_owners=True),
+        ):
+            self.run(prepared)
+            self.run(prepared)
+        assert calls == {"plan": 3, "route": 3}
