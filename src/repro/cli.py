@@ -7,7 +7,7 @@
     python -m repro trace Q3 --scale 1 [-o trace.json]
     python -m repro estimate Q3 --scale 10
     python -m repro fuzz --seed 0 --iterations 50 [--backend both]
-    python -m repro chaos --query q3 --scale tiny --sweep all
+    python -m repro chaos --query q3 --scale tiny
     python -m repro chaos --level process --query q3 --stride 8
     python -m repro net --role alice --listen 127.0.0.1:9501 --query Q3
     python -m repro net --role bob --connect 127.0.0.1:9501 --query Q3
@@ -43,7 +43,6 @@ from .runtime.faults import (
     kinds_of,
 )
 from .runtime.netrun import NET_QUERIES, NetConfig, parse_endpoint
-from .runtime.transport import ReconnectPolicy
 from .tpch import PREPARED, generate, prepare
 
 __all__ = ["build_parser", "main"]
@@ -262,10 +261,6 @@ def _net_config(args) -> NetConfig:
         connect=parse_endpoint(args.connect) if args.connect else None,
         journal=args.journal,
         resume=args.resume,
-        reconnect=ReconnectPolicy(max_attempts=args.reconnect_attempts),
-        heartbeat_s=args.heartbeat,
-        idle_timeout_s=args.idle_timeout,
-        exchange_deadline_s=args.exchange_deadline,
         faults=tuple(args.fault),
     )
 
@@ -351,10 +346,9 @@ def _cmd_chaos(args) -> int:
             f"--level {args.level} sweeps the kinds "
             f"{', '.join(level_kinds)}; got {', '.join(foreign)}"
         )
-    stride = 1 if args.sweep == "all" else args.stride
     meta = dict(
         query=args.query, scale_mb=args.scale, backend=args.backend,
-        level=args.level, stride=stride, kinds=list(kinds),
+        level=args.level, stride=args.stride, kinds=list(kinds),
     )
     title = (
         f"chaos {args.query} scale={args.scale} backend={args.backend} "
@@ -371,7 +365,7 @@ def _cmd_chaos(args) -> int:
         )
         with tempfile.TemporaryDirectory(prefix="repro-netchaos-") as wd:
             report = sweep_processes(
-                config, kinds=kinds, stride=stride, workdir=wd,
+                config, kinds=kinds, stride=args.stride, workdir=wd,
                 timeout_s=args.timeout, on_progress=_sweep_progress(args),
             )
         report.meta.update(meta)
@@ -385,7 +379,7 @@ def _cmd_chaos(args) -> int:
         )
         if not real:
             report = sweep_faults(
-                run, kinds=kinds, stride=stride,
+                run, kinds=kinds, stride=args.stride,
                 on_progress=_sweep_progress(args),
             )
             report.meta.update(meta, mode="simulated")
@@ -651,13 +645,8 @@ def build_parser() -> argparse.ArgumentParser:
         p, "--seed", "--backend", "--verbose", "--output", scale="tiny"
     )
     p.add_argument(
-        "--sweep", choices=["all", "quick"], default="all",
-        help='"all" faults every wire-message index; "quick" '
-        "strides (see --stride)",
-    )
-    p.add_argument(
-        "--stride", type=int, default=5,
-        help="message-index stride for --sweep quick",
+        "--stride", type=int, default=1,
+        help="fault every STRIDE-th wire-message index (1: every one)",
     )
     p.add_argument(
         "--kinds", nargs="+", default=None,
@@ -715,27 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume", action="store_true",
         help="resume from the newest committed checkpoint in --journal "
         "instead of starting fresh",
-    )
-    p.add_argument(
-        "--heartbeat", type=float, default=NetConfig.heartbeat_s,
-        metavar="S",
-        help="heartbeat interval in seconds",
-    )
-    p.add_argument(
-        "--idle-timeout", type=float, default=NetConfig.idle_timeout_s,
-        metavar="S",
-        help="silent-connection window before a reconnect is attempted",
-    )
-    p.add_argument(
-        "--exchange-deadline", type=float,
-        default=NetConfig.exchange_deadline_s, metavar="S",
-        help="hard wall-clock bound on one frame exchange",
-    )
-    p.add_argument(
-        "--reconnect-attempts", type=int,
-        default=ReconnectPolicy.max_attempts,
-        help="reconnect attempts per episode before a terminal "
-        "connection-lost abort",
     )
     g = p.add_argument_group(
         "fault injection (chaos-harness self-test hooks)"

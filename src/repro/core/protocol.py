@@ -83,8 +83,6 @@ def _run_plan(
     *,
     reveal: bool,
     pad_out_to: int = 0,
-    env: Optional[Dict[str, Any]] = None,
-    start_at: Optional[int] = None,
 ) -> Any:
     """The one run pipeline: compile ``plan`` over the owner-tagged
     ``relations`` and execute its steps; returns the value in the
@@ -101,9 +99,7 @@ def _run_plan(
         reveal_result=reveal,
         backends=backends,
     )
-    env = Scheduler(engine).run(
-        exec_plan, relations, env=env, start_at=start_at
-    )
+    env = Scheduler(engine).run(exec_plan, relations)
     return env[exec_plan.result_slot]
 
 
@@ -133,26 +129,17 @@ def secure_yannakakis(
     relations: Dict[str, SecureRelation],
     plan: YannakakisPlan,
     backends: Optional[Dict[str, str]] = None,
-    *,
-    env: Optional[Dict[str, Any]] = None,
-    start_at: Optional[int] = None,
 ) -> Tuple[AnnotatedRelation, ProtocolStats]:
     """Evaluate the query and reveal the results to Alice.
 
     Returns the result relation (attributes ordered as ``plan.output``,
     duplicate group keys merged, zero groups dropped) and cost stats.
-
-    ``env``/``start_at`` resume a run over a durable checkpoint
-    (``repro net --resume``): the revived slot environment and the
-    checkpointed step id, as :meth:`repro.exec.Scheduler.run` takes
-    them.  The stats then cover the resumed part only.
     """
     ctx = engine.ctx
     start_msgs = len(ctx.transcript.messages)
     t0 = time.perf_counter()
     shared, values = _run_plan(
-        engine, relations, plan, backends,
-        reveal=True, env=env, start_at=start_at,
+        engine, relations, plan, backends, reveal=True
     )
     elapsed = time.perf_counter() - t0
     result = AnnotatedRelation(

@@ -79,9 +79,6 @@ class Scheduler:
         self,
         plan: ExecPlan,
         relations: Dict[str, SecureRelation],
-        *,
-        env: Optional[Dict[str, Any]] = None,
-        start_at: Optional[int] = None,
     ) -> Dict[str, Any]:
         """Execute the plan; returns the final slot environment.  The
         caller reads ``plan.result_slot`` out of it.
@@ -93,12 +90,6 @@ class Scheduler:
         :class:`~repro.runtime.aborts.ProtocolAbort` faults.  Protocol
         code never catches broader exception types here — operator bugs
         must propagate untouched.
-
-        ``env``/``start_at`` make runs resumable from a durable
-        checkpoint (``repro net --resume``): pass the revived slot
-        environment and the checkpointed step id, and execution skips
-        every step before ``start_at``, resuming at the checkpointed
-        node itself.
 
         The run is a leakage scope whose own contract is empty
         (:func:`repro.leakage.leaks`): every reveal it reaches must sit
@@ -112,9 +103,7 @@ class Scheduler:
         # yield per step, not per attempt) and before any of the step's
         # messages, so it cannot perturb the transcript.
         yield_hook = getattr(self.engine, "yield_hook", None)
-        env = {} if env is None else env
-        if start_at is not None and not 0 <= start_at < len(plan.steps):
-            raise ValueError(f"resume step {start_at} is not in the plan")
+        env: Dict[str, Any] = {}
         # A traced node reports its estimated marginal bytes beside its
         # metered ones (the estimator imports this package: lazily).
         est_bytes: Dict[int, int] = {}
@@ -122,7 +111,7 @@ class Scheduler:
             from ..bench.estimator import estimate_step_bytes
 
             est_bytes = estimate_step_bytes(plan.steps, relations, ctx.params)
-        for step in plan.steps[start_at or 0:]:
+        for step in plan.steps:
             if yield_hook is not None:
                 yield_hook(step)
             # Silent-OT pools live for one node, so no checkpoint holds

@@ -887,9 +887,9 @@ class _Paired:
         wire = Checked(self.ctx, None if payload is None else [payload])
         wire.send(ALICE, n_bytes, "ot/ext/u")
 
-    # A weak reference neither pickles nor survives a deep copy (it
-    # would keep pointing at the original): a copied mirror drops it
-    # and the copied forward instance re-links the pair.
+    # A weak reference does not survive a deep copy (it would keep
+    # pointing at the original): a copied mirror drops it and the
+    # copied forward instance re-links the pair.
     def __getstate__(self) -> Dict[str, Any]:
         return {**self.__dict__, "_forward": None}
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import ModuleType
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..core.join import ObliviousJoinResult
 from ..core.protocol import (
@@ -191,18 +191,11 @@ class JoinAggregateQuery:
         return self.backend_assignments(override)
 
     def run_secure(
-        self,
-        engine: Engine,
-        *,
-        env: Optional[Dict[str, Any]] = None,
-        start_at: Optional[int] = None,
+        self, engine: Engine
     ) -> Tuple[AnnotatedRelation, ProtocolStats]:
-        """``env``/``start_at`` resume over a durable checkpoint (see
-        :func:`~repro.core.protocol.secure_yannakakis`)."""
         return secure_yannakakis(
             engine, self.secure_inputs(), self.plan(),
             backends=self._effective_backends(engine),
-            env=env, start_at=start_at,
         )
 
     def run_secure_shared(

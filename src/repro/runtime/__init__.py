@@ -36,7 +36,7 @@ from .chaos import (
     sweep_faults,
 )
 from .clock import VirtualClock
-from .durable import DurableStore, Journal, JournalState, revive
+from .durable import DurableStore, Journal, JournalState, Position, revive
 from .faults import (
     FAULT_KINDS,
     MESSAGE_FAULT_KINDS,
@@ -102,6 +102,7 @@ __all__ = [
     "make_tpch_runner",
     "Journal",
     "JournalState",
+    "Position",
     "DurableStore",
     "revive",
     "SocketTransport",

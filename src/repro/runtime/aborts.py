@@ -42,6 +42,7 @@ REASONS = (
     "handshake-failed",
     "peer-divergence",
     "outbox-overflow",
+    "replay-divergence",
 )
 
 
@@ -169,8 +170,10 @@ class TransportAbort(ProtocolAbort):
     budget is exhausted (``connection-lost``), the peer identified as
     a different session or role (``handshake-failed``), the peer's
     frame stream disagreed with the locally mirrored one
-    (``peer-divergence``), or the unacknowledged-frame outbox
-    overflowed its bound (``outbox-overflow``).
+    (``peer-divergence``), the unacknowledged-frame outbox
+    overflowed its bound (``outbox-overflow``), or a resumed party's
+    replay reached a position other than its journal's record
+    (``replay-divergence``).
 
     Terminal by design: an in-node retry would re-run the node on one
     OS process while the peer's mirror stays put, desynchronising the

@@ -23,8 +23,8 @@ victim + observer pair through a query service
 (:mod:`repro.runtime.netchaos`).  All three return the same
 :class:`Outcome` and :class:`Report`.
 
-The acceptance gate (``repro chaos --query q3 --scale tiny --sweep
-all``) requires zero VIOLATIONs over the full cross product of message
+The acceptance gate (``repro chaos --query q3 --scale tiny``, stride
+1) requires zero VIOLATIONs over the full cross product of message
 indices × message-fault kinds, plus a party crash at every plan node.
 """
 
@@ -49,7 +49,7 @@ from typing import (
 from ..mpc.transcript import ALICE, BOB
 from .aborts import ProtocolAbort, payload_is_sanitized
 from .faults import FAULT_KINDS, MESSAGE_FAULT_KINDS, FaultPlan, FaultSpec
-from .session import DEFAULT_NODE_BUDGET, Session, enable_session
+from .session import Session, enable_session
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mpc.context import Context
@@ -367,15 +367,14 @@ def make_tpch_runner(
     scale_mb: float = 0.1,
     real: bool = False,
     seed: int = 7,
-    node_budget: int = DEFAULT_NODE_BUDGET,
     backend: Optional[str] = None,
 ) -> Runner:
     """A :data:`Runner` over one prepared TPC-H query.  The dataset and
     query are built once; every call gets a fresh context, engine and
-    session (the prepared query rebuilds its relations per run, so runs
-    are independent).  ``backend`` selects the join back-end
-    (``yannakakis``/``linear``/``auto``) so the chaos sweep can cover
-    the DH-OPRF protocol's wire pattern too."""
+    session over the prepared query's held relations, which no run
+    modifies, so runs are independent.  ``backend`` selects the join
+    back-end (``yannakakis``/``linear``/``auto``) so the chaos sweep
+    can cover the DH-OPRF protocol's wire pattern too."""
     from ..mpc.context import Mode
     from ..mpc.engine import Engine
     from ..tpch import PREPARED, generate
@@ -389,9 +388,7 @@ def make_tpch_runner(
         engine = Engine(ctx)
         if backend is not None:
             engine.backend = backend
-        session = enable_session(
-            ctx, faults, node_budget=node_budget, seed=seed
-        )
+        session = enable_session(ctx, faults, seed=seed)
         result, _ = prepared.run_secure(engine)
         session.finish()
         return profile_run(ctx, session, result)

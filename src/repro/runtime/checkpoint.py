@@ -1,7 +1,7 @@
 """Node-granular checkpoints of secret-share state.
 
-Before each plan node the supervisor captures everything a retry must
-rewind:
+Before each plan node whose retry policy allows a retry, the
+supervisor captures everything a retry must rewind:
 
 * the **slot environment** (secret-shared relations, factors, the
   joined table …) — deep-copied;
@@ -36,7 +36,7 @@ __all__ = ["Checkpoint"]
 #: Engine attributes that are coordination plumbing, not protocol
 #: state: never captured or restored.  ``yield_hook`` is the serving
 #: layer's baton callback — it closes over scheduler machinery
-#: (threads, events) that neither pickles nor belongs in a retry.
+#: (threads, events) that neither copies nor belongs in a retry.
 _COORDINATION_FIELDS = frozenset({"yield_hook"})
 
 

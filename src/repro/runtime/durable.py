@@ -1,28 +1,31 @@
-"""Disk-durable checkpoints: the append-only journal.
+"""Disk-durable positions: the append-only journal.
 
-The supervisor already captures a node-granular
-:class:`~repro.runtime.checkpoint.Checkpoint` before every plan node —
-slot environment, engine state (including the one-time base-OT
-charging), transcript position and session counters, with the context
-graph *pinned* (shared, not cloned) so the captured checkpoint carries
-the live transcript prefix and RNG state.  A
-:class:`DurableStore` serialises each capture to an append-only journal
-with atomic fsync'd commits, so a party can be ``kill -9``'d mid-query
-and restarted with ``repro net --resume``: :func:`revive` rebuilds the
-engine, session and slot environment from the newest committed record
-alone, and the resumed run's transcript fingerprint is byte-identical
-to the unfaulted one (pinned by ``tests/test_durable.py``).
+A seeded run replays exactly in any fresh process
+(``tests/test_replay.py``), so a party's journal need not hold its
+memory, only how far it got.  At the top of every plan node, before
+the node's first message, the supervisor commits one
+:class:`Position` — the step id, the session's ``seq``/``expected``
+counters and the transcript's message and round counts, all public —
+to an append-only journal with atomic fsync'd commits.  A party can be
+``kill -9``'d mid-query and restarted with ``repro net --resume``: the
+run replays from step 0, unattached, up to the newest committed
+node, checks the replayed position against the record, and only then
+attaches journal and socket (:func:`repro.runtime.netrun.run_party`).
+The resumed run's transcript fingerprint is byte-identical to the
+unfaulted one (pinned by ``tests/test_durable.py``).
 
 Record format (little-endian)::
 
-    magic "SYJ1" | kind (1 byte) | payload length (8 bytes)
+    magic "SYJ2" | kind (1 byte) | payload length (8 bytes)
     | sha256(payload) (32 bytes) | payload
 
-Appends are atomic in the torn-write sense: a record counts only if its
-payload is complete and its digest verifies, so :func:`Journal.scan`
-stops at the first torn or corrupt tail record and recovery resumes
-from the last *committed* checkpoint — exactly the state the peer's
-last durable ACK covers.
+Every payload is JSON.  Appends are atomic in the torn-write sense: a
+record counts only if its payload is complete and its digest verifies,
+so :func:`Journal.scan` stops at the first torn or corrupt tail record
+and recovery resumes from the last *committed* position — exactly the
+state the peer's last durable ACK covers.  A journal of another format
+(``SYJ1`` held pickled engine state) is refused outright, never
+decoded.
 """
 
 from __future__ import annotations
@@ -31,16 +34,13 @@ import hashlib
 import io
 import json
 import os
-import pickle
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
-from .faults import FaultPlan
+from ..mpc.transcript import ALICE, BOB
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..mpc.engine import Engine
-    from .checkpoint import Checkpoint
     from .session import Session
 
 __all__ = [
@@ -48,25 +48,80 @@ __all__ = [
     "KIND_META",
     "KIND_CHECKPOINT",
     "KIND_DONE",
+    "Position",
     "Journal",
     "JournalState",
     "DurableStore",
     "revive",
 ]
 
-#: File magic identifying a journal record ("Secure Yannakakis Journal v1").
-JOURNAL_MAGIC = b"SYJ1"
+#: File magic identifying a journal record ("Secure Yannakakis Journal
+#: v2": JSON positions; v1 pickled the engine).
+JOURNAL_MAGIC = b"SYJ2"
 
 _HEADER = struct.Struct("<4sBQ32s")
 
 #: Run configuration (JSON) — always the first record.
 KIND_META = 1
-#: One committed checkpoint (pickled :class:`Checkpoint`).
+#: One committed :class:`Position` (JSON).
 KIND_CHECKPOINT = 2
 #: Terminal success marker (JSON run profile).
 KIND_DONE = 3
 
 _KINDS = (KIND_META, KIND_CHECKPOINT, KIND_DONE)
+
+
+@dataclass(frozen=True)
+class Position:
+    """How far a party got: its public counters at the top of plan
+    node ``step``, before the node's first message.  All zero is a
+    fresh run's position at its first node."""
+
+    step: int = 0
+    seq_alice: int = 0
+    seq_bob: int = 0
+    expected_alice: int = 0
+    expected_bob: int = 0
+    n_messages: int = 0
+    rounds: int = 0
+
+    @classmethod
+    def of(cls, step: int, session: "Session") -> "Position":
+        state = session.state()
+        transcript = session.transcript.state()
+        return cls(
+            step, state.seq[ALICE], state.seq[BOB],
+            state.expected[ALICE], state.expected[BOB],
+            transcript.n_messages, transcript.rounds,
+        )
+
+    def to_json(self) -> bytes:
+        return json.dumps(asdict(self), sort_keys=True).encode()
+
+    def first_difference(
+        self, other: "Position"
+    ) -> Optional[Tuple[str, int, int]]:
+        """``(counter, ours, theirs)`` for the first counter that
+        differs, else ``None``."""
+        for f in fields(self):
+            ours, theirs = getattr(self, f.name), getattr(other, f.name)
+            if ours != theirs:
+                return f.name, ours, theirs
+        return None
+
+
+def revive(blob: bytes) -> Position:
+    """Decode and validate one committed checkpoint record: a JSON
+    object of exactly the :class:`Position` counters, each a
+    non-negative integer.  Raises :class:`ValueError` otherwise."""
+    d = json.loads(blob)
+    if (
+        not isinstance(d, dict)
+        or sorted(d) != sorted(f.name for f in fields(Position))
+        or any(type(v) is not int or v < 0 for v in d.values())
+    ):
+        raise ValueError("checkpoint record does not hold a position")
+    return Position(**d)
 
 
 class Journal:
@@ -107,13 +162,20 @@ class Journal:
         """Yield ``(kind, payload)`` for every committed record,
         stopping silently at the first torn or corrupt tail record —
         an interrupted append must look like "that record never
-        happened", never like an error."""
+        happened", never like an error.  A first record of another
+        format raises :class:`ValueError`."""
         with open(path, "rb") as fh:
             while True:
                 header = fh.read(_HEADER.size)
                 if len(header) < _HEADER.size:
                     return
                 magic, kind, length, digest = _HEADER.unpack(header)
+                if magic != JOURNAL_MAGIC and fh.tell() == _HEADER.size:
+                    raise ValueError(
+                        f"journal {path!r} has magic {magic!r}, not "
+                        f"{JOURNAL_MAGIC!r}: a journal of another format "
+                        "is refused, never decoded; start the run afresh"
+                    )
                 if magic != JOURNAL_MAGIC or kind not in _KINDS:
                     return
                 payload = fh.read(length)
@@ -134,18 +196,18 @@ class JournalState:
 
     @property
     def latest(self) -> Optional[Tuple[int, bytes]]:
-        """Newest committed ``(step_id, pickled checkpoint)``."""
+        """Newest committed ``(step_id, position record)``."""
         return self.checkpoints[-1] if self.checkpoints else None
 
 
 class DurableStore:
     """The session-facing sink over a :class:`Journal`.
 
-    The supervisor calls :meth:`save_checkpoint` at every capture; the
-    runner calls :meth:`save_done` after the final barrier.  ``create``
-    starts a fresh journal (first record = run meta, so a resume can
-    rebuild the public plan deterministically); ``append_to`` reopens
-    an existing one for the records of a resumed run.
+    The session calls :meth:`save_checkpoint` at every node's commit;
+    the runner calls :meth:`save_done` after the final barrier.
+    ``create`` starts a fresh journal (first record = run meta, so a
+    resume can rebuild the run deterministically); ``append_to``
+    reopens an existing one for the records of a resumed run.
     """
 
     def __init__(self, journal: Journal) -> None:
@@ -164,12 +226,9 @@ class DurableStore:
     def append_to(cls, path: str) -> "DurableStore":
         return cls(Journal(path, truncate=False))
 
-    def save_checkpoint(self, step_id: int, checkpoint: "Checkpoint") -> None:
-        """Commit one captured checkpoint.  The checkpoint *pins* the
-        live context (transcript, RNG, session), so pickling at
-        capture time snapshots the whole recoverable state in one
-        record."""
-        self.journal.append(KIND_CHECKPOINT, pickle.dumps(checkpoint))
+    def save_checkpoint(self, position: Position) -> None:
+        """Commit one position record."""
+        self.journal.append(KIND_CHECKPOINT, position.to_json())
         self.n_commits += 1
 
     def save_done(self, profile: Dict[str, Any]) -> None:
@@ -182,7 +241,7 @@ class DurableStore:
 
     @staticmethod
     def load(path: str) -> JournalState:
-        """Replay a journal into a :class:`JournalState`."""
+        """Read a journal into a :class:`JournalState`."""
         state: Optional[JournalState] = None
         for kind, payload in Journal.scan(path):
             if kind == KIND_META:
@@ -198,44 +257,9 @@ class DurableStore:
                     f"journal {path!r} does not start with a meta record"
                 )
             elif kind == KIND_CHECKPOINT:
-                step_id = pickle.loads(payload).step_id
-                state.checkpoints.append((step_id, payload))
+                state.checkpoints.append((revive(payload).step, payload))
             elif kind == KIND_DONE:
                 state.done = json.loads(payload.decode())
         if state is None:
             raise ValueError(f"journal {path!r} has no committed records")
         return state
-
-
-def revive(
-    blob: bytes,
-) -> Tuple["Engine", "Session", Dict[str, Any], "Checkpoint"]:
-    """Reconstruct a live ``(engine, session, env, checkpoint)`` from
-    one committed checkpoint record.
-
-    The pickled checkpoint's engine state carries the pinned context —
-    transcript prefix, RNG, session counters — so nothing
-    outside the record is needed.  Two deliberate resets:
-
-    * the revived session's :class:`~repro.runtime.faults.FaultPlan` is
-      cleared — the plan was pickled *before* its one-shot specs fired
-      (capture precedes ``begin_node``), and the fault that killed the
-      original process must not re-fire on the resumed one;
-    * ephemeral process-local hooks (transport, durable sink, process
-      faults) were nulled by ``Session.__getstate__`` and are re-wired
-      by the caller.
-    """
-    from ..mpc.engine import Engine
-
-    checkpoint: "Checkpoint" = pickle.loads(blob)
-    engine_state = checkpoint._engine_state
-    engine = Engine.__new__(Engine)
-    engine.__dict__.update(engine_state)
-    ctx = engine.ctx
-    session = ctx.session
-    if session is None:
-        raise ValueError("checkpoint carries no session")
-    session.faults = FaultPlan()
-    env: Dict[str, Any] = {}
-    checkpoint.restore(env, engine, session, None)
-    return engine, session, env, checkpoint

@@ -272,17 +272,6 @@ class FaultPlan:
         inputs before the protocol starts."""
         return [s for s in self.specs if s.level == "input"]
 
-    def without_process(self) -> "FaultPlan":
-        """This plan minus its process-level specs, fired state kept:
-        what a journalled checkpoint may carry.  A kill spec pickled
-        into the journal would SIGKILL the resumed party again."""
-        keep = [
-            i for i, s in enumerate(self.specs) if s.level != "process"
-        ]
-        plan = FaultPlan([self.specs[i] for i in keep])
-        plan._fired = {j for j, i in enumerate(keep) if i in self._fired}
-        return plan
-
     def to_json(self) -> List[Dict[str, Any]]:
         return [s.to_json() for s in self.specs]
 

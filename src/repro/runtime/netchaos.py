@@ -76,9 +76,6 @@ def _party_cmd(
         "--backend", config.backend,
         "--journal", journal,
         "--out", out,
-        "--heartbeat", str(config.heartbeat_s),
-        "--idle-timeout", str(config.idle_timeout_s),
-        "--exchange-deadline", str(config.exchange_deadline_s),
     ]
     if resume:
         cmd.append("--resume")
@@ -94,6 +91,16 @@ def _read_outcome(path: str) -> Optional[Dict[str, Any]]:
         return out if isinstance(out, dict) else None
     except (OSError, json.JSONDecodeError):
         return None
+
+
+def _last_line(path: str) -> str:
+    """``": <last line>"`` of a party's log (a crash's exception)."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().strip().splitlines()
+    except OSError:
+        return ""
+    return f": {lines[-1].strip()}" if lines else ""
 
 
 def run_scenario(
@@ -185,7 +192,8 @@ def run_scenario(
         if code == 2:
             aborts[role] = out.get("abort")
         elif code != 0:
-            errors.append(f"{role} exited {code}")
+            crash = _last_line(paths[role]["log"])
+            errors.append(f"{role} exited {code}{crash}")
         elif "profile" not in out:
             errors.append(f"{role} exited 0 without a result payload")
         else:

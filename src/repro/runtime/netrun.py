@@ -1,23 +1,26 @@
 """Two-process query execution: ``repro net``.
 
 One OS process per party, a real TCP socket between them
-(:mod:`repro.runtime.transport`), and a disk journal under the
-supervisor's checkpoints (:mod:`repro.runtime.durable`).  Both parties
-run the same deterministic orchestration from the same seed (the
-lockstep mirror model — see the transport module docstring); the
-invariant this module exists to enforce is that the *result rows* and
-the *transcript fingerprint* of a two-process run — faulted, killed,
-reconnected, resumed — are byte-identical to the solo in-process run.
+(:mod:`repro.runtime.transport`), and a disk journal of positions
+(:mod:`repro.runtime.durable`).  Both parties run the same
+deterministic orchestration from the same seed (the lockstep mirror
+model — see the transport module docstring); the invariant this module
+exists to enforce is that the *result rows* and the *transcript
+fingerprint* of a two-process run — faulted, killed, reconnected,
+resumed — are byte-identical to the solo in-process run.
 
-Flow of a party::
+Flow of a party, fresh and resumed alike::
 
-    config -> dataset/plan (deterministic)   [fresh and resume alike]
-    fresh : context + engine + session, DurableStore.create
-    resume: DurableStore.load -> revive(newest checkpoint)
-    wire  : SocketTransport.attach + start (handshake reconciles the
-            journal position against the peer's expected counters)
-    run   : query.run_secure(engine, env=revived, start_at=checkpoint.step)
-    finish: session.finish barrier, profile, KIND_DONE record, BYE
+    config -> dataset, context, engine, session (deterministic)
+    target : node 0 fresh; the journal's newest position on --resume
+    replay : steps before the target run unattached — frames metered
+             locally, no journal append, no ACK, no socket
+    attach : at the top of the target node, before its commit, the
+             replayed position is checked against the record, then the
+             journal, the party's faults and SocketTransport attach
+             (the handshake advertises the replayed counters)
+    run    : the rest of the plan, one journalled position per node
+    finish : session.finish barrier, profile, KIND_DONE record, BYE
 
 Net mode pins ``max_attempts=1``: an in-node supervisor retry would
 re-run a node on one process while the peer's mirror stays put,
@@ -28,18 +31,19 @@ recovery path *is* restart + ``--resume`` over the journal.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..mpc import costs
 from ..mpc.context import Mode
 from ..mpc.transcript import ALICE, BOB
+from .aborts import TransportAbort
 from .chaos import RunProfile, make_tpch_runner, profile_run
-from .durable import DurableStore, revive
+from .durable import DurableStore, Position, revive
 from .faults import FaultPlan, FaultSpec
-from .session import DEFAULT_NODE_BUDGET, enable_session
+from .session import enable_session
 from .supervisor import RetryPolicy
-from .transport import ReconnectPolicy, SocketTransport
+from .transport import SocketTransport
 
 __all__ = [
     "NET_QUERIES",
@@ -70,15 +74,10 @@ class NetConfig:
     backend: str = "yannakakis"
     # Inert: frozen benchmarks/e2e reads it; ROADMAP item 1 drops it.
     group_bits: Optional[int] = None
-    node_budget: int = DEFAULT_NODE_BUDGET
     listen: Optional[Tuple[str, int]] = None
     connect: Optional[Tuple[str, int]] = None
     journal: Optional[str] = None
     resume: bool = False
-    reconnect: ReconnectPolicy = field(default_factory=ReconnectPolicy)
-    heartbeat_s: float = 0.25
-    idle_timeout_s: float = 10.0
-    exchange_deadline_s: float = 120.0
     #: Process-level faults this party fires on itself (chaos hooks).
     faults: Sequence[FaultSpec] = ()
 
@@ -106,20 +105,19 @@ class NetConfig:
         format, and ``--resume`` a journal written under either."""
         blob = (
             f"{self.query}|{self.scale_mb}|{self.seed}|{self.backend}"
-            f"|{self.node_budget}|wire{costs.WIRE_FORMAT}"
+            f"|wire{costs.WIRE_FORMAT}"
         )
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def meta(self) -> Dict[str, Any]:
-        """The journal's meta record: enough to rebuild the public
-        plan structures deterministically on resume."""
+        """The journal's meta record: the run configuration a resume
+        is checked against."""
         return {
             "role": self.role,
             "query": self.query,
             "scale_mb": self.scale_mb,
             "seed": self.seed,
             "backend": self.backend,
-            "node_budget": self.node_budget,
             "session_id": self.session_id,
         }
 
@@ -154,9 +152,6 @@ def profile_from_json(d: Dict[str, Any]) -> RunProfile:
     )
 
 
-# -- deterministic (re)construction of the public run structure --------
-
-
 def _prepared(config: NetConfig) -> Any:
     from ..tpch import PREPARED, generate
 
@@ -169,7 +164,7 @@ def solo_profile(config: NetConfig) -> RunProfile:
     what both parties of a two-process run must reproduce exactly."""
     return make_tpch_runner(
         config.query, scale_mb=config.scale_mb, seed=config.seed,
-        node_budget=config.node_budget, backend=config.backend,
+        backend=config.backend,
     )(FaultPlan())
 
 
@@ -177,22 +172,18 @@ def solo_profile(config: NetConfig) -> RunProfile:
 
 
 def run_party(config: NetConfig) -> Dict[str, Any]:
-    """Execute one party end to end (fresh or resumed).  Returns the
-    outcome payload ``repro net`` serialises: the run profile, the
-    transport statistics and the resume position (if any).
+    """Execute one party end to end, fresh or resumed on the one path
+    of the module docstring.  Returns the outcome payload ``repro net``
+    serialises: the run profile, the transport statistics and the
+    resume position (if any).
 
     Raises whatever the run raises — the CLI maps sanitized
-    :class:`~repro.runtime.aborts.ProtocolAbort` to a clean-abort exit
-    code; anything else is a hard failure."""
+    :class:`~repro.runtime.aborts.ProtocolAbort` (a replay that
+    disagrees with its journal is a ``replay-divergence``) to a
+    clean-abort exit code; anything else is a hard failure."""
     from ..mpc.engine import Engine
 
-    prepared = _prepared(config)
-    build = prepared._build
-    if build is None:  # pragma: no cover - guarded by NET_QUERIES
-        raise ValueError(f"{config.query} has no single-plan build")
-    query_obj = build()
-
-    resumed_from: Optional[int] = None
+    target = Position()
     store: Optional[DurableStore] = None
     if config.resume:
         if not config.journal:
@@ -206,33 +197,23 @@ def run_party(config: NetConfig) -> Dict[str, Any]:
             raise ValueError(
                 "journal belongs to a different run configuration"
             )
-        latest = state.latest
-        if latest is None:
+        if state.latest is None:
             raise ValueError(
                 f"journal {config.journal!r} has no committed "
                 "checkpoint to resume from"
             )
-        step_id, blob = latest
-        engine, session, env, _checkpoint = revive(blob)
-        ctx = engine.ctx
-        resumed_from = step_id
+        target = revive(state.latest[1])
         store = DurableStore.append_to(config.journal)
-    else:
-        ctx = prepared.make_context(Mode.SIMULATED, seed=config.seed)
-        engine = Engine(ctx)
-        engine.backend = config.backend
-        session = enable_session(
-            ctx, None, node_budget=config.node_budget, seed=config.seed
-        )
-        env = {}
-        if config.journal:
-            store = DurableStore.create(config.journal, config.meta())
+    elif config.journal:
+        store = DurableStore.create(config.journal, config.meta())
 
+    prepared = _prepared(config)
+    ctx = prepared.make_context(Mode.SIMULATED, seed=config.seed)
+    engine = Engine(ctx)
+    engine.backend = config.backend
+    session = enable_session(ctx, None, seed=config.seed)
     # Net mode fails closed on in-node faults: recovery is --resume.
     session.retry_policy = RetryPolicy(max_attempts=1)
-    session.durable = store
-    session.faults = FaultPlan(config.faults)
-
     transport: Optional[SocketTransport] = None
     if config.listen is not None or config.connect is not None:
         transport = SocketTransport(
@@ -240,19 +221,32 @@ def run_party(config: NetConfig) -> Dict[str, Any]:
             session_id=config.session_id,
             listen=config.listen,
             connect=config.connect,
-            reconnect=config.reconnect,
             seed=config.seed,
-            heartbeat_s=config.heartbeat_s,
-            idle_timeout_s=config.idle_timeout_s,
-            exchange_deadline_s=config.exchange_deadline_s,
         )
-        transport.attach(session)
-        transport.start()
 
+    def attach(step_id: int) -> None:
+        if step_id < target.step:
+            return  # replaying: metered here, never sent or journalled
+        session.before_commit = None
+        diff = Position.of(step_id, session).first_difference(target)
+        if diff is not None:
+            counter, replayed, recorded = diff
+            raise TransportAbort(
+                "replay-divergence", node=target.step, label=counter,
+                seq=replayed, expected=recorded,
+            )
+        session.durable = store
+        session.faults = FaultPlan(config.faults)
+        if transport is not None:
+            transport.attach(session)
+            transport.start()
+
+    session.before_commit = attach
     try:
-        result, _ = query_obj.run_secure(
-            engine, env=env, start_at=resumed_from
-        )
+        result, _ = prepared.run_secure(engine)
+        if session.before_commit is not None:
+            # The plan ended before the recorded node.
+            raise TransportAbort("replay-divergence", node=target.step)
         session.finish()
         if transport is not None:
             # Linger until the peer is done too (or provably gone):
@@ -267,7 +261,7 @@ def run_party(config: NetConfig) -> Dict[str, Any]:
         "status": "done",
         "role": config.role,
         "query": config.query,
-        "resumed_from": resumed_from,
+        "resumed_from": target.step if config.resume else None,
         "profile": profile_to_json(profile),
         "transport": dict(transport.stats) if transport else None,
         "checkpoints_committed": store.n_commits if store else 0,

@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 import signal
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..mpc.transcript import ALICE, BOB, Transcript
 from .aborts import (
@@ -37,15 +37,14 @@ from .aborts import (
     TimeoutAbort,
 )
 from .clock import VirtualClock
+from .durable import Position
 from .faults import DEFAULT_NODE_BUDGET, FaultPlan
 from .framing import FRAME_HEADER_BYTES, Frame, make_frame, verify_frame
 from .framing import corrupted as _corrupted
 from .framing import truncated as _truncated
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..exec.ir import Step
     from ..mpc.context import Context
-    from .checkpoint import Checkpoint
     from .durable import DurableStore
     from .supervisor import RetryPolicy
     from .transport import SocketTransport
@@ -86,12 +85,13 @@ class Session:
         self.retry_policy: Optional["RetryPolicy"] = None
         #: Process-local hooks of a two-process run (``repro net``):
         #: the socket transport every delivered frame is exchanged
-        #: through and the durable journal the supervisor commits
-        #: checkpoints to.  Both are ephemeral — :meth:`__getstate__`
-        #: nulls them (and drops the plan's process-level faults), and
-        #: the resume path re-wires fresh ones.
+        #: through, the durable journal each node's position is
+        #: committed to, and ``before_commit``, called with the step id
+        #: at the top of every node before its commit (where the
+        #: runner attaches the other two).
         self.wire: Optional["SocketTransport"] = None
         self.durable: Optional["DurableStore"] = None
+        self.before_commit: Optional[Callable[[int], None]] = None
         self._seq: Dict[str, int] = {ALICE: 0, BOB: 0}
         self._expected: Dict[str, int] = {ALICE: 0, BOB: 0}
         self._held: Dict[str, Frame] = {}
@@ -235,29 +235,19 @@ class Session:
 
     # -- checkpointing ---------------------------------------------------
 
-    def commit_checkpoint(
-        self, step: "Step", checkpoint: "Checkpoint"
-    ) -> None:
-        """Durable commit of one supervisor capture: journal the
-        checkpoint (fsync'd), then — and only then — send the peer a
-        durable ACK carrying the committed expected counters.  Acking
-        at commit time is what makes the peer's outbox a complete
-        replay source after any crash on this side."""
+    def commit_checkpoint(self, step_id: int) -> None:
+        """Durable commit at the top of a plan node: journal the
+        party's :class:`~repro.runtime.durable.Position` (fsync'd),
+        then — and only then — send the peer a durable ACK carrying the
+        committed expected counters.  Acking at commit time is what
+        makes the peer's outbox a complete replay source after any
+        crash on this side."""
+        if self.before_commit is not None:
+            self.before_commit(step_id)
         if self.durable is not None:
-            self.durable.save_checkpoint(step.id, checkpoint)
+            self.durable.save_checkpoint(Position.of(step_id, self))
             if self.wire is not None:
                 self.wire.ack(dict(self._expected))
-
-    def __getstate__(self) -> Dict[str, object]:
-        """Pickled sessions (durable checkpoints) drop the
-        process-local hooks: sockets and journal file handles neither
-        pickle nor belong to the resumed process, and a journalled
-        process-level fault would fire again in it."""
-        state = self.__dict__.copy()
-        state["wire"] = None
-        state["durable"] = None
-        state["faults"] = self.faults.without_process()
-        return state
 
     def state(self) -> SessionState:
         return SessionState(

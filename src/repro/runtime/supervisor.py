@@ -108,12 +108,18 @@ class Supervisor:
         session = self.session
         attempts = 0
         while True:
-            checkpoint = Checkpoint.capture(
-                step.id, env, self.engine, session, self.trace
+            # Only a retry reads the capture: a policy that allows none
+            # (repro net, the fuzzer) skips the deep copies.
+            checkpoint = (
+                Checkpoint.capture(
+                    step.id, env, self.engine, session, self.trace
+                )
+                if self.policy.max_attempts > 1
+                else None
             )
-            # Durable mode: journal the capture (and ACK the peer) so a
-            # kill -9 from here on resumes at this node.
-            session.commit_checkpoint(step, checkpoint)
+            # Durable mode: journal this node's position (and ACK the
+            # peer) so a kill -9 from here on resumes at this node.
+            session.commit_checkpoint(step.id)
             try:
                 session.begin_node(step.id, step.label)
                 thunk()
@@ -132,6 +138,7 @@ class Supervisor:
                         label=step.label,
                         attempts=attempts,
                     ) from abort
+                assert checkpoint is not None  # max_attempts > 1
                 checkpoint.restore(
                     env, self.engine, session, self.trace
                 )

@@ -172,8 +172,9 @@ class SocketTransport:
     runs the first handshake.  The session calls :meth:`exchange` for
     every delivered frame and :meth:`ack` at every durable checkpoint
     commit; the runner calls :meth:`close` after the final barrier.
-    The three timings have no defaults here: ``repro net`` takes them
-    from :class:`~repro.runtime.netrun.NetConfig`'s.
+    The three timings are in seconds: the heartbeat interval, the
+    silent-connection window before a reconnect, and the hard bound on
+    one frame exchange.
     """
 
     def __init__(
@@ -185,9 +186,9 @@ class SocketTransport:
         reconnect: Optional[ReconnectPolicy] = None,
         seed: int = 0,
         *,
-        heartbeat_s: float,
-        idle_timeout_s: float,
-        exchange_deadline_s: float,
+        heartbeat_s: float = 0.25,
+        idle_timeout_s: float = 10.0,
+        exchange_deadline_s: float = 120.0,
     ) -> None:
         if role not in (ALICE, BOB):
             raise ValueError(f"unknown role {role!r}")

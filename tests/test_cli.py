@@ -148,7 +148,7 @@ class TestChaosIsNeverVacuous:
         self, argv, builder, capsys, monkeypatch
     ):
         monkeypatch.setattr(builder, lambda *a, **kw: [])
-        assert main(["chaos", "--sweep", "quick", *argv]) == 1
+        assert main(["chaos", *argv]) == 1
         out = capsys.readouterr().out
         assert "0 fault points" in out and "FAILED" in out
 

@@ -1,14 +1,19 @@
-"""Disk-durable checkpoints: journal integrity and resume equality.
+"""Disk-durable positions: journal integrity and resume equality.
 
 The acceptance bar (docs/ROBUSTNESS.md): a journal round-trip must
-reproduce the in-memory checkpoint exactly, and resuming Q3 from
-*every* plan node's committed checkpoint must yield a transcript
-fingerprint and result byte-identical to the unfaulted run.
+reproduce the recorded positions exactly, a replay that disagrees with
+its record must abort cleanly, and resuming Q3 from *every* plan
+node's committed position must yield a transcript fingerprint and
+result byte-identical to the unfaulted run.
 """
 
+import dataclasses
+import hashlib
 import json
 import os
-import pickle
+import struct
+import subprocess
+import sys
 
 import pytest
 
@@ -22,14 +27,20 @@ from repro.runtime import (
     NetConfig,
     PeerCrash,
     RetryPolicy,
+    TransportAbort,
     enable_session,
-    profile_run,
+    netchaos,
     revive,
     run_party,
     solo_profile,
 )
-from repro.runtime.durable import KIND_CHECKPOINT, KIND_DONE, KIND_META
-from repro.runtime.netrun import _prepared
+from repro.runtime.durable import (
+    KIND_CHECKPOINT,
+    KIND_DONE,
+    KIND_META,
+    Position,
+)
+from repro.runtime.netrun import _prepared, profile_from_json
 
 
 class TestJournal:
@@ -87,12 +98,52 @@ class TestJournal:
             with pytest.raises(ValueError):
                 j.append(99, b"")
 
+    def test_journal_of_another_format_refused(self, tmp_path):
+        """A version-1 journal (pickled engine state) is refused with
+        a clear error at its first header, its payload never read."""
+        path = str(tmp_path / "v1.syj")
+        payload = b"\x80\x04N."  # a pickle of None, never decoded
+        header = struct.pack(
+            "<4sBQ32s", b"SYJ1", KIND_META, len(payload),
+            hashlib.sha256(payload).digest(),
+        )
+        with open(path, "wb") as fh:
+            fh.write(header + payload)
+        with pytest.raises(ValueError, match="SYJ1.*another format"):
+            DurableStore.load(path)
+
+
+class TestPosition:
+    def test_record_round_trip(self):
+        position = Position(3, 5, 4, 5, 4, 9, 6)
+        assert revive(position.to_json()) == position
+        assert position.first_difference(position) is None
+        moved = dataclasses.replace(position, n_messages=10)
+        assert position.first_difference(moved) == ("n_messages", 9, 10)
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            b"\x80\x04N.",
+            b"[]",
+            b'{"step": 0}',
+            Position().to_json().replace(b'"step": 0', b'"step": -1'),
+            Position().to_json().replace(b'"rounds": 0', b'"rounds": "0"'),
+            Position().to_json().replace(b'"rounds": 0', b'"rounds": 0.5'),
+            Position().to_json().replace(b'"rounds": 0', b'"rounds": true'),
+            Position().to_json()[:-1] + b', "env": {}}',
+        ],
+    )
+    def test_malformed_record_rejected(self, blob):
+        with pytest.raises(ValueError):
+            revive(blob)
+
 
 class TestDurableStore:
     def test_load_requires_leading_meta(self, tmp_path):
         path = str(tmp_path / "j.syj")
         with Journal(path, truncate=True) as j:
-            j.append(KIND_CHECKPOINT, pickle.dumps(None))
+            j.append(KIND_CHECKPOINT, Position().to_json())
         with pytest.raises(ValueError):
             DurableStore.load(path)
 
@@ -131,44 +182,122 @@ def q3_journal(tmp_path_factory):
     return path
 
 
+def journal_prefix(source, path, step, record=None):
+    """Copy ``source``'s meta and position records up to node ``step``
+    to ``path``, as a party killed at that node leaves them; a given
+    ``record`` replaces the last one."""
+    with Journal(path, truncate=True) as out:
+        for kind, payload in Journal.scan(source):
+            if kind == KIND_CHECKPOINT and revive(payload).step == step:
+                out.append(kind, payload if record is None else record)
+                return path
+            if kind != KIND_DONE:
+                out.append(kind, payload)
+    raise AssertionError(f"no record of node {step}")
+
+
+def resume(path):
+    return run_party(
+        NetConfig(role="alice", journal=path, resume=True, **CONFIG_KW)
+    )
+
+
 class TestResume:
     def test_journal_round_trip_reproduces_checkpoint(self, q3_journal):
-        """Serialise -> fsync -> load -> revive reproduces the captured
-        state exactly: counters, transcript prefix, step id."""
+        """Serialise -> fsync -> load -> revive reproduces the position
+        a fresh run reaches at the top of every node: step id, channel
+        counters and transcript position."""
+        config = NetConfig(role="alice", **CONFIG_KW)
+        prepared = _prepared(config)
+        engine = Engine(prepared.make_context(Mode.SIMULATED, seed=7))
+        session = enable_session(engine.ctx, seed=7)
+        live = []
+        session.before_commit = lambda step: live.append(
+            Position.of(step, session)
+        )
+        prepared.run_secure(engine)
         state = DurableStore.load(q3_journal)
-        for step_id, blob in state.checkpoints:
-            live = pickle.loads(blob)
-            engine, session, env, revived = revive(blob)
-            assert revived.step_id == step_id == live.step_id
-            assert session is engine.ctx.session
-            # The revived session counters equal the captured ones.
-            assert session._seq == live._session_state.seq
-            assert session._expected == live._session_state.expected
-            # The transcript prefix was cut back to the capture point.
-            assert (
-                len(engine.ctx.transcript.messages)
-                == live._transcript_state.n_messages
-            )
+        assert [revive(blob) for _, blob in state.checkpoints] == live
+        assert [step for step, _ in state.checkpoints] == [
+            p.step for p in live
+        ]
 
     def test_resume_from_every_node_matches_baseline(
-        self, q3_journal, q3_baseline
+        self, q3_journal, q3_baseline, tmp_path
     ):
-        """The tentpole equality: from every committed checkpoint, a
-        revived run completes with a byte-identical transcript."""
+        """The tentpole equality: from every committed position, a
+        replayed run completes with a byte-identical transcript."""
         state = DurableStore.load(q3_journal)
-        config = NetConfig(role="alice", **CONFIG_KW)
         assert len(state.checkpoints) == len(q3_baseline.nodes_seen)
-        for step_id, blob in state.checkpoints:
-            engine, session, env, _ = revive(blob)
-            result, _ = _prepared(config)._build().run_secure(
-                engine, env=env, start_at=step_id
+        for step_id, _ in state.checkpoints:
+            path = journal_prefix(
+                q3_journal, str(tmp_path / f"node{step_id}.syj"), step_id
             )
-            session.finish()
-            profile = profile_run(engine.ctx, session, result)
+            outcome = resume(path)
+            assert outcome["resumed_from"] == step_id
+            profile = profile_from_json(outcome["profile"])
             assert profile.diff(q3_baseline) == "", (
                 f"resume from node {step_id} diverged: "
                 f"{profile.diff(q3_baseline)}"
             )
+            # Resumed: the recorded node's position again, then one
+            # per later node, then done.
+            after = DurableStore.load(path)
+            assert after.done is not None
+            assert [s for s, _ in after.checkpoints] == [
+                s for s, _ in state.checkpoints if s <= step_id
+            ] + [s for s, _ in state.checkpoints if s >= step_id]
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(n_messages=1),
+            dict(rounds=99),
+            dict(seq_bob=10_000),
+            dict(step=10_000),
+        ],
+        ids=["n_messages", "rounds", "seq", "past-the-plan"],
+    )
+    def test_replay_that_disagrees_with_its_record_aborts(
+        self, q3_journal, tmp_path, change
+    ):
+        """A record whose counters the replayed prefix does not reach
+        is a typed, sanitized abort — never a silent divergence."""
+        state = DurableStore.load(q3_journal)
+        step, blob = state.checkpoints[len(state.checkpoints) // 2]
+        record = dataclasses.replace(revive(blob), **change).to_json()
+        path = journal_prefix(
+            q3_journal, str(tmp_path / "bad.syj"), step, record
+        )
+        with pytest.raises(TransportAbort) as err:
+            resume(path)
+        assert err.value.reason == "replay-divergence"
+        assert err.value.node == change.get("step", step)
+        assert err.value.is_sanitized()
+        assert DurableStore.load(path).done is None
+
+    def test_resumed_party_carries_no_process_fault(
+        self, tmp_path, q3_baseline
+    ):
+        """A party SIGKILLed by its own ``kill-node`` fault resumes
+        from a journal of public positions alone: the replay carries
+        no fault of the killed process and runs to baseline parity."""
+        path = str(tmp_path / "killed.syj")
+        node = q3_baseline.nodes_seen[len(q3_baseline.nodes_seen) // 2]
+        killed = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "net", "--role", "alice",
+                "--scale", "0.1", "--seed", "7", "--journal", path,
+                "--kill-at-node", str(node),
+            ],
+            env=netchaos._src_env(), capture_output=True, timeout=120,
+        )
+        assert killed.returncode == -9, killed.stdout
+        state = DurableStore.load(path)
+        assert state.latest[0] == node and state.done is None
+        outcome = resume(path)
+        assert outcome["resumed_from"] == node
+        assert profile_from_json(outcome["profile"]).diff(q3_baseline) == ""
 
     def test_crashed_run_resumes_via_run_party(
         self, tmp_path, q3_baseline
@@ -189,7 +318,6 @@ class TestResume:
         session = enable_session(
             ctx,
             FaultPlan([FaultSpec("crash", node=crash_node, party=BOB)]),
-            node_budget=config.node_budget,
             seed=config.seed,
         )
         session.retry_policy = RetryPolicy(max_attempts=1)
@@ -199,22 +327,14 @@ class TestResume:
             prepared.run_secure(engine)
         store.close()
 
-        resumed = run_party(
-            NetConfig(role="alice", journal=path, resume=True, **CONFIG_KW)
-        )
+        resumed = resume(path)
         assert resumed["status"] == "done"
         assert resumed["resumed_from"] == crash_node
-        from repro.runtime.netrun import profile_from_json
-
         profile = profile_from_json(resumed["profile"])
         assert profile.diff(q3_baseline) == ""
 
     def test_done_journal_resume_is_idempotent(self, q3_journal):
-        outcome = run_party(
-            NetConfig(
-                role="alice", journal=q3_journal, resume=True, **CONFIG_KW
-            )
-        )
+        outcome = resume(q3_journal)
         assert outcome["already_done"] is True
         assert outcome["status"] == "done"
 
@@ -226,18 +346,14 @@ class TestResume:
         other = NetConfig(role="alice", query="Q3", scale_mb=0.1, seed=99)
         DurableStore.create(path, other.meta()).close()
         with pytest.raises(ValueError) as err:
-            run_party(
-                NetConfig(
-                    role="alice", journal=path, resume=True, **CONFIG_KW
-                )
-            )
+            resume(path)
         assert "different run configuration" in str(err.value)
 
     def test_journal_of_another_wire_format_refused(
         self, tmp_path, monkeypatch
     ):
         # The same run configuration under the previous wire format: a
-        # journal its binary wrote cannot be revived by this one.
+        # journal its binary wrote cannot be resumed by this one.
         from repro.mpc import costs
 
         path = str(tmp_path / "old-wire.syj")
@@ -249,9 +365,5 @@ class TestResume:
             assert old.session_id != current
             DurableStore.create(path, old.meta()).close()
         with pytest.raises(ValueError) as err:
-            run_party(
-                NetConfig(
-                    role="alice", journal=path, resume=True, **CONFIG_KW
-                )
-            )
+            resume(path)
         assert "different run configuration" in str(err.value)

@@ -139,6 +139,13 @@ class TestSpecBuilder:
                 )
                 assert "--fault" not in cmd
 
+    def test_a_crash_is_reported_with_its_last_log_line(self, tmp_path):
+        log = tmp_path / "bob.log"
+        log.write_text("Traceback (most recent call last):\n"
+                       "  ...\nValueError: boom\n\n")
+        assert netchaos._last_line(str(log)) == ": ValueError: boom"
+        assert netchaos._last_line(str(tmp_path / "missing.log")) == ""
+
     def test_kill_at_node_is_a_kill_node_spec(self):
         args = build_parser().parse_args(
             ["net", "--role", "bob", "--kill-at-node", "4"]

@@ -6,12 +6,11 @@ and every KKRT OPRF take their base OTs as random OTs of an existing
 extension instance.  Pinned here: the scalar-multiplication count of a
 REAL query, the correctness of the bootstrapped seeds, estimator == metered
 == REAL for each order in which the instances are first used, that
-checkpoint/revive keeps the pair a pair, and the structural guard that
+a checkpoint's restore keeps the pair a pair, and the structural guard that
 no second public-key call site comes back.
 """
 
 import ast
-import pickle
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,6 @@ from repro.mpc.oprf import BatchedOprf
 from repro.mpc.ot import make_ot
 from repro.runtime import FaultPlan, enable_session
 from repro.runtime.checkpoint import Checkpoint
-from repro.runtime.durable import revive
 
 from .conftest import spy_scalar_muls
 from .test_ot import assert_received_off_path
@@ -220,13 +218,12 @@ class TestFirstUseOrders:
 
 
 # ----------------------------------------------------------------------
-# checkpoint / revive keeps the pair a pair
+# checkpoint / restore keeps the pair a pair
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.real
-@pytest.mark.parametrize("via", ["deepcopy", "pickle"])
-def test_checkpointed_engine_keeps_its_mirror(via):
+def test_checkpointed_engine_keeps_its_mirror():
     ctx = Context(Mode.REAL, SecurityParams(ell=32), seed=4)
     session = enable_session(ctx, FaultPlan(), seed=4)
     engine = Engine(ctx)
@@ -240,10 +237,7 @@ def test_checkpointed_engine_keeps_its_mirror(via):
         "cross/ot/ext/u", "cross/ot/ext/ciphertexts"
     ]
 
-    if via == "deepcopy":
-        checkpoint.restore({}, engine, session)
-    else:
-        engine, session, _, _ = revive(pickle.dumps(checkpoint))
+    checkpoint.restore({}, engine, session)
     ot = engine.ot
     assert ot.reverse.reverse is ot and ot.reverse is not ot
     assert ot._base_done and ot.reverse._base_done

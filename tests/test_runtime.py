@@ -17,7 +17,6 @@ Four layers:
 """
 
 import json
-import pickle
 
 import pytest
 
@@ -32,7 +31,7 @@ from repro.fuzz.runner import (
 )
 from repro.mpc import Context, Engine, Mode
 from repro.mpc.params import SecurityParams
-from repro.mpc.transcript import ALICE, BOB, Transcript
+from repro.mpc.transcript import ALICE, BOB
 from repro.runtime import (
     FAULT_KINDS,
     FRAME_HEADER_BYTES,
@@ -43,7 +42,6 @@ from repro.runtime import (
     ProtocolAbort,
     RetryPolicy,
     SequenceAbort,
-    Session,
     Supervisor,
     TimeoutAbort,
     VirtualClock,
@@ -198,24 +196,6 @@ def test_every_kind_round_trips_text_and_json(kind):
 def test_fault_spec_parse_rejects(text):
     with pytest.raises(ValueError):
         FaultSpec.parse(text)
-
-
-def test_process_faults_are_never_journalled():
-    # A kill spec pickled into a checkpoint would SIGKILL the resumed
-    # party again at the same node; message specs keep their latch.
-    plan = FaultPlan([
-        FaultSpec.parse("corrupt@1"),
-        FaultSpec.parse("kill-node@2"),
-        FaultSpec.parse("corrupt@3"),
-        FaultSpec.parse("stall@4:10"),
-    ])
-    assert plan.for_message(3) is not None
-    session = Session(Transcript(), plan)
-    revived = pickle.loads(pickle.dumps(session)).faults
-    assert [str(s) for s in revived.specs] == ["corrupt@1", "corrupt@3"]
-    assert revived.for_message(3) is None, "fired latch lost"
-    assert revived.for_message(1) is not None
-    assert len(session.faults) == 4  # the live plan is untouched
 
 
 # ----------------------------------------------------------------------

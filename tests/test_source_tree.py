@@ -6,6 +6,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
+#: Modules that decode pickles (``shelve`` stores them).
+_PICKLERS = ("pickle", "_pickle", "cPickle", "shelve")
+
 
 def test_no_module_binds_a_top_level_name_twice():
     """A second top-level ``def``/``class`` of a name silently replaces
@@ -25,4 +28,24 @@ def test_no_module_binds_a_top_level_name_twice():
             for name, count in names.items()
             if count > 1
         ]
+    assert offenders == []
+
+
+def test_no_pickle_in_src():
+    """No module imports or calls ``pickle``: a journal holds public
+    positions and a resume replays, so no byte string from disk or
+    socket is ever unpickled."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            if any(n.split(".")[0] in _PICKLERS for n in names):
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert offenders == []
