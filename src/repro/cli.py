@@ -266,7 +266,8 @@ def _net_config(args) -> NetConfig:
 
 
 def _cmd_net(args) -> int:
-    from .runtime import ProtocolAbort, run_party
+    from .runtime import JournalRefused, ProtocolAbort, run_party
+    from .runtime.netrun import EXIT_JOURNAL_REFUSED
 
     try:
         config = _net_config(args)
@@ -274,6 +275,10 @@ def _cmd_net(args) -> int:
         args.error(str(exc))
     try:
         outcome = run_party(config)
+    except JournalRefused as refused:
+        print(f"net {config.role} {config.query}: journal refused: "
+              f"{refused}")
+        return EXIT_JOURNAL_REFUSED
     except ProtocolAbort as abort:
         # Sanitized failure: the typed abort is the whole public story.
         outcome = {

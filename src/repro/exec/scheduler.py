@@ -29,11 +29,10 @@ transcript's label scheme (``reduce``, ``semijoin``,
 from __future__ import annotations
 
 from contextlib import ExitStack
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mpc.engine import Engine
-    from ..runtime.supervisor import Supervisor
 
 from ..core.aggregation import oblivious_aggregate
 from ..core.join import (
@@ -85,23 +84,27 @@ class Scheduler:
 
         When the context carries a runtime session
         (:func:`repro.runtime.session.enable_session`), every step runs
-        under the :class:`~repro.runtime.supervisor.Supervisor`:
-        checkpointed, deadline-supervised, and retried on retryable
-        :class:`~repro.runtime.aborts.ProtocolAbort` faults.  Protocol
-        code never catches broader exception types here — operator bugs
-        must propagate untouched.
+        inside the session's node bracket: the commit at its top, then
+        :meth:`~repro.runtime.session.Session.begin_node` (deadline,
+        node faults) and, after the step,
+        :meth:`~repro.runtime.session.Session.end_node` (the delivery
+        barrier).  A fault surfaces as a typed
+        :class:`~repro.runtime.aborts.ProtocolAbort`, which
+        :func:`repro.runtime.supervisor.run_replayed` recovers from by
+        replaying the run.  Protocol code never catches broader
+        exception types here — operator bugs must propagate untouched.
 
         The run is a leakage scope whose own contract is empty
         (:func:`repro.leakage.leaks`): every reveal it reaches must sit
         under an operator that declares it, or it raises
         :class:`~repro.leakage.UndeclaredLeakage`."""
         ctx = self.engine.ctx
-        supervisor = self._make_supervisor()
+        session = ctx.session
         # Cooperative re-entrancy: a serving layer may interleave many
-        # sessions by parking this one at each step boundary.  The hook
-        # runs outside the supervisor's checkpoint/retry bracket (one
-        # yield per step, not per attempt) and before any of the step's
-        # messages, so it cannot perturb the transcript.
+        # sessions by parking this one at each step boundary, before
+        # any of the step's messages, so the hook cannot perturb the
+        # transcript.  It parks once per node, not per attempt: a
+        # replayed node, and the node a retry re-runs, do not yield.
         yield_hook = getattr(self.engine, "yield_hook", None)
         env: Dict[str, Any] = {}
         # A traced node reports its estimated marginal bytes beside its
@@ -112,45 +115,36 @@ class Scheduler:
 
             est_bytes = estimate_step_bytes(plan.steps, relations, ctx.params)
         for step in plan.steps:
-            if yield_hook is not None:
+            if yield_hook is not None and not (
+                session is not None and session.replaying
+            ):
                 yield_hook(step)
-            # Silent-OT pools live for one node, so no checkpoint holds
-            # one open (OT.close_pools).
+            # Silent-OT pools live for one node.
             self.engine.ot.close_pools()
-
-            def thunk(step: Step = step) -> None:
-                if self.trace is not None:
-                    with self.trace.node(
-                        ctx.transcript,
-                        id=step.id,
-                        kind=step.kind,
-                        label=step.label,
-                        section=step.section,
-                        backend=getattr(step, "backend", None),
-                        est_bytes=est_bytes.get(step.id),
-                    ):
-                        self._dispatch(step, env, relations)
-                else:
+            if session is not None:
+                session.commit_checkpoint(step.id)
+                session.begin_node(step.id, step.label)
+            if self.trace is not None:
+                with self.trace.node(
+                    ctx.transcript,
+                    id=step.id,
+                    kind=step.kind,
+                    label=step.label,
+                    section=step.section,
+                    backend=getattr(step, "backend", None),
+                    est_bytes=est_bytes.get(step.id),
+                ):
                     self._dispatch(step, env, relations)
-
-            if supervisor is not None:
-                supervisor.run_step(step, env, thunk)
             else:
-                thunk()
+                self._dispatch(step, env, relations)
+            if session is not None:
+                session.end_node()
+        if session is not None:
+            session.end_plan(len(plan.steps))
         if self.trace is not None:
             self.trace.meta["plan"] = plan.name
             self.trace.meta["n_steps"] = len(plan.steps)
         return env
-
-    def _make_supervisor(self) -> Optional["Supervisor"]:
-        """A step supervisor when the context has a session attached
-        (imported lazily: the runtime layer is optional at run time)."""
-        session = getattr(self.engine.ctx, "session", None)
-        if session is None:
-            return None
-        from ..runtime.supervisor import Supervisor
-
-        return Supervisor(session, self.engine, trace=self.trace)
 
     def _dispatch(
         self,

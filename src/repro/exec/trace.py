@@ -56,13 +56,10 @@ class ExecutionTrace:
 
     nodes: List[NodeTrace] = field(default_factory=list)
     meta: Dict[str, Any] = field(default_factory=dict)
-    #: Runtime-supervisor events (aborts, checkpoint retries).  A
-    #: failed attempt's :class:`NodeTrace` is truncated on retry; its
-    #: event record here is the durable log of what happened.
+    #: The aborts and retries of the run, carried over from its failed
+    #: attempts' traces (:func:`repro.runtime.supervisor.run_replayed`);
+    #: ``nodes`` are the finishing attempt's.
     events: List[Dict[str, Any]] = field(default_factory=list)
-
-    def record_event(self, event: Dict[str, Any]) -> None:
-        self.events.append(dict(event))
 
     @contextmanager
     def node(
@@ -123,7 +120,7 @@ class ExecutionTrace:
             "total_bytes": self.total_bytes,
             "nodes": [n.to_json() for n in self.nodes],
         }
-        # Only present when the runtime supervisor recorded something:
+        # Only present when a retry recorded something:
         # fault-free traces keep the golden-pinned schema unchanged.
         if self.events:
             blob["events"] = [dict(e) for e in self.events]

@@ -29,7 +29,7 @@ input share) must be caught by the differential oracle, channel faults
 session layer) must surface as a typed
 :class:`~repro.runtime.aborts.ProtocolAbort` — reported as failure
 kind ``"abort"`` and persisted, fault spec included, in the failure
-file.  Fuzz runs disable checkpoint retries (one attempt) so detection
+file.  Fuzz runs disable retries (one attempt) so detection
 itself is what gets tested; resilience under retries is the chaos
 harness's job (``repro chaos``).
 """
@@ -56,8 +56,8 @@ from ..mpc.transcript import Message, Transcript
 from ..query.planner import BACKEND_POLICIES, choose_plan, route_backends
 from ..runtime.aborts import ProtocolAbort
 from ..runtime.faults import FaultPlan, perturb_share
-from ..runtime.session import enable_session
-from ..runtime.supervisor import RetryPolicy
+from ..runtime.session import Session
+from ..runtime.supervisor import RetryPolicy, run_replayed
 from ..relalg.relation import AnnotatedRelation
 from ..yannakakis.naive import naive_join_aggregate
 from ..yannakakis.plain import execute_plan
@@ -187,28 +187,34 @@ def _run_secure(
     fault: Optional[FaultPlan] = None,
     backend: str = "yannakakis",
 ) -> Tuple[AnnotatedRelation, Context]:
-    ctx = Context(
-        mode, SecurityParams(ell=instance.ell), seed=engine_seed
-    )
-    engine = Engine(ctx)
+    params = SecurityParams(ell=instance.ell)
     backends = route_backends(
         plan, instance.sizes(), instance.owners, backend=backend,
-        params=ctx.params,
+        params=params,
     )
-    inputs = _secure_inputs(instance)
-    if fault is not None:
-        # A fresh (un-fired) copy per run, injected by the session
-        # layer.  One attempt only — the fuzzer tests *detection*;
-        # retry resilience is the chaos harness's job.
-        plan_copy = fault.fresh()
-        session = enable_session(ctx, plan_copy, seed=engine_seed)
-        session.retry_policy = RetryPolicy(max_attempts=1)
-        for _ in plan_copy.input_faults():
+
+    def build() -> Engine:
+        return Engine(Context(mode, params, seed=engine_seed))
+
+    def body(engine: Engine) -> AnnotatedRelation:
+        inputs = _secure_inputs(instance)
+        for _ in fault.input_faults() if fault is not None else ():
             perturb_share(engine, inputs)
-    result, _ = secure_yannakakis(engine, inputs, plan, backends=backends)
-    if ctx.session is not None:
-        ctx.session.finish()
-    return result, ctx
+        return secure_yannakakis(
+            engine, inputs, plan, backends=backends
+        )[0]
+
+    if fault is None:
+        engine = build()
+        return body(engine), engine.ctx
+    # A fresh (un-fired) copy per run, injected by the session layer.
+    # One attempt only — the fuzzer tests *detection*; retry
+    # resilience is the chaos harness's job.
+    session = Session(None, fault.fresh(), seed=engine_seed)
+    session.retry_policy = RetryPolicy(max_attempts=1)
+    result, engine = run_replayed(session, build, body)
+    session.finish()
+    return result, engine.ctx
 
 
 def run_differential(

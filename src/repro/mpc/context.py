@@ -21,6 +21,7 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
+    Tuple,
     runtime_checkable,
 )
 
@@ -96,7 +97,7 @@ class ScheduleMismatch(RuntimeError):
     """A REAL payload whose size is not what its primitive's send path
     sends for the public shapes: a bug in the primitive, not a fault of
     the run, so not a :class:`~repro.runtime.aborts.ProtocolAbort`,
-    which the supervisor would retry."""
+    which a retry would re-run."""
 
 
 class Checked:
@@ -189,8 +190,8 @@ class Context:
         the tweaks of one batch of fixed-key hashes
         (:func:`repro.mpc.batch.tccr_hash`) unique within the context.
         Both parties draw it in the same protocol order, so neither
-        sends it.  Like :attr:`rng`, a checkpoint restore does not
-        rewind it: a retried node hashes under fresh tweaks."""
+        sends it.  A retried node hashes under fresh tweaks: see
+        :meth:`rekey`."""
         n = self._tweak_batch
         self._tweak_batch = n + 1
         return n
@@ -199,11 +200,27 @@ class Context:
         """``k`` dummy-row nonces (:mod:`repro.relalg.columns`) no
         earlier call returned, for the dummies an operator makes while
         the plan runs: a run's dummies are a function of its context,
-        so one process replays a seeded run.  Like :meth:`tweak_batch`,
-        a checkpoint restore does not rewind it."""
+        so one process replays a seeded run."""
         start = self._dummy_nonce
         self._dummy_nonce = start + k
         return np.arange(start, start + k, dtype=np.int64)
+
+    @property
+    def counters(self) -> Tuple[int, int]:
+        """The next :meth:`tweak_batch` number and the next
+        :meth:`dummy_nonces` nonce: how far the context's one-time
+        streams have run."""
+        return self._tweak_batch, self._dummy_nonce
+
+    def rekey(
+        self, rng: np.random.Generator, counters: Tuple[int, int]
+    ) -> None:
+        """Re-key a retried node: fresh randomness, and the tweak and
+        nonce streams continued from ``counters``, where the failed
+        attempt left them, so no tweak or nonce it drew is drawn again
+        (:mod:`repro.runtime.supervisor`)."""
+        self.rng = rng
+        self._tweak_batch, self._dummy_nonce = counters
 
     def send(self, sender: str, n_bytes: int, label: str) -> None:
         if self._roles_swapped:

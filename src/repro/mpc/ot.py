@@ -68,7 +68,6 @@ import hashlib
 import weakref
 from typing import (
     Any,
-    Dict,
     List,
     NamedTuple,
     Optional,
@@ -819,7 +818,7 @@ class _Paired:
     def close_pools(self) -> None:
         """Close this instance's pool and its mirror's.  The scheduler
         calls it before every plan node, and so before the node's
-        checkpoint: a retried node opens fresh pools under its re-keyed
+        commit: a retried node opens fresh pools under its re-keyed
         randomness rather than drawing rows whose derandomisation bits
         a failed attempt may have sent, and its bytes equal the
         unfaulted attempt's.  SPCOT bytes still owed keep their ride."""
@@ -886,17 +885,6 @@ class _Paired:
             payload += owed_wire
         wire = Checked(self.ctx, None if payload is None else [payload])
         wire.send(ALICE, n_bytes, "ot/ext/u")
-
-    # A weak reference does not survive a deep copy (it would keep
-    # pointing at the original): a copied mirror drops it and the
-    # copied forward instance re-links the pair.
-    def __getstate__(self) -> Dict[str, Any]:
-        return {**self.__dict__, "_forward": None}
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        if self._mirror is not None:
-            self._mirror._forward = weakref.ref(self)
 
 
 class SoftSpokenExtension(_Paired):

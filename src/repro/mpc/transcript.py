@@ -52,11 +52,9 @@ class Message:
 
 @dataclass(frozen=True)
 class TranscriptState:
-    """A transcript position for checkpoint/rollback (the session
-    layer's node-granular retries truncate back to one of these)."""
+    """A transcript position: its message and round counts."""
 
     n_messages: int
-    last_sender: Optional[str]
     rounds: int
 
 
@@ -91,28 +89,10 @@ class Transcript:
             self._rounds += 1
             self._last_sender = sender
 
-    # -- checkpointing --------------------------------------------------
-
     def state(self) -> TranscriptState:
-        """The current position, for a later :meth:`rollback`."""
-        return TranscriptState(
-            n_messages=len(self.messages),
-            last_sender=self._last_sender,
-            rounds=self._rounds,
-        )
-
-    def rollback(self, state: TranscriptState) -> None:
-        """Truncate back to a previously captured position: messages
-        recorded since are discarded and the round counter rewound, so
-        a retried node re-meters from a clean slate."""
-        if state.n_messages > len(self.messages):
-            raise ValueError(
-                "cannot roll a transcript forward "
-                f"({state.n_messages} > {len(self.messages)} messages)"
-            )
-        del self.messages[state.n_messages:]
-        self._last_sender = state.last_sender
-        self._rounds = state.rounds
+        """The current position (a journal record's
+        :class:`~repro.runtime.durable.Position` holds its counts)."""
+        return TranscriptState(len(self.messages), self._rounds)
 
     @contextmanager
     def section(self, label: str) -> Iterator[None]:

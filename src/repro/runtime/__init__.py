@@ -4,7 +4,8 @@ Framed, sequence-numbered, checksummed messaging over the metered
 channel; deterministic fault injection, one :class:`~.faults.FaultSpec`
 vocabulary for in-process message faults and ``repro net`` process
 faults alike (:mod:`.faults`); typed protocol aborts;
-node-granular checkpoint/retry; the one fault-sweep harness
+recovery by replay, in process and across processes
+(:mod:`.supervisor`); the one fault-sweep harness
 (:mod:`.chaos`); and the two-process execution stack — real TCP
 transport with reconnect (:mod:`.transport`), disk-durable crash
 recovery (:mod:`.durable`), the ``repro net`` party runner
@@ -36,7 +37,14 @@ from .chaos import (
     sweep_faults,
 )
 from .clock import VirtualClock
-from .durable import DurableStore, Journal, JournalState, Position, revive
+from .durable import (
+    DurableStore,
+    Journal,
+    JournalRefused,
+    JournalState,
+    Position,
+    revive,
+)
 from .faults import (
     FAULT_KINDS,
     MESSAGE_FAULT_KINDS,
@@ -61,7 +69,7 @@ from .netrun import (
     run_party,
     solo_profile,
 )
-from .supervisor import RetryPolicy, Supervisor
+from .supervisor import RetryPolicy, run_replayed
 from .transport import ReconnectPolicy, SocketTransport, free_port
 
 __all__ = [
@@ -88,7 +96,7 @@ __all__ = [
     "SessionState",
     "enable_session",
     "RetryPolicy",
-    "Supervisor",
+    "run_replayed",
     "CLASSIFICATIONS",
     "RunProfile",
     "Outcome",
@@ -102,6 +110,7 @@ __all__ = [
     "make_tpch_runner",
     "Journal",
     "JournalState",
+    "JournalRefused",
     "Position",
     "DurableStore",
     "revive",

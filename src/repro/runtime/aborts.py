@@ -8,7 +8,7 @@ No constructor accepts free-form payloads, so no abort path can ever
 surface reconstructed plaintext — the chaos harness and the unit tests
 assert :func:`payload_is_sanitized` on every abort they observe.
 
-The supervisor's retry decision is a class attribute: transient channel
+The retry decision is a class attribute: transient channel
 faults (integrity, sequencing, deadline) are ``retryable``; a peer
 crash is terminal.
 """
@@ -86,8 +86,9 @@ class ProtocolAbort(RuntimeError):
     """Base of the abort taxonomy.
 
     Fields are restricted to public channel metadata; see the module
-    docstring.  ``retryable`` tells the supervisor whether a
-    node-granular checkpoint retry is permitted.
+    docstring.  ``retryable`` tells
+    :func:`~repro.runtime.supervisor.run_replayed` whether the node may
+    be retried.
     """
 
     retryable = False
@@ -178,7 +179,7 @@ class TransportAbort(ProtocolAbort):
     Terminal by design: an in-node retry would re-run the node on one
     OS process while the peer's mirror stays put, desynchronising the
     two frame streams.  Recovery from transport loss is process
-    restart + ``repro net --resume`` over the durable journal, not a
-    supervisor retry."""
+    restart + ``repro net --resume`` over the durable journal, not an
+    in-node retry."""
 
     retryable = False

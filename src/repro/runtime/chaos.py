@@ -49,10 +49,12 @@ from typing import (
 from ..mpc.transcript import ALICE, BOB
 from .aborts import ProtocolAbort, payload_is_sanitized
 from .faults import FAULT_KINDS, MESSAGE_FAULT_KINDS, FaultPlan, FaultSpec
-from .session import Session, enable_session
+from .session import Session
+from .supervisor import run_replayed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mpc.context import Context
+    from ..mpc.engine import Engine
 
 __all__ = [
     "CLASSIFICATIONS",
@@ -140,7 +142,7 @@ class Outcome:
     classification: str
     detail: str = ""
     abort: Optional[Dict[str, Any]] = None
-    #: How the run recovered: an in-node supervisor retry, a killed
+    #: How the run recovered: an in-node retry, a killed
     #: party restarted with ``--resume``, transport reconnects.
     retried: bool = False
     resumed: bool = False
@@ -320,12 +322,14 @@ def build_specs(
     stride: int = 1,
 ) -> List[FaultSpec]:
     """Every fault point of a sweep: a kind whose target is a plan node
-    at every node of the baseline, any other at every ``stride``-th
-    wire index, each lasting its kind's default duration (a ``hang``
-    just past the node budget, a ``stall`` or ``partition`` 400 ms).
-    The targeted party alternates — with node parity, and from one wire
-    point to the next — so both roles are faulted; a message fault on a
-    wire hits the frame, not a party, and names none."""
+    at every node of the baseline, by its ordinal in the run (a
+    composed query's plans reuse step ids), any other at every
+    ``stride``-th wire index, each lasting its kind's default duration
+    (a ``hang`` just past the node budget, a ``stall`` or ``partition``
+    400 ms).  The targeted party alternates — with the ordinal's
+    parity, and from one wire point to the next — so both roles are
+    faulted; a message fault on a wire hits the frame, not a party, and
+    names none."""
     stride = max(stride, 1)
     specs: List[FaultSpec] = []
     for kind in kinds:
@@ -333,7 +337,7 @@ def build_specs(
         if row.target == "node":
             specs.extend(
                 FaultSpec.make(kind, node, ALICE if node % 2 else BOB)
-                for node in baseline.nodes_seen
+                for node in range(len(baseline.nodes_seen))
             )
             continue
         for wire in range(0, baseline.n_messages, stride):
@@ -370,11 +374,13 @@ def make_tpch_runner(
     backend: Optional[str] = None,
 ) -> Runner:
     """A :data:`Runner` over one prepared TPC-H query.  The dataset and
-    query are built once; every call gets a fresh context, engine and
-    session over the prepared query's held relations, which no run
-    modifies, so runs are independent.  ``backend`` selects the join
-    back-end (``yannakakis``/``linear``/``auto``) so the chaos sweep
-    can cover the DH-OPRF protocol's wire pattern too."""
+    query are built once; every call gets a fresh session, and each of
+    its attempts (:func:`~repro.runtime.supervisor.run_replayed`) a
+    fresh context and engine over the prepared query's held relations,
+    which no run modifies, so runs are independent.  ``backend``
+    selects the join back-end (``yannakakis``/``linear``/``auto``) so
+    the chaos sweep can cover the DH-OPRF protocol's wire pattern
+    too."""
     from ..mpc.context import Mode
     from ..mpc.engine import Engine
     from ..tpch import PREPARED, generate
@@ -383,14 +389,18 @@ def make_tpch_runner(
     prepared = PREPARED[query.upper()](dataset)
     mode = Mode.REAL if real else Mode.SIMULATED
 
-    def run(faults: FaultPlan) -> RunProfile:
-        ctx = prepared.make_context(mode, seed=seed)
-        engine = Engine(ctx)
+    def build() -> "Engine":
+        engine = Engine(prepared.make_context(mode, seed=seed))
         if backend is not None:
             engine.backend = backend
-        session = enable_session(ctx, faults, seed=seed)
-        result, _ = prepared.run_secure(engine)
+        return engine
+
+    def run(faults: FaultPlan) -> RunProfile:
+        session = Session(None, faults, seed=seed)
+        result, engine = run_replayed(
+            session, build, lambda e: prepared.run_secure(e)[0]
+        )
         session.finish()
-        return profile_run(ctx, session, result)
+        return profile_run(engine.ctx, session, result)
 
     return run

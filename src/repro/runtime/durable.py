@@ -3,8 +3,9 @@
 A seeded run replays exactly in any fresh process
 (``tests/test_replay.py``), so a party's journal need not hold its
 memory, only how far it got.  At the top of every plan node, before
-the node's first message, the supervisor commits one
-:class:`Position` — the step id, the session's ``seq``/``expected``
+the node's first message, the session commits one
+:class:`Position` — the node's ordinal in the run (its step id on a
+single plan), the session's ``seq``/``expected``
 counters and the transcript's message and round counts, all public —
 to an append-only journal with atomic fsync'd commits.  A party can be
 ``kill -9``'d mid-query and restarted with ``repro net --resume``: the
@@ -25,7 +26,7 @@ so :func:`Journal.scan` stops at the first torn or corrupt tail record
 and recovery resumes from the last *committed* position — exactly the
 state the peer's last durable ACK covers.  A journal of another format
 (``SYJ1`` held pickled engine state) is refused outright, never
-decoded.
+decoded: every refusal is a :class:`JournalRefused`.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ __all__ = [
     "Journal",
     "JournalState",
     "DurableStore",
+    "JournalRefused",
     "revive",
 ]
 
@@ -71,10 +73,18 @@ KIND_DONE = 3
 _KINDS = (KIND_META, KIND_CHECKPOINT, KIND_DONE)
 
 
+class JournalRefused(ValueError):
+    """A journal that will not be resumed: none at all, another format,
+    another run configuration, a malformed record, or no position to
+    resume from.  Not a crash: ``repro net`` reports it on one line and
+    exits with its own code."""
+
+
 @dataclass(frozen=True)
 class Position:
-    """How far a party got: its public counters at the top of plan
-    node ``step``, before the node's first message.  All zero is a
+    """How far a party got: its public counters at the top of a plan
+    node, before the node's first message.  ``step`` is the node's
+    ordinal in the run, its step id on a single plan.  All zero is a
     fresh run's position at its first node."""
 
     step: int = 0
@@ -113,14 +123,19 @@ class Position:
 def revive(blob: bytes) -> Position:
     """Decode and validate one committed checkpoint record: a JSON
     object of exactly the :class:`Position` counters, each a
-    non-negative integer.  Raises :class:`ValueError` otherwise."""
-    d = json.loads(blob)
+    non-negative integer.  Raises :class:`JournalRefused` otherwise."""
+    try:
+        d = json.loads(blob)
+    except ValueError:
+        d = None
     if (
         not isinstance(d, dict)
         or sorted(d) != sorted(f.name for f in fields(Position))
         or any(type(v) is not int or v < 0 for v in d.values())
     ):
-        raise ValueError("checkpoint record does not hold a position")
+        raise JournalRefused(
+            "checkpoint record does not hold a position"
+        )
     return Position(**d)
 
 
@@ -163,7 +178,7 @@ class Journal:
         stopping silently at the first torn or corrupt tail record —
         an interrupted append must look like "that record never
         happened", never like an error.  A first record of another
-        format raises :class:`ValueError`."""
+        format raises :class:`JournalRefused`."""
         with open(path, "rb") as fh:
             while True:
                 header = fh.read(_HEADER.size)
@@ -171,7 +186,7 @@ class Journal:
                     return
                 magic, kind, length, digest = _HEADER.unpack(header)
                 if magic != JOURNAL_MAGIC and fh.tell() == _HEADER.size:
-                    raise ValueError(
+                    raise JournalRefused(
                         f"journal {path!r} has magic {magic!r}, not "
                         f"{JOURNAL_MAGIC!r}: a journal of another format "
                         "is refused, never decoded; start the run afresh"
@@ -253,7 +268,7 @@ class DurableStore:
                     state.meta.setdefault("resumes", 0)
                     state.meta["resumes"] += 1
             elif state is None:
-                raise ValueError(
+                raise JournalRefused(
                     f"journal {path!r} does not start with a meta record"
                 )
             elif kind == KIND_CHECKPOINT:
@@ -261,5 +276,7 @@ class DurableStore:
             elif kind == KIND_DONE:
                 state.done = json.loads(payload.decode())
         if state is None:
-            raise ValueError(f"journal {path!r} has no committed records")
+            raise JournalRefused(
+                f"journal {path!r} has no committed records"
+            )
         return state

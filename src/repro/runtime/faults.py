@@ -14,11 +14,12 @@ injected at:
 * the **input** fault perturbs a secret share before the protocol
   starts; only the fuzzer's differential oracle can catch it.
 
-Each spec fires **once**: the session's wire index is monotone across
-checkpoint retries (rollback rewinds sequence counters and the metered
-transcript, never the wire index), so a fault consumed on attempt 1
-does not re-fire on attempt 2.  That one-shot semantics is what makes
-"retry from checkpoint" converge.  A process fault keys on the
+Each spec fires **once**: a retry keeps the session, whose wire index
+the replayed prefix does not advance (:mod:`.supervisor`), so a fault
+consumed on attempt 1 does not re-fire on attempt 2.  That one-shot
+semantics is what makes "retry by replay" converge.  A node fault keys
+on the node's ordinal in the run, its step id on a single plan (Q8
+runs two plans in one context).  A process fault keys on the
 transport's exchange count, which equals the session's wire index on a
 fresh ``repro net`` run (net mode injects no message faults).
 
@@ -123,7 +124,7 @@ class FaultSpec:
 
     kind: str
     message_index: Optional[int] = None  #: wire index the kind targets
-    node: Optional[int] = None  #: plan-node id the kind targets
+    node: Optional[int] = None  #: plan-node ordinal the kind targets
     party: Optional[str] = None  #: the faulted party (crash, process)
     ticks: int = 0  #: virtual-tick duration (``hang``)
     ms: int = 0  #: wall-clock duration (``stall``, ``partition``)
@@ -263,9 +264,10 @@ class FaultPlan:
         """A process fault at the transport's exchange count."""
         return self._take(("process",), _WIRE, index)
 
-    def for_node(self, node_id: int) -> Optional[FaultSpec]:
-        """A ``crash`` or ``kill-node`` entering plan node ``node_id``."""
-        return self._take(("message", "process"), "node", node_id)
+    def for_node(self, ordinal: int) -> Optional[FaultSpec]:
+        """A ``crash`` or ``kill-node`` entering the plan node of this
+        ordinal in the run."""
+        return self._take(("message", "process"), "node", ordinal)
 
     def input_faults(self) -> List[FaultSpec]:
         """The semantic (pre-run) faults: applied to the secret-shared

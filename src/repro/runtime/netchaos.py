@@ -11,7 +11,8 @@ its work — transparent reconnect for connection faults, restart +
 observed to the shared classifier (:func:`repro.runtime.chaos.classify`),
 judged against the solo in-process baseline: a party that exited 0
 contributes its run profile, one that exited 2 its abort payload, and
-a hung scenario or any other exit code is a VIOLATION outright.
+a hung scenario or any other exit code is a VIOLATION outright (a
+refused journal is reported as such, a crash by its exit code).
 
 The acceptance gate (``repro chaos --level process``) requires zero
 VIOLATIONs across kills at every plan node plus connection faults at
@@ -31,7 +32,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from ..mpc.transcript import ALICE, BOB
 from .chaos import Outcome, Report, RunProfile, build_specs, classify, sweep
 from .faults import PROCESS_FAULT_KINDS, FaultSpec
-from .netrun import NetConfig, profile_from_json, solo_profile
+from .netrun import (
+    EXIT_JOURNAL_REFUSED,
+    NetConfig,
+    profile_from_json,
+    solo_profile,
+)
 from .transport import free_port
 
 __all__ = [
@@ -191,6 +197,9 @@ def run_scenario(
             reconnects += transport.get("reconnects", 0) or 0
         if code == 2:
             aborts[role] = out.get("abort")
+        elif code == EXIT_JOURNAL_REFUSED:
+            refused = _last_line(paths[role]["log"])
+            errors.append(f"{role} refused its journal{refused}")
         elif code != 0:
             crash = _last_line(paths[role]["log"])
             errors.append(f"{role} exited {code}{crash}")

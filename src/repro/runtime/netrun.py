@@ -9,9 +9,10 @@ exists to enforce is that the *result rows* and the *transcript
 fingerprint* of a two-process run — faulted, killed, reconnected,
 resumed — are byte-identical to the solo in-process run.
 
-Flow of a party, fresh and resumed alike::
+Flow of a party, fresh and resumed alike, on the one recovery path of
+:func:`~repro.runtime.supervisor.run_replayed`::
 
-    config -> dataset, context, engine, session (deterministic)
+    config -> dataset, session; context and engine (deterministic)
     target : node 0 fresh; the journal's newest position on --resume
     replay : steps before the target run unattached — frames metered
              locally, no journal append, no ACK, no socket
@@ -22,27 +23,27 @@ Flow of a party, fresh and resumed alike::
     run    : the rest of the plan, one journalled position per node
     finish : session.finish barrier, profile, KIND_DONE record, BYE
 
-Net mode pins ``max_attempts=1``: an in-node supervisor retry would
-re-run a node on one process while the peer's mirror stays put,
-desynchronising the frame streams — in two-process operation the
-recovery path *is* restart + ``--resume`` over the journal.
+Net mode pins ``max_attempts=1``: an in-node retry would re-run a node
+on one process while the peer's mirror stays put, desynchronising the
+frame streams — in two-process operation the recovery path *is*
+restart + ``--resume`` over the journal.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..mpc import costs
 from ..mpc.context import Mode
 from ..mpc.transcript import ALICE, BOB
-from .aborts import TransportAbort
 from .chaos import RunProfile, make_tpch_runner, profile_run
-from .durable import DurableStore, Position, revive
+from .durable import DurableStore, JournalRefused, Position, revive
 from .faults import FaultPlan, FaultSpec
-from .session import enable_session
-from .supervisor import RetryPolicy
+from .session import Session
+from .supervisor import RetryPolicy, run_replayed
 from .transport import SocketTransport
 
 __all__ = [
@@ -55,6 +56,11 @@ __all__ = [
     "parse_endpoint",
     "equal_to_baseline",
 ]
+
+#: ``repro net``'s exit code for a journal it will not resume
+#: (:class:`~repro.runtime.durable.JournalRefused`); a protocol abort
+#: exits 2 and a crash 1.
+EXIT_JOURNAL_REFUSED = 3
 
 #: Queries ``repro net`` can run: the single-plan benchmarks (the
 #: decomposed Q8/Q9 compose several plans per run and are out of scope
@@ -177,9 +183,10 @@ def run_party(config: NetConfig) -> Dict[str, Any]:
     serialises: the run profile, the transport statistics and the
     resume position (if any).
 
-    Raises whatever the run raises — the CLI maps sanitized
-    :class:`~repro.runtime.aborts.ProtocolAbort` (a replay that
-    disagrees with its journal is a ``replay-divergence``) to a
+    Raises :class:`~repro.runtime.durable.JournalRefused` for a journal
+    it will not resume, and whatever the run raises — the CLI maps
+    sanitized :class:`~repro.runtime.aborts.ProtocolAbort` (a replay
+    that disagrees with its journal is a ``replay-divergence``) to a
     clean-abort exit code; anything else is a hard failure."""
     from ..mpc.engine import Engine
 
@@ -188,17 +195,19 @@ def run_party(config: NetConfig) -> Dict[str, Any]:
     if config.resume:
         if not config.journal:
             raise ValueError("--resume needs a journal path")
+        if not os.path.isfile(config.journal):
+            raise JournalRefused(f"no journal at {config.journal!r}")
         state = DurableStore.load(config.journal)
         if state.done is not None:
             # Idempotent: the previous incarnation already finished
             # and journalled its profile.
             return dict(state.done, already_done=True)
         if state.meta.get("session_id") != config.session_id:
-            raise ValueError(
+            raise JournalRefused(
                 "journal belongs to a different run configuration"
             )
         if state.latest is None:
-            raise ValueError(
+            raise JournalRefused(
                 f"journal {config.journal!r} has no committed "
                 "checkpoint to resume from"
             )
@@ -208,10 +217,14 @@ def run_party(config: NetConfig) -> Dict[str, Any]:
         store = DurableStore.create(config.journal, config.meta())
 
     prepared = _prepared(config)
-    ctx = prepared.make_context(Mode.SIMULATED, seed=config.seed)
-    engine = Engine(ctx)
-    engine.backend = config.backend
-    session = enable_session(ctx, None, seed=config.seed)
+
+    def build() -> "Engine":
+        ctx = prepared.make_context(Mode.SIMULATED, seed=config.seed)
+        engine = Engine(ctx)
+        engine.backend = config.backend
+        return engine
+
+    session = Session(seed=config.seed)
     # Net mode fails closed on in-node faults: recovery is --resume.
     session.retry_policy = RetryPolicy(max_attempts=1)
     transport: Optional[SocketTransport] = None
@@ -224,29 +237,18 @@ def run_party(config: NetConfig) -> Dict[str, Any]:
             seed=config.seed,
         )
 
-    def attach(step_id: int) -> None:
-        if step_id < target.step:
-            return  # replaying: metered here, never sent or journalled
-        session.before_commit = None
-        diff = Position.of(step_id, session).first_difference(target)
-        if diff is not None:
-            counter, replayed, recorded = diff
-            raise TransportAbort(
-                "replay-divergence", node=target.step, label=counter,
-                seq=replayed, expected=recorded,
-            )
+    def attach() -> None:
         session.durable = store
         session.faults = FaultPlan(config.faults)
         if transport is not None:
             transport.attach(session)
             transport.start()
 
-    session.before_commit = attach
     try:
-        result, _ = prepared.run_secure(engine)
-        if session.before_commit is not None:
-            # The plan ended before the recorded node.
-            raise TransportAbort("replay-divergence", node=target.step)
+        result, engine = run_replayed(
+            session, build, lambda e: prepared.run_secure(e)[0],
+            target, attach,
+        )
         session.finish()
         if transport is not None:
             # Linger until the peer is done too (or provably gone):
@@ -256,7 +258,7 @@ def run_party(config: NetConfig) -> Dict[str, Any]:
         if transport is not None:
             transport.close()
 
-    profile = profile_run(ctx, session, result)
+    profile = profile_run(engine.ctx, session, result)
     outcome: Dict[str, Any] = {
         "status": "done",
         "role": config.role,

@@ -8,8 +8,14 @@ against the current plan node's deadline, and an attached
 :class:`~repro.runtime.faults.FaultPlan` can deterministically corrupt,
 truncate, drop, duplicate, reorder or stall any wire message, or crash
 (in ``repro net``, SIGKILL) a party at a plan node.  Detected faults
-raise the typed aborts of :mod:`repro.runtime.aborts`; the supervisor
-turns retryable aborts into checkpoint retries.
+raise the typed aborts of :mod:`repro.runtime.aborts`;
+:func:`~repro.runtime.supervisor.run_replayed` turns a retryable abort
+at a node into a replay of the run up to that node.
+
+A session outlives the contexts it serves: a replay rebuilds the
+context from the run's seed and binds the same session to it.  While
+the replayed prefix runs (``replaying``), a send is metered and is
+nothing else: no wire index, no clock tick, no fault, no journal.
 
 Two invariants the tests pin down:
 
@@ -17,9 +23,9 @@ Two invariants the tests pin down:
   payload's own label, so a session-enabled run's transcript is the
   plain run's transcript plus a fixed per-message constant, identically
   in REAL and SIMULATED mode.
-* **Monotone wire index** — :meth:`rollback` rewinds sequence counters
-  (and the transcript, via ``Transcript.rollback``) but never the wire
-  index, so one-shot faults do not re-fire on retry.
+* **Monotone wire index and clock** — a bind never rewinds them and a
+  replay never advances them, so one-shot faults do not re-fire on
+  retry.
 """
 
 from __future__ import annotations
@@ -58,8 +64,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SessionState:
-    """Channel counters captured by a checkpoint (the wire index is
-    deliberately absent: it is monotone across retries)."""
+    """The channel counters a :class:`~repro.runtime.durable.Position`
+    records (the wire index is absent: it is monotone across
+    retries)."""
 
     seq: Dict[str, int]
     expected: Dict[str, int]
@@ -70,38 +77,57 @@ class Session:
 
     def __init__(
         self,
-        transcript: Transcript,
+        transcript: Optional[Transcript] = None,
         faults: Optional[FaultPlan] = None,
         node_budget: int = DEFAULT_NODE_BUDGET,
         seed: int = 0,
     ) -> None:
-        self.transcript = transcript
         self.faults = faults if faults is not None else FaultPlan()
         self.clock = VirtualClock()
         self.node_budget = int(node_budget)
         self.seed = int(seed)
-        #: The supervisor's retry policy; ``None`` is the default
+        #: How often a node may be tried; ``None`` is the default
         #: :class:`~repro.runtime.supervisor.RetryPolicy`.
         self.retry_policy: Optional["RetryPolicy"] = None
         #: Process-local hooks of a two-process run (``repro net``):
         #: the socket transport every delivered frame is exchanged
-        #: through, the durable journal each node's position is
-        #: committed to, and ``before_commit``, called with the step id
-        #: at the top of every node before its commit (where the
-        #: runner attaches the other two).
+        #: through, and the durable journal each node's position is
+        #: committed to.
         self.wire: Optional["SocketTransport"] = None
         self.durable: Optional["DurableStore"] = None
+        #: Called with the node's ordinal at the top of every node,
+        #: before its commit (the replay helper's check and re-key).
         self.before_commit: Optional[Callable[[int], None]] = None
+        self.replaying = False
+        self._wire_index = 0
+        self.n_aborts = 0
+        self.n_retries = 0
+        self._start(transcript if transcript is not None else Transcript())
+
+    def _start(self, transcript: Transcript) -> None:
+        """The per-run state, as at a run's first message."""
+        self.transcript = transcript
         self._seq: Dict[str, int] = {ALICE: 0, BOB: 0}
         self._expected: Dict[str, int] = {ALICE: 0, BOB: 0}
         self._held: Dict[str, Frame] = {}
-        self._wire_index = 0
+        #: the ordinal of the running plan's step 0 (Q8 runs two plans)
+        self._plan_base = 0
         self.node: Optional[int] = None
         self.node_label = ""
         self.deadline: Optional[int] = None
+        #: The position at the top of the live node in flight, ``None``
+        #: between nodes: where a retry of that node replays to.
+        self.top: Optional[Position] = None
         self.nodes_seen: List[int] = []
-        self.n_aborts = 0
-        self.n_retries = 0
+
+    def bind(self, ctx: "Context") -> None:
+        """Serve a fresh context from its first message: every
+        ``ctx.send`` routes through this session and is metered into
+        the context's transcript.  The channel counters and the node
+        scope start afresh; the wire index, the clock, the fault plan
+        and the abort and retry counts carry over."""
+        ctx.session = self
+        self._start(ctx.transcript)
 
     # -- the channel ----------------------------------------------------
 
@@ -116,6 +142,12 @@ class Session:
         injected fault keyed on the monotone wire index."""
         seq = self._seq[sender]
         self._seq[sender] = seq + 1
+        if self.replaying:
+            self._expected[sender] += 1
+            self.transcript.send(
+                sender, n_bytes + FRAME_HEADER_BYTES, label
+            )
+            return
         frame = make_frame(seq, sender, n_bytes, label)
         wire = self._wire_index
         self._wire_index = wire + 1
@@ -185,9 +217,13 @@ class Session:
 
     def begin_node(self, node_id: int, label: str = "") -> None:
         """Enter a plan node: arm its deadline and fire any node-scoped
-        fault (a party crash, or a ``kill-node`` SIGKILL) before work
-        starts."""
-        spec = self.faults.for_node(node_id)
+        fault keyed on the node's ordinal in the run (a party crash, or
+        a ``kill-node`` SIGKILL) before work starts.  A replayed node
+        fires none."""
+        spec = (
+            None if self.replaying
+            else self.faults.for_node(self._plan_base + node_id)
+        )
         if spec is not None and spec.level == "process":
             os.kill(os.getpid(), signal.SIGKILL)
         self.node = node_id
@@ -205,13 +241,18 @@ class Session:
     def end_node(self) -> None:
         """Leave a plan node; the barrier requires every sent frame to
         have been delivered (a dropped or held frame stalls the node
-        until its deadline)."""
-        try:
-            self._barrier()
-        finally:
-            self.node = None
-            self.node_label = ""
-            self.deadline = None
+        until its deadline).  An abort leaves the node scope set: it
+        names the node a retry re-runs."""
+        self._barrier()
+        self.node = None
+        self.node_label = ""
+        self.deadline = None
+        self.top = None
+
+    def end_plan(self, n_steps: int) -> None:
+        """A plan of ``n_steps`` nodes finished: the next plan's nodes
+        take the ordinals after its."""
+        self._plan_base += n_steps
 
     def finish(self) -> None:
         """End-of-run barrier for traffic outside any node."""
@@ -236,16 +277,22 @@ class Session:
     # -- checkpointing ---------------------------------------------------
 
     def commit_checkpoint(self, step_id: int) -> None:
-        """Durable commit at the top of a plan node: journal the
-        party's :class:`~repro.runtime.durable.Position` (fsync'd),
-        then — and only then — send the peer a durable ACK carrying the
-        committed expected counters.  Acking at commit time is what
-        makes the peer's outbox a complete replay source after any
-        crash on this side."""
+        """The top of a plan node, before its first message: call
+        :attr:`before_commit` with the node's ordinal; unless
+        replaying, record the party's
+        :class:`~repro.runtime.durable.Position` as :attr:`top`, and in
+        durable mode journal it (fsync'd), then — and only then — send
+        the peer a durable ACK carrying the committed expected counters
+        (what makes the peer's outbox a complete replay source after
+        any crash on this side)."""
+        ordinal = self._plan_base + step_id
         if self.before_commit is not None:
-            self.before_commit(step_id)
+            self.before_commit(ordinal)
+        if self.replaying:
+            return
+        self.top = Position.of(ordinal, self)
         if self.durable is not None:
-            self.durable.save_checkpoint(Position.of(step_id, self))
+            self.durable.save_checkpoint(self.top)
             if self.wire is not None:
                 self.wire.ack(dict(self._expected))
 
@@ -253,17 +300,6 @@ class Session:
         return SessionState(
             seq=dict(self._seq), expected=dict(self._expected)
         )
-
-    def rollback(self, state: SessionState) -> None:
-        """Rewind the channel counters to a checkpoint.  Held frames
-        are discarded and the node scope cleared; the wire index and
-        the virtual clock keep advancing (see the module docstring)."""
-        self._seq = dict(state.seq)
-        self._expected = dict(state.expected)
-        self._held.clear()
-        self.node = None
-        self.node_label = ""
-        self.deadline = None
 
 
 def enable_session(
@@ -275,6 +311,6 @@ def enable_session(
 ) -> Session:
     """Attach a session to a context; every subsequent ``ctx.send``
     routes through it.  Returns the session."""
-    session = Session(ctx.transcript, faults, node_budget, seed)
-    ctx.session = session
+    session = Session(None, faults, node_budget, seed)
+    session.bind(ctx)
     return session

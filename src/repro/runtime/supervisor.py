@@ -1,42 +1,50 @@
-"""The retrying step supervisor.
+"""Recovery by replay: the one way a run gets past a fault.
 
-When a context has a session attached, the exec scheduler routes every
-plan node through :meth:`Supervisor.run_step`: checkpoint, arm the node
-deadline, run the operator, barrier.  A raised
-:class:`~repro.runtime.aborts.ProtocolAbort` — and **only** a
-``ProtocolAbort``; operator bugs must propagate untouched — is handled
-per taxonomy: retryable aborts restore the checkpoint, advance the
-virtual clock by a bounded exponential backoff, re-key the context RNG
-with a fresh deterministic subkey, and re-run; terminal aborts (peer
-crash, retries exhausted) propagate.  Every step kind is a pure
-function of the checkpointed slot environment, engine state and
-context RNG, so every step may be retried.  The retry policy is the
-session's :attr:`~repro.runtime.session.Session.retry_policy`, or the
-default :class:`RetryPolicy` when it is unset.
+A seeded run replays exactly in any fresh process
+(``tests/test_replay.py``), so recovery needs no copy of a party's
+memory, only how far it got.  :func:`run_replayed` runs a query over an
+engine built from the run's seed with the caller's
+:class:`~repro.runtime.session.Session` bound to it.  A retryable
+:class:`~repro.runtime.aborts.ProtocolAbort` inside a plan node — only
+a ``ProtocolAbort``: operator bugs propagate untouched — is handled the
+way a crashed party resumes: rebuild the context and engine from the
+seed and bind the same session (wire index, clock and fault plan carry
+over); replay the nodes before the failed one unattached
+(``Session.replaying``); at the failed node's top, check the replayed
+:class:`~repro.runtime.durable.Position` against the failed attempt's
+(else a ``replay-divergence`` abort); back off in virtual time, re-key
+and run the node again.  Terminal aborts (a peer crash, retries
+exhausted, any abort between nodes) propagate.  ``repro net`` resumes
+a killed party on the same path, its target read from the journal
+(:func:`repro.runtime.netrun.run_party`).
 
-The retried node re-executes against the rewound secret-share state
-with the identical public shapes, so its messages are byte-identical
-in (sender, size, label) to the unfaulted run — the checkpoint/resume
-equality test pins this down.
+The re-key gives the retried node a fresh RNG subkey and continues the
+tweak and dummy-nonce streams from where the failed attempt left them
+(:meth:`~repro.mpc.context.Context.rekey`), so the node never hashes
+fresh inputs under a tweak whose output crossed in the failed attempt.
+Every later replay repeats each re-key at its node, so a second retry
+replays the first byte-identically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, TypeVar,
+)
 
 import numpy as np
 
-from .aborts import ProtocolAbort
-from .checkpoint import Checkpoint
+from .aborts import ProtocolAbort, TransportAbort
+from .durable import Position
 from .session import Session
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..exec.ir import Step
-    from ..exec.trace import ExecutionTrace
     from ..mpc.engine import Engine
 
-__all__ = ["RetryPolicy", "Supervisor"]
+__all__ = ["RetryPolicy", "run_replayed"]
+
+T = TypeVar("T")
 
 #: Domain-separation constant for retry RNG subkeys.
 _RETRY_STREAM = 0x53594E31  # "SYN1"
@@ -53,7 +61,7 @@ class RetryPolicy:
 
     The jitter is *additive* on top of :meth:`backoff` (whose schedule
     stays exact and pinned by tests) and is derived from a seeded RNG
-    keyed on ``(stream, session seed, step, attempt)`` — never
+    keyed on ``(stream, session seed, node, attempt)`` — never
     wall-clock or :mod:`random` — so the full retry schedule is a pure
     function of the session seed and replays identically.
     """
@@ -71,7 +79,7 @@ class RetryPolicy:
 
     def jitter(self, attempt: int, seed: int, step_id: int) -> int:
         """The deterministic jitter for one retry: uniform in
-        ``[0, jitter_ticks]``, keyed so distinct steps, attempts and
+        ``[0, jitter_ticks]``, keyed so distinct nodes, attempts and
         sessions de-synchronise without sacrificing replayability."""
         if self.jitter_ticks <= 0:
             return 0
@@ -84,98 +92,93 @@ class RetryPolicy:
         return self.backoff(attempt) + self.jitter(attempt, seed, step_id)
 
 
-class Supervisor:
-    """Runs plan nodes under a session with checkpoint retries."""
+def run_replayed(
+    session: Session,
+    build: Callable[[], "Engine"],
+    body: Callable[["Engine"], T],
+    target: Optional[Position] = None,
+    attach: Optional[Callable[[], None]] = None,
+) -> Tuple[T, "Engine"]:
+    """Run ``body`` over an engine from ``build`` (a fresh context of
+    the run's seed on every call), recovering per the module docstring
+    and the session's :attr:`~repro.runtime.session.Session.retry_policy`
+    (default :class:`RetryPolicy`).  Returns the result and the
+    finishing attempt's engine.
 
-    def __init__(
-        self,
-        session: Session,
-        engine: "Engine",
-        trace: Optional["ExecutionTrace"] = None,
-    ) -> None:
-        self.session = session
-        self.engine = engine
-        self.policy = session.retry_policy or RetryPolicy()
-        self.trace = trace
+    ``target`` starts the first attempt as a replay up to that position
+    (a resumed party's journal record); ``attach`` is called when the
+    run first reaches its target.  Abort and retry events go to the
+    engine's tracer, if any, carried over from attempt to attempt."""
+    policy = session.retry_policy or RetryPolicy()
+    attempts: Dict[int, int] = {}
+    rekeys: Dict[int, Tuple[int, Tuple[int, int]]] = {}
+    events: List[Dict[str, Any]] = []
+    while True:
+        engine = build()
+        ctx = engine.ctx
+        session.bind(ctx)
+        session.replaying = target is not None
+        if engine.tracer is not None:
+            engine.tracer.events = events
 
-    def run_step(
-        self,
-        step: "Step",
-        env: Dict[str, Any],
-        thunk: Callable[[], None],
-    ) -> None:
-        """Execute one plan node, retrying per the policy."""
-        session = self.session
-        attempts = 0
-        while True:
-            # Only a retry reads the capture: a policy that allows none
-            # (repro net, the fuzzer) skips the deep copies.
-            checkpoint = (
-                Checkpoint.capture(
-                    step.id, env, self.engine, session, self.trace
+        def at_node(ordinal: int, target: Optional[Position] = target) -> None:
+            if target is not None and session.replaying and (
+                ordinal >= target.step
+            ):
+                diff = Position.of(ordinal, session).first_difference(
+                    target
                 )
-                if self.policy.max_attempts > 1
-                else None
-            )
-            # Durable mode: journal this node's position (and ACK the
-            # peer) so a kill -9 from here on resumes at this node.
-            session.commit_checkpoint(step.id)
-            try:
-                session.begin_node(step.id, step.label)
-                thunk()
-                session.end_node()
-                return
-            except ProtocolAbort as abort:
-                session.n_aborts += 1
-                attempts += 1
-                self._event("abort", step, attempts, abort)
-                if not abort.retryable:
-                    raise
-                if attempts >= self.policy.max_attempts:
-                    raise type(abort)(
-                        "retries-exhausted",
-                        node=step.id,
-                        label=step.label,
-                        attempts=attempts,
-                    ) from abort
-                assert checkpoint is not None  # max_attempts > 1
-                checkpoint.restore(
-                    env, self.engine, session, self.trace
-                )
-                session.clock.advance(
-                    self.policy.jittered_backoff(
-                        attempts, session.seed, step.id
+                if diff is not None:
+                    raise TransportAbort(
+                        "replay-divergence", node=target.step,
+                        label=diff[0], seq=diff[1], expected=diff[2],
                     )
+                session.replaying = False
+                if attach is not None:
+                    attach()
+            if ordinal in rekeys:
+                attempt, counters = rekeys[ordinal]
+                ctx.rekey(
+                    np.random.default_rng(
+                        [_RETRY_STREAM, session.seed, ordinal, attempt]
+                    ),
+                    counters,
                 )
-                self._rekey(step.id, attempts)
-                session.n_retries += 1
-                self._event("retry", step, attempts, abort)
 
-    def _rekey(self, step_id: int, attempt: int) -> None:
-        """Fresh deterministic RNG subkey for the retry: the rewound
-        node re-runs with independent randomness, never reusing the
-        masks the aborted attempt may have half-spent."""
-        self.engine.ctx.rng = np.random.default_rng(
-            [_RETRY_STREAM, self.session.seed, step_id, attempt]
-        )
-
-    def _event(
-        self,
-        event: str,
-        step: "Step",
-        attempt: int,
-        abort: ProtocolAbort,
-    ) -> None:
-        if self.trace is None:
-            return
-        self.trace.record_event(
-            {
-                "type": event,
-                "node": step.id,
-                "kind": step.kind,
-                "label": step.label,
-                "attempt": attempt,
-                "tick": self.session.clock.now,
+        session.before_commit = at_node
+        try:
+            result = body(engine)
+        except ProtocolAbort as abort:
+            top = session.top
+            if top is None:
+                raise  # between nodes: nothing to re-run
+            session.n_aborts += 1
+            ordinal = top.step
+            attempt = attempts[ordinal] = attempts.get(ordinal, 0) + 1
+            event: Dict[str, Any] = {
+                "node": session.node, "ordinal": ordinal,
+                "label": session.node_label, "attempt": attempt,
                 "abort": abort.to_json(),
             }
-        )
+            events.append(dict(event, type="abort", tick=session.clock.now))
+            if not abort.retryable:
+                raise
+            if attempt >= policy.max_attempts:
+                raise type(abort)(
+                    "retries-exhausted", node=session.node,
+                    label=session.node_label, attempts=attempt,
+                ) from abort
+            session.clock.advance(
+                policy.jittered_backoff(attempt, session.seed, ordinal)
+            )
+            rekeys[ordinal] = (attempt, ctx.counters)
+            target = top
+            session.n_retries += 1
+            events.append(dict(event, type="retry", tick=session.clock.now))
+            continue
+        finally:
+            session.before_commit = None
+        if session.replaying:  # the run ended before its target node
+            assert target is not None
+            raise TransportAbort("replay-divergence", node=target.step)
+        return result, engine

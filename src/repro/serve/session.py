@@ -5,7 +5,8 @@ The service interleaves many sessions on one coordinator thread using a
 worker thread, but only ever between an explicit hand-off
 (:meth:`QuerySession.step`) and the next yield point — the
 :attr:`~repro.mpc.engine.Engine.yield_hook` the exec scheduler fires
-before every plan step.  Exactly one worker runs at a time, so the
+before every plan step (once per node: a retry's replay does not
+yield).  Exactly one worker runs at a time, so the
 global interleaving is a deterministic function of the coordinator's
 pick sequence, and the sessions share no mutable protocol state: each
 has its own :class:`~repro.mpc.context.Context` (transcript, RNG, the
@@ -41,10 +42,12 @@ from ..mpc.params import SecurityParams
 from ..runtime.aborts import ProtocolAbort
 from ..runtime.chaos import RunProfile, profile_run
 from ..runtime.faults import FaultPlan
-from ..runtime.session import DEFAULT_NODE_BUDGET, enable_session
+from ..runtime.session import DEFAULT_NODE_BUDGET, Session
+from ..runtime.supervisor import run_replayed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..bench.estimator import CostEstimate
+    from ..exec.trace import ExecutionTrace
     from ..query.builder import JoinAggregateQuery
 
 __all__ = [
@@ -118,7 +121,14 @@ class QuerySession:
     """A query request bound to its private execution state and worker
     thread.  Built by the service *after* admission — a rejected
     request never reaches this class, so it moves zero protocol
-    bytes."""
+    bytes.  ``ctx``, ``engine`` and ``trace`` are those of the run's
+    latest attempt (a retry rebuilds them, see
+    :func:`~repro.runtime.supervisor.run_replayed`), set from the
+    worker's first step on."""
+
+    ctx: Context
+    engine: Engine
+    trace: "ExecutionTrace"
 
     def __init__(self, request: QueryRequest) -> None:
         self.request = request
@@ -127,22 +137,10 @@ class QuerySession:
         self.result: Optional[Iterable[Any]] = None
         self.profile: Optional[RunProfile] = None
         self.cost: Optional["CostEstimate"] = request.cost
-
-        params = SecurityParams(ell=request.effective_ell())
-        self.ctx = Context(request.mode, params, seed=request.seed)
-        from ..exec.trace import ExecutionTrace
-
-        self.trace = ExecutionTrace()
-        self.trace.meta["tenant"] = request.tenant
-        self.trace.meta["request"] = request.name
-        self.engine = Engine(self.ctx, tracer=self.trace)
-        self.runtime_session = enable_session(
-            self.ctx,
-            request.faults,
-            node_budget=request.node_budget,
-            seed=request.seed,
+        self._params = SecurityParams(ell=request.effective_ell())
+        self.runtime_session = Session(
+            None, request.faults, request.node_budget, request.seed
         )
-        self.engine.yield_hook = self._yield_point
 
         self._go = threading.Event()
         self._parked = threading.Event()
@@ -212,12 +210,28 @@ class QuerySession:
             self._finished = True
             self._parked.set()
 
+    def _build(self) -> Engine:
+        from ..exec.trace import ExecutionTrace
+
+        request = self.request
+        self.ctx = Context(request.mode, self._params, seed=request.seed)
+        self.trace = ExecutionTrace()
+        self.trace.meta["tenant"] = request.tenant
+        self.trace.meta["request"] = request.name
+        self.engine = Engine(self.ctx, tracer=self.trace)
+        self.engine.yield_hook = self._yield_point
+        return self.engine
+
     def _execute(self) -> Iterable[Any]:
         request = self.request
-        if request.run is not None:
-            return request.run(self.engine)
-        assert request.query is not None
-        return request.query.run_secure(self.engine)[0]
+
+        def body(engine: Engine) -> Iterable[Any]:
+            if request.run is not None:
+                return request.run(engine)
+            assert request.query is not None
+            return request.query.run_secure(engine)[0]
+
+        return run_replayed(self.runtime_session, self._build, body)[0]
 
     # -- reporting --------------------------------------------------------
 

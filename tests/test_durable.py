@@ -367,3 +367,38 @@ class TestResume:
         with pytest.raises(ValueError) as err:
             resume(path)
         assert "different run configuration" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "journal", ["syj1", "other-run", "no-position", "missing"]
+    )
+    def test_refused_journal_is_not_a_crash(self, tmp_path, capsys, journal):
+        """``repro net --resume`` on a journal it will not resume prints
+        one line and exits with its own code, not a traceback and the
+        exit code of a crash."""
+        from repro.cli import main
+        from repro.runtime.netrun import EXIT_JOURNAL_REFUSED
+
+        path = str(tmp_path / "refused.syj")
+        if journal == "syj1":
+            payload = b"\x80\x04N."
+            with open(path, "wb") as fh:
+                fh.write(
+                    struct.pack(
+                        "<4sBQ32s", b"SYJ1", KIND_META, len(payload),
+                        hashlib.sha256(payload).digest(),
+                    )
+                    + payload
+                )
+        elif journal != "missing":
+            seed = 99 if journal == "other-run" else CONFIG_KW["seed"]
+            config = NetConfig(
+                role="alice", **dict(CONFIG_KW, seed=seed)
+            )
+            DurableStore.create(path, config.meta()).close()
+        code = main([
+            "net", "--role", "alice", "--scale", "0.1", "--seed", "7",
+            "--journal", path, "--resume",
+        ])
+        assert code == EXIT_JOURNAL_REFUSED != 1
+        out = capsys.readouterr().out.strip().splitlines()
+        assert len(out) == 1 and "journal refused" in out[0], out

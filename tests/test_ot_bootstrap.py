@@ -23,8 +23,6 @@ from repro.mpc import ALICE, BOB, Context, Engine, Mode, SecurityParams
 from repro.mpc import costs
 from repro.mpc.oprf import BatchedOprf
 from repro.mpc.ot import make_ot
-from repro.runtime import FaultPlan, enable_session
-from repro.runtime.checkpoint import Checkpoint
 
 from .conftest import spy_scalar_muls
 from .test_ot import assert_received_off_path
@@ -218,34 +216,8 @@ class TestFirstUseOrders:
 
 
 # ----------------------------------------------------------------------
-# checkpoint / restore keeps the pair a pair
+# the pair's back-reference
 # ----------------------------------------------------------------------
-
-
-@pytest.mark.real
-def test_checkpointed_engine_keeps_its_mirror():
-    ctx = Context(Mode.REAL, SecurityParams(ell=32), seed=4)
-    session = enable_session(ctx, FaultPlan(), seed=4)
-    engine = Engine(ctx)
-    _reverse_gilboa(engine)  # both set-ups done
-    seeds = engine.ot.reverse._leaves_alice
-    checkpoint = Checkpoint.capture(0, {}, engine, session)
-    mark = len(ctx.transcript.messages)
-    _reverse_gilboa(engine)  # the un-checkpointed continuation
-    suffix = ctx.transcript.fingerprint()[mark:]
-    assert [lbl for _, _, lbl in suffix] == [
-        "cross/ot/ext/u", "cross/ot/ext/ciphertexts"
-    ]
-
-    checkpoint.restore({}, engine, session)
-    ot = engine.ot
-    assert ot.reverse.reverse is ot and ot.reverse is not ot
-    assert ot._base_done and ot.reverse._base_done
-    assert (ot.reverse._leaves_alice == seeds).all()
-    assert ot.reverse._leaves_alice is not seeds
-    assert len(engine.ctx.transcript.messages) == mark
-    _reverse_gilboa(engine)
-    assert engine.ctx.transcript.fingerprint()[mark:] == suffix
 
 
 @pytest.mark.parametrize("mode", [Mode.REAL, Mode.SIMULATED])

@@ -5,12 +5,13 @@ Four layers:
 * unit tests — framing, virtual clock, fault-plan semantics, and the
   kind -> abort-type mapping of every injectable fault;
 * invariants — accounting neutrality of the framing overhead, abort
-  sanitization (no payload ever escapes through an abort), checkpoint
-  rollback of transcript and session counters;
-* supervisor — retry convergence, bounded backoff, retries-exhausted
-  and non-retryable propagation;
-* end-to-end — checkpoint/resume byte-equality on TPC-H Q3, the
-  chaos sweep (full sweep and REAL-mode samples behind the
+  sanitization (no payload ever escapes through an abort);
+* retry by replay — retry convergence, bounded backoff,
+  retries-exhausted and non-retryable propagation, the exact replay of
+  the prefix, fresh randomness for the retried node, monotone
+  counters, and the position check;
+* end-to-end — retry byte-equality on TPC-H Q3 and at every node of
+  the composed Q8, the chaos sweep (full sweep and REAL-mode samples behind the
   ``slow``/``real`` markers), and the fuzz
   integration (channel faults surface as replayable ``abort``
   failures).
@@ -21,6 +22,7 @@ import json
 import pytest
 
 from repro.bench.estimator import session_framing_overhead
+from repro.exec.trace import ExecutionTrace
 from repro.fuzz import TINY_CONFIG, generate_instance
 from repro.fuzz.runner import (
     _plan_for,
@@ -42,12 +44,14 @@ from repro.runtime import (
     ProtocolAbort,
     RetryPolicy,
     SequenceAbort,
-    Supervisor,
+    Session,
     TimeoutAbort,
+    TransportAbort,
     VirtualClock,
     classify_fault,
     enable_session,
     make_tpch_runner,
+    run_replayed,
     sweep_faults,
 )
 from repro.runtime.framing import (
@@ -283,7 +287,7 @@ def test_abort_rejects_unknown_reason():
 
 
 # ----------------------------------------------------------------------
-# accounting invariants + checkpointing
+# accounting invariants
 # ----------------------------------------------------------------------
 
 
@@ -326,61 +330,47 @@ def test_session_framing_is_accounting_neutral(workload, n_messages):
     assert t.rounds == p.rounds
 
 
-def test_transcript_rollback():
-    ctx = Context(Mode.SIMULATED, SecurityParams(ell=32), seed=1)
-    ctx.send(ALICE, 16, "keep")
-    mark = ctx.transcript.state()
-    ctx.send(BOB, 99, "discard")
-    ctx.send(ALICE, 7, "discard")
-    ctx.transcript.rollback(mark)
-    assert len(ctx.transcript.messages) == 1
-    assert ctx.transcript.total_bytes == 16
-    assert ctx.transcript.rounds == 1
-
-
-def test_session_rollback_rewinds_seq_not_wire_index():
-    ctx, session = _session([])
-    session.begin_node(0)
-    ctx.send(ALICE, 16, "a")
-    mark = session.state()
-    wire_before = session.wire_index
-    ctx.send(BOB, 16, "b")
-    session.rollback(mark)
-    assert session.state() == mark
-    assert session.wire_index == wire_before + 1, (
-        "the wire index must stay monotone across rollback"
-    )
-
-
 # ----------------------------------------------------------------------
-# supervisor
+# retry by replay
 # ----------------------------------------------------------------------
 
 
-class _FakeStep:
-    id = 0
-    kind = "probe"
-    label = "probe"
-
-
-def _supervised(specs, policy=None):
-    ctx, session = _session(specs)
+def _probe_run(specs, policy=None, n_nodes=1, traced=False, body=None):
+    """A toy run of ``n_nodes`` nodes of one 16-byte message each under
+    the replay helper.  Every attempt builds a fresh engine (with a
+    fresh trace when ``traced``); returns the session and the engines
+    in build order."""
+    session = Session(None, FaultPlan(list(specs)), seed=1)
     session.retry_policy = policy
-    supervisor = Supervisor(session, Engine(ctx))
-    supervisor.run_step(
-        _FakeStep(), {}, lambda: ctx.send(ALICE, 16, "probe")
-    )
-    return ctx, session
+    engines = []
+
+    def build():
+        ctx = Context(Mode.SIMULATED, SecurityParams(ell=32), seed=1)
+        engines.append(
+            Engine(ctx, tracer=ExecutionTrace() if traced else None)
+        )
+        return engines[-1]
+
+    def probe(engine):
+        for node in range(n_nodes):
+            session.commit_checkpoint(node)
+            session.begin_node(node, "probe")
+            engine.ctx.send(ALICE, 16, "probe")
+            session.end_node()
+
+    run_replayed(session, build, body or probe)
+    return session, engines
 
 
 def test_supervisor_retries_to_success():
-    ctx, session = _supervised(
-        [FaultSpec("corrupt", message_index=0)]
-    )
+    session, engines = _probe_run([FaultSpec("corrupt", message_index=0)])
     assert session.n_retries == 1
     assert session.n_aborts == 1
-    # The delivered run is exactly one clean message.
-    assert len(ctx.transcript.messages) == 1
+    # The delivered run is exactly one clean message, in the rebuilt
+    # context's transcript.
+    assert len(engines) == 2
+    assert len(engines[-1].ctx.transcript.messages) == 1
+    assert session.transcript is engines[-1].ctx.transcript
 
 
 def test_supervisor_exhausts_retries():
@@ -388,7 +378,7 @@ def test_supervisor_exhausts_retries():
         FaultSpec("corrupt", message_index=i) for i in range(3)
     ]
     with pytest.raises(IntegrityAbort) as err:
-        _supervised(specs)
+        _probe_run(specs)
     assert err.value.reason == "retries-exhausted"
     assert err.value.attempts == 3
     assert err.value.is_sanitized()
@@ -396,7 +386,7 @@ def test_supervisor_exhausts_retries():
 
 def test_supervisor_takes_the_session_retry_policy():
     with pytest.raises(IntegrityAbort) as err:
-        _supervised(
+        _probe_run(
             [FaultSpec("corrupt", message_index=0)],
             policy=RetryPolicy(max_attempts=1),
         )
@@ -406,25 +396,150 @@ def test_supervisor_takes_the_session_retry_policy():
 
 def test_supervisor_does_not_retry_a_crash():
     with pytest.raises(PeerCrash):
-        _supervised([FaultSpec("crash", node=0, party=BOB)])
+        _probe_run([FaultSpec("crash", node=0, party=BOB)])
 
 
 def test_supervisor_records_events():
-    from repro.exec.trace import ExecutionTrace
-
-    ctx, session = _session([FaultSpec("corrupt", message_index=0)])
-    engine = Engine(ctx)
-    trace = ExecutionTrace()
-    supervisor = Supervisor(session, engine, trace=trace)
-    supervisor.run_step(
-        _FakeStep(), {}, lambda: ctx.send(ALICE, 16, "probe")
+    session, engines = _probe_run(
+        [FaultSpec("corrupt", message_index=0)], traced=True
     )
+    trace = engines[-1].tracer
     kinds = [e["type"] for e in trace.events]
     assert kinds == ["abort", "retry"]
     assert trace.events[0]["abort"]["reason"] == "checksum-mismatch"
+    assert trace.events[1]["ordinal"] == 0
+    assert trace.events[1]["tick"] > trace.events[0]["tick"]  # backoff
     assert "events" in trace.to_json()
     # Fault-free traces keep the golden-pinned schema (no events key).
     assert "events" not in ExecutionTrace().to_json()
+
+
+def _drawing_run(specs, n_nodes=4):
+    """A toy run whose every node draws from the context's RNG and its
+    tweak and nonce streams: returns ``{(attempt, ordinal): draws}``
+    and which of them ran replayed."""
+    draws, replayed = {}, set()
+    engines = []
+
+    def body(engine):
+        ctx = engine.ctx
+        session = ctx.session
+        for node in range(n_nodes):
+            session.commit_checkpoint(node)
+            session.begin_node(node, "probe")
+            key = (len(engines), node)
+            draws[key] = (
+                int(ctx.rng.integers(1 << 62)),
+                ctx.tweak_batch(),
+                int(ctx.dummy_nonces(1)[0]),
+            )
+            if session.replaying:
+                replayed.add(key)
+            ctx.send(ALICE, 16, "probe")
+            session.end_node()
+
+    session = Session(None, FaultPlan(list(specs)), seed=1)
+
+    def build():
+        ctx = Context(Mode.SIMULATED, SecurityParams(ell=32), seed=1)
+        engines.append(Engine(ctx))
+        return engines[-1]
+
+    run_replayed(session, build, body)
+    return draws, replayed
+
+
+def test_a_retried_node_draws_fresh_randomness():
+    """The replay repeats the prefix exactly; the retried node draws a
+    fresh RNG value and tweaks and nonces past every one the failed
+    attempt drew."""
+    draws, replayed = _drawing_run([FaultSpec("corrupt", message_index=2)])
+    assert replayed == {(2, 0), (2, 1)}
+    assert [draws[2, n] for n in (0, 1)] == [draws[1, n] for n in (0, 1)]
+    (rng1, tweak1, nonce1), (rng2, tweak2, nonce2) = draws[1, 2], draws[2, 2]
+    assert rng2 != rng1
+    assert tweak2 > tweak1 and nonce2 > nonce1
+
+
+def test_a_second_retry_replays_the_first_identically():
+    """A later node's retry replays the earlier retried node with that
+    retry's re-key, not the seed's."""
+    draws, replayed = _drawing_run(
+        [
+            FaultSpec("corrupt", message_index=1),
+            FaultSpec("corrupt", message_index=4),
+        ]
+    )
+    # attempt 2 re-ran node 1; attempt 3 re-ran node 3 after replaying
+    # nodes 0-2, node 1 among them
+    assert replayed == {(2, 0), (3, 0), (3, 1), (3, 2)}
+    assert [draws[3, n] for n in range(3)] == [draws[2, n] for n in range(3)]
+    assert draws[2, 1] != draws[1, 1]
+    assert draws[3, 3] != draws[2, 3]
+
+
+def test_retry_never_moves_counters_backwards(monkeypatch):
+    """Across a retry of a TPC-H run the wire index and the virtual
+    clock never decrease, and neither do the tweak and nonce streams
+    of live (not replayed) messages."""
+    seen = []
+    send = Context.send
+
+    def spy(self, sender, n_bytes, label):
+        send(self, sender, n_bytes, label)
+        session = self.session
+        seen.append(
+            (session.replaying, session.wire_index, session.clock.now)
+            + self.counters
+        )
+
+    monkeypatch.setattr(Context, "send", spy)
+    run = make_tpch_runner("Q3", scale_mb=0.1, seed=7)
+    profile = run(FaultPlan([FaultSpec("corrupt", message_index=30)]))
+    assert profile.n_retries == 1
+    assert any(row[0] for row in seen), "the retry replayed no prefix"
+    for column in (1, 2):
+        values = [row[column] for row in seen]
+        assert values == sorted(values)
+    live = [row for row in seen if not row[0]]
+    for column in (3, 4):
+        values = [row[column] for row in live]
+        assert values == sorted(values)
+    assert live[-1][3:] > live[0][3:]
+
+
+def test_replay_that_disagrees_aborts():
+    """A replayed prefix that does not reach the failed attempt's
+    position is a typed, sanitized ``replay-divergence`` abort, never
+    a silent divergence."""
+    engines = []
+
+    def body(engine):
+        session = engine.ctx.session
+        for node in range(3):
+            session.commit_checkpoint(node)
+            session.begin_node(node, "probe")
+            # the second attempt sends one message more in node 0
+            for _ in range(1 + (node == 0 and len(engines) > 1)):
+                engine.ctx.send(ALICE, 16, "probe")
+            session.end_node()
+
+    session = Session(
+        None, FaultPlan([FaultSpec("corrupt", message_index=2)]), seed=1
+    )
+
+    def build():
+        engines.append(
+            Engine(Context(Mode.SIMULATED, SecurityParams(ell=32), seed=1))
+        )
+        return engines[-1]
+
+    with pytest.raises(TransportAbort) as err:
+        run_replayed(session, build, body)
+    assert err.value.reason == "replay-divergence"
+    assert err.value.node == 2
+    assert err.value.label == "seq_alice"
+    assert err.value.is_sanitized()
 
 
 def test_retry_policy_backoff_is_bounded():
@@ -451,6 +566,35 @@ def test_checkpoint_resume_is_byte_equal():
     )
     assert faulted.n_retries >= 1
     assert faulted.diff(baseline) == ""
+
+
+def test_a_retry_at_every_node_of_q8_equals_its_solo_run(monkeypatch):
+    """Q8 runs two plans in one context, so its step ids repeat: a
+    retry replays to the failed node's ordinal in the run.  A deadline
+    abort entering each node in turn (most of Q8's nodes send no frame
+    a message fault could hit) retries that node alone, to the solo
+    run's rows, accounting and fingerprint."""
+    run = make_tpch_runner("Q8", scale_mb=0.1, seed=7)
+    baseline = run(FaultPlan())
+    assert len(baseline.nodes_seen) == 2 * len(set(baseline.nodes_seen))
+    begin_node = Session.begin_node
+    for ordinal in range(len(baseline.nodes_seen)):
+        fired = []
+
+        def flaky(self, node_id, label="", ordinal=ordinal, fired=fired):
+            begin_node(self, node_id, label)
+            if len(self.nodes_seen) == ordinal + 1 and not (
+                self.replaying or fired
+            ):
+                fired.append(node_id)
+                raise TimeoutAbort("deadline-expired", node=node_id)
+
+        monkeypatch.setattr(Session, "begin_node", flaky)
+        profile = run(FaultPlan())
+        assert fired == [baseline.nodes_seen[ordinal]]
+        assert profile.n_retries == 1, ordinal
+        assert profile.diff(baseline) == "", ordinal
+        assert profile.nodes_seen == baseline.nodes_seen
 
 
 def test_chaos_sweep_q3_tiny():

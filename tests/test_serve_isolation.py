@@ -170,6 +170,39 @@ class TestCrashContainment:
         assert observer.profile.diff(observer_solo.profile) == ""
 
 
+class TestRetryInService:
+    def test_a_retried_session_parks_once_per_node(self, monkeypatch):
+        """A retry inside a session replays its prefix without calling
+        the yield hook: the session parks as often as its unfaulted
+        run, and still matches it."""
+        from repro.serve.session import QuerySession
+
+        parks = []
+        park = QuerySession._yield_point
+
+        def counting(self, step):
+            parks[-1] += 1
+            park(self, step)
+
+        monkeypatch.setattr(QuerySession, "_yield_point", counting)
+        sessions = []
+        for faults in (None, [FaultSpec("corrupt", message_index=30)]):
+            parks.append(0)
+            sessions.append(
+                run_solo(
+                    tpch_request(
+                        "Q3", "t",
+                        faults=FaultPlan(faults) if faults else None,
+                    )
+                )
+            )
+        solo, retried = sessions
+        assert retried.state == DONE
+        assert retried.profile.n_retries == 1
+        assert retried.profile.diff(solo.profile) == ""
+        assert parks[0] == parks[1] == len(solo.profile.nodes_seen) + 1
+
+
 class TestAcceptanceTpch:
     """The headline acceptance run: a concurrent-session run of all
     five TPC-H queries matches solo-run fingerprints exactly."""
