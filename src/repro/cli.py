@@ -608,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--inject-fault", nargs="?", const=FaultSpec("perturb_share"),
         default=None, metavar="SPEC",
         type=_fault_arg("message", "input"),
-        help="self-test: inject one fault, KIND[@AT][:TICKS][/PARTY] "
+        help="self-test: inject one fault, KIND[@AT][/PARTY] "
         "(default: perturb_share; e.g. corrupt@3, crash@2/bob) and "
         "require the fuzzer to catch it — as an oracle mismatch or a "
         "typed protocol abort (exit 0 iff caught)",

@@ -85,8 +85,8 @@ class Scheduler:
         When the context carries a runtime session
         (:func:`repro.runtime.session.enable_session`), every step runs
         inside the session's node bracket: the commit at its top, then
-        :meth:`~repro.runtime.session.Session.begin_node` (deadline,
-        node faults) and, after the step,
+        :meth:`~repro.runtime.session.Session.begin_node` (node
+        scope, node faults) and, after the step,
         :meth:`~repro.runtime.session.Session.end_node` (the delivery
         barrier).  A fault surfaces as a typed
         :class:`~repro.runtime.aborts.ProtocolAbort`, which

@@ -57,7 +57,7 @@ from ..query.planner import BACKEND_POLICIES, choose_plan, route_backends
 from ..runtime.aborts import ProtocolAbort
 from ..runtime.faults import FaultPlan, perturb_share
 from ..runtime.session import Session
-from ..runtime.supervisor import RetryPolicy, run_replayed
+from ..runtime.supervisor import run_replayed
 from ..relalg.relation import AnnotatedRelation
 from ..yannakakis.naive import naive_join_aggregate
 from ..yannakakis.plain import execute_plan
@@ -211,7 +211,7 @@ def _run_secure(
     # One attempt only — the fuzzer tests *detection*; retry
     # resilience is the chaos harness's job.
     session = Session(None, fault.fresh(), seed=engine_seed)
-    session.retry_policy = RetryPolicy(max_attempts=1)
+    session.max_attempts = 1
     result, engine = run_replayed(session, build, body)
     session.finish()
     return result, engine.ctx

@@ -52,7 +52,7 @@ class Channel(Protocol):
     The bare :class:`~repro.mpc.transcript.Transcript` satisfies it
     (record-only), as does the runtime
     :class:`~repro.runtime.session.Session` (framed, checksummed,
-    deadline-supervised — and, in two-process mode, exchanged over a
+    sequence-checked — and, in two-process mode, exchanged over a
     real socket transport).  Channels meter message *metadata*; no
     payload ever crosses this interface."""
 
@@ -156,7 +156,7 @@ class Context:
         """Optional fault-tolerant session layer
         (:func:`repro.runtime.session.enable_session` attaches one);
         when set, every :meth:`send` is framed, checksummed and
-        deadline-supervised before it is metered.  Assigning a session
+        sequence-checked before it is metered.  Assigning a session
         routes every send through it (``None`` restores the bare
         transcript)."""
         return self._session

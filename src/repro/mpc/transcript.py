@@ -20,7 +20,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 __all__ = [
     "Message",
     "Transcript",
-    "TranscriptState",
     "ALICE",
     "BOB",
     "other_party",
@@ -48,14 +47,6 @@ class Message:
     sender: str
     n_bytes: int
     label: str
-
-
-@dataclass(frozen=True)
-class TranscriptState:
-    """A transcript position: its message and round counts."""
-
-    n_messages: int
-    rounds: int
 
 
 class Transcript:
@@ -88,11 +79,6 @@ class Transcript:
         if sender != self._last_sender:
             self._rounds += 1
             self._last_sender = sender
-
-    def state(self) -> TranscriptState:
-        """The current position (a journal record's
-        :class:`~repro.runtime.durable.Position` holds its counts)."""
-        return TranscriptState(len(self.messages), self._rounds)
 
     @contextmanager
     def section(self, label: str) -> Iterator[None]:

@@ -36,7 +36,6 @@ from .chaos import (
     sweep,
     sweep_faults,
 )
-from .clock import VirtualClock
 from .durable import (
     DurableStore,
     Journal,
@@ -55,12 +54,7 @@ from .faults import (
     perturb_share,
 )
 from .framing import FRAME_HEADER_BYTES, FRAME_MAGIC, Frame
-from .session import (
-    DEFAULT_NODE_BUDGET,
-    Session,
-    SessionState,
-    enable_session,
-)
+from .session import Session, enable_session
 from .netchaos import run_scenario, sweep_processes
 from .netrun import (
     NET_QUERIES,
@@ -69,7 +63,7 @@ from .netrun import (
     run_party,
     solo_profile,
 )
-from .supervisor import RetryPolicy, run_replayed
+from .supervisor import run_replayed
 from .transport import ReconnectPolicy, SocketTransport, free_port
 
 __all__ = [
@@ -80,7 +74,6 @@ __all__ = [
     "TimeoutAbort",
     "PeerCrash",
     "TransportAbort",
-    "VirtualClock",
     "FAULT_KINDS",
     "MESSAGE_FAULT_KINDS",
     "PROCESS_FAULT_KINDS",
@@ -91,11 +84,8 @@ __all__ = [
     "FRAME_MAGIC",
     "FRAME_HEADER_BYTES",
     "Frame",
-    "DEFAULT_NODE_BUDGET",
     "Session",
-    "SessionState",
     "enable_session",
-    "RetryPolicy",
     "run_replayed",
     "CLASSIFICATIONS",
     "RunProfile",

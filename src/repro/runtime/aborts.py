@@ -2,14 +2,14 @@
 
 Every fault the session layer can *detect* maps to exactly one
 :class:`ProtocolAbort` subclass, and every abort is built from a fixed
-vocabulary of **public** fields: reason codes, sequence numbers,
-transcript labels, byte counts, virtual-clock ticks and party names.
+vocabulary of **public** fields: reason codes, plan nodes, sequence
+numbers, transcript labels, byte counts and party names.
 No constructor accepts free-form payloads, so no abort path can ever
 surface reconstructed plaintext — the chaos harness and the unit tests
 assert :func:`payload_is_sanitized` on every abort they observe.
 
 The retry decision is a class attribute: transient channel
-faults (integrity, sequencing, deadline) are ``retryable``; a peer
+faults (integrity, sequencing, timeout) are ``retryable``; a peer
 crash is terminal.
 """
 
@@ -49,8 +49,7 @@ REASONS = (
 #: The public fields an abort may carry besides its reason, in the
 #: order the canonical message renders them.
 _FIELDS = (
-    "node", "label", "seq", "expected", "party",
-    "n_bytes", "tick", "deadline", "attempts",
+    "node", "label", "seq", "expected", "party", "n_bytes", "attempts",
 )
 _PAYLOAD_KEYS = frozenset(
     ("type", "reason", "retryable", "message") + _FIELDS
@@ -103,8 +102,6 @@ class ProtocolAbort(RuntimeError):
         expected: Optional[int] = None,
         party: Optional[str] = None,
         n_bytes: Optional[int] = None,
-        tick: Optional[int] = None,
-        deadline: Optional[int] = None,
         attempts: Optional[int] = None,
     ) -> None:
         if reason not in REASONS:
@@ -116,8 +113,6 @@ class ProtocolAbort(RuntimeError):
         self.expected = expected
         self.party = party
         self.n_bytes = n_bytes
-        self.tick = tick
-        self.deadline = deadline
         self.attempts = attempts
         super().__init__(self._describe())
 
@@ -154,8 +149,8 @@ class SequenceAbort(ProtocolAbort):
 
 
 class TimeoutAbort(ProtocolAbort):
-    """The virtual-clock deadline of the current plan node expired, or
-    the node ended with sent-but-undelivered frames outstanding."""
+    """A frame of the current plan node hung, or the node ended with
+    sent-but-undelivered frames outstanding."""
 
     retryable = True
 

@@ -97,12 +97,10 @@ class Position:
 
     @classmethod
     def of(cls, step: int, session: "Session") -> "Position":
-        state = session.state()
-        transcript = session.transcript.state()
+        seq, expected = session._seq, session._expected
         return cls(
-            step, state.seq[ALICE], state.seq[BOB],
-            state.expected[ALICE], state.expected[BOB],
-            transcript.n_messages, transcript.rounds,
+            step, seq[ALICE], seq[BOB], expected[ALICE], expected[BOB],
+            len(session.transcript.messages), session.transcript.rounds,
         )
 
     def to_json(self) -> bytes:

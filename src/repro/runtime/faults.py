@@ -25,10 +25,10 @@ fresh ``repro net`` run (net mode injects no message faults).
 
 The kind table :data:`FAULT_KINDS` is the only list of kinds (every CLI
 choice list and sweep reads it; docs/ROBUSTNESS.md says what each
-does).  Every CLI writes a spec as ``KIND[@AT][:DURATION][/PARTY]``,
-which is also what ``str(spec)`` prints: ``AT`` is the wire index or
-plan node the kind targets, ``DURATION`` is in the kind's unit and
-defaults to the table's — ``corrupt@3``, ``hang@5:1048577``,
+does).  Every CLI writes a spec as ``KIND[@AT][:MS][/PARTY]``, which
+is also what ``str(spec)`` prints: ``AT`` is the wire index or plan
+node the kind targets, ``MS`` is the wall-clock duration of a kind
+that has one and defaults to the table's — ``corrupt@3``, ``hang@5``,
 ``crash@2/bob``, ``stall@12:400``, ``perturb_share``.
 """
 
@@ -47,7 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mpc.engine import Engine
 
 __all__ = [
-    "DEFAULT_NODE_BUDGET",
     "FAULT_KINDS",
     "MESSAGE_FAULT_KINDS",
     "PROCESS_FAULT_KINDS",
@@ -58,20 +57,13 @@ __all__ = [
     "perturb_share",
 ]
 
-#: Virtual ticks a plan node may consume before its deadline expires.
-#: Deliveries cost one tick each; real nodes use a few hundred at most,
-#: so only an injected ``hang`` (or a genuinely stalled channel) can
-#: exhaust this.
-DEFAULT_NODE_BUDGET = 1 << 20
-
-
 @dataclass(frozen=True)
 class FaultKind:
     """One row of the kind table: the kind's level (``message``,
     ``process`` or ``input``), the :class:`FaultSpec` fields holding
-    its target (``message_index`` or ``node``) and its duration
-    (``ticks`` or ``ms``), and the duration a spec's text form
-    defaults to."""
+    its target (``message_index`` or ``node``) and, for a kind that
+    lasts, its wall-clock duration (``ms``), and the duration a spec's
+    text form defaults to."""
 
     level: str
     target: Optional[str] = None
@@ -88,7 +80,7 @@ FAULT_KINDS: Dict[str, FaultKind] = {
     "drop": FaultKind("message", _WIRE),  # the frame never arrives
     "duplicate": FaultKind("message", _WIRE),  # ... is delivered twice
     "reorder": FaultKind("message", _WIRE),  # overtaken by the next one
-    "hang": FaultKind("message", _WIRE, "ticks", DEFAULT_NODE_BUDGET + 1),
+    "hang": FaultKind("message", _WIRE),  # expires the node it is in
     "crash": FaultKind("message", "node"),  # PeerCrash entering the node
     "perturb_share": FaultKind("input"),  # +1 on one input share
     "kill-node": FaultKind("process", "node"),  # SIGKILL self
@@ -108,9 +100,9 @@ def kinds_of(*levels: str) -> Tuple[str, ...]:
 MESSAGE_FAULT_KINDS = kinds_of("message")
 PROCESS_FAULT_KINDS = kinds_of("process")
 
-_FIELDS = ("kind", "message_index", "node", "party", "ticks", "ms")
+_FIELDS = ("kind", "message_index", "node", "party", "ms")
 #: The target and duration fields, each with its unset value.
-_SLOTS = (("message_index", None), ("node", None), ("ticks", 0), ("ms", 0))
+_SLOTS = (("message_index", None), ("node", None), ("ms", 0))
 _SYNTAX = re.compile(
     r"(?P<kind>[a-z_-]+)(?:@(?P<at>\d+))?(?::(?P<duration>\d+))?"
     r"(?:/(?P<party>[a-z]+))?"
@@ -126,7 +118,6 @@ class FaultSpec:
     message_index: Optional[int] = None  #: wire index the kind targets
     node: Optional[int] = None  #: plan-node ordinal the kind targets
     party: Optional[str] = None  #: the faulted party (crash, process)
-    ticks: int = 0  #: virtual-tick duration (``hang``)
     ms: int = 0  #: wall-clock duration (``stall``, ``partition``)
 
     def __post_init__(self) -> None:
@@ -177,19 +168,19 @@ class FaultSpec:
         if at is not None:
             fields[row.target or _WIRE] = at
         if duration is not None or row.unit is not None:
-            fields[row.unit or "ticks"] = (
+            fields[row.unit or "ms"] = (
                 row.default if duration is None else duration
             )
         return FaultSpec(kind, party=party, **fields)
 
     @staticmethod
     def parse(text: str) -> "FaultSpec":
-        """Inverse of ``str(spec)``: ``KIND[@AT][:DURATION][/PARTY]``."""
+        """Inverse of ``str(spec)``: ``KIND[@AT][:MS][/PARTY]``."""
         m = _SYNTAX.fullmatch(text.strip())
         if m is None:
             raise ValueError(
                 f"malformed fault spec {text!r} "
-                "(expected KIND[@AT][:DURATION][/PARTY])"
+                "(expected KIND[@AT][:MS][/PARTY])"
             )
         at, duration = (
             None if g is None else int(g) for g in (m["at"], m["duration"])

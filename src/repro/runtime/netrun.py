@@ -43,7 +43,7 @@ from .chaos import RunProfile, make_tpch_runner, profile_run
 from .durable import DurableStore, JournalRefused, Position, revive
 from .faults import FaultPlan, FaultSpec
 from .session import Session
-from .supervisor import RetryPolicy, run_replayed
+from .supervisor import run_replayed
 from .transport import SocketTransport
 
 __all__ = [
@@ -226,7 +226,7 @@ def run_party(config: NetConfig) -> Dict[str, Any]:
 
     session = Session(seed=config.seed)
     # Net mode fails closed on in-node faults: recovery is --resume.
-    session.retry_policy = RetryPolicy(max_attempts=1)
+    session.max_attempts = 1
     transport: Optional[SocketTransport] = None
     if config.listen is not None or config.connect is not None:
         transport = SocketTransport(

@@ -3,10 +3,9 @@
 A :class:`Session` interposes between :class:`repro.mpc.context.Context`
 and its :class:`~repro.mpc.transcript.Transcript`: every logical send
 becomes a framed, sequence-numbered, checksummed message
-(:mod:`repro.runtime.framing`), delivery advances a virtual clock
-against the current plan node's deadline, and an attached
+(:mod:`repro.runtime.framing`), and an attached
 :class:`~repro.runtime.faults.FaultPlan` can deterministically corrupt,
-truncate, drop, duplicate, reorder or stall any wire message, or crash
+truncate, drop, duplicate, reorder or hang any wire message, or crash
 (in ``repro net``, SIGKILL) a party at a plan node.  Detected faults
 raise the typed aborts of :mod:`repro.runtime.aborts`;
 :func:`~repro.runtime.supervisor.run_replayed` turns a retryable abort
@@ -15,7 +14,7 @@ at a node into a replay of the run up to that node.
 A session outlives the contexts it serves: a replay rebuilds the
 context from the run's seed and binds the same session to it.  While
 the replayed prefix runs (``replaying``), a send is metered and is
-nothing else: no wire index, no clock tick, no fault, no journal.
+nothing else: no wire index, no fault, no journal.
 
 Two invariants the tests pin down:
 
@@ -23,16 +22,14 @@ Two invariants the tests pin down:
   payload's own label, so a session-enabled run's transcript is the
   plain run's transcript plus a fixed per-message constant, identically
   in REAL and SIMULATED mode.
-* **Monotone wire index and clock** — a bind never rewinds them and a
-  replay never advances them, so one-shot faults do not re-fire on
-  retry.
+* **Monotone wire index** — a bind never rewinds it and a replay
+  never advances it, so one-shot faults do not re-fire on retry.
 """
 
 from __future__ import annotations
 
 import os
 import signal
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..mpc.transcript import ALICE, BOB, Transcript
@@ -42,9 +39,8 @@ from .aborts import (
     SequenceAbort,
     TimeoutAbort,
 )
-from .clock import VirtualClock
 from .durable import Position
-from .faults import DEFAULT_NODE_BUDGET, FaultPlan
+from .faults import FaultPlan
 from .framing import FRAME_HEADER_BYTES, Frame, make_frame, verify_frame
 from .framing import corrupted as _corrupted
 from .framing import truncated as _truncated
@@ -52,43 +48,25 @@ from .framing import truncated as _truncated
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mpc.context import Context
     from .durable import DurableStore
-    from .supervisor import RetryPolicy
     from .transport import SocketTransport
 
-__all__ = [
-    "DEFAULT_NODE_BUDGET",
-    "SessionState",
-    "Session",
-    "enable_session",
-]
-
-@dataclass(frozen=True)
-class SessionState:
-    """The channel counters a :class:`~repro.runtime.durable.Position`
-    records (the wire index is absent: it is monotone across
-    retries)."""
-
-    seq: Dict[str, int]
-    expected: Dict[str, int]
+__all__ = ["Session", "enable_session"]
 
 
 class Session:
-    """Framed, deadline-supervised view of one metered transcript."""
+    """Framed, node-scoped view of one metered transcript."""
 
     def __init__(
         self,
         transcript: Optional[Transcript] = None,
         faults: Optional[FaultPlan] = None,
-        node_budget: int = DEFAULT_NODE_BUDGET,
         seed: int = 0,
     ) -> None:
         self.faults = faults if faults is not None else FaultPlan()
-        self.clock = VirtualClock()
-        self.node_budget = int(node_budget)
         self.seed = int(seed)
-        #: How often a node may be tried; ``None`` is the default
-        #: :class:`~repro.runtime.supervisor.RetryPolicy`.
-        self.retry_policy: Optional["RetryPolicy"] = None
+        #: How often a node may be tried
+        #: (:func:`~repro.runtime.supervisor.run_replayed`).
+        self.max_attempts = 3
         #: Process-local hooks of a two-process run (``repro net``):
         #: the socket transport every delivered frame is exchanged
         #: through, and the durable journal each node's position is
@@ -114,7 +92,6 @@ class Session:
         self._plan_base = 0
         self.node: Optional[int] = None
         self.node_label = ""
-        self.deadline: Optional[int] = None
         #: The position at the top of the live node in flight, ``None``
         #: between nodes: where a retry of that node replays to.
         self.top: Optional[Position] = None
@@ -124,8 +101,8 @@ class Session:
         """Serve a fresh context from its first message: every
         ``ctx.send`` routes through this session and is metered into
         the context's transcript.  The channel counters and the node
-        scope start afresh; the wire index, the clock, the fault plan
-        and the abort and retry counts carry over."""
+        scope start afresh; the wire index, the fault plan and the
+        abort and retry counts carry over."""
         ctx.session = self
         self._start(ctx.transcript)
 
@@ -164,23 +141,20 @@ class Session:
             frame = _corrupted(frame)
         elif kind == "truncate":
             frame = _truncated(frame)
-        elif kind == "hang" and spec is not None:
-            self.clock.advance(spec.ticks)
-        self._deliver(frame)
-        if kind == "duplicate":
-            self._deliver(frame)
-
-    def _deliver(self, frame: Frame) -> None:
-        self.clock.advance(1)
-        if self.deadline is not None and self.clock.now > self.deadline:
+        elif kind == "hang" and self.node is not None:
+            # The frame never arrives in time: the node expires (a
+            # hang between nodes has no node to expire).
             raise TimeoutAbort(
                 "deadline-expired",
                 node=self.node,
                 label=frame.label,
                 party=frame.sender,
-                tick=self.clock.now,
-                deadline=self.deadline,
             )
+        self._deliver(frame)
+        if kind == "duplicate":
+            self._deliver(frame)
+
+    def _deliver(self, frame: Frame) -> None:
         reason = verify_frame(frame)
         if reason:
             raise IntegrityAbort(
@@ -216,10 +190,9 @@ class Session:
     # -- node scoping ----------------------------------------------------
 
     def begin_node(self, node_id: int, label: str = "") -> None:
-        """Enter a plan node: arm its deadline and fire any node-scoped
-        fault keyed on the node's ordinal in the run (a party crash, or
-        a ``kill-node`` SIGKILL) before work starts.  A replayed node
-        fires none."""
+        """Enter a plan node: fire any node-scoped fault keyed on the
+        node's ordinal in the run (a party crash, or a ``kill-node``
+        SIGKILL) before work starts.  A replayed node fires none."""
         spec = (
             None if self.replaying
             else self.faults.for_node(self._plan_base + node_id)
@@ -229,7 +202,6 @@ class Session:
         self.node = node_id
         self.node_label = label
         self.nodes_seen.append(node_id)
-        self.deadline = self.clock.now + self.node_budget
         if spec is not None:
             raise PeerCrash(
                 "peer-crashed",
@@ -240,13 +212,12 @@ class Session:
 
     def end_node(self) -> None:
         """Leave a plan node; the barrier requires every sent frame to
-        have been delivered (a dropped or held frame stalls the node
-        until its deadline).  An abort leaves the node scope set: it
-        names the node a retry re-runs."""
+        have been delivered (a dropped or held frame expires the
+        node).  An abort leaves the node scope set: it names the node
+        a retry re-runs."""
         self._barrier()
         self.node = None
         self.node_label = ""
-        self.deadline = None
         self.top = None
 
     def end_plan(self, n_steps: int) -> None:
@@ -261,8 +232,6 @@ class Session:
     def _barrier(self) -> None:
         for party in (ALICE, BOB):
             if self._expected[party] != self._seq[party]:
-                if self.deadline is not None:
-                    self.clock.advance_to(self.deadline + 1)
                 raise TimeoutAbort(
                     "deadline-expired",
                     node=self.node,
@@ -270,8 +239,6 @@ class Session:
                     seq=self._seq[party],
                     expected=self._expected[party],
                     party=party,
-                    tick=self.clock.now,
-                    deadline=self.deadline,
                 )
 
     # -- checkpointing ---------------------------------------------------
@@ -296,21 +263,15 @@ class Session:
             if self.wire is not None:
                 self.wire.ack(dict(self._expected))
 
-    def state(self) -> SessionState:
-        return SessionState(
-            seq=dict(self._seq), expected=dict(self._expected)
-        )
-
 
 def enable_session(
     ctx: "Context",
     faults: Optional[FaultPlan] = None,
     *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
     seed: int = 0,
 ) -> Session:
     """Attach a session to a context; every subsequent ``ctx.send``
     routes through it.  Returns the session."""
-    session = Session(None, faults, node_budget, seed)
+    session = Session(None, faults, seed)
     session.bind(ctx)
     return session

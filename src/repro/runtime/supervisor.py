@@ -8,14 +8,15 @@ engine built from the run's seed with the caller's
 :class:`~repro.runtime.aborts.ProtocolAbort` inside a plan node — only
 a ``ProtocolAbort``: operator bugs propagate untouched — is handled the
 way a crashed party resumes: rebuild the context and engine from the
-seed and bind the same session (wire index, clock and fault plan carry
-over); replay the nodes before the failed one unattached
+seed and bind the same session (wire index and fault plan carry over);
+replay the nodes before the failed one unattached
 (``Session.replaying``); at the failed node's top, check the replayed
 :class:`~repro.runtime.durable.Position` against the failed attempt's
-(else a ``replay-divergence`` abort); back off in virtual time, re-key
-and run the node again.  Terminal aborts (a peer crash, retries
-exhausted, any abort between nodes) propagate.  ``repro net`` resumes
-a killed party on the same path, its target read from the journal
+(else a ``replay-divergence`` abort); re-key and run the node again,
+at once: the protocol is a fixed message sequence, so there is nothing
+to wait for.  Terminal aborts (a peer crash, retries exhausted, any
+abort between nodes) propagate.  ``repro net`` resumes a killed party
+on the same path, its target read from the journal
 (:func:`repro.runtime.netrun.run_party`).
 
 The re-key gives the retried node a fresh RNG subkey and continues the
@@ -28,7 +29,6 @@ replays the first byte-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, TypeVar,
 )
@@ -42,54 +42,12 @@ from .session import Session
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mpc.engine import Engine
 
-__all__ = ["RetryPolicy", "run_replayed"]
+__all__ = ["run_replayed"]
 
 T = TypeVar("T")
 
 #: Domain-separation constant for retry RNG subkeys.
 _RETRY_STREAM = 0x53594E31  # "SYN1"
-
-#: Domain-separation constant for backoff-jitter subkeys (distinct
-#: stream: jitter draws must never perturb the retry rekeying).
-_JITTER_STREAM = 0x53594E4A  # "SYNJ"
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded exponential backoff in virtual time, plus deterministic
-    jitter.
-
-    The jitter is *additive* on top of :meth:`backoff` (whose schedule
-    stays exact and pinned by tests) and is derived from a seeded RNG
-    keyed on ``(stream, session seed, node, attempt)`` — never
-    wall-clock or :mod:`random` — so the full retry schedule is a pure
-    function of the session seed and replays identically.
-    """
-
-    max_attempts: int = 3
-    base_backoff_ticks: int = 8
-    max_backoff_ticks: int = 1024
-    jitter_ticks: int = 8
-
-    def backoff(self, attempt: int) -> int:
-        """Deterministic base: ticks to wait before retry number
-        ``attempt`` (1-based), jitter excluded."""
-        ticks = self.base_backoff_ticks << max(attempt - 1, 0)
-        return min(ticks, self.max_backoff_ticks)
-
-    def jitter(self, attempt: int, seed: int, step_id: int) -> int:
-        """The deterministic jitter for one retry: uniform in
-        ``[0, jitter_ticks]``, keyed so distinct nodes, attempts and
-        sessions de-synchronise without sacrificing replayability."""
-        if self.jitter_ticks <= 0:
-            return 0
-        rng = np.random.default_rng(
-            [_JITTER_STREAM, int(seed), int(step_id), int(attempt)]
-        )
-        return int(rng.integers(0, self.jitter_ticks + 1))
-
-    def jittered_backoff(self, attempt: int, seed: int, step_id: int) -> int:
-        return self.backoff(attempt) + self.jitter(attempt, seed, step_id)
 
 
 def run_replayed(
@@ -100,16 +58,15 @@ def run_replayed(
     attach: Optional[Callable[[], None]] = None,
 ) -> Tuple[T, "Engine"]:
     """Run ``body`` over an engine from ``build`` (a fresh context of
-    the run's seed on every call), recovering per the module docstring
-    and the session's :attr:`~repro.runtime.session.Session.retry_policy`
-    (default :class:`RetryPolicy`).  Returns the result and the
+    the run's seed on every call), recovering per the module docstring,
+    at most :attr:`~repro.runtime.session.Session.max_attempts` tries
+    per node.  Returns the result and the
     finishing attempt's engine.
 
     ``target`` starts the first attempt as a replay up to that position
     (a resumed party's journal record); ``attach`` is called when the
     run first reaches its target.  Abort and retry events go to the
     engine's tracer, if any, carried over from attempt to attempt."""
-    policy = session.retry_policy or RetryPolicy()
     attempts: Dict[int, int] = {}
     rekeys: Dict[int, Tuple[int, Tuple[int, int]]] = {}
     events: List[Dict[str, Any]] = []
@@ -160,21 +117,18 @@ def run_replayed(
                 "label": session.node_label, "attempt": attempt,
                 "abort": abort.to_json(),
             }
-            events.append(dict(event, type="abort", tick=session.clock.now))
+            events.append(dict(event, type="abort"))
             if not abort.retryable:
                 raise
-            if attempt >= policy.max_attempts:
+            if attempt >= session.max_attempts:
                 raise type(abort)(
                     "retries-exhausted", node=session.node,
                     label=session.node_label, attempts=attempt,
                 ) from abort
-            session.clock.advance(
-                policy.jittered_backoff(attempt, session.seed, ordinal)
-            )
             rekeys[ordinal] = (attempt, ctx.counters)
             target = top
             session.n_retries += 1
-            events.append(dict(event, type="retry", tick=session.clock.now))
+            events.append(dict(event, type="retry"))
             continue
         finally:
             session.before_commit = None

@@ -10,8 +10,9 @@ time, under one of two policies:
 
 * ``"round_robin"`` — cycle through active sessions in submission
   order;
-* ``"clock"`` — always step the session whose virtual clock is
-  furthest behind (ties broken by submission order).
+* ``"clock"`` — always step the session that has sent the fewest wire
+  messages (:attr:`~repro.runtime.session.Session.wire_index`; ties
+  broken by submission order).
 
 Both are deterministic: the interleaving is a pure function of the
 submission sequence, so a service run is exactly reproducible.  When a
@@ -202,12 +203,12 @@ class QueryService:
 
     def _pick(self, active: List[QuerySession]) -> QuerySession:
         if self.interleave == "clock":
-            # Least-advanced virtual clock first; submission order
-            # breaks ties, so the pick sequence is deterministic.
+            # Fewest wire messages first; submission order breaks
+            # ties, so the pick sequence is deterministic.
             return min(
                 active,
                 key=lambda s: (
-                    s.runtime_session.clock.now,
+                    s.runtime_session.wire_index,
                     self.sessions.index(s),
                 ),
             )

@@ -12,7 +12,7 @@ pick sequence, and the sessions share no mutable protocol state: each
 has its own :class:`~repro.mpc.context.Context` (transcript, RNG, the
 nonces of the dummy rows its operators make),
 its own runtime :class:`~repro.runtime.session.Session` (framing,
-virtual clock, fault plan), and its own
+wire index, fault plan), and its own
 :class:`~repro.exec.trace.ExecutionTrace` namespaced by tenant.  What
 they do share is public: the process-wide caches of circuit templates
 (:mod:`repro.mpc.gadgets`) and Beneš topologies
@@ -42,7 +42,7 @@ from ..mpc.params import SecurityParams
 from ..runtime.aborts import ProtocolAbort
 from ..runtime.chaos import RunProfile, profile_run
 from ..runtime.faults import FaultPlan
-from ..runtime.session import DEFAULT_NODE_BUDGET, Session
+from ..runtime.session import Session
 from ..runtime.supervisor import run_replayed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -69,9 +69,9 @@ FAILED = "failed"
 REJECTED = "rejected"
 
 #: Wall-clock seconds the coordinator waits for a worker to reach its
-#: next yield point before declaring the service wedged.  Time inside
-#: the protocol is *virtual* (ticks), so only a genuine deadlock bug
-#: can trip this.
+#: next yield point before declaring the service wedged.  Nothing
+#: inside the protocol waits, so only a genuine deadlock bug can trip
+#: this.
 STEP_TIMEOUT = 600.0
 
 
@@ -94,7 +94,6 @@ class QueryRequest:
     mode: Mode = Mode.SIMULATED
     seed: int = 11
     faults: Optional[FaultPlan] = None
-    node_budget: int = DEFAULT_NODE_BUDGET
     #: Declared cost (overrides estimation); ``None`` + ``query`` set
     #: means the service estimates; ``None`` + ``run`` means unpriced.
     cost: Optional["CostEstimate"] = None
@@ -138,9 +137,7 @@ class QuerySession:
         self.profile: Optional[RunProfile] = None
         self.cost: Optional["CostEstimate"] = request.cost
         self._params = SecurityParams(ell=request.effective_ell())
-        self.runtime_session = Session(
-            None, request.faults, request.node_budget, request.seed
-        )
+        self.runtime_session = Session(None, request.faults, request.seed)
 
         self._go = threading.Event()
         self._parked = threading.Event()
@@ -240,7 +237,6 @@ class QuerySession:
             "tenant": self.request.tenant,
             "request": self.request.name,
             "state": self.state,
-            "clock": self.runtime_session.clock.now,
             "n_messages": len(self.ctx.transcript.messages),
             "total_bytes": sum(
                 m.n_bytes for m in self.ctx.transcript.messages

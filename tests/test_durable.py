@@ -26,7 +26,6 @@ from repro.runtime import (
     Journal,
     NetConfig,
     PeerCrash,
-    RetryPolicy,
     TransportAbort,
     enable_session,
     netchaos,
@@ -320,7 +319,7 @@ class TestResume:
             FaultPlan([FaultSpec("crash", node=crash_node, party=BOB)]),
             seed=config.seed,
         )
-        session.retry_policy = RetryPolicy(max_attempts=1)
+        session.max_attempts = 1
         store = DurableStore.create(path, config.meta())
         session.durable = store
         with pytest.raises(PeerCrash):

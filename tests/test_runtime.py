@@ -2,11 +2,11 @@
 
 Four layers:
 
-* unit tests — framing, virtual clock, fault-plan semantics, and the
-  kind -> abort-type mapping of every injectable fault;
+* unit tests — framing, fault-plan semantics, and the kind ->
+  abort-type mapping of every injectable fault;
 * invariants — accounting neutrality of the framing overhead, abort
   sanitization (no payload ever escapes through an abort);
-* retry by replay — retry convergence, bounded backoff,
+* retry by replay — retry convergence, the attempt bound,
   retries-exhausted and non-retryable propagation, the exact replay of
   the prefix, fresh randomness for the retried node, monotone
   counters, and the position check;
@@ -42,12 +42,10 @@ from repro.runtime import (
     IntegrityAbort,
     PeerCrash,
     ProtocolAbort,
-    RetryPolicy,
     SequenceAbort,
     Session,
     TimeoutAbort,
     TransportAbort,
-    VirtualClock,
     classify_fault,
     enable_session,
     make_tpch_runner,
@@ -63,9 +61,9 @@ from repro.runtime.framing import (
 from repro.tpch import PREPARED, generate
 
 
-def _session(specs=(), **kwargs):
+def _session(specs=()):
     ctx = Context(Mode.SIMULATED, SecurityParams(ell=32), seed=1)
-    session = enable_session(ctx, FaultPlan(list(specs)), **kwargs)
+    session = enable_session(ctx, FaultPlan(list(specs)))
     return ctx, session
 
 
@@ -80,7 +78,7 @@ def _exchange(ctx, session):
 
 
 # ----------------------------------------------------------------------
-# framing + clock
+# framing
 # ----------------------------------------------------------------------
 
 
@@ -100,15 +98,6 @@ def test_truncated_frame_fails_length():
     assert verify_frame(f) == "length-mismatch"
 
 
-def test_clock_is_monotone():
-    c = VirtualClock()
-    c.advance(5)
-    c.advance_to(3)  # never goes backwards
-    assert c.now == 5
-    with pytest.raises(ValueError):
-        c.advance(-1)
-
-
 # ----------------------------------------------------------------------
 # fault plans
 # ----------------------------------------------------------------------
@@ -121,6 +110,8 @@ def test_fault_spec_validation():
         FaultSpec("corrupt")  # needs a message_index
     with pytest.raises(ValueError):
         FaultSpec("crash")  # needs a node
+    with pytest.raises(ValueError):
+        FaultSpec.parse("hang@3:5")  # a hang has no duration
 
 
 @pytest.mark.parametrize(
@@ -129,8 +120,8 @@ def test_fault_spec_validation():
         {"kind": "corrupt", "message_index": "3"},
         {"kind": "corrupt", "message_index": -1},
         {"kind": "corrupt", "message_index": True},
-        {"kind": "hang", "message_index": 1, "ticks": -5},
-        {"kind": "hang", "message_index": 1, "ticks": "5"},
+        {"kind": "stall", "message_index": 1, "ms": -5},
+        {"kind": "stall", "message_index": 1, "ms": "5"},
         {"kind": "crash", "node": "2", "party": BOB},
         {"kind": "crash", "node": 2, "party": "carol"},
     ],
@@ -155,7 +146,8 @@ def test_fault_plan_json_roundtrip():
     plan = FaultPlan(
         [
             FaultSpec("corrupt", message_index=3),
-            FaultSpec("hang", message_index=5, ticks=99),
+            FaultSpec("hang", message_index=5),
+            FaultSpec("stall", message_index=6, ms=99),
             FaultSpec("crash", node=2, party=BOB),
             FaultSpec("perturb_share"),
         ]
@@ -207,8 +199,8 @@ def test_fault_spec_parse_rejects(text):
 # ----------------------------------------------------------------------
 
 
-def _abort_for(specs, **kwargs):
-    ctx, session = _session(specs, **kwargs)
+def _abort_for(specs):
+    ctx, session = _session(specs)
     with pytest.raises(ProtocolAbort) as err:
         _exchange(ctx, session)
     return err.value
@@ -248,12 +240,30 @@ def test_reorder_raises_sequence_gap():
 
 
 def test_hang_expires_the_deadline():
-    abort = _abort_for(
-        [FaultSpec("hang", message_index=1, ticks=100)],
-        node_budget=50,
+    ctx, session = _session([FaultSpec("hang", message_index=1)])
+    with pytest.raises(TimeoutAbort) as err:
+        _exchange(ctx, session)
+    assert err.value.reason == "deadline-expired"
+    assert (err.value.node, err.value.label, err.value.party) == (
+        0, "b", BOB
     )
-    assert isinstance(abort, TimeoutAbort)
-    assert abort.reason == "deadline-expired"
+    # The hung frame advanced the wire index, then expired the node
+    # before it was verified or metered.
+    assert session.wire_index == 2
+    assert [m.label for m in ctx.transcript.messages] == ["a"]
+
+
+def test_a_hang_between_nodes_delivers_its_frame():
+    """No node is in flight, so there is nothing to expire: the hung
+    frame is delivered and metered like any other."""
+    ctx, session = _session([FaultSpec("hang", message_index=0)])
+    ctx.send(ALICE, 16, "outside")
+    _exchange(ctx, session)
+    assert session.wire_index == 4
+    assert [m.label for m in ctx.transcript.messages] == [
+        "outside", "a", "b", "c",
+    ]
+    assert ctx.transcript.total_bytes == 56 + 4 * FRAME_HEADER_BYTES
 
 
 def test_crash_is_terminal():
@@ -276,8 +286,7 @@ def test_every_abort_is_sanitized():
         # Only public channel metadata in the JSON view.
         assert set(abort.to_json()) == {
             "type", "reason", "retryable", "node", "label", "seq",
-            "expected", "party", "n_bytes", "tick", "deadline",
-            "attempts", "message",
+            "expected", "party", "n_bytes", "attempts", "message",
         }
 
 
@@ -335,13 +344,13 @@ def test_session_framing_is_accounting_neutral(workload, n_messages):
 # ----------------------------------------------------------------------
 
 
-def _probe_run(specs, policy=None, n_nodes=1, traced=False, body=None):
+def _probe_run(specs, max_attempts=3, n_nodes=1, traced=False, body=None):
     """A toy run of ``n_nodes`` nodes of one 16-byte message each under
     the replay helper.  Every attempt builds a fresh engine (with a
     fresh trace when ``traced``); returns the session and the engines
     in build order."""
     session = Session(None, FaultPlan(list(specs)), seed=1)
-    session.retry_policy = policy
+    session.max_attempts = max_attempts
     engines = []
 
     def build():
@@ -388,7 +397,7 @@ def test_supervisor_takes_the_session_retry_policy():
     with pytest.raises(IntegrityAbort) as err:
         _probe_run(
             [FaultSpec("corrupt", message_index=0)],
-            policy=RetryPolicy(max_attempts=1),
+            max_attempts=1,
         )
     assert err.value.reason == "retries-exhausted"
     assert err.value.attempts == 1
@@ -408,7 +417,6 @@ def test_supervisor_records_events():
     assert kinds == ["abort", "retry"]
     assert trace.events[0]["abort"]["reason"] == "checksum-mismatch"
     assert trace.events[1]["ordinal"] == 0
-    assert trace.events[1]["tick"] > trace.events[0]["tick"]  # backoff
     assert "events" in trace.to_json()
     # Fault-free traces keep the golden-pinned schema (no events key).
     assert "events" not in ExecutionTrace().to_json()
@@ -479,9 +487,9 @@ def test_a_second_retry_replays_the_first_identically():
 
 
 def test_retry_never_moves_counters_backwards(monkeypatch):
-    """Across a retry of a TPC-H run the wire index and the virtual
-    clock never decrease, and neither do the tweak and nonce streams
-    of live (not replayed) messages."""
+    """Across a retry of a TPC-H run the wire index never decreases,
+    and neither do the tweak and nonce streams of live (not replayed)
+    messages."""
     seen = []
     send = Context.send
 
@@ -489,8 +497,7 @@ def test_retry_never_moves_counters_backwards(monkeypatch):
         send(self, sender, n_bytes, label)
         session = self.session
         seen.append(
-            (session.replaying, session.wire_index, session.clock.now)
-            + self.counters
+            (session.replaying, session.wire_index) + self.counters
         )
 
     monkeypatch.setattr(Context, "send", spy)
@@ -498,14 +505,13 @@ def test_retry_never_moves_counters_backwards(monkeypatch):
     profile = run(FaultPlan([FaultSpec("corrupt", message_index=30)]))
     assert profile.n_retries == 1
     assert any(row[0] for row in seen), "the retry replayed no prefix"
-    for column in (1, 2):
-        values = [row[column] for row in seen]
-        assert values == sorted(values)
+    values = [row[1] for row in seen]
+    assert values == sorted(values)
     live = [row for row in seen if not row[0]]
-    for column in (3, 4):
+    for column in (2, 3):
         values = [row[column] for row in live]
         assert values == sorted(values)
-    assert live[-1][3:] > live[0][3:]
+    assert live[-1][2:] > live[0][2:]
 
 
 def test_replay_that_disagrees_aborts():
@@ -542,15 +548,6 @@ def test_replay_that_disagrees_aborts():
     assert err.value.is_sanitized()
 
 
-def test_retry_policy_backoff_is_bounded():
-    policy = RetryPolicy(
-        max_attempts=10, base_backoff_ticks=8, max_backoff_ticks=64
-    )
-    assert [policy.backoff(a) for a in (1, 2, 3, 4, 5)] == [
-        8, 16, 32, 64, 64,
-    ]
-
-
 # ----------------------------------------------------------------------
 # end-to-end: checkpoint/resume equality + chaos sweep
 # ----------------------------------------------------------------------
@@ -570,7 +567,7 @@ def test_checkpoint_resume_is_byte_equal():
 
 def test_a_retry_at_every_node_of_q8_equals_its_solo_run(monkeypatch):
     """Q8 runs two plans in one context, so its step ids repeat: a
-    retry replays to the failed node's ordinal in the run.  A deadline
+    retry replays to the failed node's ordinal in the run.  A timeout
     abort entering each node in turn (most of Q8's nodes send no frame
     a message fault could hit) retries that node alone, to the solo
     run's rows, accounting and fingerprint."""

@@ -297,6 +297,22 @@ class TestService:
 
         assert run_once() == run_once()
 
+    def test_clock_steps_the_session_with_the_fewest_wire_messages(self):
+        svc = QueryService(interleave="clock")
+        for i in range(3):
+            svc.submit(
+                QueryRequest(
+                    tenant=f"t{i}", name=f"q{i}", query=tiny_query(), seed=5
+                )
+            )
+        first, second, third = svc.sessions
+        for session, sent in zip(svc.sessions, (5, 3, 3)):
+            session.runtime_session._wire_index = sent
+        # Fewest wire messages first; submission order breaks the tie.
+        assert svc._pick([first, second, third]) is second
+        assert svc._pick([third, first]) is third
+        assert svc._pick([first]) is first
+
     def test_plan_shared_across_tenants(self):
         inst = generate_instance(41, 0, SMALL)
         svc = QueryService()

@@ -19,7 +19,6 @@ from repro.runtime.aborts import PeerCrash, TransportAbort
 from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.runtime.framing import Frame, frame_digest
 from repro.runtime.session import Session
-from repro.runtime.supervisor import RetryPolicy
 from repro.runtime.transport import (
     _MSG_FRAME,
     _MSG_HEADER,
@@ -94,39 +93,6 @@ class TestReconnectPolicy:
             jitter_frac=0.0,
         )
         assert policy.schedule(3, 0) == [0.1, 0.2, 0.4, 0.4]
-
-
-class TestRetryJitter:
-    """Satellite: the supervisor's backoff jitter (docs/ROBUSTNESS.md)."""
-
-    def test_base_backoff_schedule_unchanged(self):
-        # Pinned: the deterministic base the session tests rely on.
-        policy = RetryPolicy(max_attempts=6, max_backoff_ticks=64)
-        assert [policy.backoff(a) for a in range(1, 6)] == [
-            8, 16, 32, 64, 64,
-        ]
-
-    def test_jitter_deterministic_and_bounded(self):
-        policy = RetryPolicy()
-        for attempt in (1, 2, 3):
-            for step_id in (0, 5, 11):
-                j = policy.jitter(attempt, seed=7, step_id=step_id)
-                assert j == policy.jitter(attempt, 7, step_id)
-                assert 0 <= j <= policy.jitter_ticks
-                total = policy.jittered_backoff(attempt, 7, step_id)
-                assert total == policy.backoff(attempt) + j
-
-    def test_jitter_decorrelates_steps(self):
-        policy = RetryPolicy()
-        draws = {
-            policy.jitter(1, seed=7, step_id=s) for s in range(64)
-        }
-        assert len(draws) > 1  # not a constant schedule
-
-    def test_zero_jitter_ticks_disables(self):
-        policy = RetryPolicy(jitter_ticks=0)
-        assert policy.jitter(1, 7, 0) == 0
-        assert policy.jittered_backoff(2, 7, 0) == policy.backoff(2)
 
 
 class _Killed(Exception):
