@@ -64,7 +64,7 @@ from .netrun import (
     solo_profile,
 )
 from .supervisor import run_replayed
-from .transport import ReconnectPolicy, SocketTransport, free_port
+from .transport import SocketTransport, free_port
 
 __all__ = [
     "REASONS",
@@ -105,7 +105,6 @@ __all__ = [
     "DurableStore",
     "revive",
     "SocketTransport",
-    "ReconnectPolicy",
     "free_port",
     "NET_QUERIES",
     "NetConfig",

@@ -41,7 +41,6 @@ REASONS = (
     "connection-lost",
     "handshake-failed",
     "peer-divergence",
-    "outbox-overflow",
     "replay-divergence",
 )
 
@@ -166,10 +165,8 @@ class TransportAbort(ProtocolAbort):
     budget is exhausted (``connection-lost``), the peer identified as
     a different session or role (``handshake-failed``), the peer's
     frame stream disagreed with the locally mirrored one
-    (``peer-divergence``), the unacknowledged-frame outbox
-    overflowed its bound (``outbox-overflow``), or a resumed party's
-    replay reached a position other than its journal's record
-    (``replay-divergence``).
+    (``peer-divergence``), or a resumed party's replay reached a
+    position other than its journal's record (``replay-divergence``).
 
     Terminal by design: an in-node retry would re-run the node on one
     OS process while the peer's mirror stays put, desynchronising the

@@ -23,8 +23,10 @@ Record format (little-endian)::
 Every payload is JSON.  Appends are atomic in the torn-write sense: a
 record counts only if its payload is complete and its digest verifies,
 so :func:`Journal.scan` stops at the first torn or corrupt tail record
-and recovery resumes from the last *committed* position — exactly the
-state the peer's last durable ACK covers.  A journal of another format
+and recovery resumes from the last *committed* position.  The peer
+needs no word of it: its outbox keeps every frame it sent since it
+attached, and the handshake replays those at or past the resumed
+counters.  A journal of another format
 (``SYJ1`` held pickled engine state) is refused outright, never
 decoded: every refusal is a :class:`JournalRefused`.
 """

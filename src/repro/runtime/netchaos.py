@@ -3,16 +3,17 @@
 The PR-5 chaos harness perturbs *frames* inside one process; this one
 perturbs *processes and sockets*.  Every scenario launches the two
 parties of a query as separate OS processes (``python -m repro net``)
-talking TCP over localhost, injects exactly one process-level
-:class:`~repro.runtime.faults.FaultSpec` into one of them (as
-``repro net --fault SPEC``), lets the built-in recovery machinery do
-its work — transparent reconnect for connection faults, restart +
-``--resume`` over the durable journal for kills — and hands what it
-observed to the shared classifier (:func:`repro.runtime.chaos.classify`),
-judged against the solo in-process baseline: a party that exited 0
-contributes its run profile, one that exited 2 its abort payload, and
-a hung scenario or any other exit code is a VIOLATION outright (a
-refused journal is reported as such, a crash by its exit code).
+talking TCP over localhost, injects each process-level
+:class:`~repro.runtime.faults.FaultSpec` of the scenario into its party
+(as ``repro net --fault SPEC``; a sweep injects one per scenario), lets
+the built-in recovery machinery do its work — transparent reconnect
+for connection faults, restart + ``--resume`` over the durable journal
+for kills — and hands what it observed to the shared classifier
+(:func:`repro.runtime.chaos.classify`), judged against the solo
+in-process baseline: a party that exited 0 contributes its run
+profile, one that exited 2 its abort payload, and a hung scenario or
+any other exit code is a VIOLATION outright (a refused journal is
+reported as such, a crash by its exit code).
 
 The acceptance gate (``repro chaos --level process``) requires zero
 VIOLATIONs across kills at every plan node plus connection faults at
@@ -68,7 +69,7 @@ def _party_cmd(
     endpoint: str,
     journal: str,
     out: str,
-    fault: Optional[FaultSpec],
+    faults: Sequence[FaultSpec],
     resume: bool = False,
     python: str = sys.executable,
 ) -> List[str]:
@@ -85,8 +86,10 @@ def _party_cmd(
     ]
     if resume:
         cmd.append("--resume")
-    elif fault is not None and fault.party == role:
-        cmd.extend(["--fault", str(fault)])
+    else:
+        for spec in faults:
+            if spec.party == role:
+                cmd.extend(["--fault", str(spec)])
     return cmd
 
 
@@ -112,12 +115,16 @@ def _last_line(path: str) -> str:
 def run_scenario(
     config: NetConfig,
     baseline: RunProfile,
-    fault: Optional[FaultSpec],
+    faults: Sequence[FaultSpec],
     workdir: str,
     timeout_s: float = 120.0,
     python: str = sys.executable,
 ) -> Outcome:
-    """Launch both parties, inject ``fault``, recover, classify."""
+    """Launch both parties, inject each of ``faults`` into its party,
+    recover, classify.  The last spec names the scenario and, if it
+    kills, is the kill its party restarts from; earlier ones (a
+    disconnect before the kill) only ride along."""
+    fault = faults[-1] if faults else None
     os.makedirs(workdir, exist_ok=True)
     port = free_port()
     endpoint = f"127.0.0.1:{port}"
@@ -141,7 +148,7 @@ def run_scenario(
         procs[role] = subprocess.Popen(
             _party_cmd(
                 config, role, endpoint, paths[role]["journal"],
-                paths[role]["out"], fault, resume=resume, python=python,
+                paths[role]["out"], faults, resume=resume, python=python,
             ),
             stdout=log, stderr=subprocess.STDOUT, env=env,
         )
@@ -236,7 +243,7 @@ def sweep_processes(
             workdir, f"scenario-{next(numbers):03d}"
         )
         return run_scenario(
-            config, baseline, spec, scenario_dir,
+            config, baseline, [spec] if spec else [], scenario_dir,
             timeout_s=timeout_s, python=python,
         )
 

@@ -15,7 +15,7 @@ Flow of a party, fresh and resumed alike, on the one recovery path of
     config -> dataset, session; context and engine (deterministic)
     target : node 0 fresh; the journal's newest position on --resume
     replay : steps before the target run unattached — frames metered
-             locally, no journal append, no ACK, no socket
+             locally, no journal append, no socket
     attach : at the top of the target node, before its commit, the
              replayed position is checked against the record, then the
              journal, the party's faults and SocketTransport attach
@@ -234,7 +234,6 @@ def run_party(config: NetConfig) -> Dict[str, Any]:
             session_id=config.session_id,
             listen=config.listen,
             connect=config.connect,
-            seed=config.seed,
         )
 
     def attach() -> None:

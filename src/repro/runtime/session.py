@@ -248,10 +248,9 @@ class Session:
         :attr:`before_commit` with the node's ordinal; unless
         replaying, record the party's
         :class:`~repro.runtime.durable.Position` as :attr:`top`, and in
-        durable mode journal it (fsync'd), then — and only then — send
-        the peer a durable ACK carrying the committed expected counters
-        (what makes the peer's outbox a complete replay source after
-        any crash on this side)."""
+        durable mode journal it (fsync'd).  The peer learns nothing
+        here: its outbox keeps every frame it sent, so a restart from
+        any journalled position finds what it lost."""
         ordinal = self._plan_base + step_id
         if self.before_commit is not None:
             self.before_commit(ordinal)
@@ -260,8 +259,6 @@ class Session:
         self.top = Position.of(ordinal, self)
         if self.durable is not None:
             self.durable.save_checkpoint(self.top)
-            if self.wire is not None:
-                self.wire.ack(dict(self._expected))
 
 
 def enable_session(

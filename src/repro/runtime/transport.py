@@ -13,8 +13,8 @@ digest).  Any disagreement is a ``peer-divergence``
 :class:`~repro.runtime.aborts.TransportAbort` — the cross-process
 analogue of the session layer's checksum check.
 
-Transport control traffic — HELLO handshakes, ACKs, heartbeats, BYE —
-is deliberately **never metered**: the transcript of a two-process run
+Transport control traffic — HELLO handshakes, heartbeats, BYE — is
+deliberately **never metered**: the transcript of a two-process run
 stays byte-identical to the solo in-process run (the acceptance test
 of ``repro net``).
 
@@ -23,26 +23,30 @@ Reliability model
 
 * **Handshake** — on every (re)connect both sides exchange HELLO
   records carrying the session id, the role, and the per-sender
-  *expected* frame counters (next sequence number wanted).  A session
-  or role mismatch is ``handshake-failed``.
-* **Outbox replay** — transmitted frames stay in a bounded outbox
-  until the peer acknowledges them *durably*; ACKs are sent only at
-  checkpoint commits (see :class:`~repro.runtime.durable.DurableStore`),
-  so after any crash the outbox still covers everything since the
-  peer's last committed checkpoint.  After a handshake the sender
+  *expected* frame counters (next sequence number wanted, as the
+  session counts them: live, or replayed from the journal after a
+  ``--resume``).  A session or role mismatch is ``handshake-failed``.
+* **Outbox replay** — the outbox is the one replay source: it keeps
+  every frame this party has transmitted since it attached, and
+  nothing prunes it.  In the lockstep mirror a frame is a header only
+  and the plan fixes how many there are (Q3 sends about 25 per party
+  from 0.1 to 10 MB), so it needs no bound.  After a handshake the sender
   replays every outbox frame at or past the peer's expected counter;
-  the receiver drops already-seen sequence numbers.
+  the receiver drops already-seen sequence numbers.  A peer that
+  restarts from any journalled node therefore finds every frame it
+  lost, however many reconnects came first.
 * **Reconnect** — connection loss inside an exchange triggers
-  transparent re-establishment under a capped exponential backoff with
-  deterministic jitter (seeded RNG, never wall-clock entropy — the
-  schedule itself is replayable).  Exhausting the budget raises
-  ``connection-lost``; recovery from that point is process restart +
-  ``repro net --resume``, not an in-node retry, which would
+  transparent re-establishment on the fixed schedule
+  :data:`RECONNECT_DELAYS_S` (capped exponential; one dialer meets one
+  listener, so there is nothing to spread apart).  Exhausting it
+  raises ``connection-lost``; recovery from that point is process
+  restart + ``repro net --resume``, not an in-node retry, which would
   desynchronise the mirrors.
 * **Heartbeats** — a daemon thread emits unmetered keepalives so a
   peer that is busy computing a long node is distinguishable from a
-  dead one; only a *silent* connection (no bytes at all within the
-  idle timeout) is torn down and reconnected.
+  dead one; only a *silent* connection (no bytes at all within
+  :data:`IDLE_TIMEOUT_S`) is torn down and reconnected.  They are how
+  a survivor notices a peer host that dies without sending a FIN.
 
 See ``docs/ROBUSTNESS.md`` for the state machine.
 """
@@ -58,10 +62,7 @@ import struct
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Deque, Dict, Optional, Tuple
 
 from ..mpc.transcript import ALICE, BOB, other_party
 from .aborts import TransportAbort
@@ -73,7 +74,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "WIRE_MAGIC",
-    "ReconnectPolicy",
     "SocketTransport",
     "free_port",
 ]
@@ -85,16 +85,22 @@ _MSG_HEADER = struct.Struct("<4sBI")
 
 _MSG_HELLO = 1
 _MSG_FRAME = 2
-_MSG_ACK = 3
 _MSG_HEARTBEAT = 4
 _MSG_BYE = 5
 
-#: Unacknowledged frames kept for replay; one more aborts the exchange
-#: with ``outbox-overflow``.
-_OUTBOX_LIMIT = 8192
-
-#: Domain-separation constant for reconnect-jitter RNG subkeys.
-_RECONNECT_STREAM = 0x53594E54  # "SYNT"
+#: Seconds between two unmetered keepalives.
+HEARTBEAT_S = 0.25
+#: Seconds of total silence (not even a heartbeat) after which a
+#: connection is dead and is reconnected.
+IDLE_TIMEOUT_S = 10.0
+#: Hard bound, in seconds, on one frame exchange and on the finish
+#: barrier's linger.
+EXCHANGE_DEADLINE_S = 120.0
+#: The delay before each attempt of one reconnect episode: capped
+#: exponential, 0.05 s doubling to 2 s, ten attempts.
+RECONNECT_DELAYS_S = tuple(min(0.05 * 2 ** i, 2.0) for i in range(10))
+#: Bound, in seconds, on one dial or accept and on the peer's HELLO.
+ATTEMPT_TIMEOUT_S = 2.0
 
 
 def free_port(host: str = "127.0.0.1") -> int:
@@ -102,36 +108,6 @@ def free_port(host: str = "127.0.0.1") -> int:
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as s:
         s.bind((host, 0))
         return int(s.getsockname()[1])
-
-
-@dataclass(frozen=True)
-class ReconnectPolicy:
-    """Capped exponential backoff with deterministic jitter.
-
-    The jitter is drawn from a seeded RNG keyed on ``(stream, seed,
-    reconnect index)`` — never wall-clock or :mod:`random` — so a
-    party's reconnect schedule is a pure function of its seed and its
-    reconnect count, replayable across runs."""
-
-    max_attempts: int = 10
-    base_delay_s: float = 0.05
-    max_delay_s: float = 2.0
-    jitter_frac: float = 0.25
-    attempt_timeout_s: float = 2.0
-
-    def schedule(self, seed: int, reconnect_index: int) -> List[float]:
-        """Pre-retry delays for one reconnect episode (length
-        ``max_attempts``; entry *i* precedes attempt *i*)."""
-        rng = np.random.default_rng(
-            [_RECONNECT_STREAM, int(seed), int(reconnect_index)]
-        )
-        delays = []
-        for attempt in range(self.max_attempts):
-            base = min(
-                self.base_delay_s * (2 ** attempt), self.max_delay_s
-            )
-            delays.append(base * (1.0 + self.jitter_frac * float(rng.random())))
-        return delays
 
 
 def _encode(msg_type: int, payload: bytes) -> bytes:
@@ -170,11 +146,9 @@ class SocketTransport:
     Attach to a session (``session.wire = transport`` via
     :meth:`attach`), then :meth:`start` establishes the connection and
     runs the first handshake.  The session calls :meth:`exchange` for
-    every delivered frame and :meth:`ack` at every durable checkpoint
-    commit; the runner calls :meth:`close` after the final barrier.
-    The three timings are in seconds: the heartbeat interval, the
-    silent-connection window before a reconnect, and the hard bound on
-    one frame exchange.
+    every delivered frame; the runner calls :meth:`finish_barrier` and
+    :meth:`close` after the session's final barrier.  Its timings are
+    the module constants.
     """
 
     def __init__(
@@ -183,12 +157,6 @@ class SocketTransport:
         session_id: str,
         listen: Optional[Tuple[str, int]] = None,
         connect: Optional[Tuple[str, int]] = None,
-        reconnect: Optional[ReconnectPolicy] = None,
-        seed: int = 0,
-        *,
-        heartbeat_s: float = 0.25,
-        idle_timeout_s: float = 10.0,
-        exchange_deadline_s: float = 120.0,
     ) -> None:
         if role not in (ALICE, BOB):
             raise ValueError(f"unknown role {role!r}")
@@ -199,11 +167,6 @@ class SocketTransport:
         self.session_id = session_id
         self.listen = listen
         self.connect = connect
-        self.reconnect = reconnect or ReconnectPolicy()
-        self.seed = int(seed)
-        self.heartbeat_s = float(heartbeat_s)
-        self.idle_timeout_s = float(idle_timeout_s)
-        self.exchange_deadline_s = float(exchange_deadline_s)
 
         self.session: Optional["Session"] = None
         self._sock: Optional[socket.socket] = None
@@ -223,8 +186,6 @@ class SocketTransport:
             "dup_skipped": 0,
             "replayed": 0,
             "reconnects": 0,
-            "acks_sent": 0,
-            "acks_received": 0,
             "heartbeats_sent": 0,
         }
 
@@ -249,18 +210,17 @@ class SocketTransport:
             self._listener.bind(self.listen)
             self._listener.listen(8)
         self._reconnect_loop(initial=True)
-        if self.heartbeat_s > 0:
-            self._hb_thread = threading.Thread(
-                target=self._heartbeat_loop, daemon=True
-            )
-            self._hb_thread.start()
+        self._hb_thread = threading.Thread(
+            target=self._heartbeat_loop, daemon=True
+        )
+        self._hb_thread.start()
 
-    def finish_barrier(self, timeout_s: Optional[float] = None) -> bool:
+    def finish_barrier(self) -> bool:
         """Graceful shutdown handshake after the session's final
         barrier: announce BYE, then keep serving the connection —
         answering reconnect handshakes, replaying the outbox, dropping
         duplicate frames — until the peer's BYE arrives (``True``) or
-        the timeout elapses (``False``).
+        :data:`EXCHANGE_DEADLINE_S` elapses (``False``).
 
         This is what makes a *tail-node* kill recoverable: the
         surviving party may have everything it needs and finish first,
@@ -269,10 +229,7 @@ class SocketTransport:
         of vanishing the moment its own run completes."""
         if self._sock is None and self._listener is None:
             return self._peer_bye
-        budget = (
-            self.exchange_deadline_s if timeout_s is None else timeout_s
-        )
-        deadline = time.monotonic() + budget
+        deadline = time.monotonic() + EXCHANGE_DEADLINE_S
         try:
             self._send_raw(_encode(_MSG_BYE, b""))
         except OSError:
@@ -296,10 +253,10 @@ class SocketTransport:
             self._parse_buffer()
         return self._peer_bye
 
-    def close(self, say_bye: bool = True) -> None:
+    def close(self) -> None:
         self._closed = True
         self._hb_stop.set()
-        if say_bye and self._sock is not None:
+        if self._sock is not None:
             try:
                 self._send_raw(_encode(_MSG_BYE, b""))
             except OSError:
@@ -350,46 +307,17 @@ class SocketTransport:
         if spec.kind in ("stall", "partition"):
             time.sleep(spec.ms / 1000.0)
 
-    def ack(self, expected: Dict[str, int]) -> None:
-        """Durable acknowledgement: tells the peer every frame below
-        ``expected`` survives a crash on this side (sent at checkpoint
-        commits only — see the module docstring)."""
-        payload = json.dumps(
-            {"expected": dict(expected)}, sort_keys=True
-        ).encode()
-        try:
-            self._send_raw(_encode(_MSG_ACK, payload))
-            self.stats["acks_sent"] += 1
-        except OSError:
-            # A lost ACK only delays outbox pruning; the next
-            # handshake resynchronises.
-            pass
-
     # -- sending ---------------------------------------------------------
 
     def _transmit(self, frame: Frame) -> None:
         self._outbox.append(frame)
-        if len(self._outbox) > _OUTBOX_LIMIT:
-            raise TransportAbort(
-                "outbox-overflow",
-                node=self._node(),
-                label=frame.label,
-                seq=frame.seq,
-                party=self.role,
-            )
-        deadline = time.monotonic() + self.exchange_deadline_s
-        while True:
-            try:
-                self._send_raw(_encode(_MSG_FRAME, _frame_payload(frame)))
-                self.stats["frames_sent"] += 1
-                break
-            except OSError:
-                self._reconnect_or_abort(deadline, frame)
-                # The handshake replay already retransmitted this
-                # frame (it is in the outbox); done.
-                self.stats["frames_sent"] += 1
-                break
-        self._poll_control()
+        try:
+            self._send_raw(_encode(_MSG_FRAME, _frame_payload(frame)))
+        except OSError:
+            # The handshake replay retransmits this frame: it is in
+            # the outbox.
+            self._reconnect()
+        self.stats["frames_sent"] += 1
 
     def _send_raw(self, data: bytes) -> None:
         with self._send_lock:
@@ -403,7 +331,7 @@ class SocketTransport:
         session = self.session
         assert session is not None
         want = session._expected[expected.sender]
-        deadline = time.monotonic() + self.exchange_deadline_s
+        deadline = time.monotonic() + EXCHANGE_DEADLINE_S
         while True:
             got = self._next_frame(deadline, expected)
             if got.sender != expected.sender:
@@ -461,12 +389,12 @@ class SocketTransport:
             try:
                 got_data = self._fill_buffer(deadline)
             except OSError:
-                self._reconnect_or_abort(deadline, expected)
+                self._reconnect()
                 continue
             if not got_data:
                 # A whole idle window with zero bytes: even an idle
                 # peer heartbeats, so the connection is dead.
-                self._reconnect_or_abort(deadline, expected)
+                self._reconnect()
                 continue
             self._parse_buffer()
 
@@ -486,7 +414,7 @@ class SocketTransport:
         — readiness is select-gated, so the heartbeat thread's sends
         never race a timeout mode change)."""
         remaining = deadline - time.monotonic()
-        window = min(max(remaining, 0.05), self.idle_timeout_s)
+        window = min(max(remaining, 0.05), IDLE_TIMEOUT_S)
         if not self._wait_readable(window):
             return False
         sock = self._sock
@@ -518,8 +446,6 @@ class SocketTransport:
             del self._recv_buf[:end]
             if msg_type == _MSG_FRAME:
                 self._inbox.append(_frame_from_payload(payload))
-            elif msg_type == _MSG_ACK:
-                self._handle_ack(payload)
             elif msg_type == _MSG_HEARTBEAT:
                 pass
             elif msg_type == _MSG_BYE:
@@ -532,64 +458,25 @@ class SocketTransport:
                     "peer-divergence", node=self._node(), party=self.peer
                 )
 
-    def _poll_control(self) -> None:
-        """Drain any already-arrived bytes without blocking (ACK
-        pruning keeps the outbox small while this side is sending)."""
-        try:
-            while self._wait_readable(0.0):
-                sock = self._sock
-                if sock is None:
-                    return
-                chunk = sock.recv(65536)
-                if not chunk:
-                    return
-                self._recv_buf.extend(chunk)
-        except OSError:
-            # A dead connection surfaces at the next blocking exchange.
-            return
-        self._parse_buffer()
-
-    def _handle_ack(self, payload: bytes) -> None:
-        expected = json.loads(payload.decode())["expected"]
-        self.stats["acks_received"] += 1
-        self._prune_outbox(int(expected.get(self.role, 0)))
-
-    def _prune_outbox(self, peer_expected: int) -> None:
-        while self._outbox and self._outbox[0].seq < peer_expected:
-            self._outbox.popleft()
-
     # -- connection management -------------------------------------------
 
     def _node(self) -> Optional[int]:
         return self.session.node if self.session is not None else None
 
-    def _reconnect_or_abort(self, deadline: float, frame: Frame) -> None:
+    def _reconnect(self) -> None:
         if self._closed:
             raise TransportAbort(
                 "connection-lost", node=self._node(), party=self.peer
             )
-        try:
-            self._reconnect_loop(initial=False)
-        except TransportAbort:
-            raise
-        except OSError:
-            raise TransportAbort(
-                "connection-lost",
-                node=self._node(),
-                label=frame.label,
-                seq=frame.seq,
-                party=self.peer,
-            ) from None
+        self._reconnect_loop(initial=False)
 
     def _reconnect_loop(self, initial: bool) -> None:
-        """Establish + handshake under the backoff schedule."""
-        episode = self.stats["reconnects"]
+        """Establish + handshake on the reconnect schedule."""
         if not initial:
             self.stats["reconnects"] += 1
             self._drop_socket()
-        delays = self.reconnect.schedule(self.seed, episode)
         last_error: Optional[Exception] = None
-        for attempt, delay in enumerate(delays):
+        for attempt, delay in enumerate(RECONNECT_DELAYS_S):
             if attempt > 0 or not initial:
                 time.sleep(delay)
             try:
@@ -606,17 +493,18 @@ class SocketTransport:
             "connection-lost",
             node=self._node(),
             party=self.peer,
-            attempts=len(delays),
+            attempts=len(RECONNECT_DELAYS_S),
         ) from last_error
 
     def _establish(self) -> None:
-        timeout = self.reconnect.attempt_timeout_s
         if self._listener is not None:
-            self._listener.settimeout(timeout)
+            self._listener.settimeout(ATTEMPT_TIMEOUT_S)
             conn, _addr = self._listener.accept()
         else:
             assert self.connect is not None
-            conn = socket.create_connection(self.connect, timeout=timeout)
+            conn = socket.create_connection(
+                self.connect, timeout=ATTEMPT_TIMEOUT_S
+            )
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn.settimeout(None)  # blocking; all waits are select-gated
         with self._send_lock:
@@ -624,8 +512,8 @@ class SocketTransport:
         self._recv_buf.clear()
 
     def _handshake(self) -> None:
-        """Exchange HELLOs, then replay the outbox tail the peer has
-        not durably acknowledged."""
+        """Exchange HELLOs, then replay every outbox frame the peer
+        still expects."""
         session = self.session
         expected = dict(session._expected) if session is not None else {}
         hello = json.dumps(
@@ -648,7 +536,6 @@ class SocketTransport:
         peer_expected = int(
             peer_hello.get("expected", {}).get(self.role, 0)
         )
-        self._prune_outbox(peer_expected)
         for frame in self._outbox:
             if frame.seq >= peer_expected:
                 self._send_raw(
@@ -659,7 +546,7 @@ class SocketTransport:
     def _recv_hello(self) -> Dict[str, Any]:
         """The peer's HELLO, skipping any stale pre-reconnect traffic
         still buffered ahead of it."""
-        deadline = time.monotonic() + self.reconnect.attempt_timeout_s
+        deadline = time.monotonic() + ATTEMPT_TIMEOUT_S
         while True:
             while len(self._recv_buf) >= _MSG_HEADER.size:
                 magic, msg_type, length = _MSG_HEADER.unpack_from(
@@ -677,19 +564,17 @@ class SocketTransport:
                     if not isinstance(out, dict):
                         raise ConnectionError("malformed HELLO")
                     return out
-                # Frames/ACKs that raced ahead of the HELLO belong to
-                # the new connection's replay; keep them.
+                # Frames that raced ahead of the HELLO belong to the
+                # new connection's replay; keep them.
                 if msg_type == _MSG_FRAME:
                     self._inbox.append(_frame_from_payload(payload))
-                elif msg_type == _MSG_ACK:
-                    self._handle_ack(payload)
                 elif msg_type == _MSG_BYE:
                     self._peer_bye = True
             if time.monotonic() >= deadline or not self._fill_buffer(deadline):
                 raise ConnectionError("handshake timed out")
 
     def _heartbeat_loop(self) -> None:  # pragma: no cover - timing thread
-        while not self._hb_stop.wait(self.heartbeat_s):
+        while not self._hb_stop.wait(HEARTBEAT_S):
             try:
                 self._send_raw(_encode(_MSG_HEARTBEAT, b""))
                 self.stats["heartbeats_sent"] += 1

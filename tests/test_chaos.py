@@ -137,11 +137,11 @@ def process_oov(tmp_path, monkeypatch):
     )
     monkeypatch.setattr(
         netchaos, "_party_cmd",
-        lambda config, role, endpoint, journal, out, fault, **kw: [
+        lambda config, role, endpoint, journal, out, faults, **kw: [
             sys.executable, "-c", script, out,
         ],
     )
-    return run_scenario(CONFIG, solo_profile(CONFIG), None, str(tmp_path))
+    return run_scenario(CONFIG, solo_profile(CONFIG), [], str(tmp_path))
 
 
 @pytest.mark.parametrize(

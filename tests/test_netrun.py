@@ -30,9 +30,9 @@ def baseline():
     return solo_profile(CONFIG)
 
 
-def scenario(baseline, tmp_path, fault):
+def scenario(baseline, tmp_path, *faults):
     outcome = run_scenario(
-        CONFIG, baseline, fault, str(tmp_path), timeout_s=90.0
+        CONFIG, baseline, faults, str(tmp_path), timeout_s=90.0
     )
     assert outcome.classification == "completed-correct", str(outcome)
     return outcome
@@ -40,7 +40,7 @@ def scenario(baseline, tmp_path, fault):
 
 class TestTwoProcess:
     def test_clean_run_matches_solo(self, baseline, tmp_path):
-        outcome = scenario(baseline, tmp_path, None)
+        outcome = scenario(baseline, tmp_path)
         assert not outcome.resumed
         assert outcome.reconnects == 0
 
@@ -89,6 +89,21 @@ class TestTwoProcess:
         )
         assert outcome.reconnects >= 1
 
+    @pytest.mark.parametrize("victim", ["alice", "bob"])
+    def test_kill_after_a_reconnect_resumes_to_parity(
+        self, baseline, tmp_path, victim
+    ):
+        """A party reconnects, is killed two exchanges later and
+        resumes from an earlier node: the peer's outbox still holds
+        every frame the resumed party lost (the reconnect handshake
+        must not prune it on counters the kill wipes out)."""
+        outcome = scenario(
+            baseline, tmp_path,
+            FaultSpec.parse(f"disconnect@22/{victim}"),
+            FaultSpec.parse(f"kill-wire@24/{victim}"),
+        )
+        assert outcome.resumed
+
 
 class TestSpecBuilder:
     def test_kill_covers_every_node(self, baseline):
@@ -127,14 +142,14 @@ class TestSpecBuilder:
         for kind in PROCESS_FAULT_KINDS:
             spec = FaultSpec.make(kind, 5, party="bob")
             cmd = netchaos._party_cmd(
-                CONFIG, "bob", "127.0.0.1:1", "j", "o", spec
+                CONFIG, "bob", "127.0.0.1:1", "j", "o", [spec]
             )
             argv = cmd[cmd.index("net"):]
             assert argv[argv.index("--fault") + 1] == str(spec)
             assert build_parser().parse_args(argv).fault == [spec]
             for role, resume in (("alice", False), ("bob", True)):
                 cmd = netchaos._party_cmd(
-                    CONFIG, role, "127.0.0.1:1", "j", "o", spec,
+                    CONFIG, role, "127.0.0.1:1", "j", "o", [spec],
                     resume=resume,
                 )
                 assert "--fault" not in cmd

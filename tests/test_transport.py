@@ -1,11 +1,11 @@
-"""The socket transport: codec, reconnect policy, lockstep loopback.
+"""The socket transport: codec, process-level faults, lockstep loopback.
 
 Two-process integration (real ``repro net`` subprocesses, SIGKILL,
 ``--resume``) lives in ``tests/test_netrun.py``; this file covers the
-transport's in-process surface — the wire codec, the deterministic
-reconnect schedule, where process-level faults fire, and a
-two-transport loopback over a real localhost socket pair driven from
-two threads.
+transport's in-process surface — the wire codec, where process-level
+faults fire, and a two-transport loopback over a real localhost socket
+pair driven from two threads, with the transport's timing constants
+shortened.
 """
 
 import threading
@@ -23,7 +23,6 @@ from repro.runtime.transport import (
     _MSG_FRAME,
     _MSG_HEADER,
     WIRE_MAGIC,
-    ReconnectPolicy,
     SocketTransport,
     _encode,
     _frame_from_payload,
@@ -64,37 +63,6 @@ class TestCodec:
         assert again.wire_bytes == frame.wire_bytes
 
 
-class TestReconnectPolicy:
-    def test_schedule_is_deterministic(self):
-        policy = ReconnectPolicy()
-        a = policy.schedule(seed=7, reconnect_index=0)
-        b = policy.schedule(seed=7, reconnect_index=0)
-        assert a == b
-
-    def test_schedule_varies_with_seed_and_episode(self):
-        policy = ReconnectPolicy()
-        assert policy.schedule(7, 0) != policy.schedule(8, 0)
-        assert policy.schedule(7, 0) != policy.schedule(7, 1)
-
-    def test_capped_exponential_envelope(self):
-        policy = ReconnectPolicy(
-            max_attempts=8, base_delay_s=0.05, max_delay_s=0.4,
-            jitter_frac=0.25,
-        )
-        delays = policy.schedule(seed=1, reconnect_index=0)
-        assert len(delays) == 8
-        for i, d in enumerate(delays):
-            base = min(0.05 * (2 ** i), 0.4)
-            assert base <= d <= base * 1.25
-
-    def test_zero_jitter_is_exact(self):
-        policy = ReconnectPolicy(
-            max_attempts=4, base_delay_s=0.1, max_delay_s=0.4,
-            jitter_frac=0.0,
-        )
-        assert policy.schedule(3, 0) == [0.1, 0.2, 0.4, 0.4]
-
-
 class _Killed(Exception):
     """Stands in for the SIGKILL a process-level fault sends."""
 
@@ -119,8 +87,7 @@ class _Socketless(SocketTransport):
 
     def __init__(self, specs):
         super().__init__(
-            role=ALICE, session_id="fake", listen=("127.0.0.1", 0),
-            heartbeat_s=0.1, idle_timeout_s=5.0, exchange_deadline_s=20.0,
+            role=ALICE, session_id="fake", listen=("127.0.0.1", 0)
         )
         self.attach(_SessionStub(FaultPlan(specs)))
         self.events = []
@@ -217,8 +184,23 @@ class _SessionStub:
         self.node = None
 
 
+@pytest.fixture
+def short_reconnects(monkeypatch):
+    """Three reconnect attempts: a party whose peer aborted spends its
+    whole reconnect budget before ``connection-lost``."""
+    monkeypatch.setattr(
+        transport_module, "RECONNECT_DELAYS_S", (0.05, 0.1, 0.2)
+    )
+
+
 class TestLoopback:
     """Both roles in one process, over a real localhost socket."""
+
+    @pytest.fixture(autouse=True)
+    def short_timings(self, monkeypatch):
+        monkeypatch.setattr(transport_module, "HEARTBEAT_S", 0.1)
+        monkeypatch.setattr(transport_module, "IDLE_TIMEOUT_S", 5.0)
+        monkeypatch.setattr(transport_module, "EXCHANGE_DEADLINE_S", 20.0)
 
     def run_party(
         self,
@@ -227,7 +209,6 @@ class TestLoopback:
         frames,
         results,
         faults=(),
-        reconnect=None,
         session_id="loopback-test",
     ):
         transport = SocketTransport(
@@ -235,11 +216,6 @@ class TestLoopback:
             session_id=session_id,
             listen=("127.0.0.1", port) if role == ALICE else None,
             connect=("127.0.0.1", port) if role == BOB else None,
-            reconnect=reconnect,
-            seed=7,
-            heartbeat_s=0.1,
-            idle_timeout_s=5.0,
-            exchange_deadline_s=20.0,
         )
         transport.attach(_SessionStub(FaultPlan(faults)))
         try:
@@ -248,7 +224,7 @@ class TestLoopback:
                 transport.exchange(frame)
                 # Mirror Session._deliver's post-exchange bookkeeping.
                 transport.session._expected[frame.sender] += 1
-            transport.finish_barrier(timeout_s=5.0)
+            transport.finish_barrier()
             results[role] = dict(transport.stats)
         except BaseException as exc:  # pragma: no cover - surfaced below
             results[role] = exc
@@ -313,7 +289,7 @@ class TestLoopback:
         )
 
     def test_peer_of_another_wire_format_fails_the_handshake(
-        self, monkeypatch
+        self, monkeypatch, short_reconnects
     ):
         """``repro net``'s session id digests the wire format: a peer
         built for the previous one is refused at HELLO, before any
@@ -326,12 +302,11 @@ class TestLoopback:
             patch.setattr(costs, "WIRE_FORMAT", costs.WIRE_FORMAT - 1)
             ids[BOB] = NetConfig(role=BOB).session_id
         port, results = free_port(), {}
-        short = ReconnectPolicy(max_attempts=3, max_delay_s=0.2)
         threads = [
             threading.Thread(
                 target=self.run_party,
                 args=(role, port, self.mirrored_frames(4), results),
-                kwargs={"reconnect": short, "session_id": ids[role]},
+                kwargs={"session_id": ids[role]},
             )
             for role in (ALICE, BOB)
         ]
@@ -347,7 +322,7 @@ class TestLoopback:
         assert "handshake-failed" in reasons, results
         assert reasons <= {"handshake-failed", "connection-lost"}, results
 
-    def test_divergent_mirror_aborts(self):
+    def test_divergent_mirror_aborts(self, short_reconnects):
         port = free_port()
         results = {}
         good = self.mirrored_frames(6)
@@ -356,12 +331,10 @@ class TestLoopback:
         evil[3] = make_frame(good[3].seq, BOB, n_bytes=4096)
         # Alice aborts at once; the survivor then spends its reconnect
         # budget before connection-lost, so keep that budget short.
-        short = ReconnectPolicy(max_attempts=3, max_delay_s=0.2)
         threads = [
             threading.Thread(
                 target=self.run_party,
                 args=(role, port, frames, results),
-                kwargs={"reconnect": short},
             )
             for role, frames in ((ALICE, good), (BOB, evil))
         ]
