@@ -14,9 +14,10 @@ the benchmark harness and tests:
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
-from .runner import FigureRow
+if TYPE_CHECKING:
+    from .runner import FigureRow
 
 __all__ = ["growth_exponent", "check_figure_shape"]
 

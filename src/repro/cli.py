@@ -30,7 +30,6 @@ import argparse
 import json
 import sys
 
-from .bench import check_figure_shape, format_figure, run_figure
 from .exec import ExecutionTrace
 from .leakage import BACKENDS
 from .mpc import Engine, Mode
@@ -72,6 +71,8 @@ def _write_json(path: str, payload) -> None:
 
 
 def _cmd_figures(args) -> int:
+    from .bench import check_figure_shape, format_figure, run_figure
+
     failures = 0
     all_rows = []
     for name in args.queries:
@@ -94,6 +95,12 @@ def _cmd_figures(args) -> int:
             fh.write("[\n" + ",\n".join(lines) + "\n]\n")
         print(f"wrote {len(lines)} rows to {args.json}")
     return 1 if failures else 0
+
+
+def _cmd_lint(args) -> int:
+    from .lint.runner import cmd_lint
+
+    return cmd_lint(args)
 
 
 def _run_tpch(args, tracer=None):
@@ -784,10 +791,16 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="obliviousness & channel-discipline static analysis",
     )
-    from .lint.runner import add_lint_arguments, cmd_lint
-
-    add_lint_arguments(p)
-    p.set_defaults(fn=cmd_lint)
+    p.add_argument(
+        "paths", nargs="*", default=["src"],
+        help="files or directories to lint (default: src)",
+    )
+    p.add_argument("--format", choices=["text", "sarif"], default="text")
+    p.add_argument(
+        "--changed", action="store_true",
+        help="lint only .py files changed vs HEAD (pre-commit mode)",
+    )
+    p.set_defaults(fn=_cmd_lint)
 
     p = sub.add_parser("demo", help="run the quickstart example")
     p.set_defaults(fn=_cmd_demo)

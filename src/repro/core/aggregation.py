@@ -17,7 +17,9 @@ access pattern depend only on the (public) input size.
 The owner-local sort runs columnar: group keys become ``int64`` row
 codes (:func:`~repro.relalg.columns.joint_row_codes`) and one
 ``np.argsort`` yields both the permutation and the same-as-next
-boundary flags — no per-tuple encoding.  The sort order (code order) is
+boundary flags — no per-tuple encoding — once per store and key
+(:meth:`~repro.relalg.columns.TupleStore.sort_layout`, and ``groups``
+on the plain path), not on every run.  The sort order (code order) is
 deterministic and mode-independent; only the *grouping* matters to the
 protocol, and the transcript depends only on the public size ``n``.
 
@@ -28,7 +30,7 @@ input size so no intermediate cardinality is disclosed downstream.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -38,23 +40,11 @@ from ..relalg.columns import (
     TupleStore,
     group_by_first_appearance,
     joint_row_codes,
-    sort_with_same_flags,
 )
 from .oriented import OrientedEngine
 from .relation import SecureAnnotations, SecureRelation
 
 __all__ = ["oblivious_aggregate", "oblivious_support_projection"]
-
-
-def _group_layout(
-    rel: SecureRelation, attrs: Tuple[str, ...]
-) -> Tuple[np.ndarray, TupleStore, np.ndarray]:
-    """Owner-local: the sort order over tuples by group key, the
-    projected store in that order, and the same-as-next boundary flags."""
-    proj = rel.store.project(attrs)
-    codes = joint_row_codes([proj])[0]
-    order, same = sort_with_same_flags(codes)
-    return order, proj.take(order), same
 
 
 def _output_store(
@@ -91,18 +81,16 @@ def oblivious_aggregate(
 
     if rel.annotations.kind == "plain":
         # Section 6.5 fast path: entirely local to the owner.
-        proj = rel.store.project(attrs)
-        codes = joint_row_codes([proj])[0]
-        gid, first = group_by_first_appearance(codes)
+        gid, keys = rel.store.groups(attrs)
         assert rel.annotations.values is not None
-        sums = np.zeros(len(first), dtype=np.uint64)
+        sums = np.zeros(len(keys), dtype=np.uint64)
         np.add.at(sums, gid, rel.annotations.values)
         sums &= engine.ctx.mask
-        out_store = proj.take(first).with_dummies(
-            engine.ctx.dummy_nonces(n - len(first))
+        out_store = keys.with_dummies(
+            engine.ctx.dummy_nonces(n - len(keys))
         )
         out_annots = np.zeros(n, dtype=np.uint64)
-        out_annots[: len(first)] = sums
+        out_annots[: len(keys)] = sums
         return SecureRelation(
             rel.owner,
             attrs,
@@ -112,7 +100,7 @@ def oblivious_aggregate(
 
     oe = OrientedEngine(engine, rel.owner)
     with engine.ctx.section(label):
-        order, sorted_proj, same = _group_layout(rel, attrs)
+        order, sorted_proj, same = rel.store.sort_layout(attrs)
         assert rel.annotations.shares is not None
         permuted = oe.oep(order, rel.annotations.shares, n, label="oep")
         merged = oe.merge_aggregate_sum(same, permuted)
@@ -160,7 +148,7 @@ def oblivious_support_projection(
 
     oe = OrientedEngine(engine, rel.owner)
     with engine.ctx.section(label):
-        order, sorted_proj, same = _group_layout(rel, attrs)
+        order, sorted_proj, same = rel.store.sort_layout(attrs)
         assert rel.annotations.shares is not None
         permuted = oe.oep(order, rel.annotations.shares, n, label="oep")
         indicators = oe.indicator_nonzero(permuted)

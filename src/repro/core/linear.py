@@ -29,11 +29,7 @@ from ..leakage import leaks
 from ..mpc.context import Context
 from ..mpc.engine import Engine
 from ..mpc.sharing import SharedVector
-from ..relalg.columns import (
-    TupleStore,
-    group_by_first_appearance,
-    joint_row_codes,
-)
+from ..relalg.columns import TupleStore
 from .oriented import OrientedEngine
 from .relation import SecureAnnotations, SecureRelation, row_digests
 
@@ -47,10 +43,8 @@ def _key_rows(
     ``X = pi_{F'}(parent)`` deduplicated and padded with dummies to
     ``M`` rows, plus ``gid`` — parent row ``i``'s key is ``X`` row
     ``gid[i]``."""
-    proj = parent.store.project(child.attributes)
-    gid, first = group_by_first_appearance(joint_row_codes([proj])[0])
-    pad = ctx.dummy_nonces(len(parent) - len(first))
-    return proj.take(first).with_dummies(pad), gid
+    gid, keys = parent.store.groups(child.attributes)
+    return keys.with_dummies(ctx.dummy_nonces(len(parent) - len(keys))), gid
 
 
 @leaks("join_pattern:parent")

@@ -1,5 +1,7 @@
 """Lint orchestration: file discovery, the rule, suppressions, and the
-``repro lint`` sub-command (its arguments and handler).
+``repro lint`` sub-command's handler (its arguments are in
+:mod:`repro.cli`, which builds every sub-command's parser without
+importing the linter).
 
 The run pipeline is::
 
@@ -11,7 +13,6 @@ The run pipeline is::
 
 from __future__ import annotations
 
-import argparse
 import subprocess
 from pathlib import Path
 from typing import (
@@ -186,18 +187,6 @@ def run_lint(
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
-
-
-def add_lint_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "paths", nargs="*", default=["src"],
-        help="files or directories to lint (default: src)",
-    )
-    p.add_argument("--format", choices=["text", "sarif"], default="text")
-    p.add_argument(
-        "--changed", action="store_true",
-        help="lint only .py files changed vs HEAD (pre-commit mode)",
-    )
 
 
 def cmd_lint(args) -> int:

@@ -306,7 +306,9 @@ def sorted_lookup(
     """``(order, slot)``: ``order`` sorts ``keys`` and ``slot[i]`` is
     the position of ``queries[i]`` in the sorted keys, or ``-1`` when it
     is absent — one argsort + one ``searchsorted`` in place of a dict
-    probe per query.
+    probe per query.  The queries are probed in sorted order, so the
+    binary searches sweep the keys once instead of jumping about them,
+    and their slots are scattered back.
 
     ``keys`` must be distinct, so the order is the one sort of them
     whatever the algorithm; a duplicate, found in one pass over the
@@ -317,5 +319,9 @@ def sorted_lookup(
     srt = keys[order]
     if (srt[1:] == srt[:-1]).any():
         raise ValueError("sorted_lookup requires distinct keys")
-    pos = np.minimum(np.searchsorted(srt, queries), len(keys) - 1)
-    return order, np.where(srt[pos] == queries, pos, -1)
+    by_query = np.argsort(queries)
+    probes = queries[by_query]
+    pos = np.minimum(np.searchsorted(srt, probes), len(keys) - 1)
+    slot = np.empty(len(queries), dtype=np.int64)
+    slot[by_query] = np.where(srt[pos] == probes, pos, -1)
+    return order, slot

@@ -244,9 +244,15 @@ class TupleStore:
     ``nonce[i] == 0`` means row ``i`` is the real tuple spelled by the
     columns; ``nonce[i] == k != 0`` means row ``i`` is the dummy tuple
     ``((DUMMY_MARKER, k),) * arity`` and its column codes are ignored.
+
+    A store lays out its own tuples once: :meth:`groups` and
+    :meth:`sort_layout` memoise, per attribute tuple, derivations that
+    are functions of the rows alone (never of a salt, a seed or
+    annotations), as read-only arrays, so a prepared query's input
+    stores are grouped and sorted on their first run only.
     """
 
-    __slots__ = ("attributes", "columns", "nonce", "_rows")
+    __slots__ = ("attributes", "columns", "nonce", "_rows", "_memo")
 
     def __init__(
         self,
@@ -258,6 +264,7 @@ class TupleStore:
         self.columns = columns
         self.nonce = nonce
         self._rows: Optional[List[Tuple[Any, ...]]] = None
+        self._memo: Dict[Tuple[str, Tuple[str, ...]], Any] = {}
         for c in columns:
             if len(c) != len(nonce):
                 raise ValueError("column lengths disagree")
@@ -431,6 +438,47 @@ class TupleStore:
             np.concatenate([self.nonce, pad_nonce]),
         )
 
+    # -- owner-local layouts (memoised) ---------------------------------
+
+    def groups(
+        self, attrs: Sequence[str]
+    ) -> Tuple[np.ndarray, "TupleStore"]:
+        """``(gid, keys)``: the distinct projections onto ``attrs`` in
+        first-appearance order (``keys``) and, per row, the index of its
+        projection among them (``gid``)."""
+        key = ("groups", tuple(attrs))
+        hit: Optional[Tuple[np.ndarray, TupleStore]] = self._memo.get(key)
+        if hit is None:
+            proj = self.project(key[1])
+            gid, first = group_by_first_appearance(
+                joint_row_codes([proj])[0]
+            )
+            hit = (_frozen(gid), _frozen_store(proj.take(first)))
+            self._memo[key] = hit
+        return hit
+
+    def sort_layout(
+        self, attrs: Sequence[str]
+    ) -> Tuple[np.ndarray, "TupleStore", np.ndarray]:
+        """``(order, sorted_proj, same)``: a stable sort of the rows by
+        their projection onto ``attrs``, that projection in sorted
+        order, and its same-as-next flags
+        (:func:`sort_with_same_flags`)."""
+        key = ("sorted", tuple(attrs))
+        hit: Optional[Tuple[np.ndarray, TupleStore, np.ndarray]] = (
+            self._memo.get(key)
+        )
+        if hit is None:
+            proj = self.project(key[1])
+            order, same = sort_with_same_flags(joint_row_codes([proj])[0])
+            hit = (
+                _frozen(order),
+                _frozen_store(proj.take(order)),
+                _frozen(same),
+            )
+            self._memo[key] = hit
+        return hit
+
     # -- row views ------------------------------------------------------
 
     def materialize(self) -> List[Tuple[Any, ...]]:
@@ -447,6 +495,19 @@ class TupleStore:
                     rows[i] = tuple(nv for _ in range(self.arity))
             self._rows = rows
         return self._rows
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _frozen_store(store: TupleStore) -> TupleStore:
+    """``store`` (freshly gathered, so it owns its arrays) read-only."""
+    for c in store.columns:
+        _frozen(c.codes)
+    _frozen(store.nonce)
+    return store
 
 
 # ----------------------------------------------------------------------

@@ -61,11 +61,9 @@ def aggregate(
     if not attrs and not len(rel):
         # pi_{}^(+) of an empty relation is the empty tuple annotated 0.
         return AnnotatedRelation(attrs, [()], [sr.zero], sr)
-    proj = rel.store.project(attrs)
-    codes = joint_row_codes([proj])[0]
-    gid, first = group_by_first_appearance(codes)
-    sums = sr.reduce_groups(rel.annotations, gid, len(first))
-    return AnnotatedRelation(attrs, proj.take(first), sums, sr)
+    gid, keys = rel.store.groups(attrs)
+    sums = sr.reduce_groups(rel.annotations, gid, len(keys))
+    return AnnotatedRelation(attrs, keys, sums, sr)
 
 
 def support_projection(

@@ -41,7 +41,9 @@ Reliability model
   listener, so there is nothing to spread apart).  Exhausting it
   raises ``connection-lost``; recovery from that point is process
   restart + ``repro net --resume``, not an in-node retry, which would
-  desynchronise the mirrors.
+  desynchronise the mirrors.  The first connection does not back off
+  from a refused dial: the peer's listener is just not up yet, and
+  the dialer polls for it every :data:`DIAL_POLL_S`.
 * **Heartbeats** — a daemon thread emits unmetered keepalives so a
   peer that is busy computing a long node is distinguishable from a
   dead one; only a *silent* connection (no bytes at all within
@@ -101,6 +103,11 @@ EXCHANGE_DEADLINE_S = 120.0
 RECONNECT_DELAYS_S = tuple(min(0.05 * 2 ** i, 2.0) for i in range(10))
 #: Bound, in seconds, on one dial or accept and on the peer's HELLO.
 ATTEMPT_TIMEOUT_S = 2.0
+#: Seconds between two dials of the first connection while the peer's
+#: listener is not up yet (its dials are refused): the peer binds only
+#: once it has prepared its data, so this is a wait for it, not a
+#: backoff, and it is bounded by the reconnect schedule's total.
+DIAL_POLL_S = 0.005
 
 
 def free_port(host: str = "127.0.0.1") -> int:
@@ -476,11 +483,12 @@ class SocketTransport:
             self.stats["reconnects"] += 1
             self._drop_socket()
         last_error: Optional[Exception] = None
+        poll_until = time.monotonic() + sum(RECONNECT_DELAYS_S)
         for attempt, delay in enumerate(RECONNECT_DELAYS_S):
             if attempt > 0 or not initial:
                 time.sleep(delay)
             try:
-                self._establish()
+                self._establish(poll_until if initial else None)
                 self._handshake()
                 return
             except TransportAbort:
@@ -489,6 +497,8 @@ class SocketTransport:
             except (OSError, json.JSONDecodeError) as exc:
                 last_error = exc
                 self._drop_socket()
+                if initial and isinstance(exc, ConnectionRefusedError):
+                    break  # no listener within the schedule's total
         raise TransportAbort(
             "connection-lost",
             node=self._node(),
@@ -496,15 +506,25 @@ class SocketTransport:
             attempts=len(RECONNECT_DELAYS_S),
         ) from last_error
 
-    def _establish(self) -> None:
+    def _establish(self, poll_until: Optional[float] = None) -> None:
+        """Accept or dial one connection.  With ``poll_until`` (the
+        first connection), a refused dial means the peer's listener is
+        not up yet and is retried every :data:`DIAL_POLL_S` until then."""
         if self._listener is not None:
             self._listener.settimeout(ATTEMPT_TIMEOUT_S)
             conn, _addr = self._listener.accept()
         else:
             assert self.connect is not None
-            conn = socket.create_connection(
-                self.connect, timeout=ATTEMPT_TIMEOUT_S
-            )
+            while True:
+                try:
+                    conn = socket.create_connection(
+                        self.connect, timeout=ATTEMPT_TIMEOUT_S
+                    )
+                    break
+                except ConnectionRefusedError:
+                    if poll_until is None or time.monotonic() >= poll_until:
+                        raise
+                    time.sleep(DIAL_POLL_S)
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn.settimeout(None)  # blocking; all waits are select-gated
         with self._send_lock:

@@ -186,6 +186,44 @@ def test_sorted_lookup_matches_a_dict_probe(keys, queries):
     ]
 
 
+def _probe_in_query_order(keys, queries):
+    """``sorted_lookup`` as it was before it sorted its probes: one
+    ``searchsorted`` over the queries in the order given."""
+    order = np.argsort(keys)
+    if not len(keys):
+        return order, np.full(len(queries), -1, dtype=np.int64)
+    srt = keys[order]
+    pos = np.minimum(np.searchsorted(srt, queries), len(keys) - 1)
+    return order, np.where(srt[pos] == queries, pos, -1)
+
+
+@given(
+    keys=st.lists(st.integers(0, 2**64 - 1), unique=True, max_size=60),
+    queries=st.lists(st.integers(0, 2**64 - 1), max_size=60),
+    hits=st.lists(st.integers(0, 59), max_size=60),
+    as_bytes=st.booleans(),
+)
+def test_sorted_probes_give_the_query_order_slots(
+    keys, queries, hits, as_bytes
+):
+    """Probing in sorted order and scattering back gives the same
+    ``order`` and ``slot`` arrays, dtype included, as probing in query
+    order — over ``uint64`` keys and the DH-OPRF's 16-byte tokens, with
+    repeated, present and absent queries."""
+    queries = queries + [keys[h % len(keys)] for h in hits if keys]
+    k = np.asarray(keys, dtype=np.uint64)
+    q = np.asarray(queries, dtype=np.uint64)
+    if as_bytes:
+        k, q = (
+            np.repeat(a.astype(">u8"), 2).view("S16") for a in (k, q)
+        )
+    got = batch.sorted_lookup(k, q)
+    want = _probe_in_query_order(k, q)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert g.tolist() == w.tolist()
+
+
 @given(keys=st.lists(st.integers(0, 40), min_size=1, max_size=30))
 def test_sorted_lookup_rejects_a_duplicate_key(keys):
     keys = np.asarray(keys + keys[:1], dtype=np.uint64)

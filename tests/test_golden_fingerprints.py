@@ -73,7 +73,7 @@ MIXED_RUNS = ["chain_query/auto/ABA"]
 RUNS = TPCH_RUNS + list(EXAMPLE_RUNS) + MIXED_RUNS
 
 
-def _tpch_run(dataset, run: str):
+def _tpch_runs(dataset, run: str, runs: int):
     from repro.mpc import Engine, Mode
     from repro.tpch.queries import PREPARED, prepare_q9
 
@@ -83,16 +83,19 @@ def _tpch_run(dataset, run: str):
         query = prepare_q9(dataset, nations=Q9_NATIONS, flip_owners=flip)
     else:
         query = PREPARED[name](dataset, flip_owners=flip)
-    engine = Engine(query.make_context(Mode.SIMULATED, seed=SEED))
-    engine.backend = backend
-    result, _ = query.run_secure(engine)
-    rows = sorted(
-        json.dumps([list(t), int(v)], default=int) for t, v in result
-    )
-    return engine.ctx.transcript, rows
+    out = []
+    for _ in range(runs):
+        engine = Engine(query.make_context(Mode.SIMULATED, seed=SEED))
+        engine.backend = backend
+        result, _ = query.run_secure(engine)
+        rows = sorted(
+            json.dumps([list(t), int(v)], default=int) for t, v in result
+        )
+        out.append((engine.ctx.transcript, rows))
+    return out
 
 
-def _example_run(run: str, mode):
+def _example_runs_of(run: str, mode, runs: int):
     from repro.core import (
         SecureRelation,
         secure_yannakakis,
@@ -112,25 +115,32 @@ def _example_run(run: str, mode):
     )
     build = build_two_phase_plan if variant == "two_phase" else build_plan
     plan = build(tree, ("cls",))
-    engine = Engine(Context(mode, seed=SEED))
     inputs = {
         n: SecureRelation.from_annotated(owners[n], r)
         for n, r in rels.items()
     }
-    if variant == "shared_pad8":
-        # Shared annotations are random shares and padding rows carry
-        # fresh nonces: pin the real rows and the padded row count.
-        shared = secure_yannakakis_shared(engine, inputs, plan, pad_out_to=8)
-        rows = sorted(
-            "dummy" if is_dummy_tuple(t) else json.dumps(list(t))
-            for t in shared.tuples
-        )
-    else:
-        result, _ = secure_yannakakis(engine, inputs, plan)
-        rows = sorted(
-            json.dumps([list(t), int(v)], default=int) for t, v in result
-        )
-    return engine.ctx.transcript, rows
+    out = []
+    for _ in range(runs):
+        engine = Engine(Context(mode, seed=SEED))
+        if variant == "shared_pad8":
+            # Shared annotations are random shares and padding rows
+            # carry fresh nonces: pin the real rows and the padded row
+            # count.
+            shared = secure_yannakakis_shared(
+                engine, inputs, plan, pad_out_to=8
+            )
+            rows = sorted(
+                "dummy" if is_dummy_tuple(t) else json.dumps(list(t))
+                for t in shared.tuples
+            )
+        else:
+            result, _ = secure_yannakakis(engine, inputs, plan)
+            rows = sorted(
+                json.dumps([list(t), int(v)], default=int)
+                for t, v in result
+            )
+        out.append((engine.ctx.transcript, rows))
+    return out
 
 
 def mixed_query():
@@ -140,29 +150,39 @@ def mixed_query():
     return chain_query()
 
 
-def _mixed_run():
+def _mixed_runs(runs: int):
     from repro.mpc import Context, Engine, Mode
 
-    engine = Engine(Context(Mode.SIMULATED, seed=SEED))
-    engine.backend = "auto"
-    result, _ = mixed_query().run_secure(engine)
-    rows = sorted(
-        json.dumps([list(t), int(v)], default=int) for t, v in result
-    )
-    return engine.ctx.transcript, rows
+    query = mixed_query()
+    out = []
+    for _ in range(runs):
+        engine = Engine(Context(Mode.SIMULATED, seed=SEED))
+        engine.backend = "auto"
+        result, _ = query.run_secure(engine)
+        rows = sorted(
+            json.dumps([list(t), int(v)], default=int) for t, v in result
+        )
+        out.append((engine.ctx.transcript, rows))
+    return out
 
 
-def run_transcript(run: str, dataset=None, mode=None):
-    """One run's transcript and sorted result rows.  TPC-H runs need
-    the generated ``dataset``; ``example_11`` runs take a ``mode``
-    (SIMULATED by default)."""
+def run_transcripts(run: str, dataset=None, mode=None, runs: int = 1):
+    """``runs`` runs' transcripts and sorted result rows, all over the
+    same inputs, prepared once.  TPC-H runs need the generated
+    ``dataset``; ``example_11`` runs take a ``mode`` (SIMULATED by
+    default)."""
     from repro.mpc import Mode
 
     if run.startswith("example_11/"):
-        return _example_run(run, mode or Mode.SIMULATED)
+        return _example_runs_of(run, mode or Mode.SIMULATED, runs)
     if run in MIXED_RUNS:
-        return _mixed_run()
-    return _tpch_run(dataset, run)
+        return _mixed_runs(runs)
+    return _tpch_runs(dataset, run, runs)
+
+
+def run_transcript(run: str, dataset=None, mode=None):
+    """One run's transcript and sorted result rows."""
+    return run_transcripts(run, dataset, mode)[0]
 
 
 def digest_of(transcript, rows) -> str:

@@ -169,17 +169,15 @@ def test_suppression_of_other_rule_does_not_apply():
 def test_inline_suppression_is_the_only_silencing_mechanism(capsys):
     """A finding is fixed or carries a justified inline suppression:
     the grandfathering baseline, its flags and its file are gone."""
-    import argparse
     import importlib
 
-    from repro.lint.runner import add_lint_arguments
+    from repro.cli import build_parser
 
-    parser = argparse.ArgumentParser()
-    add_lint_arguments(parser)
+    parser = build_parser()
     for flag in ("baseline=f", "no-baseline", "write-baseline",
                  "prune-baseline", "check-baseline"):
         with pytest.raises(SystemExit):
-            parser.parse_args([f"--{flag}"])
+            parser.parse_args(["lint", f"--{flag}"])
     assert "unrecognized arguments" in capsys.readouterr().err
     with pytest.raises(ImportError):
         importlib.import_module("repro.lint.baseline")
@@ -202,10 +200,9 @@ def test_rule_catalogue_complete():
     alone, and the framework for several rules is gone — its registry
     and the options that selected, listed or JSON-reported rules — and
     so is the audit of a plan file, which has no format to read."""
-    import argparse
     import importlib
 
-    from repro.lint.runner import add_lint_arguments
+    from repro.cli import build_parser
     from repro.lint.violations import LintResult
 
     blob = json.loads(sarif_report(LintResult()))
@@ -214,12 +211,11 @@ def test_rule_catalogue_complete():
     for module in ("registry", "rules"):
         with pytest.raises(ImportError):
             importlib.import_module(f"repro.lint.{module}")
-    parser = argparse.ArgumentParser()
-    add_lint_arguments(parser)
+    parser = build_parser()
     for argv in (["--select", "OBL001"], ["--list-rules"],
                  ["--format", "json"], ["--plan", "q3.json"]):
         with pytest.raises(SystemExit):
-            parser.parse_args(argv)
+            parser.parse_args(["lint", *argv])
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,9 @@ shares.  Across processes, two fresh interpreters, one under
 * every golden run's digest and shape, which must equal the golden
   file's (a wall-clock, ``id()``, ``os.getpid()`` or ``hash()`` value
   in a label moves them, and so does a plan emitted in set order under
-  some hash seeds, seed 0 among them);
+  some hash seeds, seed 0 among them), and the digest of a second run
+  over the same prepared inputs, which must equal it too (the second
+  run reads the layouts the first memoised on its input stores);
 * one SHA-256 over the shares of every ``SharedVector`` built while
   TPC-H Q3 at :data:`SHARE_SCALE_MB` runs at protocol seed
   :data:`SHARE_SEED`, in REAL and in SIMULATED, under each join
@@ -69,24 +71,27 @@ def global_rng_state() -> str:
 
 
 def golden_runs() -> dict:
-    """Every golden run's digest and shape."""
+    """Every golden run's digest and shape, and the digest of a second
+    run over the same prepared inputs (which reads the layouts the first
+    run memoised on them)."""
     from repro.tpch import generate
 
     from .test_golden_fingerprints import (
         RUNS,
         SCALE_MB,
         digest_of,
-        run_transcript,
+        run_transcripts,
         shape_of,
     )
 
     dataset = generate(SCALE_MB)
-    runs, shapes = {}, {}
+    runs, shapes, second = {}, {}, {}
     for run in RUNS:
-        transcript, rows = run_transcript(run, dataset)
+        (transcript, rows), again = run_transcripts(run, dataset, runs=2)
         runs[run] = digest_of(transcript, rows)
         shapes[run] = shape_of(transcript)
-    return {"runs": runs, "shapes": shapes}
+        second[run] = digest_of(*again)
+    return {"runs": runs, "shapes": shapes, "second": second}
 
 
 @contextmanager
@@ -183,6 +188,13 @@ def test_seeded_runs_replay_in_fresh_processes():
             != (golden["runs"][run], golden["shapes"][run])
         )
         assert not moved, f"PYTHONHASHSEED={seed}: {moved} moved"
+        moved = sorted(
+            run for run in golden["runs"]
+            if got["second"][run] != golden["runs"][run]
+        )
+        assert not moved, (
+            f"PYTHONHASHSEED={seed}: a second run of {moved} moved"
+        )
         assert got["global_rng_unchanged"], (
             f"PYTHONHASHSEED={seed}: the run drew from a global generator"
         )

@@ -193,6 +193,79 @@ def short_reconnects(monkeypatch):
     )
 
 
+class TestFirstDial:
+    def test_dialer_polls_for_a_listener_not_up_yet(self, monkeypatch):
+        """Bob dials before Alice has bound her listener (she binds in
+        ``start``, once her data is prepared): each refused dial waits
+        :data:`DIAL_POLL_S`, never a step of the reconnect schedule, and
+        he connects once she listens."""
+        port = free_port()
+        alice, bob = (
+            SocketTransport(
+                role=role,
+                session_id="first-dial",
+                listen=("127.0.0.1", port) if role == ALICE else None,
+                connect=("127.0.0.1", port) if role == BOB else None,
+            )
+            for role in (ALICE, BOB)
+        )
+        for party in (alice, bob):
+            party.attach(_SessionStub())
+        listening = threading.Thread(target=alice.start)
+        slept = []
+        real_sleep = time.sleep
+
+        def sleep(seconds):
+            slept.append(seconds)
+            if len(slept) == 3:
+                listening.start()
+            real_sleep(0.001)
+
+        monkeypatch.setattr(transport_module.time, "sleep", sleep)
+        try:
+            bob.start()
+            listening.join(timeout=10.0)
+        finally:
+            monkeypatch.undo()
+            bob.close()
+            alice.close()
+        assert len(slept) >= 3
+        assert set(slept) == {transport_module.DIAL_POLL_S}
+        assert not set(slept) & set(transport_module.RECONNECT_DELAYS_S)
+        assert bob.stats["reconnects"] == alice.stats["reconnects"] == 0
+
+    def test_a_listener_that_never_comes_up_is_connection_lost(
+        self, monkeypatch
+    ):
+        """Polling is bounded by the reconnect schedule's total: with no
+        listener at all, the first dial gives up with ``connection-lost``
+        once that much time has passed, having slept only polls."""
+        monkeypatch.setattr(
+            transport_module, "RECONNECT_DELAYS_S", (0.05, 0.1)
+        )
+        slept = []
+        real_sleep = time.sleep
+
+        def sleep(seconds):
+            slept.append(seconds)
+            real_sleep(seconds)
+
+        monkeypatch.setattr(transport_module.time, "sleep", sleep)
+        bob = SocketTransport(
+            role=BOB, session_id="no-listener",
+            connect=("127.0.0.1", free_port()),
+        )
+        bob.attach(_SessionStub())
+        t0 = time.monotonic()
+        with pytest.raises(TransportAbort) as info:
+            bob.start()
+        elapsed = time.monotonic() - t0
+        monkeypatch.undo()
+        assert info.value.reason == "connection-lost"
+        assert 0.15 <= elapsed < 2.0
+        assert set(slept) == {transport_module.DIAL_POLL_S}
+
+
 class TestLoopback:
     """Both roles in one process, over a real localhost socket."""
 
